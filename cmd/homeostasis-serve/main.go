@@ -107,6 +107,17 @@ func (c *classFiles) Set(s string) error {
 	return nil
 }
 
+// serviceTime maps the -exec-time flag to homeo.Options.LocalExecTime. The
+// engine reads a zero service time as "unset" and substitutes its 2 ms
+// default, so an explicit -exec-time 0 is passed as the smallest service
+// time instead of silently becoming 2 ms.
+func serviceTime(flagValue time.Duration) time.Duration {
+	if flagValue == 0 {
+		return time.Nanosecond
+	}
+	return flagValue
+}
+
 func main() {
 	var registers classFiles
 	var (
@@ -122,7 +133,7 @@ func main() {
 		rtt          = flag.Duration("rtt", 50*time.Millisecond, "uniform inter-site round-trip time (really slept)")
 		ec2          = flag.Bool("ec2", false, "use the paper's Table 1 EC2 inter-region RTTs instead of -rtt")
 		cpu          = flag.Int("cpu", 4, "CPU slots per site (a real concurrency limit)")
-		execTime     = flag.Duration("exec-time", 2*time.Millisecond, "local execution service time per transaction")
+		execTime     = flag.Duration("exec-time", 2*time.Millisecond, "local execution service time per transaction (0 = none: runs the engine at its smallest, 1ns)")
 		lockTimeout  = flag.Duration("lock-timeout", time.Second, "2PL lock-wait timeout")
 		items        = flag.Int("items", 200, "micro: stock items")
 		refill       = flag.Int64("refill", 100, "micro: REFILL constant")
@@ -163,7 +174,7 @@ func main() {
 		RTT:           *rtt,
 		Workload:      base,
 		CPUPerSite:    *cpu,
-		LocalExecTime: *execTime,
+		LocalExecTime: serviceTime(*execTime),
 		LockTimeout:   *lockTimeout,
 		Seed:          *seed,
 		MaxInflight:   *maxInflight,

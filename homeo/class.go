@@ -3,6 +3,7 @@ package homeo
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/lang"
 	"repro/internal/sqlfront"
@@ -42,6 +43,35 @@ type ClassSpec struct {
 type TxnClass struct {
 	c  *Cluster
 	wc *workload.Class
+	// governed caches the treaty units governing the class, so building
+	// a request takes no lock (see units).
+	governed atomic.Pointer[governedUnits]
+}
+
+// governedUnits is a class's governing unit set as of one registration
+// generation.
+type governedUnits struct {
+	gen   uint64
+	units []int
+}
+
+// units returns the treaty units whose treaties an invocation of the
+// class must check: its own and every unit sharing an object with it.
+// The set changes only when a class is registered, which bumps
+// Cluster.regGen under the execution right; until then the cached set is
+// read without a lock. A submission racing a registration may see the set
+// from just before it, exactly as a request built just before it would.
+func (t *TxnClass) units() []int {
+	if g := t.governed.Load(); g != nil && g.gen == t.c.regGen.Load() {
+		return g.units
+	}
+	g := &governedUnits{}
+	t.c.locked(func() {
+		g.gen = t.c.regGen.Load()
+		g.units = t.c.reg.Units(t.wc)
+	})
+	t.governed.Store(g)
+	return g.units
 }
 
 // Register compiles, analyzes, and installs a transaction class on the
@@ -156,6 +186,7 @@ func (c *Cluster) RegisterBatch(specs []ClassSpec) ([]*TxnClass, error) {
 		for _, hit := range hits {
 			c.sys.Col.RecordAnalysisCache(hit)
 		}
+		c.regGen.Add(1)
 	})
 	if regErr != nil {
 		return nil, regErr
@@ -233,6 +264,9 @@ func (t *TxnClass) Name() string { return t.wc.Name }
 
 // Params returns the class's parameter names in declaration order.
 func (t *TxnClass) Params() []string { return append([]string(nil), t.wc.Params...) }
+
+// Arity returns the number of arguments an invocation takes.
+func (t *TxnClass) Arity() int { return len(t.wc.Params) }
 
 // Objects returns the class's full object footprint (sorted), which is
 // exactly the object set of its treaty unit.

@@ -4,6 +4,13 @@
 // exponential backoff, and decodes the structured error envelope into
 // *APIError values. The serving binary's -drive closed loop is built on
 // it, so external users and the load driver share one code path.
+//
+// Submit is the call every commit makes, so it builds nothing per call
+// that does not change between calls: the /v1/txn URL and header set are
+// made once in New, the request and reply go through the homeo/wire codec
+// instead of encoding/json, and the request value, its body reader and
+// both buffers come from a pool (see txnCall). Every other method pays
+// for http.NewRequest and encoding/json.
 package client
 
 import (
@@ -16,6 +23,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -77,6 +85,13 @@ type Client struct {
 	hc   *http.Client
 	opts Options
 
+	// What every POST /v1/txn shares, built once: the parsed URL (or why
+	// it does not parse), the header set, and the pool of calls.
+	txnURL    *url.URL
+	txnErr    error
+	txnHeader http.Header
+	calls     sync.Pool
+
 	mu  sync.Mutex
 	rng *rand.Rand
 }
@@ -111,11 +126,26 @@ func New(baseURL string, opts Options) *Client {
 			IdleConnTimeout:     90 * time.Second,
 		}}
 	}
-	return &Client{
-		base: strings.TrimSuffix(baseURL, "/"),
-		hc:   hc,
-		opts: opts,
-		rng:  rand.New(rand.NewSource(seed)),
+	c := &Client{
+		base:      strings.TrimSuffix(baseURL, "/"),
+		hc:        hc,
+		opts:      opts,
+		rng:       rand.New(rand.NewSource(seed)),
+		txnHeader: http.Header{},
+	}
+	c.txnURL, c.txnErr = url.Parse(c.base + "/v1/txn")
+	c.setHeaders(c.txnHeader, true)
+	c.calls.New = func() any { return c.newCall() }
+	return c
+}
+
+// setHeaders puts on h what every request of this client carries.
+func (c *Client) setHeaders(h http.Header, body bool) {
+	if body {
+		h.Set("Content-Type", "application/json")
+	}
+	if c.opts.PeerToken != "" {
+		h.Set("X-Homeo-Peer-Token", c.opts.PeerToken)
 	}
 }
 
@@ -138,17 +168,12 @@ func (c *Client) backoff(n int) time.Duration {
 	return d
 }
 
-// do performs one JSON round trip with retries. A nil out discards the
-// response body.
-func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	var payload []byte
-	if in != nil {
-		var err error
-		payload, err = json.Marshal(in)
-		if err != nil {
-			return err
-		}
-	}
+// retry runs try until it succeeds, fails for good, or the attempt budget
+// is spent. try reports whether its failure may be retried: the server
+// refused the request before executing it, or the transport failed (the
+// driver's workloads are safe to resubmit; callers needing at-most-once
+// set MaxAttempts to 1).
+func (c *Client) retry(ctx context.Context, try func() (retryable bool, err error)) error {
 	var lastErr error
 	for attempt := 0; attempt < c.opts.MaxAttempts; attempt++ {
 		if attempt > 0 {
@@ -165,40 +190,130 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 			case <-time.After(delay):
 			}
 		}
+		retryable, err := try()
+		if err == nil || !retryable {
+			return err
+		}
+		lastErr = err
+	}
+	return fmt.Errorf("homeo api: giving up after %d attempts: %w", c.opts.MaxAttempts, lastErr)
+}
+
+// retryable reports whether a decoded response is a refusal the server
+// invites the client to retry.
+func retryable(err error) bool {
+	var ae *APIError
+	return errors.As(err, &ae) && ae.Retryable()
+}
+
+// do performs one JSON round trip with retries. A nil out discards the
+// response body.
+func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
+	var payload []byte
+	if in != nil {
+		var err error
+		payload, err = json.Marshal(in)
+		if err != nil {
+			return err
+		}
+	}
+	return c.retry(ctx, func() (bool, error) {
 		var body io.Reader
 		if payload != nil {
 			body = bytes.NewReader(payload)
 		}
 		req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 		if err != nil {
-			return err
+			return false, err
 		}
-		if payload != nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		if c.opts.PeerToken != "" {
-			req.Header.Set("X-Homeo-Peer-Token", c.opts.PeerToken)
-		}
+		c.setHeaders(req.Header, payload != nil)
 		resp, err := c.hc.Do(req)
 		if err != nil {
-			// Transport failure: retryable (the driver's workloads are
-			// safe to resubmit; callers needing at-most-once set
-			// MaxAttempts to 1).
-			lastErr = err
-			continue
+			return true, err
 		}
-		apiErr := decodeResponse(resp, out)
-		if apiErr == nil {
-			return nil
-		}
-		lastErr = apiErr
-		var ae *APIError
-		if errors.As(apiErr, &ae) && ae.Retryable() {
-			continue
-		}
-		return apiErr
+		err = decodeResponse(resp, out)
+		return retryable(err), err
+	})
+}
+
+// txnCall is one POST /v1/txn being made: the request net/http sends, the
+// header map and body reader that request points to, the encoded
+// transaction, and the buffer the reply is read into. Calls are pooled. A
+// call goes back to the pool only from an attempt that was answered 2xx
+// and read to the end: the server has then consumed the request, so
+// nothing in net/http still reads the body. After any other outcome the
+// transport may not have finished with the request, and the call is left
+// to the collector.
+type txnCall struct {
+	req     http.Request // never sent itself: WithContext copies it for each attempt
+	header  http.Header
+	body    bytes.Reader
+	payload []byte
+	reply   []byte
+}
+
+func (c *Client) newCall() *txnCall {
+	k := &txnCall{header: make(http.Header, len(c.txnHeader)+2)}
+	k.req = http.Request{
+		Method:     http.MethodPost,
+		URL:        c.txnURL,
+		Proto:      "HTTP/1.1",
+		ProtoMajor: 1,
+		ProtoMinor: 1,
+		Header:     k.header,
+		Body:       io.NopCloser(&k.body),
+		GetBody:    k.getBody,
+		Host:       c.txnURL.Host,
 	}
-	return fmt.Errorf("homeo api: giving up after %d attempts: %w", c.opts.MaxAttempts, lastErr)
+	return k
+}
+
+// getBody gives net/http a second copy of the body, for a redirect or for
+// resending on a fresh connection.
+func (k *txnCall) getBody() (io.ReadCloser, error) {
+	return io.NopCloser(bytes.NewReader(k.payload)), nil
+}
+
+// submitOnce makes one attempt at a transaction.
+//
+//homeo:hotpath
+func (c *Client) submitOnce(ctx context.Context, req *wire.TxnRequest, res *wire.TxnResult) (retry bool, err error) {
+	// Put back only by the answered attempt at the end; see txnCall.
+	k := c.calls.Get().(*txnCall)
+	k.payload = wire.AppendTxnRequest(k.payload[:0], req)
+	k.body.Reset(k.payload)
+	k.req.ContentLength = int64(len(k.payload))
+	// A transport may have added to the header map of the attempt that
+	// last used this call (a cookie jar does); every attempt starts from
+	// the client's own set.
+	clear(k.header)
+	for name, v := range c.txnHeader {
+		k.header[name] = v
+	}
+	resp, err := c.hc.Do(k.req.WithContext(ctx))
+	if err != nil {
+		return true, err
+	}
+	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
+		err = decodeResponse(resp, nil)
+		return retryable(err), err
+	}
+	k.reply, err = wire.ReadBody(k.reply, resp.Body)
+	_ = resp.Body.Close() // read to the end or failed: nothing left to report
+	if err == nil {
+		err = wire.ParseTxnResult(k.reply, res)
+	}
+	if err != nil {
+		return false, decodeError(resp.StatusCode, err)
+	}
+	if cap(k.payload) <= wire.MaxPooledBuf && cap(k.reply) <= wire.MaxPooledBuf {
+		c.calls.Put(k)
+	}
+	return false, nil
+}
+
+func decodeError(status int, err error) error {
+	return fmt.Errorf("homeo api: decoding %d response: %w", status, err)
 }
 
 // decodeResponse decodes a 2xx body into out or a non-2xx body into an
@@ -211,7 +326,7 @@ func decodeResponse(resp *http.Response, out any) error {
 			return nil
 		}
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return fmt.Errorf("homeo api: decoding %d response: %w", resp.StatusCode, err)
+			return decodeError(resp.StatusCode, err)
 		}
 		return nil
 	}
@@ -282,9 +397,14 @@ func (c *Client) ListClasses(ctx context.Context) ([]wire.ClassInfo, error) {
 // the transaction's own outcome (aborted/timeout/livelocked). Queue
 // overflow (429) is retried with backoff and surfaces as *APIError when
 // the budget runs out.
+//
+//homeo:hotpath
 func (c *Client) Submit(ctx context.Context, req wire.TxnRequest) (wire.TxnResult, error) {
 	var res wire.TxnResult
-	err := c.do(ctx, http.MethodPost, "/v1/txn", wire.TxnEnvelope{TxnRequest: req}, &res)
+	if c.txnErr != nil {
+		return res, c.txnErr
+	}
+	err := c.retry(ctx, func() (bool, error) { return c.submitOnce(ctx, &req, &res) })
 	return res, err
 }
 

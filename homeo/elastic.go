@@ -21,6 +21,8 @@ import (
 type topoView struct {
 	width  int
 	active []bool
+	// sessions[k] is the session pinned to site k (see SessionAt).
+	sessions []*Session
 }
 
 // refreshTopo snapshots the membership under the cluster lock and
@@ -34,6 +36,10 @@ func (c *Cluster) refreshTopo() {
 			v.active[k] = c.sys.SiteActive(k)
 		}
 	})
+	v.sessions = make([]*Session, v.width)
+	for k := range v.sessions {
+		v.sessions[k] = &Session{c: c, site: k}
+	}
 	c.topo.Store(v)
 }
 

@@ -14,7 +14,7 @@ import (
 // the worst-case submission stall a migration can inject. Run serially;
 // numbers in BENCH_elastic.json are from a 1-core container.
 func BenchmarkUnitMigration(b *testing.B) {
-	c, _ := benchCluster(b, homeo.RuntimeSim)
+	c, _ := benchCluster(b, homeo.Options{Runtime: homeo.RuntimeSim})
 	// One warm-up migration so pools and the treaty solver cache are hot.
 	if err := c.MigrateUnit(0, 1); err != nil {
 		b.Fatal(err)

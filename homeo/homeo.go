@@ -263,6 +263,12 @@ type Cluster struct {
 	classes map[string]*TxnClass
 	rng     *rand.Rand
 
+	// regGen counts class registrations; TxnClass.units keys its cache
+	// on it. Bumped under the execution right.
+	regGen atomic.Uint64
+	// anySite is the round-robin session every Session() call returns.
+	anySite *Session
+
 	inflight atomic.Int64
 	draining atomic.Bool
 	nextID   atomic.Int64
@@ -329,6 +335,7 @@ func New(opts Options) (*Cluster, error) {
 		rng:       rand.New(rand.NewSource(opts.Seed + 101)),
 		start:     wallClock(),
 	}
+	c.anySite = &Session{c: c, site: -1}
 	sysOpts := homeostasis.Options{
 		Mode:           opts.Mode,
 		Alloc:          opts.Alloc,

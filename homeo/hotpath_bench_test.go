@@ -125,9 +125,10 @@ transaction Deposit(n) {
 // benchCluster builds a 2-site cluster with a guard-free deposit class:
 // its treaty is trivially true, so submissions never synchronize and the
 // benchmark isolates the submit→exec→commit machinery.
-func benchCluster(b *testing.B, kind homeo.RuntimeKind) (*homeo.Cluster, *homeo.TxnClass) {
+func benchCluster(b *testing.B, opts homeo.Options) (*homeo.Cluster, *homeo.TxnClass) {
 	b.Helper()
-	c, err := homeo.New(homeo.Options{Runtime: kind, Seed: 7})
+	opts.Seed = 7
+	c, err := homeo.New(opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func benchCluster(b *testing.B, kind homeo.RuntimeKind) (*homeo.Cluster, *homeo.
 }
 
 func benchSubmit(b *testing.B, kind homeo.RuntimeKind) {
-	c, cls := benchCluster(b, kind)
+	c, cls := benchCluster(b, homeo.Options{Runtime: kind})
 	sess := c.Session()
 	ctx := context.Background()
 	for i := 0; i < 64; i++ {

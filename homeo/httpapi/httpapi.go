@@ -9,8 +9,14 @@
 // POST /v1/classes (the server parses, analyzes, and generates treaties
 // online), invoked over POST /v1/txn (single or batch, with 429
 // backpressure on queue overflow), and observed over GET /v1/stats
-// (snapshot or Server-Sent Events stream). The pre-v1 endpoints /txn and
-// /stats answer 410 Gone with a pointer to their replacements.
+// (snapshot or Server-Sent Events stream).
+//
+// A single transaction over POST /v1/txn is the path every commit takes,
+// so it alone is served without encoding/json and without building
+// anything per request: the body is read into a pooled buffer, scanned by
+// the homeo/wire codec into a pooled request, and the reply is appended
+// to the same buffer (see serveOne). Batches and every other endpoint go
+// through encoding/json.
 package httpapi
 
 import (
@@ -54,8 +60,6 @@ func NewHandler(c *homeo.Cluster) *Handler {
 	h.mux.HandleFunc("/v1/topology/drain", h.handleTopologyDrain)
 	h.mux.HandleFunc("/v1/topology/migrate", h.handleTopologyMigrate)
 	h.mux.HandleFunc("/healthz", h.handleHealthz)
-	h.mux.HandleFunc("/txn", gone("/v1/txn"))
-	h.mux.HandleFunc("/stats", gone("/v1/stats"))
 	if peer := c.PeerHandler(); peer != nil {
 		// The peer handler owns the full /v1/peer/* paths; the exact
 		// /v1/peer/log and /v1/peer/db patterns below still win.
@@ -167,12 +171,23 @@ func wireStats(s homeo.Stats) wire.Stats {
 	return out
 }
 
-// gone answers 410 for a pre-v1 endpoint, naming its replacement.
-func gone(replacement string) http.HandlerFunc {
-	return func(rw http.ResponseWriter, req *http.Request) {
-		writeError(rw, http.StatusGone, "gone",
-			"this endpoint was replaced by %s (see the /v1 protocol docs)", replacement)
+// Request bodies are bounded: a transaction is a class name and a few
+// integers, a registration carries source text and preloaded rows.
+const (
+	maxTxnBody     = 1 << 20
+	maxClassesBody = 16 << 20
+)
+
+// refuseTooLarge answers 413 when err says a body outgrew its bound, and
+// reports whether it did.
+func refuseTooLarge(rw http.ResponseWriter, err error) bool {
+	var tooLarge *http.MaxBytesError
+	if !errors.As(err, &tooLarge) {
+		return false
 	}
+	writeError(rw, http.StatusRequestEntityTooLarge, "too_large",
+		"request body exceeds %d bytes", tooLarge.Limit)
+	return true
 }
 
 // decodeBody decodes a JSON body, tolerating an empty one.
@@ -344,8 +359,11 @@ func (h *Handler) handleClasses(rw http.ResponseWriter, req *http.Request) {
 			return
 		}
 		var body wire.ClassEnvelope
+		req.Body = http.MaxBytesReader(rw, req.Body, maxClassesBody)
 		if err := decodeBody(req, &body); err != nil {
-			writeError(rw, http.StatusBadRequest, "bad_request", "request body: %v", err)
+			if !refuseTooLarge(rw, err) {
+				writeError(rw, http.StatusBadRequest, "bad_request", "request body: %v", err)
+			}
 			return
 		}
 		reqs := body.Batch
@@ -395,61 +413,135 @@ func (h *Handler) handleClasses(rw http.ResponseWriter, req *http.Request) {
 	}
 }
 
-// resolveTxn validates one TxnRequest into a runnable closure.
-func (h *Handler) submitOne(ctx context.Context, body wire.TxnRequest) wire.TxnResult {
-	var (
-		sess *homeo.Session
-		err  error
-	)
+// txnScratch is everything one POST /v1/txn needs from reading the body
+// to writing the reply. Scratches are pooled, so a single transaction
+// allocates nothing here: the body and then the reply share buf, and the
+// request is decoded over env, whose Args and Site point into args and
+// site. Nothing handed to the engine refers to a scratch after the
+// handler returns — Session.Submit copies the arguments it keeps.
+type txnScratch struct {
+	buf  []byte
+	env  wire.TxnEnvelope
+	args []int64
+	site int
+}
+
+var txnPool = sync.Pool{New: func() any { return &txnScratch{buf: make([]byte, 0, 512)} }}
+
+// release returns the scratch to the pool, unless a large body grew it.
+//
+//homeo:release sync.Pool
+func (s *txnScratch) release() {
+	if cap(s.buf) > wire.MaxPooledBuf {
+		return
+	}
+	if s.env.Args != nil {
+		s.args = s.env.Args[:0] // grown by the decoder: keep the larger one
+	}
+	s.env.Batch = nil
+	txnPool.Put(s)
+}
+
+// readBody reads the request body, which may be at most limit bytes, over
+// buf. A body of declared length is bounded by the declaration; only one
+// of unknown length needs http.MaxBytesReader.
+func readBody(rw http.ResponseWriter, req *http.Request, buf []byte, limit int64) ([]byte, error) {
+	if req.Body == nil {
+		return buf[:0], nil
+	}
+	if req.ContentLength > limit {
+		return buf, &http.MaxBytesError{Limit: limit}
+	}
+	body := req.Body
+	if req.ContentLength < 0 {
+		body = http.MaxBytesReader(rw, body, limit)
+	}
+	return wire.ReadBody(buf, body)
+}
+
+// jsonContentType is the one Content-Type value every reply carries,
+// shared so that setting it costs no allocation.
+var jsonContentType = []string{"application/json"}
+
+// implicitLength is the reply size below which net/http sets
+// Content-Length itself (a reply written whole that fits its 2 KiB
+// buffer); from there on the handler sets it, so no reply is chunked.
+const implicitLength = 2048
+
+// reply writes res as the 200 reply of a single transaction: compact
+// JSON, written whole, with Content-Length.
+//
+//homeo:hotpath
+func (s *txnScratch) reply(rw http.ResponseWriter, res *wire.TxnResult) {
+	s.buf = wire.AppendTxnResult(s.buf[:0], res)
+	hdr := rw.Header()
+	hdr["Content-Type"] = jsonContentType
+	if len(s.buf) >= implicitLength {
+		hdr["Content-Length"] = []string{strconv.Itoa(len(s.buf))}
+	}
+	// The status line is already written; a mid-body failure cannot be
+	// reported to the client anyway.
+	_, _ = rw.Write(s.buf)
+}
+
+// fail fills out with a refusal or failure of body. Cold: every caller is
+// on a path that has already lost the transaction.
+func fail(out *wire.TxnResult, body *wire.TxnRequest, code, format string, args ...any) {
+	if out.Class == "" {
+		out.Class = body.Class
+	}
+	if out.Args == nil {
+		out.Args = body.Args
+	}
+	out.Error = &wire.Error{Code: code, Message: fmt.Sprintf(format, args...)}
+}
+
+// submitOne runs one TxnRequest to its outcome in out.
+//
+//homeo:hotpath
+func (h *Handler) submitOne(ctx context.Context, body *wire.TxnRequest, out *wire.TxnResult) {
+	*out = wire.TxnResult{}
+	sess := h.c.Session()
 	if body.Site != nil {
-		sess, err = h.c.SessionAt(*body.Site)
-		if err != nil {
-			return wire.TxnResult{Class: body.Class, Args: body.Args,
-				Error: &wire.Error{Code: "bad_request", Message: err.Error()}}
+		var err error
+		if sess, err = h.c.SessionAt(*body.Site); err != nil {
+			fail(out, body, "bad_request", "%v", err)
+			return
 		}
-	} else {
-		sess = h.c.Session()
 	}
 	if body.TimeoutMS > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(body.TimeoutMS)*time.Millisecond)
 		defer cancel()
 	}
-	var res homeo.Result
+	var (
+		res homeo.Result
+		err error
+	)
 	if body.Class == "" {
 		res, err = sess.SubmitMix(ctx)
 	} else {
 		t := h.c.Class(body.Class)
 		if t == nil {
-			return wire.TxnResult{Class: body.Class, Args: body.Args,
-				Error: &wire.Error{Code: "not_found", Message: fmt.Sprintf("class %q is not registered", body.Class)}}
+			fail(out, body, "not_found", "class %q is not registered", body.Class)
+			return
 		}
-		if want := len(t.Params()); want != len(body.Args) {
-			return wire.TxnResult{Class: body.Class, Args: body.Args,
-				Error: &wire.Error{Code: "bad_request",
-					Message: fmt.Sprintf("class %s expects %d args %v, got %d", body.Class, want, t.Params(), len(body.Args))}}
+		if want := t.Arity(); want != len(body.Args) {
+			fail(out, body, "bad_request", "class %s expects %d args %v, got %d", body.Class, want, t.Params(), len(body.Args))
+			return
 		}
 		res, err = sess.Submit(ctx, t, body.Args...)
 	}
-	out := wire.TxnResult{
-		Class:     res.Class,
-		Args:      res.Args,
-		Site:      res.Site,
-		Committed: res.Committed,
-		Synced:    res.Synced,
-		LatencyMS: float64(res.Latency) / float64(time.Millisecond),
-		Log:       res.Log,
-	}
+	out.Class = res.Class
+	out.Args = res.Args
+	out.Site = res.Site
+	out.Committed = res.Committed
+	out.Synced = res.Synced
+	out.LatencyMS = float64(res.Latency) / float64(time.Millisecond)
+	out.Log = res.Log
 	if err != nil {
-		if out.Class == "" {
-			out.Class = body.Class
-		}
-		if out.Args == nil {
-			out.Args = body.Args
-		}
-		out.Error = &wire.Error{Code: homeo.ErrorCode(err), Message: err.Error()}
+		fail(out, body, homeo.ErrorCode(err), "%v", err)
 	}
-	return out
 }
 
 func (h *Handler) handleTxn(rw http.ResponseWriter, req *http.Request) {
@@ -461,49 +553,74 @@ func (h *Handler) handleTxn(rw http.ResponseWriter, req *http.Request) {
 		writeError(rw, http.StatusServiceUnavailable, "draining", "server is draining")
 		return
 	}
-	var body wire.TxnEnvelope
-	if err := decodeBody(req, &body); err != nil {
-		writeError(rw, http.StatusBadRequest, "bad_request", "request body: %v", err)
-		return
+	s := txnPool.Get().(*txnScratch)
+	defer s.release()
+	var err error
+	if s.buf, err = readBody(rw, req, s.buf, maxTxnBody); err == nil {
+		s.env.Args, s.env.Site = s.args, &s.site
+		err = wire.ParseTxnRequest(s.buf, &s.env)
 	}
-
-	if len(body.Batch) == 0 {
-		res := h.submitOne(req.Context(), body.TxnRequest)
-		switch {
-		case res.Error == nil:
-			writeJSON(rw, http.StatusOK, res)
-		case res.Error.Code == "dropped":
-			// Queue overflow backpressure: the transaction never started.
-			writeError(rw, http.StatusTooManyRequests, "dropped", "%s", res.Error.Message)
-		case res.Error.Code == "site_gone":
-			// The addressed site was drained from the membership: 410 so
-			// clients refresh their topology and fail over to a survivor.
-			writeError(rw, http.StatusGone, "site_gone", "%s", res.Error.Message)
-		case res.Error.Code == "bad_request", res.Error.Code == "not_found":
-			status := http.StatusBadRequest
-			if res.Error.Code == "not_found" {
-				status = http.StatusNotFound
-			}
-			writeError(rw, status, res.Error.Code, "%s", res.Error.Message)
-		default:
-			// Executed but failed: abort vs timeout vs livelock is
-			// distinguished in the body.
-			writeJSON(rw, http.StatusOK, res)
+	if err != nil {
+		if !refuseTooLarge(rw, err) {
+			writeError(rw, http.StatusBadRequest, "bad_request", "request body: %v", err)
 		}
 		return
 	}
+	if len(s.env.Batch) == 0 {
+		h.serveOne(rw, req, s)
+		return
+	}
+	h.serveBatch(rw, req, s.env.Batch)
+}
 
-	// Batch: submit concurrently, respond in request order. Elements
-	// refused by backpressure carry code "dropped"; a batch whose every
-	// element was refused answers 429 overall.
-	results := make([]wire.TxnResult, len(body.Batch))
+// serveOne is the commit path: one decoded transaction in s.env, one
+// reply.
+//
+//homeo:hotpath
+func (h *Handler) serveOne(rw http.ResponseWriter, req *http.Request, s *txnScratch) {
+	// The wait needs the request's context only for a deadline. Without
+	// one the transaction runs to its own end whether or not the client
+	// is still there, so waiting under the background context loses
+	// nothing and spares the request context its cancellation channel.
+	ctx := context.Background()
+	if s.env.TimeoutMS > 0 {
+		ctx = req.Context()
+	}
+	var res wire.TxnResult
+	h.submitOne(ctx, &s.env.TxnRequest, &res)
+	switch {
+	case res.Error == nil:
+		s.reply(rw, &res)
+	case res.Error.Code == "dropped":
+		// Queue overflow backpressure: the transaction never started.
+		writeError(rw, http.StatusTooManyRequests, "dropped", "%s", res.Error.Message)
+	case res.Error.Code == "site_gone":
+		// The addressed site was drained from the membership: 410 so
+		// clients refresh their topology and fail over to a survivor.
+		writeError(rw, http.StatusGone, "site_gone", "%s", res.Error.Message)
+	case res.Error.Code == "bad_request":
+		writeError(rw, http.StatusBadRequest, "bad_request", "%s", res.Error.Message)
+	case res.Error.Code == "not_found":
+		writeError(rw, http.StatusNotFound, "not_found", "%s", res.Error.Message)
+	default:
+		// Executed but failed: abort vs timeout vs livelock is
+		// distinguished in the body.
+		s.reply(rw, &res)
+	}
+}
+
+// serveBatch submits a batch concurrently and responds in request order.
+// Elements refused by backpressure carry code "dropped"; a batch whose
+// every element was refused answers 429 overall.
+func (h *Handler) serveBatch(rw http.ResponseWriter, req *http.Request, batch []wire.TxnRequest) {
+	results := make([]wire.TxnResult, len(batch))
 	var wg sync.WaitGroup
-	for i, one := range body.Batch {
+	for i := range batch {
 		wg.Add(1)
-		go func(i int, one wire.TxnRequest) {
+		go func(i int) {
 			defer wg.Done()
-			results[i] = h.submitOne(req.Context(), one)
-		}(i, one)
+			h.submitOne(req.Context(), &batch[i], &results[i])
+		}(i)
 	}
 	wg.Wait()
 	allDropped := true
@@ -514,7 +631,7 @@ func (h *Handler) handleTxn(rw http.ResponseWriter, req *http.Request) {
 		}
 	}
 	status := http.StatusOK
-	if allDropped && len(results) > 0 {
+	if allDropped {
 		status = http.StatusTooManyRequests
 		rw.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
 	}

@@ -226,8 +226,8 @@ func TestStatusCodes(t *testing.T) {
 		{"POST", "/v1/txn", `{"site":9}`, 400, "bad_request"},
 		{"POST", "/v1/classes", `{"l":"` + `transaction Deposit(n) { v := read(acct); write(acct = v + n) }` + `"}`, 409, "conflict"},
 		{"POST", "/v1/classes", `{"l":"transaction Bad( {"}`, 400, "bad_request"},
-		{"POST", "/txn", "{}", 410, "gone"},
-		{"GET", "/stats", "", 410, "gone"},
+		{"POST", "/v1/txn", `{"class":"Deposit","args":[1]} trailing`, 400, "bad_request"},
+		{"POST", "/v1/txn", `{"class":"Deposit","args":[1.5]}`, 400, "bad_request"},
 	}
 	for _, tc := range cases {
 		status, envelope := get(tc.method, tc.path, tc.body)

@@ -20,20 +20,24 @@ type Session struct {
 }
 
 // Session returns a round-robin session.
-func (c *Cluster) Session() *Session { return &Session{c: c, site: -1} }
+func (c *Cluster) Session() *Session { return c.anySite }
 
 // SessionAt returns a session pinned to one site (a client talking to its
 // local replica). On a multi-process cluster only the process's own site
 // accepts submissions — clients reach other sites through their own
 // processes.
+//
+// A session holds nothing but its site, so the cluster keeps one per site
+// in its membership snapshot and hands the same one to every caller.
 func (c *Cluster) SessionAt(site int) (*Session, error) {
-	if n := c.Sites(); site < 0 || site >= n {
-		return nil, fmt.Errorf("homeo: site %d out of range [0,%d)", site, n)
+	v := c.topoSnapshot()
+	if site < 0 || site >= v.width {
+		return nil, fmt.Errorf("homeo: site %d out of range [0,%d)", site, v.width)
 	}
 	if self := c.SelfSite(); self >= 0 && site != self {
 		return nil, fmt.Errorf("homeo: site %d is served by another process (this process owns site %d)", site, self)
 	}
-	return &Session{c: c, site: site}, nil
+	return v.sessions[site], nil
 }
 
 // Result is the observable outcome of one submission.
@@ -77,13 +81,7 @@ func (s *Session) Submit(ctx context.Context, class *TxnClass, args ...int64) (R
 	if class.c != s.c {
 		return Result{}, errForeignClass(class.Name())
 	}
-	var (
-		req workload.Request
-		err error
-	)
-	s.c.locked(func() {
-		req, err = s.c.reg.Request(class.wc, args)
-	})
+	req, err := class.wc.Invoke(class.units(), args)
 	if err != nil {
 		return Result{}, wrapAborted(err)
 	}

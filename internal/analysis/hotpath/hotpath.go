@@ -7,6 +7,9 @@
 //
 //   - calls into package fmt (Sprintf/Errorf/... all allocate); move
 //     cold-path error construction into an unannotated helper instead
+//   - calls into encoding/json or reflect (reflection-driven: the commit
+//     path has a hand-written codec in homeo/wire); hand the rare body
+//     that needs them to an unannotated helper
 //   - string concatenation inside loops (quadratic garbage)
 //   - map composite literals anywhere, and slice/array composite
 //     literals inside loops (per-iteration allocations that escape the
@@ -28,7 +31,7 @@ import (
 // Analyzer is the hot-path allocation checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "hotpath",
-	Doc:  "//homeo:hotpath functions may not format, concatenate in loops, or build map/slice literals",
+	Doc:  "//homeo:hotpath functions may not format, reflect, concatenate in loops, or build map/slice literals",
 	Run:  run,
 }
 
@@ -72,8 +75,13 @@ func check(pass *analysis.Pass, fd *ast.FuncDecl) {
 				walk(m.Body, true)
 				return false
 			case *ast.CallExpr:
-				if fn := pass.CalleeFunc(m); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "fmt" {
-					report(pass, m.Pos(), fd, "call to fmt.%s allocates; hoist cold-path formatting into an unannotated helper", fn.Name())
+				if fn := pass.CalleeFunc(m); fn != nil && fn.Pkg() != nil {
+					switch path := fn.Pkg().Path(); path {
+					case "fmt":
+						report(pass, m.Pos(), fd, "call to fmt.%s allocates; hoist cold-path formatting into an unannotated helper", fn.Name())
+					case "encoding/json", "reflect":
+						report(pass, m.Pos(), fd, "call to %s.%s reflects; hand the body to an unannotated helper", path, fn.Name())
+					}
 				}
 			case *ast.BinaryExpr:
 				if inLoop && m.Op == token.ADD && isString(pass, m.X) {

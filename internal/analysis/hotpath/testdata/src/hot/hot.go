@@ -1,7 +1,10 @@
 // Package hot exercises the hot-path allocation rules.
 package hot
 
-import "fmt"
+import (
+	"encoding/json"
+	"fmt"
+)
 
 type table struct {
 	idx map[string]int
@@ -35,6 +38,21 @@ func (t *table) ExecFn(names []string) func() error {
 		return fmt.Errorf("boom") // want `call to fmt.Errorf allocates`
 	}
 }
+
+// Decode reflects on the hot path; the helper it could call does not count.
+//
+//homeo:hotpath
+func (t *table) Decode(data []byte, dec *json.Decoder) error {
+	if err := json.Unmarshal(data, t); err != nil { // want `call to encoding/json.Unmarshal reflects`
+		return err
+	}
+	if err := dec.Decode(t); err != nil { // want `call to encoding/json.Decode reflects`
+		return err
+	}
+	return decodeCold(data, t)
+}
+
+func decodeCold(data []byte, t *table) error { return json.Unmarshal(data, t) }
 
 // cold is unannotated; nothing is checked.
 func cold(names []string) string {

@@ -26,6 +26,16 @@
 // the serving runtime saturates its configured CPU caps long before the
 // scheduler lock saturates a core. Sharding the scheduler lock is the
 // natural next step once real deployments outgrow it.
+//
+// # Recycled processes
+//
+// A served transaction is one short process, so Spawn builds nothing a
+// process can inherit from the one before it: a finished process leaves
+// its Proc — condition variable, park state and sleep timer — on a free
+// list, and the next Spawn runs its function on it, on a goroutine of its
+// own. The park token only ever grows, so a wake aimed at a function that
+// has finished can never reach the next one to use the Proc; a killed
+// Proc is never reused.
 package rtlive
 
 import (
@@ -56,8 +66,11 @@ type Runtime struct {
 	// on it.
 	wg sync.WaitGroup
 
+	// procMu guards the process lists: procs holds every running process,
+	// each at index Proc.slot, for Drain; free holds finished ones.
 	procMu   sync.Mutex
 	procs    []*Proc
+	free     []*Proc
 	draining bool
 
 	live     atomic.Int64
@@ -203,13 +216,15 @@ func (killedError) Error() string { return "rtlive: process killed by Drain" }
 // Proc is a live process: a goroutine that holds the scheduler lock while
 // it runs protocol code.
 type Proc struct {
-	r  *Runtime
-	id int
+	r    *Runtime
+	id   int
+	slot int // index in r.procs while running, guarded by r.procMu
+	fn   func(p rt.Proc)
 
 	// pmu guards parked/killed; token is guarded by the scheduler lock
 	// (all its readers and writers hold it).
 	pmu    sync.Mutex
-	cond   *sync.Cond
+	cond   sync.Cond // on pmu
 	parked bool
 	killed bool
 	token  int64
@@ -223,8 +238,8 @@ type Proc struct {
 	sleepToken int64
 }
 
-// Spawn starts a new process goroutine running fn. If the runtime is
-// draining, the process is not started.
+// Spawn starts a new process running fn. If the runtime is draining, the
+// process is not started.
 func (r *Runtime) Spawn(id int, fn func(p rt.Proc)) { r.spawn(id, fn) }
 
 // SpawnOK is Spawn reporting whether the process started (false when the
@@ -233,48 +248,80 @@ func (r *Runtime) Spawn(id int, fn func(p rt.Proc)) { r.spawn(id, fn) }
 // this instead of the fire-and-forget contract method.
 func (r *Runtime) SpawnOK(id int, fn func(p rt.Proc)) bool { return r.spawn(id, fn) }
 
+// maxFree bounds the finished processes kept for reuse, so a burst does
+// not pin its high-water mark of them forever.
+const maxFree = 1024
+
+// spawn starts fn as a process on a recycled Proc, or a new one when the
+// free list is empty.
+//
+//homeo:hotpath
 func (r *Runtime) spawn(id int, fn func(p rt.Proc)) bool {
-	p := &Proc{r: r, id: id}
-	p.cond = sync.NewCond(&p.pmu)
 	r.procMu.Lock()
 	if r.draining {
 		r.procMu.Unlock()
 		return false
 	}
+	var p *Proc
+	if n := len(r.free); n > 0 {
+		p = r.free[n-1]
+		r.free[n-1] = nil
+		r.free = r.free[:n-1]
+	} else {
+		p = &Proc{r: r}
+		p.cond.L = &p.pmu
+	}
+	p.id, p.fn, p.slot = id, fn, len(r.procs)
 	r.procs = append(r.procs, p)
-	r.procMu.Unlock()
+	// Counted before procMu is released: Drain waits on wg only after it
+	// has taken procMu, so it cannot miss a process admitted before it.
 	r.live.Add(1)
 	r.wg.Add(1)
-	go func() {
-		defer r.wg.Done()
-		defer r.live.Add(-1)
-		defer r.removeProc(p)
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		defer func() {
-			if x := recover(); x != nil {
-				if _, ok := x.(killedError); !ok {
-					panic(x)
-				}
-			}
-		}()
-		fn(p)
-	}()
+	r.procMu.Unlock()
+	go p.run()
 	return true
 }
 
-// removeProc forgets a finished process so long-running servers do not
-// accumulate dead entries.
-func (r *Runtime) removeProc(p *Proc) {
+// run is the process goroutine: execute fn holding the scheduler lock,
+// absorbing the cancellation panic of a kill, then retire the process.
+// Bumping the token as fn ends, still under the lock, invalidates every
+// wake still aimed at it before the Proc can serve another function.
+//
+//homeo:hotpath
+func (p *Proc) run() {
+	r := p.r
+	defer r.wg.Done()
+	defer r.live.Add(-1)
+	defer r.retire(p)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	defer func() {
+		p.token++
+		if x := recover(); x != nil {
+			if _, ok := x.(killedError); !ok {
+				panic(x)
+			}
+		}
+	}()
+	p.fn(p)
+}
+
+// retire forgets a finished process, so long-running servers do not
+// accumulate dead entries, and keeps its Proc for the next Spawn unless it
+// was killed.
+func (r *Runtime) retire(p *Proc) {
+	p.pmu.Lock()
+	killed := p.killed
+	p.pmu.Unlock()
 	r.procMu.Lock()
 	defer r.procMu.Unlock()
-	for i, q := range r.procs {
-		if q == p {
-			r.procs[i] = r.procs[len(r.procs)-1]
-			r.procs[len(r.procs)-1] = nil
-			r.procs = r.procs[:len(r.procs)-1]
-			return
-		}
+	last := r.procs[len(r.procs)-1]
+	r.procs[p.slot], last.slot = last, p.slot
+	r.procs[len(r.procs)-1] = nil
+	r.procs = r.procs[:len(r.procs)-1]
+	if !killed && len(r.free) < maxFree {
+		p.fn = nil
+		r.free = append(r.free, p)
 	}
 }
 

@@ -74,7 +74,7 @@ type Class struct {
 	fromRep   map[lang.ObjID]lang.ObjID
 	rwMu      sync.Mutex
 
-	// cachedUnits/cachedGen memoize the registry's unitsFor result for the
+	// cachedUnits/cachedGen memoize the registry's Units result for the
 	// registry generation cachedGen (see Registry.gen).
 	cachedUnits []int
 	cachedGen   int
@@ -500,10 +500,12 @@ func (c *Class) apply(db lang.Database, args []int64) []int64 {
 	return res.Log
 }
 
-// request builds one invocation of the class. units is the full set of
+// Invoke builds one invocation of the class. units is the full set of
 // treaty units governing the request (the class's own unit plus any other
-// registered unit sharing footprint objects).
-func (c *Class) request(units []int, args []int64) (Request, error) {
+// registered unit sharing footprint objects), as Registry.Units reports
+// it; Invoke itself touches no registry state, so a caller holding a
+// current unit set needs no lock.
+func (c *Class) Invoke(units []int, args []int64) (Request, error) {
 	if len(args) != len(c.Params) {
 		return Request{}, fmt.Errorf("workload: class %s expects %d args (%v), got %d",
 			c.Name, len(c.Params), c.Params, len(args))

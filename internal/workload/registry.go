@@ -168,16 +168,16 @@ func (r *Registry) Request(c *Class, args []int64) (Request, error) {
 	if r.byName[c.Name] != c {
 		return Request{}, fmt.Errorf("workload: class %s is not registered", c.Name)
 	}
-	return c.request(r.unitsFor(c), args)
+	return c.Invoke(r.Units(c), args)
 }
 
-// unitsFor collects the deduplicated, ascending unit set sharing any of
+// Units collects the deduplicated, ascending unit set sharing any of
 // the class's footprint objects. The class's own unit is always included
 // (its footprint objects index it). The result is cached on the class
 // until the registered-class set changes; a fresh slice is built on each
 // cache miss (never rewriting the old backing array) because in-flight
 // requests hold the previous slice across park points.
-func (r *Registry) unitsFor(c *Class) []int {
+func (r *Registry) Units(c *Class) []int {
 	if c.cachedGen == r.gen {
 		return c.cachedUnits
 	}
