@@ -124,19 +124,17 @@ func main() {
 // workload model for ad-hoc analysis.
 type randomWalkModel struct{}
 
-func (randomWalkModel) SampleFuture(rng *rand.Rand, db lang.Database, l int) []lang.Database {
+func (randomWalkModel) SampleFuture(rng *rand.Rand, db lang.Database, l int, visit func(lang.Database)) {
 	cur := db.Clone()
-	out := make([]lang.Database, 0, l)
 	objs := cur.Objects()
 	if len(objs) == 0 {
-		return nil
+		return
 	}
 	for i := 0; i < l; i++ {
 		obj := objs[rng.Intn(len(objs))]
 		cur[obj] += int64(rng.Intn(3) - 1)
-		out = append(out, cur.Clone())
+		visit(cur)
 	}
-	return out
 }
 
 func readSource(file string) (string, error) {

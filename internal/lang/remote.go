@@ -34,6 +34,16 @@ func DeltaObj(x ObjID, site int) ObjID {
 	return ObjID(b)
 }
 
+// DeltaObjs returns x's delta object at each of nSites sites, for callers
+// that visit them often enough to build the names once.
+func DeltaObjs(x ObjID, nSites int) []ObjID {
+	out := make([]ObjID, nSites)
+	for k := range out {
+		out[k] = DeltaObj(x, k)
+	}
+	return out
+}
+
 // IsDeltaObj reports whether obj is a delta object, and if so for which
 // base object and site.
 func IsDeltaObj(obj ObjID) (base ObjID, site int, ok bool) {

@@ -13,6 +13,12 @@ import (
 // (single-variable bounds plus sum constraints) the relaxation is also
 // complete in practice; the optimizer additionally verifies any model it
 // commits to by direct evaluation.
+//
+// It is the reference procedure: arbitrary-precision rationals behind
+// variable-keyed maps cannot overflow, so the integer kernel of dense.go —
+// which decides the same relaxation on machine words and is what every
+// caller runs — restarts a call here when a product or sum leaves int64,
+// and the differential tests hold the kernel to this file's answers.
 
 // ratConstraint is a constraint with rational coefficients:
 // sum coeffs*v + c (op) 0, op in {LE, LT, EQ}.
@@ -79,10 +85,10 @@ func (rc ratConstraint) trivialStatus() (bool, bool) {
 	return false, true
 }
 
-// Feasible reports whether the conjunction of constraints has a rational
-// solution, using Fourier–Motzkin elimination. An empty system is
-// feasible.
-func Feasible(cs []Constraint) bool {
+// FeasibleRat is Feasible on the reference procedure: it reports whether
+// the conjunction of constraints has a rational solution, using
+// Fourier–Motzkin elimination over big.Rat. An empty system is feasible.
+func FeasibleRat(cs []Constraint) bool {
 	system := make([]ratConstraint, 0, len(cs))
 	vars := make(map[logic.Var]bool)
 	for _, c := range cs {
@@ -199,52 +205,6 @@ func eliminate(system []ratConstraint, v logic.Var) ([]ratConstraint, bool) {
 		}
 	}
 	return rest, true
-}
-
-// Implies reports whether the conjunction of premises implies the
-// conclusion constraint, i.e. premises && !conclusion is infeasible.
-// Because the negation of an equality is disjunctive, Implies splits it
-// into the two strict cases.
-func Implies(premises []Constraint, conclusion Constraint) bool {
-	switch conclusion.Op {
-	case LE:
-		// !(t <= 0)  <=>  -t < 0
-		neg := NewTerm()
-		neg.AddTerm(conclusion.Term, -1)
-		return !Feasible(append(clones(premises), Constraint{Term: neg, Op: LT}))
-	case LT:
-		// !(t < 0)  <=>  -t <= 0
-		neg := NewTerm()
-		neg.AddTerm(conclusion.Term, -1)
-		return !Feasible(append(clones(premises), Constraint{Term: neg, Op: LE}))
-	case EQ:
-		// !(t = 0)  <=>  t < 0  ||  -t < 0
-		lt := Constraint{Term: conclusion.Term.Clone(), Op: LT}
-		neg := NewTerm()
-		neg.AddTerm(conclusion.Term, -1)
-		gt := Constraint{Term: neg, Op: LT}
-		return !Feasible(append(clones(premises), lt)) &&
-			!Feasible(append(clones(premises), gt))
-	}
-	return false
-}
-
-// ImpliesAll reports whether premises imply every conclusion.
-func ImpliesAll(premises, conclusions []Constraint) bool {
-	for _, c := range conclusions {
-		if !Implies(premises, c) {
-			return false
-		}
-	}
-	return true
-}
-
-func clones(cs []Constraint) []Constraint {
-	out := make([]Constraint, len(cs))
-	for i, c := range cs {
-		out[i] = c.Clone()
-	}
-	return out
 }
 
 // SubstVar replaces variable v with the given term throughout the

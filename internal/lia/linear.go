@@ -8,7 +8,7 @@ package lia
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"repro/internal/lang"
 	"repro/internal/logic"
@@ -62,7 +62,6 @@ func (t Term) IsConst() bool { return len(t.Coeffs) == 0 }
 // Vars returns the term's variables in deterministic order.
 func (t Term) Vars() []logic.Var {
 	out := make([]logic.Var, 0, len(t.Coeffs))
-	//homeo:nondet collected then sorted by SortVars below
 	for v := range t.Coeffs {
 		out = append(out, v)
 	}
@@ -83,23 +82,33 @@ func (t Term) Eval(b logic.Binding) (int64, error) {
 	return sum, nil
 }
 
-func (t Term) String() string {
-	var parts []string
+func (t Term) String() string { return string(t.appendTo(nil)) }
+
+// appendTo appends the term as its summands joined by " + ": coeff*var
+// with unit coefficients elided, then the constant unless it is zero and
+// something precedes it.
+func (t Term) appendTo(b []byte) []byte {
+	start := len(b)
 	for _, v := range t.Vars() {
-		c := t.Coeffs[v]
-		switch c {
-		case 1:
-			parts = append(parts, v.String())
-		case -1:
-			parts = append(parts, "-"+v.String())
-		default:
-			parts = append(parts, fmt.Sprintf("%d*%s", c, v))
+		if len(b) > start {
+			b = append(b, " + "...)
 		}
+		switch c := t.Coeffs[v]; c {
+		case 1:
+		case -1:
+			b = append(b, '-')
+		default:
+			b = append(strconv.AppendInt(b, c, 10), '*')
+		}
+		b = append(b, v.String()...)
 	}
-	if t.Const != 0 || len(parts) == 0 {
-		parts = append(parts, fmt.Sprintf("%d", t.Const))
+	if t.Const != 0 || len(b) == start {
+		if len(b) > start {
+			b = append(b, " + "...)
+		}
+		b = strconv.AppendInt(b, t.Const, 10)
 	}
-	return strings.Join(parts, " + ")
+	return b
 }
 
 // RelOp is the relation of a canonical constraint.
@@ -133,7 +142,8 @@ type Constraint struct {
 }
 
 func (c Constraint) String() string {
-	return fmt.Sprintf("%s %s 0", c.Term, c.Op)
+	b := append(c.Term.appendTo(nil), ' ')
+	return string(append(append(b, c.Op.String()...), " 0"...))
 }
 
 // Eval reports whether the constraint holds under a binding.

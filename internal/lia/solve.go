@@ -6,8 +6,9 @@ import (
 	"repro/internal/logic"
 )
 
-// SolveModel searches for an integer model of a conjunction of linear
-// constraints using Fourier-Motzkin elimination with back-substitution:
+// SolveModelRat is SolveModel on the reference procedure (see fm.go). It
+// searches for an integer model of a conjunction of linear constraints
+// using Fourier-Motzkin elimination over big.Rat with back-substitution:
 // variables are eliminated one at a time (recording the intermediate
 // systems), then assigned in reverse order from the rational bounds the
 // remaining constraints imply, rounding into the integer interval.
@@ -16,7 +17,7 @@ import (
 // treaty optimizer generates. For general systems integrality gaps can make
 // it miss models; it never returns an incorrect one (the result is
 // verified by evaluation before returning).
-func SolveModel(cs []Constraint) (map[logic.Var]int64, bool) {
+func SolveModelRat(cs []Constraint) (map[logic.Var]int64, bool) {
 	vars := make(map[logic.Var]bool)
 	system := make([]ratConstraint, 0, len(cs))
 	for _, c := range cs {

@@ -1,7 +1,9 @@
 package lia
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/logic"
@@ -218,5 +220,82 @@ func TestTightenBoundsEquisatisfiable(t *testing.T) {
 			t.Fatalf("trial %d: tightening changed satisfiability (%v -> %v): %v",
 				trial, okFull, okTight, cs)
 		}
+	}
+}
+
+// TestSolveModelAllocs: on a treaty-shaped system the integer kernel
+// allocates nothing on a System that has grown to size, and the
+// slice-of-Constraint entry point only the model it returns.
+func TestSolveModelAllocs(t *testing.T) {
+	cs := []Constraint{
+		c(term(12, ca, 1), LE),
+		c(term(7, cb, 1), LE),
+		c(term(3, cc, 1), LT),
+		c(term(-40, ca, -1, cb, -1, cc, -1), LE),
+	}
+	var s System
+	s.load(cs)
+	if n := testing.AllocsPerRun(100, func() {
+		if _, ok := s.SolveModel(); !ok {
+			t.Fatal("feasible system rejected")
+		}
+	}); n != 0 {
+		t.Fatalf("System.SolveModel allocates %.0f objects, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, ok := SolveModel(cs); !ok {
+			t.Fatal("feasible system rejected")
+		}
+	}); n > 4 && !raceEnabled {
+		t.Fatalf("SolveModel allocates %.0f objects, ceiling 4", n)
+	}
+}
+
+// TestOverflowRestartsOnReference: when a product leaves int64 the kernel
+// reports it instead of an answer, and the call is answered by the
+// reference procedure.
+func TestOverflowRestartsOnReference(t *testing.T) {
+	const big = math.MaxInt64
+	systems := [][]Constraint{
+		{ // a lower and an upper bound on a whose combination multiplies big by big
+			c(term(0, ca, big, cb, 1), LE),
+			c(term(1, ca, -big, cb, 5), LE),
+			c(term(-3, cb, 1), LE),
+		},
+		{ // an equality pivot with a huge coefficient
+			c(term(7, ca, big, cb, -3), EQ),
+			c(term(0, ca, big-1, cb, 2), LE),
+		},
+		{ // a bound that only overflows in back-substitution
+			c(term(0, ca, 1, cb, -(big/2)), LE),
+			c(term(-5, cb, -1), LE),
+			c(term(0, cb, 1), LE),
+			c(term(-10, ca, -1), LE),
+		},
+	}
+	overflowed := 0
+	for i, cs := range systems {
+		var s System
+		s.load(cs)
+		s.vals = make([]int64, len(s.vars))
+		feasible, ok := s.forward()
+		if ok && feasible {
+			_, ok = s.back(len(cs))
+		}
+		s.Truncate(len(cs))
+		if !ok {
+			overflowed++
+		}
+		got, gotOK := SolveModel(cs)
+		want, wantOK := SolveModelRat(cs)
+		if gotOK != wantOK || !reflect.DeepEqual(got, want) {
+			t.Fatalf("system %d: SolveModel = %v %v, reference %v %v", i, got, gotOK, want, wantOK)
+		}
+		if Feasible(cs) != FeasibleRat(cs) {
+			t.Fatalf("system %d: Feasible disagrees with the reference", i)
+		}
+	}
+	if overflowed < 2 {
+		t.Fatalf("only %d of %d systems left int64: the test does not reach the fallback", overflowed, len(systems))
 	}
 }

@@ -292,13 +292,14 @@ func SortedVars(set map[Var]bool) []Var {
 // SortVars sorts variables in place into the canonical (kind, name)
 // order. It avoids sort.Slice's reflection so treaty compilation on the
 // registration path stays cheap.
-func SortVars(vars []Var) {
-	slices.SortFunc(vars, func(a, b Var) int {
-		if a.Kind != b.Kind {
-			return int(a.Kind) - int(b.Kind)
-		}
-		return strings.Compare(a.Name, b.Name)
-	})
+func SortVars(vars []Var) { slices.SortFunc(vars, CompareVars) }
+
+// CompareVars is the canonical (kind, name) order on variables.
+func CompareVars(a, b Var) int {
+	if a.Kind != b.Kind {
+		return int(a.Kind) - int(b.Kind)
+	}
+	return strings.Compare(a.Name, b.Name)
 }
 
 // joinStrings is a small helper for readable formula printing.

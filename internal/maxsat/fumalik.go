@@ -13,6 +13,7 @@ package maxsat
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sat"
 )
@@ -20,16 +21,27 @@ import (
 // Clause is a disjunction of literals.
 type Clause []sat.Lit
 
+// span locates one clause in a literal arena.
+type span struct{ off, n int }
+
 // Problem is a partial MaxSAT instance. Variables are 1-based; use NewVar
-// to allocate.
+// to allocate. Clause literals are copied into one arena, so a Problem
+// that is Reset and refilled allocates nothing once it has grown.
 type Problem struct {
 	nVars int
-	hard  []Clause
-	soft  []Clause
+	lits  []sat.Lit
+	hard  []span
+	soft  []span
 }
 
 // NewProblem returns an empty instance.
 func NewProblem() *Problem { return &Problem{} }
+
+// Reset empties the instance, keeping its storage.
+func (p *Problem) Reset() {
+	p.nVars = 0
+	p.lits, p.hard, p.soft = p.lits[:0], p.hard[:0], p.soft[:0]
+}
 
 // NewVar allocates a fresh variable.
 func (p *Problem) NewVar() int {
@@ -38,25 +50,23 @@ func (p *Problem) NewVar() int {
 }
 
 // AddHard adds a clause that any solution must satisfy.
-func (p *Problem) AddHard(lits ...sat.Lit) {
-	p.track(lits)
-	p.hard = append(p.hard, Clause(lits))
-}
+func (p *Problem) AddHard(lits ...sat.Lit) { p.hard = append(p.hard, p.add(lits)) }
 
 // AddSoft adds a clause the solver should satisfy if possible. All soft
 // clauses have unit weight (the paper's instances are unweighted).
-func (p *Problem) AddSoft(lits ...sat.Lit) {
-	p.track(lits)
-	p.soft = append(p.soft, Clause(lits))
-}
+func (p *Problem) AddSoft(lits ...sat.Lit) { p.soft = append(p.soft, p.add(lits)) }
 
-func (p *Problem) track(lits []sat.Lit) {
+func (p *Problem) add(lits []sat.Lit) span {
 	for _, l := range lits {
 		if v := l.Var(); v > p.nVars {
 			p.nVars = v
 		}
 	}
+	p.lits = append(p.lits, lits...)
+	return span{len(p.lits) - len(lits), len(lits)}
 }
+
+func (p *Problem) clause(c span) Clause { return p.lits[c.off : c.off+c.n] }
 
 // NumSoft returns the number of soft clauses.
 func (p *Problem) NumSoft() int { return len(p.soft) }
@@ -78,54 +88,76 @@ type Result struct {
 	Iterations int
 }
 
-// Solve runs the Fu-Malik algorithm and returns the optimal result. The
-// problem is not modified.
-func Solve(p *Problem) Result {
-	// Working copies: soft clauses accumulate relaxation literals across
+// Solver runs Fu-Malik on one SAT instance it keeps: every round of every
+// Solve rebuilds its formula into the storage the largest one grew. The
+// zero value is ready to use.
+type Solver struct {
+	sat       *sat.Solver
+	lits      []sat.Lit   // arena of the cardinality clauses added so far
+	added     []span      // those clauses, after the problem's hard ones
+	relax     [][]sat.Lit // relaxation literals per soft clause
+	selectors []sat.Lit
+	clause    []sat.Lit // one soft clause as the SAT solver sees it
+	model     []bool
+	satisfied []bool
+}
+
+// Solve runs the Fu-Malik algorithm on a fresh Solver.
+func Solve(p *Problem) Result { return new(Solver).Solve(p) }
+
+// Solve runs the Fu-Malik algorithm and returns the optimal result, whose
+// slices are valid until the next Solve. The problem is not modified.
+func (m *Solver) Solve(p *Problem) Result {
+	if m.sat == nil {
+		m.sat = sat.New()
+	}
+	s := m.sat
+	// Working state: soft clauses accumulate relaxation literals across
 	// rounds, hard clauses accumulate cardinality constraints, and nVars
 	// grows with blocking variables. The caller's Problem stays untouched.
-	origVars := p.nVars
 	nVars := p.nVars
-	hard := append([]Clause(nil), p.hard...)
-	newVar := func() int {
-		nVars++
-		return nVars
+	m.lits, m.added = m.lits[:0], m.added[:0]
+	for len(m.relax) < len(p.soft) {
+		m.relax = append(m.relax, nil)
 	}
-	soft := make([]Clause, len(p.soft))
-	for i, c := range p.soft {
-		soft[i] = append(Clause(nil), c...)
+	for i := range p.soft {
+		m.relax[i] = m.relax[i][:0]
 	}
-	// Selector variable per soft clause: clause_i || !sel_i, assumed true.
-	// Rebuilt each round because clause contents change.
+	m.selectors = slices.Grow(m.selectors[:0], len(p.soft))[:len(p.soft)]
 	res := Result{Feasible: true}
 	cost := 0
 	for {
-		s := sat.New()
+		// The formula is rebuilt each round because clause contents change.
+		s.Reset()
 		for v := 0; v < nVars; v++ {
 			s.NewVar()
 		}
-		for _, c := range hard {
-			s.AddClause(c...)
+		for _, c := range p.hard {
+			s.AddClause(p.clause(c)...)
 		}
-		selectors := make([]sat.Lit, len(soft))
-		selToIdx := make(map[sat.Lit]int, len(soft))
-		for i, c := range soft {
-			sel := sat.Lit(s.NewVar())
-			selectors[i] = sel
-			selToIdx[sel] = i
-			lits := append(append([]sat.Lit(nil), c...), sel.Neg())
-			s.AddClause(lits...)
+		for _, c := range m.added {
+			s.AddClause(m.lits[c.off : c.off+c.n]...)
+		}
+		// Selector variable per soft clause: clause_i || !sel_i, assumed
+		// true. Selectors are numbered consecutively from firstSel.
+		firstSel := nVars + 1
+		for i, c := range p.soft {
+			m.selectors[i] = sat.Lit(s.NewVar())
+			m.clause = append(append(append(m.clause[:0], p.clause(c)...), m.relax[i]...), m.selectors[i].Neg())
+			s.AddClause(m.clause...)
 		}
 		res.Iterations++
-		status := s.Solve(selectors...)
-		if status == sat.Sat {
-			model := s.Model()
-			res.Model = append([]bool(nil), model[:origVars+1]...)
-			res.Cost = cost
-			res.SatisfiedSoft = make([]bool, len(p.soft))
-			for i, c := range p.soft {
-				res.SatisfiedSoft[i] = clauseSatisfied(c, model)
+		if s.Solve(m.selectors...) == sat.Sat {
+			m.model = slices.Grow(m.model[:0], p.nVars+1)[:p.nVars+1]
+			m.model[0] = false
+			for v := 1; v <= p.nVars; v++ {
+				m.model[v] = s.ModelValue(sat.Lit(v))
 			}
+			m.satisfied = slices.Grow(m.satisfied[:0], len(p.soft))[:len(p.soft)]
+			for i, c := range p.soft {
+				m.satisfied[i] = clauseSatisfied(p.clause(c), m.model)
+			}
+			res.Model, res.SatisfiedSoft, res.Cost = m.model, m.satisfied, cost
 			return res
 		}
 		// Hard clauses alone unsatisfiable?
@@ -134,7 +166,7 @@ func Solve(p *Problem) Result {
 			return res
 		}
 		// Extract a core of soft-clause selectors and relax.
-		core := s.Core(selectors)
+		core := s.Core(m.selectors)
 		if len(core) == 0 {
 			// Should not happen: hard clauses are satisfiable but the
 			// empty assumption set is unsat.
@@ -142,26 +174,29 @@ func Solve(p *Problem) Result {
 		}
 		cost++
 		// Add one fresh blocking variable per core clause, and an
-		// at-most-one (pairwise) constraint over them as hard clauses.
-		blocking := make([]sat.Lit, 0, len(core))
-		for _, sel := range core {
-			i, ok := selToIdx[sel]
-			if !ok {
+		// at-most-one (pairwise) constraint over them as hard clauses. The
+		// blocking variables are nVars+1 .. nVars+len(core).
+		for k, sel := range core {
+			i := int(sel) - firstSel
+			if i < 0 || i >= len(p.soft) {
 				panic(fmt.Sprintf("maxsat: unknown selector %d in core", sel))
 			}
-			b := sat.Lit(newVar())
-			blocking = append(blocking, b)
-			soft[i] = append(soft[i], b)
+			m.relax[i] = append(m.relax[i], sat.Lit(nVars+1+k))
 		}
-		for i := 0; i < len(blocking); i++ {
-			for j := i + 1; j < len(blocking); j++ {
-				hard = append(hard, Clause{blocking[i].Neg(), blocking[j].Neg()})
+		for i := 1; i <= len(core); i++ {
+			for j := i + 1; j <= len(core); j++ {
+				m.lits = append(m.lits, sat.Lit(-(nVars + i)), sat.Lit(-(nVars + j)))
+				m.added = append(m.added, span{len(m.lits) - 2, 2})
 			}
 		}
 		// Exactly-one is the classic formulation; at-least-one is implied
 		// by the core being genuinely unsatisfiable, but adding it prunes
 		// search.
-		hard = append(hard, Clause(append([]sat.Lit(nil), blocking...)))
+		for k := 1; k <= len(core); k++ {
+			m.lits = append(m.lits, sat.Lit(nVars+k))
+		}
+		m.added = append(m.added, span{len(m.lits) - len(core), len(core)})
+		nVars += len(core)
 	}
 }
 

@@ -186,33 +186,36 @@ func (w *Workload) BuildGlobal(unit int, folded lang.Database) (treaty.Global, e
 // uniformly across sites, each applied with the real transaction
 // semantics to per-site delta objects.
 type model struct {
-	w    *Workload
-	unit int
+	w      *Workload
+	obj    lang.ObjID
+	deltas []lang.ObjID // the item's delta object at each site
 }
 
 // Model implements workload.Workload.
 func (w *Workload) Model(unit int) treaty.WorkloadModel {
-	return &model{w: w, unit: unit}
+	obj := ItemObj(unit)
+	return &model{w: w, obj: obj, deltas: lang.DeltaObjs(obj, w.cfg.NSites)}
 }
 
 // SampleFuture implements treaty.WorkloadModel.
-func (m *model) SampleFuture(rng *rand.Rand, db lang.Database, l int) []lang.Database {
-	obj := ItemObj(m.unit)
+func (m *model) SampleFuture(rng *rand.Rand, db lang.Database, l int, visit func(lang.Database)) {
+	obj := m.obj
 	cur := db.Clone()
-	out := make([]lang.Database, 0, l)
 	for i := 0; i < l; i++ {
 		site := rng.Intn(m.w.cfg.NSites)
-		logical := lang.LogicalValue(cur, obj, m.w.cfg.NSites)
+		logical := cur[obj]
+		for _, d := range m.deltas {
+			logical += cur[d]
+		}
 		if logical > 1 {
-			d := lang.DeltaObj(obj, site)
-			cur[d] = cur.Get(d) - 1
+			cur[m.deltas[site]]--
 		} else {
 			// Refill consolidates at a synchronization point.
-			cur = lang.Database{obj: m.w.cfg.Refill - 1}
+			clear(cur)
+			cur[obj] = m.w.cfg.Refill - 1
 		}
-		out = append(out, cur.Clone())
+		visit(cur)
 	}
-	return out
 }
 
 // Next implements workload.Workload: an order for ItemsPerTxn distinct

@@ -160,11 +160,18 @@ func TestTreatyPipelineEndToEnd(t *testing.T) {
 	}
 }
 
+// sampleFuture collects copies of the databases a model visits.
+func sampleFuture(m treaty.WorkloadModel, rng *rand.Rand, db lang.Database, l int) []lang.Database {
+	var out []lang.Database
+	m.SampleFuture(rng, db, l, func(d lang.Database) { out = append(out, d.Clone()) })
+	return out
+}
+
 func TestModelSampleFuture(t *testing.T) {
 	w := mustNew(t, Config{Items: 1, Refill: 100, NSites: 2})
 	m := w.Model(0)
 	rng := rand.New(rand.NewSource(1))
-	futures := m.SampleFuture(rng, lang.Database{ItemObj(0): 100}, 30)
+	futures := sampleFuture(m, rng, lang.Database{ItemObj(0): 100}, 30)
 	if len(futures) != 30 {
 		t.Fatalf("len = %d, want 30", len(futures))
 	}
@@ -181,7 +188,7 @@ func TestModelRefillInFuture(t *testing.T) {
 	w := mustNew(t, Config{Items: 1, Refill: 50, NSites: 2})
 	m := w.Model(0)
 	rng := rand.New(rand.NewSource(1))
-	futures := m.SampleFuture(rng, lang.Database{ItemObj(0): 3}, 5)
+	futures := sampleFuture(m, rng, lang.Database{ItemObj(0): 3}, 5)
 	// Steps: 3 -> 2 -> 1 -> refill(49) -> 48 (the transaction decrements
 	// whenever the value it reads is > 1, so it reaches 1 before
 	// refilling).

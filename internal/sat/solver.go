@@ -30,8 +30,9 @@ func (l Lit) Neg() Lit { return -l }
 // Sign reports whether the literal is positive.
 func (l Lit) Sign() bool { return l > 0 }
 
+// clause is a clause's span in the solver's literal arena.
 type clause struct {
-	lits []Lit
+	off, n int32
 }
 
 // Status is the result of a Solve call.
@@ -64,21 +65,27 @@ const (
 )
 
 // Solver holds a CNF instance and solver state. The zero value is not
-// usable; call New.
+// usable; call New. Clause literals live in one arena and watch lists are
+// indexed by literal, so a Reset solver re-adds a formula without
+// allocating once its storage has grown to size.
 type Solver struct {
 	nVars    int
-	clauses  []*clause
-	watches  map[Lit][]*clause
-	assigns  []int8 // indexed by var, 1-based
-	level    []int  // decision level per var
+	lits     []Lit     // clause literal arena
+	clauses  []clause  // spans into lits, in insertion order
+	units    []int32   // indices of the one-literal clauses, in insertion order
+	watches  [][]int32 // clause indices watching each literal; see watchIdx
+	assigns  []int8    // indexed by var, 1-based
 	trail    []Lit
 	trailLim []int // trail index at each decision level
-	reason   []*clause
 	activity []float64
 	varInc   float64
 
 	// hasEmpty is set when an empty (always-false) clause was added.
 	hasEmpty bool
+
+	// Scratch retained across Solve and Core calls.
+	decisions []decision
+	trial     []Lit
 
 	// Stats counters.
 	Decisions    int64
@@ -86,25 +93,57 @@ type Solver struct {
 	Conflicts    int64
 }
 
+// decision is one branching choice of the DPLL search; flipped records
+// whether it has already been tried both ways.
+type decision struct {
+	lit     Lit
+	flipped bool
+}
+
 // New returns an empty solver.
 func New() *Solver {
-	return &Solver{
-		watches:  make(map[Lit][]*clause),
-		assigns:  []int8{valUnassigned}, // index 0 unused
-		level:    []int{0},
-		reason:   []*clause{nil},
-		activity: []float64{0},
-		varInc:   1.0,
+	s := &Solver{}
+	s.Reset()
+	return s
+}
+
+// Reset returns the solver to the state New leaves it in — no variables,
+// no clauses, zeroed activities and counters — keeping the storage it has
+// grown. A formula added after Reset is solved exactly as on a fresh
+// solver.
+func (s *Solver) Reset() {
+	s.nVars = 0
+	s.lits = s.lits[:0]
+	s.clauses = s.clauses[:0]
+	s.units = s.units[:0]
+	for i := range s.watches {
+		s.watches[i] = s.watches[i][:0]
 	}
+	s.assigns = append(s.assigns[:0], valUnassigned) // index 0 unused
+	s.activity = append(s.activity[:0], 0)
+	s.trail = s.trail[:0]
+	s.trailLim = s.trailLim[:0]
+	s.varInc = 1.0
+	s.hasEmpty = false
+	s.Decisions, s.Propagations, s.Conflicts = 0, 0, 0
+}
+
+// watchIdx is a literal's slot in the watch table.
+func watchIdx(l Lit) int {
+	if l < 0 {
+		return int(-l)<<1 | 1
+	}
+	return int(l) << 1
 }
 
 // NewVar allocates a fresh variable and returns its index (1-based).
 func (s *Solver) NewVar() int {
 	s.nVars++
 	s.assigns = append(s.assigns, valUnassigned)
-	s.level = append(s.level, 0)
-	s.reason = append(s.reason, nil)
 	s.activity = append(s.activity, 0)
+	for len(s.watches) < (s.nVars+1)<<1 {
+		s.watches = append(s.watches, nil)
+	}
 	return s.nVars
 }
 
@@ -121,32 +160,45 @@ func (s *Solver) ensureVar(v int) {
 // AddClause adds a clause. Duplicate literals are removed; tautologies are
 // dropped; empty clauses make the instance trivially unsatisfiable.
 func (s *Solver) AddClause(lits ...Lit) {
-	seen := make(map[Lit]bool, len(lits))
-	var out []Lit
+	off := len(s.lits)
+next:
 	for _, l := range lits {
 		if l == 0 {
 			panic("sat: zero literal")
 		}
 		s.ensureVar(l.Var())
-		if seen[l.Neg()] {
-			return // tautology
+		for _, kept := range s.lits[off:] {
+			if kept == l.Neg() {
+				s.lits = s.lits[:off]
+				return // tautology
+			}
+			if kept == l {
+				continue next
+			}
 		}
-		if !seen[l] {
-			seen[l] = true
-			out = append(out, l)
-		}
+		s.lits = append(s.lits, l)
 	}
-	if len(out) == 0 {
+	n := len(s.lits) - off
+	if n == 0 {
 		s.hasEmpty = true
 		return
 	}
-	c := &clause{lits: out}
-	s.clauses = append(s.clauses, c)
+	ci := int32(len(s.clauses))
+	s.clauses = append(s.clauses, clause{off: int32(off), n: int32(n)})
 	// Watch the first two literals (unit clauses handled at solve start).
-	if len(out) >= 2 {
-		s.watches[out[0]] = append(s.watches[out[0]], c)
-		s.watches[out[1]] = append(s.watches[out[1]], c)
+	if n >= 2 {
+		w0, w1 := watchIdx(s.lits[off]), watchIdx(s.lits[off+1])
+		s.watches[w0] = append(s.watches[w0], ci)
+		s.watches[w1] = append(s.watches[w1], ci)
+	} else {
+		s.units = append(s.units, ci)
 	}
+}
+
+// clauseLits returns clause ci's literals, in the arena.
+func (s *Solver) clauseLits(ci int32) []Lit {
+	c := s.clauses[ci]
+	return s.lits[c.off : c.off+c.n]
 }
 
 func (s *Solver) value(l Lit) int8 {
@@ -160,51 +212,53 @@ func (s *Solver) value(l Lit) int8 {
 	return valFalse
 }
 
-func (s *Solver) enqueue(l Lit, from *clause) bool {
+func (s *Solver) enqueue(l Lit) bool {
 	switch s.value(l) {
 	case valTrue:
 		return true
 	case valFalse:
 		return false
 	}
-	v := l.Var()
 	if l.Sign() {
-		s.assigns[v] = valTrue
+		s.assigns[l.Var()] = valTrue
 	} else {
-		s.assigns[v] = valFalse
+		s.assigns[l.Var()] = valFalse
 	}
-	s.level[v] = len(s.trailLim)
-	s.reason[v] = from
 	s.trail = append(s.trail, l)
 	s.Propagations++
 	return true
 }
 
 // propagate runs unit propagation from the given trail position, returning
-// the conflicting clause or nil.
-func (s *Solver) propagate(qhead *int) *clause {
+// the conflicting clause's index or -1.
+func (s *Solver) propagate(qhead *int) int32 {
 	for *qhead < len(s.trail) {
 		l := s.trail[*qhead]
 		*qhead++
 		falsified := l.Neg()
-		ws := s.watches[falsified]
-		var kept []*clause
+		fi := watchIdx(falsified)
+		// The list is compacted in place: a clause only ever moves to the
+		// list of a literal that is not false, never back onto this one.
+		ws := s.watches[fi]
+		kept := ws[:0]
 		for i := 0; i < len(ws); i++ {
-			c := ws[i]
+			ci := ws[i]
+			c := s.clauseLits(ci)
 			// Ensure falsified is at position 1.
-			if c.lits[0] == falsified {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if c[0] == falsified {
+				c[0], c[1] = c[1], c[0]
 			}
-			if s.value(c.lits[0]) == valTrue {
-				kept = append(kept, c)
+			if s.value(c[0]) == valTrue {
+				kept = append(kept, ci)
 				continue
 			}
 			// Look for a new literal to watch.
 			moved := false
-			for j := 2; j < len(c.lits); j++ {
-				if s.value(c.lits[j]) != valFalse {
-					c.lits[1], c.lits[j] = c.lits[j], c.lits[1]
-					s.watches[c.lits[1]] = append(s.watches[c.lits[1]], c)
+			for j := 2; j < len(c); j++ {
+				if s.value(c[j]) != valFalse {
+					c[1], c[j] = c[j], c[1]
+					wi := watchIdx(c[1])
+					s.watches[wi] = append(s.watches[wi], ci)
 					moved = true
 					break
 				}
@@ -213,18 +267,18 @@ func (s *Solver) propagate(qhead *int) *clause {
 				continue
 			}
 			// Clause is unit or conflicting.
-			kept = append(kept, c)
-			if !s.enqueue(c.lits[0], c) {
+			kept = append(kept, ci)
+			if !s.enqueue(c[0]) {
 				// Conflict: keep remaining watchers and report.
 				kept = append(kept, ws[i+1:]...)
-				s.watches[falsified] = kept
+				s.watches[fi] = kept
 				s.Conflicts++
-				return c
+				return ci
 			}
 		}
-		s.watches[falsified] = kept
+		s.watches[fi] = kept
 	}
-	return nil
+	return -1
 }
 
 func (s *Solver) newDecisionLevel() { s.trailLim = append(s.trailLim, len(s.trail)) }
@@ -235,9 +289,7 @@ func (s *Solver) backtrackTo(level int) {
 	}
 	limit := s.trailLim[level]
 	for i := len(s.trail) - 1; i >= limit; i-- {
-		v := s.trail[i].Var()
-		s.assigns[v] = valUnassigned
-		s.reason[v] = nil
+		s.assigns[s.trail[i].Var()] = valUnassigned
 	}
 	s.trail = s.trail[:limit]
 	s.trailLim = s.trailLim[:level]
@@ -255,8 +307,8 @@ func (s *Solver) pickBranchVar() int {
 	return best
 }
 
-func (s *Solver) bumpClause(c *clause) {
-	for _, l := range c.lits {
+func (s *Solver) bumpClause(ci int32) {
+	for _, l := range s.clauseLits(ci) {
 		s.activity[l.Var()] += s.varInc
 	}
 	s.varInc *= 1.05
@@ -278,17 +330,14 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 	s.backtrackTo(0)
 	qhead := 0
 	// Assert unit clauses at level 0.
-	for _, c := range s.clauses {
-		if len(c.lits) == 1 {
-			if !s.enqueue(c.lits[0], c) {
-				return Unsat
-			}
+	for _, ci := range s.units {
+		if !s.enqueue(s.lits[s.clauses[ci].off]) {
+			return Unsat
 		}
 	}
-	if s.propagate(&qhead) != nil {
+	if s.propagate(&qhead) >= 0 {
 		return Unsat
 	}
-	rootLevel := 0
 	// Assert assumptions, each at its own decision level.
 	for _, a := range assumptions {
 		if a == 0 || a.Var() > s.nVars {
@@ -301,43 +350,38 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			return Unsat
 		}
 		s.newDecisionLevel()
-		rootLevel = len(s.trailLim)
-		s.enqueue(a, nil)
-		if s.propagate(&qhead) != nil {
+		s.enqueue(a)
+		if s.propagate(&qhead) >= 0 {
 			return Unsat
 		}
 	}
-	rootLevel = len(s.trailLim)
+	rootLevel := len(s.trailLim)
 
-	// DPLL with chronological backtracking. flip[i] records whether the
-	// decision at level rootLevel+i has already been tried both ways.
-	type decision struct {
-		lit     Lit
-		flipped bool
-	}
-	var decisions []decision
+	// DPLL with chronological backtracking; decisions[i] is the choice at
+	// level rootLevel+i.
+	s.decisions = s.decisions[:0]
 	for {
 		conflict := s.propagate(&qhead)
-		if conflict != nil {
+		if conflict >= 0 {
 			s.bumpClause(conflict)
 			// Backtrack to the most recent unflipped decision.
 			for {
-				if len(decisions) == 0 {
+				if len(s.decisions) == 0 {
 					return Unsat
 				}
-				d := &decisions[len(decisions)-1]
+				d := &s.decisions[len(s.decisions)-1]
 				if !d.flipped {
-					lvl := rootLevel + len(decisions) - 1
+					lvl := rootLevel + len(s.decisions) - 1
 					s.backtrackTo(lvl)
 					qhead = len(s.trail)
 					d.flipped = true
 					d.lit = d.lit.Neg()
 					s.newDecisionLevel()
-					s.enqueue(d.lit, nil)
+					s.enqueue(d.lit)
 					break
 				}
-				decisions = decisions[:len(decisions)-1]
-				s.backtrackTo(rootLevel + len(decisions))
+				s.decisions = s.decisions[:len(s.decisions)-1]
+				s.backtrackTo(rootLevel + len(s.decisions))
 				qhead = len(s.trail)
 			}
 			continue
@@ -348,8 +392,8 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		}
 		s.Decisions++
 		s.newDecisionLevel()
-		decisions = append(decisions, decision{lit: Lit(v)})
-		s.enqueue(Lit(v), nil)
+		s.decisions = append(s.decisions, decision{lit: Lit(v)})
+		s.enqueue(Lit(v))
 	}
 }
 
@@ -382,11 +426,10 @@ func (s *Solver) Core(assumptions []Lit) []Lit {
 	}
 	core := append([]Lit(nil), assumptions...)
 	for i := 0; i < len(core); {
-		trial := make([]Lit, 0, len(core)-1)
-		trial = append(trial, core[:i]...)
-		trial = append(trial, core[i+1:]...)
+		trial := append(append(s.trial[:0], core[:i]...), core[i+1:]...)
+		s.trial = trial
 		if s.Solve(trial...) == Unsat {
-			core = trial // assumption i is unnecessary
+			core = append(core[:i], core[i+1:]...) // assumption i is unnecessary
 		} else {
 			i++
 		}

@@ -87,7 +87,12 @@ type Engine struct {
 	ctl    chan ctlMsg
 	rng    *rand.Rand
 	live   int // processes started and not finished
-	procs  []*Proc
+
+	// procs holds exactly those processes, each at its slot; freeProcs the
+	// finished, un-killed ones, whose Proc and resume channel the next
+	// Spawn takes over.
+	procs     []*Proc
+	freeProcs []*Proc
 
 	// free recycles fired events so the steady-state schedule/fire cycle
 	// (one wake per Sleep) does not allocate.
@@ -152,47 +157,71 @@ func (e *Engine) After(d Duration, fn func()) { e.At(e.now+Time(d), fn) }
 // Proc is a cooperative process. All Proc methods must be called from the
 // process's own goroutine.
 type Proc struct {
-	e       *Engine
-	ID      int
-	resume  chan struct{}
-	parked  bool
-	started bool
-	done    bool
-	killed  bool
-	token   int64
+	e      *Engine
+	ID     int
+	fn     func(p rt.Proc)
+	slot   int // index in e.procs
+	resume chan struct{}
+	parked bool
+	killed bool
+	token  int64
 }
 
 type killedError struct{}
 
 func (killedError) Error() string { return "sim: process killed by Drain" }
 
-// Spawn starts a new process running fn at the current virtual time.
+// Spawn starts a new process running fn at the current virtual time, on
+// a recycled Proc when one is free. A process waiting to start is parked
+// like any other: its start is a wake event, and Drain finds it parked.
 func (e *Engine) Spawn(id int, fn func(p rt.Proc)) {
-	p := &Proc{e: e, ID: id, resume: make(chan struct{})}
+	var p *Proc
+	if n := len(e.freeProcs); n > 0 {
+		p = e.freeProcs[n-1]
+		e.freeProcs[n-1] = nil
+		e.freeProcs = e.freeProcs[:n-1]
+	} else {
+		p = &Proc{e: e, resume: make(chan struct{})}
+	}
+	p.ID, p.fn, p.slot = id, fn, len(e.procs)
 	e.live++
 	e.procs = append(e.procs, p)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(killedError); !ok {
-					panic(r)
-				}
+	go p.run()
+	e.wakeAt(e.now, p, p.prepPark())
+}
+
+// run is the process goroutine: wait for the start wake, execute fn,
+// absorb the cancellation panic of a kill, and report done to the engine.
+func (p *Proc) run() {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(killedError); !ok {
+				panic(r)
 			}
-			p.done = true
-			e.ctl <- ctlDone
-		}()
-		<-p.resume
-		if p.killed {
-			return
 		}
-		p.started = true
-		fn(p)
+		p.e.ctl <- ctlDone
 	}()
-	e.At(e.now, func() {
-		if !p.done && !p.started {
-			e.resumeProc(p)
-		}
-	})
+	<-p.resume
+	if p.killed {
+		return
+	}
+	p.fn(p)
+}
+
+// retire forgets a finished process, so a long simulation does not
+// accumulate dead entries, and keeps its Proc for the next Spawn unless it
+// was killed. The token moves on, so a wake still aimed at the finished
+// function cannot reach the next one.
+func (e *Engine) retire(p *Proc) {
+	last := e.procs[len(e.procs)-1]
+	e.procs[p.slot], last.slot = last, p.slot
+	e.procs[len(e.procs)-1] = nil
+	e.procs = e.procs[:len(e.procs)-1]
+	if !p.killed {
+		p.fn, p.parked = nil, false
+		p.token++
+		e.freeProcs = append(e.freeProcs, p)
+	}
 }
 
 // NewResource creates a counting semaphore on the engine (rt.Runtime).
@@ -208,16 +237,18 @@ func (e *Engine) SetDeadline(t Time) { e.Deadline = t }
 func (e *Engine) Drain() {
 	for {
 		progress := false
-		for _, p := range e.procs {
-			if p.done {
-				continue
-			}
+		for i := 0; i < len(e.procs); {
+			p := e.procs[i]
 			p.killed = true
-			if p.parked || !p.started {
+			if p.parked {
 				p.parked = false
 				p.token++
 				e.resumeProc(p)
 				progress = true
+			}
+			// A process that finished left its slot to another one.
+			if i < len(e.procs) && e.procs[i] == p {
+				i++
 			}
 		}
 		if !progress {
@@ -233,6 +264,7 @@ func (e *Engine) resumeProc(p *Proc) {
 	msg := <-e.ctl
 	if msg == ctlDone {
 		e.live--
+		e.retire(p)
 	}
 }
 

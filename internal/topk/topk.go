@@ -138,7 +138,7 @@ func (w *Workload) Model(int) treaty.WorkloadModel { return nopModel{} }
 
 type nopModel struct{}
 
-func (nopModel) SampleFuture(*rand.Rand, lang.Database, int) []lang.Database { return nil }
+func (nopModel) SampleFuture(*rand.Rand, lang.Database, int, func(lang.Database)) {}
 
 // Next implements workload.Workload: insert a uniform random value.
 func (w *Workload) Next(rng *rand.Rand, _ int) workload.Request {

@@ -322,46 +322,47 @@ func (w *Workload) buildDeliveryGlobal(wd int, folded lang.Database) (treaty.Glo
 // (Algorithm 1's workload model). Hot items receive proportionally more
 // sampled orders, which is how the optimizer adapts treaties to skew.
 type stockModel struct {
-	w    *Workload
-	unit int
+	w      *Workload
+	obj    lang.ObjID
+	deltas []lang.ObjID // the entry's delta object at each site
 }
 
 // Model implements workload.Workload.
 func (w *Workload) Model(unit int) treaty.WorkloadModel {
-	if unit < w.stockCount {
-		return &stockModel{w: w, unit: unit}
+	if unit >= w.stockCount {
+		return deliveryModel{}
 	}
-	return deliveryModel{}
+	obj := StockObj(unit)
+	return &stockModel{w: w, obj: obj, deltas: lang.DeltaObjs(obj, w.cfg.NSites)}
 }
 
 // SampleFuture simulates l New Orders against the stock entry.
-func (m *stockModel) SampleFuture(rng *rand.Rand, db lang.Database, l int) []lang.Database {
-	obj := StockObj(m.unit)
+func (m *stockModel) SampleFuture(rng *rand.Rand, db lang.Database, l int, visit func(lang.Database)) {
+	obj := m.obj
 	cur := db.Clone()
-	out := make([]lang.Database, 0, l)
 	for i := 0; i < l; i++ {
 		site := rng.Intn(m.w.cfg.NSites)
 		qty := 1 + rng.Int63n(5)
-		logical := lang.LogicalValue(cur, obj, m.w.cfg.NSites)
-		if logical-qty >= 10 {
-			d := lang.DeltaObj(obj, site)
-			cur[d] = cur.Get(d) - qty
-		} else {
-			cur = lang.Database{obj: logical - qty + 91}
+		logical := cur[obj]
+		for _, d := range m.deltas {
+			logical += cur[d]
 		}
-		out = append(out, cur.Clone())
+		if logical-qty >= 10 {
+			cur[m.deltas[site]] -= qty
+		} else {
+			clear(cur)
+			cur[obj] = logical - qty + 91
+		}
+		visit(cur)
 	}
-	return out
 }
 
 // deliveryModel: Delivery always synchronizes (the pin treaty admits no
-// slack), so sampling futures is pointless; return none and let the
+// slack), so sampling futures is pointless; visit none and let the
 // default/optimizer keep the pinned configuration.
 type deliveryModel struct{}
 
-func (deliveryModel) SampleFuture(*rand.Rand, lang.Database, int) []lang.Database {
-	return nil
-}
+func (deliveryModel) SampleFuture(*rand.Rand, lang.Database, int, func(lang.Database)) {}
 
 // pickItem selects a stock entry honoring the hot-item skew: with
 // probability H% the order goes to one of the hot items (the first

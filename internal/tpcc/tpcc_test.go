@@ -303,7 +303,10 @@ func TestStockModelRespectsSemantics(t *testing.T) {
 	w := small(t, 2)
 	m := w.Model(0)
 	rng := rand.New(rand.NewSource(2))
-	futures := m.SampleFuture(rng, lang.Database{StockObj(0): 80}, 20)
+	var futures []lang.Database
+	m.SampleFuture(rng, lang.Database{StockObj(0): 80}, 20, func(d lang.Database) {
+		futures = append(futures, d.Clone())
+	})
 	if len(futures) != 20 {
 		t.Fatalf("len = %d", len(futures))
 	}

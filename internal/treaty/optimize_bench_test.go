@@ -86,3 +86,25 @@ func BenchmarkNegotiationSolve(b *testing.B) {
 		}
 	})
 }
+
+// TestColdSolveAllocs holds a cold solve to an allocation ceiling: the
+// configuration it returns, one string per distinct soft constraint and
+// the model's scratch database, nothing per sampled state or per
+// constraint. (The map-and-big.Rat path took 4 890.)
+func TestColdSolveAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops the solver scratch at random under the race detector")
+	}
+	tmpl, folded, model := solveInputs(t, 1000, 4)
+	rng := rand.New(rand.NewSource(42))
+	allocs := testing.AllocsPerRun(50, func() {
+		rng.Seed(42)
+		cfg, _ := treaty.Optimize(tmpl, folded, model, treaty.OptimizeOptions{Lookahead: 20, CostFactor: 3, Rng: rng})
+		if cfg == nil {
+			t.Fatal("nil config")
+		}
+	})
+	if allocs > 100 {
+		t.Fatalf("cold solve allocates %.0f objects, ceiling 100", allocs)
+	}
+}

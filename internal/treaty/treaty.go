@@ -8,7 +8,9 @@ package treaty
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/lang"
@@ -79,9 +81,18 @@ func (l Local) String() string {
 // clause's terms over objects local to the site, plus a fresh
 // configuration variable.
 type SiteClause struct {
-	Site      int
-	LocalTerm lia.Term
-	Config    logic.Var
+	Site   int
+	Config logic.Var
+
+	col   int        // Config's column in Template.configVars
+	local []objCoeff // the local sum, in the global clause's variable order
+}
+
+// objCoeff is one term of a site-local sum.
+type objCoeff struct {
+	obj   lang.ObjID
+	col   int // the object's column in Template.objVars
+	coeff int64
 }
 
 // TemplateClause pairs a global clause with its per-site split.
@@ -96,6 +107,12 @@ type TemplateClause struct {
 type Template struct {
 	NSites  int
 	Clauses []TemplateClause
+
+	// The two variable tables the solver's dense rows are indexed by, each
+	// in logic.SortVars order: every configuration variable, and every
+	// object the global treaty mentions.
+	configVars []logic.Var
+	objVars    []logic.Var
 }
 
 // Config assigns integer values to configuration variables.
@@ -106,15 +123,17 @@ type Config map[logic.Var]int64
 // paper: a clause sum d_i x_i (op) n becomes, at site k,
 // sum_{Loc(x_i)=k} d_i x_i + c_k (op) n.
 func BuildTemplate(g Global, nSites int, place Placement) (*Template, error) {
-	t := &Template{NSites: nSites}
+	t := &Template{NSites: nSites, Clauses: make([]TemplateClause, 0, len(g.Constraints))}
+	var name []byte
 	for j, gc := range g.Constraints {
 		if gc.Op == lia.LT {
 			return nil, fmt.Errorf("treaty: clause %d not normalized (LT)", j)
 		}
-		tc := TemplateClause{Global: gc.Clone()}
-		locals := make([]lia.Term, nSites)
-		for k := range locals {
-			locals[k] = lia.NewTerm()
+		tc := TemplateClause{Global: gc.Clone(), Sites: make([]SiteClause, nSites)}
+		for k := range tc.Sites {
+			name = strconv.AppendInt(append(strconv.AppendInt(append(name[:0], 'c'), int64(j), 10), '_'), int64(k), 10)
+			tc.Sites[k] = SiteClause{Site: k, Config: logic.Config(string(name))}
+			t.configVars = append(t.configVars, tc.Sites[k].Config)
 		}
 		for _, v := range gc.Term.Vars() {
 			if v.Kind != logic.ObjVar {
@@ -124,38 +143,38 @@ func BuildTemplate(g Global, nSites int, place Placement) (*Template, error) {
 			if site < 0 || site >= nSites {
 				return nil, fmt.Errorf("treaty: object %s placed on invalid site %d", v.Name, site)
 			}
-			locals[site].AddVar(v, gc.Term.Coeffs[v])
-		}
-		for k := 0; k < nSites; k++ {
-			tc.Sites = append(tc.Sites, SiteClause{
-				Site:      k,
-				LocalTerm: locals[k],
-				Config:    logic.Config(fmt.Sprintf("c%d_%d", j, k)),
-			})
+			tc.Sites[site].local = append(tc.Sites[site].local,
+				objCoeff{obj: lang.ObjID(v.Name), coeff: gc.Term.Coeffs[v]})
+			t.objVars = append(t.objVars, v)
 		}
 		t.Clauses = append(t.Clauses, tc)
+	}
+	logic.SortVars(t.configVars)
+	logic.SortVars(t.objVars)
+	t.objVars = slices.Compact(t.objVars)
+	for j := range t.Clauses {
+		for k := range t.Clauses[j].Sites {
+			sc := &t.Clauses[j].Sites[k]
+			sc.col, _ = slices.BinarySearchFunc(t.configVars, sc.Config, logic.CompareVars)
+			for i := range sc.local {
+				sc.local[i].col, _ = slices.BinarySearchFunc(t.objVars, logic.Obj(sc.local[i].obj), logic.CompareVars)
+			}
+		}
 	}
 	return t, nil
 }
 
 // ConfigVars lists every configuration variable of the template in
 // deterministic order.
-func (t *Template) ConfigVars() []logic.Var {
-	set := make(map[logic.Var]bool)
-	for _, tc := range t.Clauses {
-		for _, sc := range tc.Sites {
-			set[sc.Config] = true
-		}
-	}
-	return logic.SortedVars(set)
-}
+func (t *Template) ConfigVars() []logic.Var { return slices.Clone(t.configVars) }
 
 // localSum evaluates the site-local part of a clause on a database.
-func localSum(term lia.Term, db lang.Database) int64 {
-	sum := term.Const
-	//homeo:nondet commutative int64 sum; order cannot escape
-	for v, c := range term.Coeffs {
-		sum += c * db.Get(lang.ObjID(v.Name))
+//
+//homeo:hotpath
+func (sc *SiteClause) localSum(db lang.Database) int64 {
+	sum := int64(0)
+	for _, oc := range sc.local {
+		sum += oc.coeff * db.Get(oc.obj)
 	}
 	return sum
 }
@@ -170,7 +189,7 @@ func (t *Template) DefaultConfig(db lang.Database) Config {
 		// Canonical clause: Term + 0 (op) 0 with n = -Term.Const.
 		n := -tc.Global.Term.Const
 		for _, sc := range tc.Sites {
-			cfg[sc.Config] = n - localSum(sc.LocalTerm, db)
+			cfg[sc.Config] = n - sc.localSum(db)
 		}
 	}
 	return cfg
@@ -187,8 +206,10 @@ func (t *Template) LocalTreaty(site int, cfg Config) (Local, error) {
 			return Local{}, fmt.Errorf("treaty: clause %d site %d: unassigned config %s",
 				j, site, sc.Config)
 		}
-		term := sc.LocalTerm.Clone()
-		term.Const += val + tc.Global.Term.Const
+		term := lia.Term{Coeffs: make(map[logic.Var]int64, len(sc.local)), Const: val + tc.Global.Term.Const}
+		for _, oc := range sc.local {
+			term.Coeffs[t.objVars[oc.col]] = oc.coeff
+		}
 		out.Constraints = append(out.Constraints, lia.Constraint{Term: term, Op: tc.Global.Op})
 	}
 	return out, nil
@@ -207,99 +228,57 @@ func (t *Template) LocalTreaties(cfg Config) ([]Local, error) {
 	return out, nil
 }
 
-// HardConstraints returns the constraints over configuration variables
-// that make a configuration valid (requirement H1: the conjunction of
-// local treaties must imply the global treaty):
-//
-//   - inequality clause with bound n: sum_k c_k >= (K-1) * n
-//   - equality clause: each c_k is pinned to n - S_k(D)
-//
-// plus requirement H2 (each local treaty holds on the current database D):
-// c_k <= n - S_k(D) for inequalities.
-func (t *Template) HardConstraints(db lang.Database) []lia.Constraint {
-	var out []lia.Constraint
-	for _, tc := range t.Clauses {
-		n := -tc.Global.Term.Const
-		k := int64(t.NSites)
-		switch tc.Global.Op {
-		case lia.LE:
-			// H1: (K-1)*n - sum_k c_k <= 0.
-			h1 := lia.NewTerm()
-			h1.Const = (k - 1) * n
-			for _, sc := range tc.Sites {
-				h1.AddVar(sc.Config, -1)
-			}
-			out = append(out, lia.Constraint{Term: h1, Op: lia.LE})
-			// H2 per site: c_k - (n - S_k(D)) <= 0.
-			for _, sc := range tc.Sites {
-				h2 := lia.NewTerm()
-				h2.AddVar(sc.Config, 1)
-				h2.Const = localSum(sc.LocalTerm, db) - n
-				out = append(out, lia.Constraint{Term: h2, Op: lia.LE})
-			}
-		case lia.EQ:
-			for _, sc := range tc.Sites {
-				eq := lia.NewTerm()
-				eq.AddVar(sc.Config, 1)
-				eq.Const = localSum(sc.LocalTerm, db) - n
-				out = append(out, lia.Constraint{Term: eq, Op: lia.EQ})
-			}
-		}
-	}
-	return out
-}
-
 // Validate checks that a configuration is a valid treaty configuration:
 // H2 directly on D, and H1 by linear-arithmetic implication (the
 // conjunction of all local treaties implies every global clause). This is
 // the Lemma 4.2 / Theorem 4.3 property.
 func (t *Template) Validate(cfg Config, db lang.Database) error {
-	locals, err := t.LocalTreaties(cfg)
-	if err != nil {
-		return err
-	}
-	var all []lia.Constraint
-	for _, l := range locals {
-		if !l.Holds(db) {
-			return fmt.Errorf("treaty: H2 violated: %s does not hold on current database", l)
+	s := solvers.Get().(*solver)
+	defer solvers.Put(s)
+	return t.validate(&s.sys, cfg, db)
+}
+
+// validate is Validate on the caller's system: the local treaties become
+// rows over the template's object table, site by site, and each global
+// clause is then tested against them.
+func (t *Template) validate(sys *lia.System, cfg Config, db lang.Database) error {
+	sys.Reset(t.objVars)
+	n := len(t.objVars)
+	for k := 0; k < t.NSites; k++ {
+		for j := range t.Clauses {
+			tc := &t.Clauses[j]
+			sc := &tc.Sites[k]
+			val, ok := cfg[sc.Config]
+			if !ok {
+				_, err := t.LocalTreaty(k, cfg)
+				return err
+			}
+			c := val + tc.Global.Term.Const
+			row := sys.AddRow(tc.Global.Op)
+			for _, oc := range sc.local {
+				row[oc.col] = oc.coeff
+			}
+			row[n] = c
+			if sum := sc.localSum(db) + c; sum > 0 || (sum < 0 && tc.Global.Op == lia.EQ) {
+				l, _ := t.LocalTreaty(k, cfg)
+				return fmt.Errorf("treaty: H2 violated: %s does not hold on current database", l)
+			}
 		}
-		all = append(all, l.Constraints...)
 	}
-	var global []lia.Constraint
-	for _, tc := range t.Clauses {
-		global = append(global, tc.Global)
-	}
-	if !lia.ImpliesAll(all, global) {
-		return fmt.Errorf("treaty: H1 violated: local treaties do not imply the global treaty")
+	for j := range t.Clauses {
+		tc := &t.Clauses[j]
+		row := sys.AddRow(tc.Global.Op)
+		for k := range tc.Sites {
+			for _, oc := range tc.Sites[k].local {
+				row[oc.col] = oc.coeff
+			}
+		}
+		row[n] = tc.Global.Term.Const
+		if !sys.ImpliesLast() {
+			return fmt.Errorf("treaty: H1 violated: local treaties do not imply the global treaty")
+		}
 	}
 	return nil
-}
-
-// SoftConstraint is one Algorithm 1 soft constraint: "all local treaty
-// templates hold on a sampled future database D_j", expressed as bounds on
-// configuration variables.
-type SoftConstraint struct {
-	Constraints []lia.Constraint
-}
-
-// SoftFor builds the soft constraint for a future database: for each
-// inequality clause and site, c_k <= n - S_k(D_j). Equality clauses are
-// already pinned by the hard constraints and contribute nothing soft.
-func (t *Template) SoftFor(db lang.Database) SoftConstraint {
-	var out SoftConstraint
-	for _, tc := range t.Clauses {
-		if tc.Global.Op != lia.LE {
-			continue
-		}
-		n := -tc.Global.Term.Const
-		for _, sc := range tc.Sites {
-			cterm := lia.NewTerm()
-			cterm.AddVar(sc.Config, 1)
-			cterm.Const = localSum(sc.LocalTerm, db) - n
-			out.Constraints = append(out.Constraints, lia.Constraint{Term: cterm, Op: lia.LE})
-		}
-	}
-	return out
 }
 
 // EqualSplitConfig is the hand-crafted demarcation-style configuration the
@@ -314,12 +293,12 @@ func (t *Template) EqualSplitConfig(db lang.Database) Config {
 		switch tc.Global.Op {
 		case lia.EQ:
 			for _, sc := range tc.Sites {
-				cfg[sc.Config] = n - localSum(sc.LocalTerm, db)
+				cfg[sc.Config] = n - sc.localSum(db)
 			}
 		case lia.LE:
 			total := int64(0)
 			for _, sc := range tc.Sites {
-				total += localSum(sc.LocalTerm, db)
+				total += sc.localSum(db)
 			}
 			slack := n - total
 			if slack < 0 {
@@ -333,7 +312,7 @@ func (t *Template) EqualSplitConfig(db lang.Database) Config {
 				if int64(i) < rem {
 					extra = 1
 				}
-				cfg[sc.Config] = n - localSum(sc.LocalTerm, db) - share - extra
+				cfg[sc.Config] = n - sc.localSum(db) - share - extra
 			}
 		}
 	}
@@ -370,12 +349,12 @@ func (t *Template) AdaptiveConfig(db lang.Database, weights []int64) Config {
 		switch tc.Global.Op {
 		case lia.EQ:
 			for _, sc := range tc.Sites {
-				cfg[sc.Config] = n - localSum(sc.LocalTerm, db)
+				cfg[sc.Config] = n - sc.localSum(db)
 			}
 		case lia.LE:
 			sum := int64(0)
 			for _, sc := range tc.Sites {
-				sum += localSum(sc.LocalTerm, db)
+				sum += sc.localSum(db)
 			}
 			slack := n - sum
 			if slack < 0 {
@@ -406,7 +385,7 @@ func (t *Template) AdaptiveConfig(db lang.Database, weights []int64) Config {
 				shares[order[int(slack-given-rem)%t.NSites]]++
 			}
 			for i, sc := range tc.Sites {
-				cfg[sc.Config] = n - localSum(sc.LocalTerm, db) - shares[i]
+				cfg[sc.Config] = n - sc.localSum(db) - shares[i]
 			}
 		}
 	}

@@ -272,10 +272,11 @@ type scriptedModel struct {
 	next    int
 }
 
-func (m *scriptedModel) SampleFuture(_ *rand.Rand, _ lang.Database, _ int) []lang.Database {
-	f := m.futures[m.next%len(m.futures)]
+func (m *scriptedModel) SampleFuture(_ *rand.Rand, _ lang.Database, _ int, visit func(lang.Database)) {
+	for _, d := range m.futures[m.next%len(m.futures)] {
+		visit(d)
+	}
 	m.next++
-	return f
 }
 
 // TestOptimizeAppendixC2 replays the paper's worked example: futures

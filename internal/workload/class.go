@@ -356,18 +356,40 @@ func (c *Class) pinGlobal(folded lang.Database) treaty.Global {
 // drawn uniformly from the declared bounds.
 type classModel struct{ c *Class }
 
-// SampleFuture implements treaty.WorkloadModel.
-func (m classModel) SampleFuture(rng *rand.Rand, db lang.Database, l int) []lang.Database {
+// SampleFuture implements treaty.WorkloadModel: every step runs in place
+// on one copy of db, in one environment. A step that fails to evaluate
+// leaves the database as it found it.
+func (m classModel) SampleFuture(rng *rand.Rand, db lang.Database, l int, visit func(lang.Database)) {
 	cur := db.Clone()
-	out := make([]lang.Database, 0, l)
+	type undo struct {
+		obj lang.ObjID
+		old int64
+		had bool
+	}
+	var undos []undo
+	env := lang.Env{DB: cur, Temps: make(map[string]int64)}
+	env.WriteFn = func(obj lang.ObjID, v int64) {
+		old, had := cur[obj]
+		undos = append(undos, undo{obj, old, had})
+		cur[obj] = v
+	}
+	var args []int64
 	for i := 0; i < l; i++ {
 		site := rng.Intn(m.c.nSites)
-		if res, err := lang.Eval(m.c.rw(site), cur, m.c.randArgs(rng)...); err == nil {
-			cur = res.DB
+		args = m.c.appendRandArgs(args[:0], rng)
+		undos, env.Log = undos[:0], env.Log[:0]
+		clear(env.Temps)
+		if err := lang.EvalIn(m.c.rw(site), &env, args...); err != nil {
+			for u := len(undos) - 1; u >= 0; u-- {
+				if undos[u].had {
+					cur[undos[u].obj] = undos[u].old
+				} else {
+					delete(cur, undos[u].obj)
+				}
+			}
 		}
-		out = append(out, cur.Clone())
+		visit(cur)
 	}
-	return out
 }
 
 // rw returns the site-k replica rewrite. Scratch-compiled classes build
@@ -392,15 +414,15 @@ func (c *Class) rw(site int) *lang.Transaction {
 	return c.rwBySite[site]
 }
 
-// randArgs draws an argument vector uniformly from the declared bounds
-// (parameters without bounds use their representative value).
-func (c *Class) randArgs(rng *rand.Rand) []int64 {
-	args := make([]int64, len(c.Params))
+// appendRandArgs appends an argument vector drawn uniformly from the
+// declared bounds (parameters without bounds use their representative
+// value).
+func (c *Class) appendRandArgs(args []int64, rng *rand.Rand) []int64 {
 	for i, p := range c.Params {
 		if b, ok := c.Bounds[p]; ok && b[1] > b[0] {
-			args[i] = b[0] + rng.Int63n(b[1]-b[0]+1)
+			args = append(args, b[0]+rng.Int63n(b[1]-b[0]+1))
 		} else {
-			args[i] = c.repArgs[i]
+			args = append(args, c.repArgs[i])
 		}
 	}
 	return args

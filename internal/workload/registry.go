@@ -281,9 +281,9 @@ func (r *Registry) Next(rng *rand.Rand, site int) Request {
 		panic("workload: registry has no base workload and no registered classes to draw from")
 	}
 	c := r.classes[rng.Intn(len(r.classes))]
-	req, err := r.Request(c, c.randArgs(rng))
+	req, err := r.Request(c, c.appendRandArgs(nil, rng))
 	if err != nil {
-		panic(err) // unreachable: randArgs matches the class's arity
+		panic(err) // unreachable: appendRandArgs matches the class's arity
 	}
 	return req
 }
