@@ -15,9 +15,16 @@
 // placed per -place, defaulting to site 0), and prints the default,
 // equal-split, and (when -optimize is set) Algorithm 1 optimized local
 // treaties.
+//
+// With -wal, the tool instead prints a site's write-ahead log as JSON,
+// one object per record — the human-readable rendering of a log whose
+// only machine encoding is binary:
+//
+//	homeostasis-analyze -wal /var/lib/homeo/site-0.wal
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -29,6 +36,7 @@ import (
 	"repro/internal/lang"
 	"repro/internal/symtab"
 	"repro/internal/treaty"
+	"repro/internal/wal"
 )
 
 func main() {
@@ -38,9 +46,16 @@ func main() {
 		sites    = flag.Int("sites", 2, "number of sites for treaty splitting")
 		place    = flag.String("place", "", "object placement, e.g. 'x=0,y=1' (default: all on site 0)")
 		optimize = flag.Bool("optimize", false, "also run the Algorithm 1 optimizer with a random-walk model")
+		walFile  = flag.String("wal", "", "dump this write-ahead log file as JSON, one object per record, and exit")
 	)
 	flag.Parse()
 
+	if *walFile != "" {
+		if err := dumpWAL(os.Stdout, *walFile); err != nil {
+			fatal(err)
+		}
+		return
+	}
 	src, err := readSource(*file)
 	if err != nil {
 		fatal(err)
@@ -118,6 +133,39 @@ func main() {
 				stats.SoftSatisfied, stats.SoftTotal), cfg)
 		}
 	}
+}
+
+// dumpWAL prints every record of the log's valid prefix as one JSON
+// object: its index, kind, and decoded fields — or, for a record that
+// does not decode, the error, after which the dump continues. Bytes past
+// the valid prefix (a torn tail) are reported on the last line.
+func dumpWAL(w io.Writer, path string) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	type line struct {
+		Index  int    `json:"index"`
+		Kind   string `json:"kind"`
+		Record any    `json:"record,omitempty"`
+		Error  string `json:"error,omitempty"`
+	}
+	enc := json.NewEncoder(w)
+	enc.SetEscapeHTML(false) // "<=" is for a person to read
+	recs, valid := wal.Scan(data)
+	for i, r := range recs {
+		out := line{Index: i, Kind: r.Kind.String()}
+		if out.Record, err = r.Decode(); err != nil {
+			out.Record, out.Error = nil, err.Error()
+		}
+		if err := enc.Encode(out); err != nil {
+			return err
+		}
+	}
+	if valid < len(data) {
+		return enc.Encode(map[string]int{"torn_tail_bytes": len(data) - valid})
+	}
+	return nil
 }
 
 // randomWalkModel perturbs each object by ±1 per step — a generic stand-in

@@ -12,7 +12,8 @@
 //     analyzed and treaty-fitted online), Session (submission with
 //     per-call deadlines and the ErrAborted / ErrTimeout /
 //     ErrLivelocked / ErrDropped taxonomy), and streaming Stats;
-//   - homeo/wire: the JSON types of the versioned /v1 wire protocol;
+//   - homeo/wire: the message types of the versioned /v1 wire protocol
+//     (JSON towards clients, the binary peer encoding between sites);
 //   - homeo/httpapi: the HTTP server half (mounted by
 //     cmd/homeostasis-serve, embeddable behind any mux);
 //   - homeo/client: the Go client with connection pooling and jittered
@@ -42,7 +43,7 @@
 //     phase's coordinator drives its two communication rounds through a
 //     pluggable Transport: fabric.Local (in-process, latency charged
 //     per message from the topology; the default, byte-identical to the
-//     seed timeline) or fabric.HTTP (JSON peer messages over real
+//     seed timeline) or fabric.HTTP (binary peer messages over real
 //     sockets, one OS process per site, Lamport-clocked commit logs for
 //     merged replay checks). homeo.Options.Fabric and
 //     cmd/homeostasis-serve's -site/-peers flags deploy it;

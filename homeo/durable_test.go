@@ -2,13 +2,54 @@ package homeo_test
 
 import (
 	"context"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/homeo"
 	"repro/homeo/wire"
+	"repro/internal/fabric/codec"
 	"repro/internal/lang"
+	"repro/internal/treaty"
+	"repro/internal/wal"
 )
+
+// unitLocals snapshots every unit's installed per-site local treaties.
+func unitLocals(c *homeo.Cluster) [][]treaty.Local {
+	out := make([][]treaty.Local, len(c.System().Units))
+	for u := range out {
+		out[u] = append([]treaty.Local(nil), c.System().UnitLocals(u)...)
+	}
+	return out
+}
+
+// sameLocals compares two treaty snapshots term by term: per unit and
+// site, the same constraints in the same order, each with the same op,
+// constant and coefficient on every variable.
+func sameLocals(t *testing.T, got, want [][]treaty.Local) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d units, want %d", len(got), len(want))
+	}
+	for u := range want {
+		if len(got[u]) != len(want[u]) {
+			t.Fatalf("unit %d: %d local treaties, want %d", u, len(got[u]), len(want[u]))
+		}
+		for site, w := range want[u] {
+			g := got[u][site]
+			if g.Site != w.Site || len(g.Constraints) != len(w.Constraints) {
+				t.Fatalf("unit %d site %d: treaty\n got %s\nwant %s", u, site, g, w)
+			}
+			for i, wc := range w.Constraints {
+				gc := g.Constraints[i]
+				if gc.Op != wc.Op || gc.Term.Const != wc.Term.Const || !reflect.DeepEqual(gc.Term.Coeffs, wc.Term.Coeffs) {
+					t.Errorf("unit %d site %d constraint %d:\n got %s\nwant %s", u, site, i, gc, wc)
+				}
+			}
+		}
+	}
+}
 
 // TestWALRecoverRoundTrip: run a simulated cluster with a write-ahead
 // log, tear it down, and boot an identically configured cluster over the
@@ -60,6 +101,7 @@ func TestWALRecoverRoundTrip(t *testing.T) {
 	for k := range wantDB {
 		wantDB[k] = c1.System().PartitionDB(k)
 	}
+	wantLocals := unitLocals(c1)
 	c1.Close() // flushes and closes the WAL
 
 	c2, _ := mk()
@@ -88,6 +130,9 @@ func TestWALRecoverRoundTrip(t *testing.T) {
 			t.Fatalf("site %d partition diverged after recovery:\n got %v\nwant %v", k, got, wantDB[k])
 		}
 	}
+	// Treaty records carry the constraints in codec form; what comes back
+	// must be what the rounds installed.
+	sameLocals(t, unitLocals(c2), wantLocals)
 
 	// The recovered incarnation keeps serving: fresh submissions commit
 	// and extend the recovered log.
@@ -96,6 +141,82 @@ func TestWALRecoverRoundTrip(t *testing.T) {
 	}
 	if got := c2.Committed(); got != len(wantLog)+1 {
 		t.Fatalf("post-recovery commit log has %d entries, want %d", got, len(wantLog)+1)
+	}
+}
+
+// TestWALRecoverRefusesOtherEncodings: a log is read only in the format
+// version that wrote it. A record from before the codec (a JSON payload)
+// or from format version 1 (a treaty record holding a JSON constraint
+// blob) fails recovery with an error naming the site, the record, what
+// was found and what this build reads — and installs nothing.
+func TestWALRecoverRefusesOtherEncodings(t *testing.T) {
+	v1Treaty := []byte{codec.Magic, 1, byte(wal.KindTreaty)}
+	v1Treaty = codec.AppendInt(v1Treaty, 0)    // unit
+	v1Treaty = codec.AppendInt(v1Treaty, 0)    // site
+	v1Treaty = codec.AppendVarint(v1Treaty, 9) // version
+	v1Treaty = codec.AppendVarint(v1Treaty, 5) // clock
+	v1Treaty = codec.AppendBool(v1Treaty, false)
+	v1Treaty = codec.AppendString(v1Treaty, `[{"coeffs":{"bal":-1},"const":1,"op":"<="}]`)
+	for _, tc := range []struct {
+		name     string
+		kind     wal.Kind
+		payload  []byte
+		mentions []string
+	}{
+		{"legacy JSON commit", wal.KindCommit, []byte(`{"class":"Withdraw","args":[1],"site":0,"clock":3,"writes":{"bal@d0":-1}}`),
+			[]string{"site 0", "record 0", "0x7b", "format version 2"}},
+		{"version-1 treaty", wal.KindTreaty, v1Treaty,
+			[]string{"site 0", "record 0", "format version 1", "only version 2"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			l, _, err := wal.Open(filepath.Join(dir, "site-0.wal"), wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Append(tc.kind, tc.payload); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			mk := func(walDir string) *homeo.Cluster {
+				c, err := homeo.New(homeo.Options{Runtime: homeo.RuntimeSim, Sites: 2, Seed: 7,
+					EnableLog: true, WAL: homeo.WALOptions{Dir: walDir}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := c.Register(homeo.ClassSpec{L: withdrawSrc,
+					Bounds: map[string][2]int64{"n": {1, 3}}, Initial: map[string]int64{"bal": 60}}); err != nil {
+					t.Fatal(err)
+				}
+				return c
+			}
+			c := mk(dir)
+			defer c.Close()
+			_, err = c.Recover()
+			if err == nil {
+				t.Fatal("recovery accepted the record")
+			}
+			for _, want := range tc.mentions {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not mention %q", err, want)
+				}
+			}
+			// Nothing of the refused record was installed: the cluster is
+			// where a boot without a log leaves it.
+			boot := mk("")
+			defer boot.Close()
+			if c.Committed() != 0 {
+				t.Errorf("%d commits recovered from a refused log", c.Committed())
+			}
+			for k := 0; k < c.Sites(); k++ {
+				if got, want := c.System().PartitionDB(k), boot.System().PartitionDB(k); !reflect.DeepEqual(got, want) {
+					t.Errorf("site %d partition after the refusal:\n got %v\nwant %v", k, got, want)
+				}
+			}
+			sameLocals(t, unitLocals(c), unitLocals(boot))
+		})
 	}
 }
 

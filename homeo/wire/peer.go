@@ -1,10 +1,14 @@
 package wire
 
-// This file defines the JSON types of the site-fabric peer protocol: the
-// messages sites exchange under /v1/peer/* when a cluster runs as
-// multiple OS processes (one site each, cmd/homeostasis-serve -site N
-// -peers ...). The protocol is the wire form of the paper's cleanup
-// phase (Section 3.3), coordinator-driven by the violating site:
+// This file defines the message types of the site-fabric peer protocol:
+// what sites exchange under /v1/peer/* when a cluster runs as multiple OS
+// processes (one site each, cmd/homeostasis-serve -site N -peers ...).
+// On the wire a message is its internal/fabric/codec encoding and
+// nothing else; the json tags give the field-by-field rendering the docs
+// and `homeostasis-analyze -wal` print (the two GET endpoints below are
+// the only JSON bodies the surface serves). The protocol is the wire
+// form of the paper's cleanup phase (Section 3.3), coordinator-driven by
+// the violating site:
 //
 //	POST /v1/peer/collect           round 1: freeze the violated units and
 //	                                return the site's delta values for the
@@ -26,12 +30,11 @@ package wire
 //	                                the epoch and releases the quiesce
 //	POST /v1/peer/drain             a drained site announces itself: the
 //	                                peer marks it gone and bumps its
-//	                                membership epoch (at the drained site
-//	                                itself, the operator's drain trigger)
+//	                                membership epoch (operators trigger a
+//	                                drain with /v1/topology/drain)
 //	POST /v1/peer/migrate           install a migrating unit's folded
-//	                                state and new demand home (at the
-//	                                target with a zero round, the
-//	                                operator's migration trigger)
+//	                                state and new demand home (operators
+//	                                trigger one with /v1/topology/migrate)
 //	GET  /v1/peer/log               the site's commit log (Lamport-clocked)
 //	GET  /v1/peer/db                the site's authoritative partition of
 //	                                the logical database

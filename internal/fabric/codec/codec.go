@@ -1,6 +1,7 @@
-// Package codec is the length-prefixed binary encoding shared by the
-// site-fabric peer protocol (/v1/peer/* bodies, negotiated via content
-// type with a JSON fallback) and the write-ahead log's record payloads.
+// Package codec is the length-prefixed binary encoding of the
+// site-fabric peer protocol (/v1/peer/* request and reply bodies) and of
+// the write-ahead log's record payloads: the one machine encoding of
+// both.
 //
 // Every encoded value starts with a three-byte header — magic, format
 // version, message kind — followed by the kind's fields in a fixed
@@ -9,15 +10,14 @@
 // runs so encoding is deterministic: the same value always produces the
 // same bytes, which the WAL's CRC framing and the golden tests rely on.
 //
-// The magic byte (0xB5) never collides with '{' or a space, so a
-// decoder can sniff binary versus legacy JSON from the first payload
-// byte; that is how mixed-version clusters and old WAL files keep
-// working.
+// A cluster runs one build and a log is read by the build that wrote it:
+// Reader.Header refuses any other magic or version, naming what it found
+// and what it reads, and a layout change bumps Version (the golden-bytes
+// tests fail until it does). There is no second encoding to fall back to.
 package codec
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -26,18 +26,13 @@ import (
 const (
 	// Magic is the first byte of every binary-encoded value.
 	Magic = 0xB5
-	// Version is the encoding format version.
-	Version = 1
-	// ContentType negotiates the binary encoding on the peer surface.
+	// Version is the encoding format version; it changes whenever the
+	// layout of any peer message or WAL record does.
+	Version = 2
+	// ContentType is the content type of every /v1/peer/* request and
+	// reply body.
 	ContentType = "application/x-homeo-peer"
 )
-
-// ErrNotBinary reports a payload that does not start with the codec
-// magic (a legacy JSON body, typically).
-var ErrNotBinary = errors.New("codec: payload is not binary-encoded")
-
-// IsBinary reports whether a payload starts with the codec magic.
-func IsBinary(b []byte) bool { return len(b) > 0 && b[0] == Magic }
 
 // AppendHeader appends the three-byte header for a message kind.
 func AppendHeader(dst []byte, kind byte) []byte {
@@ -71,12 +66,6 @@ func AppendBool(dst []byte, v bool) []byte {
 func AppendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
-}
-
-// AppendBytes appends a length-prefixed byte blob.
-func AppendBytes(dst []byte, b []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
 }
 
 // AppendInt64s appends a count-prefixed slice of signed varints.
@@ -160,7 +149,9 @@ func (r *Reader) fail(format string, args ...any) {
 	}
 }
 
-// Header consumes the three-byte header and returns the message kind.
+// Header consumes the three-byte header and returns the message kind. A
+// first byte other than Magic or a version other than Version is an
+// error: nothing else is read by this build.
 func (r *Reader) Header() byte {
 	if r.err != nil {
 		return 0
@@ -169,17 +160,24 @@ func (r *Reader) Header() byte {
 		r.fail("short header (%d bytes)", r.Len())
 		return 0
 	}
-	if r.b[r.off] != Magic {
-		r.err = ErrNotBinary
-		return 0
-	}
-	if r.b[r.off+1] != Version {
-		r.fail("unsupported version %d", r.b[r.off+1])
+	if r.b[r.off] != Magic || r.b[r.off+1] != Version {
+		r.failHeader(r.b[r.off], r.b[r.off+1])
 		return 0
 	}
 	kind := r.b[r.off+2]
 	r.off += 3
 	return kind
+}
+
+// failHeader words the refusal of a foreign header, out of line so that
+// Header, which every decode runs, stays small.
+func (r *Reader) failHeader(magic, version byte) {
+	if magic != Magic {
+		r.fail("first byte %#02x is not the codec magic %#02x (format version %d is the only encoding read)",
+			magic, Magic, Version)
+		return
+	}
+	r.fail("format version %d, this build reads only version %d", version, Version)
 }
 
 // Byte consumes one byte.
@@ -260,25 +258,6 @@ func (r *Reader) String() string {
 	return s
 }
 
-// Bytes consumes a length-prefixed byte blob (copied out of the input).
-func (r *Reader) Bytes() []byte {
-	n := r.Uvarint()
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(r.Len()) {
-		r.fail("blob length %d exceeds %d remaining bytes", n, r.Len())
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	b := make([]byte, n)
-	copy(b, r.b[r.off:])
-	r.off += int(n)
-	return b
-}
-
 // Int64s consumes a count-prefixed slice of signed varints.
 func (r *Reader) Int64s() []int64 {
 	n := r.Count()
@@ -328,7 +307,7 @@ func (r *Reader) Strings() []string {
 }
 
 // StringMap consumes a map encoded by AppendStringMap. An empty map
-// decodes as nil, matching the JSON round trip of omitted fields.
+// decodes as nil.
 func (r *Reader) StringMap() map[string]int64 {
 	n := r.Count()
 	if r.err != nil || n == 0 {

@@ -2,17 +2,22 @@ package codec_test
 
 import (
 	"bytes"
-	"errors"
+	"encoding/hex"
+	"flag"
+	"fmt"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/homeo/wire"
 	"repro/internal/fabric/codec"
 )
 
-// samples is one representative value per peer message kind, with the
-// awkward corners included: nil and non-nil optional winner, empty and
-// multi-entry maps, negative values, every constraint op.
+// samples is one representative value per negotiation and recovery
+// message kind, with the awkward corners included: nil and non-nil
+// optional winner, empty and multi-entry maps, negative values, every
+// constraint op. (BenchmarkPeerCodec measures exactly this set.)
 func samples() []any {
 	return []any{
 		&wire.PeerCollect{From: 1, Round: 7, Clock: 99, Units: []int{0, 2}, Objs: []string{"stock(0)", "stock(1)"}},
@@ -37,19 +42,94 @@ func samples() []any {
 	}
 }
 
+// allSamples adds the membership kinds, so every kind of the protocol has
+// at least one sample.
+func allSamples() []any {
+	return append(samples(),
+		&wire.PeerJoin{Site: 3, Round: 2, Clock: 107, Addr: "http://10.0.0.4:8080", Phase: 1},
+		&wire.PeerJoinReply{Clock: 108, Epoch: 4, Units: []wire.PeerJoinUnit{
+			{Unit: 0, Version: 6, Base: map[string]int64{"a": 1, "b": -1}},
+			{Unit: 1, Version: 7},
+		}},
+		&wire.PeerDrain{Site: 1, Clock: 109},
+		&wire.PeerDrainReply{Clock: 110, Epoch: 5},
+		&wire.PeerMigrate{From: 0, Round: 10, Clock: 111, Unit: 2, To: 1,
+			Objs: []string{"a"}, Folded: map[string]int64{"a": 42}},
+		&wire.PeerMigrateReply{Clock: 112, Epoch: 5},
+	)
+}
+
+var update = flag.Bool("update", false, "rewrite the golden-bytes fixture from the current encoder")
+
+// TestGoldenBytes pins the byte layout of every peer message kind to a
+// checked-in fixture named after the format version: a sample must
+// encode to exactly the fixture's bytes and the fixture must decode to
+// the sample. Nothing sniffs or migrates encodings, so this is the
+// compatibility guarantee — a layout change fails here until Version is
+// bumped and a fixture for the new version is written (-update).
+func TestGoldenBytes(t *testing.T) {
+	path := fmt.Sprintf("testdata/peer_v%d.golden", codec.Version)
+	msgs := allSamples()
+	if *update {
+		var out strings.Builder
+		for _, m := range msgs {
+			enc, err := codec.AppendMessage(nil, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&out, "%T %s\n", m, hex.EncodeToString(enc))
+		}
+		if err := os.WriteFile(path, []byte(out.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("no fixture for format version %d: %v", codec.Version, err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if len(lines) != len(msgs) {
+		t.Fatalf("%s holds %d messages, the sample set %d", path, len(lines), len(msgs))
+	}
+	kinds := map[byte]bool{}
+	for i, m := range msgs {
+		name, hexBytes, _ := strings.Cut(lines[i], " ")
+		want, err := hex.DecodeString(hexBytes)
+		if err != nil || name != fmt.Sprintf("%T", m) {
+			t.Fatalf("%s line %d: %q (%v), want a %T", path, i+1, lines[i], err, m)
+		}
+		got, err := codec.AppendMessage(nil, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%T encodes to\n  %x\nfixture\n  %x", m, got, want)
+		}
+		out := fresh(m)
+		if err := codec.DecodeMessage(want, out); err != nil {
+			t.Errorf("%T: fixture does not decode: %v", m, err)
+		} else if !reflect.DeepEqual(m, out) {
+			t.Errorf("%T: fixture decodes to %+v, want %+v", m, out, m)
+		}
+		kinds[want[2]] = true
+	}
+	for k := codec.KindCollect; k <= codec.KindMigrateReply; k++ {
+		if !kinds[k] {
+			t.Errorf("no golden sample of message kind %d", k)
+		}
+	}
+}
+
 // fresh returns a zero value of m's concrete type, as a pointer.
 func fresh(m any) any {
 	return reflect.New(reflect.TypeOf(m).Elem()).Interface()
 }
 
 func TestMessageRoundTrip(t *testing.T) {
-	for _, m := range samples() {
+	for _, m := range allSamples() {
 		enc, err := codec.AppendMessage(nil, m)
 		if err != nil {
 			t.Fatalf("%T: encode: %v", m, err)
-		}
-		if !codec.IsBinary(enc) {
-			t.Fatalf("%T: encoding does not start with the codec magic", m)
 		}
 		out := fresh(m)
 		if err := codec.DecodeMessage(enc, out); err != nil {
@@ -62,10 +142,10 @@ func TestMessageRoundTrip(t *testing.T) {
 }
 
 // TestEncodingDeterministic: the same value always encodes to the same
-// bytes (maps are key-sorted), which negotiation tests and the WAL's CRC
-// framing rely on.
+// bytes (maps are key-sorted), which the golden fixtures and the WAL's
+// CRC framing rely on.
 func TestEncodingDeterministic(t *testing.T) {
-	for _, m := range samples() {
+	for _, m := range allSamples() {
 		a, _ := codec.AppendMessage(nil, m)
 		for i := 0; i < 8; i++ {
 			b, _ := codec.AppendMessage(nil, m)
@@ -86,13 +166,31 @@ func TestDecodeWrongKind(t *testing.T) {
 	}
 }
 
-// TestDecodeNotBinary: JSON bodies are identified as such, so the
-// transport can fall back instead of misparsing.
-func TestDecodeNotBinary(t *testing.T) {
-	var c wire.PeerCollect
-	err := codec.DecodeMessage([]byte(`{"from":1}`), &c)
-	if !errors.Is(err, codec.ErrNotBinary) {
-		t.Fatalf("JSON body: got %v, want ErrNotBinary", err)
+// TestDecodeRefusesOtherEncodings: a payload that does not open with the
+// codec magic, or carries another format version, is refused with an
+// error naming what was found and what this build reads.
+func TestDecodeRefusesOtherEncodings(t *testing.T) {
+	enc, _ := codec.AppendMessage(nil, &wire.PeerCollect{From: 1})
+	otherVersion := append([]byte(nil), enc...)
+	otherVersion[1] = codec.Version - 1
+	for _, tc := range []struct {
+		name     string
+		payload  []byte
+		mentions []string
+	}{
+		{"JSON body", []byte(`{"from":1}`), []string{"0x7b", "0xb5", "version 2"}},
+		{"previous version", otherVersion, []string{"format version 1", "only version 2"}},
+	} {
+		var c wire.PeerCollect
+		err := codec.DecodeMessage(tc.payload, &c)
+		if err == nil {
+			t.Fatalf("%s decoded", tc.name)
+		}
+		for _, want := range tc.mentions {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not mention %q", tc.name, err, want)
+			}
+		}
 	}
 }
 
@@ -101,7 +199,7 @@ func TestDecodeNotBinary(t *testing.T) {
 // every single-byte flip must decode without panicking or huge
 // allocations (a flipped count must not become an allocation request).
 func TestDecodeCorruption(t *testing.T) {
-	for _, m := range samples() {
+	for _, m := range allSamples() {
 		enc, err := codec.AppendMessage(nil, m)
 		if err != nil {
 			t.Fatal(err)
@@ -114,10 +212,10 @@ func TestDecodeCorruption(t *testing.T) {
 		for i := 0; i < len(enc); i++ {
 			mut := append([]byte(nil), enc...)
 			mut[i] ^= 0xFF
-			// Must not panic; an error or a different value are both fine.
-			err := codec.DecodeMessage(mut, fresh(m))
-			if i == 0 && !errors.Is(err, codec.ErrNotBinary) {
-				t.Errorf("%T: flipped magic: got %v, want ErrNotBinary", m, err)
+			// Must not panic; an error or a different value are both fine,
+			// except in the header, where every byte is checked.
+			if err := codec.DecodeMessage(mut, fresh(m)); i < 3 && err == nil {
+				t.Errorf("%T: flipped header byte %d decoded cleanly", m, i)
 			}
 		}
 	}
@@ -128,13 +226,12 @@ func TestDecodeCorruption(t *testing.T) {
 // a message that decodes back to the same value (the codec is closed
 // under its own round trip even for non-canonical varint input).
 func FuzzDecodeMessage(f *testing.F) {
-	for _, m := range samples() {
+	for _, m := range allSamples() {
 		enc, _ := codec.AppendMessage(nil, m)
 		f.Add(enc)
 	}
-	f.Add([]byte(`{"from":1}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, m := range samples() {
+		for _, m := range allSamples() {
 			v := fresh(m)
 			if err := codec.DecodeMessage(data, v); err != nil {
 				continue

@@ -26,7 +26,7 @@ const (
 	KindMigrateReply
 )
 
-// Constraint op bytes ("<=", "<", "==" in the JSON encoding).
+// Constraint op bytes (wire.PeerConstraint.Op "<=", "<", "==").
 const (
 	opLE byte = iota
 	opLT
@@ -59,6 +59,37 @@ func (r *Reader) op() string {
 		}
 		return ""
 	}
+}
+
+// AppendConstraints appends a local treaty's constraint list: a count,
+// then each constraint's sorted coefficient map, constant and op byte.
+// install-treaties bodies and the WAL's treaty records share it.
+//
+//homeo:hotpath
+func AppendConstraints(dst []byte, cs []wire.PeerConstraint) ([]byte, error) {
+	dst = AppendUvarint(dst, uint64(len(cs)))
+	for _, c := range cs {
+		dst = AppendStringMap(dst, c.Coeffs)
+		dst = AppendVarint(dst, c.Const)
+		var err error
+		if dst, err = appendOp(dst, c.Op); err != nil {
+			return nil, err
+		}
+	}
+	return dst, nil
+}
+
+// Constraints consumes a list encoded by AppendConstraints.
+func (r *Reader) Constraints() []wire.PeerConstraint {
+	n := r.Count()
+	if r.err != nil || n == 0 {
+		return nil
+	}
+	cs := make([]wire.PeerConstraint, n)
+	for i := range cs {
+		cs[i] = wire.PeerConstraint{Coeffs: r.StringMap(), Const: r.Varint(), Op: r.op()}
+	}
+	return cs
 }
 
 // AppendMessage appends the binary encoding of a peer message. The
@@ -104,14 +135,9 @@ func AppendMessage(dst []byte, m any) ([]byte, error) {
 		for _, u := range m.Units {
 			dst = AppendInt(dst, u.Unit)
 			dst = AppendVarint(dst, u.Version)
-			dst = AppendUvarint(dst, uint64(len(u.Constraints)))
-			for _, c := range u.Constraints {
-				dst = AppendStringMap(dst, c.Coeffs)
-				dst = AppendVarint(dst, c.Const)
-				var err error
-				if dst, err = appendOp(dst, c.Op); err != nil {
-					return nil, err
-				}
+			var err error
+			if dst, err = AppendConstraints(dst, u.Constraints); err != nil {
+				return nil, err
 			}
 		}
 		return dst, nil
@@ -191,9 +217,8 @@ func AppendMessage(dst []byte, m any) ([]byte, error) {
 // codec does not know, kept out of the //homeo:hotpath body.
 func errUnencodable(m any) error { return fmt.Errorf("codec: cannot encode %T", m) }
 
-// DecodeMessage decodes a binary peer message into m, whose concrete
-// type must match the encoded kind. Returns ErrNotBinary when the
-// payload is not codec-encoded (a JSON fallback body).
+// DecodeMessage decodes a peer message into m, whose concrete type must
+// match the encoded kind.
 func DecodeMessage(data []byte, m any) error {
 	r := NewReader(data)
 	kind := r.Header()
@@ -252,16 +277,7 @@ func DecodeMessage(data []byte, m any) error {
 					u := &m.Units[i]
 					u.Unit = r.Int()
 					u.Version = r.Varint()
-					if nc := r.Count(); r.err == nil && nc > 0 {
-						u.Constraints = make([]wire.PeerConstraint, nc)
-						for j := range u.Constraints {
-							u.Constraints[j] = wire.PeerConstraint{
-								Coeffs: r.StringMap(),
-								Const:  r.Varint(),
-								Op:     r.op(),
-							}
-						}
-					}
+					u.Constraints = r.Constraints()
 				}
 			}
 		}

@@ -15,9 +15,9 @@
 // in-process: messages are direct calls, with communication latency
 // charged to the coordinating process per message from the cluster
 // topology (the round completes when the slowest peer's reply is back).
-// HTTP ships the same messages as JSON over real sockets (homeo/wire
-// peer types, served under /v1/peer/*), so a cluster can run as one OS
-// process per site on different machines.
+// HTTP ships the same messages over real sockets (homeo/wire peer types
+// in the internal/fabric/codec encoding, served under /v1/peer/*), so a
+// cluster can run as one OS process per site on different machines.
 package fabric
 
 import (

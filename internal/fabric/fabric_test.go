@@ -1,12 +1,12 @@
 package fabric_test
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
-	"strings"
-	"sync/atomic"
 	"testing"
 
+	"repro/homeo/wire"
 	"repro/internal/cluster"
 	"repro/internal/fabric"
 	"repro/internal/fabric/codec"
@@ -40,13 +40,11 @@ func TestLocalConformance(t *testing.T) {
 	})
 }
 
-// runHTTPConformance runs the conformance suite against the
+// TestHTTPConformance runs the conformance suite against the
 // multi-process transport: site 0 is local, every other site is a real
-// HTTP server mounting the peer handler — so the whole round trip is
-// exercised. cfg tweaks the transport (e.g. DisableBinary) and wrap
-// interposes middleware on each peer server (e.g. an old build refusing
-// the binary content type).
-func runHTTPConformance(t *testing.T, cfg func(*fabric.HTTP), wrap func(http.Handler) http.Handler) {
+// HTTP server mounting the peer handler — so the whole round trip,
+// codec included, is exercised.
+func TestHTTPConformance(t *testing.T) {
 	fabrictest.Run(t, func(t *testing.T, n int) *fabrictest.Harness {
 		live := rtlive.New(1)
 		nodes := make([]*fabrictest.StubNode, n)
@@ -55,63 +53,18 @@ func runHTTPConformance(t *testing.T, cfg func(*fabric.HTTP), wrap func(http.Han
 			nodes[k] = &fabrictest.StubNode{Site: k}
 		}
 		for k := 1; k < n; k++ {
-			var h http.Handler = fabric.NewPeerHandler(nodes[k], nil, "")
-			if wrap != nil {
-				h = wrap(h)
-			}
-			srv := httptest.NewServer(h)
+			srv := httptest.NewServer(fabric.NewPeerHandler(nodes[k], nil, ""))
 			t.Cleanup(srv.Close)
 			peers[k] = srv.URL
 		}
 		peers[0] = "http://invalid.localhost:0" // self: never dialed
 		tr := fabric.NewHTTP(live, 0, peers, nodes[0], nil)
-		if cfg != nil {
-			cfg(tr)
-		}
 		return &fabrictest.Harness{
 			Transport: tr,
 			Nodes:     nodes,
-			Exec: func(fn func(p rt.Proc)) {
-				done := make(chan struct{})
-				live.Spawn(0, func(p rt.Proc) {
-					defer close(done)
-					fn(p)
-				})
-				<-done
-			},
+			Exec:      func(fn func(p rt.Proc)) { exec(t, live, fn) },
 		}
 	})
-}
-
-// TestHTTPConformance: default negotiation, so every peer body rides the
-// binary codec.
-func TestHTTPConformance(t *testing.T) { runHTTPConformance(t, nil, nil) }
-
-// TestHTTPConformanceJSON forces the JSON encoding end to end — the
-// legacy wire format must keep passing the same suite.
-func TestHTTPConformanceJSON(t *testing.T) {
-	runHTTPConformance(t, func(tr *fabric.HTTP) { tr.DisableBinary() }, nil)
-}
-
-// TestHTTPConformanceFallback simulates a mixed-version cluster: every
-// peer refuses the binary content type with 415, the way a build that
-// predates the codec fails. The transport must notice, remember each
-// peer as JSON-only, and pass the whole suite over the fallback.
-func TestHTTPConformanceFallback(t *testing.T) {
-	var refused atomic.Int64
-	runHTTPConformance(t, nil, func(next http.Handler) http.Handler {
-		return http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
-			if req.Header.Get("Content-Type") == codec.ContentType {
-				refused.Add(1)
-				http.Error(rw, "unsupported media type", http.StatusUnsupportedMediaType)
-				return
-			}
-			next.ServeHTTP(rw, req)
-		})
-	})
-	if refused.Load() == 0 {
-		t.Fatal("no binary request was refused: the fallback path never ran")
-	}
 }
 
 // chargeNode answers collects with empty values (latency test only).
@@ -189,14 +142,9 @@ func TestPeerTokenAuth(t *testing.T) {
 	defer srv.Close()
 
 	// Raw POST without the token: 401, node untouched.
-	resp, err := http.Post(srv.URL+"/v1/peer/install-state", "application/json",
-		strings.NewReader(`{"from":0,"round":1,"objs":["x"],"folded":{"x":999}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnauthorized {
-		t.Fatalf("tokenless install-state = %d, want 401", resp.StatusCode)
+	install := mustEncode(t, &wire.PeerInstallState{From: 0, Round: 1, Objs: []string{"x"}, Folded: map[string]int64{"x": 999}})
+	if status, e := postPeer(t, srv.URL+"/v1/peer/install-state", codec.ContentType, bytes.NewReader(install)); status != http.StatusUnauthorized {
+		t.Fatalf("tokenless install-state = %d %+v, want 401", status, e)
 	}
 
 	self := &fabrictest.StubNode{Site: 0}

@@ -28,12 +28,10 @@ import (
 // which homeo/httpapi mounts). Communication latency is whatever the
 // network charges.
 //
-// Bodies are sent in the length-prefixed binary codec by default,
-// negotiated per peer via content type: a peer that rejects the binary
-// content type (an older build answering 400 or 415) is remembered as
-// JSON-only and every later message to it is JSON, so mixed-version
-// clusters keep working. Servers answer in the request's content type;
-// error envelopes are always JSON.
+// Request and reply bodies are codec-encoded (internal/fabric/codec,
+// content type codec.ContentType) and nothing else is accepted: a
+// cluster runs one build. Only error envelopes are JSON — that is how
+// busy and site_gone are signalled, and what a human reads.
 //
 // While remote requests are in flight the coordinating process parks, so
 // the site's runtime keeps executing local transactions — exactly the
@@ -44,41 +42,37 @@ type HTTP struct {
 	node  Node
 	hc    *http.Client
 	token string
-	noBin bool
 	// ps is the current membership snapshot. Scatters load it once per
 	// round, so AddSite/MarkGone (which publish a fresh snapshot) never
 	// race the goroutines of an in-flight scatter.
 	ps atomic.Pointer[peerSet]
 
-	// Messages counts peer HTTP requests sent (an observability surface
-	// for "no peer traffic outside violations").
+	// Messages counts peer HTTP requests sent, one per message (an
+	// observability surface for "no peer traffic outside violations").
 	Messages atomic.Int64
 }
 
 // peerSet is one immutable membership snapshot: peer addresses plus the
-// per-peer flags. The flag cells are pointers shared across snapshots,
-// so a peer remembered as JSON-only (or marked gone) stays that way when
-// the membership grows.
+// per-peer gone flags. The flag cells are pointers shared across
+// snapshots, so a peer marked gone stays that way when the membership
+// grows.
 type peerSet struct {
 	addrs []string
-	// jsonOnly[k] is set once peer k rejects the binary content type;
-	// later requests to it skip straight to JSON.
-	jsonOnly []*atomic.Bool
 	// gone[k] is set when site k drains; scatters skip it.
 	gone []*atomic.Bool
 }
 
-func newPeerSet(addrs []string) *peerSet {
-	ps := &peerSet{
-		addrs:    append([]string(nil), addrs...),
-		jsonOnly: make([]*atomic.Bool, len(addrs)),
-		gone:     make([]*atomic.Bool, len(addrs)),
+// with returns the snapshot grown by the given peers, sharing the
+// receiver's flag cells.
+func (ps *peerSet) with(addrs ...string) *peerSet {
+	out := &peerSet{
+		addrs: append(append([]string(nil), ps.addrs...), addrs...),
+		gone:  append([]*atomic.Bool(nil), ps.gone...),
 	}
-	for k := range addrs {
-		ps.jsonOnly[k] = new(atomic.Bool)
-		ps.gone[k] = new(atomic.Bool)
+	for range addrs {
+		out.gone = append(out.gone, new(atomic.Bool))
 	}
-	return ps
+	return out
 }
 
 // NewHTTP builds the multi-process transport. self is this process's
@@ -97,7 +91,7 @@ func NewHTTP(r rt.Runtime, self int, peers []string, node Node, hc *http.Client)
 		}
 	}
 	t := &HTTP{rt: r, self: self, node: node, hc: hc}
-	t.ps.Store(newPeerSet(peers))
+	t.ps.Store((&peerSet{}).with(peers...))
 	return t
 }
 
@@ -106,13 +100,7 @@ func NewHTTP(r rt.Runtime, self int, peers []string, node Node, hc *http.Client)
 // carry over; in-flight scatters keep their own snapshot.
 func (t *HTTP) AddSite(addr string, node Node) {
 	_ = node
-	old := t.ps.Load()
-	ps := &peerSet{
-		addrs:    append(append([]string(nil), old.addrs...), addr),
-		jsonOnly: append(append([]*atomic.Bool(nil), old.jsonOnly...), new(atomic.Bool)),
-		gone:     append(append([]*atomic.Bool(nil), old.gone...), new(atomic.Bool)),
-	}
-	t.ps.Store(ps)
+	t.ps.Store(t.ps.Load().with(addr))
 }
 
 // MarkGone excludes a drained site from every future scatter.
@@ -122,10 +110,6 @@ func (t *HTTP) MarkGone(site int) {
 		ps.gone[site].Store(true)
 	}
 }
-
-// DisableBinary forces every outgoing request to the JSON encoding (the
-// fabrictest conformance suite runs the transport both ways).
-func (t *HTTP) DisableBinary() { t.noBin = true }
 
 // PeerTokenHeader carries the cluster's shared peer secret on every
 // fabric request. The peer endpoints mutate site state, so any
@@ -139,28 +123,33 @@ func (t *HTTP) SetToken(token string) { t.token = token }
 // NSites reports the cluster width.
 func (t *HTTP) NSites() int { return len(t.ps.Load().addrs) }
 
+// everySite is the skip argument of a scatter that leaves no site out.
+const everySite = -1
+
 // scatter delivers one request per site of the ps snapshot: the self
 // site inline (the caller holds the execution right; Node handlers never
 // park), remote sites on goroutines while the calling process parks.
-// Drained sites are skipped; their error slots stay nil. The wake is
-// scheduled through the runtime so it runs under the execution right; it
-// cannot fire before Park because the scheduler lock is held from
-// PrepPark until Park releases it.
-func (t *HTTP) scatter(p rt.Proc, ps *peerSet, do func(site int) error) error {
+// Drained sites and the skip site (the sender of a handshake that
+// addresses only its peers) are left out; their error slots stay nil.
+// The wake is scheduled through the runtime so it runs under the
+// execution right; it cannot fire before Park because the scheduler lock
+// is held from PrepPark until Park releases it.
+func (t *HTTP) scatter(p rt.Proc, ps *peerSet, skip int, do func(site int) error) error {
 	n := len(ps.addrs)
 	errs := make([]error, n)
+	live := func(k int) bool { return k != skip && !ps.gone[k].Load() }
 	remotes := int32(0)
 	for k := 0; k < n; k++ {
-		if k != t.self && !ps.gone[k].Load() {
+		if k != t.self && live(k) {
 			remotes++
 		}
 	}
-	selfLive := t.self >= 0 && t.self < n && !ps.gone[t.self].Load()
+	selfLive := t.self >= 0 && t.self < n && live(t.self)
 	if remotes > 0 {
 		token := p.PrepPark()
 		pending := remotes
 		for k := 0; k < n; k++ {
-			if k == t.self || ps.gone[k].Load() {
+			if k == t.self || !live(k) {
 				continue
 			}
 			k := k
@@ -196,24 +185,41 @@ func (t *HTTP) scatter(p rt.Proc, ps *peerSet, do func(site int) error) error {
 	return firstErr
 }
 
-// Collect materializes the message, scatters it, and gathers the replies.
-func (t *HTTP) Collect(p rt.Proc, from int, mkMsg func() CollectState) ([]StateReply, error) {
-	m := mkMsg()
-	w := CollectToWire(m)
+// exchange is the client half of every peer endpoint: convert the
+// messages to wire form, scatter them — the self site handled inline by
+// handle, every other live site by a POST to endpoint — and gather the
+// replies indexed by site (a site left out keeps the zero reply). ms is
+// either one message for every site or one message per site. All
+// conversions happen up front, so a message that cannot be put on the
+// wire surfaces before any site has been touched.
+func exchange[Req, Rep, WReq, WRep any](
+	t *HTTP, p rt.Proc, endpoint string, skip int, ms []Req,
+	toWire func(Req) (WReq, error), handle func(Node, Req) (Rep, error), fromWire func(WRep) Rep,
+) ([]Rep, error) {
+	ws := make([]WReq, len(ms))
+	for i, m := range ms {
+		w, err := toWire(m)
+		if err != nil {
+			return nil, &SiteError{Site: i, Err: err}
+		}
+		ws[i] = w
+	}
 	ps := t.ps.Load()
-	replies := make([]StateReply, len(ps.addrs))
-	err := t.scatter(p, ps, func(k int) error {
+	replies := make([]Rep, len(ps.addrs))
+	err := t.scatter(p, ps, skip, func(k int) (err error) {
+		i := 0
+		if len(ms) > 1 {
+			i = k
+		}
 		if k == t.self {
-			rep, herr := t.node.CollectState(m)
-			replies[k] = rep
-			return herr
+			replies[k], err = handle(t.node, ms[i])
+			return err
 		}
-		var out wire.PeerState
-		if perr := t.post(ps, k, "collect", &w, &out); perr != nil {
-			return perr
+		var out WRep
+		if err = t.post(ps.addrs[k], endpoint, &ws[i], &out); err == nil {
+			replies[k] = fromWire(out)
 		}
-		replies[k] = StateReply{Clock: out.Clock, Values: dbFromWire(out.Values)}
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -221,173 +227,59 @@ func (t *HTTP) Collect(p rt.Proc, from int, mkMsg func() CollectState) ([]StateR
 	return replies, nil
 }
 
+// Collect materializes the message, scatters it, and gathers the replies.
+func (t *HTTP) Collect(p rt.Proc, from int, mkMsg func() CollectState) ([]StateReply, error) {
+	return exchange(t, p, "collect", everySite, []CollectState{mkMsg()},
+		noErr(CollectToWire), Node.CollectState, stateFromWire)
+}
+
 // Install delivers the folded state everywhere.
 func (t *HTTP) Install(p rt.Proc, from int, m InstallState) error {
-	w := InstallStateToWire(m)
-	ps := t.ps.Load()
-	return t.scatter(p, ps, func(k int) error {
-		if k == t.self {
-			return t.node.InstallState(m)
-		}
-		var ack wire.PeerAck
-		return t.post(ps, k, "install-state", &w, &ack)
-	})
+	_, err := exchange(t, p, "install-state", everySite, []InstallState{m},
+		noErr(InstallStateToWire), installState, ackWire)
+	return err
 }
 
 // Distribute delivers each site its treaties.
 func (t *HTTP) Distribute(p rt.Proc, from int, ms []InstallTreaties) error {
-	// Encode up front so a non-serializable treaty surfaces before any
-	// site has been touched.
-	ws := make([]wire.PeerInstallTreaties, len(ms))
-	for k := range ms {
-		w, err := InstallTreatiesToWire(ms[k])
-		if err != nil {
-			return &SiteError{Site: k, Err: err}
-		}
-		ws[k] = w
-	}
-	ps := t.ps.Load()
-	return t.scatter(p, ps, func(k int) error {
-		if k == t.self {
-			return t.node.InstallTreaties(ms[k])
-		}
-		var ack wire.PeerAck
-		return t.post(ps, k, "install-treaties", &ws[k], &ack)
-	})
+	_, err := exchange(t, p, "install-treaties", everySite, ms,
+		InstallTreatiesToWire, installTreaties, ackWire)
+	return err
+}
+
+// Abort releases the round everywhere.
+func (t *HTTP) Abort(p rt.Proc, from int, m AbortRound) error {
+	_, err := exchange(t, p, "abort", everySite, []AbortRound{m},
+		noErr(abortToWire), abortRound, ackWire)
+	return err
 }
 
 // Rejoin delivers the recovery handshake to every peer of the rejoining
 // site (the from site is the sender, so it is skipped).
 func (t *HTTP) Rejoin(p rt.Proc, from int, m Rejoin) ([]RejoinReply, error) {
-	w := RejoinToWire(m)
-	ps := t.ps.Load()
-	replies := make([]RejoinReply, len(ps.addrs))
-	err := t.scatter(p, ps, func(k int) error {
-		if k == from {
-			return nil
-		}
-		if k == t.self {
-			rep, herr := t.node.Rejoin(m)
-			if herr != nil {
-				return herr
-			}
-			replies[k] = rep
-			return nil
-		}
-		var out wire.PeerRejoinReply
-		if perr := t.post(ps, k, "rejoin", &w, &out); perr != nil {
-			return perr
-		}
-		replies[k] = RejoinReplyFromWire(out)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return replies, nil
+	return exchange(t, p, "rejoin", from, []Rejoin{m},
+		noErr(RejoinToWire), Node.Rejoin, RejoinReplyFromWire)
 }
 
 // Join delivers a join-handshake phase to every member except the
 // joining site (the sender) and gathers the replies.
 func (t *HTTP) Join(p rt.Proc, from int, m JoinSite) ([]JoinReply, error) {
-	w := JoinToWire(m)
-	ps := t.ps.Load()
-	replies := make([]JoinReply, len(ps.addrs))
-	err := t.scatter(p, ps, func(k int) error {
-		if k == from {
-			return nil
-		}
-		if k == t.self {
-			rep, herr := t.node.JoinSite(m)
-			if herr != nil {
-				return herr
-			}
-			replies[k] = rep
-			return nil
-		}
-		var out wire.PeerJoinReply
-		if perr := t.post(ps, k, "join", &w, &out); perr != nil {
-			return perr
-		}
-		replies[k] = JoinReplyFromWire(out)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return replies, nil
+	return exchange(t, p, "join", from, []JoinSite{m},
+		noErr(JoinToWire), Node.JoinSite, JoinReplyFromWire)
 }
 
 // Drain announces the drained site to every other member and gathers
 // the acks.
 func (t *HTTP) Drain(p rt.Proc, from int, m DrainSite) ([]DrainReply, error) {
-	w := DrainToWire(m)
-	ps := t.ps.Load()
-	replies := make([]DrainReply, len(ps.addrs))
-	err := t.scatter(p, ps, func(k int) error {
-		if k == from {
-			return nil
-		}
-		if k == t.self {
-			rep, herr := t.node.DrainSite(m)
-			if herr != nil {
-				return herr
-			}
-			replies[k] = rep
-			return nil
-		}
-		var out wire.PeerDrainReply
-		if perr := t.post(ps, k, "drain", &w, &out); perr != nil {
-			return perr
-		}
-		replies[k] = DrainReply{Clock: out.Clock, Epoch: out.Epoch}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return replies, nil
+	return exchange(t, p, "drain", from, []DrainSite{m},
+		noErr(DrainToWire), Node.DrainSite, drainReplyFromWire)
 }
 
 // Migrate delivers a migrating unit's folded state to every member site
 // and gathers the acks.
 func (t *HTTP) Migrate(p rt.Proc, from int, m MigrateUnit) ([]MigrateReply, error) {
-	w := MigrateToWire(m)
-	ps := t.ps.Load()
-	replies := make([]MigrateReply, len(ps.addrs))
-	err := t.scatter(p, ps, func(k int) error {
-		if k == t.self {
-			rep, herr := t.node.MigrateUnit(m)
-			if herr != nil {
-				return herr
-			}
-			replies[k] = rep
-			return nil
-		}
-		var out wire.PeerMigrateReply
-		if perr := t.post(ps, k, "migrate", &w, &out); perr != nil {
-			return perr
-		}
-		replies[k] = MigrateReply{Clock: out.Clock, Epoch: out.Epoch}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return replies, nil
-}
-
-// Abort releases the round everywhere.
-func (t *HTTP) Abort(p rt.Proc, from int, m AbortRound) error {
-	w := wire.PeerAbort{From: m.Round.Site, Round: m.Round.Seq, Clock: m.Clock}
-	ps := t.ps.Load()
-	return t.scatter(p, ps, func(k int) error {
-		if k == t.self {
-			return t.node.AbortRound(m)
-		}
-		var ack wire.PeerAck
-		return t.post(ps, k, "abort", &w, &ack)
-	})
+	return exchange(t, p, "migrate", everySite, []MigrateUnit{m},
+		noErr(MigrateToWire), Node.MigrateUnit, migrateReplyFromWire)
 }
 
 // bufPool recycles the request/response buffers of the peer surface, so
@@ -401,60 +293,22 @@ func putBuf(b *bytes.Buffer) {
 	bufPool.Put(b)
 }
 
-// peerStatusError is a non-200, non-busy peer reply. post inspects the
-// status to decide whether a binary request should fall back to JSON.
-type peerStatusError struct {
-	endpoint string
-	status   int
-	body     string
-}
-
-func (e *peerStatusError) Error() string {
-	return fmt.Sprintf("peer %s: HTTP %d: %s", e.endpoint, e.status, e.body)
-}
-
-// binaryRejected reports a reply that means "this peer does not speak
-// the binary content type" — an older build's decoder choking on the
-// body (400) or an explicit unsupported-media-type refusal (415).
-func binaryRejected(err error) bool {
-	var se *peerStatusError
-	return errors.As(err, &se) &&
-		(se.status == http.StatusBadRequest || se.status == http.StatusUnsupportedMediaType)
-}
-
-// post performs one round trip to a peer endpoint: binary codec by
-// default, falling back to JSON — and remembering the peer as JSON-only
-// — when the peer rejects the binary content type.
-func (t *HTTP) post(ps *peerSet, site int, endpoint string, in, out any) error {
-	bin := !t.noBin && !ps.jsonOnly[site].Load()
-	err := t.postOnce(ps, site, endpoint, in, out, bin)
-	if bin && binaryRejected(err) {
-		ps.jsonOnly[site].Store(true)
-		return t.postOnce(ps, site, endpoint, in, out, false)
-	}
-	return err
-}
-
-func (t *HTTP) postOnce(ps *peerSet, site int, endpoint string, in, out any, bin bool) error {
+// post performs one round trip to a peer endpoint. in and out are
+// pointers to the endpoint's wire request and reply.
+func (t *HTTP) post(addr, endpoint string, in, out any) error {
 	t.Messages.Add(1)
 	body := getBuf()
 	defer putBuf(body)
-	contentType := "application/json"
-	if bin {
-		contentType = codec.ContentType
-		b, err := codec.AppendMessage(body.AvailableBuffer(), in)
-		if err != nil {
-			return err
-		}
-		body.Write(b)
-	} else if err := json.NewEncoder(body).Encode(in); err != nil {
-		return err
-	}
-	req, err := http.NewRequest(http.MethodPost, ps.addrs[site]+"/v1/peer/"+endpoint, bytes.NewReader(body.Bytes()))
+	b, err := codec.AppendMessage(body.AvailableBuffer(), in)
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", contentType)
+	body.Write(b)
+	req, err := http.NewRequest(http.MethodPost, addr+"/v1/peer/"+endpoint, bytes.NewReader(body.Bytes()))
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Content-Type", codec.ContentType)
 	if t.token != "" {
 		req.Header.Set(PeerTokenHeader, t.token)
 	}
@@ -469,10 +323,7 @@ func (t *HTTP) postOnce(ps *peerSet, site int, endpoint string, in, out any, bin
 		if _, err := reply.ReadFrom(resp.Body); err != nil {
 			return err
 		}
-		if resp.Header.Get("Content-Type") == codec.ContentType {
-			return codec.DecodeMessage(reply.Bytes(), out)
-		}
-		return json.Unmarshal(reply.Bytes(), out)
+		return codec.DecodeMessage(reply.Bytes(), out)
 	}
 	if _, err := reply.ReadFrom(io.LimitReader(resp.Body, 16<<10)); err != nil {
 		return err
@@ -486,10 +337,7 @@ func (t *HTTP) postOnce(ps *peerSet, site int, endpoint string, in, out any, bin
 			return ErrSiteGone
 		}
 	}
-	return &peerStatusError{
-		endpoint: endpoint, status: resp.StatusCode,
-		body: string(bytes.TrimSpace(reply.Bytes())),
-	}
+	return fmt.Errorf("peer %s: HTTP %d: %s", endpoint, resp.StatusCode, bytes.TrimSpace(reply.Bytes()))
 }
 
 var _ Transport = (*HTTP)(nil)
@@ -509,14 +357,14 @@ func NewPeerHandler(node Node, exec func(func()), token string) http.Handler {
 	}
 	h := &peerHandler{node: node, exec: exec, token: token}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/peer/collect", h.collect)
-	mux.HandleFunc("/v1/peer/install-state", h.installState)
-	mux.HandleFunc("/v1/peer/install-treaties", h.installTreaties)
-	mux.HandleFunc("/v1/peer/abort", h.abort)
-	mux.HandleFunc("/v1/peer/rejoin", h.rejoin)
-	mux.HandleFunc("/v1/peer/join", h.join)
-	mux.HandleFunc("/v1/peer/drain", h.drain)
-	mux.HandleFunc("/v1/peer/migrate", h.migrate)
+	mux.HandleFunc("/v1/peer/collect", serve(h, noErr(CollectFromWire), Node.CollectState, stateToWire))
+	mux.HandleFunc("/v1/peer/install-state", serve(h, noErr(InstallStateFromWire), installState, ackWire))
+	mux.HandleFunc("/v1/peer/install-treaties", serve(h, InstallTreatiesFromWire, installTreaties, ackWire))
+	mux.HandleFunc("/v1/peer/abort", serve(h, noErr(abortFromWire), abortRound, ackWire))
+	mux.HandleFunc("/v1/peer/rejoin", serve(h, noErr(RejoinFromWire), Node.Rejoin, RejoinReplyToWire))
+	mux.HandleFunc("/v1/peer/join", serve(h, noErr(JoinFromWire), Node.JoinSite, JoinReplyToWire))
+	mux.HandleFunc("/v1/peer/drain", serve(h, noErr(DrainFromWire), Node.DrainSite, drainReplyToWire))
+	mux.HandleFunc("/v1/peer/migrate", serve(h, noErr(MigrateFromWire), Node.MigrateUnit, migrateReplyToWire))
 	return mux
 }
 
@@ -526,13 +374,71 @@ type peerHandler struct {
 	token string
 }
 
-// peerJSON writes a JSON response. The body is encoded into a pooled
-// buffer first so an encode failure can still become a 500 instead of a
-// half-written 200 with the status already on the wire.
-func peerJSON(rw http.ResponseWriter, status int, v any) {
+// serve is the server half of every peer endpoint: authenticate and
+// decode the wire request, convert it, run handle on the node under the
+// execution right, and answer with the converted reply — or the error
+// envelope, at whichever step failed.
+func serve[Req, Rep, WReq, WRep any](
+	h *peerHandler, fromWire func(WReq) (Req, error), handle func(Node, Req) (Rep, error), toWire func(Rep) WRep,
+) http.HandlerFunc {
+	return func(rw http.ResponseWriter, req *http.Request) {
+		var in WReq
+		if !h.decodePeer(rw, req, &in) {
+			return
+		}
+		m, err := fromWire(in)
+		if err != nil {
+			peerError(rw, err)
+			return
+		}
+		var rep Rep
+		h.exec(func() { rep, err = handle(h.node, m) })
+		if err != nil {
+			peerError(rw, err)
+			return
+		}
+		out := toWire(rep)
+		peerReply(rw, &out)
+	}
+}
+
+// noErr lifts a conversion that cannot fail into the fallible shape
+// exchange and serve take.
+func noErr[A, B any](f func(A) B) func(A) (B, error) {
+	return func(a A) (B, error) { return f(a), nil }
+}
+
+// acked lifts a Node method that only succeeds or fails into the
+// request→reply shape exchange and serve take: its reply is the ack,
+// which echoes the request's clock.
+func acked[Req interface{ clock() int64 }](f func(Node, Req) error) func(Node, Req) (wire.PeerAck, error) {
+	return func(n Node, m Req) (wire.PeerAck, error) { return wire.PeerAck{Clock: m.clock()}, f(n, m) }
+}
+
+// The ack-only Node methods, lifted once for both halves.
+var (
+	installState    = acked(Node.InstallState)
+	installTreaties = acked(Node.InstallTreaties)
+	abortRound      = acked(Node.AbortRound)
+)
+
+func (m InstallState) clock() int64    { return m.Clock }
+func (m InstallTreaties) clock() int64 { return m.Clock }
+func (m AbortRound) clock() int64      { return m.Clock }
+
+// ackWire is both wire conversions of an ack: acked answers in wire form.
+func ackWire(a wire.PeerAck) wire.PeerAck { return a }
+
+// refuse answers with the JSON error envelope. Errors are JSON on a
+// surface that is otherwise codec-only so that busy and site_gone stay
+// recognizable and a human can read a refusal. The body is encoded into
+// a pooled buffer first so an encode failure can still become a 500
+// instead of a half-written reply with the status already on the wire.
+func refuse(rw http.ResponseWriter, status int, code, message string) {
 	buf := getBuf()
 	defer putBuf(buf)
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
+	envelope := wire.ErrorResponse{Error: wire.Error{Code: code, Message: message}}
+	if err := json.NewEncoder(buf).Encode(envelope); err != nil {
 		http.Error(rw, `{"error":{"code":"internal","message":"response encoding failed"}}`,
 			http.StatusInternalServerError)
 		return
@@ -544,15 +450,21 @@ func peerJSON(rw http.ResponseWriter, status int, v any) {
 	_, _ = rw.Write(buf.Bytes())
 }
 
-// peerReply answers a successful handler call in the request's content
-// type: binary when the request was binary, JSON otherwise. v must be a
-// pointer to a wire message. Encode failures degrade to the JSON path,
-// which can still report them.
-func peerReply(rw http.ResponseWriter, bin bool, v any) {
-	if !bin {
-		peerJSON(rw, http.StatusOK, v)
-		return
+// peerError answers a failed handler call.
+func peerError(rw http.ResponseWriter, err error) {
+	status, code := http.StatusInternalServerError, "internal"
+	switch {
+	case errors.Is(err, ErrBusy):
+		status, code = http.StatusConflict, "busy"
+	case errors.Is(err, ErrSiteGone):
+		status, code = http.StatusGone, "site_gone"
 	}
+	refuse(rw, status, code, err.Error())
+}
+
+// peerReply answers a successful handler call; v is a pointer to the
+// endpoint's wire reply.
+func peerReply(rw http.ResponseWriter, v any) {
 	buf := getBuf()
 	defer putBuf(buf)
 	b, err := codec.AppendMessage(buf.AvailableBuffer(), v)
@@ -566,205 +478,49 @@ func peerReply(rw http.ResponseWriter, bin bool, v any) {
 	_, _ = rw.Write(buf.Bytes())
 }
 
-// peerError answers a failed handler call. Errors are always JSON, in
-// every negotiation mode, so the busy envelope stays recognizable to
-// clients of any version.
-func peerError(rw http.ResponseWriter, err error) {
-	status, code := http.StatusInternalServerError, "internal"
-	switch {
-	case errors.Is(err, ErrBusy):
-		status, code = http.StatusConflict, "busy"
-	case errors.Is(err, ErrSiteGone):
-		status, code = http.StatusGone, "site_gone"
-	}
-	peerJSON(rw, status, wire.ErrorResponse{Error: wire.Error{Code: code, Message: err.Error()}})
-}
+// maxPeerBody bounds a peer request body. The largest legitimate one is
+// a join cut or a migrating unit's folded state; with no peer token set
+// the surface is unauthenticated, so the bound is what stands between a
+// stranger and the process's memory.
+const maxPeerBody = 16 << 20
 
-// decodePeer authenticates and decodes a peer request into v, branching
-// on the content type: the binary codec when the client negotiated it,
-// JSON otherwise. The returned bin flag tells the handler which encoding
-// to answer in.
-func (h *peerHandler) decodePeer(rw http.ResponseWriter, req *http.Request, v any) (bin, ok bool) {
+// decodePeer authenticates a peer request and decodes its body into v (a
+// pointer to the endpoint's wire request), answering the refusal itself
+// when it reports false.
+func (h *peerHandler) decodePeer(rw http.ResponseWriter, req *http.Request, v any) bool {
 	if req.Method != http.MethodPost {
-		peerJSON(rw, http.StatusMethodNotAllowed, wire.ErrorResponse{Error: wire.Error{
-			Code: "method_not_allowed", Message: "POST only"}})
-		return false, false
+		refuse(rw, http.StatusMethodNotAllowed, "method_not_allowed", "POST only")
+		return false
 	}
 	if h.token != "" &&
 		subtle.ConstantTimeCompare([]byte(req.Header.Get(PeerTokenHeader)), []byte(h.token)) != 1 {
-		peerJSON(rw, http.StatusUnauthorized, wire.ErrorResponse{Error: wire.Error{
-			Code: "unauthorized", Message: "missing or wrong peer token"}})
-		return false, false
+		refuse(rw, http.StatusUnauthorized, "unauthorized", "missing or wrong peer token")
+		return false
 	}
-	badRequest := func(err error) {
-		peerJSON(rw, http.StatusBadRequest, wire.ErrorResponse{Error: wire.Error{
-			Code: "bad_request", Message: err.Error()}})
+	if ct := req.Header.Get("Content-Type"); ct != codec.ContentType {
+		refuse(rw, http.StatusUnsupportedMediaType, "unsupported_media_type",
+			fmt.Sprintf("content type %q: peer bodies are %s only", ct, codec.ContentType))
+		return false
 	}
-	if req.Header.Get("Content-Type") == codec.ContentType {
-		buf := getBuf()
-		defer putBuf(buf)
-		if _, err := buf.ReadFrom(req.Body); err != nil {
-			badRequest(err)
-			return false, false
-		}
-		if err := codec.DecodeMessage(buf.Bytes(), v); err != nil {
-			badRequest(err)
-			return false, false
-		}
-		return true, true
+	buf := getBuf()
+	defer putBuf(buf)
+	_, err := buf.ReadFrom(http.MaxBytesReader(rw, req.Body, maxPeerBody))
+	if err == nil {
+		err = codec.DecodeMessage(buf.Bytes(), v)
 	}
-	if err := json.NewDecoder(req.Body).Decode(v); err != nil {
-		badRequest(err)
-		return false, false
+	if err == nil {
+		return true
 	}
-	return false, true
+	if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+		refuse(rw, http.StatusRequestEntityTooLarge, "too_large",
+			fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
+	} else {
+		refuse(rw, http.StatusBadRequest, "bad_request", err.Error())
+	}
+	return false
 }
 
-func (h *peerHandler) collect(rw http.ResponseWriter, req *http.Request) {
-	var in wire.PeerCollect
-	bin, ok := h.decodePeer(rw, req, &in)
-	if !ok {
-		return
-	}
-	var (
-		rep StateReply
-		err error
-	)
-	h.exec(func() { rep, err = h.node.CollectState(CollectFromWire(in)) })
-	if err != nil {
-		peerError(rw, err)
-		return
-	}
-	peerReply(rw, bin, &wire.PeerState{Clock: rep.Clock, Values: dbToWire(rep.Values)})
-}
-
-func (h *peerHandler) installState(rw http.ResponseWriter, req *http.Request) {
-	var in wire.PeerInstallState
-	bin, ok := h.decodePeer(rw, req, &in)
-	if !ok {
-		return
-	}
-	var err error
-	h.exec(func() { err = h.node.InstallState(InstallStateFromWire(in)) })
-	if err != nil {
-		peerError(rw, err)
-		return
-	}
-	peerReply(rw, bin, &wire.PeerAck{Clock: in.Clock})
-}
-
-func (h *peerHandler) installTreaties(rw http.ResponseWriter, req *http.Request) {
-	var in wire.PeerInstallTreaties
-	bin, ok := h.decodePeer(rw, req, &in)
-	if !ok {
-		return
-	}
-	m, err := InstallTreatiesFromWire(in)
-	if err != nil {
-		peerError(rw, err)
-		return
-	}
-	h.exec(func() { err = h.node.InstallTreaties(m) })
-	if err != nil {
-		peerError(rw, err)
-		return
-	}
-	peerReply(rw, bin, &wire.PeerAck{Clock: in.Clock})
-}
-
-func (h *peerHandler) abort(rw http.ResponseWriter, req *http.Request) {
-	var in wire.PeerAbort
-	bin, ok := h.decodePeer(rw, req, &in)
-	if !ok {
-		return
-	}
-	var err error
-	h.exec(func() {
-		err = h.node.AbortRound(AbortRound{
-			Round: RoundID{Site: in.From, Seq: in.Round}, Clock: in.Clock})
-	})
-	if err != nil {
-		peerError(rw, err)
-		return
-	}
-	peerReply(rw, bin, &wire.PeerAck{Clock: in.Clock})
-}
-
-func (h *peerHandler) rejoin(rw http.ResponseWriter, req *http.Request) {
-	var in wire.PeerRejoin
-	bin, ok := h.decodePeer(rw, req, &in)
-	if !ok {
-		return
-	}
-	var (
-		rep RejoinReply
-		err error
-	)
-	h.exec(func() { rep, err = h.node.Rejoin(RejoinFromWire(in)) })
-	if err != nil {
-		peerError(rw, err)
-		return
-	}
-	w := RejoinReplyToWire(rep)
-	peerReply(rw, bin, &w)
-}
-
-func (h *peerHandler) join(rw http.ResponseWriter, req *http.Request) {
-	var in wire.PeerJoin
-	bin, ok := h.decodePeer(rw, req, &in)
-	if !ok {
-		return
-	}
-	var (
-		rep JoinReply
-		err error
-	)
-	h.exec(func() { rep, err = h.node.JoinSite(JoinFromWire(in)) })
-	if err != nil {
-		peerError(rw, err)
-		return
-	}
-	w := JoinReplyToWire(rep)
-	peerReply(rw, bin, &w)
-}
-
-func (h *peerHandler) drain(rw http.ResponseWriter, req *http.Request) {
-	var in wire.PeerDrain
-	bin, ok := h.decodePeer(rw, req, &in)
-	if !ok {
-		return
-	}
-	var (
-		rep DrainReply
-		err error
-	)
-	h.exec(func() { rep, err = h.node.DrainSite(DrainFromWire(in)) })
-	if err != nil {
-		peerError(rw, err)
-		return
-	}
-	peerReply(rw, bin, &wire.PeerDrainReply{Clock: rep.Clock, Epoch: rep.Epoch})
-}
-
-func (h *peerHandler) migrate(rw http.ResponseWriter, req *http.Request) {
-	var in wire.PeerMigrate
-	bin, ok := h.decodePeer(rw, req, &in)
-	if !ok {
-		return
-	}
-	var (
-		rep MigrateReply
-		err error
-	)
-	h.exec(func() { rep, err = h.node.MigrateUnit(MigrateFromWire(in)) })
-	if err != nil {
-		peerError(rw, err)
-		return
-	}
-	peerReply(rw, bin, &wire.PeerMigrateReply{Clock: rep.Clock, Epoch: rep.Epoch})
-}
-
-// --- wire codecs ---------------------------------------------------------
+// --- fabric message ↔ wire message conversions ---------------------------
 
 func dbToWire(d lang.Database) map[string]int64 {
 	out := make(map[string]int64, len(d))
@@ -814,6 +570,14 @@ func CollectFromWire(w wire.PeerCollect) CollectState {
 	}
 }
 
+func stateToWire(m StateReply) wire.PeerState {
+	return wire.PeerState{Clock: m.Clock, Values: dbToWire(m.Values)}
+}
+
+func stateFromWire(w wire.PeerState) StateReply {
+	return StateReply{Clock: w.Clock, Values: dbFromWire(w.Values)}
+}
+
 // InstallStateToWire encodes an InstallState message.
 func InstallStateToWire(m InstallState) wire.PeerInstallState {
 	out := wire.PeerInstallState{
@@ -842,6 +606,14 @@ func InstallStateFromWire(w wire.PeerInstallState) InstallState {
 		}
 	}
 	return out
+}
+
+func abortToWire(m AbortRound) wire.PeerAbort {
+	return wire.PeerAbort{From: m.Round.Site, Round: m.Round.Seq, Clock: m.Clock}
+}
+
+func abortFromWire(w wire.PeerAbort) AbortRound {
+	return AbortRound{Round: RoundID{Site: w.From, Seq: w.Round}, Clock: w.Clock}
 }
 
 // RejoinToWire encodes a Rejoin handshake.
@@ -934,6 +706,14 @@ func DrainFromWire(w wire.PeerDrain) DrainSite {
 	return DrainSite{Site: w.Site, Clock: w.Clock}
 }
 
+func drainReplyToWire(m DrainReply) wire.PeerDrainReply {
+	return wire.PeerDrainReply{Clock: m.Clock, Epoch: m.Epoch}
+}
+
+func drainReplyFromWire(w wire.PeerDrainReply) DrainReply {
+	return DrainReply{Clock: w.Clock, Epoch: w.Epoch}
+}
+
 // MigrateToWire encodes a MigrateUnit install.
 func MigrateToWire(m MigrateUnit) wire.PeerMigrate {
 	return wire.PeerMigrate{
@@ -950,6 +730,14 @@ func MigrateFromWire(w wire.PeerMigrate) MigrateUnit {
 		Unit: w.Unit, To: w.To,
 		Objs: objsFromWire(w.Objs), Folded: dbFromWire(w.Folded),
 	}
+}
+
+func migrateReplyToWire(m MigrateReply) wire.PeerMigrateReply {
+	return wire.PeerMigrateReply{Clock: m.Clock, Epoch: m.Epoch}
+}
+
+func migrateReplyFromWire(w wire.PeerMigrateReply) MigrateReply {
+	return MigrateReply{Clock: w.Clock, Epoch: w.Epoch}
 }
 
 func opToWire(op lia.RelOp) string {
@@ -975,11 +763,12 @@ func opFromWire(s string) (lia.RelOp, error) {
 	return 0, fmt.Errorf("fabric: unknown constraint op %q", s)
 }
 
-// localToWire encodes a local treaty. Local treaties are fully
-// instantiated (configuration values folded into constants), so every
-// variable must be a database object; anything else is a protocol error
-// caught here rather than at the receiving site.
-func localToWire(l treaty.Local) ([]wire.PeerConstraint, error) {
+// ConstraintsToWire encodes a local treaty's constraint list in the form
+// install-treaties bodies and the WAL's treaty records both carry. Local
+// treaties are fully instantiated (configuration values folded into
+// constants), so every variable must be a database object; anything else
+// is a protocol error caught here rather than at the receiving site.
+func ConstraintsToWire(l treaty.Local) ([]wire.PeerConstraint, error) {
 	out := make([]wire.PeerConstraint, 0, len(l.Constraints))
 	for _, c := range l.Constraints {
 		pc := wire.PeerConstraint{Const: c.Term.Const, Op: opToWire(c.Op)}
@@ -997,18 +786,9 @@ func localToWire(l treaty.Local) ([]wire.PeerConstraint, error) {
 	return out, nil
 }
 
-// ConstraintsToWire encodes a local treaty's constraint list in the peer
-// protocol's wire form. Exported for the WAL's treaty records, which
-// persist the same encoding.
-func ConstraintsToWire(l treaty.Local) ([]wire.PeerConstraint, error) { return localToWire(l) }
-
 // ConstraintsFromWire decodes a wire constraint list back into a local
 // treaty for the given site (the inverse of ConstraintsToWire).
 func ConstraintsFromWire(site int, cs []wire.PeerConstraint) (treaty.Local, error) {
-	return localFromWire(site, cs)
-}
-
-func localFromWire(site int, cs []wire.PeerConstraint) (treaty.Local, error) {
 	out := treaty.Local{Site: site}
 	for _, pc := range cs {
 		term := lia.NewTerm()
@@ -1031,7 +811,7 @@ func InstallTreatiesToWire(m InstallTreaties) (wire.PeerInstallTreaties, error) 
 		From: m.Round.Site, Round: m.Round.Seq, Clock: m.Clock, Site: m.Site,
 	}
 	for _, ut := range m.Units {
-		cs, err := localToWire(ut.Local)
+		cs, err := ConstraintsToWire(ut.Local)
 		if err != nil {
 			return out, fmt.Errorf("unit %d: %w", ut.Unit, err)
 		}
@@ -1048,7 +828,7 @@ func InstallTreatiesFromWire(w wire.PeerInstallTreaties) (InstallTreaties, error
 		Round: RoundID{Site: w.From, Seq: w.Round}, Clock: w.Clock, Site: w.Site,
 	}
 	for _, ut := range w.Units {
-		l, err := localFromWire(w.Site, ut.Constraints)
+		l, err := ConstraintsFromWire(w.Site, ut.Constraints)
 		if err != nil {
 			return out, fmt.Errorf("unit %d: %w", ut.Unit, err)
 		}

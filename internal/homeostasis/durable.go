@@ -1,12 +1,10 @@
 package homeostasis
 
 import (
-	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"sort"
 
-	"repro/homeo/wire"
 	"repro/internal/fabric"
 	"repro/internal/lang"
 	"repro/internal/rt"
@@ -157,13 +155,7 @@ func (sys *System) applyWAL(site int, recs []wal.Record) ([]Committed, error) {
 			if c.Unit < 0 || c.Unit >= len(sys.Units) {
 				return nil, fmt.Errorf("homeostasis: site %d WAL names unknown unit %d (register every class before OpenWAL)", site, c.Unit)
 			}
-			var cs []wire.PeerConstraint
-			if len(c.Constraints) > 0 {
-				if err := json.Unmarshal(c.Constraints, &cs); err != nil {
-					return nil, fmt.Errorf("homeostasis: site %d WAL record %d constraints: %w", site, i, err)
-				}
-			}
-			l, err := fabric.ConstraintsFromWire(c.Site, cs)
+			l, err := fabric.ConstraintsFromWire(c.Site, c.Constraints)
 			if err != nil {
 				return nil, fmt.Errorf("homeostasis: site %d WAL record %d: %w", site, i, err)
 			}
@@ -267,6 +259,8 @@ func (sys *System) CloseWAL() error {
 // (batched; the caller flushes at its externalization point). The
 // constraint list is stored in the peer protocol's wire encoding, the
 // same bytes InstallTreaties ships.
+//
+//homeo:hotpath
 func (sys *System) logTreaty(site, unit int, l treaty.Local, version, clk int64, rid *fabric.RoundID) {
 	lg := sys.walFor(site)
 	if lg == nil {
@@ -280,12 +274,7 @@ func (sys *System) logTreaty(site, unit int, l treaty.Local, version, clk int64,
 		sys.Col.RecordFabricError()
 		return
 	}
-	raw, err := json.Marshal(cs)
-	if err != nil {
-		sys.Col.RecordFabricError()
-		return
-	}
-	rec := wal.TreatyRecord{Unit: unit, Site: site, Version: version, Clock: clk, Constraints: raw}
+	rec := wal.TreatyRecord{Unit: unit, Site: site, Version: version, Clock: clk, Constraints: cs}
 	if rid != nil {
 		rec.Round = &wal.RoundID{Site: rid.Site, Seq: rid.Seq}
 	}

@@ -6,23 +6,22 @@ import (
 	"repro/internal/fabric/codec"
 )
 
-// This file is the binary payload encoding for WAL records. New records
-// are written with the fabric codec (varints, length-prefixed strings,
-// sorted maps) instead of kind+JSON; the frame layer — length, CRC,
-// torn-tail repair — is untouched. Decoding sniffs the payload's first
-// byte: the codec magic means binary, anything else (a '{' in practice)
-// falls back to JSON, so logs written by older versions replay
-// unchanged and a log may mix both encodings across restarts.
+// This file is the payload encoding of WAL records: every payload is a
+// codec value (three-byte header carrying the record kind, then the
+// kind's fields as varints, length-prefixed strings and sorted maps).
+// The frame layer — length, CRC, torn-tail repair — is in wal.go.
 
 // payloadScratch pools the encode buffer so the append path does not
 // allocate a payload per record.
 var payloadScratch = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
-func (l *Log) appendBinary(kind Kind, enc func([]byte) []byte) error {
+func (l *Log) appendEncoded(kind Kind, enc func([]byte) ([]byte, error)) error {
 	bp := payloadScratch.Get().(*[]byte)
-	payload := enc((*bp)[:0])
-	err := l.Append(kind, payload)
-	*bp = payload[:0]
+	payload, err := enc((*bp)[:0])
+	if err == nil {
+		err = l.Append(kind, payload)
+		*bp = payload[:0]
+	}
 	payloadScratch.Put(bp)
 	return err
 }
@@ -55,22 +54,17 @@ func appendCommitPayload(dst []byte, c *CommitRecord) []byte {
 	return codec.AppendStringMap(dst, c.Writes)
 }
 
-func decodeCommitPayload(payload []byte) (CommitRecord, error) {
-	r := codec.NewReader(payload)
-	if _ = r.Header(); r.Err() != nil {
-		return CommitRecord{}, r.Err()
+func decodeCommit(r *codec.Reader) CommitRecord {
+	return CommitRecord{
+		Class:  r.String(),
+		Args:   r.Int64s(),
+		Site:   r.Int(),
+		Units:  r.Ints(),
+		Log:    r.Int64s(),
+		Clock:  r.Varint(),
+		Round:  decodeRound(r),
+		Writes: r.StringMap(),
 	}
-	c := CommitRecord{
-		Class: r.String(),
-		Args:  r.Int64s(),
-		Site:  r.Int(),
-		Units: r.Ints(),
-		Log:   r.Int64s(),
-		Clock: r.Varint(),
-		Round: decodeRound(r),
-	}
-	c.Writes = r.StringMap()
-	return c, r.Close()
 }
 
 func appendInstallPayload(dst []byte, c *InstallRecord) []byte {
@@ -84,12 +78,8 @@ func appendInstallPayload(dst []byte, c *InstallRecord) []byte {
 	return codec.AppendInt(dst, c.Sites)
 }
 
-func decodeInstallPayload(payload []byte) (InstallRecord, error) {
-	r := codec.NewReader(payload)
-	if _ = r.Header(); r.Err() != nil {
-		return InstallRecord{}, r.Err()
-	}
-	c := InstallRecord{
+func decodeInstall(r *codec.Reader) InstallRecord {
+	return InstallRecord{
 		Round: RoundID{Site: r.Int(), Seq: r.Uvarint()},
 		Clock: r.Varint(),
 		Objs:  r.Strings(),
@@ -97,20 +87,28 @@ func decodeInstallPayload(payload []byte) (InstallRecord, error) {
 		Drift: r.StringMap(),
 		Sites: r.Int(),
 	}
-	return c, r.Close()
 }
 
-func appendTreatyPayload(dst []byte, c *TreatyRecord) []byte {
+//homeo:hotpath
+func appendTreatyPayload(dst []byte, c *TreatyRecord) ([]byte, error) {
 	dst = codec.AppendHeader(dst, byte(KindTreaty))
 	dst = codec.AppendInt(dst, c.Unit)
 	dst = codec.AppendInt(dst, c.Site)
 	dst = codec.AppendVarint(dst, c.Version)
 	dst = codec.AppendVarint(dst, c.Clock)
 	dst = appendRound(dst, c.Round)
-	// Constraints stay opaque wire-JSON bytes inside the binary record:
-	// the WAL remains below the fabric in the dependency order and the
-	// replay path keeps one constraint decoder.
-	return codec.AppendBytes(dst, c.Constraints)
+	return codec.AppendConstraints(dst, c.Constraints)
+}
+
+func decodeTreaty(r *codec.Reader) TreatyRecord {
+	return TreatyRecord{
+		Unit:        r.Int(),
+		Site:        r.Int(),
+		Version:     r.Varint(),
+		Clock:       r.Varint(),
+		Round:       decodeRound(r),
+		Constraints: r.Constraints(),
+	}
 }
 
 func appendMembershipPayload(dst []byte, c *MembershipRecord) []byte {
@@ -122,33 +120,12 @@ func appendMembershipPayload(dst []byte, c *MembershipRecord) []byte {
 	return codec.AppendVarint(dst, c.Clock)
 }
 
-func decodeMembershipPayload(payload []byte) (MembershipRecord, error) {
-	r := codec.NewReader(payload)
-	if _ = r.Header(); r.Err() != nil {
-		return MembershipRecord{}, r.Err()
-	}
-	c := MembershipRecord{
+func decodeMembership(r *codec.Reader) MembershipRecord {
+	return MembershipRecord{
 		Epoch:  r.Varint(),
 		Width:  r.Int(),
 		Status: r.Ints(),
 		Addrs:  r.Strings(),
 		Clock:  r.Varint(),
 	}
-	return c, r.Close()
-}
-
-func decodeTreatyPayload(payload []byte) (TreatyRecord, error) {
-	r := codec.NewReader(payload)
-	if _ = r.Header(); r.Err() != nil {
-		return TreatyRecord{}, r.Err()
-	}
-	c := TreatyRecord{
-		Unit:    r.Int(),
-		Site:    r.Int(),
-		Version: r.Varint(),
-		Clock:   r.Varint(),
-		Round:   decodeRound(r),
-	}
-	c.Constraints = r.Bytes()
-	return c, r.Close()
 }

@@ -14,8 +14,11 @@
 //
 //	[4-byte big-endian payload length][4-byte IEEE CRC32][payload]
 //
-// where payload is one kind byte followed by the record's JSON body.
-// Replay (Scan) decodes the longest valid prefix and stops cleanly at
+// where payload is one kind byte followed by the record's fields in the
+// fabric codec (internal/fabric/codec), the only payload encoding: a
+// payload that does not open with the codec magic and this build's
+// format version fails to decode, and recovery fails with it. Replay
+// (Scan) decodes the longest valid prefix and stops cleanly at
 // the first torn frame — a crash mid-batch loses at most the final
 // unflushed records, never the prefix.
 //

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -10,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/homeo/wire"
 	"repro/internal/fabric/codec"
 )
 
@@ -46,7 +46,8 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", byte(k))
 }
 
-// Record is one decoded log record: a kind tag and its JSON payload.
+// Record is one log record as framed: a kind tag and its codec-encoded
+// payload (internal/fabric/codec). The typed accessors decode it.
 type Record struct {
 	Kind    Kind
 	Payload []byte
@@ -58,6 +59,10 @@ type RoundID struct {
 	Site int    `json:"site"`
 	Seq  uint64 `json:"seq"`
 }
+
+// The json tags on the record structs below serve one reader: the
+// human-readable dump of `homeostasis-analyze -wal`. Nothing is ever
+// parsed from JSON.
 
 // CommitRecord is a KindCommit payload: enough to rebuild the commit-log
 // entry and to restore the site's own delta objects by replay. Writes is
@@ -98,16 +103,16 @@ type InstallRecord struct {
 }
 
 // TreatyRecord is a KindTreaty payload: one installed local treaty
-// generation. Constraints is the wire-encoded constraint list
-// ([]wire.PeerConstraint JSON — the same encoding the peer protocol
-// ships), kept opaque here so the WAL stays below the fabric.
+// generation. Constraints is the treaty in the peer protocol's constraint
+// form, written by the same encoder install-treaties bodies use
+// (codec.AppendConstraints).
 type TreatyRecord struct {
-	Unit        int             `json:"unit"`
-	Site        int             `json:"site"`
-	Version     int64           `json:"version"`
-	Clock       int64           `json:"clock"`
-	Round       *RoundID        `json:"round,omitempty"`
-	Constraints json.RawMessage `json:"constraints,omitempty"`
+	Unit        int                   `json:"unit"`
+	Site        int                   `json:"site"`
+	Version     int64                 `json:"version"`
+	Clock       int64                 `json:"clock"`
+	Round       *RoundID              `json:"round,omitempty"`
+	Constraints []wire.PeerConstraint `json:"constraints,omitempty"`
 }
 
 // MembershipRecord is a KindMembership payload: the full membership
@@ -127,58 +132,55 @@ type MembershipRecord struct {
 	Clock int64    `json:"clock"`
 }
 
-// Commit decodes a KindCommit record (binary codec, or JSON from a log
-// written by an older version).
-func (r Record) Commit() (CommitRecord, error) {
-	var c CommitRecord
-	if r.Kind != KindCommit {
-		return c, fmt.Errorf("wal: %v record is not a commit", r.Kind)
+// decodeAs decodes r's payload as a record of the given kind. Both tags
+// must agree with it: the frame's kind byte (a caller asking for the
+// wrong accessor) and the kind inside the payload's codec header (a frame
+// whose tag and payload disagree is corrupt however good its CRC).
+func decodeAs[T any](r Record, kind Kind, decode func(*codec.Reader) T) (T, error) {
+	var zero T
+	if r.Kind != kind {
+		return zero, fmt.Errorf("wal: %v record is not a %v", r.Kind, kind)
 	}
-	if codec.IsBinary(r.Payload) {
-		return decodeCommitPayload(r.Payload)
+	rd := codec.NewReader(r.Payload)
+	if got := Kind(rd.Header()); rd.Err() == nil && got != kind {
+		return zero, fmt.Errorf("wal: %v record holds a %v payload", kind, got)
 	}
-	err := json.Unmarshal(r.Payload, &c)
-	return c, err
+	c := decode(rd)
+	if err := rd.Close(); err != nil {
+		return zero, err
+	}
+	return c, nil
 }
 
-// Install decodes a KindInstall record (binary codec or legacy JSON).
-func (r Record) Install() (InstallRecord, error) {
-	var c InstallRecord
-	if r.Kind != KindInstall {
-		return c, fmt.Errorf("wal: %v record is not an install", r.Kind)
-	}
-	if codec.IsBinary(r.Payload) {
-		return decodeInstallPayload(r.Payload)
-	}
-	err := json.Unmarshal(r.Payload, &c)
-	return c, err
-}
+// Commit decodes a KindCommit record.
+func (r Record) Commit() (CommitRecord, error) { return decodeAs(r, KindCommit, decodeCommit) }
 
-// Treaty decodes a KindTreaty record (binary codec or legacy JSON).
-func (r Record) Treaty() (TreatyRecord, error) {
-	var c TreatyRecord
-	if r.Kind != KindTreaty {
-		return c, fmt.Errorf("wal: %v record is not a treaty", r.Kind)
-	}
-	if codec.IsBinary(r.Payload) {
-		return decodeTreatyPayload(r.Payload)
-	}
-	err := json.Unmarshal(r.Payload, &c)
-	return c, err
-}
+// Install decodes a KindInstall record.
+func (r Record) Install() (InstallRecord, error) { return decodeAs(r, KindInstall, decodeInstall) }
 
-// Membership decodes a KindMembership record (binary codec or legacy
-// JSON).
+// Treaty decodes a KindTreaty record.
+func (r Record) Treaty() (TreatyRecord, error) { return decodeAs(r, KindTreaty, decodeTreaty) }
+
+// Membership decodes a KindMembership record.
 func (r Record) Membership() (MembershipRecord, error) {
-	var c MembershipRecord
-	if r.Kind != KindMembership {
-		return c, fmt.Errorf("wal: %v record is not a membership", r.Kind)
+	return decodeAs(r, KindMembership, decodeMembership)
+}
+
+// Decode decodes the record into the struct its kind names (a
+// CommitRecord, InstallRecord, TreatyRecord or MembershipRecord), for
+// readers that treat every kind alike.
+func (r Record) Decode() (any, error) {
+	switch r.Kind {
+	case KindCommit:
+		return r.Commit()
+	case KindInstall:
+		return r.Install()
+	case KindTreaty:
+		return r.Treaty()
+	case KindMembership:
+		return r.Membership()
 	}
-	if codec.IsBinary(r.Payload) {
-		return decodeMembershipPayload(r.Payload)
-	}
-	err := json.Unmarshal(r.Payload, &c)
-	return c, err
+	return nil, fmt.Errorf("wal: unknown record kind %v", r.Kind)
 }
 
 // Options configures a log.
@@ -328,24 +330,25 @@ func (l *Log) Append(kind Kind, payload []byte) error {
 	return nil
 }
 
-// AppendCommit appends a commit record (binary payload encoding).
+// AppendCommit appends a commit record.
 func (l *Log) AppendCommit(c CommitRecord) error {
-	return l.appendBinary(KindCommit, func(dst []byte) []byte { return appendCommitPayload(dst, &c) })
+	return l.appendEncoded(KindCommit, func(dst []byte) ([]byte, error) { return appendCommitPayload(dst, &c), nil })
 }
 
 // AppendInstall appends a state-install record.
 func (l *Log) AppendInstall(c InstallRecord) error {
-	return l.appendBinary(KindInstall, func(dst []byte) []byte { return appendInstallPayload(dst, &c) })
+	return l.appendEncoded(KindInstall, func(dst []byte) ([]byte, error) { return appendInstallPayload(dst, &c), nil })
 }
 
-// AppendTreaty appends a treaty-generation record.
+// AppendTreaty appends a treaty-generation record. A constraint whose op
+// is not one of "<=", "<", "==" is refused and nothing is appended.
 func (l *Log) AppendTreaty(c TreatyRecord) error {
-	return l.appendBinary(KindTreaty, func(dst []byte) []byte { return appendTreatyPayload(dst, &c) })
+	return l.appendEncoded(KindTreaty, func(dst []byte) ([]byte, error) { return appendTreatyPayload(dst, &c) })
 }
 
 // AppendMembership appends a topology-epoch record.
 func (l *Log) AppendMembership(c MembershipRecord) error {
-	return l.appendBinary(KindMembership, func(dst []byte) []byte { return appendMembershipPayload(dst, &c) })
+	return l.appendEncoded(KindMembership, func(dst []byte) ([]byte, error) { return appendMembershipPayload(dst, &c), nil })
 }
 
 // Flush writes the batch to the file (and fsyncs it under Options.Sync).

@@ -3,11 +3,18 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
+	"encoding/hex"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/homeo/wire"
+	"repro/internal/fabric/codec"
 )
 
 func openT(t *testing.T, path string) (*Log, []Record) {
@@ -27,18 +34,8 @@ func TestRoundTrip(t *testing.T) {
 	if len(recs) != 0 {
 		t.Fatalf("fresh log replayed %d records", len(recs))
 	}
-	commit := CommitRecord{
-		Class: "Withdraw", Args: []int64{7, -3}, Site: 1, Units: []int{0, 2},
-		Log: []int64{42}, Clock: 9,
-		Round:  &RoundID{Site: 1, Seq: 4},
-		Writes: map[string]int64{"d0_x": -3, "d0_y": 12},
-	}
-	install := InstallRecord{
-		Round: RoundID{Site: 2, Seq: 1}, Clock: 11, Sites: 3,
-		Objs: []string{"x"}, Base: map[string]int64{"x": 100},
-		Drift: map[string]int64{"d1_x": 5},
-	}
-	tr := TreatyRecord{Unit: 3, Site: 1, Version: 2, Clock: 12, Constraints: []byte(`[{"const":-1,"op":"<="}]`)}
+	samples := sampleRecords()
+	commit, install, tr := samples[0].(CommitRecord), samples[1].(InstallRecord), samples[2].(TreatyRecord)
 	if err := l.AppendCommit(commit); err != nil {
 		t.Fatal(err)
 	}
@@ -78,19 +75,122 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cs []struct {
-		Const int64  `json:"const"`
-		Op    string `json:"op"`
-	}
-	if err := json.Unmarshal(gotT.Constraints, &cs); err != nil {
-		t.Fatal(err)
-	}
-	if gotT.Unit != 3 || gotT.Version != 2 || len(cs) != 1 || cs[0].Const != -1 || cs[0].Op != "<=" {
-		t.Errorf("treaty round-trip = %+v (constraints %+v)", gotT, cs)
+	if !reflect.DeepEqual(gotT, tr) {
+		t.Errorf("treaty round-trip = %+v, want %+v", gotT, tr)
 	}
 	// Kind mismatch surfaces as an error, not a zero-valued decode.
 	if _, err := recs[0].Install(); err == nil {
 		t.Error("decoding a commit as an install succeeded")
+	}
+}
+
+// sampleRecords is one record of every kind, in kind order.
+func sampleRecords() []any {
+	return []any{
+		CommitRecord{Class: "Withdraw", Args: []int64{7, -3}, Site: 1, Units: []int{0, 2},
+			Log: []int64{42}, Clock: 9, Round: &RoundID{Site: 1, Seq: 4},
+			Writes: map[string]int64{"d0_x": -3, "d0_y": 12}},
+		InstallRecord{Round: RoundID{Site: 2, Seq: 1}, Clock: 11, Sites: 3,
+			Objs: []string{"x"}, Base: map[string]int64{"x": 100}, Drift: map[string]int64{"d1_x": 5}},
+		TreatyRecord{Unit: 3, Site: 1, Version: 2, Clock: 12, Round: &RoundID{Site: 0, Seq: 7},
+			Constraints: []wire.PeerConstraint{
+				{Coeffs: map[string]int64{"x": 1, "d1_x": 1}, Const: -20, Op: "<="},
+				{Const: -1, Op: "<"},
+				{Coeffs: map[string]int64{"y": -2}, Const: 4, Op: "=="},
+			}},
+		MembershipRecord{Epoch: 3, Width: 4, Status: []int{0, 1, 0, 0},
+			Addrs: []string{"http://a:1", "", "http://c:3", "http://d:4"}, Clock: 13},
+	}
+}
+
+// encodeRecord returns the kind and payload AppendX would frame for rec.
+func encodeRecord(t testing.TB, rec any) (Kind, []byte) {
+	t.Helper()
+	switch c := rec.(type) {
+	case CommitRecord:
+		return KindCommit, appendCommitPayload(nil, &c)
+	case InstallRecord:
+		return KindInstall, appendInstallPayload(nil, &c)
+	case TreatyRecord:
+		b, err := appendTreatyPayload(nil, &c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return KindTreaty, b
+	case MembershipRecord:
+		return KindMembership, appendMembershipPayload(nil, &c)
+	}
+	t.Fatalf("no encoder for %T", rec)
+	return 0, nil
+}
+
+var update = flag.Bool("update", false, "rewrite the golden-bytes fixture from the current encoder")
+
+// TestGoldenBytes pins the payload layout of every record kind to a
+// checked-in fixture named after the format version, the way the codec's
+// test of the same name pins the peer messages: a log is only ever read
+// by the format version that wrote it, so a layout change must fail here
+// until codec.Version is bumped and a new fixture written (-update).
+func TestGoldenBytes(t *testing.T) {
+	path := fmt.Sprintf("testdata/wal_v%d.golden", codec.Version)
+	recs := sampleRecords()
+	if *update {
+		var out strings.Builder
+		for _, rec := range recs {
+			kind, payload := encodeRecord(t, rec)
+			fmt.Fprintf(&out, "%v %s\n", kind, hex.EncodeToString(payload))
+		}
+		if err := os.WriteFile(path, []byte(out.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("no fixture for format version %d: %v", codec.Version, err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if len(lines) != len(recs) {
+		t.Fatalf("%s holds %d records, the sample set %d", path, len(lines), len(recs))
+	}
+	for i, rec := range recs {
+		kind, got := encodeRecord(t, rec)
+		name, hexBytes, _ := strings.Cut(lines[i], " ")
+		want, err := hex.DecodeString(hexBytes)
+		if err != nil || name != kind.String() {
+			t.Fatalf("%s line %d: %q (%v), want a %v record", path, i+1, lines[i], err, kind)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%v encodes to\n  %x\nfixture\n  %x", kind, got, want)
+		}
+		dec, err := Record{Kind: kind, Payload: want}.Decode()
+		if err != nil {
+			t.Errorf("%v: fixture does not decode: %v", kind, err)
+		} else if !reflect.DeepEqual(dec, rec) {
+			t.Errorf("%v: fixture decodes to %+v, want %+v", kind, dec, rec)
+		}
+	}
+}
+
+// TestFrameTagMustMatchPayload: a frame tagged as one kind whose payload
+// header names another is corrupt even with a correct CRC, and must not
+// be decoded as the tagged kind.
+func TestFrameTagMustMatchPayload(t *testing.T) {
+	_, install := encodeRecord(t, sampleRecords()[1])
+	recs, valid := Scan(appendFrame(nil, KindCommit, install))
+	if len(recs) != 1 || valid == 0 {
+		t.Fatalf("the spliced frame did not scan (CRC is correct): %d records", len(recs))
+	}
+	_, err := recs[0].Commit()
+	if err == nil {
+		t.Fatal("an install payload under a commit tag decoded as a commit")
+	}
+	for _, want := range []string{"commit", "install"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name the %s kind", err, want)
+		}
+	}
+	if _, err := recs[0].Decode(); err == nil {
+		t.Error("Decode accepted the spliced frame")
 	}
 }
 
@@ -225,7 +325,7 @@ func TestGroupCommitFlush(t *testing.T) {
 func FuzzScan(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 2, 0, 0, 0, 0, 1, 2})
-	valid := appendFrame(nil, KindCommit, []byte(`{"class":"x"}`))
+	valid := appendFrame(nil, KindCommit, appendCommitPayload(nil, &CommitRecord{Class: "x"}))
 	f.Add(valid)
 	f.Add(append(append([]byte(nil), valid...), 0xff, 0x00))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -245,7 +345,7 @@ func FuzzScan(f *testing.F) {
 
 // FuzzRecordRoundTrip appends an arbitrary payload and replays it back.
 func FuzzRecordRoundTrip(f *testing.F) {
-	f.Add(byte(1), []byte(`{"class":"Withdraw","clock":3}`))
+	f.Add(byte(1), appendCommitPayload(nil, &CommitRecord{Class: "Withdraw", Clock: 3}))
 	f.Add(byte(3), []byte{})
 	f.Add(byte(200), []byte{0xff, 0x00, 0x7f})
 	f.Fuzz(func(t *testing.T, kind byte, payload []byte) {
@@ -266,6 +366,34 @@ func FuzzRecordRoundTrip(f *testing.F) {
 		}
 		if len(recs) != 1 || recs[0].Kind != Kind(kind) || !bytes.Equal(recs[0].Payload, payload) {
 			t.Fatalf("round trip: got %d records, first %+v", len(recs), recs)
+		}
+	})
+}
+
+// FuzzDecodeRecord drives arbitrary payloads through the record decoders
+// under every kind tag: no panic, and a payload that decodes re-encodes
+// to bytes that decode to the same record (the encoding is closed under
+// its own round trip even for non-canonical varint input).
+func FuzzDecodeRecord(f *testing.F) {
+	for _, rec := range sampleRecords() {
+		kind, payload := encodeRecord(f, rec)
+		f.Add(byte(kind), payload)
+		f.Add(byte(kind)%4+1, payload) // right payload, wrong tag
+	}
+	f.Add(byte(1), []byte(`{"class":"Withdraw","clock":3}`))
+	f.Add(byte(9), []byte{codec.Magic, codec.Version, 9})
+	f.Fuzz(func(t *testing.T, kind byte, payload []byte) {
+		rec, err := Record{Kind: Kind(kind), Payload: payload}.Decode()
+		if err != nil {
+			return
+		}
+		k, enc := encodeRecord(t, rec)
+		again, err := Record{Kind: k, Payload: enc}.Decode()
+		if err != nil {
+			t.Fatalf("%v: re-encoded record does not decode: %v", k, err)
+		}
+		if k != Kind(kind) || !reflect.DeepEqual(rec, again) {
+			t.Fatalf("%v: re-encode round trip mismatch:\n got %+v\nwant %+v", k, again, rec)
 		}
 	})
 }
