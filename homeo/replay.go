@@ -149,11 +149,16 @@ func (c *Cluster) CheckMergedReplay(logs [][]wire.LogEntry, parts []wire.Partiti
 			req workload.Request
 			err error
 		)
-		c.locked(func() { req, err = c.reg.Request(t.wc, e.Args) })
+		// Applying runs under the execution right too: it borrows one of
+		// the class's pooled environments.
+		c.locked(func() {
+			if req, err = c.reg.Request(t.wc, e.Args); err == nil {
+				req.Apply(replay, req.Args)
+			}
+		})
 		if err != nil {
 			return fmt.Errorf("homeo: merged replay: %s%v: %v", e.Class, e.Args, err)
 		}
-		req.Apply(replay)
 	}
 
 	// Fold the final database from the partitions: the base value from

@@ -176,8 +176,8 @@ func TestLivelockSurfacesDistinctly(t *testing.T) {
 	sys.Col.Measuring = true
 	stuck := workload.Request{
 		Name: "Stuck",
-		Exec: func(workload.SiteView) error { return fmt.Errorf("permanent lock failure") },
-		Apply: func(lang.Database) []int64 {
+		Exec: func(workload.SiteView, []int64) error { return fmt.Errorf("permanent lock failure") },
+		Apply: func(lang.Database, []int64) []int64 {
 			return nil
 		},
 	}

@@ -55,7 +55,7 @@ func (sys *System) twoPCAttempt(p rt.Proc, site int, req workload.Request) (bool
 	}()
 
 	lview := &directView{tx: local, site: site, nSites: n}
-	if err := req.Exec(lview); err != nil {
+	if err := req.Exec(lview, req.Args); err != nil {
 		cpu.Release()
 		return false, nil
 	}
@@ -110,7 +110,7 @@ func (sys *System) execLocal(p rt.Proc, site int, req workload.Request) (ExecRes
 	tx := sys.Stores[site].Begin(p)
 	defer tx.Abort()
 	view := &directView{tx: tx, site: site, nSites: sys.Opts.Topo.NSites()}
-	if err := req.Exec(view); err != nil {
+	if err := req.Exec(view, req.Args); err != nil {
 		// The local baseline does not retry: the conflict abort is counted
 		// and the request ends uncommitted but without error (the paper's
 		// accounting; see ExecResult.Committed).

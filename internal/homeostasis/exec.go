@@ -3,7 +3,7 @@ package homeostasis
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/fabric"
 	"repro/internal/lang"
@@ -44,6 +44,117 @@ func (sys *System) putFrame(f *execFrame) {
 	f.view.tx = nil
 	f.view.log = f.view.log[:0]
 	sys.frames = append(sys.frames, f)
+}
+
+// roundScratch is the coordinator's working state for one cleanup round:
+// everything negotiate builds that no one keeps once the round is over.
+// A round parks (communication, solver time), and rounds over different
+// units interleave at those park points, so the scratch is checked out
+// for the whole of negotiate rather than shared; the free list lives on
+// the System and is only touched under the execution right.
+//
+// What may live here is what both transports are done with when their
+// call returns: Local's handlers read their message and keep none of
+// these (the grant's winner pointer dies with the grant, below), and HTTP
+// converts every outgoing message to its wire form before it parks. What
+// may not: anything handed on for keeps — the locals a site installs, the
+// print logs, the commit log's round id — and the StateReply values,
+// which the transport reads after the handler returned.
+type roundScratch struct {
+	sys *System
+
+	// The round as collectMsg needs it (set by negotiate).
+	neg   *negotiation
+	units []*unitState
+	req   workload.Request
+	rid   fabric.RoundID
+
+	// grant is the round's entry in sys.rounds, from newRound until
+	// negotiate (or abortRound) deletes it.
+	grant roundGrant
+	// joiners and objs (the round's footprint) are final once collectMsg
+	// ran.
+	joiners []*joiner
+	objs    []lang.ObjID
+	// folded is the consolidated footprint T' runs on; unitFolded one
+	// unit's share of it.
+	folded     lang.Database
+	unitFolded lang.Database
+	joinerLogs [][]int64
+	winner     fabric.WinnerCommit
+	installs   []fabric.InstallTreaties
+
+	// collectFn is collectMsg as a func value, bound once.
+	collectFn func() fabric.CollectState
+}
+
+// getRound checks a round scratch out of the free list.
+//
+//homeo:checkout round.scratch
+func (sys *System) getRound() *roundScratch {
+	if n := len(sys.roundFree); n > 0 {
+		rs := sys.roundFree[n-1]
+		sys.roundFree[n-1] = nil
+		sys.roundFree = sys.roundFree[:n-1]
+		return rs
+	}
+	rs := &roundScratch{sys: sys, folded: lang.Database{}, unitFolded: lang.Database{}}
+	rs.collectFn = rs.collectMsg
+	return rs
+}
+
+// putRound scrubs a round scratch — nothing of the finished round stays
+// reachable through it — and returns it to the free list.
+//
+//homeo:release round.scratch
+//homeo:hotpath
+func (sys *System) putRound(rs *roundScratch) {
+	rs.neg, rs.units, rs.req, rs.joiners = nil, nil, workload.Request{}, nil
+	clear(rs.objs)
+	rs.objs = rs.objs[:0]
+	clear(rs.folded)
+	clear(rs.unitFolded)
+	clear(rs.joinerLogs)
+	rs.joinerLogs = rs.joinerLogs[:0]
+	rs.winner = fabric.WinnerCommit{}
+	clear(rs.grant.sites)
+	rs.grant = roundGrant{sites: rs.grant.sites[:0]}
+	for k := range rs.installs {
+		clear(rs.installs[k].Units)
+		rs.installs[k].Units = rs.installs[k].Units[:0]
+	}
+	sys.roundFree = append(sys.roundFree, rs)
+}
+
+// collectMsg materializes the round-1 message when the round's membership
+// is final: violators that joined while the round was in flight are folded
+// too, and joining closes at this instant — later violators must not slip
+// in after the fold.
+//
+//homeo:hotpath
+func (rs *roundScratch) collectMsg() fabric.CollectState {
+	if rs.neg != nil {
+		rs.neg.accepting = false
+		rs.joiners = rs.neg.joiners
+	}
+	// The batch's entire logical footprint, ascending: the violated units'
+	// objects plus any objects outside them that T' or a co-winner touches
+	// (the paper's cleanup synchronizes everything updated in the round
+	// before running T').
+	objs := rs.objs[:0]
+	for _, u := range rs.units {
+		objs = append(objs, u.objects...)
+	}
+	objs = append(objs, rs.req.Objects...)
+	for _, j := range rs.joiners {
+		objs = append(objs, j.req.Objects...)
+	}
+	slices.Sort(objs)
+	rs.objs = slices.Compact(objs)
+	// The units are the request's own list: negotiate's callers resolve
+	// units from req.Units, in order, and nobody rewrites a request's
+	// units (the winner and the commit log share the slice too).
+	return fabric.CollectState{Round: rs.rid, Clock: rs.sys.tickClock(), Units: rs.req.Units, Objs: rs.objs}
 }
 
 // deltaName returns lang.DeltaObj(obj, site) through a per-object cache:
@@ -293,7 +404,7 @@ func (sys *System) execAttempt(p rt.Proc, site int, req workload.Request, f *exe
 	f.view.site = site
 	f.view.nSites = sys.Opts.Topo.NSites()
 	f.view.log = f.view.log[:0]
-	if execErr := req.Exec(&f.view); execErr != nil {
+	if execErr := req.Exec(&f.view, req.Args); execErr != nil {
 		return false, false, -1, nil, nil
 	}
 	// Pre-commit check: would committing leave the site's state inside
@@ -421,59 +532,25 @@ func (sys *System) negotiate(p rt.Proc, site int, units []*unitState, req worklo
 		u.negotiating = true
 		u.neg = neg
 	}
-	rid := sys.newRound(site, units)
+	rs := sys.getRound()
+	rs.neg, rs.units, rs.req = neg, units, req
+	rs.rid = sys.newRound(site, req.Units, &rs.grant)
+	rid := rs.rid
 	commStart := p.Now()
 
 	// Round 1: the state-synchronization scatter/gather. The message is
 	// materialized when the round's membership is final (the Local
-	// transport calls mkMsg at round completion), so violators that
-	// joined while the round was in flight are folded too; joining closes
-	// at that same instant — later violators must not slip in after the
-	// fold below.
-	var joiners []*joiner
-	var objs []lang.ObjID
-	mkMsg := func() fabric.CollectState {
-		if neg != nil {
-			neg.accepting = false
-			joiners = neg.joiners
-		}
-		// The batch's entire logical footprint: the violated units'
-		// objects plus any objects outside them that T' or a co-winner
-		// touches (the paper's cleanup synchronizes everything updated in
-		// the round before running T').
-		objSet := make(map[lang.ObjID]bool)
-		for _, u := range units {
-			for _, obj := range u.objects {
-				objSet[obj] = true
-			}
-		}
-		for _, obj := range req.Objects {
-			objSet[obj] = true
-		}
-		for _, j := range joiners {
-			for _, obj := range j.req.Objects {
-				objSet[obj] = true
-			}
-		}
-		objs = make([]lang.ObjID, 0, len(objSet))
-		for obj := range objSet {
-			objs = append(objs, obj)
-		}
-		sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
-		ids := make([]int, len(units))
-		for i, u := range units {
-			ids[i] = u.id
-		}
-		return fabric.CollectState{Round: rid, Clock: sys.tickClock(), Units: ids, Objs: objs}
-	}
-	replies, err := sys.fab.Collect(p, site, mkMsg)
+	// transport calls collectMsg at round completion).
+	replies, err := sys.fab.Collect(p, site, rs.collectFn)
 	if err != nil {
 		// The round never synchronized (a peer was busy or unreachable):
 		// release everything and report to the caller. Nothing committed.
 		sys.abortRound(p, site, rid, units)
+		sys.putRound(rs)
 		//homeo:noexternalize round abort; nothing committed, a crash re-aborts via grant expiry
 		return nil, err
 	}
+	joiners, objs := rs.joiners, rs.objs
 
 	// Fold the footprint: the base value from the local replica
 	// (replicated, identical at every site between rounds) plus every
@@ -483,7 +560,7 @@ func (sys *System) negotiate(p rt.Proc, site int, units []*unitState, req worklo
 		base = sys.Stores[sys.self]
 	}
 	n := sys.Opts.Topo.NSites()
-	folded := lang.Database{}
+	folded := rs.folded
 	for _, obj := range objs {
 		v := base.Get(obj)
 		for k := 0; k < n; k++ {
@@ -495,13 +572,14 @@ func (sys *System) negotiate(p rt.Proc, site int, units []*unitState, req worklo
 		sys.observeClock(rep.Clock)
 	}
 
-	// Execute T' on the consolidated state, then the co-winners in
-	// registration order (the serial order the commit log records).
-	txnLog := req.Apply(folded)
-	joinerLogs := make([][]int64, len(joiners))
-	for i, j := range joiners {
-		joinerLogs[i] = j.req.Apply(folded)
+	// Execute T' on the consolidated state, in place, then the co-winners
+	// in registration order (the serial order the commit log records).
+	txnLog := req.Apply(folded, req.Args)
+	joinerLogs := rs.joinerLogs[:0]
+	for _, j := range joiners {
+		joinerLogs = append(joinerLogs, j.req.Apply(folded, j.req.Args))
 	}
+	rs.joinerLogs = joinerLogs
 
 	// Install the consolidated post-batch state everywhere. In-process
 	// this step is atomic in virtual time (no park points), and
@@ -512,12 +590,8 @@ func (sys *System) negotiate(p rt.Proc, site int, units []*unitState, req worklo
 	// clock shipped here is T''s commit point, so every post-round commit
 	// at a peer orders after the batch in a merged log.
 	clk := sys.tickClock()
-	install := fabric.InstallState{
-		Round: rid, Clock: clk, Objs: objs, Folded: folded,
-		Winner: &fabric.WinnerCommit{
-			Class: req.Name, Args: req.Args, Site: site, Units: req.Units, Log: txnLog,
-		},
-	}
+	rs.winner = fabric.WinnerCommit{Class: req.Name, Args: req.Args, Site: site, Units: req.Units, Log: txnLog}
+	install := fabric.InstallState{Round: rid, Clock: clk, Objs: objs, Folded: folded, Winner: &rs.winner}
 	if ierr := sys.fab.Install(p, site, install); ierr != nil {
 		// The fold is already computed and T' applied, so the batch must
 		// commit; over the network fabric, retry the scatter once (sites
@@ -567,12 +641,16 @@ func (sys *System) negotiate(p rt.Proc, site int, units []*unitState, req worklo
 	// site exactly its own.
 	solveStart := p.Now()
 	p.Sleep(sys.solverTime())
-	installs := make([]fabric.InstallTreaties, n)
+	for len(rs.installs) < n {
+		rs.installs = append(rs.installs, fabric.InstallTreaties{})
+	}
+	installs := rs.installs[:n]
 	for k := range installs {
-		installs[k] = fabric.InstallTreaties{Round: rid, Site: k}
+		installs[k] = fabric.InstallTreaties{Round: rid, Site: k, Units: installs[k].Units[:0]}
 	}
 	for _, u := range units {
-		unitFolded := lang.Database{}
+		unitFolded := rs.unitFolded
+		clear(unitFolded)
 		for _, obj := range u.objects {
 			unitFolded[obj] = folded[obj]
 		}
@@ -621,6 +699,7 @@ func (sys *System) negotiate(p rt.Proc, site int, units []*unitState, req worklo
 	comm2 := rt.Duration(p.Now() - comm2Start)
 
 	delete(sys.rounds, rid)
+	sys.putRound(rs)
 	for _, u := range units {
 		u.negotiating = false
 		u.neg = nil
@@ -668,29 +747,26 @@ func (sys *System) logCommitClock(clk int64, req workload.Request, site int, log
 			Class: req.Name, Args: req.Args, Site: site,
 			Units: req.Units, Log: log, Clock: clk,
 		}
+		var round wal.RoundID
 		if rid != nil {
-			rec.Round = &wal.RoundID{Site: rid.Site, Seq: rid.Seq}
+			round = wal.RoundID{Site: rid.Site, Seq: rid.Seq}
+			rec.Round = &round
 		} else {
 			// Own-delta watermark: the absolute post-commit value of every
 			// delta object the request could have written (its own objects
 			// plus its units'). Replaying records in file order then
 			// reproduces the partition without re-executing the class.
-			st := sys.Stores[site]
-			rec.Writes = make(map[string]int64)
-			mark := func(obj lang.ObjID) {
-				name := sys.deltaName(obj, site)
-				if _, ok := rec.Writes[string(name)]; !ok {
-					rec.Writes[string(name)] = st.Get(name)
-				}
+			// AppendCommit encodes the record before it returns and keeps
+			// none of it, so the map is the System's, cleared per commit.
+			if sys.walWrites == nil {
+				sys.walWrites = make(map[string]int64)
 			}
-			for _, obj := range req.Objects {
-				mark(obj)
-			}
+			clear(sys.walWrites)
+			rec.Writes = sys.walWrites
+			sys.markWrites(site, req.Objects)
 			for _, id := range req.Units {
 				if id >= 0 && id < len(sys.Units) {
-					for _, obj := range sys.Units[id].objects {
-						mark(obj)
-					}
+					sys.markWrites(site, sys.Units[id].objects)
 				}
 			}
 		}
@@ -713,4 +789,16 @@ func (sys *System) logCommitClock(clk int64, req workload.Request, site int, log
 		entry.Round = &r
 	}
 	sys.CommitLog = append(sys.CommitLog, entry)
+}
+
+// markWrites records the site's own delta value of each object in the
+// commit watermark being built.
+//
+//homeo:hotpath
+func (sys *System) markWrites(site int, objs []lang.ObjID) {
+	st := sys.Stores[site]
+	for _, obj := range objs {
+		name := sys.deltaName(obj, site)
+		sys.walWrites[string(name)] = st.Get(name)
+	}
 }

@@ -140,13 +140,13 @@ func TestMultiProcessFabric(t *testing.T) {
 		clock int64
 		site  int
 		seq   int
-		apply func(lang.Database) []int64
+		c     homeostasis.Committed
 	}
 	var merged []entry
 	total := 0
 	for k := 0; k < nSites; k++ {
 		for i, c := range systems[k].CommitLog {
-			merged = append(merged, entry{clock: c.Clock, site: c.Site, seq: i, apply: c.Apply})
+			merged = append(merged, entry{clock: c.Clock, site: c.Site, seq: i, c: c})
 		}
 		total += len(systems[k].CommitLog)
 	}
@@ -165,7 +165,7 @@ func TestMultiProcessFabric(t *testing.T) {
 	})
 	replay := systems[0].W.InitialDB()
 	for _, e := range merged {
-		e.apply(replay)
+		e.c.Apply(replay, e.c.Args)
 	}
 	for obj, want := range folded {
 		if got := replay.Get(obj); got != want {

@@ -300,12 +300,7 @@ func (n *siteNode) JoinSite(m fabric.JoinSite) (fabric.JoinReply, error) {
 			for i := range ids {
 				ids[i] = i
 			}
-			g = &roundGrant{
-				units:     ids,
-				remote:    true,
-				reported:  make(map[int]lang.Database),
-				installed: make(map[int]bool),
-			}
+			g = &roundGrant{units: ids, remote: true}
 			for _, u := range sys.Units {
 				u.negotiating = true
 			}
@@ -617,12 +612,13 @@ func (sys *System) syncUnit(p rt.Proc, site int, u *unitState, to int) error {
 	}
 	u.negotiating = true
 	units := []*unitState{u}
-	rid := sys.newRound(site, units)
+	ids := []int{u.id}
+	rid := sys.newRound(site, ids, &roundGrant{})
 	var objs []lang.ObjID
 	mkMsg := func() fabric.CollectState {
 		objs = append([]lang.ObjID(nil), u.objects...)
 		sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
-		return fabric.CollectState{Round: rid, Clock: sys.tickClock(), Units: []int{u.id}, Objs: objs}
+		return fabric.CollectState{Round: rid, Clock: sys.tickClock(), Units: ids, Objs: objs}
 	}
 	replies, err := sys.fab.Collect(p, site, mkMsg)
 	if err != nil {
@@ -727,7 +723,7 @@ func (sys *System) buildTreatiesFor(u *unitState, folded lang.Database, weights 
 	if err != nil {
 		return nil, err
 	}
-	key := sys.isoKey(g, folded)
+	key := sys.isoKey(g, nil, folded)
 	key.mix(0x77)
 	for _, w := range weights {
 		key.mix(uint64(w))

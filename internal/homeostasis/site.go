@@ -32,18 +32,40 @@ type roundGrant struct {
 	// installing its treaties (or aborting) releases the units here. For
 	// locally coordinated rounds the coordinator releases them itself,
 	// after round 2's communication completes.
-	remote   bool
-	reported map[int]lang.Database
-	// installed records which local sites already applied the round's
-	// InstallState, making re-delivery a no-op so the coordinator can
-	// safely retry a partially failed install scatter.
-	installed map[int]bool
+	remote bool
+	// sites is the round's per-site record, indexed by site: grown on
+	// first touch (at), so an in-process round pays one slice and a
+	// one-site process only its own slot.
+	sites []grantSite
 	// winner is the round's winning transaction (carried by InstallState)
 	// and winnerClock its commit timestamp: if the coordinator dies after
 	// round 1 completed here, the failover adopts the commit into this
 	// site's log instead of losing it.
 	winner      *fabric.WinnerCommit
 	winnerClock int64
+}
+
+// grantSite is what one local site contributed to a round.
+type grantSite struct {
+	// reported holds the delta values of the site's round-1 reply.
+	reported lang.Database
+	// installed records that the site already applied the round's
+	// InstallState, making re-delivery a no-op so the coordinator can
+	// safely retry a partially failed install scatter.
+	installed bool
+}
+
+// at returns the round's record for a site.
+func (g *roundGrant) at(site int) *grantSite {
+	for site >= len(g.sites) {
+		g.sites = append(g.sites, grantSite{})
+	}
+	return &g.sites[site]
+}
+
+// installedAt reports whether the site applied the round's InstallState.
+func (g *roundGrant) installedAt(site int) bool {
+	return site < len(g.sites) && g.sites[site].installed
 }
 
 // grantTTL bounds how long a site stays frozen for a remote round whose
@@ -65,19 +87,14 @@ func (sys *System) observeClock(c int64) {
 	}
 }
 
-// newRound registers a locally coordinated round and returns its id.
-func (sys *System) newRound(site int, units []*unitState) fabric.RoundID {
+// newRound registers a locally coordinated round over the given units
+// and returns its id. The caller provides the grant, blank, and leaves it
+// alone until the round is out of sys.rounds.
+func (sys *System) newRound(site int, units []int, g *roundGrant) fabric.RoundID {
 	sys.roundSeq++
 	rid := fabric.RoundID{Site: site, Seq: sys.roundSeq}
-	ids := make([]int, len(units))
-	for i, u := range units {
-		ids[i] = u.id
-	}
-	sys.rounds[rid] = &roundGrant{
-		units:     ids,
-		reported:  make(map[int]lang.Database),
-		installed: make(map[int]bool),
-	}
+	g.units = units
+	sys.rounds[rid] = g
 	return rid
 }
 
@@ -129,7 +146,7 @@ func (sys *System) scheduleGrantExpiry(rid fabric.RoundID) {
 //     negotiation, which regenerates real treaties from a fresh fold.
 func (sys *System) failoverGrant(rid fabric.RoundID, g *roundGrant) {
 	site := sys.self
-	if site >= 0 && g.installed[site] {
+	if site >= 0 && g.installedAt(site) {
 		if g.winner != nil {
 			sys.adoptWinner(site, rid, g)
 			sys.Col.RecordRoundAdopted()
@@ -253,12 +270,7 @@ func (n *siteNode) CollectState(m fabric.CollectState) (fabric.StateReply, error
 				return fabric.StateReply{}, fabric.ErrBusy
 			}
 		}
-		g = &roundGrant{
-			units:     m.Units,
-			remote:    true,
-			reported:  make(map[int]lang.Database),
-			installed: make(map[int]bool),
-		}
+		g = &roundGrant{units: m.Units, remote: true}
 		for _, id := range m.Units {
 			sys.Units[id].negotiating = true
 		}
@@ -277,18 +289,29 @@ func (n *siteNode) CollectState(m fabric.CollectState) (fabric.StateReply, error
 			return fabric.StateReply{}, fabric.ErrBusy
 		}
 	}
-	st := sys.Stores[n.site]
-	vals := make(lang.Database, len(m.Objs))
-	for _, obj := range m.Objs {
-		d := lang.DeltaObj(obj, n.site)
-		vals[d] = st.Get(d)
-	}
-	g.reported[n.site] = vals
+	// The reply is handed to the transport, which reads it after this
+	// handler returned (and off the execution right over HTTP): a fresh
+	// map, never scratch.
+	vals := sys.ownDeltas(n.site, m.Objs)
+	g.at(n.site).reported = vals
 	// The reply externalizes this site's delta values: flush the WAL so a
 	// crash after the reply cannot lose a commit the round's fold depends
 	// on (flush-before-externalize, see internal/wal).
 	sys.walFlush(n.site)
 	return fabric.StateReply{Clock: sys.tickClock(), Values: vals}, nil
+}
+
+// ownDeltas reads the site's own delta object of every given object.
+//
+//homeo:hotpath
+func (sys *System) ownDeltas(site int, objs []lang.ObjID) lang.Database {
+	st := sys.Stores[site]
+	vals := make(lang.Database, len(objs))
+	for _, obj := range objs {
+		d := sys.deltaName(obj, site)
+		vals[d] = st.Get(d)
+	}
+	return vals
 }
 
 // InstallState installs the folded consolidated state into the site's
@@ -306,36 +329,19 @@ func (n *siteNode) InstallState(m fabric.InstallState) error {
 	if g != nil {
 		g.winner = m.Winner
 		g.winnerClock = m.Clock
-		if g.installed[n.site] {
+		gs := g.at(n.site)
+		if gs.installed {
 			// Re-delivery (the coordinator retried a partially failed
 			// scatter): already applied, and applying the drift twice
 			// would corrupt the partition.
 			//homeo:noexternalize re-delivery; the first delivery's flush covers this ack
 			return nil
 		}
-		g.installed[n.site] = true
-		reported = g.reported[n.site]
+		gs.installed = true
+		reported = gs.reported
 	}
-	st := sys.Stores[n.site]
 	nSites := sys.Opts.Topo.NSites()
-	var drifts map[string]int64
-	for _, obj := range m.Objs {
-		own := lang.DeltaObj(obj, n.site)
-		cur := st.Get(own)
-		st.Apply(obj, m.Folded.Get(obj))
-		for k := 0; k < nSites; k++ {
-			st.Apply(lang.DeltaObj(obj, k), 0)
-		}
-		if reported != nil {
-			if drift := cur - reported.Get(own); drift != 0 {
-				st.Apply(own, drift)
-				if drifts == nil {
-					drifts = make(map[string]int64)
-				}
-				drifts[string(own)] = drift
-			}
-		}
-	}
+	drifts := sys.installFolded(n.site, m.Objs, m.Folded, reported)
 	// The install rewrote base and delta objects; drop the affected
 	// units' cached folds (all of them when the round is unknown here).
 	if g != nil {
@@ -360,6 +366,36 @@ func (n *siteNode) InstallState(m fabric.InstallState) error {
 	// round 2 (or the client is told T' committed) on its strength.
 	sys.walFlush(n.site)
 	return nil
+}
+
+// installFolded overwrites the site's copy of every given object with its
+// folded value and zeroes all its delta snapshots, carrying over whatever
+// the site's own delta moved since it was reported (nil: nothing was).
+// Returns the carried drifts by delta name, nil when there are none.
+//
+//homeo:hotpath
+func (sys *System) installFolded(site int, objs []lang.ObjID, folded, reported lang.Database) map[string]int64 {
+	st := sys.Stores[site]
+	nSites := sys.Opts.Topo.NSites()
+	var drifts map[string]int64
+	for _, obj := range objs {
+		own := sys.deltaName(obj, site)
+		cur := st.Get(own)
+		st.Apply(obj, folded.Get(obj))
+		for k := 0; k < nSites; k++ {
+			st.Apply(sys.deltaName(obj, k), 0)
+		}
+		if reported != nil {
+			if drift := cur - reported.Get(own); drift != 0 {
+				st.Apply(own, drift)
+				if drifts == nil {
+					drifts = make(map[string]int64)
+				}
+				drifts[string(own)] = drift
+			}
+		}
+	}
+	return drifts
 }
 
 // InstallTreaties installs this site's new local treaties for the
@@ -433,7 +469,7 @@ func (n *siteNode) Rejoin(m fabric.Rejoin) (fabric.RejoinReply, error) {
 	forced := make(map[int]bool)
 	for _, rid := range orphaned {
 		g := sys.rounds[rid]
-		if sys.self >= 0 && g.installed[sys.self] {
+		if sys.self >= 0 && g.installedAt(sys.self) {
 			for _, id := range g.units {
 				forced[id] = true
 			}

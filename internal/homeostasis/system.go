@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/cluster"
@@ -197,10 +198,11 @@ type Committed struct {
 	// cluster-wide dedup key under coordinator failover: an adopted
 	// winner may be logged at several sites, and a merge keeps one copy.
 	Round *fabric.RoundID
-	// Apply re-applies the logical effect (carried from the request; nil
-	// on entries recovered from a WAL or adopted from a failed-over
-	// round, which replay through the class registry instead).
-	Apply func(db lang.Database) []int64
+	// Apply re-applies the logical effect to a database when called with
+	// Args (carried from the request; nil on entries recovered from a WAL
+	// or adopted from a failed-over round, which replay through the class
+	// registry instead).
+	Apply func(db lang.Database, args []int64) []int64
 }
 
 // siteDemand is one site's observed demand for a unit since the unit's
@@ -321,10 +323,16 @@ type System struct {
 	// instantiation entirely.
 	localsCache map[isoHash]localsEntry
 
-	// isoIdx/isoNames are isoKey's reusable scratch (first-occurrence
-	// variable indexing); accessed only under the execution right.
+	// isoIdx/isoNames/isoVars are isoKey's reusable scratch
+	// (first-occurrence variable indexing, one constraint's variables in
+	// canonical order); accessed only under the execution right.
 	isoIdx   map[string]int
 	isoNames []string
+	isoVars  []isoVar
+
+	// shared is W's SharedGlobal when the workload can hand out a unit's
+	// global treaty without copying it (the class registry); nil otherwise.
+	shared sharedGlobals
 
 	// SolverInvocations counts treaty computations performed online;
 	// CacheHits counts configurations served from the isomorphism cache.
@@ -371,12 +379,24 @@ type System struct {
 	siteAddrs []string
 
 	// frames recycles per-request execution scratch (unit slice, delta
-	// view, print-log buffer) across ExecRequest calls; deltaNames
+	// view, print-log buffer) across ExecRequest calls, roundFree the
+	// coordinator's per-round scratch (see roundScratch); deltaNames
 	// memoizes lang.DeltaObj strings per (object, site), which the hot
-	// path otherwise re-formats on every logical read and write. Both
-	// are accessed only under the runtime's execution right.
+	// path and the site handlers otherwise re-format on every access;
+	// walWrites is logCommitClock's watermark map, filled and encoded
+	// within one call. All are accessed only under the runtime's execution
+	// right.
 	frames     []*execFrame
+	roundFree  []*roundScratch
 	deltaNames map[lang.ObjID][]lang.ObjID
+	walWrites  map[string]int64
+}
+
+// sharedGlobals is the optional capability of a workload whose units'
+// global treaties are renames of shared, memoized ones: see
+// workload.Registry.SharedGlobal for the contract.
+type sharedGlobals interface {
+	SharedGlobal(unit int, folded lang.Database) (treaty.Global, map[lang.ObjID]lang.ObjID, error)
 }
 
 // New builds the system: per-site stores initialized with the replicated
@@ -420,6 +440,7 @@ func New(e rt.Runtime, w workload.Workload, opts Options) (*System, error) {
 		status:      make([]siteStatus, n),
 		siteAddrs:   make([]string, n),
 	}
+	sys.shared, _ = w.(sharedGlobals)
 	initial := w.InitialDB()
 	for i := 0; i < n; i++ {
 		s := store.New(e, initial)
@@ -617,6 +638,31 @@ func (h *isoHash) mix(w uint64) {
 	h[1] = lo
 }
 
+// isoVar is one variable of the constraint isoKey is hashing, under the
+// unit's own name.
+type isoVar struct {
+	v     logic.Var
+	coeff int64
+}
+
+func compareIsoVars(a, b isoVar) int { return logic.CompareVars(a.v, b.v) }
+
+// renamed is obj under the renaming a shared global treaty comes with
+// (workload.Registry.SharedGlobal): base objects through ren, a delta
+// object as the same site's delta of its renamed base — an interned name,
+// so renaming allocates nothing.
+func (sys *System) renamed(ren map[lang.ObjID]lang.ObjID, obj lang.ObjID) lang.ObjID {
+	if m, ok := ren[obj]; ok {
+		return m
+	}
+	if base, site, ok := lang.IsDeltaObj(obj); ok {
+		if m, ok := ren[base]; ok {
+			return sys.deltaName(m, site)
+		}
+	}
+	return obj
+}
+
 // isoKey canonicalizes a (global treaty, folded database) pair up to
 // object renaming: object names are replaced by first-occurrence indices,
 // keeping coefficients, relations, placements, and folded values. Units
@@ -626,11 +672,17 @@ func (h *isoHash) mix(w uint64) {
 // workload models, which holds for both built-in workloads (per-item
 // demand models are shared). The key is hashed — this runs on every
 // renegotiation, and the previous string encoding dominated the
-// cache-hit path's allocations; the index map and name list are
-// per-System scratch reused across calls.
+// cache-hit path's allocations; the index map, name list and variable
+// buffer are per-System scratch reused across calls.
+//
+// The treaty hashed is g with its objects renamed through ren (nil: as
+// they are), visited exactly as the renamed copy's constraints would be —
+// each constraint's variables in canonical order of their new names — so
+// a shared global and a renamed copy of it hash alike, and sys.isoNames is
+// left holding the unit's own names.
 //
 //homeo:hotpath
-func (sys *System) isoKey(g treaty.Global, folded lang.Database) isoHash {
+func (sys *System) isoKey(g treaty.Global, ren map[lang.ObjID]lang.ObjID, folded lang.Database) isoHash {
 	h := isoHash{fnv128OffsetHi, fnv128OffsetLo}
 	idx := sys.isoIdx
 	if idx == nil {
@@ -643,16 +695,26 @@ func (sys *System) isoKey(g treaty.Global, folded lang.Database) isoHash {
 		h.mix(0xc1)
 		h.mix(uint64(c.Op))
 		h.mix(uint64(c.Term.Const))
-		for _, v := range c.Term.Vars() {
-			i, ok := idx[v.Name]
+		vars := sys.isoVars[:0]
+		//homeo:nondet the variables are sorted below; order invisible
+		for v, coeff := range c.Term.Coeffs {
+			if ren != nil && v.Kind == logic.ObjVar {
+				v.Name = string(sys.renamed(ren, lang.ObjID(v.Name)))
+			}
+			vars = append(vars, isoVar{v, coeff})
+		}
+		slices.SortFunc(vars, compareIsoVars)
+		sys.isoVars = vars
+		for _, iv := range vars {
+			i, ok := idx[iv.v.Name]
 			if !ok {
 				i = len(idx)
-				idx[v.Name] = i
-				names = append(names, v.Name)
+				idx[iv.v.Name] = i
+				names = append(names, iv.v.Name)
 			}
-			h.mix(uint64(c.Term.Coeffs[v]))
+			h.mix(uint64(iv.coeff))
 			h.mix(uint64(i))
-			h.mix(uint64(placement(lang.ObjID(v.Name))))
+			h.mix(uint64(placement(lang.ObjID(iv.v.Name))))
 		}
 	}
 	h.mix(0xf0)
@@ -706,7 +768,20 @@ func (sys *System) buildTreaties(u *unitState, folded lang.Database) ([]treaty.L
 }
 
 func (sys *System) buildTreatiesWith(u *unitState, folded lang.Database, rng *rand.Rand, useCache bool) ([]treaty.Local, error) {
-	g, err := sys.W.BuildGlobal(u.id, folded)
+	// A workload that shares global treaties between isomorphic units
+	// hands out the shared one with the unit's renaming: on a configuration
+	// and locals hit — every steady-state round — the treaty is only hashed
+	// and never copied.
+	var (
+		g   treaty.Global
+		ren map[lang.ObjID]lang.ObjID
+		err error
+	)
+	if sys.shared != nil {
+		g, ren, err = sys.shared.SharedGlobal(u.id, folded)
+	} else {
+		g, err = sys.W.BuildGlobal(u.id, folded)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -723,7 +798,7 @@ func (sys *System) buildTreatiesWith(u *unitState, folded lang.Database, rng *ra
 	// one allocation.
 	alloc := sys.effectiveAlloc()
 	var weights []int64
-	key := sys.isoKey(g, folded)
+	key := sys.isoKey(g, ren, folded)
 	if alloc == AllocAdaptive {
 		weights = quantizeDemand(u.demand)
 		key.mix(0xa1)
@@ -758,6 +833,9 @@ func (sys *System) buildTreatiesWith(u *unitState, folded lang.Database, rng *ra
 			u.lastCfg = cfg
 			return locals, nil
 		}
+	}
+	if ren != nil {
+		g = g.Rename(func(obj lang.ObjID) lang.ObjID { return sys.renamed(ren, obj) })
 	}
 	tmpl, err := treaty.BuildTemplate(g, sys.Opts.Topo.NSites(), placement)
 	if err != nil {
@@ -822,70 +900,86 @@ func (sys *System) buildTreatiesWith(u *unitState, folded lang.Database, rng *ra
 	return locals, nil
 }
 
-// localsEntry is one locals-cache slot: the representative unit's
-// instantiated locals plus the canonical (first-occurrence) variable
-// order they were built under, the domain of the positional rename.
+// localsEntry is one locals-cache slot: the instantiated locals of the
+// first unit per isomorphism key, flattened over the canonical
+// (first-occurrence) variable order they were built under. A variable is
+// its index in that order, so instantiating the entry for an isomorphic
+// unit is a positional rename into that unit's sys.isoNames.
 type localsEntry struct {
-	names  []string
-	locals []treaty.Local
+	nNames int
+	// siteEnd[k] is where site k's constraints end in cons; cons[j].end is
+	// where constraint j's summands end in terms.
+	siteEnd []int
+	cons    []cachedConstraint
+	terms   []cachedTerm
+}
+
+type cachedConstraint struct {
+	konst int64
+	op    lia.RelOp
+	end   int
+}
+
+type cachedTerm struct {
+	name  int
+	coeff int64
 }
 
 // renamedLocals serves a unit's local treaties from the locals cache by
-// renaming the cached representative's constraints into this unit's
-// namespace. sys.isoNames must hold the unit's canonical variable order
-// (valid since the last isoKey call). A cache entry mentioning a
-// variable outside that order (never the case for entries written by
-// cacheLocals) falls back to a scratch build, as does an entry built
-// under a different site count — elastic joins and drains change the
-// topology without touching the iso key.
+// instantiating the cached entry under this unit's names. sys.isoNames
+// must hold the unit's canonical variable order (valid since the last
+// isoKey call). An entry built under a different site count falls back
+// to a scratch build — elastic joins and drains change the topology
+// without touching the iso key. All sites' constraints share one slice;
+// the coefficient maps are sized once and never grow.
 //
 //homeo:hotpath
 func (sys *System) renamedLocals(key isoHash) ([]treaty.Local, bool) {
 	e, ok := sys.localsCache[key]
-	if !ok || len(e.names) != len(sys.isoNames) || len(e.locals) != sys.Opts.Topo.NSites() {
+	if !ok || e.nNames != len(sys.isoNames) || len(e.siteEnd) != sys.Opts.Topo.NSites() {
 		return nil, false
 	}
-	ren := make(map[logic.Var]logic.Var, len(e.names))
-	for i, n := range e.names {
-		ren[logic.Var{Kind: logic.ObjVar, Name: n}] = logic.Var{Kind: logic.ObjVar, Name: sys.isoNames[i]}
-	}
-	out := make([]treaty.Local, len(e.locals))
-	for i, l := range e.locals {
-		nl := treaty.Local{Site: l.Site, Constraints: make([]lia.Constraint, len(l.Constraints))}
-		for j, c := range l.Constraints {
-			t := lia.Term{Coeffs: make(map[logic.Var]int64, len(c.Term.Coeffs)), Const: c.Term.Const}
-			//homeo:nondet map-to-map rebuild; the renamed term is a map, order invisible
-			for v, co := range c.Term.Coeffs {
-				nv, ok := ren[v]
-				if !ok {
-					return nil, false
-				}
-				t.Coeffs[nv] = co
+	// The locals are installed: they outlive the round.
+	out := make([]treaty.Local, len(e.siteEnd))
+	cons := make([]lia.Constraint, len(e.cons))
+	j, t := 0, 0
+	for site, end := range e.siteEnd {
+		out[site] = treaty.Local{Site: site, Constraints: cons[j:end:end]}
+		for ; j < end; j++ {
+			c := e.cons[j]
+			coeffs := make(map[logic.Var]int64, c.end-t)
+			for ; t < c.end; t++ {
+				coeffs[logic.Var{Kind: logic.ObjVar, Name: sys.isoNames[e.terms[t].name]}] = e.terms[t].coeff
 			}
-			nl.Constraints[j] = lia.Constraint{Term: t, Op: c.Op}
+			cons[j] = lia.Constraint{Term: lia.Term{Coeffs: coeffs, Const: c.konst}, Op: c.op}
 		}
-		out[i] = nl
 	}
 	return out, true
 }
 
-// cacheLocals stores a deep copy of freshly instantiated locals under
-// the canonical variable order of the unit that built them (sys.isoNames,
-// valid since the last isoKey call). The copy keeps the cache immune to
-// any mutation of the installed locals.
+// cacheLocals stores freshly instantiated locals under the canonical
+// variable order of the unit that built them (sys.isoNames, valid since
+// the last isoKey call). The flattened copy shares nothing with the
+// installed locals. Locals mentioning a variable outside that order are
+// not cached: isomorphic units build theirs from scratch, as they would
+// have on finding such an entry.
 func (sys *System) cacheLocals(key isoHash, locals []treaty.Local) {
-	cp := make([]treaty.Local, len(locals))
-	for i, l := range locals {
-		nl := treaty.Local{Site: l.Site, Constraints: make([]lia.Constraint, len(l.Constraints))}
-		for j, c := range l.Constraints {
-			nl.Constraints[j] = lia.Constraint{Term: c.Term.Clone(), Op: c.Op}
+	e := localsEntry{nNames: len(sys.isoNames)}
+	for _, l := range locals {
+		for _, c := range l.Constraints {
+			for _, v := range c.Term.Vars() {
+				i, ok := sys.isoIdx[v.Name]
+				if !ok || v.Kind != logic.ObjVar {
+					delete(sys.localsCache, key)
+					return
+				}
+				e.terms = append(e.terms, cachedTerm{name: i, coeff: c.Term.Coeffs[v]})
+			}
+			e.cons = append(e.cons, cachedConstraint{konst: c.Term.Const, op: c.Op, end: len(e.terms)})
 		}
-		cp[i] = nl
+		e.siteEnd = append(e.siteEnd, len(e.cons))
 	}
-	sys.localsCache[key] = localsEntry{
-		names:  append([]string(nil), sys.isoNames...),
-		locals: cp,
-	}
+	sys.localsCache[key] = e
 }
 
 // effectiveAlloc resolves the allocation strategy actually in force: the
@@ -1189,7 +1283,7 @@ func (sys *System) CheckReplayEquivalence() error {
 			// class-registry replay (homeo.CheckMergedReplay) covers them.
 			return fmt.Errorf("homeostasis: replay check cannot re-execute recovered entry %s (use the class-registry replay)", c.Name)
 		}
-		c.Apply(replay)
+		c.Apply(replay, c.Args)
 	}
 	// Sorted walk so a mismatch always names the same (first) object.
 	folded := sys.FoldedDB()

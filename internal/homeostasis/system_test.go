@@ -64,7 +64,7 @@ func TestTheorem38SerialEquivalence(t *testing.T) {
 			// Serial replay on the initial logical database.
 			replay := w.InitialDB()
 			for _, c := range sys.CommitLog {
-				c.Apply(replay)
+				c.Apply(replay, c.Args)
 			}
 			final := finalFolded(sys)
 			for obj, v := range final {
@@ -241,7 +241,7 @@ func TestMultiItemRequests(t *testing.T) {
 	}
 	replay := w.InitialDB()
 	for _, c := range sys.CommitLog {
-		c.Apply(replay)
+		c.Apply(replay, c.Args)
 	}
 	for obj, v := range finalFolded(sys) {
 		if replay.Get(obj) != v {

@@ -47,7 +47,7 @@ func TestTPCCEndToEnd(t *testing.T) {
 	// Serial replay.
 	replay := w.InitialDB()
 	for _, c := range sys.CommitLog {
-		c.Apply(replay)
+		c.Apply(replay, c.Args)
 	}
 	// Compare every logical object that appears in either database
 	// (balances included: they are replicated via deltas even without

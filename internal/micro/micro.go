@@ -262,7 +262,7 @@ func (w *Workload) MakeRequest(items []int) workload.Request {
 		Args:    args,
 		Units:   units,
 		Objects: objs,
-		Exec: func(v workload.SiteView) error {
+		Exec: func(v workload.SiteView, _ []int64) error {
 			for i := range items {
 				obj := objs[i] // precomputed: ItemObj formats a fresh string per call
 				qty, err := v.ReadLogical(obj)
@@ -281,7 +281,7 @@ func (w *Workload) MakeRequest(items []int) workload.Request {
 			}
 			return nil
 		},
-		Apply: func(db lang.Database) []int64 {
+		Apply: func(db lang.Database, _ []int64) []int64 {
 			for i := range items {
 				obj := objs[i]
 				qty := db.Get(obj)

@@ -61,7 +61,7 @@ func TestStoredProcedureMatchesSource(t *testing.T) {
 		// Stored procedure on the concrete object.
 		view := &fakeView{db: lang.Database{ItemObj(0): qty}}
 		req := w.MakeRequest([]int{0})
-		if err := req.Exec(view); err != nil {
+		if err := req.Exec(view, req.Args); err != nil {
 			t.Fatal(err)
 		}
 		if got, want := view.db.Get(ItemObj(0)), res.DB.Get(canonObj); got != want {
@@ -69,7 +69,7 @@ func TestStoredProcedureMatchesSource(t *testing.T) {
 		}
 		// Apply (the cleanup-phase form) must agree too.
 		applied := lang.Database{ItemObj(0): qty}
-		req.Apply(applied)
+		req.Apply(applied, req.Args)
 		if got := applied.Get(ItemObj(0)); got != res.DB.Get(canonObj) {
 			t.Fatalf("qty=%d: Apply wrote %d, L++ wrote %d", qty, got, res.DB.Get(canonObj))
 		}

@@ -220,6 +220,9 @@ type Proc struct {
 	id   int
 	slot int // index in r.procs while running, guarded by r.procMu
 	fn   func(p rt.Proc)
+	// runFn is run as a func value, bound when the Proc is built: a go
+	// statement on a method call would wrap it in a new closure per spawn.
+	runFn func()
 
 	// pmu guards parked/killed; token is guarded by the scheduler lock
 	// (all its readers and writers hold it).
@@ -270,6 +273,7 @@ func (r *Runtime) spawn(id int, fn func(p rt.Proc)) bool {
 	} else {
 		p = &Proc{r: r}
 		p.cond.L = &p.pmu
+		p.runFn = p.run
 	}
 	p.id, p.fn, p.slot = id, fn, len(r.procs)
 	r.procs = append(r.procs, p)
@@ -278,7 +282,7 @@ func (r *Runtime) spawn(id int, fn func(p rt.Proc)) bool {
 	r.live.Add(1)
 	r.wg.Add(1)
 	r.procMu.Unlock()
-	go p.run()
+	go p.runFn()
 	return true
 }
 

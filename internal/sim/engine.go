@@ -157,9 +157,12 @@ func (e *Engine) After(d Duration, fn func()) { e.At(e.now+Time(d), fn) }
 // Proc is a cooperative process. All Proc methods must be called from the
 // process's own goroutine.
 type Proc struct {
-	e      *Engine
-	ID     int
-	fn     func(p rt.Proc)
+	e  *Engine
+	ID int
+	fn func(p rt.Proc)
+	// runFn is run as a func value, bound when the Proc is built: a go
+	// statement on a method call would wrap it in a new closure per Spawn.
+	runFn  func()
 	slot   int // index in e.procs
 	resume chan struct{}
 	parked bool
@@ -182,11 +185,12 @@ func (e *Engine) Spawn(id int, fn func(p rt.Proc)) {
 		e.freeProcs = e.freeProcs[:n-1]
 	} else {
 		p = &Proc{e: e, resume: make(chan struct{})}
+		p.runFn = p.run
 	}
 	p.ID, p.fn, p.slot = id, fn, len(e.procs)
 	e.live++
 	e.procs = append(e.procs, p)
-	go p.run()
+	go p.runFn()
 	e.wakeAt(e.now, p, p.prepPark())
 }
 

@@ -148,7 +148,7 @@ func (w *Workload) Next(rng *rand.Rand, _ int) workload.Request {
 // InsertRequest builds the insert for a specific value (the compiled form
 // of InsertSource; equivalence with the L++ source is tested).
 func (w *Workload) InsertRequest(v int64) workload.Request {
-	apply := func(db lang.Database) []int64 {
+	apply := func(db lang.Database, _ []int64) []int64 {
 		t1, t2 := db.Get(Top1), db.Get(Top2)
 		switch {
 		case v > t1:
@@ -164,7 +164,7 @@ func (w *Workload) InsertRequest(v int64) workload.Request {
 		Args:    []int64{v},
 		Units:   []int{0},
 		Objects: []lang.ObjID{Top1, Top2},
-		Exec: func(view workload.SiteView) error {
+		Exec: func(view workload.SiteView, _ []int64) error {
 			t1, err := view.ReadLogical(Top1)
 			if err != nil {
 				return err

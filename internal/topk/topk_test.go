@@ -75,7 +75,7 @@ func TestStoredProcedureMatchesSource(t *testing.T) {
 		}
 		req := w.InsertRequest(v)
 		view := &fakeView{db: lang.Database{Top1: t1, Top2: t2}}
-		if err := req.Exec(view); err != nil {
+		if err := req.Exec(view, req.Args); err != nil {
 			t.Fatal(err)
 		}
 		if !view.db.Equal(want.DB) {
@@ -83,7 +83,7 @@ func TestStoredProcedureMatchesSource(t *testing.T) {
 				trial, t1, t2, v, view.db, want.DB)
 		}
 		applied := lang.Database{Top1: t1, Top2: t2}
-		req.Apply(applied)
+		req.Apply(applied, req.Args)
 		if !applied.Equal(want.DB) {
 			t.Fatalf("trial %d: Apply %v, L++ %v", trial, applied, want.DB)
 		}

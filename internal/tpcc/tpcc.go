@@ -434,7 +434,7 @@ func (w *Workload) NewOrderRequest(item int, qty int64, wd int) workload.Request
 		Args:    []int64{int64(item), qty, int64(wd)},
 		Units:   []int{item, w.deliveryUnit(wd)},
 		Objects: []lang.ObjID{stockObj, unful},
-		Exec: func(v workload.SiteView) error {
+		Exec: func(v workload.SiteView, _ []int64) error {
 			s, err := v.ReadLogical(stockObj)
 			if err != nil {
 				return err
@@ -457,7 +457,7 @@ func (w *Workload) NewOrderRequest(item int, qty int64, wd int) workload.Request
 			}
 			return v.WriteLogical(unful, n+1)
 		},
-		Apply: func(db lang.Database) []int64 {
+		Apply: func(db lang.Database, _ []int64) []int64 {
 			s := db.Get(stockObj)
 			if s-qty >= 10 {
 				db.Set(stockObj, s-qty)
@@ -477,7 +477,7 @@ func (w *Workload) PaymentRequest(wh, wd, c int, amount int64) workload.Request 
 	return workload.Request{
 		Name: "Payment",
 		Args: []int64{int64(wh), int64(wd), int64(c), amount},
-		Exec: func(v workload.SiteView) error {
+		Exec: func(v workload.SiteView, _ []int64) error {
 			bw, err := v.ReadLogical(wbal)
 			if err != nil {
 				return err
@@ -498,7 +498,7 @@ func (w *Workload) PaymentRequest(wh, wd, c int, amount int64) workload.Request 
 			}
 			return v.WriteLogical(cbal, bc-amount)
 		},
-		Apply: func(db lang.Database) []int64 {
+		Apply: func(db lang.Database, _ []int64) []int64 {
 			db.Set(wbal, db.Get(wbal)+amount)
 			db.Set(dbal, db.Get(dbal)+amount)
 			db.Set(cbal, db.Get(cbal)-amount)
@@ -518,7 +518,7 @@ func (w *Workload) DeliveryRequest(wd int) workload.Request {
 		Args:    []int64{int64(wd)},
 		Units:   []int{w.deliveryUnit(wd)},
 		Objects: []lang.ObjID{unful, low},
-		Exec: func(v workload.SiteView) error {
+		Exec: func(v workload.SiteView, _ []int64) error {
 			n, err := v.ReadLogical(unful)
 			if err != nil {
 				return err
@@ -539,7 +539,7 @@ func (w *Workload) DeliveryRequest(wd int) workload.Request {
 			v.Print(l)
 			return nil
 		},
-		Apply: func(db lang.Database) []int64 {
+		Apply: func(db lang.Database, _ []int64) []int64 {
 			n := db.Get(unful)
 			if n <= 0 {
 				return nil

@@ -73,7 +73,7 @@ func TestNewOrderMatchesSource(t *testing.T) {
 			}
 			view := &fakeView{db: lang.Database{StockObj(3): stock}}
 			req := w.NewOrderRequest(3, qty, 0)
-			if err := req.Exec(view); err != nil {
+			if err := req.Exec(view, req.Args); err != nil {
 				t.Fatal(err)
 			}
 			if got, want := view.db.Get(StockObj(3)), res.DB.Get(canonStock); got != want {
@@ -81,7 +81,7 @@ func TestNewOrderMatchesSource(t *testing.T) {
 			}
 			// Apply agrees with Exec on the stock object.
 			applied := lang.Database{StockObj(3): stock}
-			req.Apply(applied)
+			req.Apply(applied, req.Args)
 			if applied.Get(StockObj(3)) != res.DB.Get(canonStock) {
 				t.Fatalf("Apply diverges at stock=%d qty=%d", stock, qty)
 			}
@@ -105,7 +105,7 @@ func TestDeliveryMatchesSource(t *testing.T) {
 			}
 			view := &fakeView{db: lang.Database{UnfulObj(1): n, LowObj(1): low}}
 			req := w.DeliveryRequest(1)
-			if err := req.Exec(view); err != nil {
+			if err := req.Exec(view, req.Args); err != nil {
 				t.Fatal(err)
 			}
 			if got, want := view.db.Get(UnfulObj(1)), res.DB.Get("unful"); got != want {
@@ -135,7 +135,7 @@ func TestPaymentMatchesSource(t *testing.T) {
 	}
 	view := &fakeView{db: lang.Database{WBalObj(0): 100, DBalObj(1): 50, CBalObj(2): 10}}
 	req := w.PaymentRequest(0, 1, 2, 7)
-	if err := req.Exec(view); err != nil {
+	if err := req.Exec(view, req.Args); err != nil {
 		t.Fatal(err)
 	}
 	if view.db.Get(WBalObj(0)) != res.DB.Get("wbal") ||

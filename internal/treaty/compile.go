@@ -3,6 +3,8 @@ package treaty
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 
 	"repro/internal/lang"
 	"repro/internal/lia"
@@ -25,19 +27,24 @@ type ObjReader interface {
 	Get(obj lang.ObjID) int64
 }
 
-// compiledConstraint is one constraint flattened into parallel slices:
-// sum_i coeffs[i] * objs[i] + konst op 0.
+// term is one summand of a compiled constraint.
+type term struct {
+	obj   lang.ObjID
+	coeff int64
+}
+
+// compiledConstraint is one constraint flattened into its summands, in
+// ascending object order: sum_i terms[i].coeff * terms[i].obj + konst op 0.
 type compiledConstraint struct {
-	objs   []lang.ObjID
-	coeffs []int64
-	konst  int64
-	op     lia.RelOp
+	terms []term
+	konst int64
+	op    lia.RelOp
 }
 
 func (c *compiledConstraint) holds(db ObjReader) bool {
 	sum := c.konst
-	for i, obj := range c.objs {
-		sum += c.coeffs[i] * db.Get(obj)
+	for _, t := range c.terms {
+		sum += t.coeff * db.Get(t.obj)
 	}
 	switch c.op {
 	case lia.LE:
@@ -59,13 +66,13 @@ type CompiledLocal struct {
 	alwaysFalse bool
 
 	// Demarcation fast path: every constraint bounds the same linear sum
-	// s = sum_i coeffs[i]*objs[i] (up to sign), so the whole treaty is
-	// lo <= s <= hi — one pass over the objects, two comparisons. This is
-	// the common shape: local treaties instantiated from single-clause
-	// global treaties like the microbenchmark's stock bound.
+	// s = sum_i terms[i].coeff*terms[i].obj (up to sign), so the whole
+	// treaty is lo <= s <= hi — one pass over the objects, two
+	// comparisons. This is the common shape: local treaties instantiated
+	// from single-clause global treaties like the microbenchmark's stock
+	// bound.
 	interval bool
-	objs     []lang.ObjID
-	coeffs   []int64
+	terms    []term
 	lo, hi   int64
 
 	// general holds the remaining constraints when the sweep above does
@@ -81,26 +88,34 @@ func (c *CompiledLocal) Site() int { return c.site }
 // left uninstantiated, for example), so that a malformed treaty surfaces
 // as an error at generation time rather than masquerading as a violation
 // on the commit path.
+//
+// A round compiles every site's treaty of every unit it renegotiates, so
+// the summands of all constraints share one allocation, sorted in place
+// constraint by constraint; a demarcation-shaped treaty (the common case)
+// allocates nothing else.
+//
+//homeo:hotpath
 func Compile(l Local) (CompiledLocal, error) {
 	out := CompiledLocal{site: l.Site}
-	var cons []compiledConstraint
-	for _, c := range l.Constraints {
-		cc := compiledConstraint{konst: c.Term.Const, op: c.Op}
-		vars := c.Term.Vars()
-		if len(vars) > 0 {
-			cc.objs = make([]lang.ObjID, 0, len(vars))
-			cc.coeffs = make([]int64, 0, len(vars))
-		}
-		for _, v := range vars {
+	total := 0
+	for i := range l.Constraints {
+		total += len(l.Constraints[i].Term.Coeffs)
+	}
+	arena := make([]term, 0, total)
+	var consBuf [4]compiledConstraint
+	cons := consBuf[:0]
+	for i := range l.Constraints {
+		c := &l.Constraints[i]
+		start := len(arena)
+		//homeo:nondet summands are sorted by object below; order invisible
+		for v, coeff := range c.Term.Coeffs {
 			if v.Kind != logic.ObjVar {
-				return CompiledLocal{}, fmt.Errorf(
-					"treaty: compile: site %d local treaty mentions non-object variable %s in %s",
-					l.Site, v, c)
+				return CompiledLocal{}, errNonObject(l.Site, *c)
 			}
-			cc.objs = append(cc.objs, lang.ObjID(v.Name))
-			cc.coeffs = append(cc.coeffs, c.Term.Coeffs[v])
+			arena = append(arena, term{lang.ObjID(v.Name), coeff})
 		}
-		if len(cc.objs) == 0 {
+		cc := compiledConstraint{terms: arena[start:len(arena):len(arena)], konst: c.Term.Const, op: c.Op}
+		if len(cc.terms) == 0 {
 			// Ground constraint: fold it now. Keep scanning so a
 			// malformed constraint later in the list is still rejected.
 			if !cc.holds(lang.Database(nil)) {
@@ -108,6 +123,7 @@ func Compile(l Local) (CompiledLocal, error) {
 			}
 			continue
 		}
+		slices.SortFunc(cc.terms, compareTerms)
 		cons = append(cons, cc)
 	}
 	if out.alwaysFalse {
@@ -115,6 +131,21 @@ func Compile(l Local) (CompiledLocal, error) {
 	}
 	out.compileInterval(cons)
 	return out, nil
+}
+
+func compareTerms(a, b term) int { return strings.Compare(string(a.obj), string(b.obj)) }
+
+// errNonObject reports the constraint's first non-object variable (in
+// canonical order, so the message does not depend on map order).
+func errNonObject(site int, c lia.Constraint) error {
+	for _, v := range c.Term.Vars() {
+		if v.Kind != logic.ObjVar {
+			return fmt.Errorf(
+				"treaty: compile: site %d local treaty mentions non-object variable %s in %s",
+				site, v, c)
+		}
+	}
+	return nil
 }
 
 // compileInterval detects the demarcation shape: every constraint bounds
@@ -130,7 +161,8 @@ func (c *CompiledLocal) compileInterval(cons []compiledConstraint) {
 	for i := range cons {
 		sign, ok := sumSign(&spec, &cons[i])
 		if !ok {
-			c.general = cons
+			// cons is the caller's stack buffer.
+			c.general = slices.Clone(cons)
 			return
 		}
 		// The constraint is sign*s + konst op 0 for s = spec's sum. The
@@ -173,8 +205,7 @@ func (c *CompiledLocal) compileInterval(cons []compiledConstraint) {
 		}
 	}
 	c.interval = true
-	c.objs = spec.objs
-	c.coeffs = spec.coeffs
+	c.terms = spec.terms
 	c.lo, c.hi = lo, hi
 	if lo > hi {
 		c.alwaysFalse = true
@@ -182,24 +213,23 @@ func (c *CompiledLocal) compileInterval(cons []compiledConstraint) {
 }
 
 // sumSign reports whether b's linear part equals spec's (+1) or its
-// negation (-1). Both are built from Term.Vars() so object order is
-// canonical.
+// negation (-1). Both are sorted by object, so the order is canonical.
 func sumSign(spec, b *compiledConstraint) (int64, bool) {
-	if len(spec.objs) != len(b.objs) {
+	if len(spec.terms) != len(b.terms) {
 		return 0, false
 	}
 	var sign int64
-	for i := range spec.objs {
-		if spec.objs[i] != b.objs[i] {
+	for i := range spec.terms {
+		if spec.terms[i].obj != b.terms[i].obj {
 			return 0, false
 		}
-		switch b.coeffs[i] {
-		case spec.coeffs[i]:
+		switch b.terms[i].coeff {
+		case spec.terms[i].coeff:
 			if sign == -1 {
 				return 0, false
 			}
 			sign = 1
-		case -spec.coeffs[i]:
+		case -spec.terms[i].coeff:
 			if sign == 1 {
 				return 0, false
 			}
@@ -220,8 +250,8 @@ func (c *CompiledLocal) Holds(db ObjReader) bool {
 	}
 	if c.interval {
 		s := int64(0)
-		for i, obj := range c.objs {
-			s += c.coeffs[i] * db.Get(obj)
+		for _, t := range c.terms {
+			s += t.coeff * db.Get(t.obj)
 		}
 		return c.lo <= s && s <= c.hi
 	}

@@ -15,9 +15,12 @@ import (
 // allocate a payload per record.
 var payloadScratch = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
-func (l *Log) appendEncoded(kind Kind, enc func([]byte) ([]byte, error)) error {
-	bp := payloadScratch.Get().(*[]byte)
-	payload, err := enc((*bp)[:0])
+// appendEncoded appends the payload a typed append encoded into the
+// pooled buffer bp (or reports why it could not) and returns the buffer,
+// grown if the payload outgrew it, to the pool.
+//
+//homeo:hotpath
+func (l *Log) appendEncoded(kind Kind, bp *[]byte, payload []byte, err error) error {
 	if err == nil {
 		err = l.Append(kind, payload)
 		*bp = payload[:0]

@@ -219,10 +219,16 @@ var ErrClosed = errors.New("wal: log closed")
 // another site's state depends on). All methods are safe for concurrent
 // use.
 type Log struct {
-	mu     sync.Mutex
-	f      *os.File
-	opts   Options
-	buf    []byte
+	mu   sync.Mutex
+	f    *os.File
+	opts Options
+	buf  []byte
+	// timer is the log's one group-commit timer, created by the first
+	// append that needs it and re-armed by Reset ever after; armed reports
+	// that it is pending for the current batch. Every flush disarms it, so
+	// a batch flushed early (an explicit Flush, the size threshold) leaves
+	// no timer behind for the next append to double.
+	timer  *time.Timer
 	armed  bool
 	closed bool
 	err    error
@@ -323,32 +329,49 @@ func (l *Log) Append(kind Kind, payload []byte) error {
 	}
 	if !l.armed {
 		l.armed = true
-		// A failed group flush resurfaces on the next synchronous
-		// Flush/Append, which every externalizing path performs.
-		time.AfterFunc(l.opts.GroupWindow, func() { _ = l.Flush() })
+		if l.timer == nil {
+			l.timer = time.AfterFunc(l.opts.GroupWindow, l.groupFlush)
+		} else {
+			l.timer.Reset(l.opts.GroupWindow)
+		}
 	}
 	return nil
 }
 
+// groupFlush is the group-commit timer's callback. A failed group flush
+// resurfaces on the next synchronous Flush/Append, which every
+// externalizing path performs.
+func (l *Log) groupFlush() { _ = l.Flush() }
+
+// The typed appends encode the record before they return and keep none of
+// it: a caller may build it from scratch it reuses for the next record.
+
 // AppendCommit appends a commit record.
+//
+//homeo:hotpath
 func (l *Log) AppendCommit(c CommitRecord) error {
-	return l.appendEncoded(KindCommit, func(dst []byte) ([]byte, error) { return appendCommitPayload(dst, &c), nil })
+	bp := payloadScratch.Get().(*[]byte)
+	return l.appendEncoded(KindCommit, bp, appendCommitPayload((*bp)[:0], &c), nil)
 }
 
 // AppendInstall appends a state-install record.
 func (l *Log) AppendInstall(c InstallRecord) error {
-	return l.appendEncoded(KindInstall, func(dst []byte) ([]byte, error) { return appendInstallPayload(dst, &c), nil })
+	bp := payloadScratch.Get().(*[]byte)
+	return l.appendEncoded(KindInstall, bp, appendInstallPayload((*bp)[:0], &c), nil)
 }
 
 // AppendTreaty appends a treaty-generation record. A constraint whose op
 // is not one of "<=", "<", "==" is refused and nothing is appended.
 func (l *Log) AppendTreaty(c TreatyRecord) error {
-	return l.appendEncoded(KindTreaty, func(dst []byte) ([]byte, error) { return appendTreatyPayload(dst, &c) })
+	bp := payloadScratch.Get().(*[]byte)
+	payload, err := appendTreatyPayload((*bp)[:0], &c)
+	return l.appendEncoded(KindTreaty, bp, payload, err)
 }
 
 // AppendMembership appends a topology-epoch record.
 func (l *Log) AppendMembership(c MembershipRecord) error {
-	return l.appendEncoded(KindMembership, func(dst []byte) ([]byte, error) { return appendMembershipPayload(dst, &c), nil })
+	bp := payloadScratch.Get().(*[]byte)
+	return l.appendEncoded(KindMembership, bp, appendMembershipPayload((*bp)[:0], &c), nil)
 }
 
 // Flush writes the batch to the file (and fsyncs it under Options.Sync).
@@ -360,7 +383,13 @@ func (l *Log) Flush() error {
 }
 
 func (l *Log) flushLocked() error {
-	l.armed = false
+	if l.armed {
+		// The batch the timer was armed for is being written now. If the
+		// timer already fired, its callback is waiting for the lock and
+		// will find an empty batch.
+		l.timer.Stop()
+		l.armed = false
+	}
 	if l.err != nil {
 		return l.err
 	}

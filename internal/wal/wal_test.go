@@ -319,6 +319,55 @@ func TestGroupCommitFlush(t *testing.T) {
 	}
 }
 
+// TestOneGroupTimer checks that a log owns one group-commit timer however
+// its batches end: an explicit Flush disarms it instead of leaving it
+// pending beside the one the next append would arm, so Flush/Append pairs
+// create nothing, at most one timer is pending at any time, and Close
+// leaves none.
+func TestOneGroupTimer(t *testing.T) {
+	l, _, err := Open(filepath.Join(t.TempDir(), "t.wal"), Options{GroupWindow: time.Hour}) // never auto-fires
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := CommitRecord{Class: "A", Args: []int64{1}, Clock: 7}
+	pair := func() {
+		if err := l.AppendCommit(rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pair()
+	first := l.timer
+	if first == nil {
+		t.Fatal("the first append armed no timer")
+	}
+	if n := testing.AllocsPerRun(200, pair); n != 0 && !raceEnabled {
+		t.Errorf("an Append/Flush pair allocates %.1f objects, want 0 (a timer per pair?)", n)
+	}
+	if l.timer != first {
+		t.Error("the log replaced its timer")
+	}
+	if l.armed || first.Stop() {
+		t.Error("a timer is pending after Flush")
+	}
+	for i := 0; i < 3; i++ { // several appends share the batch's timer
+		if err := l.AppendCommit(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !l.armed || l.timer != first {
+		t.Error("an append to an empty batch did not arm the log's timer")
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if l.armed || first.Stop() {
+		t.Error("a timer is pending after Close")
+	}
+}
+
 // FuzzScan throws arbitrary bytes at the replay path: it must never
 // panic, must report a valid prefix no longer than the input, and
 // re-encoding the surviving records must reproduce that prefix exactly.

@@ -243,5 +243,6 @@ func newClassFromFamily(fam *classFamily, txn, lowered *lang.Transaction, canon 
 			c.repArgs[i] = b[0]
 		}
 	}
+	c.bind()
 	return c, nil
 }

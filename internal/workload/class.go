@@ -84,7 +84,15 @@ type Class struct {
 	// execution right); entries checked out survive park points because
 	// each executing proc owns its own classEnv.
 	envs []*classEnv
+
+	// execFn and applyFn are exec and apply as func values, bound once
+	// (bind) so that building a request allocates no closure.
+	execFn  func(SiteView, []int64) error
+	applyFn func(lang.Database, []int64) []int64
 }
+
+// bind creates the func values every request of the class shares.
+func (c *Class) bind() { c.execFn, c.applyFn = c.exec, c.apply }
 
 // NewClass analyzes an already-parsed transaction into a registrable
 // class. The transaction may use L++ arrays (they are lowered); bounds
@@ -177,6 +185,7 @@ func NewClass(txn *lang.Transaction, nSites int, bounds treaty.ParamBounds) (*Cl
 	default:
 		c.table = table
 	}
+	c.bind()
 	return c, nil
 }
 
@@ -236,18 +245,35 @@ func (c *Class) TableString() string {
 }
 
 // buildGlobal derives the unit's global treaty from the folded database
-// restricted to the class's footprint. Analysis failures at any stage
-// fall back to the always-valid pin treaty, exactly like the TPC-C
+// restricted to the class's footprint, in the class's own namespace and
+// owned by the caller.
+func (c *Class) buildGlobal(folded lang.Database) treaty.Global {
+	g, _, shared := c.sharedGlobal(folded)
+	if shared {
+		// Rename copies, so the family's memoized Global is never aliased.
+		return g.Rename(c.mapFromRep)
+	}
+	return g
+}
+
+// sharedGlobal is buildGlobal without the copy. Analysis failures at any
+// stage fall back to the always-valid pin treaty, exactly like the TPC-C
 // boundary regions. Family-cached classes route through the family's
 // preprocessing memo: the guard is analyzed once per distinct
-// folded-value vector in the representative's namespace, and each
-// member's global is a rename of that shared result.
-func (c *Class) buildGlobal(folded lang.Database) (treaty.Global, error) {
+// folded-value vector in the representative's namespace, and shared
+// reports that g is that memoized treaty — read-only, and a member's own
+// treaty only after renaming its objects through ren (nil for the
+// representative itself; delta objects rename by their base). Otherwise g
+// is already in the class's namespace.
+func (c *Class) sharedGlobal(folded lang.Database) (g treaty.Global, ren map[lang.ObjID]lang.ObjID, shared bool) {
 	if c.pinned {
-		return c.pinGlobal(folded), nil
+		return c.pinGlobal(folded), nil, false
 	}
 	if c.fam != nil {
-		return c.familyGlobal(folded)
+		if e := c.familyGlobal(folded); e.ok {
+			return e.g, c.fromRep, true
+		}
+		return c.pinGlobal(folded), nil, false
 	}
 	params := make(map[string]int64, len(c.Params))
 	for i, p := range c.Params {
@@ -257,61 +283,57 @@ func (c *Class) buildGlobal(folded lang.Database) (treaty.Global, error) {
 	if err == nil {
 		g, perr := treaty.Preprocess(c.table.Rows[row].Guard, folded, params, c.Bounds)
 		if perr == nil {
-			return g, nil
+			return g, nil, false
 		}
 	}
 	// Representative arguments sit in a boundary region (or the guard
 	// cannot be strengthened over the declared ranges): pin until the
 	// state moves on.
-	return c.pinGlobal(folded), nil
+	return c.pinGlobal(folded), nil, false
 }
 
-// familyGlobal is buildGlobal through the family memo. On a miss the
-// folded values are translated into the representative's namespace
-// (positionally, via the canonical object order), matched and
-// preprocessed there exactly as the scratch path would, and the result
-// — success or pin decision — is memoized for every member at those
-// values. Hits and misses both end in a Rename, which copies, so the
-// memoized Global is never aliased by callers.
-func (c *Class) familyGlobal(folded lang.Database) (treaty.Global, error) {
+// familyGlobal looks the folded values up in the family memo. On a miss
+// they are translated into the representative's namespace (positionally,
+// via the canonical object order), matched and preprocessed there exactly
+// as the scratch path would, and the result — success or pin decision —
+// is memoized for every member at those values.
+func (c *Class) familyGlobal(folded lang.Database) famGlobal {
 	rep := c.fam.rep
-	kb := make([]byte, 0, 16*len(c.canonObjs))
+	var kbuf [64]byte
+	kb := kbuf[:0]
 	for _, obj := range c.canonObjs {
 		kb = strconv.AppendInt(kb, folded.Get(obj), 10)
 		kb = append(kb, ',')
 	}
-	key := string(kb)
 	c.fam.mu.Lock()
-	e, ok := c.fam.globals[key]
+	e, ok := c.fam.globals[string(kb)] // no key is built for a lookup
 	c.fam.mu.Unlock()
-	if !ok {
-		repFolded := folded
-		if c.fromRep != nil {
-			repFolded = make(lang.Database, len(c.canonObjs))
-			for i, obj := range c.canonObjs {
-				repFolded[rep.canonObjs[i]] = folded.Get(obj)
-			}
-		}
-		params := make(map[string]int64, len(rep.Params))
-		for i, p := range rep.Params {
-			params[p] = rep.repArgs[i]
-		}
-		if row, err := rep.table.MatchRow(repFolded, params); err == nil {
-			if g, perr := treaty.Preprocess(rep.table.Rows[row].Guard, repFolded, params, rep.Bounds); perr == nil {
-				e = famGlobal{g: g, ok: true}
-			}
-		}
-		c.fam.mu.Lock()
-		if len(c.fam.globals) >= famGlobalBound {
-			clear(c.fam.globals)
-		}
-		c.fam.globals[key] = e
-		c.fam.mu.Unlock()
+	if ok {
+		return e
 	}
-	if !e.ok {
-		return c.pinGlobal(folded), nil
+	repFolded := folded
+	if c.fromRep != nil {
+		repFolded = make(lang.Database, len(c.canonObjs))
+		for i, obj := range c.canonObjs {
+			repFolded[rep.canonObjs[i]] = folded.Get(obj)
+		}
 	}
-	return e.g.Rename(c.mapFromRep), nil
+	params := make(map[string]int64, len(rep.Params))
+	for i, p := range rep.Params {
+		params[p] = rep.repArgs[i]
+	}
+	if row, err := rep.table.MatchRow(repFolded, params); err == nil {
+		if g, perr := treaty.Preprocess(rep.table.Rows[row].Guard, repFolded, params, rep.Bounds); perr == nil {
+			e = famGlobal{g: g, ok: true}
+		}
+	}
+	c.fam.mu.Lock()
+	if len(c.fam.globals) >= famGlobalBound {
+		clear(c.fam.globals)
+	}
+	c.fam.globals[string(kb)] = e
+	c.fam.mu.Unlock()
+	return e
 }
 
 // mapFromRep renames one representative-namespace object (base or
@@ -435,10 +457,12 @@ type execAbort struct{ err error }
 // classEnv is a reusable execution environment: the lang.Env and its
 // read/write hook closures are built once and recycled through the
 // class's free-list, so the exec hot path allocates nothing. The hooks
-// are bound to the classEnv and dispatch through its current view.
+// are bound to the classEnv and dispatch through its current view: a
+// site's view for exec, the environment's own foldedView for apply.
 type classEnv struct {
-	v   SiteView
-	env lang.Env
+	v      SiteView
+	env    lang.Env
+	folded foldedView
 }
 
 func (ce *classEnv) read(obj lang.ObjID) int64 {
@@ -455,18 +479,58 @@ func (ce *classEnv) write(obj lang.ObjID, val int64) {
 	}
 }
 
+// foldedView is the view apply evaluates through: reads and writes go
+// straight to a consolidated database, in place. It remembers what every
+// write replaced, so an evaluation that fails half-way can be taken back
+// and leaves the database as lang.Eval on a copy would have.
+type foldedView struct {
+	db   lang.Database
+	undo []undoWrite
+}
+
+type undoWrite struct {
+	obj lang.ObjID
+	old int64
+	had bool
+}
+
+func (v *foldedView) Site() int   { return 0 }
+func (v *foldedView) NSites() int { return 1 }
+func (v *foldedView) Print(int64) {}
+
+func (v *foldedView) ReadLogical(obj lang.ObjID) (int64, error) { return v.db[obj], nil }
+
+//homeo:hotpath
+func (v *foldedView) WriteLogical(obj lang.ObjID, val int64) error {
+	old, had := v.db[obj]
+	v.undo = append(v.undo, undoWrite{obj, old, had})
+	v.db[obj] = val
+	return nil
+}
+
+// rollback undoes the recorded writes, newest first.
+func (v *foldedView) rollback() {
+	for i := len(v.undo) - 1; i >= 0; i-- {
+		if u := v.undo[i]; u.had {
+			v.db[u.obj] = u.old
+		} else {
+			delete(v.db, u.obj)
+		}
+	}
+}
+
 // getEnv checks out a pooled environment targeting v. Params and Arrays
 // are left as-is (EvalIn fully overwrites them for this class); Temps and
 // the print log are cleared so no state leaks between invocations.
+//
+//homeo:checkout class.env
 func (c *Class) getEnv(v SiteView) *classEnv {
 	var ce *classEnv
 	if n := len(c.envs); n > 0 {
 		ce = c.envs[n-1]
 		c.envs[n-1] = nil
 		c.envs = c.envs[:n-1]
-		for k := range ce.env.Temps {
-			delete(ce.env.Temps, k)
-		}
+		clear(ce.env.Temps)
 		ce.env.Log = ce.env.Log[:0]
 	} else {
 		ce = &classEnv{}
@@ -477,8 +541,10 @@ func (c *Class) getEnv(v SiteView) *classEnv {
 	return ce
 }
 
+//homeo:release class.env
 func (c *Class) putEnv(ce *classEnv) {
 	ce.v = nil
+	ce.folded.db, ce.folded.undo = nil, ce.folded.undo[:0]
 	c.envs = append(c.envs, ce)
 }
 
@@ -508,38 +574,48 @@ func (c *Class) exec(v SiteView, args []int64) (err error) {
 }
 
 // apply performs the transaction's logical effect on a folded database
-// (the cleanup phase's T' execution and serial replay).
+// (the cleanup phase's T' execution and serial replay), in place, through
+// the same pooled environments exec uses: no copy of the database, no
+// environment maps. The result is lang.Eval's — the updated database and
+// the print log — and on an evaluation error the database is left as it
+// was and the log is nil.
+//
+//homeo:hotpath
 func (c *Class) apply(db lang.Database, args []int64) []int64 {
-	res, err := lang.Eval(c.Lowered, db, args...)
-	if err != nil {
-		// Unreachable after successful compilation: evaluation of a pure
-		// lowered transaction has no failing operations.
+	ce := c.getEnv(nil)
+	defer c.putEnv(ce)
+	ce.folded.db = db
+	ce.v = &ce.folded
+	if err := lang.EvalIn(c.Lowered, &ce.env, args...); err != nil {
+		// A branch that reads a temporary it never assigned: the class
+		// compiled, but this execution has no effect.
+		ce.folded.rollback()
 		return nil
 	}
-	for obj, v := range res.DB {
-		db[obj] = v
+	if len(ce.env.Log) == 0 {
+		return nil
 	}
-	return res.Log
+	// The print log outlives the pooled environment.
+	return append([]int64(nil), ce.env.Log...)
 }
 
 // Invoke builds one invocation of the class. units is the full set of
 // treaty units governing the request (the class's own unit plus any other
 // registered unit sharing footprint objects), as Registry.Units reports
 // it; Invoke itself touches no registry state, so a caller holding a
-// current unit set needs no lock.
+// current unit set needs no lock. The copy of args is all it allocates.
 func (c *Class) Invoke(units []int, args []int64) (Request, error) {
 	if len(args) != len(c.Params) {
 		return Request{}, fmt.Errorf("workload: class %s expects %d args (%v), got %d",
 			c.Name, len(c.Params), c.Params, len(args))
 	}
-	args = append([]int64(nil), args...)
 	return Request{
 		Name:    c.Name,
-		Args:    args,
+		Args:    append([]int64(nil), args...),
 		Units:   units,
 		Objects: c.footprint,
-		Exec:    func(v SiteView) error { return c.exec(v, args) },
-		Apply:   func(db lang.Database) []int64 { return c.apply(db, args) },
+		Exec:    c.execFn,
+		Apply:   c.applyFn,
 	}, nil
 }
 

@@ -258,7 +258,24 @@ func (r *Registry) BuildGlobal(unit int, folded lang.Database) (treaty.Global, e
 	if unit < r.baseUnits {
 		return r.base.BuildGlobal(unit, folded)
 	}
-	return r.classes[unit-r.baseUnits].buildGlobal(folded)
+	return r.classes[unit-r.baseUnits].buildGlobal(folded), nil
+}
+
+// SharedGlobal is BuildGlobal for a caller that only reads the treaty and
+// can rename on the fly: g is the unit's global treaty once every object
+// obj it mentions is read as ren[obj] — a delta object as the delta, at
+// the same site, of its renamed base — and ren is nil when g needs no
+// renaming. A class served by an isomorphism family gets the family's
+// memoized treaty and its own positional name table, so asking costs a
+// lookup where BuildGlobal copies and renames the whole treaty. Neither g
+// nor ren may be modified.
+func (r *Registry) SharedGlobal(unit int, folded lang.Database) (g treaty.Global, ren map[lang.ObjID]lang.ObjID, err error) {
+	if unit < r.baseUnits {
+		g, err = r.base.BuildGlobal(unit, folded)
+		return g, nil, err
+	}
+	g, ren, _ = r.classes[unit-r.baseUnits].sharedGlobal(folded)
+	return g, ren, nil
 }
 
 // Model implements Workload.

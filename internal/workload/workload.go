@@ -49,12 +49,20 @@ type Request struct {
 	Objects []lang.ObjID
 	// Exec runs the stored procedure against a site view. Errors indicate
 	// lock failures; the runtime aborts and retries.
-	Exec func(v SiteView) error
+	//
+	// Exec and Apply take the invocation's arguments (callers pass Args)
+	// instead of closing over them, so a workload whose procedures are
+	// parameterized binds each function once per class and a request costs
+	// no closure. Workloads that draw everything when they build the
+	// request (micro, TPC-C, topk) ignore the parameter.
+	Exec func(v SiteView, args []int64) error
 	// Apply performs the transaction's logical effect on a folded
-	// (consolidated) database. The cleanup phase uses it to run the
-	// treaty-violating transaction T' at every site, and correctness tests
-	// use it for serial replay.
-	Apply func(db lang.Database) []int64
+	// (consolidated) database, in place, and returns its print log. The
+	// cleanup phase uses it to run the treaty-violating transaction T' at
+	// every site, and correctness tests use it for serial replay. Like
+	// Exec it runs under the runtime's execution right: a registered
+	// class's Apply borrows one of the class's pooled environments.
+	Apply func(db lang.Database, args []int64) []int64
 }
 
 // Rotor is the drift clock shared by the workload drift scenarios (micro

@@ -117,10 +117,10 @@ func TestMicroExecMatchesApply(t *testing.T) {
 	// Drive item 0 down through the refill boundary:
 	// 2 -> 1 -> 49 -> 48 -> 47 -> 46.
 	for step := 0; step < 5; step++ {
-		if err := req.Exec(&dbView{db: execDB}); err != nil {
+		if err := req.Exec(&dbView{db: execDB}, req.Args); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
-		req.Apply(applyDB)
+		req.Apply(applyDB, req.Args)
 		if got, want := execDB.Get(micro.ItemObj(0)), applyDB.Get(micro.ItemObj(0)); got != want {
 			t.Fatalf("step %d: Exec state %d, Apply state %d", step, got, want)
 		}
@@ -145,7 +145,7 @@ func TestMicroExecAgainstStore(t *testing.T) {
 	e.Spawn(0, func(p rt.Proc) {
 		// Aborted execution leaves no trace.
 		tx := s.Begin(p)
-		if err := req.Exec(&storeView{tx: tx}); err != nil {
+		if err := req.Exec(&storeView{tx: tx}, req.Args); err != nil {
 			t.Errorf("Exec: %v", err)
 			return
 		}
@@ -156,7 +156,7 @@ func TestMicroExecAgainstStore(t *testing.T) {
 		}
 		// Committed execution is durable.
 		tx = s.Begin(p)
-		if err := req.Exec(&storeView{tx: tx}); err != nil {
+		if err := req.Exec(&storeView{tx: tx}, req.Args); err != nil {
 			t.Errorf("Exec: %v", err)
 			return
 		}
@@ -226,10 +226,10 @@ func TestTPCCExecMatchesApply(t *testing.T) {
 	for _, req := range reqs {
 		execDB := w.InitialDB()
 		applyDB := w.InitialDB()
-		if err := req.Exec(&dbView{db: execDB}); err != nil {
+		if err := req.Exec(&dbView{db: execDB}, req.Args); err != nil {
 			t.Fatalf("%s: Exec: %v", req.Name, err)
 		}
-		req.Apply(applyDB)
+		req.Apply(applyDB, req.Args)
 		for _, obj := range execDB.Objects() {
 			if execDB.Get(obj) != applyDB.Get(obj) {
 				t.Fatalf("%s: %s = %d after Exec, %d after Apply",
@@ -246,14 +246,14 @@ func TestTPCCNewOrderRestockRule(t *testing.T) {
 	stock := tpcc.StockObj(3)
 	req := w.NewOrderRequest(3, 5, 0)
 	v := &dbView{db: lang.Database{stock: 12}}
-	if err := req.Exec(v); err != nil {
+	if err := req.Exec(v, req.Args); err != nil {
 		t.Fatal(err)
 	}
 	if got := v.db.Get(stock); got != 12-5+91 {
 		t.Fatalf("stock after restock order = %d, want %d", got, 12-5+91)
 	}
 	v = &dbView{db: lang.Database{stock: 50}}
-	if err := req.Exec(v); err != nil {
+	if err := req.Exec(v, req.Args); err != nil {
 		t.Fatal(err)
 	}
 	if got := v.db.Get(stock); got != 45 {
