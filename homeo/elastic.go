@@ -134,11 +134,12 @@ func (c *Cluster) Drain(site int) error {
 // concentrates the unit's slack on the target. A coordinator death
 // mid-migration aborts or adopts through the ordinary round-grant
 // failover. Pass to = DemandHome(unit) for burn-driven placement, or an
-// explicit active site.
+// explicit active site. In-process the target coordinates the round: it
+// is the one site the migration requires to be a member.
 func (c *Cluster) MigrateUnit(unit, to int) error {
 	site := c.SelfSite()
 	if site < 0 {
-		site = 0
+		site = to
 	}
 	return c.runProc("unit migration", func(p rt.Proc) error {
 		return c.sys.Migrate(p, site, unit, to)

@@ -12,7 +12,7 @@ import (
 // distribute the treaty configuration. The ns/op is the unit's pause
 // window (it serves no commits between freeze and release), so it bounds
 // the worst-case submission stall a migration can inject. Run serially;
-// numbers in BENCH_elastic.json are from a 1-core container.
+// BENCH_elastic.json records the machine with the numbers.
 func BenchmarkUnitMigration(b *testing.B) {
 	c, _ := benchCluster(b, homeo.Options{Runtime: homeo.RuntimeSim})
 	// One warm-up migration so pools and the treaty solver cache are hot.

@@ -190,8 +190,47 @@ func TestMigrateSim(t *testing.T) {
 	}
 }
 
+// TestRoundsAfterDrainOfSiteZeroSim: a gone site's store stops at its
+// absorb, so nothing may read the replicated base from site 0 once it has
+// drained. Withdrawals keep violating their treaty after the drain; every
+// round folds from the base, and one that read site 0's copy would
+// resurrect the balance as it stood at the absorb.
+func TestRoundsAfterDrainOfSiteZeroSim(t *testing.T) {
+	c := simCluster(t, homeo.Options{Sites: 3, EnableLog: true})
+	cls, err := c.Register(homeo.ClassSpec{
+		L:       withdrawSrc,
+		Bounds:  map[string][2]int64{"n": {1, 5}},
+		Initial: map[string]int64{"bal": 400},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := c.Session()
+	submit := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := s.Submit(context.Background(), cls, 3); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	submit(20)
+	if err := c.Drain(0); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	rounds := c.Stats().Negotiations
+	submit(125)
+	if c.Stats().Negotiations == rounds {
+		t.Fatal("no round ran after the drain; the test exercises nothing")
+	}
+	if err := c.CheckReplayEquivalence(); err != nil {
+		t.Fatalf("replay equivalence after draining site 0: %v", err)
+	}
+}
+
 // TestJoinThenDrainSim: the full elastic lifecycle — grow by one, drain
-// an original site, keep serving — in one deterministic run.
+// an original site, keep serving, re-home a unit among the survivors — in
+// one deterministic run.
 func TestJoinThenDrainSim(t *testing.T) {
 	c := simCluster(t, homeo.Options{Sites: 2, EnableLog: true})
 	cls, err := c.Register(homeo.ClassSpec{
@@ -218,6 +257,11 @@ func TestJoinThenDrainSim(t *testing.T) {
 	submit(8)
 	if err := c.Drain(0); err != nil {
 		t.Fatalf("Drain: %v", err)
+	}
+	submit(8)
+	// The migration is coordinated by a member, whichever sites have left.
+	if err := c.MigrateUnit(0, 2); err != nil {
+		t.Fatalf("MigrateUnit after draining site 0: %v", err)
 	}
 	submit(8)
 	st := c.Stats()

@@ -14,7 +14,10 @@ package wire
 //	                                return the site's delta values for the
 //	                                round's object footprint
 //	POST /v1/peer/install-state     round 1 close: install the folded
-//	                                consolidated state
+//	                                consolidated state (without a winner
+//	                                when the round is a drain's absorb or
+//	                                a unit migration, both triggered under
+//	                                /v1/topology/)
 //	POST /v1/peer/install-treaties  round 2: install the site's new local
 //	                                treaties and release the units
 //	POST /v1/peer/abort             release a round that will not complete
@@ -30,11 +33,7 @@ package wire
 //	                                the epoch and releases the quiesce
 //	POST /v1/peer/drain             a drained site announces itself: the
 //	                                peer marks it gone and bumps its
-//	                                membership epoch (operators trigger a
-//	                                drain with /v1/topology/drain)
-//	POST /v1/peer/migrate           install a migrating unit's folded
-//	                                state and new demand home (operators
-//	                                trigger one with /v1/topology/migrate)
+//	                                membership epoch
 //	GET  /v1/peer/log               the site's commit log (Lamport-clocked)
 //	GET  /v1/peer/db                the site's authoritative partition of
 //	                                the logical database
@@ -217,28 +216,6 @@ type PeerDrain struct {
 
 // PeerDrainReply acknowledges a drain with the receiver's new epoch.
 type PeerDrainReply struct {
-	Clock int64 `json:"clock"`
-	Epoch int64 `json:"epoch"`
-}
-
-// PeerMigrate is the POST /v1/peer/migrate body: install a migrating
-// unit's folded state (exactly-once under the round grant, mirroring
-// install-state) and record the unit's new demand home.
-type PeerMigrate struct {
-	From  int    `json:"from"`
-	Round uint64 `json:"round"`
-	Clock int64  `json:"clock"`
-	Unit  int    `json:"unit"`
-	// To is the site the unit's repaired treaty configuration
-	// concentrates slack on.
-	To     int              `json:"to"`
-	Objs   []string         `json:"objs,omitempty"`
-	Folded map[string]int64 `json:"folded,omitempty"`
-}
-
-// PeerMigrateReply acknowledges a migration install with the receiver's
-// epoch.
-type PeerMigrateReply struct {
 	Clock int64 `json:"clock"`
 	Epoch int64 `json:"epoch"`
 }

@@ -53,9 +53,6 @@ func allSamples() []any {
 		}},
 		&wire.PeerDrain{Site: 1, Clock: 109},
 		&wire.PeerDrainReply{Clock: 110, Epoch: 5},
-		&wire.PeerMigrate{From: 0, Round: 10, Clock: 111, Unit: 2, To: 1,
-			Objs: []string{"a"}, Folded: map[string]int64{"a": 42}},
-		&wire.PeerMigrateReply{Clock: 112, Epoch: 5},
 	)
 }
 
@@ -64,7 +61,7 @@ var update = flag.Bool("update", false, "rewrite the golden-bytes fixture from t
 // TestGoldenBytes pins the byte layout of every peer message kind to a
 // checked-in fixture named after the format version: a sample must
 // encode to exactly the fixture's bytes and the fixture must decode to
-// the sample. Nothing sniffs or migrates encodings, so this is the
+// the sample. Nothing sniffs or converts encodings, so this is the
 // compatibility guarantee — a layout change fails here until Version is
 // bumped and a fixture for the new version is written (-update).
 func TestGoldenBytes(t *testing.T) {
@@ -113,7 +110,7 @@ func TestGoldenBytes(t *testing.T) {
 		}
 		kinds[want[2]] = true
 	}
-	for k := codec.KindCollect; k <= codec.KindMigrateReply; k++ {
+	for k := codec.KindCollect; k <= codec.KindDrainReply; k++ {
 		if !kinds[k] {
 			t.Errorf("no golden sample of message kind %d", k)
 		}
@@ -163,6 +160,34 @@ func TestDecodeWrongKind(t *testing.T) {
 	var st wire.PeerState
 	if err := codec.DecodeMessage(enc, &st); err == nil {
 		t.Fatal("collect body decoded as PeerState without error")
+	}
+}
+
+// TestDecodeRetiredKinds: kind bytes 13 and 14 belonged to a message pair
+// this format version no longer carries. Their bodies, as the fixture held
+// them while it did, are refused whatever they are decoded as, naming the
+// kind no decoder knows.
+func TestDecodeRetiredKinds(t *testing.T) {
+	for _, retired := range []string{
+		"b5020d000ade01040201016101016154",
+		"b5020ee0010a",
+	} {
+		body, err := hex.DecodeString(retired)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if body[2] <= codec.KindDrainReply {
+			t.Fatalf("kind byte %d is in use", body[2])
+		}
+		for _, m := range allSamples() {
+			err := codec.DecodeMessage(body, fresh(m))
+			if err == nil {
+				t.Fatalf("retired kind %d decoded as %T", body[2], m)
+			}
+			if want := fmt.Sprintf("message kind %d", body[2]); !strings.Contains(err.Error(), want) {
+				t.Errorf("retired kind %d as %T: error %q does not mention %q", body[2], m, err, want)
+			}
+		}
 	}
 }
 

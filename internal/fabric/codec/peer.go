@@ -22,8 +22,9 @@ const (
 	KindJoinReply
 	KindDrain
 	KindDrainReply
-	KindMigrate
-	KindMigrateReply
+	// Kind bytes 13 and 14 are retired, never to be reused: they named a
+	// message and a reply that format version 2 carried until its install
+	// became a PeerInstallState. A body of either kind decodes as nothing.
 )
 
 // Constraint op bytes (wire.PeerConstraint.Op "<=", "<", "==").
@@ -196,19 +197,6 @@ func AppendMessage(dst []byte, m any) ([]byte, error) {
 		dst = AppendHeader(dst, KindDrainReply)
 		dst = AppendVarint(dst, m.Clock)
 		return AppendVarint(dst, m.Epoch), nil
-	case *wire.PeerMigrate:
-		dst = AppendHeader(dst, KindMigrate)
-		dst = AppendInt(dst, m.From)
-		dst = AppendUvarint(dst, m.Round)
-		dst = AppendVarint(dst, m.Clock)
-		dst = AppendInt(dst, m.Unit)
-		dst = AppendInt(dst, m.To)
-		dst = AppendStrings(dst, m.Objs)
-		return AppendStringMap(dst, m.Folded), nil
-	case *wire.PeerMigrateReply:
-		dst = AppendHeader(dst, KindMigrateReply)
-		dst = AppendVarint(dst, m.Clock)
-		return AppendVarint(dst, m.Epoch), nil
 	}
 	return nil, errUnencodable(m)
 }
@@ -347,21 +335,6 @@ func DecodeMessage(data []byte, m any) error {
 		}
 	case *wire.PeerDrainReply:
 		if want(KindDrainReply) {
-			m.Clock = r.Varint()
-			m.Epoch = r.Varint()
-		}
-	case *wire.PeerMigrate:
-		if want(KindMigrate) {
-			m.From = r.Int()
-			m.Round = r.Uvarint()
-			m.Clock = r.Varint()
-			m.Unit = r.Int()
-			m.To = r.Int()
-			m.Objs = r.Strings()
-			m.Folded = r.StringMap()
-		}
-	case *wire.PeerMigrateReply:
-		if want(KindMigrateReply) {
 			m.Clock = r.Varint()
 			m.Epoch = r.Varint()
 		}

@@ -11,6 +11,12 @@
 //	round 2   InstallTreaties scatter: each site receives its new local
 //	          treaties, closing the round.
 //
+// A round need not have a winning transaction: a drain's absorb rounds and
+// a unit migration are the same two rounds with no winner in InstallState.
+// Beside the round's four messages (those three and AbortRound) a Node
+// answers recovery's Rejoin and membership's JoinSite and DrainSite: seven
+// in all, each with one Transport method and, over HTTP, one endpoint.
+//
 // Two transports ship with the repository. Local keeps every site
 // in-process: messages are direct calls, with communication latency
 // charged to the coordinating process per message from the cluster
@@ -209,30 +215,6 @@ type DrainReply struct {
 	Epoch int64
 }
 
-// MigrateUnit ships one unit's folded state during a demand-driven
-// migration round: the coordinator froze the unit via CollectState,
-// folded the cut, and installs it at every site with the unit's new
-// demand home. Handling mirrors InstallState (exactly-once under the
-// round grant), so a coordinator death mid-migration aborts or repairs
-// like any round.
-type MigrateUnit struct {
-	Round RoundID
-	Clock int64
-	// Unit is the migrating unit.
-	Unit int
-	// To is the unit's new demand home: the site the repaired treaty
-	// configuration concentrates slack on.
-	To     int
-	Objs   []lang.ObjID
-	Folded lang.Database
-}
-
-// MigrateReply acknowledges a MigrateUnit with the peer's epoch.
-type MigrateReply struct {
-	Clock int64
-	Epoch int64
-}
-
 // ErrBusy is returned by a Node refusing CollectState because one of the
 // round's units is already negotiating. The coordinator aborts the round,
 // backs off, and retries.
@@ -280,9 +262,6 @@ type Node interface {
 	JoinSite(m JoinSite) (JoinReply, error)
 	// DrainSite marks the drained site gone and bumps the epoch.
 	DrainSite(m DrainSite) (DrainReply, error)
-	// MigrateUnit installs a migrating unit's folded state (exactly-once
-	// under the round grant, like InstallState).
-	MigrateUnit(m MigrateUnit) (MigrateReply, error)
 }
 
 // Transport ships the coordinator's messages to every site's Node and
@@ -332,11 +311,6 @@ type Transport interface {
 	// Drain announces a drained site to every member except from (the
 	// drained site itself) and gathers the acks, indexed by site.
 	Drain(p rt.Proc, from int, m DrainSite) ([]DrainReply, error)
-
-	// Migrate delivers a migrating unit's folded state to every member
-	// site (from included, handled locally) and gathers the acks,
-	// indexed by site.
-	Migrate(p rt.Proc, from int, m MigrateUnit) ([]MigrateReply, error)
 
 	// AddSite grows the transport by one site at the next index: Local
 	// gains the node, HTTP gains the peer address. Call under the site

@@ -85,9 +85,6 @@ func (chargeNode) JoinSite(fabric.JoinSite) (fabric.JoinReply, error) {
 func (chargeNode) DrainSite(fabric.DrainSite) (fabric.DrainReply, error) {
 	return fabric.DrainReply{}, nil
 }
-func (chargeNode) MigrateUnit(fabric.MigrateUnit) (fabric.MigrateReply, error) {
-	return fabric.MigrateReply{}, nil
-}
 
 // TestLocalLatencyMatchesTopology pins the Local transport's virtual-time
 // charges — the property the experiment goldens depend on: Collect and

@@ -50,7 +50,6 @@ type StubNode struct {
 	Rejoins  []fabric.Rejoin
 	Joins    []fabric.JoinSite
 	Drains   []fabric.DrainSite
-	Migrates []fabric.MigrateUnit
 
 	// CollectErr, when set, makes CollectState fail with it.
 	CollectErr error
@@ -148,15 +147,6 @@ func (s *StubNode) DrainSite(m fabric.DrainSite) (fabric.DrainReply, error) {
 	return fabric.DrainReply{Clock: m.Clock + int64(s.Site) + 1, Epoch: int64(200 + s.Site)}, nil
 }
 
-// MigrateUnit implements fabric.Node: it records the install and replies
-// with a deterministic epoch.
-func (s *StubNode) MigrateUnit(m fabric.MigrateUnit) (fabric.MigrateReply, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.Migrates = append(s.Migrates, m)
-	return fabric.MigrateReply{Clock: m.Clock + int64(s.Site) + 1, Epoch: int64(300 + s.Site)}, nil
-}
-
 // Snapshot returns copies of the recorded messages.
 func (s *StubNode) Snapshot() (c []fabric.CollectState, i []fabric.InstallState, t []fabric.InstallTreaties, a []fabric.AbortRound) {
 	s.mu.Lock()
@@ -177,7 +167,6 @@ func Run(t *testing.T, mk Factory) {
 	t.Run("RejoinHandshake", func(t *testing.T) { testRejoin(t, mk(t, 3)) })
 	t.Run("JoinHandshake", func(t *testing.T) { testJoin(t, mk(t, 3)) })
 	t.Run("DrainBroadcast", func(t *testing.T) { testDrain(t, mk(t, 3)) })
-	t.Run("MigrateDelivery", func(t *testing.T) { testMigrate(t, mk(t, 3)) })
 }
 
 func round(site int) fabric.RoundID { return fabric.RoundID{Site: site, Seq: 7} }
@@ -483,45 +472,6 @@ func testDrain(t *testing.T, h *Harness) {
 	}
 	if replies[2].Clock != 0 || replies[2].Epoch != 0 {
 		t.Errorf("the drained site's own reply slot is non-zero: %+v", replies[2])
-	}
-}
-
-// testMigrate checks migration delivery: every member site (the
-// coordinator included) receives the folded cut with the new demand home
-// intact, and the epoch acks are indexed by site.
-func testMigrate(t *testing.T, h *Harness) {
-	folded := lang.Database{"stock_1": 19, "stock_2": -4}
-	m := fabric.MigrateUnit{
-		Round: round(0), Clock: 11, Unit: 5, To: 2,
-		Objs: []lang.ObjID{"stock_1", "stock_2"}, Folded: folded,
-	}
-	var replies []fabric.MigrateReply
-	var err error
-	h.Exec(func(p rt.Proc) { replies, err = h.Transport.Migrate(p, 0, m) })
-	if err != nil {
-		t.Fatalf("Migrate: %v", err)
-	}
-	if len(replies) != len(h.Nodes) {
-		t.Fatalf("Migrate returned %d replies, want %d", len(replies), len(h.Nodes))
-	}
-	for site, n := range h.Nodes {
-		n.mu.Lock()
-		ms := append([]fabric.MigrateUnit(nil), n.Migrates...)
-		n.mu.Unlock()
-		if len(ms) != 1 {
-			t.Fatalf("site %d handled %d migrates, want 1", site, len(ms))
-		}
-		got := ms[0]
-		if got.Round != round(0) || got.Clock != 11 || got.Unit != 5 || got.To != 2 {
-			t.Errorf("site %d migrate header = %+v", site, got)
-		}
-		if fmt.Sprint(got.Objs) != fmt.Sprint(m.Objs) || !got.Folded.Equal(folded) {
-			t.Errorf("site %d migrate payload: objs=%v folded=%v", site, got.Objs, got.Folded)
-		}
-		rep := replies[site]
-		if rep.Clock != int64(11+site+1) || rep.Epoch != int64(300+site) {
-			t.Errorf("site %d migrate ack = %+v", site, rep)
-		}
 	}
 }
 

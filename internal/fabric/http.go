@@ -275,13 +275,6 @@ func (t *HTTP) Drain(p rt.Proc, from int, m DrainSite) ([]DrainReply, error) {
 		noErr(DrainToWire), Node.DrainSite, drainReplyFromWire)
 }
 
-// Migrate delivers a migrating unit's folded state to every member site
-// and gathers the acks.
-func (t *HTTP) Migrate(p rt.Proc, from int, m MigrateUnit) ([]MigrateReply, error) {
-	return exchange(t, p, "migrate", everySite, []MigrateUnit{m},
-		noErr(MigrateToWire), Node.MigrateUnit, migrateReplyFromWire)
-}
-
 // bufPool recycles the request/response buffers of the peer surface, so
 // a round trip does not allocate a body per message.
 var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
@@ -364,7 +357,6 @@ func NewPeerHandler(node Node, exec func(func()), token string) http.Handler {
 	mux.HandleFunc("/v1/peer/rejoin", serve(h, noErr(RejoinFromWire), Node.Rejoin, RejoinReplyToWire))
 	mux.HandleFunc("/v1/peer/join", serve(h, noErr(JoinFromWire), Node.JoinSite, JoinReplyToWire))
 	mux.HandleFunc("/v1/peer/drain", serve(h, noErr(DrainFromWire), Node.DrainSite, drainReplyToWire))
-	mux.HandleFunc("/v1/peer/migrate", serve(h, noErr(MigrateFromWire), Node.MigrateUnit, migrateReplyToWire))
 	return mux
 }
 
@@ -712,32 +704,6 @@ func drainReplyToWire(m DrainReply) wire.PeerDrainReply {
 
 func drainReplyFromWire(w wire.PeerDrainReply) DrainReply {
 	return DrainReply{Clock: w.Clock, Epoch: w.Epoch}
-}
-
-// MigrateToWire encodes a MigrateUnit install.
-func MigrateToWire(m MigrateUnit) wire.PeerMigrate {
-	return wire.PeerMigrate{
-		From: m.Round.Site, Round: m.Round.Seq, Clock: m.Clock,
-		Unit: m.Unit, To: m.To,
-		Objs: objsToWire(m.Objs), Folded: dbToWire(m.Folded),
-	}
-}
-
-// MigrateFromWire decodes a MigrateUnit install.
-func MigrateFromWire(w wire.PeerMigrate) MigrateUnit {
-	return MigrateUnit{
-		Round: RoundID{Site: w.From, Seq: w.Round}, Clock: w.Clock,
-		Unit: w.Unit, To: w.To,
-		Objs: objsFromWire(w.Objs), Folded: dbFromWire(w.Folded),
-	}
-}
-
-func migrateReplyToWire(m MigrateReply) wire.PeerMigrateReply {
-	return wire.PeerMigrateReply{Clock: m.Clock, Epoch: m.Epoch}
-}
-
-func migrateReplyFromWire(w wire.PeerMigrateReply) MigrateReply {
-	return MigrateReply{Clock: w.Clock, Epoch: w.Epoch}
 }
 
 func opToWire(op lia.RelOp) string {

@@ -174,24 +174,6 @@ func (l *Local) Drain(p rt.Proc, from int, m DrainSite) ([]DrainReply, error) {
 	return replies, nil
 }
 
-// Migrate delivers the migrating unit's folded state everywhere. Like
-// Install, the state travels with the round already paid for, so no
-// additional latency is charged.
-func (l *Local) Migrate(p rt.Proc, from int, m MigrateUnit) ([]MigrateReply, error) {
-	replies := make([]MigrateReply, len(l.nodes))
-	for k, n := range l.nodes {
-		if l.gone[k] {
-			continue
-		}
-		rep, err := n.MigrateUnit(m)
-		if err != nil {
-			return nil, &SiteError{Site: k, Err: err}
-		}
-		replies[k] = rep
-	}
-	return replies, nil
-}
-
 // Abort releases the round everywhere. In-process rounds only abort on a
 // coordinator bug (the Local transport cannot fail mid-round), so no
 // latency is modeled.

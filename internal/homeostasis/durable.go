@@ -325,20 +325,13 @@ func (sys *System) RejoinFabric(p rt.Proc) error {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
-	st := sys.Stores[sys.self]
-	n := sys.Opts.Topo.NSites()
 	for _, id := range ids {
 		if id < 0 || id >= len(sys.Units) {
 			continue
 		}
 		ru := best[id]
 		u := sys.Units[id]
-		for _, obj := range u.objects {
-			st.Apply(obj, ru.Base.Get(obj))
-			for k := 0; k < n; k++ {
-				st.Apply(lang.DeltaObj(obj, k), 0)
-			}
-		}
+		sys.installFolded(sys.self, u.objects, ru.Base, nil)
 		if ru.Version > u.version {
 			u.version = ru.Version
 		}

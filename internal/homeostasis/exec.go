@@ -350,7 +350,7 @@ func (sys *System) execHomeo(p rt.Proc, site int, req workload.Request) (ExecRes
 			}
 			continue
 		}
-		winLog, negErr := sys.negotiate(p, site, units, req)
+		winLog, negErr := sys.negotiate(p, site, units, req, nil)
 		if negErr != nil {
 			if errors.Is(negErr, fabric.ErrBusy) {
 				// A coordinator in another process holds (some of) the
@@ -519,10 +519,19 @@ func (sys *System) wakeUnitWaiters(u *unitState) {
 // coordinator holds some of the units and nothing was committed — the
 // caller backs off and retries.
 //
+// It is the only coordinator: a drain absorb and a unit migration are the
+// same round without a winner (a request with only Units set). Such a
+// round folds and installs the units' state and renegotiates their
+// treaties, and skips what belongs to T': no apply, no WinnerCommit, no
+// commit-log entry, no co-winners, no execution charge, no violation
+// sample. weights, when set, replaces the slack weights of the treaty
+// build (a migration concentrates the slack at the unit's new home).
+//
 //homeo:externalizes
-func (sys *System) negotiate(p rt.Proc, site int, units []*unitState, req workload.Request) ([]int64, error) {
+func (sys *System) negotiate(p rt.Proc, site int, units []*unitState, req workload.Request, weights []int64) ([]int64, error) {
+	winner := req.Apply != nil
 	var neg *negotiation
-	if sys.batching() && sys.self < 0 {
+	if winner && sys.batching() && sys.self < 0 {
 		// Batched renegotiation needs the joiners' footprints in the
 		// round-1 fold; in a multi-process cluster remote violators
 		// cannot join an in-flight round, so batching stays in-process.
@@ -552,13 +561,11 @@ func (sys *System) negotiate(p rt.Proc, site int, units []*unitState, req worklo
 	}
 	joiners, objs := rs.joiners, rs.objs
 
-	// Fold the footprint: the base value from the local replica
-	// (replicated, identical at every site between rounds) plus every
-	// site's own delta from its reply.
-	base := sys.Stores[0]
-	if sys.self >= 0 {
-		base = sys.Stores[sys.self]
-	}
+	// Fold the footprint: the base value from the coordinating site's own
+	// replica (replicated, identical at every member between rounds — a
+	// gone site's copy stops at its absorb) plus every site's own delta
+	// from its reply.
+	base := sys.Stores[site]
 	n := sys.Opts.Topo.NSites()
 	folded := rs.folded
 	for _, obj := range objs {
@@ -574,7 +581,10 @@ func (sys *System) negotiate(p rt.Proc, site int, units []*unitState, req worklo
 
 	// Execute T' on the consolidated state, in place, then the co-winners
 	// in registration order (the serial order the commit log records).
-	txnLog := req.Apply(folded, req.Args)
+	var txnLog []int64
+	if winner {
+		txnLog = req.Apply(folded, req.Args)
+	}
 	joinerLogs := rs.joinerLogs[:0]
 	for _, j := range joiners {
 		joinerLogs = append(joinerLogs, j.req.Apply(folded, j.req.Args))
@@ -590,28 +600,25 @@ func (sys *System) negotiate(p rt.Proc, site int, units []*unitState, req worklo
 	// clock shipped here is T''s commit point, so every post-round commit
 	// at a peer orders after the batch in a merged log.
 	clk := sys.tickClock()
-	rs.winner = fabric.WinnerCommit{Class: req.Name, Args: req.Args, Site: site, Units: req.Units, Log: txnLog}
-	install := fabric.InstallState{Round: rid, Clock: clk, Objs: objs, Folded: folded, Winner: &rs.winner}
-	if ierr := sys.fab.Install(p, site, install); ierr != nil {
-		// The fold is already computed and T' applied, so the batch must
-		// commit; over the network fabric, retry the scatter once (sites
-		// track per-round installs, so re-delivery to a site that already
-		// applied is a no-op). A peer that still misses the install has a
-		// diverged partition until its next successful round on these
-		// units consolidates it — the counter surfaces that a replay
-		// check may flag the window.
-		if sys.self >= 0 {
-			ierr = sys.fab.Install(p, site, install)
-		}
-		if ierr != nil {
-			sys.Col.RecordFabricError()
-		}
+	install := fabric.InstallState{Round: rid, Clock: clk, Objs: objs, Folded: folded}
+	if winner {
+		rs.winner = fabric.WinnerCommit{Class: req.Name, Args: req.Args, Site: site, Units: req.Units, Log: txnLog}
+		install.Winner = &rs.winner
 	}
+	// The fold is already computed and T' applied, so the batch must
+	// commit whatever the scatter reports: sites track per-round installs,
+	// so the retry's re-delivery to a site that already applied is a no-op,
+	// and a peer that still misses the install has a diverged partition
+	// until its next successful round on these units consolidates it — the
+	// counter surfaces that a replay check may flag the window.
+	_ = sys.scatterTwice(func() error { return sys.fab.Install(p, site, install) })
 	comm1 := rt.Duration(p.Now() - commStart)
 	// The batch is now committed at every site: log it before any further
 	// park point so a deadline cancellation cannot leave it applied-but-
 	// unlogged.
-	sys.logCommitClock(clk, req, site, txnLog, &rid)
+	if winner {
+		sys.logCommitClock(clk, req, site, txnLog, &rid)
+	}
 	for i, j := range joiners {
 		sys.logCommit(j.req, j.site, joinerLogs[i])
 		j.log = joinerLogs[i]
@@ -628,7 +635,7 @@ func (sys *System) negotiate(p rt.Proc, site int, units []*unitState, req worklo
 	// consolidated state is never exposed half-built across a park
 	// point. The simulator's default keeps the seed model instead —
 	// the cost appears in the violation breakdown only (see Options).
-	if sys.Opts.CleanupExec {
+	if winner && sys.Opts.CleanupExec {
 		cpu := sys.CPUs[site]
 		cpu.Acquire(p)
 		p.Sleep(rt.Duration(1+len(joiners)) * sys.Opts.LocalExecTime)
@@ -654,7 +661,7 @@ func (sys *System) negotiate(p rt.Proc, site int, units []*unitState, req worklo
 		for _, obj := range u.objects {
 			unitFolded[obj] = folded[obj]
 		}
-		locals, gerr := sys.buildTreaties(u, unitFolded)
+		locals, gerr := sys.buildTreaties(u, unitFolded, weights)
 		if gerr != nil {
 			// The batch already committed: degrade this unit to safe pin
 			// treaties (every next write synchronizes and retries real
@@ -682,20 +689,12 @@ func (sys *System) negotiate(p rt.Proc, site int, units []*unitState, req worklo
 	for k := range installs {
 		installs[k].Clock = c2
 	}
-	if derr := sys.fab.Distribute(p, site, installs); derr != nil {
-		// Over the network fabric, retry once: treaty installs are
-		// idempotent (version-guarded) and a remote close of an
-		// already-closed round is a no-op. A peer that still misses
-		// round 2 stays frozen until its grant expires, then degrades
-		// those units to local pin treaties (see scheduleGrantExpiry)
-		// instead of resuming on stale ones.
-		if sys.self >= 0 {
-			derr = sys.fab.Distribute(p, site, installs)
-		}
-		if derr != nil {
-			sys.Col.RecordFabricError()
-		}
-	}
+	// Treaty installs are idempotent (version-guarded) and a remote close
+	// of an already-closed round is a no-op. A peer that still misses round
+	// 2 stays frozen until its grant expires, then degrades those units to
+	// local pin treaties (see scheduleGrantExpiry) instead of resuming on
+	// stale ones.
+	_ = sys.scatterTwice(func() error { return sys.fab.Distribute(p, site, installs) })
 	comm2 := rt.Duration(p.Now() - comm2Start)
 
 	delete(sys.rounds, rid)
@@ -705,7 +704,7 @@ func (sys *System) negotiate(p rt.Proc, site int, units []*unitState, req worklo
 		u.neg = nil
 		sys.wakeUnitWaiters(u)
 	}
-	if sys.Col.Measuring {
+	if winner && sys.Col.Measuring {
 		// The exec component is the winner's service time; co-winners are
 		// counted by the collector's CoWinnerCommits, not here, so the
 		// per-violation averages of Figure 24 keep their meaning.
@@ -713,6 +712,21 @@ func (sys *System) negotiate(p rt.Proc, site int, units []*unitState, req worklo
 		sys.Col.RecordNegotiation(comm1 + comm2)
 	}
 	return txnLog, nil
+}
+
+// scatterTwice sends an idempotent scatter, once more over the network
+// fabric if the first delivery failed (in-process the Local transport
+// cannot fail in transit, so a failure there is final), and counts a
+// fabric error if the retry failed too.
+func (sys *System) scatterTwice(send func() error) error {
+	err := send()
+	if err != nil && sys.self >= 0 {
+		err = send()
+	}
+	if err != nil {
+		sys.Col.RecordFabricError()
+	}
+	return err
 }
 
 // abortRound unwinds a locally coordinated round whose round-1 collect

@@ -25,6 +25,9 @@ import (
 // coordinator role rotates to the violating site), then the test checks:
 //
 //   - both sites synced at least once (rounds actually crossed the wire),
+//   - a unit migration coordinated by site 0 and then the drain of site 1,
+//     coordinated by site 1, complete: winnerless rounds cross the wire in
+//     both directions too,
 //   - the per-site partitions fold to a consistent database,
 //   - the merged commit log (Lamport order) replays to that database —
 //     the multi-process form of Theorem 3.8.
@@ -96,7 +99,23 @@ func TestMultiProcessFabric(t *testing.T) {
 		}
 	}
 	wg.Wait()
+
+	// Winnerless rounds over the same wire: re-home a unit at site 1, then
+	// retire site 1, which absorbs every unit's deltas into the base.
+	runOn := func(k int, what string, fn func(p rt.Proc) error) {
+		t.Helper()
+		done := make(chan error, 1)
+		lives[k].Spawn(nSites*clients+k, func(p rt.Proc) { done <- fn(p) })
+		if err := <-done; err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+	runOn(0, "migrate unit 0 to site 1", func(p rt.Proc) error { return systems[0].Migrate(p, 0, 0, 1) })
+	runOn(1, "drain site 1", func(p rt.Proc) error { return systems[1].Drain(p, 1) })
 	for k := 0; k < nSites; k++ {
+		if got := systems[k].SiteStatusName(1); got != "gone" {
+			t.Errorf("site %d sees site 1 as %q after its drain, want gone", k, got)
+		}
 		lives[k].Drain()
 	}
 

@@ -14,7 +14,6 @@ package homeostasis
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/fabric"
 	"repro/internal/lang"
@@ -24,6 +23,7 @@ import (
 	"repro/internal/store"
 	"repro/internal/treaty"
 	"repro/internal/wal"
+	"repro/internal/workload"
 )
 
 // siteStatus is one site's membership state. Statuses only move forward
@@ -289,31 +289,12 @@ func (n *siteNode) JoinSite(m fabric.JoinSite) (fabric.JoinReply, error) {
 		if m.Site != sys.Opts.Topo.NSites() {
 			return fabric.JoinReply{}, fmt.Errorf("homeostasis: joiner index %d does not match cluster width %d", m.Site, sys.Opts.Topo.NSites())
 		}
-		g := sys.rounds[m.Round]
-		if g == nil {
-			for _, u := range sys.Units {
-				if u.negotiating {
-					return fabric.JoinReply{}, fabric.ErrBusy
-				}
-			}
-			ids := make([]int, len(sys.Units))
-			for i := range ids {
-				ids[i] = i
-			}
-			g = &roundGrant{units: ids, remote: true}
-			for _, u := range sys.Units {
-				u.negotiating = true
-			}
-			sys.rounds[m.Round] = g
-			sys.scheduleGrantExpiry(m.Round)
+		ids := make([]int, len(sys.Units))
+		for i := range ids {
+			ids[i] = i
 		}
-		// Quiesce: an execution already past its Begin could commit after
-		// this reply, and the joiner's cut would miss the write. Refuse
-		// until quiet; the joiner aborts, backs off, and retries.
-		for _, u := range sys.Units {
-			if u.inflight > 0 {
-				return fabric.JoinReply{}, fabric.ErrBusy
-			}
+		if _, err := sys.grantRound(m.Round, ids); err != nil {
+			return fabric.JoinReply{}, err
 		}
 		st := sys.Stores[n.site]
 		rep := fabric.JoinReply{Epoch: sys.epoch, Units: make([]fabric.JoinUnit, 0, len(sys.Units))}
@@ -367,16 +348,6 @@ func (n *siteNode) DrainSite(m fabric.DrainSite) (fabric.DrainReply, error) {
 	return fabric.DrainReply{Clock: sys.tickClock(), Epoch: sys.epoch}, nil
 }
 
-// MigrateUnit installs a migrating unit's folded state. The handling is
-// exactly a winnerless InstallState — exactly-once under the round
-// grant, drift carry, durable install record — so a coordinator death
-// mid-migration aborts or repairs like any round; the reply additionally
-// reports the membership epoch.
-func (n *siteNode) MigrateUnit(m fabric.MigrateUnit) (fabric.MigrateReply, error) {
-	err := n.InstallState(fabric.InstallState{Round: m.Round, Clock: m.Clock, Objs: m.Objs, Folded: m.Folded})
-	return fabric.MigrateReply{Clock: n.sys.tickClock(), Epoch: n.sys.epoch}, err
-}
-
 // JoinCluster admits a site into the running cluster, coordinated by the
 // joining side. In a multi-process deployment the caller is a fresh
 // process booted at width n+1 with self = n; in-process (self < 0) the
@@ -427,19 +398,12 @@ func (sys *System) JoinCluster(p rt.Proc, addr string) (int, error) {
 		if sys.self < 0 && sys.Opts.Topo.NSites() <= joiner {
 			sys.growSystem(addr)
 		}
-		st := sys.Stores[joiner]
-		n := sys.Opts.Topo.NSites()
 		for _, ju := range cut {
 			if ju.Unit < 0 || ju.Unit >= len(sys.Units) {
 				continue
 			}
 			u := sys.Units[ju.Unit]
-			for _, obj := range u.objects {
-				st.Apply(obj, ju.Base.Get(obj))
-				for k := 0; k < n; k++ {
-					st.Apply(lang.DeltaObj(obj, k), 0)
-				}
-			}
+			sys.installFolded(joiner, u.objects, ju.Base, nil)
 			if ju.Version > u.version {
 				u.version = ju.Version
 			}
@@ -454,19 +418,15 @@ func (sys *System) JoinCluster(p rt.Proc, addr string) (int, error) {
 		act := prep
 		act.Phase = fabric.JoinActivate
 		act.Clock = sys.tickClock()
-		acts, aerr := sys.fab.Join(p, joiner, act)
-		if aerr != nil {
-			// Activation is idempotent (width-guarded): retry once over
-			// the network. A peer that misses both deliveries unfreezes
-			// via grant expiry and refuses the joiner's rounds until the
-			// join is re-driven.
-			if sys.self >= 0 {
-				acts, aerr = sys.fab.Join(p, joiner, act)
-			}
-			if aerr != nil {
-				sys.Col.RecordFabricError()
-				return -1, fmt.Errorf("homeostasis: join activate: %w", aerr)
-			}
+		// Activation is idempotent (width-guarded). A peer that misses both
+		// deliveries unfreezes via grant expiry and refuses the joiner's
+		// rounds until the join is re-driven.
+		var acts []fabric.JoinReply
+		if aerr := sys.scatterTwice(func() (err error) {
+			acts, err = sys.fab.Join(p, joiner, act)
+			return err
+		}); aerr != nil {
+			return -1, fmt.Errorf("homeostasis: join activate: %w", aerr)
 		}
 		for k := range acts {
 			sys.observeClock(acts[k].Clock)
@@ -501,33 +461,21 @@ func (sys *System) Drain(p rt.Proc, site int) error {
 	// in-flight ones finish under the treaty protocol before each unit's
 	// absorb round collects (the round-1 quiesce refuses while inflight).
 	sys.status[site] = siteDraining
-	backoff := int64(sys.Opts.LocalExecTime)
 	for _, u := range sys.Units {
 		if len(u.locals) == 0 {
 			continue
 		}
-		for attempt := 0; ; attempt++ {
-			sys.waitForUnit(p, u)
-			err := sys.syncUnit(p, site, u, -1)
-			if err == nil {
-				break
-			}
-			if !errors.Is(err, fabric.ErrBusy) || attempt >= 20 {
-				return fmt.Errorf("homeostasis: drain absorb of unit %d: %w", u.id, err)
-			}
-			p.Sleep(rt.Duration(backoff*int64(site+1) + sys.E.Rand().Int63n(backoff*4+1)))
+		if err := sys.winnerlessRound(p, site, u, nil); err != nil {
+			return fmt.Errorf("homeostasis: drain absorb of unit %d: %w", u.id, err)
 		}
 	}
 	m := fabric.DrainSite{Site: site, Clock: sys.tickClock()}
-	replies, err := sys.fab.Drain(p, site, m)
-	if err != nil {
-		if sys.self >= 0 {
-			replies, err = sys.fab.Drain(p, site, m)
-		}
-		if err != nil {
-			sys.Col.RecordFabricError()
-			return fmt.Errorf("homeostasis: drain broadcast: %w", err)
-		}
+	var replies []fabric.DrainReply
+	if err := sys.scatterTwice(func() (err error) {
+		replies, err = sys.fab.Drain(p, site, m)
+		return err
+	}); err != nil {
+		return fmt.Errorf("homeostasis: drain broadcast: %w", err)
 	}
 	for k := range replies {
 		sys.observeClock(replies[k].Clock)
@@ -566,11 +514,8 @@ func (sys *System) DemandHome(unit int) int {
 	return best
 }
 
-// Migrate re-homes one unit's treaty slack at a new owner site: freeze
-// and fold via an ordinary round-1 collect, ship the fold with a
-// MigrateUnit broadcast (exactly-once under the round grant, like
-// InstallState), and repair the treaty configuration so the new owner
-// concentrates the slack. Busy rounds are retried with backoff.
+// Migrate re-homes one unit's treaty slack at a new owner site through a
+// winnerless round whose treaty build concentrates the slack there.
 func (sys *System) Migrate(p rt.Proc, site, unit, to int) error {
 	if unit < 0 || unit >= len(sys.Units) {
 		return fmt.Errorf("homeostasis: migrate of unknown unit %d", unit)
@@ -585,156 +530,27 @@ func (sys *System) Migrate(p rt.Proc, site, unit, to int) error {
 	if len(u.locals) == 0 {
 		return fmt.Errorf("homeostasis: unit %d carries no treaties under mode %v", unit, sys.Opts.Mode)
 	}
-	backoff := int64(sys.Opts.LocalExecTime)
-	for attempt := 0; ; attempt++ {
-		sys.waitForUnit(p, u)
-		err := sys.syncUnit(p, site, u, to)
-		if err == nil {
-			return nil
-		}
-		if !errors.Is(err, fabric.ErrBusy) || attempt >= 20 {
-			return fmt.Errorf("homeostasis: migrate unit %d to site %d: %w", unit, to, err)
-		}
-		p.Sleep(rt.Duration(backoff*int64(site+1) + sys.E.Rand().Int63n(backoff*4+1)))
+	weights := make([]int64, sys.Opts.Topo.NSites())
+	weights[to] = 1
+	if err := sys.winnerlessRound(p, site, u, weights); err != nil {
+		return fmt.Errorf("homeostasis: migrate unit %d to site %d: %w", unit, to, err)
 	}
-}
-
-// syncUnit runs one winnerless synchronization round over a single unit:
-// freeze, collect the cut, fold, install the fold everywhere (a
-// MigrateUnit broadcast when the unit is moving to a new demand home at
-// to >= 0, a plain winnerless InstallState during a drain absorb), then
-// rebuild the unit's treaties with membership-aware slack weights and
-// distribute them. The caller has waited the unit idle; fabric.ErrBusy
-// means a competing round won the freeze and nothing changed.
-func (sys *System) syncUnit(p rt.Proc, site int, u *unitState, to int) error {
-	if u.negotiating {
-		return fabric.ErrBusy
-	}
-	u.negotiating = true
-	units := []*unitState{u}
-	ids := []int{u.id}
-	rid := sys.newRound(site, ids, &roundGrant{})
-	var objs []lang.ObjID
-	mkMsg := func() fabric.CollectState {
-		objs = append([]lang.ObjID(nil), u.objects...)
-		sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
-		return fabric.CollectState{Round: rid, Clock: sys.tickClock(), Units: ids, Objs: objs}
-	}
-	replies, err := sys.fab.Collect(p, site, mkMsg)
-	if err != nil {
-		sys.abortRound(p, site, rid, units)
-		return err
-	}
-	base := sys.Stores[0]
-	if sys.self >= 0 {
-		base = sys.Stores[sys.self]
-	}
-	n := sys.Opts.Topo.NSites()
-	folded := lang.Database{}
-	for _, obj := range objs {
-		v := base.Get(obj)
-		for k := 0; k < n; k++ {
-			v += replies[k].Values.Get(sys.deltaName(obj, k))
-		}
-		folded[obj] = v
-	}
-	for _, rep := range replies {
-		sys.observeClock(rep.Clock)
-	}
-	clk := sys.tickClock()
-	if to >= 0 {
-		m := fabric.MigrateUnit{Round: rid, Clock: clk, Unit: u.id, To: to, Objs: objs, Folded: folded}
-		if _, merr := sys.fab.Migrate(p, site, m); merr != nil {
-			// Re-delivery to a site that already installed is a no-op
-			// (grant-tracked), so the scatter retries once over the
-			// network; see negotiate for the remaining-divergence story.
-			if sys.self >= 0 {
-				_, merr = sys.fab.Migrate(p, site, m)
-			}
-			if merr != nil {
-				sys.Col.RecordFabricError()
-			}
-		}
-	} else {
-		install := fabric.InstallState{Round: rid, Clock: clk, Objs: objs, Folded: folded}
-		if ierr := sys.fab.Install(p, site, install); ierr != nil {
-			if sys.self >= 0 {
-				ierr = sys.fab.Install(p, site, install)
-			}
-			if ierr != nil {
-				sys.Col.RecordFabricError()
-			}
-		}
-	}
-	sys.walFlush(site)
-	// Treaty repair: slack concentrated at the migration target, or split
-	// over the surviving membership during a drain absorb.
-	p.Sleep(sys.solverTime())
-	var weights []int64
-	if to >= 0 {
-		weights = make([]int64, n)
-		weights[to] = 1
-	} else {
-		weights = sys.membershipWeights(nil)
-	}
-	locals, gerr := sys.buildTreatiesFor(u, folded, weights)
-	if gerr != nil {
-		sys.Col.RecordTreatyGenFailure()
-		locals, gerr = sys.buildPinTreaties(u, folded)
-	}
-	c2 := sys.tickClock()
-	installs := make([]fabric.InstallTreaties, n)
-	for k := range installs {
-		installs[k] = fabric.InstallTreaties{Round: rid, Site: k, Clock: c2}
-	}
-	if gerr == nil {
-		v := u.version + 1
-		for k := 0; k < n; k++ {
-			installs[k].Units = append(installs[k].Units, fabric.UnitTreaty{Unit: u.id, Version: v, Local: locals[k]})
-		}
-	}
-	u.resetDemand()
-	if derr := sys.fab.Distribute(p, site, installs); derr != nil {
-		if sys.self >= 0 {
-			derr = sys.fab.Distribute(p, site, installs)
-		}
-		if derr != nil {
-			sys.Col.RecordFabricError()
-		}
-	}
-	delete(sys.rounds, rid)
-	u.negotiating = false
-	u.neg = nil
-	sys.wakeUnitWaiters(u)
 	return nil
 }
 
-// buildTreatiesFor builds the unit's locals with an explicit slack
-// weight vector through the adaptive allocator. Configurations are
-// memoized under the isomorphism key extended with the weight vector, so
-// repairing a migrated or drained unit's treaty is incremental: units
-// with isomorphic shapes re-homed the same way share one allocation.
-func (sys *System) buildTreatiesFor(u *unitState, folded lang.Database, weights []int64) ([]treaty.Local, error) {
-	g, err := sys.W.BuildGlobal(u.id, folded)
-	if err != nil {
-		return nil, err
+// winnerlessRound has site coordinate one round without a winner over the
+// unit (see negotiate), first waiting out any round that holds the unit and
+// backing off, as a violator does, while a coordinator in another process
+// wins the freeze.
+func (sys *System) winnerlessRound(p rt.Proc, site int, u *unitState, weights []int64) error {
+	units, req := []*unitState{u}, workload.Request{Units: []int{u.id}}
+	backoff := int64(sys.Opts.LocalExecTime)
+	for attempt := 0; ; attempt++ {
+		sys.waitForUnit(p, u)
+		_, err := sys.negotiate(p, site, units, req, weights)
+		if err == nil || !errors.Is(err, fabric.ErrBusy) || attempt >= 20 {
+			return err
+		}
+		p.Sleep(rt.Duration(backoff*int64(site+1) + sys.E.Rand().Int63n(backoff*4+1)))
 	}
-	tmpl, err := treaty.BuildTemplate(g, sys.Opts.Topo.NSites(), placement)
-	if err != nil {
-		return nil, err
-	}
-	key := sys.isoKey(g, nil, folded)
-	key.mix(0x77)
-	for _, w := range weights {
-		key.mix(uint64(w))
-	}
-	cfg, ok := sys.cfgCache[key]
-	if ok {
-		sys.CacheHits++
-	} else {
-		cfg = tmpl.AdaptiveConfig(folded, weights)
-		sys.SolverInvocations++
-		sys.cfgCache[key] = cfg
-	}
-	return tmpl.LocalTreaties(cfg)
 }

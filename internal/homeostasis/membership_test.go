@@ -140,8 +140,9 @@ func TestDrainWithInflightRound(t *testing.T) {
 }
 
 // TestMigrateCoordinatorDeathMidRound: this site received a migration's
-// state install (round 1 closed — the fold landed) and then the
-// coordinator died before distributing round 2's treaties. The failover
+// state install — a winnerless InstallState; round 1 closed, the fold
+// landed — and then the coordinator died before distributing round 2's
+// treaties. The failover
 // must keep the installed fold, release the round, append nothing to the
 // commit log (migrations are winnerless), pin the unit so it
 // renegotiates from the moved base, and leave the membership epoch
@@ -160,8 +161,8 @@ func TestMigrateCoordinatorDeathMidRound(t *testing.T) {
 	for _, obj := range u.objects {
 		folded[obj] = 55
 	}
-	if _, err := node.MigrateUnit(fabric.MigrateUnit{
-		Round: rid, Clock: 20, Unit: u.id, To: 2, Objs: u.objects, Folded: folded,
+	if err := node.InstallState(fabric.InstallState{
+		Round: rid, Clock: 20, Objs: u.objects, Folded: folded,
 	}); err != nil {
 		t.Fatal(err)
 	}

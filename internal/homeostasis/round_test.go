@@ -1,6 +1,8 @@
 package homeostasis
 
 import (
+	"errors"
+	"os"
 	"slices"
 	"testing"
 
@@ -10,6 +12,7 @@ import (
 	"repro/internal/micro"
 	"repro/internal/rt"
 	"repro/internal/sim"
+	"repro/internal/wal"
 )
 
 // roundRecord is what one round shipped, copied when it was delivered.
@@ -17,6 +20,7 @@ type roundRecord struct {
 	units  []int
 	objs   []lang.ObjID
 	folded lang.Database
+	winner bool
 }
 
 // recordingFabric wraps the in-process transport and keeps a copy of the
@@ -47,7 +51,7 @@ func (r *recordingFabric) Collect(p rt.Proc, from int, mkMsg func() fabric.Colle
 }
 
 func (r *recordingFabric) Install(p rt.Proc, from int, m fabric.InstallState) error {
-	r.installs = append(r.installs, roundRecord{objs: slices.Clone(m.Objs), folded: m.Folded.Clone()})
+	r.installs = append(r.installs, roundRecord{objs: slices.Clone(m.Objs), folded: m.Folded.Clone(), winner: m.Winner != nil})
 	return r.Transport.Install(p, from, m)
 }
 
@@ -93,9 +97,10 @@ func checkRound(t *testing.T, what string, got roundRecord, items ...int) {
 // TestRoundScratchIsolation drives rounds whose coordinator state comes
 // from one reused scratch and checks that none sees another's: two
 // back-to-back rounds on different units, a two-unit round (the merged
-// footprint) followed by a one-unit one, and a round refused busy after
-// its message was built, whose retry must find the scratch as good as
-// new. The second half lets clients at both sites loose with batching on,
+// footprint) followed by a one-unit one that has no winner (a migration:
+// nothing of the round before may stand in for the winner it lacks), and a
+// round refused busy after its message was built, whose retry must find the
+// scratch as good as new. The second half lets clients at both sites loose with batching on,
 // so rounds over different units interleave at their park points and
 // queued violators join rounds in flight, and checks every round the
 // same way plus the serial replay of everything committed.
@@ -127,6 +132,9 @@ func TestRoundScratchIsolation(t *testing.T) {
 		sync(p, 0)
 		sync(p, 1)
 		sync(p, 2, 3)
+		if execErr == nil {
+			execErr = sys.Migrate(p, 0, 2, 1)
+		}
 		sync(p, 4)
 		rec.refuse = 1
 		sync(p, 5)
@@ -135,7 +143,8 @@ func TestRoundScratchIsolation(t *testing.T) {
 	if execErr != nil {
 		t.Fatal(execErr)
 	}
-	rounds := [][]int{{0}, {1}, {2, 3}, {4}, {5}, {5}}
+	const migration = 3 // its place among the installs
+	rounds := [][]int{{0}, {1}, {2, 3}, {2}, {4}, {5}, {5}}
 	if len(rec.collects) != len(rounds) || len(rec.installs) != len(rounds)-1 {
 		t.Fatalf("%d collects and %d installs, want %d and %d", len(rec.collects), len(rec.installs), len(rounds), len(rounds)-1)
 	}
@@ -145,8 +154,11 @@ func TestRoundScratchIsolation(t *testing.T) {
 			t.Errorf("round %d: units %v, want %v", i, rec.collects[i].units, items)
 		}
 	}
-	for i, items := range [][]int{{0}, {1}, {2, 3}, {4}, {5}} {
+	for i, items := range [][]int{{0}, {1}, {2, 3}, {2}, {4}, {5}} {
 		checkRound(t, "scripted install", rec.installs[i], items...)
+		if got := rec.installs[i].winner; got != (i != migration) {
+			t.Errorf("install %d: carries a winner = %v", i, got)
+		}
 	}
 	if len(sys.roundFree) != 1 || len(sys.rounds) != 0 {
 		t.Errorf("%d scratches on the free list and %d rounds open after serial rounds, want 1 and 0", len(sys.roundFree), len(sys.rounds))
@@ -186,4 +198,144 @@ func items(objs []lang.ObjID) []int {
 		}
 	}
 	return out
+}
+
+// TestRoundPostconditions: a violation round, a drain's absorb rounds and
+// a migration are one procedure, so each must leave behind what the others
+// do — the units released and whoever waited on them woken, no open round,
+// the scratch scrubbed and back on the free list, every unit's treaty one
+// generation on, and in each site's WAL one install and one treaty record
+// per round. Only a winner leaves a commit and a negotiation sample.
+func TestRoundPostconditions(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		winner bool
+		units  []int // the units the case runs one round over, each
+		run    func(p rt.Proc, sys *System, w *micro.Workload) error
+	}{
+		{"winner round", true, []int{0}, func(p rt.Proc, sys *System, w *micro.Workload) error {
+			for i := 0; i < 100; i++ {
+				if res, err := sys.ExecRequest(p, 0, w.MakeRequest([]int{0})); err != nil || res.Synced {
+					return err
+				}
+			}
+			return errors.New("no purchase paid a round")
+		}},
+		{"drain absorb", false, []int{0, 1, 2, 3, 4, 5}, func(p rt.Proc, sys *System, _ *micro.Workload) error {
+			return sys.Drain(p, 1)
+		}},
+		{"migration", false, []int{3}, func(p rt.Proc, sys *System, _ *micro.Workload) error {
+			return sys.Migrate(p, 0, 3, 1)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, sys, w, _ := recordedSystem(t, Options{
+				Mode:          ModeOpt,
+				Topo:          cluster.Uniform(2, 10*rt.Millisecond),
+				CPUPerSite:    4,
+				LocalExecTime: rt.Microsecond,
+				Seed:          3,
+				EnableLog:     true,
+			})
+			dir := t.TempDir()
+			if _, err := sys.OpenWAL(dir, wal.Options{GroupWindow: -1}); err != nil {
+				t.Fatal(err)
+			}
+			sys.Col.Measuring = true
+			versions := make([]int64, len(sys.Units))
+			for i, u := range sys.Units {
+				versions[i] = u.version
+			}
+			// A process that finds a unit of the case frozen waits on it.
+			done, woken := false, 0
+			eng.Spawn(1, func(p rt.Proc) {
+				for !done {
+					for _, id := range tc.units {
+						if u := sys.Units[id]; u.negotiating {
+							sys.waitForUnit(p, u)
+							woken++
+						}
+					}
+					p.Sleep(rt.Millisecond)
+				}
+			})
+			var runErr error
+			eng.Spawn(0, func(p rt.Proc) {
+				runErr = tc.run(p, sys, w)
+				done = true
+			})
+			eng.Run()
+			if runErr != nil {
+				t.Fatal(runErr)
+			}
+
+			if woken < len(tc.units) {
+				t.Errorf("%d waits on a frozen unit returned, want one per round (%d)", woken, len(tc.units))
+			}
+			for _, u := range sys.Units {
+				if u.negotiating || u.neg != nil || len(u.waiters) != 0 {
+					t.Errorf("unit %d left frozen or waited on", u.id)
+				}
+				want := versions[u.id]
+				if slices.Contains(tc.units, u.id) {
+					want++
+				}
+				if u.version != want {
+					t.Errorf("unit %d at treaty version %d, want %d", u.id, u.version, want)
+				}
+			}
+			if len(sys.rounds) != 0 || len(sys.roundFree) != 1 {
+				t.Fatalf("%d rounds open and %d scratches free, want 0 and 1", len(sys.rounds), len(sys.roundFree))
+			}
+			rs := sys.roundFree[0]
+			if rs.neg != nil || rs.units != nil || rs.req.Units != nil || rs.req.Apply != nil || rs.joiners != nil ||
+				len(rs.objs)+len(rs.folded)+len(rs.unitFolded)+len(rs.joinerLogs) != 0 ||
+				rs.winner.Class != "" || rs.winner.Units != nil || rs.grant.units != nil || rs.grant.winner != nil {
+				t.Errorf("the scratch came back holding its round: %+v", rs)
+			}
+			for k := range rs.installs {
+				if len(rs.installs[k].Units) != 0 {
+					t.Errorf("the scratch came back holding site %d's treaties", k)
+				}
+			}
+
+			roundCommits := 0
+			for _, c := range sys.CommitLog {
+				if c.Round != nil {
+					roundCommits++
+				}
+			}
+			wantCommits := 0
+			if tc.winner {
+				wantCommits = 1
+			}
+			if roundCommits != wantCommits || sys.Col.NegotiationLatency.N() != wantCommits {
+				t.Errorf("%d round commits and %d negotiation samples, want %d of each",
+					roundCommits, sys.Col.NegotiationLatency.N(), wantCommits)
+			}
+
+			if err := sys.CloseWAL(); err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < 2; k++ {
+				data, err := os.ReadFile(walPath(dir, k))
+				if err != nil {
+					t.Fatal(err)
+				}
+				recs, _ := wal.Scan(data)
+				installs, treaties := 0, 0
+				for _, r := range recs {
+					switch r.Kind {
+					case wal.KindInstall:
+						installs++
+					case wal.KindTreaty:
+						treaties++
+					}
+				}
+				if installs != len(tc.units) || treaties != len(tc.units) {
+					t.Errorf("site %d logged %d installs and %d treaties, want %d of each", k, installs, treaties, len(tc.units))
+				}
+			}
+		})
+	}
 }

@@ -15,9 +15,11 @@ import (
 
 // This file is the site-actor half of the fabric refactor: each site
 // owns its base+delta store partition behind a siteNode that answers the
-// peer protocol's typed messages (CollectState, InstallState,
-// InstallTreaties, AbortRound) instead of being reached through cross-
-// site memory access. The coordinator half lives in exec.go (negotiate).
+// peer protocol's typed messages instead of being reached through cross-
+// site memory access: the round's CollectState, InstallState,
+// InstallTreaties and AbortRound and recovery's Rejoin here, membership's
+// JoinSite and DrainSite in membership.go. The coordinator half lives in
+// exec.go: negotiate runs every round, with or without a winner.
 
 // roundGrant tracks one synchronization round this process participates
 // in: the units it freezes and, per local site, the delta values reported
@@ -96,6 +98,42 @@ func (sys *System) newRound(site int, units []int, g *roundGrant) fabric.RoundID
 	g.units = units
 	sys.rounds[rid] = g
 	return rid
+}
+
+// grantRound is a site's answer to the first message of a round over the
+// given units: unless the round is already granted (its coordinator is
+// local and registered it before scattering, or this is a re-delivery) the
+// units are frozen under a remote grant with its expiry armed, or the round
+// is refused with ErrBusy because another one holds some of them. It then
+// refuses busy until the units are quiet: what the site replies is a
+// consistent cut of its partition, and an execution already past its Begin
+// on a frozen unit could still commit after the reply and be folded away by
+// the install. The coordinator aborts, backs off and retries; new
+// executions are parked by the negotiating flag meanwhile.
+func (sys *System) grantRound(rid fabric.RoundID, units []int) (*roundGrant, error) {
+	g := sys.rounds[rid]
+	if g == nil {
+		for _, id := range units {
+			if id < 0 || id >= len(sys.Units) {
+				return nil, fmt.Errorf("homeostasis: %v names unknown unit %d", rid, id)
+			}
+			if sys.Units[id].negotiating {
+				return nil, fabric.ErrBusy
+			}
+		}
+		g = &roundGrant{units: units, remote: true}
+		for _, id := range units {
+			sys.Units[id].negotiating = true
+		}
+		sys.rounds[rid] = g
+		sys.scheduleGrantExpiry(rid)
+	}
+	for _, id := range units {
+		if id >= 0 && id < len(sys.Units) && sys.Units[id].inflight > 0 {
+			return nil, fabric.ErrBusy
+		}
+	}
+	return g, nil
 }
 
 // closeGrant releases a granted round: clear the units' negotiating flags
@@ -258,36 +296,10 @@ type siteNode struct {
 func (n *siteNode) CollectState(m fabric.CollectState) (fabric.StateReply, error) {
 	sys := n.sys
 	sys.observeClock(m.Clock)
-	g := sys.rounds[m.Round]
-	if g == nil {
-		for _, id := range m.Units {
-			if id < 0 || id >= len(sys.Units) {
-				//homeo:noexternalize validation refusal; no state ships
-				return fabric.StateReply{}, fmt.Errorf("homeostasis: collect names unknown unit %d", id)
-			}
-			if sys.Units[id].negotiating {
-				//homeo:noexternalize busy refusal; no state ships
-				return fabric.StateReply{}, fabric.ErrBusy
-			}
-		}
-		g = &roundGrant{units: m.Units, remote: true}
-		for _, id := range m.Units {
-			sys.Units[id].negotiating = true
-		}
-		sys.rounds[m.Round] = g
-		sys.scheduleGrantExpiry(m.Round)
-	}
-	// Quiesce: the reply is a consistent cut of this site's partition. An
-	// execution already past its Begin on a frozen unit could still
-	// commit between this reply and the install, and the install would
-	// fold its write away — refuse until the unit is quiet (the
-	// coordinator aborts, backs off, and retries; new executions are
-	// parked by the negotiating flag above).
-	for _, id := range m.Units {
-		if id >= 0 && id < len(sys.Units) && sys.Units[id].inflight > 0 {
-			//homeo:noexternalize busy refusal; no state ships
-			return fabric.StateReply{}, fabric.ErrBusy
-		}
+	g, err := sys.grantRound(m.Round, m.Units)
+	if err != nil {
+		//homeo:noexternalize busy or validation refusal; no state ships
+		return fabric.StateReply{}, err
 	}
 	// The reply is handed to the transport, which reads it after this
 	// handler returned (and off the execution right over HTTP): a fresh

@@ -530,7 +530,7 @@ func (sys *System) AddUnits(install lang.Database) error {
 				// allocation is a pure function of (seed, unit, folded
 				// state), identical everywhere.
 				rng := rand.New(rand.NewSource(sys.Opts.Seed*1_000_033 + int64(id)))
-				locals, err = sys.buildTreatiesWith(u, sys.foldUnit(u), rng, false)
+				locals, err = sys.buildTreatiesWith(u, sys.foldUnit(u), rng, false, nil)
 				if err == nil {
 					err = sys.installLocalTreaties(u, locals)
 				}
@@ -556,18 +556,27 @@ func (sys *System) UnitLocals(unit int) []treaty.Local {
 }
 
 // foldUnit consolidates the unit's logical values across all sites:
-// base value (identical everywhere between rounds) plus every site's own
-// delta. Under the treaty modes the result is cached per unit with
-// commit- and install-time dirty marks (per-unit watermarks), so
-// repeated folds — FoldedDB sweeps for stats, snapshots, and replay
-// checks — recompute only units that changed since the last fold.
+// base value (identical at every member between rounds; a gone site's copy
+// stops at its absorb, so it is read from the first site still in the
+// membership) plus every site's own delta. Under the treaty modes the
+// result is cached per unit with commit- and install-time dirty marks
+// (per-unit watermarks), so repeated folds — FoldedDB sweeps for stats,
+// snapshots, and replay checks — recompute only units that changed since
+// the last fold.
 func (sys *System) foldUnit(u *unitState) lang.Database {
 	if u.fold != nil {
 		return u.fold
 	}
+	base := sys.Stores[0]
+	for k, st := range sys.status {
+		if st != siteGone {
+			base = sys.Stores[k]
+			break
+		}
+	}
 	folded := lang.Database{}
 	for _, obj := range u.objects {
-		v := sys.Stores[0].Get(obj)
+		v := base.Get(obj)
 		for k, s := range sys.Stores {
 			v += s.Get(sys.deltaName(obj, k))
 		}
@@ -732,7 +741,7 @@ func (sys *System) isoKey(g treaty.Global, ren map[lang.ObjID]lang.ObjID, folded
 // coordinator (buildTreaties) and ships each site its local through the
 // fabric's round-2 message.
 func (sys *System) generateTreaties(u *unitState, folded lang.Database) error {
-	locals, err := sys.buildTreaties(u, folded)
+	locals, err := sys.buildTreaties(u, folded, nil)
 	if err != nil {
 		return err
 	}
@@ -762,12 +771,13 @@ func (sys *System) installLocalTreaties(u *unitState, locals []treaty.Local) err
 // installing them. It draws from the system's optimizer stream and the
 // configuration cache — fine for boot (every process runs the identical
 // sequence) and for online rounds (only the coordinator's output is
-// used; it ships each site its local).
-func (sys *System) buildTreaties(u *unitState, folded lang.Database) ([]treaty.Local, error) {
-	return sys.buildTreatiesWith(u, folded, sys.optRng, true)
+// used; it ships each site its local). weights, when set, overrides the
+// slack weights: see negotiate.
+func (sys *System) buildTreaties(u *unitState, folded lang.Database, weights []int64) ([]treaty.Local, error) {
+	return sys.buildTreatiesWith(u, folded, sys.optRng, true, weights)
 }
 
-func (sys *System) buildTreatiesWith(u *unitState, folded lang.Database, rng *rand.Rand, useCache bool) ([]treaty.Local, error) {
+func (sys *System) buildTreatiesWith(u *unitState, folded lang.Database, rng *rand.Rand, useCache bool, weights []int64) ([]treaty.Local, error) {
 	// A workload that shares global treaties between isomorphic units
 	// hands out the shared one with the unit's renaming: on a configuration
 	// and locals hit — every steady-state round — the treaty is only hashed
@@ -797,9 +807,9 @@ func (sys *System) buildTreatiesWith(u *unitState, folded lang.Database, rng *ra
 	// with isomorphic treaties AND similar demand skew warm-start from
 	// one allocation.
 	alloc := sys.effectiveAlloc()
-	var weights []int64
+	override := weights != nil
 	key := sys.isoKey(g, ren, folded)
-	if alloc == AllocAdaptive {
+	if alloc == AllocAdaptive && !override {
 		weights = quantizeDemand(u.demand)
 		key.mix(0xa1)
 		for _, w := range weights {
@@ -809,9 +819,10 @@ func (sys *System) buildTreatiesWith(u *unitState, folded lang.Database, rng *ra
 	// Degraded membership (a site draining or gone): every strategy
 	// switches to the adaptive allocator with the membership overlaid on
 	// the weights, so an inactive site gets zero slack — any write it can
-	// no longer spend would leak consistency past its drain. The fixed-
-	// topology path below is untouched.
-	degraded := sys.anyInactive()
+	// no longer spend would leak consistency past its drain. Overriding
+	// weights (a migration's) take the same route. The fixed-topology path
+	// below is untouched.
+	degraded := override || sys.anyInactive()
 	if degraded {
 		weights = sys.membershipWeights(weights)
 		key.mix(0x3e)
