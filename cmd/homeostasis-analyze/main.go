@@ -152,15 +152,17 @@ func dumpWAL(w io.Writer, path string) error {
 	}
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false) // "<=" is for a person to read
-	recs, valid := wal.Scan(data)
-	for i, r := range recs {
+	valid, err := wal.Frames(data, func(i int, r wal.Record) error {
 		out := line{Index: i, Kind: r.Kind.String()}
-		if out.Record, err = r.Decode(); err != nil {
-			out.Record, out.Error = nil, err.Error()
+		if rec, err := r.Decode(); err != nil {
+			out.Error = err.Error()
+		} else {
+			out.Record = rec
 		}
-		if err := enc.Encode(out); err != nil {
-			return err
-		}
+		return enc.Encode(out)
+	})
+	if err != nil {
+		return err
 	}
 	if valid < len(data) {
 		return enc.Encode(map[string]int{"torn_tail_bytes": len(data) - valid})

@@ -19,6 +19,7 @@ package codec
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -128,6 +129,11 @@ func AppendStringMap(dst []byte, m map[string]int64) []byte {
 // first malformed field poisons the reader and every later read returns
 // a zero value, so call sites can decode a whole message and check Err
 // once at the end.
+//
+// Bytes, BytesListInto, PairsInto and RawConstraints return sub-slices
+// of the input instead of copies: what they return is valid only as long
+// as the input is, and a caller that keeps any of it past that copies it
+// out.
 type Reader struct {
 	b   []byte
 	off int
@@ -136,6 +142,17 @@ type Reader struct {
 
 // NewReader returns a reader over b.
 func NewReader(b []byte) *Reader { return &Reader{b: b} }
+
+// MakeReader returns a reader over b by value, for a decoder that reads
+// record after record and wants no heap reader for each.
+func MakeReader(b []byte) Reader { return Reader{b: b} }
+
+// Pair is one entry of a map encoded by AppendStringMap, as PairsInto
+// reads it: the name is a sub-slice of the reader's input.
+type Pair struct {
+	Name []byte
+	Val  int64
+}
 
 // Err returns the first decode error, if any.
 func (r *Reader) Err() error { return r.err }
@@ -243,51 +260,78 @@ func (r *Reader) Count() int {
 	return int(n)
 }
 
-// String consumes a length-prefixed string.
-func (r *Reader) String() string {
+// Bytes consumes a length-prefixed string or blob and returns it as a
+// sub-slice of the input, capacity-clipped so an append cannot write
+// into what follows it.
+//
+//homeo:hotpath
+func (r *Reader) Bytes() []byte {
 	n := r.Uvarint()
 	if r.err != nil {
-		return ""
+		return nil
 	}
 	if n > uint64(r.Len()) {
 		r.fail("string length %d exceeds %d remaining bytes", n, r.Len())
-		return ""
+		return nil
 	}
-	s := string(r.b[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s
+	end := r.off + int(n)
+	b := r.b[r.off:end:end]
+	r.off = end
+	return b
+}
+
+// String consumes a length-prefixed string.
+func (r *Reader) String() string { return string(r.Bytes()) }
+
+// The list readers below come in two forms. The Into form appends to a
+// slice the caller supplies (cut to length zero, it is scratch the next
+// record reuses) and returns it; on a malformed list what it returns is
+// meaningless and Err says so. The plain form is that over nil, for a
+// caller that wants a slice of its own: nil for an empty or malformed
+// list.
+
+// Int64sInto consumes a count-prefixed slice of signed varints onto dst.
+//
+//homeo:hotpath
+func (r *Reader) Int64sInto(dst []int64) []int64 {
+	n := r.Count()
+	dst = slices.Grow(dst, n)
+	for i := 0; i < n; i++ {
+		dst = append(dst, r.Varint())
+	}
+	return dst
 }
 
 // Int64s consumes a count-prefixed slice of signed varints.
-func (r *Reader) Int64s() []int64 {
+func (r *Reader) Int64s() []int64 { return orNil(r, r.Int64sInto(nil)) }
+
+// IntsInto consumes a count-prefixed slice of signed varints onto dst,
+// as ints.
+//
+//homeo:hotpath
+func (r *Reader) IntsInto(dst []int) []int {
 	n := r.Count()
-	if r.err != nil || n == 0 {
-		return nil
+	dst = slices.Grow(dst, n)
+	for i := 0; i < n; i++ {
+		dst = append(dst, int(r.Varint()))
 	}
-	vs := make([]int64, n)
-	for i := range vs {
-		vs[i] = r.Varint()
-	}
-	if r.err != nil {
-		return nil
-	}
-	return vs
+	return dst
 }
 
 // Ints consumes a count-prefixed slice of signed varints as ints.
-func (r *Reader) Ints() []int {
+func (r *Reader) Ints() []int { return orNil(r, r.IntsInto(nil)) }
+
+// BytesListInto consumes a count-prefixed slice of strings onto dst,
+// each a sub-slice of the input.
+//
+//homeo:hotpath
+func (r *Reader) BytesListInto(dst [][]byte) [][]byte {
 	n := r.Count()
-	if r.err != nil || n == 0 {
-		return nil
+	dst = slices.Grow(dst, n)
+	for i := 0; i < n; i++ {
+		dst = append(dst, r.Bytes())
 	}
-	vs := make([]int, n)
-	for i := range vs {
-		vs[i] = int(r.Varint())
-	}
-	if r.err != nil {
-		return nil
-	}
-	return vs
+	return dst
 }
 
 // Strings consumes a count-prefixed slice of strings.
@@ -306,23 +350,57 @@ func (r *Reader) Strings() []string {
 	return ss
 }
 
+// PairsInto consumes a map encoded by AppendStringMap onto dst, entry
+// by entry in encoded order (sorted by name, when AppendStringMap wrote
+// it), each name a sub-slice of the input.
+//
+//homeo:hotpath
+func (r *Reader) PairsInto(dst []Pair) []Pair {
+	n := r.Count()
+	dst = slices.Grow(dst, n)
+	for i := 0; i < n; i++ {
+		dst = append(dst, Pair{Name: r.Bytes(), Val: r.Varint()})
+	}
+	return dst
+}
+
 // StringMap consumes a map encoded by AppendStringMap. An empty map
 // decodes as nil.
-func (r *Reader) StringMap() map[string]int64 {
+func (r *Reader) StringMap() map[string]int64 { return r.stringMap(true) }
+
+// stringMap walks a map encoded by AppendStringMap; keep says whether to
+// build it (see RawConstraints).
+//
+//homeo:hotpath
+func (r *Reader) stringMap(keep bool) map[string]int64 {
 	n := r.Count()
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	m := make(map[string]int64, n)
+	var m map[string]int64
+	if keep {
+		m = make(map[string]int64, n)
+	}
 	for i := 0; i < n; i++ {
-		k := r.String()
+		k := r.Bytes()
 		v := r.Varint()
 		if r.err != nil {
 			return nil
 		}
-		m[k] = v
+		if keep {
+			m[string(k)] = v
+		}
 	}
 	return m
+}
+
+// orNil is the own-slice form's result: the decoded list, nil when it is
+// empty or the reader has failed.
+func orNil[T any](r *Reader, vs []T) []T {
+	if r.err != nil || len(vs) == 0 {
+		return nil
+	}
+	return vs
 }
 
 // Close checks that the input was consumed exactly.

@@ -246,6 +246,94 @@ func TestDecodeCorruption(t *testing.T) {
 	}
 }
 
+// TestRawConstraintsWalksWhatConstraintsReads: over a sample list, every
+// truncation of it and every single-byte flip, RawConstraints accepts
+// exactly what Constraints accepts, consumes exactly the same bytes, and
+// returns them — a sub-slice of the input that decodes to the same list.
+func TestRawConstraintsWalksWhatConstraintsReads(t *testing.T) {
+	list, err := codec.AppendConstraints(nil, []wire.PeerConstraint{
+		{Coeffs: map[string]int64{"stock(0)": 1, "stock(0)@d1": 1}, Const: -10, Op: "<="},
+		{Const: 5, Op: "=="},
+		{Coeffs: map[string]int64{"x": 2, "y": -1, "z": 300}, Const: 0, Op: "<"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, in []byte) {
+		full, raw := codec.NewReader(in), codec.MakeReader(in)
+		want := full.Constraints()
+		got := raw.RawConstraints()
+		if (full.Err() == nil) != (raw.Err() == nil) {
+			t.Fatalf("%s: Constraints says %v, RawConstraints %v", what, full.Err(), raw.Err())
+		}
+		if full.Err() != nil {
+			if got != nil {
+				t.Fatalf("%s: RawConstraints returned %d bytes of a list it refused", what, len(got))
+			}
+			return
+		}
+		if full.Len() != raw.Len() || len(got) != len(in)-raw.Len() {
+			t.Fatalf("%s: Constraints left %d bytes, RawConstraints %d and returned %d of %d",
+				what, full.Len(), raw.Len(), len(got), len(in))
+		}
+		if len(got) > 0 && (&got[0] != &in[0] || cap(got) != len(got)) {
+			t.Fatalf("%s: the raw list is not a capacity-clipped sub-slice of the input", what)
+		}
+		again := codec.NewReader(got)
+		if cs := again.Constraints(); again.Close() != nil || !reflect.DeepEqual(cs, want) {
+			t.Fatalf("%s: the raw list decodes to %+v (%v), want %+v", what, cs, again.Close(), want)
+		}
+	}
+	check("whole", append(list, 0xAA, 0xBB)) // trailing bytes are the next field's
+	for i := 0; i < len(list); i++ {
+		check(fmt.Sprintf("truncated to %d", i), list[:i])
+		mut := append([]byte(nil), list...)
+		mut[i] ^= 0xFF
+		check(fmt.Sprintf("byte %d flipped", i), mut)
+	}
+}
+
+// TestBorrowingReads: Bytes and the Into readers return the input's own
+// bytes, capacity-clipped, append after what the destination holds, and
+// keep its array when it is large enough.
+func TestBorrowingReads(t *testing.T) {
+	var in []byte
+	in = codec.AppendString(in, "Order")
+	in = codec.AppendInt64s(in, []int64{7, -3})
+	in = codec.AppendInts(in, []int{2})
+	in = codec.AppendStringMap(in, map[string]int64{"b": 2, "a": 1})
+	in = codec.AppendStrings(in, []string{"x", ""})
+	r := codec.MakeReader(in)
+	name := r.Bytes()
+	if string(name) != "Order" || &name[0] != &in[1] || cap(name) != len(name) {
+		t.Errorf("Bytes = %q, cap %d: want the input's own 5 bytes, clipped", name, cap(name))
+	}
+	scratch := make([]int64, 1, 8)
+	scratch[0] = 99
+	i64s := r.Int64sInto(scratch)
+	if !reflect.DeepEqual(i64s, []int64{99, 7, -3}) || &i64s[0] != &scratch[0] {
+		t.Errorf("Int64sInto = %v, want it appended in the destination's array", i64s)
+	}
+	if ints := r.IntsInto(nil); !reflect.DeepEqual(ints, []int{2}) {
+		t.Errorf("IntsInto = %v", ints)
+	}
+	pairs := r.PairsInto(nil)
+	if len(pairs) != 2 || string(pairs[0].Name) != "a" || pairs[0].Val != 1 || string(pairs[1].Name) != "b" || pairs[1].Val != 2 {
+		t.Errorf("PairsInto = %v, want a=1 b=2 in encoded (sorted) order", pairs)
+	}
+	list := r.BytesListInto(nil)
+	if len(list) != 2 || string(list[0]) != "x" || len(list[1]) != 0 {
+		t.Errorf("BytesListInto = %q", list)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	short := codec.MakeReader(in[:3])
+	if b := short.Bytes(); b != nil || short.Err() == nil {
+		t.Errorf("Bytes over a truncated string = %q, %v", b, short.Err())
+	}
+}
+
 // FuzzDecodeMessage drives arbitrary bytes through every decoder. The
 // properties: no panic, and anything that decodes cleanly re-encodes to
 // a message that decodes back to the same value (the codec is closed

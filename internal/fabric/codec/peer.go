@@ -81,14 +81,43 @@ func AppendConstraints(dst []byte, cs []wire.PeerConstraint) ([]byte, error) {
 }
 
 // Constraints consumes a list encoded by AppendConstraints.
-func (r *Reader) Constraints() []wire.PeerConstraint {
+func (r *Reader) Constraints() []wire.PeerConstraint { return r.constraints(true) }
+
+// RawConstraints consumes a list encoded by AppendConstraints and
+// returns it still encoded, as a sub-slice of the input: the same walk as
+// Constraints, so the list is held to the same well-formedness (counts,
+// lengths, op bytes) and Constraints over the result cannot fail, with
+// nothing allocated. WAL replay, which throws most treaty generations
+// away, reads every list this way and decodes only the survivors.
+//
+//homeo:hotpath
+func (r *Reader) RawConstraints() []byte {
+	start := r.off
+	r.constraints(false)
+	if r.err != nil {
+		return nil
+	}
+	return r.b[start:r.off:r.off]
+}
+
+// constraints is the one walk of an encoded constraint list; keep says
+// whether to build what it walks.
+//
+//homeo:hotpath
+func (r *Reader) constraints(keep bool) []wire.PeerConstraint {
 	n := r.Count()
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	cs := make([]wire.PeerConstraint, n)
-	for i := range cs {
-		cs[i] = wire.PeerConstraint{Coeffs: r.StringMap(), Const: r.Varint(), Op: r.op()}
+	var cs []wire.PeerConstraint
+	if keep {
+		cs = make([]wire.PeerConstraint, n)
+	}
+	for i := 0; i < n; i++ {
+		coeffs, c, op := r.stringMap(keep), r.Varint(), r.op()
+		if keep {
+			cs[i] = wire.PeerConstraint{Coeffs: coeffs, Const: c, Op: op}
+		}
 	}
 	return cs
 }

@@ -522,20 +522,33 @@ func (n *siteNode) Rejoin(m fabric.Rejoin) (fabric.RejoinReply, error) {
 // a stale duplicate delivery cannot roll a newer treaty back (it reports
 // applied=false).
 func (u *unitState) installSiteTreaty(site int, l treaty.Local, version int64) (bool, error) {
+	if ok, err := u.admitsTreaty(site, version); !ok {
+		return false, err
+	}
+	if err := u.setSiteTreaty(site, l); err != nil {
+		return false, err
+	}
+	u.version = max(u.version, version)
+	return true, nil
+}
+
+// admitsTreaty is installSiteTreaty's guard: the site must have a slot,
+// and a generation older than the unit's is dropped without error.
+func (u *unitState) admitsTreaty(site int, version int64) (bool, error) {
 	if site < 0 || site >= len(u.compiled) {
 		return false, fmt.Errorf("homeostasis: unit %d has no treaty slot for site %d", u.id, site)
 	}
-	if version < u.version {
-		return false, nil
-	}
+	return version >= u.version, nil
+}
+
+// setSiteTreaty compiles l into the site's slot, guard and version
+// aside (see installSiteTreaty; WAL replay runs the two apart).
+func (u *unitState) setSiteTreaty(site int, l treaty.Local) error {
 	c, err := treaty.Compile(l)
 	if err != nil {
-		return false, fmt.Errorf("homeostasis: unit %d site %d: %w", u.id, site, err)
+		return fmt.Errorf("homeostasis: unit %d site %d: %w", u.id, site, err)
 	}
 	u.locals[site] = l
 	u.compiled[site] = c
-	if version > u.version {
-		u.version = version
-	}
-	return true, nil
+	return nil
 }

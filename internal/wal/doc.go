@@ -18,9 +18,30 @@
 // fabric codec (internal/fabric/codec), the only payload encoding: a
 // payload that does not open with the codec magic and this build's
 // format version fails to decode, and recovery fails with it. Replay
-// (Scan) decodes the longest valid prefix and stops cleanly at
-// the first torn frame — a crash mid-batch loses at most the final
-// unflushed records, never the prefix.
+// (Frames, and Scan and Open on top of it) reads the longest valid prefix
+// and stops cleanly at the first torn frame — a crash mid-batch loses at
+// most the final unflushed records, never the prefix.
+//
+// # Reading a log: who owns the bytes
+//
+// Frames is the one walk of a log's frames; Scan collects what it visits
+// and Open scans the file it opens. None of them copies a payload: every
+// Record they produce is a sub-slice of the bytes scanned (Scan's
+// argument, or the buffer Open read the file into, which the records keep
+// alive), capacity-clipped so that appending to one cannot reach the
+// next. A caller that overwrites or reuses those bytes invalidates the
+// records, and a caller that keeps a record keeps the whole buffer.
+//
+// Decoding has the same two levels. A view (CommitView, InstallView,
+// TreatyView, MembershipView) decodes a record in place: names and other
+// byte fields point into the payload, number lists land in scratch the
+// view reuses for the next record, nothing is allocated per record, and
+// what must outlive the payload is the caller's to copy. The accessors
+// (Record.Commit, Install, Treaty, Membership, Decode) are the view
+// decoders followed by that copy — a record struct that owns everything
+// it holds — for callers to whom a few allocations per record do not
+// matter. There is no other decoder: a new field is decoded in the view
+// and copied in the accessor.
 //
 // # Durability model
 //

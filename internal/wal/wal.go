@@ -47,7 +47,9 @@ func (k Kind) String() string {
 }
 
 // Record is one log record as framed: a kind tag and its codec-encoded
-// payload (internal/fabric/codec). The typed accessors decode it.
+// payload (internal/fabric/codec). The typed accessors decode it. A
+// record that Frames, Scan or Open produced does not own its payload: it
+// is a sub-slice of the bytes that were scanned (see the package comment).
 type Record struct {
 	Kind    Kind
 	Payload []byte
@@ -132,38 +134,107 @@ type MembershipRecord struct {
 	Clock int64    `json:"clock"`
 }
 
-// decodeAs decodes r's payload as a record of the given kind. Both tags
-// must agree with it: the frame's kind byte (a caller asking for the
+// open starts decoding r's payload as a record of the given kind. Both
+// tags must agree with it: the frame's kind byte (a caller asking for the
 // wrong accessor) and the kind inside the payload's codec header (a frame
-// whose tag and payload disagree is corrupt however good its CRC).
-func decodeAs[T any](r Record, kind Kind, decode func(*codec.Reader) T) (T, error) {
-	var zero T
+// whose tag and payload disagree is corrupt however good its CRC). A
+// payload with a foreign header opens; the reader carries the refusal and
+// the decoder's Close returns it.
+//
+//homeo:hotpath
+func (r Record) open(kind Kind) (codec.Reader, error) {
 	if r.Kind != kind {
-		return zero, fmt.Errorf("wal: %v record is not a %v", r.Kind, kind)
+		return codec.Reader{}, errNotA(r.Kind, kind)
 	}
-	rd := codec.NewReader(r.Payload)
+	rd := codec.MakeReader(r.Payload)
 	if got := Kind(rd.Header()); rd.Err() == nil && got != kind {
-		return zero, fmt.Errorf("wal: %v record holds a %v payload", kind, got)
+		return rd, errHolds(kind, got)
 	}
-	c := decode(rd)
-	if err := rd.Close(); err != nil {
-		return zero, err
-	}
-	return c, nil
+	return rd, nil
 }
 
+func errNotA(got, want Kind) error { return fmt.Errorf("wal: %v record is not a %v", got, want) }
+
+func errHolds(tag, payload Kind) error {
+	return fmt.Errorf("wal: %v record holds a %v payload", tag, payload)
+}
+
+// The typed accessors below return a record that owns everything it
+// holds. Each is its kind's view decoder (binary.go) followed by a copy
+// of what the view borrowed.
+
 // Commit decodes a KindCommit record.
-func (r Record) Commit() (CommitRecord, error) { return decodeAs(r, KindCommit, decodeCommit) }
+func (r Record) Commit() (CommitRecord, error) {
+	var v CommitView
+	if err := v.Decode(r); err != nil {
+		return CommitRecord{}, err
+	}
+	return CommitRecord{
+		Class: string(v.Class), Args: v.Args, Site: v.Site, Units: v.Units, Log: v.Log,
+		Clock: v.Clock, Round: ownRound(v.HasRound, v.Round), Writes: pairMap(v.Writes),
+	}, nil
+}
 
 // Install decodes a KindInstall record.
-func (r Record) Install() (InstallRecord, error) { return decodeAs(r, KindInstall, decodeInstall) }
+func (r Record) Install() (InstallRecord, error) {
+	var v InstallView
+	if err := v.Decode(r); err != nil {
+		return InstallRecord{}, err
+	}
+	return InstallRecord{
+		Round: v.Round, Clock: v.Clock, Objs: stringsOf(v.Objs),
+		Base: pairMap(v.Base), Drift: pairMap(v.Drift), Sites: v.Sites,
+	}, nil
+}
 
 // Treaty decodes a KindTreaty record.
-func (r Record) Treaty() (TreatyRecord, error) { return decodeAs(r, KindTreaty, decodeTreaty) }
+func (r Record) Treaty() (TreatyRecord, error) {
+	var v TreatyView
+	if err := v.Decode(r); err != nil {
+		return TreatyRecord{}, err
+	}
+	// The view walked the list, so this read of it cannot fail.
+	cs := codec.NewReader(v.Constraints).Constraints()
+	return TreatyRecord{
+		Unit: v.Unit, Site: v.Site, Version: v.Version, Clock: v.Clock,
+		Round: ownRound(v.HasRound, v.Round), Constraints: cs,
+	}, nil
+}
 
 // Membership decodes a KindMembership record.
 func (r Record) Membership() (MembershipRecord, error) {
-	return decodeAs(r, KindMembership, decodeMembership)
+	var v MembershipView
+	if err := v.Decode(r); err != nil {
+		return MembershipRecord{}, err
+	}
+	return MembershipRecord{
+		Epoch: v.Epoch, Width: v.Width, Status: v.Status, Addrs: stringsOf(v.Addrs), Clock: v.Clock,
+	}, nil
+}
+
+// pairMap copies decoded map entries into a map of their own, a later
+// entry of the same name winning; nil for none.
+func pairMap(ps []codec.Pair) map[string]int64 {
+	if len(ps) == 0 {
+		return nil
+	}
+	m := make(map[string]int64, len(ps))
+	for _, p := range ps {
+		m[string(p.Name)] = p.Val
+	}
+	return m
+}
+
+// stringsOf copies borrowed strings; nil for none.
+func stringsOf(bs [][]byte) []string {
+	if len(bs) == 0 {
+		return nil
+	}
+	ss := make([]string, len(bs))
+	for i, b := range bs {
+		ss[i] = string(b)
+	}
+	return ss
 }
 
 // Decode decodes the record into the struct its kind names (a
@@ -266,33 +337,71 @@ func Open(path string, opts Options) (*Log, []Record, error) {
 	return &Log{f: f, opts: opts}, recs, nil
 }
 
-// Scan decodes the longest valid record prefix of data, returning the
-// records and the byte offset where the valid prefix ends. Decoding stops
-// cleanly at the first torn frame: a short header, an impossible length,
-// a short payload, or a checksum mismatch.
-func Scan(data []byte) ([]Record, int) {
-	var recs []Record
+// nextFrame reads the frame that starts at data[off:]: its checksum, its
+// payload (kind byte first) and the offset just past it. ok is false at a
+// short header, an impossible length or a short payload; the checksum is
+// the caller's to verify.
+//
+//homeo:hotpath
+func nextFrame(data []byte, off int) (sum uint32, payload []byte, end int, ok bool) {
+	if len(data)-off < headerSize {
+		return 0, nil, off, false
+	}
+	length := binary.BigEndian.Uint32(data[off:])
+	if length < 1 || length > maxRecord {
+		return 0, nil, off, false
+	}
+	end = off + headerSize + int(length)
+	if end > len(data) {
+		return 0, nil, off, false
+	}
+	return binary.BigEndian.Uint32(data[off+4:]), data[off+headerSize : end : end], end, true
+}
+
+// Frames visits the longest valid record prefix of data in order, handing
+// visit each record and its index, and returns the byte offset where the
+// valid prefix ends. It stops cleanly at the first torn frame — a short
+// header, an impossible length, a short payload, or a checksum mismatch —
+// and early, returning the error, if visit returns one.
+//
+// Nothing is copied: every record's payload is a sub-slice of data,
+// valid while data is and no longer.
+//
+//homeo:hotpath
+func Frames(data []byte, visit func(i int, r Record) error) (int, error) {
 	off := 0
-	for {
-		if len(data)-off < headerSize {
-			return recs, off
+	for i := 0; ; i++ {
+		sum, payload, end, ok := nextFrame(data, off)
+		if !ok || crc32.ChecksumIEEE(payload) != sum {
+			return off, nil
 		}
-		length := binary.BigEndian.Uint32(data[off:])
-		sum := binary.BigEndian.Uint32(data[off+4:])
-		if length < 1 || length > maxRecord {
-			return recs, off
+		if err := visit(i, Record{Kind: Kind(payload[0]), Payload: payload[1:]}); err != nil {
+			return off, err
 		}
-		end := off + headerSize + int(length)
-		if end > len(data) {
-			return recs, off
-		}
-		payload := data[off+headerSize : end]
-		if crc32.ChecksumIEEE(payload) != sum {
-			return recs, off
-		}
-		recs = append(recs, Record{Kind: Kind(payload[0]), Payload: append([]byte(nil), payload[1:]...)})
 		off = end
 	}
+}
+
+// Scan decodes the longest valid record prefix of data (see Frames),
+// returning the records and the byte offset where the valid prefix ends.
+// The records alias data.
+func Scan(data []byte) ([]Record, int) {
+	// Size the slice by hopping length prefixes: an upper bound on what
+	// the checksummed pass will keep, and exact for an intact log.
+	n := 0
+	for off := 0; ; n++ {
+		_, _, end, ok := nextFrame(data, off)
+		if !ok {
+			break
+		}
+		off = end
+	}
+	recs := make([]Record, 0, n)
+	valid, _ := Frames(data, func(_ int, r Record) error {
+		recs = append(recs, r)
+		return nil
+	})
+	return recs, valid
 }
 
 // appendFrame encodes one record frame onto buf.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -167,6 +168,11 @@ func TestGoldenBytes(t *testing.T) {
 			t.Errorf("%v: fixture does not decode: %v", kind, err)
 		} else if !reflect.DeepEqual(dec, rec) {
 			t.Errorf("%v: fixture decodes to %+v, want %+v", kind, dec, rec)
+		}
+		if dec, err := new(views).decode(Record{Kind: kind, Payload: want}); err != nil {
+			t.Errorf("%v: fixture does not decode in place: %v", kind, err)
+		} else if !reflect.DeepEqual(dec, rec) {
+			t.Errorf("%v: fixture decodes in place to %+v, want %+v", kind, dec, rec)
 		}
 	}
 }
@@ -419,10 +425,87 @@ func FuzzRecordRoundTrip(f *testing.F) {
 	})
 }
 
+// views holds one view of every kind, for tests that decode in place.
+type views struct {
+	commit     CommitView
+	install    InstallView
+	treaty     TreatyView
+	membership MembershipView
+}
+
+// decode decodes r into the view of its kind and copies the view into
+// the struct the kind's accessor returns, field by field and on its own —
+// not through the accessors' helpers, which it is there to check.
+func (v *views) decode(r Record) (any, error) {
+	strs := func(bs [][]byte) []string {
+		var out []string
+		for _, b := range bs {
+			out = append(out, string(b))
+		}
+		return out
+	}
+	pairs := func(ps []codec.Pair) map[string]int64 {
+		var out map[string]int64
+		for _, p := range ps {
+			if out == nil {
+				out = map[string]int64{}
+			}
+			out[string(p.Name)] = p.Val
+		}
+		return out
+	}
+	round := func(has bool, rid RoundID) *RoundID {
+		if !has {
+			return nil
+		}
+		return &rid
+	}
+	switch r.Kind {
+	case KindCommit:
+		c := &v.commit
+		if err := c.Decode(r); err != nil {
+			return nil, err
+		}
+		return CommitRecord{Class: string(c.Class), Args: append([]int64(nil), c.Args...), Site: c.Site,
+			Units: append([]int(nil), c.Units...), Log: append([]int64(nil), c.Log...), Clock: c.Clock,
+			Round: round(c.HasRound, c.Round), Writes: pairs(c.Writes)}, nil
+	case KindInstall:
+		c := &v.install
+		if err := c.Decode(r); err != nil {
+			return nil, err
+		}
+		return InstallRecord{Round: c.Round, Clock: c.Clock, Objs: strs(c.Objs),
+			Base: pairs(c.Base), Drift: pairs(c.Drift), Sites: c.Sites}, nil
+	case KindTreaty:
+		c := &v.treaty
+		if err := c.Decode(r); err != nil {
+			return nil, err
+		}
+		rd := codec.NewReader(c.Constraints)
+		cs := rd.Constraints()
+		if err := rd.Close(); err != nil {
+			return nil, fmt.Errorf("the constraint list the view walked does not decode: %w", err)
+		}
+		return TreatyRecord{Unit: c.Unit, Site: c.Site, Version: c.Version, Clock: c.Clock,
+			Round: round(c.HasRound, c.Round), Constraints: cs}, nil
+	case KindMembership:
+		c := &v.membership
+		if err := c.Decode(r); err != nil {
+			return nil, err
+		}
+		return MembershipRecord{Epoch: c.Epoch, Width: c.Width, Status: append([]int(nil), c.Status...),
+			Addrs: strs(c.Addrs), Clock: c.Clock}, nil
+	}
+	return nil, fmt.Errorf("wal: unknown record kind %v", r.Kind)
+}
+
 // FuzzDecodeRecord drives arbitrary payloads through the record decoders
-// under every kind tag: no panic, and a payload that decodes re-encodes
-// to bytes that decode to the same record (the encoding is closed under
-// its own round trip even for non-canonical varint input).
+// under every kind tag: no panic; the view decoder and the accessor built
+// on it accept and refuse the same payloads and agree field for field,
+// also when the view's scratch still holds another record; and a payload
+// that decodes re-encodes to bytes that decode to the same record (the
+// encoding is closed under its own round trip even for non-canonical
+// varint input).
 func FuzzDecodeRecord(f *testing.F) {
 	for _, rec := range sampleRecords() {
 		kind, payload := encodeRecord(f, rec)
@@ -431,10 +514,35 @@ func FuzzDecodeRecord(f *testing.F) {
 	}
 	f.Add(byte(1), []byte(`{"class":"Withdraw","clock":3}`))
 	f.Add(byte(9), []byte{codec.Magic, codec.Version, 9})
+	// Well-formed records whose sizes no deployment has: decoding is not
+	// where they are refused (replay is), so they must decode like any other.
+	for _, rec := range []any{
+		CommitRecord{Class: "C", Site: -1},
+		CommitRecord{Class: "C", Site: 1 << 40},
+		InstallRecord{Objs: []string{"x"}, Base: map[string]int64{"x": 1}, Sites: 1 << 40},
+		MembershipRecord{Epoch: 1, Width: 1 << 40},
+	} {
+		kind, payload := encodeRecord(f, rec)
+		f.Add(byte(kind), payload)
+	}
+	// One set of views for the whole run: every decode lands on whatever
+	// the one before it left in the scratch.
+	var reused views
 	f.Fuzz(func(t *testing.T, kind byte, payload []byte) {
-		rec, err := Record{Kind: Kind(kind), Payload: payload}.Decode()
+		r := Record{Kind: Kind(kind), Payload: payload}
+		rec, err := r.Decode()
+		inPlace, verr := reused.decode(r)
+		if (err == nil) != (verr == nil) {
+			t.Fatalf("%v: the accessor says %v, the view decoder %v", r.Kind, err, verr)
+		}
 		if err != nil {
+			if err.Error() != verr.Error() {
+				t.Fatalf("%v: refused as %q by the accessor and as %q by the view decoder", r.Kind, err, verr)
+			}
 			return
+		}
+		if !reflect.DeepEqual(rec, inPlace) {
+			t.Fatalf("%v: decoded in place to\n     %+v\nwant %+v", r.Kind, inPlace, rec)
 		}
 		k, enc := encodeRecord(t, rec)
 		again, err := Record{Kind: k, Payload: enc}.Decode()
@@ -445,4 +553,49 @@ func FuzzDecodeRecord(f *testing.F) {
 			t.Fatalf("%v: re-encode round trip mismatch:\n got %+v\nwant %+v", k, again, rec)
 		}
 	})
+}
+
+// TestFrames: the iterator hands out the valid prefix's records in order
+// with their indices, each a sub-slice of the input (Scan and Open return
+// the same records), stops early on the visitor's error, and reports
+// where the valid prefix ends either way.
+func TestFrames(t *testing.T) {
+	var data []byte
+	var bounds []int
+	for i := 0; i < 4; i++ {
+		data = appendFrame(data, KindCommit, appendCommitPayload(nil, &CommitRecord{Class: "C", Clock: int64(i)}))
+		bounds = append(bounds, len(data))
+	}
+	data = append(data, 0, 0, 0, 9, 1, 2) // a torn tail
+	recs, valid := Scan(data)
+	if len(recs) != 4 || valid != bounds[3] {
+		t.Fatalf("Scan: %d records, valid prefix %d, want 4 and %d", len(recs), valid, bounds[3])
+	}
+	seen := 0
+	end, err := Frames(data, func(i int, r Record) error {
+		if i != seen {
+			t.Errorf("record %d visited as index %d", seen, i)
+		}
+		if &r.Payload[0] != &recs[i].Payload[0] || &r.Payload[0] != &data[bounds[i]-len(r.Payload)] {
+			t.Errorf("record %d does not alias the scanned bytes", i)
+		}
+		if cap(r.Payload) != len(r.Payload) {
+			t.Errorf("record %d's payload has room to grow into the next frame", i)
+		}
+		seen++
+		return nil
+	})
+	if err != nil || end != valid || seen != 4 {
+		t.Fatalf("Frames = (%d, %v) over %d records, want (%d, nil) over 4", end, err, seen, valid)
+	}
+	stop := errors.New("enough")
+	end, err = Frames(data, func(i int, _ Record) error {
+		if i == 2 {
+			return stop
+		}
+		return nil
+	})
+	if err != stop || end != bounds[1] {
+		t.Fatalf("Frames stopped at (%d, %v), want (%d, %v): the prefix before the refused record", end, err, bounds[1], stop)
+	}
 }
