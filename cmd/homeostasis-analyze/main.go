@@ -122,7 +122,7 @@ func main() {
 			}
 		}
 		printConfig("default configuration (Theorem 4.3)", tmpl.DefaultConfig(db))
-		printConfig("equal-split configuration (demarcation/OPT)", tmpl.EqualSplitConfig(db))
+		printConfig("equal-split configuration (demarcation/OPT)", tmpl.AdaptiveConfig(db, nil))
 		if *optimize {
 			cfg, stats := treaty.Optimize(tmpl, db, randomWalkModel{}, treaty.OptimizeOptions{
 				Lookahead:  20,

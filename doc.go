@@ -57,8 +57,8 @@
 // offers an adaptive engine (homeostasis.Options.Alloc): a per-unit,
 // per-site demand layer tracks delta burn and violation counts since
 // the last negotiation round, treaty.AdaptiveConfig splits each
-// clause's slack proportionally to the observed burn (warm-started
-// through the configuration isomorphism cache, keyed additionally by
+// clause's slack proportionally to the observed burn (shared between
+// isomorphic units through the deriver's memo, keyed additionally by
 // the quantized demand vector), and the cleanup phase batches — while
 // a unit renegotiates, queued violators register as co-winners and one
 // fold, one treaty generation, and one distribution round commit the

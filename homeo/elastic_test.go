@@ -3,6 +3,7 @@ package homeo_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -69,6 +70,57 @@ func TestJoinSim(t *testing.T) {
 	}
 	if err := c.CheckReplayEquivalence(); err != nil {
 		t.Fatalf("replay equivalence across join: %v", err)
+	}
+}
+
+// TestJoinGuardedClassStaysSound: a class is analysed at the width the
+// cluster booted with, so after a join its global treaty must be widened to
+// the joiner's delta or the joiner's local treaty is a ground constraint —
+// every withdrawal there commits locally and the balance runs through the
+// guard's floor (Theorem 3.8 fails: the serial replay skips what the
+// protocol committed).
+func TestJoinGuardedClassStaysSound(t *testing.T) {
+	c := simCluster(t, homeo.Options{Sites: 2, EnableLog: true})
+	cls, err := c.Register(homeo.ClassSpec{
+		L:       withdrawSrc,
+		Bounds:  map[string][2]int64{"n": {1, 5}},
+		Initial: map[string]int64{"bal": 100},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	s := c.Session()
+	for i := 0; i < 4; i++ {
+		if _, err := s.Submit(ctx, cls, 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Join(""); err != nil {
+		t.Fatalf("Join: %v", err)
+	}
+	at2, err := c.SessionAt(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 60; i++ {
+		if _, err := at2.Submit(ctx, cls, 5); err != nil {
+			t.Fatalf("submit at joined site: %v", err)
+		}
+	}
+	treaties := cls.Treaties()
+	if len(treaties) != 3 || !strings.Contains(treaties[2], "bal@d2") {
+		t.Errorf("site 2's treaty does not bound its own delta: %q", treaties)
+	}
+	// The older sites see none of what site 2 withdrew until a round folds
+	// it: they keep spending their own slack on top.
+	for i := 0; i < 10; i++ {
+		if _, err := s.Submit(ctx, cls, 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.CheckReplayEquivalence(); err != nil {
+		t.Fatalf("replay equivalence after a join: %v", err)
 	}
 }
 

@@ -204,10 +204,10 @@ type Options struct {
 
 	// Fabric, when set, runs the cluster as one OS process per site over
 	// the HTTP site fabric: this process owns exactly Fabric.Site, and
-	// the cleanup phase's synchronization rounds travel as JSON peer
-	// messages (/v1/peer/*) instead of in-memory calls. Requires
-	// RuntimeLive. Every process must be constructed with the same
-	// workload, seed, and protocol options, and classes must be
+	// the cleanup phase's synchronization rounds travel as binary peer
+	// messages (/v1/peer/*, internal/fabric/codec) instead of in-memory
+	// calls. Requires RuntimeLive. Every process must be constructed with
+	// the same workload, seed, and protocol options, and classes must be
 	// registered at every site (the multi-process driver does both).
 	Fabric *FabricOptions
 }

@@ -190,8 +190,8 @@ func (d *roundDriver) next(p rt.Proc) (bool, error) {
 }
 
 // warm runs purchases until n of them paid a round: a couple of thousand
-// fill the configuration and locals caches for every stock level a round
-// can start from (about a hundred).
+// fill the deriver's memo for every stock level a round can start from
+// (about a hundred).
 func (d *roundDriver) warm(p rt.Proc, n int) error {
 	for rounds := 0; rounds < n; {
 		synced, err := d.next(p)
@@ -207,10 +207,10 @@ func (d *roundDriver) warm(p rt.Proc, n int) error {
 
 // benchRoundSim measures one steady-state synchronization round on the
 // simulator: collect, fold, T′, install, treaty derivation with the
-// configuration and locals caches warm, distribute. b.N counts rounds.
-// The purchases between two rounds run too, but Exec/Sim holds them at 0
-// allocations, so allocs/round is the round's own; ns/round is the time
-// of the purchases that paid a round.
+// deriver's memo warm, distribute. b.N counts rounds. The purchases
+// between two rounds run too, but Exec/Sim holds them at 0 allocations, so
+// allocs/round is the round's own; ns/round is the time of the purchases
+// that paid a round.
 func benchRoundSim(b *testing.B) {
 	eng, sys, reg, c := roundSystem(b)
 	d := newRoundDriver(b, sys, reg, c)

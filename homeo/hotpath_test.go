@@ -141,7 +141,7 @@ func TestSubmitSimAllocs(t *testing.T) {
 }
 
 // TestRoundAllocs: a steady-state synchronization round on the simulator
-// — configuration and locals caches hit, which is every round once a
+// — the deriver's memo hits, which is every round once a
 // cluster has seen its stock levels — allocates at most 30 objects, and a
 // purchase that pays no round allocates none.
 func TestRoundAllocs(t *testing.T) {
@@ -158,7 +158,7 @@ func TestRoundAllocs(t *testing.T) {
 		quiesce(t)
 		var steady, local []uint64
 		for len(steady) < 300 {
-			solves := sys.SolverInvocations
+			solves := sys.SolverInvocations()
 			before := mallocs()
 			synced, err := d.next(p)
 			n := mallocs() - before
@@ -169,7 +169,7 @@ func TestRoundAllocs(t *testing.T) {
 			switch {
 			case !synced:
 				local = append(local, n)
-			case sys.SolverInvocations == solves: // else a cold stock level: not steady state
+			case sys.SolverInvocations() == solves: // else a cold stock level: not steady state
 				steady = append(steady, n)
 			}
 		}

@@ -1,6 +1,8 @@
 package experiments_test
 
 import (
+	"os"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -32,14 +34,45 @@ func runAt(t *testing.T, name string, parallel int) *experiments.Report {
 	return r
 }
 
+// goldenReports reads the checked-in bench-scale reports, by experiment
+// name. The fixture is what
+//
+//	homeostasis-bench -experiment all -scale bench |
+//	  grep -v -E '^\((.* cells on [0-9]+ workers in |.* regenerated in )'
+//
+// prints — stdout without its three wall-clock line shapes, which differ
+// between two runs of one binary: each report in Names() order, followed by
+// the two blank lines that surrounded its timing line. Regenerate it that
+// way when a change means to move a report, and say so in the change.
+func goldenReports(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile("testdata/bench_reports.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := experiments.Names()
+	sections := strings.Split(strings.TrimSuffix(string(data), "\n\n\n"), "\n\n\n")
+	if len(sections) != len(names) {
+		t.Fatalf("fixture holds %d reports, %d experiments are registered", len(sections), len(names))
+	}
+	golden := make(map[string]string, len(names))
+	for i, name := range names {
+		golden[name] = sections[i] + "\n"
+	}
+	return golden
+}
+
 // TestExperimentsDeterministicAcrossParallelism runs every registered
 // experiment at Bench scale under the serial and the parallel engine and
 // requires byte-identical output: each sweep cell is an isolated
 // simulation whose seed depends only on the scale, so the worker count
-// must never leak into results. In -short mode only a representative
-// subset runs (one micro throughput sweep, one TPC-C sweep, the
-// ablation).
+// must never leak into results. The serial output must also be the
+// checked-in report, byte for byte: the standing guarantee that a change
+// to the engine moves no figure, held here instead of by hand. In -short
+// mode only a representative subset runs (one micro throughput sweep, one
+// TPC-C sweep, the ablation).
 func TestExperimentsDeterministicAcrossParallelism(t *testing.T) {
+	golden := goldenReports(t)
 	names := experiments.Names()
 	if testing.Short() {
 		names = []string{"fig11", "fig20", "ablation"}
@@ -49,6 +82,9 @@ func TestExperimentsDeterministicAcrossParallelism(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			serial := runAt(t, name, 1)
+			if got, want := serial.String(), golden[name]; got != want {
+				t.Errorf("report differs from testdata/bench_reports.golden:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+			}
 			parallel := runAt(t, name, 4)
 			if serial.String() != parallel.String() {
 				t.Errorf("output differs between -parallel 1 and -parallel 4:\n--- serial ---\n%s\n--- parallel ---\n%s",

@@ -252,8 +252,8 @@ func TestAllocDefaultUnchanged(t *testing.T) {
 	if sys.batching() {
 		t.Fatal("batching() reports enabled under AllocDefault")
 	}
-	if got := sys.effectiveAlloc(); got != AllocModel {
-		t.Fatalf("effectiveAlloc under ModeHomeo = %v, want the builtin AllocModel", got)
+	if got := sys.der.strategy; got != stratModel {
+		t.Fatalf("strategy under ModeHomeo = %v, want the builtin stratModel", got)
 	}
 	for _, u := range sys.Units {
 		if u.demand != nil {
@@ -268,9 +268,9 @@ func TestAllocDefaultUnchanged(t *testing.T) {
 	}
 	// And the mode's solver-time accounting is untouched: the model
 	// strategy charges base + L*f samples, exactly the seed formula
-	// (read back from sys.Opts, where New filled the defaults).
-	want := sys.Opts.SolverBase +
-		rt.Duration(sys.Opts.Lookahead*sys.Opts.CostFactor)*sys.Opts.SolverPerSample
+	// (L and f read back from sys.Opts, where New filled the defaults).
+	want := 5*rt.Millisecond +
+		rt.Duration(sys.Opts.Lookahead*sys.Opts.CostFactor)*500*rt.Microsecond
 	if got := sys.solverTime(); got != want {
 		t.Fatalf("solverTime = %v, want seed formula %v", got, want)
 	}

@@ -661,15 +661,17 @@ func (sys *System) negotiate(p rt.Proc, site int, units []*unitState, req worklo
 		for _, obj := range u.objects {
 			unitFolded[obj] = folded[obj]
 		}
-		locals, gerr := sys.buildTreaties(u, unitFolded, weights)
+		r := derivation{u: u, folded: unitFolded, width: n, weights: sys.slackWeights(u, weights)}
+		locals, gerr := sys.der.derive(r)
 		if gerr != nil {
 			// The batch already committed: degrade this unit to safe pin
 			// treaties (every next write synchronizes and retries real
 			// generation) and surface the failure as a counter. If even
-			// the pin build fails the stale treaties stay — that path
-			// has no failure mode short of a broken template builder.
+			// the pin fails the stale treaties stay — that path has no
+			// failure mode short of a broken template builder.
 			sys.Col.RecordTreatyGenFailure()
-			locals, gerr = sys.buildPinTreaties(u, unitFolded)
+			r.pin = true
+			locals, gerr = sys.der.derive(r)
 		}
 		if gerr == nil {
 			v := u.version + 1

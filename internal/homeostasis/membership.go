@@ -17,8 +17,6 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/lang"
-	"repro/internal/lia"
-	"repro/internal/logic"
 	"repro/internal/rt"
 	"repro/internal/store"
 	"repro/internal/treaty"
@@ -160,22 +158,10 @@ func (sys *System) membershipWeights(base []int64) []int64 {
 	return w
 }
 
-// zeroDeltaLocal is a freshly admitted site's boot treaty for one unit:
-// its delta objects pinned at zero, so the site's first local write
-// violates and renegotiates a real generation spanning the grown
-// membership.
-func zeroDeltaLocal(u *unitState, site int) treaty.Local {
-	l := treaty.Local{Site: site}
-	for _, obj := range u.objects {
-		td := lia.NewTerm()
-		td.AddVar(logic.Obj(lang.DeltaObj(obj, site)), 1)
-		l.Constraints = append(l.Constraints, lia.Constraint{Term: td, Op: lia.EQ})
-	}
-	return l
-}
-
-// growUnit widens the unit's per-site slices to n sites: the new slots
-// get a zero-delta pin treaty and carried-over demand counters. The
+// growUnit widens the unit's per-site slices to n sites: carried-over
+// demand counters, and for each new slot the localPin of a partition with
+// zero deltas, so an admitted site's first local write violates and
+// renegotiates a real generation spanning the grown membership. The
 // demand slice is rebuilt via Load/Store (atomics must not be copied by
 // append); safe because growth runs under the execution right.
 func (u *unitState) growUnit(n int) error {
@@ -188,7 +174,7 @@ func (u *unitState) growUnit(n int) error {
 		u.demand = nd
 	}
 	for site := len(u.locals); site < n; site++ {
-		l := zeroDeltaLocal(u, site)
+		l := localPin(u.objects, site, lang.Database(nil))
 		c, err := treaty.Compile(l)
 		if err != nil {
 			return fmt.Errorf("homeostasis: unit %d join treaty: %w", u.id, err)

@@ -6,8 +6,6 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/lang"
-	"repro/internal/lia"
-	"repro/internal/logic"
 	"repro/internal/rt"
 	"repro/internal/treaty"
 	"repro/internal/wal"
@@ -234,27 +232,10 @@ func (sys *System) adoptWinner(site int, rid fabric.RoundID, g *roundGrant) {
 	}
 }
 
-// degradeToLocalPin installs a pin treaty computed purely from the
-// site's own partition: the base (site 0 only — base objects are placed
-// there) and the site's own delta are pinned at their current values,
-// the Theorem 4.3 shape restricted to what one site can see without a
-// fold. It holds on the current state and any local write violates it.
+// degradeToLocalPin installs the site's localPin on its own partition as
+// it stands: no fold, no peer.
 func (sys *System) degradeToLocalPin(u *unitState, site int) {
-	st := sys.Stores[site]
-	l := treaty.Local{Site: site}
-	for _, obj := range u.objects {
-		if site == 0 {
-			t0 := lia.NewTerm()
-			t0.AddVar(logic.Obj(obj), 1)
-			t0.Const = -st.Get(obj)
-			l.Constraints = append(l.Constraints, lia.Constraint{Term: t0, Op: lia.EQ})
-		}
-		d := lang.DeltaObj(obj, site)
-		td := lia.NewTerm()
-		td.AddVar(logic.Obj(d), 1)
-		td.Const = -st.Get(d)
-		l.Constraints = append(l.Constraints, lia.Constraint{Term: td, Op: lia.EQ})
-	}
+	l := localPin(u.objects, site, sys.Stores[site])
 	if applied, err := u.installSiteTreaty(site, l, u.version); err == nil && applied {
 		sys.logTreaty(site, u.id, l, u.version, sys.clock, nil)
 		sys.walFlush(site)

@@ -15,16 +15,12 @@ package homeostasis
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"math/rand"
-	"slices"
 	"sync/atomic"
 
 	"repro/internal/cluster"
 	"repro/internal/fabric"
 	"repro/internal/lang"
-	"repro/internal/lia"
-	"repro/internal/logic"
 	"repro/internal/metrics"
 	"repro/internal/rt"
 	"repro/internal/store"
@@ -154,18 +150,11 @@ type Options struct {
 	// Lookahead (L) and CostFactor (f) are Algorithm 1's knobs.
 	Lookahead  int
 	CostFactor int
-	// SolverBase and SolverPerSample model the virtual time charged for
-	// treaty computation during negotiation: base plus per-sampled-write
-	// cost. The paper reports <50ms overall for its settings.
-	SolverBase      rt.Duration
-	SolverPerSample rt.Duration
 	// Warmup and Measure are the warm-up and measurement windows.
 	Warmup  rt.Duration
 	Measure rt.Duration
 	// Seed drives all randomness.
 	Seed int64
-	// MaxTxnsPerClient optionally bounds work (0 = unbounded).
-	MaxTxnsPerClient int
 	// EnableLog records the commit log for correctness replay tests.
 	EnableLog bool
 	// MeasureName restricts metrics to one transaction type; the paper's
@@ -265,10 +254,10 @@ type unitState struct {
 	// demand is the per-site demand observed since the last negotiation
 	// round (allocated only when Options.Alloc != AllocDefault).
 	demand []siteDemand
-	// lastCfg is the configuration the unit's last treaty build produced;
-	// the next model-optimized solve passes it as a warm-start hint
-	// (treaty.OptimizeOptions.Warm — bit-identical output, the hint only
-	// skips the foregone first MaxSAT round).
+	// lastCfg is the configuration the unit's last derivation produced; the
+	// deriver passes it to the next model-optimized solve as the warm-start
+	// hint (treaty.OptimizeOptions.Warm — bit-identical output, the hint
+	// only skips the foregone first MaxSAT round).
 	lastCfg treaty.Config
 	// fold caches the unit's consolidated logical values between
 	// synchronization points (nil = stale). Maintained only under the
@@ -304,40 +293,9 @@ type System struct {
 	// time before Run starts).
 	deadline rt.Time
 
-	optRng *rand.Rand
-
-	// cfgCache memoizes treaty configurations by isomorphism class: many
-	// units share the same treaty shape and folded values (e.g. thousands
-	// of stock items at the same quantity), and the optimizer's output
-	// depends only on that class, so one optimization serves them all.
-	// This is the paper's parameterized compression (Section 5.1) applied
-	// to treaty configurations.
-	cfgCache map[isoHash]treaty.Config
-
-	// localsCache extends the configuration cache one derivation step
-	// further: the instantiated per-site locals of the first unit per
-	// isomorphism key, with the canonical variable order they were built
-	// under. An isomorphic unit's locals are the same constraints under
-	// the positional variable rename isoKey's first-occurrence order
-	// defines, so serving them skips the template build and
-	// instantiation entirely.
-	localsCache map[isoHash]localsEntry
-
-	// isoIdx/isoNames/isoVars are isoKey's reusable scratch
-	// (first-occurrence variable indexing, one constraint's variables in
-	// canonical order); accessed only under the execution right.
-	isoIdx   map[string]int
-	isoNames []string
-	isoVars  []isoVar
-
-	// shared is W's SharedGlobal when the workload can hand out a unit's
-	// global treaty without copying it (the class registry); nil otherwise.
-	shared sharedGlobals
-
-	// SolverInvocations counts treaty computations performed online;
-	// CacheHits counts configurations served from the isomorphism cache.
-	SolverInvocations int64
-	CacheHits         int64
+	// der derives every unit's treaties (see derive.go); under the 2PC and
+	// local baselines its strategy is stratNone and it is never asked.
+	der *deriver
 
 	// BusyRetries counts violators that found their units already
 	// renegotiating and fell back to the serial wait-and-retry path
@@ -392,13 +350,6 @@ type System struct {
 	walWrites  map[string]int64
 }
 
-// sharedGlobals is the optional capability of a workload whose units'
-// global treaties are renames of shared, memoized ones: see
-// workload.Registry.SharedGlobal for the contract.
-type sharedGlobals interface {
-	SharedGlobal(unit int, folded lang.Database) (treaty.Global, map[lang.ObjID]lang.ObjID, error)
-}
-
 // New builds the system: per-site stores initialized with the replicated
 // database (base objects plus zeroed delta objects), CPU resources, and
 // per-unit treaties generated offline by the protocol initializer
@@ -419,28 +370,19 @@ func New(e rt.Runtime, w workload.Workload, opts Options) (*System, error) {
 	if opts.CostFactor == 0 {
 		opts.CostFactor = 3
 	}
-	if opts.SolverBase == 0 {
-		opts.SolverBase = 5 * rt.Millisecond
-	}
-	if opts.SolverPerSample == 0 {
-		opts.SolverPerSample = 500 * rt.Microsecond
-	}
 	n := opts.Topo.NSites()
 	sys := &System{
-		E:           e,
-		Opts:        opts,
-		W:           w,
-		Col:         &metrics.Collector{},
-		optRng:      rand.New(rand.NewSource(opts.Seed + 7919)),
-		cfgCache:    make(map[isoHash]treaty.Config),
-		localsCache: make(map[isoHash]localsEntry),
-		self:        -1,
-		rounds:      make(map[fabric.RoundID]*roundGrant),
-		deltaNames:  make(map[lang.ObjID][]lang.ObjID),
-		status:      make([]siteStatus, n),
-		siteAddrs:   make([]string, n),
+		E:          e,
+		Opts:       opts,
+		W:          w,
+		Col:        &metrics.Collector{},
+		self:       -1,
+		rounds:     make(map[fabric.RoundID]*roundGrant),
+		deltaNames: make(map[lang.ObjID][]lang.ObjID),
+		status:     make([]siteStatus, n),
+		siteAddrs:  make([]string, n),
 	}
-	sys.shared, _ = w.(sharedGlobals)
+	sys.der = newDeriver(w, opts, sys.deltaName, sys.Col)
 	initial := w.InitialDB()
 	for i := 0; i < n; i++ {
 		s := store.New(e, initial)
@@ -457,22 +399,40 @@ func New(e rt.Runtime, w workload.Workload, opts Options) (*System, error) {
 	}
 	sys.fab = fabric.NewLocal(opts.Topo, nodes)
 	for u := 0; u < w.NumUnits(); u++ {
-		us := &unitState{id: u, objects: w.UnitObjects(u)}
-		if opts.Alloc != AllocDefault {
-			us.demand = make([]siteDemand, n)
-		}
-		sys.Units = append(sys.Units, us)
-		if opts.Mode == ModeTwoPC || opts.Mode == ModeLocal {
-			continue
-		}
-		// Offline treaty initialization on the initial (already folded)
-		// database. Uses the same generation path as online negotiation
-		// but charges no virtual time.
-		if err := sys.generateTreaties(us, sys.foldUnit(us)); err != nil {
+		if err := sys.addUnit(u); err != nil {
 			return nil, fmt.Errorf("homeostasis: initializing unit %d: %w", u, err)
 		}
 	}
 	return sys, nil
+}
+
+// addUnit appends the workload's unit id with treaties derived from its
+// folded state through the deriver the cleanup phase uses, charging no
+// virtual time: the protocol initializer (Section 5.1), offline at boot and
+// online for a class registered later.
+func (sys *System) addUnit(id int) error {
+	u := &unitState{id: id, objects: sys.W.UnitObjects(id)}
+	if sys.batching() {
+		u.demand = make([]siteDemand, sys.Opts.Topo.NSites())
+	}
+	if sys.der.strategy != stratNone {
+		// In a multi-process cluster every process registers a class on its
+		// own and the treaties must agree across them, while optimizer
+		// stream and memo have diverged by whatever rounds each process
+		// happened to coordinate: derive standalone there.
+		locals, err := sys.der.derive(derivation{
+			u: u, folded: sys.foldUnit(u), width: sys.Opts.Topo.NSites(),
+			weights: sys.slackWeights(u, nil), standalone: sys.self >= 0,
+		})
+		if err == nil {
+			err = sys.installLocalTreaties(u, locals)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	sys.Units = append(sys.Units, u)
+	return nil
 }
 
 // AddUnits extends a running system with treaty units the workload gained
@@ -511,40 +471,19 @@ func (sys *System) AddUnits(install lang.Database) error {
 		}
 	}
 	for id := len(sys.Units); id < sys.W.NumUnits(); id++ {
-		u := &unitState{id: id, objects: sys.W.UnitObjects(id)}
-		if sys.Opts.Alloc != AllocDefault {
-			u.demand = make([]siteDemand, n)
+		if err := sys.addUnit(id); err != nil {
+			return fmt.Errorf("homeostasis: registering unit %d: %w", id, err)
 		}
-		if sys.Opts.Mode != ModeTwoPC && sys.Opts.Mode != ModeLocal {
-			var (
-				locals []treaty.Local
-				err    error
-			)
-			if sys.self >= 0 {
-				// Multi-process: every process registers the class
-				// independently, so the generated treaties must agree
-				// across processes. The shared optimizer stream and the
-				// configuration cache have both diverged by whatever
-				// rounds this process happened to coordinate — use a
-				// unit-seeded stream and bypass the cache so the
-				// allocation is a pure function of (seed, unit, folded
-				// state), identical everywhere.
-				rng := rand.New(rand.NewSource(sys.Opts.Seed*1_000_033 + int64(id)))
-				locals, err = sys.buildTreatiesWith(u, sys.foldUnit(u), rng, false, nil)
-				if err == nil {
-					err = sys.installLocalTreaties(u, locals)
-				}
-			} else {
-				err = sys.generateTreaties(u, sys.foldUnit(u))
-			}
-			if err != nil {
-				return fmt.Errorf("homeostasis: registering unit %d: %w", id, err)
-			}
-		}
-		sys.Units = append(sys.Units, u)
 	}
 	return nil
 }
+
+// SolverInvocations counts the treaty configurations computed so far, at
+// boot and online; CacheHits counts those the deriver's memo served instead.
+func (sys *System) SolverInvocations() int64 { return sys.der.solves }
+
+// CacheHits: see SolverInvocations.
+func (sys *System) CacheHits() int64 { return sys.der.hits }
 
 // UnitLocals returns the unit's current per-site local treaties, for
 // introspection (the public API surfaces them as strings).
@@ -616,138 +555,6 @@ func (sys *System) invalidateFolds() {
 	}
 }
 
-// placement locates objects for template splitting: delta objects belong
-// to their site; base (replicated) objects are assigned to site 0, which
-// is sound because base objects only change at synchronization points.
-func placement(obj lang.ObjID) int {
-	if _, site, ok := lang.IsDeltaObj(obj); ok {
-		return site
-	}
-	return 0
-}
-
-// isoHash is a 128-bit FNV-1a-style digest of a configuration-cache
-// key. 128 bits keep the accidental-collision probability negligible
-// (two distinct isomorphism classes hashing together would serve one
-// class the other's configuration).
-type isoHash [2]uint64
-
-// fnv128OffsetHi/Lo is the FNV-128 offset basis.
-const (
-	fnv128OffsetHi = 0x6c62272e07bb0142
-	fnv128OffsetLo = 0x62b821756295c58d
-)
-
-// mix absorbs one 64-bit word: XOR into the low half, then multiply the
-// 128-bit state by the FNV-128 prime 2^88 + 0x13b (mod 2^128).
-func (h *isoHash) mix(w uint64) {
-	h[1] ^= w
-	carry, lo := bits.Mul64(h[1], 0x13b)
-	h[0] = h[0]*0x13b + carry + h[1]<<24
-	h[1] = lo
-}
-
-// isoVar is one variable of the constraint isoKey is hashing, under the
-// unit's own name.
-type isoVar struct {
-	v     logic.Var
-	coeff int64
-}
-
-func compareIsoVars(a, b isoVar) int { return logic.CompareVars(a.v, b.v) }
-
-// renamed is obj under the renaming a shared global treaty comes with
-// (workload.Registry.SharedGlobal): base objects through ren, a delta
-// object as the same site's delta of its renamed base — an interned name,
-// so renaming allocates nothing.
-func (sys *System) renamed(ren map[lang.ObjID]lang.ObjID, obj lang.ObjID) lang.ObjID {
-	if m, ok := ren[obj]; ok {
-		return m
-	}
-	if base, site, ok := lang.IsDeltaObj(obj); ok {
-		if m, ok := ren[base]; ok {
-			return sys.deltaName(m, site)
-		}
-	}
-	return obj
-}
-
-// isoKey canonicalizes a (global treaty, folded database) pair up to
-// object renaming: object names are replaced by first-occurrence indices,
-// keeping coefficients, relations, placements, and folded values. Units
-// with equal keys have isomorphic templates and receive identical
-// configurations (configuration variable names are positional). Caching
-// on this key assumes isomorphic units also have statistically identical
-// workload models, which holds for both built-in workloads (per-item
-// demand models are shared). The key is hashed — this runs on every
-// renegotiation, and the previous string encoding dominated the
-// cache-hit path's allocations; the index map, name list and variable
-// buffer are per-System scratch reused across calls.
-//
-// The treaty hashed is g with its objects renamed through ren (nil: as
-// they are), visited exactly as the renamed copy's constraints would be —
-// each constraint's variables in canonical order of their new names — so
-// a shared global and a renamed copy of it hash alike, and sys.isoNames is
-// left holding the unit's own names.
-//
-//homeo:hotpath
-func (sys *System) isoKey(g treaty.Global, ren map[lang.ObjID]lang.ObjID, folded lang.Database) isoHash {
-	h := isoHash{fnv128OffsetHi, fnv128OffsetLo}
-	idx := sys.isoIdx
-	if idx == nil {
-		idx = make(map[string]int)
-		sys.isoIdx = idx
-	}
-	clear(idx)
-	names := sys.isoNames[:0]
-	for _, c := range g.Constraints {
-		h.mix(0xc1)
-		h.mix(uint64(c.Op))
-		h.mix(uint64(c.Term.Const))
-		vars := sys.isoVars[:0]
-		//homeo:nondet the variables are sorted below; order invisible
-		for v, coeff := range c.Term.Coeffs {
-			if ren != nil && v.Kind == logic.ObjVar {
-				v.Name = string(sys.renamed(ren, lang.ObjID(v.Name)))
-			}
-			vars = append(vars, isoVar{v, coeff})
-		}
-		slices.SortFunc(vars, compareIsoVars)
-		sys.isoVars = vars
-		for _, iv := range vars {
-			i, ok := idx[iv.v.Name]
-			if !ok {
-				i = len(idx)
-				idx[iv.v.Name] = i
-				names = append(names, iv.v.Name)
-			}
-			h.mix(uint64(iv.coeff))
-			h.mix(uint64(i))
-			h.mix(uint64(placement(lang.ObjID(iv.v.Name))))
-		}
-	}
-	h.mix(0xf0)
-	for _, name := range names {
-		h.mix(uint64(folded.Get(lang.ObjID(name))))
-	}
-	sys.isoNames = names
-	return h
-}
-
-// generateTreaties derives and installs the unit's per-site local
-// treaties from the folded database — the offline path (system
-// construction, class registration), where every site's slot is written
-// directly. Online renegotiation instead builds the treaties at the
-// coordinator (buildTreaties) and ships each site its local through the
-// fabric's round-2 message.
-func (sys *System) generateTreaties(u *unitState, folded lang.Database) error {
-	locals, err := sys.buildTreaties(u, folded, nil)
-	if err != nil {
-		return err
-	}
-	return sys.installLocalTreaties(u, locals)
-}
-
 // installLocalTreaties compiles and installs a full per-site treaty set
 // on the unit.
 func (sys *System) installLocalTreaties(u *unitState, locals []treaty.Local) error {
@@ -765,259 +572,32 @@ func (sys *System) installLocalTreaties(u *unitState, locals []treaty.Local) err
 	return nil
 }
 
-// buildTreaties derives the unit's global treaty from the folded
-// database, splits it into templates, and instantiates a configuration
-// per the run mode, returning the per-site local treaties without
-// installing them. It draws from the system's optimizer stream and the
-// configuration cache — fine for boot (every process runs the identical
-// sequence) and for online rounds (only the coordinator's output is
-// used; it ships each site its local). weights, when set, overrides the
-// slack weights: see negotiate.
-func (sys *System) buildTreaties(u *unitState, folded lang.Database, weights []int64) ([]treaty.Local, error) {
-	return sys.buildTreatiesWith(u, folded, sys.optRng, true, weights)
-}
-
-func (sys *System) buildTreatiesWith(u *unitState, folded lang.Database, rng *rand.Rand, useCache bool, weights []int64) ([]treaty.Local, error) {
-	// A workload that shares global treaties between isomorphic units
-	// hands out the shared one with the unit's renaming: on a configuration
-	// and locals hit — every steady-state round — the treaty is only hashed
-	// and never copied.
-	var (
-		g   treaty.Global
-		ren map[lang.ObjID]lang.ObjID
-		err error
-	)
-	if sys.shared != nil {
-		g, ren, err = sys.shared.SharedGlobal(u.id, folded)
-	} else {
-		g, err = sys.W.BuildGlobal(u.id, folded)
-	}
-	if err != nil {
-		return nil, err
-	}
-	// The store-shaped database: base objects at folded values, all delta
-	// objects zero (absent entries read as zero).
-	//
-	// Configurations are memoized by isomorphism class: the optimizer's
-	// output depends only on the treaty's shape and the folded values
-	// (configuration variable names are positional, identical across
-	// isomorphic templates), not on which concrete objects it governs.
-	// The adaptive strategy additionally depends on the unit's observed
-	// demand, so its cache key carries the quantized weight vector: units
-	// with isomorphic treaties AND similar demand skew warm-start from
-	// one allocation.
-	alloc := sys.effectiveAlloc()
-	override := weights != nil
-	key := sys.isoKey(g, ren, folded)
-	if alloc == AllocAdaptive && !override {
-		weights = quantizeDemand(u.demand)
-		key.mix(0xa1)
-		for _, w := range weights {
-			key.mix(uint64(w))
-		}
-	}
-	// Degraded membership (a site draining or gone): every strategy
-	// switches to the adaptive allocator with the membership overlaid on
-	// the weights, so an inactive site gets zero slack — any write it can
-	// no longer spend would leak consistency past its drain. Overriding
-	// weights (a migration's) take the same route. The fixed-topology path
-	// below is untouched.
-	degraded := override || sys.anyInactive()
-	if degraded {
-		weights = sys.membershipWeights(weights)
-		key.mix(0x3e)
-		for _, w := range weights {
-			key.mix(uint64(w))
-		}
-	}
-	var cfg treaty.Config
-	cfgHit := false
-	if cached, ok := sys.cfgCache[key]; useCache && ok {
-		cfg = cached
-		sys.CacheHits++
-		cfgHit = true
-		// An isomorphic unit already instantiated this configuration:
-		// its locals differ from this unit's only by the positional
-		// variable rename the isomorphism defines, so the template build
-		// and instantiation are skipped entirely.
-		if locals, ok := sys.renamedLocals(key); ok {
-			u.lastCfg = cfg
-			return locals, nil
-		}
-	}
-	if ren != nil {
-		g = g.Rename(func(obj lang.ObjID) lang.ObjID { return sys.renamed(ren, obj) })
-	}
-	tmpl, err := treaty.BuildTemplate(g, sys.Opts.Topo.NSites(), placement)
-	if err != nil {
-		return nil, err
-	}
-	// optimize runs the model-based solve, warm-started from the unit's
-	// previous configuration when one exists. The warm hint never changes
-	// the result (see treaty.OptimizeOptions.Warm) — it skips the foregone
-	// first MaxSAT round, and the outcome counters feed the stats surface.
-	optimize := func() treaty.Config {
-		cfg, ostats := treaty.Optimize(tmpl, folded, sys.W.Model(u.id), treaty.OptimizeOptions{
-			Lookahead:  sys.Opts.Lookahead,
-			CostFactor: sys.Opts.CostFactor,
-			Rng:        rng,
-			Warm:       u.lastCfg,
-		})
-		sys.Col.RecordSolverWarm(ostats.WarmStart, ostats.WarmFallback)
-		return cfg
-	}
-	if !cfgHit {
-		if degraded {
-			cfg = tmpl.AdaptiveConfig(folded, weights)
-		} else if sys.Opts.Alloc == AllocDefault {
-			switch sys.Opts.Mode {
-			case ModeHomeo:
-				cfg = optimize()
-			case ModeOpt:
-				cfg = tmpl.EqualSplitConfig(folded)
-			case ModeHomeoDefault:
-				cfg = tmpl.DefaultConfig(folded)
-			default:
-				return nil, fmt.Errorf("homeostasis: mode %v does not use treaties", sys.Opts.Mode)
-			}
-		} else {
-			switch sys.Opts.Mode {
-			case ModeHomeo, ModeOpt, ModeHomeoDefault:
-			default:
-				return nil, fmt.Errorf("homeostasis: mode %v does not use treaties", sys.Opts.Mode)
-			}
-			switch alloc {
-			case AllocModel:
-				cfg = optimize()
-			case AllocEqualSplit:
-				cfg = tmpl.EqualSplitConfig(folded)
-			case AllocAdaptive:
-				cfg = tmpl.AdaptiveConfig(folded, weights)
-			}
-		}
-		sys.SolverInvocations++
-		if useCache {
-			sys.cfgCache[key] = cfg
-		}
-	}
-	u.lastCfg = cfg
-	locals, err := tmpl.LocalTreaties(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if useCache {
-		sys.cacheLocals(key, locals)
-	}
-	return locals, nil
-}
-
-// localsEntry is one locals-cache slot: the instantiated locals of the
-// first unit per isomorphism key, flattened over the canonical
-// (first-occurrence) variable order they were built under. A variable is
-// its index in that order, so instantiating the entry for an isomorphic
-// unit is a positional rename into that unit's sys.isoNames.
-type localsEntry struct {
-	nNames int
-	// siteEnd[k] is where site k's constraints end in cons; cons[j].end is
-	// where constraint j's summands end in terms.
-	siteEnd []int
-	cons    []cachedConstraint
-	terms   []cachedTerm
-}
-
-type cachedConstraint struct {
-	konst int64
-	op    lia.RelOp
-	end   int
-}
-
-type cachedTerm struct {
-	name  int
-	coeff int64
-}
-
-// renamedLocals serves a unit's local treaties from the locals cache by
-// instantiating the cached entry under this unit's names. sys.isoNames
-// must hold the unit's canonical variable order (valid since the last
-// isoKey call). An entry built under a different site count falls back
-// to a scratch build — elastic joins and drains change the topology
-// without touching the iso key. All sites' constraints share one slice;
-// the coefficient maps are sized once and never grow.
-//
-//homeo:hotpath
-func (sys *System) renamedLocals(key isoHash) ([]treaty.Local, bool) {
-	e, ok := sys.localsCache[key]
-	if !ok || e.nNames != len(sys.isoNames) || len(e.siteEnd) != sys.Opts.Topo.NSites() {
-		return nil, false
-	}
-	// The locals are installed: they outlive the round.
-	out := make([]treaty.Local, len(e.siteEnd))
-	cons := make([]lia.Constraint, len(e.cons))
-	j, t := 0, 0
-	for site, end := range e.siteEnd {
-		out[site] = treaty.Local{Site: site, Constraints: cons[j:end:end]}
-		for ; j < end; j++ {
-			c := e.cons[j]
-			coeffs := make(map[logic.Var]int64, c.end-t)
-			for ; t < c.end; t++ {
-				coeffs[logic.Var{Kind: logic.ObjVar, Name: sys.isoNames[e.terms[t].name]}] = e.terms[t].coeff
-			}
-			cons[j] = lia.Constraint{Term: lia.Term{Coeffs: coeffs, Const: c.konst}, Op: c.op}
-		}
-	}
-	return out, true
-}
-
-// cacheLocals stores freshly instantiated locals under the canonical
-// variable order of the unit that built them (sys.isoNames, valid since
-// the last isoKey call). The flattened copy shares nothing with the
-// installed locals. Locals mentioning a variable outside that order are
-// not cached: isomorphic units build theirs from scratch, as they would
-// have on finding such an entry.
-func (sys *System) cacheLocals(key isoHash, locals []treaty.Local) {
-	e := localsEntry{nNames: len(sys.isoNames)}
-	for _, l := range locals {
-		for _, c := range l.Constraints {
-			for _, v := range c.Term.Vars() {
-				i, ok := sys.isoIdx[v.Name]
-				if !ok || v.Kind != logic.ObjVar {
-					delete(sys.localsCache, key)
-					return
-				}
-				e.terms = append(e.terms, cachedTerm{name: i, coeff: c.Term.Coeffs[v]})
-			}
-			e.cons = append(e.cons, cachedConstraint{konst: c.Term.Const, op: c.Op, end: len(e.terms)})
-		}
-		e.siteEnd = append(e.siteEnd, len(e.cons))
-	}
-	sys.localsCache[key] = e
-}
-
-// effectiveAlloc resolves the allocation strategy actually in force: the
-// explicit Options.Alloc override, or the mode's built-in strategy
-// (homeo = model-optimized, opt = equal split; homeo-default's Theorem
-// 4.3 pin has no override name and reports AllocDefault).
-func (sys *System) effectiveAlloc() Alloc {
-	if sys.Opts.Alloc != AllocDefault {
-		return sys.Opts.Alloc
-	}
-	switch sys.Opts.Mode {
-	case ModeHomeo:
-		return AllocModel
-	case ModeOpt:
-		return AllocEqualSplit
-	}
-	return AllocDefault
-}
-
 // batching reports whether the cleanup phase accepts co-winners
 // (batched renegotiation is part of the adaptive engine opt-in).
 func (sys *System) batching() bool { return sys.Opts.Alloc != AllocDefault }
 
+// slackWeights resolves the weights the unit's next derivation splits slack
+// by: a migration's override, else the observed demand under the adaptive
+// strategy, else none — the strategy configures on its own. Once any site is
+// draining or gone (or a migration overrides) the membership is overlaid, so
+// every strategy becomes a weighted split in which an inactive site gets
+// zero slack: any write it can no longer spend would leak consistency past
+// its drain. The fixed-topology path is untouched.
+func (sys *System) slackWeights(u *unitState, override []int64) []int64 {
+	weights := override
+	if weights == nil && sys.der.strategy == stratAdaptive {
+		weights = quantizeDemand(u.demand)
+	}
+	if override != nil || sys.anyInactive() {
+		weights = sys.membershipWeights(weights)
+	}
+	return weights
+}
+
 // quantizeDemand maps per-site burn counters to a coarse weight vector
-// (resolution 8 relative to the total) so the isomorphism cache can share
+// (resolution 8 relative to the total) so the deriver's memo can share
 // adaptive allocations between units with similar — not only identical —
-// demand skew, and the allocation itself is a pure function of the cache
+// demand skew, and the allocation itself is a pure function of the memo
 // key.
 func quantizeDemand(demand []siteDemand) []int64 {
 	weights := make([]int64, len(demand))
@@ -1045,43 +625,22 @@ func quantizeDemand(demand []siteDemand) []int64 {
 	return weights
 }
 
-// buildPinTreaties is the cleanup phase's safety net when treaty
-// generation fails after T' has already committed everywhere: it derives
-// the always-valid pin treaties directly from the consolidated state
-// (site 0 pins base+delta at the folded value, every other site pins its
-// delta at zero — the Theorem 4.3 default for this shape). Any subsequent
-// write violates and re-enters negotiation, which retries real
-// generation, so the system degrades to sync-per-write instead of
-// executing against stale treaties.
-func (sys *System) buildPinTreaties(u *unitState, folded lang.Database) ([]treaty.Local, error) {
-	var g treaty.Global
-	n := sys.Opts.Topo.NSites()
-	for _, obj := range u.objects {
-		pin := lia.NewTerm()
-		pin.AddVar(logic.Obj(obj), 1)
-		for k := 0; k < n; k++ {
-			pin.AddVar(logic.Obj(lang.DeltaObj(obj, k)), 1)
-		}
-		pin.Const = -folded.Get(obj)
-		g.Constraints = append(g.Constraints, lia.Constraint{Term: pin, Op: lia.EQ})
-	}
-	tmpl, err := treaty.BuildTemplate(g, n, placement)
-	if err != nil {
-		return nil, err
-	}
-	return tmpl.LocalTreaties(tmpl.DefaultConfig(folded))
-}
+// solverBase and solverPerSample model the virtual time charged for treaty
+// computation during a negotiation (Figure 24's "solver" component): base
+// cost plus per-sample cost of Algorithm 1's L*f simulated writes. The paper
+// reports <50ms overall for its settings.
+const (
+	solverBase      = 5 * rt.Millisecond
+	solverPerSample = 500 * rt.Microsecond
+)
 
-// solverTime models the virtual time spent computing treaties during a
-// negotiation (Figure 24's "solver" component): base cost plus per-sample
-// cost of Algorithm 1's L*f simulated writes. Equal-split, adaptive, and
-// the default configuration are closed-form (base cost only).
+// solverTime is that charge for one negotiation. Slack splits and the
+// default configuration are closed-form (base cost only).
 func (sys *System) solverTime() rt.Duration {
-	if sys.effectiveAlloc() == AllocModel {
-		return sys.Opts.SolverBase +
-			rt.Duration(sys.Opts.Lookahead*sys.Opts.CostFactor)*sys.Opts.SolverPerSample
+	if sys.der.strategy == stratModel {
+		return solverBase + rt.Duration(sys.Opts.Lookahead*sys.Opts.CostFactor)*solverPerSample
 	}
-	return sys.Opts.SolverBase
+	return solverBase
 }
 
 // Run starts ClientsPerSite clients at every site and runs the runtime
@@ -1124,7 +683,7 @@ func (sys *System) Run() *metrics.Collector {
 func (sys *System) clientLoop(p rt.Proc, site, id int) {
 	rng := rand.New(rand.NewSource(sys.Opts.Seed*1_000_003 + int64(id)))
 	deadline := sys.deadline
-	for n := 0; sys.Opts.MaxTxnsPerClient == 0 || n < sys.Opts.MaxTxnsPerClient; n++ {
+	for {
 		if p.Now() >= deadline {
 			return
 		}

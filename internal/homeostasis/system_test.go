@@ -251,7 +251,7 @@ func TestMultiItemRequests(t *testing.T) {
 }
 
 // TestConfigCacheServesIsomorphicUnits: items at the same quantity share
-// treaty configurations through the isomorphism cache.
+// treaty configurations through the deriver's memo.
 func TestConfigCacheServesIsomorphicUnits(t *testing.T) {
 	w := microWorkload(t, 50, 2, 100) // 50 identical items
 	e := sim.NewEngine(1)
@@ -260,18 +260,18 @@ func TestConfigCacheServesIsomorphicUnits(t *testing.T) {
 		t.Fatal(err)
 	}
 	// All 50 initial units are isomorphic: exactly one solver call.
-	if sys.SolverInvocations != 1 {
-		t.Fatalf("solver invocations = %d, want 1 (cache)", sys.SolverInvocations)
+	if sys.SolverInvocations() != 1 {
+		t.Fatalf("solver invocations = %d, want 1 (cache)", sys.SolverInvocations())
 	}
-	if sys.CacheHits != 49 {
-		t.Fatalf("cache hits = %d, want 49", sys.CacheHits)
+	if sys.CacheHits() != 49 {
+		t.Fatalf("cache hits = %d, want 49", sys.CacheHits())
 	}
 	sys.Run()
 	// Runtime negotiations hit varying quantities; the cache keeps the
 	// solver-call count well below the negotiation count.
-	if sys.Col.Synced > 0 && sys.SolverInvocations > sys.Col.Synced+1 {
+	if sys.Col.Synced > 0 && sys.SolverInvocations() > sys.Col.Synced+1 {
 		t.Fatalf("solver calls (%d) exceed negotiations (%d)",
-			sys.SolverInvocations, sys.Col.Synced)
+			sys.SolverInvocations(), sys.Col.Synced)
 	}
 }
 

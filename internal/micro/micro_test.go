@@ -142,7 +142,7 @@ func TestTreatyPipelineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := tmpl.EqualSplitConfig(folded)
+	cfg := tmpl.AdaptiveConfig(folded, nil)
 	if err := tmpl.Validate(cfg, folded); err != nil {
 		t.Fatal(err)
 	}

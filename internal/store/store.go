@@ -4,16 +4,11 @@
 // deadlock detection, and a configurable lock-wait timeout (the paper's
 // MySQL deployment used innodb_lock_wait_timeout = 1s, which produces the
 // long latency tail discussed in Section 6.2).
-//
-// The store also tracks the set of objects written since the start of the
-// current protocol round; the homeostasis cleanup phase broadcasts exactly
-// this dirty set (Section 3.3).
 package store
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/lang"
 	"repro/internal/rt"
@@ -53,10 +48,6 @@ type Store struct {
 
 	locks *lockTable
 
-	// dirty is the set of objects written by committed transactions since
-	// the last ResetDirty (i.e. since the current round began).
-	dirty map[lang.ObjID]bool
-
 	// freeTxns recycles finished transactions (see Recycle) so the
 	// commit fast path does not allocate a Txn per request. Accessed
 	// only under the runtime's execution right, like all store state.
@@ -80,7 +71,6 @@ func New(e rt.Runtime, initial lang.Database) *Store {
 		e:     e,
 		db:    initial.Clone(),
 		locks: newLockTable(e),
-		dirty: make(map[lang.ObjID]bool),
 	}
 }
 
@@ -89,30 +79,12 @@ func New(e rt.Runtime, initial lang.Database) *Store {
 // messages).
 func (s *Store) Get(obj lang.ObjID) int64 { return s.db.Get(obj) }
 
-// Apply installs a value without locking or dirty tracking (used when
-// applying remote synchronization state during cleanup).
+// Apply installs a value without locking (used when applying remote
+// synchronization state during cleanup).
 func (s *Store) Apply(obj lang.ObjID, v int64) { s.db.Set(obj, v) }
 
 // Snapshot returns a copy of the full database.
 func (s *Store) Snapshot() lang.Database { return s.db.Clone() }
-
-// DirtySet returns the objects written since the last ResetDirty, with
-// their current values, in deterministic order.
-func (s *Store) DirtySet() []ObjValue {
-	out := make([]ObjValue, 0, len(s.dirty))
-	for obj := range s.dirty {
-		out = append(out, ObjValue{Obj: obj, Value: s.db.Get(obj)})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Obj < out[j].Obj })
-	return out
-}
-
-// ResetDirty clears the dirty set (start of a new round).
-func (s *Store) ResetDirty() {
-	for obj := range s.dirty {
-		delete(s.dirty, obj)
-	}
-}
 
 // ObjValue is an (object, value) pair used in synchronization messages.
 type ObjValue struct {
@@ -215,16 +187,12 @@ func (t *Txn) wroteObj(obj lang.ObjID) bool {
 	return false
 }
 
-// Commit makes the transaction's writes durable in the dirty set and
-// releases all locks.
+// Commit keeps the transaction's writes and releases all locks.
 func (t *Txn) Commit() {
 	if t.closed {
 		return
 	}
 	t.closed = true
-	for i := range t.undo {
-		t.s.dirty[t.undo[i].Obj] = true
-	}
 	t.s.Commits++
 	t.s.locks.releaseAll(t)
 }

@@ -47,31 +47,6 @@ func TestAbortRollsBack(t *testing.T) {
 	if s.Get("x") != 10 || s.Get("y") != 20 {
 		t.Fatalf("rollback failed: x=%d y=%d", s.Get("x"), s.Get("y"))
 	}
-	if len(s.DirtySet()) != 0 {
-		t.Fatalf("aborted txn polluted dirty set: %v", s.DirtySet())
-	}
-}
-
-func TestDirtySetTracksCommittedWrites(t *testing.T) {
-	e := sim.NewEngine(1)
-	s := New(e, lang.Database{"a": 1, "b": 2, "c": 3})
-	e.Spawn(0, func(p rt.Proc) {
-		t1 := s.Begin(p)
-		_ = t1.Write("a", 10)
-		t1.Commit()
-		t2 := s.Begin(p)
-		_ = t2.Write("b", 20)
-		t2.Abort()
-	})
-	e.Run()
-	ds := s.DirtySet()
-	if len(ds) != 1 || ds[0].Obj != "a" || ds[0].Value != 10 {
-		t.Fatalf("dirty set = %v, want [{a 10}]", ds)
-	}
-	s.ResetDirty()
-	if len(s.DirtySet()) != 0 {
-		t.Fatal("ResetDirty did not clear")
-	}
 }
 
 func TestSharedLocksCoexist(t *testing.T) {

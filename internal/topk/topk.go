@@ -21,7 +21,6 @@ import (
 	"math/rand"
 
 	"repro/internal/lang"
-	"repro/internal/lia"
 	"repro/internal/logic"
 	"repro/internal/symtab"
 	"repro/internal/treaty"
@@ -119,17 +118,7 @@ func (w *Workload) UnitObjects(int) []lang.ObjID { return []lang.ObjID{Top1, Top
 // (Appendix B). Inserts below the minimum write nothing and commit
 // locally under the pins.
 func (w *Workload) BuildGlobal(_ int, folded lang.Database) (treaty.Global, error) {
-	var cs []lia.Constraint
-	for _, obj := range []lang.ObjID{Top1, Top2} {
-		pin := lia.NewTerm()
-		pin.AddVar(logic.Obj(obj), 1)
-		for k := 0; k < w.cfg.NSites; k++ {
-			pin.AddVar(logic.Obj(lang.DeltaObj(obj, k)), 1)
-		}
-		pin.Const = -folded.Get(obj)
-		cs = append(cs, lia.Constraint{Term: pin, Op: lia.EQ})
-	}
-	return treaty.Global{Constraints: cs}, nil
+	return treaty.PinGlobal([]lang.ObjID{Top1, Top2}, w.cfg.NSites, folded), nil
 }
 
 // Model implements workload.Workload: pin treaties admit no slack, so

@@ -258,13 +258,7 @@ func (w *Workload) buildStockGlobal(unit int, folded lang.Database) (treaty.Glob
 		// The guard holds for the representative parameter but not for the
 		// whole range: fall back to pinning the value (forces
 		// synchronization until the state leaves the boundary region).
-		pin := lia.NewTerm()
-		pin.AddVar(logic.Obj(canonStock), 1)
-		for k := 0; k < w.cfg.NSites; k++ {
-			pin.AddVar(logic.Obj(lang.DeltaObj(canonStock, k)), 1)
-		}
-		pin.Const = -canonical.Get(canonStock)
-		g = treaty.Global{Constraints: []lia.Constraint{{Term: pin, Op: lia.EQ}}}
+		g = treaty.PinGlobal([]lang.ObjID{canonStock}, w.cfg.NSites, canonical)
 	}
 	concrete := StockObj(unit)
 	return g.Rename(func(obj lang.ObjID) lang.ObjID {
@@ -286,16 +280,8 @@ func (w *Workload) buildStockGlobal(unit int, folded lang.Database) (treaty.Glob
 func (w *Workload) buildDeliveryGlobal(wd int, folded lang.Database) (treaty.Global, error) {
 	low := LowObj(wd)
 	unful := UnfulObj(wd)
-	var cs []lia.Constraint
-
 	// low + sum_k dlow_k = current.
-	pin := lia.NewTerm()
-	pin.AddVar(logic.Obj(low), 1)
-	for k := 0; k < w.cfg.NSites; k++ {
-		pin.AddVar(logic.Obj(lang.DeltaObj(low, k)), 1)
-	}
-	pin.Const = -folded.Get(low)
-	cs = append(cs, lia.Constraint{Term: pin, Op: lia.EQ})
+	cs := treaty.PinGlobal([]lang.ObjID{low}, w.cfg.NSites, folded).Constraints
 
 	// The unfulfilled count: at least one while orders exist (so a
 	// Delivery consuming the last order it is aware of violates and

@@ -402,6 +402,83 @@ func refOptimize(t *Template, db lang.Database, model WorkloadModel, opt Optimiz
 	return t.DefaultConfig(db), stats
 }
 
+// refEqualSplitConfig is EqualSplitConfig as it stood before the equal split
+// became AdaptiveConfig without weights: the OPT baseline's configuration
+// (Section 6.1), the slack of each inequality clause split equally among
+// the sites, the first sites taking the remainder.
+func refEqualSplitConfig(t *Template, db lang.Database) Config {
+	cfg := make(Config)
+	for _, tc := range t.Clauses {
+		n := -tc.Global.Term.Const
+		switch tc.Global.Op {
+		case lia.EQ:
+			for _, sc := range tc.Sites {
+				cfg[sc.Config] = n - sc.localSum(db)
+			}
+		case lia.LE:
+			total := int64(0)
+			for _, sc := range tc.Sites {
+				total += sc.localSum(db)
+			}
+			slack := n - total
+			if slack < 0 {
+				slack = 0
+			}
+			k := int64(t.NSites)
+			share := slack / k
+			rem := slack - share*k
+			for i, sc := range tc.Sites {
+				extra := int64(0)
+				if int64(i) < rem {
+					extra = 1
+				}
+				cfg[sc.Config] = n - sc.localSum(db) - share - extra
+			}
+		}
+	}
+	return cfg
+}
+
+// TestEqualSplitIsAdaptiveWithEqualWeights: on seeded random templates and
+// databases — inside the global treaty and pushed outside it, where the
+// slack clamps at zero — AdaptiveConfig under no weights, zero weights and
+// any equal positive weights is the reference's equal split, variable by
+// variable.
+func TestEqualSplitIsAdaptiveWithEqualWeights(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	remainders := 0
+	for i := 0; i < 400; i++ {
+		tmpl, db, _, err := randomCase(rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%4 == 3 {
+			for obj := range db {
+				db[obj] += rng.Int63n(41) - 20
+			}
+		}
+		want := refEqualSplitConfig(tmpl, db)
+		equal := make([]int64, tmpl.NSites)
+		for k, w := range equal {
+			equal[k] = w + 1 + int64(i%7)
+		}
+		for _, weights := range [][]int64{nil, make([]int64, tmpl.NSites), {0}, equal, append(equal[:len(equal):len(equal)], 9)} {
+			if got := tmpl.AdaptiveConfig(db, weights); !reflect.DeepEqual(got, want) {
+				t.Fatalf("case %d, weights %v:\n got %v\nwant %v", i, weights, got, want)
+			}
+		}
+		for _, tc := range tmpl.Clauses {
+			if first, last := tc.Sites[0].Config, tc.Sites[tmpl.NSites-1].Config; tc.Global.Op == lia.LE &&
+				want[first]+tc.Sites[0].localSum(db) != want[last]+tc.Sites[tmpl.NSites-1].localSum(db) {
+				remainders++
+			}
+		}
+	}
+	if remainders < 50 {
+		t.Fatalf("only %d clauses left a remainder to hand out; the generator drifted", remainders)
+	}
+}
+
 // walkModel moves one random object by a random step per transaction,
 // mostly downwards, so futures run into the treaty boundary.
 type walkModel struct{ step int64 }

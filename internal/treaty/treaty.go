@@ -48,6 +48,28 @@ func (g Global) String() string {
 	return strings.Join(parts, " && ")
 }
 
+// PinGlobal holds every object's logical value where folded has it:
+// obj + Σ_k obj@dk = folded[obj] over nSites sites, one equality per object.
+// Any write violates it whatever the configuration, so the unit synchronizes
+// on every update and the cleanup phase applies the transaction on
+// consolidated state — always observationally correct. It is the treaty of
+// a value no guard analysis bounds (the Appendix C.3 treatment of remote
+// reads, a data type without a merge function) and the fallback wherever
+// an analysis does not apply.
+func PinGlobal(objs []lang.ObjID, nSites int, folded lang.Database) Global {
+	g := Global{Constraints: make([]lia.Constraint, len(objs))}
+	for i, obj := range objs {
+		pin := lia.NewTerm()
+		pin.AddVar(logic.Obj(obj), 1)
+		for k := 0; k < nSites; k++ {
+			pin.AddVar(logic.Obj(lang.DeltaObj(obj, k)), 1)
+		}
+		pin.Const = -folded.Get(obj)
+		g.Constraints[i] = lia.Constraint{Term: pin, Op: lia.EQ}
+	}
+	return g
+}
+
 // Local is the local treaty of one site: constraints over that site's
 // objects only, obtained by instantiating the template's configuration
 // variables.
@@ -281,68 +303,44 @@ func (t *Template) validate(sys *lia.System, cfg Config, db lang.Database) error
 	return nil
 }
 
-// EqualSplitConfig is the hand-crafted demarcation-style configuration the
-// paper uses as its OPT baseline (Section 6.1): for each inequality
+// AdaptiveConfig is the slack-splitting configuration: for each inequality
 // clause, the slack between the current state and the treaty boundary is
-// split equally among the sites, which is optimal for uniform workloads.
-// Equality clauses are pinned as in DefaultConfig.
-func (t *Template) EqualSplitConfig(db lang.Database) Config {
-	cfg := make(Config)
-	for _, tc := range t.Clauses {
-		n := -tc.Global.Term.Const
-		switch tc.Global.Op {
-		case lia.EQ:
-			for _, sc := range tc.Sites {
-				cfg[sc.Config] = n - sc.localSum(db)
-			}
-		case lia.LE:
-			total := int64(0)
-			for _, sc := range tc.Sites {
-				total += sc.localSum(db)
-			}
-			slack := n - total
-			if slack < 0 {
-				slack = 0
-			}
-			k := int64(t.NSites)
-			share := slack / k
-			rem := slack - share*k
-			for i, sc := range tc.Sites {
-				extra := int64(0)
-				if int64(i) < rem {
-					extra = 1
-				}
-				cfg[sc.Config] = n - sc.localSum(db) - share - extra
-			}
-		}
-	}
-	return cfg
-}
-
-// AdaptiveConfig is the demand-proportional allocation strategy: for each
-// inequality clause, the slack between the current state and the treaty
-// boundary is split across sites proportionally to the given per-site
-// demand weights (observed burn rates since the last negotiation round),
-// so a site consuming most of a unit's slack receives most of the next
-// round's budget and skewed or drifting workloads renegotiate less often.
-// Zero or missing weights degrade gracefully: an all-zero weight vector
-// reproduces EqualSplitConfig exactly. Equality clauses are pinned as in
-// DefaultConfig.
+// split across sites proportionally to the given per-site demand weights
+// (observed burn rates since the last negotiation round), so a site
+// consuming most of a unit's slack receives most of the next round's budget
+// and skewed or drifting workloads renegotiate less often. Without a
+// positive weight — nil, short or all-zero vectors — every site weighs the
+// same: the equal split, the hand-crafted demarcation-style configuration
+// the paper uses as its OPT baseline (Section 6.1), optimal for uniform
+// workloads. Equality clauses are pinned as in DefaultConfig.
 //
 // Validity does not depend on the weights: every share is non-negative
 // and the shares sum to at most the slack, so H2 (each local treaty holds
-// on D) and H1 (the locals imply the global) hold for any weight vector,
-// exactly as for the equal split.
+// on D) and H1 (the locals imply the global) hold for any weight vector.
 func (t *Template) AdaptiveConfig(db lang.Database, weights []int64) Config {
+	w := make([]int64, t.NSites)
 	total := int64(0)
-	for site := 0; site < t.NSites && site < len(weights); site++ {
-		if weights[site] > 0 {
-			total += weights[site]
+	for site := range w {
+		if site < len(weights) && weights[site] > 0 {
+			w[site] = weights[site]
+			total += w[site]
 		}
 	}
 	if total == 0 {
-		return t.EqualSplitConfig(db)
+		for site := range w {
+			w[site] = 1
+		}
+		total = int64(t.NSites)
 	}
+	// The remainder of a proportional split goes out one unit at a time in
+	// descending-weight order (ties by site index), so the split is
+	// deterministic and sums exactly to the slack.
+	order := make([]int, t.NSites)
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return w[order[a]] > w[order[b]] })
+	shares := make([]int64, t.NSites)
 	cfg := make(Config)
 	for _, tc := range t.Clauses {
 		n := -tc.Global.Term.Const
@@ -360,27 +358,11 @@ func (t *Template) AdaptiveConfig(db lang.Database, weights []int64) Config {
 			if slack < 0 {
 				slack = 0
 			}
-			// Proportional shares by integer division, then hand the
-			// remainder out one unit at a time in descending-weight order
-			// (ties by site index) so the split is deterministic and sums
-			// exactly to the slack.
-			w := make([]int64, t.NSites)
-			for site := range w {
-				if site < len(weights) && weights[site] > 0 {
-					w[site] = weights[site]
-				}
-			}
-			shares := make([]int64, t.NSites)
 			given := int64(0)
 			for site := range shares {
 				shares[site] = slack * w[site] / total
 				given += shares[site]
 			}
-			order := make([]int, t.NSites)
-			for i := range order {
-				order[i] = i
-			}
-			sort.SliceStable(order, func(a, b int) bool { return w[order[a]] > w[order[b]] })
 			for rem := slack - given; rem > 0; rem-- {
 				shares[order[int(slack-given-rem)%t.NSites]]++
 			}

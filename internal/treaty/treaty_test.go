@@ -450,7 +450,7 @@ func TestEqualSplitConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := tmpl.EqualSplitConfig(db)
+	cfg := tmpl.AdaptiveConfig(db, nil)
 	if err := tmpl.Validate(cfg, db); err != nil {
 		t.Fatalf("equal-split config invalid: %v", err)
 	}
@@ -472,7 +472,7 @@ func TestEqualSplitNoSlack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := tmpl.EqualSplitConfig(db)
+	cfg := tmpl.AdaptiveConfig(db, nil)
 	if err := tmpl.Validate(cfg, db); err != nil {
 		t.Fatalf("boundary config invalid: %v", err)
 	}
@@ -593,7 +593,7 @@ func TestAdaptiveConfigZeroWeightsIsEqualSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := tmpl.EqualSplitConfig(db)
+	want := refEqualSplitConfig(tmpl, db)
 	for _, weights := range [][]int64{nil, {0, 0}, {0}, {-1, -2}} {
 		got := tmpl.AdaptiveConfig(db, weights)
 		for v, val := range want {

@@ -8,8 +8,6 @@ import (
 	"sync"
 
 	"repro/internal/lang"
-	"repro/internal/lia"
-	"repro/internal/logic"
 	"repro/internal/sqlfront"
 	"repro/internal/symtab"
 	"repro/internal/treaty"
@@ -266,30 +264,29 @@ func (c *Class) buildGlobal(folded lang.Database) treaty.Global {
 // representative itself; delta objects rename by their base). Otherwise g
 // is already in the class's namespace.
 func (c *Class) sharedGlobal(folded lang.Database) (g treaty.Global, ren map[lang.ObjID]lang.ObjID, shared bool) {
-	if c.pinned {
-		return c.pinGlobal(folded), nil, false
-	}
-	if c.fam != nil {
+	switch {
+	case c.pinned:
+	case c.fam != nil:
 		if e := c.familyGlobal(folded); e.ok {
 			return e.g, c.fromRep, true
 		}
-		return c.pinGlobal(folded), nil, false
-	}
-	params := make(map[string]int64, len(c.Params))
-	for i, p := range c.Params {
-		params[p] = c.repArgs[i]
-	}
-	row, err := c.table.MatchRow(folded, params)
-	if err == nil {
-		g, perr := treaty.Preprocess(c.table.Rows[row].Guard, folded, params, c.Bounds)
-		if perr == nil {
-			return g, nil, false
+	default:
+		params := make(map[string]int64, len(c.Params))
+		for i, p := range c.Params {
+			params[p] = c.repArgs[i]
+		}
+		if row, err := c.table.MatchRow(folded, params); err == nil {
+			if g, perr := treaty.Preprocess(c.table.Rows[row].Guard, folded, params, c.Bounds); perr == nil {
+				return g, nil, false
+			}
 		}
 	}
-	// Representative arguments sit in a boundary region (or the guard
-	// cannot be strengthened over the declared ranges): pin until the
-	// state moves on.
-	return c.pinGlobal(folded), nil, false
+	// The class is pinned, or its representative arguments sit in a boundary
+	// region (or the guard cannot be strengthened over the declared ranges):
+	// pin every footprint object, at the width the class was analysed for,
+	// until the state moves on. Any write violates and enters the cleanup
+	// phase, which applies the transaction on consolidated state.
+	return treaty.PinGlobal(c.footprint, c.nSites, folded), nil, false
 }
 
 // familyGlobal looks the folded values up in the family memo. On a miss
@@ -355,24 +352,6 @@ func (c *Class) mapFromRep(obj lang.ObjID) lang.ObjID {
 	return obj
 }
 
-// pinGlobal pins every footprint object's logical value at its folded
-// value: base + sum of deltas = folded. Any write violates and enters the
-// cleanup phase, which applies the transaction on consolidated state —
-// always observationally correct.
-func (c *Class) pinGlobal(folded lang.Database) treaty.Global {
-	var g treaty.Global
-	for _, obj := range c.footprint {
-		pin := lia.NewTerm()
-		pin.AddVar(logic.Obj(obj), 1)
-		for k := 0; k < c.nSites; k++ {
-			pin.AddVar(logic.Obj(lang.DeltaObj(obj, k)), 1)
-		}
-		pin.Const = -folded.Get(obj)
-		g.Constraints = append(g.Constraints, lia.Constraint{Term: pin, Op: lia.EQ})
-	}
-	return g
-}
-
 // model samples futures for Algorithm 1 by replaying the class itself:
 // random sites invoke the replica-rewritten transaction with arguments
 // drawn uniformly from the declared bounds.
@@ -418,8 +397,8 @@ func (m classModel) SampleFuture(rng *rand.Rand, db lang.Database, l int, visit 
 // all rewrites at compile time (the symbolic table needs site 0's
 // form); family members defer them to first use here — typically the
 // first workload-model sample of a negotiation, long after
-// registration, and never at all while the configuration cache keeps
-// serving isomorphic units.
+// registration, and never at all while the deriver's memo keeps serving
+// isomorphic units.
 func (c *Class) rw(site int) *lang.Transaction {
 	c.rwMu.Lock()
 	defer c.rwMu.Unlock()
