@@ -66,7 +66,6 @@ func main() {
 	}
 	var tables []*symtab.Table
 	for _, t := range txns {
-		lang.ResolveParams(t)
 		tbl, err := symtab.Build(t)
 		if err != nil {
 			fatal(err)

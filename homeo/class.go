@@ -85,11 +85,11 @@ func (t *TxnClass) units() []int {
 // write synchronizes — always correct, just not coordination-free. Check
 // TxnClass.Pinned.
 func (c *Cluster) Register(spec ClassSpec) (*TxnClass, error) {
-	ts, err := c.RegisterBatch([]ClassSpec{spec})
-	if err != nil {
+	var t [1]*TxnClass
+	if err := c.register([]ClassSpec{spec}, t[:]); err != nil {
 		return nil, err
 	}
-	return ts[0], nil
+	return t[0], nil
 }
 
 // RegisterBatch registers several classes as one atomic installation:
@@ -99,21 +99,42 @@ func (c *Cluster) Register(spec ClassSpec) (*TxnClass, error) {
 // one unit-installation sweep — instead of paying the per-registration
 // setup once per class. Either every class registers or none does.
 func (c *Cluster) RegisterBatch(specs []ClassSpec) ([]*TxnClass, error) {
+	ts := make([]*TxnClass, len(specs))
+	if err := c.register(specs, ts); err != nil {
+		return nil, err
+	}
+	return ts, nil
+}
+
+// compiledClass is one class of a registration between its compilation
+// and its installation.
+type compiledClass struct {
+	wc      *workload.Class
+	hit     bool
+	initial lang.Database
+}
+
+// register compiles specs and installs them all or none, filling ts, which
+// has their length. It keeps nothing of a spec but its strings: the maps
+// are copied, so a caller may reuse them.
+func (c *Cluster) register(specs []ClassSpec, ts []*TxnClass) error {
 	if c.Draining() {
-		return nil, fmt.Errorf("%w: cluster is draining", ErrDropped)
+		return fmt.Errorf("%w: cluster is draining", ErrDropped)
 	}
 	if len(specs) == 0 {
-		return nil, fmt.Errorf("homeo: RegisterBatch needs at least one class")
+		return fmt.Errorf("homeo: RegisterBatch needs at least one class")
 	}
 	// Compile and validate everything outside the lock; cache hits and
-	// misses are recorded under it, next to the installation.
-	wcs := make([]*workload.Class, len(specs))
-	hits := make([]bool, len(specs))
-	initials := make([]lang.Database, len(specs))
-	merged := lang.Database{}
-	for i, spec := range specs {
+	// misses are recorded under it, next to the installation. A single
+	// registration, the usual call, needs no list of its own.
+	var one [1]compiledClass
+	classes := one[:0]
+	if len(specs) > 1 {
+		classes = make([]compiledClass, 0, len(specs))
+	}
+	for _, spec := range specs {
 		if (spec.L == "") == (spec.SQL == "") {
-			return nil, fmt.Errorf("homeo: ClassSpec needs exactly one of L or SQL source")
+			return fmt.Errorf("homeo: ClassSpec needs exactly one of L or SQL source")
 		}
 		var bounds treaty.ParamBounds
 		if len(spec.Bounds) > 0 {
@@ -136,15 +157,23 @@ func (c *Cluster) RegisterBatch(specs []ClassSpec) ([]*TxnClass, error) {
 			wc, hit, err = c.artifacts.CompileSQL(spec.Name, spec.SQL, c.opts.Sites, bounds)
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 		initial, err := buildInitial(wc, spec)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		wcs[i], hits[i], initials[i] = wc, hit, initial
-		for obj, v := range initial {
-			merged[obj] = v
+		classes = append(classes, compiledClass{wc, hit, initial})
+	}
+	// One sweep installs every new unit's initial values and treaties, so a
+	// batch merges what its classes install.
+	install := classes[0].initial
+	if len(classes) > 1 {
+		install = lang.Database{}
+		for _, cc := range classes {
+			for obj, v := range cc.initial {
+				install[obj] = v
+			}
 		}
 	}
 
@@ -160,54 +189,49 @@ func (c *Cluster) RegisterBatch(specs []ClassSpec) ([]*TxnClass, error) {
 	var regErr error
 	c.locked(func() {
 		registered := 0
-		for i, wc := range wcs {
-			if regErr = c.reg.Register(wc, initials[i]); regErr != nil {
+		for _, cc := range classes {
+			if regErr = c.reg.Register(cc.wc, cc.initial); regErr != nil {
 				break
 			}
 			registered++
 		}
 		if regErr == nil {
-			// One sweep installs every new unit's initial values and
-			// treaties (AddUnits covers all units the registry gained).
-			regErr = c.sys.AddUnits(merged)
+			// AddUnits covers all units the registry gained.
+			regErr = c.sys.AddUnits(install)
 		}
 		if regErr != nil {
 			// Roll the classes back out (reverse order: Unregister pops the
 			// most recent) so the registry and the system's unit table stay
 			// aligned.
 			for i := registered - 1; i >= 0; i-- {
-				if uerr := c.reg.Unregister(wcs[i]); uerr != nil {
+				if uerr := c.reg.Unregister(classes[i].wc); uerr != nil {
 					regErr = fmt.Errorf("%w (rollback failed: %v)", regErr, uerr)
 					break
 				}
 			}
 			return
 		}
-		for _, hit := range hits {
-			c.sys.Col.RecordAnalysisCache(hit)
+		for _, cc := range classes {
+			c.sys.Col.RecordAnalysisCache(cc.hit)
 		}
 		c.regGen.Add(1)
 	})
 	if regErr != nil {
-		return nil, regErr
+		return regErr
 	}
-	ts := make([]*TxnClass, len(wcs))
-	for i, wc := range wcs {
-		ts[i] = &TxnClass{c: c, wc: wc}
+	for i, cc := range classes {
+		ts[i] = &TxnClass{c: c, wc: cc.wc}
 	}
-	if c.live != nil {
-		// classes map writes race with Class() readers only on live.
-		for _, t := range ts {
-			c.classes[t.wc.Name] = t
-		}
-	} else {
+	if c.live == nil {
+		// classes map writes race with Class() readers only on live, where
+		// c.mu is already held.
 		c.mu.Lock()
-		for _, t := range ts {
-			c.classes[t.wc.Name] = t
-		}
-		c.mu.Unlock()
+		defer c.mu.Unlock()
 	}
-	return ts, nil
+	for _, t := range ts {
+		c.classes[t.wc.Name] = t
+	}
+	return nil
 }
 
 // buildInitial assembles the install database from Initial values and SQL
@@ -288,12 +312,27 @@ func (t *TxnClass) Pinned() (bool, string) { return t.wc.Pinned() }
 func (t *TxnClass) SymbolicTable() string { return t.wc.TableString() }
 
 // Treaties renders the class unit's current per-site local treaties.
-// They change whenever the cleanup phase renegotiates.
+// They change whenever the cleanup phase renegotiates. The renderings are
+// cut from one string, so however many sites there are they cost one
+// allocation and the list another.
 func (t *TxnClass) Treaties() []string {
 	var out []string
 	t.c.locked(func() {
-		for _, l := range t.c.sys.UnitLocals(t.wc.Unit()) {
-			out = append(out, l.String())
+		locals := t.c.sys.UnitLocals(t.wc.Unit())
+		if len(locals) == 0 {
+			return
+		}
+		var textBuf [256]byte
+		var endBuf [8]int
+		text, ends := textBuf[:0], endBuf[:0]
+		for _, l := range locals {
+			text = l.AppendTo(text)
+			ends = append(ends, len(text))
+		}
+		all, start := string(text), 0
+		out = make([]string, len(locals))
+		for i, end := range ends {
+			out[i], start = all[start:end], end
 		}
 	})
 	return out

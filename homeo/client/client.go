@@ -5,12 +5,13 @@
 // *APIError values. The serving binary's -drive closed loop is built on
 // it, so external users and the load driver share one code path.
 //
-// Submit is the call every commit makes, so it builds nothing per call
-// that does not change between calls: the /v1/txn URL and header set are
-// made once in New, the request and reply go through the homeo/wire codec
-// instead of encoding/json, and the request value, its body reader and
-// both buffers come from a pool (see txnCall). Every other method pays
-// for http.NewRequest and encoding/json.
+// Submit is the call every commit makes and RegisterClass the call every
+// registration makes, so they build nothing per call that does not change
+// between calls: the URLs and the header set are made once in New, the
+// request and reply go through the homeo/wire codec instead of
+// encoding/json, and the request value, its body reader and both buffers
+// come from a pool (see call). Every other method pays for http.NewRequest
+// and encoding/json.
 package client
 
 import (
@@ -85,12 +86,13 @@ type Client struct {
 	hc   *http.Client
 	opts Options
 
-	// What every POST /v1/txn shares, built once: the parsed URL (or why
-	// it does not parse), the header set, and the pool of calls.
-	txnURL    *url.URL
-	txnErr    error
-	txnHeader http.Header
-	calls     sync.Pool
+	// What every POST /v1/txn and every POST /v1/classes shares, built
+	// once: why the base URL does not parse, if it does not, the header
+	// set, and a pool of calls for each of the two.
+	urlErr     error
+	header     http.Header
+	txnCalls   sync.Pool
+	classCalls sync.Pool
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -127,16 +129,25 @@ func New(baseURL string, opts Options) *Client {
 		}}
 	}
 	c := &Client{
-		base:      strings.TrimSuffix(baseURL, "/"),
-		hc:        hc,
-		opts:      opts,
-		rng:       rand.New(rand.NewSource(seed)),
-		txnHeader: http.Header{},
+		base:   strings.TrimSuffix(baseURL, "/"),
+		hc:     hc,
+		opts:   opts,
+		rng:    rand.New(rand.NewSource(seed)),
+		header: http.Header{},
 	}
-	c.txnURL, c.txnErr = url.Parse(c.base + "/v1/txn")
-	c.setHeaders(c.txnHeader, true)
-	c.calls.New = func() any { return c.newCall() }
+	c.setHeaders(c.header, true)
+	c.poolCalls(&c.txnCalls, "/v1/txn")
+	c.poolCalls(&c.classCalls, "/v1/classes")
 	return c
+}
+
+// poolCalls makes pool the pool of calls to path.
+func (c *Client) poolCalls(pool *sync.Pool, path string) {
+	u, err := url.Parse(c.base + path)
+	if err != nil {
+		c.urlErr = err
+	}
+	pool.New = func() any { return c.newCall(u) }
 }
 
 // setHeaders puts on h what every request of this client carries.
@@ -236,58 +247,57 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	})
 }
 
-// txnCall is one POST /v1/txn being made: the request net/http sends, the
-// header map and body reader that request points to, the encoded
-// transaction, and the buffer the reply is read into. Calls are pooled. A
-// call goes back to the pool only from an attempt that was answered 2xx
-// and read to the end: the server has then consumed the request, so
-// nothing in net/http still reads the body. After any other outcome the
-// transport may not have finished with the request, and the call is left
-// to the collector.
-type txnCall struct {
+// call is one POST /v1/txn or /v1/classes being made: the request net/http
+// sends, the header map and body reader that request points to, the
+// encoded message, and the buffer the reply is read into. Calls are
+// pooled. A call goes back to the pool only from an attempt that was
+// answered 2xx and read to the end: the server has then consumed the
+// request, so nothing in net/http still reads the body. After any other
+// outcome the transport may not have finished with the request, and the
+// call is left to the collector.
+type call struct {
 	req     http.Request // never sent itself: WithContext copies it for each attempt
 	header  http.Header
 	body    bytes.Reader
 	payload []byte
 	reply   []byte
+	status  int // of the answer in reply
 }
 
-func (c *Client) newCall() *txnCall {
-	k := &txnCall{header: make(http.Header, len(c.txnHeader)+2)}
+func (c *Client) newCall(u *url.URL) *call {
+	k := &call{header: make(http.Header, len(c.header)+2)}
 	k.req = http.Request{
 		Method:     http.MethodPost,
-		URL:        c.txnURL,
+		URL:        u,
 		Proto:      "HTTP/1.1",
 		ProtoMajor: 1,
 		ProtoMinor: 1,
 		Header:     k.header,
 		Body:       io.NopCloser(&k.body),
 		GetBody:    k.getBody,
-		Host:       c.txnURL.Host,
+		Host:       u.Host,
 	}
 	return k
 }
 
 // getBody gives net/http a second copy of the body, for a redirect or for
 // resending on a fresh connection.
-func (k *txnCall) getBody() (io.ReadCloser, error) {
+func (k *call) getBody() (io.ReadCloser, error) {
 	return io.NopCloser(bytes.NewReader(k.payload)), nil
 }
 
-// submitOnce makes one attempt at a transaction.
+// send makes one attempt at the call k.payload was encoded for. A nil
+// error means a 2xx answer, read to its end into k.reply.
 //
 //homeo:hotpath
-func (c *Client) submitOnce(ctx context.Context, req *wire.TxnRequest, res *wire.TxnResult) (retry bool, err error) {
-	// Put back only by the answered attempt at the end; see txnCall.
-	k := c.calls.Get().(*txnCall)
-	k.payload = wire.AppendTxnRequest(k.payload[:0], req)
+func (c *Client) send(ctx context.Context, k *call) (retry bool, err error) {
 	k.body.Reset(k.payload)
 	k.req.ContentLength = int64(len(k.payload))
 	// A transport may have added to the header map of the attempt that
 	// last used this call (a cookie jar does); every attempt starts from
 	// the client's own set.
 	clear(k.header)
-	for name, v := range c.txnHeader {
+	for name, v := range c.header {
 		k.header[name] = v
 	}
 	resp, err := c.hc.Do(k.req.WithContext(ctx))
@@ -298,17 +308,50 @@ func (c *Client) submitOnce(ctx context.Context, req *wire.TxnRequest, res *wire
 		err = decodeResponse(resp, nil)
 		return retryable(err), err
 	}
+	k.status = resp.StatusCode
 	k.reply, err = wire.ReadBody(k.reply, resp.Body)
 	_ = resp.Body.Close() // read to the end or failed: nothing left to report
-	if err == nil {
-		err = wire.ParseTxnResult(k.reply, res)
-	}
 	if err != nil {
-		return false, decodeError(resp.StatusCode, err)
+		return false, decodeError(k.status, err)
 	}
+	return false, nil
+}
+
+// done puts an answered call, its reply decoded, back where it came from.
+func (k *call) done(pool *sync.Pool) {
 	if cap(k.payload) <= wire.MaxPooledBuf && cap(k.reply) <= wire.MaxPooledBuf {
-		c.calls.Put(k)
+		pool.Put(k)
 	}
+}
+
+// submitOnce makes one attempt at a transaction.
+//
+//homeo:hotpath
+func (c *Client) submitOnce(ctx context.Context, req *wire.TxnRequest, res *wire.TxnResult) (retry bool, err error) {
+	// Put back only by the answered attempt at the end; see call.
+	k := c.txnCalls.Get().(*call)
+	k.payload = wire.AppendTxnRequest(k.payload[:0], req)
+	if retry, err = c.send(ctx, k); err != nil {
+		return retry, err
+	}
+	if err = wire.ParseTxnResult(k.reply, res); err != nil {
+		return false, decodeError(k.status, err)
+	}
+	k.done(&c.txnCalls)
+	return false, nil
+}
+
+// registerOnce makes one attempt at a registration.
+func (c *Client) registerOnce(ctx context.Context, spec *wire.ClassRequest, info *wire.ClassInfo) (retry bool, err error) {
+	k := c.classCalls.Get().(*call)
+	k.payload = wire.AppendClassRequest(k.payload[:0], spec)
+	if retry, err = c.send(ctx, k); err != nil {
+		return retry, err
+	}
+	if err = wire.ParseClassInfo(k.reply, info); err != nil {
+		return false, decodeError(k.status, err)
+	}
+	k.done(&c.classCalls)
 	return false, nil
 }
 
@@ -371,7 +414,10 @@ func (c *Client) Health(ctx context.Context) error {
 // online.
 func (c *Client) RegisterClass(ctx context.Context, spec wire.ClassRequest) (wire.ClassInfo, error) {
 	var info wire.ClassInfo
-	err := c.do(ctx, http.MethodPost, "/v1/classes", spec, &info)
+	if c.urlErr != nil {
+		return info, c.urlErr
+	}
+	err := c.retry(ctx, func() (bool, error) { return c.registerOnce(ctx, &spec, &info) })
 	return info, err
 }
 
@@ -401,8 +447,8 @@ func (c *Client) ListClasses(ctx context.Context) ([]wire.ClassInfo, error) {
 //homeo:hotpath
 func (c *Client) Submit(ctx context.Context, req wire.TxnRequest) (wire.TxnResult, error) {
 	var res wire.TxnResult
-	if c.txnErr != nil {
-		return res, c.txnErr
+	if c.urlErr != nil {
+		return res, c.urlErr
 	}
 	err := c.retry(ctx, func() (bool, error) { return c.submitOnce(ctx, &req, &res) })
 	return res, err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -351,6 +352,40 @@ func TestRegisterValidation(t *testing.T) {
 	}
 }
 
+// TestRegisterRejectsParameterMisuse: a class that assigns to its
+// parameter used to register, and then ran another program than its
+// source — Submit(2) on y = 7 wrote y = 2 and printed 2 where the source
+// says 8, because every later read of n was the argument while the
+// assignment bound a temporary nobody read. The parser now refuses it, and
+// a parameter declared twice, and nothing of the class is left behind.
+func TestRegisterRejectsParameterMisuse(t *testing.T) {
+	c := simCluster(t, homeo.Options{})
+	for src, want := range map[string]string{
+		`transaction B(n) { v := read(y); n := v + 1; write(y = n); print(n) }`: `cannot assign to parameter "n"`,
+		`transaction C(n, n) { v := read(y); write(y = v + n) }`:                `duplicate parameter "n"`,
+	} {
+		_, err := c.Register(homeo.ClassSpec{L: src, Initial: map[string]int64{"y": 7}})
+		if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "line 1") {
+			t.Errorf("Register(%s): error %v, want a positioned %q", src, err, want)
+		}
+	}
+	if names := c.Classes(); len(names) != 0 {
+		t.Fatalf("refused classes left %v registered", names)
+	}
+	// Said with a temporary, the program registers and does what it says.
+	cls, err := c.Register(homeo.ClassSpec{
+		L:       `transaction B(n) { v := read(y); m := v + n - 1; write(y = m); print(m) }`,
+		Initial: map[string]int64{"y": 7},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Session().Submit(context.Background(), cls, 2)
+	if err != nil || !res.Committed || len(res.Log) != 1 || res.Log[0] != 8 {
+		t.Fatalf("B(2) on y = 7: %+v, %v; want a commit printing 8", res, err)
+	}
+}
+
 // TestBaseWorkloadMix: a cluster seeded with the micro benchmark serves
 // mix draws and registered classes side by side.
 func TestBaseWorkloadMix(t *testing.T) {
@@ -433,8 +468,9 @@ func TestTreatiesIntrospection(t *testing.T) {
 		t.Fatal("no symbolic table")
 	}
 	tr := cls.Treaties()
-	if len(tr) != 2 {
-		t.Fatalf("treaties = %v, want one per site", tr)
+	if len(tr) != 2 || !strings.HasPrefix(tr[0], "site 0: ") || !strings.HasPrefix(tr[1], "site 1: ") ||
+		!strings.HasSuffix(tr[0], " 0") || strings.Contains(tr[0], "site 1") {
+		t.Fatalf("treaties = %q, want one per site", tr)
 	}
 	if objs := cls.Objects(); len(objs) != 1 || objs[0] != "bal" {
 		t.Fatalf("objects = %v", objs)

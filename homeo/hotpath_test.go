@@ -11,11 +11,12 @@ import (
 	"repro/internal/rt"
 )
 
-// The allocation budgets (docs/ARCHITECTURE.md, "The round budget" and
-// "The recovery budget"), as ceilings: what the benchmarks of
-// hotpath_bench_test.go and recover_bench_test.go measure, CI's gates
-// hold within 20 % of the recorded counts, and these tests hold
-// absolutely, on every run of the suite. They are skipped under the race
+// The allocation budgets (docs/ARCHITECTURE.md, "The round budget", "The
+// recovery budget" and "The registration budget"), as ceilings: what the
+// benchmarks of hotpath_bench_test.go, recover_bench_test.go and
+// registerpath_bench_test.go measure, CI's gates hold within 20 % of the
+// recorded counts, and these tests hold absolutely, on every run of the
+// suite. They are skipped under the race
 // detector, which makes sync.Pool drop items at random.
 //
 // A test measures many windows (a run of Submits, one round, one
@@ -215,5 +216,64 @@ func TestRecoverAllocs(t *testing.T) {
 	t.Logf("recovery allocates %.4f objects per commit record", perCommit)
 	if perCommit > 2 {
 		t.Errorf("recovery allocates %.2f objects per commit record, budget 2", perCommit)
+	}
+}
+
+// registerWindows registers the ledger's Reg<i> classes of the shapes
+// given, in runs of perWindow, and returns what each run allocated. The
+// budget is amortized — a registration grows the registry's and the
+// stores' maps, which double now and then — so a window is a run.
+func registerWindows(t *testing.T, windows, perWindow int, shape func(i int) int64) []uint64 {
+	c := registerCluster(t)
+	specs := make([]homeo.ClassSpec, windows*perWindow)
+	for i := range specs {
+		specs[i] = harnessRegSpec(64+i, shape(64+i))
+	}
+	quiesce(t)
+	out := make([]uint64, windows)
+	for w := range out {
+		before := mallocs()
+		for _, spec := range specs[w*perWindow : (w+1)*perWindow] {
+			if _, err := c.Register(spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out[w] = mallocs() - before
+	}
+	return out
+}
+
+// TestRegisterHitAllocs: registering a class of a shape the cluster has
+// analysed — parse, family lookup, a member sized once, the locals the
+// sites keep and their compiled forms — allocates at most 55 objects
+// (docs/ARCHITECTURE.md, "The registration budget": 47 measured, 99 at
+// the parent of the change that set the budget).
+func TestRegisterHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation ceilings do not hold under the race detector")
+	}
+	const perWindow = 20
+	windows := registerWindows(t, 100, perWindow, func(int) int64 { return 0 })
+	perOp := float64(within99(windows)) / perWindow
+	t.Logf("a registration that hits the analysis cache allocates %.1f objects", perOp)
+	if perOp > 55 {
+		t.Errorf("a registration that hits the analysis cache allocates %.1f objects, budget 55", perOp)
+	}
+}
+
+// TestRegisterMissAllocs: registering a class of a shape of its own — the
+// whole analysis, two replica rewrites and their simplification, a
+// symbolic table, a solve — allocates at most 480 objects (400 measured,
+// 427 in the worst run of ten, 592 at the parent).
+func TestRegisterMissAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation ceilings do not hold under the race detector")
+	}
+	const perWindow = 10
+	windows := registerWindows(t, 50, perWindow, func(i int) int64 { return novelRegShape + int64(i) })
+	perOp := float64(within99(windows)) / perWindow
+	t.Logf("a registration that misses the analysis cache allocates %.1f objects", perOp)
+	if perOp > 480 {
+		t.Errorf("a registration that misses the analysis cache allocates %.1f objects, budget 480", perOp)
 	}
 }

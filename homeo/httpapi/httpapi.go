@@ -12,11 +12,13 @@
 // (snapshot or Server-Sent Events stream).
 //
 // A single transaction over POST /v1/txn is the path every commit takes,
-// so it alone is served without encoding/json and without building
-// anything per request: the body is read into a pooled buffer, scanned by
-// the homeo/wire codec into a pooled request, and the reply is appended
-// to the same buffer (see serveOne). Batches and every other endpoint go
-// through encoding/json.
+// and a single class over POST /v1/classes the path every registration
+// takes, so these two are served without encoding/json and without
+// building anything per request that the request does not hand on: the
+// body is read into a pooled buffer, scanned by the homeo/wire codec into
+// a pooled request, and the reply is appended to the same buffer (see
+// serveOne and registerOne). Batches and every other endpoint go through
+// encoding/json.
 package httpapi
 
 import (
@@ -358,59 +360,127 @@ func (h *Handler) handleClasses(rw http.ResponseWriter, req *http.Request) {
 			writeError(rw, http.StatusServiceUnavailable, "draining", "server is draining")
 			return
 		}
-		var body wire.ClassEnvelope
-		req.Body = http.MaxBytesReader(rw, req.Body, maxClassesBody)
-		if err := decodeBody(req, &body); err != nil {
+		s := classPool.Get().(*classScratch)
+		defer s.release()
+		var err error
+		if s.buf, err = readBody(rw, req, s.buf, maxClassesBody); err == nil {
+			s.env.Bounds, s.env.Initial = s.bounds, s.initial
+			err = wire.ParseClassRequest(s.buf, &s.env)
+		}
+		if err != nil {
 			if !refuseTooLarge(rw, err) {
 				writeError(rw, http.StatusBadRequest, "bad_request", "request body: %v", err)
 			}
 			return
 		}
-		reqs := body.Batch
-		batch := len(reqs) > 0
-		if !batch {
-			reqs = []wire.ClassRequest{body.ClassRequest}
-		}
-		specs := make([]homeo.ClassSpec, len(reqs))
-		for i, r := range reqs {
-			if r.Name != "" && h.c.Class(r.Name) != nil {
-				writeError(rw, http.StatusConflict, "conflict", "class %q already registered", r.Name)
-				return
-			}
-			specs[i] = homeo.ClassSpec{
-				Name:    r.Name,
-				L:       r.L,
-				SQL:     r.SQL,
-				Bounds:  r.Bounds,
-				Initial: r.Initial,
-				Rows:    r.Rows,
-			}
-		}
-		ts, err := h.c.RegisterBatch(specs)
-		if err != nil {
-			status, code := http.StatusBadRequest, "bad_request"
-			switch {
-			case errors.Is(err, homeo.ErrDropped):
-				status, code = http.StatusServiceUnavailable, "draining"
-			case errors.Is(err, homeo.ErrDuplicateClass):
-				// L classes named by their source can collide too.
-				status, code = http.StatusConflict, "conflict"
-			}
-			writeError(rw, status, code, "%v", err)
+		if len(s.env.Batch) == 0 {
+			h.registerOne(rw, s)
 			return
 		}
-		if batch {
-			resp := wire.ClassBatchResponse{Classes: make([]wire.ClassInfo, len(ts))}
-			for i, t := range ts {
-				resp.Classes[i] = classInfo(t)
-			}
-			writeJSON(rw, http.StatusCreated, resp)
-			return
-		}
-		writeJSON(rw, http.StatusCreated, classInfo(ts[0]))
+		h.registerBatch(rw, s.env.Batch)
 	default:
 		writeError(rw, http.StatusMethodNotAllowed, "method_not_allowed", "%s: GET or POST only", req.URL.Path)
 	}
+}
+
+// classScratch is what one POST /v1/classes needs from reading the body
+// to writing the reply, pooled like txnScratch: the body and then the
+// reply of a single registration share buf, and the request is decoded
+// over env, whose Bounds and Initial are bounds and initial emptied.
+// Nothing handed to the cluster refers to a scratch after the handler
+// returns: Cluster.Register copies the maps of a spec, and the strings are
+// the decoder's own.
+type classScratch struct {
+	buf     []byte
+	env     wire.ClassEnvelope
+	bounds  map[string][2]int64
+	initial map[string]int64
+}
+
+var classPool = sync.Pool{New: func() any {
+	return &classScratch{buf: make([]byte, 0, 1024), bounds: map[string][2]int64{}, initial: map[string]int64{}}
+}}
+
+// release returns the scratch to the pool, unless a large body grew it.
+//
+//homeo:release sync.Pool
+func (s *classScratch) release() {
+	if cap(s.buf) > wire.MaxPooledBuf {
+		return
+	}
+	s.env = wire.ClassEnvelope{}
+	clear(s.bounds)
+	clear(s.initial)
+	classPool.Put(s)
+}
+
+func classSpec(r *wire.ClassRequest) homeo.ClassSpec {
+	return homeo.ClassSpec{Name: r.Name, L: r.L, SQL: r.SQL, Bounds: r.Bounds, Initial: r.Initial, Rows: r.Rows}
+}
+
+// taken refuses a request for a name already registered, and reports
+// whether it did.
+func (h *Handler) taken(rw http.ResponseWriter, r *wire.ClassRequest) bool {
+	if r.Name == "" || h.c.Class(r.Name) == nil {
+		return false
+	}
+	writeError(rw, http.StatusConflict, "conflict", "class %q already registered", r.Name)
+	return true
+}
+
+// registerError answers a registration the cluster refused.
+func registerError(rw http.ResponseWriter, err error) {
+	status, code := http.StatusBadRequest, "bad_request"
+	switch {
+	case errors.Is(err, homeo.ErrDropped):
+		status, code = http.StatusServiceUnavailable, "draining"
+	case errors.Is(err, homeo.ErrDuplicateClass):
+		// L classes named by their source can collide too.
+		status, code = http.StatusConflict, "conflict"
+	}
+	writeError(rw, status, code, "%v", err)
+}
+
+// registerOne is the registration path: one decoded class in s.env, one
+// reply, the bytes writeJSON would write for it.
+func (h *Handler) registerOne(rw http.ResponseWriter, s *classScratch) {
+	if h.taken(rw, &s.env.ClassRequest) {
+		return
+	}
+	t, err := h.c.Register(classSpec(&s.env.ClassRequest))
+	if err != nil {
+		registerError(rw, err)
+		return
+	}
+	info := classInfo(t)
+	s.buf = wire.AppendClassInfo(s.buf[:0], &info)
+	rw.Header()["Content-Type"] = jsonContentType
+	rw.WriteHeader(http.StatusCreated)
+	// The status line is already written; a mid-body failure cannot be
+	// reported to the client anyway.
+	_, _ = rw.Write(s.buf)
+}
+
+// registerBatch registers a batch atomically and lists it in request
+// order.
+func (h *Handler) registerBatch(rw http.ResponseWriter, batch []wire.ClassRequest) {
+	specs := make([]homeo.ClassSpec, len(batch))
+	for i := range batch {
+		if h.taken(rw, &batch[i]) {
+			return
+		}
+		specs[i] = classSpec(&batch[i])
+	}
+	ts, err := h.c.RegisterBatch(specs)
+	if err != nil {
+		registerError(rw, err)
+		return
+	}
+	resp := wire.ClassBatchResponse{Classes: make([]wire.ClassInfo, len(ts))}
+	for i, t := range ts {
+		resp.Classes[i] = classInfo(t)
+	}
+	writeJSON(rw, http.StatusCreated, resp)
 }
 
 // txnScratch is everything one POST /v1/txn needs from reading the body

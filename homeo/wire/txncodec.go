@@ -251,7 +251,7 @@ func ReadBody(buf []byte, r io.Reader) ([]byte, error) {
 	}
 }
 
-// scanner reads the canonical shape of the two messages. Every method
+// scanner reads the canonical shape of the messages. Every method
 // reports failure for anything it does not recognize, and the caller then
 // starts over with encoding/json: a scanner never has to explain an
 // error, only to be right when it succeeds.
@@ -457,7 +457,8 @@ func (s *scanner) integers(dst []int64) ([]int64, bool) {
 	}
 }
 
-// The members of the two messages, as bits of the set already seen.
+// The members of the messages (these two and the two of classcodec.go), as
+// bits of the set already seen.
 const (
 	mClass = 1 << iota
 	mArgs
@@ -467,9 +468,20 @@ const (
 	mSynced
 	mLatency
 	mLog
+	mName
+	mL
+	mBounds
+	mInitial
+	mParams
+	mObjects
+	mPinned
+	mPinReason
+	mTreaties
 
-	requestMembers = mClass | mArgs | mSite | mTimeout
-	resultMembers  = mClass | mArgs | mSite | mCommitted | mSynced | mLatency | mLog
+	requestMembers      = mClass | mArgs | mSite | mTimeout
+	resultMembers       = mClass | mArgs | mSite | mCommitted | mSynced | mLatency | mLog
+	classRequestMembers = mName | mL | mBounds | mInitial
+	classInfoMembers    = mName | mParams | mObjects | mPinned | mPinReason | mTreaties
 )
 
 func memberBit(key []byte) uint {
@@ -490,8 +502,26 @@ func memberBit(key []byte) uint {
 		return mLatency
 	case "log":
 		return mLog
+	case "name":
+		return mName
+	case "l":
+		return mL
+	case "bounds":
+		return mBounds
+	case "initial":
+		return mInitial
+	case "params":
+		return mParams
+	case "objects":
+		return mObjects
+	case "pinned":
+		return mPinned
+	case "pin_reason":
+		return mPinReason
+	case "treaties":
+		return mTreaties
 	}
-	return 0 // batch and error among them
+	return 0 // batch, error, sql and rows among them
 }
 
 // value moves to the next member that has a value to read and returns

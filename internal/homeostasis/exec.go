@@ -170,9 +170,7 @@ func (sys *System) deltaName(obj lang.ObjID, site int) lang.ObjID {
 		if top <= site {
 			top = site + 1
 		}
-		for k := len(names); k < top; k++ {
-			names = append(names, lang.DeltaObj(obj, k))
-		}
+		names = lang.AppendDeltaObjs(slices.Grow(names, top-len(names)), obj, len(names), top)
 		sys.deltaNames[obj] = names
 	}
 	return names[site]

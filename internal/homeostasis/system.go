@@ -456,13 +456,14 @@ func (sys *System) AddUnits(install lang.Database) error {
 			fresh[obj] = true
 		}
 	}
-	for _, obj := range install.Objects() {
+	objs := install.Objects()
+	for _, obj := range objs {
 		if !fresh[obj] {
 			sys.invalidateFolds()
 			break
 		}
 	}
-	for _, obj := range install.Objects() {
+	for _, obj := range objs {
 		for s := 0; s < n; s++ {
 			sys.Stores[s].Apply(obj, install[obj])
 			for k := 0; k < n; k++ {

@@ -349,6 +349,19 @@ func SeqOf(cmds ...Cmd) Cmd {
 	return out
 }
 
+// reSeq is the sequence c after a pass rewrote its halves into first and
+// rest: c itself when neither changed, and SeqOf of them otherwise — also
+// when a half is a skip, which SeqOf drops, so that a pass which shares
+// what it does not change builds what one which rebuilds everything does.
+func reSeq(c Cmd, first, rest Cmd, changed bool) (Cmd, bool) {
+	_, firstSkip := first.(Skip)
+	_, restSkip := rest.(Skip)
+	if changed || firstSkip || restSkip {
+		return SeqOf(first, rest), true
+	}
+	return c, false
+}
+
 // Commands flattens a command into the ordered list of atomic commands and
 // conditionals it is composed of.
 func Commands(c Cmd) []Cmd {

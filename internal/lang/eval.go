@@ -2,7 +2,7 @@ package lang
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Database maps objects to integer values. Objects not present are
@@ -47,7 +47,7 @@ func (d Database) Objects() []ObjID {
 	for k := range d {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -14,21 +14,28 @@ import "fmt"
 // Array reads inside expressions are hoisted into fresh temporary
 // variables first (the if-chain is a command, not an expression), matching
 // the "xˆ := read(a(iˆ)) is syntactic sugar" presentation in the paper.
+// Subtrees without array accesses are shared with t, not copied.
 func Lower(t *Transaction) (*Transaction, error) {
 	l := &lowerer{arrays: make(map[string]ArrayDecl, len(t.Arrays))}
 	for _, d := range t.Arrays {
 		l.arrays[d.Name] = d
 	}
-	body, err := l.lowerCmd(t.Body)
+	body, _, err := l.lowerCmd(t.Body)
 	if err != nil {
 		return nil, fmt.Errorf("lang: lowering %s: %w", t.Name, err)
 	}
 	return &Transaction{Name: t.Name, Params: t.Params, Body: body}, nil
 }
 
+// lowerer is one lowering pass. Its walks return the node they were given,
+// and false, when nothing beneath it accesses an array.
 type lowerer struct {
 	arrays map[string]ArrayDecl
 	nTemp  int
+	// pre is a stack of hoisted prelude commands: lowering an expression
+	// pushes the commands that must run before it, and the command that
+	// holds the expression pops them in front of itself.
+	pre []Cmd
 }
 
 func (l *lowerer) fresh() string {
@@ -36,20 +43,20 @@ func (l *lowerer) fresh() string {
 	return fmt.Sprintf("_lw%d", l.nTemp)
 }
 
-// lowerExpr rewrites an expression, emitting hoisted prelude commands for
+// lowerExpr rewrites an expression, pushing hoisted prelude commands for
 // any ArrayRead it contains.
-func (l *lowerer) lowerExpr(e Expr) (Expr, []Cmd, error) {
-	switch e := e.(type) {
+func (l *lowerer) lowerExpr(e Expr) (Expr, bool, error) {
+	switch n := e.(type) {
 	case IntLit, Param, TempVar, Read:
-		return e, nil, nil
+		return e, false, nil
 	case ArrayRead:
-		d, ok := l.arrays[e.Array]
+		d, ok := l.arrays[n.Array]
 		if !ok {
-			return nil, nil, fmt.Errorf("undeclared array %q", e.Array)
+			return nil, false, fmt.Errorf("undeclared array %q", n.Array)
 		}
-		idx, pre, err := l.lowerExpr(e.Index)
+		idx, _, err := l.lowerExpr(n.Index)
 		if err != nil {
-			return nil, nil, err
+			return nil, false, err
 		}
 		// Constant-index fast path: a(7) is just the scalar object a[7],
 		// no conditional chain needed. Relational encodings (sqlfront)
@@ -59,155 +66,161 @@ func (l *lowerer) lowerExpr(e Expr) (Expr, []Cmd, error) {
 		// chain's final else.
 		if lit, isLit := idx.(IntLit); isLit {
 			if lit.Value < 0 || lit.Value >= d.Len*d.Cols {
-				return IntLit{Value: 0}, pre, nil
+				return IntLit{Value: 0}, true, nil
 			}
-			return Read{Obj: ArrayObj(d.Name, lit.Value)}, pre, nil
+			return Read{Obj: ArrayObj(d.Name, lit.Value)}, true, nil
 		}
 		// Hoist the index into a temp so the if-chain tests a stable value.
 		iv := l.fresh()
-		pre = append(pre, Assign{Var: iv, E: idx})
 		tv := l.fresh()
-		pre = append(pre, readChain(d, iv, tv))
-		return TempVar{Name: tv}, pre, nil
+		l.pre = append(l.pre, Assign{Var: iv, E: idx}, readChain(d, iv, tv))
+		return TempVar{Name: tv}, true, nil
 	case Neg:
-		inner, pre, err := l.lowerExpr(e.E)
-		if err != nil {
-			return nil, nil, err
+		inner, changed, err := l.lowerExpr(n.E)
+		if err != nil || !changed {
+			return e, false, err
 		}
-		return Neg{E: inner}, pre, nil
+		return Neg{E: inner}, true, nil
 	case Bin:
-		lx, pl, err := l.lowerExpr(e.L)
+		lx, lc, err := l.lowerExpr(n.L)
 		if err != nil {
-			return nil, nil, err
+			return nil, false, err
 		}
-		rx, pr, err := l.lowerExpr(e.R)
-		if err != nil {
-			return nil, nil, err
+		rx, rc, err := l.lowerExpr(n.R)
+		if err != nil || !(lc || rc) {
+			return e, false, err
 		}
-		return Bin{Op: e.Op, L: lx, R: rx}, append(pl, pr...), nil
+		return Bin{Op: n.Op, L: lx, R: rx}, true, nil
 	}
-	return nil, nil, fmt.Errorf("unknown expression %T", e)
+	return nil, false, fmt.Errorf("unknown expression %T", e)
 }
 
-func (l *lowerer) lowerBool(b BoolExpr) (BoolExpr, []Cmd, error) {
-	switch b := b.(type) {
+func (l *lowerer) lowerBool(b BoolExpr) (BoolExpr, bool, error) {
+	switch n := b.(type) {
 	case BoolLit:
-		return b, nil, nil
+		return b, false, nil
 	case Cmp:
-		lx, pl, err := l.lowerExpr(b.L)
+		lx, lc, err := l.lowerExpr(n.L)
 		if err != nil {
-			return nil, nil, err
+			return nil, false, err
 		}
-		rx, pr, err := l.lowerExpr(b.R)
-		if err != nil {
-			return nil, nil, err
+		rx, rc, err := l.lowerExpr(n.R)
+		if err != nil || !(lc || rc) {
+			return b, false, err
 		}
-		return Cmp{Op: b.Op, L: lx, R: rx}, append(pl, pr...), nil
+		return Cmp{Op: n.Op, L: lx, R: rx}, true, nil
 	case And:
-		lb, pl, err := l.lowerBool(b.L)
+		lb, lc, err := l.lowerBool(n.L)
 		if err != nil {
-			return nil, nil, err
+			return nil, false, err
 		}
-		rb, pr, err := l.lowerBool(b.R)
-		if err != nil {
-			return nil, nil, err
+		rb, rc, err := l.lowerBool(n.R)
+		if err != nil || !(lc || rc) {
+			return b, false, err
 		}
-		return And{L: lb, R: rb}, append(pl, pr...), nil
+		return And{L: lb, R: rb}, true, nil
 	case Or:
-		lb, pl, err := l.lowerBool(b.L)
+		lb, lc, err := l.lowerBool(n.L)
 		if err != nil {
-			return nil, nil, err
+			return nil, false, err
 		}
-		rb, pr, err := l.lowerBool(b.R)
-		if err != nil {
-			return nil, nil, err
+		rb, rc, err := l.lowerBool(n.R)
+		if err != nil || !(lc || rc) {
+			return b, false, err
 		}
-		return Or{L: lb, R: rb}, append(pl, pr...), nil
+		return Or{L: lb, R: rb}, true, nil
 	case Not:
-		ib, pre, err := l.lowerBool(b.B)
-		if err != nil {
-			return nil, nil, err
+		ib, changed, err := l.lowerBool(n.B)
+		if err != nil || !changed {
+			return b, false, err
 		}
-		return Not{B: ib}, pre, nil
+		return Not{B: ib}, true, nil
 	}
-	return nil, nil, fmt.Errorf("unknown boolean expression %T", b)
+	return nil, false, fmt.Errorf("unknown boolean expression %T", b)
 }
 
-func (l *lowerer) lowerCmd(c Cmd) (Cmd, error) {
-	switch c := c.(type) {
+// hoisted pops the prelude pushed since start in front of c.
+func (l *lowerer) hoisted(start int, c Cmd) Cmd {
+	out := SeqOf(append(l.pre[start:], c)...)
+	l.pre = l.pre[:start]
+	return out
+}
+
+func (l *lowerer) lowerCmd(c Cmd) (Cmd, bool, error) {
+	start := len(l.pre)
+	switch n := c.(type) {
 	case Skip:
-		return c, nil
+		return c, false, nil
 	case Assign:
-		e, pre, err := l.lowerExpr(c.E)
-		if err != nil {
-			return nil, err
+		e, changed, err := l.lowerExpr(n.E)
+		if err != nil || !changed {
+			return c, false, err
 		}
-		return SeqOf(append(pre, Assign{Var: c.Var, E: e})...), nil
+		return l.hoisted(start, Assign{Var: n.Var, E: e}), true, nil
 	case Seq:
-		first, err := l.lowerCmd(c.First)
+		first, fc, err := l.lowerCmd(n.First)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		rest, err := l.lowerCmd(c.Rest)
+		rest, rc, err := l.lowerCmd(n.Rest)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		return SeqOf(first, rest), nil
+		out, changed := reSeq(c, first, rest, fc || rc)
+		return out, changed, nil
 	case If:
-		cond, pre, err := l.lowerBool(c.Cond)
+		cond, cc, err := l.lowerBool(n.Cond)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		thenC, err := l.lowerCmd(c.Then)
+		thenC, tc, err := l.lowerCmd(n.Then)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		elseC, err := l.lowerCmd(c.Else)
-		if err != nil {
-			return nil, err
+		elseC, ec, err := l.lowerCmd(n.Else)
+		if err != nil || !(cc || tc || ec) {
+			return c, false, err
 		}
-		return SeqOf(append(pre, If{Cond: cond, Then: thenC, Else: elseC})...), nil
+		return l.hoisted(start, If{Cond: cond, Then: thenC, Else: elseC}), true, nil
 	case WriteCmd:
-		e, pre, err := l.lowerExpr(c.E)
-		if err != nil {
-			return nil, err
+		e, changed, err := l.lowerExpr(n.E)
+		if err != nil || !changed {
+			return c, false, err
 		}
-		return SeqOf(append(pre, WriteCmd{Obj: c.Obj, E: e})...), nil
+		return l.hoisted(start, WriteCmd{Obj: n.Obj, E: e}), true, nil
 	case ArrayWrite:
-		d, ok := l.arrays[c.Array]
+		d, ok := l.arrays[n.Array]
 		if !ok {
-			return nil, fmt.Errorf("undeclared array %q", c.Array)
+			return nil, false, fmt.Errorf("undeclared array %q", n.Array)
 		}
-		idx, pre, err := l.lowerExpr(c.Index)
+		idx, _, err := l.lowerExpr(n.Index)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		val, pre2, err := l.lowerExpr(c.E)
+		val, _, err := l.lowerExpr(n.E)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		pre = append(pre, pre2...)
 		// Constant-index fast path, mirroring lowerExpr: out-of-range
 		// literal writes are no-ops.
 		if lit, isLit := idx.(IntLit); isLit {
 			if lit.Value < 0 || lit.Value >= d.Len*d.Cols {
-				return SeqOf(append(pre, Skip{})...), nil
+				return l.hoisted(start, Skip{}), true, nil
 			}
-			return SeqOf(append(pre, WriteCmd{Obj: ArrayObj(d.Name, lit.Value), E: val})...), nil
+			return l.hoisted(start, WriteCmd{Obj: ArrayObj(d.Name, lit.Value), E: val}), true, nil
 		}
 		iv := l.fresh()
-		pre = append(pre, Assign{Var: iv, E: idx})
 		vv := l.fresh()
-		pre = append(pre, Assign{Var: vv, E: val})
-		return SeqOf(append(pre, writeChain(d, iv, vv))...), nil
+		l.pre = append(l.pre, Assign{Var: iv, E: idx}, Assign{Var: vv, E: val})
+		return l.hoisted(start, writeChain(d, iv, vv)), true, nil
 	case PrintCmd:
-		e, pre, err := l.lowerExpr(c.E)
-		if err != nil {
-			return nil, err
+		e, changed, err := l.lowerExpr(n.E)
+		if err != nil || !changed {
+			return c, false, err
 		}
-		return SeqOf(append(pre, PrintCmd{E: e})...), nil
+		return l.hoisted(start, PrintCmd{E: e}), true, nil
 	}
-	return nil, fmt.Errorf("unknown command %T", c)
+	return nil, false, fmt.Errorf("unknown command %T", c)
 }
 
 // readChain builds "if iv = 0 then tv := read(a[0]) else if iv = 1 ... else

@@ -1,6 +1,9 @@
 package lang
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Parser implements a recursive-descent parser for the L / L++ surface
 // syntax. A program is a sequence of transaction declarations:
@@ -28,8 +31,12 @@ import "fmt"
 type parser struct {
 	toks []token
 	pos  int
+	// params are the parameters of the current transaction: its header is
+	// read before its body, so a bare identifier in the body is known for a
+	// parameter or a temporary where it stands.
+	params []string
 	// relation widths in scope of the current transaction; plain arrays
-	// have width 1.
+	// have width 1. Nil until the transaction declares one.
 	arrays map[string]ArrayDecl
 }
 
@@ -83,10 +90,18 @@ func (p *parser) advance() token {
 }
 
 func (p *parser) errf(format string, args ...any) error {
-	t := p.peek()
+	return errAt(p.peek(), format, args...)
+}
+
+// errAt reports an error at token t.
+func errAt(t token, format string, args ...any) error {
 	return fmt.Errorf("lang: line %d: %s (at %q)", t.line,
 		fmt.Sprintf(format, args...), t.text)
 }
+
+// isParam reports whether name is a parameter of the current transaction.
+// Parameter lists are a handful of names: a scan beats a set.
+func (p *parser) isParam(name string) bool { return slices.Contains(p.params, name) }
 
 func (p *parser) expect(k tokenKind, what string) (token, error) {
 	if p.peek().kind != k {
@@ -104,6 +119,7 @@ func (p *parser) parseTransaction() (*Transaction, error) {
 		return nil, err
 	}
 	t := &Transaction{Name: name.text}
+	p.params = nil
 	if _, err := p.expect(tokLParen, "'('"); err != nil {
 		return nil, err
 	}
@@ -112,7 +128,11 @@ func (p *parser) parseTransaction() (*Transaction, error) {
 		if err != nil {
 			return nil, err
 		}
+		if p.isParam(id.text) {
+			return nil, errAt(id, "duplicate parameter %q", id.text)
+		}
 		t.Params = append(t.Params, id.text)
+		p.params = t.Params
 		if p.peek().kind == tokComma {
 			p.advance()
 		}
@@ -121,7 +141,7 @@ func (p *parser) parseTransaction() (*Transaction, error) {
 	if _, err := p.expect(tokLBrace, "'{'"); err != nil {
 		return nil, err
 	}
-	p.arrays = make(map[string]ArrayDecl)
+	p.arrays = nil
 	// Array / relation declarations come first.
 	for p.peek().kind == tokArray || p.peek().kind == tokRelation {
 		d, err := p.parseArrayDecl()
@@ -129,6 +149,9 @@ func (p *parser) parseTransaction() (*Transaction, error) {
 			return nil, err
 		}
 		t.Arrays = append(t.Arrays, d)
+		if p.arrays == nil {
+			p.arrays = make(map[string]ArrayDecl)
+		}
 		p.arrays[d.Name] = d
 	}
 	body, err := p.parseCmdSeq()
@@ -184,7 +207,8 @@ func (p *parser) parseArrayDecl() (ArrayDecl, error) {
 
 // parseCmdSeq parses a ';'-separated sequence of commands.
 func (p *parser) parseCmdSeq() (Cmd, error) {
-	var cmds []Cmd
+	var buf [4]Cmd // most bodies and branches are a few commands long
+	cmds := buf[:0]
 	for {
 		c, err := p.parseCmd()
 		if err != nil {
@@ -238,15 +262,20 @@ func (p *parser) parseCmd() (Cmd, error) {
 		}
 		return c, nil
 	case tokIdent:
-		name := p.advance().text
+		name := p.advance()
 		if _, err := p.expect(tokAssign, "':='"); err != nil {
 			return nil, err
+		}
+		// Parameters are bound by the invocation. An assignment to one
+		// would bind a temporary of the same name that no later read sees.
+		if p.isParam(name.text) {
+			return nil, errAt(name, "cannot assign to parameter %q", name.text)
 		}
 		e, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
-		return Assign{Var: name, E: e}, nil
+		return Assign{Var: name.text, E: e}, nil
 	}
 	return nil, p.errf("expected a command")
 }
@@ -576,105 +605,31 @@ func (p *parser) parseAtom() (Expr, error) {
 			}
 			return nil, p.errf("call of undeclared array %q", name)
 		}
-		// A bare identifier is a temporary variable or a parameter; the
-		// resolver distinguishes them by the transaction's parameter list.
+		// A bare identifier is a parameter when the header declared it and
+		// a temporary variable otherwise.
+		if p.isParam(name) {
+			return Param{Name: name}, nil
+		}
 		return TempVar{Name: name}, nil
 	}
 	return nil, p.errf("expected an expression")
 }
 
-// ResolveParams rewrites TempVar nodes that name declared parameters into
-// Param nodes, in place conceptually (returns rewritten trees). The parser
-// cannot distinguish them lexically.
-func ResolveParams(t *Transaction) {
-	params := make(map[string]bool, len(t.Params))
-	for _, p := range t.Params {
-		params[p] = true
-	}
-	t.Body = resolveCmd(t.Body, params)
-}
-
-func resolveCmd(c Cmd, params map[string]bool) Cmd {
-	switch c := c.(type) {
-	case Assign:
-		return Assign{Var: c.Var, E: resolveExpr(c.E, params)}
-	case Seq:
-		return Seq{First: resolveCmd(c.First, params), Rest: resolveCmd(c.Rest, params)}
-	case If:
-		return If{
-			Cond: resolveBool(c.Cond, params),
-			Then: resolveCmd(c.Then, params),
-			Else: resolveCmd(c.Else, params),
-		}
-	case WriteCmd:
-		return WriteCmd{Obj: c.Obj, E: resolveExpr(c.E, params)}
-	case ArrayWrite:
-		return ArrayWrite{
-			Array: c.Array,
-			Index: resolveExpr(c.Index, params),
-			E:     resolveExpr(c.E, params),
-		}
-	case PrintCmd:
-		return PrintCmd{E: resolveExpr(c.E, params)}
-	default:
-		return c
-	}
-}
-
-func resolveExpr(e Expr, params map[string]bool) Expr {
-	switch e := e.(type) {
-	case TempVar:
-		if params[e.Name] {
-			return Param{Name: e.Name}
-		}
-		return e
-	case ArrayRead:
-		return ArrayRead{Array: e.Array, Index: resolveExpr(e.Index, params)}
-	case Neg:
-		return Neg{E: resolveExpr(e.E, params)}
-	case Bin:
-		return Bin{Op: e.Op, L: resolveExpr(e.L, params), R: resolveExpr(e.R, params)}
-	default:
-		return e
-	}
-}
-
-func resolveBool(b BoolExpr, params map[string]bool) BoolExpr {
-	switch b := b.(type) {
-	case Cmp:
-		return Cmp{Op: b.Op, L: resolveExpr(b.L, params), R: resolveExpr(b.R, params)}
-	case And:
-		return And{L: resolveBool(b.L, params), R: resolveBool(b.R, params)}
-	case Or:
-		return Or{L: resolveBool(b.L, params), R: resolveBool(b.R, params)}
-	case Not:
-		return Not{B: resolveBool(b.B, params)}
-	default:
-		return b
-	}
-}
-
-// MustParse parses a single transaction and resolves parameters,
-// panicking on error. Intended for tests, examples, and static workload
-// definitions.
+// MustParse parses a single transaction, panicking on error. Intended for
+// tests, examples, and static workload definitions.
 func MustParse(src string) *Transaction {
 	t, err := ParseTransaction(src)
 	if err != nil {
 		panic(err)
 	}
-	ResolveParams(t)
 	return t
 }
 
-// MustParseProgram parses a program and resolves parameters in every
-// transaction, panicking on error.
+// MustParseProgram parses a program, panicking on error.
 func MustParseProgram(src string) []*Transaction {
 	ts, err := ParseProgram(src)
 	if err != nil {
 		panic(err)
-	}
-	for _, t := range ts {
-		ResolveParams(t)
 	}
 	return ts
 }

@@ -37,11 +37,30 @@ func DeltaObj(x ObjID, site int) ObjID {
 // DeltaObjs returns x's delta object at each of nSites sites, for callers
 // that visit them often enough to build the names once.
 func DeltaObjs(x ObjID, nSites int) []ObjID {
-	out := make([]ObjID, nSites)
-	for k := range out {
-		out[k] = DeltaObj(x, k)
+	return AppendDeltaObjs(make([]ObjID, 0, nSites), x, 0, nSites)
+}
+
+// AppendDeltaObjs appends x's delta objects at sites from through to-1.
+// The names are cut from one string, so however many sites there are they
+// cost one allocation.
+func AppendDeltaObjs(dst []ObjID, x ObjID, from, to int) []ObjID {
+	var buf [128]byte
+	b := buf[:0]
+	for k := from; k < to; k++ {
+		b = append(b, x...)
+		b = append(b, '@', 'd')
+		b = strconv.AppendInt(b, int64(k), 10)
 	}
-	return out
+	all := ObjID(b)
+	for k := from; k < to; k++ {
+		n := len(x) + 3
+		for d := k; d >= 10; d /= 10 {
+			n++
+		}
+		dst = append(dst, all[:n])
+		all = all[n:]
+	}
+	return dst
 }
 
 // IsDeltaObj reports whether obj is a delta object, and if so for which
@@ -73,16 +92,12 @@ func IsDeltaObj(obj ObjID) (base ObjID, site int, ok bool) {
 // a system where every object in replicated is replicated across sites
 // 0..nSites-1. Objects not in replicated are left untouched. The returned
 // transaction satisfies Assumption 3.1 with respect to the replicated
-// objects: it writes only site-local delta objects.
+// objects: it writes only site-local delta objects. Subtrees that touch no
+// replicated object are shared with t, not copied.
 func ReplicaRewrite(t *Transaction, site, nSites int, replicated map[ObjID]bool) *Transaction {
 	rw := &replicaRewriter{site: site, nSites: nSites, replicated: replicated}
-	out := &Transaction{
-		Name:   t.Name,
-		Params: t.Params,
-		Arrays: t.Arrays,
-		Body:   rw.cmd(t.Body),
-	}
-	return out
+	body, _ := rw.cmd(t.Body)
+	return &Transaction{Name: t.Name, Params: t.Params, Arrays: t.Arrays, Body: body}
 }
 
 type replicaRewriter struct {
@@ -101,69 +116,110 @@ func (rw *replicaRewriter) logicalRead(x ObjID) Expr {
 	return e
 }
 
-func (rw *replicaRewriter) expr(e Expr) Expr {
-	switch e := e.(type) {
+// The rewriter's walks return the node they were given, and false, when
+// nothing beneath it reads or writes a replicated object.
+
+func (rw *replicaRewriter) expr(e Expr) (Expr, bool) {
+	switch n := e.(type) {
 	case Read:
-		if rw.replicated[e.Obj] {
-			return rw.logicalRead(e.Obj)
+		if rw.replicated[n.Obj] {
+			return rw.logicalRead(n.Obj), true
 		}
-		return e
 	case ArrayRead:
-		return ArrayRead{Array: e.Array, Index: rw.expr(e.Index)}
+		if idx, changed := rw.expr(n.Index); changed {
+			return ArrayRead{Array: n.Array, Index: idx}, true
+		}
 	case Neg:
-		return Neg{E: rw.expr(e.E)}
+		if inner, changed := rw.expr(n.E); changed {
+			return Neg{E: inner}, true
+		}
 	case Bin:
-		return Bin{Op: e.Op, L: rw.expr(e.L), R: rw.expr(e.R)}
-	default:
-		return e
+		l, lc := rw.expr(n.L)
+		r, rc := rw.expr(n.R)
+		if lc || rc {
+			return Bin{Op: n.Op, L: l, R: r}, true
+		}
 	}
+	return e, false
 }
 
-func (rw *replicaRewriter) boolExpr(b BoolExpr) BoolExpr {
-	switch b := b.(type) {
+func (rw *replicaRewriter) boolExpr(b BoolExpr) (BoolExpr, bool) {
+	switch n := b.(type) {
 	case Cmp:
-		return Cmp{Op: b.Op, L: rw.expr(b.L), R: rw.expr(b.R)}
+		l, lc := rw.expr(n.L)
+		r, rc := rw.expr(n.R)
+		if lc || rc {
+			return Cmp{Op: n.Op, L: l, R: r}, true
+		}
 	case And:
-		return And{L: rw.boolExpr(b.L), R: rw.boolExpr(b.R)}
+		l, lc := rw.boolExpr(n.L)
+		r, rc := rw.boolExpr(n.R)
+		if lc || rc {
+			return And{L: l, R: r}, true
+		}
 	case Or:
-		return Or{L: rw.boolExpr(b.L), R: rw.boolExpr(b.R)}
+		l, lc := rw.boolExpr(n.L)
+		r, rc := rw.boolExpr(n.R)
+		if lc || rc {
+			return Or{L: l, R: r}, true
+		}
 	case Not:
-		return Not{B: rw.boolExpr(b.B)}
-	default:
-		return b
+		if inner, changed := rw.boolExpr(n.B); changed {
+			return Not{B: inner}, true
+		}
 	}
+	return b, false
 }
 
-func (rw *replicaRewriter) cmd(c Cmd) Cmd {
-	switch c := c.(type) {
+func (rw *replicaRewriter) cmd(c Cmd) (Cmd, bool) {
+	switch n := c.(type) {
 	case Assign:
-		return Assign{Var: c.Var, E: rw.expr(c.E)}
+		if e, changed := rw.expr(n.E); changed {
+			return Assign{Var: n.Var, E: e}, true
+		}
 	case Seq:
-		return Seq{First: rw.cmd(c.First), Rest: rw.cmd(c.Rest)}
+		first, fc := rw.cmd(n.First)
+		rest, rc := rw.cmd(n.Rest)
+		if fc || rc {
+			return Seq{First: first, Rest: rest}, true
+		}
 	case If:
-		return If{Cond: rw.boolExpr(c.Cond), Then: rw.cmd(c.Then), Else: rw.cmd(c.Else)}
+		cond, cc := rw.boolExpr(n.Cond)
+		thenC, tc := rw.cmd(n.Then)
+		elseC, ec := rw.cmd(n.Else)
+		if cc || tc || ec {
+			return If{Cond: cond, Then: thenC, Else: elseC}, true
+		}
 	case WriteCmd:
-		if !rw.replicated[c.Obj] {
-			return WriteCmd{Obj: c.Obj, E: rw.expr(c.E)}
+		rhs, changed := rw.expr(n.E)
+		if !rw.replicated[n.Obj] {
+			if changed {
+				return WriteCmd{Obj: n.Obj, E: rhs}, true
+			}
+			break
 		}
 		// write(x = e)  =>  write(dx_site = e' - x - sum_{j != site} dx_j)
 		// where e' is the rewritten expression.
-		rhs := rw.expr(c.E)
-		rhs = Bin{Op: OpSub, L: rhs, R: Read{Obj: c.Obj}}
+		rhs = Bin{Op: OpSub, L: rhs, R: Read{Obj: n.Obj}}
 		for j := 0; j < rw.nSites; j++ {
 			if j == rw.site {
 				continue
 			}
-			rhs = Bin{Op: OpSub, L: rhs, R: Read{Obj: DeltaObj(c.Obj, j)}}
+			rhs = Bin{Op: OpSub, L: rhs, R: Read{Obj: DeltaObj(n.Obj, j)}}
 		}
-		return WriteCmd{Obj: DeltaObj(c.Obj, rw.site), E: rhs}
+		return WriteCmd{Obj: DeltaObj(n.Obj, rw.site), E: rhs}, true
 	case ArrayWrite:
-		return ArrayWrite{Array: c.Array, Index: rw.expr(c.Index), E: rw.expr(c.E)}
+		idx, ic := rw.expr(n.Index)
+		e, ec := rw.expr(n.E)
+		if ic || ec {
+			return ArrayWrite{Array: n.Array, Index: idx, E: e}, true
+		}
 	case PrintCmd:
-		return PrintCmd{E: rw.expr(c.E)}
-	default:
-		return c
+		if e, changed := rw.expr(n.E); changed {
+			return PrintCmd{E: e}, true
+		}
 	}
+	return c, false
 }
 
 // LogicalValue computes the logical value of a replicated object from a
@@ -201,203 +257,287 @@ func FoldDeltas(d Database) Database {
 // constant folding, cancellation of syntactically identical added and
 // subtracted subterms (which removes the read(x) round trips the replica
 // rewrite introduces, as in Figure 23c), and neutral-element elimination.
+// Subtrees with nothing to simplify are shared with t, not copied.
 func Simplify(t *Transaction) *Transaction {
-	return &Transaction{
-		Name:   t.Name,
-		Params: t.Params,
-		Arrays: t.Arrays,
-		Body:   simplifyCmd(t.Body),
-	}
-}
-
-func simplifyCmd(c Cmd) Cmd {
-	switch c := c.(type) {
-	case Assign:
-		return Assign{Var: c.Var, E: SimplifyExpr(c.E)}
-	case Seq:
-		return SeqOf(simplifyCmd(c.First), simplifyCmd(c.Rest))
-	case If:
-		cond := simplifyBool(c.Cond)
-		if lit, ok := cond.(BoolLit); ok {
-			if lit.Value {
-				return simplifyCmd(c.Then)
-			}
-			return simplifyCmd(c.Else)
-		}
-		return If{Cond: cond, Then: simplifyCmd(c.Then), Else: simplifyCmd(c.Else)}
-	case WriteCmd:
-		return WriteCmd{Obj: c.Obj, E: SimplifyExpr(c.E)}
-	case ArrayWrite:
-		return ArrayWrite{Array: c.Array, Index: SimplifyExpr(c.Index), E: SimplifyExpr(c.E)}
-	case PrintCmd:
-		return PrintCmd{E: SimplifyExpr(c.E)}
-	default:
-		return c
-	}
-}
-
-func simplifyBool(b BoolExpr) BoolExpr {
-	switch b := b.(type) {
-	case Cmp:
-		l, r := SimplifyExpr(b.L), SimplifyExpr(b.R)
-		if li, ok := l.(IntLit); ok {
-			if ri, ok := r.(IntLit); ok {
-				return BoolLit{Value: b.Op.Holds(li.Value, ri.Value)}
-			}
-		}
-		return Cmp{Op: b.Op, L: l, R: r}
-	case And:
-		l, r := simplifyBool(b.L), simplifyBool(b.R)
-		if lit, ok := l.(BoolLit); ok {
-			if !lit.Value {
-				return BoolLit{Value: false}
-			}
-			return r
-		}
-		if lit, ok := r.(BoolLit); ok {
-			if !lit.Value {
-				return BoolLit{Value: false}
-			}
-			return l
-		}
-		return And{L: l, R: r}
-	case Or:
-		l, r := simplifyBool(b.L), simplifyBool(b.R)
-		if lit, ok := l.(BoolLit); ok {
-			if lit.Value {
-				return BoolLit{Value: true}
-			}
-			return r
-		}
-		if lit, ok := r.(BoolLit); ok {
-			if lit.Value {
-				return BoolLit{Value: true}
-			}
-			return l
-		}
-		return Or{L: l, R: r}
-	case Not:
-		inner := simplifyBool(b.B)
-		if lit, ok := inner.(BoolLit); ok {
-			return BoolLit{Value: !lit.Value}
-		}
-		return Not{B: inner}
-	default:
-		return b
-	}
+	var s simplifier
+	body, _ := s.cmd(t.Body)
+	return &Transaction{Name: t.Name, Params: t.Params, Arrays: t.Arrays, Body: body}
 }
 
 // SimplifyExpr simplifies an arithmetic expression by flattening it into a
 // sum of signed terms, cancelling equal opposite terms, folding constants,
-// and rebuilding a compact tree.
+// and rebuilding a compact tree. An expression already in that form is
+// returned as it is.
 func SimplifyExpr(e Expr) Expr {
-	terms, c := flattenSum(e, 1)
-	// Cancel pairs of identical terms with opposite signs.
-	type st struct {
-		key  string
-		e    Expr
-		sign int64
+	var s simplifier
+	out, _ := s.expr(e)
+	return out
+}
+
+// simplifier is one simplification pass. Its walks return the node they
+// were given, and false, when nothing beneath it simplifies.
+type simplifier struct {
+	// terms is a stack of summands: every expr call flattens onto the end
+	// and pops what it pushed, so nested sums (the factors of a product, an
+	// array index) share one allocation with the sum they are part of.
+	terms []signedTerm
+}
+
+type signedTerm struct {
+	e    Expr
+	sign int64 // +1 or -1; 0 once cancelled
+}
+
+func (s *simplifier) cmd(c Cmd) (Cmd, bool) {
+	switch n := c.(type) {
+	case Assign:
+		if e, changed := s.expr(n.E); changed {
+			return Assign{Var: n.Var, E: e}, true
+		}
+	case Seq:
+		first, fc := s.cmd(n.First)
+		rest, rc := s.cmd(n.Rest)
+		return reSeq(c, first, rest, fc || rc)
+	case If:
+		cond, cc := s.boolExpr(n.Cond)
+		if lit, ok := cond.(BoolLit); ok {
+			branch := n.Else
+			if lit.Value {
+				branch = n.Then
+			}
+			branch, _ = s.cmd(branch)
+			return branch, true
+		}
+		thenC, tc := s.cmd(n.Then)
+		elseC, ec := s.cmd(n.Else)
+		if cc || tc || ec {
+			return If{Cond: cond, Then: thenC, Else: elseC}, true
+		}
+	case WriteCmd:
+		if e, changed := s.expr(n.E); changed {
+			return WriteCmd{Obj: n.Obj, E: e}, true
+		}
+	case ArrayWrite:
+		idx, ic := s.expr(n.Index)
+		e, ec := s.expr(n.E)
+		if ic || ec {
+			return ArrayWrite{Array: n.Array, Index: idx, E: e}, true
+		}
+	case PrintCmd:
+		if e, changed := s.expr(n.E); changed {
+			return PrintCmd{E: e}, true
+		}
 	}
-	var list []st
-	for _, t := range terms {
-		list = append(list, st{key: t.e.String(), e: t.e, sign: t.sign})
+	return c, false
+}
+
+func (s *simplifier) boolExpr(b BoolExpr) (BoolExpr, bool) {
+	switch n := b.(type) {
+	case Cmp:
+		l, lc := s.expr(n.L)
+		r, rc := s.expr(n.R)
+		if li, ok := l.(IntLit); ok {
+			if ri, ok := r.(IntLit); ok {
+				return BoolLit{Value: n.Op.Holds(li.Value, ri.Value)}, true
+			}
+		}
+		if lc || rc {
+			return Cmp{Op: n.Op, L: l, R: r}, true
+		}
+	case And:
+		l, lc := s.boolExpr(n.L)
+		r, rc := s.boolExpr(n.R)
+		if lit, ok := l.(BoolLit); ok {
+			if !lit.Value {
+				return BoolLit{Value: false}, true
+			}
+			return r, true
+		}
+		if lit, ok := r.(BoolLit); ok {
+			if !lit.Value {
+				return BoolLit{Value: false}, true
+			}
+			return l, true
+		}
+		if lc || rc {
+			return And{L: l, R: r}, true
+		}
+	case Or:
+		l, lc := s.boolExpr(n.L)
+		r, rc := s.boolExpr(n.R)
+		if lit, ok := l.(BoolLit); ok {
+			if lit.Value {
+				return BoolLit{Value: true}, true
+			}
+			return r, true
+		}
+		if lit, ok := r.(BoolLit); ok {
+			if lit.Value {
+				return BoolLit{Value: true}, true
+			}
+			return l, true
+		}
+		if lc || rc {
+			return Or{L: l, R: r}, true
+		}
+	case Not:
+		inner, changed := s.boolExpr(n.B)
+		if lit, ok := inner.(BoolLit); ok {
+			return BoolLit{Value: !lit.Value}, true
+		}
+		if changed {
+			return Not{B: inner}, true
+		}
 	}
-	used := make([]bool, len(list))
-	var kept []st
-	for i := range list {
-		if used[i] {
+	return b, false
+}
+
+func (s *simplifier) expr(e Expr) (Expr, bool) {
+	start := len(s.terms)
+	c := s.flatten(e, 1)
+	out, changed := sumOf(e, s.terms[start:], c)
+	s.terms = s.terms[:start]
+	return out, changed
+}
+
+// sumOf builds the simplified form of e from its flattened terms (which it
+// reorders in place) and constant: e itself when that is what it would
+// build.
+func sumOf(e Expr, terms []signedTerm, c int64) (Expr, bool) {
+	// Cancel pairs of identical terms with opposite signs. Nodes are
+	// comparable values, so == is structural equality.
+	kept := terms[:0]
+	for i := range terms {
+		if terms[i].sign == 0 {
 			continue
 		}
-		cancelled := false
-		for j := i + 1; j < len(list); j++ {
-			if !used[j] && list[j].key == list[i].key && list[j].sign == -list[i].sign {
-				used[i], used[j] = true, true
-				cancelled = true
+		for j := i + 1; j < len(terms); j++ {
+			if terms[j].sign == -terms[i].sign && terms[j].e == terms[i].e {
+				terms[i].sign, terms[j].sign = 0, 0
 				break
 			}
 		}
-		if !cancelled {
-			kept = append(kept, list[i])
+		if terms[i].sign != 0 {
+			kept = append(kept, terms[i])
 		}
+	}
+	if sameSum(e, kept, c) {
+		return e, false
 	}
 	var out Expr
 	for _, t := range kept {
-		var te Expr = t.e
-		if t.sign < 0 {
-			if out == nil {
-				out = Neg{E: te}
-				continue
-			}
-			out = Bin{Op: OpSub, L: out, R: te}
-			continue
-		}
-		if out == nil {
-			out = te
-		} else {
-			out = Bin{Op: OpAdd, L: out, R: te}
+		switch {
+		case out == nil && t.sign < 0:
+			out = Neg{E: t.e}
+		case out == nil:
+			out = t.e
+		case t.sign < 0:
+			out = Bin{Op: OpSub, L: out, R: t.e}
+		default:
+			out = Bin{Op: OpAdd, L: out, R: t.e}
 		}
 	}
 	if out == nil {
-		return IntLit{Value: c}
+		return IntLit{Value: c}, true
 	}
 	if c > 0 {
 		out = Bin{Op: OpAdd, L: out, R: IntLit{Value: c}}
 	} else if c < 0 {
 		out = Bin{Op: OpSub, L: out, R: IntLit{Value: -c}}
 	}
-	return out
+	return out, true
 }
 
-type signedTerm struct {
-	e    Expr
-	sign int64 // +1 or -1
+// sameSum reports whether e already is the tree sumOf builds from the kept
+// terms and the constant c: the terms chained to the left in order, the
+// first negated when its sign says so, the constant last. It walks e's left
+// spine from the top against the summands from the last.
+func sameSum(e Expr, kept []signedTerm, c int64) bool {
+	if len(kept) == 0 {
+		lit, ok := e.(IntLit)
+		return ok && lit.Value == c
+	}
+	node := e
+	if c != 0 {
+		b, ok := node.(Bin)
+		if !ok {
+			return false
+		}
+		if lit, ok := b.R.(IntLit); !ok || (c > 0 && (b.Op != OpAdd || lit.Value != c)) ||
+			(c < 0 && (b.Op != OpSub || lit.Value != -c)) {
+			return false
+		}
+		node = b.L
+	}
+	for i := len(kept) - 1; i > 0; i-- {
+		op := OpAdd
+		if kept[i].sign < 0 {
+			op = OpSub
+		}
+		b, ok := node.(Bin)
+		if !ok || b.Op != op || b.R != kept[i].e {
+			return false
+		}
+		node = b.L
+	}
+	if kept[0].sign < 0 {
+		neg, ok := node.(Neg)
+		return ok && neg.E == kept[0].e
+	}
+	return node == kept[0].e
 }
 
-// flattenSum decomposes e (scaled by sign) into non-constant signed terms
-// plus a constant. Products and other non-additive nodes are kept whole
-// (after recursive simplification of their children).
-func flattenSum(e Expr, sign int64) ([]signedTerm, int64) {
-	switch e := e.(type) {
+// flatten decomposes e (scaled by sign) into non-constant signed terms,
+// pushed onto s.terms, plus the constant it returns. Products and other
+// non-additive nodes are kept whole (after recursive simplification of
+// their children).
+func (s *simplifier) flatten(e Expr, sign int64) int64 {
+	switch n := e.(type) {
 	case IntLit:
-		return nil, sign * e.Value
+		return sign * n.Value
 	case Neg:
-		return flattenSum(e.E, -sign)
+		return s.flatten(n.E, -sign)
 	case Bin:
-		switch e.Op {
-		case OpAdd:
-			lt, lc := flattenSum(e.L, sign)
-			rt, rc := flattenSum(e.R, sign)
-			return append(lt, rt...), lc + rc
-		case OpSub:
-			lt, lc := flattenSum(e.L, sign)
-			rt, rc := flattenSum(e.R, -sign)
-			return append(lt, rt...), lc + rc
+		switch n.Op {
+		case OpAdd, OpSub:
+			lc := s.flatten(n.L, sign)
+			if n.Op == OpSub {
+				sign = -sign
+			}
+			return lc + s.flatten(n.R, sign)
 		case OpMul:
-			l := SimplifyExpr(e.L)
-			r := SimplifyExpr(e.R)
+			l, lch := s.expr(n.L)
+			r, rch := s.expr(n.R)
 			if li, ok := l.(IntLit); ok {
 				if ri, ok := r.(IntLit); ok {
-					return nil, sign * li.Value * ri.Value
+					return sign * li.Value * ri.Value
 				}
 				if li.Value == 0 {
-					return nil, 0
+					return 0
 				}
 				if li.Value == 1 {
-					return []signedTerm{{e: r, sign: sign}}, 0
+					s.terms = append(s.terms, signedTerm{e: r, sign: sign})
+					return 0
 				}
 			}
 			if ri, ok := r.(IntLit); ok {
 				if ri.Value == 0 {
-					return nil, 0
+					return 0
 				}
 				if ri.Value == 1 {
-					return []signedTerm{{e: l, sign: sign}}, 0
+					s.terms = append(s.terms, signedTerm{e: l, sign: sign})
+					return 0
 				}
 			}
-			return []signedTerm{{e: Bin{Op: OpMul, L: l, R: r}, sign: sign}}, 0
+			if lch || rch {
+				e = Bin{Op: OpMul, L: l, R: r}
+			}
 		}
 	case ArrayRead:
-		return []signedTerm{{e: ArrayRead{Array: e.Array, Index: SimplifyExpr(e.Index)}, sign: sign}}, 0
+		if idx, changed := s.expr(n.Index); changed {
+			e = ArrayRead{Array: n.Array, Index: idx}
+		}
 	}
-	return []signedTerm{{e: e, sign: sign}}, 0
+	s.terms = append(s.terms, signedTerm{e: e, sign: sign})
+	return 0
 }

@@ -82,14 +82,21 @@ func (t Term) Eval(b logic.Binding) (int64, error) {
 	return sum, nil
 }
 
-func (t Term) String() string { return string(t.appendTo(nil)) }
+func (t Term) String() string { return string(t.AppendTo(nil)) }
 
-// appendTo appends the term as its summands joined by " + ": coeff*var
+// AppendTo appends the term as its summands joined by " + ": coeff*var
 // with unit coefficients elided, then the constant unless it is zero and
-// something precedes it.
-func (t Term) appendTo(b []byte) []byte {
+// something precedes it. The variables are put in order in a buffer on the
+// stack, so rendering a term of a few variables allocates nothing.
+func (t Term) AppendTo(b []byte) []byte {
 	start := len(b)
-	for _, v := range t.Vars() {
+	var buf [8]logic.Var
+	vars := buf[:0]
+	for v := range t.Coeffs {
+		vars = append(vars, v)
+	}
+	logic.SortVars(vars)
+	for _, v := range vars {
 		if len(b) > start {
 			b = append(b, " + "...)
 		}
@@ -141,9 +148,12 @@ type Constraint struct {
 	Op   RelOp
 }
 
-func (c Constraint) String() string {
-	b := append(c.Term.appendTo(nil), ' ')
-	return string(append(append(b, c.Op.String()...), " 0"...))
+func (c Constraint) String() string { return string(c.AppendTo(nil)) }
+
+// AppendTo appends the constraint as "term op 0".
+func (c Constraint) AppendTo(b []byte) []byte {
+	b = append(c.Term.AppendTo(b), ' ')
+	return append(append(b, c.Op.String()...), " 0"...)
 }
 
 // Eval reports whether the constraint holds under a binding.

@@ -99,7 +99,6 @@ func New(cfg Config) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	lang.ResolveParams(txn)
 	// Appendix B: rewrite writes into per-site delta objects. The guard of
 	// the rewritten transaction mentions the logical value
 	// q + sum_j dq_j, which is what the treaty must bound.

@@ -51,7 +51,6 @@ func TestStoredProcedureMatchesSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lang.ResolveParams(src)
 	for qty := int64(-3); qty <= 20; qty++ {
 		// L++ semantics on the canonical object.
 		res, err := lang.Eval(src, lang.Database{canonObj: qty})

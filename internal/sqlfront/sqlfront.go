@@ -155,6 +155,13 @@ func (c *compiler) operand(tok string, t *Table, row int64) (lang.Expr, error) {
 	}
 	if strings.HasPrefix(tok, "@") {
 		name := tok[1:]
+		if strings.HasPrefix(name, "_") {
+			// fresh's temporaries (_acc1, _done2, ...) and the lowering's
+			// (_lw1, ...) begin with an underscore; a parameter that could
+			// share a name with one would read as it wherever the
+			// transaction is printed and parsed again.
+			return nil, fmt.Errorf("parameter %q: names beginning with _ are reserved for generated temporaries", tok)
+		}
 		if !c.paramSeen[name] {
 			c.paramSeen[name] = true
 			c.params = append(c.params, name)

@@ -2,6 +2,8 @@ package sqlfront
 
 import (
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/lang"
@@ -18,7 +20,6 @@ func compile(t *testing.T, script string) (*lang.Transaction, Schema) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lang.ResolveParams(txn)
 	return txn, schema
 }
 
@@ -216,5 +217,71 @@ func TestLowerCompiledSQL(t *testing.T) {
 	}
 	if !lang.LogsEqual(a.Log, b.Log) {
 		t.Fatalf("lowered SQL diverges: %v vs %v", a.Log, b.Log)
+	}
+}
+
+// names collects, from every node under v, the names of the temporaries
+// (assigned or read) and of the parameters.
+func names(v reflect.Value, temps, params map[string]bool) {
+	switch v.Kind() {
+	case reflect.Interface:
+		if !v.IsNil() {
+			names(v.Elem(), temps, params)
+		}
+	case reflect.Struct:
+		switch n := v.Interface().(type) {
+		case lang.Assign:
+			temps[n.Var] = true
+		case lang.TempVar:
+			temps[n.Name] = true
+		case lang.Param:
+			params[n.Name] = true
+		}
+		for i := 0; i < v.NumField(); i++ {
+			names(v.Field(i), temps, params)
+		}
+	}
+}
+
+// TestGeneratedTemporariesAreNoParameters: the compiler emits Param nodes
+// for the @names itself, so nothing resolves names afterwards — which is
+// only right if no temporary it generates (an accumulator, an insert's
+// done flag) or the lowering generates can be an @name. They all begin
+// with an underscore, and an @name may not.
+func TestGeneratedTemporariesAreNoParameters(t *testing.T) {
+	txn, _ := compile(t, stockSchema+`
+SELECT SUM(qty) FROM stock WHERE key = @acc
+SELECT COUNT(*) FROM stock WHERE qty > @done
+INSERT INTO stock VALUES (@acc1, @lw1)
+UPDATE stock SET qty = qty - @d WHERE key = @acc`)
+	lowered, err := lang.Lower(txn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tx := range []*lang.Transaction{txn, lowered} {
+		temps, params := map[string]bool{}, map[string]bool{}
+		names(reflect.ValueOf(&tx.Body).Elem(), temps, params)
+		if len(temps) < 3 || len(params) != 5 {
+			t.Fatalf("found temporaries %v and parameters %v", temps, params)
+		}
+		for name := range temps {
+			if !strings.HasPrefix(name, "_") || params[name] {
+				t.Errorf("generated temporary %q could be the parameter @%s", name, name)
+			}
+		}
+		for _, p := range tx.Params {
+			if !params[p] || temps[p] {
+				t.Errorf("parameter %q: a Param node %v, a temporary %v", p, params[p], temps[p])
+			}
+		}
+	}
+	for _, script := range []string{
+		`SELECT SUM(qty) FROM stock WHERE key = @_acc1`,
+		`INSERT INTO stock VALUES (@k, @_done1)`,
+		`UPDATE stock SET qty = qty + @_lw1 WHERE key = 1`,
+	} {
+		if _, _, err := Compile("T", stockSchema+script); err == nil || !strings.Contains(err.Error(), "reserved for generated temporaries") {
+			t.Errorf("%s: error %v, want the reserved-name refusal", script, err)
+		}
 	}
 }

@@ -77,7 +77,6 @@ func New(cfg Config) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	lang.ResolveParams(txn)
 	table, err := symtab.Build(txn)
 	if err != nil {
 		return nil, err

@@ -63,7 +63,6 @@ func TestStoredProcedureMatchesSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lang.ResolveParams(src)
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 300; trial++ {
 		t2 := int64(rng.Intn(100))

@@ -157,7 +157,6 @@ func New(cfg Config) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	lang.ResolveParams(txn)
 	rw := lang.Simplify(lang.ReplicaRewrite(txn, 0, cfg.NSites, map[lang.ObjID]bool{canonStock: true}))
 	table, err := symtab.Build(rw)
 	if err != nil {

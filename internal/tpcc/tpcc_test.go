@@ -64,7 +64,6 @@ func TestNewOrderMatchesSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lang.ResolveParams(src)
 	for stock := int64(0); stock <= 120; stock += 3 {
 		for qty := int64(1); qty <= 5; qty++ {
 			res, err := lang.Eval(src, lang.Database{canonStock: stock}, qty)
@@ -96,7 +95,6 @@ func TestDeliveryMatchesSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lang.ResolveParams(src)
 	for n := int64(0); n <= 5; n++ {
 		for low := int64(0); low <= 3; low++ {
 			res, err := lang.Eval(src, lang.Database{"unful": n, "low": low})
@@ -128,7 +126,6 @@ func TestPaymentMatchesSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lang.ResolveParams(src)
 	res, err := lang.Eval(src, lang.Database{"wbal": 100, "dbal": 50, "cbal": 10}, 7)
 	if err != nil {
 		t.Fatal(err)

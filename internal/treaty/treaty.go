@@ -91,12 +91,19 @@ func (l Local) Holds(db lang.Database) bool {
 	return true
 }
 
-func (l Local) String() string {
-	parts := make([]string, len(l.Constraints))
+func (l Local) String() string { return string(l.AppendTo(nil)) }
+
+// AppendTo appends the treaty as "site k: " and its constraints joined by
+// " && ".
+func (l Local) AppendTo(b []byte) []byte {
+	b = append(strconv.AppendInt(append(b, "site "...), int64(l.Site), 10), ": "...)
 	for i, c := range l.Constraints {
-		parts[i] = c.String()
+		if i > 0 {
+			b = append(b, " && "...)
+		}
+		b = c.AppendTo(b)
 	}
-	return fmt.Sprintf("site %d: %s", l.Site, strings.Join(parts, " && "))
+	return b
 }
 
 // SiteClause is one site's share of a global clause: the sum of the

@@ -2,8 +2,8 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/lang"
@@ -53,6 +53,11 @@ type famGlobal struct {
 type ArtifactCache struct {
 	mu       sync.Mutex
 	families map[string]*classFamily
+	// canon and key are what a lookup encodes a family key with, reused
+	// from one Compile to the next: nine registrations in ten find their
+	// family, and for those no key is ever built.
+	canon symtab.Canonicalizer
+	key   []byte
 }
 
 // NewArtifactCache returns an empty cache.
@@ -70,15 +75,11 @@ func (ac *ArtifactCache) Families() int {
 // CompileL is CompileLClass through the cache. The boolean reports
 // whether an existing family served the class (a cache hit).
 func (ac *ArtifactCache) CompileL(src string, nSites int, bounds treaty.ParamBounds) (*Class, bool, error) {
-	txns, err := lang.ParseProgram(src)
+	txn, err := parseClassSource(src)
 	if err != nil {
-		return nil, false, fmt.Errorf("workload: parsing class source: %w", err)
+		return nil, false, err
 	}
-	if len(txns) != 1 {
-		return nil, false, fmt.Errorf("workload: class source must contain exactly one transaction, got %d", len(txns))
-	}
-	lang.ResolveParams(txns[0])
-	return ac.Compile(txns[0], nSites, bounds)
+	return ac.Compile(txn, nSites, bounds)
 }
 
 // CompileSQL is CompileSQLClass through the cache.
@@ -115,27 +116,28 @@ func (ac *ArtifactCache) Compile(txn *lang.Transaction, nSites int, bounds treat
 			return nil, false, fmt.Errorf("workload: class %s: %w", txn.Name, err)
 		}
 	}
-	canon := symtab.Canonicalize(lowered)
-	key := familyKey(canon.Key, nSites, txn.Params, bounds)
-
+	// The family key — canonical structure, then the remaining analysis
+	// inputs — is encoded into the cache's buffer and the map is probed with
+	// the buffer itself; only a class that founds a family keeps a copy.
 	ac.mu.Lock()
-	fam := ac.families[key]
-	ac.mu.Unlock()
-	if fam != nil {
-		c, err := newClassFromFamily(fam, txn, lowered, canon, nSites, bounds)
-		if err != nil {
-			return nil, false, err
-		}
-		return c, true, nil
+	var objs []lang.ObjID
+	ac.key, objs = ac.canon.AppendKey(ac.key[:0], lowered)
+	ac.key = appendFamilyInputs(ac.key, nSites, txn.Params, bounds)
+	if fam := ac.families[string(ac.key)]; fam != nil {
+		c, err := newClassFromFamily(fam, txn, lowered, objs, nSites, bounds)
+		ac.mu.Unlock()
+		return c, err == nil, err
 	}
+	key, objs := string(ac.key), slices.Clone(objs)
+	ac.mu.Unlock()
 
 	c, err := NewClass(txn, nSites, bounds)
 	if err != nil {
 		return nil, false, err
 	}
-	fam = &classFamily{rep: c, globals: make(map[string]famGlobal)}
+	fam := &classFamily{rep: c, globals: make(map[string]famGlobal)}
 	c.fam = fam
-	c.canonObjs = canon.Objs
+	c.canonObjs = objs
 	ac.mu.Lock()
 	if existing := ac.families[key]; existing == nil {
 		ac.families[key] = fam
@@ -144,28 +146,23 @@ func (ac *ArtifactCache) Compile(txn *lang.Transaction, nSites int, bounds treat
 	return c, false, nil
 }
 
-// familyKey extends the canonical structure encoding with the remaining
-// analysis inputs: site count and parameter bounds by declaration
+// appendFamilyInputs extends the canonical structure encoding with the
+// remaining analysis inputs: site count and parameter bounds by declaration
 // position (bounds strengthen guards, so families with different bounds
 // must not share preprocessing).
-func familyKey(canonKey string, nSites int, params []string, bounds treaty.ParamBounds) string {
-	var sb strings.Builder
-	sb.Grow(len(canonKey) + 16 + 24*len(params))
-	sb.WriteString(canonKey)
-	sb.WriteString("|n")
-	sb.WriteString(strconv.Itoa(nSites))
-	sb.WriteString("|b")
+func appendFamilyInputs(key []byte, nSites int, params []string, bounds treaty.ParamBounds) []byte {
+	key = strconv.AppendInt(append(key, "|n"...), int64(nSites), 10)
+	key = append(key, "|b"...)
 	for _, p := range params {
 		if b, ok := bounds[p]; ok {
-			sb.WriteString(strconv.FormatInt(b[0], 10))
-			sb.WriteString(",")
-			sb.WriteString(strconv.FormatInt(b[1], 10))
+			key = strconv.AppendInt(key, b[0], 10)
+			key = strconv.AppendInt(append(key, ','), b[1], 10)
 		} else {
-			sb.WriteString("_")
+			key = append(key, '_')
 		}
-		sb.WriteString(";")
+		key = append(key, ';')
 	}
-	return sb.String()
+	return key
 }
 
 // validateClassInputs mirrors NewClass's input checks (shared by the
@@ -199,31 +196,42 @@ func validateClassInputs(txn *lang.Transaction, nSites int, bounds treaty.ParamB
 // artifacts: the representative's symbolic table is reused through the
 // positional object mapping, the per-site replica rewrites are deferred
 // until the workload model first samples (negotiation time), and guard
-// preprocessing goes through the family memo in buildGlobal.
-func newClassFromFamily(fam *classFamily, txn, lowered *lang.Transaction, canon symtab.Canon, nSites int, bounds treaty.ParamBounds) (*Class, error) {
+// preprocessing goes through the family memo in buildGlobal. canonObjs is
+// the member's objects in canonical order, copied here.
+//
+// What a member owns is sized once: its three object lists share one
+// allocation, and what the family key fixes — the representative
+// arguments are the positional lower bounds, which are part of the key —
+// is the representative's, read-only.
+func newClassFromFamily(fam *classFamily, txn, lowered *lang.Transaction, canonObjs []lang.ObjID, nSites int, bounds treaty.ParamBounds) (*Class, error) {
 	rep := fam.rep
-	if len(canon.Objs) == 0 {
+	n := len(canonObjs)
+	if n == 0 {
 		return nil, fmt.Errorf("workload: class %s touches no database objects", txn.Name)
 	}
-	fromRep := make(map[lang.ObjID]lang.ObjID, len(canon.Objs))
-	for i, obj := range canon.Objs {
+	objs := make([]lang.ObjID, n+len(rep.writes)+len(rep.footprint))
+	copy(objs, canonObjs)
+	canonObjs, objs = objs[:n:n], objs[n:]
+	fromRep := make(map[lang.ObjID]lang.ObjID, n)
+	for i, obj := range canonObjs {
 		if base, site, ok := lang.IsDeltaObj(obj); ok {
 			return nil, fmt.Errorf("workload: class %s: object %q collides with the delta encoding (%s@site%d)",
 				txn.Name, obj, base, site)
 		}
 		fromRep[rep.canonObjs[i]] = obj
 	}
-	mapObjs := func(objs []lang.ObjID) []lang.ObjID {
-		out := make([]lang.ObjID, len(objs))
-		for i, obj := range objs {
+	mapObjs := func(repObjs []lang.ObjID) []lang.ObjID {
+		out := objs[:len(repObjs):len(repObjs)]
+		objs = objs[len(repObjs):]
+		for i, obj := range repObjs {
 			out[i] = fromRep[obj]
 		}
-		sortObjIDs(out)
+		slices.Sort(out)
 		return out
 	}
 	c := &Class{
 		Name:      txn.Name,
-		Params:    append([]string(nil), txn.Params...),
+		Params:    txn.Params,
 		Bounds:    bounds,
 		Source:    txn,
 		Lowered:   lowered,
@@ -231,17 +239,12 @@ func newClassFromFamily(fam *classFamily, txn, lowered *lang.Transaction, canon 
 		writes:    mapObjs(rep.writes),
 		footprint: mapObjs(rep.footprint),
 		table:     rep.table,
+		repArgs:   rep.repArgs,
 		pinned:    rep.pinned,
 		pinReason: rep.pinReason,
 		fam:       fam,
-		canonObjs: canon.Objs,
+		canonObjs: canonObjs,
 		fromRep:   fromRep,
-	}
-	c.repArgs = make([]int64, len(c.Params))
-	for i, p := range c.Params {
-		if b, ok := bounds[p]; ok {
-			c.repArgs[i] = b[0]
-		}
 	}
 	c.bind()
 	return c, nil

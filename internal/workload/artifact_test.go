@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/lang"
@@ -111,5 +112,82 @@ func TestArtifactCacheSplitsNonIsomorphic(t *testing.T) {
 	}
 	if ac.Families() != 5 {
 		t.Fatalf("families = %d, want 5", ac.Families())
+	}
+}
+
+// TestFamilyMemberSizedOnce: a member's object lists — canonical order,
+// write set, footprint — are cut from one allocation and sorted under the
+// member's own names, whose order need not be the representative's; the
+// representative arguments are the family's.
+func TestFamilyMemberSizedOnce(t *testing.T) {
+	ac := NewArtifactCache()
+	src := func(name, a, b, c string) string {
+		return fmt.Sprintf("transaction %s(n, m) { v := read(%s); w := read(%s); if (v - n > m) then { write(%s = v - n); write(%s = w + n) } else write(%s = m) }",
+			name, a, b, a, c, b)
+	}
+	bounds := func(n, m string) treaty.ParamBounds { return treaty.ParamBounds{n: {2, 5}, m: {-1, 1}} }
+	rep, hit, err := ac.CompileL(src("Rep", "a", "b", "c"), 2, bounds("n", "m"))
+	if err != nil || hit {
+		t.Fatalf("representative: hit %v, error %v", hit, err)
+	}
+	for _, names := range [][3]string{{"z", "y", "x"}, {"m1", "m3", "m2"}, {"q", "p", "r"}} {
+		member, hit, err := ac.CompileL(src("M"+names[0], names[0], names[1], names[2]), 2, bounds("n", "m"))
+		if err != nil || !hit {
+			t.Fatalf("member %v: hit %v, error %v", names, hit, err)
+		}
+		scratch, err := CompileLClass(src("M"+names[0], names[0], names[1], names[2]), 2, bounds("n", "m"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fmt.Sprint(member.Footprint()), fmt.Sprint(scratch.Footprint()); got != want {
+			t.Errorf("member %v: footprint %s, scratch %s", names, got, want)
+		}
+		if got, want := fmt.Sprint(member.Writes()), fmt.Sprint(scratch.Writes()); got != want {
+			t.Errorf("member %v: writes %s, scratch %s", names, got, want)
+		}
+		if got, want := fmt.Sprint(member.canonObjs), fmt.Sprint([]lang.ObjID{lang.ObjID(names[0]), lang.ObjID(names[1]), lang.ObjID(names[2])}); got != want {
+			t.Errorf("member %v: canonical objects %s, want %s", names, got, want)
+		}
+		if fmt.Sprint(member.repArgs) != fmt.Sprint(scratch.repArgs) || &member.repArgs[0] != &rep.repArgs[0] {
+			t.Errorf("member %v: representative arguments %v, scratch %v, the family's %v", names, member.repArgs, scratch.repArgs, rep.repArgs)
+		}
+		// Appending to one list must not run into the next.
+		if w := member.writes; cap(w) != len(w) || cap(member.canonObjs) != len(member.canonObjs) {
+			t.Errorf("member %v: lists share capacity: writes %d/%d, canonical %d/%d", names, len(w), cap(w), len(member.canonObjs), cap(member.canonObjs))
+		}
+	}
+}
+
+// TestArtifactCacheConcurrentCompile: compilations from several goroutines
+// share the cache's canonicalizer and key buffer under its lock; every one
+// still gets the class a scratch compilation builds. Run under -race.
+func TestArtifactCacheConcurrentCompile(t *testing.T) {
+	ac := NewArtifactCache()
+	bounds := treaty.ParamBounds{"n": {1, 3}}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				shape := (g + i) % 4
+				src := fmt.Sprintf("transaction G%dI%d(n) { v := read(o%d_%d); if (v - n > %d) then write(o%d_%d = v - n) else write(o%d_%d = v - n + %d) }",
+					g, i, g, i, shape, g, i, g, i, 100+shape)
+				c, _, err := ac.CompileL(src, 2, bounds)
+				if err != nil {
+					t.Errorf("goroutine %d class %d: %v", g, i, err)
+					return
+				}
+				obj := lang.ObjID(fmt.Sprintf("o%d_%d", g, i))
+				if fp := c.Footprint(); len(fp) != 1 || fp[0] != obj || len(c.canonObjs) != 1 || c.canonObjs[0] != obj {
+					t.Errorf("goroutine %d class %d: footprint %v, canonical objects %v, want %s", g, i, fp, c.canonObjs, obj)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := ac.Families(); n != 4 {
+		t.Fatalf("families = %d, want one per shape", n)
 	}
 }

@@ -3,7 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -190,6 +190,15 @@ func NewClass(txn *lang.Transaction, nSites int, bounds treaty.ParamBounds) (*Cl
 // CompileLClass parses an L/L++ source containing exactly one transaction
 // and analyzes it into a class.
 func CompileLClass(src string, nSites int, bounds treaty.ParamBounds) (*Class, error) {
+	txn, err := parseClassSource(src)
+	if err != nil {
+		return nil, err
+	}
+	return NewClass(txn, nSites, bounds)
+}
+
+// parseClassSource parses an L/L++ source that must hold one transaction.
+func parseClassSource(src string) (*lang.Transaction, error) {
 	txns, err := lang.ParseProgram(src)
 	if err != nil {
 		return nil, fmt.Errorf("workload: parsing class source: %w", err)
@@ -197,8 +206,7 @@ func CompileLClass(src string, nSites int, bounds treaty.ParamBounds) (*Class, e
 	if len(txns) != 1 {
 		return nil, fmt.Errorf("workload: class source must contain exactly one transaction, got %d", len(txns))
 	}
-	lang.ResolveParams(txns[0])
-	return NewClass(txns[0], nSites, bounds)
+	return txns[0], nil
 }
 
 // CompileSQLClass compiles a sqlfront script (CREATE TABLE + DML) into a
@@ -607,6 +615,4 @@ func sortedObjs(set map[lang.ObjID]bool) []lang.ObjID {
 	return out
 }
 
-func sortObjIDs(objs []lang.ObjID) {
-	sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
-}
+func sortObjIDs(objs []lang.ObjID) { slices.Sort(objs) }
