@@ -17,7 +17,7 @@
 //   - homeo/httpapi: the HTTP server half (mounted by
 //     cmd/homeostasis-serve, embeddable behind any mux);
 //   - homeo/client: the Go client with connection pooling and jittered
-//     retries, which the serve binary's closed-loop driver is built on.
+//     retries, which the drive harness (internal/drive) is built on.
 //
 // The implementation lives under internal/ (see README.md for the
 // architecture and DESIGN.md for the paper-to-module map):
@@ -68,12 +68,14 @@
 // The drift workloads exercise it: micro's hot-site rotation
 // (Config.HotFrac/HotWindow/RotateEvery) and TPC-C's skewed warehouse
 // (Config.WarehouseAffinity/RotateEvery), both clocked by
-// workload.Rotor. The "drift" experiment compares equal-split,
+// workload.Rotor; each Config's Drift method is the one statement of the
+// scenario's preset. The "drift" experiment compares equal-split,
 // model-optimized, and adaptive allocation under both.
 //
 // Entry points: cmd/homeostasis-bench regenerates the paper's evaluation,
-// cmd/homeostasis-serve serves the /v1 wire protocol live (and hosts the
-// closed-loop load driver built on homeo/client), cmd/homeostasis-analyze
+// cmd/homeostasis-serve serves the /v1 wire protocol live (its -drive mode
+// is internal/drive: the closed-loop load and chaos harness, one sequence
+// for in-process and multi-process drives), cmd/homeostasis-analyze
 // exposes the offline analyzer, examples/ holds runnable walkthroughs
 // (quickstart and ecommerce on the public API), and bench_test.go in
 // this directory hosts the benchmark harness (one testing.B benchmark

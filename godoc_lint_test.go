@@ -16,7 +16,7 @@ import (
 // is part of the deliverable — see docs/ — so a silent gap is a CI
 // failure, not a style nit.
 func TestPublicGodoc(t *testing.T) {
-	dirs := []string{"homeo", "homeo/client", "homeo/wire", "homeo/httpapi", "internal/fabric", "internal/wal", "internal/analysis"}
+	dirs := []string{"homeo", "homeo/client", "homeo/wire", "homeo/httpapi", "internal/fabric", "internal/wal", "internal/analysis", "internal/drive"}
 	for _, dir := range dirs {
 		fset := token.NewFileSet()
 		pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {

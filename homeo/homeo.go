@@ -199,7 +199,8 @@ type Options struct {
 	// transactions, synchronization-round installs, and treaty generations
 	// append to per-site write-ahead logs under Dir, and Recover replays
 	// them after a restart. Logging is invisible to the virtual timeline,
-	// so simulated runs stay byte-identical with or without a WAL.
+	// so simulated runs stay byte-identical with or without a WAL. New
+	// refuses a WAL under ModeTwoPC and ModeLocal (see Fabric).
 	WAL WALOptions
 
 	// Fabric, when set, runs the cluster as one OS process per site over
@@ -208,7 +209,11 @@ type Options struct {
 	// messages (/v1/peer/*, internal/fabric/codec) instead of in-memory
 	// calls. Requires RuntimeLive. Every process must be constructed with
 	// the same workload, seed, and protocol options, and classes must be
-	// registered at every site (the multi-process driver does both).
+	// registered at every site (the multi-process driver does both). New
+	// refuses a fabric under ModeTwoPC and ModeLocal: the baselines are
+	// single-process comparison systems — they replicate by writing this
+	// process's stores and log nothing a replay could use — and Join,
+	// Drain and MigrateUnit refuse under them likewise.
 	Fabric *FabricOptions
 }
 
@@ -371,7 +376,18 @@ func New(opts Options) (*Cluster, error) {
 		return nil, err
 	}
 	c.sys = sys
+	// The 2PC and local baselines are single-process comparison systems:
+	// they replicate by writing this process's stores and log nothing a
+	// replay could use, so they are refused what they cannot honour.
+	if opts.WAL.Dir != "" {
+		if err := sys.RequireTreaties("a write-ahead log (Options.WAL)"); err != nil {
+			return nil, err
+		}
+	}
 	if f := opts.Fabric; f != nil {
+		if err := sys.RequireTreaties("the multi-process site fabric (Options.Fabric)"); err != nil {
+			return nil, err
+		}
 		// Multi-process: this process owns one site; peer messages ride
 		// the HTTP fabric. The peer endpoints are served by
 		// homeo/httpapi's /v1/peer/* mount (PeerHandler).

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -565,5 +566,63 @@ func TestFabricOptionsValidation(t *testing.T) {
 	}
 	if _, err := c.SessionAt(1); err != nil {
 		t.Fatalf("SessionAt(self): %v", err)
+	}
+}
+
+// TestStatsIsReadOnly: Stats reads the collector in place, under the
+// cluster's lock, and changes nothing — two snapshots of an idle cluster
+// agree field for field (percentiles, throughput window and store counters
+// included), so a stats endpoint can poll a serving cluster.
+func TestStatsIsReadOnly(t *testing.T) {
+	c := simCluster(t, homeo.Options{})
+	cls, err := c.Register(homeo.ClassSpec{L: withdrawSrc, Bounds: map[string][2]int64{"n": {1, 3}}, Initial: map[string]int64{"bal": 16}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 12; i++ {
+		if _, err := c.Session().Submit(context.Background(), cls, int64(1+i%3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, second := c.Stats(), c.Stats()
+	if first.Committed != 12 || first.Synced == 0 || first.Negotiations == 0 || first.LatencyMax == 0 || first.Store.Commits == 0 {
+		t.Fatalf("stats missed the run: %+v", first)
+	}
+	first.Uptime, second.Uptime = 0, 0
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("reading Stats changed them:\n first %+v\nsecond %+v", first, second)
+	}
+}
+
+// TestBaselinesRefuseWhatTheyCannotHonour: the 2PC and local baselines
+// replicate by writing this process's stores and log nothing a replay could
+// use. A write-ahead log under them lost acknowledged commits on recovery,
+// a fabric never sent a peer message, and a drain "succeeded" by skipping
+// every unit; all are refused now, naming the mode and the feature.
+func TestBaselinesRefuseWhatTheyCannotHonour(t *testing.T) {
+	refused := func(err error, mode homeo.Mode, feature string) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "mode "+mode.String()) || !strings.Contains(err.Error(), feature) {
+			t.Fatalf("mode %v: want a refusal naming the mode and %q, got %v", mode, feature, err)
+		}
+	}
+	for _, mode := range []homeo.Mode{homeo.ModeTwoPC, homeo.ModeLocal} {
+		_, err := homeo.New(homeo.Options{Mode: mode, WAL: homeo.WALOptions{Dir: t.TempDir()}})
+		refused(err, mode, "write-ahead log")
+		_, err = homeo.New(homeo.Options{Mode: mode, Runtime: homeo.RuntimeLive,
+			Fabric: &homeo.FabricOptions{Site: 0, Peers: []string{"http://a:1", "http://b:2"}}})
+		refused(err, mode, "fabric")
+
+		c := simCluster(t, homeo.Options{Mode: mode})
+		if _, err := c.Register(homeo.ClassSpec{L: depositSrc}); err != nil {
+			t.Fatal(err)
+		}
+		_, err = c.Join("")
+		refused(err, mode, "joining a site")
+		refused(c.Drain(1), mode, "draining a site")
+		refused(c.MigrateUnit(0, 1), mode, "migrating a unit")
+		if c.Sites() != 2 || c.ActiveSites() != 2 {
+			t.Fatalf("mode %v: a refused operation changed the membership: %d sites, %d active", mode, c.Sites(), c.ActiveSites())
+		}
 	}
 }

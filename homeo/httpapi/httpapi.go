@@ -158,17 +158,14 @@ func wireStats(s homeo.Stats) wire.Stats {
 		AnalysisCacheMisses: s.AnalysisCacheMisses,
 		SolverWarmStarts:    s.SolverWarmStarts,
 		SolverFallbacks:     s.SolverFallbacks,
-		StoreCluster: wire.StoreStats{Commits: s.Store.Commits, Aborts: s.Store.Aborts,
-			Deadlocks: s.Store.Deadlocks, Timeouts: s.Store.Timeouts},
-		TopologyEpoch: s.TopologyEpoch,
-		ActiveSites:   s.ActiveSites,
-		SiteStatus:    s.SiteStatus,
-		SiteAddrs:     s.SiteAddrs,
+		StoreCluster:        wire.StoreStats(s.Store),
+		TopologyEpoch:       s.TopologyEpoch,
+		ActiveSites:         s.ActiveSites,
+		SiteStatus:          s.SiteStatus,
+		SiteAddrs:           s.SiteAddrs,
 	}
 	for _, p := range s.PerSite {
-		out.StorePerSite = append(out.StorePerSite, wire.StoreStats{
-			Commits: p.Commits, Aborts: p.Aborts, Deadlocks: p.Deadlocks, Timeouts: p.Timeouts,
-		})
+		out.StorePerSite = append(out.StorePerSite, wire.StoreStats(p))
 	}
 	return out
 }
@@ -414,10 +411,6 @@ func (s *classScratch) release() {
 	classPool.Put(s)
 }
 
-func classSpec(r *wire.ClassRequest) homeo.ClassSpec {
-	return homeo.ClassSpec{Name: r.Name, L: r.L, SQL: r.SQL, Bounds: r.Bounds, Initial: r.Initial, Rows: r.Rows}
-}
-
 // taken refuses a request for a name already registered, and reports
 // whether it did.
 func (h *Handler) taken(rw http.ResponseWriter, r *wire.ClassRequest) bool {
@@ -447,7 +440,7 @@ func (h *Handler) registerOne(rw http.ResponseWriter, s *classScratch) {
 	if h.taken(rw, &s.env.ClassRequest) {
 		return
 	}
-	t, err := h.c.Register(classSpec(&s.env.ClassRequest))
+	t, err := h.c.Register(homeo.ClassSpec(s.env.ClassRequest))
 	if err != nil {
 		registerError(rw, err)
 		return
@@ -469,7 +462,7 @@ func (h *Handler) registerBatch(rw http.ResponseWriter, batch []wire.ClassReques
 		if h.taken(rw, &batch[i]) {
 			return
 		}
-		specs[i] = classSpec(&batch[i])
+		specs[i] = homeo.ClassSpec(batch[i])
 	}
 	ts, err := h.c.RegisterBatch(specs)
 	if err != nil {

@@ -7,17 +7,9 @@ import (
 	"repro/internal/homeostasis"
 )
 
-// StoreStats aggregates a 2PL store's counters.
-type StoreStats struct {
-	Commits   int64
-	Aborts    int64
-	Deadlocks int64
-	Timeouts  int64
-}
-
-func fromStoreStats(s homeostasis.StoreStats) StoreStats {
-	return StoreStats{Commits: s.Commits, Aborts: s.Aborts, Deadlocks: s.Deadlocks, Timeouts: s.Timeouts}
-}
+// StoreStats aggregates a 2PL store's counters: Commits, Aborts,
+// Deadlocks and Timeouts.
+type StoreStats = homeostasis.StoreStats
 
 // Stats is a point-in-time snapshot of the cluster's measurements: the
 // same collector the paper's experiments report from, plus per-site store
@@ -119,41 +111,42 @@ func (c *Cluster) Stats() Stats {
 			st.SiteStatus[k] = c.sys.SiteStatusName(k)
 		}
 		st.SiteAddrs = c.sys.SiteAddrs()
-		snap := c.sys.Col.SnapshotAt(c.eng.Now())
-		st.Committed = snap.Committed
-		st.Synced = snap.Synced
-		st.ConflictAborts = snap.ConflictAborts
-		st.Dropped = snap.Dropped
-		st.Livelocked = snap.Livelocked
-		st.TreatyGenFailures = snap.TreatyGenFailures
-		st.CoWinnerCommits = snap.CoWinnerCommits
-		st.SyncRatioPct = snap.SyncRatioPct
-		st.Throughput = snap.Throughput
-		if c.sys.Col.End > c.sys.Col.Start {
+		// Read under the execution right this closure already holds: the
+		// percentiles re-sort the histograms' shared scratch. Nothing below
+		// changes a counter or the measurement window.
+		col := c.sys.Col
+		st.Committed = col.Committed
+		st.Synced = col.Synced
+		st.ConflictAborts = col.AbortedConflicts
+		st.Dropped = col.Dropped
+		st.Livelocked = col.Livelocked
+		st.TreatyGenFailures = col.TreatyGenFailures
+		st.CoWinnerCommits = col.CoWinnerCommits
+		st.SyncRatioPct = col.SyncRatio()
+		st.Throughput = col.ThroughputAt(c.eng.Now())
+		if col.End > col.Start {
 			// A closed measurement window (after Drive): report its rate
 			// instead of a rolling one that decays with wall time.
-			st.Throughput = c.sys.Col.Throughput()
+			st.Throughput = col.Throughput()
 		}
-		st.LatencyP50 = time.Duration(snap.LatencyP50)
-		st.LatencyP90 = time.Duration(snap.LatencyP90)
-		st.LatencyP99 = time.Duration(snap.LatencyP99)
-		st.LatencyMax = time.Duration(snap.LatencyMax)
-		st.LatencyMean = time.Duration(snap.LatencyMean)
-		st.Negotiations = snap.Negotiations
-		st.NegotiationP50 = time.Duration(snap.NegLatencyP50)
-		st.NegotiationP99 = time.Duration(snap.NegLatencyP99)
-		st.FabricErrors = snap.FabricErrors
-		st.RoundsAdopted = snap.RoundsAdopted
-		st.RoundsAborted = snap.RoundsAborted
+		st.LatencyP50 = time.Duration(col.Latency.Percentile(50))
+		st.LatencyP90 = time.Duration(col.Latency.Percentile(90))
+		st.LatencyP99 = time.Duration(col.Latency.Percentile(99))
+		st.LatencyMax = time.Duration(col.Latency.Max())
+		st.LatencyMean = time.Duration(col.Latency.Mean())
+		st.Negotiations = int64(col.NegotiationLatency.N())
+		st.NegotiationP50 = time.Duration(col.NegotiationLatency.Percentile(50))
+		st.NegotiationP99 = time.Duration(col.NegotiationLatency.Percentile(99))
+		st.FabricErrors = col.FabricErrors
+		st.RoundsAdopted = col.RoundsAdopted
+		st.RoundsAborted = col.RoundsAborted
 		st.RecoveredWALRecords = c.sys.RecoveredRecords
-		st.AnalysisCacheHits = snap.AnalysisCacheHits
-		st.AnalysisCacheMisses = snap.AnalysisCacheMisses
-		st.SolverWarmStarts = snap.SolverWarmStarts
-		st.SolverFallbacks = snap.SolverFallbacks
-		st.Store = fromStoreStats(c.sys.StoreStats())
-		for _, s := range c.sys.SiteStats() {
-			st.PerSite = append(st.PerSite, fromStoreStats(s))
-		}
+		st.AnalysisCacheHits = col.AnalysisCacheHits
+		st.AnalysisCacheMisses = col.AnalysisCacheMisses
+		st.SolverWarmStarts = col.SolverWarmStarts
+		st.SolverFallbacks = col.SolverFallbacks
+		st.Store = c.sys.StoreStats()
+		st.PerSite = c.sys.SiteStats()
 	})
 	return st
 }

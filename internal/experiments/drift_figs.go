@@ -19,31 +19,25 @@ import (
 // load; all three run with batched renegotiation so the comparison
 // isolates the allocation strategy.
 
-// Drift scenario knobs. The rotation period scales with the table size
-// so per-item demand during one hot phase stays comparable across
-// scales, and it is slow relative to a unit's negotiation rounds on
+// The scenario knobs are the workloads' own Drift presets
+// (micro.Config.Drift, tpcc.Config.Drift). The rotation period scales with
+// the table size so per-item demand during one hot phase stays comparable
+// across scales, and it is slow relative to a unit's negotiation rounds on
 // purpose: adaptation learns from the demand observed since the last
 // round, so skew that flips faster than a round completes is
 // unlearnable for any allocator — the scenario probes drift the
 // protocol can in principle track, with the per-item skew intense
 // (narrow hot windows, high affinity) so misallocated slack actually
 // costs rounds.
-const (
-	driftHotFrac  = 0.9
-	driftAffinity = 95
-)
 
 // driftMicroFactory builds the hot-site rotation microbenchmark.
 func driftMicroFactory(sc Scale) workloadFactory {
 	return func(nSites int) (workload.Workload, error) {
 		return micro.New(micro.Config{
-			Items:       sc.Items,
-			Refill:      microDefaultRefill,
-			NSites:      nSites,
-			HotFrac:     driftHotFrac,
-			HotWindow:   max(1, sc.Items/10),
-			RotateEvery: 20 * sc.Items,
-		})
+			Items:  sc.Items,
+			Refill: microDefaultRefill,
+			NSites: nSites,
+		}.Drift())
 	}
 }
 
@@ -63,10 +57,8 @@ func driftTPCCFactory(sc Scale) workloadFactory {
 			NSites:                nSites,
 			H:                     1,
 			StockMin:              40,
-			WarehouseAffinity:     driftAffinity,
-			RotateEvery:           100 * sc.TPCCStockPerWarehouse,
 			Seed:                  sc.Seed,
-		})
+		}.Drift())
 	}
 }
 

@@ -133,10 +133,7 @@ func (t *RunTotals) add(r *runResult) {
 	t.Dropped += r.col.Dropped
 	t.Livelocked += r.col.Livelocked
 	t.CoWinnerCommits += r.col.CoWinnerCommits
-	t.Store.Commits += r.stats.Commits
-	t.Store.Aborts += r.stats.Aborts
-	t.Store.Deadlocks += r.stats.Deadlocks
-	t.Store.Timeouts += r.stats.Timeouts
+	t.Store.Add(r.stats)
 	t.NegLatency.AddAll(&r.col.NegotiationLatency)
 }
 

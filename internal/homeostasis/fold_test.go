@@ -56,8 +56,8 @@ func TestFoldCacheDisabledForBaselines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sys.foldCaching() {
-			t.Fatalf("%v: fold caching enabled for a baseline that bypasses the dirty marks", mode)
+		if sys.treaties {
+			t.Fatalf("%v: a baseline that bypasses the dirty marks resolved as keeping treaties", mode)
 		}
 		sys.Run()
 		for _, u := range sys.Units {

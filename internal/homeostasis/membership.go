@@ -223,9 +223,6 @@ func (sys *System) growSystem(addr string) int {
 		sys.deltaNames[obj] = names
 	}
 	for _, u := range sys.Units {
-		if len(u.locals) == 0 {
-			continue // 2PC/local baselines carry no treaties
-		}
 		if err := u.growUnit(n); err != nil {
 			// Unreachable for the pin shape; surfaced as a degradation so
 			// the slot is at least present (empty treaty slots fail loudly
@@ -348,6 +345,9 @@ func (n *siteNode) DrainSite(m fabric.DrainSite) (fabric.DrainReply, error) {
 // indistinguishable from a site that was quiescent since the cut, so
 // replay equivalence is unaffected by the epoch change.
 func (sys *System) JoinCluster(p rt.Proc, addr string) (int, error) {
+	if err := sys.RequireTreaties("joining a site"); err != nil {
+		return -1, err
+	}
 	joiner := sys.self
 	if joiner < 0 {
 		joiner = sys.Opts.Topo.NSites()
@@ -433,6 +433,9 @@ func (sys *System) JoinCluster(p rt.Proc, addr string) (int, error) {
 // merged commit log stay stably indexed; it keeps answering peer reads
 // (its WAL tail, /v1/peer/log) until the process is torn down.
 func (sys *System) Drain(p rt.Proc, site int) error {
+	if err := sys.RequireTreaties("draining a site"); err != nil {
+		return err
+	}
 	if site < 0 || site >= sys.Opts.Topo.NSites() {
 		return fmt.Errorf("homeostasis: drain of unknown site %d", site)
 	}
@@ -448,9 +451,6 @@ func (sys *System) Drain(p rt.Proc, site int) error {
 	// absorb round collects (the round-1 quiesce refuses while inflight).
 	sys.status[site] = siteDraining
 	for _, u := range sys.Units {
-		if len(u.locals) == 0 {
-			continue
-		}
 		if err := sys.winnerlessRound(p, site, u, nil); err != nil {
 			return fmt.Errorf("homeostasis: drain absorb of unit %d: %w", u.id, err)
 		}
@@ -503,6 +503,9 @@ func (sys *System) DemandHome(unit int) int {
 // Migrate re-homes one unit's treaty slack at a new owner site through a
 // winnerless round whose treaty build concentrates the slack there.
 func (sys *System) Migrate(p rt.Proc, site, unit, to int) error {
+	if err := sys.RequireTreaties("migrating a unit"); err != nil {
+		return err
+	}
 	if unit < 0 || unit >= len(sys.Units) {
 		return fmt.Errorf("homeostasis: migrate of unknown unit %d", unit)
 	}
@@ -513,9 +516,6 @@ func (sys *System) Migrate(p rt.Proc, site, unit, to int) error {
 		return fmt.Errorf("homeostasis: migration coordinator site %d is not in the membership", site)
 	}
 	u := sys.Units[unit]
-	if len(u.locals) == 0 {
-		return fmt.Errorf("homeostasis: unit %d carries no treaties under mode %v", unit, sys.Opts.Mode)
-	}
 	weights := make([]int64, sys.Opts.Topo.NSites())
 	weights[to] = 1
 	if err := sys.winnerlessRound(p, site, u, weights); err != nil {

@@ -260,10 +260,10 @@ type unitState struct {
 	// only skips the foregone first MaxSAT round).
 	lastCfg treaty.Config
 	// fold caches the unit's consolidated logical values between
-	// synchronization points (nil = stale). Maintained only under the
-	// treaty modes, where every store write flows through execAttempt
-	// commits or negotiation installs — both mark the unit dirty; the
-	// baseline modes bypass those paths, so they never populate it.
+	// synchronization points (nil = stale). Maintained only by a system with
+	// treaties, where every store write flows through execAttempt commits or
+	// negotiation installs — both mark the unit dirty; the baseline
+	// executors bypass those paths, so they never populate it.
 	fold lang.Database
 }
 
@@ -293,8 +293,15 @@ type System struct {
 	// time before Run starts).
 	deadline rt.Time
 
-	// der derives every unit's treaties (see derive.go); under the 2PC and
-	// local baselines its strategy is stratNone and it is never asked.
+	// exec runs one request under the protocol mode and treaties says whether
+	// that mode keeps treaties at all (the 2PC and local baselines do not):
+	// both resolved from Options.Mode once, at New, and the only two things
+	// the rest of the package knows about the mode.
+	exec     func(rt.Proc, int, workload.Request) (ExecResult, error)
+	treaties bool
+
+	// der derives every unit's treaties (see derive.go); a system without
+	// treaties never asks it.
 	der *deriver
 
 	// BusyRetries counts violators that found their units already
@@ -382,6 +389,16 @@ func New(e rt.Runtime, w workload.Workload, opts Options) (*System, error) {
 		status:     make([]siteStatus, n),
 		siteAddrs:  make([]string, n),
 	}
+	switch opts.Mode {
+	case ModeHomeo, ModeOpt, ModeHomeoDefault:
+		sys.exec, sys.treaties = sys.execHomeo, true
+	case ModeTwoPC:
+		sys.exec = sys.execTwoPC
+	case ModeLocal:
+		sys.exec = sys.execLocal
+	default:
+		return nil, fmt.Errorf("homeostasis: unknown mode %d", int(opts.Mode))
+	}
 	sys.der = newDeriver(w, opts, sys.deltaName, sys.Col)
 	initial := w.InitialDB()
 	for i := 0; i < n; i++ {
@@ -415,7 +432,7 @@ func (sys *System) addUnit(id int) error {
 	if sys.batching() {
 		u.demand = make([]siteDemand, sys.Opts.Topo.NSites())
 	}
-	if sys.der.strategy != stratNone {
+	if sys.treaties {
 		// In a multi-process cluster every process registers a class on its
 		// own and the treaties must agree across them, while optimizer
 		// stream and memo have diverged by whatever rounds each process
@@ -522,19 +539,15 @@ func (sys *System) foldUnit(u *unitState) lang.Database {
 		}
 		folded[obj] = v
 	}
-	if sys.foldCaching() {
+	// Caching is sound only with treaties: those modes route every store
+	// mutation through paths that mark units dirty (execAttempt commits,
+	// negotiation installs, membership and recovery sweeps). The baseline
+	// executors commit straight through store transactions, so their folds
+	// always recompute.
+	if sys.treaties {
 		u.fold = folded
 	}
 	return folded
-}
-
-// foldCaching reports whether per-unit fold caching is sound: only the
-// treaty modes route every store mutation through paths that mark units
-// dirty (execAttempt commits, negotiation installs, membership and
-// recovery sweeps). The baseline executors commit straight through
-// store transactions, so their folds always recompute.
-func (sys *System) foldCaching() bool {
-	return sys.Opts.Mode != ModeTwoPC && sys.Opts.Mode != ModeLocal
 }
 
 // dirtyFolds invalidates the cached folds of the given units (a commit
@@ -736,42 +749,30 @@ func (sys *System) ExecRequest(p rt.Proc, site int, req workload.Request) (ExecR
 		// not accumulate new ones; a gone site is out of the cluster.
 		return ExecResult{}, fmt.Errorf("homeostasis: site %d is %v: %w", site, sys.status[site], fabric.ErrSiteGone)
 	}
-	switch sys.Opts.Mode {
-	case ModeHomeo, ModeOpt, ModeHomeoDefault:
-		return sys.execHomeo(p, site, req)
-	case ModeTwoPC:
-		return sys.execTwoPC(p, site, req)
-	case ModeLocal:
-		return sys.execLocal(p, site, req)
+	return sys.exec(p, site, req)
+}
+
+// RequireTreaties refuses feature under a mode that keeps no treaties. The
+// 2PC and local baselines are single-process comparison systems: they
+// replicate by writing this process's stores directly and log nothing a
+// replay could use, so durability, the multi-process fabric and the elastic
+// operations — all built on treaty units and their synchronization rounds —
+// do not apply to them.
+func (sys *System) RequireTreaties(feature string) error {
+	if sys.treaties {
+		return nil
 	}
-	return ExecResult{}, fmt.Errorf("%w: unknown mode %v", ErrProtocol, sys.Opts.Mode)
+	return fmt.Errorf("homeostasis: mode %v is a single-process comparison baseline and does not support %s", sys.Opts.Mode, feature)
 }
 
 // StoreStats is an aggregate of the per-site 2PL store counters.
-type StoreStats struct {
-	Commits   int64
-	Aborts    int64
-	Deadlocks int64
-	Timeouts  int64
-}
-
-func (s StoreStats) String() string {
-	return fmt.Sprintf("commits=%d aborts=%d deadlocks=%d timeouts=%d",
-		s.Commits, s.Aborts, s.Deadlocks, s.Timeouts)
-}
-
-func (s *StoreStats) add(o StoreStats) {
-	s.Commits += o.Commits
-	s.Aborts += o.Aborts
-	s.Deadlocks += o.Deadlocks
-	s.Timeouts += o.Timeouts
-}
+type StoreStats = store.Stats
 
 // SiteStats returns each site's store counters.
 func (sys *System) SiteStats() []StoreStats {
 	out := make([]StoreStats, len(sys.Stores))
 	for i, s := range sys.Stores {
-		out[i] = StoreStats{Commits: s.Commits, Aborts: s.Aborts, Deadlocks: s.Deadlocks, Timeouts: s.Timeouts}
+		out[i] = s.Stats
 	}
 	return out
 }
@@ -779,8 +780,8 @@ func (sys *System) SiteStats() []StoreStats {
 // StoreStats returns the cluster-wide sum of the per-site store counters.
 func (sys *System) StoreStats() StoreStats {
 	var sum StoreStats
-	for _, s := range sys.SiteStats() {
-		sum.add(s)
+	for _, s := range sys.Stores {
+		sum.Add(s.Stats)
 	}
 	return sum
 }

@@ -380,81 +380,3 @@ func (c *Collector) SyncRatio() float64 {
 	}
 	return 100 * float64(c.Synced) / float64(c.Committed)
 }
-
-// Snapshot is a point-in-time, read-only copy of a collector's counters
-// and latency percentiles, safe to marshal and ship after the collector
-// lock (the runtime's execution right) is released. It backs the public
-// API's Stats and the /v1/stats wire format.
-type Snapshot struct {
-	Committed         int64
-	Synced            int64
-	ConflictAborts    int64
-	Dropped           int64
-	Livelocked        int64
-	TreatyGenFailures int64
-	CoWinnerCommits   int64
-
-	SyncRatioPct float64
-	Throughput   float64 // committed txn/s over [Start, now]
-
-	LatencyP50  rt.Duration
-	LatencyP90  rt.Duration
-	LatencyP99  rt.Duration
-	LatencyMax  rt.Duration
-	LatencyMean rt.Duration
-
-	// Negotiations is the number of cleanup rounds this collector timed;
-	// NegLatencyP50/P99 are percentiles of their communication cost.
-	Negotiations  int64
-	NegLatencyP50 rt.Duration
-	NegLatencyP99 rt.Duration
-	FabricErrors  int64
-
-	// RoundsAdopted/RoundsAborted count coordinator failovers resolved by
-	// adopting the round's winner vs. releasing the grant untouched.
-	RoundsAdopted int64
-	RoundsAborted int64
-
-	// AnalysisCacheHits/Misses count registrations served by the artifact
-	// cache vs. analyzed from scratch; SolverWarmStarts/SolverFallbacks
-	// split warm-started negotiation solves by whether the fast path held.
-	AnalysisCacheHits   int64
-	AnalysisCacheMisses int64
-	SolverWarmStarts    int64
-	SolverFallbacks     int64
-}
-
-// SnapshotAt captures the collector's state with the throughput window
-// closed at now. It never changes any counter (see ThroughputAt), so a
-// read-only observer (stats endpoint, SSE stream) can call it repeatedly;
-// call it while holding the runtime's execution right — the percentile
-// computation re-sorts the histogram's internal sample buffer.
-func (c *Collector) SnapshotAt(now rt.Time) Snapshot {
-	return Snapshot{
-		Committed:         c.Committed,
-		Synced:            c.Synced,
-		ConflictAborts:    c.AbortedConflicts,
-		Dropped:           c.Dropped,
-		Livelocked:        c.Livelocked,
-		TreatyGenFailures: c.TreatyGenFailures,
-		CoWinnerCommits:   c.CoWinnerCommits,
-		SyncRatioPct:      c.SyncRatio(),
-		Throughput:        c.ThroughputAt(now),
-		LatencyP50:        c.Latency.Percentile(50),
-		LatencyP90:        c.Latency.Percentile(90),
-		LatencyP99:        c.Latency.Percentile(99),
-		LatencyMax:        c.Latency.Max(),
-		LatencyMean:       c.Latency.Mean(),
-		Negotiations:      int64(c.NegotiationLatency.N()),
-		NegLatencyP50:     c.NegotiationLatency.Percentile(50),
-		NegLatencyP99:     c.NegotiationLatency.Percentile(99),
-		FabricErrors:      c.FabricErrors,
-		RoundsAdopted:     c.RoundsAdopted,
-		RoundsAborted:     c.RoundsAborted,
-
-		AnalysisCacheHits:   c.AnalysisCacheHits,
-		AnalysisCacheMisses: c.AnalysisCacheMisses,
-		SolverWarmStarts:    c.SolverWarmStarts,
-		SolverFallbacks:     c.SolverFallbacks,
-	}
-}

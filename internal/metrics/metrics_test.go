@@ -202,7 +202,8 @@ func TestHistogramAddAll(t *testing.T) {
 }
 
 // TestNegotiationLatencyGatedAndSnapshot: negotiation samples respect the
-// measuring gate and surface in snapshots.
+// measuring gate and surface in what a stats reader takes from the
+// collector (homeo.Cluster.Stats reads these fields in place).
 func TestNegotiationLatencyGatedAndSnapshot(t *testing.T) {
 	var c Collector
 	c.RecordNegotiation(sim.Millisecond) // warm-up: dropped
@@ -210,17 +211,16 @@ func TestNegotiationLatencyGatedAndSnapshot(t *testing.T) {
 	c.RecordNegotiation(100 * sim.Millisecond)
 	c.RecordNegotiation(300 * sim.Millisecond)
 	c.RecordFabricError()
-	snap := c.SnapshotAt(sim.Time(sim.Second))
-	if snap.Negotiations != 2 {
-		t.Fatalf("negotiations = %d, want 2", snap.Negotiations)
+	if n := c.NegotiationLatency.N(); n != 2 {
+		t.Fatalf("negotiations = %d, want 2", n)
 	}
-	if snap.NegLatencyP50 != 300*sim.Millisecond && snap.NegLatencyP50 != 100*sim.Millisecond {
-		t.Fatalf("p50 = %v", snap.NegLatencyP50)
+	if p50 := c.NegotiationLatency.Percentile(50); p50 != 300*sim.Millisecond && p50 != 100*sim.Millisecond {
+		t.Fatalf("p50 = %v", p50)
 	}
-	if snap.NegLatencyP99 != 300*sim.Millisecond {
-		t.Fatalf("p99 = %v, want 300ms", snap.NegLatencyP99)
+	if p99 := c.NegotiationLatency.Percentile(99); p99 != 300*sim.Millisecond {
+		t.Fatalf("p99 = %v, want 300ms", p99)
 	}
-	if snap.FabricErrors != 1 {
-		t.Fatalf("fabric errors = %d, want 1", snap.FabricErrors)
+	if c.FabricErrors != 1 {
+		t.Fatalf("fabric errors = %d, want 1", c.FabricErrors)
 	}
 }

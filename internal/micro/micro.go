@@ -69,6 +69,17 @@ type Config struct {
 	RotateEvery int
 }
 
+// Drift returns the configuration with the hot-site rotation scenario on, as
+// the drift sweep and homeostasis-serve -drift run it: 90% of each site's
+// orders hit its hot window (1/10th of the items by default), and the
+// rotation period scales with the table so per-item demand during one hot
+// phase spans several negotiation rounds.
+func (c Config) Drift() Config {
+	c.HotFrac = 0.9
+	c.RotateEvery = 20 * c.Items
+	return c
+}
+
 // Workload is the microbenchmark; it implements workload.Workload.
 type Workload struct {
 	cfg   Config

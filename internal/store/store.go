@@ -58,11 +58,30 @@ type Store struct {
 
 	nextTxnID int
 
-	// Stats.
+	Stats
+}
+
+// Stats is a store's counters, or a sum of several stores'. It is the one
+// definition of the four: the protocol layer and the public API alias it,
+// and the wire form is a conversion of it.
+type Stats struct {
 	Commits   int64
 	Aborts    int64
 	Deadlocks int64
 	Timeouts  int64
+}
+
+func (s Stats) String() string {
+	return fmt.Sprintf("commits=%d aborts=%d deadlocks=%d timeouts=%d",
+		s.Commits, s.Aborts, s.Deadlocks, s.Timeouts)
+}
+
+// Add accumulates another store's counters.
+func (s *Stats) Add(o Stats) {
+	s.Commits += o.Commits
+	s.Aborts += o.Aborts
+	s.Deadlocks += o.Deadlocks
+	s.Timeouts += o.Timeouts
 }
 
 // New creates a store with a copy of the initial database.

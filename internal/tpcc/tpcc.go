@@ -107,6 +107,16 @@ type Config struct {
 	RotateEvery int
 }
 
+// Drift returns the configuration with the skewed-warehouse scenario on, as
+// the drift sweep and homeostasis-serve -drift run it: 95% of each site's
+// New Orders target its rotating home warehouse, and the rotation period
+// scales with the stock table.
+func (c Config) Drift() Config {
+	c.WarehouseAffinity = 95
+	c.RotateEvery = 100 * c.StockPerWarehouse
+	return c
+}
+
 // Workload implements workload.Workload for TPC-C.
 type Workload struct {
 	cfg        Config
