@@ -20,6 +20,8 @@ import (
 	"repro/homeo"
 	"repro/homeo/client"
 	"repro/homeo/wire"
+	"repro/internal/lia"
+	"repro/internal/logic"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/classes_seed1.golden from what the handler answers")
@@ -123,6 +125,54 @@ func TestClassesRepliesGolden(t *testing.T) {
 			}
 		}
 		t.Fatalf("replies differ from %s in length: %d lines, want %d", golden, len(g), len(w))
+	}
+}
+
+// TestGoldenTreatiesRenderAsReference: every treaty the golden file holds
+// for the ledger's registration stream is rendered from the flat
+// treaty.Local; the same treaty carried over to map-backed lia.Constraints
+// and rendered by lia — the rendering the golden file was written with —
+// gives the same bytes, and those bytes are in the file.
+func TestGoldenTreatiesRenderAsReference(t *testing.T) {
+	c, _, srv, _ := newServer(t, homeo.Options{Sites: 2, LocalExecTime: time.Nanosecond, CPUPerSite: 64, Seed: 1})
+	for _, req := range ledgerRegistrations(1, 150) {
+		body, _ := json.Marshal(req)
+		if resp, data := post(t, srv.URL+"/v1/classes", string(body)); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("registration refused: %d %s", resp.StatusCode, data)
+		}
+	}
+	golden, err := os.ReadFile("testdata/classes_seed1.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := c.System()
+	treaties := 0
+	for u := range sys.Units {
+		for _, l := range sys.UnitLocals(u) {
+			ref := fmt.Appendf(nil, "site %d: ", l.Site)
+			for i, fc := range l.Constraints {
+				term := lia.NewTerm()
+				term.Const = fc.Const
+				for _, ft := range fc.Terms {
+					term.AddVar(logic.Obj(ft.Obj), ft.Coeff)
+				}
+				if i > 0 {
+					ref = append(ref, " && "...)
+				}
+				ref = lia.Constraint{Term: term, Op: fc.Op}.AppendTo(ref)
+			}
+			if got := l.AppendTo(nil); !bytes.Equal(got, ref) {
+				t.Fatalf("unit %d: flat rendering %q, reference %q", u, got, ref)
+			}
+			quoted, _ := json.Marshal(string(ref))
+			if !bytes.Contains(golden, quoted) {
+				t.Fatalf("unit %d: %s is not in the golden file", u, quoted)
+			}
+			treaties++
+		}
+	}
+	if treaties != 300 {
+		t.Errorf("%d treaties compared, want two for each of 150 classes", treaties)
 	}
 }
 

@@ -232,13 +232,6 @@ func latencyProfile(label string, h *metrics.Histogram) string {
 	return fmt.Sprintf("%-14s %s", label, strings.Join(parts, " "))
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // microFactory builds the Section 6.1 workload.
 func microFactory(sc Scale, refill int64, itemsPerTxn int) workloadFactory {
 	return func(nSites int) (workload.Workload, error) {

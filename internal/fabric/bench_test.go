@@ -8,7 +8,6 @@ import (
 	"repro/internal/fabric/fabrictest"
 	"repro/internal/lang"
 	"repro/internal/lia"
-	"repro/internal/logic"
 	"repro/internal/rt"
 	"repro/internal/rtlive"
 	"repro/internal/treaty"
@@ -39,15 +38,14 @@ func BenchmarkNegotiationRoundTrip(b *testing.B) {
 	}
 	ms := make([]fabric.InstallTreaties, 2)
 	for k := range ms {
-		term := lia.NewTerm()
-		term.AddVar(logic.Obj(objs[0]), 1)
-		term.AddVar(logic.Obj(lang.DeltaObj(objs[0], k)), 1)
-		term.Const = -20
+		c := treaty.Constraint{Terms: []treaty.Term{
+			{Obj: objs[0], Coeff: 1}, {Obj: lang.DeltaObj(objs[0], k), Coeff: 1},
+		}, Const: -20, Op: lia.LE}
 		ms[k] = fabric.InstallTreaties{
 			Round: rid, Clock: 14, Site: k,
 			Units: []fabric.UnitTreaty{{
 				Unit: 0, Version: 2,
-				Local: treaty.Local{Site: k, Constraints: []lia.Constraint{{Term: term, Op: lia.LE}}},
+				Local: treaty.Local{Site: k, Constraints: []treaty.Constraint{c}},
 			}},
 		}
 	}

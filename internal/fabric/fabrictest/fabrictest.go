@@ -17,7 +17,6 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/lang"
 	"repro/internal/lia"
-	"repro/internal/logic"
 	"repro/internal/rt"
 	"repro/internal/treaty"
 )
@@ -292,15 +291,15 @@ func testDistribute(t *testing.T, h *Harness) {
 	n := len(h.Nodes)
 	ms := make([]fabric.InstallTreaties, n)
 	for k := 0; k < n; k++ {
-		term := lia.NewTerm()
-		term.AddVar(logic.Obj(lang.ObjID(fmt.Sprintf("stock_%d", k))), 2)
-		term.AddVar(logic.Obj(lang.DeltaObj("stock_9", k)), -1)
-		term.Const = int64(-10 * (k + 1))
+		c := treaty.Constraint{Terms: []treaty.Term{
+			{Obj: lang.ObjID(fmt.Sprintf("stock_%d", k)), Coeff: 2},
+			{Obj: lang.DeltaObj("stock_9", k), Coeff: -1},
+		}, Const: int64(-10 * (k + 1)), Op: lia.LE}
 		ms[k] = fabric.InstallTreaties{
 			Round: round(0), Clock: 5, Site: k,
 			Units: []fabric.UnitTreaty{{
 				Unit: 4, Version: 2,
-				Local: treaty.Local{Site: k, Constraints: []lia.Constraint{{Term: term, Op: lia.LE}}},
+				Local: treaty.Local{Site: k, Constraints: []treaty.Constraint{c}},
 			}},
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -17,7 +18,6 @@ import (
 	"repro/internal/fabric/codec"
 	"repro/internal/lang"
 	"repro/internal/lia"
-	"repro/internal/logic"
 	"repro/internal/rt"
 	"repro/internal/treaty"
 )
@@ -243,7 +243,7 @@ func (t *HTTP) Install(p rt.Proc, from int, m InstallState) error {
 // Distribute delivers each site its treaties.
 func (t *HTTP) Distribute(p rt.Proc, from int, ms []InstallTreaties) error {
 	_, err := exchange(t, p, "install-treaties", everySite, ms,
-		InstallTreatiesToWire, installTreaties, ackWire)
+		noErr(InstallTreatiesToWire), installTreaties, ackWire)
 	return err
 }
 
@@ -730,62 +730,59 @@ func opFromWire(s string) (lia.RelOp, error) {
 }
 
 // ConstraintsToWire encodes a local treaty's constraint list in the form
-// install-treaties bodies and the WAL's treaty records both carry. Local
-// treaties are fully instantiated (configuration values folded into
-// constants), so every variable must be a database object; anything else
-// is a protocol error caught here rather than at the receiving site.
-func ConstraintsToWire(l treaty.Local) ([]wire.PeerConstraint, error) {
+// install-treaties bodies and the WAL's treaty records both carry.
+func ConstraintsToWire(l treaty.Local) []wire.PeerConstraint {
 	out := make([]wire.PeerConstraint, 0, len(l.Constraints))
 	for _, c := range l.Constraints {
-		pc := wire.PeerConstraint{Const: c.Term.Const, Op: opToWire(c.Op)}
-		if len(c.Term.Coeffs) > 0 {
-			pc.Coeffs = make(map[string]int64, len(c.Term.Coeffs))
+		pc := wire.PeerConstraint{Const: c.Const, Op: opToWire(c.Op)}
+		if len(c.Terms) > 0 {
+			pc.Coeffs = make(map[string]int64, len(c.Terms))
 		}
-		for v, coeff := range c.Term.Coeffs {
-			if v.Kind != logic.ObjVar {
-				return nil, fmt.Errorf("fabric: treaty constraint mentions non-object variable %s", v)
-			}
-			pc.Coeffs[v.Name] = coeff
+		for _, t := range c.Terms {
+			pc.Coeffs[string(t.Obj)] = t.Coeff
 		}
 		out = append(out, pc)
 	}
-	return out, nil
+	return out
 }
 
 // ConstraintsFromWire decodes a wire constraint list back into a local
-// treaty for the given site (the inverse of ConstraintsToWire).
+// treaty for the given site (the inverse of ConstraintsToWire on a canonical
+// treaty): each constraint's terms in ascending object order, a zero
+// coefficient dropped.
 func ConstraintsFromWire(site int, cs []wire.PeerConstraint) (treaty.Local, error) {
-	out := treaty.Local{Site: site}
+	out := treaty.Local{Site: site, Constraints: make([]treaty.Constraint, 0, len(cs))}
 	for _, pc := range cs {
-		term := lia.NewTerm()
-		term.Const = pc.Const
-		for name, coeff := range pc.Coeffs {
-			term.AddVar(logic.Obj(lang.ObjID(name)), coeff)
-		}
 		op, err := opFromWire(pc.Op)
 		if err != nil {
 			return treaty.Local{}, err
 		}
-		out.Constraints = append(out.Constraints, lia.Constraint{Term: term, Op: op})
+		c := treaty.Constraint{Const: pc.Const, Op: op}
+		if n := len(pc.Coeffs); n > 0 {
+			c.Terms = make([]treaty.Term, 0, n)
+		}
+		for name, coeff := range pc.Coeffs {
+			if coeff != 0 {
+				c.Terms = append(c.Terms, treaty.Term{Obj: lang.ObjID(name), Coeff: coeff})
+			}
+		}
+		slices.SortFunc(c.Terms, treaty.TermOrder)
+		out.Constraints = append(out.Constraints, c)
 	}
 	return out, nil
 }
 
 // InstallTreatiesToWire encodes an InstallTreaties message.
-func InstallTreatiesToWire(m InstallTreaties) (wire.PeerInstallTreaties, error) {
+func InstallTreatiesToWire(m InstallTreaties) wire.PeerInstallTreaties {
 	out := wire.PeerInstallTreaties{
 		From: m.Round.Site, Round: m.Round.Seq, Clock: m.Clock, Site: m.Site,
 	}
 	for _, ut := range m.Units {
-		cs, err := ConstraintsToWire(ut.Local)
-		if err != nil {
-			return out, fmt.Errorf("unit %d: %w", ut.Unit, err)
-		}
 		out.Units = append(out.Units, wire.PeerUnitTreaty{
-			Unit: ut.Unit, Version: ut.Version, Constraints: cs,
+			Unit: ut.Unit, Version: ut.Version, Constraints: ConstraintsToWire(ut.Local),
 		})
 	}
-	return out, nil
+	return out
 }
 
 // InstallTreatiesFromWire decodes an InstallTreaties message.

@@ -103,9 +103,8 @@ type deriver struct {
 	col       *metrics.Collector
 
 	// memo holds, per isomorphism class of (global treaty, folded values,
-	// width, weights), the configuration the first unit of the class was
-	// given and the locals it instantiated, flattened over the canonical
-	// variable order. The optimizer's output depends only on that class —
+	// width, weights), the configuration and the locals the first unit of
+	// the class was given. The optimizer's output depends only on that class —
 	// configuration variables are positional — so one solve serves every
 	// unit in it: the paper's parameterized compression (Section 5.1)
 	// applied to configurations. This assumes isomorphic units also have
@@ -219,7 +218,7 @@ func (d *deriver) derive(r derivation) ([]treaty.Local, error) {
 		if e, ok := d.memo[key]; ok {
 			d.hits++
 			u.lastCfg = e.cfg
-			return e.locals(d.names), nil
+			return e.rename(d.names), nil
 		}
 	}
 
@@ -310,10 +309,9 @@ func widen(g treaty.Global, width int) {
 func localPin(objs []lang.ObjID, site int, vals treaty.ObjReader) treaty.Local {
 	l := treaty.Local{Site: site}
 	hold := func(obj lang.ObjID) {
-		t := lia.NewTerm()
-		t.AddVar(logic.Obj(obj), 1)
-		t.Const = -vals.Get(obj)
-		l.Constraints = append(l.Constraints, lia.Constraint{Term: t, Op: lia.EQ})
+		l.Constraints = append(l.Constraints, treaty.Constraint{
+			Terms: []treaty.Term{{Obj: obj, Coeff: 1}}, Const: -vals.Get(obj), Op: lia.EQ,
+		})
 	}
 	for _, obj := range objs {
 		if site == 0 {
@@ -441,71 +439,66 @@ func (d *deriver) key(g treaty.Global, ren map[lang.ObjID]lang.ObjID, folded lan
 }
 
 // memoEntry is one memo slot: the configuration of the first unit per key
-// and the locals it instantiated, flattened over the canonical
-// (first-occurrence) variable order they were built under. A variable is
-// its index in that order, so instantiating the entry for an isomorphic
-// unit is a positional rename into that unit's names — the template build
-// and instantiation are skipped entirely. The width is part of the key
-// once it moves, so every entry under a key has the caller's site count.
+// and the locals it was given — the installed ones, shared, since a Local
+// is never written — with, per term in the order the locals list them, the
+// object's index in the canonical (first-occurrence) variable order the
+// key stage built. Instantiating the entry for an isomorphic unit is a
+// positional rename into that unit's names — the template build and
+// instantiation are skipped entirely. The width is part of the key once it
+// moves, so every entry under a key has the caller's site count.
 type memoEntry struct {
-	cfg treaty.Config
-	// siteEnd[k] is where site k's constraints end in cons; cons[j].end is
-	// where constraint j's summands end in terms.
-	siteEnd []int
-	cons    []flatConstraint
-	terms   []flatTerm
+	cfg    treaty.Config
+	locals []treaty.Local
+	names  []int
 }
 
-type flatConstraint struct {
-	konst int64
-	op    lia.RelOp
-	end   int
-}
-
-type flatTerm struct {
-	name  int
-	coeff int64
-}
-
-// locals instantiates the entry under names, a unit's canonical variable
-// order (d.names, valid since the last key call). All sites' constraints
-// share one slice; the coefficient maps are sized once and never grow.
+// rename instantiates the entry under names, a unit's canonical variable
+// order (d.names, valid since the last key call). The renamed terms need no
+// sorting: the key hashes each constraint's variables in ascending order of
+// the unit's own names, index by index, so two units meet under one key only
+// if the rename between them keeps every constraint's order — and a site's
+// terms are a subsequence of a constraint's. (treaty.Compile would refuse the
+// install otherwise.) All sites' constraints share one slice and all terms
+// another.
 //
 //homeo:hotpath
-func (e *memoEntry) locals(names []string) []treaty.Local {
+func (e *memoEntry) rename(names []string) []treaty.Local {
+	nCons := 0
+	for _, l := range e.locals {
+		nCons += len(l.Constraints)
+	}
 	// The locals are installed: they outlive the round.
-	out := make([]treaty.Local, len(e.siteEnd))
-	cons := make([]lia.Constraint, len(e.cons))
-	j, t := 0, 0
-	for site, end := range e.siteEnd {
-		out[site] = treaty.Local{Site: site, Constraints: cons[j:end:end]}
-		for ; j < end; j++ {
-			c := e.cons[j]
-			coeffs := make(map[logic.Var]int64, c.end-t)
-			for ; t < c.end; t++ {
-				coeffs[logic.Var{Kind: logic.ObjVar, Name: names[e.terms[t].name]}] = e.terms[t].coeff
+	out := make([]treaty.Local, len(e.locals))
+	cons := make([]treaty.Constraint, 0, nCons)
+	terms := make([]treaty.Term, 0, len(e.names))
+	for site, l := range e.locals {
+		start := len(cons)
+		for _, c := range l.Constraints {
+			from := len(terms)
+			for _, t := range c.Terms {
+				name := names[e.names[len(terms)]] // terms holds one per term visited
+				terms = append(terms, treaty.Term{Obj: lang.ObjID(name), Coeff: t.Coeff})
 			}
-			cons[j] = lia.Constraint{Term: lia.Term{Coeffs: coeffs, Const: c.konst}, Op: c.op}
+			c.Terms = terms[from:len(terms):len(terms)]
+			cons = append(cons, c)
 		}
+		out[site] = treaty.Local{Site: l.Site, Constraints: cons[start:len(cons):len(cons)]}
 	}
 	return out
 }
 
 // remember memoizes freshly instantiated locals with their configuration,
 // under the canonical variable order of the unit that built them (d.idx,
-// valid since the last key call: the template's variables are exactly the
-// ones the key stage indexed). The flattened copy shares nothing with the
-// installed locals.
+// valid since the last key call: the template's variables are among the
+// ones the key stage indexed).
 func (d *deriver) remember(key isoHash, cfg treaty.Config, locals []treaty.Local) {
-	e := memoEntry{cfg: cfg}
+	e := memoEntry{cfg: cfg, locals: locals}
 	for _, l := range locals {
 		for _, c := range l.Constraints {
-			for _, v := range c.Term.Vars() {
-				e.terms = append(e.terms, flatTerm{name: d.idx[v.Name], coeff: c.Term.Coeffs[v]})
+			for _, t := range c.Terms {
+				e.names = append(e.names, d.idx[string(t.Obj)])
 			}
-			e.cons = append(e.cons, flatConstraint{konst: c.Term.Const, op: c.Op, end: len(e.terms)})
 		}
-		e.siteEnd = append(e.siteEnd, len(e.cons))
 	}
 	if len(d.memo) >= memoBound {
 		clear(d.memo)

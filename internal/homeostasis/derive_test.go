@@ -143,6 +143,112 @@ func TestMemoMatchesScratch(t *testing.T) {
 	}
 }
 
+// TestMemoHitReordersTerms: two units whose objects play the same roles
+// under names that sort in opposite orders — (pa, pb) and (qy, qx), the
+// first of each pair the one written. A memo hit renames positionally over
+// the key's canonical variable order, which is each constraint's ascending
+// order under the unit's own names, so what it serves the second unit must
+// be ascending under the second unit's names and equal to a scratch
+// derivation. With a guard symmetric in the two objects the units do meet
+// under one key (the rename is pa→qx, pb→qy, not role to role); with one
+// that weighs the second object twice they must not, since no
+// order-keeping rename exists.
+func TestMemoHitReordersTerms(t *testing.T) {
+	for _, tc := range []struct {
+		guard string
+		hit   bool
+	}{
+		{"a + c - n > 10", true},
+		{"a + c + c - n > 10", false},
+	} {
+		reg, err := workload.NewRegistry(nil, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ac := workload.NewArtifactCache()
+		for _, names := range [][3]string{{"P", "pa", "pb"}, {"Q", "qy", "qx"}} {
+			src := fmt.Sprintf("transaction %[1]s(n) { a := read(%[2]s); c := read(%[3]s); if (%[4]s) then write(%[2]s = a - n) else skip }",
+				names[0], names[1], names[2], tc.guard)
+			c, _, err := ac.CompileL(src, 2, treaty.ParamBounds{"n": {1, 5}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := reg.Register(c, lang.Database{lang.ObjID(names[1]): 40, lang.ObjID(names[2]): 40}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d := newDeriver(reg, Options{Mode: ModeHomeo, Alloc: AllocEqualSplit, Topo: cluster.Uniform(2, sim.Millisecond),
+			Seed: 1}, lang.DeltaObj, &metrics.Collector{})
+		// Equal keys need equal folded values position by position in
+		// ascending name order: pa↔qx, pb↔qy.
+		for unit, folded := range []lang.Database{{"pa": 20, "pb": 35}, {"qx": 20, "qy": 35}} {
+			u := &unitState{id: unit, objects: reg.UnitObjects(unit)}
+			hits := d.hits
+			got, err := d.derive(derivation{u: u, folded: folded, width: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hit := d.hits > hits; hit != (unit == 1 && tc.hit) {
+				t.Errorf("%q, unit %d: served by the memo: %v", tc.guard, unit, hit)
+			}
+			want := scratchLocals(t, reg, u, folded, 2)
+			for k := range want {
+				if !sameLocal(got[k], want[k]) {
+					t.Errorf("%q, unit %d, site %d:\n  served %s\n scratch %s", tc.guard, unit, k, got[k], want[k])
+				}
+				if _, err := treaty.Compile(got[k]); err != nil {
+					t.Errorf("%q, unit %d, site %d: %v", tc.guard, unit, k, err)
+				}
+			}
+		}
+	}
+}
+
+// TestMemoHitAllocations: a hit at two sites allocates the locals, their
+// constraints and their terms — one slice each — and nothing else.
+func TestMemoHitAllocations(t *testing.T) {
+	reg := familyRegistry(t, 2, 2)
+	d := newDeriver(reg, Options{Mode: ModeHomeo, Alloc: AllocEqualSplit, Topo: cluster.Uniform(2, sim.Millisecond),
+		Seed: 1}, lang.DeltaObj, &metrics.Collector{})
+	// Family T: two objects, so a constraint has more than one term a site.
+	const unit = 2
+	u := &unitState{id: unit, objects: reg.UnitObjects(unit)}
+	if len(u.objects) != 2 {
+		t.Fatalf("unit %d has objects %v, want a two-object class", unit, u.objects)
+	}
+	r := derivation{u: u, folded: lang.Database{u.objects[0]: 20, u.objects[1]: 35}, width: 2}
+	if _, err := d.derive(r); err != nil {
+		t.Fatal(err)
+	}
+	hits := d.hits
+	if n := testing.AllocsPerRun(100, func() { _, _ = d.derive(r) }); n > 3 {
+		t.Errorf("a memo hit allocates %v times, want at most 3", n)
+	}
+	if d.hits == hits {
+		t.Fatal("the derivations measured were not memo hits")
+	}
+}
+
+// scratchLocals is what a template built from scratch on the unit's own
+// global treaty instantiates under the configuration the unit's last
+// derivation left.
+func scratchLocals(t *testing.T, w workload.Workload, u *unitState, folded lang.Database, width int) []treaty.Local {
+	t.Helper()
+	g, err := w.BuildGlobal(u.id, folded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmpl, err := treaty.BuildTemplate(g, width, placement)
+	if err != nil {
+		t.Fatal(err)
+	}
+	locals, err := tmpl.LocalTreaties(u.lastCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return locals
+}
+
 // sameLocal compares two local treaties constraint by constraint (an empty
 // treaty is empty whether its slice is nil or not).
 func sameLocal(a, b treaty.Local) bool {

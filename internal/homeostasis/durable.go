@@ -517,15 +517,8 @@ func (sys *System) logTreaty(site, unit int, l treaty.Local, version, clk int64,
 	if lg == nil {
 		return
 	}
-	cs, err := fabric.ConstraintsToWire(l)
-	if err != nil {
-		// A treaty that passed Compile cannot fail wire encoding; if it
-		// somehow does, losing the record only costs a stale-generation
-		// repair at the next rejoin.
-		sys.Col.RecordFabricError()
-		return
-	}
-	rec := wal.TreatyRecord{Unit: unit, Site: site, Version: version, Clock: clk, Constraints: cs}
+	rec := wal.TreatyRecord{Unit: unit, Site: site, Version: version, Clock: clk,
+		Constraints: fabric.ConstraintsToWire(l)}
 	if rid != nil {
 		rec.Round = &wal.RoundID{Site: rid.Site, Seq: rid.Seq}
 	}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/lang"
 	"repro/internal/lia"
-	"repro/internal/logic"
 	"repro/internal/micro"
 	"repro/internal/rt"
 	"repro/internal/sim"
@@ -34,14 +33,12 @@ func BenchmarkLogTreaty(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer sys.CloseWAL()
-	constraint := func(c int64) lia.Constraint {
-		term := lia.NewTerm()
-		term.AddVar(logic.Obj("stock[3]"), -1)
-		term.AddVar(logic.Obj(lang.DeltaObj("stock[3]", 0)), -1)
-		term.Const = c
-		return lia.Constraint{Term: term, Op: lia.LE}
+	constraint := func(c int64) treaty.Constraint {
+		return treaty.Constraint{Terms: []treaty.Term{
+			{Obj: "stock[3]", Coeff: -1}, {Obj: lang.DeltaObj("stock[3]", 0), Coeff: -1},
+		}, Const: c, Op: lia.LE}
 	}
-	local := treaty.Local{Site: 0, Constraints: []lia.Constraint{constraint(20), constraint(35)}}
+	local := treaty.Local{Site: 0, Constraints: []treaty.Constraint{constraint(20), constraint(35)}}
 	rid := fabric.RoundID{Site: 1, Seq: 9}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -433,17 +433,15 @@ func (sys *System) execAttempt(p rt.Proc, site int, req workload.Request, f *exe
 }
 
 // localTreatyHolds evaluates the site's local treaty for the unit against
-// the site store's current (tentative) state, using the constraint
-// closures compiled at the last negotiation round (see
-// treaty.Compile). The compiled form pre-resolves object ids and cannot
-// fail during evaluation; a unit with no compiled treaty for the site is
-// reported as an error, which callers must keep distinct from a treaty
-// violation — only the latter starts a synchronization round.
+// the site store's current (tentative) state. The compiled form (see
+// treaty.Compile) cannot fail during evaluation; a unit with no treaty slot
+// for the site is reported as an error, which callers must keep distinct
+// from a treaty violation — only the latter starts a synchronization round.
 func (sys *System) localTreatyHolds(u *unitState, site int) (bool, error) {
-	if site < 0 || site >= len(u.compiled) {
+	if site < 0 || site >= len(u.treaties) {
 		return false, fmt.Errorf("unit %d has no compiled local treaty for site %d", u.id, site)
 	}
-	return u.compiled[site].Holds(sys.Stores[site]), nil
+	return u.treaties[site].Holds(sys.Stores[site]), nil
 }
 
 // tryJoin registers the violator as a co-winner of the negotiation

@@ -8,12 +8,19 @@ package homeostasis
 // machine deterministically on the simulator.
 
 import (
+	"bytes"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/fabric"
+	"repro/internal/fabric/codec"
 	"repro/internal/lang"
+	"repro/internal/lia"
 	"repro/internal/micro"
 	"repro/internal/rt"
 	"repro/internal/sim"
@@ -78,7 +85,7 @@ func TestGrantExpiryAbortsUninstalledRound(t *testing.T) {
 	}
 	before := snapshotUnit(sys, 1, u)
 	beforeVersion := u.version
-	beforeLocal := u.locals[1]
+	beforeLocal := u.treaties[1].Local()
 
 	eng.Run() // virtual time runs past the grant TTL
 
@@ -100,7 +107,7 @@ func TestGrantExpiryAbortsUninstalledRound(t *testing.T) {
 	if got := snapshotUnit(sys, 1, u); !reflect.DeepEqual(got, before) {
 		t.Fatalf("abort path changed state: %v -> %v", before, got)
 	}
-	if u.version != beforeVersion || !reflect.DeepEqual(u.locals[1], beforeLocal) {
+	if u.version != beforeVersion || !reflect.DeepEqual(u.treaties[1].Local(), beforeLocal) {
 		t.Fatal("abort path touched the unit's treaties; it must resume under the current generation")
 	}
 }
@@ -182,14 +189,73 @@ func TestRejoinAdoptsInstalledRound(t *testing.T) {
 
 	// No stale-treaty resume: a late round-2 install from the dead
 	// coordinator's generation is version-guarded into a no-op.
-	pinned := u.locals[1]
+	pinned := u.treaties[1].Local()
 	if err := node.InstallTreaties(fabric.InstallTreaties{
 		Round: rid, Clock: 42,
 		Units: []fabric.UnitTreaty{{Unit: u.id, Local: treaty.Local{Site: 1}, Version: u.version - 1}},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(u.locals[1], pinned) {
+	if !reflect.DeepEqual(u.treaties[1].Local(), pinned) {
 		t.Fatal("late stale-generation treaty replaced the failover pin")
+	}
+}
+
+// TestSiteRefusesTreatyOverAnotherSitesObjects: the commit check reads a
+// treaty's objects out of the site's own store, so a site must not install a
+// treaty a peer sent that mentions anything outside its partition — another
+// site's delta or (off site 0) a base object would be checked against a
+// stale replica value. Refused at the Node and through the peer handler's
+// codec bytes, slot and version untouched; a treaty over the site's own
+// delta still installs.
+func TestSiteRefusesTreatyOverAnotherSitesObjects(t *testing.T) {
+	sys, _, node := failoverSystem(t)
+	u := sys.Units[0]
+	obj := u.objects[0]
+	over := func(o lang.ObjID) fabric.InstallTreaties {
+		return fabric.InstallTreaties{
+			Round: fabric.RoundID{Site: 0, Seq: 3}, Clock: 9, Site: 1,
+			Units: []fabric.UnitTreaty{{Unit: u.id, Version: u.version + 1, Local: treaty.Local{
+				Site:        1,
+				Constraints: []treaty.Constraint{{Terms: []treaty.Term{{Obj: o, Coeff: -1}}, Const: -5, Op: lia.LE}},
+			}}},
+		}
+	}
+	srv := httptest.NewServer(fabric.NewPeerHandler(node, nil, ""))
+	defer srv.Close()
+	post := func(m fabric.InstallTreaties) (int, string) {
+		t.Helper()
+		w := fabric.InstallTreatiesToWire(m)
+		body, err := codec.AppendMessage(nil, &w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(srv.URL+"/v1/peer/install-treaties", codec.ContentType, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		reply, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(reply)
+	}
+
+	before, beforeVersion := u.treaties[1].Local(), u.version
+	for _, foreign := range []lang.ObjID{lang.DeltaObj(obj, 0), lang.DeltaObj(obj, 2), obj} {
+		err := node.InstallTreaties(over(foreign))
+		if err == nil || !strings.Contains(err.Error(), string(foreign)) {
+			t.Errorf("Node.InstallTreaties over %s: err = %v, want a refusal naming it", foreign, err)
+		}
+		if status, reply := post(over(foreign)); status != http.StatusInternalServerError || !strings.Contains(reply, string(foreign)) {
+			t.Errorf("POST install-treaties over %s: %d %s, want a 500 naming it", foreign, status, reply)
+		}
+	}
+	if u.version != beforeVersion || !reflect.DeepEqual(u.treaties[1].Local(), before) {
+		t.Fatal("a refused treaty moved the slot or the version")
+	}
+	if status, reply := post(over(lang.DeltaObj(obj, 1))); status != http.StatusOK {
+		t.Fatalf("POST install-treaties over the site's own delta: %d %s", status, reply)
+	}
+	if u.version != beforeVersion+1 || reflect.DeepEqual(u.treaties[1].Local(), before) {
+		t.Fatal("a treaty over the site's own delta was not installed")
 	}
 }

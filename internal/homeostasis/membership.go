@@ -173,14 +173,11 @@ func (u *unitState) growUnit(n int) error {
 		}
 		u.demand = nd
 	}
-	for site := len(u.locals); site < n; site++ {
-		l := localPin(u.objects, site, lang.Database(nil))
-		c, err := treaty.Compile(l)
-		if err != nil {
-			return fmt.Errorf("homeostasis: unit %d join treaty: %w", u.id, err)
+	for site := len(u.treaties); site < n; site++ {
+		u.treaties = append(u.treaties, treaty.CompiledLocal{})
+		if err := u.setSiteTreaty(site, localPin(u.objects, site, lang.Database(nil))); err != nil {
+			return fmt.Errorf("join treaty: %w", err)
 		}
-		u.locals = append(u.locals, l)
-		u.compiled = append(u.compiled, c)
 	}
 	return nil
 }

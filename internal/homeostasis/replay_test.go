@@ -69,8 +69,8 @@ func stateOf(sys *System) recoveredState {
 	for _, st := range sys.Stores {
 		s.Stores = append(s.Stores, st.Snapshot())
 	}
-	for _, u := range sys.Units {
-		s.Locals = append(s.Locals, u.locals)
+	for i, u := range sys.Units {
+		s.Locals = append(s.Locals, sys.UnitLocals(i))
 		s.Versions = append(s.Versions, u.version)
 	}
 	return s
@@ -141,6 +141,24 @@ func (g *logGen) values(max int) map[string]int64 {
 	return out
 }
 
+// treatyCoeffs draws a treaty constraint's coefficients over the site's own
+// partition — its delta objects, and at site 0 base objects and names no
+// unit knows as well — since replay refuses a treaty over anything else.
+func (g *logGen) treatyCoeffs(site, max int) map[string]int64 {
+	var out map[string]int64
+	for n := g.rng.Intn(max + 1); n > 0; n-- {
+		if out == nil {
+			out = map[string]int64{}
+		}
+		name := g.objName()
+		if placement(lang.ObjID(name)) != site {
+			name = string(lang.DeltaObj(micro.ItemObj(g.rng.Intn(replayItems)), site))
+		}
+		out[name] = g.rng.Int63n(200) - 100
+	}
+	return out
+}
+
 // round draws a round id, one seen before a third of the time (the same
 // winner logged twice, an install and its treaties sharing a round).
 func (g *logGen) round() wal.RoundID {
@@ -204,7 +222,7 @@ func (g *logGen) write(t *testing.T, l *wal.Log, site, n int) {
 			}
 			for n := g.rng.Intn(4); n > 0; n-- {
 				rec.Constraints = append(rec.Constraints, wire.PeerConstraint{
-					Coeffs: g.values(3), Const: g.rng.Int63n(40) - 20, Op: []string{"<=", "<", "=="}[g.rng.Intn(3)]})
+					Coeffs: g.treatyCoeffs(rec.Site, 3), Const: g.rng.Int63n(40) - 20, Op: []string{"<=", "<", "=="}[g.rng.Intn(3)]})
 			}
 			err = l.AppendTreaty(rec)
 		default:
@@ -498,6 +516,48 @@ func TestReplayRefusesSizesNoCRCVouchesFor(t *testing.T) {
 				t.Errorf("the refused log left width %d and %d commits behind", sys.NSites(), len(sys.CommitLog))
 			}
 		})
+	}
+}
+
+// TestReplayRefusesTreatyOverAnotherSitesObjects: a treaty record is held to
+// what an install-treaties body is — a log naming, for site 1's slot, site
+// 0's delta or a base object is refused by record index, and the same
+// record over site 1's own delta replays.
+func TestReplayRefusesTreatyOverAnotherSitesObjects(t *testing.T) {
+	obj := micro.ItemObj(0)
+	for _, tc := range []struct {
+		over   lang.ObjID
+		refuse bool
+	}{
+		{lang.DeltaObj(obj, 0), true},
+		{obj, true},
+		{lang.DeltaObj(obj, 1), false},
+	} {
+		dir := t.TempDir()
+		l, _, err := wal.Open(walPath(dir, 0), wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.AppendCommit(wal.CommitRecord{Class: "Order", Site: 0, Clock: 4}); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.AppendTreaty(wal.TreatyRecord{Unit: 0, Site: 1, Version: 5, Clock: 6,
+			Constraints: []wire.PeerConstraint{{Coeffs: map[string]int64{string(tc.over): -1}, Const: -5, Op: "<="}}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, sys, _ := replaySystem(t)
+		n, err := sys.OpenWAL(dir, wal.Options{})
+		sys.CloseWAL()
+		switch {
+		case !tc.refuse && (err != nil || n != 2):
+			t.Errorf("treaty over %s: OpenWAL = (%d, %v), want both records replayed", tc.over, n, err)
+		case tc.refuse && (err == nil || !strings.Contains(err.Error(), "site 0 WAL record 1:") ||
+			!strings.Contains(err.Error(), string(tc.over))):
+			t.Errorf("treaty over %s: OpenWAL error = %v, want a refusal of record 1 naming it", tc.over, err)
+		}
 	}
 }
 

@@ -516,20 +516,32 @@ func (u *unitState) installSiteTreaty(site int, l treaty.Local, version int64) (
 // admitsTreaty is installSiteTreaty's guard: the site must have a slot,
 // and a generation older than the unit's is dropped without error.
 func (u *unitState) admitsTreaty(site int, version int64) (bool, error) {
-	if site < 0 || site >= len(u.compiled) {
+	if site < 0 || site >= len(u.treaties) {
 		return false, fmt.Errorf("homeostasis: unit %d has no treaty slot for site %d", u.id, site)
 	}
 	return version >= u.version, nil
 }
 
 // setSiteTreaty compiles l into the site's slot, guard and version
-// aside (see installSiteTreaty; WAL replay runs the two apart).
+// aside (see installSiteTreaty; WAL replay runs the two apart). The commit
+// check reads a treaty's objects out of the site's own store, so a treaty
+// over anything but the site's partition — base objects at site 0, obj@dk at
+// site k, which is what a derived treaty mentions (treaty.BuildTemplate
+// splits by placement) — would be evaluated against stale replica values:
+// one a peer sent or a log held is refused.
 func (u *unitState) setSiteTreaty(site int, l treaty.Local) error {
+	for i := range l.Constraints {
+		for _, t := range l.Constraints[i].Terms {
+			if at := placement(t.Obj); at != site {
+				return fmt.Errorf("homeostasis: unit %d site %d: treaty mentions %s, an object of site %d",
+					u.id, site, t.Obj, at)
+			}
+		}
+	}
 	c, err := treaty.Compile(l)
 	if err != nil {
 		return fmt.Errorf("homeostasis: unit %d site %d: %w", u.id, site, err)
 	}
-	u.locals[site] = l
-	u.compiled[site] = c
+	u.treaties[site] = c
 	return nil
 }

@@ -231,11 +231,9 @@ type joiner struct {
 type unitState struct {
 	id      int
 	objects []lang.ObjID
-	locals  []treaty.Local
-	// compiled holds the per-site constraint closures for the current
-	// negotiation round (same indexing as locals). The pre-commit check
-	// evaluates these instead of interpreting the lia.Constraint trees.
-	compiled    []treaty.CompiledLocal
+	// treaties holds each site's local treaty of the current generation,
+	// compiled: what the pre-commit check evaluates.
+	treaties    []treaty.CompiledLocal
 	negotiating bool
 	// inflight counts executions currently between Begin and
 	// Commit/Abort on this unit. A site must not contribute a round-1
@@ -509,7 +507,12 @@ func (sys *System) UnitLocals(unit int) []treaty.Local {
 	if unit < 0 || unit >= len(sys.Units) {
 		return nil
 	}
-	return sys.Units[unit].locals
+	u := sys.Units[unit]
+	locals := make([]treaty.Local, len(u.treaties))
+	for k := range u.treaties {
+		locals[k] = u.treaties[k].Local()
+	}
+	return locals
 }
 
 // foldUnit consolidates the unit's logical values across all sites:
@@ -572,16 +575,12 @@ func (sys *System) invalidateFolds() {
 // installLocalTreaties compiles and installs a full per-site treaty set
 // on the unit.
 func (sys *System) installLocalTreaties(u *unitState, locals []treaty.Local) error {
-	// Compile once per round: the per-commit check runs orders of
-	// magnitude more often than negotiation. Compilation also validates
-	// the treaty (no stray non-object variables), so the commit-path
-	// evaluation cannot fail.
-	compiled, err := treaty.CompileLocals(locals)
-	if err != nil {
-		return fmt.Errorf("homeostasis: unit %d: %w", u.id, err)
+	u.treaties = make([]treaty.CompiledLocal, len(locals))
+	for k, l := range locals {
+		if err := u.setSiteTreaty(k, l); err != nil {
+			return err
+		}
 	}
-	u.locals = locals
-	u.compiled = compiled
 	u.version++
 	return nil
 }

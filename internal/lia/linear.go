@@ -97,23 +97,36 @@ func (t Term) AppendTo(b []byte) []byte {
 	}
 	logic.SortVars(vars)
 	for _, v := range vars {
-		if len(b) > start {
-			b = append(b, " + "...)
-		}
-		switch c := t.Coeffs[v]; c {
-		case 1:
-		case -1:
-			b = append(b, '-')
-		default:
-			b = append(strconv.AppendInt(b, c, 10), '*')
-		}
-		b = append(b, v.String()...)
+		b = AppendSummand(b, start, t.Coeffs[v], v.String())
 	}
-	if t.Const != 0 || len(b) == start {
+	return AppendConst(b, start, t.Const)
+}
+
+// AppendSummand appends coeff*name to a term's rendering that began at
+// b[start:], the way Term.AppendTo writes a summand: " + " between
+// summands, a unit coefficient elided.
+func AppendSummand(b []byte, start int, coeff int64, name string) []byte {
+	if len(b) > start {
+		b = append(b, " + "...)
+	}
+	switch coeff {
+	case 1:
+	case -1:
+		b = append(b, '-')
+	default:
+		b = append(strconv.AppendInt(b, coeff, 10), '*')
+	}
+	return append(b, name...)
+}
+
+// AppendConst closes a term's rendering that began at b[start:] with its
+// constant, unless that is zero and a summand precedes it.
+func AppendConst(b []byte, start int, c int64) []byte {
+	if c != 0 || len(b) == start {
 		if len(b) > start {
 			b = append(b, " + "...)
 		}
-		b = strconv.AppendInt(b, t.Const, 10)
+		b = strconv.AppendInt(b, c, 10)
 	}
 	return b
 }

@@ -146,15 +146,19 @@ func TestTreatyPipelineEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	locals, _ := tmpl.LocalTreaties(cfg)
+	check, err := treaty.Compile(locals[1])
+	if err != nil {
+		t.Fatal(err)
+	}
 	obj := ItemObj(0)
 	// Slack = 10 - 2 = 8, split 4/4. Site 1's treaty is over its delta
 	// only: 4 decrements fine, 5 violate.
 	site1 := lang.Database{lang.DeltaObj(obj, 1): -4}
-	if !locals[1].Holds(site1) {
+	if !check.Holds(site1) {
 		t.Fatalf("4 decrements should satisfy site 1 treaty: %s", locals[1])
 	}
 	site1[lang.DeltaObj(obj, 1)] = -5
-	if locals[1].Holds(site1) {
+	if check.Holds(site1) {
 		t.Fatalf("5 decrements should violate site 1 treaty: %s", locals[1])
 	}
 }

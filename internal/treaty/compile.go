@@ -3,22 +3,19 @@ package treaty
 import (
 	"fmt"
 	"math"
-	"slices"
-	"strings"
 
 	"repro/internal/lang"
 	"repro/internal/lia"
-	"repro/internal/logic"
 )
 
 // This file implements the compiled treaty-evaluation path. The local
 // treaty is checked before every commit — it is the hot path of the
 // homeostasis protocol — while treaties themselves only change at
-// negotiation rounds. Instead of re-walking the lia.Constraint tree and
-// resolving variables through a Binding closure on every check, a local
-// treaty is compiled once per round into a form the runtime evaluates
-// with pre-resolved ObjIDs, no per-eval allocation, and no error path
-// (malformed constraints are rejected at compile time).
+// negotiation rounds. A local treaty is compiled once per install: held to
+// the canonical form, its ground constraints folded and the demarcation
+// interval detected, so the check itself has no per-eval allocation and no
+// error path. Compiling copies nothing — the compiled treaty reads the
+// Local's own term slices.
 
 // ObjReader is the read-only state a compiled treaty evaluates against.
 // Both lang.Database and the store's *Store satisfy it; absent objects
@@ -27,151 +24,90 @@ type ObjReader interface {
 	Get(obj lang.ObjID) int64
 }
 
-// term is one summand of a compiled constraint.
-type term struct {
-	obj   lang.ObjID
-	coeff int64
-}
-
-// compiledConstraint is one constraint flattened into its summands, in
-// ascending object order: sum_i terms[i].coeff * terms[i].obj + konst op 0.
-type compiledConstraint struct {
-	terms []term
-	konst int64
-	op    lia.RelOp
-}
-
-func (c *compiledConstraint) holds(db ObjReader) bool {
-	sum := c.konst
-	for _, t := range c.terms {
-		sum += t.coeff * db.Get(t.obj)
-	}
-	switch c.op {
-	case lia.LE:
-		return sum <= 0
-	case lia.LT:
-		return sum < 0
-	default: // lia.EQ
-		return sum == 0
-	}
-}
-
 // CompiledLocal is one site's local treaty compiled for the per-commit
 // check. The zero value is not meaningful; build with Compile.
 type CompiledLocal struct {
-	site int
+	// local is the treaty compiled, aliased: the general path evaluates its
+	// constraints as they are.
+	local Local
 
 	// alwaysFalse short-circuits treaties containing an unsatisfiable
 	// ground constraint (or an empty interval).
 	alwaysFalse bool
 
-	// Demarcation fast path: every constraint bounds the same linear sum
-	// s = sum_i terms[i].coeff*terms[i].obj (up to sign), so the whole
-	// treaty is lo <= s <= hi — one pass over the objects, two
+	// Demarcation fast path: every non-ground constraint bounds the same
+	// linear sum s = sum_i sum[i].Coeff*sum[i].Obj (up to sign), so the
+	// whole treaty is lo <= s <= hi — one pass over the objects, two
 	// comparisons. This is the common shape: local treaties instantiated
 	// from single-clause global treaties like the microbenchmark's stock
 	// bound.
 	interval bool
-	terms    []term
+	sum      []Term
 	lo, hi   int64
-
-	// general holds the remaining constraints when the sweep above does
-	// not apply.
-	general []compiledConstraint
 }
 
-// Site returns the site the treaty was compiled for.
-func (c *CompiledLocal) Site() int { return c.site }
+// Local returns the treaty c was compiled from.
+func (c *CompiledLocal) Local() Local { return c.local }
 
-// Compile specializes a local treaty for repeated evaluation. It fails if
-// a constraint mentions a non-object variable (a configuration variable
-// left uninstantiated, for example), so that a malformed treaty surfaces
-// as an error at generation time rather than masquerading as a violation
-// on the commit path.
-//
-// A round compiles every site's treaty of every unit it renegotiates, so
-// the summands of all constraints share one allocation, sorted in place
-// constraint by constraint; a demarcation-shaped treaty (the common case)
-// allocates nothing else.
+// Compile specializes a local treaty for repeated evaluation. It is the one
+// place a Local is held to the canonical form (see Constraint) — a treaty
+// built by hand, sent by a peer or read from a log that is out of order,
+// repeats an object or carries a zero coefficient surfaces as an error here
+// rather than masquerading as a violation on the commit path. The compiled
+// treaty aliases l, which must not change afterwards.
 //
 //homeo:hotpath
 func Compile(l Local) (CompiledLocal, error) {
-	out := CompiledLocal{site: l.Site}
-	total := 0
-	for i := range l.Constraints {
-		total += len(l.Constraints[i].Term.Coeffs)
-	}
-	arena := make([]term, 0, total)
-	var consBuf [4]compiledConstraint
-	cons := consBuf[:0]
+	out := CompiledLocal{local: l}
 	for i := range l.Constraints {
 		c := &l.Constraints[i]
-		start := len(arena)
-		//homeo:nondet summands are sorted by object below; order invisible
-		for v, coeff := range c.Term.Coeffs {
-			if v.Kind != logic.ObjVar {
-				return CompiledLocal{}, errNonObject(l.Site, *c)
+		for j, t := range c.Terms {
+			if t.Coeff == 0 || j > 0 && TermOrder(c.Terms[j-1], t) >= 0 {
+				return CompiledLocal{}, errNotCanonical(l.Site, c)
 			}
-			arena = append(arena, term{lang.ObjID(v.Name), coeff})
 		}
-		cc := compiledConstraint{terms: arena[start:len(arena):len(arena)], konst: c.Term.Const, op: c.Op}
-		if len(cc.terms) == 0 {
-			// Ground constraint: fold it now. Keep scanning so a
-			// malformed constraint later in the list is still rejected.
-			if !cc.holds(lang.Database(nil)) {
-				out.alwaysFalse = true
-			}
-			continue
+		// Ground constraint: fold it now. Keep scanning so a malformed
+		// constraint later in the list is still rejected.
+		if len(c.Terms) == 0 && !c.holds(lang.Database(nil)) {
+			out.alwaysFalse = true
 		}
-		slices.SortFunc(cc.terms, compareTerms)
-		cons = append(cons, cc)
 	}
-	if out.alwaysFalse {
-		return out, nil
+	if !out.alwaysFalse {
+		out.compileInterval()
 	}
-	out.compileInterval(cons)
 	return out, nil
 }
 
-func compareTerms(a, b term) int { return strings.Compare(string(a.obj), string(b.obj)) }
-
-// errNonObject reports the constraint's first non-object variable (in
-// canonical order, so the message does not depend on map order).
-func errNonObject(site int, c lia.Constraint) error {
-	for _, v := range c.Term.Vars() {
-		if v.Kind != logic.ObjVar {
-			return fmt.Errorf(
-				"treaty: compile: site %d local treaty mentions non-object variable %s in %s",
-				site, v, c)
-		}
-	}
-	return nil
+func errNotCanonical(site int, c *Constraint) error {
+	return fmt.Errorf("treaty: compile: site %d local treaty constraint %s is not canonical "+
+		"(objects ascending, none repeated, no zero coefficient)", site, c.AppendTo(nil))
 }
 
-// compileInterval detects the demarcation shape: every constraint bounds
-// the same linear sum (up to sign). On success it fills the interval
-// fields; otherwise it stores the constraints for the general path.
-func (c *CompiledLocal) compileInterval(cons []compiledConstraint) {
-	if len(cons) == 0 {
-		// Vacuously true treaty.
-		return
-	}
-	spec := cons[0]
+// compileInterval detects the demarcation shape: every non-ground
+// constraint bounds the same linear sum (up to sign). On success it fills
+// the interval fields; otherwise Holds walks the constraints.
+func (c *CompiledLocal) compileInterval() {
+	var spec []Term
 	lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
-	for i := range cons {
-		sign, ok := sumSign(&spec, &cons[i])
+	for i := range c.local.Constraints {
+		con := &c.local.Constraints[i]
+		if len(con.Terms) == 0 {
+			continue // ground and true: Compile folded it
+		}
+		if spec == nil {
+			spec = con.Terms
+		}
+		sign, ok := sumSign(spec, con.Terms)
 		if !ok {
-			// cons is the caller's stack buffer.
-			c.general = slices.Clone(cons)
 			return
 		}
-		// The constraint is sign*s + konst op 0 for s = spec's sum. The
+		// The constraint is sign*s + k op 0 for s = spec's sum. The
 		// negations and ±1 adjustments saturate instead of wrapping: a
 		// bound beyond the int64 range is either vacuous (no int64 sum
 		// can violate it) or unsatisfiable (no int64 sum can meet it),
 		// never a silently erased constraint.
-		k := cons[i].konst
-		switch cons[i].op {
+		k := con.Const
+		switch con.Op {
 		case lia.LE:
 			if sign > 0 { // s <= -k
 				if k == math.MinInt64 {
@@ -204,32 +140,36 @@ func (c *CompiledLocal) compileInterval(cons []compiledConstraint) {
 			hi = min(hi, v)
 		}
 	}
+	if spec == nil {
+		// Vacuously true treaty.
+		return
+	}
 	c.interval = true
-	c.terms = spec.terms
+	c.sum = spec
 	c.lo, c.hi = lo, hi
 	if lo > hi {
 		c.alwaysFalse = true
 	}
 }
 
-// sumSign reports whether b's linear part equals spec's (+1) or its
-// negation (-1). Both are sorted by object, so the order is canonical.
-func sumSign(spec, b *compiledConstraint) (int64, bool) {
-	if len(spec.terms) != len(b.terms) {
+// sumSign reports whether b equals spec (+1) or its negation (-1). Both
+// are canonical, so equal sums list the same objects in the same order.
+func sumSign(spec, b []Term) (int64, bool) {
+	if len(spec) != len(b) {
 		return 0, false
 	}
 	var sign int64
-	for i := range spec.terms {
-		if spec.terms[i].obj != b.terms[i].obj {
+	for i := range spec {
+		if spec[i].Obj != b[i].Obj {
 			return 0, false
 		}
-		switch b.terms[i].coeff {
-		case spec.terms[i].coeff:
+		switch b[i].Coeff {
+		case spec[i].Coeff:
 			if sign == -1 {
 				return 0, false
 			}
 			sign = 1
-		case -spec.terms[i].coeff:
+		case -spec[i].Coeff:
 			if sign == 1 {
 				return 0, false
 			}
@@ -242,36 +182,25 @@ func sumSign(spec, b *compiledConstraint) (int64, bool) {
 }
 
 // Holds reports whether the compiled local treaty is satisfied by the
-// given state. It cannot fail: non-object variables were rejected at
-// compile time and missing objects read as zero.
+// given state. It cannot fail: a Local mentions nothing but objects, and
+// missing objects read as zero.
+//
+//homeo:hotpath
 func (c *CompiledLocal) Holds(db ObjReader) bool {
 	if c.alwaysFalse {
 		return false
 	}
 	if c.interval {
 		s := int64(0)
-		for _, t := range c.terms {
-			s += t.coeff * db.Get(t.obj)
+		for _, t := range c.sum {
+			s += t.Coeff * db.Get(t.Obj)
 		}
 		return c.lo <= s && s <= c.hi
 	}
-	for i := range c.general {
-		if !c.general[i].holds(db) {
+	for i := range c.local.Constraints {
+		if !c.local.Constraints[i].holds(db) {
 			return false
 		}
 	}
 	return true
-}
-
-// CompileLocals compiles every site's local treaty.
-func CompileLocals(locals []Local) ([]CompiledLocal, error) {
-	out := make([]CompiledLocal, len(locals))
-	for i, l := range locals {
-		c, err := Compile(l)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = c
-	}
-	return out, nil
 }

@@ -21,8 +21,19 @@ func testTerm(konst int64, pairs ...any) lia.Term {
 	return t
 }
 
-func cons(op lia.RelOp, konst int64, pairs ...any) lia.Constraint {
-	return lia.Constraint{Term: testTerm(konst, pairs...), Op: op}
+// cons is the constraint in canonical form, whatever order the pairs come
+// in.
+func cons(op lia.RelOp, konst int64, pairs ...any) Constraint {
+	return flat(lia.Constraint{Term: testTerm(konst, pairs...), Op: op})
+}
+
+// flat is a map-backed constraint over objects in the flat canonical form.
+func flat(c lia.Constraint) Constraint {
+	out := Constraint{Const: c.Term.Const, Op: c.Op}
+	for _, v := range c.Term.Vars() {
+		out.Terms = append(out.Terms, Term{Obj: lang.ObjID(v.Name), Coeff: c.Term.Coeffs[v]})
+	}
+	return out
 }
 
 // TestCompileIntervalFastPath pins the demarcation shape: upper and lower
@@ -30,7 +41,7 @@ func cons(op lia.RelOp, konst int64, pairs ...any) lia.Constraint {
 func TestCompileIntervalFastPath(t *testing.T) {
 	// q + dq <= 66 && q + dq >= 1, written canonically:
 	//   q + dq - 66 <= 0   and   -q - dq + 1 <= 0
-	l := Local{Site: 0, Constraints: []lia.Constraint{
+	l := Local{Site: 0, Constraints: []Constraint{
 		cons(lia.LE, -66, "q", 1, "dq", 1),
 		cons(lia.LE, 1, "q", -1, "dq", -1),
 	}}
@@ -60,7 +71,7 @@ func TestCompileIntervalFastPath(t *testing.T) {
 // TestCompileEqualityPin checks that EQ constraints pin the sum.
 func TestCompileEqualityPin(t *testing.T) {
 	// unful - 3 = 0.
-	l := Local{Site: 1, Constraints: []lia.Constraint{
+	l := Local{Site: 1, Constraints: []Constraint{
 		cons(lia.EQ, -3, "unful", 1),
 	}}
 	c, err := Compile(l)
@@ -75,14 +86,21 @@ func TestCompileEqualityPin(t *testing.T) {
 	}
 }
 
-// TestCompileRejectsNonObjectVars: an uninstantiated configuration
-// variable must surface as a compile error, not as a violation later.
-func TestCompileRejectsNonObjectVars(t *testing.T) {
-	bad := lia.NewTerm()
-	bad.AddVar(logic.Config("c0_0"), 1)
-	l := Local{Site: 0, Constraints: []lia.Constraint{{Term: bad, Op: lia.LE}}}
-	if _, err := Compile(l); err == nil {
-		t.Fatal("Compile accepted a config variable in a local treaty")
+// TestCompileRejectsNonCanonical: Compile is where a hand-built, peer-sent
+// or log-read treaty is held to the canonical form — terms out of order, a
+// repeated object or a zero coefficient must surface as a compile error,
+// not as a wrong check later (the interval detection compares term lists
+// position by position).
+func TestCompileRejectsNonCanonical(t *testing.T) {
+	for name, terms := range map[string][]Term{
+		"descending": {{"b", 1}, {"a", 1}},
+		"repeated":   {{"a", 1}, {"a", 2}},
+		"zero":       {{"a", 1}, {"b", 0}},
+	} {
+		l := Local{Site: 0, Constraints: []Constraint{{Terms: terms, Op: lia.LE}}}
+		if _, err := Compile(l); err == nil {
+			t.Errorf("Compile accepted a %s term list: %s", name, l)
+		}
 	}
 }
 
@@ -91,14 +109,12 @@ func TestCompileRejectsNonObjectVars(t *testing.T) {
 // malformed treaty has to surface as a compile error, never as
 // perpetual violations.
 func TestCompileValidatesPastGroundFalse(t *testing.T) {
-	bad := lia.NewTerm()
-	bad.AddVar(logic.Config("c0_0"), 1)
-	l := Local{Site: 0, Constraints: []lia.Constraint{
+	l := Local{Site: 0, Constraints: []Constraint{
 		cons(lia.LE, 1), // ground false: 1 <= 0
-		{Term: bad, Op: lia.LE},
+		{Terms: []Term{{"b", 1}, {"a", 1}}, Op: lia.LE},
 	}}
 	if _, err := Compile(l); err == nil {
-		t.Fatal("Compile accepted a config variable hidden behind a ground-false constraint")
+		t.Fatal("Compile accepted a malformed constraint hidden behind a ground-false one")
 	}
 }
 
@@ -107,7 +123,7 @@ func TestCompileValidatesPastGroundFalse(t *testing.T) {
 // erase a constraint.
 func TestCompileExtremeBoundsSaturate(t *testing.T) {
 	// -s + MaxInt64 < 0, i.e. s > MaxInt64: unsatisfiable over int64.
-	unsat := Local{Site: 0, Constraints: []lia.Constraint{
+	unsat := Local{Site: 0, Constraints: []Constraint{
 		cons(lia.LT, math.MaxInt64, "s", -1),
 	}}
 	c, err := Compile(unsat)
@@ -120,7 +136,7 @@ func TestCompileExtremeBoundsSaturate(t *testing.T) {
 		}
 	}
 	// s + MinInt64 <= 0, i.e. s <= 2^63: vacuously true over int64.
-	vacuous := Local{Site: 0, Constraints: []lia.Constraint{
+	vacuous := Local{Site: 0, Constraints: []Constraint{
 		cons(lia.LE, math.MinInt64, "s", 1),
 	}}
 	c, err = Compile(vacuous)
@@ -136,7 +152,7 @@ func TestCompileExtremeBoundsSaturate(t *testing.T) {
 
 // TestCompileGroundConstraints: constant constraints fold at compile time.
 func TestCompileGroundConstraints(t *testing.T) {
-	sat := Local{Site: 0, Constraints: []lia.Constraint{cons(lia.LE, -1)}} // -1 <= 0
+	sat := Local{Site: 0, Constraints: []Constraint{cons(lia.LE, -1)}} // -1 <= 0
 	c, err := Compile(sat)
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +160,7 @@ func TestCompileGroundConstraints(t *testing.T) {
 	if !c.Holds(lang.Database{}) {
 		t.Fatal("satisfiable ground treaty evaluated false")
 	}
-	unsat := Local{Site: 0, Constraints: []lia.Constraint{cons(lia.LE, 1)}} // 1 <= 0
+	unsat := Local{Site: 0, Constraints: []Constraint{cons(lia.LE, 1)}} // 1 <= 0
 	c, err = Compile(unsat)
 	if err != nil {
 		t.Fatal(err)
@@ -155,8 +171,8 @@ func TestCompileGroundConstraints(t *testing.T) {
 }
 
 // TestCompileMatchesInterpreterRandomized cross-checks the compiled
-// evaluator against the interpreted Local.Holds on random constraint
-// systems (both interval-shaped and general).
+// evaluator against the reference's interpreted Holds and its compiled one
+// on random constraint systems (both interval-shaped and general).
 func TestCompileMatchesInterpreterRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	objs := []string{"a", "b", "c", "d"}
@@ -172,9 +188,14 @@ func TestCompileMatchesInterpreterRandomized(t *testing.T) {
 					term.AddVar(logic.Obj(lang.ObjID(o)), int64(rng.Intn(7)-3))
 				}
 			}
-			l.Constraints = append(l.Constraints, lia.Constraint{Term: term, Op: ops[rng.Intn(len(ops))]})
+			l.Constraints = append(l.Constraints, flat(lia.Constraint{Term: term, Op: ops[rng.Intn(len(ops))]}))
 		}
 		c, err := Compile(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := refOf(l)
+		rc, err := refCompile(ref)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,9 +204,9 @@ func TestCompileMatchesInterpreterRandomized(t *testing.T) {
 			for _, o := range objs {
 				db[lang.ObjID(o)] = int64(rng.Intn(31) - 15)
 			}
-			if got, want := c.Holds(db), l.Holds(db); got != want {
-				t.Fatalf("iter %d: compiled %v, interpreted %v for %s on %v",
-					iter, got, want, l, db)
+			if got, want := c.Holds(db), ref.Holds(db); got != want || rc.Holds(db) != want {
+				t.Fatalf("iter %d: compiled %v, interpreted %v, reference compiled %v for %s on %v",
+					iter, got, want, rc.Holds(db), l, db)
 			}
 		}
 	}
@@ -194,10 +215,25 @@ func TestCompileMatchesInterpreterRandomized(t *testing.T) {
 // microLocal is a realistic site-0 local treaty from the microbenchmark:
 // bounds on the logical stock value q + dq_0.
 func microLocal() Local {
-	return Local{Site: 0, Constraints: []lia.Constraint{
+	return Local{Site: 0, Constraints: []Constraint{
 		cons(lia.LE, -66, "stock[17]", 1, "stock[17]@d0", 1),
 		cons(lia.LE, 1, "stock[17]", -1, "stock[17]@d0", -1),
 	}}
+}
+
+// TestCompileAllocatesNothing: compiling aliases the Local — no copy, no
+// sort — so a demarcation-shaped treaty, and a general one, cost nothing.
+func TestCompileAllocatesNothing(t *testing.T) {
+	general := Local{Site: 0, Constraints: []Constraint{
+		cons(lia.LE, -9, "a", 1, "b", 3), cons(lia.LT, 5, "a@d0", -1, "b@d0", -2), cons(lia.LE, -1),
+	}}
+	for _, l := range []Local{microLocal(), general} {
+		var c CompiledLocal
+		if n := testing.AllocsPerRun(100, func() { c, _ = Compile(l) }); n != 0 {
+			t.Errorf("Compile(%s) allocates %v times", l, n)
+		}
+		benchSink = c.Holds(lang.Database{})
+	}
 }
 
 var benchSink bool
@@ -205,7 +241,7 @@ var benchSink bool
 // BenchmarkLocalHoldsInterpreted measures the seed's per-commit check:
 // interpret the lia.Constraint trees through a Binding closure.
 func BenchmarkLocalHoldsInterpreted(b *testing.B) {
-	l := microLocal()
+	l := refOf(microLocal())
 	db := lang.Database{"stock[17]": 60, "stock[17]@d0": -3}
 	bind := func(v logic.Var) (int64, bool) {
 		return db.Get(lang.ObjID(v.Name)), true

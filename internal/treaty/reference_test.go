@@ -3,8 +3,11 @@ package treaty
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -23,8 +26,8 @@ import (
 // refLocalTerm is a site clause's local sum as a term.
 func refLocalTerm(t *Template, sc *SiteClause) lia.Term {
 	term := lia.NewTerm()
-	for _, oc := range sc.local {
-		term.AddVar(t.objVars[oc.col], oc.coeff)
+	for _, lt := range sc.local {
+		term.AddVar(logic.Obj(lt.Obj), lt.Coeff)
 	}
 	return term
 }
@@ -187,7 +190,7 @@ func refTightenBounds(cs []lia.Constraint) []lia.Constraint {
 }
 
 func refValidate(t *Template, cfg Config, db lang.Database) error {
-	locals, err := t.LocalTreaties(cfg)
+	locals, err := refLocalTreaties(t, cfg)
 	if err != nil {
 		return err
 	}
@@ -633,5 +636,375 @@ func TestSoftKeyExact(t *testing.T) {
 	}
 	if equal == 0 || distinct == 0 {
 		t.Fatalf("%d repeated and %d new keys: the trials do not exercise both", equal, distinct)
+	}
+}
+
+// What follows is the local treaty as it was before it took one flat shape
+// — a map-backed lia.Constraint per clause, instantiated by LocalTreaty,
+// interpreted through a logic.Binding by Holds, flattened and sorted by
+// Compile — kept as the oracle the flat Local, LocalTreaties, Compile and
+// AppendTo are held to. refOf carries a flat treaty over.
+
+// refLocal is the local treaty of one site: constraints over that site's
+// objects only, obtained by instantiating the template's configuration
+// variables.
+type refLocal struct {
+	Site        int
+	Constraints []lia.Constraint
+}
+
+// Holds reports whether the (site-local view of the) database satisfies
+// the local treaty.
+func (l refLocal) Holds(db lang.Database) bool {
+	b := logic.DBBinding(db, nil, nil)
+	for _, c := range l.Constraints {
+		ok, err := c.Eval(b)
+		if err != nil || !ok {
+			return false
+		}
+	}
+	return true
+}
+
+func (l refLocal) String() string { return string(l.AppendTo(nil)) }
+
+// AppendTo appends the treaty as "site k: " and its constraints joined by
+// " && ".
+func (l refLocal) AppendTo(b []byte) []byte {
+	b = append(strconv.AppendInt(append(b, "site "...), int64(l.Site), 10), ": "...)
+	for i, c := range l.Constraints {
+		if i > 0 {
+			b = append(b, " && "...)
+		}
+		b = c.AppendTo(b)
+	}
+	return b
+}
+
+// refLocalTreaty instantiates site k's local treaty under the configuration:
+// for each clause, sum_{local} d_i x_i + c_k + C (op) 0.
+func refLocalTreaty(t *Template, site int, cfg Config) (refLocal, error) {
+	out := refLocal{Site: site}
+	for j, tc := range t.Clauses {
+		sc := tc.Sites[site]
+		val, ok := cfg[sc.Config]
+		if !ok {
+			return refLocal{}, fmt.Errorf("treaty: clause %d site %d: unassigned config %s",
+				j, site, sc.Config)
+		}
+		term := lia.Term{Coeffs: make(map[logic.Var]int64, len(sc.local)), Const: val + tc.Global.Term.Const}
+		for _, lt := range sc.local {
+			term.Coeffs[logic.Obj(lt.Obj)] = lt.Coeff
+		}
+		out.Constraints = append(out.Constraints, lia.Constraint{Term: term, Op: tc.Global.Op})
+	}
+	return out, nil
+}
+
+// refLocalTreaties instantiates every site's local treaty.
+func refLocalTreaties(t *Template, cfg Config) ([]refLocal, error) {
+	out := make([]refLocal, t.NSites)
+	for k := 0; k < t.NSites; k++ {
+		l, err := refLocalTreaty(t, k, cfg)
+		if err != nil {
+			return nil, err
+		}
+		out[k] = l
+	}
+	return out, nil
+}
+
+// refTerm is one summand of a compiled constraint.
+type refTerm struct {
+	obj   lang.ObjID
+	coeff int64
+}
+
+// refCompiledConstraint is one constraint flattened into its summands, in
+// ascending object order: sum_i terms[i].coeff * terms[i].obj + konst op 0.
+type refCompiledConstraint struct {
+	terms []refTerm
+	konst int64
+	op    lia.RelOp
+}
+
+func (c *refCompiledConstraint) holds(db ObjReader) bool {
+	sum := c.konst
+	for _, t := range c.terms {
+		sum += t.coeff * db.Get(t.obj)
+	}
+	switch c.op {
+	case lia.LE:
+		return sum <= 0
+	case lia.LT:
+		return sum < 0
+	default: // lia.EQ
+		return sum == 0
+	}
+}
+
+// refCompiledLocal is one site's local treaty compiled for the per-commit
+// check. The zero value is not meaningful; build with Compile.
+type refCompiledLocal struct {
+	site int
+
+	// alwaysFalse short-circuits treaties containing an unsatisfiable
+	// ground constraint (or an empty interval).
+	alwaysFalse bool
+
+	// Demarcation fast path: every constraint bounds the same linear sum
+	// s = sum_i terms[i].coeff*terms[i].obj (up to sign), so the whole
+	// treaty is lo <= s <= hi — one pass over the objects, two
+	// comparisons. This is the common shape: local treaties instantiated
+	// from single-clause global treaties like the microbenchmark's stock
+	// bound.
+	interval bool
+	terms    []refTerm
+	lo, hi   int64
+
+	// general holds the remaining constraints when the sweep above does
+	// not apply.
+	general []refCompiledConstraint
+}
+
+// Site returns the site the treaty was compiled for.
+func (c *refCompiledLocal) Site() int { return c.site }
+
+// refCompile specializes a local treaty for repeated evaluation. It fails if
+// a constraint mentions a non-object variable (a configuration variable
+// left uninstantiated, for example), so that a malformed treaty surfaces
+// as an error at generation time rather than masquerading as a violation
+// on the commit path.
+//
+// A round compiles every site's treaty of every unit it renegotiates, so
+// the summands of all constraints share one allocation, sorted in place
+// constraint by constraint; a demarcation-shaped treaty (the common case)
+// allocates nothing else.
+func refCompile(l refLocal) (refCompiledLocal, error) {
+	out := refCompiledLocal{site: l.Site}
+	total := 0
+	for i := range l.Constraints {
+		total += len(l.Constraints[i].Term.Coeffs)
+	}
+	arena := make([]refTerm, 0, total)
+	var consBuf [4]refCompiledConstraint
+	cons := consBuf[:0]
+	for i := range l.Constraints {
+		c := &l.Constraints[i]
+		start := len(arena)
+		//homeo:nondet summands are sorted by object below; order invisible
+		for v, coeff := range c.Term.Coeffs {
+			if v.Kind != logic.ObjVar {
+				return refCompiledLocal{}, refErrNonObject(l.Site, *c)
+			}
+			arena = append(arena, refTerm{lang.ObjID(v.Name), coeff})
+		}
+		cc := refCompiledConstraint{terms: arena[start:len(arena):len(arena)], konst: c.Term.Const, op: c.Op}
+		if len(cc.terms) == 0 {
+			// Ground constraint: fold it now. Keep scanning so a
+			// malformed constraint later in the list is still rejected.
+			if !cc.holds(lang.Database(nil)) {
+				out.alwaysFalse = true
+			}
+			continue
+		}
+		slices.SortFunc(cc.terms, refCompareTerms)
+		cons = append(cons, cc)
+	}
+	if out.alwaysFalse {
+		return out, nil
+	}
+	out.compileInterval(cons)
+	return out, nil
+}
+
+func refCompareTerms(a, b refTerm) int { return strings.Compare(string(a.obj), string(b.obj)) }
+
+// refErrNonObject reports the constraint's first non-object variable (in
+// canonical order, so the message does not depend on map order).
+func refErrNonObject(site int, c lia.Constraint) error {
+	for _, v := range c.Term.Vars() {
+		if v.Kind != logic.ObjVar {
+			return fmt.Errorf(
+				"treaty: compile: site %d local treaty mentions non-object variable %s in %s",
+				site, v, c)
+		}
+	}
+	return nil
+}
+
+// compileInterval detects the demarcation shape: every constraint bounds
+// the same linear sum (up to sign). On success it fills the interval
+// fields; otherwise it stores the constraints for the general path.
+func (c *refCompiledLocal) compileInterval(cons []refCompiledConstraint) {
+	if len(cons) == 0 {
+		// Vacuously true treaty.
+		return
+	}
+	spec := cons[0]
+	lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
+	for i := range cons {
+		sign, ok := refSumSign(&spec, &cons[i])
+		if !ok {
+			// cons is the caller's stack buffer.
+			c.general = slices.Clone(cons)
+			return
+		}
+		// The constraint is sign*s + konst op 0 for s = spec's sum. The
+		// negations and ±1 adjustments saturate instead of wrapping: a
+		// bound beyond the int64 range is either vacuous (no int64 sum
+		// can violate it) or unsatisfiable (no int64 sum can meet it),
+		// never a silently erased constraint.
+		k := cons[i].konst
+		switch cons[i].op {
+		case lia.LE:
+			if sign > 0 { // s <= -k
+				if k == math.MinInt64 {
+					break // s <= 2^63: vacuous over int64
+				}
+				hi = min(hi, -k)
+			} else { // s >= k
+				lo = max(lo, k)
+			}
+		case lia.LT:
+			if sign > 0 { // s < -k, integer s
+				if k == math.MinInt64 {
+					break // s < 2^63: vacuous over int64
+				}
+				hi = min(hi, -k-1)
+			} else { // s > k
+				if k == math.MaxInt64 {
+					c.alwaysFalse = true // s > 2^63-1: unsatisfiable
+					return
+				}
+				lo = max(lo, k+1)
+			}
+		case lia.EQ:
+			if k == math.MinInt64 && sign > 0 {
+				c.alwaysFalse = true // s = 2^63: unsatisfiable over int64
+				return
+			}
+			v := -sign * k
+			lo = max(lo, v)
+			hi = min(hi, v)
+		}
+	}
+	c.interval = true
+	c.terms = spec.terms
+	c.lo, c.hi = lo, hi
+	if lo > hi {
+		c.alwaysFalse = true
+	}
+}
+
+// refSumSign reports whether b's linear part equals spec's (+1) or its
+// negation (-1). Both are sorted by object, so the order is canonical.
+func refSumSign(spec, b *refCompiledConstraint) (int64, bool) {
+	if len(spec.terms) != len(b.terms) {
+		return 0, false
+	}
+	var sign int64
+	for i := range spec.terms {
+		if spec.terms[i].obj != b.terms[i].obj {
+			return 0, false
+		}
+		switch b.terms[i].coeff {
+		case spec.terms[i].coeff:
+			if sign == -1 {
+				return 0, false
+			}
+			sign = 1
+		case -spec.terms[i].coeff:
+			if sign == 1 {
+				return 0, false
+			}
+			sign = -1
+		default:
+			return 0, false
+		}
+	}
+	return sign, true
+}
+
+// Holds reports whether the compiled local treaty is satisfied by the
+// given state. It cannot fail: non-object variables were rejected at
+// compile time and missing objects read as zero.
+func (c *refCompiledLocal) Holds(db ObjReader) bool {
+	if c.alwaysFalse {
+		return false
+	}
+	if c.interval {
+		s := int64(0)
+		for _, t := range c.terms {
+			s += t.coeff * db.Get(t.obj)
+		}
+		return c.lo <= s && s <= c.hi
+	}
+	for i := range c.general {
+		if !c.general[i].holds(db) {
+			return false
+		}
+	}
+	return true
+}
+
+// refOf is the flat treaty in the map-backed shape.
+func refOf(l Local) refLocal {
+	out := refLocal{Site: l.Site}
+	for _, c := range l.Constraints {
+		term := lia.Term{Coeffs: make(map[logic.Var]int64, len(c.Terms)), Const: c.Const}
+		for _, t := range c.Terms {
+			term.Coeffs[logic.Obj(t.Obj)] = t.Coeff
+		}
+		out.Constraints = append(out.Constraints, lia.Constraint{Term: term, Op: c.Op})
+	}
+	return out
+}
+
+// TestLocalTreatiesMatchReference: on seeded random templates, under the
+// default and the equal-split configuration, the flat LocalTreaties are the
+// reference's site for site — same constraints, same rendered bytes — and
+// compile to the check the reference's Compile builds.
+func TestLocalTreatiesMatchReference(t *testing.T) {
+	for seed := int64(0); seed < 300; seed++ {
+		tmpl, db, _, err := randomCase(rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cfg := range []Config{tmpl.DefaultConfig(db), tmpl.AdaptiveConfig(db, nil)} {
+			got, err := tmpl.LocalTreaties(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := refLocalTreaties(tmpl, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := range want {
+				if !reflect.DeepEqual(refOf(got[k]), want[k]) || got[k].String() != want[k].String() {
+					t.Fatalf("seed %d site %d:\n got %s\nwant %s", seed, k, got[k], want[k])
+				}
+				c, err := Compile(got[k])
+				if err != nil {
+					t.Fatalf("seed %d site %d: %v", seed, k, err)
+				}
+				rc, err := refCompile(want[k])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if c.interval != rc.interval || c.alwaysFalse != rc.alwaysFalse || c.lo != rc.lo || c.hi != rc.hi || c.Holds(db) != rc.Holds(db) {
+					t.Fatalf("seed %d site %d: %s compiles to %+v, reference %+v", seed, k, got[k], c, rc)
+				}
+			}
+		}
+	}
+	// An unassigned configuration variable is an error, as it was.
+	tmpl, db, _, _ := randomCase(rand.New(rand.NewSource(1)))
+	cfg := tmpl.DefaultConfig(db)
+	delete(cfg, tmpl.configVars[0])
+	_, err := tmpl.LocalTreaties(cfg)
+	_, werr := refLocalTreaties(tmpl, cfg)
+	if err == nil || werr == nil || err.Error() != werr.Error() {
+		t.Errorf("unassigned configuration variable: %v, reference %v", err, werr)
 	}
 }

@@ -70,25 +70,64 @@ func PinGlobal(objs []lang.ObjID, nSites int, folded lang.Database) Global {
 	return g
 }
 
-// Local is the local treaty of one site: constraints over that site's
-// objects only, obtained by instantiating the template's configuration
-// variables.
-type Local struct {
-	Site        int
-	Constraints []lia.Constraint
+// Term is one summand of a local-treaty constraint: Coeff times the value
+// of Obj.
+type Term struct {
+	Obj   lang.ObjID
+	Coeff int64
 }
 
-// Holds reports whether the (site-local view of the) database satisfies
-// the local treaty.
-func (l Local) Holds(db lang.Database) bool {
-	b := logic.DBBinding(db, nil, nil)
-	for _, c := range l.Constraints {
-		ok, err := c.Eval(b)
-		if err != nil || !ok {
-			return false
-		}
+// Constraint is one site's share of a global clause under a configuration
+// (Section 4.2): Σ Terms[i].Coeff·Terms[i].Obj + Const (Op) 0, the
+// configuration value folded into Const. It is canonical when Terms is in
+// ascending object order with no zero coefficient and no repeated object —
+// what BuildTemplate emits, and what Compile holds a constraint built by
+// hand, sent by a peer or read from a log to.
+type Constraint struct {
+	Terms []Term
+	Const int64
+	Op    lia.RelOp
+}
+
+// TermOrder is the canonical order of a constraint's terms: ascending
+// object name.
+func TermOrder(a, b Term) int { return strings.Compare(string(a.Obj), string(b.Obj)) }
+
+// holds evaluates the constraint; absent objects read as zero.
+func (c *Constraint) holds(db ObjReader) bool {
+	sum := c.Const
+	for _, t := range c.Terms {
+		sum += t.Coeff * db.Get(t.Obj)
 	}
-	return true
+	switch c.Op {
+	case lia.LE:
+		return sum <= 0
+	case lia.LT:
+		return sum < 0
+	default: // lia.EQ
+		return sum == 0
+	}
+}
+
+// AppendTo appends the constraint as "term op 0", the term as lia.Term
+// renders it.
+func (c *Constraint) AppendTo(b []byte) []byte {
+	start := len(b)
+	for _, t := range c.Terms {
+		b = lia.AppendSummand(b, start, t.Coeff, string(t.Obj))
+	}
+	b = append(lia.AppendConst(b, start, c.Const), ' ')
+	return append(append(b, c.Op.String()...), " 0"...)
+}
+
+// Local is the local treaty of one site: constraints over that site's
+// objects only, obtained by instantiating the template's configuration
+// variables. It is one shape from the template to the commit check: the
+// deriver's memo keeps it, Compile aliases it, and only the wire and the
+// log re-key it. A Local is never written after it is built.
+type Local struct {
+	Site        int
+	Constraints []Constraint
 }
 
 func (l Local) String() string { return string(l.AppendTo(nil)) }
@@ -97,11 +136,11 @@ func (l Local) String() string { return string(l.AppendTo(nil)) }
 // " && ".
 func (l Local) AppendTo(b []byte) []byte {
 	b = append(strconv.AppendInt(append(b, "site "...), int64(l.Site), 10), ": "...)
-	for i, c := range l.Constraints {
+	for i := range l.Constraints {
 		if i > 0 {
 			b = append(b, " && "...)
 		}
-		b = c.AppendTo(b)
+		b = l.Constraints[i].AppendTo(b)
 	}
 	return b
 }
@@ -113,15 +152,10 @@ type SiteClause struct {
 	Site   int
 	Config logic.Var
 
-	col   int        // Config's column in Template.configVars
-	local []objCoeff // the local sum, in the global clause's variable order
-}
-
-// objCoeff is one term of a site-local sum.
-type objCoeff struct {
-	obj   lang.ObjID
-	col   int // the object's column in Template.objVars
-	coeff int64
+	col int // Config's column in Template.configVars
+	// local is the local sum in canonical form (see Constraint); every
+	// local treaty the template instantiates aliases it.
+	local []Term
 }
 
 // TemplateClause pairs a global clause with its per-site split.
@@ -164,16 +198,21 @@ func BuildTemplate(g Global, nSites int, place Placement) (*Template, error) {
 			tc.Sites[k] = SiteClause{Site: k, Config: logic.Config(string(name))}
 			t.configVars = append(t.configVars, tc.Sites[k].Config)
 		}
+		// Vars is in ascending name order, so each site's sum comes out
+		// canonical.
 		for _, v := range gc.Term.Vars() {
 			if v.Kind != logic.ObjVar {
 				return nil, fmt.Errorf("treaty: clause %d mentions non-object variable %s", j, v)
+			}
+			coeff := gc.Term.Coeffs[v]
+			if coeff == 0 {
+				continue
 			}
 			site := place(lang.ObjID(v.Name))
 			if site < 0 || site >= nSites {
 				return nil, fmt.Errorf("treaty: object %s placed on invalid site %d", v.Name, site)
 			}
-			tc.Sites[site].local = append(tc.Sites[site].local,
-				objCoeff{obj: lang.ObjID(v.Name), coeff: gc.Term.Coeffs[v]})
+			tc.Sites[site].local = append(tc.Sites[site].local, Term{Obj: lang.ObjID(v.Name), Coeff: coeff})
 			t.objVars = append(t.objVars, v)
 		}
 		t.Clauses = append(t.Clauses, tc)
@@ -185,9 +224,6 @@ func BuildTemplate(g Global, nSites int, place Placement) (*Template, error) {
 		for k := range t.Clauses[j].Sites {
 			sc := &t.Clauses[j].Sites[k]
 			sc.col, _ = slices.BinarySearchFunc(t.configVars, sc.Config, logic.CompareVars)
-			for i := range sc.local {
-				sc.local[i].col, _ = slices.BinarySearchFunc(t.objVars, logic.Obj(sc.local[i].obj), logic.CompareVars)
-			}
 		}
 	}
 	return t, nil
@@ -202,10 +238,18 @@ func (t *Template) ConfigVars() []logic.Var { return slices.Clone(t.configVars) 
 //homeo:hotpath
 func (sc *SiteClause) localSum(db lang.Database) int64 {
 	sum := int64(0)
-	for _, oc := range sc.local {
-		sum += oc.coeff * db.Get(oc.obj)
+	for _, t := range sc.local {
+		sum += t.Coeff * db.Get(t.Obj)
 	}
 	return sum
+}
+
+// setRow writes the local sum into a dense row over Template.objVars.
+func (t *Template) setRow(row []int64, sc *SiteClause) {
+	for _, lt := range sc.local {
+		col, _ := slices.BinarySearchFunc(t.objVars, logic.Obj(lt.Obj), logic.CompareVars)
+		row[col] = lt.Coeff
+	}
 }
 
 // DefaultConfig is the Theorem 4.3 configuration, valid for any database
@@ -224,37 +268,31 @@ func (t *Template) DefaultConfig(db lang.Database) Config {
 	return cfg
 }
 
-// LocalTreaty instantiates site k's local treaty under the configuration:
-// for each clause, sum_{local} d_i x_i + c_k + C (op) 0.
-func (t *Template) LocalTreaty(site int, cfg Config) (Local, error) {
-	out := Local{Site: site}
-	for j, tc := range t.Clauses {
-		sc := tc.Sites[site]
-		val, ok := cfg[sc.Config]
-		if !ok {
-			return Local{}, fmt.Errorf("treaty: clause %d site %d: unassigned config %s",
-				j, site, sc.Config)
+// LocalTreaties instantiates every site's local treaty under the
+// configuration: for each clause, sum_{local} d_i x_i + c_k + C (op) 0. The
+// constraints alias the template's local sums; all sites' constraints share
+// one slice.
+func (t *Template) LocalTreaties(cfg Config) ([]Local, error) {
+	out := make([]Local, t.NSites)
+	n := len(t.Clauses)
+	cons := make([]Constraint, t.NSites*n)
+	for k := range out {
+		out[k] = Local{Site: k, Constraints: cons[k*n : (k+1)*n : (k+1)*n]}
+		for j := range t.Clauses {
+			tc := &t.Clauses[j]
+			sc := &tc.Sites[k]
+			val, ok := cfg[sc.Config]
+			if !ok {
+				return nil, errUnassigned(j, sc)
+			}
+			cons[k*n+j] = Constraint{Terms: sc.local, Const: val + tc.Global.Term.Const, Op: tc.Global.Op}
 		}
-		term := lia.Term{Coeffs: make(map[logic.Var]int64, len(sc.local)), Const: val + tc.Global.Term.Const}
-		for _, oc := range sc.local {
-			term.Coeffs[t.objVars[oc.col]] = oc.coeff
-		}
-		out.Constraints = append(out.Constraints, lia.Constraint{Term: term, Op: tc.Global.Op})
 	}
 	return out, nil
 }
 
-// LocalTreaties instantiates every site's local treaty.
-func (t *Template) LocalTreaties(cfg Config) ([]Local, error) {
-	out := make([]Local, t.NSites)
-	for k := 0; k < t.NSites; k++ {
-		l, err := t.LocalTreaty(k, cfg)
-		if err != nil {
-			return nil, err
-		}
-		out[k] = l
-	}
-	return out, nil
+func errUnassigned(clause int, sc *SiteClause) error {
+	return fmt.Errorf("treaty: clause %d site %d: unassigned config %s", clause, sc.Site, sc.Config)
 }
 
 // Validate checks that a configuration is a valid treaty configuration:
@@ -279,18 +317,15 @@ func (t *Template) validate(sys *lia.System, cfg Config, db lang.Database) error
 			sc := &tc.Sites[k]
 			val, ok := cfg[sc.Config]
 			if !ok {
-				_, err := t.LocalTreaty(k, cfg)
-				return err
+				return errUnassigned(j, sc)
 			}
 			c := val + tc.Global.Term.Const
 			row := sys.AddRow(tc.Global.Op)
-			for _, oc := range sc.local {
-				row[oc.col] = oc.coeff
-			}
+			t.setRow(row, sc)
 			row[n] = c
 			if sum := sc.localSum(db) + c; sum > 0 || (sum < 0 && tc.Global.Op == lia.EQ) {
-				l, _ := t.LocalTreaty(k, cfg)
-				return fmt.Errorf("treaty: H2 violated: %s does not hold on current database", l)
+				return fmt.Errorf("treaty: H2 violated: %s does not hold on current database",
+					Local{Site: k, Constraints: []Constraint{{Terms: sc.local, Const: c, Op: tc.Global.Op}}})
 			}
 		}
 	}
@@ -298,9 +333,7 @@ func (t *Template) validate(sys *lia.System, cfg Config, db lang.Database) error
 		tc := &t.Clauses[j]
 		row := sys.AddRow(tc.Global.Op)
 		for k := range tc.Sites {
-			for _, oc := range tc.Sites[k].local {
-				row[oc.col] = oc.coeff
-			}
+			t.setRow(row, &tc.Sites[k])
 		}
 		row[n] = tc.Global.Term.Const
 		if !sys.ImpliesLast() {

@@ -129,6 +129,33 @@ func TestPreprocessRejectsFalseGuard(t *testing.T) {
 	}
 }
 
+// checkedLocal is a local treaty with its compiled check: Holds evaluates
+// it, %s renders it.
+type checkedLocal struct {
+	Local
+	check CompiledLocal
+}
+
+func (l checkedLocal) Holds(db lang.Database) bool { return l.check.Holds(db) }
+
+// localTreaties instantiates and compiles every site's local treaty.
+func localTreaties(t *testing.T, tmpl *Template, cfg Config) []checkedLocal {
+	t.Helper()
+	locals, err := tmpl.LocalTreaties(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]checkedLocal, len(locals))
+	for k, l := range locals {
+		c, err := Compile(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[k] = checkedLocal{l, c}
+	}
+	return out
+}
+
 func TestDefaultConfigIsValid(t *testing.T) {
 	g, db, place := exampleGlobal(t)
 	tmpl, err := BuildTemplate(g, 2, place)
@@ -140,10 +167,7 @@ func TestDefaultConfigIsValid(t *testing.T) {
 		t.Fatalf("default config invalid: %v", err)
 	}
 	// Under the default, each site pins its local sum: x >= 10, y >= 13.
-	locals, err := tmpl.LocalTreaties(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	locals := localTreaties(t, tmpl, cfg)
 	if !locals[0].Holds(lang.Database{"x": 10}) || locals[0].Holds(lang.Database{"x": 9}) {
 		t.Fatalf("site 0 default treaty should be x >= 10: %s", locals[0])
 	}
@@ -161,7 +185,7 @@ func TestLocalTreatiesImplyGlobalEmpirically(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := tmpl.DefaultConfig(db)
-	locals, _ := tmpl.LocalTreaties(cfg)
+	locals := localTreaties(t, tmpl, cfg)
 	rng := rand.New(rand.NewSource(21))
 	checked := 0
 	for trial := 0; trial < 2000; trial++ {
@@ -305,7 +329,7 @@ func TestOptimizeAppendixC2(t *testing.T) {
 	if stats.UsedDefault {
 		t.Fatal("optimizer fell back to default")
 	}
-	locals, _ := tmpl.LocalTreaties(cfg)
+	locals := localTreaties(t, tmpl, cfg)
 	// The optimum must keep every database of S1 and S3 inside the local
 	// treaties (9 soft constraints; at most 1-2 falsified from S2's tail).
 	for _, d := range model.futures[0] {
@@ -365,13 +389,13 @@ func TestOptimizeBeatsDefault(t *testing.T) {
 		t.Fatalf("all soft constraints should be satisfiable: %d/%d",
 			stats.SoftSatisfied, stats.SoftTotal)
 	}
-	locals, _ := tmpl.LocalTreaties(cfg)
+	locals := localTreaties(t, tmpl, cfg)
 	if !locals[0].Holds(lang.Database{"x": 8}) {
 		t.Fatalf("optimized treaty should allow x down to 8: %s", locals[0])
 	}
 	// Default config pins x >= 10: it would reject both futures.
 	defCfg := tmpl.DefaultConfig(db)
-	defLocals, _ := tmpl.LocalTreaties(defCfg)
+	defLocals := localTreaties(t, tmpl, defCfg)
 	if defLocals[0].Holds(lang.Database{"x": 9}) {
 		t.Fatal("default treaty unexpectedly loose")
 	}
@@ -405,7 +429,7 @@ func TestEqualityClausePinning(t *testing.T) {
 	if err := tmpl.Validate(cfg, db); err != nil {
 		t.Fatalf("equality default config invalid: %v", err)
 	}
-	locals, _ := tmpl.LocalTreaties(cfg)
+	locals := localTreaties(t, tmpl, cfg)
 	// Equality splits pin each side: x must stay 10, y must stay 13.
 	if !locals[0].Holds(lang.Database{"x": 10}) || locals[0].Holds(lang.Database{"x": 11}) {
 		t.Fatalf("site 0 equality treaty should pin x = 10: %s", locals[0])
@@ -454,7 +478,7 @@ func TestEqualSplitConfig(t *testing.T) {
 	if err := tmpl.Validate(cfg, db); err != nil {
 		t.Fatalf("equal-split config invalid: %v", err)
 	}
-	locals, _ := tmpl.LocalTreaties(cfg)
+	locals := localTreaties(t, tmpl, cfg)
 	// Slack 3 split 2/1: site 0 may drop x by 2 (to 8), site 1 by 1.
 	if !locals[0].Holds(lang.Database{"x": 8}) || locals[0].Holds(lang.Database{"x": 7}) {
 		t.Fatalf("site 0 equal-split treaty should be x >= 8: %s", locals[0])
@@ -476,7 +500,7 @@ func TestEqualSplitNoSlack(t *testing.T) {
 	if err := tmpl.Validate(cfg, db); err != nil {
 		t.Fatalf("boundary config invalid: %v", err)
 	}
-	locals, _ := tmpl.LocalTreaties(cfg)
+	locals := localTreaties(t, tmpl, cfg)
 	if locals[0].Holds(lang.Database{"x": 9}) || locals[1].Holds(lang.Database{"y": 9}) {
 		t.Fatal("no-slack split must pin both sites")
 	}
@@ -575,7 +599,7 @@ func TestAdaptiveConfigProportional(t *testing.T) {
 	if err := tmpl.Validate(cfg, db); err != nil {
 		t.Fatalf("adaptive config invalid: %v", err)
 	}
-	locals, _ := tmpl.LocalTreaties(cfg)
+	locals := localTreaties(t, tmpl, cfg)
 	// Slack 12 split 9/3: site 0 may drop x to 11, site 1 y to 9.
 	if !locals[0].Holds(lang.Database{"x": 11}) || locals[0].Holds(lang.Database{"x": 10}) {
 		t.Fatalf("site 0 adaptive treaty should be x >= 11: %s", locals[0])
@@ -639,7 +663,7 @@ func TestAdaptiveConfigExtremeSkew(t *testing.T) {
 	if err := tmpl.Validate(cfg, db); err != nil {
 		t.Fatal(err)
 	}
-	locals, _ := tmpl.LocalTreaties(cfg)
+	locals := localTreaties(t, tmpl, cfg)
 	if !locals[0].Holds(lang.Database{"x": 5}) || locals[0].Holds(lang.Database{"x": 4}) {
 		t.Fatalf("hot site should get the entire slack (x >= 5): %s", locals[0])
 	}
