@@ -10,8 +10,8 @@
 // between calls: the URLs and the header set are made once in New, the
 // request and reply go through the homeo/wire codec instead of
 // encoding/json, and the request value, its body reader and both buffers
-// come from a pool (see call). Every other method pays for http.NewRequest
-// and encoding/json.
+// come from a pool (see internal/httpcall, the pooled POST the site fabric
+// makes too). Every other method pays for http.NewRequest and encoding/json.
 package client
 
 import (
@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"repro/homeo/wire"
+	"repro/internal/httpcall"
 )
 
 // APIError is a non-2xx response's structured error.
@@ -87,12 +88,13 @@ type Client struct {
 	opts Options
 
 	// What every POST /v1/txn and every POST /v1/classes shares, built
-	// once: why the base URL does not parse, if it does not, the header
+	// once: the two URLs (or why the base URL does not parse), the header
 	// set, and a pool of calls for each of the two.
-	urlErr     error
-	header     http.Header
-	txnCalls   sync.Pool
-	classCalls sync.Pool
+	txnURL, classURL *url.URL
+	urlErr           error
+	header           http.Header
+	txnCalls         sync.Pool
+	classCalls       sync.Pool
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -136,18 +138,25 @@ func New(baseURL string, opts Options) *Client {
 		header: http.Header{},
 	}
 	c.setHeaders(c.header, true)
-	c.poolCalls(&c.txnCalls, "/v1/txn")
-	c.poolCalls(&c.classCalls, "/v1/classes")
+	c.txnURL = c.parse("/v1/txn")
+	c.classURL = c.parse("/v1/classes")
+	c.txnCalls.New, c.classCalls.New = newCall, newCall
 	return c
 }
 
-// poolCalls makes pool the pool of calls to path.
-func (c *Client) poolCalls(pool *sync.Pool, path string) {
+// parse returns the URL of path at the server, recording why there is none.
+func (c *Client) parse(path string) *url.URL {
 	u, err := url.Parse(c.base + path)
 	if err != nil {
 		c.urlErr = err
 	}
-	pool.New = func() any { return c.newCall(u) }
+	return u
+}
+
+func newCall() any {
+	k := new(httpcall.Call)
+	k.Init()
+	return k
 }
 
 // setHeaders puts on h what every request of this client carries.
@@ -247,60 +256,12 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	})
 }
 
-// call is one POST /v1/txn or /v1/classes being made: the request net/http
-// sends, the header map and body reader that request points to, the
-// encoded message, and the buffer the reply is read into. Calls are
-// pooled. A call goes back to the pool only from an attempt that was
-// answered 2xx and read to the end: the server has then consumed the
-// request, so nothing in net/http still reads the body. After any other
-// outcome the transport may not have finished with the request, and the
-// call is left to the collector.
-type call struct {
-	req     http.Request // never sent itself: WithContext copies it for each attempt
-	header  http.Header
-	body    bytes.Reader
-	payload []byte
-	reply   []byte
-	status  int // of the answer in reply
-}
-
-func (c *Client) newCall(u *url.URL) *call {
-	k := &call{header: make(http.Header, len(c.header)+2)}
-	k.req = http.Request{
-		Method:     http.MethodPost,
-		URL:        u,
-		Proto:      "HTTP/1.1",
-		ProtoMajor: 1,
-		ProtoMinor: 1,
-		Header:     k.header,
-		Body:       io.NopCloser(&k.body),
-		GetBody:    k.getBody,
-		Host:       u.Host,
-	}
-	return k
-}
-
-// getBody gives net/http a second copy of the body, for a redirect or for
-// resending on a fresh connection.
-func (k *call) getBody() (io.ReadCloser, error) {
-	return io.NopCloser(bytes.NewReader(k.payload)), nil
-}
-
-// send makes one attempt at the call k.payload was encoded for. A nil
-// error means a 2xx answer, read to its end into k.reply.
+// send makes one attempt at the call k.Payload was encoded for. A nil
+// error means a 2xx answer, read to its end into k.Reply.
 //
 //homeo:hotpath
-func (c *Client) send(ctx context.Context, k *call) (retry bool, err error) {
-	k.body.Reset(k.payload)
-	k.req.ContentLength = int64(len(k.payload))
-	// A transport may have added to the header map of the attempt that
-	// last used this call (a cookie jar does); every attempt starts from
-	// the client's own set.
-	clear(k.header)
-	for name, v := range c.header {
-		k.header[name] = v
-	}
-	resp, err := c.hc.Do(k.req.WithContext(ctx))
+func (c *Client) send(ctx context.Context, k *httpcall.Call, u *url.URL) (retry bool, err error) {
+	resp, err := k.Send(ctx, c.hc, u, c.header)
 	if err != nil {
 		return true, err
 	}
@@ -308,18 +269,17 @@ func (c *Client) send(ctx context.Context, k *call) (retry bool, err error) {
 		err = decodeResponse(resp, nil)
 		return retryable(err), err
 	}
-	k.status = resp.StatusCode
-	k.reply, err = wire.ReadBody(k.reply, resp.Body)
-	_ = resp.Body.Close() // read to the end or failed: nothing left to report
-	if err != nil {
-		return false, decodeError(k.status, err)
+	if err = k.ReadReply(resp, 0); err != nil {
+		return false, decodeError(k.Status, err)
 	}
 	return false, nil
 }
 
 // done puts an answered call, its reply decoded, back where it came from.
-func (k *call) done(pool *sync.Pool) {
-	if cap(k.payload) <= wire.MaxPooledBuf && cap(k.reply) <= wire.MaxPooledBuf {
+//
+//homeo:release sync.Pool
+func done(pool *sync.Pool, k *httpcall.Call) {
+	if k.Reusable() {
 		pool.Put(k)
 	}
 }
@@ -328,30 +288,32 @@ func (k *call) done(pool *sync.Pool) {
 //
 //homeo:hotpath
 func (c *Client) submitOnce(ctx context.Context, req *wire.TxnRequest, res *wire.TxnResult) (retry bool, err error) {
-	// Put back only by the answered attempt at the end; see call.
-	k := c.txnCalls.Get().(*call)
-	k.payload = wire.AppendTxnRequest(k.payload[:0], req)
-	if retry, err = c.send(ctx, k); err != nil {
+	// Put back only by the answered attempt at the end; see httpcall.Call.
+	k := c.txnCalls.Get().(*httpcall.Call)
+	k.Payload = wire.AppendTxnRequest(k.Payload[:0], req)
+	if retry, err = c.send(ctx, k, c.txnURL); err != nil {
+		//homeo:leak failed in transit or refused: net/http may still read the body
 		return retry, err
 	}
-	if err = wire.ParseTxnResult(k.reply, res); err != nil {
-		return false, decodeError(k.status, err)
+	if err = wire.ParseTxnResult(k.Reply, res); err != nil {
+		return false, decodeError(k.Status, err)
 	}
-	k.done(&c.txnCalls)
+	done(&c.txnCalls, k)
 	return false, nil
 }
 
 // registerOnce makes one attempt at a registration.
 func (c *Client) registerOnce(ctx context.Context, spec *wire.ClassRequest, info *wire.ClassInfo) (retry bool, err error) {
-	k := c.classCalls.Get().(*call)
-	k.payload = wire.AppendClassRequest(k.payload[:0], spec)
-	if retry, err = c.send(ctx, k); err != nil {
+	k := c.classCalls.Get().(*httpcall.Call)
+	k.Payload = wire.AppendClassRequest(k.Payload[:0], spec)
+	if retry, err = c.send(ctx, k, c.classURL); err != nil {
+		//homeo:leak failed in transit or refused: net/http may still read the body
 		return retry, err
 	}
-	if err = wire.ParseClassInfo(k.reply, info); err != nil {
-		return false, decodeError(k.status, err)
+	if err = wire.ParseClassInfo(k.Reply, info); err != nil {
+		return false, decodeError(k.Status, err)
 	}
-	k.done(&c.classCalls)
+	done(&c.classCalls, k)
 	return false, nil
 }
 

@@ -37,6 +37,7 @@ import (
 	"repro/homeo"
 	"repro/homeo/wire"
 	"repro/internal/fabric"
+	"repro/internal/httpcall"
 )
 
 // Handler serves the /v1 protocol over a cluster.
@@ -360,7 +361,7 @@ func (h *Handler) handleClasses(rw http.ResponseWriter, req *http.Request) {
 		s := classPool.Get().(*classScratch)
 		defer s.release()
 		var err error
-		if s.buf, err = readBody(rw, req, s.buf, maxClassesBody); err == nil {
+		if s.buf, err = httpcall.ReadRequest(rw, req, s.buf, maxClassesBody); err == nil {
 			s.env.Bounds, s.env.Initial = s.bounds, s.initial
 			err = wire.ParseClassRequest(s.buf, &s.env)
 		}
@@ -505,23 +506,6 @@ func (s *txnScratch) release() {
 	txnPool.Put(s)
 }
 
-// readBody reads the request body, which may be at most limit bytes, over
-// buf. A body of declared length is bounded by the declaration; only one
-// of unknown length needs http.MaxBytesReader.
-func readBody(rw http.ResponseWriter, req *http.Request, buf []byte, limit int64) ([]byte, error) {
-	if req.Body == nil {
-		return buf[:0], nil
-	}
-	if req.ContentLength > limit {
-		return buf, &http.MaxBytesError{Limit: limit}
-	}
-	body := req.Body
-	if req.ContentLength < 0 {
-		body = http.MaxBytesReader(rw, body, limit)
-	}
-	return wire.ReadBody(buf, body)
-}
-
 // jsonContentType is the one Content-Type value every reply carries,
 // shared so that setting it costs no allocation.
 var jsonContentType = []string{"application/json"}
@@ -619,7 +603,7 @@ func (h *Handler) handleTxn(rw http.ResponseWriter, req *http.Request) {
 	s := txnPool.Get().(*txnScratch)
 	defer s.release()
 	var err error
-	if s.buf, err = readBody(rw, req, s.buf, maxTxnBody); err == nil {
+	if s.buf, err = httpcall.ReadRequest(rw, req, s.buf, maxTxnBody); err == nil {
 		s.env.Args, s.env.Site = s.args, &s.site
 		err = wire.ParseTxnRequest(s.buf, &s.env)
 	}

@@ -138,6 +138,9 @@ type Reader struct {
 	b   []byte
 	off int
 	err error
+	// names, when set, is where String looks a name up before it makes a
+	// new string of it (see Decoder).
+	names map[string]string
 }
 
 // NewReader returns a reader over b.
@@ -281,7 +284,27 @@ func (r *Reader) Bytes() []byte {
 }
 
 // String consumes a length-prefixed string.
-func (r *Reader) String() string { return string(r.Bytes()) }
+//
+//homeo:hotpath
+func (r *Reader) String() string {
+	b := r.Bytes()
+	if r.names == nil {
+		return string(b)
+	}
+	if s, ok := r.names[string(b)]; ok {
+		return s
+	}
+	if len(r.names) >= maxNames {
+		clear(r.names)
+	}
+	s := string(b)
+	r.names[s] = s
+	return s
+}
+
+// maxNames bounds a Decoder's name table; a table that fills up starts
+// over, so it follows a working set that moves.
+const maxNames = 4096
 
 // The list readers below come in two forms. The Into form appends to a
 // slice the caller supplies (cut to length zero, it is scratch the next
@@ -334,21 +357,20 @@ func (r *Reader) BytesListInto(dst [][]byte) [][]byte {
 	return dst
 }
 
-// Strings consumes a count-prefixed slice of strings.
-func (r *Reader) Strings() []string {
+// StringsInto consumes a count-prefixed slice of strings onto dst.
+//
+//homeo:hotpath
+func (r *Reader) StringsInto(dst []string) []string {
 	n := r.Count()
-	if r.err != nil || n == 0 {
-		return nil
+	dst = slices.Grow(dst, n)
+	for i := 0; i < n; i++ {
+		dst = append(dst, r.String())
 	}
-	ss := make([]string, n)
-	for i := range ss {
-		ss[i] = r.String()
-	}
-	if r.err != nil {
-		return nil
-	}
-	return ss
+	return dst
 }
+
+// Strings consumes a count-prefixed slice of strings.
+func (r *Reader) Strings() []string { return orNil(r, r.StringsInto(nil)) }
 
 // PairsInto consumes a map encoded by AppendStringMap onto dst, entry
 // by entry in encoded order (sorted by name, when AppendStringMap wrote
@@ -366,32 +388,50 @@ func (r *Reader) PairsInto(dst []Pair) []Pair {
 
 // StringMap consumes a map encoded by AppendStringMap. An empty map
 // decodes as nil.
-func (r *Reader) StringMap() map[string]int64 { return r.stringMap(true) }
+func (r *Reader) StringMap() map[string]int64 { return r.StringMapInto(nil) }
 
-// stringMap walks a map encoded by AppendStringMap; keep says whether to
-// build it (see RawConstraints).
+// StringMapInto consumes a map encoded by AppendStringMap into m, emptied
+// first, and returns it: a map of its own when m is nil and there is
+// anything to hold. On a malformed map what it returns is meaningless and
+// Err says so.
 //
 //homeo:hotpath
-func (r *Reader) stringMap(keep bool) map[string]int64 {
+func (r *Reader) StringMapInto(m map[string]int64) map[string]int64 {
+	clear(m)
 	n := r.Count()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	var m map[string]int64
-	if keep {
+	if m == nil && n > 0 {
 		m = make(map[string]int64, n)
 	}
-	for i := 0; i < n; i++ {
-		k := r.Bytes()
+	for i := 0; i < n && r.err == nil; i++ {
+		k := r.String()
 		v := r.Varint()
-		if r.err != nil {
-			return nil
-		}
-		if keep {
-			m[string(k)] = v
+		if r.err == nil {
+			m[k] = v
 		}
 	}
 	return m
+}
+
+// skipStringMap walks a map encoded by AppendStringMap and builds nothing
+// (see RawConstraints).
+//
+//homeo:hotpath
+func (r *Reader) skipStringMap() {
+	n := r.Count()
+	for i := 0; i < n && r.err == nil; i++ {
+		r.Bytes()
+		r.Varint()
+	}
+}
+
+// resized returns s with length n, keeping the elements it has (a decoder
+// fills them in place, reusing what they hold) and adding zero ones as
+// needed; nil stays nil at length zero.
+func resized[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return append(s[:cap(s)], make([]T, n-cap(s))...)
 }
 
 // orNil is the own-slice form's result: the decoded list, nil when it is

@@ -343,15 +343,40 @@ func FuzzDecodeMessage(f *testing.F) {
 		enc, _ := codec.AppendMessage(nil, m)
 		f.Add(enc)
 	}
+	// One decoder and one value per kind for the whole run, as a transport
+	// holds them: each input is decoded over whatever the inputs before it
+	// left there, names table included.
+	var reused codec.Decoder
+	dirty := make([]any, len(allSamples()))
+	for i, m := range allSamples() {
+		enc, _ := codec.AppendMessage(nil, m)
+		dirty[i] = fresh(m)
+		if err := reused.Decode(enc, dirty[i]); err != nil {
+			f.Fatal(err)
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, m := range allSamples() {
+		for i, m := range allSamples() {
 			v := fresh(m)
-			if err := codec.DecodeMessage(data, v); err != nil {
+			err := codec.DecodeMessage(data, v)
+			// Differential: decoding into a dirty reused value gives what
+			// decoding into a fresh one gives, or fails as it fails.
+			derr := reused.Decode(data, dirty[i])
+			if (err == nil) != (derr == nil) || err != nil && err.Error() != derr.Error() {
+				t.Fatalf("%T: fresh decode: %v; reused decode: %v", v, err, derr)
+			}
+			if err != nil {
 				continue
 			}
 			enc, err := codec.AppendMessage(nil, v)
 			if err != nil {
 				t.Fatalf("%T: decoded value does not re-encode: %v", v, err)
+			}
+			// Every field is encoded, so equal encodings are equal messages
+			// (a reused value holds an emptied map where a fresh one holds
+			// none, which is no difference to any reader).
+			if denc, err := codec.AppendMessage(nil, dirty[i]); err != nil || !bytes.Equal(denc, enc) {
+				t.Fatalf("%T: decoded into a reused value\n  %+v (%v)\ninto a fresh one\n  %+v", v, dirty[i], err, v)
 			}
 			again := fresh(m)
 			if err := codec.DecodeMessage(enc, again); err != nil {

@@ -81,45 +81,42 @@ func AppendConstraints(dst []byte, cs []wire.PeerConstraint) ([]byte, error) {
 }
 
 // Constraints consumes a list encoded by AppendConstraints.
-func (r *Reader) Constraints() []wire.PeerConstraint { return r.constraints(true) }
+func (r *Reader) Constraints() []wire.PeerConstraint { return orNil(r, r.ConstraintsInto(nil)) }
+
+// ConstraintsInto consumes a list encoded by AppendConstraints into dst,
+// resized to the list and its elements filled in place (a coefficient map
+// dst already holds is emptied and used again), and returns it.
+//
+//homeo:hotpath
+func (r *Reader) ConstraintsInto(dst []wire.PeerConstraint) []wire.PeerConstraint {
+	dst = resized(dst, r.Count())
+	for i := range dst {
+		c := &dst[i]
+		c.Coeffs, c.Const, c.Op = r.StringMapInto(c.Coeffs), r.Varint(), r.op()
+	}
+	return dst
+}
 
 // RawConstraints consumes a list encoded by AppendConstraints and
-// returns it still encoded, as a sub-slice of the input: the same walk as
-// Constraints, so the list is held to the same well-formedness (counts,
-// lengths, op bytes) and Constraints over the result cannot fail, with
-// nothing allocated. WAL replay, which throws most treaty generations
-// away, reads every list this way and decodes only the survivors.
+// returns it still encoded, as a sub-slice of the input: the same fields in
+// the same order as ConstraintsInto, so the list is held to the same
+// well-formedness (counts, lengths, op bytes) and Constraints over the
+// result cannot fail, with nothing allocated. WAL replay, which throws
+// most treaty generations away, reads every list this way and decodes only
+// the survivors.
 //
 //homeo:hotpath
 func (r *Reader) RawConstraints() []byte {
 	start := r.off
-	r.constraints(false)
+	for i, n := 0, r.Count(); i < n && r.err == nil; i++ {
+		r.skipStringMap()
+		r.Varint()
+		r.op()
+	}
 	if r.err != nil {
 		return nil
 	}
 	return r.b[start:r.off:r.off]
-}
-
-// constraints is the one walk of an encoded constraint list; keep says
-// whether to build what it walks.
-//
-//homeo:hotpath
-func (r *Reader) constraints(keep bool) []wire.PeerConstraint {
-	n := r.Count()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	var cs []wire.PeerConstraint
-	if keep {
-		cs = make([]wire.PeerConstraint, n)
-	}
-	for i := 0; i < n; i++ {
-		coeffs, c, op := r.stringMap(keep), r.Varint(), r.op()
-		if keep {
-			cs[i] = wire.PeerConstraint{Coeffs: coeffs, Const: c, Op: op}
-		}
-	}
-	return cs
 }
 
 // AppendMessage appends the binary encoding of a peer message. The
@@ -127,20 +124,22 @@ func (r *Reader) constraints(keep bool) []wire.PeerConstraint {
 //
 //homeo:hotpath
 func AppendMessage(dst []byte, m any) ([]byte, error) {
+	kind, ok := kindOf(m)
+	if !ok {
+		return nil, errUnencodable(m)
+	}
+	dst = AppendHeader(dst, kind)
 	switch m := m.(type) {
 	case *wire.PeerCollect:
-		dst = AppendHeader(dst, KindCollect)
 		dst = AppendInt(dst, m.From)
 		dst = AppendUvarint(dst, m.Round)
 		dst = AppendVarint(dst, m.Clock)
 		dst = AppendInts(dst, m.Units)
 		return AppendStrings(dst, m.Objs), nil
 	case *wire.PeerState:
-		dst = AppendHeader(dst, KindState)
 		dst = AppendVarint(dst, m.Clock)
 		return AppendStringMap(dst, m.Values), nil
 	case *wire.PeerInstallState:
-		dst = AppendHeader(dst, KindInstallState)
 		dst = AppendInt(dst, m.From)
 		dst = AppendUvarint(dst, m.Round)
 		dst = AppendVarint(dst, m.Clock)
@@ -156,7 +155,6 @@ func AppendMessage(dst []byte, m any) ([]byte, error) {
 		dst = AppendInts(dst, m.Winner.Units)
 		return AppendInt64s(dst, m.Winner.Log), nil
 	case *wire.PeerInstallTreaties:
-		dst = AppendHeader(dst, KindInstallTreaties)
 		dst = AppendInt(dst, m.From)
 		dst = AppendUvarint(dst, m.Round)
 		dst = AppendVarint(dst, m.Clock)
@@ -172,15 +170,12 @@ func AppendMessage(dst []byte, m any) ([]byte, error) {
 		}
 		return dst, nil
 	case *wire.PeerAbort:
-		dst = AppendHeader(dst, KindAbort)
 		dst = AppendInt(dst, m.From)
 		dst = AppendUvarint(dst, m.Round)
 		return AppendVarint(dst, m.Clock), nil
 	case *wire.PeerAck:
-		dst = AppendHeader(dst, KindAck)
 		return AppendVarint(dst, m.Clock), nil
 	case *wire.PeerRejoin:
-		dst = AppendHeader(dst, KindRejoin)
 		dst = AppendInt(dst, m.Site)
 		dst = AppendVarint(dst, m.Clock)
 		dst = AppendUvarint(dst, uint64(len(m.Units)))
@@ -190,7 +185,6 @@ func AppendMessage(dst []byte, m any) ([]byte, error) {
 		}
 		return dst, nil
 	case *wire.PeerRejoinReply:
-		dst = AppendHeader(dst, KindRejoinReply)
 		dst = AppendVarint(dst, m.Clock)
 		dst = AppendUvarint(dst, uint64(len(m.Units)))
 		for _, u := range m.Units {
@@ -201,14 +195,12 @@ func AppendMessage(dst []byte, m any) ([]byte, error) {
 		}
 		return dst, nil
 	case *wire.PeerJoin:
-		dst = AppendHeader(dst, KindJoin)
 		dst = AppendInt(dst, m.Site)
 		dst = AppendUvarint(dst, m.Round)
 		dst = AppendVarint(dst, m.Clock)
 		dst = AppendString(dst, m.Addr)
 		return AppendInt(dst, m.Phase), nil
 	case *wire.PeerJoinReply:
-		dst = AppendHeader(dst, KindJoinReply)
 		dst = AppendVarint(dst, m.Clock)
 		dst = AppendVarint(dst, m.Epoch)
 		dst = AppendUvarint(dst, uint64(len(m.Units)))
@@ -219,15 +211,13 @@ func AppendMessage(dst []byte, m any) ([]byte, error) {
 		}
 		return dst, nil
 	case *wire.PeerDrain:
-		dst = AppendHeader(dst, KindDrain)
 		dst = AppendInt(dst, m.Site)
 		return AppendVarint(dst, m.Clock), nil
 	case *wire.PeerDrainReply:
-		dst = AppendHeader(dst, KindDrainReply)
 		dst = AppendVarint(dst, m.Clock)
 		return AppendVarint(dst, m.Epoch), nil
 	}
-	return nil, errUnencodable(m)
+	return dst, nil
 }
 
 // errUnencodable formats the cold-path error for a message type the
@@ -235,140 +225,170 @@ func AppendMessage(dst []byte, m any) ([]byte, error) {
 func errUnencodable(m any) error { return fmt.Errorf("codec: cannot encode %T", m) }
 
 // DecodeMessage decodes a peer message into m, whose concrete type must
-// match the encoded kind.
+// match the encoded kind. Whatever m held is replaced, its slices and maps
+// used again where they fit (see Decoder for what a caller that decodes
+// message after message into the same value gains).
 func DecodeMessage(data []byte, m any) error {
-	r := NewReader(data)
+	r := Reader{b: data}
+	return r.message(m)
+}
+
+// Decoder decodes peer messages for a caller that reads one after another
+// into the same values: the value's slices and maps are filled in place,
+// and a name the decoder has seen before — an object, a class — is the
+// string it made then, so a message of a shape seen before decodes without
+// allocating. The zero Decoder is ready; it is not safe for concurrent use.
+// What it decodes aliases nothing of its input.
+type Decoder struct {
+	names map[string]string
+}
+
+// Decode decodes a peer message into m as DecodeMessage does.
+//
+//homeo:hotpath
+func (d *Decoder) Decode(data []byte, m any) error {
+	if d.names == nil {
+		d.names = make(map[string]string) //homeo:allowalloc once per decoder
+	}
+	r := Reader{b: data, names: d.names}
+	return r.message(m)
+}
+
+// message consumes the whole of the input as one peer message into m.
+//
+//homeo:hotpath
+func (r *Reader) message(m any) error {
 	kind := r.Header()
 	if r.err != nil {
 		return r.err
 	}
-	want := func(k byte) bool {
-		if kind != k {
-			r.fail("message kind %d decoded as %T", kind, m)
-			return false
-		}
-		return true
+	want, ok := kindOf(m)
+	if !ok {
+		return errUndecodable(m)
+	}
+	if kind != want {
+		return errKind(kind, m)
 	}
 	switch m := m.(type) {
 	case *wire.PeerCollect:
-		if want(KindCollect) {
-			m.From = r.Int()
-			m.Round = r.Uvarint()
-			m.Clock = r.Varint()
-			m.Units = r.Ints()
-			m.Objs = r.Strings()
-		}
+		m.From = r.Int()
+		m.Round = r.Uvarint()
+		m.Clock = r.Varint()
+		m.Units = r.IntsInto(m.Units[:0])
+		m.Objs = r.StringsInto(m.Objs[:0])
 	case *wire.PeerState:
-		if want(KindState) {
-			m.Clock = r.Varint()
-			m.Values = r.StringMap()
-		}
+		m.Clock = r.Varint()
+		m.Values = r.StringMapInto(m.Values)
 	case *wire.PeerInstallState:
-		if want(KindInstallState) {
-			m.From = r.Int()
-			m.Round = r.Uvarint()
-			m.Clock = r.Varint()
-			m.Objs = r.Strings()
-			m.Folded = r.StringMap()
-			if r.Bool() {
-				m.Winner = &wire.PeerWinner{
-					Class: r.String(),
-					Args:  r.Int64s(),
-					Site:  r.Int(),
-					Units: r.Ints(),
-					Log:   r.Int64s(),
-				}
-			} else {
-				m.Winner = nil
-			}
+		m.From = r.Int()
+		m.Round = r.Uvarint()
+		m.Clock = r.Varint()
+		m.Objs = r.StringsInto(m.Objs[:0])
+		m.Folded = r.StringMapInto(m.Folded)
+		if !r.Bool() {
+			m.Winner = nil
+			break
 		}
+		if m.Winner == nil {
+			m.Winner = new(wire.PeerWinner)
+		}
+		w := m.Winner
+		w.Class = r.String()
+		w.Args = r.Int64sInto(w.Args[:0])
+		w.Site = r.Int()
+		w.Units = r.IntsInto(w.Units[:0])
+		w.Log = r.Int64sInto(w.Log[:0])
 	case *wire.PeerInstallTreaties:
-		if want(KindInstallTreaties) {
-			m.From = r.Int()
-			m.Round = r.Uvarint()
-			m.Clock = r.Varint()
-			m.Site = r.Int()
-			if n := r.Count(); r.err == nil && n > 0 {
-				m.Units = make([]wire.PeerUnitTreaty, n)
-				for i := range m.Units {
-					u := &m.Units[i]
-					u.Unit = r.Int()
-					u.Version = r.Varint()
-					u.Constraints = r.Constraints()
-				}
-			}
+		m.From = r.Int()
+		m.Round = r.Uvarint()
+		m.Clock = r.Varint()
+		m.Site = r.Int()
+		m.Units = resized(m.Units, r.Count())
+		for i := range m.Units {
+			u := &m.Units[i]
+			u.Unit = r.Int()
+			u.Version = r.Varint()
+			u.Constraints = r.ConstraintsInto(u.Constraints)
 		}
 	case *wire.PeerAbort:
-		if want(KindAbort) {
-			m.From = r.Int()
-			m.Round = r.Uvarint()
-			m.Clock = r.Varint()
-		}
+		m.From = r.Int()
+		m.Round = r.Uvarint()
+		m.Clock = r.Varint()
 	case *wire.PeerAck:
-		if want(KindAck) {
-			m.Clock = r.Varint()
-		}
+		m.Clock = r.Varint()
 	case *wire.PeerRejoin:
-		if want(KindRejoin) {
-			m.Site = r.Int()
-			m.Clock = r.Varint()
-			if n := r.Count(); r.err == nil && n > 0 {
-				m.Units = make([]wire.PeerUnitVersion, n)
-				for i := range m.Units {
-					m.Units[i] = wire.PeerUnitVersion{Unit: r.Int(), Version: r.Varint()}
-				}
-			}
+		m.Site = r.Int()
+		m.Clock = r.Varint()
+		m.Units = resized(m.Units, r.Count())
+		for i := range m.Units {
+			m.Units[i] = wire.PeerUnitVersion{Unit: r.Int(), Version: r.Varint()}
 		}
 	case *wire.PeerRejoinReply:
-		if want(KindRejoinReply) {
-			m.Clock = r.Varint()
-			if n := r.Count(); r.err == nil && n > 0 {
-				m.Units = make([]wire.PeerRejoinUnit, n)
-				for i := range m.Units {
-					m.Units[i] = wire.PeerRejoinUnit{
-						Unit:    r.Int(),
-						Version: r.Varint(),
-						Force:   r.Bool(),
-						Base:    r.StringMap(),
-					}
-				}
-			}
+		m.Clock = r.Varint()
+		m.Units = resized(m.Units, r.Count())
+		for i := range m.Units {
+			u := &m.Units[i]
+			u.Unit, u.Version, u.Force, u.Base = r.Int(), r.Varint(), r.Bool(), r.StringMapInto(u.Base)
 		}
 	case *wire.PeerJoin:
-		if want(KindJoin) {
-			m.Site = r.Int()
-			m.Round = r.Uvarint()
-			m.Clock = r.Varint()
-			m.Addr = r.String()
-			m.Phase = r.Int()
-		}
+		m.Site = r.Int()
+		m.Round = r.Uvarint()
+		m.Clock = r.Varint()
+		m.Addr = r.String()
+		m.Phase = r.Int()
 	case *wire.PeerJoinReply:
-		if want(KindJoinReply) {
-			m.Clock = r.Varint()
-			m.Epoch = r.Varint()
-			if n := r.Count(); r.err == nil && n > 0 {
-				m.Units = make([]wire.PeerJoinUnit, n)
-				for i := range m.Units {
-					m.Units[i] = wire.PeerJoinUnit{
-						Unit:    r.Int(),
-						Version: r.Varint(),
-						Base:    r.StringMap(),
-					}
-				}
-			}
+		m.Clock = r.Varint()
+		m.Epoch = r.Varint()
+		m.Units = resized(m.Units, r.Count())
+		for i := range m.Units {
+			u := &m.Units[i]
+			u.Unit, u.Version, u.Base = r.Int(), r.Varint(), r.StringMapInto(u.Base)
 		}
 	case *wire.PeerDrain:
-		if want(KindDrain) {
-			m.Site = r.Int()
-			m.Clock = r.Varint()
-		}
+		m.Site = r.Int()
+		m.Clock = r.Varint()
 	case *wire.PeerDrainReply:
-		if want(KindDrainReply) {
-			m.Clock = r.Varint()
-			m.Epoch = r.Varint()
-		}
-	default:
-		return fmt.Errorf("codec: cannot decode into %T", m)
+		m.Clock = r.Varint()
+		m.Epoch = r.Varint()
 	}
 	return r.Close()
+}
+
+// kindOf returns the kind byte a message of m's type is encoded with.
+func kindOf(m any) (kind byte, ok bool) {
+	switch m.(type) {
+	case *wire.PeerCollect:
+		return KindCollect, true
+	case *wire.PeerState:
+		return KindState, true
+	case *wire.PeerInstallState:
+		return KindInstallState, true
+	case *wire.PeerInstallTreaties:
+		return KindInstallTreaties, true
+	case *wire.PeerAbort:
+		return KindAbort, true
+	case *wire.PeerAck:
+		return KindAck, true
+	case *wire.PeerRejoin:
+		return KindRejoin, true
+	case *wire.PeerRejoinReply:
+		return KindRejoinReply, true
+	case *wire.PeerJoin:
+		return KindJoin, true
+	case *wire.PeerJoinReply:
+		return KindJoinReply, true
+	case *wire.PeerDrain:
+		return KindDrain, true
+	case *wire.PeerDrainReply:
+		return KindDrainReply, true
+	}
+	return 0, false
+}
+
+// The cold-path errors of Decode, kept out of the //homeo:hotpath body.
+
+func errUndecodable(m any) error { return fmt.Errorf("codec: cannot decode into %T", m) }
+
+func errKind(kind byte, m any) error {
+	return fmt.Errorf("codec: message kind %d decoded as %T", kind, m)
 }

@@ -11,6 +11,7 @@ package fabrictest
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -487,6 +488,63 @@ func testAbort(t *testing.T, h *Harness) {
 		_, _, _, as := n.Snapshot()
 		if len(as) != 1 || as[0].Round != round(0) {
 			t.Fatalf("site %d aborts = %+v", site, as)
+		}
+	}
+}
+
+// Scribble is a fabric.ScratchHook for tests: it overwrites everything
+// reachable from the scratch it is handed — slices over their whole
+// capacity, every map value, every string, number and flag — and leaves a
+// "scribbled" key in every map keyed by strings. A test that sets it finds
+// out whether anything a Node or a coordinator kept was scratch after all,
+// and whether a later message picks up what an earlier one left behind.
+func Scribble(scratch ...any) {
+	for _, v := range scratch {
+		scribble(reflect.ValueOf(v))
+	}
+}
+
+func scribble(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			scribble(v.Elem())
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			scribble(v.Field(i))
+		}
+	case reflect.Slice:
+		for i, all := 0, v.Slice(0, v.Cap()); i < all.Len(); i++ {
+			scribble(all.Index(i))
+		}
+	case reflect.Map:
+		if v.IsNil() {
+			return
+		}
+		junk := reflect.New(v.Type().Elem()).Elem()
+		scribble(junk)
+		for _, k := range v.MapKeys() {
+			v.SetMapIndex(k, junk)
+		}
+		if v.Type().Key().Kind() == reflect.String {
+			v.SetMapIndex(reflect.ValueOf("scribbled").Convert(v.Type().Key()), junk)
+		}
+	case reflect.String:
+		if v.CanSet() {
+			v.SetString("scribbled")
+		}
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		if v.CanSet() {
+			v.SetInt(-77)
+		}
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		if v.CanSet() {
+			v.SetUint(0xAA)
+		}
+	case reflect.Bool:
+		if v.CanSet() {
+			v.SetBool(true)
 		}
 	}
 }

@@ -2,24 +2,22 @@ package fabric
 
 import (
 	"bytes"
+	"context"
 	"crypto/subtle"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"slices"
-	"sort"
+	"net/url"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/homeo/wire"
 	"repro/internal/fabric/codec"
-	"repro/internal/lang"
-	"repro/internal/lia"
+	"repro/internal/httpcall"
 	"repro/internal/rt"
-	"repro/internal/treaty"
 )
 
 // HTTP is the multi-process transport: the local site's Node is called
@@ -36,43 +34,82 @@ import (
 // While remote requests are in flight the coordinating process parks, so
 // the site's runtime keeps executing local transactions — exactly the
 // disconnected execution the protocol promises.
+//
+// A message costs what net/http charges for a POST and little else: it is
+// made with the pooled call of internal/httpcall (the one homeo/client
+// commits with), to a URL parsed when its peer joined the membership, under
+// a header set built when the token was set, and both ends convert, encode
+// and decode in scratch that the call, or the served request, brings along
+// (see peerCall and served). docs/ARCHITECTURE.md, "The round budget", has
+// the count.
 type HTTP struct {
-	rt    rt.Runtime
-	self  int
-	node  Node
-	hc    *http.Client
-	token string
-	// ps is the current membership snapshot. Scatters load it once per
-	// round, so AddSite/MarkGone (which publish a fresh snapshot) never
-	// race the goroutines of an in-flight scatter.
-	ps atomic.Pointer[peerSet]
+	rt   rt.Runtime
+	self int
+	node Node
+	hc   *http.Client
+	// ps is the current membership snapshot and hdr the header set of
+	// every request. Exchanges load each once, so AddSite and SetToken
+	// (which publish fresh ones) never race the goroutines of a scatter
+	// in flight.
+	ps  atomic.Pointer[peerSet]
+	hdr atomic.Pointer[http.Header]
 
 	// Messages counts peer HTTP requests sent, one per message (an
 	// observability surface for "no peer traffic outside violations").
 	Messages atomic.Int64
 }
 
-// peerSet is one immutable membership snapshot: peer addresses plus the
-// per-peer gone flags. The flag cells are pointers shared across
-// snapshots, so a peer marked gone stays that way when the membership
-// grows.
-type peerSet struct {
-	addrs []string
-	// gone[k] is set when site k drains; scatters skip it.
-	gone []*atomic.Bool
+// The peer endpoints, in the order NewPeerHandler mounts them.
+const (
+	epCollect = iota
+	epInstallState
+	epInstallTreaties
+	epAbort
+	epRejoin
+	epJoin
+	epDrain
+	nEndpoints
+)
+
+var endpointNames = [nEndpoints]string{
+	"collect", "install-state", "install-treaties", "abort", "rejoin", "join", "drain",
 }
 
-// with returns the snapshot grown by the given peers, sharing the
-// receiver's flag cells.
-func (ps *peerSet) with(addrs ...string) *peerSet {
-	out := &peerSet{
-		addrs: append(append([]string(nil), ps.addrs...), addrs...),
-		gone:  append([]*atomic.Bool(nil), ps.gone...),
+// peer is one remote site as every snapshot that holds it sees it.
+type peer struct {
+	// urls are the peer's endpoint URLs, parsed once; err is why there are
+	// none, when the address does not parse.
+	urls [nEndpoints]*url.URL
+	err  error
+	// gone is set when the site drains; scatters skip it.
+	gone atomic.Bool
+}
+
+func newPeer(addr string) *peer {
+	p := new(peer)
+	for ep, name := range endpointNames {
+		u, err := url.Parse(addr + "/v1/peer/" + name)
+		if err != nil {
+			p.err = err
+		}
+		p.urls[ep] = u
 	}
-	for range addrs {
-		out.gone = append(out.gone, new(atomic.Bool))
+	return p
+}
+
+// peerSet is one immutable membership snapshot, indexed by site. The peers
+// are shared across snapshots, so a peer marked gone stays that way when
+// the membership grows.
+type peerSet []*peer
+
+// with returns the snapshot grown by the given peers.
+func (ps peerSet) with(addrs ...string) *peerSet {
+	out := make(peerSet, len(ps), len(ps)+len(addrs))
+	copy(out, ps)
+	for _, addr := range addrs {
+		out = append(out, newPeer(addr))
 	}
-	return out
+	return &out
 }
 
 // NewHTTP builds the multi-process transport. self is this process's
@@ -91,7 +128,8 @@ func NewHTTP(r rt.Runtime, self int, peers []string, node Node, hc *http.Client)
 		}
 	}
 	t := &HTTP{rt: r, self: self, node: node, hc: hc}
-	t.ps.Store((&peerSet{}).with(peers...))
+	t.ps.Store(peerSet(nil).with(peers...))
+	t.SetToken("")
 	return t
 }
 
@@ -105,9 +143,9 @@ func (t *HTTP) AddSite(addr string, node Node) {
 
 // MarkGone excludes a drained site from every future scatter.
 func (t *HTTP) MarkGone(site int) {
-	ps := t.ps.Load()
-	if site >= 0 && site < len(ps.gone) {
-		ps.gone[site].Store(true)
+	ps := *t.ps.Load()
+	if site >= 0 && site < len(ps) {
+		ps[site].gone.Store(true)
 	}
 }
 
@@ -116,213 +154,184 @@ func (t *HTTP) MarkGone(site int) {
 // deployment beyond a trusted loopback should set a token.
 const PeerTokenHeader = "X-Homeo-Peer-Token"
 
+// peerContentType is the one Content-Type value of the peer surface,
+// shared so that setting it costs no allocation.
+var peerContentType = []string{codec.ContentType}
+
 // SetToken makes every outgoing peer request carry the shared secret
 // (see NewPeerHandler's token parameter for the server half).
-func (t *HTTP) SetToken(token string) { t.token = token }
+func (t *HTTP) SetToken(token string) {
+	hdr := http.Header{"Content-Type": peerContentType}
+	if token != "" {
+		hdr.Set(PeerTokenHeader, token)
+	}
+	t.hdr.Store(&hdr)
+}
 
 // NSites reports the cluster width.
-func (t *HTTP) NSites() int { return len(t.ps.Load().addrs) }
+func (t *HTTP) NSites() int { return len(*t.ps.Load()) }
 
-// everySite is the skip argument of a scatter that leaves no site out.
+// everySite is the skip argument of an exchange that leaves no site out.
 const everySite = -1
 
-// scatter delivers one request per site of the ps snapshot: the self
-// site inline (the caller holds the execution right; Node handlers never
-// park), remote sites on goroutines while the calling process parks.
-// Drained sites and the skip site (the sender of a handshake that
-// addresses only its peers) are left out; their error slots stay nil.
-// The wake is scheduled through the runtime so it runs under the
-// execution right; it cannot fire before Park because the scheduler lock
-// is held from PrepPark until Park releases it.
-func (t *HTTP) scatter(p rt.Proc, ps *peerSet, skip int, do func(site int) error) error {
-	n := len(ps.addrs)
-	errs := make([]error, n)
-	live := func(k int) bool { return k != skip && !ps.gone[k].Load() }
-	remotes := int32(0)
-	for k := 0; k < n; k++ {
-		if k != t.self && live(k) {
-			remotes++
-		}
+// endpoint is one peer endpoint, both halves: the conversions of its
+// request and its reply between fabric and wire form (convert.go says what
+// each may alias), the Node method in between, and the pool of calls the
+// client half posts it with.
+type endpoint[Req, Rep, WReq, WRep any] struct {
+	id          int
+	reqToWire   func(*WReq, Req)
+	reqFromWire func(*reqScratch, *WReq) (Req, error)
+	handle      func(Node, Req) (Rep, error)
+	repToWire   func(*WRep, Rep)
+	repFromWire func(*WRep) Rep
+	calls       sync.Pool // of *peerCall[WReq, WRep]
+}
+
+func newEndpoint[Req, Rep, WReq, WRep any](
+	id int,
+	reqToWire func(*WReq, Req), reqFromWire func(*reqScratch, *WReq) (Req, error),
+	handle func(Node, Req) (Rep, error),
+	repToWire func(*WRep, Rep), repFromWire func(*WRep) Rep,
+) *endpoint[Req, Rep, WReq, WRep] {
+	ep := &endpoint[Req, Rep, WReq, WRep]{
+		id: id, reqToWire: reqToWire, reqFromWire: reqFromWire, handle: handle,
+		repToWire: repToWire, repFromWire: repFromWire,
 	}
-	selfLive := t.self >= 0 && t.self < n && live(t.self)
-	if remotes > 0 {
-		token := p.PrepPark()
-		pending := remotes
-		for k := 0; k < n; k++ {
-			if k == t.self || !live(k) {
-				continue
-			}
-			k := k
-			go func() {
-				errs[k] = do(k)
-				if atomic.AddInt32(&pending, -1) == 0 {
-					t.rt.At(t.rt.Now(), func() { p.WakeIf(token) })
-				}
-			}()
-		}
-		if selfLive {
-			errs[t.self] = do(t.self)
-		}
-		p.Park()
-	} else if selfLive {
-		errs[t.self] = do(t.self)
+	ep.calls.New = func() any {
+		c := new(peerCall[WReq, WRep])
+		c.Init()
+		c.ep, c.reply, c.run = id, &c.out, c.deliver
+		return c
 	}
-	// Surface a busy refusal first (it means "retry", and must win over
-	// secondary failures), then the first error in site order.
-	var firstErr error
-	for k, err := range errs {
-		if err == nil {
-			continue
-		}
-		se := &SiteError{Site: k, Err: err}
-		if errors.Is(err, ErrBusy) {
-			return se
-		}
-		if firstErr == nil {
-			firstErr = se
-		}
+	return ep
+}
+
+// The seven endpoints.
+var (
+	collectEP         = newEndpoint(epCollect, collectToWire, collectFromWire, Node.CollectState, stateToWire, stateFromWire)
+	installStateEP    = newEndpoint(epInstallState, installStateToWire, installStateFromWire, acked(Node.InstallState), ackToWire, ackFromWire)
+	installTreatiesEP = newEndpoint(epInstallTreaties, installTreatiesToWire, installTreatiesFromWire, acked(Node.InstallTreaties), ackToWire, ackFromWire)
+	abortEP           = newEndpoint(epAbort, abortToWire, abortFromWire, acked(Node.AbortRound), ackToWire, ackFromWire)
+	rejoinEP          = newEndpoint(epRejoin, rejoinToWire, rejoinFromWire, Node.Rejoin, rejoinReplyToWire, rejoinReplyFromWire)
+	joinEP            = newEndpoint(epJoin, joinToWire, joinFromWire, Node.JoinSite, joinReplyToWire, joinReplyFromWire)
+	drainEP           = newEndpoint(epDrain, drainToWire, drainFromWire, Node.DrainSite, drainReplyToWire, drainReplyFromWire)
+)
+
+// acked lifts a Node method that only succeeds or fails into the
+// request→reply shape an endpoint takes: its reply is the ack, which
+// echoes the request's clock.
+func acked[Req interface{ clock() int64 }](f func(Node, Req) error) func(Node, Req) (wire.PeerAck, error) {
+	return func(n Node, m Req) (wire.PeerAck, error) { return wire.PeerAck{Clock: m.clock()}, f(n, m) }
+}
+
+func (m InstallState) clock() int64    { return m.Clock }
+func (m InstallTreaties) clock() int64 { return m.Clock }
+func (m AbortRound) clock() int64      { return m.Clock }
+
+// call is one message to one peer: the pooled POST, and around it what the
+// goroutine that delivers it needs and what the exchange reads afterwards.
+type call struct {
+	httpcall.Call
+	dec codec.Decoder
+	ep  int
+	// reply points to the wire reply the answer is decoded into (the out of
+	// the peerCall this call is part of), boxed once.
+	reply any
+	// run is deliver as a func value, bound once: a go statement on a
+	// method call would wrap it in a new closure per message.
+	run func()
+
+	// Set by the exchange for each delivery.
+	t    *HTTP
+	hdr  http.Header
+	peer *peer
+	site int
+	fl   *flight
+	// err is how the delivery went.
+	err error
+}
+
+// peerCall is a call with its endpoint's wire scratch: the request is
+// converted into in and encoded from there, the answer decoded into out and
+// converted from there, and both are filled over what the call's last use
+// left in them. Nothing the coordinator gets back refers to either.
+type peerCall[WReq, WRep any] struct {
+	call
+	in  WReq
+	out WRep
+}
+
+// flight is one scatter in the air: how many of its deliveries are still
+// out and how to wake the coordinator when the last is back. The wake is
+// scheduled through the runtime so it runs under the execution right; it
+// cannot fire before Park because the scheduler lock is held from PrepPark
+// until Park releases it.
+type flight struct {
+	rt      rt.Runtime
+	p       rt.Proc
+	token   int64
+	pending atomic.Int32
+	// wake is wakeUp as a func value, bound once.
+	wake func()
+}
+
+var flights = sync.Pool{New: func() any {
+	f := new(flight)
+	f.wake = f.wakeUp
+	return f
+}}
+
+func (f *flight) wakeUp() { f.p.WakeIf(f.token) }
+
+// deliver runs on the delivery's own goroutine: post, then wake the
+// coordinator if this was the last delivery out. It touches nothing of the
+// flight after that: the coordinator takes it back.
+func (c *call) deliver() {
+	c.err = c.post()
+	if fl := c.fl; fl.pending.Add(-1) == 0 {
+		fl.rt.At(fl.rt.Now(), fl.wake)
 	}
-	return firstErr
 }
 
-// exchange is the client half of every peer endpoint: convert the
-// messages to wire form, scatter them — the self site handled inline by
-// handle, every other live site by a POST to endpoint — and gather the
-// replies indexed by site (a site left out keeps the zero reply). ms is
-// either one message for every site or one message per site. All
-// conversions happen up front, so a message that cannot be put on the
-// wire surfaces before any site has been touched.
-func exchange[Req, Rep, WReq, WRep any](
-	t *HTTP, p rt.Proc, endpoint string, skip int, ms []Req,
-	toWire func(Req) (WReq, error), handle func(Node, Req) (Rep, error), fromWire func(WRep) Rep,
-) ([]Rep, error) {
-	ws := make([]WReq, len(ms))
-	for i, m := range ms {
-		w, err := toWire(m)
-		if err != nil {
-			return nil, &SiteError{Site: i, Err: err}
-		}
-		ws[i] = w
+// maxPeerBody bounds a peer body, request or reply. The largest
+// legitimate one is a join cut or a migrating unit's folded state; with no
+// peer token set the surface is unauthenticated, so the bound is what
+// stands between a stranger — or whatever answers at a peer's address —
+// and the process's memory.
+const maxPeerBody = 16 << 20
+
+// post performs one round trip to a peer endpoint: c.Payload out, the
+// answer decoded into c.reply.
+//
+//homeo:hotpath
+func (c *call) post() error {
+	c.t.Messages.Add(1)
+	if c.peer.err != nil {
+		return c.peer.err
 	}
-	ps := t.ps.Load()
-	replies := make([]Rep, len(ps.addrs))
-	err := t.scatter(p, ps, skip, func(k int) (err error) {
-		i := 0
-		if len(ms) > 1 {
-			i = k
-		}
-		if k == t.self {
-			replies[k], err = handle(t.node, ms[i])
-			return err
-		}
-		var out WRep
-		if err = t.post(ps.addrs[k], endpoint, &ws[i], &out); err == nil {
-			replies[k] = fromWire(out)
-		}
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return replies, nil
-}
-
-// Collect materializes the message, scatters it, and gathers the replies.
-func (t *HTTP) Collect(p rt.Proc, from int, mkMsg func() CollectState) ([]StateReply, error) {
-	return exchange(t, p, "collect", everySite, []CollectState{mkMsg()},
-		noErr(CollectToWire), Node.CollectState, stateFromWire)
-}
-
-// Install delivers the folded state everywhere.
-func (t *HTTP) Install(p rt.Proc, from int, m InstallState) error {
-	_, err := exchange(t, p, "install-state", everySite, []InstallState{m},
-		noErr(InstallStateToWire), installState, ackWire)
-	return err
-}
-
-// Distribute delivers each site its treaties.
-func (t *HTTP) Distribute(p rt.Proc, from int, ms []InstallTreaties) error {
-	_, err := exchange(t, p, "install-treaties", everySite, ms,
-		noErr(InstallTreatiesToWire), installTreaties, ackWire)
-	return err
-}
-
-// Abort releases the round everywhere.
-func (t *HTTP) Abort(p rt.Proc, from int, m AbortRound) error {
-	_, err := exchange(t, p, "abort", everySite, []AbortRound{m},
-		noErr(abortToWire), abortRound, ackWire)
-	return err
-}
-
-// Rejoin delivers the recovery handshake to every peer of the rejoining
-// site (the from site is the sender, so it is skipped).
-func (t *HTTP) Rejoin(p rt.Proc, from int, m Rejoin) ([]RejoinReply, error) {
-	return exchange(t, p, "rejoin", from, []Rejoin{m},
-		noErr(RejoinToWire), Node.Rejoin, RejoinReplyFromWire)
-}
-
-// Join delivers a join-handshake phase to every member except the
-// joining site (the sender) and gathers the replies.
-func (t *HTTP) Join(p rt.Proc, from int, m JoinSite) ([]JoinReply, error) {
-	return exchange(t, p, "join", from, []JoinSite{m},
-		noErr(JoinToWire), Node.JoinSite, JoinReplyFromWire)
-}
-
-// Drain announces the drained site to every other member and gathers
-// the acks.
-func (t *HTTP) Drain(p rt.Proc, from int, m DrainSite) ([]DrainReply, error) {
-	return exchange(t, p, "drain", from, []DrainSite{m},
-		noErr(DrainToWire), Node.DrainSite, drainReplyFromWire)
-}
-
-// bufPool recycles the request/response buffers of the peer surface, so
-// a round trip does not allocate a body per message.
-var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-func getBuf() *bytes.Buffer { return bufPool.Get().(*bytes.Buffer) }
-
-func putBuf(b *bytes.Buffer) {
-	b.Reset()
-	bufPool.Put(b)
-}
-
-// post performs one round trip to a peer endpoint. in and out are
-// pointers to the endpoint's wire request and reply.
-func (t *HTTP) post(addr, endpoint string, in, out any) error {
-	t.Messages.Add(1)
-	body := getBuf()
-	defer putBuf(body)
-	b, err := codec.AppendMessage(body.AvailableBuffer(), in)
+	resp, err := c.Send(context.Background(), c.t.hc, c.peer.urls[c.ep], c.hdr)
 	if err != nil {
 		return err
 	}
-	body.Write(b)
-	req, err := http.NewRequest(http.MethodPost, addr+"/v1/peer/"+endpoint, bytes.NewReader(body.Bytes()))
-	if err != nil {
-		return err
+	if resp.StatusCode != http.StatusOK {
+		return refusal(endpointNames[c.ep], resp)
 	}
-	req.Header.Set("Content-Type", codec.ContentType)
-	if t.token != "" {
-		req.Header.Set(PeerTokenHeader, t.token)
+	if err := c.ReadReply(resp, maxPeerBody); err != nil {
+		return replyError(endpointNames[c.ep], err)
 	}
-	resp, err := t.hc.Do(req)
-	if err != nil {
-		return err
-	}
+	return c.dec.Decode(c.Reply, c.reply)
+}
+
+// refusal reads a peer's error envelope.
+func refusal(endpoint string, resp *http.Response) error {
 	defer resp.Body.Close()
-	reply := getBuf()
-	defer putBuf(reply)
-	if resp.StatusCode == http.StatusOK {
-		if _, err := reply.ReadFrom(resp.Body); err != nil {
-			return err
-		}
-		return codec.DecodeMessage(reply.Bytes(), out)
-	}
-	if _, err := reply.ReadFrom(io.LimitReader(resp.Body, 16<<10)); err != nil {
+	data, err := io.ReadAll(io.LimitReader(resp.Body, 16<<10))
+	if err != nil {
 		return err
 	}
 	var envelope wire.ErrorResponse
-	if json.Unmarshal(reply.Bytes(), &envelope) == nil {
+	if json.Unmarshal(data, &envelope) == nil {
 		switch envelope.Error.Code {
 		case "busy":
 			return ErrBusy
@@ -330,7 +339,191 @@ func (t *HTTP) post(addr, endpoint string, in, out any) error {
 			return ErrSiteGone
 		}
 	}
-	return fmt.Errorf("peer %s: HTTP %d: %s", endpoint, resp.StatusCode, bytes.TrimSpace(reply.Bytes()))
+	return fmt.Errorf("peer %s: HTTP %d: %s", endpoint, resp.StatusCode, bytes.TrimSpace(data))
+}
+
+// replyError words a reply that could not be read.
+func replyError(endpoint string, err error) error {
+	if errors.Is(err, httpcall.ErrReplyTooLong) {
+		return fmt.Errorf("peer %s: reply exceeds %d bytes", endpoint, maxPeerBody)
+	}
+	return fmt.Errorf("peer %s: reading the reply: %w", endpoint, err)
+}
+
+// ScratchHook, when a test sets it, is handed every piece of scratch that a
+// peer call or a served request is done with, just before it goes back to
+// its pool, to scribble over: nothing a Node or a coordinator kept may
+// change. Nil outside tests.
+var ScratchHook func(scratch ...any)
+
+// release gives a call whose answer has been converted back to the pool.
+//
+//homeo:release sync.Pool
+func (ep *endpoint[Req, Rep, WReq, WRep]) release(c *peerCall[WReq, WRep]) {
+	c.t, c.hdr, c.peer, c.fl = nil, nil, nil, nil
+	if ScratchHook != nil {
+		ScratchHook(&c.in, &c.out, c.Payload, c.Reply)
+	}
+	if c.Reusable() {
+		ep.calls.Put(c)
+	}
+}
+
+// worst keeps, of the failures an exchange saw, the one it surfaces: a
+// busy refusal first (it means "retry", and must win over secondary
+// failures), then the failure at the lowest site.
+type worst struct {
+	site int
+	err  error
+}
+
+func (w *worst) note(site int, err error) {
+	if err == nil {
+		return
+	}
+	if w.err != nil {
+		was, is := errors.Is(w.err, ErrBusy), errors.Is(err, ErrBusy)
+		if was && !is || was == is && w.site < site {
+			return
+		}
+	}
+	w.site, w.err = site, err
+}
+
+func (w *worst) siteError() error {
+	if w.err == nil {
+		return nil
+	}
+	return &SiteError{Site: w.site, Err: w.err}
+}
+
+// exchange is the client half of every peer endpoint: scatter the messages
+// — the self site's handled inline by the Node (the caller holds the
+// execution right; Node handlers never park), every other live site's
+// posted on a goroutine of its own while the calling process parks — and
+// gather the replies into replies, indexed by site (nil when the caller
+// wants none; a site left out keeps the zero reply). Drained sites and the
+// skip site (the sender of a handshake that addresses only its peers) are
+// left out. ms is either one message for every site or one message per
+// site. Only what is posted is converted to wire form and encoded, all of
+// it up front, so a message that cannot be put on the wire surfaces before
+// any site has been touched.
+//
+//homeo:hotpath
+func exchange[Req, Rep, WReq, WRep any](
+	t *HTTP, p rt.Proc, ep *endpoint[Req, Rep, WReq, WRep], skip int, ms []Req, replies []Rep,
+) error {
+	ps, hdr := *t.ps.Load(), *t.hdr.Load()
+	var room [4]*peerCall[WReq, WRep]
+	calls := room[:0]
+	for k, peer := range ps {
+		if k == t.self || k == skip || peer.gone.Load() {
+			continue
+		}
+		c := ep.calls.Get().(*peerCall[WReq, WRep])
+		ep.reqToWire(&c.in, msgFor(ms, k))
+		var err error
+		if c.Payload, err = codec.AppendMessage(c.Payload[:0], &c.in); err != nil {
+			return &SiteError{Site: k, Err: err}
+		}
+		c.t, c.hdr, c.peer, c.site = t, hdr, peer, k
+		calls = append(calls, c)
+	}
+	var failed worst
+	self := t.self >= 0 && t.self < len(ps) && t.self != skip && !ps[t.self].gone.Load()
+	var fl *flight
+	if len(calls) > 0 {
+		fl = flights.Get().(*flight)
+		fl.rt, fl.p, fl.token = t.rt, p, p.PrepPark()
+		fl.pending.Store(int32(len(calls)))
+		for _, c := range calls {
+			c.fl = fl
+			go c.run()
+		}
+	}
+	if self {
+		rep, err := ep.handle(t.node, msgFor(ms, t.self))
+		if replies != nil {
+			replies[t.self] = rep
+		}
+		failed.note(t.self, err)
+	}
+	if fl != nil {
+		p.Park()
+		fl.rt, fl.p = nil, nil
+		flights.Put(fl)
+	}
+	for _, c := range calls {
+		if c.err != nil {
+			//homeo:leak failed in transit or refused: net/http may still read the body
+			failed.note(c.site, c.err)
+			continue
+		}
+		if replies != nil {
+			replies[c.site] = ep.repFromWire(&c.out)
+		}
+		ep.release(c)
+	}
+	return failed.siteError()
+}
+
+// msgFor returns a site's message of an exchange: ms holds one for every
+// site or one per site.
+func msgFor[Req any](ms []Req, site int) Req {
+	if len(ms) > 1 {
+		return ms[site]
+	}
+	return ms[0]
+}
+
+// Collect materializes the message, scatters it, and gathers the replies.
+func (t *HTTP) Collect(p rt.Proc, from int, mkMsg func() CollectState) ([]StateReply, error) {
+	return gather(t, p, collectEP, everySite, mkMsg())
+}
+
+// Install delivers the folded state everywhere.
+func (t *HTTP) Install(p rt.Proc, from int, m InstallState) error {
+	return exchange(t, p, installStateEP, everySite, []InstallState{m}, nil)
+}
+
+// Distribute delivers each site its treaties.
+func (t *HTTP) Distribute(p rt.Proc, from int, ms []InstallTreaties) error {
+	return exchange(t, p, installTreatiesEP, everySite, ms, nil)
+}
+
+// Abort releases the round everywhere.
+func (t *HTTP) Abort(p rt.Proc, from int, m AbortRound) error {
+	return exchange(t, p, abortEP, everySite, []AbortRound{m}, nil)
+}
+
+// Rejoin delivers the recovery handshake to every peer of the rejoining
+// site (the from site is the sender, so it is skipped).
+func (t *HTTP) Rejoin(p rt.Proc, from int, m Rejoin) ([]RejoinReply, error) {
+	return gather(t, p, rejoinEP, from, m)
+}
+
+// Join delivers a join-handshake phase to every member except the
+// joining site (the sender) and gathers the replies.
+func (t *HTTP) Join(p rt.Proc, from int, m JoinSite) ([]JoinReply, error) {
+	return gather(t, p, joinEP, from, m)
+}
+
+// Drain announces the drained site to every other member and gathers
+// the acks.
+func (t *HTTP) Drain(p rt.Proc, from int, m DrainSite) ([]DrainReply, error) {
+	return gather(t, p, drainEP, from, m)
+}
+
+// gather is an exchange of one message for every site whose caller wants
+// the replies: they are the caller's to keep.
+func gather[Req, Rep, WReq, WRep any](
+	t *HTTP, p rt.Proc, ep *endpoint[Req, Rep, WReq, WRep], skip int, m Req,
+) ([]Rep, error) {
+	replies := make([]Rep, t.NSites())
+	if err := exchange(t, p, ep, skip, []Req{m}, replies); err != nil {
+		return nil, err
+	}
+	return replies, nil
 }
 
 var _ Transport = (*HTTP)(nil)
@@ -350,13 +543,13 @@ func NewPeerHandler(node Node, exec func(func()), token string) http.Handler {
 	}
 	h := &peerHandler{node: node, exec: exec, token: token}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/peer/collect", serve(h, noErr(CollectFromWire), Node.CollectState, stateToWire))
-	mux.HandleFunc("/v1/peer/install-state", serve(h, noErr(InstallStateFromWire), installState, ackWire))
-	mux.HandleFunc("/v1/peer/install-treaties", serve(h, InstallTreatiesFromWire, installTreaties, ackWire))
-	mux.HandleFunc("/v1/peer/abort", serve(h, noErr(abortFromWire), abortRound, ackWire))
-	mux.HandleFunc("/v1/peer/rejoin", serve(h, noErr(RejoinFromWire), Node.Rejoin, RejoinReplyToWire))
-	mux.HandleFunc("/v1/peer/join", serve(h, noErr(JoinFromWire), Node.JoinSite, JoinReplyToWire))
-	mux.HandleFunc("/v1/peer/drain", serve(h, noErr(DrainFromWire), Node.DrainSite, drainReplyToWire))
+	mux.HandleFunc("/v1/peer/collect", serve(h, collectEP))
+	mux.HandleFunc("/v1/peer/install-state", serve(h, installStateEP))
+	mux.HandleFunc("/v1/peer/install-treaties", serve(h, installTreatiesEP))
+	mux.HandleFunc("/v1/peer/abort", serve(h, abortEP))
+	mux.HandleFunc("/v1/peer/rejoin", serve(h, rejoinEP))
+	mux.HandleFunc("/v1/peer/join", serve(h, joinEP))
+	mux.HandleFunc("/v1/peer/drain", serve(h, drainEP))
 	return mux
 }
 
@@ -366,71 +559,110 @@ type peerHandler struct {
 	token string
 }
 
-// serve is the server half of every peer endpoint: authenticate and
-// decode the wire request, convert it, run handle on the node under the
-// execution right, and answer with the converted reply — or the error
-// envelope, at whichever step failed.
-func serve[Req, Rep, WReq, WRep any](
-	h *peerHandler, fromWire func(WReq) (Req, error), handle func(Node, Req) (Rep, error), toWire func(Rep) WRep,
-) http.HandlerFunc {
+// served is one request to a peer endpoint being answered, and everything
+// answering it needs from the body to the reply: requests are served out of
+// a pool of these, one pool per handler and endpoint. The body is read into
+// body and decoded into in, the fabric message built from that (out of sc
+// where convert.go says it may be), the Node's reply converted into out and
+// encoded into reply — each filled over what the last request left there.
+// What the Node keeps of a message is not in here, and what is in here the
+// Node has finished with when its method returns.
+type served[Req, Rep, WReq, WRep any] struct {
+	h   *peerHandler
+	ep  *endpoint[Req, Rep, WReq, WRep]
+	dec codec.Decoder
+
+	body, reply []byte
+	in          WReq
+	out         WRep
+	sc          reqScratch
+
+	// The call into the Node: run is handle as a func value, bound once,
+	// for exec to run; m goes in, rep and err come out.
+	run func()
+	m   Req
+	rep Rep
+	err error
+}
+
+// serve is the server half of a peer endpoint.
+func serve[Req, Rep, WReq, WRep any](h *peerHandler, ep *endpoint[Req, Rep, WReq, WRep]) http.HandlerFunc {
+	pool := &sync.Pool{New: func() any {
+		s := &served[Req, Rep, WReq, WRep]{h: h, ep: ep}
+		s.run = s.handle
+		return s
+	}}
 	return func(rw http.ResponseWriter, req *http.Request) {
-		var in WReq
-		if !h.decodePeer(rw, req, &in) {
-			return
-		}
-		m, err := fromWire(in)
-		if err != nil {
-			peerError(rw, err)
-			return
-		}
-		var rep Rep
-		h.exec(func() { rep, err = handle(h.node, m) })
-		if err != nil {
-			peerError(rw, err)
-			return
-		}
-		out := toWire(rep)
-		peerReply(rw, &out)
+		s := pool.Get().(*served[Req, Rep, WReq, WRep])
+		s.answer(rw, req)
+		s.release(pool)
 	}
 }
 
-// noErr lifts a conversion that cannot fail into the fallible shape
-// exchange and serve take.
-func noErr[A, B any](f func(A) B) func(A) (B, error) {
-	return func(a A) (B, error) { return f(a), nil }
+func (s *served[Req, Rep, WReq, WRep]) handle() { s.rep, s.err = s.ep.handle(s.h.node, s.m) }
+
+// answer authenticates and decodes the wire request, converts it, runs the
+// Node's method under the execution right, and answers with the converted
+// reply — or the error envelope, at whichever step failed.
+//
+//homeo:hotpath
+func (s *served[Req, Rep, WReq, WRep]) answer(rw http.ResponseWriter, req *http.Request) {
+	if !s.h.admit(rw, req) {
+		return
+	}
+	var err error
+	if s.body, err = httpcall.ReadRequest(rw, req, s.body, maxPeerBody); err == nil {
+		err = s.dec.Decode(s.body, &s.in)
+	}
+	if err != nil {
+		refuseBody(rw, err)
+		return
+	}
+	if s.m, err = s.ep.reqFromWire(&s.sc, &s.in); err != nil {
+		peerError(rw, err)
+		return
+	}
+	s.h.exec(s.run)
+	if s.err != nil {
+		peerError(rw, s.err)
+		return
+	}
+	s.ep.repToWire(&s.out, s.rep)
+	if s.reply, err = codec.AppendMessage(s.reply[:0], &s.out); err != nil {
+		peerError(rw, err)
+		return
+	}
+	rw.Header()["Content-Type"] = peerContentType
+	rw.WriteHeader(http.StatusOK)
+	// A short write here means the client hung up; there is no channel
+	// left to report it on.
+	_, _ = rw.Write(s.reply)
 }
 
-// acked lifts a Node method that only succeeds or fails into the
-// request→reply shape exchange and serve take: its reply is the ack,
-// which echoes the request's clock.
-func acked[Req interface{ clock() int64 }](f func(Node, Req) error) func(Node, Req) (wire.PeerAck, error) {
-	return func(n Node, m Req) (wire.PeerAck, error) { return wire.PeerAck{Clock: m.clock()}, f(n, m) }
+// release lets go of the message and the Node's reply and gives the rest
+// back to the pool, unless a large body grew it.
+//
+//homeo:release sync.Pool
+func (s *served[Req, Rep, WReq, WRep]) release(pool *sync.Pool) {
+	var (
+		m   Req
+		rep Rep
+	)
+	s.m, s.rep, s.err = m, rep, nil
+	if ScratchHook != nil {
+		ScratchHook(s.sc.objs, s.sc.folded, &s.in, &s.out, s.body, s.reply)
+	}
+	if cap(s.body) <= wire.MaxPooledBuf && cap(s.reply) <= wire.MaxPooledBuf {
+		pool.Put(s)
+	}
 }
-
-// The ack-only Node methods, lifted once for both halves.
-var (
-	installState    = acked(Node.InstallState)
-	installTreaties = acked(Node.InstallTreaties)
-	abortRound      = acked(Node.AbortRound)
-)
-
-func (m InstallState) clock() int64    { return m.Clock }
-func (m InstallTreaties) clock() int64 { return m.Clock }
-func (m AbortRound) clock() int64      { return m.Clock }
-
-// ackWire is both wire conversions of an ack: acked answers in wire form.
-func ackWire(a wire.PeerAck) wire.PeerAck { return a }
 
 // refuse answers with the JSON error envelope. Errors are JSON on a
 // surface that is otherwise codec-only so that busy and site_gone stay
-// recognizable and a human can read a refusal. The body is encoded into
-// a pooled buffer first so an encode failure can still become a 500
-// instead of a half-written reply with the status already on the wire.
+// recognizable and a human can read a refusal.
 func refuse(rw http.ResponseWriter, status int, code, message string) {
-	buf := getBuf()
-	defer putBuf(buf)
-	envelope := wire.ErrorResponse{Error: wire.Error{Code: code, Message: message}}
-	if err := json.NewEncoder(buf).Encode(envelope); err != nil {
+	body, err := json.Marshal(wire.ErrorResponse{Error: wire.Error{Code: code, Message: message}})
+	if err != nil {
 		http.Error(rw, `{"error":{"code":"internal","message":"response encoding failed"}}`,
 			http.StatusInternalServerError)
 		return
@@ -438,8 +670,9 @@ func refuse(rw http.ResponseWriter, status int, code, message string) {
 	rw.Header().Set("Content-Type", "application/json")
 	rw.WriteHeader(status)
 	// A short write here means the client hung up; there is no channel
-	// left to report it on.
-	_, _ = rw.Write(buf.Bytes())
+	// left to report it on. (The newline is json.Encoder's, which wrote
+	// these bodies first.)
+	_, _ = rw.Write(append(body, '\n'))
 }
 
 // peerError answers a failed handler call.
@@ -454,32 +687,19 @@ func peerError(rw http.ResponseWriter, err error) {
 	refuse(rw, status, code, err.Error())
 }
 
-// peerReply answers a successful handler call; v is a pointer to the
-// endpoint's wire reply.
-func peerReply(rw http.ResponseWriter, v any) {
-	buf := getBuf()
-	defer putBuf(buf)
-	b, err := codec.AppendMessage(buf.AvailableBuffer(), v)
-	if err != nil {
-		peerError(rw, err)
+// refuseBody answers a request whose body could not be read or decoded.
+func refuseBody(rw http.ResponseWriter, err error) {
+	if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+		refuse(rw, http.StatusRequestEntityTooLarge, "too_large",
+			fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
 		return
 	}
-	buf.Write(b)
-	rw.Header().Set("Content-Type", codec.ContentType)
-	rw.WriteHeader(http.StatusOK)
-	_, _ = rw.Write(buf.Bytes())
+	refuse(rw, http.StatusBadRequest, "bad_request", err.Error())
 }
 
-// maxPeerBody bounds a peer request body. The largest legitimate one is
-// a join cut or a migrating unit's folded state; with no peer token set
-// the surface is unauthenticated, so the bound is what stands between a
-// stranger and the process's memory.
-const maxPeerBody = 16 << 20
-
-// decodePeer authenticates a peer request and decodes its body into v (a
-// pointer to the endpoint's wire request), answering the refusal itself
-// when it reports false.
-func (h *peerHandler) decodePeer(rw http.ResponseWriter, req *http.Request, v any) bool {
+// admit authenticates a peer request and checks that it is a POST of a
+// codec body, answering the refusal itself when it reports false.
+func (h *peerHandler) admit(rw http.ResponseWriter, req *http.Request) bool {
 	if req.Method != http.MethodPost {
 		refuse(rw, http.StatusMethodNotAllowed, "method_not_allowed", "POST only")
 		return false
@@ -494,308 +714,5 @@ func (h *peerHandler) decodePeer(rw http.ResponseWriter, req *http.Request, v an
 			fmt.Sprintf("content type %q: peer bodies are %s only", ct, codec.ContentType))
 		return false
 	}
-	buf := getBuf()
-	defer putBuf(buf)
-	_, err := buf.ReadFrom(http.MaxBytesReader(rw, req.Body, maxPeerBody))
-	if err == nil {
-		err = codec.DecodeMessage(buf.Bytes(), v)
-	}
-	if err == nil {
-		return true
-	}
-	if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
-		refuse(rw, http.StatusRequestEntityTooLarge, "too_large",
-			fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
-	} else {
-		refuse(rw, http.StatusBadRequest, "bad_request", err.Error())
-	}
-	return false
-}
-
-// --- fabric message ↔ wire message conversions ---------------------------
-
-func dbToWire(d lang.Database) map[string]int64 {
-	out := make(map[string]int64, len(d))
-	for obj, v := range d {
-		out[string(obj)] = v
-	}
-	return out
-}
-
-func dbFromWire(m map[string]int64) lang.Database {
-	out := make(lang.Database, len(m))
-	for name, v := range m {
-		out[lang.ObjID(name)] = v
-	}
-	return out
-}
-
-func objsToWire(objs []lang.ObjID) []string {
-	out := make([]string, len(objs))
-	for i, o := range objs {
-		out[i] = string(o)
-	}
-	return out
-}
-
-func objsFromWire(names []string) []lang.ObjID {
-	out := make([]lang.ObjID, len(names))
-	for i, n := range names {
-		out[i] = lang.ObjID(n)
-	}
-	return out
-}
-
-// CollectToWire encodes a CollectState message.
-func CollectToWire(m CollectState) wire.PeerCollect {
-	return wire.PeerCollect{
-		From: m.Round.Site, Round: m.Round.Seq, Clock: m.Clock,
-		Units: m.Units, Objs: objsToWire(m.Objs),
-	}
-}
-
-// CollectFromWire decodes a CollectState message.
-func CollectFromWire(w wire.PeerCollect) CollectState {
-	return CollectState{
-		Round: RoundID{Site: w.From, Seq: w.Round}, Clock: w.Clock,
-		Units: w.Units, Objs: objsFromWire(w.Objs),
-	}
-}
-
-func stateToWire(m StateReply) wire.PeerState {
-	return wire.PeerState{Clock: m.Clock, Values: dbToWire(m.Values)}
-}
-
-func stateFromWire(w wire.PeerState) StateReply {
-	return StateReply{Clock: w.Clock, Values: dbFromWire(w.Values)}
-}
-
-// InstallStateToWire encodes an InstallState message.
-func InstallStateToWire(m InstallState) wire.PeerInstallState {
-	out := wire.PeerInstallState{
-		From: m.Round.Site, Round: m.Round.Seq, Clock: m.Clock,
-		Objs: objsToWire(m.Objs), Folded: dbToWire(m.Folded),
-	}
-	if m.Winner != nil {
-		out.Winner = &wire.PeerWinner{
-			Class: m.Winner.Class, Args: m.Winner.Args, Site: m.Winner.Site,
-			Units: m.Winner.Units, Log: m.Winner.Log,
-		}
-	}
-	return out
-}
-
-// InstallStateFromWire decodes an InstallState message.
-func InstallStateFromWire(w wire.PeerInstallState) InstallState {
-	out := InstallState{
-		Round: RoundID{Site: w.From, Seq: w.Round}, Clock: w.Clock,
-		Objs: objsFromWire(w.Objs), Folded: dbFromWire(w.Folded),
-	}
-	if w.Winner != nil {
-		out.Winner = &WinnerCommit{
-			Class: w.Winner.Class, Args: w.Winner.Args, Site: w.Winner.Site,
-			Units: w.Winner.Units, Log: w.Winner.Log,
-		}
-	}
-	return out
-}
-
-func abortToWire(m AbortRound) wire.PeerAbort {
-	return wire.PeerAbort{From: m.Round.Site, Round: m.Round.Seq, Clock: m.Clock}
-}
-
-func abortFromWire(w wire.PeerAbort) AbortRound {
-	return AbortRound{Round: RoundID{Site: w.From, Seq: w.Round}, Clock: w.Clock}
-}
-
-// RejoinToWire encodes a Rejoin handshake.
-func RejoinToWire(m Rejoin) wire.PeerRejoin {
-	out := wire.PeerRejoin{Site: m.Site, Clock: m.Clock}
-	for unit, v := range m.Versions {
-		out.Units = append(out.Units, wire.PeerUnitVersion{Unit: unit, Version: v})
-	}
-	sort.Slice(out.Units, func(i, j int) bool { return out.Units[i].Unit < out.Units[j].Unit })
-	return out
-}
-
-// RejoinFromWire decodes a Rejoin handshake.
-func RejoinFromWire(w wire.PeerRejoin) Rejoin {
-	out := Rejoin{Site: w.Site, Clock: w.Clock, Versions: make(map[int]int64, len(w.Units))}
-	for _, uv := range w.Units {
-		out.Versions[uv.Unit] = uv.Version
-	}
-	return out
-}
-
-// RejoinReplyToWire encodes a Rejoin reply.
-func RejoinReplyToWire(m RejoinReply) wire.PeerRejoinReply {
-	out := wire.PeerRejoinReply{Clock: m.Clock}
-	for _, ru := range m.Units {
-		out.Units = append(out.Units, wire.PeerRejoinUnit{
-			Unit: ru.Unit, Version: ru.Version, Force: ru.Force, Base: dbToWire(ru.Base),
-		})
-	}
-	return out
-}
-
-// RejoinReplyFromWire decodes a Rejoin reply.
-func RejoinReplyFromWire(w wire.PeerRejoinReply) RejoinReply {
-	out := RejoinReply{Clock: w.Clock}
-	for _, ru := range w.Units {
-		out.Units = append(out.Units, RejoinUnit{
-			Unit: ru.Unit, Version: ru.Version, Force: ru.Force, Base: dbFromWire(ru.Base),
-		})
-	}
-	return out
-}
-
-// JoinToWire encodes a JoinSite handshake phase.
-func JoinToWire(m JoinSite) wire.PeerJoin {
-	return wire.PeerJoin{
-		Site: m.Site, Round: m.Round.Seq, Clock: m.Clock,
-		Addr: m.Addr, Phase: m.Phase,
-	}
-}
-
-// JoinFromWire decodes a JoinSite handshake phase. The round is keyed by
-// the joining site (it coordinates its own admission).
-func JoinFromWire(w wire.PeerJoin) JoinSite {
-	return JoinSite{
-		Round: RoundID{Site: w.Site, Seq: w.Round}, Clock: w.Clock,
-		Site: w.Site, Addr: w.Addr, Phase: w.Phase,
-	}
-}
-
-// JoinReplyToWire encodes a JoinSite reply.
-func JoinReplyToWire(m JoinReply) wire.PeerJoinReply {
-	out := wire.PeerJoinReply{Clock: m.Clock, Epoch: m.Epoch}
-	for _, u := range m.Units {
-		out.Units = append(out.Units, wire.PeerJoinUnit{
-			Unit: u.Unit, Version: u.Version, Base: dbToWire(u.Base),
-		})
-	}
-	return out
-}
-
-// JoinReplyFromWire decodes a JoinSite reply.
-func JoinReplyFromWire(w wire.PeerJoinReply) JoinReply {
-	out := JoinReply{Clock: w.Clock, Epoch: w.Epoch}
-	for _, u := range w.Units {
-		out.Units = append(out.Units, JoinUnit{
-			Unit: u.Unit, Version: u.Version, Base: dbFromWire(u.Base),
-		})
-	}
-	return out
-}
-
-// DrainToWire encodes a DrainSite announcement.
-func DrainToWire(m DrainSite) wire.PeerDrain {
-	return wire.PeerDrain{Site: m.Site, Clock: m.Clock}
-}
-
-// DrainFromWire decodes a DrainSite announcement.
-func DrainFromWire(w wire.PeerDrain) DrainSite {
-	return DrainSite{Site: w.Site, Clock: w.Clock}
-}
-
-func drainReplyToWire(m DrainReply) wire.PeerDrainReply {
-	return wire.PeerDrainReply{Clock: m.Clock, Epoch: m.Epoch}
-}
-
-func drainReplyFromWire(w wire.PeerDrainReply) DrainReply {
-	return DrainReply{Clock: w.Clock, Epoch: w.Epoch}
-}
-
-func opToWire(op lia.RelOp) string {
-	switch op {
-	case lia.LE:
-		return "<="
-	case lia.LT:
-		return "<"
-	default:
-		return "=="
-	}
-}
-
-func opFromWire(s string) (lia.RelOp, error) {
-	switch s {
-	case "<=":
-		return lia.LE, nil
-	case "<":
-		return lia.LT, nil
-	case "==":
-		return lia.EQ, nil
-	}
-	return 0, fmt.Errorf("fabric: unknown constraint op %q", s)
-}
-
-// ConstraintsToWire encodes a local treaty's constraint list in the form
-// install-treaties bodies and the WAL's treaty records both carry.
-func ConstraintsToWire(l treaty.Local) []wire.PeerConstraint {
-	out := make([]wire.PeerConstraint, 0, len(l.Constraints))
-	for _, c := range l.Constraints {
-		pc := wire.PeerConstraint{Const: c.Const, Op: opToWire(c.Op)}
-		if len(c.Terms) > 0 {
-			pc.Coeffs = make(map[string]int64, len(c.Terms))
-		}
-		for _, t := range c.Terms {
-			pc.Coeffs[string(t.Obj)] = t.Coeff
-		}
-		out = append(out, pc)
-	}
-	return out
-}
-
-// ConstraintsFromWire decodes a wire constraint list back into a local
-// treaty for the given site (the inverse of ConstraintsToWire on a canonical
-// treaty): each constraint's terms in ascending object order, a zero
-// coefficient dropped.
-func ConstraintsFromWire(site int, cs []wire.PeerConstraint) (treaty.Local, error) {
-	out := treaty.Local{Site: site, Constraints: make([]treaty.Constraint, 0, len(cs))}
-	for _, pc := range cs {
-		op, err := opFromWire(pc.Op)
-		if err != nil {
-			return treaty.Local{}, err
-		}
-		c := treaty.Constraint{Const: pc.Const, Op: op}
-		if n := len(pc.Coeffs); n > 0 {
-			c.Terms = make([]treaty.Term, 0, n)
-		}
-		for name, coeff := range pc.Coeffs {
-			if coeff != 0 {
-				c.Terms = append(c.Terms, treaty.Term{Obj: lang.ObjID(name), Coeff: coeff})
-			}
-		}
-		slices.SortFunc(c.Terms, treaty.TermOrder)
-		out.Constraints = append(out.Constraints, c)
-	}
-	return out, nil
-}
-
-// InstallTreatiesToWire encodes an InstallTreaties message.
-func InstallTreatiesToWire(m InstallTreaties) wire.PeerInstallTreaties {
-	out := wire.PeerInstallTreaties{
-		From: m.Round.Site, Round: m.Round.Seq, Clock: m.Clock, Site: m.Site,
-	}
-	for _, ut := range m.Units {
-		out.Units = append(out.Units, wire.PeerUnitTreaty{
-			Unit: ut.Unit, Version: ut.Version, Constraints: ConstraintsToWire(ut.Local),
-		})
-	}
-	return out
-}
-
-// InstallTreatiesFromWire decodes an InstallTreaties message.
-func InstallTreatiesFromWire(w wire.PeerInstallTreaties) (InstallTreaties, error) {
-	out := InstallTreaties{
-		Round: RoundID{Site: w.From, Seq: w.Round}, Clock: w.Clock, Site: w.Site,
-	}
-	for _, ut := range w.Units {
-		l, err := ConstraintsFromWire(w.Site, ut.Constraints)
-		if err != nil {
-			return out, fmt.Errorf("unit %d: %w", ut.Unit, err)
-		}
-		out.Units = append(out.Units, UnitTreaty{Unit: ut.Unit, Version: ut.Version, Local: l})
-	}
-	return out, nil
+	return true
 }

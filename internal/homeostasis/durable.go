@@ -517,8 +517,11 @@ func (sys *System) logTreaty(site, unit int, l treaty.Local, version, clk int64,
 	if lg == nil {
 		return
 	}
+	// AppendTreaty encodes the record before it returns and keeps none of
+	// it, so the list is the System's, filled over the last one.
+	sys.walTreaty = fabric.AppendConstraintsToWire(sys.walTreaty, l)
 	rec := wal.TreatyRecord{Unit: unit, Site: site, Version: version, Clock: clk,
-		Constraints: fabric.ConstraintsToWire(l)}
+		Constraints: sys.walTreaty}
 	if rid != nil {
 		rec.Round = &wal.RoundID{Site: rid.Site, Seq: rid.Seq}
 	}

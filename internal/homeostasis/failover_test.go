@@ -19,10 +19,12 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/fabric"
 	"repro/internal/fabric/codec"
+	"repro/internal/fabric/fabrictest"
 	"repro/internal/lang"
 	"repro/internal/lia"
 	"repro/internal/micro"
 	"repro/internal/rt"
+	"repro/internal/rtlive"
 	"repro/internal/sim"
 	"repro/internal/treaty"
 )
@@ -257,5 +259,107 @@ func TestSiteRefusesTreatyOverAnotherSitesObjects(t *testing.T) {
 	}
 	if u.version != beforeVersion+1 || reflect.DeepEqual(u.treaties[1].Local(), before) {
 		t.Fatal("a treaty over the site's own delta was not installed")
+	}
+}
+
+// TestNodeKeepsNoPeerScratch: the peer handler serves a request out of
+// pooled scratch and a coordinator reads a reply out of a pooled call;
+// with every piece of that scratch scribbled over the moment it is given
+// back (fabric.ScratchHook), what the site and the coordinator kept of the
+// messages is untouched — the grant's unit list, the reply the coordinator
+// folds from, the winner a grant expiry adopts, the installed local treaty.
+func TestNodeKeepsNoPeerScratch(t *testing.T) {
+	fabric.ScratchHook = fabrictest.Scribble
+	defer func() { fabric.ScratchHook = nil }()
+	sys, eng, node := failoverSystem(t)
+	srv := httptest.NewServer(fabric.NewPeerHandler(node, nil, ""))
+	defer srv.Close()
+	// The coordinator: site 0 of a transport whose only peer is the site
+	// under test. Its own site is a stub; what it says is not looked at.
+	live := rtlive.New(1)
+	tr := fabric.NewHTTP(live, 0, []string{"http://unused.invalid", srv.URL}, &fabrictest.StubNode{}, nil)
+	onCoordinator := func(fn func(p rt.Proc) error) {
+		t.Helper()
+		done := make(chan error, 1)
+		live.Spawn(0, func(p rt.Proc) { done <- fn(p) })
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	u := sys.Units[0]
+	sys.Stores[1].Apply(sys.deltaName(u.objects[0], 1), -3)
+	want := sys.ownDeltas(1, u.objects)
+	rid := fabric.RoundID{Site: 0, Seq: 7}
+	var replies []fabric.StateReply
+	onCoordinator(func(p rt.Proc) (err error) {
+		replies, err = tr.Collect(p, 0, func() fabric.CollectState {
+			return fabric.CollectState{Round: rid, Clock: 3, Units: []int{u.id}, Objs: u.objects}
+		})
+		return err
+	})
+	if !replies[1].Values.Equal(want) {
+		t.Errorf("the coordinator folds from %v, the site reported %v", replies[1].Values, want)
+	}
+	g := sys.rounds[rid]
+	if g == nil || !reflect.DeepEqual(g.units, []int{u.id}) {
+		t.Fatalf("the grant holds units %+v, want [%d]", g, u.id)
+	}
+
+	folded := lang.Database{}
+	for _, obj := range u.objects {
+		folded[obj] = 77
+	}
+	winner := fabric.WinnerCommit{Class: "order", Args: []int64{2, 3}, Site: 0, Units: []int{u.id}, Log: []int64{5}}
+	sent := winner
+	onCoordinator(func(p rt.Proc) error {
+		return tr.Install(p, 0, fabric.InstallState{Round: rid, Clock: 40, Objs: u.objects, Folded: folded, Winner: &sent})
+	})
+	if g.winner == nil || !reflect.DeepEqual(*g.winner, winner) {
+		t.Fatalf("the grant holds winner %+v, want %+v", g.winner, winner)
+	}
+	if got := sys.Stores[1].Get(u.objects[0]); got != 77 {
+		t.Errorf("installed base = %d, want the fold (77)", got)
+	}
+
+	// A second round's messages go through the same scratch, then the first
+	// round's coordinator is given up on.
+	other := sys.Units[1]
+	onCoordinator(func(p rt.Proc) error {
+		_, err := tr.Collect(p, 0, func() fabric.CollectState {
+			return fabric.CollectState{Round: fabric.RoundID{Site: 0, Seq: 8}, Clock: 41, Units: []int{other.id}, Objs: other.objects}
+		})
+		return err
+	})
+	eng.Run() // virtual time runs past the grant TTL
+	if sys.Col.RoundsAdopted != 1 || len(sys.CommitLog) != 1 {
+		t.Fatalf("adopted=%d, commit log has %d entries, want the one adopted winner", sys.Col.RoundsAdopted, len(sys.CommitLog))
+	}
+	e := sys.CommitLog[0]
+	adopted := fabric.WinnerCommit{Class: e.Name, Args: e.Args, Site: e.Site, Units: e.Units, Log: e.Log}
+	if !reflect.DeepEqual(adopted, winner) || e.Clock != 40 {
+		t.Errorf("adopted entry = %+v, want %+v at clock 40", e, winner)
+	}
+
+	local := treaty.Local{Site: 1, Constraints: []treaty.Constraint{
+		{Terms: []treaty.Term{{Obj: lang.DeltaObj(other.objects[0], 1), Coeff: -1}}, Const: -5, Op: lia.LE},
+		{Terms: []treaty.Term{{Obj: lang.DeltaObj(other.objects[0], 1), Coeff: 1}}, Const: -9, Op: lia.LT},
+	}}
+	version := other.version + 1
+	onCoordinator(func(p rt.Proc) error {
+		return tr.Distribute(p, 0, []fabric.InstallTreaties{{}, {
+			Round: fabric.RoundID{Site: 0, Seq: 9}, Clock: 50, Site: 1,
+			Units: []fabric.UnitTreaty{{Unit: other.id, Version: version, Local: local}},
+		}})
+	})
+	// More traffic through the install-treaties scratch.
+	onCoordinator(func(p rt.Proc) error {
+		return tr.Distribute(p, 0, []fabric.InstallTreaties{{}, {Round: fabric.RoundID{Site: 0, Seq: 10}, Clock: 51, Site: 1}})
+	})
+	if got := other.treaties[1].Local(); other.version != version || !reflect.DeepEqual(got, local) {
+		t.Errorf("installed local treaty (version %d) = %+v, want version %d of %+v", other.version, got, version, local)
+	}
+	if holds, err := sys.localTreatyHolds(other, 1); err != nil || !holds {
+		t.Errorf("the installed treaty: holds=%v err=%v", holds, err)
 	}
 }

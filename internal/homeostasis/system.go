@@ -18,6 +18,7 @@ import (
 	"math/rand"
 	"sync/atomic"
 
+	"repro/homeo/wire"
 	"repro/internal/cluster"
 	"repro/internal/fabric"
 	"repro/internal/lang"
@@ -346,13 +347,14 @@ type System struct {
 	// coordinator's per-round scratch (see roundScratch); deltaNames
 	// memoizes lang.DeltaObj strings per (object, site), which the hot
 	// path and the site handlers otherwise re-format on every access;
-	// walWrites is logCommitClock's watermark map, filled and encoded
-	// within one call. All are accessed only under the runtime's execution
-	// right.
+	// walWrites is logCommitClock's watermark map and walTreaty logTreaty's
+	// constraint list, each filled and encoded within one call. All are
+	// accessed only under the runtime's execution right.
 	frames     []*execFrame
 	roundFree  []*roundScratch
 	deltaNames map[lang.ObjID][]lang.ObjID
 	walWrites  map[string]int64
+	walTreaty  []wire.PeerConstraint
 }
 
 // New builds the system: per-site stores initialized with the replicated
