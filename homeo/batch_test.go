@@ -69,8 +69,8 @@ func TestRegisterBatchAtomic(t *testing.T) {
 	if got := c.Classes(); len(got) != 0 {
 		t.Fatalf("partial registration survived the failed batch: %v", got)
 	}
-	// A duplicate inside the batch must also reject atomically — the
-	// first copy's installation is rolled back.
+	// A duplicate inside the batch must also reject atomically — refused
+	// before either copy registers.
 	dup := []homeo.ClassSpec{
 		{L: depositSrc, Initial: map[string]int64{"acct": 100}},
 		{L: depositSrc, Initial: map[string]int64{"acct": 100}},

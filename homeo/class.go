@@ -3,7 +3,6 @@ package homeo
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/lang"
 	"repro/internal/sqlfront"
@@ -43,35 +42,6 @@ type ClassSpec struct {
 type TxnClass struct {
 	c  *Cluster
 	wc *workload.Class
-	// governed caches the treaty units governing the class, so building
-	// a request takes no lock (see units).
-	governed atomic.Pointer[governedUnits]
-}
-
-// governedUnits is a class's governing unit set as of one registration
-// generation.
-type governedUnits struct {
-	gen   uint64
-	units []int
-}
-
-// units returns the treaty units whose treaties an invocation of the
-// class must check: its own and every unit sharing an object with it.
-// The set changes only when a class is registered, which bumps
-// Cluster.regGen under the execution right; until then the cached set is
-// read without a lock. A submission racing a registration may see the set
-// from just before it, exactly as a request built just before it would.
-func (t *TxnClass) units() []int {
-	if g := t.governed.Load(); g != nil && g.gen == t.c.regGen.Load() {
-		return g.units
-	}
-	g := &governedUnits{}
-	t.c.locked(func() {
-		g.gen = t.c.regGen.Load()
-		g.units = t.c.reg.Units(t.wc)
-	})
-	t.governed.Store(g)
-	return g.units
 }
 
 // Register compiles, analyzes, and installs a transaction class on the
@@ -188,6 +158,22 @@ func (c *Cluster) register(specs []ClassSpec, ts []*TxnClass) error {
 	}
 	var regErr error
 	c.locked(func() {
+		// Check the whole batch before registering any of it: a registered
+		// class publishes governing sets that submissions read without a
+		// lock, so a batch the registry refuses must publish none — a
+		// submission reading one in the meantime would name a unit that
+		// never gets installed.
+		for i, cc := range classes {
+			if regErr = c.reg.Check(cc.wc, cc.initial); regErr != nil {
+				return
+			}
+			for _, prev := range classes[:i] {
+				if prev.wc.Name == cc.wc.Name {
+					regErr = fmt.Errorf("%w: %s already registered", workload.ErrDuplicateClass, cc.wc.Name)
+					return
+				}
+			}
+		}
 		registered := 0
 		for _, cc := range classes {
 			if regErr = c.reg.Register(cc.wc, cc.initial); regErr != nil {
@@ -214,7 +200,6 @@ func (c *Cluster) register(specs []ClassSpec, ts []*TxnClass) error {
 		for _, cc := range classes {
 			c.sys.Col.RecordAnalysisCache(cc.hit)
 		}
-		c.regGen.Add(1)
 	})
 	if regErr != nil {
 		return regErr

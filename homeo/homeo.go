@@ -268,9 +268,6 @@ type Cluster struct {
 	classes map[string]*TxnClass
 	rng     *rand.Rand
 
-	// regGen counts class registrations; TxnClass.units keys its cache
-	// on it. Bumped under the execution right.
-	regGen atomic.Uint64
 	// anySite is the round-robin session every Session() call returns.
 	anySite *Session
 

@@ -81,7 +81,7 @@ func (s *Session) Submit(ctx context.Context, class *TxnClass, args ...int64) (R
 	if class.c != s.c {
 		return Result{}, errForeignClass(class.Name())
 	}
-	req, err := class.wc.Invoke(class.units(), args)
+	req, err := class.wc.Invoke(s.c.reg.Units(class.wc), args)
 	if err != nil {
 		return Result{}, wrapAborted(err)
 	}

@@ -362,8 +362,6 @@ func (rp *replay) applyWAL(site int, recs []wal.Record) error {
 		}
 		rp.runs = append(rp.runs, run)
 	}
-	// Replay rewrote stores wholesale; no cached fold survives it.
-	sys.invalidateFolds()
 	return rp.installPending(site)
 }
 
@@ -582,7 +580,6 @@ func (sys *System) RejoinFabric(p rt.Proc) error {
 		if ru.Version > u.version {
 			u.version = ru.Version
 		}
-		u.fold = nil
 		sys.degradeToLocalPin(u, sys.self)
 	}
 	sys.walFlush(sys.self)

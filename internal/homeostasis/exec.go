@@ -420,11 +420,6 @@ func (sys *System) execAttempt(p rt.Proc, site int, req workload.Request, f *exe
 		}
 	}
 	tx.Commit()
-	// The commit moved this site's delta objects, so the units' cached
-	// folded views are stale (see unitState.fold).
-	for _, u := range f.units {
-		u.fold = nil
-	}
 	if len(f.view.log) > 0 {
 		commitLog = append([]int64(nil), f.view.log...)
 	}

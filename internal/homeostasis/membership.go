@@ -390,7 +390,6 @@ func (sys *System) JoinCluster(p rt.Proc, addr string) (int, error) {
 			if ju.Version > u.version {
 				u.version = ju.Version
 			}
-			u.fold = nil
 			if sys.self >= 0 {
 				// Pin the fresh slot at its zero-delta state so the first
 				// local write resynchronizes under a treaty negotiated by

@@ -194,8 +194,6 @@ func (sys *System) applyWALOracle(site int, recs []wal.Record) ([]Committed, err
 			return nil, fmt.Errorf("homeostasis: site %d WAL record %d has unknown kind %v", site, i, r.Kind)
 		}
 	}
-	// Replay rewrote stores wholesale; no cached fold survives it.
-	sys.invalidateFolds()
 	return entries, nil
 }
 

@@ -335,13 +335,6 @@ func (n *siteNode) InstallState(m fabric.InstallState) error {
 	}
 	nSites := sys.Opts.Topo.NSites()
 	drifts := sys.installFolded(n.site, m.Objs, m.Folded, reported)
-	// The install rewrote base and delta objects; drop the affected
-	// units' cached folds (all of them when the round is unknown here).
-	if g != nil {
-		sys.dirtyFolds(g.units)
-	} else {
-		sys.invalidateFolds()
-	}
 	if l := sys.walFor(n.site); l != nil {
 		rec := wal.InstallRecord{
 			Round: wal.RoundID{Site: m.Round.Site, Seq: m.Round.Seq},

@@ -258,12 +258,6 @@ type unitState struct {
 	// hint (treaty.OptimizeOptions.Warm — bit-identical output, the hint
 	// only skips the foregone first MaxSAT round).
 	lastCfg treaty.Config
-	// fold caches the unit's consolidated logical values between
-	// synchronization points (nil = stale). Maintained only by a system with
-	// treaties, where every store write flows through execAttempt commits or
-	// negotiation installs — both mark the unit dirty; the baseline
-	// executors bypass those paths, so they never populate it.
-	fold lang.Database
 }
 
 // resetDemand clears the unit's per-site demand stats (called when a
@@ -464,23 +458,7 @@ func (sys *System) addUnit(id int) error {
 // respect to in-flight transactions.
 func (sys *System) AddUnits(install lang.Database) error {
 	n := sys.Opts.Topo.NSites()
-	// The usual install touches only the new units' objects (their folds
-	// are computed fresh below). Initial values naming objects outside
-	// them stale existing folds, so that rare shape drops every cache.
-	fresh := make(map[lang.ObjID]bool)
-	for id := len(sys.Units); id < sys.W.NumUnits(); id++ {
-		for _, obj := range sys.W.UnitObjects(id) {
-			fresh[obj] = true
-		}
-	}
-	objs := install.Objects()
-	for _, obj := range objs {
-		if !fresh[obj] {
-			sys.invalidateFolds()
-			break
-		}
-	}
-	for _, obj := range objs {
+	for _, obj := range install.Objects() {
 		for s := 0; s < n; s++ {
 			sys.Stores[s].Apply(obj, install[obj])
 			for k := 0; k < n; k++ {
@@ -520,15 +498,9 @@ func (sys *System) UnitLocals(unit int) []treaty.Local {
 // foldUnit consolidates the unit's logical values across all sites:
 // base value (identical at every member between rounds; a gone site's copy
 // stops at its absorb, so it is read from the first site still in the
-// membership) plus every site's own delta. Under the treaty modes the
-// result is cached per unit with commit- and install-time dirty marks
-// (per-unit watermarks), so repeated folds — FoldedDB sweeps for stats,
-// snapshots, and replay checks — recompute only units that changed since
-// the last fold.
+// membership) plus every site's own delta, computed from the stores on
+// every call.
 func (sys *System) foldUnit(u *unitState) lang.Database {
-	if u.fold != nil {
-		return u.fold
-	}
 	base := sys.Stores[0]
 	for k, st := range sys.status {
 		if st != siteGone {
@@ -544,34 +516,7 @@ func (sys *System) foldUnit(u *unitState) lang.Database {
 		}
 		folded[obj] = v
 	}
-	// Caching is sound only with treaties: those modes route every store
-	// mutation through paths that mark units dirty (execAttempt commits,
-	// negotiation installs, membership and recovery sweeps). The baseline
-	// executors commit straight through store transactions, so their folds
-	// always recompute.
-	if sys.treaties {
-		u.fold = folded
-	}
 	return folded
-}
-
-// dirtyFolds invalidates the cached folds of the given units (a commit
-// or state install changed their deltas or base values).
-func (sys *System) dirtyFolds(units []int) {
-	for _, id := range units {
-		if id >= 0 && id < len(sys.Units) {
-			sys.Units[id].fold = nil
-		}
-	}
-}
-
-// invalidateFolds drops every cached fold — the sledgehammer for rare
-// whole-store events (registration installs, membership changes, WAL
-// recovery) whose touched-unit set is not worth computing precisely.
-func (sys *System) invalidateFolds() {
-	for _, u := range sys.Units {
-		u.fold = nil
-	}
 }
 
 // installLocalTreaties compiles and installs a full per-site treaty set

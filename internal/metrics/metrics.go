@@ -5,9 +5,7 @@
 package metrics
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/rt"
 )
@@ -116,37 +114,6 @@ func (h *Histogram) Max() rt.Duration {
 		}
 	}
 	return max
-}
-
-// ProfileString renders the percentile profile used in the paper's
-// latency figures.
-func (h *Histogram) ProfileString() string {
-	ps := []float64{10, 30, 50, 70, 90, 92, 94, 96, 97, 98, 99, 100}
-	parts := make([]string, len(ps))
-	for i, p := range ps {
-		parts[i] = fmt.Sprintf("p%.0f=%v", p, h.Percentile(p))
-	}
-	return strings.Join(parts, " ")
-}
-
-// CDF returns (latency, cumulative probability) pairs at the given
-// quantile resolution, for Figure 27's CDF plot.
-func (h *Histogram) CDF(points int) [][2]float64 {
-	h.ensureSorted()
-	out := make([][2]float64, 0, points)
-	for i := 1; i <= points; i++ {
-		q := float64(i) / float64(points)
-		idx := int(q*float64(h.n)) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= h.n {
-			idx = h.n - 1
-		}
-		ms := float64(h.flat[idx]) / float64(rt.Millisecond)
-		out = append(out, [2]float64{ms, q})
-	}
-	return out
 }
 
 // Breakdown accumulates where violating transactions spend time

@@ -61,26 +61,6 @@ func TestAddAfterPercentileResorts(t *testing.T) {
 	}
 }
 
-func TestCDF(t *testing.T) {
-	var h Histogram
-	for i := 1; i <= 10; i++ {
-		h.Add(sim.Duration(i) * sim.Millisecond)
-	}
-	cdf := h.CDF(10)
-	if len(cdf) != 10 {
-		t.Fatalf("points = %d", len(cdf))
-	}
-	// Monotone in both coordinates.
-	for i := 1; i < len(cdf); i++ {
-		if cdf[i][0] < cdf[i-1][0] || cdf[i][1] <= cdf[i-1][1] {
-			t.Fatalf("CDF not monotone: %v", cdf)
-		}
-	}
-	if cdf[9][1] != 1.0 {
-		t.Fatalf("CDF does not reach 1: %v", cdf[9])
-	}
-}
-
 func TestBreakdown(t *testing.T) {
 	var b Breakdown
 	b.Add(2*sim.Millisecond, 50*sim.Millisecond, 200*sim.Millisecond)
@@ -124,15 +104,6 @@ func TestThroughputZeroWindow(t *testing.T) {
 	c := &Collector{}
 	if c.Throughput() != 0 || c.SyncRatio() != 0 {
 		t.Fatal("zero-window collector should report zeros")
-	}
-}
-
-func TestProfileString(t *testing.T) {
-	var h Histogram
-	h.Add(sim.Millisecond)
-	s := h.ProfileString()
-	if s == "" {
-		t.Fatal("empty profile")
 	}
 }
 

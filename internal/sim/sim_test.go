@@ -71,79 +71,6 @@ func TestSameTimeFIFO(t *testing.T) {
 	}
 }
 
-func TestChanSendRecv(t *testing.T) {
-	e := NewEngine(1)
-	ch := NewChan(e)
-	var got []any
-	e.Spawn(0, func(p rt.Proc) {
-		got = append(got, ch.Recv(p))
-		got = append(got, ch.Recv(p))
-	})
-	e.Spawn(1, func(p rt.Proc) {
-		p.Sleep(10 * Millisecond)
-		ch.Send("a")
-		p.Sleep(10 * Millisecond)
-		ch.Send("b")
-	})
-	e.Run()
-	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestChanRecvBeforeSend(t *testing.T) {
-	e := NewEngine(1)
-	ch := NewChan(e)
-	var at Time
-	e.Spawn(0, func(p rt.Proc) {
-		ch.Recv(p)
-		at = p.Now()
-	})
-	e.Spawn(1, func(p rt.Proc) {
-		p.Sleep(42 * Millisecond)
-		ch.Send(1)
-	})
-	e.Run()
-	if at != Time(42*Millisecond) {
-		t.Fatalf("received at %v, want 42ms", Duration(at))
-	}
-}
-
-func TestChanTimeout(t *testing.T) {
-	e := NewEngine(1)
-	ch := NewChan(e)
-	var ok bool
-	var at Time
-	e.Spawn(0, func(p rt.Proc) {
-		_, ok = ch.RecvTimeout(p, 50*Millisecond)
-		at = p.Now()
-	})
-	e.Run()
-	if ok {
-		t.Fatal("expected timeout")
-	}
-	if at != Time(50*Millisecond) {
-		t.Fatalf("timed out at %v, want 50ms", Duration(at))
-	}
-}
-
-func TestChanTimeoutBeatenBySend(t *testing.T) {
-	e := NewEngine(1)
-	ch := NewChan(e)
-	var ok bool
-	e.Spawn(0, func(p rt.Proc) {
-		_, ok = ch.RecvTimeout(p, 100*Millisecond)
-	})
-	e.Spawn(1, func(p rt.Proc) {
-		p.Sleep(10 * Millisecond)
-		ch.Send(7)
-	})
-	e.Run()
-	if !ok {
-		t.Fatal("send should beat timeout")
-	}
-}
-
 func TestResourceCapacity(t *testing.T) {
 	e := NewEngine(1)
 	r := NewResource(e, 2)
@@ -167,28 +94,6 @@ func TestResourceCapacity(t *testing.T) {
 	// Two waves: 10ms and 20ms.
 	if finish[0] != Time(10*Millisecond) || finish[3] != Time(20*Millisecond) {
 		t.Fatalf("finish times = %v", finish)
-	}
-}
-
-func TestWaitGroup(t *testing.T) {
-	e := NewEngine(1)
-	wg := NewWaitGroup(e)
-	wg.Add(3)
-	var doneAt Time
-	e.Spawn(0, func(p rt.Proc) {
-		wg.Wait(p)
-		doneAt = p.Now()
-	})
-	for i := 1; i <= 3; i++ {
-		i := i
-		e.Spawn(i, func(p rt.Proc) {
-			p.Sleep(Duration(i*10) * Millisecond)
-			wg.Done()
-		})
-	}
-	e.Run()
-	if doneAt != Time(30*Millisecond) {
-		t.Fatalf("wait finished at %v, want 30ms", Duration(doneAt))
 	}
 }
 
@@ -259,11 +164,11 @@ func TestDrainKillsParkedAndUnstarted(t *testing.T) {
 		defer func() { cleanupRan++ }()
 		p.Sleep(Second)
 	})
-	// A proc waiting on a channel nobody sends to.
-	ch := NewChan(e)
+	// A proc parked with nothing that will ever wake it.
 	e.Spawn(1, func(p rt.Proc) {
 		defer func() { cleanupRan++ }()
-		ch.Recv(p)
+		p.PrepPark()
+		p.Park()
 	})
 	e.Run()
 	e.Drain()

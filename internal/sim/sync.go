@@ -2,78 +2,6 @@ package sim
 
 import "repro/internal/rt"
 
-// Chan is an unbounded FIFO message queue in virtual time. Any process
-// may Send; receiving processes park until a message (or their timeout)
-// arrives. Sends from non-process context (event callbacks) are allowed.
-type Chan struct {
-	e       *Engine
-	q       []any
-	waiters []rt.Proc
-}
-
-// NewChan creates a channel on the engine.
-func NewChan(e *Engine) *Chan { return &Chan{e: e} }
-
-// Len returns the number of queued messages.
-func (c *Chan) Len() int { return len(c.q) }
-
-// Send enqueues a message and wakes one waiting receiver (at the current
-// virtual time, after the sender next parks).
-func (c *Chan) Send(v any) {
-	c.q = append(c.q, v)
-	if len(c.waiters) > 0 {
-		w := c.waiters[0]
-		c.waiters = c.waiters[1:]
-		token := w.Token()
-		c.e.At(c.e.now, func() { w.WakeIf(token) })
-	}
-}
-
-// Recv blocks until a message is available and returns it.
-func (c *Chan) Recv(p rt.Proc) any {
-	v, ok := c.RecvTimeout(p, -1)
-	if !ok {
-		panic("sim: Recv returned without a value")
-	}
-	return v
-}
-
-// RecvTimeout blocks until a message arrives or d elapses (d < 0 means no
-// timeout). Returns ok=false on timeout.
-func (c *Chan) RecvTimeout(p rt.Proc, d Duration) (any, bool) {
-	var deadline Time = -1
-	if d >= 0 {
-		deadline = c.e.now + Time(d)
-	}
-	for {
-		if len(c.q) > 0 {
-			v := c.q[0]
-			c.q = c.q[1:]
-			return v, true
-		}
-		if deadline >= 0 && c.e.now >= deadline {
-			c.unwait(p)
-			return nil, false
-		}
-		c.waiters = append(c.waiters, p)
-		token := p.PrepPark()
-		if deadline >= 0 {
-			c.e.At(deadline, func() { p.WakeIf(token) })
-		}
-		p.Park()
-		c.unwait(p)
-	}
-}
-
-func (c *Chan) unwait(p rt.Proc) {
-	for i, w := range c.waiters {
-		if w == p {
-			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
-			return
-		}
-	}
-}
-
 // Resource is a counting semaphore in virtual time, used to model a
 // site's CPU capacity: transactions acquire a slot for their service time,
 // so throughput saturates when all slots are busy (the Figure 17 client
@@ -113,37 +41,3 @@ func (r *Resource) Release() {
 
 // InUse returns the number of held slots.
 func (r *Resource) InUse() int { return r.inUse }
-
-// WaitGroup lets one process wait for N completions in virtual time.
-type WaitGroup struct {
-	e       *Engine
-	count   int
-	waiters []rt.Proc
-}
-
-// NewWaitGroup creates a wait group.
-func NewWaitGroup(e *Engine) *WaitGroup { return &WaitGroup{e: e} }
-
-// Add increments the completion counter.
-func (wg *WaitGroup) Add(n int) { wg.count += n }
-
-// Done decrements the counter, waking waiters at zero.
-func (wg *WaitGroup) Done() {
-	wg.count--
-	if wg.count <= 0 {
-		for _, w := range wg.waiters {
-			token := w.Token()
-			wg.e.At(wg.e.now, func() { w.WakeIf(token) })
-		}
-		wg.waiters = nil
-	}
-}
-
-// Wait parks until the counter reaches zero.
-func (wg *WaitGroup) Wait(p rt.Proc) {
-	for wg.count > 0 {
-		wg.waiters = append(wg.waiters, p)
-		p.PrepPark()
-		p.Park()
-	}
-}

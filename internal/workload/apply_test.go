@@ -102,7 +102,7 @@ func TestApplyInPlaceMatchesEval(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		g := &applyGen{rng: rng}
 		src := fmt.Sprintf("transaction T%d(n, m) { array a(3); write(x0 = read(x0) + 0); %s }", trial, strings.TrimSuffix(g.block(2)[2:], " }"))
-		c, err := CompileLClass(src, 2, treaty.ParamBounds{"n": {0, 3}})
+		c, _, err := NewArtifactCache().CompileL(src, 2, treaty.ParamBounds{"n": {0, 3}})
 		if err != nil {
 			t.Fatalf("trial %d: %v\n%s", trial, err, src)
 		}

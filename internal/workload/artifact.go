@@ -41,11 +41,12 @@ type famGlobal struct {
 }
 
 // ArtifactCache shares registration-time analysis artifacts across
-// isomorphic transaction classes. Keys are generation-free by
-// construction: a family key is the exact canonical structure encoding
-// plus the site count and positional parameter bounds, all of which are
-// immutable inputs of the analysis, so entries never go stale and the
-// cache only ever grows by one family per distinct structure.
+// isomorphic transaction classes, and is the only way a class is built.
+// Keys are generation-free by construction: a family key is the exact
+// canonical structure encoding plus the site count and positional
+// parameter bounds, all of which are immutable inputs of the analysis, so
+// entries never go stale and the cache only ever grows by one family per
+// distinct structure.
 //
 // The cache is safe for concurrent use; in practice registrations are
 // serialized by the cluster lock and only the lazily built per-family
@@ -72,17 +73,23 @@ func (ac *ArtifactCache) Families() int {
 	return len(ac.families)
 }
 
-// CompileL is CompileLClass through the cache. The boolean reports
-// whether an existing family served the class (a cache hit).
+// CompileL parses an L/L++ source containing exactly one transaction and
+// compiles it. The boolean reports whether an existing family served the
+// class (a cache hit).
 func (ac *ArtifactCache) CompileL(src string, nSites int, bounds treaty.ParamBounds) (*Class, bool, error) {
-	txn, err := parseClassSource(src)
+	txns, err := lang.ParseProgram(src)
 	if err != nil {
-		return nil, false, err
+		return nil, false, fmt.Errorf("workload: parsing class source: %w", err)
 	}
-	return ac.Compile(txn, nSites, bounds)
+	if len(txns) != 1 {
+		return nil, false, fmt.Errorf("workload: class source must contain exactly one transaction, got %d", len(txns))
+	}
+	return ac.Compile(txns[0], nSites, bounds)
 }
 
-// CompileSQL is CompileSQLClass through the cache.
+// CompileSQL compiles a sqlfront script (CREATE TABLE + DML) into a class
+// named name. The class carries the relational schema so callers can load
+// initial rows with sqlfront.LoadRow.
 func (ac *ArtifactCache) CompileSQL(name, script string, nSites int, bounds treaty.ParamBounds) (*Class, bool, error) {
 	if name == "" {
 		return nil, false, fmt.Errorf("workload: SQL class needs a name")
@@ -101,10 +108,12 @@ func (ac *ArtifactCache) CompileSQL(name, script string, nSites int, bounds trea
 
 // Compile analyzes txn into a class, serving the symbolic table and
 // guard preprocessing from an existing isomorphic family when one is
-// cached and founding a new family otherwise.
+// cached and founding a new family otherwise. The transaction may use L++
+// arrays (they are lowered, once, here); bounds may be nil when it has no
+// parameters or their values do not reach branch guards.
 func (ac *ArtifactCache) Compile(txn *lang.Transaction, nSites int, bounds treaty.ParamBounds) (*Class, bool, error) {
-	// Validate exactly what NewClass validates, so a cache hit rejects
-	// the same inputs scratch compilation rejects.
+	// One validation for a hit and a miss alike, so both reject the same
+	// inputs.
 	if err := validateClassInputs(txn, nSites, bounds); err != nil {
 		return nil, false, err
 	}
@@ -131,7 +140,7 @@ func (ac *ArtifactCache) Compile(txn *lang.Transaction, nSites int, bounds treat
 	key, objs := string(ac.key), slices.Clone(objs)
 	ac.mu.Unlock()
 
-	c, err := NewClass(txn, nSites, bounds)
+	c, err := newClass(txn, lowered, nSites, bounds)
 	if err != nil {
 		return nil, false, err
 	}
@@ -165,8 +174,8 @@ func appendFamilyInputs(key []byte, nSites int, params []string, bounds treaty.P
 	return key
 }
 
-// validateClassInputs mirrors NewClass's input checks (shared by the
-// cache-hit path, which never reaches NewClass).
+// validateClassInputs checks what a class's analysis takes besides the
+// transaction's structure: the site count, the name, and the bounds.
 func validateClassInputs(txn *lang.Transaction, nSites int, bounds treaty.ParamBounds) error {
 	if nSites <= 0 {
 		return fmt.Errorf("workload: class %s: nSites must be positive", txn.Name)
@@ -174,18 +183,11 @@ func validateClassInputs(txn *lang.Transaction, nSites int, bounds treaty.ParamB
 	if txn.Name == "" {
 		return fmt.Errorf("workload: class has no transaction name")
 	}
-	for p := range bounds {
-		found := false
-		for _, q := range txn.Params {
-			if q == p {
-				found = true
-				break
-			}
-		}
-		if !found {
+	for p, b := range bounds {
+		if !slices.Contains(txn.Params, p) {
 			return fmt.Errorf("workload: class %s: bound for unknown parameter %q", txn.Name, p)
 		}
-		if b := bounds[p]; b[0] > b[1] {
+		if b[0] > b[1] {
 			return fmt.Errorf("workload: class %s: empty bound [%d,%d] for %q", txn.Name, b[0], b[1], p)
 		}
 	}

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -11,11 +12,13 @@ import (
 )
 
 // TestArtifactCacheMatchesScratch is the registration-cache soundness
-// property: a class compiled through the artifact cache (sharing an
-// isomorphic family's symbolic table and guard preprocessing) must be
-// indistinguishable from the same source compiled from scratch —
-// footprint, write set, pin decision, and, for randomized folded
-// states, the derived global treaty, constraint for constraint.
+// property: a class a warm cache serves from an isomorphic family (sharing
+// its symbolic table and guard preprocessing) must be indistinguishable
+// from the same source compiled as the first member of a family in a cold
+// cache — footprint, write set, pin decision, per-site replica rewrites
+// and, for randomized folded states, the derived global treaty,
+// constraint for constraint. L sources go through CompileL, SQL ones
+// through CompileSQL.
 func TestArtifactCacheMatchesScratch(t *testing.T) {
 	const nSites = 4
 	rng := rand.New(rand.NewSource(5))
@@ -29,7 +32,6 @@ func TestArtifactCacheMatchesScratch(t *testing.T) {
 			"transaction T%d(amt) { v := read(%s); if (v - amt > 0) then write(%s = v - amt) else skip }",
 			trial, obj, obj)
 		bounds := treaty.ParamBounds{"amt": {1, 5}}
-
 		cached, hit, err := ac.CompileL(src, nSites, bounds)
 		if err != nil {
 			t.Fatalf("trial %d: cached compile: %v", trial, err)
@@ -37,47 +39,91 @@ func TestArtifactCacheMatchesScratch(t *testing.T) {
 		if (trial > 0) != hit {
 			t.Fatalf("trial %d: cache hit = %v, want %v", trial, hit, trial > 0)
 		}
-		scratch, err := CompileLClass(src, nSites, bounds)
-		if err != nil {
-			t.Fatalf("trial %d: scratch compile: %v", trial, err)
+		scratch, hit, err := NewArtifactCache().CompileL(src, nSites, bounds)
+		if err != nil || hit {
+			t.Fatalf("trial %d: cold compile: hit %v, error %v", trial, hit, err)
 		}
-
-		if got, want := fmt.Sprint(cached.Footprint()), fmt.Sprint(scratch.Footprint()); got != want {
-			t.Fatalf("trial %d: footprint %s, scratch %s", trial, got, want)
-		}
-		if got, want := fmt.Sprint(cached.Writes()), fmt.Sprint(scratch.Writes()); got != want {
-			t.Fatalf("trial %d: writes %s, scratch %s", trial, got, want)
-		}
-		cp, cr := cached.Pinned()
-		sp, sr := scratch.Pinned()
-		if cp != sp || cr != sr {
-			t.Fatalf("trial %d: pinned (%v,%q), scratch (%v,%q)", trial, cp, cr, sp, sr)
-		}
-
-		// Globals must agree at randomized folded states, including ones
-		// that cross the guard boundary into the pin fallback.
-		for probe := 0; probe < 8; probe++ {
-			folded := lang.Database{lang.ObjID(obj): rng.Int63n(40) - 5}
-			for k := 0; k < nSites; k++ {
-				folded[lang.DeltaObj(lang.ObjID(obj), k)] = 0
-			}
-			cg := cached.buildGlobal(folded)
-			sg := scratch.buildGlobal(folded)
-			if cg.String() != sg.String() {
-				t.Fatalf("trial %d probe %d (folded %v):\ncached:  %s\nscratch: %s",
-					trial, probe, folded, cg.String(), sg.String())
-			}
-		}
-
-		// The lazily built replica rewrites must execute identically.
-		for k := 0; k < nSites; k++ {
-			if got, want := cached.rw(k).String(), scratch.rw(k).String(); got != want {
-				t.Fatalf("trial %d site %d rewrite:\ncached:  %s\nscratch: %s", trial, k, got, want)
-			}
-		}
+		sameClass(t, fmt.Sprintf("L trial %d", trial), cached, scratch, rng)
 	}
 	if ac.Families() != 1 {
 		t.Fatalf("families = %d, want 1 (every trial is isomorphic)", ac.Families())
+	}
+
+	sql := NewArtifactCache()
+	for trial := 0; trial < 10; trial++ {
+		script := fmt.Sprintf(`
+CREATE TABLE inv%d (item, qty) SIZE 2
+UPDATE inv%d SET qty = qty - @d WHERE qty > @d
+SELECT SUM(qty) FROM inv%d WHERE item = @k
+`, trial, trial, trial)
+		bounds := treaty.ParamBounds{"d": {1, 3}, "k": {1, 2}}
+		name := fmt.Sprintf("Take%d", trial)
+		cached, hit, err := sql.CompileSQL(name, script, nSites, bounds)
+		if err != nil {
+			t.Fatalf("SQL trial %d: cached compile: %v", trial, err)
+		}
+		if (trial > 0) != hit {
+			t.Fatalf("SQL trial %d: cache hit = %v, want %v", trial, hit, trial > 0)
+		}
+		scratch, hit, err := NewArtifactCache().CompileSQL(name, script, nSites, bounds)
+		if err != nil || hit {
+			t.Fatalf("SQL trial %d: cold compile: hit %v, error %v", trial, hit, err)
+		}
+		if !reflect.DeepEqual(cached.Schema, scratch.Schema) {
+			t.Fatalf("SQL trial %d: schema %v, cold %v", trial, cached.Schema, scratch.Schema)
+		}
+		if pinned, why := cached.Pinned(); pinned {
+			t.Fatalf("SQL trial %d: pinned (%s); the comparison wants a derived treaty", trial, why)
+		}
+		sameClass(t, fmt.Sprintf("SQL trial %d", trial), cached, scratch, rng)
+	}
+	if sql.Families() != 1 {
+		t.Fatalf("SQL families = %d, want 1 (every trial is isomorphic)", sql.Families())
+	}
+}
+
+// sameClass requires a warm-cache member and a cold-cache first member of
+// the same source to be indistinguishable.
+func sameClass(t *testing.T, label string, cached, scratch *Class, rng *rand.Rand) {
+	t.Helper()
+	if got, want := fmt.Sprint(cached.Footprint()), fmt.Sprint(scratch.Footprint()); got != want {
+		t.Fatalf("%s: footprint %s, cold %s", label, got, want)
+	}
+	if got, want := fmt.Sprint(cached.Writes()), fmt.Sprint(scratch.Writes()); got != want {
+		t.Fatalf("%s: writes %s, cold %s", label, got, want)
+	}
+	cp, cr := cached.Pinned()
+	sp, sr := scratch.Pinned()
+	if cp != sp || cr != sr {
+		t.Fatalf("%s: pinned (%v,%q), cold (%v,%q)", label, cp, cr, sp, sr)
+	}
+	// A member reads its representative's table, in the representative's
+	// names: only the first member's compares as text.
+	if cached.fromRep == nil && cached.TableString() != scratch.TableString() {
+		t.Fatalf("%s: symbolic tables differ", label)
+	}
+	// Globals must agree at randomized folded states, including ones that
+	// cross the guard boundary into the pin fallback.
+	for probe := 0; probe < 8; probe++ {
+		folded := lang.Database{}
+		for _, obj := range cached.Footprint() {
+			folded[obj] = rng.Int63n(40) - 5
+			for k := 0; k < cached.nSites; k++ {
+				folded[lang.DeltaObj(obj, k)] = 0
+			}
+		}
+		cg := cached.buildGlobal(folded)
+		sg := scratch.buildGlobal(folded)
+		if cg.String() != sg.String() {
+			t.Fatalf("%s probe %d (folded %v):\ncached: %s\ncold:   %s",
+				label, probe, folded, cg.String(), sg.String())
+		}
+	}
+	// The lazily built replica rewrites must execute identically.
+	for k := 0; k < cached.nSites; k++ {
+		if got, want := cached.rw(k).String(), scratch.rw(k).String(); got != want {
+			t.Fatalf("%s site %d rewrite:\ncached: %s\ncold:   %s", label, k, got, want)
+		}
 	}
 }
 
@@ -135,7 +181,7 @@ func TestFamilyMemberSizedOnce(t *testing.T) {
 		if err != nil || !hit {
 			t.Fatalf("member %v: hit %v, error %v", names, hit, err)
 		}
-		scratch, err := CompileLClass(src("M"+names[0], names[0], names[1], names[2]), 2, bounds("n", "m"))
+		scratch, _, err := NewArtifactCache().CompileL(src("M"+names[0], names[0], names[1], names[2]), 2, bounds("n", "m"))
 		if err != nil {
 			t.Fatal(err)
 		}

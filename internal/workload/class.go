@@ -2,10 +2,12 @@ package workload
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/lang"
 	"repro/internal/sqlfront"
@@ -59,23 +61,28 @@ type Class struct {
 
 	unit int // assigned by the Registry
 
-	// fam links the class to its isomorphism family when it was compiled
-	// through an ArtifactCache (nil for scratch-compiled classes).
-	// canonObjs is the class's own object footprint in canonical
-	// first-occurrence order; fromRep maps the representative's objects
-	// onto this class's (nil for the representative itself). rwMu guards
-	// the lazy construction of rwBySite for family members, which defer
-	// the per-site replica rewrites until the workload model first
+	// governing is the ascending set of treaty units an invocation must
+	// check: the class's own and every registered unit sharing an object
+	// with it. Registry.Register and Unregister — the only events that
+	// change it — publish a fresh set under the execution right, never
+	// rewriting one a request may hold; Registry.Units reads it without a
+	// lock. Nil while the class is not registered. solo holds the set of a
+	// class that shares no object — the usual case — so publishing that
+	// one allocates nothing.
+	governing atomic.Pointer[unitSet]
+	solo      unitSet
+
+	// fam links the class to its isomorphism family (ArtifactCache.Compile
+	// builds every class). canonObjs is the class's own object footprint in
+	// canonical first-occurrence order; fromRep maps the representative's
+	// objects onto this class's (nil for the representative itself). rwMu
+	// guards the lazy construction of rwBySite for family members, which
+	// defer the per-site replica rewrites until the workload model first
 	// samples.
 	fam       *classFamily
 	canonObjs []lang.ObjID
 	fromRep   map[lang.ObjID]lang.ObjID
 	rwMu      sync.Mutex
-
-	// cachedUnits/cachedGen memoize the registry's Units result for the
-	// registry generation cachedGen (see Registry.gen).
-	cachedUnits []int
-	cachedGen   int
 
 	// envs is a free-list of pooled execution environments. Guarded by the
 	// runtime's execution contract (exec only runs while holding the
@@ -89,62 +96,32 @@ type Class struct {
 	applyFn func(lang.Database, []int64) []int64
 }
 
+// unitSet is a published governing set; one backs units when the set is
+// the class's own unit alone.
+type unitSet struct {
+	units []int
+	one   [1]int
+}
+
 // bind creates the func values every request of the class shares.
 func (c *Class) bind() { c.execFn, c.applyFn = c.exec, c.apply }
 
-// NewClass analyzes an already-parsed transaction into a registrable
-// class. The transaction may use L++ arrays (they are lowered); bounds
-// may be nil when the transaction has no parameters or their values do
-// not reach branch guards.
-func NewClass(txn *lang.Transaction, nSites int, bounds treaty.ParamBounds) (*Class, error) {
-	if nSites <= 0 {
-		return nil, fmt.Errorf("workload: class %s: nSites must be positive", txn.Name)
-	}
-	if txn.Name == "" {
-		return nil, fmt.Errorf("workload: class has no transaction name")
-	}
-	for p := range bounds {
-		found := false
-		for _, q := range txn.Params {
-			if q == p {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("workload: class %s: bound for unknown parameter %q", txn.Name, p)
-		}
-		if b := bounds[p]; b[0] > b[1] {
-			return nil, fmt.Errorf("workload: class %s: empty bound [%d,%d] for %q", txn.Name, b[0], b[1], p)
-		}
-	}
-	lowered := txn
-	if len(txn.Arrays) > 0 {
-		var err error
-		lowered, err = lang.Lower(txn)
-		if err != nil {
-			return nil, fmt.Errorf("workload: class %s: %w", txn.Name, err)
-		}
-	}
+// newClass analyzes the first member of a family: lowered is txn's pure-L
+// form, built and validated by ArtifactCache.Compile, the one caller.
+func newClass(txn, lowered *lang.Transaction, nSites int, bounds treaty.ParamBounds) (*Class, error) {
 	writeSet := lang.WriteSet(lowered.Body, nil)
 	readSet := lang.ReadSet(lowered.Body, nil)
-	if len(writeSet) == 0 && len(readSet) == 0 {
-		return nil, fmt.Errorf("workload: class %s touches no database objects", txn.Name)
-	}
 	foot := make(map[lang.ObjID]bool, len(writeSet)+len(readSet))
-	replicated := make(map[lang.ObjID]bool, len(foot))
-	for obj := range readSet {
-		foot[obj] = true
-	}
-	for obj := range writeSet {
-		foot[obj] = true
+	maps.Copy(foot, readSet)
+	maps.Copy(foot, writeSet)
+	if len(foot) == 0 {
+		return nil, fmt.Errorf("workload: class %s touches no database objects", txn.Name)
 	}
 	for obj := range foot {
 		if base, site, ok := lang.IsDeltaObj(obj); ok {
 			return nil, fmt.Errorf("workload: class %s: object %q collides with the delta encoding (%s@site%d)",
 				txn.Name, obj, base, site)
 		}
-		replicated[obj] = true
 	}
 	c := &Class{
 		Name:      txn.Name,
@@ -165,14 +142,9 @@ func NewClass(txn *lang.Transaction, nSites int, bounds treaty.ParamBounds) (*Cl
 			c.repArgs[i] = b[0]
 		}
 	}
-	// The Appendix B rewrite per executing site; site 0's symbolic table
-	// drives treaty generation (guards range over logical values, which
-	// are site-symmetric).
-	c.rwBySite = make([]*lang.Transaction, nSites)
-	for k := 0; k < nSites; k++ {
-		c.rwBySite[k] = lang.Simplify(lang.ReplicaRewrite(lowered, k, nSites, replicated))
-	}
-	table, err := symtab.Build(c.rwBySite[0])
+	// Site 0's symbolic table drives treaty generation (guards range over
+	// logical values, which are site-symmetric).
+	table, err := symtab.Build(c.rw(0))
 	switch {
 	case err != nil:
 		c.pinned = true
@@ -184,47 +156,6 @@ func NewClass(txn *lang.Transaction, nSites int, bounds treaty.ParamBounds) (*Cl
 		c.table = table
 	}
 	c.bind()
-	return c, nil
-}
-
-// CompileLClass parses an L/L++ source containing exactly one transaction
-// and analyzes it into a class.
-func CompileLClass(src string, nSites int, bounds treaty.ParamBounds) (*Class, error) {
-	txn, err := parseClassSource(src)
-	if err != nil {
-		return nil, err
-	}
-	return NewClass(txn, nSites, bounds)
-}
-
-// parseClassSource parses an L/L++ source that must hold one transaction.
-func parseClassSource(src string) (*lang.Transaction, error) {
-	txns, err := lang.ParseProgram(src)
-	if err != nil {
-		return nil, fmt.Errorf("workload: parsing class source: %w", err)
-	}
-	if len(txns) != 1 {
-		return nil, fmt.Errorf("workload: class source must contain exactly one transaction, got %d", len(txns))
-	}
-	return txns[0], nil
-}
-
-// CompileSQLClass compiles a sqlfront script (CREATE TABLE + DML) into a
-// class named name. The returned class carries the relational schema so
-// callers can load initial rows with sqlfront.LoadRow.
-func CompileSQLClass(name, script string, nSites int, bounds treaty.ParamBounds) (*Class, error) {
-	if name == "" {
-		return nil, fmt.Errorf("workload: SQL class needs a name")
-	}
-	txn, schema, err := sqlfront.Compile(name, script)
-	if err != nil {
-		return nil, err
-	}
-	c, err := NewClass(txn, nSites, bounds)
-	if err != nil {
-		return nil, err
-	}
-	c.Schema = schema
 	return c, nil
 }
 
@@ -264,29 +195,17 @@ func (c *Class) buildGlobal(folded lang.Database) treaty.Global {
 
 // sharedGlobal is buildGlobal without the copy. Analysis failures at any
 // stage fall back to the always-valid pin treaty, exactly like the TPC-C
-// boundary regions. Family-cached classes route through the family's
-// preprocessing memo: the guard is analyzed once per distinct
-// folded-value vector in the representative's namespace, and shared
-// reports that g is that memoized treaty — read-only, and a member's own
-// treaty only after renaming its objects through ren (nil for the
-// representative itself; delta objects rename by their base). Otherwise g
-// is already in the class's namespace.
+// boundary regions. Otherwise the guard goes through the family's
+// preprocessing memo: it is analyzed once per distinct folded-value
+// vector in the representative's namespace, and shared reports that g is
+// that memoized treaty — read-only, and a member's own treaty only after
+// renaming its objects through ren (nil for the representative itself;
+// delta objects rename by their base). A pin treaty is already in the
+// class's namespace.
 func (c *Class) sharedGlobal(folded lang.Database) (g treaty.Global, ren map[lang.ObjID]lang.ObjID, shared bool) {
-	switch {
-	case c.pinned:
-	case c.fam != nil:
+	if !c.pinned {
 		if e := c.familyGlobal(folded); e.ok {
 			return e.g, c.fromRep, true
-		}
-	default:
-		params := make(map[string]int64, len(c.Params))
-		for i, p := range c.Params {
-			params[p] = c.repArgs[i]
-		}
-		if row, err := c.table.MatchRow(folded, params); err == nil {
-			if g, perr := treaty.Preprocess(c.table.Rows[row].Guard, folded, params, c.Bounds); perr == nil {
-				return g, nil, false
-			}
 		}
 	}
 	// The class is pinned, or its representative arguments sit in a boundary
@@ -401,12 +320,11 @@ func (m classModel) SampleFuture(rng *rand.Rand, db lang.Database, l int, visit 
 	}
 }
 
-// rw returns the site-k replica rewrite. Scratch-compiled classes build
-// all rewrites at compile time (the symbolic table needs site 0's
-// form); family members defer them to first use here — typically the
-// first workload-model sample of a negotiation, long after
-// registration, and never at all while the deriver's memo keeps serving
-// isomorphic units.
+// rw returns the site-k replica rewrite, building every site's on first
+// use: at analysis for a family's first member (its symbolic table needs
+// site 0's form); for other members typically at the first
+// workload-model sample of a negotiation, long after registration, and
+// never at all while the deriver's memo keeps serving isomorphic units.
 func (c *Class) rw(site int) *lang.Transaction {
 	c.rwMu.Lock()
 	defer c.rwMu.Unlock()
@@ -611,8 +529,6 @@ func sortedObjs(set map[lang.ObjID]bool) []lang.ObjID {
 	for obj := range set {
 		out = append(out, obj)
 	}
-	sortObjIDs(out)
+	slices.Sort(out)
 	return out
 }
-
-func sortObjIDs(objs []lang.ObjID) { slices.Sort(objs) }

@@ -2,6 +2,7 @@ package workload_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -40,8 +41,14 @@ transaction Withdraw(n) {
 		skip
 }`
 
+// compileL compiles an L class as the first member of a family.
+func compileL(src string, nSites int, bounds treaty.ParamBounds) (*workload.Class, error) {
+	c, _, err := workload.NewArtifactCache().CompileL(src, nSites, bounds)
+	return c, err
+}
+
 func TestCompileLClass(t *testing.T) {
-	c, err := workload.CompileLClass(orderSrc, 2, nil)
+	c, err := compileL(orderSrc, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,23 +66,52 @@ func TestCompileLClass(t *testing.T) {
 	}
 }
 
+// TestCompileLClassErrors: every rejected input is rejected the same way
+// by a cold cache (the first member of a family) and by a warm one whose
+// family the input would join — a hit rejects exactly what a miss does.
 func TestCompileLClassErrors(t *testing.T) {
-	if _, err := workload.CompileLClass("transaction T() { skip }", 2, nil); err == nil {
-		t.Fatal("no-object class accepted")
+	type compile func(*workload.ArtifactCache) error
+	l := func(src string, nSites int, bounds treaty.ParamBounds) compile {
+		return func(ac *workload.ArtifactCache) error {
+			_, _, err := ac.CompileL(src, nSites, bounds)
+			return err
+		}
 	}
-	if _, err := workload.CompileLClass(depositSrc, 2, treaty.ParamBounds{"zz": {0, 1}}); err == nil {
-		t.Fatal("bound for unknown parameter accepted")
+	// The L parser refuses a delta-named object, so that input is an AST.
+	write := func(obj lang.ObjID) compile {
+		return func(ac *workload.ArtifactCache) error {
+			_, _, err := ac.Compile(&lang.Transaction{Name: "D", Body: lang.WriteCmd{Obj: obj, E: lang.IntLit{Value: 1}}}, 2, nil)
+			return err
+		}
 	}
-	if _, err := workload.CompileLClass(depositSrc+orderSrc, 2, nil); err == nil {
-		t.Fatal("two-transaction source accepted")
-	}
-	if _, err := workload.CompileLClass("transaction D() { write(x@d1 = 1) }", 2, nil); err == nil {
-		t.Fatal("delta-named object accepted")
+	for _, tc := range []struct {
+		what      string
+		bad, warm compile
+	}{
+		{"no-object class", l("transaction T() { skip }", 2, nil), l(depositSrc, 2, nil)},
+		{"bound for unknown parameter", l(depositSrc, 2, treaty.ParamBounds{"zz": {0, 1}}), l(depositSrc, 2, nil)},
+		{"empty bound", l(depositSrc, 2, treaty.ParamBounds{"n": {1, 0}}), l(depositSrc, 2, nil)},
+		{"no sites", l(depositSrc, 0, nil), l(depositSrc, 2, nil)},
+		{"two-transaction source", l(depositSrc+orderSrc, 2, nil), l(depositSrc, 2, nil)},
+		{"delta-named object", write(lang.DeltaObj("x", 1)), write("y")},
+	} {
+		coldErr := tc.bad(workload.NewArtifactCache())
+		if coldErr == nil {
+			t.Errorf("%s accepted by a cold cache", tc.what)
+			continue
+		}
+		warm := workload.NewArtifactCache()
+		if err := tc.warm(warm); err != nil {
+			t.Fatalf("%s: warming the cache: %v", tc.what, err)
+		}
+		if warmErr := tc.bad(warm); warmErr == nil || warmErr.Error() != coldErr.Error() {
+			t.Errorf("%s: warm cache says %v, cold cache %v", tc.what, warmErr, coldErr)
+		}
 	}
 }
 
 func TestCompileSQLClass(t *testing.T) {
-	c, err := workload.CompileSQLClass("AddStock", `
+	c, _, err := workload.NewArtifactCache().CompileSQL("AddStock", `
 CREATE TABLE inv (item, qty) SIZE 4
 UPDATE inv SET qty = qty + @d WHERE item = @k
 SELECT SUM(qty) FROM inv WHERE item = @k
@@ -98,7 +134,7 @@ SELECT SUM(qty) FROM inv WHERE item = @k
 // API does: compile, add to the registry, install units.
 func register(t *testing.T, sys *homeostasis.System, reg *workload.Registry, src string, bounds treaty.ParamBounds, initial lang.Database) *workload.Class {
 	t.Helper()
-	c, err := workload.CompileLClass(src, sys.Opts.Topo.NSites(), bounds)
+	c, err := compileL(src, sys.Opts.Topo.NSites(), bounds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +230,7 @@ func TestRegisteredSQLClassOnSim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := workload.CompileSQLClass("Restock", `
+	c, _, err := workload.NewArtifactCache().CompileSQL("Restock", `
 CREATE TABLE inv (item, qty) SIZE 2
 UPDATE inv SET qty = qty + @d WHERE item = @k
 SELECT SUM(qty) FROM inv WHERE item = @k
@@ -282,7 +318,8 @@ func TestRegistryConflicts(t *testing.T) {
 	// object names are not expressible in L source, so build the AST
 	// directly.
 	item := micro.ItemObj(3)
-	clash, err := workload.NewClass(&lang.Transaction{
+	ac := workload.NewArtifactCache()
+	clash, _, err := ac.Compile(&lang.Transaction{
 		Name: "Clash",
 		Body: lang.SeqOf(
 			lang.Assign{Var: "v", E: lang.Read{Obj: item}},
@@ -295,14 +332,14 @@ func TestRegistryConflicts(t *testing.T) {
 	if err := reg.Register(clash, nil); err == nil {
 		t.Fatal("base-object clash accepted")
 	}
-	dep, err := workload.CompileLClass(depositSrc, 2, nil)
+	dep, _, err := ac.CompileL(depositSrc, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := reg.Register(dep, nil); err != nil {
 		t.Fatal(err)
 	}
-	dup, _ := workload.CompileLClass(depositSrc, 2, nil)
+	dup, _, _ := ac.CompileL(depositSrc, 2, nil)
 	if err := reg.Register(dup, nil); err == nil {
 		t.Fatal("duplicate name accepted")
 	}
@@ -312,22 +349,31 @@ func TestRegistryConflicts(t *testing.T) {
 }
 
 // TestOverlappingClassesShareUnits: two classes over the same object must
-// each check the other's treaty (units resolved at request time).
+// each check the other's treaty. The governing sets are maintained at
+// registration: a rollback (Unregister) gives the earlier class back its
+// old set, and a request built before a registration keeps the slice it
+// was given.
 func TestOverlappingClassesShareUnits(t *testing.T) {
 	reg, err := workload.NewRegistry(nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := workload.CompileLClass(depositSrc, 2, nil)
+	a, err := compileL(depositSrc, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := reg.Register(a, lang.Database{"acct": 5}); err != nil {
 		t.Fatal(err)
 	}
-	b, err := workload.CompileLClass(
-		strings.NewReplacer("bal", "acct", "Withdraw", "Spend").Replace(withdrawSrc), 2,
-		treaty.ParamBounds{"n": {1, 2}})
+	before, err := reg.Request(a, []int64{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(before.Units) != "[0]" {
+		t.Fatalf("units A=%v before B, want [0]", before.Units)
+	}
+	spend := strings.NewReplacer("bal", "acct", "Withdraw", "Spend").Replace(withdrawSrc)
+	b, err := compileL(spend, 2, treaty.ParamBounds{"n": {1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +388,36 @@ func TestOverlappingClassesShareUnits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reqA.Units) != 2 || len(reqB.Units) != 2 {
+	if fmt.Sprint(reqA.Units) != "[0 1]" || fmt.Sprint(reqB.Units) != "[0 1]" {
 		t.Fatalf("units A=%v B=%v, want both to span both units", reqA.Units, reqB.Units)
+	}
+	if fmt.Sprint(before.Units) != "[0]" {
+		t.Fatalf("a request built before B's registration now checks %v", before.Units)
+	}
+
+	// Roll B back: A governs itself alone again, and what B's registration
+	// handed out stays as it was.
+	if err := reg.Unregister(b); err != nil {
+		t.Fatal(err)
+	}
+	after, err := reg.Request(a, []int64{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(after.Units) != "[0]" {
+		t.Fatalf("units A=%v after B's rollback, want [0]", after.Units)
+	}
+	if fmt.Sprint(reqA.Units) != "[0 1]" || fmt.Sprint(before.Units) != "[0]" {
+		t.Fatalf("the rollback rewrote held sets: %v, %v", reqA.Units, before.Units)
+	}
+	if _, err := reg.Request(b, []int64{1}); err == nil {
+		t.Fatal("a rolled-back class still builds requests")
+	}
+	// Registering again picks up where the rollback left off.
+	if err := reg.Register(b, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Units(a); fmt.Sprint(got) != "[0 1]" {
+		t.Fatalf("units A=%v after B's re-registration, want [0 1]", got)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/lang"
 	"repro/internal/treaty"
@@ -23,7 +24,8 @@ var ErrDuplicateClass = errors.New("workload: duplicate class")
 // Registration and request construction are not internally synchronized:
 // callers invoke them under the runtime's execution contract (the public
 // API serializes registration behind the scheduler lock on live
-// runtimes), matching every other Workload implementation.
+// runtimes), matching every other Workload implementation. Units alone
+// may run concurrently with a registration.
 type Registry struct {
 	base      Workload
 	nSites    int
@@ -39,10 +41,6 @@ type Registry struct {
 	// extra accumulates the initial values installed by registrations, so
 	// InitialDB reflects them for serial replay.
 	extra lang.Database
-	// gen counts registrations and unregistrations; each class caches its
-	// governing unit set keyed by gen, so steady-state request construction
-	// (no class churn) rebuilds nothing.
-	gen int
 }
 
 // NewRegistry wraps base (which may be nil for a cluster serving only
@@ -80,8 +78,52 @@ func (r *Registry) Base() Workload { return r.base }
 // Register adds a compiled class. initial gives starting logical values
 // for footprint objects (absent objects start at zero); the caller is
 // responsible for installing them into a running system
-// (homeostasis.System.AddUnits). The class is assigned the next unit id.
+// (homeostasis.System.AddUnits). The class is assigned the next unit id,
+// and it and every class sharing an object with it get their new
+// governing sets. It refuses exactly what Check refuses.
 func (r *Registry) Register(c *Class, initial lang.Database) error {
+	if err := r.Check(c, initial); err != nil {
+		return err
+	}
+	c.unit = r.baseUnits + len(r.classes)
+	r.classes = append(r.classes, c)
+	r.byName[c.Name] = c
+	// c's unit is the largest, so a class sharing an object with c keeps an
+	// ascending set by appending it, into a fresh array: requests may hold
+	// the old set.
+	var shared []int
+	for _, obj := range c.footprint {
+		for _, u := range r.objUnits[obj] {
+			d := r.classes[u-r.baseUnits]
+			set := d.governing.Load().units
+			if set[len(set)-1] == c.unit {
+				continue // already reached through another shared object
+			}
+			d.governing.Store(&unitSet{units: append(slices.Clip(set), c.unit)})
+			shared = append(shared, u)
+		}
+		r.objUnits[obj] = append(r.objUnits[obj], c.unit)
+	}
+	if shared == nil { // the usual class: its set is its own unit
+		c.solo = unitSet{one: [1]int{c.unit}}
+		c.solo.units = c.solo.one[:]
+		c.governing.Store(&c.solo)
+	} else {
+		units := append(shared, c.unit)
+		slices.Sort(units)
+		c.governing.Store(&unitSet{units: units})
+	}
+	for obj, v := range initial {
+		r.extra[obj] = v
+	}
+	return nil
+}
+
+// Check reports why Register would refuse c with initial, changing
+// nothing. A batch checks every class before it registers any: Register
+// publishes governing sets that submissions read without a lock, so a
+// batch the registry refuses must be refused before any of it registers.
+func (r *Registry) Check(c *Class, initial lang.Database) error {
 	if c.nSites != r.nSites {
 		return fmt.Errorf("workload: class %s compiled for %d sites, registry has %d", c.Name, c.nSites, r.nSites)
 	}
@@ -108,17 +150,6 @@ func (r *Registry) Register(c *Class, initial lang.Database) error {
 			return fmt.Errorf("workload: class %s: initial value for %q, which the class never touches", c.Name, obj)
 		}
 	}
-	c.unit = r.baseUnits + len(r.classes)
-	c.cachedUnits, c.cachedGen = nil, -1 // gen is never negative: forces a rebuild
-	r.classes = append(r.classes, c)
-	r.byName[c.Name] = c
-	for _, obj := range c.footprint {
-		r.objUnits[obj] = append(r.objUnits[obj], c.unit)
-	}
-	for obj, v := range initial {
-		r.extra[obj] = v
-	}
-	r.gen++
 	return nil
 }
 
@@ -131,10 +162,19 @@ func (r *Registry) Unregister(c *Class) error {
 	}
 	r.classes = r.classes[:len(r.classes)-1]
 	delete(r.byName, c.Name)
+	c.governing.Store(nil)
 	for _, obj := range c.footprint {
 		units := r.objUnits[obj]
 		if len(units) > 0 && units[len(units)-1] == c.unit {
 			units = units[:len(units)-1]
+		}
+		// Every class still sharing obj gets back its set from before c,
+		// which ended in c's unit.
+		for _, u := range units {
+			d := r.classes[u-r.baseUnits]
+			if set := d.governing.Load().units; set[len(set)-1] == c.unit {
+				d.governing.Store(&unitSet{units: slices.Clone(set[:len(set)-1])})
+			}
 		}
 		if len(units) == 0 {
 			delete(r.objUnits, obj)
@@ -145,7 +185,6 @@ func (r *Registry) Unregister(c *Class) error {
 	// Initial values stay in extra: the objects were already installed in
 	// the stores when the rollback happens, and re-registering under the
 	// same name re-validates them.
-	r.gen++
 	return nil
 }
 
@@ -171,50 +210,18 @@ func (r *Registry) Request(c *Class, args []int64) (Request, error) {
 	return c.Invoke(r.Units(c), args)
 }
 
-// Units collects the deduplicated, ascending unit set sharing any of
-// the class's footprint objects. The class's own unit is always included
-// (its footprint objects index it). The result is cached on the class
-// until the registered-class set changes; a fresh slice is built on each
-// cache miss (never rewriting the old backing array) because in-flight
-// requests hold the previous slice across park points.
+// Units returns the ascending set of treaty units governing the class:
+// its own and every registered unit sharing a footprint object with it.
+// Registration maintains the set, so this is one atomic load; a caller
+// racing a registration gets the set from just before it, exactly as a
+// request built just before it would.
+//
+//homeo:hotpath
 func (r *Registry) Units(c *Class) []int {
-	if c.cachedGen == r.gen {
-		return c.cachedUnits
+	if set := c.governing.Load(); set != nil {
+		return set.units
 	}
-	var units []int
-	for _, obj := range c.footprint {
-		for _, u := range r.objUnits[obj] {
-			dup := false
-			for _, have := range units {
-				if have == u {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				units = append(units, u)
-			}
-		}
-	}
-	for i := 1; i < len(units); i++ {
-		for j := i; j > 0 && units[j] < units[j-1]; j-- {
-			units[j], units[j-1] = units[j-1], units[j]
-		}
-	}
-	c.cachedUnits, c.cachedGen = units, r.gen
-	return units
-}
-
-// InitialValues returns the initial logical values accumulated by
-// registrations (the install set for homeostasis.System.AddUnits).
-func (r *Registry) InitialValues(c *Class) lang.Database {
-	out := lang.Database{}
-	for _, obj := range c.footprint {
-		if v, ok := r.extra[obj]; ok {
-			out[obj] = v
-		}
-	}
-	return out
+	return nil
 }
 
 // Name implements Workload.
