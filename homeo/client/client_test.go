@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -63,6 +64,38 @@ func TestBackoffCapped(t *testing.T) {
 	}
 	if elapsed > 10*time.Second {
 		t.Fatalf("70 capped retries took %v, want well under 10s", elapsed)
+	}
+}
+
+// TestUndecodableReplyIsNotRetried: a 2xx answer whose body is not the
+// reply the call expects fails once, naming the status, with no retry —
+// the server did the work, so a second attempt could do it twice.
+func TestUndecodableReplyIsNotRetried(t *testing.T) {
+	var hits atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+		hits.Add(1)
+		rw.Header().Set("Content-Type", "application/json")
+		rw.Write([]byte("not a reply"))
+	}))
+	defer srv.Close()
+	cl := client.New(srv.URL, client.Options{MaxAttempts: 3, RetryBase: time.Millisecond})
+	ctx := context.Background()
+	for name, call := range map[string]func() error{
+		"submit": func() error { _, err := cl.Submit(ctx, wire.TxnRequest{Class: "X"}); return err },
+		"register": func() error {
+			_, err := cl.RegisterClass(ctx, wire.ClassRequest{L: "transaction X() { skip }"})
+			return err
+		},
+		"stats": func() error { _, err := cl.Stats(ctx); return err },
+	} {
+		hits.Store(0)
+		err := call()
+		if err == nil || !strings.Contains(err.Error(), "homeo api: decoding 200 response") {
+			t.Errorf("%s: err = %v, want a decode failure of the 200 response", name, err)
+		}
+		if n := hits.Load(); n != 1 {
+			t.Errorf("%s: %d attempts, want 1", name, n)
+		}
 	}
 }
 

@@ -195,6 +195,58 @@ func TestDrainSim(t *testing.T) {
 	}
 }
 
+// TestMarkSiteGoneFencesAnUnwitnessedDrain: a process that boots into a
+// cluster whose snapshot lists a gone slot fences it without having seen
+// the drain — the slot reads gone, refuses submissions with the taxonomy
+// error and is skipped by routing and rounds, while the epoch stays (the
+// next observed membership change logs the table) and a repeated or
+// out-of-range mark changes nothing.
+func TestMarkSiteGoneFencesAnUnwitnessedDrain(t *testing.T) {
+	c := simCluster(t, homeo.Options{Sites: 3, EnableLog: true})
+	cls, err := c.Register(homeo.ClassSpec{
+		L:       withdrawSrc,
+		Bounds:  map[string][2]int64{"n": {1, 5}},
+		Initial: map[string]int64{"bal": 60},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch := c.TopologyEpoch()
+	for _, site := range []int{2, 2, -1, 3} {
+		c.MarkSiteGone(site)
+	}
+	if got := strings.Join(c.SiteStatuses(), ","); got != "active,active,gone" || c.ActiveSites() != 2 {
+		t.Fatalf("statuses %s, %d active, want active,active,gone and 2", got, c.ActiveSites())
+	}
+	if c.TopologyEpoch() != epoch {
+		t.Error("marking a slot gone bumped the epoch")
+	}
+	at2, err := c.SessionAt(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := at2.Submit(context.Background(), cls, 1); !errors.Is(err, homeo.ErrSiteGone) {
+		t.Fatalf("submit at the fenced site: %v, want ErrSiteGone", err)
+	}
+	synced := false
+	for i := 0; i < 40; i++ {
+		res, err := c.Session().Submit(context.Background(), cls, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Site == 2 {
+			t.Fatal("round-robin routed to the fenced site")
+		}
+		synced = synced || res.Synced
+	}
+	if !synced {
+		t.Error("no submission paid a round past the fenced slot")
+	}
+	if err := c.CheckReplayEquivalence(); err != nil {
+		t.Fatalf("replay equivalence past the fenced slot: %v", err)
+	}
+}
+
 // TestMigrateSim: migrating a unit's demand home repairs the treaty
 // configuration toward the target and preserves replay equivalence.
 func TestMigrateSim(t *testing.T) {

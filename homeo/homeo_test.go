@@ -244,6 +244,21 @@ func TestErrorTaxonomy(t *testing.T) {
 		}
 	})
 
+	t.Run("aborted on a class of another cluster", func(t *testing.T) {
+		c, other := simCluster(t, homeo.Options{EnableLog: true}), simCluster(t, homeo.Options{EnableLog: true})
+		cls, err := other.Register(homeo.ClassSpec{L: depositSrc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = c.Session().Submit(ctx, cls, 1)
+		if !errors.Is(err, homeo.ErrAborted) || !strings.Contains(err.Error(), "class Deposit belongs to a different cluster") {
+			t.Fatalf("err = %v, want ErrAborted naming the foreign class", err)
+		}
+		if c.Committed() != 0 || other.Committed() != 0 {
+			t.Fatal("a foreign submission committed")
+		}
+	})
+
 	t.Run("dropped when draining", func(t *testing.T) {
 		c := simCluster(t, homeo.Options{})
 		cls, err := c.Register(homeo.ClassSpec{L: depositSrc})

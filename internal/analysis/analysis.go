@@ -211,20 +211,6 @@ func (p *Pass) CalleeFunc(call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// IsPkgFunc reports whether the call invokes the package-level function
-// pkgPath.name (e.g. "time".Now).
-func (p *Pass) IsPkgFunc(call *ast.CallExpr, pkgPath, name string) bool {
-	fn := p.CalleeFunc(call)
-	if fn == nil || fn.Pkg() == nil {
-		return false
-	}
-	if fn.Name() != name || fn.Pkg().Path() != pkgPath {
-		return false
-	}
-	sig, _ := fn.Type().(*types.Signature)
-	return sig == nil || sig.Recv() == nil
-}
-
 // SortDiagnostics orders diagnostics by position for stable output.
 func SortDiagnostics(fset *token.FileSet, ds []Diagnostic) {
 	sort.SliceStable(ds, func(i, j int) bool {

@@ -262,34 +262,6 @@ func tpccFactory(sc Scale, h float64, mixNO, mixPay, mixDel int) workloadFactory
 	}
 }
 
-// All runs every experiment at the given scale, in paper order.
-func All(sc Scale) ([]*Report, error) {
-	type gen struct {
-		name string
-		fn   func(Scale) (*Report, error)
-	}
-	gens := []gen{
-		{"table1", Table1},
-		{"fig10", Fig10}, {"fig11", Fig11}, {"fig12", Fig12},
-		{"fig13", Fig13}, {"fig14", Fig14}, {"fig15", Fig15},
-		{"fig16", Fig16}, {"fig17", Fig17}, {"fig18", Fig18},
-		{"fig19", Fig19}, {"fig20", Fig20}, {"fig21", Fig21}, {"fig22", Fig22},
-		{"fig24", Fig24}, {"fig25", Fig25}, {"fig26", Fig26}, {"fig27", Fig27},
-		{"fig28", Fig28}, {"fig29", Fig29},
-		{"ablation", AblationOptimizer},
-		{"drift", Drift},
-	}
-	var out []*Report
-	for _, g := range gens {
-		r, err := g.fn(sc)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", g.name, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
 // ByName returns the experiment runner with the given id.
 func ByName(name string) (func(Scale) (*Report, error), bool) {
 	m := map[string]func(Scale) (*Report, error){

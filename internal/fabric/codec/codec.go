@@ -306,12 +306,9 @@ func (r *Reader) String() string {
 // over, so it follows a working set that moves.
 const maxNames = 4096
 
-// The list readers below come in two forms. The Into form appends to a
-// slice the caller supplies (cut to length zero, it is scratch the next
-// record reuses) and returns it; on a malformed list what it returns is
-// meaningless and Err says so. The plain form is that over nil, for a
-// caller that wants a slice of its own: nil for an empty or malformed
-// list.
+// The list readers below append to a slice the caller supplies (cut to
+// length zero, it is scratch the next record reuses) and return it; on a
+// malformed list what they return is meaningless and Err says so.
 
 // Int64sInto consumes a count-prefixed slice of signed varints onto dst.
 //
@@ -325,9 +322,6 @@ func (r *Reader) Int64sInto(dst []int64) []int64 {
 	return dst
 }
 
-// Int64s consumes a count-prefixed slice of signed varints.
-func (r *Reader) Int64s() []int64 { return orNil(r, r.Int64sInto(nil)) }
-
 // IntsInto consumes a count-prefixed slice of signed varints onto dst,
 // as ints.
 //
@@ -340,9 +334,6 @@ func (r *Reader) IntsInto(dst []int) []int {
 	}
 	return dst
 }
-
-// Ints consumes a count-prefixed slice of signed varints as ints.
-func (r *Reader) Ints() []int { return orNil(r, r.IntsInto(nil)) }
 
 // BytesListInto consumes a count-prefixed slice of strings onto dst,
 // each a sub-slice of the input.
@@ -369,9 +360,6 @@ func (r *Reader) StringsInto(dst []string) []string {
 	return dst
 }
 
-// Strings consumes a count-prefixed slice of strings.
-func (r *Reader) Strings() []string { return orNil(r, r.StringsInto(nil)) }
-
 // PairsInto consumes a map encoded by AppendStringMap onto dst, entry
 // by entry in encoded order (sorted by name, when AppendStringMap wrote
 // it), each name a sub-slice of the input.
@@ -385,10 +373,6 @@ func (r *Reader) PairsInto(dst []Pair) []Pair {
 	}
 	return dst
 }
-
-// StringMap consumes a map encoded by AppendStringMap. An empty map
-// decodes as nil.
-func (r *Reader) StringMap() map[string]int64 { return r.StringMapInto(nil) }
 
 // StringMapInto consumes a map encoded by AppendStringMap into m, emptied
 // first, and returns it: a map of its own when m is nil and there is

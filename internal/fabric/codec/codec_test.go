@@ -163,6 +163,23 @@ func TestDecodeWrongKind(t *testing.T) {
 	}
 }
 
+// TestMessageRefusesTypesOutsideTheCodec: a value of a type the codec has
+// no kind for is refused by name in both directions, never encoded empty or
+// decoded into silently.
+func TestMessageRefusesTypesOutsideTheCodec(t *testing.T) {
+	foreign := &wire.ErrorResponse{}
+	if _, err := codec.AppendMessage(nil, foreign); err == nil || err.Error() != "codec: cannot encode *wire.ErrorResponse" {
+		t.Errorf("encode: err = %v", err)
+	}
+	enc, err := codec.AppendMessage(nil, &wire.PeerCollect{From: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := codec.DecodeMessage(enc, foreign); err == nil || err.Error() != "codec: cannot decode into *wire.ErrorResponse" {
+		t.Errorf("decode: err = %v", err)
+	}
+}
+
 // TestDecodeRetiredKinds: kind bytes 13 and 14 belonged to a message pair
 // this format version no longer carries. Their bodies, as the fixture held
 // them while it did, are refused whatever they are decoded as, naming the

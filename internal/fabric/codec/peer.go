@@ -80,7 +80,8 @@ func AppendConstraints(dst []byte, cs []wire.PeerConstraint) ([]byte, error) {
 	return dst, nil
 }
 
-// Constraints consumes a list encoded by AppendConstraints.
+// Constraints consumes a list encoded by AppendConstraints into a slice of
+// its own: nil for an empty or malformed list.
 func (r *Reader) Constraints() []wire.PeerConstraint { return orNil(r, r.ConstraintsInto(nil)) }
 
 // ConstraintsInto consumes a list encoded by AppendConstraints into dst,

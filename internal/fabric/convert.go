@@ -257,15 +257,11 @@ func opFromWire(s string) (lia.RelOp, error) {
 	return 0, fmt.Errorf("fabric: unknown constraint op %q", s)
 }
 
-// ConstraintsToWire encodes a local treaty's constraint list in the form
-// install-treaties bodies and the WAL's treaty records both carry.
-func ConstraintsToWire(l treaty.Local) []wire.PeerConstraint {
-	return AppendConstraintsToWire(make([]wire.PeerConstraint, 0, len(l.Constraints)), l)
-}
-
-// AppendConstraintsToWire is ConstraintsToWire over dst[:0], for a caller
-// that encodes list after list and keeps none: an element dst held before
-// is filled in place, its coefficient map emptied and used again.
+// AppendConstraintsToWire encodes a local treaty's constraint list over
+// dst[:0] in the form install-treaties bodies and the WAL's treaty records
+// both carry, for a caller that encodes list after list and keeps none: an
+// element dst held before is filled in place, its coefficient map emptied
+// and used again.
 //
 //homeo:hotpath
 func AppendConstraintsToWire(dst []wire.PeerConstraint, l treaty.Local) []wire.PeerConstraint {
@@ -286,10 +282,10 @@ func AppendConstraintsToWire(dst []wire.PeerConstraint, l treaty.Local) []wire.P
 }
 
 // ConstraintsFromWire decodes a wire constraint list back into a local
-// treaty for the given site (the inverse of ConstraintsToWire on a canonical
-// treaty): each constraint's terms in ascending object order, a zero
-// coefficient dropped. The treaty is the caller's to keep — a site installs
-// it, and the compiled form aliases it.
+// treaty for the given site (the inverse of AppendConstraintsToWire on a
+// canonical treaty): each constraint's terms in ascending object order, a
+// zero coefficient dropped. The treaty is the caller's to keep — a site
+// installs it, and the compiled form aliases it.
 func ConstraintsFromWire(site int, cs []wire.PeerConstraint) (treaty.Local, error) {
 	out := treaty.Local{Site: site, Constraints: make([]treaty.Constraint, 0, len(cs))}
 	for _, pc := range cs {
@@ -323,13 +319,6 @@ func installTreatiesToWire(w *wire.PeerInstallTreaties, m InstallTreaties) {
 	}
 }
 
-// InstallTreatiesToWire encodes an InstallTreaties message.
-func InstallTreatiesToWire(m InstallTreaties) wire.PeerInstallTreaties {
-	var w wire.PeerInstallTreaties
-	installTreatiesToWire(&w, m)
-	return w
-}
-
 func installTreatiesFromWire(_ *reqScratch, w *wire.PeerInstallTreaties) (InstallTreaties, error) {
 	out := InstallTreaties{
 		Round: RoundID{Site: w.From, Seq: w.Round}, Clock: w.Clock, Site: w.Site,
@@ -345,9 +334,4 @@ func installTreatiesFromWire(_ *reqScratch, w *wire.PeerInstallTreaties) (Instal
 		out.Units = append(out.Units, UnitTreaty{Unit: ut.Unit, Version: ut.Version, Local: l})
 	}
 	return out, nil
-}
-
-// InstallTreatiesFromWire decodes an InstallTreaties message.
-func InstallTreatiesFromWire(w wire.PeerInstallTreaties) (InstallTreaties, error) {
-	return installTreatiesFromWire(nil, &w)
 }

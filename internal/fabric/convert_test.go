@@ -3,6 +3,9 @@ package fabric_test
 import (
 	"bytes"
 	"encoding/hex"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,7 +15,10 @@ import (
 	"repro/homeo/wire"
 	"repro/internal/fabric"
 	"repro/internal/fabric/codec"
+	"repro/internal/fabric/fabrictest"
 	"repro/internal/lia"
+	"repro/internal/rt"
+	"repro/internal/rtlive"
 	"repro/internal/treaty"
 	"repro/internal/wal"
 )
@@ -72,36 +78,44 @@ func goldenLine(t *testing.T, path, name string) []byte {
 // hold — an install-treaties body and a WAL treaty record — decoded into
 // the flat Local and encoded again are the fixture's bytes, and decoding
 // those gives the same Local: Local → wire → codec bytes → wire → Local is
-// the identity on canonical input and moves no byte of either format.
+// the identity on canonical input and moves no byte of either format. The
+// peer body crosses the converters the transport and the peer handler use.
 func TestTreatyRoundTripIsGoldenBytes(t *testing.T) {
 	t.Run("peer", func(t *testing.T) {
 		fixture := goldenLine(t, "codec/testdata/peer_v2.golden", "*wire.PeerInstallTreaties")
-		decode := func(b []byte) fabric.InstallTreaties {
-			t.Helper()
-			var w wire.PeerInstallTreaties
-			if err := codec.DecodeMessage(b, &w); err != nil {
-				t.Fatal(err)
-			}
-			m, err := fabric.InstallTreatiesFromWire(w)
+		peer := &fabrictest.StubNode{Site: 1}
+		handler := fabric.NewPeerHandler(peer, nil, "")
+		var bodies [][]byte
+		srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+			body, err := io.ReadAll(req.Body)
 			if err != nil {
-				t.Fatal(err)
+				t.Error(err)
 			}
-			return m
+			bodies = append(bodies, body)
+			req.Body = io.NopCloser(bytes.NewReader(body))
+			handler.ServeHTTP(rw, req)
+		}))
+		defer srv.Close()
+		if status, e := postPeer(t, srv.URL+"/v1/peer/install-treaties", codec.ContentType, bytes.NewReader(fixture)); status != http.StatusOK {
+			t.Fatalf("POST the fixture: %d %+v", status, e)
 		}
-		m := decode(fixture)
+		_, _, ts, _ := peer.Snapshot()
+		m := ts[0]
 		if len(m.Units) == 0 || len(m.Units[0].Local.Constraints) == 0 {
 			t.Fatalf("the fixture holds no treaty: %+v", m)
 		}
-		w := fabric.InstallTreatiesToWire(m)
-		enc, err := codec.AppendMessage(nil, &w)
+		live := rtlive.New(1)
+		tr := fabric.NewHTTP(live, 0, []string{"http://unused.invalid", srv.URL}, &fabrictest.StubNode{Site: 0}, nil)
+		var err error
+		exec(t, live, func(p rt.Proc) { err = tr.Distribute(p, 0, []fabric.InstallTreaties{{}, m}) })
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(enc, fixture) {
-			t.Errorf("re-encoded\n  %x\nfixture\n  %x", enc, fixture)
+		if len(bodies) != 2 || !bytes.Equal(bodies[1], fixture) {
+			t.Errorf("re-encoded\n  %x\nfixture\n  %x", bodies[len(bodies)-1], fixture)
 		}
-		if back := decode(enc); !reflect.DeepEqual(back, m) {
-			t.Errorf("second trip gives %+v, want %+v", back, m)
+		if _, _, ts, _ = peer.Snapshot(); len(ts) != 2 || !reflect.DeepEqual(ts[1], m) {
+			t.Errorf("second trip gives %+v, want %+v", ts[len(ts)-1], m)
 		}
 	})
 	t.Run("wal", func(t *testing.T) {
@@ -122,7 +136,7 @@ func TestTreatyRoundTripIsGoldenBytes(t *testing.T) {
 		if len(l.Constraints) == 0 {
 			t.Fatalf("the fixture holds no treaty: %+v", rec)
 		}
-		rec.Constraints = fabric.ConstraintsToWire(l)
+		rec.Constraints = fabric.AppendConstraintsToWire(nil, l)
 		path := filepath.Join(t.TempDir(), "site-0.wal")
 		lg, _, err := wal.Open(path, wal.Options{GroupWindow: -1})
 		if err != nil {

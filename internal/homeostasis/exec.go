@@ -285,7 +285,7 @@ func (sys *System) execHomeo(p rt.Proc, site int, req workload.Request) (ExecRes
 				}
 			}
 		}
-		committed, violated, violIdx, commitLog, checkErr := sys.execAttempt(p, site, req, f)
+		committed, violated, violIdx, commitLog := sys.execAttempt(p, site, req, f)
 		if committed && track {
 			for i, u := range units {
 				for k, obj := range u.objects {
@@ -298,9 +298,6 @@ func (sys *System) execHomeo(p rt.Proc, site int, req workload.Request) (ExecRes
 			}
 		}
 		cpu.Release()
-		if checkErr != nil {
-			return ExecResult{}, errProtocol(req.Name, checkErr)
-		}
 		if committed {
 			return ExecResult{Committed: true, Log: commitLog}, nil
 		}
@@ -376,9 +373,9 @@ func (sys *System) execHomeo(p rt.Proc, site int, req workload.Request) (ExecRes
 // local treaties before committing. Returns the violated unit's index in
 // f.units (when violated) and a copy of the print log (when committed —
 // the frame's buffer is recycled, so the log must not escape by
-// reference). A (false, false, ...) return with a nil error is a lock
-// failure during execution; the caller retries.
-func (sys *System) execAttempt(p rt.Proc, site int, req workload.Request, f *execFrame) (committed, violated bool, violIdx int, commitLog []int64, err error) {
+// reference). A (false, false, ...) return is a lock failure during
+// execution; the caller retries.
+func (sys *System) execAttempt(p rt.Proc, site int, req workload.Request, f *execFrame) (committed, violated bool, violIdx int, commitLog []int64) {
 	for _, u := range f.units {
 		u.inflight++
 	}
@@ -403,20 +400,15 @@ func (sys *System) execAttempt(p rt.Proc, site int, req workload.Request, f *exe
 	f.view.nSites = sys.Opts.Topo.NSites()
 	f.view.log = f.view.log[:0]
 	if execErr := req.Exec(&f.view, req.Args); execErr != nil {
-		return false, false, -1, nil, nil
+		return false, false, -1, nil
 	}
 	// Pre-commit check: would committing leave the site's state inside
 	// its local treaties? The store already reflects the tentative
-	// writes.
+	// writes. ExecRequest admitted the site, and every unit holds one
+	// compiled treaty per site of the current width (addUnit, growUnit).
 	for i, u := range f.units {
-		holds, herr := sys.localTreatyHolds(u, site)
-		if herr != nil {
-			// A treaty that cannot be evaluated is a protocol error, not
-			// a violation: it must not trigger a synchronization round.
-			return false, false, -1, nil, herr
-		}
-		if !holds {
-			return false, true, i, nil, nil
+		if !u.treaties[site].Holds(sys.Stores[site]) {
+			return false, true, i, nil
 		}
 	}
 	tx.Commit()
@@ -424,19 +416,7 @@ func (sys *System) execAttempt(p rt.Proc, site int, req workload.Request, f *exe
 		commitLog = append([]int64(nil), f.view.log...)
 	}
 	sys.logCommit(req, site, commitLog)
-	return true, false, -1, commitLog, nil
-}
-
-// localTreatyHolds evaluates the site's local treaty for the unit against
-// the site store's current (tentative) state. The compiled form (see
-// treaty.Compile) cannot fail during evaluation; a unit with no treaty slot
-// for the site is reported as an error, which callers must keep distinct
-// from a treaty violation — only the latter starts a synchronization round.
-func (sys *System) localTreatyHolds(u *unitState, site int) (bool, error) {
-	if site < 0 || site >= len(u.treaties) {
-		return false, fmt.Errorf("unit %d has no compiled local treaty for site %d", u.id, site)
-	}
-	return u.treaties[site].Holds(sys.Stores[site]), nil
+	return true, false, -1, commitLog
 }
 
 // tryJoin registers the violator as a co-winner of the negotiation

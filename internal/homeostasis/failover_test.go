@@ -16,6 +16,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/homeo/wire"
 	"repro/internal/cluster"
 	"repro/internal/fabric"
 	"repro/internal/fabric/codec"
@@ -225,10 +226,14 @@ func TestSiteRefusesTreatyOverAnotherSitesObjects(t *testing.T) {
 	}
 	srv := httptest.NewServer(fabric.NewPeerHandler(node, nil, ""))
 	defer srv.Close()
-	post := func(m fabric.InstallTreaties) (int, string) {
+	post := func(o lang.ObjID) (int, string) {
 		t.Helper()
-		w := fabric.InstallTreatiesToWire(m)
-		body, err := codec.AppendMessage(nil, &w)
+		body, err := codec.AppendMessage(nil, &wire.PeerInstallTreaties{
+			From: 0, Round: 3, Clock: 9, Site: 1,
+			Units: []wire.PeerUnitTreaty{{Unit: u.id, Version: u.version + 1, Constraints: []wire.PeerConstraint{
+				{Coeffs: map[string]int64{string(o): -1}, Const: -5, Op: "<="},
+			}}},
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,14 +252,14 @@ func TestSiteRefusesTreatyOverAnotherSitesObjects(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), string(foreign)) {
 			t.Errorf("Node.InstallTreaties over %s: err = %v, want a refusal naming it", foreign, err)
 		}
-		if status, reply := post(over(foreign)); status != http.StatusInternalServerError || !strings.Contains(reply, string(foreign)) {
+		if status, reply := post(foreign); status != http.StatusInternalServerError || !strings.Contains(reply, string(foreign)) {
 			t.Errorf("POST install-treaties over %s: %d %s, want a 500 naming it", foreign, status, reply)
 		}
 	}
 	if u.version != beforeVersion || !reflect.DeepEqual(u.treaties[1].Local(), before) {
 		t.Fatal("a refused treaty moved the slot or the version")
 	}
-	if status, reply := post(over(lang.DeltaObj(obj, 1))); status != http.StatusOK {
+	if status, reply := post(lang.DeltaObj(obj, 1)); status != http.StatusOK {
 		t.Fatalf("POST install-treaties over the site's own delta: %d %s", status, reply)
 	}
 	if u.version != beforeVersion+1 || reflect.DeepEqual(u.treaties[1].Local(), before) {
@@ -359,7 +364,7 @@ func TestNodeKeepsNoPeerScratch(t *testing.T) {
 	if got := other.treaties[1].Local(); other.version != version || !reflect.DeepEqual(got, local) {
 		t.Errorf("installed local treaty (version %d) = %+v, want version %d of %+v", other.version, got, version, local)
 	}
-	if holds, err := sys.localTreatyHolds(other, 1); err != nil || !holds {
-		t.Errorf("the installed treaty: holds=%v err=%v", holds, err)
+	if !other.treaties[1].Holds(sys.Stores[1]) {
+		t.Error("the installed treaty does not hold")
 	}
 }

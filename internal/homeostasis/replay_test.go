@@ -561,6 +561,48 @@ func TestReplayRefusesTreatyOverAnotherSitesObjects(t *testing.T) {
 	}
 }
 
+// TestReplayRefusesUnknownKindAndUnit: a well-framed record replay cannot
+// place — a kind this build does not know, a treaty for a unit no class
+// registered — is refused by site and record, not skipped.
+func TestReplayRefusesUnknownKindAndUnit(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		append func(*wal.Log) error
+		refuse string
+	}{
+		{"unknown kind", func(l *wal.Log) error { return l.Append(wal.Kind(9), []byte{1}) },
+			"site 0 WAL record 1 has unknown kind kind(9)"},
+		{"unknown unit", func(l *wal.Log) error {
+			return l.AppendTreaty(wal.TreatyRecord{Unit: 99, Site: 1, Version: 5, Clock: 6})
+		}, "site 0 WAL names unknown unit 99"},
+		{"negative unit", func(l *wal.Log) error {
+			return l.AppendTreaty(wal.TreatyRecord{Unit: -1, Site: 1, Version: 5, Clock: 6})
+		}, "site 0 WAL names unknown unit -1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			l, _, err := wal.Open(walPath(dir, 0), wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.AppendCommit(wal.CommitRecord{Class: "Order", Site: 0, Clock: 4}); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.append(l); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			_, sys, _ := replaySystem(t)
+			defer sys.CloseWAL()
+			if _, err := sys.OpenWAL(dir, wal.Options{}); err == nil || !strings.Contains(err.Error(), tc.refuse) {
+				t.Fatalf("OpenWAL error = %v, want %q", err, tc.refuse)
+			}
+		})
+	}
+}
+
 // TestCommitLogMerge: sorted runs merge into what a stable sort of their
 // concatenation gives — ties across runs to the earlier run, ties within
 // a run in file order — after the log's own entries, and a single run is

@@ -2,8 +2,10 @@ package homeostasis
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -27,12 +29,14 @@ type roundRecord struct {
 // footprint every round-1 message carried and of the state every install
 // carried — copies, because the coordinator reuses the memory behind both.
 // While refuse is positive a Collect materializes its message, as a
-// transport does before a peer can answer, and then fails busy.
+// transport does before a peer can answer, and then fails busy; while fail
+// is set a Collect fails with it.
 type recordingFabric struct {
 	fabric.Transport
 	collects []roundRecord
 	installs []roundRecord
 	refuse   int
+	fail     error
 }
 
 func (r *recordingFabric) Collect(p rt.Proc, from int, mkMsg func() fabric.CollectState) ([]fabric.StateReply, error) {
@@ -40,6 +44,9 @@ func (r *recordingFabric) Collect(p rt.Proc, from int, mkMsg func() fabric.Colle
 		m := mkMsg()
 		r.collects = append(r.collects, roundRecord{units: slices.Clone(m.Units), objs: slices.Clone(m.Objs)})
 		return m
+	}
+	if r.fail != nil {
+		return nil, r.fail
 	}
 	if r.refuse > 0 {
 		r.refuse--
@@ -337,5 +344,56 @@ func TestRoundPostconditions(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestExecRefusesWhatTheProtocolCannotRun: a request the protocol cannot
+// run fails with ErrProtocol, names itself and commits nothing — one that
+// names a unit no class registered, and one whose violation starts a round
+// that cannot reach its peers.
+func TestExecRefusesWhatTheProtocolCannotRun(t *testing.T) {
+	opts := Options{
+		Mode:          ModeOpt,
+		Topo:          cluster.Uniform(2, 10*rt.Millisecond),
+		CPUPerSite:    4,
+		LocalExecTime: rt.Microsecond,
+		Seed:          3,
+		EnableLog:     true,
+	}
+	eng, sys, w, rec := recordedSystem(t, opts)
+	refused := func(what string, err error, want ...string) {
+		t.Helper()
+		if !errors.Is(err, ErrProtocol) {
+			t.Errorf("%s: err = %v, want ErrProtocol", what, err)
+			return
+		}
+		for _, s := range append(want, "request Order") {
+			if !strings.Contains(err.Error(), s) {
+				t.Errorf("%s: error %q does not mention %q", what, err, s)
+			}
+		}
+	}
+	eng.Spawn(0, func(p rt.Proc) {
+		req := w.MakeRequest([]int{0})
+		req.Units = append(req.Units, len(sys.Units))
+		_, err := sys.ExecRequest(p, 0, req)
+		refused("unknown unit", err, fmt.Sprintf("names unknown unit %d", len(sys.Units)))
+
+		rec.fail = errors.New("peer 1 unreachable")
+		for i := 0; i < 100; i++ {
+			before := len(sys.CommitLog)
+			if _, err := sys.ExecRequest(p, 0, w.MakeRequest([]int{0})); err != nil {
+				refused("unreachable round", err, "peer 1 unreachable")
+				if len(sys.CommitLog) != before {
+					t.Error("the refused request committed")
+				}
+				return
+			}
+		}
+		t.Error("no purchase needed a round")
+	})
+	eng.Run()
+	if len(sys.rounds) != 0 || len(sys.Units) == 0 || sys.Units[0].negotiating {
+		t.Errorf("the refused round stayed open: %d rounds, unit 0 negotiating", len(sys.rounds))
 	}
 }

@@ -255,10 +255,6 @@ func (sys *System) SetFabric(t fabric.Transport, self int) {
 	sys.self = self
 }
 
-// SelfSite reports the site this process owns (-1: all sites are
-// in-process).
-func (sys *System) SelfSite() int { return sys.self }
-
 // siteNode is one site's actor: it answers the fabric's typed messages
 // against the site's store partition and treaty slots.
 type siteNode struct {

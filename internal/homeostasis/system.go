@@ -38,8 +38,9 @@ var (
 	// ErrLivelocked marks a request that exhausted its retry budget
 	// without committing (repeated conflict aborts or lost cleanup votes).
 	ErrLivelocked = errors.New("homeostasis: livelocked")
-	// ErrProtocol marks an internal protocol error (e.g. a unit with no
-	// compiled treaty for the executing site); the request did not commit.
+	// ErrProtocol marks a request the protocol could not run (a unit no
+	// class registered, a round whose peers could not be reached); the
+	// request did not commit.
 	ErrProtocol = errors.New("homeostasis: protocol error")
 )
 

@@ -137,3 +137,35 @@ func TestSendStartsFromTheCallersHeaders(t *testing.T) {
 		}
 	}
 }
+
+// TestRedirectResendsTheWholeBody: a POST that net/http has to send a
+// second time — here after a 307, which keeps method and body — gets the
+// payload again whole from GetBody, not what the first send left of it.
+func TestRedirectResendsTheWholeBody(t *testing.T) {
+	var got []string
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+		b, _ := io.ReadAll(req.Body)
+		got = append(got, req.URL.Path+"|"+string(b))
+		if req.URL.Path == "/moved" {
+			http.Redirect(rw, req, "/here", http.StatusTemporaryRedirect)
+		}
+	}))
+	defer srv.Close()
+	u, err := url.Parse(srv.URL + "/moved")
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := new(Call)
+	k.Init()
+	k.Payload = append(k.Payload[:0], "the payload"...)
+	resp, err := k.Send(context.Background(), srv.Client(), u, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.ReadReply(resp, 0); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[1] != "/here|the payload" || k.Status != http.StatusOK {
+		t.Fatalf("the server saw %q, status %d; want the payload again at /here", got, k.Status)
+	}
+}

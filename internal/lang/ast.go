@@ -84,22 +84,6 @@ func (op CmpOp) String() string {
 	return "?"
 }
 
-// Flip returns the comparison with the operand order reversed
-// (a op b  <=>  b op.Flip() a).
-func (op CmpOp) Flip() CmpOp {
-	switch op {
-	case CmpLT:
-		return CmpGT
-	case CmpLE:
-		return CmpGE
-	case CmpGT:
-		return CmpLT
-	case CmpGE:
-		return CmpLE
-	}
-	return op // = and != are symmetric
-}
-
 // Negate returns the comparison describing the complement relation.
 func (op CmpOp) Negate() CmpOp {
 	switch op {

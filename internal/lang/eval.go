@@ -305,16 +305,3 @@ func EvalIn(t *Transaction, env *Env, args ...int64) error {
 	}
 	return EvalCmd(t.Body, env)
 }
-
-// LogsEqual reports whether two print logs are identical.
-func LogsEqual(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}

@@ -25,7 +25,10 @@ func TestParserResolvesParameters(t *testing.T) {
 		t.Fatalf("body\n got %#v\nwant %#v", txn.Body, want)
 	}
 	// Parameters are per transaction.
-	ts := MustParseProgram(`transaction A(n) { print(n) } transaction B(m) { print(n) }`)
+	ts, err := ParseProgram(`transaction A(n) { print(n) } transaction B(m) { print(n) }`)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := ts[1].Body; !reflect.DeepEqual(got, Cmd(PrintCmd{E: TempVar{Name: "n"}})) {
 		t.Fatalf("n in B, which does not declare it: %#v", got)
 	}

@@ -2,6 +2,7 @@ package lang
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -94,7 +95,7 @@ transaction Order(item, qty) {
 	if got := res.DB.Get("stock"); got != 6 {
 		t.Fatalf("stock = %d, want 6", got)
 	}
-	if !LogsEqual(res.Log, []int64{1}) {
+	if !slices.Equal(res.Log, []int64{1}) {
 		t.Fatalf("log = %v, want [1]", res.Log)
 	}
 
@@ -105,7 +106,7 @@ transaction Order(item, qty) {
 	if got := res.DB.Get("stock"); got != 2 {
 		t.Fatalf("stock = %d, want unchanged 2", got)
 	}
-	if !LogsEqual(res.Log, []int64{0, 7}) {
+	if !slices.Equal(res.Log, []int64{0, 7}) {
 		t.Fatalf("log = %v, want [0 7]", res.Log)
 	}
 }
@@ -167,7 +168,7 @@ func TestParseArithPrecedence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Eval: %v", err)
 	}
-	if !LogsEqual(res.Log, []int64{13, 4}) {
+	if !slices.Equal(res.Log, []int64{13, 4}) {
 		t.Fatalf("log = %v, want [13 4]", res.Log)
 	}
 }
@@ -203,7 +204,7 @@ transaction T(i, v) {
 	if got := res.DB.Get(ArrayObj("a", 2)); got != 5 {
 		t.Fatalf("a[2] = %d, want 5", got)
 	}
-	if !LogsEqual(res.Log, []int64{15}) {
+	if !slices.Equal(res.Log, []int64{15}) {
 		t.Fatalf("log = %v, want [15]", res.Log)
 	}
 }
@@ -223,7 +224,7 @@ transaction T(i, j, v) {
 	if got := res.DB.Get(ArrayObj("r", 5)); got != 42 {
 		t.Fatalf("r[5] = %d, want 42", got)
 	}
-	if !LogsEqual(res.Log, []int64{42}) {
+	if !slices.Equal(res.Log, []int64{42}) {
 		t.Fatalf("log = %v", res.Log)
 	}
 }
@@ -271,7 +272,7 @@ transaction T(i, v) {
 					trial, i, v, obj, r1.DB.Get(obj), r2.DB.Get(obj))
 			}
 		}
-		if !LogsEqual(r1.Log, r2.Log) {
+		if !slices.Equal(r1.Log, r2.Log) {
 			t.Fatalf("trial %d: logs differ: %v vs %v", trial, r1.Log, r2.Log)
 		}
 	}
@@ -405,7 +406,7 @@ transaction Dec() {
 		if got, want := LogicalValue(rRes.DB, "x", nSites), oRes.DB.Get("x"); got != want {
 			t.Fatalf("trial %d site %d: logical x = %d, want %d", trial, site, got, want)
 		}
-		if !LogsEqual(rRes.Log, oRes.Log) {
+		if !slices.Equal(rRes.Log, oRes.Log) {
 			t.Fatalf("trial %d: logs differ: %v vs %v", trial, rRes.Log, oRes.Log)
 		}
 		// The rewritten transaction must only write its own delta object.
@@ -476,25 +477,6 @@ transaction Dec() {
 	_ = mentionsBase
 }
 
-func TestFoldDeltas(t *testing.T) {
-	db := Database{
-		"x":              5,
-		DeltaObj("x", 0): 2,
-		DeltaObj("x", 1): -1,
-		"y":              7,
-	}
-	folded := FoldDeltas(db)
-	if got := folded.Get("x"); got != 6 {
-		t.Fatalf("folded x = %d, want 6", got)
-	}
-	if got := folded.Get("y"); got != 7 {
-		t.Fatalf("folded y = %d, want 7", got)
-	}
-	if _, ok := folded[DeltaObj("x", 0)]; ok {
-		t.Fatal("delta object survived folding")
-	}
-}
-
 func TestSimplifyExprProperties(t *testing.T) {
 	// Property: simplification preserves evaluation.
 	f := func(a, b, c int16) bool {
@@ -543,8 +525,8 @@ func TestDatabaseEqualAndClone(t *testing.T) {
 }
 
 func TestMultipleTransactionsProgram(t *testing.T) {
-	ts := MustParseProgram(t1Src + "\n" + t2Src)
-	if len(ts) != 2 || ts[0].Name != "T1" || ts[1].Name != "T2" {
+	ts, err := ParseProgram(t1Src + "\n" + t2Src)
+	if err != nil || len(ts) != 2 || ts[0].Name != "T1" || ts[1].Name != "T2" {
 		t.Fatalf("program parse: got %v", ts)
 	}
 }
@@ -557,7 +539,7 @@ transaction T() { // trailing comment
 	print(1) // another
 }`)
 	res, err := Eval(txn, Database{})
-	if err != nil || !LogsEqual(res.Log, []int64{1}) {
+	if err != nil || !slices.Equal(res.Log, []int64{1}) {
 		t.Fatalf("comments broke parsing: %v %v", res.Log, err)
 	}
 }

@@ -624,12 +624,3 @@ func MustParse(src string) *Transaction {
 	}
 	return t
 }
-
-// MustParseProgram parses a program, panicking on error.
-func MustParseProgram(src string) []*Transaction {
-	ts, err := ParseProgram(src)
-	if err != nil {
-		panic(err)
-	}
-	return ts
-}

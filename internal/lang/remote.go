@@ -1,9 +1,6 @@
 package lang
 
-import (
-	"sort"
-	"strconv"
-)
+import "strconv"
 
 // This file implements the Appendix B transformation that eliminates
 // remote writes so Assumption 3.1 (All Writes Are Local) holds, the common
@@ -230,27 +227,6 @@ func LogicalValue(d Database, x ObjID, nSites int) int64 {
 		v += d.Get(DeltaObj(x, j))
 	}
 	return v
-}
-
-// FoldDeltas merges every delta object into its base object and zeroes the
-// deltas, producing the canonical database the paper's cleanup phase
-// establishes at synchronization points ("we might initialize the dx
-// objects to 0 and reset them to 0 at the end of each protocol round").
-func FoldDeltas(d Database) Database {
-	out := d.Clone()
-	// Deterministic iteration order for reproducibility of downstream use.
-	objs := make([]ObjID, 0, len(d))
-	for k := range d {
-		objs = append(objs, k)
-	}
-	sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
-	for _, obj := range objs {
-		if base, _, ok := IsDeltaObj(obj); ok {
-			out[base] += out[obj]
-			delete(out, obj)
-		}
-	}
-	return out
 }
 
 // Simplify performs algebraic simplification on a transaction:

@@ -2,6 +2,7 @@ package lang
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -47,7 +48,7 @@ func TestSelectFromWhereScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !LogsEqual(res.Log, []int64{want}) {
+		if !slices.Equal(res.Log, []int64{want}) {
 			t.Errorf("SELECT SUM WHERE key=%d: got %v, want [%d]", k, res.Log, want)
 		}
 	}
@@ -112,7 +113,7 @@ func TestInsertIntoFreeSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !LogsEqual(res.Log, []int64{1}) {
+	if !slices.Equal(res.Log, []int64{1}) {
 		t.Fatalf("insert not reported done: %v", res.Log)
 	}
 	if res.DB.Get(ArrayObj("r", 2)) != 5 || res.DB.Get(ArrayObj("r", 3)) != 50 {
@@ -125,7 +126,7 @@ func TestInsertIntoFreeSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !LogsEqual(res.Log, []int64{0}) {
+	if !slices.Equal(res.Log, []int64{0}) {
 		t.Fatalf("full relation should report 0: %v", res.Log)
 	}
 }
@@ -154,7 +155,7 @@ func TestLoweredScanEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !LogsEqual(a.Log, b.Log) {
+		if !slices.Equal(a.Log, b.Log) {
 			t.Fatalf("trial %d: lowered scan diverges: %v vs %v", trial, a.Log, b.Log)
 		}
 	}

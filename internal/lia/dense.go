@@ -33,8 +33,8 @@ import (
 //
 // The table is sorted, and its order is the elimination order. A System
 // owns the storage a solve needs and keeps it across Reset, so a caller
-// that holds one (or takes one from the package pool through the
-// slice-of-Constraint entry points) solves without allocating.
+// that holds one (or takes one from the package pool through Feasible)
+// solves without allocating.
 //
 // Feasible, SolveModel and ImpliesLast leave the rows as they found them.
 type System struct {
@@ -60,7 +60,7 @@ type bound struct {
 	hasLo, hasHi bool
 }
 
-// systems recycles Systems for the slice-of-Constraint entry points.
+// systems recycles Systems for Feasible.
 var systems = sync.Pool{New: func() any { return new(System) }}
 
 // Reset empties the system and sets its variable table, which must be in
@@ -117,22 +117,20 @@ func (s *System) Add(c Constraint) {
 	}
 }
 
-// load resets the system to the first group's constraints, over the table
-// of the variables all groups mention.
-func (s *System) load(groups ...[]Constraint) {
+// load resets the system to the constraints, over the table of the
+// variables they mention.
+func (s *System) load(cs []Constraint) {
 	table := s.table[:0]
-	for _, cs := range groups {
-		for _, c := range cs {
-			for v := range c.Term.Coeffs {
-				table = append(table, v)
-			}
+	for _, c := range cs {
+		for v := range c.Term.Coeffs {
+			table = append(table, v)
 		}
 	}
 	logic.SortVars(table)
 	table = slices.Compact(table)
 	s.table = table
 	s.Reset(table)
-	for _, c := range groups[0] {
+	for _, c := range cs {
 		s.Add(c)
 	}
 }
@@ -153,9 +151,8 @@ func (s *System) Constraints() []Constraint {
 	return out
 }
 
-// Feasible reports whether the conjunction of constraints has a rational
-// solution, using Fourier–Motzkin elimination. An empty system is
-// feasible.
+// Feasible is System.Feasible on the conjunction of constraints, solved on
+// a pooled System.
 func Feasible(cs []Constraint) bool {
 	s := systems.Get().(*System)
 	defer systems.Put(s)
@@ -163,67 +160,8 @@ func Feasible(cs []Constraint) bool {
 	return s.Feasible()
 }
 
-// SolveModel searches for an integer model of a conjunction of linear
-// constraints using Fourier-Motzkin elimination with back-substitution:
-// variables are eliminated one at a time (recording the intermediate
-// systems), then assigned in reverse order from the rational bounds the
-// remaining constraints imply, rounding into the integer interval.
-//
-// The procedure is complete for the bound-plus-sum constraint systems the
-// treaty optimizer generates. For general systems integrality gaps can make
-// it miss models; it never returns an incorrect one (the result is
-// verified by evaluation before returning).
-func SolveModel(cs []Constraint) (map[logic.Var]int64, bool) {
-	s := systems.Get().(*System)
-	defer systems.Put(s)
-	s.load(cs)
-	vals, ok := s.SolveModel()
-	if !ok {
-		return nil, false
-	}
-	model := make(map[logic.Var]int64, len(vals))
-	for j, v := range s.vars {
-		model[v] = vals[j]
-	}
-	return model, true
-}
-
-// Implies reports whether the conjunction of premises implies the
-// conclusion constraint, i.e. premises && !conclusion is infeasible.
-func Implies(premises []Constraint, conclusion Constraint) bool {
-	return ImpliesAll(premises, []Constraint{conclusion})
-}
-
-// ImpliesAll reports whether premises imply every conclusion.
-func ImpliesAll(premises, conclusions []Constraint) bool {
-	s := systems.Get().(*System)
-	defer systems.Put(s)
-	s.load(premises, conclusions)
-	for _, c := range conclusions {
-		s.Add(c)
-		if !s.ImpliesLast() {
-			return false
-		}
-	}
-	return true
-}
-
-// TightenBounds simplifies a conjunction by collapsing single-variable
-// inequality constraints into the tightest bound per variable and
-// direction, dropping the rest. Multi-variable constraints and equalities
-// pass through unchanged, followed by each variable's lower then upper
-// bound in table order. The result has the same integer solutions as the
-// input and is dramatically smaller for the bound-heavy systems the treaty
-// optimizer generates.
-func TightenBounds(cs []Constraint) []Constraint {
-	s := systems.Get().(*System)
-	defer systems.Put(s)
-	s.load(cs)
-	s.TightenBounds()
-	return s.Constraints()
-}
-
-// Feasible is the package-level Feasible on the system's rows.
+// Feasible reports whether the rows have a rational solution, using
+// Fourier–Motzkin elimination. An empty system is feasible.
 func (s *System) Feasible() bool {
 	n := s.Len()
 	feasible, ok := s.forward()
@@ -234,9 +172,18 @@ func (s *System) Feasible() bool {
 	return feasible
 }
 
-// SolveModel is the package-level SolveModel on the system's rows. The
-// model is indexed like the variable table (a variable no row mentions is
-// 0) and is valid until the system's next solve.
+// SolveModel searches for an integer model of the rows using
+// Fourier–Motzkin elimination with back-substitution: variables are
+// eliminated one at a time (recording the intermediate systems), then
+// assigned in reverse order from the rational bounds the remaining
+// constraints imply, rounding into the integer interval. The model is
+// indexed like the variable table (a variable no row mentions is 0) and is
+// valid until the system's next solve.
+//
+// The procedure is complete for the bound-plus-sum constraint systems the
+// treaty optimizer generates. For general systems integrality gaps can make
+// it miss models; it never returns an incorrect one (the result is
+// verified by evaluation before returning).
 func (s *System) SolveModel() ([]int64, bool) {
 	n := s.Len()
 	s.vals = slices.Grow(s.vals[:0], len(s.vars))[:len(s.vars)]
@@ -281,8 +228,13 @@ func (s *System) ImpliesLast() bool {
 	return !s.Feasible()
 }
 
-// TightenBounds is the package-level TightenBounds, in place. A bound that
-// does not fit int64 stays the row it was.
+// TightenBounds simplifies the rows in place by collapsing single-variable
+// inequalities into the tightest bound per variable and direction.
+// Multi-variable rows and equalities stay, followed by each variable's
+// lower then upper bound in table order. The result has the same integer
+// solutions and is much smaller for the bound-heavy systems the treaty
+// optimizer generates. A bound that does not fit int64 stays the row it
+// was.
 func (s *System) TightenBounds() {
 	n := s.w - 1
 	s.bnd = slices.Grow(s.bnd[:0], n)[:n]
@@ -333,7 +285,7 @@ func (s *System) tighten(row []int64, strict bool) bool {
 	coeff := row[j]
 	t, ok := neg64(row[n])
 	if strict && ok {
-		t, ok = add64(t, -1)
+		t, ok = Add64(t, -1)
 	}
 	if !ok || (t == math.MinInt64 && coeff == -1) {
 		return false
@@ -492,9 +444,9 @@ func (s *System) combine(x, y int, a, b int64, op RelOp) status {
 	var g uint64
 	vars := false
 	for k := range out {
-		p, ok1 := mul64(a, rx[k])
-		q, ok2 := mul64(b, ry[k])
-		v, ok3 := add64(p, q)
+		p, ok1 := Mul64(a, rx[k])
+		q, ok2 := Mul64(b, ry[k])
+		v, ok3 := Add64(p, q)
 		if !ok1 || !ok2 || !ok3 {
 			s.rows = s.rows[:base]
 			return overflow
@@ -563,8 +515,8 @@ func (s *System) rest(r, skip int) (int64, bool) {
 		if row[k] == 0 {
 			continue
 		}
-		p, ok1 := mul64(row[k], s.vals[k])
-		t, ok2 := add64(sum, p)
+		p, ok1 := Mul64(row[k], s.vals[k])
+		t, ok2 := Add64(sum, p)
 		if !ok1 || !ok2 {
 			return 0, false
 		}
@@ -713,15 +665,33 @@ func gcd(a, b uint64) uint64 {
 
 func neg64(x int64) (int64, bool) { return -x, x != math.MinInt64 }
 
-func add64(a, b int64) (int64, bool) {
+// Add64 returns a + b and whether the sum is exact (did not wrap).
+func Add64(a, b int64) (int64, bool) {
 	s := a + b
 	return s, (a^s)&(b^s) >= 0
 }
 
-func mul64(a, b int64) (int64, bool) {
-	hi, lo := bits.Mul64(abs64(a), abs64(b))
-	if (a < 0) != (b < 0) {
-		return -int64(lo), hi == 0 && lo <= 1<<63
+// Mul64 returns a * b and whether the product is exact (did not wrap).
+func Mul64(a, b int64) (int64, bool) {
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	// The signed product's high word: the unsigned one, less b when a is
+	// negative and less a when b is.
+	hi -= uint64(a>>63)&uint64(b) + uint64(b>>63)&uint64(a)
+	return int64(lo), int64(hi) == int64(lo)>>63
+}
+
+func floorDiv(a, b int64) int64 {
+	q := a / b
+	if (a%b != 0) && ((a < 0) != (b < 0)) {
+		q--
 	}
-	return int64(lo), hi == 0 && lo <= math.MaxInt64
+	return q
+}
+
+func ceilDiv(a, b int64) int64 {
+	q := a / b
+	if (a%b != 0) && ((a < 0) == (b < 0)) {
+		q++
+	}
+	return q
 }

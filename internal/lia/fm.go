@@ -206,85 +206,3 @@ func eliminate(system []ratConstraint, v logic.Var) ([]ratConstraint, bool) {
 	}
 	return rest, true
 }
-
-// SubstVar replaces variable v with the given term throughout the
-// constraints (used when fixing a variable's value: pass a constant term).
-func SubstVar(cs []Constraint, v logic.Var, t Term) []Constraint {
-	out := make([]Constraint, 0, len(cs))
-	for _, c := range cs {
-		coeff, ok := c.Term.Coeffs[v]
-		if !ok {
-			out = append(out, c.Clone())
-			continue
-		}
-		nc := c.Clone()
-		delete(nc.Term.Coeffs, v)
-		nc.Term.AddTerm(t, coeff)
-		out = append(out, nc)
-	}
-	return out
-}
-
-// Bounds computes the implied lower and upper bounds on variable v from a
-// conjunction of constraints that mention only v (single-variable
-// constraints). Constraints mentioning other variables are ignored.
-// Returned bounds are inclusive; hasLo/hasUp report existence.
-func Bounds(cs []Constraint, v logic.Var) (lo int64, hasLo bool, up int64, hasUp bool) {
-	for _, c := range cs {
-		coeff, ok := c.Term.Coeffs[v]
-		if !ok || len(c.Term.Coeffs) != 1 {
-			continue
-		}
-		// coeff*v + const (op) 0
-		switch c.Op {
-		case LE, LT:
-			bound := -c.Term.Const
-			if c.Op == LT {
-				bound--
-			}
-			// coeff*v <= bound
-			if coeff > 0 {
-				b := floorDiv(bound, coeff)
-				if !hasUp || b < up {
-					up, hasUp = b, true
-				}
-			} else {
-				b := ceilDiv(bound, coeff)
-				if !hasLo || b > lo {
-					lo, hasLo = b, true
-				}
-			}
-		case EQ:
-			if (-c.Term.Const)%coeff == 0 {
-				b := -c.Term.Const / coeff
-				if !hasLo || b > lo {
-					lo, hasLo = b, true
-				}
-				if !hasUp || b < up {
-					up, hasUp = b, true
-				}
-			} else {
-				// No integer solution: contradictory bounds.
-				lo, hasLo = 1, true
-				up, hasUp = 0, true
-			}
-		}
-	}
-	return
-}
-
-func floorDiv(a, b int64) int64 {
-	q := a / b
-	if (a%b != 0) && ((a < 0) != (b < 0)) {
-		q--
-	}
-	return q
-}
-
-func ceilDiv(a, b int64) int64 {
-	q := a / b
-	if (a%b != 0) && ((a < 0) == (b < 0)) {
-		q++
-	}
-	return q
-}

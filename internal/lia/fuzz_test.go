@@ -159,7 +159,7 @@ func FuzzSolveModel(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cs := fuzzSystem(data)
-		got, ok := SolveModel(cs)
+		got, ok := model(cs)
 		want, wantOK := SolveModelRat(cs)
 		if ok != wantOK || len(got) != len(want) {
 			t.Fatalf("SolveModel = %v %v, reference %v %v on %v", got, ok, want, wantOK, cs)
@@ -171,7 +171,7 @@ func FuzzSolveModel(f *testing.F) {
 		}
 		// TightenBounds keeps the integer solutions: probe points drawn
 		// from the data, extremes included, satisfy both or neither.
-		tight := TightenBounds(cs)
+		tight := tightened(cs)
 		for p := 0; p+len(fuzzVars) <= len(data) && p < 64; p += len(fuzzVars) {
 			point := make(map[logic.Var]int64, len(fuzzVars))
 			for j, v := range fuzzVars {
@@ -199,7 +199,7 @@ func FuzzImplies(f *testing.F) {
 			return
 		}
 		premises, conclusion := cs[:len(cs)-1], cs[len(cs)-1]
-		if got, want := Implies(premises, conclusion), impliesRat(premises, conclusion); got != want {
+		if got, want := implies(premises, conclusion), impliesRat(premises, conclusion); got != want {
 			t.Fatalf("Implies = %v, reference %v: %v => %v", got, want, premises, conclusion)
 		}
 	})

@@ -7,7 +7,6 @@ package lia
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 
 	"repro/internal/lang"
@@ -333,39 +332,4 @@ func FormulaToConstraints(f logic.Formula) ([]Constraint, error) {
 		return nil, fmt.Errorf("lia: negation of non-atom %s", f.F)
 	}
 	return nil, fmt.Errorf("lia: non-conjunctive formula %T", f)
-}
-
-// ConstraintsToFormula converts canonical constraints back into a
-// conjunction of atoms (Term op 0 rendered as Term' op const for
-// readability is left to String; here we keep canonical shape).
-func ConstraintsToFormula(cs []Constraint) logic.Formula {
-	parts := make([]logic.Formula, 0, len(cs))
-	for _, c := range cs {
-		var e logic.Expr = logic.Const{Value: c.Term.Const}
-		for _, v := range c.Term.Vars() {
-			coeff := c.Term.Coeffs[v]
-			var term logic.Expr = logic.Ref{Var: v}
-			if coeff != 1 {
-				term = logic.Mul{L: logic.Const{Value: coeff}, R: term}
-			}
-			e = logic.Add{L: e, R: term}
-		}
-		var op lang.CmpOp
-		switch c.Op {
-		case LE:
-			op = lang.CmpLE
-		case LT:
-			op = lang.CmpLT
-		case EQ:
-			op = lang.CmpEQ
-		}
-		parts = append(parts, logic.Atom{Op: op, L: e, R: logic.Const{Value: 0}})
-	}
-	return logic.And(parts...)
-}
-
-// SortConstraints orders constraints deterministically (by string form);
-// used to make downstream processing reproducible.
-func SortConstraints(cs []Constraint) {
-	sort.Slice(cs, func(i, j int) bool { return cs[i].String() < cs[j].String() })
 }

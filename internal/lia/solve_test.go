@@ -2,8 +2,10 @@ package lia
 
 import (
 	"math"
+	"math/big"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/logic"
@@ -15,13 +17,53 @@ var (
 	cc = logic.Config("c")
 )
 
+// model is System.SolveModel on cs, keyed by variable like the reference
+// SolveModelRat's.
+func model(cs []Constraint) (map[logic.Var]int64, bool) {
+	var s System
+	s.load(cs)
+	vals, ok := s.SolveModel()
+	if !ok {
+		return nil, false
+	}
+	m := make(map[logic.Var]int64, len(vals))
+	for j, v := range s.vars {
+		m[v] = vals[j]
+	}
+	return m, true
+}
+
+// tightened is System.TightenBounds on cs, as constraints.
+func tightened(cs []Constraint) []Constraint {
+	var s System
+	s.load(cs)
+	s.TightenBounds()
+	return s.Constraints()
+}
+
+// implies is System.ImpliesLast on the premises followed by the conclusion.
+func implies(premises []Constraint, conclusion Constraint) bool {
+	var s System
+	s.load(append(premises[:len(premises):len(premises)], conclusion))
+	return s.ImpliesLast()
+}
+
+// strs renders constraints for comparison.
+func strs(cs []Constraint) []string {
+	out := make([]string, len(cs))
+	for i, c := range cs {
+		out[i] = c.String()
+	}
+	return out
+}
+
 func TestSolveModelSimpleBounds(t *testing.T) {
 	// 3 <= a <= 7: model exists and is verified.
 	cs := []Constraint{
 		c(term(-7, ca, 1), LE), // a - 7 <= 0
 		c(term(3, ca, -1), LE), // 3 - a <= 0
 	}
-	m, ok := SolveModel(cs)
+	m, ok := model(cs)
 	if !ok {
 		t.Fatal("feasible system rejected")
 	}
@@ -39,7 +81,7 @@ func TestSolveModelInfeasible(t *testing.T) {
 		c(term(-2, ca, 1), LE), // a <= 2
 		c(term(3, ca, -1), LE), // a >= 3
 	}
-	if _, ok := SolveModel(cs); ok {
+	if _, ok := model(cs); ok {
 		t.Fatal("infeasible system accepted")
 	}
 }
@@ -52,7 +94,7 @@ func TestSolveModelTreatyShape(t *testing.T) {
 		c(term(7, cb, 1), LE),            // b <= -7
 		c(term(-20, ca, -1, cb, -1), LE), // -a - b - 20 <= 0 => a + b >= -20
 	}
-	m, ok := SolveModel(cs)
+	m, ok := model(cs)
 	if !ok {
 		t.Fatal("treaty-shaped system rejected")
 	}
@@ -68,7 +110,7 @@ func TestSolveModelEquality(t *testing.T) {
 		c(term(0, cb, 1, ca, -1), LE),
 		c(term(2, cb, -1), LE),
 	}
-	m, ok := SolveModel(cs)
+	m, ok := model(cs)
 	if !ok {
 		t.Fatal("rejected")
 	}
@@ -80,7 +122,7 @@ func TestSolveModelEquality(t *testing.T) {
 func TestSolveModelStrict(t *testing.T) {
 	// a < 5 over integers: a <= 4 expected with upper preference.
 	cs := []Constraint{c(term(-5, ca, 1), LT)}
-	m, ok := SolveModel(cs)
+	m, ok := model(cs)
 	if !ok {
 		t.Fatal("rejected")
 	}
@@ -90,7 +132,7 @@ func TestSolveModelStrict(t *testing.T) {
 }
 
 func TestSolveModelEmpty(t *testing.T) {
-	m, ok := SolveModel(nil)
+	m, ok := model(nil)
 	if !ok || len(m) != 0 {
 		t.Fatal("empty system should yield the empty model")
 	}
@@ -116,7 +158,7 @@ func TestSolveModelRandomConsistency(t *testing.T) {
 			op := []RelOp{LE, LT, EQ}[rng.Intn(3)]
 			cs = append(cs, Constraint{Term: tm, Op: op})
 		}
-		m, ok := SolveModel(cs)
+		m, ok := model(cs)
 		if ok {
 			bind := func(v logic.Var) (int64, bool) { val, ok := m[v]; return val, ok }
 			for _, cst := range cs {
@@ -157,15 +199,15 @@ func TestTightenBoundsCollapses(t *testing.T) {
 		c(term(-20, ca, -1, cb, -1), LE), // multi-var: kept
 		c(term(-4, cb, 1), EQ),           // equality: kept
 	}
-	out := TightenBounds(cs)
-	// Expect: multi-var + equality + one upper + one lower = 4.
-	if len(out) != 4 {
-		t.Fatalf("tightened to %d constraints, want 4: %v", len(out), out)
+	// Expect: multi-var + equality, then a's lower and upper bound.
+	want := []Constraint{
+		c(term(-20, ca, -1, cb, -1), LE),
+		c(term(-4, cb, 1), EQ),
+		c(term(3, ca, -1), LE),
+		c(term(-5, ca, 1), LE),
 	}
-	// Semantics must be preserved: same feasibility and same bounds.
-	lo, _, up, _ := Bounds(out, ca)
-	if lo != 3 || up != 5 {
-		t.Fatalf("bounds after tightening = [%d, %d], want [3, 5]", lo, up)
+	if out := tightened(cs); !slices.Equal(strs(out), strs(want)) {
+		t.Fatalf("tightened to %v, want %v", out, want)
 	}
 }
 
@@ -174,13 +216,9 @@ func TestTightenBoundsStrict(t *testing.T) {
 		c(term(-5, ca, 1), LT), // a < 5 => a <= 4
 		c(term(-6, ca, 1), LE), // a <= 6
 	}
-	out := TightenBounds(cs)
-	if len(out) != 1 {
-		t.Fatalf("len = %d", len(out))
-	}
-	_, _, up, hasUp := Bounds(out, ca)
-	if !hasUp || up != 4 {
-		t.Fatalf("up = %d, want 4", up)
+	want := []Constraint{c(term(-4, ca, 1), LE)} // a <= 4
+	if out := tightened(cs); !slices.Equal(strs(out), strs(want)) {
+		t.Fatalf("tightened to %v, want %v", out, want)
 	}
 }
 
@@ -190,10 +228,9 @@ func TestTightenBoundsCoefficients(t *testing.T) {
 		c(term(-9, ca, 2), LE),
 		c(term(7, ca, -3), LE),
 	}
-	out := TightenBounds(cs)
-	lo, hasLo, up, hasUp := Bounds(out, ca)
-	if !hasLo || !hasUp || lo != 3 || up != 4 {
-		t.Fatalf("bounds = [%d(%v), %d(%v)], want [3, 4]", lo, hasLo, up, hasUp)
+	want := []Constraint{c(term(3, ca, -1), LE), c(term(-4, ca, 1), LE)} // 3 <= a <= 4
+	if out := tightened(cs); !slices.Equal(strs(out), strs(want)) {
+		t.Fatalf("tightened to %v, want %v", out, want)
 	}
 }
 
@@ -214,8 +251,8 @@ func TestTightenBoundsEquisatisfiable(t *testing.T) {
 			tm.Const = int64(rng.Intn(21) - 10)
 			cs = append(cs, Constraint{Term: tm, Op: LE})
 		}
-		_, okFull := SolveModel(cs)
-		_, okTight := SolveModel(TightenBounds(cs))
+		_, okFull := model(cs)
+		_, okTight := model(tightened(cs))
 		if okFull != okTight {
 			t.Fatalf("trial %d: tightening changed satisfiability (%v -> %v): %v",
 				trial, okFull, okTight, cs)
@@ -224,8 +261,7 @@ func TestTightenBoundsEquisatisfiable(t *testing.T) {
 }
 
 // TestSolveModelAllocs: on a treaty-shaped system the integer kernel
-// allocates nothing on a System that has grown to size, and the
-// slice-of-Constraint entry point only the model it returns.
+// allocates nothing on a System that has grown to size.
 func TestSolveModelAllocs(t *testing.T) {
 	cs := []Constraint{
 		c(term(12, ca, 1), LE),
@@ -241,13 +277,6 @@ func TestSolveModelAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("System.SolveModel allocates %.0f objects, want 0", n)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		if _, ok := SolveModel(cs); !ok {
-			t.Fatal("feasible system rejected")
-		}
-	}); n > 4 && !raceEnabled {
-		t.Fatalf("SolveModel allocates %.0f objects, ceiling 4", n)
 	}
 }
 
@@ -286,7 +315,7 @@ func TestOverflowRestartsOnReference(t *testing.T) {
 		if !ok {
 			overflowed++
 		}
-		got, gotOK := SolveModel(cs)
+		got, gotOK := model(cs)
 		want, wantOK := SolveModelRat(cs)
 		if gotOK != wantOK || !reflect.DeepEqual(got, want) {
 			t.Fatalf("system %d: SolveModel = %v %v, reference %v %v", i, got, gotOK, want, wantOK)
@@ -297,5 +326,29 @@ func TestOverflowRestartsOnReference(t *testing.T) {
 	}
 	if overflowed < 2 {
 		t.Fatalf("only %d of %d systems left int64: the test does not reach the fallback", overflowed, len(systems))
+	}
+}
+
+// TestCheckedArithmeticIsExact: Add64 and Mul64 report exactly the results
+// that fit an int64, on every pair of values around the limits and the
+// square root of the range.
+func TestCheckedArithmeticIsExact(t *testing.T) {
+	var vals []int64
+	for _, v := range []int64{0, 1, 2, 3, 1 << 31, 3037000499, 3037000500, 1 << 32, math.MaxInt64 - 1, math.MaxInt64} {
+		vals = append(vals, v, -v)
+	}
+	vals = append(vals, math.MinInt64, math.MinInt64+1)
+	fits := func(x *big.Int) bool { return x.IsInt64() }
+	for _, a := range vals {
+		for _, b := range vals {
+			want := new(big.Int).Add(big.NewInt(a), big.NewInt(b))
+			if s, ok := Add64(a, b); ok != fits(want) || ok && s != want.Int64() {
+				t.Errorf("Add64(%d, %d) = %d, %v; exact %v", a, b, s, ok, want)
+			}
+			want.Mul(big.NewInt(a), big.NewInt(b))
+			if p, ok := Mul64(a, b); ok != fits(want) || ok && p != want.Int64() {
+				t.Errorf("Mul64(%d, %d) = %d, %v; exact %v", a, b, p, ok, want)
+			}
+		}
 	}
 }

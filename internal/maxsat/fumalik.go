@@ -24,18 +24,16 @@ type Clause []sat.Lit
 // span locates one clause in a literal arena.
 type span struct{ off, n int }
 
-// Problem is a partial MaxSAT instance. Variables are 1-based; use NewVar
-// to allocate. Clause literals are copied into one arena, so a Problem
-// that is Reset and refilled allocates nothing once it has grown.
+// Problem is a partial MaxSAT instance; the zero value is empty. Variables
+// are 1-based; use NewVar to allocate. Clause literals are copied into one
+// arena, so a Problem that is Reset and refilled allocates nothing once it
+// has grown.
 type Problem struct {
 	nVars int
 	lits  []sat.Lit
 	hard  []span
 	soft  []span
 }
-
-// NewProblem returns an empty instance.
-func NewProblem() *Problem { return &Problem{} }
 
 // Reset empties the instance, keeping its storage.
 func (p *Problem) Reset() {
@@ -68,9 +66,6 @@ func (p *Problem) add(lits []sat.Lit) span {
 
 func (p *Problem) clause(c span) Clause { return p.lits[c.off : c.off+c.n] }
 
-// NumSoft returns the number of soft clauses.
-func (p *Problem) NumSoft() int { return len(p.soft) }
-
 // Result is the outcome of a MaxSAT solve.
 type Result struct {
 	// Feasible is false when the hard clauses alone are unsatisfiable.
@@ -101,9 +96,6 @@ type Solver struct {
 	model     []bool
 	satisfied []bool
 }
-
-// Solve runs the Fu-Malik algorithm on a fresh Solver.
-func Solve(p *Problem) Result { return new(Solver).Solve(p) }
 
 // Solve runs the Fu-Malik algorithm and returns the optimal result, whose
 // slices are valid until the next Solve. The problem is not modified.

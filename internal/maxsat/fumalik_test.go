@@ -8,12 +8,12 @@ import (
 )
 
 func TestAllSoftSatisfiable(t *testing.T) {
-	p := NewProblem()
+	p := new(Problem)
 	a, b := sat.Lit(p.NewVar()), sat.Lit(p.NewVar())
 	p.AddHard(a, b)
 	p.AddSoft(a)
 	p.AddSoft(b)
-	res := Solve(p)
+	res := new(Solver).Solve(p)
 	if !res.Feasible || res.Cost != 0 {
 		t.Fatalf("cost = %d feasible = %v, want 0/true", res.Cost, res.Feasible)
 	}
@@ -25,11 +25,11 @@ func TestAllSoftSatisfiable(t *testing.T) {
 }
 
 func TestOneMustFall(t *testing.T) {
-	p := NewProblem()
+	p := new(Problem)
 	a := sat.Lit(p.NewVar())
 	p.AddSoft(a)
 	p.AddSoft(a.Neg())
-	res := Solve(p)
+	res := new(Solver).Solve(p)
 	if !res.Feasible || res.Cost != 1 {
 		t.Fatalf("cost = %d, want 1", res.Cost)
 	}
@@ -45,25 +45,25 @@ func TestOneMustFall(t *testing.T) {
 }
 
 func TestInfeasibleHard(t *testing.T) {
-	p := NewProblem()
+	p := new(Problem)
 	a := sat.Lit(p.NewVar())
 	p.AddHard(a)
 	p.AddHard(a.Neg())
 	p.AddSoft(a)
-	res := Solve(p)
+	res := new(Solver).Solve(p)
 	if res.Feasible {
 		t.Fatal("contradictory hard clauses should be infeasible")
 	}
 }
 
 func TestHardDominatesSoft(t *testing.T) {
-	p := NewProblem()
+	p := new(Problem)
 	a, b, c := sat.Lit(p.NewVar()), sat.Lit(p.NewVar()), sat.Lit(p.NewVar())
 	p.AddHard(a.Neg()) // a must be false
 	p.AddSoft(a)       // impossible
 	p.AddSoft(b)
 	p.AddSoft(c)
-	res := Solve(p)
+	res := new(Solver).Solve(p)
 	if !res.Feasible || res.Cost != 1 {
 		t.Fatalf("cost = %d, want 1", res.Cost)
 	}
@@ -76,18 +76,18 @@ func TestHardDominatesSoft(t *testing.T) {
 }
 
 func TestProblemNotMutated(t *testing.T) {
-	p := NewProblem()
+	p := new(Problem)
 	a := sat.Lit(p.NewVar())
 	p.AddSoft(a)
 	p.AddSoft(a.Neg())
 	nHard, nSoft, nVars := len(p.hard), len(p.soft), p.nVars
-	_ = Solve(p)
+	_ = new(Solver).Solve(p)
 	if len(p.hard) != nHard || len(p.soft) != nSoft || p.nVars != nVars {
 		t.Fatalf("Solve mutated problem: hard %d->%d soft %d->%d vars %d->%d",
 			nHard, len(p.hard), nSoft, len(p.soft), nVars, p.nVars)
 	}
 	// Solving twice gives the same cost.
-	r1, r2 := Solve(p), Solve(p)
+	r1, r2 := new(Solver).Solve(p), new(Solver).Solve(p)
 	if r1.Cost != r2.Cost {
 		t.Fatalf("non-deterministic cost: %d vs %d", r1.Cost, r2.Cost)
 	}
@@ -99,7 +99,7 @@ func TestAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 120; trial++ {
 		nVars := 2 + rng.Intn(6)
-		p := NewProblem()
+		p := new(Problem)
 		for v := 0; v < nVars; v++ {
 			p.NewVar()
 		}
@@ -154,7 +154,7 @@ func TestAgainstBruteForce(t *testing.T) {
 				bestCost = cost
 			}
 		}
-		res := Solve(p)
+		res := new(Solver).Solve(p)
 		if bestCost == -1 {
 			if res.Feasible {
 				t.Fatalf("trial %d: should be infeasible", trial)
@@ -195,7 +195,7 @@ func TestAgainstBruteForce(t *testing.T) {
 func TestTreatyShapedInstance(t *testing.T) {
 	// Selectors s1..s4 each "choose" a bound; hard constraint forbids
 	// choosing both s1 and s2, and both s3 and s4. Optimum satisfies 2.
-	p := NewProblem()
+	p := new(Problem)
 	s1, s2 := sat.Lit(p.NewVar()), sat.Lit(p.NewVar())
 	s3, s4 := sat.Lit(p.NewVar()), sat.Lit(p.NewVar())
 	p.AddHard(s1.Neg(), s2.Neg())
@@ -203,7 +203,7 @@ func TestTreatyShapedInstance(t *testing.T) {
 	for _, s := range []sat.Lit{s1, s2, s3, s4} {
 		p.AddSoft(s)
 	}
-	res := Solve(p)
+	res := new(Solver).Solve(p)
 	if res.Cost != 2 {
 		t.Fatalf("cost = %d, want 2", res.Cost)
 	}

@@ -131,13 +131,6 @@ func New(cfg Config) (*Workload, error) {
 // Name implements workload.Workload.
 func (w *Workload) Name() string { return "micro" }
 
-// Config returns the workload's configuration.
-func (w *Workload) Config() Config { return w.cfg }
-
-// Table exposes the canonical symbolic table (for the analyzer CLI and
-// tests).
-func (w *Workload) Table() *symtab.Table { return w.table }
-
 // ItemObj names the stock object of an item.
 func ItemObj(item int) lang.ObjID {
 	return lang.ObjID(fmt.Sprintf("stock[%d]", item))

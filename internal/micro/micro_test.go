@@ -20,8 +20,8 @@ func mustNew(t *testing.T, cfg Config) *Workload {
 
 func TestSymbolicTableShape(t *testing.T) {
 	w := mustNew(t, Config{Items: 4, Refill: 100, NSites: 2})
-	if n := len(w.Table().Rows); n != 2 {
-		t.Fatalf("rows = %d, want 2 (decrement / refill)\n%s", n, w.Table())
+	if n := len(w.table.Rows); n != 2 {
+		t.Fatalf("rows = %d, want 2 (decrement / refill)\n%s", n, w.table)
 	}
 }
 

@@ -185,22 +185,6 @@ func (r *Runtime) Drain() {
 // finished.
 func (r *Runtime) Live() int { return int(r.live.Load()) }
 
-// Exec runs fn as a process and blocks until it returns, reporting
-// whether it ran (false when the runtime is draining; a process drained
-// mid-run still counts as ran). It is the bridge from external goroutines
-// (HTTP handlers) into the runtime's execution contract.
-func (r *Runtime) Exec(id int, fn func(p rt.Proc)) bool {
-	done := make(chan struct{})
-	if !r.spawn(id, func(p rt.Proc) {
-		defer close(done)
-		fn(p)
-	}) {
-		return false
-	}
-	<-done
-	return true
-}
-
 // Locked runs fn holding the scheduler lock, for external goroutines that
 // need a consistent snapshot of shared protocol state (stats endpoints).
 func (r *Runtime) Locked(fn func()) {

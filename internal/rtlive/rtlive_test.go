@@ -17,9 +17,9 @@ func TestRuntimeConformance(t *testing.T) {
 	rttest.Run(t, func() rt.Runtime { return rtlive.New(1) })
 }
 
-// TestExecBridgesExternalGoroutines: Exec runs work from plain goroutines
-// (the HTTP handler path) under the execution contract — mutations from
-// concurrently Exec'd processes never race.
+// TestExecBridgesExternalGoroutines: SpawnOK runs work from plain
+// goroutines (the HTTP handler path) under the execution contract —
+// mutations from concurrently spawned processes never race.
 func TestExecBridgesExternalGoroutines(t *testing.T) {
 	r := rtlive.New(1)
 	const n = 16
@@ -28,12 +28,13 @@ func TestExecBridgesExternalGoroutines(t *testing.T) {
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
-			defer wg.Done()
-			if !r.Exec(i, func(p rt.Proc) {
+			if !r.SpawnOK(i, func(p rt.Proc) {
+				defer wg.Done()
 				p.Sleep(2 * rt.Millisecond)
 				counter++ // unsynchronized on purpose: the contract serializes it
 			}) {
-				t.Error("Exec refused while not draining")
+				t.Error("SpawnOK refused while not draining")
+				wg.Done()
 			}
 		}(i)
 	}
@@ -42,16 +43,6 @@ func TestExecBridgesExternalGoroutines(t *testing.T) {
 	// -race) if processes really hold the execution right while running.
 	if counter != n {
 		t.Fatalf("counter = %d, want %d (broken execution contract)", counter, n)
-	}
-}
-
-// TestExecRefusedWhileDraining: after Drain, Exec must not hang; it
-// reports that the work did not run.
-func TestExecRefusedWhileDraining(t *testing.T) {
-	r := rtlive.New(1)
-	r.Drain()
-	if r.Exec(0, func(p rt.Proc) {}) {
-		t.Fatal("Exec ran after Drain")
 	}
 }
 

@@ -147,9 +147,6 @@ func (s *Solver) NewVar() int {
 	return s.nVars
 }
 
-// NVars returns the number of allocated variables.
-func (s *Solver) NVars() int { return s.nVars }
-
 // ensureVar grows the variable space to cover v.
 func (s *Solver) ensureVar(v int) {
 	for s.nVars < v {

@@ -328,9 +328,6 @@ func (p *Proc) Park() { p.park() }
 // callback (engine context), not from another process.
 func (p *Proc) WakeIf(token int64) bool { return p.wakeIf(token) }
 
-// Engine returns the owning engine.
-func (p *Proc) Engine() *Engine { return p.e }
-
 // Run processes events until the queue empties or the deadline passes.
 // It returns the final virtual time.
 func (e *Engine) Run() Time {

@@ -3,6 +3,7 @@ package sqlfront
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -43,7 +44,7 @@ func TestSelectSum(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !lang.LogsEqual(res.Log, []int64{want}) {
+		if !slices.Equal(res.Log, []int64{want}) {
 			t.Errorf("SUM WHERE key=%d: got %v, want [%d]", k, res.Log, want)
 		}
 	}
@@ -57,7 +58,7 @@ func TestSelectCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !lang.LogsEqual(res.Log, []int64{2}) {
+	if !slices.Equal(res.Log, []int64{2}) {
 		t.Fatalf("COUNT qty>15 = %v, want [2] (free slots excluded)", res.Log)
 	}
 }
@@ -88,7 +89,7 @@ func TestInsertAndDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !lang.LogsEqual(res.Log, []int64{1}) {
+	if !slices.Equal(res.Log, []int64{1}) {
 		t.Fatalf("insert log = %v", res.Log)
 	}
 	tab := schema["stock"]
@@ -101,7 +102,7 @@ func TestInsertAndDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !lang.LogsEqual(res.Log, []int64{0}) {
+	if !slices.Equal(res.Log, []int64{0}) {
 		t.Fatalf("full-table insert log = %v", res.Log)
 	}
 
@@ -127,7 +128,7 @@ SELECT SUM(qty) FROM stock WHERE key = @k`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !lang.LogsEqual(res.Log, []int64{9}) {
+	if !slices.Equal(res.Log, []int64{9}) {
 		t.Fatalf("log = %v, want [9]", res.Log)
 	}
 }
@@ -215,7 +216,7 @@ func TestLowerCompiledSQL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !lang.LogsEqual(a.Log, b.Log) {
+	if !slices.Equal(a.Log, b.Log) {
 		t.Fatalf("lowered SQL diverges: %v vs %v", a.Log, b.Log)
 	}
 }

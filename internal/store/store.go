@@ -164,9 +164,6 @@ func (s *Store) Recycle(t *Txn) {
 	s.freeTxns = append(s.freeTxns, t)
 }
 
-// ID returns the transaction's store-local identifier.
-func (t *Txn) ID() int { return t.id }
-
 // Read acquires a shared lock and returns the object's value.
 func (t *Txn) Read(obj lang.ObjID) (int64, error) {
 	if t.closed {

@@ -2,6 +2,7 @@ package symtab
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/lang"
@@ -140,7 +141,7 @@ func TestFuzzResidualEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d: residual eval: %v", trial, err)
 			}
-			if !want.DB.Equal(got.DB) || !lang.LogsEqual(want.Log, got.Log) {
+			if !want.DB.Equal(got.DB) || !slices.Equal(want.Log, got.Log) {
 				t.Fatalf("trial %d: residual mismatch on %v\nprogram: %s\nrow %d: %s\ngot DB %v log %v\nwant DB %v log %v",
 					trial, db, txn.Body, matched, tbl.Rows[matched].Guard,
 					got.DB, got.Log, want.DB, want.Log)

@@ -2,6 +2,7 @@ package symtab
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/lang"
@@ -99,7 +100,7 @@ func TestResidualEquivalence(t *testing.T) {
 			if !want.DB.Equal(got.DB) {
 				t.Fatalf("%s on %v: residual DB %v != %v", txn.Name, db, got.DB, want.DB)
 			}
-			if !lang.LogsEqual(want.Log, got.Log) {
+			if !slices.Equal(want.Log, got.Log) {
 				t.Fatalf("%s on %v: logs differ", txn.Name, db)
 			}
 		}
@@ -168,7 +169,7 @@ func TestJointResidualEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !want.DB.Equal(got.DB) || !lang.LogsEqual(want.Log, got.Log) {
+			if !want.DB.Equal(got.DB) || !slices.Equal(want.Log, got.Log) {
 				t.Fatalf("trial %d txn %d: joint residual mismatch on %v", trial, i, db)
 			}
 		}
@@ -206,7 +207,7 @@ transaction Order(qty) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !want.DB.Equal(got.DB) || !lang.LogsEqual(want.Log, got.Log) {
+		if !want.DB.Equal(got.DB) || !slices.Equal(want.Log, got.Log) {
 			t.Fatalf("trial %d: parameterized residual mismatch", trial)
 		}
 	}
@@ -240,7 +241,7 @@ transaction T() {
 		}
 		want, _ := lang.Eval(txn, db)
 		got, _ := tbl.EvalResidual(row, db)
-		if !lang.LogsEqual(want.Log, got.Log) {
+		if !slices.Equal(want.Log, got.Log) {
 			t.Fatalf("db %v: logs %v != %v", db, got.Log, want.Log)
 		}
 	}
@@ -288,7 +289,7 @@ transaction T() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !lang.LogsEqual(res.Log, []int64{1}) {
+	if !slices.Equal(res.Log, []int64{1}) {
 		t.Fatalf("log = %v, want [1]", res.Log)
 	}
 }

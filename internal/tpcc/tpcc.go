@@ -210,12 +210,6 @@ func CBalObj(c int) lang.ObjID  { return lang.ObjID(fmt.Sprintf("cbal[%d]", c)) 
 // Name implements workload.Workload.
 func (w *Workload) Name() string { return "tpcc" }
 
-// Config returns the configuration.
-func (w *Workload) Config() Config { return w.cfg }
-
-// Table exposes the canonical New Order symbolic table.
-func (w *Workload) Table() *symtab.Table { return w.table }
-
 // InitialDB implements workload.Workload.
 func (w *Workload) InitialDB() lang.Database { return w.initial.Clone() }
 

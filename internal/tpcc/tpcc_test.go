@@ -2,6 +2,7 @@ package tpcc
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/lang"
@@ -34,8 +35,8 @@ func small(t *testing.T, nSites int) *Workload {
 
 func TestSymbolicTableShape(t *testing.T) {
 	w := small(t, 2)
-	if n := len(w.Table().Rows); n != 2 {
-		t.Fatalf("New Order table rows = %d, want 2\n%s", n, w.Table())
+	if n := len(w.table.Rows); n != 2 {
+		t.Fatalf("New Order table rows = %d, want 2\n%s", n, w.table)
 	}
 }
 
@@ -112,7 +113,7 @@ func TestDeliveryMatchesSource(t *testing.T) {
 			if got, want := view.db.Get(LowObj(1)), res.DB.Get("low"); got != want {
 				t.Fatalf("n=%d: low %d, want %d", n, got, want)
 			}
-			if !lang.LogsEqual(view.log, res.Log) {
+			if !slices.Equal(view.log, res.Log) {
 				t.Fatalf("n=%d low=%d: log %v, want %v", n, low, view.log, res.Log)
 			}
 		}

@@ -183,7 +183,9 @@ func sumSign(spec, b []Term) (int64, bool) {
 
 // Holds reports whether the compiled local treaty is satisfied by the
 // given state. It cannot fail: a Local mentions nothing but objects, and
-// missing objects read as zero.
+// missing objects read as zero. A sum that leaves int64 counts as
+// violated, so the check never accepts a state the treaty over ℤ refuses:
+// the worst an overflow costs is a synchronization round.
 //
 //homeo:hotpath
 func (c *CompiledLocal) Holds(db ObjReader) bool {
@@ -191,11 +193,8 @@ func (c *CompiledLocal) Holds(db ObjReader) bool {
 		return false
 	}
 	if c.interval {
-		s := int64(0)
-		for _, t := range c.sum {
-			s += t.Coeff * db.Get(t.Obj)
-		}
-		return c.lo <= s && s <= c.hi
+		s, ok := termSum(0, c.sum, db)
+		return ok && c.lo <= s && s <= c.hi
 	}
 	for i := range c.local.Constraints {
 		if !c.local.Constraints[i].holds(db) {
@@ -203,4 +202,22 @@ func (c *CompiledLocal) Holds(db ObjReader) bool {
 		}
 	}
 	return true
+}
+
+// termSum is start + Σ t.Coeff·db[t.Obj] and whether every product and
+// partial sum fit in int64.
+//
+//homeo:hotpath
+func termSum(start int64, terms []Term, db ObjReader) (int64, bool) {
+	s := start
+	for _, t := range terms {
+		p, ok := lia.Mul64(t.Coeff, db.Get(t.Obj))
+		if !ok {
+			return 0, false
+		}
+		if s, ok = lia.Add64(s, p); !ok {
+			return 0, false
+		}
+	}
+	return s, true
 }

@@ -150,6 +150,36 @@ func TestCompileExtremeBoundsSaturate(t *testing.T) {
 	}
 }
 
+// TestHoldsRefusesWrappedSums: a sum that leaves int64 counts as
+// violated on both paths, so a state whose wrapped sum would land inside
+// the treaty — q + dq = 2^63 wraps to MinInt64 — is refused, not committed
+// locally.
+func TestHoldsRefusesWrappedSums(t *testing.T) {
+	over := lang.Database{"q": math.MaxInt64, "dq": 1, "r": 1}
+	for name, l := range map[string]Local{
+		"interval": {Site: 0, Constraints: []Constraint{cons(lia.LE, -10, "q", 1, "dq", 1)}}, // q + dq <= 10
+		"general": {Site: 0, Constraints: []Constraint{
+			cons(lia.LE, 5, "q", 1, "dq", 1), // q + dq <= -5
+			cons(lia.LE, -10, "r", 1),        // r <= 10
+		}},
+		"product": {Site: 0, Constraints: []Constraint{cons(lia.LE, -10, "q", 2)}}, // 2q <= 10
+	} {
+		c, err := Compile(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.interval != (name != "general") {
+			t.Fatalf("%s: compiled to interval = %v", name, c.interval)
+		}
+		if c.Holds(over) {
+			t.Errorf("%s: %s holds on %v, whose sum wraps", name, l, over)
+		}
+		if !c.Holds(lang.Database{"q": -10, "dq": 1, "r": 1}) {
+			t.Errorf("%s: %s does not hold inside the bound", name, l)
+		}
+	}
+}
+
 // TestCompileGroundConstraints: constant constraints fold at compile time.
 func TestCompileGroundConstraints(t *testing.T) {
 	sat := Local{Site: 0, Constraints: []Constraint{cons(lia.LE, -1)}} // -1 <= 0

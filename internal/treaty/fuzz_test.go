@@ -89,46 +89,43 @@ var (
 
 func fitsInt64(x *big.Int) bool { return x.Cmp(bigMin) >= 0 && x.Cmp(bigMax) <= 0 }
 
-// exactSum is Σ terms[i].Coeff·db[terms[i].Obj] + konst in arbitrary
-// precision.
-func exactSum(terms []Term, konst int64, db lang.Database) *big.Int {
-	sum := big.NewInt(konst)
-	for _, t := range terms {
-		sum.Add(sum, new(big.Int).Mul(big.NewInt(t.Coeff), big.NewInt(db.Get(t.Obj))))
-	}
-	return sum
-}
-
 // holdsExactly evaluates the treaty in arbitrary precision. valuesFit
 // reports whether every constraint's value is an int64, which is when
 // wrapping int64 arithmetic computes it exactly whatever the order of
-// summation; sumsFit the same of every constraint's sum without its
-// constant, which is what the interval check computes.
-func holdsExactly(l Local, db lang.Database) (holds, valuesFit, sumsFit bool) {
-	holds, valuesFit, sumsFit = true, true, true
+// summation; partialsFit whether every product and every partial sum the
+// check can form — from zero, as the interval check sums, and from the
+// constant, as a constraint does — is an int64, which is when the check
+// computes exactly.
+func holdsExactly(l Local, db lang.Database) (holds, valuesFit, partialsFit bool) {
+	holds, valuesFit, partialsFit = true, true, true
 	for _, c := range l.Constraints {
-		sum := exactSum(c.Terms, c.Const, db)
+		sum, fromZero := big.NewInt(c.Const), new(big.Int)
+		for _, t := range c.Terms {
+			p := new(big.Int).Mul(big.NewInt(t.Coeff), big.NewInt(db.Get(t.Obj)))
+			sum.Add(sum, p)
+			fromZero.Add(fromZero, p)
+			partialsFit = partialsFit && fitsInt64(p) && fitsInt64(sum) && fitsInt64(fromZero)
+		}
 		valuesFit = valuesFit && fitsInt64(sum)
-		sumsFit = sumsFit && fitsInt64(exactSum(c.Terms, 0, db))
 		if s := sum.Sign(); s > 0 || (s == 0 && c.Op == lia.LT) || (s < 0 && c.Op == lia.EQ) {
 			holds = false
 		}
 	}
-	return holds, valuesFit, sumsFit
+	return holds, valuesFit, partialsFit
 }
 
 // FuzzLocalHolds is the differential test of the one treaty check. On
 // random canonical treaties and stores, constants and values at the int64
-// limits included, the flat Compile+Holds must agree
+// limits included:
 //
-//   - always, with the frozen map-based Compile it replaced;
-//   - with the arbitrary-precision value wherever every constraint's sum
-//     and value fit an int64 — and so does the frozen interpretive Holds
-//     (lia.Constraint.Eval) wherever the values do;
-//   - on a treaty that compiled to an interval or to false, with the
-//     arbitrary-precision value wherever the sums alone fit: the saturation
-//     cases compileInterval documents, where adding the constant would leave
-//     the int64 range.
+//   - Compile detects the interval and the always-false treaty exactly as
+//     the frozen map-based Compile it replaced;
+//   - the check never holds where the arbitrary-precision value does not:
+//     a sum that leaves int64 counts as violated;
+//   - wherever every product and partial sum fits an int64, the check
+//     agrees with the arbitrary-precision value and with the frozen
+//     compiled check, and the frozen interpretive Holds (lia.Constraint.Eval)
+//     agrees with the value wherever the values fit.
 func FuzzLocalHolds(f *testing.F) {
 	cat := func(head byte, parts ...[]byte) []byte {
 		out := []byte{head}
@@ -184,20 +181,21 @@ func FuzzLocalHolds(f *testing.F) {
 		}
 		for _, db := range dbs {
 			got := c.Holds(db)
-			if want := rc.Holds(db); got != want {
-				t.Fatalf("%s on %v: flat check %v, reference compiled check %v", l, db, got, want)
+			exact, valuesFit, partialsFit := holdsExactly(l, db)
+			if got && !exact {
+				t.Fatalf("%s on %v: the check holds where the treaty over ℤ does not", l, db)
 			}
-			exact, valuesFit, sumsFit := holdsExactly(l, db)
 			if interp := ref.Holds(db); valuesFit && interp != exact {
 				t.Fatalf("%s on %v: interpreted %v, exact %v", l, db, interp, exact)
 			}
-			// The interval detection reasons about the sums without their
-			// constants, so it is exact where those fit — also past the
-			// point where adding a constant would wrap, and not where a sum
-			// alone wraps though the constraint's value would not (-a at
-			// a = MinInt64).
-			if sumsFit && (valuesFit || c.interval || c.alwaysFalse) && got != exact {
+			if !partialsFit {
+				continue
+			}
+			if got != exact {
 				t.Fatalf("%s on %v: flat check %v, exact %v", l, db, got, exact)
+			}
+			if want := rc.Holds(db); got != want {
+				t.Fatalf("%s on %v: flat check %v, reference compiled check %v", l, db, got, want)
 			}
 		}
 	})

@@ -321,7 +321,7 @@ func refOptimize(t *Template, db lang.Database, model WorkloadModel, opt Optimiz
 			return nil, false
 		}
 		cfg := make(Config)
-		for _, v := range t.ConfigVars() {
+		for _, v := range t.configVars {
 			cfg[v] = modelVals[v]
 		}
 		t.relaxIntoSlack(cfg)

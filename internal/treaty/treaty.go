@@ -93,11 +93,12 @@ type Constraint struct {
 // object name.
 func TermOrder(a, b Term) int { return strings.Compare(string(a.Obj), string(b.Obj)) }
 
-// holds evaluates the constraint; absent objects read as zero.
+// holds evaluates the constraint; absent objects read as zero, and a sum
+// that leaves int64 counts as violated.
 func (c *Constraint) holds(db ObjReader) bool {
-	sum := c.Const
-	for _, t := range c.Terms {
-		sum += t.Coeff * db.Get(t.Obj)
+	sum, ok := termSum(c.Const, c.Terms, db)
+	if !ok {
+		return false
 	}
 	switch c.Op {
 	case lia.LE:
@@ -228,10 +229,6 @@ func BuildTemplate(g Global, nSites int, place Placement) (*Template, error) {
 	}
 	return t, nil
 }
-
-// ConfigVars lists every configuration variable of the template in
-// deterministic order.
-func (t *Template) ConfigVars() []logic.Var { return slices.Clone(t.configVars) }
 
 // localSum evaluates the site-local part of a clause on a database.
 //

@@ -2,6 +2,7 @@ package treaty
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -448,21 +449,20 @@ func TestBuildTemplateRejectsNonObjectVars(t *testing.T) {
 	}
 }
 
+// TestConfigVarsDeterministic: the template's configuration variables are
+// in logic.SortVars order, the table order the optimizer's systems need.
 func TestConfigVarsDeterministic(t *testing.T) {
 	g, _, place := exampleGlobal(t)
 	tmpl, err := BuildTemplate(g, 2, place)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1 := tmpl.ConfigVars()
-	v2 := tmpl.ConfigVars()
-	if len(v1) != 2 {
-		t.Fatalf("config vars = %d, want 2", len(v1))
+	vars := tmpl.configVars
+	if len(vars) != 2 {
+		t.Fatalf("config vars = %d, want 2", len(vars))
 	}
-	for i := range v1 {
-		if v1[i] != v2[i] {
-			t.Fatal("ConfigVars not deterministic")
-		}
+	if !slices.IsSortedFunc(vars, logic.CompareVars) {
+		t.Fatalf("config vars %v are not in table order", vars)
 	}
 }
 

@@ -303,7 +303,6 @@ type Log struct {
 	armed  bool
 	closed bool
 	err    error
-	n      int64
 }
 
 // Open opens (or creates) the log at path, scans any existing content,
@@ -432,7 +431,6 @@ func (l *Log) Append(kind Kind, payload []byte) error {
 		return l.err
 	}
 	l.buf = appendFrame(l.buf, kind, payload)
-	l.n++
 	if l.opts.GroupWindow < 0 || len(l.buf) >= 1<<20 {
 		return l.flushLocked()
 	}
@@ -517,13 +515,6 @@ func (l *Log) flushLocked() error {
 		}
 	}
 	return nil
-}
-
-// Records reports how many records were appended in this session.
-func (l *Log) Records() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.n
 }
 
 // Close flushes the batch and closes the file.

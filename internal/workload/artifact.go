@@ -66,13 +66,6 @@ func NewArtifactCache() *ArtifactCache {
 	return &ArtifactCache{families: make(map[string]*classFamily)}
 }
 
-// Families reports the number of distinct structure families cached.
-func (ac *ArtifactCache) Families() int {
-	ac.mu.Lock()
-	defer ac.mu.Unlock()
-	return len(ac.families)
-}
-
 // CompileL parses an L/L++ source containing exactly one transaction and
 // compiles it. The boolean reports whether an existing family served the
 // class (a cache hit).
@@ -201,7 +194,7 @@ func validateClassInputs(txn *lang.Transaction, nSites int, bounds treaty.ParamB
 // preprocessing goes through the family memo in buildGlobal. canonObjs is
 // the member's objects in canonical order, copied here.
 //
-// What a member owns is sized once: its three object lists share one
+// What a member owns is sized once: its two object lists share one
 // allocation, and what the family key fixes — the representative
 // arguments are the positional lower bounds, which are part of the key —
 // is the representative's, read-only.
@@ -211,7 +204,7 @@ func newClassFromFamily(fam *classFamily, txn, lowered *lang.Transaction, canonO
 	if n == 0 {
 		return nil, fmt.Errorf("workload: class %s touches no database objects", txn.Name)
 	}
-	objs := make([]lang.ObjID, n+len(rep.writes)+len(rep.footprint))
+	objs := make([]lang.ObjID, n+len(rep.footprint))
 	copy(objs, canonObjs)
 	canonObjs, objs = objs[:n:n], objs[n:]
 	fromRep := make(map[lang.ObjID]lang.ObjID, n)
@@ -238,7 +231,6 @@ func newClassFromFamily(fam *classFamily, txn, lowered *lang.Transaction, canonO
 		Source:    txn,
 		Lowered:   lowered,
 		nSites:    nSites,
-		writes:    mapObjs(rep.writes),
 		footprint: mapObjs(rep.footprint),
 		table:     rep.table,
 		repArgs:   rep.repArgs,

@@ -45,8 +45,8 @@ func TestArtifactCacheMatchesScratch(t *testing.T) {
 		}
 		sameClass(t, fmt.Sprintf("L trial %d", trial), cached, scratch, rng)
 	}
-	if ac.Families() != 1 {
-		t.Fatalf("families = %d, want 1 (every trial is isomorphic)", ac.Families())
+	if len(ac.families) != 1 {
+		t.Fatalf("families = %d, want 1 (every trial is isomorphic)", len(ac.families))
 	}
 
 	sql := NewArtifactCache()
@@ -77,8 +77,8 @@ SELECT SUM(qty) FROM inv%d WHERE item = @k
 		}
 		sameClass(t, fmt.Sprintf("SQL trial %d", trial), cached, scratch, rng)
 	}
-	if sql.Families() != 1 {
-		t.Fatalf("SQL families = %d, want 1 (every trial is isomorphic)", sql.Families())
+	if len(sql.families) != 1 {
+		t.Fatalf("SQL families = %d, want 1 (every trial is isomorphic)", len(sql.families))
 	}
 }
 
@@ -88,9 +88,6 @@ func sameClass(t *testing.T, label string, cached, scratch *Class, rng *rand.Ran
 	t.Helper()
 	if got, want := fmt.Sprint(cached.Footprint()), fmt.Sprint(scratch.Footprint()); got != want {
 		t.Fatalf("%s: footprint %s, cold %s", label, got, want)
-	}
-	if got, want := fmt.Sprint(cached.Writes()), fmt.Sprint(scratch.Writes()); got != want {
-		t.Fatalf("%s: writes %s, cold %s", label, got, want)
 	}
 	cp, cr := cached.Pinned()
 	sp, sr := scratch.Pinned()
@@ -156,8 +153,8 @@ func TestArtifactCacheSplitsNonIsomorphic(t *testing.T) {
 	} else if hit {
 		t.Fatal("bounds change unexpectedly joined the family")
 	}
-	if ac.Families() != 5 {
-		t.Fatalf("families = %d, want 5", ac.Families())
+	if len(ac.families) != 5 {
+		t.Fatalf("families = %d, want 5", len(ac.families))
 	}
 }
 
@@ -188,9 +185,6 @@ func TestFamilyMemberSizedOnce(t *testing.T) {
 		if got, want := fmt.Sprint(member.Footprint()), fmt.Sprint(scratch.Footprint()); got != want {
 			t.Errorf("member %v: footprint %s, scratch %s", names, got, want)
 		}
-		if got, want := fmt.Sprint(member.Writes()), fmt.Sprint(scratch.Writes()); got != want {
-			t.Errorf("member %v: writes %s, scratch %s", names, got, want)
-		}
 		if got, want := fmt.Sprint(member.canonObjs), fmt.Sprint([]lang.ObjID{lang.ObjID(names[0]), lang.ObjID(names[1]), lang.ObjID(names[2])}); got != want {
 			t.Errorf("member %v: canonical objects %s, want %s", names, got, want)
 		}
@@ -198,8 +192,8 @@ func TestFamilyMemberSizedOnce(t *testing.T) {
 			t.Errorf("member %v: representative arguments %v, scratch %v, the family's %v", names, member.repArgs, scratch.repArgs, rep.repArgs)
 		}
 		// Appending to one list must not run into the next.
-		if w := member.writes; cap(w) != len(w) || cap(member.canonObjs) != len(member.canonObjs) {
-			t.Errorf("member %v: lists share capacity: writes %d/%d, canonical %d/%d", names, len(w), cap(w), len(member.canonObjs), cap(member.canonObjs))
+		if f := member.footprint; cap(f) != len(f) || cap(member.canonObjs) != len(member.canonObjs) {
+			t.Errorf("member %v: lists share capacity: footprint %d/%d, canonical %d/%d", names, len(f), cap(f), len(member.canonObjs), cap(member.canonObjs))
 		}
 	}
 }
@@ -233,7 +227,7 @@ func TestArtifactCacheConcurrentCompile(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if n := ac.Families(); n != 4 {
+	if n := len(ac.families); n != 4 {
 		t.Fatalf("families = %d, want one per shape", n)
 	}
 }

@@ -51,7 +51,6 @@ type Class struct {
 	Schema sqlfront.Schema
 
 	nSites    int
-	writes    []lang.ObjID // sorted write set
 	footprint []lang.ObjID // sorted read ∪ write set = the unit's objects
 	table     *symtab.Table
 	rwBySite  []*lang.Transaction
@@ -130,7 +129,6 @@ func newClass(txn, lowered *lang.Transaction, nSites int, bounds treaty.ParamBou
 		Source:    txn,
 		Lowered:   lowered,
 		nSites:    nSites,
-		writes:    sortedObjs(writeSet),
 		footprint: sortedObjs(foot),
 	}
 	// Representative arguments: the lower bound when declared, zero
@@ -165,9 +163,6 @@ func (c *Class) Unit() int { return c.unit }
 // Footprint returns the class's full object footprint (the unit's
 // objects), sorted.
 func (c *Class) Footprint() []lang.ObjID { return c.footprint }
-
-// Writes returns the class's write set, sorted.
-func (c *Class) Writes() []lang.ObjID { return c.writes }
 
 // Pinned reports whether the class fell back to pin treaties, and why.
 func (c *Class) Pinned() (bool, string) { return c.pinned, c.pinReason }

@@ -71,10 +71,6 @@ func NewRegistry(base Workload, nSites int) (*Registry, error) {
 	return r, nil
 }
 
-// Base returns the wrapped base workload (nil when serving only
-// registered classes).
-func (r *Registry) Base() Workload { return r.base }
-
 // Register adds a compiled class. initial gives starting logical values
 // for footprint objects (absent objects start at zero); the caller is
 // responsible for installing them into a running system
@@ -195,9 +191,6 @@ func (r *Registry) Class(name string) *Class { return r.byName[name] }
 // workload or at least one registered class). Callers on the serving
 // path check it instead of letting Next panic.
 func (r *Registry) CanDraw() bool { return r.base != nil || len(r.classes) > 0 }
-
-// Classes returns the registered classes in registration order.
-func (r *Registry) Classes() []*Class { return append([]*Class(nil), r.classes...) }
 
 // Request builds one invocation of a registered class, resolving the full
 // unit set governing it at call time (its own unit plus every registered
