@@ -11,7 +11,12 @@
 #     (each drive checks serial-replay equivalence itself);
 #   - the ledger runner of benchmark/: its five workloads, 3 s each, which
 #     must end correct with no failed operation;
-#   - the four programs under examples/.
+#   - the four programs under examples/;
+#   - homeostasis-analyze: once on a small L++ program read from stdin with
+#     -db and -optimize, once with -wal on a log the kill drive wrote (that
+#     drive is given a -wal-dir in this script's temporary directory, so
+#     the log outlives it — the ledger deletes its own logs; otherwise it
+#     runs with ci.yml's arguments).
 #
 # The merged counters print as `go tool cover -func` rows for every
 # function no run reaches, with its length in lines, then the share of
@@ -31,7 +36,7 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 export GOCOVERDIR=$tmp/counters
-mkdir -p "$GOCOVERDIR"
+mkdir -p "$GOCOVERDIR" "$tmp/wal"
 
 # run NAME COMMAND...: runs one workload with its output kept aside, and
 # prints it only when the command fails.
@@ -47,7 +52,7 @@ run() {
 }
 
 # -coverpkg names each main package too: without it no counters are written.
-for main in cmd/homeostasis-bench cmd/homeostasis-serve examples/*; do
+for main in cmd/homeostasis-bench cmd/homeostasis-serve cmd/homeostasis-analyze examples/*; do
   go build -cover -coverpkg="./$main,./internal/...,./homeo/..." \
     -o "$tmp/bin/$(basename "$main")" "./$main"
 done
@@ -68,7 +73,7 @@ run drive-class "$serve" -workload none -sites 2 -rtt 40ms \
   -register internal/drive/testdata/withdraw.json -drive clients=4,duration=2s,class=Withdraw -v
 run drive-procs "$serve" -workload none -register $w3 \
   -drive clients=2,duration=3s,class=Withdraw,procs=3
-run drive-kill "$serve" -workload none -register $w3 \
+run drive-kill "$serve" -workload none -register $w3 -wal-dir "$tmp/wal" \
   -drive clients=2,duration=4s,class=Withdraw,procs=3,kill=1@mid
 run drive-elastic "$serve" -workload none -register $w3 \
   -drive clients=2,duration=6s,class=Withdraw,procs=3,join=1@2s,drain=1@4s
@@ -82,6 +87,18 @@ done
 for ex in examples/*; do
   run "example-$(basename "$ex")" "$tmp/bin/$(basename "$ex")"
 done
+
+analyze=$tmp/bin/homeostasis-analyze
+printf '%s\n' \
+  'transaction Sell() { v := read(x); if (v > 0) then write(x = v - 1) else skip }' \
+  'transaction Restock() { v := read(x); w := read(y); if (w > 0) then { write(x = v + 1); write(y = w - 1) } else skip }' \
+  'transaction Move() { a := read(z); if (a > 2) then write(z = a - 2) else skip }' >"$tmp/program.lpp"
+run analyze-program "$analyze" -db 'x=10,y=5,z=13' -sites 2 -place 'z=1' -optimize <"$tmp/program.lpp"
+grep -q 'optimized configuration' "$tmp/analyze-program.log" ||
+  { echo "FAIL: analyze printed no optimized configuration" >&2; exit 1; }
+run analyze-wal "$analyze" -wal "$tmp/wal/site-1.wal"
+grep -q '"kind":"commit"' "$tmp/analyze-wal.log" ||
+  { echo "FAIL: the WAL dump holds no commit" >&2; exit 1; }
 
 go tool covdata textfmt -i="$GOCOVERDIR" -o "$tmp/all.out"
 awk 'NR == 1 || (/^repro\/(internal|homeo)\// &&

@@ -12,15 +12,14 @@
 //	curl -s -X POST localhost:8080/v1/txn -d '{"class":"Deposit","args":[5]}'
 //	curl -s -X POST localhost:8080/v1/txn -d '{"site":0}'        # base workload mix
 //	curl -s localhost:8080/v1/stats
-//	curl -N localhost:8080/v1/stats?stream=1                      # SSE stream
 //
 // POST /v1/classes registers a transaction class from L or SQL source: the
 // server analyzes it and generates treaties online, so transactions never
 // seen at compile time serve coordination-free where the analysis allows.
 // POST /v1/txn invokes a registered class (or draws from the base workload's
-// mix), singly or in batch, with 429 backpressure and structured error codes
-// (package homeo/wire). On SIGINT/SIGTERM the server stops admitting (503),
-// drains in-flight work, prints final stats, and exits 0.
+// mix), one transaction per request, with 429 backpressure and structured
+// error codes (package homeo/wire). On SIGINT/SIGTERM the server stops
+// admitting (503), drains in-flight work, prints final stats, and exits 0.
 //
 // Drive mode runs closed-loop clients over the same wire protocol (package
 // internal/drive), prints real throughput and latency, verifies the commit
@@ -50,8 +49,7 @@
 //	homeostasis-serve -workload none -register class.json -join h0:8080 -addr h3:8080 -enable-log
 //
 // POST /v1/topology/drain retires a site (its deltas are absorbed into the
-// replicated base, then the slot is fenced), and POST /v1/topology/migrate
-// re-homes one treaty unit's slack.
+// replicated base, then the slot is fenced).
 package main
 
 import (

@@ -11,7 +11,7 @@
 //     (transaction classes registered at runtime from L or SQL source,
 //     analyzed and treaty-fitted online), Session (submission with
 //     per-call deadlines and the ErrAborted / ErrTimeout /
-//     ErrLivelocked / ErrDropped taxonomy), and streaming Stats;
+//     ErrLivelocked / ErrDropped taxonomy), and Stats snapshots;
 //   - homeo/wire: the message types of the versioned /v1 wire protocol
 //     (JSON towards clients, the binary peer encoding between sites);
 //   - homeo/httpapi: the HTTP server half (mounted by

@@ -15,7 +15,6 @@
 package client
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -416,14 +415,6 @@ func (c *Client) Submit(ctx context.Context, req wire.TxnRequest) (wire.TxnResul
 	return res, err
 }
 
-// SubmitBatch invokes a batch (POST /v1/txn with batch). Results are in
-// request order; per-element failures are reported in each result.
-func (c *Client) SubmitBatch(ctx context.Context, reqs []wire.TxnRequest) ([]wire.TxnResult, error) {
-	var resp wire.TxnBatchResponse
-	err := c.do(ctx, http.MethodPost, "/v1/txn", wire.TxnEnvelope{Batch: reqs}, &resp)
-	return resp.Results, err
-}
-
 // PeerLog fetches the server process's commit log (GET /v1/peer/log),
 // for merged replay checks across a multi-process cluster.
 func (c *Client) PeerLog(ctx context.Context) (wire.LogResponse, error) {
@@ -458,64 +449,9 @@ func (c *Client) DrainSite(ctx context.Context, site int) (wire.TopologyAck, err
 	return ack, err
 }
 
-// MigrateUnit asks the server process to move one treaty unit's demand
-// home (POST /v1/topology/migrate). to = -1 lets the adaptive
-// allocator's burn vector pick the target.
-func (c *Client) MigrateUnit(ctx context.Context, unit, to int) (wire.TopologyAck, error) {
-	var ack wire.TopologyAck
-	err := c.do(ctx, http.MethodPost, "/v1/topology/migrate", wire.MigrateRequest{Unit: unit, To: to}, &ack)
-	return ack, err
-}
-
 // Stats fetches a snapshot (GET /v1/stats).
 func (c *Client) Stats(ctx context.Context) (wire.Stats, error) {
 	var st wire.Stats
 	err := c.do(ctx, http.MethodGet, "/v1/stats", nil, &st)
 	return st, err
-}
-
-// StreamStats subscribes to the SSE stats stream (GET /v1/stats?stream=1)
-// at the given interval, delivering snapshots until the context is
-// cancelled or the stream ends (then the channel closes). The stream is
-// not retried: callers resubscribe if they need to survive reconnects.
-func (c *Client) StreamStats(ctx context.Context, interval time.Duration) (<-chan wire.Stats, error) {
-	if interval < 100*time.Millisecond {
-		interval = 100 * time.Millisecond
-	}
-	url := fmt.Sprintf("%s/v1/stats?stream=1&interval_ms=%d", c.base, interval.Milliseconds())
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Accept", "text/event-stream")
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeResponse(resp, nil)
-	}
-	ch := make(chan wire.Stats, 1)
-	go func() {
-		defer close(ch)
-		defer resp.Body.Close()
-		scanner := bufio.NewScanner(resp.Body)
-		scanner.Buffer(make([]byte, 0, 64<<10), 1<<20)
-		for scanner.Scan() {
-			line := scanner.Text()
-			if !strings.HasPrefix(line, "data: ") {
-				continue
-			}
-			var st wire.Stats
-			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &st); err != nil {
-				continue
-			}
-			select {
-			case ch <- st:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	return ch, nil
 }

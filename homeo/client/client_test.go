@@ -228,6 +228,50 @@ func TestPoolPinnedNoFailover(t *testing.T) {
 	}
 }
 
+// TestPoolRoutesPinnedToOwner: on a multi-process cluster only the process
+// that owns a site serves a request pinned to it; the others answer 400, as
+// Cluster.SessionAt refuses a site it does not own. The pool learns the
+// owners from the topology — at epoch 0, as a cluster no membership change
+// has touched reports it — with one stats poll, and sends every pinned
+// request to its owner, whatever its round-robin cursor says.
+func TestPoolRoutesPinnedToOwner(t *testing.T) {
+	var srvs [2]*httptest.Server
+	var served [2]atomic.Int64
+	var polls atomic.Int64
+	stats := func() wire.Stats {
+		polls.Add(1)
+		return wire.Stats{ActiveSites: 2,
+			SiteStatus: []string{"active", "active"}, SiteAddrs: []string{srvs[0].URL, srvs[1].URL}}
+	}
+	for k := range srvs {
+		srvs[k] = topoStub(t, func(rw http.ResponseWriter, req *http.Request) {
+			var body wire.TxnRequest
+			if err := json.NewDecoder(req.Body).Decode(&body); err != nil || body.Site == nil || *body.Site != k {
+				rw.WriteHeader(http.StatusBadRequest)
+				json.NewEncoder(rw).Encode(wire.ErrorResponse{Error: wire.Error{Code: "bad_request",
+					Message: "site is served by another process"}})
+				return
+			}
+			served[k].Add(1)
+			json.NewEncoder(rw).Encode(wire.TxnResult{Class: "X", Site: k, Committed: true})
+		}, stats)
+	}
+
+	p := client.NewPool([]string{srvs[0].URL, srvs[1].URL}, client.Options{MaxAttempts: 1, Seed: 1})
+	for i, site := range []int{1, 1, 0, 0, 1, 0, 1, 1} {
+		res, err := p.Submit(context.Background(), wire.TxnRequest{Class: "X", Site: &site})
+		if err != nil || !res.Committed || res.Site != site {
+			t.Fatalf("pinned submit %d to site %d = (%+v, %v), want a commit at the owner", i, site, res, err)
+		}
+	}
+	if served[0].Load() != 3 || served[1].Load() != 5 {
+		t.Fatalf("owners served %d and %d pinned requests, want 3 and 5", served[0].Load(), served[1].Load())
+	}
+	if polls.Load() > 2 {
+		t.Fatalf("the pool polled stats %d times to route 8 pinned requests, want one refresh", polls.Load())
+	}
+}
+
 // TestPoolRefreshAdoptsNewerEpochOnly: stale topology reports (an older
 // epoch) never shrink the site list; newer ones do.
 func TestPoolRefreshAdoptsNewerEpochOnly(t *testing.T) {

@@ -19,14 +19,15 @@ import (
 // a refused submission over to a surviving site instead of surfacing the
 // refusal — a site_gone (410), draining (503), or transport error
 // triggers a topology refresh and a retry elsewhere. Site-pinned
-// requests (TxnRequest.Site set) are never failed over: the pin is the
-// caller's placement decision.
+// requests (TxnRequest.Site set) go to the process that owns the site and
+// are never failed over: the pin is the caller's placement decision.
 type Pool struct {
 	opts Options
 
 	mu      sync.Mutex
 	clients map[string]*Client // by base URL, created lazily, kept across refreshes
 	bases   []string           // active site base URLs, in site order
+	owners  []string           // every site's base URL by index, from the adopted topology
 	epoch   int64
 
 	next atomic.Int64 // round-robin cursor
@@ -83,29 +84,44 @@ func (p *Pool) pick() string {
 	return p.bases[int(p.next.Add(1)-1)%len(p.bases)]
 }
 
-// adopt installs a topology observation: if the epoch is newer than what
-// the pool knows, the active site list is rebuilt from the reported
-// addresses and statuses.
+// adopt installs a topology observation: the first one, or one whose
+// epoch is newer than what the pool knows, replaces the site owners, and
+// the active site list is rebuilt from the reported addresses and
+// statuses unless none of them is an active address.
 func (p *Pool) adopt(epoch int64, status, addrs []string) {
 	if len(addrs) == 0 {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if epoch <= p.epoch {
+	if p.owners != nil && epoch <= p.epoch {
 		return
 	}
 	var bases []string
+	owners := make([]string, len(addrs))
 	for k, a := range addrs {
+		owners[k] = strings.TrimSuffix(a, "/")
 		if a == "" || k >= len(status) || status[k] != "active" {
 			continue
 		}
-		bases = append(bases, strings.TrimSuffix(a, "/"))
+		bases = append(bases, owners[k])
 	}
-	if len(bases) == 0 {
-		return
+	p.epoch, p.owners = epoch, owners
+	if len(bases) > 0 {
+		p.bases = bases
 	}
-	p.epoch, p.bases = epoch, bases
+}
+
+// owner returns the base URL of the process that owns the site, "" when
+// the adopted topology names none; known is false when the pool has
+// adopted no topology that has the site.
+func (p *Pool) owner(site int) (base string, known bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if site < 0 || site >= len(p.owners) {
+		return "", false
+	}
+	return p.owners[site], true
 }
 
 // drop removes a base from the active list until a refresh restores it
@@ -174,11 +190,22 @@ func failover(err error, res *wire.TxnResult) bool {
 
 // Submit invokes one transaction against the next active site, failing
 // over to survivors on site_gone/draining refusals and transport errors
-// (refreshing the topology in between). Site-pinned requests go straight
-// to one submission with no failover.
+// (refreshing the topology in between). A site-pinned request goes to one
+// submission with no failover, at the site's owner: every other process
+// of a multi-process cluster refuses it. A site the pool has no topology
+// for yet is learned by one refresh; a topology that names no owner (an
+// in-process cluster, whose one process serves every site) leaves the
+// request to the next base.
 func (p *Pool) Submit(ctx context.Context, req wire.TxnRequest) (wire.TxnResult, error) {
 	if req.Site != nil {
-		base := p.pick()
+		base, known := p.owner(*req.Site)
+		if !known {
+			_ = p.Refresh(ctx) // an unreachable cluster fails the submission below
+			base, _ = p.owner(*req.Site)
+		}
+		if base == "" {
+			base = p.pick()
+		}
 		if base == "" {
 			return wire.TxnResult{}, fmt.Errorf("client: pool has no live sites")
 		}

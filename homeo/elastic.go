@@ -7,10 +7,9 @@ import (
 )
 
 // This file is the public surface of the elastic-topology layer: online
-// site join, drain, and demand-driven unit migration. The orchestrations
-// live in internal/homeostasis (JoinCluster, Drain, Migrate); the Cluster
-// methods here give them a process to park on and keep the session
-// layer's topology snapshot fresh.
+// site join and drain. The orchestrations live in internal/homeostasis
+// (JoinCluster, Drain); the Cluster methods here give them a process to
+// park on and keep the session layer's topology snapshot fresh.
 
 // topoView is an immutable snapshot of the membership the submission hot
 // path reads lock-free: round-robin site selection must skip drained
@@ -128,24 +127,6 @@ func (c *Cluster) Drain(site int) error {
 	return nil
 }
 
-// MigrateUnit moves one treaty unit's demand home to another site: the
-// unit is frozen under a synchronization-round grant, its folded state
-// ships to every site, and the repaired treaty configuration
-// concentrates the unit's slack on the target. A coordinator death
-// mid-migration aborts or adopts through the ordinary round-grant
-// failover. Pass to = DemandHome(unit) for burn-driven placement, or an
-// explicit active site. In-process the target coordinates the round: it
-// is the one site the migration requires to be a member.
-func (c *Cluster) MigrateUnit(unit, to int) error {
-	site := c.SelfSite()
-	if site < 0 {
-		site = to
-	}
-	return c.runProc("unit migration", func(p rt.Proc) error {
-		return c.sys.Migrate(p, site, unit, to)
-	})
-}
-
 // MarkSiteGone fences a membership slot that was already drained before
 // this process booted: a joiner admitted into a cluster whose topology
 // snapshot lists gone sites must exclude those slots from routing and
@@ -154,15 +135,6 @@ func (c *Cluster) MigrateUnit(unit, to int) error {
 func (c *Cluster) MarkSiteGone(site int) {
 	c.locked(func() { c.sys.MarkSiteGone(site) })
 	c.refreshTopo()
-}
-
-// DemandHome reports the site whose clients burn the most of the unit's
-// treaty slack (the adaptive allocator's demand vector), or -1 when the
-// unit has recorded no demand. A unit whose demand home differs from the
-// site holding most of its slack is a migration candidate.
-func (c *Cluster) DemandHome(unit int) (home int) {
-	c.locked(func() { home = c.sys.DemandHome(unit) })
-	return home
 }
 
 // TopologyEpoch reports this process's membership epoch: a monotonic

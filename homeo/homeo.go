@@ -15,7 +15,7 @@
 //     class needs to exist at compile time.
 //   - Session: submits invocations of registered classes (or draws from
 //     the base workload's mix) with per-call deadlines.
-//   - Stats: a streaming snapshot of throughput, latency percentiles,
+//   - Stats: a read-only snapshot of throughput, latency percentiles,
 //     synchronization ratio, and per-site store counters.
 //
 // Submission failures are classified by the structured error taxonomy
@@ -212,8 +212,8 @@ type Options struct {
 	// registered at every site (the multi-process driver does both). New
 	// refuses a fabric under ModeTwoPC and ModeLocal: the baselines are
 	// single-process comparison systems — they replicate by writing this
-	// process's stores and log nothing a replay could use — and Join,
-	// Drain and MigrateUnit refuse under them likewise.
+	// process's stores and log nothing a replay could use — and Join and
+	// Drain refuse under them likewise.
 	Fabric *FabricOptions
 }
 

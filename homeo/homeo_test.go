@@ -496,31 +496,6 @@ func TestTreatiesIntrospection(t *testing.T) {
 	}
 }
 
-// TestWatchStats: the stream delivers snapshots and closes on cancel.
-func TestWatchStats(t *testing.T) {
-	c, err := homeo.New(homeo.Options{Runtime: homeo.RuntimeLive, RTT: time.Millisecond, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	ch := c.WatchStats(ctx, 50*time.Millisecond)
-	select {
-	case st, ok := <-ch:
-		if !ok {
-			t.Fatal("channel closed early")
-		}
-		if st.Sites != 2 {
-			t.Fatalf("sites = %d", st.Sites)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no snapshot")
-	}
-	cancel()
-	for range ch {
-	}
-}
-
 // ExampleCluster demonstrates the embeddable API end to end.
 func ExampleCluster() {
 	c, err := homeo.New(homeo.Options{Runtime: homeo.RuntimeSim, Sites: 2, Seed: 1})
@@ -635,7 +610,6 @@ func TestBaselinesRefuseWhatTheyCannotHonour(t *testing.T) {
 		_, err = c.Join("")
 		refused(err, mode, "joining a site")
 		refused(c.Drain(1), mode, "draining a site")
-		refused(c.MigrateUnit(0, 1), mode, "migrating a unit")
 		if c.Sites() != 2 || c.ActiveSites() != 2 {
 			t.Fatalf("mode %v: a refused operation changed the membership: %d sites, %d active", mode, c.Sites(), c.ActiveSites())
 		}

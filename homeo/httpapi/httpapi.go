@@ -7,17 +7,17 @@
 //
 // Transaction classes never seen at compile time are registered over
 // POST /v1/classes (the server parses, analyzes, and generates treaties
-// online), invoked over POST /v1/txn (single or batch, with 429
-// backpressure on queue overflow), and observed over GET /v1/stats
-// (snapshot or Server-Sent Events stream).
+// online), invoked over POST /v1/txn (one transaction per request, with
+// 429 backpressure on queue overflow), and observed over GET /v1/stats
+// (a snapshot; poll it).
 //
-// A single transaction over POST /v1/txn is the path every commit takes,
-// and a single class over POST /v1/classes the path every registration
-// takes, so these two are served without encoding/json and without
-// building anything per request that the request does not hand on: the
-// body is read into a pooled buffer, scanned by the homeo/wire codec into
-// a pooled request, and the reply is appended to the same buffer (see
-// serveOne and registerOne). Batches and every other endpoint go through
+// A transaction over POST /v1/txn is the path every commit takes, and a
+// single class over POST /v1/classes the path every registration takes,
+// so these two are served without encoding/json and without building
+// anything per request that the request does not hand on: the body is
+// read into a pooled buffer, scanned by the homeo/wire codec into a pooled
+// request, and the reply is appended to the same buffer (see serveOne and
+// registerOne). Class batches and every other endpoint go through
 // encoding/json.
 package httpapi
 
@@ -61,7 +61,6 @@ func NewHandler(c *homeo.Cluster) *Handler {
 	h.mux.HandleFunc("/v1/stats", h.handleStats)
 	h.mux.HandleFunc("/v1/topology", h.handleTopology)
 	h.mux.HandleFunc("/v1/topology/drain", h.handleTopologyDrain)
-	h.mux.HandleFunc("/v1/topology/migrate", h.handleTopologyMigrate)
 	h.mux.HandleFunc("/healthz", h.handleHealthz)
 	if peer := c.PeerHandler(); peer != nil {
 		// The peer handler owns the full /v1/peer/* paths; the exact
@@ -256,15 +255,6 @@ func (h *Handler) handleTopology(rw http.ResponseWriter, req *http.Request) {
 	})
 }
 
-// topologyAck renders the post-mutation membership view.
-func (h *Handler) topologyAck(rw http.ResponseWriter) {
-	writeJSON(rw, http.StatusOK, wire.TopologyAck{
-		Epoch:       h.c.TopologyEpoch(),
-		Sites:       h.c.Sites(),
-		ActiveSites: h.c.ActiveSites(),
-	})
-}
-
 // handleTopologyDrain triggers a drain of this process's site (POST
 // /v1/topology/drain). Unlike the fabric-internal /v1/peer/drain — which
 // merely records a completed drain announced by a peer — this runs the
@@ -288,38 +278,11 @@ func (h *Handler) handleTopologyDrain(rw http.ResponseWriter, req *http.Request)
 		writeError(rw, http.StatusConflict, "conflict", "drain site %d: %v", body.Site, err)
 		return
 	}
-	h.topologyAck(rw)
-}
-
-// handleTopologyMigrate moves one treaty unit's demand home (POST
-// /v1/topology/migrate). To = -1 asks the adaptive allocator's burn
-// vector for the target. Peer-token guarded.
-func (h *Handler) handleTopologyMigrate(rw http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		writeError(rw, http.StatusMethodNotAllowed, "method_not_allowed", "%s: POST only", req.URL.Path)
-		return
-	}
-	if !h.peerAuthorized(rw, req) {
-		return
-	}
-	var body wire.MigrateRequest
-	if err := decodeBody(req, &body); err != nil {
-		writeError(rw, http.StatusBadRequest, "bad_request", "request body: %v", err)
-		return
-	}
-	to := body.To
-	if to < 0 {
-		if to = h.c.DemandHome(body.Unit); to < 0 {
-			writeError(rw, http.StatusConflict, "conflict",
-				"unit %d has no recorded demand (pass an explicit target)", body.Unit)
-			return
-		}
-	}
-	if err := h.c.MigrateUnit(body.Unit, to); err != nil {
-		writeError(rw, http.StatusConflict, "conflict", "migrate unit %d to site %d: %v", body.Unit, to, err)
-		return
-	}
-	h.topologyAck(rw)
+	writeJSON(rw, http.StatusOK, wire.TopologyAck{
+		Epoch:       h.c.TopologyEpoch(),
+		Sites:       h.c.Sites(),
+		ActiveSites: h.c.ActiveSites(),
+	})
 }
 
 func (h *Handler) handleHealthz(rw http.ResponseWriter, _ *http.Request) {
@@ -502,7 +465,6 @@ func (s *txnScratch) release() {
 	if s.env.Args != nil {
 		s.args = s.env.Args[:0] // grown by the decoder: keep the larger one
 	}
-	s.env.Batch = nil
 	txnPool.Put(s)
 }
 
@@ -613,11 +575,7 @@ func (h *Handler) handleTxn(rw http.ResponseWriter, req *http.Request) {
 		}
 		return
 	}
-	if len(s.env.Batch) == 0 {
-		h.serveOne(rw, req, s)
-		return
-	}
-	h.serveBatch(rw, req, s.env.Batch)
+	h.serveOne(rw, req, s)
 }
 
 // serveOne is the commit path: one decoded transaction in s.env, one
@@ -656,87 +614,11 @@ func (h *Handler) serveOne(rw http.ResponseWriter, req *http.Request, s *txnScra
 	}
 }
 
-// serveBatch submits a batch concurrently and responds in request order.
-// Elements refused by backpressure carry code "dropped"; a batch whose
-// every element was refused answers 429 overall.
-func (h *Handler) serveBatch(rw http.ResponseWriter, req *http.Request, batch []wire.TxnRequest) {
-	results := make([]wire.TxnResult, len(batch))
-	var wg sync.WaitGroup
-	for i := range batch {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			h.submitOne(req.Context(), &batch[i], &results[i])
-		}(i)
-	}
-	wg.Wait()
-	allDropped := true
-	for _, r := range results {
-		if r.Error == nil || r.Error.Code != "dropped" {
-			allDropped = false
-			break
-		}
-	}
-	status := http.StatusOK
-	if allDropped {
-		status = http.StatusTooManyRequests
-		rw.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-	}
-	writeJSON(rw, status, wire.TxnBatchResponse{Results: results})
-}
-
+// handleStats serves the snapshot (GET /v1/stats); the query is not read.
 func (h *Handler) handleStats(rw http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodGet {
 		writeError(rw, http.StatusMethodNotAllowed, "method_not_allowed", "%s: GET only", req.URL.Path)
 		return
 	}
-	stream := req.URL.Query().Get("stream") != "" ||
-		req.Header.Get("Accept") == "text/event-stream"
-	if !stream {
-		writeJSON(rw, http.StatusOK, wireStats(h.c.Stats()))
-		return
-	}
-	flusher, ok := rw.(http.Flusher)
-	if !ok {
-		writeError(rw, http.StatusBadRequest, "bad_request", "streaming unsupported by this connection")
-		return
-	}
-	interval := time.Second
-	if v := req.URL.Query().Get("interval_ms"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || n < 100 {
-			writeError(rw, http.StatusBadRequest, "bad_request", "interval_ms must be an integer >= 100")
-			return
-		}
-		interval = time.Duration(n) * time.Millisecond
-	}
-	rw.Header().Set("Content-Type", "text/event-stream")
-	rw.Header().Set("Cache-Control", "no-cache")
-	rw.WriteHeader(http.StatusOK)
-	send := func() bool {
-		data, err := json.Marshal(wireStats(h.c.Stats()))
-		if err != nil {
-			return false
-		}
-		if _, err := fmt.Fprintf(rw, "event: stats\ndata: %s\n\n", data); err != nil {
-			return false
-		}
-		flusher.Flush()
-		return true
-	}
-	if !send() {
-		return
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-req.Context().Done():
-			return
-		case <-t.C:
-			if !send() {
-				return
-			}
-		}
-	}
+	writeJSON(rw, http.StatusOK, wireStats(h.c.Stats()))
 }

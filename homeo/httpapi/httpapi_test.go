@@ -126,29 +126,40 @@ SELECT SUM(qty) FROM inv WHERE item = @k`,
 	}
 }
 
-// TestBatchSubmission: order preserved, per-element errors.
+// TestBatchSubmission: POST /v1/txn takes one transaction per request. A
+// body with a batch member is a 400 that says so and commits nothing — on a
+// cluster with a base workload, where ignoring the member would run the
+// empty request, a mix draw that commits.
 func TestBatchSubmission(t *testing.T) {
-	_, _, _, cl := newServer(t, homeo.Options{})
-	ctx := context.Background()
-	if _, err := cl.RegisterClass(ctx, wire.ClassRequest{L: depositSrc, Initial: map[string]int64{"acct": 1}}); err != nil {
-		t.Fatal(err)
-	}
-	results, err := cl.SubmitBatch(ctx, []wire.TxnRequest{
-		{Class: "Deposit", Args: []int64{1}},
-		{Class: "Missing"},
-		{Class: "Deposit", Args: []int64{2}},
-	})
+	w, err := micro.New(micro.Config{Items: 20, Refill: 100, NSites: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 3 {
-		t.Fatalf("results = %+v", results)
+	_, _, srv, cl := newServer(t, homeo.Options{Workload: w})
+	for _, body := range []string{
+		`{"batch":[{"site":0},{"site":1}]}`,
+		`{"site":0,"batch":[]}`,
+		`{"Batch":null}`,
+	} {
+		resp, err := http.Post(srv.URL+"/v1/txn", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var envelope wire.ErrorResponse
+		err = json.NewDecoder(resp.Body).Decode(&envelope)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || envelope.Error.Code != "bad_request" ||
+			!strings.Contains(envelope.Error.Message, "one POST /v1/txn per transaction") {
+			t.Errorf("%s: %d %+v (%v), want 400 bad_request asking for one POST per transaction",
+				body, resp.StatusCode, envelope.Error, err)
+		}
 	}
-	if !results[0].Committed || !results[2].Committed {
-		t.Fatalf("commits: %+v", results)
+	st, err := cl.Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if results[1].Error == nil || results[1].Error.Code != "not_found" {
-		t.Fatalf("missing class result: %+v", results[1])
+	if st.Committed != 0 || st.StoreCluster.Commits != 0 {
+		t.Fatalf("refused batches committed %d transactions (%d store commits)", st.Committed, st.StoreCluster.Commits)
 	}
 }
 
@@ -228,6 +239,7 @@ func TestStatusCodes(t *testing.T) {
 		{"POST", "/v1/classes", `{"l":"transaction Bad( {"}`, 400, "bad_request"},
 		{"POST", "/v1/txn", `{"class":"Deposit","args":[1]} trailing`, 400, "bad_request"},
 		{"POST", "/v1/txn", `{"class":"Deposit","args":[1.5]}`, 400, "bad_request"},
+		{"POST", "/v1/topology/migrate", `{"unit":0,"to":1}`, 404, ""}, // no such endpoint
 	}
 	for _, tc := range cases {
 		status, envelope := get(tc.method, tc.path, tc.body)
@@ -314,35 +326,36 @@ func TestTimeoutInBody(t *testing.T) {
 	}
 }
 
-// TestSSEStream: the stats stream delivers growing snapshots.
+// TestSSEStream: GET /v1/stats has no stream form. A request that asks for
+// Server-Sent Events, by query or by Accept header, gets the JSON snapshot
+// and the response ends; a client polls for the next one.
 func TestSSEStream(t *testing.T) {
-	_, _, _, cl := newServer(t, homeo.Options{})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	ch, err := cl.StreamStats(ctx, 100*time.Millisecond)
+	_, _, srv, _ := newServer(t, homeo.Options{})
+	req, err := http.NewRequest(http.MethodGet, srv.URL+"/v1/stats?stream=1&interval_ms=100", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got int
-	for st := range ch {
-		if st.Sites != 2 {
-			t.Fatalf("sites = %d", st.Sites)
-		}
-		got++
-		if got == 3 {
-			cancel()
-			break
-		}
+	req.Header.Set("Accept", "text/event-stream")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got < 3 {
-		t.Fatalf("got %d snapshots", got)
+	defer resp.Body.Close()
+	var st wire.Stats
+	dec := json.NewDecoder(resp.Body)
+	if err := dec.Decode(&st); err != nil || resp.StatusCode != http.StatusOK ||
+		resp.Header.Get("Content-Type") != "application/json" || st.Sites != 2 {
+		t.Fatalf("%d %s: %+v (%v), want the 200 JSON snapshot", resp.StatusCode, resp.Header.Get("Content-Type"), st, err)
+	}
+	if dec.More() {
+		t.Fatal("the reply goes on after the snapshot")
 	}
 }
 
 // TestTopologyEndpointsOverHTTP drives the elastic-topology surface over
 // the wire: the membership view, a drain (fence + absorb + epoch bump),
 // the site_gone refusal for submissions pinned to the drained slot, and
-// unit migration with its error matrix.
+// the refusal of a second drain.
 func TestTopologyEndpointsOverHTTP(t *testing.T) {
 	_, _, srv, cl := newServer(t, homeo.Options{EnableLog: true})
 	ctx := context.Background()
@@ -405,24 +418,6 @@ func TestTopologyEndpointsOverHTTP(t *testing.T) {
 	// Draining an already-gone slot is a conflict, not a crash.
 	if _, err := cl.DrainSite(ctx, 1); homeoCode(err) != "conflict" {
 		t.Fatalf("double drain: %v, want conflict", err)
-	}
-
-	// Migration: an explicit active target succeeds and reports the
-	// (unchanged) membership...
-	mack, err := cl.MigrateUnit(ctx, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mack.Epoch != ack.Epoch || mack.ActiveSites != 1 {
-		t.Fatalf("migrate ack = %+v (migration must not move the epoch)", mack)
-	}
-	// ...a drained target is a conflict, and to = -1 without demand
-	// tracking (AllocDefault records none) is a conflict naming the gap.
-	if _, err := cl.MigrateUnit(ctx, 0, 1); homeoCode(err) != "conflict" {
-		t.Fatalf("migrate to drained site: %v, want conflict", err)
-	}
-	if _, err := cl.MigrateUnit(ctx, 0, -1); homeoCode(err) != "conflict" {
-		t.Fatalf("demand-driven migrate with no demand: %v, want conflict", err)
 	}
 
 	// Stats carry the same topology fields the pool refreshes from.

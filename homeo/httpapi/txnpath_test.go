@@ -119,7 +119,7 @@ func TestClientAgainstPlainJSONHandler(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got.Class != "Deposit" || len(got.Args) != 2 || got.Args[1] != -6 || got.Site == nil || *got.Site != 1 ||
-			got.TimeoutMS != 40 || got.Batch != nil {
+			got.TimeoutMS != 40 {
 			t.Fatalf("server decoded %+v", got)
 		}
 		if res.Class != reply.Class || len(res.Args) != 2 || res.Site != 1 || !res.Committed || !res.Synced ||

@@ -1,7 +1,6 @@
 package homeo
 
 import (
-	"context"
 	"time"
 
 	"repro/internal/homeostasis"
@@ -149,32 +148,4 @@ func (c *Cluster) Stats() Stats {
 		st.PerSite = c.sys.SiteStats()
 	})
 	return st
-}
-
-// WatchStats streams snapshots every interval until the context is
-// cancelled (then the channel closes). Intended for live clusters; on the
-// simulator the numbers only move while something drives the engine.
-func (c *Cluster) WatchStats(ctx context.Context, interval time.Duration) <-chan Stats {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	ch := make(chan Stats, 1)
-	go func() {
-		defer close(ch)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-t.C:
-				select {
-				case ch <- c.Stats():
-				case <-ctx.Done():
-					return
-				}
-			}
-		}
-	}()
-	return ch
 }

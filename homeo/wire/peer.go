@@ -15,9 +15,8 @@ package wire
 //	                                round's object footprint
 //	POST /v1/peer/install-state     round 1 close: install the folded
 //	                                consolidated state (without a winner
-//	                                when the round is a drain's absorb or
-//	                                a unit migration, both triggered under
-//	                                /v1/topology/)
+//	                                when the round is a drain's absorb,
+//	                                triggered under /v1/topology/drain)
 //	POST /v1/peer/install-treaties  round 2: install the site's new local
 //	                                treaties and release the units
 //	POST /v1/peer/abort             release a round that will not complete

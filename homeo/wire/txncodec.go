@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"strconv"
@@ -15,10 +16,12 @@ import (
 // Parse functions scan the canonical shape directly (an object of the
 // known lower-case keys, each at most once, holding plain ASCII strings,
 // integers, booleans, a number, integer arrays or null). Any other body —
-// a batch, an error result, an unknown or repeated key, an escape, a
-// fraction where an integer belongs, malformed JSON — is handed to
-// encoding/json, which decides what it means or how it is wrong, so what
-// is accepted and rejected stays what encoding/json accepts and rejects.
+// an error result, an unknown or repeated key, an escape, a fraction where
+// an integer belongs, malformed JSON — is handed to encoding/json, which
+// decides what it means or how it is wrong, so what is accepted and
+// rejected stays what encoding/json accepts and rejects, with one
+// exception: a request with a batch member, which encoding/json would
+// ignore, is refused.
 
 // AppendTxnRequest appends req as compact JSON, byte for byte what
 // json.Marshal(req) returns.
@@ -178,8 +181,11 @@ func appendString(dst []byte, s string) []byte {
 // request. env is reset first, but the storage env.Args and env.Site point
 // to on entry is written over and reused when the body has those members,
 // and env.Class is kept when the body names the same class: a caller that
-// pools env decodes a single request without allocating. A body with a
-// batch member fills env.Batch.
+// pools env decodes a request without allocating. A body with a batch
+// member — whatever its value or the case of its key — is refused and
+// leaves env empty: the protocol has one transaction per
+// request, and ignoring the member would run the empty request, a draw
+// from the base workload's mix.
 //
 //homeo:hotpath
 func ParseTxnRequest(data []byte, env *TxnEnvelope) error {
@@ -216,8 +222,23 @@ func ParseTxnResult(data []byte, res *TxnResult) error {
 func unmarshalTxnRequest(data []byte, env *TxnEnvelope) error {
 	var v TxnEnvelope
 	err := json.Unmarshal(data, &v)
+	if err == nil && hasBatch(data) {
+		v, err = TxnEnvelope{}, errBatch
+	}
 	*env = v
 	return err
+}
+
+// errBatch refuses a POST /v1/txn body with a batch member.
+var errBatch = errors.New("a batch is not accepted: send one POST /v1/txn per transaction")
+
+// hasBatch reports whether a body encoding/json decodes has a member it
+// would match to a field named batch.
+func hasBatch(data []byte) bool {
+	var probe struct {
+		Batch json.RawMessage `json:"batch"`
+	}
+	return json.Unmarshal(data, &probe) == nil && probe.Batch != nil
 }
 
 func unmarshalTxnResult(data []byte, res *TxnResult) error {

@@ -84,13 +84,18 @@ func sameResult(a, b TxnResult) bool {
 		(a.LatencyMS == b.LatencyMS || (a.LatencyMS != a.LatencyMS && b.LatencyMS != b.LatencyMS))
 }
 
-// checkRequest holds ParseTxnRequest against json.Unmarshal on one body.
+// checkRequest holds ParseTxnRequest against json.Unmarshal on one body,
+// except that a body json.Unmarshal accepts with a batch member in it is
+// refused.
 func checkRequest(t *testing.T, body []byte) {
 	t.Helper()
 	var want TxnEnvelope
 	wantErr := json.Unmarshal(body, &want)
 	if len(bytes.Trim(body, " \t\r\n")) == 0 {
 		wantErr = nil // the blank body is the empty request
+	}
+	if wantErr == nil && batchMember(body) {
+		wantErr = errBatch
 	}
 	var got TxnEnvelope
 	gotErr := ParseTxnRequest(body, &got)
@@ -101,24 +106,36 @@ func checkRequest(t *testing.T, body []byte) {
 		if gotErr.Error() != wantErr.Error() {
 			t.Fatalf("%q: error %q, want %q", body, gotErr, wantErr)
 		}
+		if wantErr == errBatch && !sameRequest(got.TxnRequest, TxnRequest{}) {
+			t.Fatalf("%q: a refused batch left %+v", body, got)
+		}
 		return
 	}
-	if !sameRequest(got.TxnRequest, want.TxnRequest) || len(got.Batch) != len(want.Batch) {
+	if !sameRequest(got.TxnRequest, want.TxnRequest) {
 		t.Fatalf("%q:\n got %+v\nwant %+v", body, got, want)
-	}
-	for i := range want.Batch {
-		if !sameRequest(got.Batch[i], want.Batch[i]) {
-			t.Fatalf("%q: batch[%d] got %+v, want %+v", body, i, got.Batch[i], want.Batch[i])
-		}
 	}
 	// Decoding over a used envelope gives the same request.
 	site := 77
-	used := TxnEnvelope{TxnRequest: TxnRequest{Class: "Old", Args: []int64{9, 9, 9}, Site: &site, TimeoutMS: 5},
-		Batch: []TxnRequest{{Class: "B"}}}
-	if err := ParseTxnRequest(body, &used); err != nil || !sameRequest(used.TxnRequest, want.TxnRequest) ||
-		len(used.Batch) != len(want.Batch) {
+	used := TxnEnvelope{TxnRequest: TxnRequest{Class: "Old", Args: []int64{9, 9, 9}, Site: &site, TimeoutMS: 5}}
+	if err := ParseTxnRequest(body, &used); err != nil || !sameRequest(used.TxnRequest, want.TxnRequest) {
 		t.Fatalf("%q over a used envelope: %+v (error %v), want %+v", body, used, err, want)
 	}
+}
+
+// batchMember reports whether a JSON object has a member encoding/json
+// would match to a field named batch: the key in any case, escaped or not,
+// whatever the value.
+func batchMember(body []byte) bool {
+	var members map[string]json.RawMessage
+	if json.Unmarshal(body, &members) != nil {
+		return false
+	}
+	for k := range members {
+		if strings.EqualFold(k, "batch") {
+			return true
+		}
+	}
+	return false
 }
 
 func checkResult(t *testing.T, body []byte) {
@@ -156,6 +173,7 @@ var requestBodies = []string{
 	`{"class":"A","class":"B"}`, `{"args":[1,2],"args":null}`, `{"args":[1,2],"args":[3]}`, `{"site":1,"site":null}`,
 	`{"batch":[{"class":"A","args":[1]},{"site":1}]}`, `{"class":"S","batch":[]}`, `{"batch":null,"class":"S"}`,
 	`{"batch":[{"class":"A"}],"class":"S","site":0}`, `{"batch":{}}`, `{"Batch":[{"class":"A"}]}`,
+	`{"batch":null}`, `{"BATCH":1}`, `{"batch":[]}`, `{"batch":[],"site":"1"}`, `{"batch":[}`, `{"batch":[1]}`,
 	`{"class":"X"}garbage`, `garbage`, `"class"`, `{"class"}`, `{"class":}`, `{:1}`, `{"class" "X"}`,
 	"\ufeff{}", "{\"class\":\"X\"}\x00",
 }

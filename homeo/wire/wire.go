@@ -4,9 +4,9 @@
 //
 //	POST /v1/classes   register a transaction class (L or SQL source)
 //	GET  /v1/classes   list registered classes
-//	POST /v1/txn       invoke a class (or the base workload mix); batch
-//	GET  /v1/stats     snapshot; ?stream=1 or Accept: text/event-stream
-//	                   streams Server-Sent Events
+//	POST /v1/txn       invoke a class (or the base workload mix), one
+//	                   transaction per request
+//	GET  /v1/stats     counters snapshot
 //	GET  /healthz      liveness probe
 //
 // Every non-2xx response carries an ErrorResponse envelope. Failed
@@ -86,9 +86,7 @@ type ClassListResponse struct {
 	Classes []ClassInfo `json:"classes"`
 }
 
-// TxnRequest is one invocation. As the full POST /v1/txn body it submits
-// a single transaction; inside TxnEnvelope.Batch it is one element of a
-// batch.
+// TxnRequest is one invocation, the POST /v1/txn body.
 type TxnRequest struct {
 	// Class names a registered class; empty draws the next request from
 	// the base workload's mix.
@@ -102,11 +100,11 @@ type TxnRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
-// TxnEnvelope is the POST /v1/txn body: either a single TxnRequest or a
-// Batch (when Batch is non-empty the embedded single fields are ignored).
+// TxnEnvelope is what ParseTxnRequest decodes a POST /v1/txn body into:
+// one TxnRequest. A body with a batch member is refused; send one POST per
+// transaction.
 type TxnEnvelope struct {
 	TxnRequest
-	Batch []TxnRequest `json:"batch,omitempty"`
 }
 
 // TxnResult is one invocation's outcome.
@@ -120,15 +118,9 @@ type TxnResult struct {
 	// Log is the transaction's observable print log (SELECT results for
 	// SQL classes).
 	Log []int64 `json:"log,omitempty"`
-	// Error classifies a failed invocation: aborted, timeout, livelocked,
-	// or dropped (batch elements refused by backpressure).
+	// Error classifies a failed invocation: aborted, timeout, livelocked
+	// or internal.
 	Error *Error `json:"error,omitempty"`
-}
-
-// TxnBatchResponse is the POST /v1/txn body for batch submissions, in
-// request order.
-type TxnBatchResponse struct {
-	Results []TxnResult `json:"results"`
 }
 
 // StoreStats mirrors one 2PL store's counters.
@@ -139,7 +131,7 @@ type StoreStats struct {
 	Timeouts  int64 `json:"timeouts"`
 }
 
-// Stats is the GET /v1/stats body (and the SSE event payload).
+// Stats is the GET /v1/stats body.
 type Stats struct {
 	Workload  string   `json:"workload"`
 	Mode      string   `json:"mode"`
@@ -222,14 +214,6 @@ type TopologyResponse struct {
 // the fabric broadcast.
 type DrainRequest struct {
 	Site int `json:"site"`
-}
-
-// MigrateRequest is the POST /v1/topology/migrate body: move one treaty
-// unit's demand home to another active site. To = -1 picks the site the
-// adaptive allocator's burn vector names.
-type MigrateRequest struct {
-	Unit int `json:"unit"`
-	To   int `json:"to"`
 }
 
 // TopologyAck acknowledges a topology mutation with the process's

@@ -13,19 +13,10 @@ import (
 type Topology struct {
 	n      int
 	oneWay [][]rt.Duration
-	names  []string
 }
 
 // NSites returns the number of sites.
 func (t *Topology) NSites() int { return t.n }
-
-// Name returns the site's datacenter label.
-func (t *Topology) Name(site int) string {
-	if t.names != nil {
-		return t.names[site]
-	}
-	return fmt.Sprintf("site%d", site)
-}
 
 // OneWay returns the one-way latency between two sites.
 func (t *Topology) OneWay(a, b int) rt.Duration { return t.oneWay[a][b] }
@@ -66,7 +57,7 @@ func (t *Topology) RoundLatency(from int) rt.Duration {
 // place lets every holder of the shared *Topology — transports, the
 // homeostasis system — see the new width at once. Returns the new site's
 // index.
-func (t *Topology) Grow(name string) int {
+func (t *Topology) Grow() int {
 	site := t.n
 	row := make([]rt.Duration, t.n+1)
 	for k := 0; k < t.n; k++ {
@@ -78,12 +69,6 @@ func (t *Topology) Grow(name string) int {
 		t.oneWay[k] = append(t.oneWay[k], row[k])
 	}
 	t.oneWay = append(t.oneWay, row)
-	if t.names != nil {
-		if name == "" {
-			name = fmt.Sprintf("site%d", site)
-		}
-		t.names = append(append([]string(nil), t.names...), name)
-	}
 	t.n++
 	return site
 }
@@ -131,7 +116,7 @@ func EC2(n int) *Topology {
 	if n < 1 || n > 5 {
 		panic(fmt.Sprintf("cluster: EC2 topology supports 1..5 sites, got %d", n))
 	}
-	t := &Topology{n: n, oneWay: make([][]rt.Duration, n), names: table1Names[:n]}
+	t := &Topology{n: n, oneWay: make([][]rt.Duration, n)}
 	for i := range t.oneWay {
 		t.oneWay[i] = make([]rt.Duration, n)
 		for j := range t.oneWay[i] {

@@ -47,15 +47,12 @@ func TestEC2MatchesTable1(t *testing.T) {
 	for _, tc := range cases {
 		want := sim.Duration(tc.ms) * sim.Millisecond
 		if got := topo.RTT(tc.a, tc.b); got != want {
-			t.Errorf("RTT(%s,%s) = %v, want %v", topo.Name(tc.a), topo.Name(tc.b), got, want)
+			t.Errorf("RTT(%s,%s) = %v, want %v", table1Names[tc.a], table1Names[tc.b], got, want)
 		}
 		// Symmetry.
 		if topo.RTT(tc.a, tc.b) != topo.RTT(tc.b, tc.a) {
 			t.Errorf("asymmetric RTT between %d and %d", tc.a, tc.b)
 		}
-	}
-	if topo.Name(SG) != "SG" {
-		t.Fatalf("name = %q", topo.Name(SG))
 	}
 }
 
@@ -89,12 +86,5 @@ func TestTable1String(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Fatalf("Table1String missing %q:\n%s", want, s)
 		}
-	}
-}
-
-func TestDefaultNames(t *testing.T) {
-	topo := Uniform(2, sim.Millisecond)
-	if topo.Name(1) != "site1" {
-		t.Fatalf("default name = %q", topo.Name(1))
 	}
 }

@@ -11,8 +11,8 @@
 //	round 2   InstallTreaties scatter: each site receives its new local
 //	          treaties, closing the round.
 //
-// A round need not have a winning transaction: a drain's absorb rounds and
-// a unit migration are the same two rounds with no winner in InstallState.
+// A round need not have a winning transaction: a drain's absorb rounds are
+// the same two rounds with no winner in InstallState.
 // Beside the round's four messages (those three and AbortRound) a Node
 // answers recovery's Rejoin and membership's JoinSite and DrainSite: seven
 // in all, each with one Transport method and, over HTTP, one endpoint.

@@ -295,7 +295,7 @@ func (c *call) deliver() {
 }
 
 // maxPeerBody bounds a peer body, request or reply. The largest
-// legitimate one is a join cut or a migrating unit's folded state; with no
+// legitimate one is a join cut or an absorbed unit's folded state; with no
 // peer token set the surface is unauthenticated, so the bound is what
 // stands between a stranger — or whatever answers at a peer's address —
 // and the process's memory.

@@ -154,8 +154,8 @@ type derivation struct {
 	// width is the cluster's site count now.
 	width int
 	// weights, when set, splits every clause's slack in their proportion
-	// whatever the strategy: the adaptive strategy's demand, a migration's
-	// override, the membership overlay once a site has left.
+	// whatever the strategy: the adaptive strategy's demand, the membership
+	// overlay once a site has left.
 	weights []int64
 	// standalone makes the result a function of (seed, unit, folded values)
 	// alone — a unit-seeded optimizer stream, the memo neither read nor

@@ -58,9 +58,10 @@ func familyRegistry(t *testing.T, nSites, members int) *workload.Registry {
 // the unit's own global treaty instantiates under that configuration, site
 // by site. Randomised over class families, folded values (few enough that
 // isomorphic units meet, some on the guard's boundary where the class
-// pins), strategies, weight vectors in the three shapes the engine supplies
-// (quantized demand, the membership overlay with a site zeroed, a
-// migration's one-hot override) and widths before and after two joins.
+// pins), strategies, weight vectors in the shapes the engine supplies
+// (quantized demand, the membership overlay with a site zeroed, the one-hot
+// demand of a unit only one site burns) and widths before and after two
+// joins.
 func TestMemoMatchesScratch(t *testing.T) {
 	const boot = 2
 	reg := familyRegistry(t, boot, 4)

@@ -345,7 +345,7 @@ func (sys *System) execHomeo(p rt.Proc, site int, req workload.Request) (ExecRes
 			}
 			continue
 		}
-		winLog, negErr := sys.negotiate(p, site, units, req, nil)
+		winLog, negErr := sys.negotiate(p, site, units, req)
 		if negErr != nil {
 			if errors.Is(negErr, fabric.ErrBusy) {
 				// A coordinator in another process holds (some of) the
@@ -490,16 +490,14 @@ func (sys *System) wakeUnitWaiters(u *unitState) {
 // coordinator holds some of the units and nothing was committed — the
 // caller backs off and retries.
 //
-// It is the only coordinator: a drain absorb and a unit migration are the
-// same round without a winner (a request with only Units set). Such a
-// round folds and installs the units' state and renegotiates their
-// treaties, and skips what belongs to T': no apply, no WinnerCommit, no
-// commit-log entry, no co-winners, no execution charge, no violation
-// sample. weights, when set, replaces the slack weights of the treaty
-// build (a migration concentrates the slack at the unit's new home).
+// It is the only coordinator: a drain absorb is the same round without a
+// winner (a request with only Units set). Such a round folds and installs
+// the units' state and renegotiates their treaties, and skips what belongs
+// to T': no apply, no WinnerCommit, no commit-log entry, no co-winners, no
+// execution charge, no violation sample.
 //
 //homeo:externalizes
-func (sys *System) negotiate(p rt.Proc, site int, units []*unitState, req workload.Request, weights []int64) ([]int64, error) {
+func (sys *System) negotiate(p rt.Proc, site int, units []*unitState, req workload.Request) ([]int64, error) {
 	winner := req.Apply != nil
 	var neg *negotiation
 	if winner && sys.batching() && sys.self < 0 {
@@ -632,7 +630,7 @@ func (sys *System) negotiate(p rt.Proc, site int, units []*unitState, req worklo
 		for _, obj := range u.objects {
 			unitFolded[obj] = folded[obj]
 		}
-		r := derivation{u: u, folded: unitFolded, width: n, weights: sys.slackWeights(u, weights)}
+		r := derivation{u: u, folded: unitFolded, width: n, weights: sys.slackWeights(u)}
 		locals, gerr := sys.der.derive(r)
 		if gerr != nil {
 			// The batch already committed: degrade this unit to safe pin

@@ -25,9 +25,9 @@ import (
 // coordinator role rotates to the violating site), then the test checks:
 //
 //   - both sites synced at least once (rounds actually crossed the wire),
-//   - a unit migration coordinated by site 0 and then the drain of site 1,
-//     coordinated by site 1, complete: winnerless rounds cross the wire in
-//     both directions too,
+//   - a winnerless round over one unit coordinated by site 0 and then the
+//     drain of site 1, coordinated by site 1, complete: winnerless rounds
+//     cross the wire in both directions too,
 //   - the per-site partitions fold to a consistent database,
 //   - the merged commit log (Lamport order) replays to that database —
 //     the multi-process form of Theorem 3.8.
@@ -100,8 +100,9 @@ func TestMultiProcessFabric(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Winnerless rounds over the same wire: re-home a unit at site 1, then
-	// retire site 1, which absorbs every unit's deltas into the base.
+	// Winnerless rounds over the same wire: site 0 folds one unit the way a
+	// drain absorbs it, then site 1 retires, absorbing every unit's deltas
+	// into the base.
 	runOn := func(k int, what string, fn func(p rt.Proc) error) {
 		t.Helper()
 		done := make(chan error, 1)
@@ -110,7 +111,7 @@ func TestMultiProcessFabric(t *testing.T) {
 			t.Fatalf("%s: %v", what, err)
 		}
 	}
-	runOn(0, "migrate unit 0 to site 1", func(p rt.Proc) error { return systems[0].Migrate(p, 0, 0, 1) })
+	runOn(0, "winnerless round over unit 0", func(p rt.Proc) error { return systems[0].WinnerlessRound(p, 0, 0) })
 	runOn(1, "drain site 1", func(p rt.Proc) error { return systems[1].Drain(p, 1) })
 	for k := 0; k < nSites; k++ {
 		if got := systems[k].SiteStatusName(1); got != "gone" {

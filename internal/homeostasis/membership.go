@@ -5,9 +5,8 @@ package homeostasis
 // sites; joins grow every per-site structure online (the joining side
 // coordinates a two-phase quiesce over the existing membership), drains
 // absorb a leaving site's deltas into the replicated base through
-// winnerless synchronization rounds before fencing it out, and per-unit
-// migrations re-home a unit's treaty slack at a new owner. All three are
-// built on the same round-grant machinery the cleanup phase uses, so
+// winnerless synchronization rounds before fencing it out. Both are built
+// on the same round-grant machinery the cleanup phase uses, so
 // coordinator death mid-operation aborts or repairs through the existing
 // failover paths (grant expiry, rejoin handshake).
 
@@ -186,7 +185,7 @@ func (u *unitState) growUnit(n int) error {
 // joiner and bumps the membership epoch. Must run under the execution
 // right with every unit quiesced (the join prepare grant holds them).
 func (sys *System) growSystem(addr string) int {
-	site := sys.Opts.Topo.Grow("")
+	site := sys.Opts.Topo.Grow()
 	n := sys.Opts.Topo.NSites()
 	st := store.New(sys.E, sys.W.InitialDB())
 	st.LockTimeout = sys.Opts.LockTimeout
@@ -447,7 +446,7 @@ func (sys *System) Drain(p rt.Proc, site int) error {
 	// absorb round collects (the round-1 quiesce refuses while inflight).
 	sys.status[site] = siteDraining
 	for _, u := range sys.Units {
-		if err := sys.winnerlessRound(p, site, u, nil); err != nil {
+		if err := sys.winnerlessRound(p, site, u); err != nil {
 			return fmt.Errorf("homeostasis: drain absorb of unit %d: %w", u.id, err)
 		}
 	}
@@ -475,61 +474,16 @@ func (sys *System) Drain(p rt.Proc, site int) error {
 	return nil
 }
 
-// DemandHome returns the active site with the highest observed burn for
-// the unit since its last negotiation round, or -1 when no demand is
-// tracked or observed — the adaptive allocator's burn vector as a
-// migration trigger.
-func (sys *System) DemandHome(unit int) int {
-	if unit < 0 || unit >= len(sys.Units) {
-		return -1
-	}
-	u := sys.Units[unit]
-	best, bestBurn := -1, int64(0)
-	for k := range u.demand {
-		if !sys.SiteActive(k) {
-			continue
-		}
-		if b := u.demand[k].burn.Load(); b > bestBurn {
-			best, bestBurn = k, b
-		}
-	}
-	return best
-}
-
-// Migrate re-homes one unit's treaty slack at a new owner site through a
-// winnerless round whose treaty build concentrates the slack there.
-func (sys *System) Migrate(p rt.Proc, site, unit, to int) error {
-	if err := sys.RequireTreaties("migrating a unit"); err != nil {
-		return err
-	}
-	if unit < 0 || unit >= len(sys.Units) {
-		return fmt.Errorf("homeostasis: migrate of unknown unit %d", unit)
-	}
-	if !sys.SiteActive(to) {
-		return fmt.Errorf("homeostasis: migration target site %d is not active", to)
-	}
-	if site < 0 || site >= sys.Opts.Topo.NSites() || sys.status[site] == siteGone {
-		return fmt.Errorf("homeostasis: migration coordinator site %d is not in the membership", site)
-	}
-	u := sys.Units[unit]
-	weights := make([]int64, sys.Opts.Topo.NSites())
-	weights[to] = 1
-	if err := sys.winnerlessRound(p, site, u, weights); err != nil {
-		return fmt.Errorf("homeostasis: migrate unit %d to site %d: %w", unit, to, err)
-	}
-	return nil
-}
-
 // winnerlessRound has site coordinate one round without a winner over the
 // unit (see negotiate), first waiting out any round that holds the unit and
 // backing off, as a violator does, while a coordinator in another process
 // wins the freeze.
-func (sys *System) winnerlessRound(p rt.Proc, site int, u *unitState, weights []int64) error {
+func (sys *System) winnerlessRound(p rt.Proc, site int, u *unitState) error {
 	units, req := []*unitState{u}, workload.Request{Units: []int{u.id}}
 	backoff := int64(sys.Opts.LocalExecTime)
 	for attempt := 0; ; attempt++ {
 		sys.waitForUnit(p, u)
-		_, err := sys.negotiate(p, site, units, req, weights)
+		_, err := sys.negotiate(p, site, units, req)
 		if err == nil || !errors.Is(err, fabric.ErrBusy) || attempt >= 20 {
 			return err
 		}

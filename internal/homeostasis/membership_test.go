@@ -3,12 +3,13 @@ package homeostasis
 // White-box tests for the elastic-membership state machines: the join
 // prepare grant (a joiner that dies between phases is failed over by the
 // ordinary grant expiry), drain's interaction with in-flight rounds, and
-// a migration round orphaned by coordinator death. External behavior
+// an absorb round orphaned by coordinator death. External behavior
 // (process joins and drains over the real fabric) is covered by the
 // serve binary's elastic chaos drive and homeo's sim tests; these pin
 // the internal transitions deterministically on the simulator.
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/cluster"
@@ -139,15 +140,15 @@ func TestDrainWithInflightRound(t *testing.T) {
 	}
 }
 
-// TestMigrateCoordinatorDeathMidRound: this site received a migration's
-// state install — a winnerless InstallState; round 1 closed, the fold
-// landed — and then the coordinator died before distributing round 2's
-// treaties. The failover
-// must keep the installed fold, release the round, append nothing to the
-// commit log (migrations are winnerless), pin the unit so it
-// renegotiates from the moved base, and leave the membership epoch
-// untouched.
-func TestMigrateCoordinatorDeathMidRound(t *testing.T) {
+// TestAbsorbCoordinatorDeathMidRound: this site received the state install
+// of a drain's absorb round coordinated by another site — a winnerless
+// InstallState; round 1 closed, the fold landed — and then the coordinator
+// died before distributing round 2's treaties. The failover must keep the
+// installed fold, release the round, append nothing to the commit log
+// (absorb rounds are winnerless), pin the unit so it renegotiates from the
+// moved base, and leave the membership epoch untouched (the drain never
+// completed).
+func TestAbsorbCoordinatorDeathMidRound(t *testing.T) {
 	sys, eng, node := failoverSystem(t)
 	u := sys.Units[0]
 	epoch := sys.Epoch()
@@ -170,19 +171,22 @@ func TestMigrateCoordinatorDeathMidRound(t *testing.T) {
 	eng.Run() // the coordinator never distributes treaties; the grant expires
 
 	if u.negotiating || len(sys.rounds) != 0 {
-		t.Fatal("migration round not released after coordinator death")
+		t.Fatal("absorb round not released after coordinator death")
 	}
 	if got := sys.Stores[1].Get(u.objects[0]); got != 55 {
 		t.Fatalf("installed fold lost on failover: base = %d, want 55", got)
 	}
+	if got, want := u.treaties[1].Local(), localPin(u.objects, 1, sys.Stores[1]); !reflect.DeepEqual(got, want) {
+		t.Fatalf("unit not pinned at the moved base: treaty %v, want %v", got, want)
+	}
 	if len(sys.CommitLog) != 0 {
-		t.Fatalf("winnerless migration adopted %d commits", len(sys.CommitLog))
+		t.Fatalf("winnerless absorb round adopted %d commits", len(sys.CommitLog))
 	}
 	if sys.Col.RoundsAborted != 1 || sys.Col.RoundsAdopted != 0 {
 		t.Fatalf("aborted=%d adopted=%d, want 1/0 (winnerless installs count as aborts)",
 			sys.Col.RoundsAborted, sys.Col.RoundsAdopted)
 	}
 	if sys.Epoch() != epoch {
-		t.Fatalf("epoch moved to %d on a failed migration (membership never changed)", sys.Epoch())
+		t.Fatalf("epoch moved to %d on an unfinished absorb (membership never changed)", sys.Epoch())
 	}
 }

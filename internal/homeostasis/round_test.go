@@ -104,11 +104,12 @@ func checkRound(t *testing.T, what string, got roundRecord, items ...int) {
 // TestRoundScratchIsolation drives rounds whose coordinator state comes
 // from one reused scratch and checks that none sees another's: two
 // back-to-back rounds on different units, a two-unit round (the merged
-// footprint) followed by a one-unit one that has no winner (a migration:
-// nothing of the round before may stand in for the winner it lacks), and a
-// round refused busy after its message was built, whose retry must find the
-// scratch as good as new. The second half lets clients at both sites loose with batching on,
-// so rounds over different units interleave at their park points and
+// footprint) followed by a one-unit one that has no winner (a drain's kind
+// of round: nothing of the round before may stand in for the winner it
+// lacks), and a round refused busy after its message was built, whose retry
+// must find the scratch as good as new. The second half lets clients at
+// both sites loose with batching on, so rounds over different units
+// interleave at their park points and
 // queued violators join rounds in flight, and checks every round the
 // same way plus the serial replay of everything committed.
 func TestRoundScratchIsolation(t *testing.T) {
@@ -140,7 +141,7 @@ func TestRoundScratchIsolation(t *testing.T) {
 		sync(p, 1)
 		sync(p, 2, 3)
 		if execErr == nil {
-			execErr = sys.Migrate(p, 0, 2, 1)
+			execErr = sys.winnerlessRound(p, 0, sys.Units[2])
 		}
 		sync(p, 4)
 		rec.refuse = 1
@@ -150,7 +151,7 @@ func TestRoundScratchIsolation(t *testing.T) {
 	if execErr != nil {
 		t.Fatal(execErr)
 	}
-	const migration = 3 // its place among the installs
+	const winnerless = 3 // its place among the installs
 	rounds := [][]int{{0}, {1}, {2, 3}, {2}, {4}, {5}, {5}}
 	if len(rec.collects) != len(rounds) || len(rec.installs) != len(rounds)-1 {
 		t.Fatalf("%d collects and %d installs, want %d and %d", len(rec.collects), len(rec.installs), len(rounds), len(rounds)-1)
@@ -163,7 +164,7 @@ func TestRoundScratchIsolation(t *testing.T) {
 	}
 	for i, items := range [][]int{{0}, {1}, {2, 3}, {2}, {4}, {5}} {
 		checkRound(t, "scripted install", rec.installs[i], items...)
-		if got := rec.installs[i].winner; got != (i != migration) {
+		if got := rec.installs[i].winner; got != (i != winnerless) {
 			t.Errorf("install %d: carries a winner = %v", i, got)
 		}
 	}
@@ -208,11 +209,12 @@ func items(objs []lang.ObjID) []int {
 }
 
 // TestRoundPostconditions: a violation round, a drain's absorb rounds and
-// a migration are one procedure, so each must leave behind what the others
-// do — the units released and whoever waited on them woken, no open round,
-// the scratch scrubbed and back on the free list, every unit's treaty one
-// generation on, and in each site's WAL one install and one treaty record
-// per round. Only a winner leaves a commit and a negotiation sample.
+// a single winnerless round are one procedure, so each must leave behind
+// what the others do — the units released and whoever waited on them
+// woken, no open round, the scratch scrubbed and back on the free list,
+// every unit's treaty one generation on, and in each site's WAL one install
+// and one treaty record per round. Only a winner leaves a commit and a
+// negotiation sample.
 func TestRoundPostconditions(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -231,8 +233,8 @@ func TestRoundPostconditions(t *testing.T) {
 		{"drain absorb", false, []int{0, 1, 2, 3, 4, 5}, func(p rt.Proc, sys *System, _ *micro.Workload) error {
 			return sys.Drain(p, 1)
 		}},
-		{"migration", false, []int{3}, func(p rt.Proc, sys *System, _ *micro.Workload) error {
-			return sys.Migrate(p, 0, 3, 1)
+		{"winnerless round", false, []int{3}, func(p rt.Proc, sys *System, _ *micro.Workload) error {
+			return sys.winnerlessRound(p, 0, sys.Units[3])
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

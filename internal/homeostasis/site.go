@@ -187,7 +187,7 @@ func (sys *System) failoverGrant(rid fabric.RoundID, g *roundGrant) {
 			sys.adoptWinner(site, rid, g)
 			sys.Col.RecordRoundAdopted()
 		} else {
-			// A winnerless install (a unit migration or drain absorb):
+			// A winnerless install (a drain's absorb round):
 			// the base moved but there is no commit to adopt; the pin
 			// below still applies — resuming the pre-round treaties over
 			// the moved base would be unsound.

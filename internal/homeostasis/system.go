@@ -434,7 +434,7 @@ func (sys *System) addUnit(id int) error {
 		// happened to coordinate: derive standalone there.
 		locals, err := sys.der.derive(derivation{
 			u: u, folded: sys.foldUnit(u), width: sys.Opts.Topo.NSites(),
-			weights: sys.slackWeights(u, nil), standalone: sys.self >= 0,
+			weights: sys.slackWeights(u), standalone: sys.self >= 0,
 		})
 		if err == nil {
 			err = sys.installLocalTreaties(u, locals)
@@ -538,18 +538,18 @@ func (sys *System) installLocalTreaties(u *unitState, locals []treaty.Local) err
 func (sys *System) batching() bool { return sys.Opts.Alloc != AllocDefault }
 
 // slackWeights resolves the weights the unit's next derivation splits slack
-// by: a migration's override, else the observed demand under the adaptive
-// strategy, else none — the strategy configures on its own. Once any site is
-// draining or gone (or a migration overrides) the membership is overlaid, so
-// every strategy becomes a weighted split in which an inactive site gets
-// zero slack: any write it can no longer spend would leak consistency past
-// its drain. The fixed-topology path is untouched.
-func (sys *System) slackWeights(u *unitState, override []int64) []int64 {
-	weights := override
-	if weights == nil && sys.der.strategy == stratAdaptive {
+// by: the observed demand under the adaptive strategy, else none — the
+// strategy configures on its own. Once any site is draining or gone the
+// membership is overlaid, so every strategy becomes a weighted split in
+// which an inactive site gets zero slack: any write it can no longer spend
+// would leak consistency past its drain. The fixed-topology path is
+// untouched.
+func (sys *System) slackWeights(u *unitState) []int64 {
+	var weights []int64
+	if sys.der.strategy == stratAdaptive {
 		weights = quantizeDemand(u.demand)
 	}
-	if override != nil || sys.anyInactive() {
+	if sys.anyInactive() {
 		weights = sys.membershipWeights(weights)
 	}
 	return weights

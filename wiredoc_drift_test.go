@@ -28,21 +28,7 @@ func TestWireDocMatchesPeerSurface(t *testing.T) {
 	for _, m := range regexp.MustCompile("(?m)^### `POST (/v1/peer/[^`]+)`").FindAllSubmatch(doc, -1) {
 		docEndpoints = append(docEndpoints, string(m[1]))
 	}
-	var endpoints []string
-	ast.Inspect(parseFile(t, "internal/fabric/http.go"), func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || len(call.Args) == 0 {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		lit, isLit := call.Args[0].(*ast.BasicLit)
-		if ok && isLit && sel.Sel.Name == "HandleFunc" {
-			if path, err := strconv.Unquote(lit.Value); err == nil && strings.HasPrefix(path, "/v1/peer/") {
-				endpoints = append(endpoints, path)
-			}
-		}
-		return true
-	})
+	endpoints := handleFuncPaths(t, "internal/fabric/http.go", "/v1/peer/")
 	if len(endpoints) == 0 || !slices.Equal(docEndpoints, endpoints) {
 		t.Errorf("docs/WIRE.md documents POST endpoints\n  %v\ninternal/fabric/http.go registers\n  %v", docEndpoints, endpoints)
 	}
@@ -70,6 +56,50 @@ func TestWireDocMatchesPeerSurface(t *testing.T) {
 	if len(kinds) == 0 || !slices.Equal(docKinds, kinds) {
 		t.Errorf("docs/WIRE.md lists message kinds\n  %v\ninternal/fabric/codec/peer.go declares\n  %v", docKinds, kinds)
 	}
+}
+
+// TestWireDocMatchesHandlerMux does the same for the rest of the /v1 mux:
+// docs/WIRE.md's `### METHOD /v1/…` headings outside the peer mutations
+// are, one for one and in order, the /v1 paths httpapi.NewHandler
+// registers — the client and topology surfaces and the peer introspection
+// endpoints. An endpoint deleted from the handler cannot stay documented.
+func TestWireDocMatchesHandlerMux(t *testing.T) {
+	doc, err := os.ReadFile("docs/WIRE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var docEndpoints []string
+	for _, m := range regexp.MustCompile("(?m)^### `(GET|POST) (/v1/[^`]+)`").FindAllSubmatch(doc, -1) {
+		if path := string(m[2]); string(m[1]) != "POST" || !strings.HasPrefix(path, "/v1/peer/") {
+			docEndpoints = append(docEndpoints, path)
+		}
+	}
+	endpoints := handleFuncPaths(t, "homeo/httpapi/httpapi.go", "/v1/")
+	if len(endpoints) == 0 || !slices.Equal(docEndpoints, endpoints) {
+		t.Errorf("docs/WIRE.md documents\n  %v\nhomeo/httpapi/httpapi.go registers\n  %v", docEndpoints, endpoints)
+	}
+}
+
+// handleFuncPaths lists, in source order, the paths under prefix that the
+// file passes to a HandleFunc call as a string literal.
+func handleFuncPaths(t *testing.T, file, prefix string) []string {
+	t.Helper()
+	var paths []string
+	ast.Inspect(parseFile(t, file), func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		lit, isLit := call.Args[0].(*ast.BasicLit)
+		if ok && isLit && sel.Sel.Name == "HandleFunc" {
+			if path, err := strconv.Unquote(lit.Value); err == nil && strings.HasPrefix(path, prefix) {
+				paths = append(paths, path)
+			}
+		}
+		return true
+	})
+	return paths
 }
 
 func parseFile(t *testing.T, path string) *ast.File {
