@@ -110,7 +110,9 @@ func runJoin(opts homeo.Options, seed, listenAddr, token string, useEC2 bool, re
 	// given zero treaty slack, exactly as if we had watched the drain.
 	for k, st := range topo.SiteStatus {
 		if st == "gone" {
-			c.MarkSiteGone(k)
+			if err := c.MarkSiteGone(k); err != nil {
+				fatal(err)
+			}
 		}
 	}
 	recoverWAL(c)

@@ -45,7 +45,9 @@
 //     per message from the topology; the default, byte-identical to the
 //     seed timeline) or fabric.HTTP (binary peer messages over real
 //     sockets, one OS process per site, Lamport-clocked commit logs for
-//     merged replay checks). homeo.Options.Fabric and
+//     merged replay checks), which alone with fabric.Sim (HTTP's
+//     messages between Systems on one simulator, for tests) carries
+//     joins and drains. homeo.Options.Fabric and
 //     cmd/homeostasis-serve's -site/-peers flags deploy it;
 //   - internal/micro, internal/tpcc: the Section 6 workloads;
 //   - internal/experiments: one runner per evaluation table/figure.

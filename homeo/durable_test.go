@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/homeo"
-	"repro/homeo/wire"
 	"repro/internal/fabric/codec"
 	"repro/internal/lang"
 	"repro/internal/treaty"
@@ -220,116 +219,55 @@ func TestWALRecoverRefusesOtherEncodings(t *testing.T) {
 	}
 }
 
-// TestWALRecoverMembership: a cluster that joined a site and drained
-// another writes membership records to its WAL; a crashed-and-rebooted
-// incarnation (booted at the original width) must recover the grown
-// width, the per-slot statuses, and the membership epoch — the drained
-// slot stays fenced, the joined slot keeps serving.
+// TestWALRecoverMembership: a process that saw a site join and another
+// drain wrote membership records to its WAL; its crashed-and-rebooted
+// incarnation (booted at the original width) must recover the grown width,
+// the per-slot statuses, and the membership epoch — the drained slot stays
+// fenced (the drained process is gone, and rounds never reach for it), the
+// joined slot keeps serving.
 func TestWALRecoverMembership(t *testing.T) {
 	dir := t.TempDir()
-	mk := func() (*homeo.Cluster, *homeo.TxnClass) {
-		t.Helper()
-		c, err := homeo.New(homeo.Options{
-			Runtime:   homeo.RuntimeSim,
-			Sites:     2,
-			Seed:      3,
-			EnableLog: true,
-			WAL:       homeo.WALOptions{Dir: dir},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cls, err := c.Register(homeo.ClassSpec{
-			L:       withdrawSrc,
-			Bounds:  map[string][2]int64{"n": {1, 3}},
-			Initial: map[string]int64{"bal": 300},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c, cls
-	}
-
-	c1, cls := mk()
-	if _, err := c1.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	s := c1.Session()
+	spec := homeo.ClassSpec{L: withdrawSrc, Bounds: map[string][2]int64{"n": {1, 3}}, Initial: map[string]int64{"bal": 150}}
+	f, cs, cls := simSites(t, 2, spec, homeo.Options{Seed: 3, EnableLog: true, WAL: homeo.WALOptions{Dir: dir}})
 	for i := 0; i < 10; i++ {
-		if _, err := s.Submit(ctx, cls, int64(1+i%3)); err != nil {
-			t.Fatal(err)
-		}
+		submit(t, cls[0], cs[0], 1, int64(1+i%3))
 	}
-	if joined, err := c1.Join(""); err != nil || joined != 2 {
-		t.Fatalf("Join = (%d, %v), want (2, nil)", joined, err)
-	}
-	at2, err := c1.SessionAt(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if _, err := at2.Submit(ctx, cls, 2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c1.Drain(0); err != nil {
+	j, jcls := joinSim(t, f, cs[0], spec)
+	submit(t, jcls, j, 10, 2)
+	if err := cs[1].Drain(1); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
-	wantEpoch := c1.TopologyEpoch()
-	wantStatus := c1.SiteStatuses()
-	wantLog := c1.WireLog()
-	c1.Close()
+	f.Kill(cs[1])
+	wantEpoch := cs[0].TopologyEpoch()
+	wantStatus := cs[0].SiteStatuses()
+	wantLog := cs[0].WireLog()
+	f.Kill(cs[0])
 
-	c2, cls2 := mk() // boots at the original width 2
-	n, err := c2.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 {
+	c0, cls0 := bootSim(t, f, 0, 2, spec) // boots at the original width 2
+	f.Attach(c0)
+	if got := c0.Stats().RecoveredWALRecords; got == 0 {
 		t.Fatal("recovery replayed nothing")
 	}
-	defer c2.Close()
-	if got := c2.Sites(); got != 3 {
+	if got := c0.Sites(); got != 3 {
 		t.Fatalf("recovered width = %d, want 3 (the joined slot)", got)
 	}
-	if got := c2.TopologyEpoch(); got != wantEpoch {
+	if got := c0.TopologyEpoch(); got != wantEpoch {
 		t.Fatalf("recovered epoch = %d, want %d", got, wantEpoch)
 	}
-	if got := c2.SiteStatuses(); !reflect.DeepEqual(got, wantStatus) {
+	if got := c0.SiteStatuses(); !reflect.DeepEqual(got, wantStatus) || got[1] != "gone" {
 		t.Fatalf("recovered statuses = %v, want %v", got, wantStatus)
 	}
-	if got := c2.WireLog(); len(got) != len(wantLog) {
+	if got := c0.WireLog(); len(got) != len(wantLog) {
 		t.Fatalf("recovered commit log has %d entries, want %d", len(got), len(wantLog))
 	}
-	// The drained slot stays fenced across the crash...
-	at0, err := c2.SessionAt(0)
-	if err != nil {
-		t.Fatal(err)
+	// Both sides keep serving, through rounds that would fail on a message
+	// to the drained site.
+	if synced := submit(t, jcls, j, 40, 3) + submit(t, cls0, c0, 40, 3); synced == 0 {
+		t.Fatal("no submission paid a round after the recovery")
 	}
-	if _, err := at0.Submit(ctx, cls2, 1); homeo.ErrorCode(err) != "site_gone" {
-		t.Fatalf("submit at recovered-drained site: %v, want site_gone", err)
-	}
-	// ...and the joined slot keeps serving.
-	at2r, err := c2.SessionAt(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res, err := at2r.Submit(ctx, cls2, 1); err != nil || !res.Committed {
-		t.Fatalf("submit at recovered-joined site = (%+v, %v)", res, err)
-	}
-	// Recovered entries replay through the class registry, so equivalence
-	// is checked the multi-process way: merged log against the folded
-	// partitions.
-	parts := make([]wire.PartitionResponse, 0, c2.Sites())
-	for k := 0; k < c2.Sites(); k++ {
-		vals := map[string]int64{}
-		for obj, v := range c2.System().PartitionDB(k) {
-			vals[string(obj)] = v
-		}
-		parts = append(parts, wire.PartitionResponse{Site: k, Values: vals})
-	}
-	if err := c2.CheckMergedReplay([][]wire.LogEntry{c2.WireLog()}, parts); err != nil {
+	// Recovered entries replay through the class registry: merged log
+	// against the folded partitions.
+	if err := mergedReplay(c0, c0, cs[1], j); err != nil {
 		t.Fatalf("replay equivalence after membership recovery: %v", err)
 	}
 }

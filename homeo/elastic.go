@@ -7,50 +7,12 @@ import (
 )
 
 // This file is the public surface of the elastic-topology layer: online
-// site join and drain. The orchestrations live in internal/homeostasis
+// site join and drain between the processes of a multi-process cluster
+// (Options.Fabric). The orchestrations live in internal/homeostasis
 // (JoinCluster, Drain); the Cluster methods here give them a process to
-// park on and keep the session layer's topology snapshot fresh.
-
-// topoView is an immutable snapshot of the membership the submission hot
-// path reads lock-free: round-robin site selection must skip drained
-// sites without taking the scheduler lock per request. It is refreshed
-// after every membership operation this process initiates (in a
-// multi-process cluster each process runs its own operations, so the
-// local view is always current for local routing decisions).
-type topoView struct {
-	width  int
-	active []bool
-	// sessions[k] is the session pinned to site k (see SessionAt).
-	sessions []*Session
-}
-
-// refreshTopo snapshots the membership under the cluster lock and
-// publishes it for lock-free readers.
-func (c *Cluster) refreshTopo() {
-	v := &topoView{}
-	c.locked(func() {
-		v.width = c.sys.NSites()
-		v.active = make([]bool, v.width)
-		for k := 0; k < v.width; k++ {
-			v.active[k] = c.sys.SiteActive(k)
-		}
-	})
-	v.sessions = make([]*Session, v.width)
-	for k := range v.sessions {
-		v.sessions[k] = &Session{c: c, site: k}
-	}
-	c.topo.Store(v)
-}
-
-// topoSnapshot returns the current topology view, building one on first
-// use.
-func (c *Cluster) topoSnapshot() *topoView {
-	if v := c.topo.Load(); v != nil {
-		return v
-	}
-	c.refreshTopo()
-	return c.topo.Load()
-}
+// park on. Sessions need no routing table: a process of such a cluster
+// serves only its own site, and a single-process cluster's sites never
+// change.
 
 // runProc runs fn on a process of the cluster's runtime and waits for it
 // to finish (membership orchestrations park on peer replies and round
@@ -82,17 +44,16 @@ func (c *Cluster) runProc(op string, fn func(p rt.Proc) error) error {
 	return ferr
 }
 
-// Join admits a new site into the running cluster's membership via the
-// two-phase join handshake (quiesce + consistent partition cut, then
-// activate) and returns the new site's index.
+// Join admits this process's site into the running cluster's membership
+// via the two-phase join handshake (quiesce + consistent partition cut,
+// then activate) and returns the new site's index.
 //
-// On an in-process cluster the call grows this cluster by one fresh
-// site. On a multi-process cluster the call must be made by the joining
-// process itself (booted at width n+1 owning site n, its peer list
-// naming the existing sites): addr is the joiner's advertised peer base
-// URL, announced to every peer during the handshake. Peers include the
-// new site in treaty configurations from their next synchronization
-// round on.
+// The call is made by the joining process itself, booted at width n+1
+// owning site n (Options.Fabric, its peer list naming the existing sites):
+// addr is the joiner's advertised peer base URL, announced to every peer
+// during the handshake. Peers include the new site in treaty
+// configurations from their next synchronization round on. A cluster
+// without Options.Fabric has no membership to join and refuses.
 func (c *Cluster) Join(addr string) (int, error) {
 	var joiner int
 	err := c.runProc("join handshake", func(p rt.Proc) error {
@@ -103,7 +64,6 @@ func (c *Cluster) Join(addr string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	c.refreshTopo()
 	return joiner, nil
 }
 
@@ -114,27 +74,22 @@ func (c *Cluster) Join(addr string) (int, error) {
 // at every peer. The site keeps its index — slots are never reused, so
 // per-site state and the merged commit log stay stably indexed.
 //
-// On a multi-process cluster only the process owning the site can drain
-// it (the absorb rounds need its local state).
+// Only the process owning the site can drain it (the absorb rounds need
+// its local state); a cluster without Options.Fabric refuses.
 func (c *Cluster) Drain(site int) error {
-	err := c.runProc("drain", func(p rt.Proc) error {
+	return c.runProc("drain", func(p rt.Proc) error {
 		return c.sys.Drain(p, site)
 	})
-	if err != nil {
-		return err
-	}
-	c.refreshTopo()
-	return nil
 }
 
 // MarkSiteGone fences a membership slot that was already drained before
 // this process booted: a joiner admitted into a cluster whose topology
 // snapshot lists gone sites must exclude those slots from routing and
-// scatters even though it never witnessed the drain. No-op for active
-// processes that observed the drain themselves.
-func (c *Cluster) MarkSiteGone(site int) {
-	c.locked(func() { c.sys.MarkSiteGone(site) })
-	c.refreshTopo()
+// scatters even though it never witnessed the drain. No-op for a slot
+// already gone; a cluster without Options.Fabric refuses.
+func (c *Cluster) MarkSiteGone(site int) (err error) {
+	c.locked(func() { err = c.sys.MarkSiteGone(site) })
+	return err
 }
 
 // TopologyEpoch reports this process's membership epoch: a monotonic
@@ -160,8 +115,8 @@ func (c *Cluster) SiteStatuses() []string {
 	return out
 }
 
-// SiteAddrs reports the known per-site peer base URLs ("" for
-// in-process sites), indexed by site.
+// SiteAddrs reports the known per-site peer base URLs ("" for the sites
+// of a single-process cluster), indexed by site.
 func (c *Cluster) SiteAddrs() []string {
 	var out []string
 	c.locked(func() { out = c.sys.SiteAddrs() })

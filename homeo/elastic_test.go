@@ -7,241 +7,239 @@ import (
 	"testing"
 
 	"repro/homeo"
+	"repro/homeo/wire"
 )
 
-// TestJoinSim: an in-process cluster admits a fresh site mid-run; the
-// new site serves traffic, the epoch bumps, and replay equivalence holds
-// across the membership change.
-func TestJoinSim(t *testing.T) {
-	c := simCluster(t, homeo.Options{Sites: 2, EnableLog: true})
-	cls, err := c.Register(homeo.ClassSpec{
-		L:       depositSrc,
-		Bounds:  map[string][2]int64{"n": {1, 5}},
-		Initial: map[string]int64{"acct": 100},
-	})
+// The elastic operations run between the processes of a multi-process
+// cluster. These tests run such a cluster's processes as Clusters on one
+// simulator over fabric.Sim (homeo.SimFabric): seeded, in virtual time.
+
+// simSites boots n Clusters on a fresh SimFabric, sites 0..n-1 of one
+// cluster, each with spec registered and on the net.
+func simSites(t *testing.T, n int, spec homeo.ClassSpec, opts homeo.Options) (*homeo.SimFabric, []*homeo.Cluster, []*homeo.TxnClass) {
+	t.Helper()
+	if opts.Seed == 0 {
+		opts.Seed = 7
+	}
+	f := homeo.NewSimFabric(opts)
+	cs := make([]*homeo.Cluster, n)
+	cls := make([]*homeo.TxnClass, n)
+	for k := range cs {
+		cs[k], cls[k] = bootSim(t, f, k, n, spec)
+		f.Attach(cs[k])
+	}
+	return f, cs, cls
+}
+
+// bootSim boots the Cluster owning site of a width-site cluster on f, with
+// spec registered and its log (if any) recovered, not yet on the net.
+func bootSim(t *testing.T, f *homeo.SimFabric, site, width int, spec homeo.ClassSpec) (*homeo.Cluster, *homeo.TxnClass) {
+	t.Helper()
+	c, err := f.Boot(site, width)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := c.Session()
-	for i := 0; i < 10; i++ {
-		if _, err := s.Submit(context.Background(), cls, 2); err != nil {
-			t.Fatal(err)
+	t.Cleanup(c.Close)
+	cls, err := c.Register(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	return c, cls
+}
+
+// joinSim boots the process that joins as site width, the way
+// homeostasis-serve -join does: one site wider than the seed, the seed's
+// gone slots fenced, admitted, then on the net.
+func joinSim(t *testing.T, f *homeo.SimFabric, seed *homeo.Cluster, spec homeo.ClassSpec) (*homeo.Cluster, *homeo.TxnClass) {
+	t.Helper()
+	width := seed.Sites()
+	j, cls := bootSim(t, f, width, width+1, spec)
+	for k, st := range seed.SiteStatuses() {
+		if st == "gone" {
+			if err := j.MarkSiteGone(k); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	if got := c.Sites(); got != 2 {
+	if site, err := j.Join(homeo.SimAddr(width)); err != nil || site != width {
+		t.Fatalf("Join = (%d, %v), want (%d, nil)", site, err, width)
+	}
+	f.Attach(j)
+	return j, cls
+}
+
+// submit submits n invocations of cls at its cluster's own site.
+func submit(t *testing.T, cls *homeo.TxnClass, c *homeo.Cluster, n int, args ...int64) (synced int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		res, err := c.Session().Submit(context.Background(), cls, args...)
+		if err != nil {
+			t.Fatalf("submit at site %d: %v", c.SelfSite(), err)
+		}
+		if res.Synced {
+			synced++
+		}
+	}
+	return synced
+}
+
+// mergedReplay checks Theorem 3.8 the multi-process way, as the drive does:
+// every process's log merged, against the partitions of the sites still in
+// the membership as check sees it.
+func mergedReplay(check *homeo.Cluster, cs ...*homeo.Cluster) error {
+	var logs [][]wire.LogEntry
+	var parts []wire.PartitionResponse
+	status := check.SiteStatuses()
+	for _, c := range cs {
+		logs = append(logs, c.WireLog())
+		if status[c.SelfSite()] != "gone" {
+			parts = append(parts, c.Partition())
+		}
+	}
+	return check.CheckMergedReplay(logs, parts)
+}
+
+// TestJoinSim: a process joins a running cluster; the new site serves
+// traffic, every member's width and epoch move, and replay equivalence
+// holds across the membership change.
+func TestJoinSim(t *testing.T) {
+	spec := homeo.ClassSpec{L: depositSrc, Bounds: map[string][2]int64{"n": {1, 5}}, Initial: map[string]int64{"acct": 100}}
+	f, cs, cls := simSites(t, 2, spec, homeo.Options{EnableLog: true})
+	submit(t, cls[0], cs[0], 5, 2)
+	submit(t, cls[1], cs[1], 5, 2)
+	if got := cs[0].Sites(); got != 2 {
 		t.Fatalf("Sites before join = %d, want 2", got)
 	}
-	epoch0 := c.TopologyEpoch()
+	epoch0 := cs[0].TopologyEpoch()
 
-	joined, err := c.Join("")
-	if err != nil {
-		t.Fatalf("Join: %v", err)
+	j, jcls := joinSim(t, f, cs[0], spec)
+	for _, c := range append(cs, j) {
+		if c.Sites() != 3 || c.TopologyEpoch() <= epoch0 {
+			t.Fatalf("site %d after the join: %d sites at epoch %d, want 3 past %d", c.SelfSite(), c.Sites(), c.TopologyEpoch(), epoch0)
+		}
 	}
-	if joined != 2 {
-		t.Fatalf("joined site index = %d, want 2", joined)
-	}
-	if got := c.Sites(); got != 3 {
-		t.Fatalf("Sites after join = %d, want 3", got)
-	}
-	if c.TopologyEpoch() <= epoch0 {
-		t.Fatalf("epoch did not advance: %d -> %d", epoch0, c.TopologyEpoch())
-	}
-	st := c.Stats()
-	if st.Sites != 3 || st.ActiveSites != 3 {
+	if st := cs[0].Stats(); st.Sites != 3 || st.ActiveSites != 3 {
 		t.Fatalf("stats topology = %d sites / %d active, want 3/3", st.Sites, st.ActiveSites)
 	}
 
-	// The new site serves traffic, including synchronization rounds that
-	// must now include it in the treaty configuration.
-	at2, err := c.SessionAt(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		if _, err := at2.Submit(context.Background(), cls, 5); err != nil {
-			t.Fatalf("submit at joined site: %v", err)
-		}
-	}
-	for i := 0; i < 10; i++ {
-		if _, err := s.Submit(context.Background(), cls, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.CheckReplayEquivalence(); err != nil {
+	// The new site serves traffic, and the old ones keep doing so.
+	submit(t, jcls, j, 20, 5)
+	submit(t, cls[0], cs[0], 10, 1)
+	if err := mergedReplay(cs[0], cs[0], cs[1], j); err != nil {
 		t.Fatalf("replay equivalence across join: %v", err)
 	}
 }
 
-// TestJoinGuardedClassStaysSound: a class is analysed at the width the
-// cluster booted with, so after a join its global treaty must be widened to
-// the joiner's delta or the joiner's local treaty is a ground constraint —
-// every withdrawal there commits locally and the balance runs through the
-// guard's floor (Theorem 3.8 fails: the serial replay skips what the
-// protocol committed).
+// TestJoinGuardedClassStaysSound: a class is analysed at the width its
+// process booted with, so after a join a round an older site coordinates
+// must widen the global treaty to the joiner's delta, or the joiner's local
+// treaty is a ground constraint — every withdrawal there commits locally
+// and the balance runs through the guard's floor (Theorem 3.8 fails: the
+// serial replay skips what the protocol committed).
 func TestJoinGuardedClassStaysSound(t *testing.T) {
-	c := simCluster(t, homeo.Options{Sites: 2, EnableLog: true})
-	cls, err := c.Register(homeo.ClassSpec{
-		L:       withdrawSrc,
-		Bounds:  map[string][2]int64{"n": {1, 5}},
-		Initial: map[string]int64{"bal": 100},
-	})
-	if err != nil {
-		t.Fatal(err)
+	spec := homeo.ClassSpec{L: withdrawSrc, Bounds: map[string][2]int64{"n": {1, 5}}, Initial: map[string]int64{"bal": 100}}
+	f, cs, cls := simSites(t, 2, spec, homeo.Options{EnableLog: true})
+	submit(t, cls[0], cs[0], 4, 5)
+	j, jcls := joinSim(t, f, cs[0], spec)
+	// Site 0 coordinates the first round past the join, on a class it
+	// analysed for two sites: the joiner's treaty is the widened one.
+	if synced := submit(t, cls[0], cs[0], 20, 5); synced == 0 {
+		t.Fatal("no withdrawal at site 0 paid a round after the join")
 	}
-	ctx := context.Background()
-	s := c.Session()
-	for i := 0; i < 4; i++ {
-		if _, err := s.Submit(ctx, cls, 5); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := c.Join(""); err != nil {
-		t.Fatalf("Join: %v", err)
-	}
-	at2, err := c.SessionAt(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 60; i++ {
-		if _, err := at2.Submit(ctx, cls, 5); err != nil {
-			t.Fatalf("submit at joined site: %v", err)
-		}
-	}
-	treaties := cls.Treaties()
+	treaties := jcls.Treaties()
 	if len(treaties) != 3 || !strings.Contains(treaties[2], "bal@d2") {
 		t.Errorf("site 2's treaty does not bound its own delta: %q", treaties)
 	}
-	// The older sites see none of what site 2 withdrew until a round folds
-	// it: they keep spending their own slack on top.
-	for i := 0; i < 10; i++ {
-		if _, err := s.Submit(ctx, cls, 5); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.CheckReplayEquivalence(); err != nil {
+	submit(t, jcls, j, 60, 5)
+	if err := mergedReplay(cs[0], cs[0], cs[1], j); err != nil {
 		t.Fatalf("replay equivalence after a join: %v", err)
 	}
 }
 
 // TestDrainSim: draining a site absorbs its deltas, fences it from new
-// submissions, and keeps replay equivalence on the survivors.
+// submissions, and keeps replay equivalence on the survivors; only the
+// process owning a site can drain it, and only once.
 func TestDrainSim(t *testing.T) {
-	c := simCluster(t, homeo.Options{Sites: 3, EnableLog: true})
-	cls, err := c.Register(homeo.ClassSpec{
-		L:       depositSrc,
-		Bounds:  map[string][2]int64{"n": {1, 5}},
-		Initial: map[string]int64{"acct": 90},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := homeo.ClassSpec{L: depositSrc, Bounds: map[string][2]int64{"n": {1, 5}}, Initial: map[string]int64{"acct": 90}}
+	f, cs, cls := simSites(t, 3, spec, homeo.Options{EnableLog: true})
 	// Commit at the doomed site so the drain has deltas to absorb.
-	at2, err := c.SessionAt(2)
-	if err != nil {
-		t.Fatal(err)
+	submit(t, cls[2], cs[2], 15, 3)
+	if err := cs[0].Drain(2); err == nil || !strings.Contains(err.Error(), "cannot drain site 2") {
+		t.Fatalf("site 0 draining site 2: %v, want a refusal", err)
 	}
-	for i := 0; i < 15; i++ {
-		if _, err := at2.Submit(context.Background(), cls, 3); err != nil {
-			t.Fatal(err)
-		}
-	}
-	epoch0 := c.TopologyEpoch()
-	if err := c.Drain(2); err != nil {
+	epoch0 := cs[2].TopologyEpoch()
+	if err := cs[2].Drain(2); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
-	if c.TopologyEpoch() <= epoch0 {
+	if cs[2].TopologyEpoch() <= epoch0 {
 		t.Fatal("epoch did not advance on drain")
 	}
-	st := c.Stats()
-	if st.Sites != 3 || st.ActiveSites != 2 {
-		t.Fatalf("stats topology = %d sites / %d active, want 3/2", st.Sites, st.ActiveSites)
-	}
-	if st.SiteStatus[2] != "gone" {
-		t.Fatalf("site 2 status = %q, want gone", st.SiteStatus[2])
+	for _, c := range cs {
+		st := c.Stats()
+		if st.Sites != 3 || st.ActiveSites != 2 || st.SiteStatus[2] != "gone" {
+			t.Fatalf("site %d's stats topology = %d sites / %d active, %v", c.SelfSite(), st.Sites, st.ActiveSites, st.SiteStatus)
+		}
 	}
 
 	// The drained site refuses new work with the taxonomy error.
-	if _, err := at2.Submit(context.Background(), cls, 1); !errors.Is(err, homeo.ErrSiteGone) {
-		t.Fatalf("submit at drained site: %v, want ErrSiteGone", err)
-	}
-	if code := homeo.ErrorCode(err); code != "" {
-		// (ErrorCode of the submit error checked below.)
-		_ = code
-	}
-	_, serr := at2.Submit(context.Background(), cls, 1)
-	if homeo.ErrorCode(serr) != "site_gone" {
-		t.Fatalf("ErrorCode = %q, want site_gone", homeo.ErrorCode(serr))
+	_, err := cs[2].Session().Submit(context.Background(), cls[2], 1)
+	if !errors.Is(err, homeo.ErrSiteGone) || homeo.ErrorCode(err) != "site_gone" {
+		t.Fatalf("submit at drained site: %v (code %q), want ErrSiteGone / site_gone", err, homeo.ErrorCode(err))
 	}
 
-	// Survivors keep committing; round-robin routes around the hole.
-	s := c.Session()
-	for i := 0; i < 12; i++ {
-		res, err := s.Submit(context.Background(), cls, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Site == 2 {
-			t.Fatal("round-robin routed to the drained site")
-		}
-	}
-	if err := c.CheckReplayEquivalence(); err != nil {
+	// Survivors keep committing once the drained process is gone.
+	f.Kill(cs[2])
+	submit(t, cls[0], cs[0], 12, 2)
+	submit(t, cls[1], cs[1], 12, 2)
+	if err := mergedReplay(cs[0], cs...); err != nil {
 		t.Fatalf("replay equivalence across drain: %v", err)
 	}
 
 	// Draining the same site again is an error (already gone).
-	if err := c.Drain(2); err == nil {
+	if err := cs[2].Drain(2); err == nil {
 		t.Fatal("second drain of the same site succeeded")
 	}
 }
 
 // TestMarkSiteGoneFencesAnUnwitnessedDrain: a process that boots into a
 // cluster whose snapshot lists a gone slot fences it without having seen
-// the drain — the slot reads gone, refuses submissions with the taxonomy
-// error and is skipped by routing and rounds, while the epoch stays (the
-// next observed membership change logs the table) and a repeated or
-// out-of-range mark changes nothing.
+// the drain — the slot reads gone and is skipped by the join handshake and
+// by rounds (the drained process is gone: a message to it would be
+// refused), while the epoch stays (the next observed membership change logs
+// the table) and a repeated or out-of-range mark changes nothing.
 func TestMarkSiteGoneFencesAnUnwitnessedDrain(t *testing.T) {
-	c := simCluster(t, homeo.Options{Sites: 3, EnableLog: true})
-	cls, err := c.Register(homeo.ClassSpec{
-		L:       withdrawSrc,
-		Bounds:  map[string][2]int64{"n": {1, 5}},
-		Initial: map[string]int64{"bal": 60},
-	})
-	if err != nil {
+	spec := homeo.ClassSpec{L: withdrawSrc, Bounds: map[string][2]int64{"n": {1, 5}}, Initial: map[string]int64{"bal": 60}}
+	f, cs, cls := simSites(t, 3, spec, homeo.Options{EnableLog: true})
+	if err := cs[2].Drain(2); err != nil {
 		t.Fatal(err)
 	}
-	epoch := c.TopologyEpoch()
-	for _, site := range []int{2, 2, -1, 3} {
-		c.MarkSiteGone(site)
-	}
-	if got := strings.Join(c.SiteStatuses(), ","); got != "active,active,gone" || c.ActiveSites() != 2 {
-		t.Fatalf("statuses %s, %d active, want active,active,gone and 2", got, c.ActiveSites())
-	}
-	if c.TopologyEpoch() != epoch {
-		t.Error("marking a slot gone bumped the epoch")
-	}
-	at2, err := c.SessionAt(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := at2.Submit(context.Background(), cls, 1); !errors.Is(err, homeo.ErrSiteGone) {
-		t.Fatalf("submit at the fenced site: %v, want ErrSiteGone", err)
-	}
-	synced := false
-	for i := 0; i < 40; i++ {
-		res, err := c.Session().Submit(context.Background(), cls, 2)
-		if err != nil {
+	f.Kill(cs[2])
+
+	j, jcls := bootSim(t, f, 3, 4, spec)
+	epoch := j.TopologyEpoch()
+	for _, site := range []int{2, 2, -1, 4} {
+		if err := j.MarkSiteGone(site); err != nil {
 			t.Fatal(err)
 		}
-		if res.Site == 2 {
-			t.Fatal("round-robin routed to the fenced site")
-		}
-		synced = synced || res.Synced
 	}
-	if !synced {
+	if got := strings.Join(j.SiteStatuses(), ","); got != "active,active,gone,active" || j.ActiveSites() != 3 {
+		t.Fatalf("statuses %s, %d active, want active,active,gone,active and 3", got, j.ActiveSites())
+	}
+	if j.TopologyEpoch() != epoch {
+		t.Error("marking a slot gone bumped the epoch")
+	}
+	if _, err := j.Join(homeo.SimAddr(3)); err != nil {
+		t.Fatalf("Join past the fenced slot: %v", err)
+	}
+	f.Attach(j)
+	synced := submit(t, jcls, j, 20, 2) + submit(t, cls[0], cs[0], 20, 2)
+	if synced == 0 {
 		t.Error("no submission paid a round past the fenced slot")
 	}
-	if err := c.CheckReplayEquivalence(); err != nil {
+	if err := mergedReplay(cs[0], cs[0], cs[1], cs[2], j); err != nil {
 		t.Fatalf("replay equivalence past the fenced slot: %v", err)
 	}
 }
@@ -252,34 +250,22 @@ func TestMarkSiteGoneFencesAnUnwitnessedDrain(t *testing.T) {
 // round folds from the base, and one that read site 0's copy would
 // resurrect the balance as it stood at the absorb.
 func TestRoundsAfterDrainOfSiteZeroSim(t *testing.T) {
-	c := simCluster(t, homeo.Options{Sites: 3, EnableLog: true})
-	cls, err := c.Register(homeo.ClassSpec{
-		L:       withdrawSrc,
-		Bounds:  map[string][2]int64{"n": {1, 5}},
-		Initial: map[string]int64{"bal": 400},
-	})
-	if err != nil {
-		t.Fatal(err)
+	spec := homeo.ClassSpec{L: withdrawSrc, Bounds: map[string][2]int64{"n": {1, 5}}, Initial: map[string]int64{"bal": 400}}
+	f, cs, cls := simSites(t, 3, spec, homeo.Options{EnableLog: true})
+	for k, c := range cs {
+		submit(t, cls[k], c, 7, 3)
 	}
-	s := c.Session()
-	submit := func(n int) {
-		t.Helper()
-		for i := 0; i < n; i++ {
-			if _, err := s.Submit(context.Background(), cls, 3); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	submit(20)
-	if err := c.Drain(0); err != nil {
+	if err := cs[0].Drain(0); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
-	rounds := c.Stats().Negotiations
-	submit(125)
-	if c.Stats().Negotiations == rounds {
+	f.Kill(cs[0])
+	rounds := cs[1].Stats().Negotiations + cs[2].Stats().Negotiations
+	submit(t, cls[1], cs[1], 63, 3)
+	submit(t, cls[2], cs[2], 62, 3)
+	if cs[1].Stats().Negotiations+cs[2].Stats().Negotiations == rounds {
 		t.Fatal("no round ran after the drain; the test exercises nothing")
 	}
-	if err := c.CheckReplayEquivalence(); err != nil {
+	if err := mergedReplay(cs[1], cs...); err != nil {
 		t.Fatalf("replay equivalence after draining site 0: %v", err)
 	}
 }
@@ -288,38 +274,24 @@ func TestRoundsAfterDrainOfSiteZeroSim(t *testing.T) {
 // an original site, keep serving on the survivors — in one deterministic
 // run.
 func TestJoinThenDrainSim(t *testing.T) {
-	c := simCluster(t, homeo.Options{Sites: 2, EnableLog: true})
-	cls, err := c.Register(homeo.ClassSpec{
-		L:       depositSrc,
-		Bounds:  map[string][2]int64{"n": {1, 5}},
-		Initial: map[string]int64{"acct": 50},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := c.Session()
-	submit := func(n int) {
-		t.Helper()
-		for i := 0; i < n; i++ {
-			if _, err := s.Submit(context.Background(), cls, 2); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	submit(8)
-	if _, err := c.Join(""); err != nil {
-		t.Fatalf("Join: %v", err)
-	}
-	submit(8)
-	if err := c.Drain(0); err != nil {
+	spec := homeo.ClassSpec{L: depositSrc, Bounds: map[string][2]int64{"n": {1, 5}}, Initial: map[string]int64{"acct": 50}}
+	f, cs, cls := simSites(t, 2, spec, homeo.Options{EnableLog: true})
+	submit(t, cls[0], cs[0], 4, 2)
+	submit(t, cls[1], cs[1], 4, 2)
+	j, jcls := joinSim(t, f, cs[0], spec)
+	submit(t, jcls, j, 8, 2)
+	if err := cs[0].Drain(0); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
-	submit(16)
-	st := c.Stats()
-	if st.Sites != 3 || st.ActiveSites != 2 || st.SiteStatus[0] != "gone" {
-		t.Fatalf("topology = %+v", st.SiteStatus)
+	submit(t, cls[1], cs[1], 8, 2)
+	submit(t, jcls, j, 8, 2)
+	for _, c := range []*homeo.Cluster{cs[1], j} {
+		st := c.Stats()
+		if st.Sites != 3 || st.ActiveSites != 2 || st.SiteStatus[0] != "gone" {
+			t.Fatalf("site %d's topology = %v", c.SelfSite(), st.SiteStatus)
+		}
 	}
-	if err := c.CheckReplayEquivalence(); err != nil {
+	if err := mergedReplay(cs[1], cs[0], cs[1], j); err != nil {
 		t.Fatalf("replay equivalence across join+drain: %v", err)
 	}
 }
@@ -332,5 +304,24 @@ func TestStatsTopology(t *testing.T) {
 	if st.Sites != 2 || st.ActiveSites != 2 || st.TopologyEpoch != 0 ||
 		strings.Join(st.SiteStatus, ",") != "active,active" || len(st.SiteAddrs) != 2 {
 		t.Fatalf("stats topology = %+v", st)
+	}
+}
+
+// TestElasticNeedsTheFabric: a cluster without Options.Fabric holds every
+// site in one process and has no membership to change. Join, Drain and
+// MarkSiteGone refuse, naming the requirement, and change nothing.
+func TestElasticNeedsTheFabric(t *testing.T) {
+	c := simCluster(t, homeo.Options{Sites: 3})
+	if _, err := c.Register(homeo.ClassSpec{L: depositSrc}); err != nil {
+		t.Fatal(err)
+	}
+	_, jerr := c.Join("")
+	for what, err := range map[string]error{"Join": jerr, "Drain": c.Drain(1), "MarkSiteGone": c.MarkSiteGone(2)} {
+		if err == nil || !strings.Contains(err.Error(), "Options.Fabric") {
+			t.Errorf("%s on a single-process cluster: %v, want a refusal naming Options.Fabric", what, err)
+		}
+	}
+	if c.Sites() != 3 || c.ActiveSites() != 3 || c.TopologyEpoch() != 0 {
+		t.Fatalf("a refused operation changed the membership: %d sites, %d active, epoch %d", c.Sites(), c.ActiveSites(), c.TopologyEpoch())
 	}
 }

@@ -212,8 +212,8 @@ type Options struct {
 	// registered at every site (the multi-process driver does both). New
 	// refuses a fabric under ModeTwoPC and ModeLocal: the baselines are
 	// single-process comparison systems — they replicate by writing this
-	// process's stores and log nothing a replay could use — and Join and
-	// Drain refuse under them likewise.
+	// process's stores and log nothing a replay could use. Join, Drain and
+	// MarkSiteGone need a fabric: a cluster without one refuses them.
 	Fabric *FabricOptions
 }
 
@@ -268,19 +268,16 @@ type Cluster struct {
 	classes map[string]*TxnClass
 	rng     *rand.Rand
 
-	// anySite is the round-robin session every Session() call returns.
-	anySite *Session
+	// anySite is the round-robin session every Session() call returns, and
+	// sessions[k] the one pinned to site k (see SessionAt).
+	anySite  *Session
+	sessions []*Session
 
 	inflight atomic.Int64
 	draining atomic.Bool
 	nextID   atomic.Int64
 	nextSite atomic.Int64
 	start    time.Time
-
-	// topo is the lock-free membership snapshot the submission path
-	// routes by; refreshed after every membership operation (see
-	// elastic.go).
-	topo atomic.Pointer[topoView]
 }
 
 // wallClock is the package's sole sanctioned wall-clock source (uptime
@@ -291,10 +288,32 @@ var wallClock = time.Now //homeo:wallclock sole clock construction site
 // for the treaty-based modes — offline treaties for the base workload's
 // units. Registered classes get their treaties generated online.
 func New(opts Options) (*Cluster, error) {
+	if opts.Fabric != nil && opts.Runtime != RuntimeLive {
+		return nil, fmt.Errorf("homeo: Options.Fabric (multi-process) requires RuntimeLive")
+	}
+	var eng rt.Runtime
+	switch opts.Runtime {
+	case RuntimeSim:
+		eng = sim.NewEngine(opts.Seed)
+	case RuntimeLive:
+		eng = rtlive.New(opts.Seed)
+	default:
+		return nil, fmt.Errorf("homeo: unknown runtime kind %d", opts.Runtime)
+	}
+	// Multi-process: this process owns one site; peer messages ride the
+	// HTTP fabric. The peer endpoints are served by homeo/httpapi's
+	// /v1/peer/* mount (PeerHandler).
+	return boot(opts, eng, func(c *Cluster, f *FabricOptions) fabric.Elastic {
+		ht := fabric.NewHTTP(c.live, f.Site, f.Peers, c.sys.Node(f.Site), f.Client)
+		ht.SetToken(f.Token)
+		return ht
+	})
+}
+
+// boot builds the cluster New describes on eng; when opts.Fabric is set,
+// fab builds the transport this process's site reaches its peers over.
+func boot(opts Options, eng rt.Runtime, fab func(*Cluster, *FabricOptions) fabric.Elastic) (*Cluster, error) {
 	if opts.Fabric != nil {
-		if opts.Runtime != RuntimeLive {
-			return nil, fmt.Errorf("homeo: Options.Fabric (multi-process) requires RuntimeLive")
-		}
 		if n := len(opts.Fabric.Peers); n < 1 {
 			return nil, fmt.Errorf("homeo: Options.Fabric.Peers must name every site")
 		} else if opts.Sites != 0 && opts.Sites != n {
@@ -338,6 +357,9 @@ func New(opts Options) (*Cluster, error) {
 		start:     wallClock(),
 	}
 	c.anySite = &Session{c: c, site: -1}
+	for k := 0; k < opts.Sites; k++ {
+		c.sessions = append(c.sessions, &Session{c: c, site: k})
+	}
 	sysOpts := homeostasis.Options{
 		Mode:           opts.Mode,
 		Alloc:          opts.Alloc,
@@ -350,24 +372,14 @@ func New(opts Options) (*Cluster, error) {
 		Measure:        rt.Duration(opts.Measure),
 		Seed:           opts.Seed,
 		EnableLog:      opts.EnableLog,
-		WALDir:         opts.WAL.Dir,
-		WALSync:        opts.WAL.Sync,
 	}
-	switch opts.Runtime {
-	case RuntimeSim:
-		c.sim = sim.NewEngine(opts.Seed)
-		c.eng = c.sim
-	case RuntimeLive:
-		c.live = rtlive.New(opts.Seed)
-		c.eng = c.live
-		// The cleanup phase's consolidated T' executions are real work on
-		// the live runtime: charge a CPU slot and the service time (the
-		// simulator keeps the paper's seed model so experiment goldens
-		// hold).
-		sysOpts.CleanupExec = true
-	default:
-		return nil, fmt.Errorf("homeo: unknown runtime kind %d", opts.Runtime)
-	}
+	c.eng = eng
+	c.sim, _ = eng.(*sim.Engine)
+	c.live, _ = eng.(*rtlive.Runtime)
+	// The cleanup phase's consolidated T' executions are real work on the
+	// live runtime: charge a CPU slot and the service time (the simulator
+	// keeps the paper's seed model so experiment goldens hold).
+	sysOpts.CleanupExec = c.live != nil
 	sys, err := homeostasis.New(c.eng, reg, sysOpts)
 	if err != nil {
 		return nil, err
@@ -385,12 +397,7 @@ func New(opts Options) (*Cluster, error) {
 		if err := sys.RequireTreaties("the multi-process site fabric (Options.Fabric)"); err != nil {
 			return nil, err
 		}
-		// Multi-process: this process owns one site; peer messages ride
-		// the HTTP fabric. The peer endpoints are served by
-		// homeo/httpapi's /v1/peer/* mount (PeerHandler).
-		ht := fabric.NewHTTP(c.live, f.Site, f.Peers, sys.Node(f.Site), f.Client)
-		ht.SetToken(f.Token)
-		sys.SetFabric(ht, f.Site)
+		sys.SetFabric(fab(c, f), f.Site)
 		// Record the initial membership's addresses so membership WAL
 		// records and join admissions can rebuild peer transports.
 		sys.SetSiteAddrs(f.Peers)
@@ -513,8 +520,6 @@ func (c *Cluster) Recover() (int, error) {
 		return 0, nil
 	}
 	// The rejoin handshake parks on peer replies, so it needs a process.
-	// Recovery may also have replayed membership records (grown width,
-	// drained slots), so refresh the routing snapshot after it.
 	rejoin := func() error {
 		return c.runProc("rejoin handshake", func(p rt.Proc) error {
 			return c.sys.RejoinFabric(p)
@@ -528,7 +533,6 @@ func (c *Cluster) Recover() (int, error) {
 		time.Sleep(wait)
 		rerr = rejoin()
 	}
-	c.refreshTopo()
 	return n, rerr
 }
 

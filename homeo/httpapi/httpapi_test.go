@@ -352,31 +352,72 @@ func TestSSEStream(t *testing.T) {
 	}
 }
 
-// TestTopologyEndpointsOverHTTP drives the elastic-topology surface over
-// the wire: the membership view, a drain (fence + absorb + epoch bump),
-// the site_gone refusal for submissions pinned to the drained slot, and
-// the refusal of a second drain.
-func TestTopologyEndpointsOverHTTP(t *testing.T) {
-	_, _, srv, cl := newServer(t, homeo.Options{EnableLog: true})
-	ctx := context.Background()
-	if _, err := cl.RegisterClass(ctx, wire.ClassRequest{
-		L:       depositSrc,
-		Bounds:  map[string][2]int64{"n": {1, 5}},
-		Initial: map[string]int64{"acct": 40},
-	}); err != nil {
-		t.Fatal(err)
+// lateHandler serves through a handler set after its server started, so
+// that every process of a fabric can be told every server's URL.
+type lateHandler struct {
+	h atomic.Pointer[httpapi.Handler]
+}
+
+func (l *lateHandler) ServeHTTP(rw http.ResponseWriter, req *http.Request) {
+	l.h.Load().ServeHTTP(rw, req)
+}
+
+// newFabric serves an n-process cluster on the live runtime: n Clusters,
+// one site each, over the HTTP site fabric on loopback, and a client of
+// each.
+func newFabric(t *testing.T, n int) ([]*homeo.Cluster, []*client.Client) {
+	t.Helper()
+	late := make([]lateHandler, n)
+	peers := make([]string, n)
+	for k := range peers {
+		srv := httptest.NewServer(&late[k])
+		t.Cleanup(srv.Close)
+		peers[k] = srv.URL
 	}
-	for i := 0; i < 6; i++ {
-		if _, err := cl.Submit(ctx, wire.TxnRequest{Class: "Deposit", Args: []int64{1}}); err != nil {
+	cs := make([]*homeo.Cluster, n)
+	cls := make([]*client.Client, n)
+	for k := range cs {
+		c, err := homeo.New(homeo.Options{Runtime: homeo.RuntimeLive, LocalExecTime: 100 * time.Microsecond, Seed: 4,
+			EnableLog: true, Fabric: &homeo.FabricOptions{Site: k, Peers: peers}})
+		if err != nil {
 			t.Fatal(err)
+		}
+		t.Cleanup(c.Close)
+		late[k].h.Store(httpapi.NewHandler(c))
+		cs[k], cls[k] = c, client.New(peers[k], client.Options{Seed: 1})
+	}
+	return cs, cls
+}
+
+// TestTopologyEndpointsOverHTTP drives the elastic-topology surface over
+// the wire, between the two processes of a cluster: the membership view, a
+// drain (fence + absorb + epoch bump at both), the site_gone refusal for
+// submissions pinned to the drained slot, and the refusals of a drain of
+// another process's site, of a second drain, and of any drain on a
+// single-process cluster, which has no membership to change.
+func TestTopologyEndpointsOverHTTP(t *testing.T) {
+	_, cls := newFabric(t, 2)
+	ctx := context.Background()
+	for _, cl := range cls {
+		if _, err := cl.RegisterClass(ctx, wire.ClassRequest{
+			L:       depositSrc,
+			Bounds:  map[string][2]int64{"n": {1, 5}},
+			Initial: map[string]int64{"acct": 40},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if _, err := cl.Submit(ctx, wire.TxnRequest{Class: "Deposit", Args: []int64{1}}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 
-	topo, err := cl.Topology(ctx)
+	topo, err := cls[0].Topology(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if topo.Epoch != 0 || topo.Sites != 2 || topo.ActiveSites != 2 || topo.SelfSite != -1 {
+	if topo.Epoch != 0 || topo.Sites != 2 || topo.ActiveSites != 2 || topo.SelfSite != 0 {
 		t.Fatalf("fresh topology = %+v", topo)
 	}
 	for k, s := range topo.SiteStatus {
@@ -385,49 +426,57 @@ func TestTopologyEndpointsOverHTTP(t *testing.T) {
 		}
 	}
 
-	ack, err := cl.DrainSite(ctx, 1)
+	if _, err := cls[0].DrainSite(ctx, 1); homeoCode(err) != "conflict" {
+		t.Fatalf("process 0 draining site 1: %v, want conflict", err)
+	}
+	ack, err := cls[1].DrainSite(ctx, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ack.Sites != 2 || ack.ActiveSites != 1 || ack.Epoch == 0 {
 		t.Fatalf("drain ack = %+v", ack)
 	}
-	topo, err = cl.Topology(ctx)
+	topo, err = cls[0].Topology(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if topo.Epoch != ack.Epoch || topo.ActiveSites != 1 || topo.SiteStatus[1] != "gone" {
-		t.Fatalf("post-drain topology = %+v", topo)
+	if topo.Epoch == 0 || topo.ActiveSites != 1 || topo.SiteStatus[1] != "gone" {
+		t.Fatalf("post-drain topology at process 0 = %+v", topo)
 	}
 
 	// A submission pinned to the drained slot refuses with HTTP 410 and
 	// the structured site_gone code (the pool's failover cue).
-	noRetry := client.New(srv.URL, client.Options{MaxAttempts: 1, Seed: 1})
 	gone := 1
-	_, err = noRetry.Submit(ctx, wire.TxnRequest{Class: "Deposit", Args: []int64{1}, Site: &gone})
+	_, err = cls[1].Submit(ctx, wire.TxnRequest{Class: "Deposit", Args: []int64{1}, Site: &gone})
 	var ae *client.APIError
 	if !errors.As(err, &ae) || ae.Status != http.StatusGone || ae.Code != "site_gone" {
 		t.Fatalf("pinned submit to drained site: %v, want 410 site_gone", err)
 	}
-	// Unpinned submissions route around the drained slot and keep
-	// committing.
-	res, err := cl.Submit(ctx, wire.TxnRequest{Class: "Deposit", Args: []int64{1}})
+	// The surviving process keeps committing.
+	res, err := cls[0].Submit(ctx, wire.TxnRequest{Class: "Deposit", Args: []int64{1}})
 	if err != nil || !res.Committed || res.Site != 0 {
 		t.Fatalf("post-drain submit = (%+v, %v)", res, err)
 	}
 	// Draining an already-gone slot is a conflict, not a crash.
-	if _, err := cl.DrainSite(ctx, 1); homeoCode(err) != "conflict" {
+	if _, err := cls[1].DrainSite(ctx, 1); homeoCode(err) != "conflict" {
 		t.Fatalf("double drain: %v, want conflict", err)
 	}
 
 	// Stats carry the same topology fields the pool refreshes from.
-	st, err := cl.Stats(ctx)
+	st, err := cls[0].Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.TopologyEpoch != ack.Epoch || st.ActiveSites != 1 || len(st.SiteStatus) != 2 || st.SiteStatus[1] != "gone" {
+	if st.TopologyEpoch != topo.Epoch || st.ActiveSites != 1 || len(st.SiteStatus) != 2 || st.SiteStatus[1] != "gone" {
 		t.Fatalf("stats topology fields = epoch %d active %d status %v",
 			st.TopologyEpoch, st.ActiveSites, st.SiteStatus)
+	}
+
+	// A single-process cluster holds every site: nothing to drain.
+	_, _, _, single := newServer(t, homeo.Options{})
+	_, err = single.DrainSite(ctx, 1)
+	if !errors.As(err, &ae) || ae.Status != http.StatusConflict || !strings.Contains(ae.Message, "Options.Fabric") {
+		t.Fatalf("drain on a single-process cluster: %v, want 409 naming Options.Fabric", err)
 	}
 }
 

@@ -28,16 +28,17 @@ func (c *Cluster) Session() *Session { return c.anySite }
 // processes.
 //
 // A session holds nothing but its site, so the cluster keeps one per site
-// in its membership snapshot and hands the same one to every caller.
+// and hands the same one to every caller, without a lock: the /v1/txn path
+// asks for one per request.
 func (c *Cluster) SessionAt(site int) (*Session, error) {
-	v := c.topoSnapshot()
-	if site < 0 || site >= v.width {
-		return nil, fmt.Errorf("homeo: site %d out of range [0,%d)", site, v.width)
+	self := c.SelfSite()
+	if site < 0 || self < 0 && site >= len(c.sessions) {
+		return nil, fmt.Errorf("homeo: site %d out of range [0,%d)", site, len(c.sessions))
 	}
-	if self := c.SelfSite(); self >= 0 && site != self {
+	if self >= 0 && site != self {
 		return nil, fmt.Errorf("homeo: site %d is served by another process (this process owns site %d)", site, self)
 	}
-	return v.sessions[site], nil
+	return c.sessions[site], nil
 }
 
 // Result is the observable outcome of one submission.
@@ -129,18 +130,8 @@ func (s *Session) pickSite() int {
 		// Multi-process: this process executes only its own site.
 		return self
 	}
-	// Round-robin over the current membership, skipping drained sites
-	// (the lock-free topology snapshot is refreshed by every membership
-	// operation). If every slot is inactive, fall through and let the
-	// protocol layer refuse with its fence error.
-	v := s.c.topoSnapshot()
-	for try := 0; try < v.width; try++ {
-		site := int(s.c.nextSite.Add(1)-1) % v.width
-		if v.active[site] {
-			return site
-		}
-	}
-	return int(s.c.nextSite.Add(1)-1) % v.width
+	// Round-robin over a single process's sites, which never change.
+	return int(s.c.nextSite.Add(1)-1) % len(s.c.sessions)
 }
 
 func (s *Session) submit(ctx context.Context, req workload.Request) (Result, error) {

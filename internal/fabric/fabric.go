@@ -15,15 +15,16 @@
 // the same two rounds with no winner in InstallState.
 // Beside the round's four messages (those three and AbortRound) a Node
 // answers recovery's Rejoin and membership's JoinSite and DrainSite: seven
-// in all, each with one Transport method and, over HTTP, one endpoint.
+// in all, each with one Transport or Elastic method and, over HTTP, one
+// endpoint.
 //
-// Two transports ship with the repository. Local keeps every site
-// in-process: messages are direct calls, with communication latency
-// charged to the coordinating process per message from the cluster
-// topology (the round completes when the slowest peer's reply is back).
-// HTTP ships the same messages over real sockets (homeo/wire peer types
-// in the internal/fabric/codec encoding, served under /v1/peer/*), so a
-// cluster can run as one OS process per site on different machines.
+// Three transports ship with the repository. Local keeps every site
+// in-process and carries the round only: messages are direct calls, with
+// latency charged to the coordinator from the cluster topology. HTTP ships
+// the same messages over real sockets (homeo/wire peer types in the
+// internal/fabric/codec encoding, under /v1/peer/*), one OS process per
+// site; Sim carries HTTP's messages between a cluster's Systems on one
+// simulator instead, for seeded tests. Both carry membership (Elastic).
 package fabric
 
 import (
@@ -172,7 +173,7 @@ type JoinSite struct {
 	Clock int64
 	// Site is the joining site's index: the cluster width before the join.
 	Site int
-	// Addr is the joining site's peer base URL ("" on in-process fabrics).
+	// Addr is the joining site's peer address: its base URL over HTTP.
 	Addr string
 	// Phase is JoinPrepare or JoinActivate.
 	Phase int
@@ -264,22 +265,19 @@ type Node interface {
 	DrainSite(m DrainSite) (DrainReply, error)
 }
 
-// Transport ships the coordinator's messages to every site's Node and
-// charges the coordinating process the communication cost. All methods
+// Transport ships the coordinator's round messages to every site's Node
+// and charges the coordinating process the communication cost. All methods
 // are called from process context (the caller holds its runtime's
 // execution right); implementations that wait for real I/O park the
 // process while requests are in flight.
 type Transport interface {
-	// NSites reports the cluster width.
-	NSites() int
-
 	// Collect runs the round-1 scatter/gather: deliver the CollectState
 	// message to every site and gather the replies, indexed by site. The
 	// message is built by mkMsg when the round's membership is final:
 	// the Local transport materializes it at round completion (so
-	// violators that join the in-flight round are folded too), HTTP at
-	// send time. A failure is returned as a *SiteError naming the first
-	// failed site; ErrBusy from any site surfaces through it.
+	// violators that join the in-flight round are folded too), HTTP and
+	// Sim at send time. A failure is returned as a *SiteError naming the
+	// first failed site; ErrBusy from any site surfaces through it.
 	Collect(p rt.Proc, from int, mkMsg func() CollectState) ([]StateReply, error)
 
 	// Install delivers the folded state to every site as the closing
@@ -296,6 +294,13 @@ type Transport interface {
 
 	// Abort releases a round at every site.
 	Abort(p rt.Proc, from int, m AbortRound) error
+}
+
+// Elastic is a Transport that also carries membership — the recovery, join
+// and drain handshakes and the peer list they change — as a System that
+// owns one site of a cluster needs (HTTP, Sim; not Local).
+type Elastic interface {
+	Transport
 
 	// Rejoin delivers the recovery handshake to every peer of the
 	// rejoining site (the from site itself is skipped — it is the
@@ -312,10 +317,9 @@ type Transport interface {
 	// drained site itself) and gathers the acks, indexed by site.
 	Drain(p rt.Proc, from int, m DrainSite) ([]DrainReply, error)
 
-	// AddSite grows the transport by one site at the next index: Local
-	// gains the node, HTTP gains the peer address. Call under the site
-	// runtime's execution right, never mid-scatter.
-	AddSite(addr string, node Node)
+	// AddSite grows the membership by one peer at the next index. Call
+	// under the site runtime's execution right, never mid-scatter.
+	AddSite(addr string)
 
 	// MarkGone excludes a drained site from every future scatter (its
 	// reply slots stay present and zero, keeping site indexing stable).

@@ -2,6 +2,7 @@ package fabric_test
 
 import (
 	"bytes"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -17,10 +18,11 @@ import (
 	"repro/internal/sim"
 )
 
-// TestLocalConformance runs the transport conformance suite against the
-// in-process transport on the deterministic simulator.
+// TestLocalConformance runs the round half of the transport conformance
+// suite against the in-process transport on the deterministic simulator:
+// Local carries no membership.
 func TestLocalConformance(t *testing.T) {
-	fabrictest.Run(t, func(t *testing.T, n int) *fabrictest.Harness {
+	fabrictest.RunRound(t, func(t *testing.T, n int) *fabrictest.Harness {
 		eng := sim.NewEngine(1)
 		nodes := make([]*fabrictest.StubNode, n)
 		fnodes := make([]fabric.Node, n)
@@ -65,6 +67,41 @@ func TestHTTPConformance(t *testing.T) {
 			Exec:      func(fn func(p rt.Proc)) { exec(t, live, fn) },
 		}
 	})
+}
+
+// TestSimConformance runs the whole conformance suite against the
+// simulated transport: site 0 is the transport under test, every other site
+// a stub attached to the same net, so every message crosses the codec both
+// ways on the simulator's clock.
+func TestSimConformance(t *testing.T) {
+	fabrictest.Run(t, func(t *testing.T, n int) *fabrictest.Harness {
+		eng := sim.NewEngine(1)
+		net, addrs := simNet(eng, cluster.Uniform(n, 50*rt.Millisecond))
+		nodes := make([]*fabrictest.StubNode, n)
+		for k := range nodes {
+			nodes[k] = &fabrictest.StubNode{Site: k}
+			if k > 0 {
+				net.Attach(net.Transport(k, addrs, nodes[k]))
+			}
+		}
+		return &fabrictest.Harness{
+			Transport: net.Transport(0, addrs, nodes[0]),
+			Nodes:     nodes,
+			Exec: func(fn func(p rt.Proc)) {
+				eng.Spawn(0, fn)
+				eng.Run()
+			},
+		}
+	})
+}
+
+// simNet builds a net over topo and names its sites' addresses.
+func simNet(eng *sim.Engine, topo *cluster.Topology) (*fabric.SimNet, []string) {
+	addrs := make([]string, topo.NSites())
+	for k := range addrs {
+		addrs[k] = fmt.Sprintf("sim://site-%d", k)
+	}
+	return fabric.NewSimNet(eng, topo), addrs
 }
 
 // chargeNode answers collects with empty values (latency test only).

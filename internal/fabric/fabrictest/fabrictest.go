@@ -1,11 +1,12 @@
 // Package fabrictest is a conformance suite for implementations of the
-// fabric.Transport contract, mirroring internal/rt/rttest. Both shipped
-// transports run it: fabric.Local (in-process, simulator) and fabric.HTTP
-// (real sockets, wall-clock runtime). The suite checks the behaviors the
-// coordinator depends on: scatter/gather delivery and reply ordering,
-// partial-failure surfacing with site attribution (busy refusals
-// included), per-site treaty distribution, and message round-trip
-// encoding (values, object names, treaty constraints).
+// fabric.Transport contract, mirroring internal/rt/rttest. The shipped
+// transports run it: fabric.Local (in-process, simulator) its round half,
+// fabric.HTTP (real sockets, wall-clock runtime) and fabric.Sim (one
+// simulator) all of it. The suite checks the behaviors the coordinator
+// depends on: scatter/gather delivery and reply ordering, partial-failure
+// surfacing with site attribution (busy refusals included), per-site
+// treaty distribution, message round-trip encoding (values, object names,
+// treaty constraints), and the membership handshakes.
 package fabrictest
 
 import (
@@ -156,14 +157,21 @@ func (s *StubNode) Snapshot() (c []fabric.CollectState, i []fabric.InstallState,
 
 var _ fabric.Node = (*StubNode)(nil)
 
-// Run executes the conformance suite against harnesses built by mk.
-func Run(t *testing.T, mk Factory) {
+// RunRound executes the round half of the suite — what every transport
+// carries — against harnesses built by mk.
+func RunRound(t *testing.T, mk Factory) {
 	t.Run("CollectScatterGather", func(t *testing.T) { testCollect(t, mk(t, 3)) })
 	t.Run("CollectPartialFailure", func(t *testing.T) { testPartialFailure(t, mk(t, 3)) })
 	t.Run("CollectBusy", func(t *testing.T) { testBusy(t, mk(t, 3)) })
 	t.Run("InstallStateDelivery", func(t *testing.T) { testInstallState(t, mk(t, 3)) })
 	t.Run("DistributePerSite", func(t *testing.T) { testDistribute(t, mk(t, 3)) })
 	t.Run("AbortDelivery", func(t *testing.T) { testAbort(t, mk(t, 2)) })
+}
+
+// Run executes the whole suite, the membership handshakes included,
+// against harnesses built by mk, whose transports must be fabric.Elastic.
+func Run(t *testing.T, mk Factory) {
+	RunRound(t, mk)
 	t.Run("RejoinHandshake", func(t *testing.T) { testRejoin(t, mk(t, 3)) })
 	t.Run("JoinHandshake", func(t *testing.T) { testJoin(t, mk(t, 3)) })
 	t.Run("DrainBroadcast", func(t *testing.T) { testDrain(t, mk(t, 3)) })
@@ -333,9 +341,10 @@ func testDistribute(t *testing.T, h *Harness) {
 // gathered replies are indexed by site with payloads intact.
 func testRejoin(t *testing.T, h *Harness) {
 	m := fabric.Rejoin{Site: 1, Clock: 17, Versions: map[int]int64{0: 3, 4: 9}}
+	e := h.Transport.(fabric.Elastic)
 	var replies []fabric.RejoinReply
 	var err error
-	h.Exec(func(p rt.Proc) { replies, err = h.Transport.Rejoin(p, 1, m) })
+	h.Exec(func(p rt.Proc) { replies, err = e.Rejoin(p, 1, m) })
 	if err != nil {
 		t.Fatalf("Rejoin: %v", err)
 	}
@@ -381,11 +390,12 @@ func testRejoin(t *testing.T, h *Harness) {
 // member except the joiner itself, the phase and address survive the
 // trip, and the prepare replies carry the partition cut intact.
 func testJoin(t *testing.T, h *Harness) {
+	e := h.Transport.(fabric.Elastic)
 	for _, phase := range []int{fabric.JoinPrepare, fabric.JoinActivate} {
 		m := fabric.JoinSite{Round: round(1), Clock: 23, Site: 1, Addr: "http://joiner:7", Phase: phase}
 		var replies []fabric.JoinReply
 		var err error
-		h.Exec(func(p rt.Proc) { replies, err = h.Transport.Join(p, 1, m) })
+		h.Exec(func(p rt.Proc) { replies, err = e.Join(p, 1, m) })
 		if err != nil {
 			t.Fatalf("Join phase %d: %v", phase, err)
 		}
@@ -440,9 +450,10 @@ func testJoin(t *testing.T, h *Harness) {
 // drained site receives it, and the epoch acks are indexed by site.
 func testDrain(t *testing.T, h *Harness) {
 	m := fabric.DrainSite{Site: 2, Clock: 31}
+	e := h.Transport.(fabric.Elastic)
 	var replies []fabric.DrainReply
 	var err error
-	h.Exec(func(p rt.Proc) { replies, err = h.Transport.Drain(p, 2, m) })
+	h.Exec(func(p rt.Proc) { replies, err = e.Drain(p, 2, m) })
 	if err != nil {
 		t.Fatalf("Drain: %v", err)
 	}

@@ -53,6 +53,8 @@ type HTTP struct {
 	// in flight.
 	ps  atomic.Pointer[peerSet]
 	hdr atomic.Pointer[http.Header]
+	// net, when set, carries the messages on a simulator instead (Sim).
+	net *SimNet
 
 	// Messages counts peer HTTP requests sent, one per message (an
 	// observability surface for "no peer traffic outside violations").
@@ -77,8 +79,9 @@ var endpointNames = [nEndpoints]string{
 
 // peer is one remote site as every snapshot that holds it sees it.
 type peer struct {
-	// urls are the peer's endpoint URLs, parsed once; err is why there are
-	// none, when the address does not parse.
+	// urls are the peer's endpoint URLs under its base address addr, parsed
+	// once; err is why there are none, when the address does not parse.
+	addr string
 	urls [nEndpoints]*url.URL
 	err  error
 	// gone is set when the site drains; scatters skip it.
@@ -86,7 +89,7 @@ type peer struct {
 }
 
 func newPeer(addr string) *peer {
-	p := new(peer)
+	p := &peer{addr: addr}
 	for ep, name := range endpointNames {
 		u, err := url.Parse(addr + "/v1/peer/" + name)
 		if err != nil {
@@ -133,11 +136,9 @@ func NewHTTP(r rt.Runtime, self int, peers []string, node Node, hc *http.Client)
 	return t
 }
 
-// AddSite grows the membership by one peer at the next index (node is
-// unused — this process's own site is fixed). Existing per-peer flags
-// carry over; in-flight scatters keep their own snapshot.
-func (t *HTTP) AddSite(addr string, node Node) {
-	_ = node
+// AddSite grows the membership by one peer at the next index. Existing
+// per-peer flags carry over; in-flight scatters keep their own snapshot.
+func (t *HTTP) AddSite(addr string) {
 	t.ps.Store(t.ps.Load().with(addr))
 }
 
@@ -284,11 +285,15 @@ var flights = sync.Pool{New: func() any {
 
 func (f *flight) wakeUp() { f.p.WakeIf(f.token) }
 
-// deliver runs on the delivery's own goroutine: post, then wake the
-// coordinator if this was the last delivery out. It touches nothing of the
-// flight after that: the coordinator takes it back.
+// deliver runs on the delivery's own goroutine: post, then land.
 func (c *call) deliver() {
 	c.err = c.post()
+	c.land()
+}
+
+// land wakes the coordinator if this was the last delivery out. It touches
+// nothing of the flight after that: the coordinator takes it back.
+func (c *call) land() {
 	if fl := c.fl; fl.pending.Add(-1) == 0 {
 		fl.rt.At(fl.rt.Now(), fl.wake)
 	}
@@ -314,6 +319,14 @@ func (c *call) post() error {
 	if err != nil {
 		return err
 	}
+	return c.read(resp)
+}
+
+// read takes the peer's answer: the reply decoded into c.reply, or the
+// refusal it is.
+//
+//homeo:hotpath
+func (c *call) read(resp *http.Response) error {
 	if resp.StatusCode != http.StatusOK {
 		return refusal(endpointNames[c.ep], resp)
 	}
@@ -438,7 +451,11 @@ func exchange[Req, Rep, WReq, WRep any](
 		fl.pending.Store(int32(len(calls)))
 		for _, c := range calls {
 			c.fl = fl
-			go c.run()
+			if t.net != nil {
+				t.net.carry(&c.call)
+			} else {
+				go c.run()
+			}
 		}
 	}
 	if self {
@@ -526,7 +543,7 @@ func gather[Req, Rep, WReq, WRep any](
 	return replies, nil
 }
 
-var _ Transport = (*HTTP)(nil)
+var _ Elastic = (*HTTP)(nil)
 
 // NewPeerHandler serves the peer protocol over a node: the server half
 // of the HTTP transport. The handler owns the full /v1/peer/* paths, so

@@ -14,7 +14,7 @@ import (
 	"repro/internal/wal"
 )
 
-// This file makes sites durable: each in-process site appends committed
+// This file makes sites durable: each owned site appends committed
 // transactions, synchronization-round state installs, and installed
 // treaty generations to a per-site write-ahead log (internal/wal), and a
 // restarted process recovers by deterministic reboot (same seed, same
@@ -41,42 +41,24 @@ func (sys *System) OpenWAL(dir string, opts wal.Options) (int, error) {
 	if len(sys.wals) != 0 {
 		return 0, fmt.Errorf("homeostasis: WAL already open")
 	}
-	sys.walDir, sys.walOpts = dir, opts
-	sys.recovering = true
-	defer func() { sys.recovering = false }()
 	n := sys.Opts.Topo.NSites()
 	sys.wals = make([]*wal.Log, n)
 	recovered := 0
 	rp := sys.newReplay()
-	openReplay := func(k int) error {
-		l, recs, err := wal.Open(walPath(dir, k), opts)
-		if err != nil {
-			return err
-		}
-		sys.wals[k] = l
-		// State replay per site, in file order (the order it was logged).
-		if err := rp.applyWAL(k, recs); err != nil {
-			return err
-		}
-		recovered += len(recs)
-		return nil
-	}
 	for k := 0; k < n; k++ {
 		if sys.self >= 0 && k != sys.self {
 			continue
 		}
-		if err := openReplay(k); err != nil {
+		l, recs, err := wal.Open(walPath(dir, k), opts)
+		if err != nil {
 			return recovered, err
 		}
-	}
-	// Membership replay may have grown the cluster past the boot width:
-	// sites that joined in a previous life have logs of their own, which
-	// an in-process deployment owns and must replay too (growth during
-	// these replays extends the loop further).
-	for k := n; sys.self < 0 && k < sys.Opts.Topo.NSites(); k++ {
-		if err := openReplay(k); err != nil {
+		sys.wals[k] = l
+		// State replay per site, in file order (the order it was logged).
+		if err := rp.applyWAL(k, recs); err != nil {
 			return recovered, err
 		}
+		recovered += len(recs)
 	}
 	if sys.Opts.EnableLog {
 		sys.CommitLog = rp.commitLog(sys.CommitLog)
@@ -317,6 +299,10 @@ func (rp *replay) applyWAL(site int, recs []wal.Record) error {
 			if c.Width > maxWALSites {
 				return errWALRecord(site, i, errWALWidth("membership of width", c.Width))
 			}
+			el, err := sys.membership("replaying a membership record")
+			if err != nil {
+				return errWALRecord(site, i, err)
+			}
 			// Records carry the whole table, so replay keeps the last:
 			// grow to the recorded width (transports included, using the
 			// recorded addrs), then roll statuses forward.
@@ -339,7 +325,7 @@ func (rp *replay) applyWAL(site int, recs []wal.Record) error {
 				if st := siteStatus(s); st > sys.status[k] {
 					sys.status[k] = st
 					if st == siteGone {
-						sys.fab.MarkGone(k)
+						el.MarkGone(k)
 					}
 				}
 			}
@@ -535,16 +521,17 @@ func (sys *System) logTreaty(site, unit int, l treaty.Local, version, clk int64,
 // round-1 collect is all-to-all), forwards the treaty version, and pins
 // the unit at the repaired state so its next local write resynchronizes
 // under a freshly negotiated generation. Call from process context after
-// OpenWAL, before serving.
+// OpenWAL, before serving. A System holding every site has no peers and
+// nothing to do.
 func (sys *System) RejoinFabric(p rt.Proc) error {
-	if sys.self < 0 {
+	if sys.elastic == nil {
 		return nil
 	}
 	m := fabric.Rejoin{Site: sys.self, Clock: sys.tickClock(), Versions: make(map[int]int64, len(sys.Units))}
 	for _, u := range sys.Units {
 		m.Versions[u.id] = u.version
 	}
-	replies, err := sys.fab.Rejoin(p, sys.self, m)
+	replies, err := sys.elastic.Rejoin(p, sys.self, m)
 	if err != nil {
 		return err
 	}

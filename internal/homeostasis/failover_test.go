@@ -3,9 +3,9 @@ package homeostasis
 // White-box tests for coordinator failover (see failoverGrant): a remote
 // round whose coordinator dies is aborted if its state install never
 // arrived here, and adopted — winner logged, units pinned — if it did.
-// External behavior (kill-and-recover over the real fabric) is covered by
-// the serve binary's chaos drive; these tests pin the per-grant state
-// machine deterministically on the simulator.
+// External behavior (kill-and-recover) is covered by homeo's seeded
+// kill-drive twin and the serve binary's chaos drive; these tests pin the
+// per-grant state machine deterministically on the simulator.
 
 import (
 	"bytes"
@@ -17,7 +17,6 @@ import (
 	"testing"
 
 	"repro/homeo/wire"
-	"repro/internal/cluster"
 	"repro/internal/fabric"
 	"repro/internal/fabric/codec"
 	"repro/internal/fabric/fabrictest"
@@ -28,32 +27,30 @@ import (
 	"repro/internal/rtlive"
 	"repro/internal/sim"
 	"repro/internal/treaty"
+	"repro/internal/workload"
 )
 
-// failoverSystem builds a 3-site simulated System that owns site 1 of a
-// notionally multi-process cluster, so remote-round grants and the
-// failover paths can be driven directly through the site actor.
+// microSim boots a 3-site micro cluster on the simulator, one System per
+// site over fabric.Sim.
+func microSim(t *testing.T) (*simCluster, []*System) {
+	t.Helper()
+	c := newSimCluster(t, 2*rt.Millisecond, Options{Seed: 1, EnableLog: true}, func(width int) workload.Workload {
+		w, err := micro.New(micro.Config{Items: 4, Refill: 40, NSites: width})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	})
+	return c, c.bootAll(3)
+}
+
+// failoverSystem returns the System that owns site 1 of a 3-site
+// simulated cluster (microSim), so remote-round grants and the failover
+// paths can be driven directly through its site actor.
 func failoverSystem(t *testing.T) (*System, *sim.Engine, fabric.Node) {
 	t.Helper()
-	eng := sim.NewEngine(1)
-	w, err := micro.New(micro.Config{Items: 4, Refill: 40, NSites: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := New(eng, w, Options{
-		Topo:      cluster.Uniform(3, 2*rt.Millisecond),
-		Seed:      1,
-		EnableLog: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes := make([]fabric.Node, 3)
-	for k := range nodes {
-		nodes[k] = sys.Node(k)
-	}
-	sys.SetFabric(fabric.NewLocal(sys.Opts.Topo, nodes), 1)
-	return sys, eng, nodes[1]
+	c, systems := microSim(t)
+	return systems[1], c.eng, systems[1].Node(1)
 }
 
 // snapshotUnit captures a unit's base and delta values at one site.

@@ -1,14 +1,16 @@
 package homeostasis
 
 // This file is the elastic-topology layer: the site set is a first-class
-// dynamic object. A membership epoch versions the cluster's view of its
-// sites; joins grow every per-site structure online (the joining side
-// coordinates a two-phase quiesce over the existing membership), drains
-// absorb a leaving site's deltas into the replicated base through
-// winnerless synchronization rounds before fencing it out. Both are built
-// on the same round-grant machinery the cleanup phase uses, so
-// coordinator death mid-operation aborts or repairs through the existing
-// failover paths (grant expiry, rejoin handshake).
+// dynamic object of a multi-process cluster, whose Systems own one site
+// each. A membership epoch versions a System's view of its sites; a join
+// grows every per-site structure online (the joining System coordinates a
+// two-phase quiesce over the existing membership), a drain absorbs a
+// leaving site's deltas into the replicated base through winnerless
+// synchronization rounds before fencing it out. Both are built on the same
+// round-grant machinery the cleanup phase uses, so coordinator death
+// mid-operation aborts or repairs through the existing failover paths
+// (grant expiry, rejoin handshake). A System holding every site of one
+// process has no membership to change (see membership).
 
 import (
 	"errors"
@@ -63,11 +65,6 @@ func (sys *System) Epoch() int64 { return sys.epoch }
 // the width only grows.
 func (sys *System) NSites() int { return sys.Opts.Topo.NSites() }
 
-// SiteActive reports whether the site accepts new submissions.
-func (sys *System) SiteActive(site int) bool {
-	return site >= 0 && site < len(sys.status) && sys.status[site] == siteActive
-}
-
 // SiteStatusName reports the site's membership status ("active",
 // "draining", "gone") for stats surfaces.
 func (sys *System) SiteStatusName(site int) string {
@@ -103,20 +100,35 @@ func (sys *System) SiteAddrs() []string {
 	return append([]string(nil), sys.siteAddrs...)
 }
 
+// membership returns the fabric's membership half for op, or refuses op:
+// the baselines keep no treaties, and a System that holds every site of
+// one process behind fabric.Local has no peers to join, leave or rejoin.
+// It is the one place elastic operations are refused.
+func (sys *System) membership(op string) (fabric.Elastic, error) {
+	if err := sys.RequireTreaties(op); err != nil {
+		return nil, err
+	}
+	if sys.elastic == nil {
+		return nil, fmt.Errorf("homeostasis: %s needs a multi-process cluster, one site per System over the site fabric (homeo: Options.Fabric)", op)
+	}
+	return sys.elastic, nil
+}
+
 // MarkSiteGone marks a membership slot gone before serving: a joiner
 // booted from a topology snapshot that already contains drained sites
 // must fence those slots locally (zero treaty slack, excluded from
 // scatters) even though it never witnessed the drain. Not WAL-logged or
 // epoch-bumped on its own — the next membership change this process
-// observes logs the whole table.
-func (sys *System) MarkSiteGone(site int) {
-	if site < 0 || site >= len(sys.status) || sys.status[site] == siteGone {
-		return
+// observes logs the whole table. A slot out of range or already gone is
+// left alone.
+func (sys *System) MarkSiteGone(site int) error {
+	el, err := sys.membership("fencing a drained site")
+	if err != nil || site < 0 || site >= len(sys.status) || sys.status[site] == siteGone {
+		return err
 	}
 	sys.status[site] = siteGone
-	if sys.fab != nil {
-		sys.fab.MarkGone(site)
-	}
+	el.MarkGone(site)
+	return nil
 }
 
 // anyInactive reports whether any site has left the active membership,
@@ -183,7 +195,8 @@ func (u *unitState) growUnit(n int) error {
 
 // growSystem widens every per-site structure by one slot for an admitted
 // joiner and bumps the membership epoch. Must run under the execution
-// right with every unit quiesced (the join prepare grant holds them).
+// right with every unit quiesced (the join prepare grant holds them), on a
+// System that has the membership half (its callers asked membership).
 func (sys *System) growSystem(addr string) int {
 	site := sys.Opts.Topo.Grow()
 	n := sys.Opts.Topo.NSites()
@@ -193,23 +206,6 @@ func (sys *System) growSystem(addr string) int {
 	sys.CPUs = append(sys.CPUs, sys.E.NewResource(sys.Opts.CPUPerSite))
 	sys.status = append(sys.status, siteActive)
 	sys.siteAddrs = append(sys.siteAddrs, addr)
-	if sys.wals != nil {
-		var l *wal.Log
-		if !sys.recovering && sys.self < 0 && sys.walDir != "" {
-			// In-process deployments own every site: the joiner gets its
-			// own log so its commits stay durable. (During recovery the
-			// replay loop opens grown sites' logs itself; multi-process
-			// peers do not own the joiner's slot.)
-			if nl, recs, err := wal.Open(walPath(sys.walDir, site), sys.walOpts); err == nil {
-				if len(recs) == 0 {
-					l = nl
-				} else {
-					_ = nl.Close()
-				}
-			}
-		}
-		sys.wals = append(sys.wals, l)
-	}
 	// The per-(object, site) delta-name cache was sized at the old width.
 	//homeo:nondet per-key cache fill; no cross-key effects and nothing escapes
 	for obj, names := range sys.deltaNames {
@@ -227,7 +223,7 @@ func (sys *System) growSystem(addr string) int {
 		}
 	}
 	sys.epoch++
-	sys.fab.AddSite(addr, sys.Node(site))
+	sys.elastic.AddSite(addr)
 	return site
 }
 
@@ -262,6 +258,9 @@ func (sys *System) logMembership(site int) {
 // against re-delivery), logs it, and releases the quiesce.
 func (n *siteNode) JoinSite(m fabric.JoinSite) (fabric.JoinReply, error) {
 	sys := n.sys
+	if _, err := sys.membership("admitting a joiner"); err != nil {
+		return fabric.JoinReply{}, err
+	}
 	sys.observeClock(m.Clock)
 	switch m.Phase {
 	case fabric.JoinPrepare:
@@ -308,11 +307,15 @@ func (n *siteNode) JoinSite(m fabric.JoinSite) (fabric.JoinReply, error) {
 	return fabric.JoinReply{}, fmt.Errorf("homeostasis: unknown join phase %d", m.Phase)
 }
 
-// DrainSite marks the drained site gone, bumps the epoch (idempotent —
-// in-process all site actors share one table, so only the first actor
-// transitions it), and excludes it from future scatters.
+// DrainSite marks the drained site gone, bumps the epoch (idempotent: a
+// re-delivered announcement changes nothing), and excludes it from future
+// scatters.
 func (n *siteNode) DrainSite(m fabric.DrainSite) (fabric.DrainReply, error) {
 	sys := n.sys
+	el, err := sys.membership("recording a drain")
+	if err != nil {
+		return fabric.DrainReply{}, err
+	}
 	sys.observeClock(m.Clock)
 	if m.Site < 0 || m.Site >= len(sys.status) {
 		return fabric.DrainReply{}, fmt.Errorf("homeostasis: drain names unknown site %d", m.Site)
@@ -320,17 +323,16 @@ func (n *siteNode) DrainSite(m fabric.DrainSite) (fabric.DrainReply, error) {
 	if sys.status[m.Site] != siteGone {
 		sys.status[m.Site] = siteGone
 		sys.epoch++
-		sys.fab.MarkGone(m.Site)
+		el.MarkGone(m.Site)
 	}
 	sys.logMembership(n.site)
 	sys.walFlush(n.site)
 	return fabric.DrainReply{Clock: sys.tickClock(), Epoch: sys.epoch}, nil
 }
 
-// JoinCluster admits a site into the running cluster, coordinated by the
-// joining side. In a multi-process deployment the caller is a fresh
-// process booted at width n+1 with self = n; in-process (self < 0) the
-// system grows itself by one slot. Returns the joined site's index.
+// JoinCluster admits this System's site into the running cluster,
+// coordinated by the joining side: the caller is a fresh System booted at
+// width n+1 that owns site n. Returns the joined site's index.
 //
 // Consistency of the cut: an in-flight cleanup round keeps at least its
 // coordinator's units negotiating, so a prepare overlapping it is
@@ -341,13 +343,12 @@ func (n *siteNode) DrainSite(m fabric.DrainSite) (fabric.DrainReply, error) {
 // indistinguishable from a site that was quiescent since the cut, so
 // replay equivalence is unaffected by the epoch change.
 func (sys *System) JoinCluster(p rt.Proc, addr string) (int, error) {
-	if err := sys.RequireTreaties("joining a site"); err != nil {
+	el, err := sys.membership("joining a site")
+	if err != nil {
 		return -1, err
 	}
 	joiner := sys.self
-	if joiner < 0 {
-		joiner = sys.Opts.Topo.NSites()
-	} else if joiner < len(sys.status) && sys.status[joiner] != siteActive {
+	if sys.status[joiner] != siteActive {
 		return -1, fmt.Errorf("homeostasis: site %d is %v: %w", joiner, sys.status[joiner], fabric.ErrSiteGone)
 	}
 	backoff := int64(sys.Opts.LocalExecTime)
@@ -355,11 +356,11 @@ func (sys *System) JoinCluster(p rt.Proc, addr string) (int, error) {
 		sys.roundSeq++
 		rid := fabric.RoundID{Site: joiner, Seq: sys.roundSeq}
 		prep := fabric.JoinSite{Round: rid, Clock: sys.tickClock(), Site: joiner, Addr: addr, Phase: fabric.JoinPrepare}
-		replies, err := sys.fab.Join(p, joiner, prep)
+		replies, err := el.Join(p, joiner, prep)
 		if err != nil {
 			// Release any peer that froze before the failure, then back
 			// off and retry — busy peers mean an in-flight round.
-			_ = sys.fab.Abort(p, joiner, fabric.AbortRound{Round: rid, Clock: sys.tickClock()})
+			_ = el.Abort(p, joiner, fabric.AbortRound{Round: rid, Clock: sys.tickClock()})
 			if !errors.Is(err, fabric.ErrBusy) || attempt >= 20 {
 				return -1, fmt.Errorf("homeostasis: join prepare: %w", err)
 			}
@@ -373,13 +374,8 @@ func (sys *System) JoinCluster(p rt.Proc, addr string) (int, error) {
 				cut = replies[k].Units
 			}
 		}
-		// Adopt the cut while the peers are still quiesced. In-process
-		// the store slot appears with the growth here (the activate
-		// handlers below then see the width already grown); across
-		// processes this incarnation booted with its own slot.
-		if sys.self < 0 && sys.Opts.Topo.NSites() <= joiner {
-			sys.growSystem(addr)
-		}
+		// Adopt the cut while the peers are still quiesced: this System
+		// booted with its own slot.
 		for _, ju := range cut {
 			if ju.Unit < 0 || ju.Unit >= len(sys.Units) {
 				continue
@@ -389,12 +385,10 @@ func (sys *System) JoinCluster(p rt.Proc, addr string) (int, error) {
 			if ju.Version > u.version {
 				u.version = ju.Version
 			}
-			if sys.self >= 0 {
-				// Pin the fresh slot at its zero-delta state so the first
-				// local write resynchronizes under a treaty negotiated by
-				// the full grown membership.
-				sys.degradeToLocalPin(u, joiner)
-			}
+			// Pin the fresh slot at its zero-delta state so the first local
+			// write resynchronizes under a treaty negotiated by the full
+			// grown membership.
+			sys.degradeToLocalPin(u, joiner)
 		}
 		act := prep
 		act.Phase = fabric.JoinActivate
@@ -404,7 +398,7 @@ func (sys *System) JoinCluster(p rt.Proc, addr string) (int, error) {
 		// rounds until the join is re-driven.
 		var acts []fabric.JoinReply
 		if aerr := sys.scatterTwice(func() (err error) {
-			acts, err = sys.fab.Join(p, joiner, act)
+			acts, err = el.Join(p, joiner, act)
 			return err
 		}); aerr != nil {
 			return -1, fmt.Errorf("homeostasis: join activate: %w", aerr)
@@ -421,20 +415,21 @@ func (sys *System) JoinCluster(p rt.Proc, addr string) (int, error) {
 	}
 }
 
-// Drain retires a site: new submissions are fenced, every unit's deltas
-// are absorbed into the replicated base through winnerless rounds, and a
-// Drain broadcast marks the site gone at every peer. The site keeps its
-// index — membership slots are never reused — so per-site state and the
-// merged commit log stay stably indexed; it keeps answering peer reads
-// (its WAL tail, /v1/peer/log) until the process is torn down.
+// Drain retires this System's site: new submissions are fenced, every
+// unit's deltas are absorbed into the replicated base through winnerless
+// rounds, and a Drain broadcast marks the site gone at every peer. The site
+// keeps its index — membership slots are never reused — so per-site state
+// and the merged commit log stay stably indexed; it keeps answering peer
+// reads (its WAL tail, /v1/peer/log) until the process is torn down.
 func (sys *System) Drain(p rt.Proc, site int) error {
-	if err := sys.RequireTreaties("draining a site"); err != nil {
+	el, err := sys.membership("draining a site")
+	if err != nil {
 		return err
 	}
 	if site < 0 || site >= sys.Opts.Topo.NSites() {
 		return fmt.Errorf("homeostasis: drain of unknown site %d", site)
 	}
-	if sys.self >= 0 && site != sys.self {
+	if site != sys.self {
 		return fmt.Errorf("homeostasis: this process owns site %d and cannot drain site %d", sys.self, site)
 	}
 	if sys.status[site] != siteActive {
@@ -453,7 +448,7 @@ func (sys *System) Drain(p rt.Proc, site int) error {
 	m := fabric.DrainSite{Site: site, Clock: sys.tickClock()}
 	var replies []fabric.DrainReply
 	if err := sys.scatterTwice(func() (err error) {
-		replies, err = sys.fab.Drain(p, site, m)
+		replies, err = el.Drain(p, site, m)
 		return err
 	}); err != nil {
 		return fmt.Errorf("homeostasis: drain broadcast: %w", err)
@@ -467,7 +462,7 @@ func (sys *System) Drain(p rt.Proc, site int) error {
 	if sys.status[site] != siteGone {
 		sys.status[site] = siteGone
 		sys.epoch++
-		sys.fab.MarkGone(site)
+		el.MarkGone(site)
 	}
 	sys.logMembership(site)
 	sys.walFlush(site)

@@ -4,20 +4,17 @@ package homeostasis
 // prepare grant (a joiner that dies between phases is failed over by the
 // ordinary grant expiry), drain's interaction with in-flight rounds, and
 // an absorb round orphaned by coordinator death. External behavior
-// (process joins and drains over the real fabric) is covered by the
-// serve binary's elastic chaos drive and homeo's sim tests; these pin
-// the internal transitions deterministically on the simulator.
+// (joins and drains between Systems) is covered by homeo's tests on
+// fabric.Sim and the serve binary's elastic chaos drive; these pin the
+// internal transitions deterministically on the simulator.
 
 import (
 	"reflect"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/fabric"
 	"repro/internal/lang"
-	"repro/internal/micro"
 	"repro/internal/rt"
-	"repro/internal/sim"
 )
 
 // TestJoinPrepareExpiryAbortsJoin: a joiner's prepare quiesced every
@@ -74,32 +71,22 @@ func TestJoinPrepareExpiryAbortsJoin(t *testing.T) {
 }
 
 // TestDrainWithInflightRound: a drain that starts while a unit is frozen
-// under another coordinator's round must wait, not fail — here the other
-// coordinator is dead, so the drain proceeds once grant expiry releases
-// the unit, and the site's deltas are absorbed into the replicated base.
+// at the draining site under another coordinator's round must wait, not
+// fail — here the other coordinator is dead, so the drain proceeds once
+// grant expiry releases the unit, and the site's deltas are absorbed into
+// the replicated base at every site.
 func TestDrainWithInflightRound(t *testing.T) {
-	eng := sim.NewEngine(1)
-	w, err := micro.New(micro.Config{Items: 4, Refill: 40, NSites: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := New(eng, w, Options{
-		Topo:      cluster.Uniform(3, 2*rt.Millisecond),
-		Seed:      1,
-		EnableLog: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, systems := microSim(t)
+	sys := systems[2]
 	u := sys.Units[0]
 	obj := u.objects[0]
-	baseBefore := sys.Stores[0].Get(obj)
+	baseBefore := sys.Stores[2].Get(obj)
 	// Site 2 has spent slack: a nonzero delta the drain must fold back.
 	sys.Stores[2].Apply(lang.DeltaObj(obj, 2), -5)
 
 	// An in-flight round whose coordinator died: the unit stays frozen
 	// until the grant TTL fails it over.
-	if _, err := sys.Node(1).CollectState(fabric.CollectState{
+	if _, err := sys.Node(2).CollectState(fabric.CollectState{
 		Round: fabric.RoundID{Site: 0, Seq: 3}, Clock: 2, Units: []int{u.id}, Objs: u.objects,
 	}); err != nil {
 		t.Fatal(err)
@@ -109,8 +96,8 @@ func TestDrainWithInflightRound(t *testing.T) {
 	}
 
 	var derr error
-	eng.Spawn(1, func(p rt.Proc) { derr = sys.Drain(p, 2) })
-	eng.Run()
+	c.eng.Spawn(1, func(p rt.Proc) { derr = sys.Drain(p, 2) })
+	c.eng.Run()
 
 	if derr != nil {
 		t.Fatalf("drain with in-flight round: %v", derr)
@@ -121,16 +108,16 @@ func TestDrainWithInflightRound(t *testing.T) {
 	if sys.Epoch() == 0 {
 		t.Fatal("drain did not bump the membership epoch")
 	}
-	if sys.SiteActive(2) {
-		t.Fatal("drained site still reported active")
-	}
 	// Absorption: the site's delta folded into the replicated base and
-	// zeroed at every site.
-	for k := 0; k < 3; k++ {
-		if got := sys.Stores[k].Get(lang.DeltaObj(obj, 2)); got != 0 {
+	// zeroed at every site, each in its own System.
+	for k, s := range systems {
+		if got := s.SiteStatusName(2); got != "gone" {
+			t.Fatalf("site %d sees the drained site as %q", k, got)
+		}
+		if got := s.Stores[k].Get(lang.DeltaObj(obj, 2)); got != 0 {
 			t.Fatalf("site %d still holds delta %d for the drained site", k, got)
 		}
-		if got := sys.Stores[k].Get(obj); got != baseBefore-5 {
+		if got := s.Stores[k].Get(obj); got != baseBefore-5 {
 			t.Fatalf("site %d base = %d after absorb, want %d", k, got, baseBefore-5)
 		}
 	}

@@ -13,7 +13,9 @@ import (
 // before replay became one streaming pass (materialize every record,
 // sort every write-set, decode and compile every treaty generation,
 // stable-sort the concatenated commit log), moved here verbatim but for
-// their names. replay_test.go holds the streaming replay to it on random
+// their names and the in-process elasticity since deleted: a joined site's
+// log is replayed by its own System, and a membership record needs the
+// membership half of the fabric. replay_test.go holds the streaming replay to it on random
 // logs, the way treaty/reference_test.go keeps the reference optimizer.
 
 // openWALOracle (the parent's OpenWAL) opens the per-site write-ahead logs under dir (only the owned
@@ -28,9 +30,6 @@ func (sys *System) openWALOracle(dir string, opts wal.Options) (int, error) {
 	if len(sys.wals) != 0 {
 		return 0, fmt.Errorf("homeostasis: WAL already open")
 	}
-	sys.walDir, sys.walOpts = dir, opts
-	sys.recovering = true
-	defer func() { sys.recovering = false }()
 	n := sys.Opts.Topo.NSites()
 	sys.wals = make([]*wal.Log, n)
 	recovered := 0
@@ -54,15 +53,6 @@ func (sys *System) openWALOracle(dir string, opts wal.Options) (int, error) {
 		if sys.self >= 0 && k != sys.self {
 			continue
 		}
-		if err := openReplay(k); err != nil {
-			return recovered, err
-		}
-	}
-	// Membership replay may have grown the cluster past the boot width:
-	// sites that joined in a previous life have logs of their own, which
-	// an in-process deployment owns and must replay too (growth during
-	// these replays extends the loop further).
-	for k := n; sys.self < 0 && k < sys.Opts.Topo.NSites(); k++ {
 		if err := openReplay(k); err != nil {
 			return recovered, err
 		}
@@ -160,6 +150,10 @@ func (sys *System) applyWALOracle(site int, recs []wal.Record) ([]Committed, err
 			if err != nil {
 				return nil, fmt.Errorf("homeostasis: site %d WAL record %d: %w", site, i, err)
 			}
+			el, err := sys.membership("replaying a membership record")
+			if err != nil {
+				return nil, fmt.Errorf("homeostasis: site %d WAL record %d: %w", site, i, err)
+			}
 			// Records carry the whole table, so replay keeps the last:
 			// grow to the recorded width (transports included, using the
 			// recorded addrs), then roll statuses forward.
@@ -182,7 +176,7 @@ func (sys *System) applyWALOracle(site int, recs []wal.Record) ([]Committed, err
 				if st := siteStatus(s); st > sys.status[k] {
 					sys.status[k] = st
 					if st == siteGone {
-						sys.fab.MarkGone(k)
+						el.MarkGone(k)
 					}
 				}
 			}

@@ -17,6 +17,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/treaty"
 	"repro/internal/wal"
+	"repro/internal/workload"
 )
 
 // The streaming replay of durable.go against the oracle it replaced
@@ -25,27 +26,42 @@ import (
 
 const replayItems = 6
 
-// replaySystem boots the system every replay test recovers into: the
-// microbenchmark on two sites, commit log on. Every call boots the same
-// system, which is recovery's precondition.
-func replaySystem(t testing.TB) (*sim.Engine, *System, *micro.Workload) {
-	t.Helper()
-	w, err := micro.New(micro.Config{Items: replayItems, Refill: 12, ItemsPerTxn: 2, NSites: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := sim.NewEngine(3)
-	sys, err := New(eng, w, Options{
-		Topo:          cluster.Uniform(2, 10*rt.Millisecond),
+// replayCluster is the simulated cluster of the replay tests: the
+// microbenchmark, commit log on, one System per site over fabric.Sim.
+func replayCluster(t testing.TB) *simCluster {
+	return newSimCluster(t, 10*rt.Millisecond, Options{
 		CPUPerSite:    4,
 		LocalExecTime: rt.Microsecond,
 		Seed:          3,
 		EnableLog:     true,
+	}, func(width int) workload.Workload {
+		w, err := micro.New(micro.Config{Items: replayItems, Refill: 12, ItemsPerTxn: 2, NSites: width})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
 	})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// replaySystem boots the system a replay test recovers into: two sites of
+// replayCluster's, all of them in one System when self < 0, else the System
+// that owns site self (alone on its net: replay sends nothing). Every call
+// boots the same system, which is recovery's precondition.
+func replaySystem(t testing.TB, self int) (*sim.Engine, *System, *micro.Workload) {
+	t.Helper()
+	c := replayCluster(t)
+	var sys *System
+	if self >= 0 {
+		sys = c.boot(self, 2)
+	} else {
+		opts := c.opts
+		opts.Topo = cluster.Uniform(2, c.rtt)
+		var err error
+		if sys, err = New(c.eng, c.mk(2), opts); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return eng, sys, w
+	return c.eng, sys, sys.W.(*micro.Workload)
 }
 
 // recoveredState is everything replay is there to put back.
@@ -99,11 +115,14 @@ func sameState(t *testing.T, what string, got, want recoveredState) {
 // record in the order replay will meet them (site 0's file, site 1's,
 // then those of the sites a membership record admitted), tracking the
 // width replay will have reached so that what it writes is replayable.
+// Membership records only go in when member is set: only a System that
+// owns one site replays them.
 type logGen struct {
 	rng      *rand.Rand
 	width    int // cluster width replay has grown to so far
 	clock    int64
 	unsorted bool // now and then step a log's clock backwards
+	member   bool
 	rounds   []wal.RoundID
 }
 
@@ -213,7 +232,7 @@ func (g *logGen) write(t *testing.T, l *wal.Log, site, n int) {
 				rec.Base["folded-but-not-in-the-footprint"] = 7
 			}
 			err = l.AppendInstall(rec)
-		case k < 95:
+		case k < 95 || !g.member:
 			rec := wal.TreatyRecord{Unit: g.rng.Intn(replayItems), Site: g.rng.Intn(g.width),
 				Version: g.rng.Int63n(12), Clock: g.tick()}
 			if g.rng.Intn(2) == 0 {
@@ -242,11 +261,12 @@ func (g *logGen) write(t *testing.T, l *wal.Log, site, n int) {
 	}
 }
 
-// randomLogs fills dir with the logs of one random history and returns
-// how many files it wrote. Some histories end a file in a torn tail.
-func randomLogs(t *testing.T, dir string, seed int64) int {
+// randomLogs fills dir with the logs of one random history, membership
+// records included when member is set, and returns how many files it
+// wrote. Some histories end a file in a torn tail.
+func randomLogs(t *testing.T, dir string, seed int64, member bool) int {
 	t.Helper()
-	g := &logGen{rng: rand.New(rand.NewSource(seed)), width: 2, unsorted: seed%3 == 0}
+	g := &logGen{rng: rand.New(rand.NewSource(seed)), width: 2, unsorted: seed%3 == 0, member: member}
 	site := 0
 	for ; site < g.width; site++ {
 		path := walPath(dir, site)
@@ -297,6 +317,9 @@ func replayBuffers(t *testing.T, sys *System, dir string) (int, error) {
 	rp := sys.newReplay()
 	recovered := 0
 	for k := 0; k < sys.Opts.Topo.NSites(); k++ {
+		if sys.self >= 0 && k != sys.self {
+			continue
+		}
 		data, err := os.ReadFile(walPath(dir, k))
 		if err != nil {
 			t.Fatal(err)
@@ -318,33 +341,38 @@ func replayBuffers(t *testing.T, sys *System, dir string) (int, error) {
 // TestReplayMatchesOracle replays random logs — all four record kinds,
 // multi-unit commits, print logs, drifts, round winners logged twice and
 // adopted across sites, stale and superseded treaty generations,
-// membership growth with the joiners' own logs, torn tails, clocks that
-// run backwards — three ways: the oracle, OpenWAL, and replay out of
-// caller-owned buffers that are overwritten afterwards. All three must
-// recover the same state.
+// membership growth, torn tails, clocks that run backwards — three ways:
+// the oracle, OpenWAL, and replay out of caller-owned buffers that are
+// overwritten afterwards. All three must recover the same state. Odd seeds
+// replay site 0's log, membership records included, into the System that
+// owns site 0; even seeds every log into one System holding both sites.
 func TestReplayMatchesOracle(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
+		self := -1
+		if seed%2 == 1 {
+			self = 0
+		}
 		dir := t.TempDir()
-		files := randomLogs(t, dir, seed)
+		files := randomLogs(t, dir, seed, self >= 0)
 
-		_, oracle, _ := replaySystem(t)
+		_, oracle, _ := replaySystem(t, self)
 		wantN, wantErr := oracle.openWALOracle(copyLogs(t, dir, files), wal.Options{})
 		if wantErr != nil {
 			t.Fatalf("seed %d: the generator wrote a log the oracle refuses: %v", seed, wantErr)
 		}
 		want := stateOf(oracle)
-		if seed == 1 && (len(want.Log) == 0 || want.Epoch == 0) {
-			t.Fatalf("the generated history recovers %d commits, epoch %d: too thin to test anything", len(want.Log), want.Epoch)
+		if seed <= 2 && (len(want.Log) == 0 || self >= 0 && want.Epoch == 0) {
+			t.Fatalf("seed %d: the generated history recovers %d commits, epoch %d: too thin to test anything", seed, len(want.Log), want.Epoch)
 		}
 
-		_, sys, _ := replaySystem(t)
+		_, sys, _ := replaySystem(t, self)
 		gotN, err := sys.OpenWAL(copyLogs(t, dir, files), wal.Options{})
 		if err != nil || gotN != wantN {
 			t.Fatalf("seed %d: OpenWAL = (%d, %v), the oracle recovered %d records", seed, gotN, err, wantN)
 		}
 		sameState(t, fmt.Sprintf("seed %d, OpenWAL", seed), stateOf(sys), want)
 
-		_, sys, _ = replaySystem(t)
+		_, sys, _ = replaySystem(t, self)
 		gotN, err = replayBuffers(t, sys, dir)
 		if err != nil || gotN != wantN {
 			t.Fatalf("seed %d: replay from buffers = (%d, %v), the oracle recovered %d records", seed, gotN, err, wantN)
@@ -362,23 +390,27 @@ func TestReplayMatchesOracle(t *testing.T) {
 }
 
 // TestReplayOwnsWhatItKeeps is the ownership rule on a log a cluster
-// really wrote: replayed out of a caller's buffers that are then
-// overwritten, the recovered system still equals the oracle's, its slab
-// slices cannot grow into each other, and it goes on serving — a fresh
-// commit extends the recovered log.
+// really wrote — two Systems on fabric.Sim and a third that joins: site
+// 0's log, replayed out of a caller's buffers that are then overwritten,
+// recovers what the oracle does, its slab slices cannot grow into each
+// other, and the System booted on it goes on serving in its predecessor's
+// place — a fresh commit extends the recovered log.
 func TestReplayOwnsWhatItKeeps(t *testing.T) {
 	dir := t.TempDir()
-	eng, live, w := replaySystem(t)
-	if _, err := live.OpenWAL(dir, wal.Options{GroupWindow: -1}); err != nil {
-		t.Fatal(err)
+	c := replayCluster(t)
+	live := append(c.bootAll(2), c.boot(2, 3))
+	for _, s := range live {
+		if _, err := s.OpenWAL(dir, wal.Options{GroupWindow: -1}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var runErr error
 	rounds := 0
-	eng.Spawn(0, func(p rt.Proc) {
+	c.eng.Spawn(0, func(p rt.Proc) {
 		rng := rand.New(rand.NewSource(5))
 		order := func(site int) {
 			a := rng.Intn(replayItems)
-			res, err := live.ExecRequest(p, site, w.MakeRequest([]int{a, (a + 1 + rng.Intn(replayItems-1)) % replayItems}))
+			res, err := live[site].ExecRequest(p, site, live[site].W.(*micro.Workload).MakeRequest([]int{a, (a + 1 + rng.Intn(replayItems-1)) % replayItems}))
 			if err != nil && runErr == nil {
 				runErr = err
 			}
@@ -389,36 +421,40 @@ func TestReplayOwnsWhatItKeeps(t *testing.T) {
 		for i := 0; i < 150; i++ {
 			order(i % 2)
 		}
-		if _, err := live.JoinCluster(p, ""); err != nil {
+		if _, err := live[2].JoinCluster(p, simAddr(2)); err != nil {
 			runErr = err
 			return
 		}
+		c.attach(live[2])
 		for i := 0; i < 90; i++ {
 			order(i % 3)
 		}
 	})
-	eng.Run()
+	c.eng.Run()
 	if runErr != nil {
 		t.Fatal(runErr)
 	}
-	if rounds == 0 || live.NSites() != 3 {
-		t.Fatalf("the history has %d rounds and %d sites: it must cover installs, treaties and a join", rounds, live.NSites())
+	if rounds == 0 || live[0].NSites() != 3 {
+		t.Fatalf("the history has %d rounds and %d sites: it must cover installs, treaties and a join", rounds, live[0].NSites())
 	}
-	if err := live.CloseWAL(); err != nil {
-		t.Fatal(err)
+	for _, s := range live {
+		if err := s.CloseWAL(); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	_, oracle, _ := replaySystem(t)
+	_, oracle, _ := replaySystem(t, 0)
 	if _, err := oracle.openWALOracle(copyLogs(t, dir, 3), wal.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	defer oracle.CloseWAL()
 	want := stateOf(oracle)
-	if len(want.Log) != len(live.CommitLog) {
-		t.Fatalf("the oracle recovers %d commits of %d", len(want.Log), len(live.CommitLog))
+	if len(want.Log) != len(live[0].CommitLog) || want.Epoch == 0 {
+		t.Fatalf("the oracle recovers %d commits of %d, epoch %d", len(want.Log), len(live[0].CommitLog), want.Epoch)
 	}
 
-	eng, sys, w := replaySystem(t)
+	c.net.Detach(simAddr(0))
+	sys := c.boot(0, 2)
 	if _, err := replayBuffers(t, sys, dir); err != nil {
 		t.Fatal(err)
 	}
@@ -431,11 +467,12 @@ func TestReplayOwnsWhatItKeeps(t *testing.T) {
 				len(e.Args), cap(e.Args), len(e.Units), cap(e.Units), len(e.Log), cap(e.Log))
 		}
 	}
+	c.attach(sys)
 	before := len(sys.CommitLog)
-	eng.Spawn(0, func(p rt.Proc) {
-		_, runErr = sys.ExecRequest(p, 2, w.MakeRequest([]int{0, 1}))
+	c.eng.Spawn(0, func(p rt.Proc) {
+		_, runErr = sys.ExecRequest(p, 0, sys.W.(*micro.Workload).MakeRequest([]int{0, 1}))
 	})
-	eng.Run()
+	c.eng.Run()
 	if runErr != nil || len(sys.CommitLog) != before+1 {
 		t.Fatalf("a commit after recovery: %v, log %d → %d entries", runErr, before, len(sys.CommitLog))
 	}
@@ -495,7 +532,7 @@ func TestReplayRefusesSizesNoCRCVouchesFor(t *testing.T) {
 			if err := l.Close(); err != nil {
 				t.Fatal(err)
 			}
-			_, sys, _ := replaySystem(t)
+			_, sys, _ := replaySystem(t, 0)
 			defer sys.CloseWAL()
 			n, err := sys.OpenWAL(dir, wal.Options{})
 			if tc.refuse == "" {
@@ -548,7 +585,7 @@ func TestReplayRefusesTreatyOverAnotherSitesObjects(t *testing.T) {
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		_, sys, _ := replaySystem(t)
+		_, sys, _ := replaySystem(t, -1)
 		n, err := sys.OpenWAL(dir, wal.Options{})
 		sys.CloseWAL()
 		switch {
@@ -563,7 +600,8 @@ func TestReplayRefusesTreatyOverAnotherSitesObjects(t *testing.T) {
 
 // TestReplayRefusesUnknownKindAndUnit: a well-framed record replay cannot
 // place — a kind this build does not know, a treaty for a unit no class
-// registered — is refused by site and record, not skipped.
+// registered, a membership record in the log of a System that holds every
+// site — is refused by site and record, not skipped.
 func TestReplayRefusesUnknownKindAndUnit(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -578,6 +616,9 @@ func TestReplayRefusesUnknownKindAndUnit(t *testing.T) {
 		{"negative unit", func(l *wal.Log) error {
 			return l.AppendTreaty(wal.TreatyRecord{Unit: -1, Site: 1, Version: 5, Clock: 6})
 		}, "site 0 WAL names unknown unit -1"},
+		{"membership record", func(l *wal.Log) error {
+			return l.AppendMembership(wal.MembershipRecord{Epoch: 1, Width: 2, Clock: 6})
+		}, "site 0 WAL record 1: homeostasis: replaying a membership record needs a multi-process cluster"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -594,7 +635,7 @@ func TestReplayRefusesUnknownKindAndUnit(t *testing.T) {
 			if err := l.Close(); err != nil {
 				t.Fatal(err)
 			}
-			_, sys, _ := replaySystem(t)
+			_, sys, _ := replaySystem(t, -1)
 			defer sys.CloseWAL()
 			if _, err := sys.OpenWAL(dir, wal.Options{}); err == nil || !strings.Contains(err.Error(), tc.refuse) {
 				t.Fatalf("OpenWAL error = %v, want %q", err, tc.refuse)

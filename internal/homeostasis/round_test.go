@@ -15,6 +15,7 @@ import (
 	"repro/internal/rt"
 	"repro/internal/sim"
 	"repro/internal/wal"
+	"repro/internal/workload"
 )
 
 // roundRecord is what one round shipped, copied when it was delivered.
@@ -25,7 +26,7 @@ type roundRecord struct {
 	winner bool
 }
 
-// recordingFabric wraps the in-process transport and keeps a copy of the
+// recordingFabric wraps a transport and keeps a copy of the
 // footprint every round-1 message carried and of the state every install
 // carried — copies, because the coordinator reuses the memory behind both.
 // While refuse is positive a Collect materializes its message, as a
@@ -75,9 +76,8 @@ func recordedSystem(t *testing.T, opts Options) (*sim.Engine, *System, *micro.Wo
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes := []fabric.Node{sys.Node(0), sys.Node(1)}
-	rec := &recordingFabric{Transport: fabric.NewLocal(opts.Topo, nodes)}
-	sys.SetFabric(rec, -1)
+	rec := &recordingFabric{Transport: sys.fab}
+	sys.fab = rec
 	return eng, sys, w, rec
 }
 
@@ -214,42 +214,53 @@ func items(objs []lang.ObjID) []int {
 // woken, no open round, the scratch scrubbed and back on the free list,
 // every unit's treaty one generation on, and in each site's WAL one install
 // and one treaty record per round. Only a winner leaves a commit and a
-// negotiation sample.
+// negotiation sample. The cluster is two Systems on fabric.Sim, so that a
+// site can drain; each case checks the System that coordinated.
 func TestRoundPostconditions(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		winner bool
 		units  []int // the units the case runs one round over, each
-		run    func(p rt.Proc, sys *System, w *micro.Workload) error
+		site   int   // the coordinating site
+		run    func(p rt.Proc, sys *System) error
 	}{
-		{"winner round", true, []int{0}, func(p rt.Proc, sys *System, w *micro.Workload) error {
+		{"winner round", true, []int{0}, 0, func(p rt.Proc, sys *System) error {
 			for i := 0; i < 100; i++ {
-				if res, err := sys.ExecRequest(p, 0, w.MakeRequest([]int{0})); err != nil || res.Synced {
+				if res, err := sys.ExecRequest(p, 0, sys.W.(*micro.Workload).MakeRequest([]int{0})); err != nil || res.Synced {
 					return err
 				}
 			}
 			return errors.New("no purchase paid a round")
 		}},
-		{"drain absorb", false, []int{0, 1, 2, 3, 4, 5}, func(p rt.Proc, sys *System, _ *micro.Workload) error {
+		{"drain absorb", false, []int{0, 1, 2, 3, 4, 5}, 1, func(p rt.Proc, sys *System) error {
 			return sys.Drain(p, 1)
 		}},
-		{"winnerless round", false, []int{3}, func(p rt.Proc, sys *System, _ *micro.Workload) error {
+		{"winnerless round", false, []int{3}, 0, func(p rt.Proc, sys *System) error {
 			return sys.winnerlessRound(p, 0, sys.Units[3])
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			eng, sys, w, _ := recordedSystem(t, Options{
+			c := newSimCluster(t, 10*rt.Millisecond, Options{
 				Mode:          ModeOpt,
-				Topo:          cluster.Uniform(2, 10*rt.Millisecond),
 				CPUPerSite:    4,
 				LocalExecTime: rt.Microsecond,
 				Seed:          3,
 				EnableLog:     true,
+			}, func(width int) workload.Workload {
+				w, err := micro.New(micro.Config{Items: 6, Refill: 12, NSites: width})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return w
 			})
+			systems := c.bootAll(2)
 			dir := t.TempDir()
-			if _, err := sys.OpenWAL(dir, wal.Options{GroupWindow: -1}); err != nil {
-				t.Fatal(err)
+			for _, s := range systems {
+				if _, err := s.OpenWAL(dir, wal.Options{GroupWindow: -1}); err != nil {
+					t.Fatal(err)
+				}
 			}
+			sys := systems[tc.site]
 			sys.Col.Measuring = true
 			versions := make([]int64, len(sys.Units))
 			for i, u := range sys.Units {
@@ -257,7 +268,7 @@ func TestRoundPostconditions(t *testing.T) {
 			}
 			// A process that finds a unit of the case frozen waits on it.
 			done, woken := false, 0
-			eng.Spawn(1, func(p rt.Proc) {
+			c.eng.Spawn(1, func(p rt.Proc) {
 				for !done {
 					for _, id := range tc.units {
 						if u := sys.Units[id]; u.negotiating {
@@ -269,11 +280,11 @@ func TestRoundPostconditions(t *testing.T) {
 				}
 			})
 			var runErr error
-			eng.Spawn(0, func(p rt.Proc) {
-				runErr = tc.run(p, sys, w)
+			c.eng.Spawn(0, func(p rt.Proc) {
+				runErr = tc.run(p, sys)
 				done = true
 			})
-			eng.Run()
+			c.eng.Run()
 			if runErr != nil {
 				t.Fatal(runErr)
 			}
@@ -323,10 +334,10 @@ func TestRoundPostconditions(t *testing.T) {
 					roundCommits, sys.Col.NegotiationLatency.N(), wantCommits)
 			}
 
-			if err := sys.CloseWAL(); err != nil {
-				t.Fatal(err)
-			}
-			for k := 0; k < 2; k++ {
+			for k, s := range systems {
+				if err := s.CloseWAL(); err != nil {
+					t.Fatal(err)
+				}
 				data, err := os.ReadFile(walPath(dir, k))
 				if err != nil {
 					t.Fatal(err)

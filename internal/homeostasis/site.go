@@ -247,11 +247,12 @@ func (sys *System) degradeToLocalPin(u *unitState, site int) {
 // transports guarantee this).
 func (sys *System) Node(site int) fabric.Node { return &siteNode{sys: sys, site: site} }
 
-// SetFabric installs a transport and, for multi-process deployments, the
-// site this process owns (self < 0 keeps every site in-process). Call
-// before the system serves traffic.
-func (sys *System) SetFabric(t fabric.Transport, self int) {
-	sys.fab = t
+// SetFabric makes the System the owner of site self of a multi-process
+// cluster, reached over t (fabric.HTTP between processes, fabric.Sim on one
+// simulator): without it every site is in-process behind fabric.Local.
+// Call before the system serves traffic.
+func (sys *System) SetFabric(t fabric.Elastic, self int) {
+	sys.fab, sys.elastic = t, t
 	sys.self = self
 }
 

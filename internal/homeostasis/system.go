@@ -162,14 +162,6 @@ type Options struct {
 	// MeasureName restricts metrics to one transaction type; the paper's
 	// TPC-C experiments report only New Order measurements.
 	MeasureName string
-	// WALDir, when set, makes each in-process site durable: commits,
-	// state installs, and treaty generations are appended to a per-site
-	// write-ahead log under this directory (opened and replayed by
-	// OpenWAL). Logging never charges virtual time, so simulator
-	// timelines are unchanged. WALSync fsyncs every flushed batch (see
-	// wal.Options.Sync for the durability trade-off).
-	WALDir  string
-	WALSync bool
 }
 
 // Committed is one entry of the commit log (for replay-based
@@ -304,10 +296,13 @@ type System struct {
 	BusyRetries int64
 
 	// fab ships the cleanup phase's synchronization rounds between site
-	// actors; self is the one site this process owns in a multi-process
+	// actors; self is the one site this System owns in a multi-process
 	// deployment (-1: every site is in-process behind fabric.Local).
-	fab  fabric.Transport
-	self int
+	// elastic is fab when it carries membership too (SetFabric), nil for
+	// Local: see membership.
+	fab     fabric.Transport
+	elastic fabric.Elastic
+	self    int
 
 	// clock is the system's Lamport clock: advanced on every commit and
 	// on every fabric message, merged from received messages. roundSeq
@@ -317,16 +312,11 @@ type System struct {
 	roundSeq uint64
 	rounds   map[fabric.RoundID]*roundGrant
 
-	// wals holds each in-process site's write-ahead log (nil entries for
-	// sites this process does not own); RecoveredRecords counts the
-	// records OpenWAL replayed at boot. walDir and walOpts are kept so an
-	// in-process join can open the admitted site's log; recovering marks
-	// a replay in progress (growth then defers log opening to OpenWAL).
+	// wals holds each owned site's write-ahead log (nil entries for sites
+	// this System does not own); RecoveredRecords counts the records
+	// OpenWAL replayed at boot.
 	wals             []*wal.Log
 	RecoveredRecords int64
-	walDir           string
-	walOpts          wal.Options
-	recovering       bool
 
 	// epoch, status, and siteAddrs are the membership table (see
 	// membership.go): the epoch versions this process's view of the site
@@ -456,7 +446,9 @@ func (sys *System) addUnit(id int) error {
 // same path the cleanup phase uses. Must be called under the runtime's
 // execution contract (from a process, a timer callback, or
 // rtlive.Runtime.Locked); it performs no parking, so it is atomic with
-// respect to in-flight transactions.
+// respect to in-flight transactions. A failure leaves the unit table as it
+// was: the registry rolls the batch back, and the ids it hands out next
+// must get fresh units, not the stale ones of the batch that failed.
 func (sys *System) AddUnits(install lang.Database) error {
 	n := sys.Opts.Topo.NSites()
 	for _, obj := range install.Objects() {
@@ -467,8 +459,10 @@ func (sys *System) AddUnits(install lang.Database) error {
 			}
 		}
 	}
-	for id := len(sys.Units); id < sys.W.NumUnits(); id++ {
+	had := len(sys.Units)
+	for id := had; id < sys.W.NumUnits(); id++ {
 		if err := sys.addUnit(id); err != nil {
+			sys.Units = sys.Units[:had]
 			return fmt.Errorf("homeostasis: registering unit %d: %w", id, err)
 		}
 	}

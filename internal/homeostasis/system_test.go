@@ -1,12 +1,18 @@
 package homeostasis
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/lang"
 	"repro/internal/micro"
+	"repro/internal/rt"
 	"repro/internal/sim"
+	"repro/internal/treaty"
 	"repro/internal/workload"
 )
 
@@ -292,5 +298,55 @@ func TestMeasureNameFilter(t *testing.T) {
 	// Payment never synchronizes, so the filtered sync ratio is zero.
 	if sys.Col.Synced != 0 {
 		t.Fatalf("payment sync count = %d", sys.Col.Synced)
+	}
+}
+
+// unitStub is a workload whose units the test appends, one object each,
+// and whose global treaty fails for the unit named by fail.
+type unitStub struct {
+	objs []lang.ObjID
+	fail int
+}
+
+func (w *unitStub) Name() string                          { return "stub" }
+func (w *unitStub) InitialDB() lang.Database              { return lang.Database{} }
+func (w *unitStub) NumUnits() int                         { return len(w.objs) }
+func (w *unitStub) UnitObjects(unit int) []lang.ObjID     { return w.objs[unit : unit+1] }
+func (w *unitStub) Model(int) treaty.WorkloadModel        { return nil }
+func (w *unitStub) Next(*rand.Rand, int) workload.Request { return workload.Request{} }
+func (w *unitStub) BuildGlobal(unit int, folded lang.Database) (treaty.Global, error) {
+	if unit == w.fail {
+		return treaty.Global{}, fmt.Errorf("no treaty for unit %d", unit)
+	}
+	return treaty.PinGlobal(w.UnitObjects(unit), 2, folded), nil
+}
+
+// TestAddUnitsFailureInstallsNoUnit: a registration batch whose second new
+// unit fails to derive leaves the unit table as it found it, so the next
+// registration — handed the same unit id once the registry has rolled the
+// batch back — gets a unit of its own objects, not the failed batch's
+// first.
+func TestAddUnitsFailureInstallsNoUnit(t *testing.T) {
+	w := &unitStub{objs: []lang.ObjID{"a"}, fail: -1}
+	sys, err := New(sim.NewEngine(1), w, Options{Mode: ModeOpt, Topo: cluster.Uniform(2, rt.Millisecond), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.objs, w.fail = append(w.objs, "b", "c"), 2
+	if err := sys.AddUnits(lang.Database{"b": 5, "c": 6}); err == nil || !strings.Contains(err.Error(), "no treaty for unit 2") {
+		t.Fatalf("AddUnits = %v, want the failure of unit 2", err)
+	}
+	if len(sys.Units) != 1 {
+		t.Fatalf("the failed batch left %d units, want the 1 it found", len(sys.Units))
+	}
+	w.objs, w.fail = append(w.objs[:1], "d"), -1
+	if err := sys.AddUnits(lang.Database{"d": 7}); err != nil {
+		t.Fatal(err)
+	}
+	if len(sys.Units) != 2 || !slices.Equal(sys.Units[1].objects, []lang.ObjID{"d"}) {
+		t.Fatalf("the re-registered unit 1 governs %v, want [d]", sys.Units[1].objects)
+	}
+	if l := sys.UnitLocals(1)[0].String(); !strings.Contains(l, "d") || strings.Contains(l, "b") {
+		t.Errorf("unit 1's treaty %s is not over its own object", l)
 	}
 }

@@ -30,6 +30,10 @@ import (
 	"repro/internal/lang"
 )
 
+// MaxRows bounds a table's SIZE: every statement compiles to a step per
+// row, so the bound caps the program a registration request can make.
+const MaxRows = 1024
+
 // Table describes a bounded relation.
 type Table struct {
 	Name string
@@ -95,7 +99,7 @@ func (c *compiler) fresh(prefix string) string {
 }
 
 func (c *compiler) statement(stmt string) (lang.Cmd, error) {
-	upper := strings.ToUpper(stmt)
+	upper := upperASCII(stmt)
 	switch {
 	case strings.HasPrefix(upper, "CREATE TABLE"):
 		return nil, c.createTable(stmt)
@@ -127,13 +131,13 @@ func (c *compiler) createTable(stmt string) error {
 	for _, col := range strings.Split(stmt[open+1:close], ",") {
 		cols = append(cols, strings.TrimSpace(col))
 	}
-	rest := strings.Fields(strings.ToUpper(stmt[close+1:]))
+	rest := strings.Fields(upperASCII(stmt[close+1:]))
 	if len(rest) != 2 || rest[0] != "SIZE" {
 		return fmt.Errorf("missing SIZE clause")
 	}
 	size, err := strconv.ParseInt(rest[1], 10, 64)
-	if err != nil || size <= 0 {
-		return fmt.Errorf("bad SIZE")
+	if err != nil || size <= 0 || size > MaxRows {
+		return fmt.Errorf("bad SIZE (want 1 to %d rows)", MaxRows)
 	}
 	if _, dup := c.schema[name]; dup {
 		return fmt.Errorf("duplicate table %s", name)
@@ -234,7 +238,7 @@ func (c *compiler) wherePredicate(where string, t *Table, row int64) (lang.BoolE
 // accumulating scan ending in print.
 func (c *compiler) selectStmt(stmt string) (lang.Cmd, error) {
 	rest := strings.TrimSpace(stmt[len("SELECT"):])
-	fromIdx := strings.Index(strings.ToUpper(rest), "FROM")
+	fromIdx := strings.Index(upperASCII(rest), "FROM")
 	if fromIdx < 0 {
 		return nil, fmt.Errorf("missing FROM")
 	}
@@ -247,7 +251,7 @@ func (c *compiler) selectStmt(stmt string) (lang.Cmd, error) {
 	}
 
 	var colFor func(row int64) (lang.Expr, error)
-	upperAgg := strings.ToUpper(agg)
+	upperAgg := upperASCII(agg)
 	switch {
 	case strings.HasPrefix(upperAgg, "SUM(") && strings.HasSuffix(agg, ")"):
 		col := strings.TrimSpace(agg[4 : len(agg)-1])
@@ -288,7 +292,7 @@ func (c *compiler) selectStmt(stmt string) (lang.Cmd, error) {
 // operand.
 func (c *compiler) updateStmt(stmt string) (lang.Cmd, error) {
 	rest := strings.TrimSpace(stmt[len("UPDATE"):])
-	setIdx := strings.Index(strings.ToUpper(rest), "SET")
+	setIdx := strings.Index(upperASCII(rest), "SET")
 	if setIdx < 0 {
 		return nil, fmt.Errorf("missing SET")
 	}
@@ -356,7 +360,7 @@ func (c *compiler) arith(expr string, t *Table, row int64) (lang.Expr, error) {
 // the first free slot (key column = 0); print(1) reports success,
 // print(0) a full table.
 func (c *compiler) insertStmt(stmt string) (lang.Cmd, error) {
-	upper := strings.ToUpper(stmt)
+	upper := upperASCII(stmt)
 	intoIdx := strings.Index(upper, "INTO")
 	valuesIdx := strings.Index(upper, "VALUES")
 	if intoIdx < 0 || valuesIdx < intoIdx {
@@ -403,7 +407,7 @@ func (c *compiler) insertStmt(stmt string) (lang.Cmd, error) {
 // deleteStmt compiles DELETE FROM t WHERE ... by resetting matching rows
 // to the free-slot placeholder.
 func (c *compiler) deleteStmt(stmt string) (lang.Cmd, error) {
-	upper := strings.ToUpper(stmt)
+	upper := upperASCII(stmt)
 	fromIdx := strings.Index(upper, "FROM")
 	if fromIdx < 0 {
 		return nil, fmt.Errorf("missing FROM")
@@ -429,9 +433,22 @@ func (c *compiler) deleteStmt(stmt string) (lang.Cmd, error) {
 	return lang.SeqOf(cmds...), nil
 }
 
+// upperASCII is s with its ASCII letters upper-cased and every other byte
+// as it was, so that an index into it is an index into s: keywords match in
+// either case, and strings.ToUpper can change a string's length.
+func upperASCII(s string) string {
+	b := []byte(s)
+	for i, c := range b {
+		if 'a' <= c && c <= 'z' {
+			b[i] = c - ('a' - 'A')
+		}
+	}
+	return string(b)
+}
+
 // splitWhere splits "t WHERE cond" into the head and the condition.
 func splitWhere(s string) (head, where string) {
-	upper := strings.ToUpper(s)
+	upper := upperASCII(s)
 	if i := strings.Index(upper, "WHERE"); i >= 0 {
 		return strings.TrimSpace(s[:i]), strings.TrimSpace(s[i+len("WHERE"):])
 	}

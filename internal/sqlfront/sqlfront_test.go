@@ -152,6 +152,9 @@ func TestCompileErrors(t *testing.T) {
 		stockSchema + `BEGIN TRANSACTION`,
 		`CREATE TABLE t (a) SIZE 0`,
 		stockSchema + stockSchema + `SELECT COUNT(*) FROM stock`, // duplicate table
+		"CREATE TABLE t (a) SIZE 1025\nSELECT COUNT(*) FROM t",   // past MaxRows
+		stockSchema + `ſELECT COUNT(*) FROM stock`,               // upper-cases to SELECT, but is not ASCII
+		stockSchema + "SELECT COUNT(*) FROM stock \x93WHERE",     // upper-cases to a longer string
 	}
 	for _, script := range bad {
 		if _, _, err := Compile("T", script); err == nil {
