@@ -580,7 +580,7 @@ func (c *Cluster) CheckReplayEquivalence() (err error) {
 // Committed returns the number of commit-log entries (0 unless
 // Options.EnableLog).
 func (c *Cluster) Committed() (n int) {
-	c.locked(func() { n = len(c.sys.CommitLog) })
+	c.locked(func() { n = c.sys.CommitLog.Len() })
 	return n
 }
 

@@ -215,11 +215,7 @@ func (h *Handler) handlePeerLog(rw http.ResponseWriter, req *http.Request) {
 	if site < 0 {
 		site = 0
 	}
-	entries := h.c.WireLog()
-	if entries == nil {
-		entries = []wire.LogEntry{}
-	}
-	writeJSON(rw, http.StatusOK, wire.LogResponse{Site: site, Entries: entries})
+	writeJSON(rw, http.StatusOK, wire.LogResponse{Site: site, Entries: h.c.WireLog()})
 }
 
 // handlePeerDB serves the process's authoritative database partition.

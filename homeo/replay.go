@@ -1,11 +1,13 @@
 package homeo
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/homeo/wire"
 	"repro/internal/fabric"
+	"repro/internal/homeostasis"
 	"repro/internal/lang"
 	"repro/internal/workload"
 )
@@ -22,7 +24,9 @@ import (
 func (c *Cluster) WireLog() []wire.LogEntry {
 	var out []wire.LogEntry
 	c.locked(func() {
-		for i, e := range c.sys.CommitLog {
+		log := &c.sys.CommitLog
+		out = make([]wire.LogEntry, 0, log.Len())
+		log.All(func(i int, e *homeostasis.Committed) bool {
 			en := wire.LogEntry{
 				Class: e.Name,
 				Args:  e.Args,
@@ -34,7 +38,8 @@ func (c *Cluster) WireLog() []wire.LogEntry {
 				en.Round = &wire.LogRound{Site: e.Round.Site, Seq: e.Round.Seq}
 			}
 			out = append(out, en)
-		}
+			return true
+		})
 	})
 	return out
 }
@@ -65,19 +70,22 @@ func (c *Cluster) Partition() wire.PartitionResponse {
 // adopted the round during coordinator failover — so entries tagged with
 // a round id are deduplicated, keeping the first in merge order.
 func MergeLogs(logs [][]wire.LogEntry) []wire.LogEntry {
-	var out []wire.LogEntry
+	total := 0
+	for _, l := range logs {
+		total += len(l)
+	}
+	out := make([]wire.LogEntry, 0, total)
 	for _, l := range logs {
 		out = append(out, l...)
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Clock != b.Clock {
-			return a.Clock < b.Clock
+	slices.SortStableFunc(out, func(a, b wire.LogEntry) int {
+		if c := cmp.Compare(a.Clock, b.Clock); c != 0 {
+			return c
 		}
-		if a.Site != b.Site {
-			return a.Site < b.Site
+		if c := cmp.Compare(a.Site, b.Site); c != 0 {
+			return c
 		}
-		return a.Seq < b.Seq
+		return cmp.Compare(a.Seq, b.Seq)
 	})
 	seen := make(map[wire.LogRound]bool)
 	dst := out[:0]

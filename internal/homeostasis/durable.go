@@ -61,7 +61,7 @@ func (sys *System) OpenWAL(dir string, opts wal.Options) (int, error) {
 		recovered += len(recs)
 	}
 	if sys.Opts.EnableLog {
-		sys.CommitLog = rp.commitLog(sys.CommitLog)
+		rp.commitLog(&sys.CommitLog)
 	}
 	sys.RecoveredRecords = int64(recovered)
 	return recovered, nil
@@ -77,18 +77,15 @@ func (sys *System) OpenWAL(dir string, opts wal.Options) (int, error) {
 // record that grows the cluster to it has been replayed.
 const maxWALSites = 1024
 
-// slabChunk is how many elements each slab chunk holds (see carve): 64 KiB
-// of int64s.
+// slabChunk is how many int64s each slab chunk holds (see carve): 64 KiB.
 const slabChunk = 8192
 
 // replay is the scratch of one recovery. Records are decoded in place
 // into the four views, whose byte fields alias the log's read buffer, so
 // the one rule of this type is that nothing it leaves behind may: names
-// go through the intern table, and the slices of a commit-log entry are
-// copied into slabs — large arrays handed out piecewise, each piece
-// capacity-clipped so that appending to one entry's Args cannot write
-// into the next entry's. Args and Log go to the System's commit-log slab,
-// where every live commit's Args goes too (appendCommit).
+// go through the intern table, and a commit-log entry's Args is copied
+// into the System's commit-log slab, where every live commit's Args goes
+// too (appendCommit).
 type replay struct {
 	sys *System
 	// names interns class names and object ids: one string per distinct
@@ -107,7 +104,6 @@ type replay struct {
 	runs [][]Committed
 	// seenRound dedups round winners within the log being replayed.
 	seenRound map[fabric.RoundID]bool
-	ints      []int
 
 	// pending is the latest treaty generation that passed the version
 	// guard for each (unit, site) of the log being replayed, in first-seen
@@ -154,17 +150,18 @@ func (rp *replay) name(b []byte) string {
 	return s
 }
 
-// carve copies src into the slab and returns the copy, capacity-clipped;
-// nil for an empty src. A full slab is replaced, never regrown: pieces
-// already handed out keep pointing into the old one.
+// carve copies src into the slab and returns the copy, capacity-clipped
+// so that appending to one entry's Args cannot write into the next
+// entry's; nil for an empty src. A full slab is replaced, never regrown:
+// pieces already handed out keep pointing into the old one.
 //
 //homeo:hotpath
-func carve[T any](slab *[]T, src []T) []T {
+func carve(slab *[]int64, src []int64) []int64 {
 	if len(src) == 0 {
 		return nil
 	}
 	if cap(*slab)-len(*slab) < len(src) {
-		*slab = make([]T, 0, max(slabChunk, len(src)))
+		*slab = make([]int64, 0, max(slabChunk, len(src)))
 	}
 	from := len(*slab)
 	*slab = append(*slab, src...)
@@ -226,8 +223,7 @@ func (rp *replay) applyWAL(site int, recs []wal.Record) error {
 				continue
 			}
 			entry := Committed{
-				Name: rp.name(c.Class), Args: carve(&sys.logSlab, c.Args), Site: c.Site,
-				Units: carve(&rp.ints, c.Units), Log: carve(&sys.logSlab, c.Log), Clock: c.Clock,
+				Name: rp.name(c.Class), Args: carve(&sys.logSlab, c.Args), Site: c.Site, Clock: c.Clock,
 			}
 			if c.HasRound {
 				entry.Round = rid
@@ -393,20 +389,24 @@ func commitOrder(a, b *Committed) int {
 	return cmp.Compare(a.Site, b.Site)
 }
 
-// commitLog returns the rebuilt commit log: whatever log already holds,
-// then the replayed runs merged by (Clock, Site), ties to the earlier
-// run. Every run is stably sorted, so that merge is the stable sort of
-// their concatenation — same-site ties keep file order — without the
-// sort; one run is the log as it stands, adopted without a copy.
-func (rp *replay) commitLog(log []Committed) []Committed {
-	if len(log) == 0 && len(rp.runs) == 1 {
-		return rp.runs[0]
+// commitLog appends the replayed runs to log, merged by (Clock, Site),
+// ties to the earlier run. Every run is stably sorted, so that merge is
+// the stable sort of their concatenation — same-site ties keep file order
+// — without the sort. One run is adopted as a segment without a copy;
+// several merge into one segment of exactly their total.
+func (rp *replay) commitLog(log *CommitLog) {
+	switch len(rp.runs) {
+	case 0:
+		return
+	case 1:
+		log.adopt(rp.runs[0])
+		return
 	}
 	total := 0
 	for _, run := range rp.runs {
 		total += len(run)
 	}
-	log = slices.Grow(log, total)
+	merged := make([]Committed, 0, total)
 	for {
 		first := -1
 		for k, run := range rp.runs {
@@ -415,9 +415,10 @@ func (rp *replay) commitLog(log []Committed) []Committed {
 			}
 		}
 		if first < 0 {
-			return log
+			log.adopt(merged)
+			return
 		}
-		log = append(log, rp.runs[first][0])
+		merged = append(merged, rp.runs[first][0])
 		rp.runs[first] = rp.runs[first][1:]
 	}
 }

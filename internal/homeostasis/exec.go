@@ -778,8 +778,6 @@ func (sys *System) logCommitClock(clk int64, req workload.Request, site int, log
 		Name:  req.Name,
 		Args:  req.Args,
 		Site:  site,
-		Units: req.Units,
-		Log:   log,
 		Clock: clk,
 		Round: rid,
 		Apply: req.Apply,
@@ -795,7 +793,7 @@ func (sys *System) logCommitClock(clk int64, req workload.Request, site int, log
 //homeo:hotpath
 func (sys *System) appendCommit(e Committed) {
 	e.Args = carve(&sys.logSlab, e.Args)
-	sys.CommitLog = append(sys.CommitLog, e)
+	sys.CommitLog.add(e)
 }
 
 // markWrites records the site's own delta value of each object in the

@@ -1,7 +1,6 @@
 package homeostasis_test
 
 import (
-	"fmt"
 	"math/rand"
 	"net/http/httptest"
 	"sort"
@@ -165,10 +164,11 @@ func TestMultiProcessFabric(t *testing.T) {
 	var merged []entry
 	total := 0
 	for k := 0; k < nSites; k++ {
-		for i, c := range systems[k].CommitLog {
-			merged = append(merged, entry{clock: c.Clock, site: c.Site, seq: i, c: c})
-		}
-		total += len(systems[k].CommitLog)
+		systems[k].CommitLog.All(func(i int, c *homeostasis.Committed) bool {
+			merged = append(merged, entry{clock: c.Clock, site: c.Site, seq: i, c: *c})
+			return true
+		})
+		total += systems[k].CommitLog.Len()
 	}
 	if total == 0 {
 		t.Fatal("empty merged commit log")
@@ -192,15 +192,6 @@ func TestMultiProcessFabric(t *testing.T) {
 			t.Errorf("replay mismatch on %s: cluster %d, serial replay %d (%d commits)", obj, want, got, total)
 			for k := 0; k < nSites; k++ {
 				t.Logf("  site %d: base=%d own-delta=%d", k, parts[k].Get(obj), parts[k].Get(lang.DeltaObj(obj, k)))
-			}
-			var unit int
-			fmt.Sscanf(string(obj), "stock[%d]", &unit)
-			for k := 0; k < nSites; k++ {
-				for i, c := range systems[k].CommitLog {
-					if len(c.Units) == 1 && c.Units[0] == unit {
-						t.Logf("  site %d seq %d clock %d %s%v", k, i, c.Clock, c.Name, c.Args)
-					}
-				}
 			}
 		}
 	}

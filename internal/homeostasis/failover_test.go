@@ -101,8 +101,8 @@ func TestGrantExpiryAbortsUninstalledRound(t *testing.T) {
 	if len(sys.rounds) != 0 {
 		t.Fatalf("%d rounds still granted after failover", len(sys.rounds))
 	}
-	if len(sys.CommitLog) != 0 {
-		t.Fatalf("abort path appended %d commit-log entries", len(sys.CommitLog))
+	if sys.CommitLog.Len() != 0 {
+		t.Fatalf("abort path appended %d commit-log entries", sys.CommitLog.Len())
 	}
 	if got := snapshotUnit(sys, 1, u); !reflect.DeepEqual(got, before) {
 		t.Fatalf("abort path changed state: %v -> %v", before, got)
@@ -152,10 +152,10 @@ func TestRejoinAdoptsInstalledRound(t *testing.T) {
 	if sys.Col.RoundsAdopted != 1 || sys.Col.RoundsAborted != 0 {
 		t.Fatalf("adopted=%d aborted=%d, want 1/0", sys.Col.RoundsAdopted, sys.Col.RoundsAborted)
 	}
-	if len(sys.CommitLog) != 1 {
-		t.Fatalf("commit log has %d entries, want the adopted winner", len(sys.CommitLog))
+	if sys.CommitLog.Len() != 1 {
+		t.Fatalf("commit log has %d entries, want the adopted winner", sys.CommitLog.Len())
 	}
-	e := sys.CommitLog[0]
+	e := sys.CommitLog.At(0)
 	if e.Name != winner.Class || e.Site != winner.Site || e.Clock != 40 {
 		t.Fatalf("adopted entry = %+v", e)
 	}
@@ -334,12 +334,11 @@ func TestNodeKeepsNoPeerScratch(t *testing.T) {
 		return err
 	})
 	eng.Run() // virtual time runs past the grant TTL
-	if sys.Col.RoundsAdopted != 1 || len(sys.CommitLog) != 1 {
-		t.Fatalf("adopted=%d, commit log has %d entries, want the one adopted winner", sys.Col.RoundsAdopted, len(sys.CommitLog))
+	if sys.Col.RoundsAdopted != 1 || sys.CommitLog.Len() != 1 {
+		t.Fatalf("adopted=%d, commit log has %d entries, want the one adopted winner", sys.Col.RoundsAdopted, sys.CommitLog.Len())
 	}
-	e := sys.CommitLog[0]
-	adopted := fabric.WinnerCommit{Class: e.Name, Args: e.Args, Site: e.Site, Units: e.Units, Log: e.Log}
-	if !reflect.DeepEqual(adopted, winner) || e.Clock != 40 {
+	e := sys.CommitLog.At(0)
+	if e.Name != winner.Class || !reflect.DeepEqual(e.Args, winner.Args) || e.Site != winner.Site || e.Clock != 40 {
 		t.Errorf("adopted entry = %+v, want %+v at clock 40", e, winner)
 	}
 

@@ -44,7 +44,7 @@ func TestLiveReplayEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			col := sys.Run()
-			if len(sys.CommitLog) == 0 {
+			if sys.CommitLog.Len() == 0 {
 				t.Fatal("live run committed nothing")
 			}
 			if err := sys.CheckReplayEquivalence(); err != nil {
@@ -77,7 +77,7 @@ func TestLiveTPCC(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := sys.Run()
-	if len(sys.CommitLog) == 0 {
+	if sys.CommitLog.Len() == 0 {
 		t.Fatal("live TPC-C run committed nothing")
 	}
 	_ = col

@@ -166,8 +166,8 @@ func TestAbsorbCoordinatorDeathMidRound(t *testing.T) {
 	if got, want := u.treaties[1].Local(), localPin(u.objects, 1, sys.Stores[1]); !reflect.DeepEqual(got, want) {
 		t.Fatalf("unit not pinned at the moved base: treaty %v, want %v", got, want)
 	}
-	if len(sys.CommitLog) != 0 {
-		t.Fatalf("winnerless absorb round adopted %d commits", len(sys.CommitLog))
+	if sys.CommitLog.Len() != 0 {
+		t.Fatalf("winnerless absorb round adopted %d commits", sys.CommitLog.Len())
 	}
 	if sys.Col.RoundsAborted != 1 || sys.Col.RoundsAdopted != 0 {
 		t.Fatalf("aborted=%d adopted=%d, want 1/0 (winnerless installs count as aborts)",

@@ -67,7 +67,9 @@ func (sys *System) openWALOracle(dir string, opts wal.Options) (int, error) {
 		return entries[i].Site < entries[j].Site
 	})
 	if sys.Opts.EnableLog {
-		sys.CommitLog = append(sys.CommitLog, entries...)
+		for _, e := range entries {
+			sys.CommitLog.add(e)
+		}
 	}
 	sys.RecoveredRecords = int64(recovered)
 	return recovered, nil
@@ -93,8 +95,7 @@ func (sys *System) applyWALOracle(site int, recs []wal.Record) ([]Committed, err
 				st.Apply(lang.ObjID(obj), c.Writes[obj])
 			}
 			entry := Committed{
-				Name: c.Class, Args: c.Args, Site: c.Site,
-				Units: c.Units, Log: c.Log, Clock: c.Clock,
+				Name: c.Class, Args: c.Args, Site: c.Site, Clock: c.Clock,
 			}
 			if c.Round != nil {
 				rid := fabric.RoundID{Site: c.Round.Site, Seq: c.Round.Seq}

@@ -79,7 +79,7 @@ type recoveredState struct {
 
 func stateOf(sys *System) recoveredState {
 	s := recoveredState{
-		Log: sys.CommitLog, RoundSeq: sys.roundSeq, Clock: sys.clock, Epoch: sys.epoch,
+		Log: logEntries(&sys.CommitLog), RoundSeq: sys.roundSeq, Clock: sys.clock, Epoch: sys.epoch,
 		Status: sys.status, Addrs: sys.siteAddrs,
 	}
 	for _, st := range sys.Stores {
@@ -334,7 +334,7 @@ func replayBuffers(t *testing.T, sys *System, dir string) (int, error) {
 		}
 		recovered += len(recs)
 	}
-	sys.CommitLog = rp.commitLog(sys.CommitLog)
+	rp.commitLog(&sys.CommitLog)
 	return recovered, nil
 }
 
@@ -451,8 +451,8 @@ func TestReplayOwnsWhatItKeeps(t *testing.T) {
 	}
 	defer oracle.CloseWAL()
 	want := stateOf(oracle)
-	if len(want.Log) != len(live[0].CommitLog) || want.Epoch == 0 {
-		t.Fatalf("the oracle recovers %d commits of %d, epoch %d", len(want.Log), len(live[0].CommitLog), want.Epoch)
+	if len(want.Log) != live[0].CommitLog.Len() || want.Epoch == 0 {
+		t.Fatalf("the oracle recovers %d commits of %d, epoch %d", len(want.Log), live[0].CommitLog.Len(), want.Epoch)
 	}
 
 	c.net.Detach(simAddr(0))
@@ -462,23 +462,22 @@ func TestReplayOwnsWhatItKeeps(t *testing.T) {
 	}
 	sameState(t, "buffers overwritten", stateOf(sys), want)
 
-	for i := range sys.CommitLog {
-		e := &sys.CommitLog[i]
-		if cap(e.Args) != len(e.Args) || cap(e.Units) != len(e.Units) || cap(e.Log) != len(e.Log) {
-			t.Fatalf("log entry %d has room to grow into its neighbour: args %d/%d units %d/%d log %d/%d", i,
-				len(e.Args), cap(e.Args), len(e.Units), cap(e.Units), len(e.Log), cap(e.Log))
+	for i := range sys.CommitLog.Len() {
+		e := sys.CommitLog.At(i)
+		if cap(e.Args) != len(e.Args) {
+			t.Fatalf("log entry %d has room to grow into its neighbour: args %d/%d", i, len(e.Args), cap(e.Args))
 		}
 	}
 	c.attach(sys)
-	before := len(sys.CommitLog)
+	before := sys.CommitLog.Len()
 	c.eng.Spawn(0, func(p rt.Proc) {
 		_, runErr = sys.ExecRequest(p, 0, sys.W.(*micro.Workload).MakeRequest([]int{0, 1}))
 	})
 	c.eng.Run()
-	if runErr != nil || len(sys.CommitLog) != before+1 {
-		t.Fatalf("a commit after recovery: %v, log %d → %d entries", runErr, before, len(sys.CommitLog))
+	if runErr != nil || sys.CommitLog.Len() != before+1 {
+		t.Fatalf("a commit after recovery: %v, log %d → %d entries", runErr, before, sys.CommitLog.Len())
 	}
-	if !reflect.DeepEqual(sys.CommitLog[:before], want.Log) {
+	if !reflect.DeepEqual(logEntries(&sys.CommitLog)[:before], want.Log) {
 		t.Error("the commit after recovery disturbed the recovered log")
 	}
 }
@@ -551,8 +550,8 @@ func TestReplayRefusesSizesNoCRCVouchesFor(t *testing.T) {
 					t.Errorf("error %q does not mention %q", err, want)
 				}
 			}
-			if sys.NSites() != 2 || len(sys.CommitLog) != 0 {
-				t.Errorf("the refused log left width %d and %d commits behind", sys.NSites(), len(sys.CommitLog))
+			if sys.NSites() != 2 || sys.CommitLog.Len() != 0 {
+				t.Errorf("the refused log left width %d and %d commits behind", sys.NSites(), sys.CommitLog.Len())
 			}
 		})
 	}
@@ -648,34 +647,43 @@ func TestReplayRefusesUnknownKindAndUnit(t *testing.T) {
 
 // TestCommitLogMerge: sorted runs merge into what a stable sort of their
 // concatenation gives — ties across runs to the earlier run, ties within
-// a run in file order — after the log's own entries, and a single run is
-// adopted as the log, not copied.
+// a run in file order — into one exactly sized segment after the log's
+// own entries, which stay where they were, and a single run is adopted as
+// a segment, not copied.
 func TestCommitLogMerge(t *testing.T) {
 	entry := func(clock int64, site int, tag string) Committed {
 		return Committed{Name: tag, Clock: clock, Site: site}
 	}
-	names := func(log []Committed) string {
+	names := func(log *CommitLog) string {
 		var b bytes.Buffer
-		for _, e := range log {
+		for _, e := range logEntries(log) {
 			b.WriteString(e.Name + " ")
 		}
 		return strings.TrimSpace(b.String())
 	}
-	kept := []Committed{entry(99, 0, "kept")}
-	if got := names((&replay{}).commitLog(kept)); got != "kept" {
-		t.Errorf("no runs: merged to %q, want the log as it was", got)
+	var log CommitLog
+	log.add(entry(99, 0, "kept"))
+	kept := log.At(0)
+	if (&replay{}).commitLog(&log); names(&log) != "kept" {
+		t.Errorf("no runs: merged to %q, want the log as it was", names(&log))
 	}
 	rp := &replay{runs: [][]Committed{
 		{entry(1, 0, "a1"), entry(3, 1, "a2"), entry(3, 1, "a3"), entry(7, 0, "a4")},
 		{entry(2, 1, "b1"), entry(3, 0, "b2"), entry(3, 1, "b3"), entry(8, 1, "b4")},
 		{entry(3, 1, "c1")},
 	}}
-	if got, want := names(rp.commitLog(kept)), "kept a1 b1 b2 a2 a3 b3 c1 a4 b4"; got != want {
+	rp.commitLog(&log)
+	if got, want := names(&log), "kept a1 b1 b2 a2 a3 b3 c1 a4 b4"; got != want {
 		t.Errorf("merged to %q, want %q", got, want)
+	}
+	if log.At(0) != kept || len(log.segs) != 2 || len(log.segs[1]) != cap(log.segs[1]) {
+		t.Errorf("the merge moved the log's own entries or sized its segment %d/%d",
+			len(log.segs[len(log.segs)-1]), cap(log.segs[len(log.segs)-1]))
 	}
 	one := []Committed{entry(1, 0, "x"), entry(2, 0, "y")}
 	rp = &replay{runs: [][]Committed{one}}
-	if got := rp.commitLog(nil); &got[0] != &one[0] {
-		t.Error("a single run was copied instead of adopted as the log")
+	rp.commitLog(&log)
+	if log.At(log.Len()-2) != &one[0] {
+		t.Error("a single run was copied instead of adopted as a segment")
 	}
 }

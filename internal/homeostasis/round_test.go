@@ -322,7 +322,7 @@ func TestRoundPostconditions(t *testing.T) {
 			}
 
 			roundCommits := 0
-			for _, c := range sys.CommitLog {
+			for _, c := range logEntries(&sys.CommitLog) {
 				if c.Round != (fabric.RoundID{}) {
 					roundCommits++
 				}
@@ -396,10 +396,10 @@ func TestExecRefusesWhatTheProtocolCannotRun(t *testing.T) {
 
 		rec.fail = errors.New("peer 1 unreachable")
 		for i := 0; i < 100; i++ {
-			before := len(sys.CommitLog)
+			before := sys.CommitLog.Len()
 			if _, err := sys.ExecRequest(p, 0, w.MakeRequest([]int{0})); err != nil {
 				refused("unreachable round", err, "peer 1 unreachable")
-				if len(sys.CommitLog) != before {
+				if sys.CommitLog.Len() != before {
 					t.Error("the refused request committed")
 				}
 				return

@@ -224,8 +224,6 @@ func (sys *System) adoptWinner(site int, rid fabric.RoundID, g *roundGrant) {
 			Name:  w.Class,
 			Args:  w.Args,
 			Site:  w.Site,
-			Units: w.Units,
-			Log:   w.Log,
 			Clock: g.winnerClock,
 			Round: rid,
 		})

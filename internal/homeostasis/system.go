@@ -170,10 +170,8 @@ type Committed struct {
 	Name string
 	// Args is the log's own copy of the request's arguments, in the
 	// System's slab (appendCommit): a request borrows its caller's.
-	Args  []int64
-	Site  int
-	Units []int
-	Log   []int64
+	Args []int64
+	Site int
 	// Clock is the commit's Lamport timestamp. Synchronization rounds
 	// propagate clocks between sites, so merging per-site logs of a
 	// multi-process cluster by (Clock, Site, position) yields an order
@@ -275,10 +273,11 @@ type System struct {
 	Units  []*unitState
 	Col    *metrics.Collector
 
-	CommitLog []Committed
-	// logSlab holds the commit log's int64s: every entry's Args
-	// (appendCommit) and a recovered entry's Log, in chunks handed out
-	// piecewise (carve) and kept while the log lives.
+	// CommitLog is every commit in commit order (Options.EnableLog).
+	CommitLog CommitLog
+	// logSlab holds every commit-log entry's Args (appendCommit and WAL
+	// replay), in chunks handed out piecewise (carve) and kept while the
+	// log lives.
 	logSlab []int64
 
 	// deadline is the absolute end of the Run window, measured from when
@@ -793,24 +792,30 @@ func (sys *System) CheckReplayEquivalence() error {
 	if sys.Opts.Mode == ModeLocal {
 		return fmt.Errorf("homeostasis: replay check does not apply to the local baseline")
 	}
-	if len(sys.CommitLog) == 0 {
+	if sys.CommitLog.Len() == 0 {
 		return fmt.Errorf("homeostasis: replay check with empty commit log")
 	}
 	replay := sys.W.InitialDB()
-	for _, c := range sys.CommitLog {
+	var err error
+	sys.CommitLog.All(func(_ int, c *Committed) bool {
 		if c.Apply == nil {
 			// Recovered and adopted entries carry no replay closure; the
 			// class-registry replay (homeo.CheckMergedReplay) covers them.
-			return fmt.Errorf("homeostasis: replay check cannot re-execute recovered entry %s (use the class-registry replay)", c.Name)
+			err = fmt.Errorf("homeostasis: replay check cannot re-execute recovered entry %s (use the class-registry replay)", c.Name)
+			return false
 		}
 		c.Apply(replay, c.Args)
+		return true
+	})
+	if err != nil {
+		return err
 	}
 	// Sorted walk so a mismatch always names the same (first) object.
 	folded := sys.FoldedDB()
 	for _, obj := range folded.Objects() {
 		if got, v := replay.Get(obj), folded[obj]; got != v {
 			return fmt.Errorf("homeostasis: replay mismatch on %s: protocol %d, serial replay %d (%d commits)",
-				obj, v, got, len(sys.CommitLog))
+				obj, v, got, sys.CommitLog.Len())
 		}
 	}
 	return nil

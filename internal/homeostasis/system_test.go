@@ -64,19 +64,19 @@ func TestTheorem38SerialEquivalence(t *testing.T) {
 			w := microWorkload(t, 5, nSites, 20)
 			opts := baseOpts(mode, nSites)
 			sys, _ := runSystem(t, w, opts)
-			if len(sys.CommitLog) == 0 {
+			if sys.CommitLog.Len() == 0 {
 				t.Fatalf("%v/%d sites: no commits", mode, nSites)
 			}
 			// Serial replay on the initial logical database.
 			replay := w.InitialDB()
-			for _, c := range sys.CommitLog {
+			for _, c := range logEntries(&sys.CommitLog) {
 				c.Apply(replay, c.Args)
 			}
 			final := finalFolded(sys)
 			for obj, v := range final {
 				if replay.Get(obj) != v {
 					t.Fatalf("%v/%d sites: object %s: protocol %d, serial replay %d (%d commits)",
-						mode, nSites, obj, v, replay.Get(obj), len(sys.CommitLog))
+						mode, nSites, obj, v, replay.Get(obj), sys.CommitLog.Len())
 				}
 			}
 		}
@@ -246,7 +246,7 @@ func TestMultiItemRequests(t *testing.T) {
 		t.Fatal("no commits")
 	}
 	replay := w.InitialDB()
-	for _, c := range sys.CommitLog {
+	for _, c := range logEntries(&sys.CommitLog) {
 		c.Apply(replay, c.Args)
 	}
 	for obj, v := range finalFolded(sys) {

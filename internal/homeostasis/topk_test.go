@@ -41,7 +41,7 @@ func TestTopKEndToEnd(t *testing.T) {
 
 	// True top-2 of the initial list plus every committed insert.
 	vals := []int64{100, 91}
-	for _, c := range sys.CommitLog {
+	for _, c := range logEntries(&sys.CommitLog) {
 		vals = append(vals, c.Args[0])
 	}
 	sort.Slice(vals, func(i, j int) bool { return vals[i] > vals[j] })

@@ -205,7 +205,7 @@ func TestRegisteredClassOnSim(t *testing.T) {
 			if err := sys.CheckReplayEquivalence(); err != nil {
 				t.Fatal(err)
 			}
-			if got := len(sys.CommitLog); got != 200 {
+			if got := sys.CommitLog.Len(); got != 200 {
 				t.Fatalf("committed %d of 200", got)
 			}
 		})
