@@ -87,17 +87,14 @@ func submit(t *testing.T, cls *homeo.TxnClass, c *homeo.Cluster, n int, args ...
 }
 
 // mergedReplay checks Theorem 3.8 the multi-process way, as the drive does:
-// every process's log merged, against the partitions of the sites still in
-// the membership as check sees it.
+// every process's log merged, against every process's partition, a drained
+// one's included.
 func mergedReplay(check *homeo.Cluster, cs ...*homeo.Cluster) error {
 	var logs [][]wire.LogEntry
 	var parts []wire.PartitionResponse
-	status := check.SiteStatuses()
 	for _, c := range cs {
 		logs = append(logs, c.WireLog())
-		if status[c.SelfSite()] != "gone" {
-			parts = append(parts, c.Partition())
-		}
+		parts = append(parts, c.Partition())
 	}
 	return check.CheckMergedReplay(logs, parts)
 }

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -222,6 +224,44 @@ func TestLClassOnLive(t *testing.T) {
 	}
 	if got := c.Committed(); got != 100 {
 		t.Fatalf("committed %d of 100", got)
+	}
+}
+
+// TestCloseLeaksNoGoroutine: a live cluster's processes, the runtime's
+// idle workers included, are gone once Close returns.
+func TestCloseLeaksNoGoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	c, err := homeo.New(homeo.Options{Runtime: homeo.RuntimeLive, LocalExecTime: time.Microsecond, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cls, err := c.Register(homeo.ClassSpec{L: depositSrc, Initial: map[string]int64{"acct": 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if _, err := c.Session().Submit(context.Background(), cls, 1); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	c.Close()
+	// An exiting goroutine is counted until it has returned.
+	left := runtime.NumGoroutine() - base
+	for deadline := time.Now().Add(5 * time.Second); left > 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		left = runtime.NumGoroutine() - base
+	}
+	if left > 0 {
+		t.Errorf("%d goroutines left after Close, want 0", left)
 	}
 }
 

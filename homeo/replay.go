@@ -128,10 +128,12 @@ func (c *Cluster) CheckMergedReplay(logs [][]wire.LogEntry, parts []wire.Partiti
 	}
 	// A drained site's partition may be absent: its deltas were absorbed
 	// into the replicated base by the drain's winnerless rounds, so the
-	// surviving sites' partitions carry its contribution. Every site still
-	// in the membership must report.
+	// surviving sites' partitions carry its contribution. One that still
+	// reports keeps the base it last saw, since rounds after the drain do
+	// not reach it: its deltas count, its base is not compared. Every site
+	// still in the membership must report.
 	statuses := c.SiteStatuses()
-	ref := -1 // lowest-indexed site with a partition: the base reference
+	ref := -1 // lowest-indexed live site with a partition: the base reference
 	for site, vals := range bySite {
 		if vals == nil {
 			if statuses[site] == "gone" {
@@ -139,7 +141,7 @@ func (c *Cluster) CheckMergedReplay(logs [][]wire.LogEntry, parts []wire.Partiti
 			}
 			return fmt.Errorf("homeo: missing partition for site %d (status %s)", site, statuses[site])
 		}
-		if ref < 0 {
+		if ref < 0 && statuses[site] != "gone" {
 			ref = site
 		}
 	}
@@ -186,7 +188,7 @@ func (c *Cluster) CheckMergedReplay(logs [][]wire.LogEntry, parts []wire.Partiti
 			if bySite[site] == nil {
 				continue
 			}
-			if b, ok := bySite[site][string(obj)]; ok && b != base {
+			if b, ok := bySite[site][string(obj)]; ok && b != base && statuses[site] != "gone" {
 				return fmt.Errorf("homeo: merged replay: base %s diverged: site %d has %d, site %d has %d",
 					obj, ref, base, site, b)
 			}

@@ -81,14 +81,11 @@ func runSimDrive(t *testing.T, smoke string) ([][]wire.LogEntry, []wire.Partitio
 	}
 
 	check := d.sites[0]
-	status := check.SiteStatuses()
 	var logs [][]wire.LogEntry
 	var parts []wire.PartitionResponse
 	for _, c := range d.sites {
 		logs = append(logs, c.WireLog())
-		if status[c.SelfSite()] != "gone" {
-			parts = append(parts, c.Partition())
-		}
+		parts = append(parts, c.Partition())
 	}
 	if err := check.CheckMergedReplay(logs, parts); err != nil {
 		t.Fatalf("merged replay: %v", err)

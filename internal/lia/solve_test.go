@@ -281,51 +281,67 @@ func TestSolveModelAllocs(t *testing.T) {
 }
 
 // TestOverflowRestartsOnReference: when a product leaves int64 the kernel
-// reports it instead of an answer, and the call is answered by the
-// reference procedure.
+// reports it instead of an answer, and System.Feasible and
+// System.SolveModel answer through FeasibleRat and SolveModelRat, on
+// small systems with large coefficients, feasible and infeasible.
 func TestOverflowRestartsOnReference(t *testing.T) {
 	const big = math.MaxInt64
-	systems := [][]Constraint{
-		{ // a lower and an upper bound on a whose combination multiplies big by big
+	systems := []struct {
+		cs      []Constraint
+		forward bool // the overflow is in forward(), not in back()
+	}{
+		{[]Constraint{ // a lower and an upper bound on a whose combination multiplies big by big
 			c(term(0, ca, big, cb, 1), LE),
 			c(term(1, ca, -big, cb, 5), LE),
 			c(term(-3, cb, 1), LE),
-		},
-		{ // an equality pivot with a huge coefficient
+		}, true},
+		{[]Constraint{ // the same shape with b >= 0: infeasible
+			c(term(0, ca, 1<<62, cb, 3), LE),
+			c(term(1, ca, -3, cb, 1<<62), LE),
+			c(term(0, cb, -1), LE),
+		}, true},
+		{[]Constraint{ // an equality pivot with a huge coefficient
 			c(term(7, ca, big, cb, -3), EQ),
 			c(term(0, ca, big-1, cb, 2), LE),
-		},
-		{ // a bound that only overflows in back-substitution
-			c(term(0, ca, 1, cb, -(big/2)), LE),
-			c(term(-5, cb, -1), LE),
-			c(term(0, cb, 1), LE),
-			c(term(-10, ca, -1), LE),
-		},
+		}, true},
+		{[]Constraint{ // b's largest value, big/4, overflows a <= 5b in back-substitution
+			c(term(0, ca, 1, cb, -5), LE),
+			c(term(0, ca, -1), LE),
+			c(term(-(big/4), cb, 1), LE),
+		}, false},
 	}
-	overflowed := 0
-	for i, cs := range systems {
+	feasible := 0
+	for i, sys := range systems {
+		cs := sys.cs
 		var s System
 		s.load(cs)
 		s.vals = make([]int64, len(s.vars))
-		feasible, ok := s.forward()
-		if ok && feasible {
+		found, ok := s.forward()
+		if ok == sys.forward {
+			t.Fatalf("system %d: forward() overflowed = %v, want %v", i, !ok, sys.forward)
+		}
+		if ok && found {
 			_, ok = s.back(len(cs))
 		}
 		s.Truncate(len(cs))
-		if !ok {
-			overflowed++
+		if ok {
+			t.Fatalf("system %d stays inside int64: the test does not reach the fallback", i)
 		}
 		got, gotOK := model(cs)
 		want, wantOK := SolveModelRat(cs)
 		if gotOK != wantOK || !reflect.DeepEqual(got, want) {
 			t.Fatalf("system %d: SolveModel = %v %v, reference %v %v", i, got, gotOK, want, wantOK)
 		}
-		if Feasible(cs) != FeasibleRat(cs) {
+		f := s.Feasible()
+		if f != FeasibleRat(cs) {
 			t.Fatalf("system %d: Feasible disagrees with the reference", i)
 		}
+		if f {
+			feasible++
+		}
 	}
-	if overflowed < 2 {
-		t.Fatalf("only %d of %d systems left int64: the test does not reach the fallback", overflowed, len(systems))
+	if feasible == 0 || feasible == len(systems) {
+		t.Fatalf("%d of %d systems feasible: the test wants both verdicts", feasible, len(systems))
 	}
 }
 

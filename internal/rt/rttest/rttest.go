@@ -171,11 +171,14 @@ func testResourceFIFO(t *testing.T, r rt.Runtime) {
 	for i := 0; i < procs; i++ {
 		i := i
 		r.Spawn(i, func(p rt.Proc) {
-			// Stagger arrivals well beyond scheduling noise.
-			p.Sleep(rt.Duration(i*10) * rt.Millisecond)
+			// Arrivals at 0, 30, 60 and 90 ms; each holder keeps the slot
+			// 75 ms. The first release (75 ms) wakes a waiter that must
+			// take the slot before the fresh arrival at 90 ms competes for
+			// it; every gap is 15 ms, well beyond scheduling noise.
+			p.Sleep(rt.Duration(i*30) * rt.Millisecond)
 			res.Acquire(p)
 			order = append(order, i)
-			p.Sleep(25 * rt.Millisecond)
+			p.Sleep(75 * rt.Millisecond)
 			res.Release()
 		})
 	}

@@ -30,12 +30,16 @@
 // # Recycled processes
 //
 // A served transaction is one short process, so Spawn builds nothing a
-// process can inherit from the one before it: a finished process leaves
-// its Proc — condition variable, park state and sleep timer — on a free
-// list, and the next Spawn runs its function on it, on a goroutine of its
-// own. The park token only ever grows, so a wake aimed at a function that
-// has finished can never reach the next one to use the Proc; a killed
-// Proc is never reused.
+// process can inherit from the one before it. Each Proc owns one goroutine
+// for life: it runs the function it is handed, retires, and waits on the
+// Proc's own condition variable for the next one, keeping the stack the
+// last function grew. A finished Proc — goroutine, park state and sleep
+// timer — goes on a free list of at most maxFree, so a burst pins up to
+// that many parked goroutines with their stacks; the next Spawn hands its
+// function to one under the process-list lock. The park token only ever
+// grows, so a wake aimed at a function that has finished can never reach
+// the next one to use the Proc; a killed Proc is never reused, and Drain
+// reaps the idle ones.
 package rtlive
 
 import (
@@ -62,12 +66,16 @@ type Runtime struct {
 	start time.Time
 	rng   *rand.Rand
 
-	// wg tracks live process goroutines; Drain and deadline-less Run wait
-	// on it.
-	wg sync.WaitGroup
+	// wg tracks functions handed to processes and not yet returned; only
+	// deadline-less Run waits on it. workers tracks the Procs' goroutines,
+	// which outlive their functions; Drain waits on it, which covers wg,
+	// since a worker exits only after its function has returned.
+	wg      sync.WaitGroup
+	workers sync.WaitGroup
 
 	// procMu guards the process lists: procs holds every running process,
-	// each at index Proc.slot, for Drain; free holds finished ones.
+	// each at index Proc.slot, for Drain; free holds finished ones, whose
+	// goroutines wait for their next function.
 	procMu   sync.Mutex
 	procs    []*Proc
 	free     []*Proc
@@ -165,20 +173,21 @@ func (r *Runtime) Run() rt.Time {
 }
 
 // Drain cancels every process that has not finished: parked processes are
-// woken into a cancellation panic recovered by the spawn wrapper (running
-// their deferred cleanup), running processes are cancelled at their next
-// park point. Drain blocks until all process goroutines have exited, so
-// after it returns no process touches shared state.
+// woken into a cancellation panic recovered by the worker (running their
+// deferred cleanup), running processes are cancelled at their next park
+// point, and idle workers exit. Drain blocks until all process goroutines
+// have exited, so after it returns no process touches shared state.
 func (r *Runtime) Drain() {
 	r.procMu.Lock()
 	r.draining = true
-	procs := make([]*Proc, len(r.procs))
-	copy(procs, r.procs)
+	procs := make([]*Proc, 0, len(r.procs)+len(r.free))
+	procs = append(append(procs, r.procs...), r.free...)
+	r.free = nil
 	r.procMu.Unlock()
 	for _, p := range procs {
 		p.kill()
 	}
-	r.wg.Wait()
+	r.workers.Wait()
 }
 
 // Live returns the number of processes that have started but not
@@ -198,20 +207,19 @@ type killedError struct{}
 func (killedError) Error() string { return "rtlive: process killed by Drain" }
 
 // Proc is a live process: a goroutine that holds the scheduler lock while
-// it runs protocol code.
+// it runs protocol code, and waits for its next function between them.
 type Proc struct {
 	r    *Runtime
 	id   int
 	slot int // index in r.procs while running, guarded by r.procMu
-	fn   func(p rt.Proc)
-	// runFn is run as a func value, bound when the Proc is built: a go
-	// statement on a method call would wrap it in a new closure per spawn.
-	runFn func()
 
-	// pmu guards parked/killed; token is guarded by the scheduler lock
-	// (all its readers and writers hold it).
+	// pmu guards fn/parked/killed; token is guarded by the scheduler lock
+	// (all its readers and writers hold it). fn is the function handed to
+	// the worker and not yet taken; cond wakes the worker both for it and
+	// out of a park.
 	pmu    sync.Mutex
 	cond   sync.Cond // on pmu
+	fn     func(p rt.Proc)
 	parked bool
 	killed bool
 	token  int64
@@ -236,11 +244,12 @@ func (r *Runtime) Spawn(id int, fn func(p rt.Proc)) { r.spawn(id, fn) }
 func (r *Runtime) SpawnOK(id int, fn func(p rt.Proc)) bool { return r.spawn(id, fn) }
 
 // maxFree bounds the finished processes kept for reuse, so a burst does
-// not pin its high-water mark of them forever.
+// not pin its high-water mark of them forever. Each one is a parked
+// goroutine with the stack its last function grew.
 const maxFree = 1024
 
-// spawn starts fn as a process on a recycled Proc, or a new one when the
-// free list is empty.
+// spawn hands fn to a recycled Proc's waiting goroutine, or starts a new
+// Proc with its own goroutine when the free list is empty.
 //
 //homeo:hotpath
 func (r *Runtime) spawn(id int, fn func(p rt.Proc)) bool {
@@ -257,32 +266,66 @@ func (r *Runtime) spawn(id int, fn func(p rt.Proc)) bool {
 	} else {
 		p = &Proc{r: r}
 		p.cond.L = &p.pmu
-		p.runFn = p.run
+		r.workers.Add(1)
+		go p.work()
 	}
-	p.id, p.fn, p.slot = id, fn, len(r.procs)
+	p.id, p.slot = id, len(r.procs)
 	r.procs = append(r.procs, p)
-	// Counted before procMu is released: Drain waits on wg only after it
-	// has taken procMu, so it cannot miss a process admitted before it.
+	// Counted and handed over before procMu is released: Drain takes
+	// procMu before it kills anything or waits, so it cannot miss a
+	// process admitted before it, nor find this Proc idle once it has fn.
 	r.live.Add(1)
 	r.wg.Add(1)
+	p.pmu.Lock()
+	p.fn = fn
+	p.cond.Signal()
+	p.pmu.Unlock()
 	r.procMu.Unlock()
-	go p.runFn()
 	return true
 }
 
-// run is the process goroutine: execute fn holding the scheduler lock,
-// absorbing the cancellation panic of a kill, then retire the process.
-// Bumping the token as fn ends, still under the lock, invalidates every
-// wake still aimed at it before the Proc can serve another function.
+// work is a Proc's goroutine: it waits for a function, runs it, and waits
+// again, until the Proc is killed while idle or is not kept for reuse. A
+// function handed over before a kill still runs, into the cancellation
+// at its first park, so its deferred cleanup runs and wg settles.
 //
 //homeo:hotpath
-func (p *Proc) run() {
+func (p *Proc) work() {
+	defer p.r.workers.Done()
+	for {
+		p.pmu.Lock()
+		for p.fn == nil && !p.killed {
+			p.cond.Wait()
+		}
+		fn := p.fn
+		p.fn = nil
+		p.pmu.Unlock()
+		if fn == nil || !p.run(fn) {
+			return
+		}
+	}
+}
+
+// run executes fn holding the scheduler lock, absorbing the cancellation
+// panic of a kill, then retires the process and reports whether the Proc
+// was kept for the next Spawn. Bumping the token as fn ends, still under
+// the lock, invalidates every wake still aimed at it before the Proc can
+// serve another function.
+//
+//homeo:hotpath
+func (p *Proc) run(fn func(p rt.Proc)) bool {
 	r := p.r
-	defer r.wg.Done()
-	defer r.live.Add(-1)
-	defer r.retire(p)
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	p.call(fn)
+	kept := r.retire(p)
+	r.live.Add(-1)
+	r.wg.Done()
+	return kept
+}
+
+// call is run's part under the scheduler lock.
+func (p *Proc) call(fn func(p rt.Proc)) {
+	p.r.mu.Lock()
+	defer p.r.mu.Unlock()
 	defer func() {
 		p.token++
 		if x := recover(); x != nil {
@@ -291,26 +334,26 @@ func (p *Proc) run() {
 			}
 		}
 	}()
-	p.fn(p)
+	fn(p)
 }
 
 // retire forgets a finished process, so long-running servers do not
-// accumulate dead entries, and keeps its Proc for the next Spawn unless it
-// was killed.
-func (r *Runtime) retire(p *Proc) {
-	p.pmu.Lock()
-	killed := p.killed
-	p.pmu.Unlock()
+// accumulate dead entries, and keeps its Proc for the next Spawn unless
+// the runtime is draining (only Drain kills, after it set draining under
+// procMu) or the free list is full; a Proc not kept has its goroutine
+// exit.
+func (r *Runtime) retire(p *Proc) bool {
 	r.procMu.Lock()
 	defer r.procMu.Unlock()
 	last := r.procs[len(r.procs)-1]
 	r.procs[p.slot], last.slot = last, p.slot
 	r.procs[len(r.procs)-1] = nil
 	r.procs = r.procs[:len(r.procs)-1]
-	if !killed && len(r.free) < maxFree {
-		p.fn = nil
-		r.free = append(r.free, p)
+	if r.draining || len(r.free) >= maxFree {
+		return false
 	}
+	r.free = append(r.free, p)
+	return true
 }
 
 // kill marks the process cancelled and wakes it if parked. The process

@@ -2,8 +2,10 @@ package rtlive_test
 
 import (
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/rt"
 	"repro/internal/rt/rttest"
@@ -60,8 +62,8 @@ func spawnWait(r *rtlive.Runtime, id int, fn func(p rt.Proc)) {
 }
 
 // TestSpawnRecyclesProcess: one function after another runs on the same
-// Proc, which keeps its sleep timer, so a steady stream of spawns
-// allocates only the goroutine's start.
+// Proc, which keeps its goroutine and its sleep timer, so a steady stream
+// of spawns allocates nothing of the runtime's own.
 func TestSpawnRecyclesProcess(t *testing.T) {
 	r := rtlive.New(1)
 	defer r.Drain()
@@ -76,9 +78,9 @@ func TestSpawnRecyclesProcess(t *testing.T) {
 		})
 	}
 	body := func(p rt.Proc) { p.Sleep(1) }
-	if allocs := testing.AllocsPerRun(200, func() { spawnWait(r, 0, body) }); allocs > 4 {
-		// spawnWait's own channel and closure, and the go statement.
-		t.Errorf("steady-state Spawn+Sleep allocates %v per run, want at most 4", allocs)
+	if allocs := testing.AllocsPerRun(200, func() { spawnWait(r, 0, body) }); allocs > 3 {
+		// spawnWait's own channel and closure.
+		t.Errorf("steady-state Spawn+Sleep allocates %v per run, want at most 3", allocs)
 	}
 }
 
@@ -175,5 +177,122 @@ func TestSpawnDrainRace(t *testing.T) {
 		runtime.Gosched()
 		r.Drain()
 		wg.Wait()
+	}
+}
+
+// settle waits until at most want goroutines beyond base are left (an
+// exiting worker is counted until it has returned), and reports the count.
+func settle(base, want int) int {
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		n := runtime.NumGoroutine() - base
+		if n <= want || time.Now().After(deadline) {
+			return n
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// goroutineID reads the calling goroutine's id from its stack header,
+// "goroutine N [...".
+func goroutineID() string {
+	var buf [64]byte
+	s := string(buf[:runtime.Stack(buf[:], false)])
+	s = strings.TrimPrefix(s, "goroutine ")
+	return s[:strings.IndexByte(s, ' ')]
+}
+
+// TestSpawnReusesGoroutine: a thousand processes one after another run on
+// one goroutine between them, and Drain leaves none behind.
+func TestSpawnReusesGoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	r := rtlive.New(1)
+	ran := make(map[string]bool)
+	for i := 0; i < 1000; i++ {
+		spawnWait(r, i, func(p rt.Proc) { ran[goroutineID()] = true; p.Sleep(1) })
+	}
+	if len(ran) > 3 {
+		t.Errorf("1000 sequential Spawns ran on %d goroutines, want at most 3", len(ran))
+	}
+	if n := runtime.NumGoroutine() - base; n > 3 {
+		t.Errorf("1000 sequential Spawns left %d goroutines, want at most 3", n)
+	}
+	r.Drain()
+	if n := settle(base, 0); n > 0 {
+		t.Errorf("%d goroutines left after Drain, want 0", n)
+	}
+}
+
+// TestBurstKeepsAtMostMaxFree: after 2×MaxFree processes ran at once, at
+// most MaxFree workers stay parked for reuse, and Drain reaps those.
+func TestBurstKeepsAtMostMaxFree(t *testing.T) {
+	base := runtime.NumGoroutine()
+	r := rtlive.New(1)
+	const n = 2 * rtlive.MaxFree
+	var (
+		wg     sync.WaitGroup
+		parked []rt.Proc
+		tokens []int64
+	)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		r.Spawn(i, func(p rt.Proc) {
+			defer wg.Done()
+			parked, tokens = append(parked, p), append(tokens, p.PrepPark())
+			p.Park()
+		})
+	}
+	// Every process is parked at once, so each has a Proc of its own.
+	for all := false; !all; {
+		r.Locked(func() { all = len(parked) == n })
+		runtime.Gosched()
+	}
+	r.Locked(func() {
+		for i, p := range parked {
+			p.WakeIf(tokens[i])
+		}
+	})
+	wg.Wait()
+	for r.Live() != 0 {
+		runtime.Gosched()
+	}
+	if idle := settle(base, rtlive.MaxFree); idle > rtlive.MaxFree {
+		t.Errorf("%d goroutines parked after a burst of %d, want at most %d", idle, n, rtlive.MaxFree)
+	}
+	r.Drain()
+	if left := settle(base, 0); left > 0 {
+		t.Errorf("%d goroutines left after Drain, want 0", left)
+	}
+}
+
+// TestHandedOverBeforeKill: a function handed to a free Proc that Drain
+// kills before the function starts still runs, into its cancellation at
+// its first park, so its deferred cleanup runs and Drain returns. With
+// one processor the worker cannot wake between the hand-over and the
+// kill, which is the order that matters.
+func TestHandedOverBeforeKill(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for round := 0; round < 20; round++ {
+		r := rtlive.New(1)
+		spawnWait(r, 0, func(p rt.Proc) {}) // one Proc on the free list
+		started, cleaned := false, false
+		if !r.SpawnOK(1, func(p rt.Proc) {
+			started = true
+			defer func() { cleaned = true }()
+			p.Sleep(10 * rt.Second)
+			t.Error("a killed function woke normally")
+		}) {
+			t.Fatal("SpawnOK refused while not draining")
+		}
+		drained := make(chan struct{})
+		go func() { r.Drain(); close(drained) }()
+		select {
+		case <-drained:
+		case <-time.After(5 * time.Second):
+			t.Fatal("Drain hung on a function handed over before the kill")
+		}
+		if !started || !cleaned {
+			t.Fatalf("round %d: started=%v cleaned=%v, want the function run into its cancellation", round, started, cleaned)
+		}
 	}
 }
