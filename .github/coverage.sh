@@ -7,8 +7,10 @@
 #
 #   - homeostasis-bench: the 22 bench-scale reports, checked byte for byte
 #     against internal/experiments/testdata/bench_reports.golden;
-#   - homeostasis-serve: the six drive smokes of ci.yml, with its arguments
-#     (each drive checks serial-replay equivalence itself);
+#   - homeostasis-serve: the six drive smokes, with ci.yml's arguments —
+#     ci.yml runs five; the plain procs=3 drive, which the kill and
+#     elastic smokes cover there, stays here so the sweep's numbers stay
+#     comparable (each drive checks serial-replay equivalence itself);
 #   - the ledger runner of benchmark/: its five workloads, 3 s each, which
 #     must end correct with no failed operation;
 #   - the four programs under examples/;

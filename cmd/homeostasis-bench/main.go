@@ -21,7 +21,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/homeo"
 	"repro/internal/experiments"
 )
 
@@ -29,7 +28,6 @@ func main() {
 	var (
 		experiment = flag.String("experiment", "", "experiment id (fig10..fig29, table1, ablation, drift) or 'all'")
 		scaleName  = flag.String("scale", "full", "experiment scale: full, quick, or bench")
-		allocName  = flag.String("alloc", "default", "treaty allocation override for every cell: default, equal, model, or adaptive (non-default also enables batched renegotiation; 'default' keeps the golden reports)")
 		parallel   = flag.Int("parallel", 0, "max sweep cells simulated concurrently (0 = all cores)")
 		progress   = flag.Bool("progress", false, "report per-cell progress on stderr")
 		verbose    = flag.Bool("v", false, "print per-sweep totals (commits, drops, store counters) after each report")
@@ -63,12 +61,6 @@ func main() {
 		os.Exit(2)
 	}
 	sc.Parallel = *parallel
-	alloc, err := homeo.ParseAlloc(*allocName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	sc.Alloc = alloc
 
 	runOne := func(name string) {
 		fn, ok := experiments.ByName(name)

@@ -163,7 +163,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		rep, err := drive.Run(opts, spec, spawn, os.Stdout)
+		rep, err := drive.Run(opts, spec, &drive.Live{Spawn: spawn}, os.Stdout)
 		if err != nil {
 			fatal(err)
 		}

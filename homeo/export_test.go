@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"time"
 
+	"repro/homeo/wire"
 	"repro/internal/fabric"
+	"repro/internal/rt"
 	"repro/internal/sim"
 )
 
@@ -53,6 +55,14 @@ func (f *SimFabric) Boot(site, width int) (*Cluster, error) {
 	return c, err
 }
 
+// BootSites builds a Cluster that holds every site itself, as an
+// in-process drive's does, on the fabric's engine; it needs no net.
+func (f *SimFabric) BootSites() (*Cluster, error) {
+	opts := f.opts
+	opts.Runtime = RuntimeSim
+	return boot(opts, f.Eng, nil)
+}
+
 // Attach puts c's site on the net.
 func (f *SimFabric) Attach(c *Cluster) { f.net.Attach(f.sims[c]) }
 
@@ -63,4 +73,30 @@ func (f *SimFabric) Attach(c *Cluster) { f.net.Attach(f.sims[c]) }
 func (f *SimFabric) Kill(c *Cluster) {
 	f.net.Detach(SimAddr(c.SelfSite()))
 	_ = c.sys.CloseWAL()
+}
+
+// Exec runs on p what a /v1/txn request asks of site — req.Class on
+// req.Args, or a draw from the mix when it names none — as a submission's
+// body runs it, metrics included: for a drive's client on a SimFabric,
+// which is an engine process already.
+func (c *Cluster) Exec(p rt.Proc, site int, req wire.TxnRequest) (err error) {
+	sub := subPool.Get().(*pendingSub)
+	sub.c, sub.site = c, site
+	if class := c.Class(req.Class); req.Class == "" {
+		sub.req = c.reg.Next(c.rng, site)
+	} else if class == nil {
+		err = fmt.Errorf("%w: no class %s", ErrAborted, req.Class)
+	} else {
+		sub.args = append(sub.args[:0], req.Args...)
+		sub.req, err = class.wc.Invoke(c.reg.Units(class.wc), sub.args)
+	}
+	if err == nil {
+		c.inflight.Add(1)
+		sub.released.Store(false)
+		sub.body(p)
+		<-sub.done
+		err = sub.execErr
+	}
+	sub.recycle()
+	return err
 }

@@ -121,9 +121,9 @@ func writeError(rw http.ResponseWriter, status int, code, format string, args ..
 	}})
 }
 
-// wireStats converts an embeddable-API snapshot into the wire form
+// WireStats converts an embeddable-API snapshot into the wire form
 // (kept here so package wire stays dependency-free).
-func wireStats(s homeo.Stats) wire.Stats {
+func WireStats(s homeo.Stats) wire.Stats {
 	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	out := wire.Stats{
 		Workload:            s.Workload,
@@ -617,5 +617,5 @@ func (h *Handler) handleStats(rw http.ResponseWriter, req *http.Request) {
 		writeError(rw, http.StatusMethodNotAllowed, "method_not_allowed", "%s: GET only", req.URL.Path)
 		return
 	}
-	writeJSON(rw, http.StatusOK, wireStats(h.c.Stats()))
+	writeJSON(rw, http.StatusOK, WireStats(h.c.Stats()))
 }

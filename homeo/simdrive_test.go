@@ -1,199 +1,299 @@
 package homeo_test
 
 import (
-	"errors"
-	"math/rand"
+	"bytes"
+	"flag"
+	"fmt"
+	"io"
+	"os"
 	"reflect"
+	"regexp"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/homeo"
+	"repro/homeo/httpapi"
 	"repro/homeo/wire"
 	"repro/internal/drive"
-	"repro/internal/fabric"
+	"repro/internal/micro"
 	"repro/internal/rt"
+	"repro/internal/tpcc"
 	"repro/internal/wal"
 )
 
-// The seeded twins of two of CI's drive smokes: the cluster shape, class
-// file, client count and chaos timeline that internal/drive parses out of
-// the smoke's -drive string, played on the simulator over fabric.Sim
-// instead of over processes and sockets. Like the drive, each ends with the
-// merged replay check of Theorem 3.8; unlike it, a run takes well under a
-// second, and two runs of one seed agree on every log and partition.
+// The seeded twins of the six drive smokes: each smoke's options and -drive
+// string, played by drive.Run over simFleet — the drive's sites as Clusters
+// on one simulator, in virtual time — instead of over processes and sockets.
+// Each run ends with the drive's own replay check; two runs of a seed agree
+// on every log, partition and line of output, and the output is held to
+// testdata/drive_twins.golden.
 
-// simDrive is one twin run in progress.
-type simDrive struct {
+var update = flag.Bool("update", false, "rewrite testdata/drive_twins.golden from the twins' output")
+
+// simFleet is drive.Fleet on a SimFabric. A kill is SimFabric.Kill, and the
+// site comes back as a fresh boot over the same log directory that rejoins
+// the fabric; a join is JoinCluster, a drain System.Drain. Clients and the
+// timeline are engine processes.
+type simFleet struct {
 	t    *testing.T
-	spec drive.Spec
 	f    *homeo.SimFabric
-	cls  homeo.ClassSpec
-	// dir holds the sites' logs when the timeline kills one.
-	dir string
-	// sites holds each site's current incarnation; halted the ones whose
-	// clients must stop (killed or drained).
-	sites  []*homeo.Cluster
-	halted map[*homeo.Cluster]bool
-	end    rt.Time
-	failed int
+	spec drive.Spec
+	cls  []homeo.ClassSpec
+	dir  string // the sites' logs, when the timeline kills one
+	// sites has the only cluster of an in-process drive, or each site's
+	// current incarnation (nil while it restarts).
+	sites []*homeo.Cluster
+	tl    rt.Proc // the timeline's process
+	ids   int
 }
 
-// runSimDrive plays the smoke's -drive string and returns what the drive
-// gathers: every process's log and every member's partition.
-func runSimDrive(t *testing.T, smoke string) ([][]wire.LogEntry, []wire.PartitionResponse) {
-	t.Helper()
-	spec, err := drive.ParseSpec(smoke, drive.Flags{})
-	if err != nil {
-		t.Fatal(err)
+func (s *simFleet) Boot(opts homeo.Options, spec drive.Spec, classes []wire.ClassRequest, out io.Writer) (*homeo.Cluster, []wire.ClassInfo, error) {
+	start := time.Now()
+	s.f, s.spec = homeo.NewSimFabric(opts), spec
+	for _, req := range classes {
+		s.cls = append(s.cls, homeo.ClassSpec(req))
 	}
-	req, err := drive.LoadClass("../internal/drive/testdata/withdraw3.json")
-	if err != nil {
-		t.Fatal(err)
+	if slices.ContainsFunc(spec.Events, func(ev drive.Event) bool { return ev.Kind == drive.Kill }) {
+		s.dir = s.t.TempDir()
 	}
-	// The smoke's processes talk over loopback: the net's round trip is a
-	// millisecond, not the 50 ms of a simulated WAN.
-	d := &simDrive{t: t, spec: spec, f: homeo.NewSimFabric(homeo.Options{Seed: 1, RTT: time.Millisecond, EnableLog: true}),
-		cls: homeo.ClassSpec(req), halted: make(map[*homeo.Cluster]bool), end: rt.Time(spec.Duration)}
-	for _, ev := range spec.Events {
-		if ev.Kind == drive.Kill {
-			d.dir = t.TempDir()
+	var infos []wire.ClassInfo
+	for k := 0; k < max(spec.Procs, 1); k++ {
+		c, is, err := s.boot(k, spec.Procs)
+		if err != nil {
+			return nil, nil, err
 		}
-	}
-	for k := 0; k < spec.Procs; k++ {
-		d.sites = append(d.sites, d.boot(k, spec.Procs))
-	}
-	for k, c := range d.sites {
-		d.f.Attach(c)
-		d.start(k, c)
-	}
-	eng := d.f.Eng
-	for i, ev := range spec.Events {
-		eng.At(rt.Time(ev.At), func() { eng.Spawn(-1-i, func(p rt.Proc) { d.fire(p, ev) }) })
-	}
-	eng.Run()
-	defer func() {
-		for _, c := range d.sites {
-			c.Close()
+		if spec.Procs > 0 {
+			s.f.Attach(c)
 		}
-	}()
-	if t.Failed() {
-		t.FailNow()
+		s.sites, infos = append(s.sites, c), is
 	}
-
-	check := d.sites[0]
-	var logs [][]wire.LogEntry
-	var parts []wire.PartitionResponse
-	for _, c := range d.sites {
-		logs = append(logs, c.WireLog())
-		parts = append(parts, c.Partition())
-	}
-	if err := check.CheckMergedReplay(logs, parts); err != nil {
-		t.Fatalf("merged replay: %v", err)
-	}
-	t.Logf("%s: %d commits from %d sites replay equivalent (%d requests failed)", smoke, len(homeo.MergeLogs(logs)), len(d.sites), d.failed)
-	return logs, parts
+	c := s.sites[0]
+	fmt.Fprintf(out, "booted %s on %d sites in %v (mode %s, alloc %s)\n",
+		c.WorkloadName(), c.Sites(), time.Since(start).Round(time.Millisecond), opts.Mode, opts.Alloc)
+	return c, infos, nil
 }
 
-// boot builds a site's process as the drive's children are built: the
-// class file registered, the log (when there is one) replayed.
-func (d *simDrive) boot(site, width int) *homeo.Cluster {
-	c, err := d.f.Boot(site, width)
-	if err == nil {
-		_, err = c.Register(d.cls)
-	}
-	if err == nil && d.dir != "" {
-		_, err = c.System().OpenWAL(d.dir, wal.Options{GroupWindow: -1})
-	}
-	if err != nil {
-		d.t.Fatal(err)
-	}
-	return c
-}
-
-// start starts the site's closed-loop clients: draws from the class's
-// bounds, one request after another until the drive's end or until the
-// site is killed, drained or fenced.
-func (d *simDrive) start(site int, c *homeo.Cluster) {
-	sys := c.System()
-	for i := 0; i < d.spec.Clients; i++ {
-		id := site*d.spec.Clients + i
-		d.f.Eng.Spawn(id, func(p rt.Proc) {
-			rng := rand.New(rand.NewSource(1_000_003 + int64(id)))
-			for p.Now() < d.end && !d.halted[c] {
-				_, err := sys.ExecRequest(p, site, sys.W.Next(rng, site))
-				if errors.Is(err, fabric.ErrSiteGone) {
-					return
-				}
-				if err != nil {
-					d.failed++
-				}
-			}
-		})
-	}
-}
-
-// fire carries out one timeline event, as the drive's fire does.
-func (d *simDrive) fire(p rt.Proc, ev drive.Event) {
+// boot builds site's process of a width-site fabric (width 0: every site in
+// one Cluster) as a drive's processes boot: the classes registered, the log
+// (when there is one) replayed. It is not on the net yet.
+func (s *simFleet) boot(site, width int) (*homeo.Cluster, []wire.ClassInfo, error) {
+	var c *homeo.Cluster
 	var err error
+	if width == 0 {
+		c, err = s.f.BootSites()
+	} else {
+		c, err = s.f.Boot(site, width)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	var infos []wire.ClassInfo
+	for _, cls := range s.cls {
+		t, err := c.Register(cls)
+		if err != nil {
+			return nil, nil, err
+		}
+		infos = append(infos, wire.ClassInfo{Name: t.Name(), Params: t.Params()})
+	}
+	if s.dir != "" {
+		if _, err := c.System().OpenWAL(s.dir, wal.Options{GroupWindow: -1}); err != nil {
+			return nil, nil, err
+		}
+	}
+	return c, infos, nil
+}
+
+func (s *simFleet) Go(site int, loop func(submit func(wire.TxnRequest) error)) {
+	s.ids++
+	s.f.Eng.Spawn(s.ids, func(p rt.Proc) {
+		loop(func(req wire.TxnRequest) error {
+			c := s.sites[0]
+			if s.spec.Procs > 0 {
+				// A killed site's clients retry until it is back.
+				for s.sites[site] == nil {
+					p.Sleep(rt.Millisecond)
+				}
+				c = s.sites[site]
+			}
+			start := p.Now()
+			err := c.Exec(p, site, req)
+			if err != nil && p.Now() == start {
+				// A refusal costs the client a round trip to its server; a
+				// draining site's clients would otherwise spin in place.
+				p.Sleep(rt.Millisecond)
+			}
+			return err
+		})
+	})
+}
+
+func (s *simFleet) Play(timeline func()) {
+	s.f.Eng.Spawn(0, func(p rt.Proc) {
+		s.tl = p
+		timeline()
+	})
+	s.f.Eng.Run()
+}
+
+func (s *simFleet) Sleep(d time.Duration) { s.tl.Sleep(rt.Duration(d)) }
+
+func (s *simFleet) Fire(ev drive.Event) error {
 	switch ev.Kind {
 	case drive.Kill:
-		// The process dies; its successor boots on the same log, replays
-		// it, rejoins, and opens its listener.
-		old := d.sites[ev.Site]
-		d.halted[old] = true
-		d.f.Kill(old)
-		c := d.boot(ev.Site, d.spec.Procs)
-		if err = c.System().RejoinFabric(p); err == nil {
-			d.sites[ev.Site] = c
-			d.f.Attach(c)
-			d.start(ev.Site, c)
+		s.f.Kill(s.sites[ev.Site])
+		s.sites[ev.Site] = nil
+		c, _, err := s.boot(ev.Site, s.spec.Procs)
+		if err == nil {
+			err = c.System().RejoinFabric(s.tl)
 		}
+		if err != nil {
+			return err
+		}
+		s.f.Attach(c)
+		s.sites[ev.Site] = c
 	case drive.Join:
 		// The joiner takes its width from site 0's topology, fences its gone
 		// slots, is admitted, and then opens its listener.
-		j := d.boot(ev.Site, ev.Site+1)
-		for k, st := range d.sites[0].SiteStatuses() {
+		j, _, err := s.boot(ev.Site, ev.Site+1)
+		for k, st := range s.sites[0].SiteStatuses() {
 			if st == "gone" && err == nil {
 				err = j.MarkSiteGone(k)
 			}
 		}
 		if err == nil {
-			_, err = j.System().JoinCluster(p, homeo.SimAddr(ev.Site))
+			_, err = j.System().JoinCluster(s.tl, homeo.SimAddr(ev.Site))
 		}
-		if err == nil {
-			d.sites = append(d.sites, j)
-			d.f.Attach(j)
-			d.start(ev.Site, j)
+		if err != nil {
+			return err
 		}
+		s.f.Attach(j)
+		s.sites = append(s.sites, j)
 	case drive.Drain:
-		c := d.sites[ev.Site]
-		err = c.System().Drain(p, ev.Site)
-		d.halted[c] = true
+		return s.sites[ev.Site].System().Drain(s.tl, ev.Site)
+	}
+	return nil
+}
+
+func (s *simFleet) Gather() ([]drive.Process, error) {
+	var procs []drive.Process
+	for _, c := range s.sites {
+		p := drive.Process{Stats: httpapi.WireStats(c.Stats())}
+		if s.spec.Procs > 0 {
+			p.Log, p.Part = c.WireLog(), c.Partition()
+		}
+		procs = append(procs, p)
+	}
+	return procs, nil
+}
+
+func (s *simFleet) Close(bool) {
+	for _, c := range s.sites {
+		if c != nil { // a restart that failed
+			c.Close()
+		}
+	}
+}
+
+// twins are the six drive smokes (coverage.sh runs all, ci.yml five): the
+// -workload each names, its class file and its -drive string.
+var twins = []struct{ name, workload, class, drive string }{
+	{"tpcc", "tpcc", "", "clients=4,duration=2s"},
+	{"drift", "micro", "", "clients=4,duration=2s"},
+	{"class", "none", "withdraw.json", "clients=4,duration=2s,class=Withdraw"},
+	{"procs", "none", "withdraw3.json", "clients=2,duration=3s,class=Withdraw,procs=3"},
+	{"kill", "none", "withdraw3.json", "clients=2,duration=4s,class=Withdraw,procs=3,kill=1@mid"},
+	{"elastic", "none", "withdraw3.json", "clients=2,duration=6s,class=Withdraw,procs=3,join=1@2s,drain=1@4s"},
+}
+
+// smokeOpts is what homeostasis-serve makes of a smoke's flags: its
+// defaults, -sites 2 -rtt 40ms on an in-process drive, and the drift
+// smoke's -workload micro -drift -alloc adaptive -items 100.
+func smokeOpts(t *testing.T, workload string, spec drive.Spec) (o homeo.Options) {
+	o = homeo.Options{Sites: 2, RTT: 40 * time.Millisecond, CPUPerSite: 4, LockTimeout: time.Second,
+		Seed: 1, MaxInflight: 1024, LocalExecTime: 2 * time.Millisecond}
+	var err error
+	switch {
+	case spec.Procs > 0:
+		o.RTT = 50 * time.Millisecond
+	case workload == "tpcc":
+		o.Workload, err = tpcc.New(tpcc.Config{Warehouses: 2, DistrictsPerWarehouse: 2, StockPerWarehouse: 30, Customers: 200, NSites: 2, Seed: 1})
+	case workload == "micro":
+		o.Alloc = homeo.AllocAdaptive
+		o.Workload, err = micro.New(micro.Config{Items: 100, Refill: 100, NSites: 2}.Drift())
 	}
 	if err != nil {
-		d.t.Errorf("%v site %d at %v: %v", ev.Kind, ev.Site, ev.At, err)
+		t.Fatal(err)
 	}
+	return o
 }
 
-// twin runs the smoke twice, with every pooled buffer scribbled over as it
-// is released, and holds the two runs to the same logs and partitions.
-func twin(t *testing.T, smoke string) {
+// wallClockLines are the shapes of the drive's output that read the wall
+// clock: how long a boot took and the throughput in real seconds.
+var wallClockLines = regexp.MustCompile(`(?m)^booted .* in .*\n| \([0-9.]+ txn/s real\)`)
+
+const twinsGolden = "testdata/drive_twins.golden"
+
+// TestSimDrive plays each smoke's twin twice, with every pooled buffer
+// scribbled over as it is released, and holds the two runs to one output,
+// the same logs and partitions, and the golden section of that twin.
+func TestSimDrive(t *testing.T) {
 	scribbling(t)
-	logs, parts := runSimDrive(t, smoke)
-	again, againParts := runSimDrive(t, smoke)
-	if !reflect.DeepEqual(logs, again) || !reflect.DeepEqual(parts, againParts) {
-		t.Fatal("two runs of one seed diverged")
+	golden, err := os.ReadFile(twinsGolden)
+	if err != nil && !*update {
+		t.Fatal(err)
+	}
+	var all bytes.Buffer
+	ran := 0
+	for _, tw := range twins {
+		t.Run(tw.name, func(t *testing.T) {
+			ran++
+			spec, err := drive.ParseSpec(tw.drive, drive.Flags{BaseWorkload: tw.workload != "none"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec.Warmup, spec.CheckReplay = 250*time.Millisecond, true
+			if tw.class != "" {
+				spec.Registers = []string{"../internal/drive/testdata/" + tw.class}
+			}
+			out, logs, parts := runTwin(t, smokeOpts(t, tw.workload, spec), spec)
+			again, againLogs, againParts := runTwin(t, smokeOpts(t, tw.workload, spec), spec)
+			if out != again || !reflect.DeepEqual(logs, againLogs) || !reflect.DeepEqual(parts, againParts) {
+				t.Fatalf("two runs of one seed diverged:\n--- first ---\n%s\n--- second ---\n%s", out, again)
+			}
+			section := fmt.Sprintf("== %s: -drive %s\n%s", tw.name, tw.drive, out)
+			all.WriteString(section)
+			if !*update && !strings.Contains(string(golden), section) {
+				t.Errorf("output differs from %s (rewrite it with -update only for a change that means to move it):\n%s", twinsGolden, section)
+			}
+		})
+	}
+	// -update rewrites the whole file, so only from a run of every twin.
+	if *update && !t.Failed() && ran == len(twins) {
+		if err := os.WriteFile(twinsGolden, all.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
-// TestSimDriveJoinDrain is the twin of CI's elastic join-and-drain smoke.
-func TestSimDriveJoinDrain(t *testing.T) {
-	twin(t, "clients=2,duration=6s,class=Withdraw,procs=3,join=1@2s,drain=1@4s")
-}
-
-// TestSimDriveKill is the twin of CI's kill-and-recover smoke: site 1's
-// System is dropped at mid-drive and a fresh one boots on its log,
-// recovers it and rejoins.
-func TestSimDriveKill(t *testing.T) {
-	twin(t, "clients=2,duration=4s,class=Withdraw,procs=3,kill=1@mid")
+// runTwin runs one drive on a fresh simFleet and returns its output, with
+// the wall-clock shapes taken out, and every site's log and partition.
+func runTwin(t *testing.T, opts homeo.Options, spec drive.Spec) (string, [][]wire.LogEntry, []wire.PartitionResponse) {
+	t.Helper()
+	var out bytes.Buffer
+	fl := &simFleet{t: t}
+	rep, err := drive.Run(opts, spec, fl, &out)
+	if err != nil {
+		t.Fatalf("drive: %v\n%s", err, &out)
+	}
+	if exit := rep.Verdict(&out); exit != 0 || rep.Replayed == 0 {
+		t.Fatalf("verdict %d, report %+v\n%s", exit, rep, &out)
+	}
+	var logs [][]wire.LogEntry
+	var parts []wire.PartitionResponse
+	for _, c := range fl.sites {
+		logs, parts = append(logs, c.WireLog()), append(parts, c.Partition())
+	}
+	return wallClockLines.ReplaceAllString(out.String(), ""), logs, parts
 }

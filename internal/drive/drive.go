@@ -1,19 +1,15 @@
 // Package drive is the closed-loop load and chaos harness behind
 // homeostasis-serve -drive: it boots a cluster, registers class files, runs
-// clients against every site over the /v1 wire protocol through homeo/client
-// — the code path external users take — plays a timeline of chaos events
-// (kill, join, drain), and ends with the serial-replay equivalence check of
-// Theorem 3.8.
+// clients against every site, plays a timeline of chaos events (kill, join,
+// drain), and ends with the serial-replay equivalence check of Theorem 3.8.
 //
-// One sequence (Run) serves both shapes of drive, over a list of endpoints.
-// An in-process drive is one process holding S sites: S endpoints that share
-// a client and pin their requests to a site each. A procs=N drive is N
-// processes over the HTTP site fabric, this one as site 0 and N-1 spawned
-// children: N unpinned endpoints with a client each. Beyond that list the two
-// differ in two func values the runner holds: how the local cluster gets its
-// classes (over POST /v1/classes, or through Cluster.Register before its
-// listener may open to peers) and which replay oracle ends the drive (the
-// local commit log, or every process's log merged by Lamport clock).
+// One sequence (Run) plays every drive, over a Fleet: where the drive's sites
+// run. Live is the fleet of processes and sockets on the wall clock, whose
+// clients go over the /v1 wire protocol through homeo/client — the code path
+// external users take. An in-process drive there is one process holding S
+// sites; a procs=N drive is N processes over the HTTP site fabric, this one
+// as site 0 and N-1 spawned children. homeo's tests hold the other fleet: the
+// same drives as Clusters on one simulator, in virtual time and seeded.
 package drive
 
 import (
@@ -42,10 +38,41 @@ import (
 	"repro/homeo/wire"
 )
 
-// Spawn returns the command, not yet started, for one more process: the
-// caller's binary with the operator's protocol and workload flags, then args,
-// which make it one site (-site/-peers or -join, -addr, -peer-token, ...).
-type Spawn func(args ...string) *exec.Cmd
+// A Fleet is where a drive's sites run, and so all that one drive of a Spec
+// does differently from another: how a site boots, dies and comes back, how
+// its clients submit, how an elastic event is carried out, and which clock
+// the timeline waits on. A fleet value serves one drive.
+type Fleet interface {
+	// Boot brings up spec's sites from opts — every site in one cluster, or
+	// one cluster per site of a procs=N drive — with classes (spec.Registers,
+	// loaded) registered everywhere and every log recovered, ready for
+	// clients. It returns the cluster the oracle runs on (the only one, or
+	// site 0's) and the classes as registered.
+	Boot(opts homeo.Options, spec Spec, classes []wire.ClassRequest, out io.Writer) (*homeo.Cluster, []wire.ClassInfo, error)
+	// Go starts one closed-loop client of site: loop submits through submit
+	// until it returns.
+	Go(site int, loop func(submit func(wire.TxnRequest) error))
+	// Play runs timeline on the fleet's clock and returns once it and every
+	// client have returned. Sleep and Fire are called from the timeline:
+	// Sleep waits on that clock, Fire carries out one chaos event.
+	Play(timeline func())
+	Sleep(d time.Duration)
+	Fire(ev Event) error
+	// Gather reads what every process observed, once the clients are done.
+	Gather() ([]Process, error)
+	// Close ends every site: gracefully once the drive is gathered, at once
+	// when it failed.
+	Close(graceful bool)
+}
+
+// Process is what one process of a drive reports at its end: its statistics,
+// and on a procs=N drive the commit log and partition the merged oracle
+// replays.
+type Process struct {
+	Stats wire.Stats
+	Log   []wire.LogEntry
+	Part  wire.PartitionResponse
+}
 
 // LoadClass reads a class file: a wire.ClassRequest as JSON.
 func LoadClass(path string) (wire.ClassRequest, error) {
@@ -83,13 +110,227 @@ func WaitUp(base, token string, budget time.Duration) error {
 		MaxAttempts: math.MaxInt32, MaxDelay: 500 * time.Millisecond}).Health(ctx)
 }
 
+// runner is one drive in progress.
+type runner struct {
+	fleet Fleet
+	spec  Spec
+	seed  int64
+	out   io.Writer
+	// c is the cluster the oracle runs on; halt has each site's flag that
+	// stops its clients (a drained site's).
+	c    *homeo.Cluster
+	halt []*atomic.Bool
+	// params and bounds are the driven class's: arguments are drawn from them.
+	params []string
+	bounds map[string][2]int64
+
+	stop              atomic.Bool
+	submitted, failed atomic.Int64
+}
+
+// Run runs the drive on a cluster built from opts over fleet, reporting on
+// out: boot the sites with the class files registered and every log
+// recovered, start the load, play the timeline, gather every process's
+// statistics (and log and partition), tear down, replay. An error means the
+// drive could not be carried out; whether it passed is Report.Verdict's say.
+func Run(opts homeo.Options, spec Spec, fleet Fleet, out io.Writer) (rep Report, err error) {
+	r := &runner{fleet: fleet, spec: spec, seed: opts.Seed, out: out}
+	// A failed drive must not leak orphan site processes.
+	defer fleet.Close(false)
+	if spec.Procs > 0 {
+		r.spec.Warmup = 0 // every process's stats window starts at its boot
+	}
+	opts.EnableLog = spec.CheckReplay
+	if err = r.boot(opts); err != nil {
+		return rep, err
+	}
+	sites := spec.Procs
+	if sites == 0 {
+		sites = r.c.Sites()
+	}
+	fmt.Fprintf(out, "driving %d clients/site at %d sites for %v (warmup %v)...\n", spec.Clients, sites, spec.Duration, r.spec.Warmup)
+	for k := 0; k < sites; k++ {
+		r.startClients(k)
+	}
+	fleet.Play(func() {
+		fleet.Sleep(r.spec.Warmup)
+		r.c.BeginMeasure()
+		err = r.play()
+		r.stop.Store(true)
+	})
+	var procs []Process
+	if err == nil {
+		procs, err = r.gather(&rep)
+	}
+	if err != nil {
+		return rep, err
+	}
+	// The local log is final only once nothing can touch the cluster any more.
+	fleet.Close(true)
+	rep.Leaked = r.c.System().E.Live()
+	if spec.CheckReplay {
+		rep.Replayed, rep.ReplayErr = r.replay(procs)
+	}
+	return rep, nil
+}
+
+// boot loads the class files, has the fleet boot the sites with them, and
+// keeps the driven class's parameters.
+func (r *runner) boot(opts homeo.Options) (err error) {
+	var classes []wire.ClassRequest
+	for _, path := range r.spec.Registers {
+		req, err := LoadClass(path)
+		if err != nil {
+			return err
+		}
+		classes = append(classes, req)
+	}
+	var infos []wire.ClassInfo
+	if r.c, infos, err = r.fleet.Boot(opts, r.spec, classes, r.out); err != nil {
+		return err
+	}
+	for i, info := range infos {
+		if info.Name == r.spec.Class {
+			r.params, r.bounds = append([]string{}, info.Params...), classes[i].Bounds
+		}
+		fmt.Fprintf(r.out, "registered class %s(%s)\n", info.Name, strings.Join(info.Params, ", "))
+	}
+	if r.spec.Class != "" && r.params == nil {
+		return fmt.Errorf("drive: class %q was not registered via -register", r.spec.Class)
+	}
+	return nil
+}
+
+// startClients starts site's closed-loop clients, a stream of draws each.
+func (r *runner) startClients(site int) {
+	halt := new(atomic.Bool)
+	r.halt = append(r.halt, halt)
+	for i := 0; i < r.spec.Clients; i++ {
+		rng := rand.New(rand.NewSource(r.seed*1_000_003 + int64(site*r.spec.Clients+i)))
+		r.fleet.Go(site, func(submit func(wire.TxnRequest) error) {
+			req := wire.TxnRequest{Class: r.spec.Class}
+			for !r.stop.Load() && !halt.Load() {
+				// Uniform within the declared bounds, zero where unbounded.
+				req.Args = make([]int64, len(r.params))
+				for i, p := range r.params {
+					if b, ok := r.bounds[p]; ok && b[1] >= b[0] {
+						req.Args[i] = b[0] + rng.Int63n(b[1]-b[0]+1)
+					}
+				}
+				r.submitted.Add(1)
+				if submit(req) != nil {
+					r.failed.Add(1)
+				}
+			}
+		})
+	}
+}
+
+// play runs the timeline while the clients hammer away, then lets the drive
+// run out. The clock stops while an event is carried out: a restart does not
+// eat the rest of the drive. How to add an event is in docs/DEVELOPMENT.md.
+func (r *runner) play() error {
+	elapsed := time.Duration(0)
+	for _, ev := range r.spec.Events {
+		r.fleet.Sleep(ev.At - elapsed)
+		elapsed = ev.At
+		fmt.Fprintf(r.out, "chaos: %v site %d, %v into the drive...\n", ev.Kind, ev.Site, ev.At)
+		if err := r.fleet.Fire(ev); err != nil {
+			return fmt.Errorf("%v site %d: %w", ev.Kind, ev.Site, err)
+		}
+		switch ev.Kind {
+		case Join:
+			r.startClients(ev.Site)
+		case Drain:
+			r.halt[ev.Site].Store(true)
+		}
+		fmt.Fprintf(r.out, "chaos: %v site %d done\n", ev.Kind, ev.Site)
+	}
+	r.fleet.Sleep(r.spec.Duration - elapsed)
+	return nil
+}
+
+// gather prints what every process observed, and the totals.
+func (r *runner) gather(rep *Report) ([]Process, error) {
+	procs, err := r.fleet.Gather()
+	if err != nil {
+		return nil, err
+	}
+	var synced, rounds int64
+	for k, p := range procs {
+		st := p.Stats
+		rep.Processes++
+		rep.Committed += st.Committed
+		synced += st.Synced
+		rounds += st.Negotiations
+		fmt.Fprintf(r.out, "process %d: committed=%d synced=%d rounds=%d conflict-aborts=%d dropped=%d latency p50=%.3fms p90=%.3fms p99=%.3fms max=%.3fms neg-p50=%.3fms neg-p99=%.3fms fabric-errors=%d recovered-wal-records=%d store %+v\n",
+			k, st.Committed, st.Synced, st.Negotiations, st.ConflictAborts, st.Dropped, st.LatencyP50MS, st.LatencyP90MS, st.LatencyP99MS, st.LatencyMaxMS,
+			st.NegLatencyP50MS, st.NegLatencyP99MS, st.FabricErrors, st.RecoveredWALRecords, st.StoreCluster)
+		if r.spec.Verbose {
+			all, _ := json.Marshal(st)
+			fmt.Fprintf(r.out, "process %d: %s\n", k, all)
+		}
+	}
+	fmt.Fprintf(r.out, "\nsubmitted:        %d (%d failed client-side)\n", r.submitted.Load(), r.failed.Load())
+	fmt.Fprintf(r.out, "committed:        %d across %d processes (%.1f txn/s real)\n",
+		rep.Committed, rep.Processes, float64(rep.Committed)/r.spec.Duration.Seconds())
+	fmt.Fprintf(r.out, "sync ratio:       %.2f%% (%d rounds, each 2 peer message rounds)\n",
+		100*float64(synced)/math.Max(float64(rep.Committed), 1), rounds)
+	return procs, nil
+}
+
+// replay runs the oracle: the local commit log of an in-process drive, which
+// can re-execute base-workload draws, or every process's log merged by
+// Lamport clock (registered classes only).
+func (r *runner) replay(procs []Process) (int, error) {
+	if r.spec.Procs == 0 {
+		return r.c.Committed(), r.c.CheckReplayEquivalence()
+	}
+	var logs [][]wire.LogEntry
+	var parts []wire.PartitionResponse
+	for _, p := range procs {
+		logs, parts = append(logs, p.Log), append(parts, p.Part)
+	}
+	return len(homeo.MergeLogs(logs)), r.c.CheckMergedReplay(logs, parts)
+}
+
+// Spawn returns the command, not yet started, for one more process: the
+// caller's binary with the operator's protocol and workload flags, then args,
+// which make it one site (-site/-peers or -join, -addr, -peer-token, ...).
+type Spawn func(args ...string) *exec.Cmd
+
+// Live is the fleet of processes and sockets, on the wall clock. A site dies
+// by SIGKILL to its process group and comes back as a restarted process that
+// recovers its log; a joiner is a process started with -join; a drain is
+// POST /v1/topology/drain. Clients go through homeo/client, one endpoint per
+// site.
+type Live struct {
+	// Spawn starts a procs=N drive's other processes; an in-process drive
+	// needs none.
+	Spawn Spawn
+
+	opts homeo.Options
+	out  io.Writer
+	// The local cluster — every site, or site 0 of a fabric — and its server.
+	c    *homeo.Cluster
+	srv  *http.Server
+	ln   net.Listener
+	open sync.Once
+
+	// addrs has a listen address per process, a later joiner's included;
+	// token is a fabric's peer secret, scratch the log directory lent to a kill.
+	addrs          []string
+	token, scratch string
+	eps            []*endpoint
+	wg             sync.WaitGroup
+}
+
 // An endpoint is where one site's clients submit: the client of the process
 // serving it, the site to pin requests to if that process serves several (-1:
-// only its own), the clients' halt flag, and a spawned process's child and args.
+// only its own), and a spawned process's child and args.
 type endpoint struct {
 	cl    *client.Client
 	pin   int
-	halt  atomic.Bool
 	child *exec.Cmd
 	args  []string
 }
@@ -103,363 +344,244 @@ func (ep *endpoint) end(sig syscall.Signal) {
 	}
 }
 
-// runner is one drive in progress.
-type runner struct {
-	opts  homeo.Options
-	spec  Spec
-	spawn Spawn
-	out   io.Writer
-	// The local cluster — every site, or site 0 of a fabric — and its server.
-	c    *homeo.Cluster
-	srv  *http.Server
-	ln   net.Listener
-	open sync.Once
-
-	// addrs has a listen address per process, a later joiner's included;
-	// token is a fabric's peer secret, scratch the log directory lent to a kill.
-	addrs          []string
-	token, scratch string
-	eps            []*endpoint
-
-	// register puts a class on the local cluster; replay is the oracle, and
-	// logs and parts what the merged one replays, fetched while all are up.
-	register func(wire.ClassRequest) (string, []string, error)
-	replay   func() (commits int, err error)
-	logs     [][]wire.LogEntry
-	parts    []wire.PartitionResponse
-	// params and bounds are the driven class's: arguments are drawn from them.
-	params []string
-	bounds map[string][2]int64
-
-	stop              atomic.Bool
-	wg                sync.WaitGroup
-	submitted, failed atomic.Int64
-}
-
-// Run runs the drive on a cluster built from opts, reporting on out: boot the
-// local cluster (and spawn a fabric's other sites), register the class files,
-// Recover, open the listener, wait for every process, start the load, play
-// the timeline, gather every process's statistics (and log and partition),
-// tear down, replay. An error means the drive could not be carried out;
-// whether it passed is Report.Verdict's say.
-func Run(opts homeo.Options, spec Spec, spawn Spawn, out io.Writer) (rep Report, err error) {
-	r := &runner{opts: opts, spec: spec, spawn: spawn, out: out}
-	// A failed drive must not leak orphan site processes.
-	defer r.teardown(syscall.SIGKILL)
-	if err = r.boot(); err != nil {
-		return rep, err
-	}
-	fmt.Fprintf(out, "driving %d clients/site at %d sites for %v (warmup %v)...\n", spec.Clients, len(r.eps), spec.Duration, r.spec.Warmup)
-	for k, ep := range r.eps {
-		r.startClients(k, ep)
-	}
-	time.Sleep(r.spec.Warmup)
-	r.c.BeginMeasure()
-	err = r.play()
-	r.stop.Store(true)
-	r.wg.Wait()
-	if err == nil {
-		err = r.gather(&rep)
-	}
-	if err != nil {
-		return rep, err
-	}
-	// The local log is final only once nothing can touch the cluster any more.
-	r.teardown(syscall.SIGTERM)
-	rep.Leaked = r.c.System().E.Live()
-	if spec.CheckReplay {
-		rep.Replayed, rep.ReplayErr = r.replay()
-	}
-	return rep, nil
-}
-
-// boot brings up the local cluster with its classes registered and its log
-// recovered, and then its listener: a peer must not reach a site lacking either.
-func (r *runner) boot() (err error) {
-	r.addrs = []string{"127.0.0.1:0"} // in-process: any free port
-	if r.spec.Procs > 0 {
-		if err = r.spawnFabric(r.spec.Procs); err != nil {
-			return err
+// Boot brings up the local cluster (and spawns a fabric's other sites) with
+// its classes registered and its log recovered, and then its listener: a peer
+// must not reach a site lacking either. It returns once every process is up.
+func (l *Live) Boot(opts homeo.Options, spec Spec, classes []wire.ClassRequest, out io.Writer) (*homeo.Cluster, []wire.ClassInfo, error) {
+	l.opts, l.out = opts, out
+	l.addrs = []string{"127.0.0.1:0"} // in-process: any free port
+	if spec.Procs > 0 {
+		if err := l.spawnFabric(spec); err != nil {
+			return nil, nil, err
 		}
 	}
-	r.opts.EnableLog = r.spec.CheckReplay
-	if r.c, err = Boot(r.opts, r.out); err != nil {
-		return err
+	var err error
+	if l.c, err = Boot(l.opts, out); err != nil {
+		return nil, nil, err
 	}
-	if r.ln, err = net.Listen("tcp", r.addrs[0]); err != nil {
-		return err
+	if l.ln, err = net.Listen("tcp", l.addrs[0]); err != nil {
+		return nil, nil, err
 	}
-	r.addrs[0] = r.ln.Addr().String()
-	r.srv = &http.Server{Handler: httpapi.NewHandler(r.c)}
-	serve := func() { go r.srv.Serve(r.ln) }
-	if r.spec.Procs == 0 {
-		// Every site is in this process: an endpoint pinned to each, classes
-		// over HTTP (so the listener opens at once), the local log for an oracle.
-		cl := r.client(0)
-		for s := 0; s < r.c.Sites(); s++ {
-			r.eps = append(r.eps, &endpoint{cl: cl, pin: s})
+	l.addrs[0] = l.ln.Addr().String()
+	l.srv = &http.Server{Handler: httpapi.NewHandler(l.c)}
+	if spec.Procs == 0 {
+		// Every site is in this process: an endpoint pinned to each.
+		cl := l.client(0)
+		for s := 0; s < l.c.Sites(); s++ {
+			l.eps = append(l.eps, &endpoint{cl: cl, pin: s})
 		}
-		r.register = func(req wire.ClassRequest) (string, []string, error) {
-			r.open.Do(serve)
-			info, err := cl.RegisterClass(context.Background(), req)
-			return info.Name, info.Params, err
-		}
-		r.replay = func() (int, error) { return r.c.Committed(), r.c.CheckReplayEquivalence() }
 	}
-	for _, path := range r.spec.Registers {
-		req, err := LoadClass(path)
-		if err != nil {
-			return err
+	infos := make([]wire.ClassInfo, len(classes))
+	for i, req := range classes {
+		if infos[i], err = l.register(req); err != nil {
+			return nil, nil, fmt.Errorf("registering %s: %w", spec.Registers[i], err)
 		}
-		name, params, err := r.register(req)
-		if err != nil {
-			return fmt.Errorf("registering %s: %w", path, err)
-		}
-		if name == r.spec.Class {
-			r.params, r.bounds = append([]string{}, params...), req.Bounds
-		}
-		fmt.Fprintf(r.out, "registered class %s(%s)\n", name, strings.Join(params, ", "))
-	}
-	if r.spec.Class != "" && r.params == nil {
-		return fmt.Errorf("drive: class %q was not registered via -register", r.spec.Class)
 	}
 	// Durability: classes are registered, so WAL replay can land on top.
-	if _, err = r.c.Recover(); err != nil {
-		return err
+	if _, err = l.c.Recover(); err != nil {
+		return nil, nil, err
 	}
-	r.open.Do(serve)
-	for k, ep := range r.eps {
+	l.open.Do(l.serve)
+	for k, ep := range l.eps {
 		if ep.child != nil {
-			if err = r.up(k, 30*time.Second); err != nil {
-				return err
+			if err = l.up(k, 30*time.Second); err != nil {
+				return nil, nil, err
 			}
 		}
 	}
-	return nil
+	return l.c, infos, nil
 }
 
-// spawnFabric makes the drive n processes: ports and a fresh peer secret,
-// options that make the local cluster site 0, sites 1..n-1 spawned. Every
-// process registers the same class files in the same order at boot (so a
-// killed child re-derives identical units before replaying its log): hence
-// Cluster.Register here, and the merged oracle.
-func (r *runner) spawnFabric(n int) (err error) {
-	for _, ev := range r.spec.Events {
-		if ev.Kind == Kill && r.opts.WAL.Dir == "" {
+func (l *Live) serve() { go l.srv.Serve(l.ln) }
+
+// register puts a class on the local cluster. An in-process drive sends it
+// over POST /v1/classes, the online path, so its listener opens at once. A
+// fabric's site 0 goes through Cluster.Register, as every child registers
+// the same class files in the same order at boot (so a killed child
+// re-derives identical units before replaying its log).
+func (l *Live) register(req wire.ClassRequest) (wire.ClassInfo, error) {
+	if l.opts.Fabric == nil {
+		l.open.Do(l.serve)
+		return l.eps[0].cl.RegisterClass(context.Background(), req)
+	}
+	t, err := l.c.Register(homeo.ClassSpec(req))
+	if err != nil {
+		return wire.ClassInfo{}, err
+	}
+	return wire.ClassInfo{Name: t.Name(), Params: t.Params()}, nil
+}
+
+// spawnFabric makes the drive spec.Procs processes: ports and a fresh peer
+// secret, options that make the local cluster site 0, the other sites
+// spawned.
+func (l *Live) spawnFabric(spec Spec) (err error) {
+	n := spec.Procs
+	for _, ev := range spec.Events {
+		if ev.Kind == Kill && l.opts.WAL.Dir == "" {
 			// A kill without durability would just lose the site's history.
-			if r.scratch, err = os.MkdirTemp("", "homeo-wal-"); err != nil {
+			if l.scratch, err = os.MkdirTemp("", "homeo-wal-"); err != nil {
 				return err
 			}
-			r.opts.WAL.Dir = r.scratch
-			fmt.Fprintf(r.out, "kill=%d: write-ahead logs in %s\n", ev.Site, r.scratch)
+			l.opts.WAL.Dir = l.scratch
+			fmt.Fprintf(l.out, "kill=%d: write-ahead logs in %s\n", ev.Site, l.scratch)
 		}
 	}
 	// One port to spare: a joiner's is fixed up front, so its URL is stable.
-	if r.addrs, err = reservePorts(n + 1); err != nil {
+	if l.addrs, err = reservePorts(n + 1); err != nil {
 		return err
 	}
 	secret := make([]byte, 16)
 	if _, err = cryptorand.Read(secret); err != nil {
 		return err
 	}
-	r.token = hex.EncodeToString(secret)
-	r.opts.Sites = n
-	r.opts.Fabric = &homeo.FabricOptions{Site: 0, Token: r.token}
+	l.token = hex.EncodeToString(secret)
+	l.opts.Sites = n
+	l.opts.Fabric = &homeo.FabricOptions{Site: 0, Token: l.token}
 	for k := 0; k < n; k++ {
-		r.opts.Fabric.Peers = append(r.opts.Fabric.Peers, r.url(k))
-		ep := &endpoint{cl: r.client(k), pin: -1}
-		r.eps = append(r.eps, ep)
+		l.opts.Fabric.Peers = append(l.opts.Fabric.Peers, l.url(k))
+		ep := &endpoint{cl: l.client(k), pin: -1}
+		l.eps = append(l.eps, ep)
 		if k > 0 {
-			ep.args = r.childArgs("-site", strconv.Itoa(k), "-peers", strings.Join(r.addrs[:n], ","), "-addr", r.addrs[k])
-			if err = r.start(ep); err != nil {
+			ep.args = l.childArgs("-site", strconv.Itoa(k), "-peers", strings.Join(l.addrs[:n], ","), "-addr", l.addrs[k])
+			if err = l.start(ep); err != nil {
 				return err
 			}
 		}
 	}
-	r.spec.Warmup = 0
-	fmt.Fprintf(r.out, "site fabric: %d processes (%s); stats windows start at process boot, so -warmup does not apply\n", n, strings.Join(r.addrs[:n], " "))
-	r.register = func(req wire.ClassRequest) (string, []string, error) {
-		t, err := r.c.Register(homeo.ClassSpec(req))
-		if err != nil {
-			return "", nil, err
-		}
-		return t.Name(), t.Params(), nil
-	}
-	r.replay = func() (int, error) {
-		return len(homeo.MergeLogs(r.logs)), r.c.CheckMergedReplay(r.logs, r.parts)
-	}
+	fmt.Fprintf(l.out, "site fabric: %d processes (%s); stats windows start at process boot, so -warmup does not apply\n", n, strings.Join(l.addrs[:n], " "))
 	return nil
 }
 
 // childArgs completes a child's role flags with what every child gets.
-func (r *runner) childArgs(role ...string) []string {
-	return append(role, "-peer-token", r.token, "-enable-log", "-wal-dir", r.opts.WAL.Dir)
+func (l *Live) childArgs(role ...string) []string {
+	return append(role, "-peer-token", l.token, "-enable-log", "-wal-dir", l.opts.WAL.Dir)
 }
 
 // start spawns the endpoint's process in a process group of its own.
-func (r *runner) start(ep *endpoint) error {
-	ep.child = r.spawn(ep.args...)
+func (l *Live) start(ep *endpoint) error {
+	ep.child = l.Spawn(ep.args...)
 	ep.child.Stdout, ep.child.Stderr = os.Stderr, os.Stderr
 	ep.child.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
 	return ep.child.Start()
 }
 
-func (r *runner) url(k int) string { return "http://" + r.addrs[k] }
+func (l *Live) url(k int) string { return "http://" + l.addrs[k] }
 
-func (r *runner) client(k int) *client.Client {
-	return client.New(r.url(k), client.Options{Seed: r.opts.Seed + int64(k), PeerToken: r.token})
+func (l *Live) client(k int) *client.Client {
+	return client.New(l.url(k), client.Options{Seed: l.opts.Seed + int64(k), PeerToken: l.token})
 }
 
 // up waits for process k to answer its health probe. A joiner's listener
 // opens only after its join handshake completes, so healthy implies admitted.
-func (r *runner) up(k int, budget time.Duration) error {
-	if err := WaitUp(r.url(k), r.token, budget); err != nil {
-		return fmt.Errorf("site %d (%s) never became healthy: %w", k, r.url(k), err)
+func (l *Live) up(k int, budget time.Duration) error {
+	if err := WaitUp(l.url(k), l.token, budget); err != nil {
+		return fmt.Errorf("site %d (%s) never became healthy: %w", k, l.url(k), err)
 	}
 	return nil
 }
 
-// startClients starts endpoint k's closed-loop clients, a stream of draws each.
-func (r *runner) startClients(k int, ep *endpoint) {
-	for i := 0; i < r.spec.Clients; i++ {
-		id := k*r.spec.Clients + i
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			rng := rand.New(rand.NewSource(r.opts.Seed*1_000_003 + int64(id)))
-			req := wire.TxnRequest{Class: r.spec.Class}
+// Go starts a client goroutine that submits over HTTP to site's endpoint.
+func (l *Live) Go(site int, loop func(submit func(wire.TxnRequest) error)) {
+	ep := l.eps[site]
+	l.wg.Add(1)
+	go func() {
+		defer l.wg.Done()
+		loop(func(req wire.TxnRequest) error {
 			if ep.pin >= 0 {
 				req.Site = &ep.pin
 			}
-			for !r.stop.Load() && !ep.halt.Load() {
-				// Uniform within the declared bounds, zero where unbounded.
-				req.Args = make([]int64, len(r.params))
-				for i, p := range r.params {
-					if b, ok := r.bounds[p]; ok && b[1] >= b[0] {
-						req.Args[i] = b[0] + rng.Int63n(b[1]-b[0]+1)
-					}
-				}
-				res, err := ep.cl.Submit(context.Background(), req)
-				r.submitted.Add(1)
-				if err != nil || res.Error != nil {
-					r.failed.Add(1)
-				}
+			res, err := ep.cl.Submit(context.Background(), req)
+			if err == nil && res.Error != nil {
+				err = fmt.Errorf("%s: %s", res.Error.Code, res.Error.Message)
 			}
-		}()
-	}
+			return err
+		})
+	}()
 }
 
-// play runs the timeline while the clients hammer away, then lets the drive
-// run out. The clock stops while an event is carried out: a restart does not
-// eat the rest of the drive.
-func (r *runner) play() error {
-	elapsed := time.Duration(0)
-	for _, ev := range r.spec.Events {
-		time.Sleep(ev.At - elapsed)
-		elapsed = ev.At
-		fmt.Fprintf(r.out, "chaos: %v site %d, %v into the drive...\n", ev.Kind, ev.Site, ev.At)
-		if err := r.fire(ev); err != nil {
-			return fmt.Errorf("%v site %d: %w", ev.Kind, ev.Site, err)
-		}
-		fmt.Fprintf(r.out, "chaos: %v site %d done\n", ev.Kind, ev.Site)
-	}
-	time.Sleep(r.spec.Duration - elapsed)
-	return nil
+// Play runs the timeline on the calling goroutine, then waits for the clients.
+func (l *Live) Play(timeline func()) {
+	timeline()
+	l.wg.Wait()
 }
 
-// fire carries out one event; how to add one is in docs/DEVELOPMENT.md.
-func (r *runner) fire(ev Event) error {
+// Sleep sleeps d of wall-clock time.
+func (l *Live) Sleep(d time.Duration) { time.Sleep(d) }
+
+// Fire carries out one event; how to add one is in docs/DEVELOPMENT.md.
+func (l *Live) Fire(ev Event) error {
 	switch ev.Kind {
 	case Kill:
-		ep := r.eps[ev.Site]
+		ep := l.eps[ev.Site]
 		ep.end(syscall.SIGKILL)
-		if err := r.start(ep); err != nil {
+		if err := l.start(ep); err != nil {
 			return err
 		}
-		if err := r.up(ev.Site, 30*time.Second); err != nil {
-			return err
-		}
+		return l.up(ev.Site, 30*time.Second)
 	case Join:
 		// The joiner takes its -site/-peers from its seed's topology: site 0's.
-		ep := &endpoint{cl: r.client(ev.Site), pin: -1, args: r.childArgs("-join", r.url(0), "-addr", r.addrs[ev.Site])}
-		r.eps = append(r.eps, ep)
-		if err := r.start(ep); err != nil {
+		ep := &endpoint{cl: l.client(ev.Site), pin: -1, args: l.childArgs("-join", l.url(0), "-addr", l.addrs[ev.Site])}
+		l.eps = append(l.eps, ep)
+		if err := l.start(ep); err != nil {
 			return err
 		}
-		if err := r.up(ev.Site, 60*time.Second); err != nil {
-			return err
-		}
-		r.startClients(ev.Site, ep)
+		return l.up(ev.Site, 60*time.Second)
 	case Drain:
-		ep := r.eps[ev.Site]
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 		defer cancel()
-		if _, err := ep.cl.DrainSite(ctx, ev.Site); err != nil {
-			return err
-		}
-		ep.halt.Store(true)
+		_, err := l.eps[ev.Site].cl.DrainSite(ctx, ev.Site)
+		return err
 	}
 	return nil
 }
 
-// gather reads every process's statistics over the wire, like any outside
+// Gather reads every process's statistics over the wire, like any outside
 // observer, and from a fabric's what the merged oracle replays.
-func (r *runner) gather(rep *Report) error {
-	var synced, rounds int64
-	for k, ep := range r.eps {
+func (l *Live) Gather() ([]Process, error) {
+	var procs []Process
+	for k, ep := range l.eps {
 		if ep.pin > 0 {
 			continue // an in-process drive's endpoints share the first one's process
 		}
-		st, err := ep.cl.Stats(context.Background())
-		if err != nil {
-			return fmt.Errorf("stats from process %d: %w", k, err)
+		var p Process
+		var err error
+		if p.Stats, err = ep.cl.Stats(context.Background()); err != nil {
+			return nil, fmt.Errorf("stats from process %d: %w", k, err)
 		}
-		rep.Processes++
-		rep.Committed += st.Committed
-		synced += st.Synced
-		rounds += st.Negotiations
-		fmt.Fprintf(r.out, "process %d: committed=%d synced=%d rounds=%d conflict-aborts=%d dropped=%d latency p50=%.3fms p90=%.3fms p99=%.3fms max=%.3fms neg-p50=%.3fms neg-p99=%.3fms fabric-errors=%d recovered-wal-records=%d store %+v\n",
-			k, st.Committed, st.Synced, st.Negotiations, st.ConflictAborts, st.Dropped, st.LatencyP50MS, st.LatencyP90MS, st.LatencyP99MS, st.LatencyMaxMS,
-			st.NegLatencyP50MS, st.NegLatencyP99MS, st.FabricErrors, st.RecoveredWALRecords, st.StoreCluster)
-		if r.spec.Verbose {
-			all, _ := json.Marshal(st)
-			fmt.Fprintf(r.out, "process %d: %s\n", k, all)
+		if l.opts.Fabric != nil {
+			lr, err := ep.cl.PeerLog(context.Background())
+			if err != nil {
+				return nil, fmt.Errorf("commit log from site %d: %w", k, err)
+			}
+			if p.Part, err = ep.cl.PeerDB(context.Background()); err != nil {
+				return nil, fmt.Errorf("partition from site %d: %w", k, err)
+			}
+			p.Log = lr.Entries
 		}
-		if r.spec.Procs == 0 {
-			continue
-		}
-		lr, err := ep.cl.PeerLog(context.Background())
-		if err != nil {
-			return fmt.Errorf("commit log from site %d: %w", k, err)
-		}
-		pt, err := ep.cl.PeerDB(context.Background())
-		if err != nil {
-			return fmt.Errorf("partition from site %d: %w", k, err)
-		}
-		r.logs, r.parts = append(r.logs, lr.Entries), append(r.parts, pt)
+		procs = append(procs, p)
 	}
-	fmt.Fprintf(r.out, "\nsubmitted:        %d (%d failed client-side)\n", r.submitted.Load(), r.failed.Load())
-	fmt.Fprintf(r.out, "committed:        %d across %d processes (%.1f txn/s real)\n",
-		rep.Committed, rep.Processes, float64(rep.Committed)/r.spec.Duration.Seconds())
-	fmt.Fprintf(r.out, "sync ratio:       %.2f%% (%d rounds, each 2 peer message rounds)\n",
-		100*float64(synced)/math.Max(float64(rep.Committed), 1), rounds)
-	return nil
+	return procs, nil
 }
 
-// teardown ends what the drive started, the children first (they may hold
-// peer connections to this process), skipping what is already gone.
-func (r *runner) teardown(sig syscall.Signal) {
-	for _, ep := range r.eps {
+// Close ends what the drive started, the children first (they may hold peer
+// connections to this process), skipping what is already gone: children get
+// SIGTERM when graceful, else SIGKILL.
+func (l *Live) Close(graceful bool) {
+	sig := syscall.SIGKILL
+	if graceful {
+		sig = syscall.SIGTERM
+	}
+	for _, ep := range l.eps {
 		ep.end(sig)
 	}
-	if r.ln != nil {
-		_ = r.srv.Close()
-		_ = r.ln.Close()
+	if l.ln != nil {
+		_ = l.srv.Close()
+		_ = l.ln.Close()
 	}
-	if r.c != nil {
-		r.c.Close()
+	if l.c != nil {
+		l.c.Close()
 	}
-	_ = os.RemoveAll(r.scratch) // a no-op on ""
+	_ = os.RemoveAll(l.scratch) // a no-op on ""
 }
 
 // reservePorts picks n distinct free loopback ports: bound together, released.

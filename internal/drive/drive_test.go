@@ -157,13 +157,13 @@ func TestDriveInProcess(t *testing.T) {
 		spec.Warmup, spec.CheckReplay, spec.Verbose = 20*time.Millisecond, true, true
 		spec.Registers = []string{"testdata/withdraw.json"}
 		var out bytes.Buffer
-		rep, err := Run(liveOpts(), spec, nil, &out)
+		rep, err := Run(liveOpts(), spec, &Live{}, &out)
 		passed(t, rep, err, &out, 1)
 		if !strings.Contains(out.String(), "registered class Withdraw(n)") {
 			t.Errorf("the class file was not registered:\n%s", &out)
 		}
 		spec.Class = "Deposit"
-		if _, err := Run(liveOpts(), spec, nil, io.Discard); err == nil || !strings.Contains(err.Error(), `class "Deposit" was not registered`) {
+		if _, err := Run(liveOpts(), spec, &Live{}, io.Discard); err == nil || !strings.Contains(err.Error(), `class "Deposit" was not registered`) {
 			t.Errorf("driving an unregistered class: %v", err)
 		}
 	})
@@ -179,7 +179,7 @@ func TestDriveInProcess(t *testing.T) {
 		}
 		spec.Warmup, spec.CheckReplay = 20*time.Millisecond, true
 		var out bytes.Buffer
-		rep, err := Run(opts, spec, nil, &out)
+		rep, err := Run(opts, spec, &Live{}, &out)
 		passed(t, rep, err, &out, 1)
 	})
 }
@@ -200,7 +200,7 @@ func TestDriveProcs(t *testing.T) {
 		return exec.Command(os.Args[0], append([]string{"-test.run=^TestChildSite$", "--", "-register", spec.Registers[0]}, args...)...)
 	}
 	var out bytes.Buffer
-	rep, err := Run(liveOpts(), spec, spawn, &out)
+	rep, err := Run(liveOpts(), spec, &Live{Spawn: spawn}, &out)
 	passed(t, rep, err, &out, 2)
 	if !strings.Contains(out.String(), "chaos: drain site 1 done") {
 		t.Errorf("the drain did not play:\n%s", &out)

@@ -40,11 +40,6 @@ type Scale struct {
 	TPCCStockPerWarehouse int
 	// Seed drives all randomness.
 	Seed int64
-	// Alloc, when not AllocDefault, overrides the treaty allocation
-	// strategy (and enables batched renegotiation) for every cell that
-	// does not pin its own strategy — the CLI's -alloc flag. The default
-	// keeps the seed behavior and the golden reports.
-	Alloc homeostasis.Alloc
 	// Parallel bounds how many sweep cells the experiment engine
 	// simulates concurrently; 0 means GOMAXPROCS. Every cell is an
 	// isolated simulation with a seed derived only from the scale, so
@@ -158,9 +153,8 @@ type runCfg struct {
 	measureName           string
 	scale                 Scale
 	seedBump              int64
-	// alloc pins the cell's allocation strategy; AllocDefault defers to
-	// the scale-wide override (Scale.Alloc), which itself defaults to the
-	// mode's built-in strategy.
+	// alloc pins the cell's allocation strategy; AllocDefault is the
+	// mode's built-in one.
 	alloc homeostasis.Alloc
 }
 
@@ -189,14 +183,10 @@ func run(cfg runCfg, makeWorkload workloadFactory) (*runResult, error) {
 	} else {
 		topo = cluster.Uniform(cfg.nSites, cfg.rtt)
 	}
-	alloc := cfg.alloc
-	if alloc == homeostasis.AllocDefault {
-		alloc = cfg.scale.Alloc
-	}
 	e := sim.NewEngine(cfg.scale.Seed + cfg.seedBump)
 	opts := homeostasis.Options{
 		Mode:           cfg.mode,
-		Alloc:          alloc,
+		Alloc:          cfg.alloc,
 		Topo:           topo,
 		ClientsPerSite: cfg.clients,
 		// The paper ran all microbenchmark replicas on one 32-core host;

@@ -269,7 +269,7 @@ type System struct {
 	Opts   Options
 	W      workload.Workload
 	Stores []*store.Store
-	CPUs   []rt.Resource
+	CPUs   []*rt.Resource
 	Units  []*unitState
 	Col    *metrics.Collector
 

@@ -100,15 +100,44 @@ type Proc interface {
 // Resource is a counting semaphore: a bounded resource such as a site's
 // CPU capacity. On the simulator slots are occupied in virtual time; on
 // the live runtime Acquire really blocks, so the capacity is a true
-// concurrency limit.
-type Resource interface {
-	// Acquire blocks the calling process until a slot is free and takes it.
-	Acquire(p Proc)
-	// Release frees a slot and wakes one waiter.
-	Release()
-	// InUse returns the number of held slots.
-	InUse() int
+// concurrency limit. Both runtimes' NewResource return one: it is touched
+// only under the execution right, like all protocol state, and a freed
+// slot wakes the oldest waiter through the runtime's At.
+type Resource struct {
+	r       Runtime
+	cap     int
+	inUse   int
+	waiters []Proc
 }
+
+// NewResource creates a resource of the given capacity on r.
+func NewResource(r Runtime, capacity int) *Resource {
+	return &Resource{r: r, cap: capacity}
+}
+
+// Acquire blocks the calling process until a slot is free and takes it.
+func (s *Resource) Acquire(p Proc) {
+	for s.inUse >= s.cap {
+		s.waiters = append(s.waiters, p)
+		p.PrepPark()
+		p.Park()
+	}
+	s.inUse++
+}
+
+// Release frees a slot and wakes the oldest waiter.
+func (s *Resource) Release() {
+	s.inUse--
+	if len(s.waiters) > 0 {
+		w := s.waiters[0]
+		s.waiters = s.waiters[1:]
+		token := w.Token()
+		s.r.At(s.r.Now(), func() { w.WakeIf(token) })
+	}
+}
+
+// InUse returns the number of held slots.
+func (s *Resource) InUse() int { return s.inUse }
 
 // Runtime is the execution engine the protocol core runs on.
 type Runtime interface {
@@ -125,7 +154,7 @@ type Runtime interface {
 	// (used for deterministic per-client seeding).
 	Spawn(id int, fn func(p Proc))
 	// NewResource creates a bounded resource with the given capacity.
-	NewResource(capacity int) Resource
+	NewResource(capacity int) *Resource
 	// SetDeadline bounds Run: the runtime stops processing once time
 	// would pass t (zero means no deadline).
 	SetDeadline(t Time)

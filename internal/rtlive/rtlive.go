@@ -455,46 +455,5 @@ func (p *Proc) sleepWake() {
 	p.WakeIf(p.sleepToken)
 }
 
-// resource is a counting semaphore whose waiters really block; its
-// capacity is a true concurrency limit. State is guarded by the scheduler
-// lock like all shared protocol state.
-type resource struct {
-	r       *Runtime
-	cap     int
-	inUse   int
-	waiters []rt.Proc
-}
-
 // NewResource creates a bounded resource with the given capacity.
-func (r *Runtime) NewResource(capacity int) rt.Resource {
-	return &resource{r: r, cap: capacity}
-}
-
-// Acquire blocks the calling process until a slot is free (FIFO among
-// waiters) and takes it.
-//
-//homeo:schedlocked
-func (s *resource) Acquire(p rt.Proc) {
-	for s.inUse >= s.cap {
-		s.waiters = append(s.waiters, p)
-		p.PrepPark()
-		p.Park()
-	}
-	s.inUse++
-}
-
-// Release frees a slot and wakes the oldest waiter.
-//
-//homeo:schedlocked
-func (s *resource) Release() {
-	s.inUse--
-	if len(s.waiters) > 0 {
-		w := s.waiters[0]
-		s.waiters = s.waiters[1:]
-		token := w.Token()
-		s.r.At(s.r.Now(), func() { w.WakeIf(token) })
-	}
-}
-
-// InUse returns the number of held slots.
-func (s *resource) InUse() int { return s.inUse }
+func (r *Runtime) NewResource(capacity int) *rt.Resource { return rt.NewResource(r, capacity) }

@@ -229,7 +229,7 @@ func (e *Engine) retire(p *Proc) {
 }
 
 // NewResource creates a counting semaphore on the engine (rt.Runtime).
-func (e *Engine) NewResource(capacity int) rt.Resource { return NewResource(e, capacity) }
+func (e *Engine) NewResource(capacity int) *rt.Resource { return rt.NewResource(e, capacity) }
 
 // SetDeadline bounds Run (rt.Runtime): virtual time never passes t.
 func (e *Engine) SetDeadline(t Time) { e.Deadline = t }

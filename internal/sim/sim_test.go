@@ -73,7 +73,7 @@ func TestSameTimeFIFO(t *testing.T) {
 
 func TestResourceCapacity(t *testing.T) {
 	e := NewEngine(1)
-	r := NewResource(e, 2)
+	r := e.NewResource(2)
 	var maxInUse int
 	var finish []Time
 	for i := 0; i < 4; i++ {
