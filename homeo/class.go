@@ -297,25 +297,21 @@ func (t *TxnClass) Pinned() (bool, string) { return t.wc.Pinned() }
 func (t *TxnClass) SymbolicTable() string { return t.wc.TableString() }
 
 // Treaties renders the class unit's current per-site local treaties.
-// They change whenever the cleanup phase renegotiates. The renderings are
-// cut from one string, so however many sites there are they cost one
-// allocation and the list another.
+// They change whenever the cleanup phase renegotiates, so they are rendered
+// under the execution right. The renderings are cut from one string, so
+// however many sites there are they cost one allocation and the list
+// another.
 func (t *TxnClass) Treaties() []string {
 	var out []string
 	t.c.locked(func() {
-		locals := t.c.sys.UnitLocals(t.wc.Unit())
-		if len(locals) == 0 {
-			return
-		}
 		var textBuf [256]byte
 		var endBuf [8]int
-		text, ends := textBuf[:0], endBuf[:0]
-		for _, l := range locals {
-			text = l.AppendTo(text)
-			ends = append(ends, len(text))
+		text, ends := t.c.sys.AppendUnitTreaties(textBuf[:0], endBuf[:0], t.wc.Unit())
+		if len(ends) == 0 {
+			return
 		}
 		all, start := string(text), 0
-		out = make([]string, len(locals))
+		out = make([]string, len(ends))
 		for i, end := range ends {
 			out[i], start = all[start:end], end
 		}

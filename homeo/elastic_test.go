@@ -103,6 +103,7 @@ func mergedReplay(check *homeo.Cluster, cs ...*homeo.Cluster) error {
 // traffic, every member's width and epoch move, and replay equivalence
 // holds across the membership change.
 func TestJoinSim(t *testing.T) {
+	scribbling(t)
 	spec := homeo.ClassSpec{L: depositSrc, Bounds: map[string][2]int64{"n": {1, 5}}, Initial: map[string]int64{"acct": 100}}
 	f, cs, cls := simSites(t, 2, spec, homeo.Options{EnableLog: true})
 	submit(t, cls[0], cs[0], 5, 2)
@@ -137,6 +138,7 @@ func TestJoinSim(t *testing.T) {
 // and the balance runs through the guard's floor (Theorem 3.8 fails: the
 // serial replay skips what the protocol committed).
 func TestJoinGuardedClassStaysSound(t *testing.T) {
+	scribbling(t)
 	spec := homeo.ClassSpec{L: withdrawSrc, Bounds: map[string][2]int64{"n": {1, 5}}, Initial: map[string]int64{"bal": 100}}
 	f, cs, cls := simSites(t, 2, spec, homeo.Options{EnableLog: true})
 	submit(t, cls[0], cs[0], 4, 5)
@@ -160,6 +162,7 @@ func TestJoinGuardedClassStaysSound(t *testing.T) {
 // submissions, and keeps replay equivalence on the survivors; only the
 // process owning a site can drain it, and only once.
 func TestDrainSim(t *testing.T) {
+	scribbling(t)
 	spec := homeo.ClassSpec{L: depositSrc, Bounds: map[string][2]int64{"n": {1, 5}}, Initial: map[string]int64{"acct": 90}}
 	f, cs, cls := simSites(t, 3, spec, homeo.Options{EnableLog: true})
 	// Commit at the doomed site so the drain has deltas to absorb.
@@ -208,6 +211,7 @@ func TestDrainSim(t *testing.T) {
 // refused), while the epoch stays (the next observed membership change logs
 // the table) and a repeated or out-of-range mark changes nothing.
 func TestMarkSiteGoneFencesAnUnwitnessedDrain(t *testing.T) {
+	scribbling(t)
 	spec := homeo.ClassSpec{L: withdrawSrc, Bounds: map[string][2]int64{"n": {1, 5}}, Initial: map[string]int64{"bal": 60}}
 	f, cs, cls := simSites(t, 3, spec, homeo.Options{EnableLog: true})
 	if err := cs[2].Drain(2); err != nil {
@@ -247,6 +251,7 @@ func TestMarkSiteGoneFencesAnUnwitnessedDrain(t *testing.T) {
 // round folds from the base, and one that read site 0's copy would
 // resurrect the balance as it stood at the absorb.
 func TestRoundsAfterDrainOfSiteZeroSim(t *testing.T) {
+	scribbling(t)
 	spec := homeo.ClassSpec{L: withdrawSrc, Bounds: map[string][2]int64{"n": {1, 5}}, Initial: map[string]int64{"bal": 400}}
 	f, cs, cls := simSites(t, 3, spec, homeo.Options{EnableLog: true})
 	for k, c := range cs {
@@ -271,6 +276,7 @@ func TestRoundsAfterDrainOfSiteZeroSim(t *testing.T) {
 // an original site, keep serving on the survivors — in one deterministic
 // run.
 func TestJoinThenDrainSim(t *testing.T) {
+	scribbling(t)
 	spec := homeo.ClassSpec{L: depositSrc, Bounds: map[string][2]int64{"n": {1, 5}}, Initial: map[string]int64{"acct": 50}}
 	f, cs, cls := simSites(t, 2, spec, homeo.Options{EnableLog: true})
 	submit(t, cls[0], cs[0], 4, 2)

@@ -189,11 +189,14 @@ func (d *roundDriver) next(p rt.Proc) (bool, error) {
 	return res.Synced, err
 }
 
-// warm runs purchases until n of them paid a round: a couple of thousand
-// fill the deriver's memo for every stock level a round can start from
-// (about a hundred).
-func (d *roundDriver) warm(p rt.Proc, n int) error {
-	for rounds := 0; rounds < n; {
+// warmRounds is how many rounds fill the deriver's memo for every state a
+// round can start from: about a hundred stock levels, plus the boundary
+// region's pins. The last of them is first met at round 2 198.
+const warmRounds = 3000
+
+// warm runs purchases until warmRounds of them paid a round.
+func (d *roundDriver) warm(p rt.Proc) error {
+	for rounds := 0; rounds < warmRounds; {
 		synced, err := d.next(p)
 		if err != nil {
 			return err
@@ -216,7 +219,7 @@ func benchRoundSim(b *testing.B) {
 	d := newRoundDriver(b, sys, reg, c)
 	var execErr error
 	eng.Spawn(0, func(p rt.Proc) {
-		if execErr = d.warm(p, 2000); execErr != nil {
+		if execErr = d.warm(p); execErr != nil {
 			return
 		}
 		var before, after runtime.MemStats

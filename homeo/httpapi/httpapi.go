@@ -461,6 +461,9 @@ func (s *txnScratch) release() {
 	if s.env.Args != nil {
 		s.args = s.env.Args[:0] // grown by the decoder: keep the larger one
 	}
+	if fabric.ScratchHook != nil {
+		fabric.ScratchHook(s.buf, &s.env, s.args)
+	}
 	txnPool.Put(s)
 }
 

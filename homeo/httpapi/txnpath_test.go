@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +16,8 @@ import (
 	"repro/homeo"
 	"repro/homeo/client"
 	"repro/homeo/wire"
+	"repro/internal/fabric"
+	"repro/internal/fabric/fabrictest"
 )
 
 // post sends body to path as a plain net/http client would and returns
@@ -227,4 +230,59 @@ func TestConcurrentSubmitsSharePools(t *testing.T) {
 	if err := c.CheckReplayEquivalence(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestTxnScratchIsNotReadAfterRelease: with fabric.ScratchHook scribbling
+// over a /v1/txn scratch — body, envelope, arguments — as it goes back to
+// its pool, transactions of different shapes posted one after another
+// (with and without a site, a timeout, more arguments than the last) each
+// commit on their own arguments at their own site, the commit log holds
+// what was posted, and the replay holds.
+func TestTxnScratchIsNotReadAfterRelease(t *testing.T) {
+	fabric.ScratchHook = fabrictest.Scribble
+	t.Cleanup(func() { fabric.ScratchHook = nil })
+	c, _, srv, _ := newServer(t, homeo.Options{EnableLog: true})
+	for _, src := range []string{depositSrc, `transaction Move(a, b) { x := read(acct); write(acct = x + a - b) }`} {
+		if resp, body := post(t, srv.URL+"/v1/classes", `{"l":`+jsonString(src)+`}`); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("register: %d %s", resp.StatusCode, body)
+		}
+	}
+	var want [][]int64
+	for i, tc := range []struct {
+		body string
+		args []int64
+		site int
+	}{
+		{`{"class":"Deposit","args":[5],"site":1}`, []int64{5}, 1},
+		{`{"class":"Move","args":[7,2],"site":0}`, []int64{7, 2}, 0},
+		{`{"class":"Deposit","args":[3],"site":0,"timeout_ms":5000}`, []int64{3}, 0},
+		{`{"class":"Move","args":[9,4],"site":1}`, []int64{9, 4}, 1},
+		{`{"class":"Deposit","args":[11],"site":1}`, []int64{11}, 1},
+	} {
+		resp, body := post(t, srv.URL+"/v1/txn", tc.body)
+		var res wire.TxnResult
+		if err := json.Unmarshal(body, &res); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("txn %d: %d %s (%v)", i, resp.StatusCode, body, err)
+		}
+		if !res.Committed || res.Site != tc.site || !slices.Equal(res.Args, tc.args) {
+			t.Errorf("txn %d (%s): committed %v at site %d on %v", i, tc.body, res.Committed, res.Site, res.Args)
+		}
+		want = append(want, tc.args)
+	}
+	var got [][]int64
+	for _, e := range c.WireLog() {
+		got = append(got, e.Args)
+	}
+	if !slices.EqualFunc(got, want, slices.Equal) {
+		t.Errorf("the commit log holds arguments %v, want %v", got, want)
+	}
+	if err := c.CheckReplayEquivalence(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// jsonString is src as a JSON string.
+func jsonString(src string) string {
+	b, _ := json.Marshal(src)
+	return string(b)
 }

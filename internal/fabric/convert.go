@@ -21,15 +21,19 @@ import (
 // keep, with two exceptions on the serving side named at reqScratch.
 
 // reqScratch is the part of a served request's fabric message that is
-// scratch: the round's object footprint and its folded values, which a Node
-// reads while it handles the message and never keeps. Everything else a
-// conversion from wire form builds is fresh — the collect's unit list (the
-// round grant keeps it), the install's WinnerCommit (the grant adopts it on
-// failover), the local treaties (the site installs them) — and so is all of
-// a rejoin, a join and a drain, which are too rare to be worth a rule.
+// scratch, which a Node reads while it handles the message and never keeps:
+// the round's object footprint and its folded values, and the local
+// treaties of an install — a site copies them into its treaty slots.
+// Everything else a conversion from wire form builds is fresh — the
+// collect's unit list (the round grant keeps it), the install's
+// WinnerCommit (the grant adopts it on failover) — and so is all of a
+// rejoin, a join and a drain, which are too rare to be worth a rule.
 type reqScratch struct {
 	objs   []lang.ObjID
 	folded lang.Database
+	units  []UnitTreaty
+	cons   []treaty.Constraint
+	terms  []treaty.Term
 }
 
 // dbToWire fills dst (made when nil) with d.
@@ -284,28 +288,41 @@ func AppendConstraintsToWire(dst []wire.PeerConstraint, l treaty.Local) []wire.P
 // ConstraintsFromWire decodes a wire constraint list back into a local
 // treaty for the given site (the inverse of AppendConstraintsToWire on a
 // canonical treaty): each constraint's terms in ascending object order, a
-// zero coefficient dropped. The treaty is the caller's to keep — a site
+// zero coefficient dropped. The treaty is the caller's to keep — recovery
 // installs it, and the compiled form aliases it.
 func ConstraintsFromWire(site int, cs []wire.PeerConstraint) (treaty.Local, error) {
-	out := treaty.Local{Site: site, Constraints: make([]treaty.Constraint, 0, len(cs))}
+	nTerms := 0
+	for _, pc := range cs {
+		nTerms += len(pc.Coeffs)
+	}
+	l, _, _, err := appendConstraintsFromWire(site, cs, make([]treaty.Constraint, 0, len(cs)), make([]treaty.Term, 0, nTerms))
+	return l, err
+}
+
+// appendConstraintsFromWire is ConstraintsFromWire appending the treaty's
+// constraints to cons and their terms to terms, both with room for them:
+// it returns the treaty over what it appended, and the grown lists.
+func appendConstraintsFromWire(site int, cs []wire.PeerConstraint, cons []treaty.Constraint, terms []treaty.Term) (treaty.Local, []treaty.Constraint, []treaty.Term, error) {
+	start := len(cons)
 	for _, pc := range cs {
 		op, err := opFromWire(pc.Op)
 		if err != nil {
-			return treaty.Local{}, err
+			return treaty.Local{}, cons, terms, err
 		}
 		c := treaty.Constraint{Const: pc.Const, Op: op}
-		if n := len(pc.Coeffs); n > 0 {
-			c.Terms = make([]treaty.Term, 0, n)
-		}
-		for name, coeff := range pc.Coeffs {
-			if coeff != 0 {
-				c.Terms = append(c.Terms, treaty.Term{Obj: lang.ObjID(name), Coeff: coeff})
+		if len(pc.Coeffs) > 0 {
+			from := len(terms)
+			for name, coeff := range pc.Coeffs {
+				if coeff != 0 {
+					terms = append(terms, treaty.Term{Obj: lang.ObjID(name), Coeff: coeff})
+				}
 			}
+			c.Terms = terms[from:len(terms):len(terms)]
+			slices.SortFunc(c.Terms, treaty.TermOrder)
 		}
-		slices.SortFunc(c.Terms, treaty.TermOrder)
-		out.Constraints = append(out.Constraints, c)
+		cons = append(cons, c)
 	}
-	return out, nil
+	return treaty.Local{Site: site, Constraints: cons[start:len(cons):len(cons)]}, cons, terms, nil
 }
 
 func installTreatiesToWire(w *wire.PeerInstallTreaties, m InstallTreaties) {
@@ -319,19 +336,33 @@ func installTreatiesToWire(w *wire.PeerInstallTreaties, m InstallTreaties) {
 	}
 }
 
-func installTreatiesFromWire(_ *reqScratch, w *wire.PeerInstallTreaties) (InstallTreaties, error) {
+// installTreatiesFromWire builds the message in the served request's
+// scratch (reqScratch): the site copies the locals it installs.
+func installTreatiesFromWire(sc *reqScratch, w *wire.PeerInstallTreaties) (InstallTreaties, error) {
 	out := InstallTreaties{
 		Round: RoundID{Site: w.From, Seq: w.Round}, Clock: w.Clock, Site: w.Site,
 	}
-	if len(w.Units) > 0 {
-		out.Units = make([]UnitTreaty, 0, len(w.Units))
-	}
+	nCons, nTerms := 0, 0
 	for _, ut := range w.Units {
-		l, err := ConstraintsFromWire(w.Site, ut.Constraints)
-		if err != nil {
+		nCons += len(ut.Constraints)
+		for _, pc := range ut.Constraints {
+			nTerms += len(pc.Coeffs)
+		}
+	}
+	units, cons, terms := sc.units[:0], slices.Grow(sc.cons[:0], nCons), slices.Grow(sc.terms[:0], nTerms)
+	for _, ut := range w.Units {
+		var (
+			l   treaty.Local
+			err error
+		)
+		if l, cons, terms, err = appendConstraintsFromWire(w.Site, ut.Constraints, cons, terms); err != nil {
 			return out, fmt.Errorf("unit %d: %w", ut.Unit, err)
 		}
-		out.Units = append(out.Units, UnitTreaty{Unit: ut.Unit, Version: ut.Version, Local: l})
+		units = append(units, UnitTreaty{Unit: ut.Unit, Version: ut.Version, Local: l})
+	}
+	sc.units, sc.cons, sc.terms = units, cons, terms
+	if len(units) > 0 {
+		out.Units = units
 	}
 	return out, nil
 }

@@ -252,7 +252,8 @@ type Node interface {
 	// InstallState installs the folded consolidated state.
 	InstallState(m InstallState) error
 	// InstallTreaties installs the site's new local treaties and closes
-	// the round.
+	// the round. The locals are the sender's or the transport's: a Node
+	// copies what it keeps of them before it returns.
 	InstallTreaties(m InstallTreaties) error
 	// AbortRound releases a granted round without installing anything.
 	AbortRound(m AbortRound) error

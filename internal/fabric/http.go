@@ -367,7 +367,8 @@ func replyError(endpoint string, err error) error {
 // peer call or a served request is done with, just before it goes back to
 // its pool, to scribble over: nothing a Node or a coordinator kept may
 // change. The engine's pools above the transport hand it theirs too — a
-// round scratch's reply maps, a submission's arguments — and Local its
+// round scratch's reply maps, a submission's arguments, a treaty slot's
+// retired generation, an httpapi transaction's scratch — and Local its
 // reply slice before refilling it. Nil outside tests.
 var ScratchHook func(scratch ...any)
 
@@ -669,7 +670,7 @@ func (s *served[Req, Rep, WReq, WRep]) release(pool *sync.Pool) {
 	)
 	s.m, s.rep, s.err = m, rep, nil
 	if ScratchHook != nil {
-		ScratchHook(s.sc.objs, s.sc.folded, &s.in, &s.out, s.body, s.reply)
+		ScratchHook(s.sc.objs, s.sc.folded, s.sc.units, s.sc.cons, s.sc.terms, &s.in, &s.out, s.body, s.reply)
 	}
 	if cap(s.body) <= wire.MaxPooledBuf && cap(s.reply) <= wire.MaxPooledBuf {
 		pool.Put(s)

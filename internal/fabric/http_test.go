@@ -192,8 +192,8 @@ func mustEncode(t *testing.T, m any) []byte {
 }
 
 // copyNode is a stub that keeps of a message only what a Node may keep:
-// the footprint and the folded values, which a handler reads and lets go
-// of, it copies before recording them.
+// the footprint, the folded values and the local treaties, which a handler
+// reads and lets go of, it copies before recording them.
 type copyNode struct{ *fabrictest.StubNode }
 
 func (n copyNode) CollectState(m fabric.CollectState) (fabric.StateReply, error) {
@@ -204,6 +204,18 @@ func (n copyNode) CollectState(m fabric.CollectState) (fabric.StateReply, error)
 func (n copyNode) InstallState(m fabric.InstallState) error {
 	m.Objs, m.Folded = slices.Clone(m.Objs), m.Folded.Clone()
 	return n.StubNode.InstallState(m)
+}
+
+func (n copyNode) InstallTreaties(m fabric.InstallTreaties) error {
+	m.Units = slices.Clone(m.Units)
+	for i := range m.Units {
+		l := &m.Units[i].Local
+		l.Constraints = slices.Clone(l.Constraints)
+		for j := range l.Constraints {
+			l.Constraints[j].Terms = slices.Clone(l.Constraints[j].Terms)
+		}
+	}
+	return n.StubNode.InstallTreaties(m)
 }
 
 // scribbling sets fabric.ScratchHook for the rest of the test.

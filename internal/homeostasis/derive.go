@@ -27,7 +27,8 @@ import (
 //	key        the treaty up to object renaming, with the folded values, the
 //	           width once widened and the slack weights if any
 //	memo       a key seen before serves its configuration and its locals
-//	           under this unit's names; nothing below runs
+//	           under this unit's names, written into the unit's treaty
+//	           slots; nothing below runs
 //	template   the per-site split with configuration variables (Section 4.2)
 //	configure  Algorithm 1, a slack split, or the Theorem 4.3 default
 //	locals     the template instantiated site by site
@@ -103,13 +104,13 @@ type deriver struct {
 	col       *metrics.Collector
 
 	// memo holds, per isomorphism class of (global treaty, folded values,
-	// width, weights), the configuration and the locals the first unit of
-	// the class was given. The optimizer's output depends only on that class —
-	// configuration variables are positional — so one solve serves every
-	// unit in it: the paper's parameterized compression (Section 5.1)
-	// applied to configurations. This assumes isomorphic units also have
-	// statistically identical workload models, which holds for every
-	// built-in workload and for a class family.
+	// width, weights), the configuration and a copy of the locals the first
+	// unit of the class was given. The optimizer's output depends only on
+	// that class — configuration variables are positional — so one solve
+	// serves every unit in it: the paper's parameterized compression
+	// (Section 5.1) applied to configurations. This assumes isomorphic units
+	// also have statistically identical workload models, which holds for
+	// every built-in workload and for a class family.
 	memo map[isoHash]memoEntry
 	// solves counts configurations computed, hits those the memo served.
 	solves, hits int64
@@ -120,6 +121,9 @@ type deriver struct {
 	idx   map[string]int
 	names []string
 	vars  []isoVar
+	// out is the list a memo hit returns, refilled: its locals live in the
+	// unit's slots.
+	out []treaty.Local
 }
 
 func newDeriver(w workload.Workload, opts Options, deltaName func(lang.ObjID, int) lang.ObjID, col *metrics.Collector) *deriver {
@@ -146,8 +150,10 @@ func newDeriver(w workload.Workload, opts Options, deltaName func(lang.ObjID, in
 
 // derivation is one request to the deriver.
 type derivation struct {
-	// u is the unit: its id, its objects, and the configuration its last
-	// derivation produced (read as the warm-start hint, then replaced).
+	// u is the unit: its id, its objects, a treaty slot per site of the
+	// width (a memo hit writes into their spares), and the configuration
+	// its last derivation produced (read as the warm-start hint, then
+	// replaced).
 	u *unitState
 	// folded holds the unit's objects at their consolidated values.
 	folded lang.Database
@@ -167,7 +173,9 @@ type derivation struct {
 	pin bool
 }
 
-// derive runs the stages.
+// derive runs the stages. A memo hit writes the unit's locals into its
+// slots' spares and returns them in a list of the deriver's, good until
+// the next derive; otherwise they are fresh, and the list too.
 func (d *deriver) derive(r derivation) ([]treaty.Local, error) {
 	u := r.u
 	if r.pin {
@@ -218,7 +226,8 @@ func (d *deriver) derive(r derivation) ([]treaty.Local, error) {
 		if e, ok := d.memo[key]; ok {
 			d.hits++
 			u.lastCfg = e.cfg
-			return e.rename(d.names), nil
+			d.out = e.rename(d.names, u.treaties, d.out)
+			return d.out, nil
 		}
 	}
 
@@ -439,64 +448,126 @@ func (d *deriver) key(g treaty.Global, ren map[lang.ObjID]lang.ObjID, folded lan
 }
 
 // memoEntry is one memo slot: the configuration of the first unit per key
-// and the locals it was given — the installed ones, shared, since a Local
-// is never written — with, per term in the order the locals list them, the
-// object's index in the canonical (first-occurrence) variable order the
-// key stage built. Instantiating the entry for an isomorphic unit is a
+// and a copy of the locals it was given, with every term's object replaced
+// by its index in the canonical (first-occurrence) variable order the key
+// stage built. Instantiating the entry for an isomorphic unit is a
 // positional rename into that unit's names — the template build and
 // instantiation are skipped entirely. The width is part of the key once it
 // moves, so every entry under a key has the caller's site count.
 type memoEntry struct {
-	cfg    treaty.Config
-	locals []treaty.Local
-	names  []int
+	cfg treaty.Config
+	// sites counts, per site in order, its constraints in cons and their
+	// terms in terms.
+	sites []memoSpan
+	cons  []memoConstraint
+	terms []memoTerm
+}
+
+type memoSpan struct{ cons, terms int }
+
+type memoConstraint struct {
+	constant int64
+	op       lia.RelOp
+	nTerms   int
+}
+
+type memoTerm struct {
+	name  int
+	coeff int64
 }
 
 // rename instantiates the entry under names, a unit's canonical variable
-// order (d.names, valid since the last key call). The renamed terms need no
-// sorting: the key hashes each constraint's variables in ascending order of
-// the unit's own names, index by index, so two units meet under one key only
-// if the rename between them keeps every constraint's order — and a site's
-// terms are a subsequence of a constraint's. (treaty.Compile would refuse the
-// install otherwise.) All sites' constraints share one slice and all terms
-// another.
+// order (d.names, valid since the last key call), writing site k's local
+// into the spare of slots[k], and returns them in out, refilled. The renamed
+// terms need no sorting: the key hashes each constraint's variables in
+// ascending order of the unit's own names, index by index, so two units meet
+// under one key only if the rename between them keeps every constraint's
+// order — and a site's terms are a subsequence of a constraint's.
+// (treaty.Compile would refuse the install otherwise.)
 //
 //homeo:hotpath
-func (e *memoEntry) rename(names []string) []treaty.Local {
-	nCons := 0
-	for _, l := range e.locals {
-		nCons += len(l.Constraints)
-	}
-	// The locals are installed: they outlive the round.
-	out := make([]treaty.Local, len(e.locals))
-	cons := make([]treaty.Constraint, 0, nCons)
-	terms := make([]treaty.Term, 0, len(e.names))
-	for site, l := range e.locals {
-		start := len(cons)
-		for _, c := range l.Constraints {
-			from := len(terms)
-			for _, t := range c.Terms {
-				name := names[e.names[len(terms)]] // terms holds one per term visited
-				terms = append(terms, treaty.Term{Obj: lang.ObjID(name), Coeff: t.Coeff})
+func (e *memoEntry) rename(names []string, slots []treatySlot, out []treaty.Local) []treaty.Local {
+	growSpares(slots, e.sites)
+	out = out[:0]
+	cons, terms := e.cons, e.terms
+	for site, sp := range e.sites {
+		g := &slots[site].spare
+		gc, gt := g.cons[:0], g.terms[:0]
+		for _, mc := range cons[:sp.cons] {
+			c := treaty.Constraint{Const: mc.constant, Op: mc.op}
+			if mc.nTerms > 0 { // else nil, as the template leaves a ground constraint's
+				from := len(gt)
+				for _, mt := range terms[:mc.nTerms] {
+					gt = append(gt, treaty.Term{Obj: lang.ObjID(names[mt.name]), Coeff: mt.coeff})
+				}
+				terms = terms[mc.nTerms:]
+				c.Terms = gt[from:len(gt):len(gt)]
 			}
-			c.Terms = terms[from:len(terms):len(terms)]
-			cons = append(cons, c)
+			gc = append(gc, c)
 		}
-		out[site] = treaty.Local{Site: l.Site, Constraints: cons[start:len(cons):len(cons)]}
+		cons = cons[sp.cons:]
+		g.cons, g.terms = gc, gt
+		out = append(out, treaty.Local{Site: site, Constraints: gc})
 	}
 	return out
 }
 
+// growSpares makes every slot's spare hold its site's span. The spares that
+// are short — a unit's at its first round — are cut from one new array of
+// constraints and one of terms, so a unit pays two allocations however many
+// sites it has.
+func growSpares(slots []treatySlot, sites []memoSpan) {
+	nCons, nTerms := 0, 0
+	for k, sp := range sites {
+		g := &slots[k].spare
+		if cap(g.cons) < sp.cons {
+			nCons += sp.cons
+		}
+		if cap(g.terms) < sp.terms {
+			nTerms += sp.terms
+		}
+	}
+	if nCons == 0 && nTerms == 0 {
+		return
+	}
+	cons, terms := make([]treaty.Constraint, 0, nCons), make([]treaty.Term, 0, nTerms)
+	for k, sp := range sites {
+		g := &slots[k].spare
+		if cap(g.cons) < sp.cons {
+			g.cons, cons = cons[:0:sp.cons], cons[sp.cons:sp.cons]
+		}
+		if cap(g.terms) < sp.terms {
+			g.terms, terms = terms[:0:sp.terms], terms[sp.terms:sp.terms]
+		}
+	}
+}
+
 // remember memoizes freshly instantiated locals with their configuration,
-// under the canonical variable order of the unit that built them (d.idx,
-// valid since the last key call: the template's variables are among the
-// ones the key stage indexed).
+// copied, under the canonical variable order of the unit that built them
+// (d.idx, valid since the last key call: the template's variables are among
+// the ones the key stage indexed). The copy is the memo's: the locals
+// themselves go on to be installed.
 func (d *deriver) remember(key isoHash, cfg treaty.Config, locals []treaty.Local) {
-	e := memoEntry{cfg: cfg, locals: locals}
+	nCons, nTerms := 0, 0
 	for _, l := range locals {
+		nCons += len(l.Constraints)
 		for _, c := range l.Constraints {
+			nTerms += len(c.Terms)
+		}
+	}
+	e := memoEntry{
+		cfg:   cfg,
+		sites: make([]memoSpan, len(locals)),
+		cons:  make([]memoConstraint, 0, nCons),
+		terms: make([]memoTerm, 0, nTerms),
+	}
+	for k, l := range locals {
+		e.sites[k].cons = len(l.Constraints)
+		for _, c := range l.Constraints {
+			e.sites[k].terms += len(c.Terms)
+			e.cons = append(e.cons, memoConstraint{constant: c.Const, op: c.Op, nTerms: len(c.Terms)})
 			for _, t := range c.Terms {
-				e.names = append(e.names, d.idx[string(t.Obj)])
+				e.terms = append(e.terms, memoTerm{name: d.idx[string(t.Obj)], coeff: t.Coeff})
 			}
 		}
 	}

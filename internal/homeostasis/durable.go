@@ -373,7 +373,7 @@ func (rp *replay) installPending(site int) error {
 		if err != nil {
 			return errWALRecord(site, p.index, err)
 		}
-		if err := rp.sys.Units[p.unit].setSiteTreaty(p.site, l); err != nil {
+		if err := rp.sys.Units[p.unit].adoptSiteTreaty(p.site, l); err != nil {
 			return errWALRecord(site, p.index, err)
 		}
 	}
@@ -498,7 +498,9 @@ func (sys *System) logTreaty(site, unit int, l treaty.Local, version, clk int64,
 		return
 	}
 	// AppendTreaty encodes the record before it returns and keeps none of
-	// it, so the list is the System's, filled over the last one.
+	// it, so the list is the System's, filled over the last one — and l,
+	// often a slot's generation that a later install writes over, is read
+	// only here.
 	sys.walTreaty = fabric.AppendConstraintsToWire(sys.walTreaty, l)
 	rec := wal.TreatyRecord{Unit: unit, Site: site, Version: version, Clock: clk,
 		Constraints: sys.walTreaty}

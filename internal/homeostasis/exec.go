@@ -644,6 +644,11 @@ func (sys *System) negotiate(p rt.Proc, site int, units []*unitState, req worklo
 		for _, obj := range u.objects {
 			unitFolded[obj] = folded[obj]
 		}
+		// The locals land in u's slots' spares (a memo hit) or are fresh.
+		// Round 2 installs each site's own: in process the spare is swapped
+		// in; fabric.HTTP encodes a remote site's before Distribute returns,
+		// while u is still negotiating, so no other round writes the spares
+		// meanwhile, and the remote site copies what it decodes.
 		r := derivation{u: u, folded: unitFolded, width: n, weights: sys.slackWeights(u)}
 		locals, gerr := sys.der.derive(r)
 		if gerr != nil {

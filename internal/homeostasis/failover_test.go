@@ -72,6 +72,7 @@ func snapshotUnit(sys *System, site int, u *unitState) lang.Database {
 // round is aborted: state, treaties, and commit log untouched, the unit
 // unfrozen, and the abort counted.
 func TestGrantExpiryAbortsUninstalledRound(t *testing.T) {
+	scribbling(t)
 	sys, eng, node := failoverSystem(t)
 	u := sys.Units[0]
 	rid := fabric.RoundID{Site: 0, Seq: 7}
@@ -85,7 +86,7 @@ func TestGrantExpiryAbortsUninstalledRound(t *testing.T) {
 	}
 	before := snapshotUnit(sys, 1, u)
 	beforeVersion := u.version
-	beforeLocal := u.treaties[1].Local()
+	beforeLocal := sys.UnitLocals(u.id)[1]
 
 	eng.Run() // virtual time runs past the grant TTL
 
@@ -119,6 +120,7 @@ func TestGrantExpiryAbortsUninstalledRound(t *testing.T) {
 // pin treaty (never resumes on the dead round's generation), and the
 // rejoin reply forces the coordinator to repair the unit.
 func TestRejoinAdoptsInstalledRound(t *testing.T) {
+	scribbling(t)
 	sys, _, node := failoverSystem(t)
 	u := sys.Units[0]
 	rid := fabric.RoundID{Site: 0, Seq: 9}
@@ -189,7 +191,7 @@ func TestRejoinAdoptsInstalledRound(t *testing.T) {
 
 	// No stale-treaty resume: a late round-2 install from the dead
 	// coordinator's generation is version-guarded into a no-op.
-	pinned := u.treaties[1].Local()
+	pinned := sys.UnitLocals(u.id)[1]
 	if err := node.InstallTreaties(fabric.InstallTreaties{
 		Round: rid, Clock: 42,
 		Units: []fabric.UnitTreaty{{Unit: u.id, Local: treaty.Local{Site: 1}, Version: u.version - 1}},
@@ -209,6 +211,7 @@ func TestRejoinAdoptsInstalledRound(t *testing.T) {
 // codec bytes, slot and version untouched; a treaty over the site's own
 // delta still installs.
 func TestSiteRefusesTreatyOverAnotherSitesObjects(t *testing.T) {
+	scribbling(t)
 	sys, _, node := failoverSystem(t)
 	u := sys.Units[0]
 	obj := u.objects[0]
@@ -243,7 +246,7 @@ func TestSiteRefusesTreatyOverAnotherSitesObjects(t *testing.T) {
 		return resp.StatusCode, string(reply)
 	}
 
-	before, beforeVersion := u.treaties[1].Local(), u.version
+	before, beforeVersion := sys.UnitLocals(u.id)[1], u.version
 	for _, foreign := range []lang.ObjID{lang.DeltaObj(obj, 0), lang.DeltaObj(obj, 2), obj} {
 		err := node.InstallTreaties(over(foreign))
 		if err == nil || !strings.Contains(err.Error(), string(foreign)) {

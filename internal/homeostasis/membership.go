@@ -20,7 +20,6 @@ import (
 	"repro/internal/lang"
 	"repro/internal/rt"
 	"repro/internal/store"
-	"repro/internal/treaty"
 	"repro/internal/wal"
 	"repro/internal/workload"
 )
@@ -185,8 +184,8 @@ func (u *unitState) growUnit(n int) error {
 		u.demand = nd
 	}
 	for site := len(u.treaties); site < n; site++ {
-		u.treaties = append(u.treaties, treaty.CompiledLocal{})
-		if err := u.setSiteTreaty(site, localPin(u.objects, site, lang.Database(nil))); err != nil {
+		u.treaties = append(u.treaties, treatySlot{})
+		if err := u.adoptSiteTreaty(site, localPin(u.objects, site, lang.Database(nil))); err != nil {
 			return fmt.Errorf("join treaty: %w", err)
 		}
 	}

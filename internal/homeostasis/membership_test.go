@@ -22,6 +22,7 @@ import (
 // abort the join — units unfrozen, membership width and epoch untouched
 // — and a straggling activate for the expired round must be refused.
 func TestJoinPrepareExpiryAbortsJoin(t *testing.T) {
+	scribbling(t)
 	sys, eng, node := failoverSystem(t)
 	width := sys.Opts.Topo.NSites()
 	epoch := sys.Epoch()
@@ -76,6 +77,7 @@ func TestJoinPrepareExpiryAbortsJoin(t *testing.T) {
 // grant expiry releases the unit, and the site's deltas are absorbed into
 // the replicated base at every site.
 func TestDrainWithInflightRound(t *testing.T) {
+	scribbling(t)
 	c, systems := microSim(t)
 	sys := systems[2]
 	u := sys.Units[0]
@@ -136,6 +138,7 @@ func TestDrainWithInflightRound(t *testing.T) {
 // moved base, and leave the membership epoch untouched (the drain never
 // completed).
 func TestAbsorbCoordinatorDeathMidRound(t *testing.T) {
+	scribbling(t)
 	sys, eng, node := failoverSystem(t)
 	u := sys.Units[0]
 	epoch := sys.Epoch()

@@ -71,8 +71,8 @@ func (c *simCluster) attach(sys *System) { c.net.Attach(sys.elastic.(fabric.Sim)
 
 // scribbling sets fabric.ScratchHook to fabrictest.Scribble for the rest of
 // the test: every pooled buffer — peer scratch, a round scratch's reply
-// maps, Local's reply slice — is scribbled over as it is released, so a
-// read after release shows.
+// maps, Local's reply slice, a treaty slot's retired generation — is
+// scribbled over as it is released, so a read after release shows.
 func scribbling(t testing.TB) {
 	fabric.ScratchHook = fabrictest.Scribble
 	t.Cleanup(func() { fabric.ScratchHook = nil })

@@ -529,14 +529,33 @@ func (u *unitState) admitsTreaty(site int, version int64) (bool, error) {
 	return version >= u.version, nil
 }
 
-// setSiteTreaty compiles l into the site's slot, guard and version
-// aside (see installSiteTreaty; WAL replay runs the two apart). The commit
-// check reads a treaty's objects out of the site's own store, so a treaty
-// over anything but the site's partition — base objects at site 0, obj@dk at
-// site k, which is what a derived treaty mentions (treaty.BuildTemplate
-// splits by placement) — would be evaluated against stale replica values:
-// one a peer sent or a log held is refused.
+// setSiteTreaty installs l in the site's slot by the slot's one rule
+// (treatySlot.install), guard and version aside (see installSiteTreaty; WAL
+// replay runs the two apart). l is borrowed: the slot keeps a copy.
 func (u *unitState) setSiteTreaty(site int, l treaty.Local) error {
+	if err := u.placed(site, l); err != nil {
+		return err
+	}
+	return u.slotError(site, u.treaties[site].install(l))
+}
+
+// adoptSiteTreaty is setSiteTreaty for a generation the caller built fresh
+// and hands over (treatySlot.adopt): a registration's first, a recovered
+// one, a new slot's pin.
+func (u *unitState) adoptSiteTreaty(site int, l treaty.Local) error {
+	if err := u.placed(site, l); err != nil {
+		return err
+	}
+	return u.slotError(site, u.treaties[site].adopt(l))
+}
+
+// placed refuses a treaty over anything but the site's partition. The
+// commit check reads a treaty's objects out of the site's own store, so a
+// treaty over anything else — base objects belong to site 0, obj@dk to site
+// k, which is what a derived treaty mentions (treaty.BuildTemplate splits by
+// placement) — would be evaluated against stale replica values: one a peer
+// sent or a log held is refused.
+func (u *unitState) placed(site int, l treaty.Local) error {
 	for i := range l.Constraints {
 		for _, t := range l.Constraints[i].Terms {
 			if at := placement(t.Obj); at != site {
@@ -545,10 +564,120 @@ func (u *unitState) setSiteTreaty(site int, l treaty.Local) error {
 			}
 		}
 	}
-	c, err := treaty.Compile(l)
+	return nil
+}
+
+func (u *unitState) slotError(site int, err error) error {
 	if err != nil {
 		return fmt.Errorf("homeostasis: unit %d site %d: %w", u.id, site, err)
 	}
-	u.treaties[site] = c
 	return nil
+}
+
+// treatySlot is one site's treaty slot of a unit: the installed generation
+// of the site's local treaty, compiled for the commit check, and the storage
+// of two generations, the installed one (live) and a spare. Every install
+// follows one rule: the new generation is written into the spare, compiled
+// and installed, and the generation it replaces is retired as the next
+// spare. A steady-state round's memo hit renames straight into the spare
+// (memoEntry.rename) and a remote site copies its decoded message there, so
+// a round allocates nothing once each spare has held the unit's largest
+// shape. What the slot retires the next generation overwrites: an installed
+// Local is good until the install after next, which is why UnitLocals copies
+// and everything else that reads one encodes or renders it at once.
+type treatySlot struct {
+	treaty.CompiledLocal
+	live, spare generation
+}
+
+// generation is the storage of one generation of a slot: its constraints
+// and, in one array, their terms.
+type generation struct {
+	cons  []treaty.Constraint
+	terms []treaty.Term
+}
+
+// install makes l the slot's generation: l is copied into the spare, unless
+// it was written there already, and installed by swap.
+//
+//homeo:hotpath
+func (s *treatySlot) install(l treaty.Local) error {
+	if !s.spare.holds(l) {
+		l = s.spare.write(l)
+	}
+	return s.swap(l)
+}
+
+// adopt is install for a generation nobody else refers to: it becomes the
+// spare as it is, its storage the slot's from now on, and is installed by
+// swap. A registration and a recovery keep what they built this way, and
+// allocate no spare before the unit's first round.
+func (s *treatySlot) adopt(l treaty.Local) error {
+	if !s.spare.holds(l) {
+		s.spare = generation{cons: l.Constraints}
+	}
+	return s.swap(l)
+}
+
+// swap compiles l, the spare's generation, and installs it; the live one is
+// retired as the next spare, and handed to fabric.ScratchHook to scribble
+// over. A generation that does not compile leaves the slot as it was.
+//
+//homeo:hotpath
+func (s *treatySlot) swap(l treaty.Local) error {
+	c, err := treaty.Compile(l)
+	if err != nil {
+		return err
+	}
+	retired := s.live
+	s.CompiledLocal, s.live, s.spare = c, s.spare, retired
+	if fabric.ScratchHook != nil {
+		fabric.ScratchHook(retired.cons, retired.terms)
+	}
+	return nil
+}
+
+// holds reports whether l is the generation written into g.
+func (g *generation) holds(l treaty.Local) bool {
+	return len(l.Constraints) > 0 && cap(g.cons) > 0 && &l.Constraints[0] == &g.cons[:1][0]
+}
+
+// write copies l into g, over what g held, and returns the copy. g grows
+// only where l does not fit.
+//
+//homeo:hotpath
+func (g *generation) write(l treaty.Local) treaty.Local {
+	nTerms := 0
+	for _, c := range l.Constraints {
+		nTerms += len(c.Terms)
+	}
+	// Never nil, so that the copy is nil exactly where l is.
+	if g.cons == nil || cap(g.cons) < len(l.Constraints) {
+		g.cons = make([]treaty.Constraint, 0, len(l.Constraints))
+	}
+	if g.terms == nil || cap(g.terms) < nTerms {
+		g.terms = make([]treaty.Term, 0, nTerms)
+	}
+	var out treaty.Local
+	out, g.cons, g.terms = appendLocal(l, g.cons[:0], g.terms[:0])
+	return out
+}
+
+// appendLocal appends a copy of l's constraints to cons and of their terms
+// to terms, and returns the copy with both lists. A constraint's terms are
+// cut off at their end, so the lists can grow under them.
+func appendLocal(l treaty.Local, cons []treaty.Constraint, terms []treaty.Term) (treaty.Local, []treaty.Constraint, []treaty.Term) {
+	if l.Constraints == nil {
+		return treaty.Local{Site: l.Site}, cons, terms
+	}
+	start := len(cons)
+	for _, c := range l.Constraints {
+		if c.Terms != nil {
+			from := len(terms)
+			terms = append(terms, c.Terms...)
+			c.Terms = terms[from:len(terms):len(terms)]
+		}
+		cons = append(cons, c)
+	}
+	return treaty.Local{Site: l.Site, Constraints: cons[start:len(cons):len(cons)]}, cons, terms
 }

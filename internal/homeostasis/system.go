@@ -226,9 +226,10 @@ type joiner struct {
 type unitState struct {
 	id      int
 	objects []lang.ObjID
-	// treaties holds each site's local treaty of the current generation,
-	// compiled: what the pre-commit check evaluates.
-	treaties    []treaty.CompiledLocal
+	// treaties holds each site's treaty slot: the local treaty of the
+	// current generation, compiled — what the pre-commit check evaluates —
+	// and the storage of the slot's two generations (see treatySlot).
+	treaties    []treatySlot
 	negotiating bool
 	// inflight counts executions currently between Begin and
 	// Commit/Abort on this unit. A site must not contribute a round-1
@@ -428,6 +429,7 @@ func (sys *System) addUnit(id int) error {
 		// own and the treaties must agree across them, while optimizer
 		// stream and memo have diverged by whatever rounds each process
 		// happened to coordinate: derive standalone there.
+		u.treaties = make([]treatySlot, sys.Opts.Topo.NSites())
 		locals, err := sys.der.derive(derivation{
 			u: u, folded: sys.foldUnit(u), width: sys.Opts.Topo.NSites(),
 			weights: sys.slackWeights(u), standalone: sys.self >= 0,
@@ -482,18 +484,42 @@ func (sys *System) SolverInvocations() int64 { return sys.der.solves }
 // CacheHits: see SolverInvocations.
 func (sys *System) CacheHits() int64 { return sys.der.hits }
 
-// UnitLocals returns the unit's current per-site local treaties, for
-// introspection (the public API surfaces them as strings).
+// UnitLocals returns a copy of the unit's current per-site local treaties,
+// the caller's to keep, for introspection.
 func (sys *System) UnitLocals(unit int) []treaty.Local {
 	if unit < 0 || unit >= len(sys.Units) {
 		return nil
 	}
 	u := sys.Units[unit]
-	locals := make([]treaty.Local, len(u.treaties))
+	nCons, nTerms := 0, 0
 	for k := range u.treaties {
-		locals[k] = u.treaties[k].Local()
+		for _, c := range u.treaties[k].Local().Constraints {
+			nCons++
+			nTerms += len(c.Terms)
+		}
+	}
+	locals := make([]treaty.Local, len(u.treaties))
+	cons, terms := make([]treaty.Constraint, 0, nCons), make([]treaty.Term, 0, nTerms)
+	for k := range u.treaties {
+		locals[k], cons, terms = appendLocal(u.treaties[k].Local(), cons, terms)
 	}
 	return locals
+}
+
+// AppendUnitTreaties appends the unit's current per-site local treaties to
+// b as text, one after another, and the end of each in b to ends. It reads
+// the installed generations, which the unit's next rounds write over: call
+// it under the execution right, and keep the text only.
+func (sys *System) AppendUnitTreaties(b []byte, ends []int, unit int) ([]byte, []int) {
+	if unit < 0 || unit >= len(sys.Units) {
+		return b, ends
+	}
+	u := sys.Units[unit]
+	for k := range u.treaties {
+		b = u.treaties[k].Local().AppendTo(b)
+		ends = append(ends, len(b))
+	}
+	return b, ends
 }
 
 // foldUnit consolidates the unit's logical values across all sites:
@@ -520,12 +546,12 @@ func (sys *System) foldUnit(u *unitState) lang.Database {
 	return folded
 }
 
-// installLocalTreaties compiles and installs a full per-site treaty set
-// on the unit.
+// installLocalTreaties installs a unit's first per-site treaty set, which
+// the deriver has just built: into the slots' spares on a memo hit, fresh
+// otherwise, and then the slots' own.
 func (sys *System) installLocalTreaties(u *unitState, locals []treaty.Local) error {
-	u.treaties = make([]treaty.CompiledLocal, len(locals))
 	for k, l := range locals {
-		if err := u.setSiteTreaty(k, l); err != nil {
+		if err := u.adoptSiteTreaty(k, l); err != nil {
 			return err
 		}
 	}

@@ -73,6 +73,15 @@ func PinGlobal(objs []lang.ObjID, nSites int, folded lang.Database) Global {
 	return g
 }
 
+// RepinGlobal rewrites g, a PinGlobal over objs, in place to hold objs where
+// folded has them: a pin's shape depends on the objects and the width
+// alone, so only each equality's constant moves.
+func RepinGlobal(g Global, objs []lang.ObjID, folded lang.Database) {
+	for i, obj := range objs {
+		g.Constraints[i].Term.Const = -folded.Get(obj)
+	}
+}
+
 // Term is one summand of a local-treaty constraint: Coeff times the value
 // of Obj.
 type Term struct {

@@ -57,6 +57,13 @@ type Class struct {
 	repArgs   []int64 // representative argument vector for row matching
 	pinned    bool    // analysis fallback: pin treaties only
 	pinReason string
+	// pin is the class's pin treaty (treaty.PinGlobal over the footprint at
+	// nSites), built the first time sharedGlobal pins and rewritten in place
+	// after (treaty.RepinGlobal): only its constants move. The deriver of
+	// the one System the class is registered with reads it under the
+	// execution right, without a park point, so a pinning round builds no
+	// treaty.
+	pin treaty.Global
 
 	unit int // assigned by the Registry
 
@@ -180,35 +187,48 @@ func (c *Class) TableString() string {
 // restricted to the class's footprint, in the class's own namespace and
 // owned by the caller.
 func (c *Class) buildGlobal(folded lang.Database) treaty.Global {
-	g, _, shared := c.sharedGlobal(folded)
-	if shared {
+	if g, ok := c.analysedGlobal(folded); ok {
 		// Rename copies, so the family's memoized Global is never aliased.
 		return g.Rename(c.mapFromRep)
 	}
-	return g
+	return treaty.PinGlobal(c.footprint, c.nSites, folded)
 }
 
 // sharedGlobal is buildGlobal without the copy. Analysis failures at any
 // stage fall back to the always-valid pin treaty, exactly like the TPC-C
 // boundary regions. Otherwise the guard goes through the family's
 // preprocessing memo: it is analyzed once per distinct folded-value
-// vector in the representative's namespace, and shared reports that g is
-// that memoized treaty — read-only, and a member's own treaty only after
-// renaming its objects through ren (nil for the representative itself;
-// delta objects rename by their base). A pin treaty is already in the
-// class's namespace.
-func (c *Class) sharedGlobal(folded lang.Database) (g treaty.Global, ren map[lang.ObjID]lang.ObjID, shared bool) {
-	if !c.pinned {
-		if e := c.familyGlobal(folded); e.ok {
-			return e.g, c.fromRep, true
-		}
+// vector in the representative's namespace, and g is that memoized
+// treaty — read-only, and a member's own treaty only after renaming its
+// objects through ren (nil for the representative itself; delta objects
+// rename by their base). A pin treaty comes with a nil ren: it is already
+// in the class's namespace, and is the class's own, which the next call
+// rewrites.
+func (c *Class) sharedGlobal(folded lang.Database) (g treaty.Global, ren map[lang.ObjID]lang.ObjID) {
+	if g, ok := c.analysedGlobal(folded); ok {
+		return g, c.fromRep
 	}
 	// The class is pinned, or its representative arguments sit in a boundary
 	// region (or the guard cannot be strengthened over the declared ranges):
 	// pin every footprint object, at the width the class was analysed for,
 	// until the state moves on. Any write violates and enters the cleanup
 	// phase, which applies the transaction on consolidated state.
-	return treaty.PinGlobal(c.footprint, c.nSites, folded), nil, false
+	if c.pin.Constraints == nil {
+		c.pin = treaty.PinGlobal(c.footprint, c.nSites, folded)
+	} else {
+		treaty.RepinGlobal(c.pin, c.footprint, folded)
+	}
+	return c.pin, nil
+}
+
+// analysedGlobal is the family's memoized global treaty at the folded
+// values, in the representative's namespace, unless the class pins there.
+func (c *Class) analysedGlobal(folded lang.Database) (treaty.Global, bool) {
+	if c.pinned {
+		return treaty.Global{}, false
+	}
+	e := c.familyGlobal(folded)
+	return e.g, e.ok
 }
 
 // familyGlobal looks the folded values up in the family memo. On a miss

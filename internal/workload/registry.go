@@ -269,13 +269,14 @@ func (r *Registry) BuildGlobal(unit int, folded lang.Database) (treaty.Global, e
 // renaming. A class served by an isomorphism family gets the family's
 // memoized treaty and its own positional name table, so asking costs a
 // lookup where BuildGlobal copies and renames the whole treaty. Neither g
-// nor ren may be modified.
+// nor ren may be modified, and g is good until the unit's next
+// SharedGlobal: a class's pin treaty is rewritten in place.
 func (r *Registry) SharedGlobal(unit int, folded lang.Database) (g treaty.Global, ren map[lang.ObjID]lang.ObjID, err error) {
 	if unit < r.baseUnits {
 		g, err = r.base.BuildGlobal(unit, folded)
 		return g, nil, err
 	}
-	g, ren, _ = r.classes[unit-r.baseUnits].sharedGlobal(folded)
+	g, ren = r.classes[unit-r.baseUnits].sharedGlobal(folded)
 	return g, ren, nil
 }
 
