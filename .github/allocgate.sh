@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# allocgate.sh OUTPUT BENCHMARK UNIT LEDGER FIELD [KEY]
+# allocgate.sh OUTPUT BENCHMARK UNIT LEDGER PATH
 #
 # Holds one benchmark's allocation count to its recorded number + 20 %:
 # allocation counts are deterministic, so growth means work moved back onto
@@ -10,19 +10,18 @@
 #              one CPU, is ignored)
 #   UNIT       the unit of the gated column: allocs/op, allocs/round, ...
 #   LEDGER     the BENCH_*.json file that records the baseline
-#   FIELD      the field of the entry's "after" object holding it
-#   KEY        the entry's key in LEDGER, when it is not BENCHMARK
+#   PATH       the jq path of the baseline number in LEDGER, e.g.
+#              '.baselines["BenchmarkNegotiationRoundTrip"].after.allocs_op'
 #
 # Fails when the count exceeds the baseline by more than 20 %, when the
 # benchmark did not run, and when the ledger has no such baseline.
 set -euo pipefail
 
-out=$1 name=$2 unit=$3 ledger=$4 field=$5 key=${6:-$2}
+out=$1 name=$2 unit=$3 ledger=$4 path=$5
 
-base=$(grep -A3 "\"$key\"" "$ledger" | grep '"after"' |
-  sed "s/.*\"$field\": \([0-9.]*\).*/\1/" || true)
+base=$(jq -er "$path" "$ledger" || true)
 if ! [[ $base =~ ^[0-9]+(\.[0-9]+)?$ ]]; then
-  echo "FAIL: $ledger records no \"$field\" after \"$key\"" >&2
+  echo "FAIL: $ledger records no number at $path" >&2
   exit 1
 fi
 

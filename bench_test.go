@@ -1,7 +1,7 @@
 // Package repro_test holds the repository-level benchmark harness: one
-// testing.B benchmark per table and figure of the paper's evaluation
-// (Section 6 and Appendix F), each regenerating the experiment end to end
-// at a reduced scale. Use cmd/homeostasis-bench for full-scale runs.
+// sub-benchmark per table and figure of the paper's evaluation (Section 6
+// and Appendix F), each regenerating the experiment end to end at a
+// reduced scale. Use cmd/homeostasis-bench for full-scale runs.
 package repro_test
 
 import (
@@ -11,10 +11,22 @@ import (
 	"repro/internal/experiments"
 )
 
-// benchExperimentAt regenerates the experiment with the given sweep
+// BenchmarkExperiments regenerates every report once per iteration, one
+// sub-benchmark per experiments.Names() entry with the engine's default
+// parallelism (GOMAXPROCS), then the three largest multi-cell sweeps on
+// one worker, for measuring the parallel engine's speedup.
+func BenchmarkExperiments(b *testing.B) {
+	for _, name := range experiments.Names() {
+		b.Run(name, func(b *testing.B) { benchExperiment(b, name, 0) })
+	}
+	for _, name := range []string{"fig17", "fig20", "fig25"} {
+		b.Run(name+"/serial", func(b *testing.B) { benchExperiment(b, name, 1) })
+	}
+}
+
+// benchExperiment regenerates the experiment with the given sweep
 // parallelism (0 = GOMAXPROCS, the engine default).
-func benchExperimentAt(b *testing.B, name string, parallel int) {
-	b.Helper()
+func benchExperiment(b *testing.B, name string, parallel int) {
 	fn, ok := experiments.ByName(name)
 	if !ok {
 		b.Fatalf("unknown experiment %q", name)
@@ -33,53 +45,6 @@ func benchExperimentAt(b *testing.B, name string, parallel int) {
 		}
 	}
 	b.ReportMetric(float64(lines), "series")
-}
-
-func benchExperiment(b *testing.B, name string) {
-	b.Helper()
-	benchExperimentAt(b, name, 0)
-}
-
-func BenchmarkTable1RTTMatrix(b *testing.B)            { benchExperiment(b, "table1") }
-func BenchmarkFig10LatencyVsRTT(b *testing.B)          { benchExperiment(b, "fig10") }
-func BenchmarkFig11ThroughputVsRTT(b *testing.B)       { benchExperiment(b, "fig11") }
-func BenchmarkFig12SyncRatioVsRTT(b *testing.B)        { benchExperiment(b, "fig12") }
-func BenchmarkFig13LatencyVsReplicas(b *testing.B)     { benchExperiment(b, "fig13") }
-func BenchmarkFig14ThroughputVsReplicas(b *testing.B)  { benchExperiment(b, "fig14") }
-func BenchmarkFig15SyncRatioVsReplicas(b *testing.B)   { benchExperiment(b, "fig15") }
-func BenchmarkFig16LatencyVsClients(b *testing.B)      { benchExperiment(b, "fig16") }
-func BenchmarkFig17ThroughputVsClients(b *testing.B)   { benchExperiment(b, "fig17") }
-func BenchmarkFig18SyncRatioVsClients(b *testing.B)    { benchExperiment(b, "fig18") }
-func BenchmarkFig19TPCCLatencyVsSkew(b *testing.B)     { benchExperiment(b, "fig19") }
-func BenchmarkFig20TPCCThroughputVsSkew(b *testing.B)  { benchExperiment(b, "fig20") }
-func BenchmarkFig21TPCCLatencyVsReplicas(b *testing.B) { benchExperiment(b, "fig21") }
-func BenchmarkFig22TPCCThroughputVsReplicas(b *testing.B) {
-	benchExperiment(b, "fig22")
-}
-func BenchmarkFig24LatencyBreakdownVsLookahead(b *testing.B) {
-	benchExperiment(b, "fig24")
-}
-func BenchmarkFig25ThroughputVsLookahead(b *testing.B) { benchExperiment(b, "fig25") }
-func BenchmarkFig26SyncRatioVsLookahead(b *testing.B)  { benchExperiment(b, "fig26") }
-func BenchmarkFig27LatencyVsItemsPerTxn(b *testing.B)  { benchExperiment(b, "fig27") }
-func BenchmarkFig28DistTPCCThroughputVsSkew(b *testing.B) {
-	benchExperiment(b, "fig28")
-}
-func BenchmarkFig29DistTPCCSyncRatioVsSkew(b *testing.B) { benchExperiment(b, "fig29") }
-func BenchmarkAblationOptimizerVsDefault(b *testing.B)   { benchExperiment(b, "ablation") }
-func BenchmarkDriftAllocationStrategies(b *testing.B)    { benchExperiment(b, "drift") }
-
-// Serial counterparts of the largest multi-cell sweeps, for measuring the
-// parallel engine's speedup (compare against the default benchmarks
-// above, which fan cells across GOMAXPROCS workers).
-func BenchmarkFig17ThroughputVsClientsSerial(b *testing.B) {
-	benchExperimentAt(b, "fig17", 1)
-}
-func BenchmarkFig20TPCCThroughputVsSkewSerial(b *testing.B) {
-	benchExperimentAt(b, "fig20", 1)
-}
-func BenchmarkFig25ThroughputVsLookaheadSerial(b *testing.B) {
-	benchExperimentAt(b, "fig25", 1)
 }
 
 // TestExperimentNamesResolve pins the experiment registry: every listed

@@ -50,18 +50,21 @@
 //     joins and drains. homeo.Options.Fabric and
 //     cmd/homeostasis-serve's -site/-peers flags deploy it;
 //   - internal/micro, internal/tpcc: the Section 6 workloads;
-//   - internal/experiments: one runner per evaluation table/figure.
+//   - internal/experiments: the evaluation's tables and figures as one
+//     ordered catalog — each single-knob figure a row of data one sweep
+//     runs, the rest with their own row renderers.
 //
 // # Allocation strategies and drift
 //
 // Beyond the paper's strategies (the Algorithm 1 optimizer, the
 // demarcation-style equal split, and the Theorem 4.3 pin), the runtime
-// offers an adaptive engine (homeostasis.Options.Alloc): a per-unit,
-// per-site demand layer tracks delta burn and violation counts since
-// the last negotiation round, treaty.AdaptiveConfig splits each
-// clause's slack proportionally to the observed burn (shared between
-// isomorphic units through the deriver's memo, keyed additionally by
-// the quantized demand vector), and the cleanup phase batches — while
+// offers an adaptive engine (homeostasis.Options.Alloc): under
+// AllocAdaptive a per-unit, per-site demand layer tracks delta burn
+// and violation counts since the last negotiation round,
+// treaty.AdaptiveConfig splits each clause's slack proportionally to
+// the observed burn (shared between isomorphic units through the
+// deriver's memo, keyed additionally by the quantized demand vector),
+// and any non-default strategy makes the cleanup phase batch — while
 // a unit renegotiates, queued violators register as co-winners and one
 // fold, one treaty generation, and one distribution round commit the
 // whole batch. Everything is opt-in: AllocDefault reproduces the seed
@@ -80,6 +83,6 @@
 // for in-process and multi-process drives), cmd/homeostasis-analyze
 // exposes the offline analyzer, examples/ holds runnable walkthroughs
 // (quickstart and ecommerce on the public API), and bench_test.go in
-// this directory hosts the benchmark harness (one testing.B benchmark
-// per table and figure).
+// this directory hosts the benchmark harness (BenchmarkExperiments, one
+// sub-benchmark per table and figure).
 package repro

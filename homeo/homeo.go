@@ -159,7 +159,8 @@ type Options struct {
 	// Mode is the execution protocol (default ModeHomeo).
 	Mode Mode
 	// Alloc overrides the treaty allocation strategy (default: the mode's
-	// builtin; non-default also enables batched renegotiation).
+	// builtin; non-default also enables batched renegotiation, and
+	// AllocAdaptive tracks the per-unit demand it splits slack by).
 	Alloc Alloc
 	// Sites is the number of replica sites (default 2). Ignored when
 	// Topology is set.

@@ -110,6 +110,36 @@ func TestSubmitLeavesTheCallersArguments(t *testing.T) {
 	}
 }
 
+// TestResultLogOutlivesTheExecFrame: an execution frame's print-log buffer
+// and demand snapshot go back to the frame pool, and are scribbled over,
+// when the submission returns; the Log of a committed result is its own
+// and still reads what was printed after later submissions at the same
+// site reuse the frame.
+func TestResultLogOutlivesTheExecFrame(t *testing.T) {
+	scribbling(t)
+	c := simCluster(t, homeo.Options{EnableLog: true, Alloc: homeo.AllocAdaptive})
+	cls, err := c.Register(homeo.ClassSpec{
+		L:       `transaction P(n) { v := read(y); write(y = v + n); print(n) }`,
+		Initial: map[string]int64{"y": 0},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logs [][]int64
+	for i := int64(1); i <= 20; i++ {
+		res, err := c.Session().Submit(context.Background(), cls, i)
+		if err != nil || !res.Committed || !slices.Equal(res.Log, []int64{i}) {
+			t.Fatalf("P(%d): %+v, %v; want a commit printing %d", i, res, err, i)
+		}
+		logs = append(logs, res.Log)
+	}
+	for i, log := range logs {
+		if !slices.Equal(log, []int64{int64(i + 1)}) {
+			t.Errorf("P(%d)'s Log reads %v after later submissions", i+1, log)
+		}
+	}
+}
+
 // TestTimedOutSubmitKeepsItsArguments: on the live runtime a caller whose
 // context expires gets ErrTimeout while the transaction is still executing,
 // and overwrites its arguments at once; the transaction commits later on

@@ -1,11 +1,6 @@
 package experiments
 
-import (
-	"repro/internal/homeostasis"
-	"repro/internal/micro"
-	"repro/internal/tpcc"
-	"repro/internal/workload"
-)
+import "repro/internal/homeostasis"
 
 // This file is the drift sweep: a workload class the paper does not
 // evaluate. Both scenarios skew per-unit demand heavily toward one site
@@ -30,88 +25,41 @@ import (
 // (narrow hot windows, high affinity) so misallocated slack actually
 // costs rounds.
 
-// driftMicroFactory builds the hot-site rotation microbenchmark.
-func driftMicroFactory(sc Scale) workloadFactory {
-	return func(nSites int) (workload.Workload, error) {
-		return micro.New(micro.Config{
-			Items:  sc.Items,
-			Refill: microDefaultRefill,
-			NSites: nSites,
-		}.Drift())
-	}
-}
-
-// driftTPCCFactory builds the skewed-warehouse TPC-C workload: nearly all
-// New Orders target the site's rotating home warehouse, the paper's
-// global hot items are turned down to 1% so the skew under test is the
-// warehouse affinity, and warehouses start restocked (StockMin 40) so
-// stock units carry allocatable slack instead of pinning at the refill
-// boundary.
-func driftTPCCFactory(sc Scale) workloadFactory {
-	return func(nSites int) (workload.Workload, error) {
-		return tpcc.New(tpcc.Config{
-			Warehouses:            10,
-			DistrictsPerWarehouse: 10,
-			StockPerWarehouse:     sc.TPCCStockPerWarehouse,
-			Customers:             1000,
-			NSites:                nSites,
-			H:                     1,
-			StockMin:              40,
-			Seed:                  sc.Seed,
-		}.Drift())
-	}
-}
-
 // driftAllocs are the compared strategies, in report column order.
 var driftAllocs = []homeostasis.Alloc{
 	homeostasis.AllocEqualSplit, homeostasis.AllocModel, homeostasis.AllocAdaptive,
 }
 
-// Drift compares treaty allocation strategies under drifting skew: the
+// drift compares treaty allocation strategies under drifting skew: the
 // micro hot-site rotation scenario (uniform 100ms topology) and the
 // TPC-C skewed-warehouse scenario (EC2 UE/UW topology, New Order
 // measurements), reporting synchronization ratio and throughput per
-// replica for each strategy.
-func Drift(sc Scale) (*Report, error) {
-	r := &Report{ID: "Drift", Title: "Allocation strategies under drifting skew (Nr=2, batched cleanup)"}
+// replica for each strategy. In the TPC-C scenario nearly all New Orders
+// target the site's rotating home warehouse, and the paper's global hot
+// items are turned down to 1% (H = 1) so the skew under test is the
+// warehouse affinity.
+func drift(sc Scale, r *Report) error {
 	r.addf("%-14s %-10s %8s %8s %8s", "scenario", "metric", "equal", "model", "adaptive")
-	type scenario struct {
-		name    string
-		factory workloadFactory
-		cfg     runCfg
-	}
-	scenarios := []scenario{
-		{
-			name:    "micro-rotate",
-			factory: driftMicroFactory(sc),
-			cfg: runCfg{
-				mode: homeostasis.ModeHomeo, nSites: microDefaultSites,
-				rtt: microDefaultRTT, clients: microDefaultClients, scale: sc,
-			},
-		},
-		{
-			name:    "tpcc-wh",
-			factory: driftTPCCFactory(sc),
-			cfg: runCfg{
-				mode: homeostasis.ModeHomeo, nSites: 2, ec2: true,
-				clients: tpccDefaultClients, measureName: "NewOrder", scale: sc,
-			},
-		},
-	}
-	at, err := sweepGrid(sc, r, len(scenarios), len(driftAllocs), func(si, ai int) cell {
-		cfg := scenarios[si].cfg
-		cfg.alloc = driftAllocs[ai]
-		return cell{cfg: cfg, factory: scenarios[si].factory}
+	microRotate, tpccWH := microBase, tpccBase
+	microRotate.drift = true
+	tpccWH.drift, tpccWH.h = true, 1
+	scenarios := []struct {
+		name string
+		base point
+	}{{"micro-rotate", microRotate}, {"tpcc-wh", tpccWH}}
+	res, err := sweepGrid(sc, r, len(scenarios), len(driftAllocs), func(si, ai int) point {
+		p := scenarios[si].base
+		p.alloc = driftAllocs[ai]
+		return p
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for si, s := range scenarios {
 		r.addf("%-14s %-10s %8.2f %8.2f %8.2f", s.name, "sync(%)",
-			at(si, 0).col.SyncRatio(), at(si, 1).col.SyncRatio(), at(si, 2).col.SyncRatio())
+			res(si, 0).col.SyncRatio(), res(si, 1).col.SyncRatio(), res(si, 2).col.SyncRatio())
 		r.addf("%-14s %-10s %8.1f %8.1f %8.1f", s.name, "tput/rep",
-			at(si, 0).throughputPerReplica(2), at(si, 1).throughputPerReplica(2),
-			at(si, 2).throughputPerReplica(2))
+			res(si, 0).perReplica(), res(si, 1).perReplica(), res(si, 2).perReplica())
 	}
-	return r, nil
+	return nil
 }

@@ -1,9 +1,11 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (Section 6 and Appendix F). Each FigNN function runs the
-// corresponding parameter sweep on the simulated cluster and returns a
-// Report with the same rows/series the paper plots. The cmd/homeostasis-
-// bench CLI and the repository-root benchmarks are thin wrappers around
-// these functions.
+// evaluation (Section 6 and Appendix F) on the simulated cluster. The
+// reports are one ordered catalog (figures.go): a figure that varies one
+// knob is a row of data — a base point, the knob's values, the compared
+// series and the printed metric — that one sweep runs, and the few
+// reports whose rows are not one value per series render their own rows
+// over the same points. The cmd/homeostasis-bench CLI and the
+// repository-root benchmarks run the catalog through ByName and Names.
 //
 // Sweeps run on the parallel experiment engine (runner.go): every sweep
 // point is an independent cell — an isolated simulated cluster — fanned
@@ -141,21 +143,63 @@ func (r *Report) String() string {
 	return fmt.Sprintf("=== %s: %s ===\n%s\n", r.ID, r.Title, strings.Join(r.Lines, "\n"))
 }
 
-// runCfg describes one simulated run.
-type runCfg struct {
-	mode    homeostasis.Mode
-	nSites  int
-	rtt     sim.Duration // uniform topology when > 0
-	ec2     bool         // Table 1 topology
-	clients int
-	// optimizer knobs; zero = package defaults (L=20, f=3)
-	lookahead, costFactor int
-	measureName           string
-	scale                 Scale
-	seedBump              int64
+// point is one simulated cell: the workload, the deployment and the
+// protocol knobs. Every report builds its cells as points, most of them a
+// figure's base point with one knob moved (figures.go).
+type point struct {
+	mode homeostasis.Mode
 	// alloc pins the cell's allocation strategy; AllocDefault is the
 	// mode's built-in one.
-	alloc homeostasis.Alloc
+	alloc     homeostasis.Alloc
+	nSites    int
+	rtt       sim.Duration // the micro's uniform topology
+	clients   int          // per replica
+	lookahead int          // 0 = the optimizer's default L=20
+
+	// The Section 6.1 microbenchmark: REFILL and items per order.
+	refill int64
+	items  int
+
+	// TPC-C (Section 6.2) on the Table 1 topology instead of the micro:
+	// hot-item skew H, the New Order / Payment / Delivery mix, and the
+	// transaction measured ("" = all).
+	tpcc    bool
+	h       float64
+	mix     [3]int
+	measure string
+
+	// drift runs the workload's Drift preset (drift_figs.go).
+	drift bool
+}
+
+// workload builds the point's workload; every cell builds its own.
+func (p point) workload(sc Scale) (workload.Workload, error) {
+	if !p.tpcc {
+		cfg := micro.Config{Items: sc.Items, Refill: p.refill, ItemsPerTxn: p.items, NSites: p.nSites}
+		if p.drift {
+			cfg = cfg.Drift()
+		}
+		return micro.New(cfg)
+	}
+	cfg := tpcc.Config{
+		Warehouses:            10,
+		DistrictsPerWarehouse: 10,
+		StockPerWarehouse:     sc.TPCCStockPerWarehouse,
+		Customers:             1000,
+		NSites:                p.nSites,
+		H:                     p.h,
+		MixNewOrder:           p.mix[0],
+		MixPayment:            p.mix[1],
+		MixDelivery:           p.mix[2],
+		Seed:                  sc.Seed,
+	}
+	if p.drift {
+		// Warehouses start restocked so stock units carry allocatable
+		// slack instead of pinning at the refill boundary.
+		cfg.StockMin = 40
+		cfg = cfg.Drift()
+	}
+	return tpcc.New(cfg)
 }
 
 // runResult keeps only the measurements of a finished cell. It must not
@@ -163,130 +207,74 @@ type runCfg struct {
 // until ordered aggregation, and retaining the simulated cluster (stores,
 // treaties, units) would inflate the live heap across the whole sweep.
 type runResult struct {
-	col    *metrics.Collector
-	window sim.Duration
+	col   *metrics.Collector
+	sites int
 	// stats is the cluster-wide store-counter summary, captured before
 	// the System is released (see the type comment).
 	stats homeostasis.StoreStats
 }
 
-// run executes one configuration over the given workload factory (the
-// factory is invoked per run because workloads capture NSites).
-func run(cfg runCfg, makeWorkload workloadFactory) (*runResult, error) {
-	w, err := makeWorkload(cfg.nSites)
+// run simulates one point.
+func run(sc Scale, p point) (*runResult, error) {
+	w, err := p.workload(sc)
 	if err != nil {
 		return nil, err
 	}
-	var topo *cluster.Topology
-	if cfg.ec2 {
-		topo = cluster.EC2(cfg.nSites)
-	} else {
-		topo = cluster.Uniform(cfg.nSites, cfg.rtt)
+	topo := cluster.Uniform(p.nSites, p.rtt)
+	clients := p.clients
+	if p.tpcc {
+		topo = cluster.EC2(p.nSites)
+		if p.mode == homeostasis.ModeTwoPC {
+			// Section 6.2: "In our 2PC implementation, we only use a
+			// single client per replica: with a larger number of
+			// clients, conflicts caused frequent transaction aborts".
+			// The simulation reproduces that collapse (cross-site lock
+			// deadlocks resolved only by the 1s timeout), so the same
+			// convention applies.
+			clients = 1
+		}
 	}
-	e := sim.NewEngine(cfg.scale.Seed + cfg.seedBump)
-	opts := homeostasis.Options{
-		Mode:           cfg.mode,
-		Alloc:          cfg.alloc,
+	sys, err := homeostasis.New(sim.NewEngine(sc.Seed), w, homeostasis.Options{
+		Mode:           p.mode,
+		Alloc:          p.alloc,
 		Topo:           topo,
-		ClientsPerSite: cfg.clients,
+		ClientsPerSite: clients,
 		// The paper ran all microbenchmark replicas on one 32-core host;
 		// splitting the cores across replicas reproduces the client
 		// plateau of Figure 17.
-		CPUPerSite:  max(1, 32/cfg.nSites),
-		Lookahead:   cfg.lookahead,
-		CostFactor:  cfg.costFactor,
-		Warmup:      cfg.scale.Warmup,
-		Measure:     cfg.scale.Measure,
-		Seed:        cfg.scale.Seed + cfg.seedBump,
-		MeasureName: cfg.measureName,
-	}
-	sys, err := homeostasis.New(e, w, opts)
+		CPUPerSite:  max(1, 32/p.nSites),
+		Lookahead:   p.lookahead,
+		Warmup:      sc.Warmup,
+		Measure:     sc.Measure,
+		Seed:        sc.Seed,
+		MeasureName: p.measure,
+	})
 	if err != nil {
 		return nil, err
 	}
 	col := sys.Run()
-	return &runResult{col: col, window: cfg.scale.Measure, stats: sys.StoreStats()}, nil
+	return &runResult{col: col, sites: p.nSites, stats: sys.StoreStats()}, nil
 }
 
-func (r *runResult) throughputPerReplica(nSites int) float64 {
-	return r.col.Throughput() / float64(nSites)
-}
-
-// latencyProfile renders the percentile series of a latency figure.
-func latencyProfile(label string, h *metrics.Histogram) string {
-	ps := []float64{10, 30, 50, 70, 90, 94, 96, 97, 98, 99, 100}
-	parts := make([]string, 0, len(ps))
-	for _, p := range ps {
-		parts = append(parts, fmt.Sprintf("p%g=%v", p, h.Percentile(p)))
-	}
-	return fmt.Sprintf("%-14s %s", label, strings.Join(parts, " "))
-}
-
-// microFactory builds the Section 6.1 workload.
-func microFactory(sc Scale, refill int64, itemsPerTxn int) workloadFactory {
-	return func(nSites int) (workload.Workload, error) {
-		return micro.New(micro.Config{
-			Items:       sc.Items,
-			Refill:      refill,
-			ItemsPerTxn: itemsPerTxn,
-			NSites:      nSites,
-		})
-	}
-}
-
-// tpccFactory builds the Section 6.2 workload.
-func tpccFactory(sc Scale, h float64, mixNO, mixPay, mixDel int) workloadFactory {
-	return func(nSites int) (workload.Workload, error) {
-		return tpcc.New(tpcc.Config{
-			Warehouses:            10,
-			DistrictsPerWarehouse: 10,
-			StockPerWarehouse:     sc.TPCCStockPerWarehouse,
-			Customers:             1000,
-			NSites:                nSites,
-			H:                     h,
-			MixNewOrder:           mixNO,
-			MixPayment:            mixPay,
-			MixDelivery:           mixDel,
-			Seed:                  sc.Seed,
-		})
-	}
+func (r *runResult) perReplica() float64 {
+	return r.col.Throughput() / float64(r.sites)
 }
 
 // ByName returns the experiment runner with the given id.
 func ByName(name string) (func(Scale) (*Report, error), bool) {
-	m := map[string]func(Scale) (*Report, error){
-		"table1": Table1,
-		"fig10":  Fig10, "fig11": Fig11, "fig12": Fig12,
-		"fig13": Fig13, "fig14": Fig14, "fig15": Fig15,
-		"fig16": Fig16, "fig17": Fig17, "fig18": Fig18,
-		"fig19": Fig19, "fig20": Fig20, "fig21": Fig21, "fig22": Fig22,
-		"fig24": Fig24, "fig25": Fig25, "fig26": Fig26, "fig27": Fig27,
-		"fig28": Fig28, "fig29": Fig29,
-		"ablation": AblationOptimizer,
-		"drift":    Drift,
+	for _, e := range catalog {
+		if e.name == name {
+			return e.run, true
+		}
 	}
-	f, ok := m[name]
-	return f, ok
+	return nil, false
 }
 
 // Names lists the available experiment ids in paper order.
 func Names() []string {
-	return []string{
-		"table1",
-		"fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
-		"fig16", "fig17", "fig18",
-		"fig19", "fig20", "fig21", "fig22",
-		"fig24", "fig25", "fig26", "fig27", "fig28", "fig29",
-		"ablation", "drift",
+	names := make([]string, len(catalog))
+	for i, e := range catalog {
+		names[i] = e.name
 	}
-}
-
-// Table1 prints the EC2 RTT matrix (an input, reproduced for
-// completeness).
-func Table1(Scale) (*Report, error) {
-	r := &Report{ID: "Table 1", Title: "Average RTTs between Amazon datacenters (ms)"}
-	for _, line := range strings.Split(strings.TrimRight(cluster.Table1String(), "\n"), "\n") {
-		r.Lines = append(r.Lines, line)
-	}
-	return r, nil
+	return names
 }

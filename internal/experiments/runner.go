@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/workload"
 )
 
 // This file implements the parallel experiment engine. Every figure's
@@ -16,16 +14,6 @@ import (
 // goroutines with no shared mutable state. Results are aggregated in
 // declaration order and each cell's seed is a pure function of the scale,
 // so the rendered report is byte-identical for any parallelism setting.
-
-// workloadFactory builds a cell's workload for a given replication
-// degree (workloads capture NSites).
-type workloadFactory func(nSites int) (workload.Workload, error)
-
-// cell is one independent simulation point of a sweep.
-type cell struct {
-	cfg     runCfg
-	factory workloadFactory
-}
 
 // totalCells counts simulation cells completed process-wide since start;
 // part of the engine's metrics surface (see TotalCells).
@@ -56,7 +44,7 @@ func (sc Scale) workers(n int) int {
 // Scale.Parallel worker goroutines (GOMAXPROCS when zero), and returns
 // the results in cell order. Errors are reported deterministically: the
 // lowest-index failing cell wins regardless of completion order.
-func runCells(sc Scale, cells []cell) ([]*runResult, error) {
+func runCells(sc Scale, cells []point) ([]*runResult, error) {
 	results := make([]*runResult, len(cells))
 	errs := make([]error, len(cells))
 	par := sc.workers(len(cells))
@@ -77,7 +65,7 @@ func runCells(sc Scale, cells []cell) ([]*runResult, error) {
 
 	if par == 1 {
 		for i := range cells {
-			results[i], errs[i] = run(cells[i].cfg, cells[i].factory)
+			results[i], errs[i] = run(sc, cells[i])
 			cellDone()
 		}
 	} else {
@@ -88,7 +76,7 @@ func runCells(sc Scale, cells []cell) ([]*runResult, error) {
 			go func() {
 				defer wg.Done()
 				for i := range idx {
-					results[i], errs[i] = run(cells[i].cfg, cells[i].factory)
+					results[i], errs[i] = run(sc, cells[i])
 					cellDone()
 				}
 			}()
@@ -102,7 +90,7 @@ func runCells(sc Scale, cells []cell) ([]*runResult, error) {
 
 	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("cell %d/%d (%s): %w", i+1, len(cells), cells[i].cfg.mode, err)
+			return nil, fmt.Errorf("cell %d/%d (%s): %w", i+1, len(cells), cells[i].mode, err)
 		}
 	}
 	return results, nil
@@ -112,7 +100,7 @@ func runCells(sc Scale, cells []cell) ([]*runResult, error) {
 // report with the sweep's cell count and worker-pool size (metadata only;
 // Report.String never includes it, keeping output independent of the
 // parallelism setting).
-func sweep(sc Scale, r *Report, cells []cell) ([]*runResult, error) {
+func sweep(sc Scale, r *Report, cells []point) ([]*runResult, error) {
 	res, err := runCells(sc, cells)
 	if err != nil {
 		return nil, err
@@ -129,8 +117,8 @@ func sweep(sc Scale, r *Report, cells []cell) ([]*runResult, error) {
 // over the results. Figures build cells and read results through the
 // same (ri, ci) coordinates, so labels cannot drift out of lockstep with
 // the cell order.
-func sweepGrid(sc Scale, r *Report, rows, cols int, build func(ri, ci int) cell) (func(ri, ci int) *runResult, error) {
-	cells := make([]cell, 0, rows*cols)
+func sweepGrid(sc Scale, r *Report, rows, cols int, build func(ri, ci int) point) (func(ri, ci int) *runResult, error) {
+	cells := make([]point, 0, rows*cols)
 	for ri := 0; ri < rows; ri++ {
 		for ci := 0; ci < cols; ci++ {
 			cells = append(cells, build(ri, ci))

@@ -275,3 +275,34 @@ func TestAllocDefaultUnchanged(t *testing.T) {
 		t.Fatalf("solverTime = %v, want seed formula %v", got, want)
 	}
 }
+
+// TestDemandTrackedOnlyWhenAdaptive: the adaptive split is the one reader
+// of a unit's demand counters, so only AllocAdaptive allocates them and
+// feeds them; the equal and model strategies batch renegotiation like it
+// but track nothing.
+func TestDemandTrackedOnlyWhenAdaptive(t *testing.T) {
+	for _, alloc := range []Alloc{AllocDefault, AllocEqualSplit, AllocModel, AllocAdaptive} {
+		w := microWorkload(t, 20, 2, 30)
+		opts := baseOpts(ModeHomeo, 2)
+		opts.Alloc = alloc
+		sys, _ := runSystem(t, w, opts)
+		if sys.Col.Committed == 0 {
+			t.Fatalf("%v: no commits", alloc)
+		}
+		if got, want := sys.batching(), alloc != AllocDefault; got != want {
+			t.Errorf("%v: batching() = %v, want %v", alloc, got, want)
+		}
+		var burn int64
+		for _, u := range sys.Units {
+			if (u.demand != nil) != (alloc == AllocAdaptive) {
+				t.Fatalf("%v: unit %d has demand counters = %v", alloc, u.id, u.demand != nil)
+			}
+			for i := range u.demand {
+				burn += u.demand[i].burn.Load() + u.demand[i].violations.Load()
+			}
+		}
+		if alloc == AllocAdaptive && burn == 0 {
+			t.Fatalf("%v: counters allocated but never fed", alloc)
+		}
+	}
+}

@@ -36,10 +36,16 @@ func (sys *System) getFrame() *execFrame {
 	return &execFrame{}
 }
 
-// putFrame scrubs a frame and returns it to the free list.
+// putFrame scrubs a frame and returns it to the free list. The print-log
+// buffer and the demand snapshot go to fabric.ScratchHook first (a
+// committed result's Log is a copy); the unit slice and the view point
+// into the System and are not scratch.
 //
 //homeo:release exec.frame
 func (sys *System) putFrame(f *execFrame) {
+	if fabric.ScratchHook != nil {
+		fabric.ScratchHook(f.view.log, f.before)
+	}
 	f.units = f.units[:0]
 	f.view.tx = nil
 	f.view.log = f.view.log[:0]
@@ -221,7 +227,7 @@ func (sys *System) execHomeo(p rt.Proc, site int, req workload.Request) (ExecRes
 		f.units = append(f.units, sys.Units[id])
 	}
 	units := f.units
-	track := sys.Opts.Alloc != AllocDefault
+	track := sys.tracksDemand()
 	var before [][]int64
 	if track {
 		for len(f.before) < len(units) {

@@ -85,10 +85,10 @@ func (m Mode) String() string {
 // Alloc selects the treaty allocation strategy for the treaty-based modes
 // (homeo, opt, homeo-default). AllocDefault keeps each mode's built-in
 // strategy and the seed's serial cleanup phase; any other value overrides
-// the configuration generator AND enables the adaptive engine extras:
-// per-unit demand tracking and batched renegotiation (queued violators
-// commit as co-winners of an in-flight cleanup round instead of paying
-// their own two communication rounds).
+// the configuration generator AND enables batched renegotiation (queued
+// violators commit as co-winners of an in-flight cleanup round instead of
+// paying their own two communication rounds). AllocAdaptive alone also
+// tracks each unit's per-site demand, which its split reads.
 type Alloc int
 
 const (
@@ -127,7 +127,8 @@ type Options struct {
 	Mode Mode
 	Topo *cluster.Topology
 	// Alloc overrides the treaty allocation strategy and, when not
-	// AllocDefault, enables demand tracking and batched renegotiation.
+	// AllocDefault, enables batched renegotiation; AllocAdaptive also
+	// tracks per-unit demand.
 	Alloc Alloc
 	// CleanupExec makes the cleanup phase occupy a CPU slot and sleep
 	// LocalExecTime per transaction it applies, so synchronized
@@ -421,7 +422,7 @@ func New(e rt.Runtime, w workload.Workload, opts Options) (*System, error) {
 // online for a class registered later.
 func (sys *System) addUnit(id int) error {
 	u := &unitState{id: id, objects: sys.W.UnitObjects(id)}
-	if sys.batching() {
+	if sys.tracksDemand() {
 		u.demand = make([]siteDemand, sys.Opts.Topo.NSites())
 	}
 	if sys.treaties {
@@ -563,6 +564,10 @@ func (sys *System) installLocalTreaties(u *unitState, locals []treaty.Local) err
 // (batched renegotiation is part of the adaptive engine opt-in).
 func (sys *System) batching() bool { return sys.Opts.Alloc != AllocDefault }
 
+// tracksDemand reports whether execution records each unit's per-site
+// demand: only the adaptive strategy reads it (slackWeights).
+func (sys *System) tracksDemand() bool { return sys.der.strategy == stratAdaptive }
+
 // slackWeights resolves the weights the unit's next derivation splits slack
 // by: the observed demand under the adaptive strategy, else none — the
 // strategy configures on its own. Once any site is draining or gone the
@@ -572,7 +577,7 @@ func (sys *System) batching() bool { return sys.Opts.Alloc != AllocDefault }
 // untouched.
 func (sys *System) slackWeights(u *unitState) []int64 {
 	var weights []int64
-	if sys.der.strategy == stratAdaptive {
+	if sys.tracksDemand() {
 		weights = quantizeDemand(u.demand)
 	}
 	if sys.anyInactive() {
