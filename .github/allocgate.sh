@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
 # allocgate.sh OUTPUT BENCHMARK UNIT LEDGER PATH
 #
-# Holds one benchmark's allocation count to its recorded number + 20 %:
-# allocation counts are deterministic, so growth means work moved back onto
-# the measured path. Timings are printed by the benchmark, never gated here.
+# Holds one benchmark's allocation count, or its allocated bytes, to its
+# recorded number + 20 %: both are deterministic, so growth means work moved
+# back onto the measured path. Timings are printed by the benchmark, never
+# gated here.
 #
 #   OUTPUT     file holding the `go test -bench` output to judge
 #   BENCHMARK  the benchmark's full name (the -GOMAXPROCS suffix, absent on
 #              one CPU, is ignored)
-#   UNIT       the unit of the gated column: allocs/op, allocs/round, ...
+#   UNIT       the unit of the gated column: allocs/op, allocs/round,
+#              B/record, ...
 #   LEDGER     the BENCH_*.json file that records the baseline
 #   PATH       the jq path of the baseline number in LEDGER, e.g.
 #              '.baselines["BenchmarkNegotiationRoundTrip"].after.allocs_op'

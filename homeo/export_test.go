@@ -100,3 +100,14 @@ func (c *Cluster) Exec(p rt.Proc, site int, req wire.TxnRequest) (err error) {
 	sub.recycle()
 	return err
 }
+
+// MergeOrder is the merged history CheckMergedReplay walks, as the
+// (log, index) position of each entry.
+func MergeOrder(logs [][]wire.LogEntry) [][2]int {
+	order := mergeOrder(logs)
+	out := make([][2]int, len(order))
+	for i, p := range order {
+		out[i] = [2]int{int(p.log), int(p.at)}
+	}
+	return out
+}

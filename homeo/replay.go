@@ -70,35 +70,81 @@ func (c *Cluster) Partition() wire.PartitionResponse {
 // adopted the round during coordinator failover — so entries tagged with
 // a round id are deduplicated, keeping the first in merge order.
 func MergeLogs(logs [][]wire.LogEntry) []wire.LogEntry {
-	total := 0
+	order := mergeOrder(logs)
+	out := make([]wire.LogEntry, len(order))
+	for i, p := range order {
+		out[i] = *p.in(logs)
+	}
+	return out
+}
+
+// logPos is an entry of a merged history: logs[log][at]. Four bytes an
+// index suffice: a log of 2³¹ entries would hold 150 GB of them.
+type logPos struct{ log, at int32 }
+
+func (p logPos) in(logs [][]wire.LogEntry) *wire.LogEntry { return &logs[p.log][p.at] }
+
+// mergeOrder is MergeLogs as positions into logs, not copies of entries:
+// a stable sort of the logs' concatenation by (Clock, Site, Seq), each
+// round's winner kept at its first position only.
+func mergeOrder(logs [][]wire.LogEntry) []logPos {
+	total, rounds := 0, 0
 	for _, l := range logs {
 		total += len(l)
-	}
-	out := make([]wire.LogEntry, 0, total)
-	for _, l := range logs {
-		out = append(out, l...)
-	}
-	slices.SortStableFunc(out, func(a, b wire.LogEntry) int {
-		if c := cmp.Compare(a.Clock, b.Clock); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.Site, b.Site); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Seq, b.Seq)
-	})
-	seen := make(map[wire.LogRound]bool)
-	dst := out[:0]
-	for _, e := range out {
-		if e.Round != nil {
-			if seen[*e.Round] {
-				continue
+		for i := range l {
+			if l[i].Round != nil {
+				rounds++
 			}
-			seen[*e.Round] = true
 		}
-		dst = append(dst, e)
 	}
-	return dst
+	order := make([]logPos, 0, total)
+	for k, l := range logs {
+		for i := range l {
+			order = append(order, logPos{int32(k), int32(i)})
+		}
+	}
+	slices.SortStableFunc(order, func(a, b logPos) int {
+		ea, eb := a.in(logs), b.in(logs)
+		if c := cmp.Compare(ea.Clock, eb.Clock); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(ea.Site, eb.Site); c != 0 {
+			return c
+		}
+		return cmp.Compare(ea.Seq, eb.Seq)
+	})
+	// Where each round-tagged entry lies in the order, sorted by round and
+	// then by place: every later copy of a winner comes right after the
+	// first, and is dropped.
+	tagged := make([]int32, 0, rounds)
+	for j, p := range order {
+		if p.in(logs).Round != nil {
+			tagged = append(tagged, int32(j))
+		}
+	}
+	round := func(j int32) wire.LogRound { return *order[j].in(logs).Round }
+	slices.SortFunc(tagged, func(a, b int32) int {
+		ra, rb := round(a), round(b)
+		if c := cmp.Compare(ra.Site, rb.Site); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(ra.Seq, rb.Seq); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	for i := len(tagged) - 1; i > 0; i-- {
+		if round(tagged[i]) == round(tagged[i-1]) {
+			order[tagged[i]].log = -1
+		}
+	}
+	kept := order[:0]
+	for _, p := range order {
+		if p.log >= 0 {
+			kept = append(kept, p)
+		}
+	}
+	return kept
 }
 
 // CheckMergedReplay verifies observational equivalence across a
@@ -112,7 +158,7 @@ func MergeLogs(logs [][]wire.LogEntry) []wire.LogEntry {
 // hold one partition per site.
 func (c *Cluster) CheckMergedReplay(logs [][]wire.LogEntry, parts []wire.PartitionResponse) error {
 	width := c.Sites()
-	merged := MergeLogs(logs)
+	merged := mergeOrder(logs)
 	if len(merged) == 0 {
 		return fmt.Errorf("homeo: merged replay with empty commit log")
 	}
@@ -151,10 +197,16 @@ func (c *Cluster) CheckMergedReplay(logs [][]wire.LogEntry, parts []wire.Partiti
 
 	var replay lang.Database
 	c.locked(func() { replay = c.reg.InitialDB() })
-	for _, e := range merged {
-		t := c.Class(e.Class)
-		if t == nil {
-			return fmt.Errorf("homeo: merged replay: %q is not a registered class (base workload commits are not reconstructible)", e.Class)
+	// Each class is looked up once: a log names a handful many times over.
+	classes := make(map[string]*TxnClass)
+	for _, p := range merged {
+		e := p.in(logs)
+		t, ok := classes[e.Class]
+		if !ok {
+			if t = c.Class(e.Class); t == nil {
+				return fmt.Errorf("homeo: merged replay: %q is not a registered class (base workload commits are not reconstructible)", e.Class)
+			}
+			classes[e.Class] = t
 		}
 		var (
 			req workload.Request

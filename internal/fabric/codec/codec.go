@@ -150,6 +150,13 @@ func NewReader(b []byte) *Reader { return &Reader{b: b} }
 // record after record and wants no heap reader for each.
 func MakeReader(b []byte) Reader { return Reader{b: b} }
 
+// MakeNamedReader is MakeReader for a caller that keeps a name table:
+// String looks each name up in names before it makes a string of it, and
+// adds the ones it makes, so a name seen before is the string made then.
+func MakeNamedReader(b []byte, names map[string]string) Reader {
+	return Reader{b: b, names: names}
+}
+
 // Pair is one entry of a map encoded by AppendStringMap, as PairsInto
 // reads it: the name is a sub-slice of the reader's input.
 type Pair struct {
@@ -294,16 +301,14 @@ func (r *Reader) String() string {
 	if s, ok := r.names[string(b)]; ok {
 		return s
 	}
-	if len(r.names) >= maxNames {
-		clear(r.names)
-	}
 	s := string(b)
 	r.names[s] = s
 	return s
 }
 
-// maxNames bounds a Decoder's name table; a table that fills up starts
-// over, so it follows a working set that moves.
+// maxNames bounds a Decoder's name table: a table that has filled up
+// starts over before the next message, so it follows a working set that
+// moves. A table of MakeNamedReader's is its caller's to bound.
 const maxNames = 4096
 
 // The list readers below append to a slice the caller supplies (cut to

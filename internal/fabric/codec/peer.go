@@ -251,6 +251,9 @@ func (d *Decoder) Decode(data []byte, m any) error {
 	if d.names == nil {
 		d.names = make(map[string]string) //homeo:allowalloc once per decoder
 	}
+	if len(d.names) >= maxNames {
+		clear(d.names)
+	}
 	r := Reader{b: data, names: d.names}
 	return r.message(m)
 }

@@ -3,11 +3,14 @@ package homeostasis
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"path/filepath"
 	"slices"
 	"sort"
 
+	"repro/homeo/wire"
 	"repro/internal/fabric"
+	"repro/internal/fabric/codec"
 	"repro/internal/lang"
 	"repro/internal/rt"
 	"repro/internal/treaty"
@@ -43,22 +46,28 @@ func (sys *System) OpenWAL(dir string, opts wal.Options) (int, error) {
 	}
 	n := sys.Opts.Topo.NSites()
 	sys.wals = make([]*wal.Log, n)
-	recovered := 0
-	rp := sys.newReplay()
+	// Every owned log is read before any is replayed: the commit log is
+	// rebuilt in one segment sized for all of them.
+	logs := make([]wal.Prefix, n)
 	for k := 0; k < n; k++ {
 		if sys.self >= 0 && k != sys.self {
 			continue
 		}
-		l, recs, err := wal.Open(walPath(dir, k), opts)
+		l, data, err := wal.Open(walPath(dir, k), opts)
+		if err != nil {
+			return 0, err
+		}
+		sys.wals[k], logs[k] = l, data
+	}
+	recovered := 0
+	rp := sys.newReplay(logs)
+	for k, data := range logs {
+		// State replay per site, in file order (the order it was logged).
+		n, err := rp.applyWAL(k, data)
 		if err != nil {
 			return recovered, err
 		}
-		sys.wals[k] = l
-		// State replay per site, in file order (the order it was logged).
-		if err := rp.applyWAL(k, recs); err != nil {
-			return recovered, err
-		}
-		recovered += len(recs)
+		recovered += n
 	}
 	if sys.Opts.EnableLog {
 		rp.commitLog(&sys.CommitLog)
@@ -81,7 +90,7 @@ const maxWALSites = 1024
 const slabChunk = 8192
 
 // replay is the scratch of one recovery. Records are decoded in place
-// into the four views, whose byte fields alias the log's read buffer, so
+// into the four views, whose byte fields alias the logs' read buffers, so
 // the one rule of this type is that nothing it leaves behind may: names
 // go through the intern table, and a commit-log entry's Args is copied
 // into the System's commit-log slab, where every live commit's Args goes
@@ -98,10 +107,19 @@ type replay struct {
 	member  wal.MembershipView
 	// base is the install record's folded values, by interned id.
 	base map[lang.ObjID]int64
+	// cons is the constraint list of the treaty generation being
+	// installed, decoded over the last one's.
+	cons []wire.PeerConstraint
 
-	// runs holds the commit-log entries rebuilt from each log replayed,
-	// each run in (Clock, Site) order.
-	runs [][]Committed
+	// seg is the commit-log segment the replay rebuilds, sized by
+	// newReplay for every commit record of every log. Each log replayed
+	// appends its entries as one run, in (Clock, Site) order; runs[k] is
+	// where the k-th run ends, and from where the one being replayed
+	// starts. sorted reports that it is in order so far.
+	seg    []Committed
+	runs   []int
+	from   int
+	sorted bool
 	// seenRound dedups round winners within the log being replayed.
 	seenRound map[fabric.RoundID]bool
 
@@ -113,14 +131,17 @@ type replay struct {
 	pendingAt map[[2]int]int
 }
 
-// pendingTreaty is a treaty record waiting to be installed; index is its
+// pendingTreaty is a treaty record waiting to be installed: its
+// constraint list still encoded, aliasing the log's buffer, and index its
 // position in the log, for error messages.
 type pendingTreaty struct {
 	unit, site, index int
-	rec               wal.Record
+	constraints       []byte
 }
 
-func (sys *System) newReplay() *replay {
+// newReplay returns the scratch of a recovery of logs, logs[k] being site
+// k's (nil for a site not replayed).
+func (sys *System) newReplay(logs []wal.Prefix) *replay {
 	rp := &replay{
 		sys:       sys,
 		names:     make(map[string]string, 4*len(sys.deltaNames)),
@@ -134,6 +155,13 @@ func (sys *System) newReplay() *replay {
 		for _, d := range deltas {
 			rp.names[string(d)] = string(d)
 		}
+	}
+	if sys.Opts.EnableLog {
+		commits := 0
+		for _, data := range logs {
+			commits += data.Count(wal.KindCommit)
+		}
+		rp.seg = make([]Committed, 0, commits)
 	}
 	return rp
 }
@@ -168,178 +196,175 @@ func carve(slab *[]int64, src []int64) []int64 {
 	return (*slab)[from:len(*slab):len(*slab)]
 }
 
-// applyWAL replays one site's records against its store partition and
-// treaty slots and keeps the commit-log entries to rebuild as a run. The
-// clock and the local round sequence advance past everything replayed,
-// so the recovered incarnation cannot reuse a round id or a timestamp
-// its previous life already externalized. recs may alias a buffer the
-// caller goes on to reuse: nothing read from it is referenced once
-// applyWAL returns.
-//
-//homeo:hotpath
-func (rp *replay) applyWAL(site int, recs []wal.Record) error {
-	sys := rp.sys
-	st := sys.Stores[site]
+// applyWAL replays one site's log against its store partition and treaty
+// slots, appends its commit-log entries to the segment as a run, and
+// returns how many records it replayed. The clock and the local round
+// sequence advance past everything replayed, so the recovered incarnation
+// cannot reuse a round id or a timestamp its previous life already
+// externalized. data may alias a buffer the caller goes on to reuse:
+// nothing read from it is referenced once applyWAL returns.
+func (rp *replay) applyWAL(site int, data wal.Prefix) (int, error) {
 	clear(rp.seenRound)
-	var run []Committed
-	sorted := true // so far, run is in (Clock, Site) order
-	if sys.Opts.EnableLog {
-		commits := 0
-		for _, r := range recs {
-			if r.Kind == wal.KindCommit {
-				commits++
-			}
-		}
-		run = make([]Committed, 0, commits)
+	rp.from, rp.sorted = len(rp.seg), true
+	n, err := data.Walk(func(i int, r wal.Record) error { return rp.record(site, i, r) })
+	if err != nil {
+		return n, err
 	}
-	for i, r := range recs {
-		switch r.Kind {
-		case wal.KindCommit:
-			c := &rp.commit
-			if err := c.Decode(r); err != nil {
-				return errWALRecord(site, i, err)
-			}
-			if c.Site < 0 || c.Site >= maxWALSites {
-				return errWALRecord(site, i, errWALWidth("commit at site", c.Site))
-			}
-			// The watermark, pair by pair as encoded: Apply overwrites, so
-			// the partition ends at each name's last value whatever the
-			// order, which is also what a map of the pairs would hold.
-			for _, w := range c.Writes {
-				st.Apply(lang.ObjID(rp.name(w.Name)), w.Val)
-			}
-			sys.observeClock(c.Clock)
-			rid := fabric.RoundID(c.Round)
-			if c.HasRound {
-				if rp.seenRound[rid] {
-					// A crash between adopting a round and acking it can
-					// log the same winner twice; one copy suffices.
-					continue
-				}
-				rp.seenRound[rid] = true
-				sys.bumpRoundSeq(rid)
-			}
-			if !sys.Opts.EnableLog {
-				continue
-			}
-			entry := Committed{
-				Name: rp.name(c.Class), Args: carve(&sys.logSlab, c.Args), Site: c.Site, Clock: c.Clock,
-			}
-			if c.HasRound {
-				entry.Round = rid
-			}
-			if n := len(run); n > 0 && commitOrder(&entry, &run[n-1]) < 0 {
-				sorted = false
-			}
-			run = append(run, entry)
-		case wal.KindInstall:
-			c := &rp.install
-			if err := c.Decode(r); err != nil {
-				return errWALRecord(site, i, err)
-			}
-			if c.Sites > maxWALSites {
-				return errWALRecord(site, i, errWALWidth("install across", c.Sites))
-			}
-			clear(rp.base)
-			for _, b := range c.Base {
-				rp.base[lang.ObjID(rp.name(b.Name))] = b.Val
-			}
-			for _, name := range c.Objs {
-				obj := lang.ObjID(rp.name(name))
-				st.Apply(obj, rp.base[obj])
-				for k := 0; k < c.Sites; k++ {
-					st.Apply(sys.deltaName(obj, k), 0)
-				}
-			}
-			for _, d := range c.Drift {
-				st.Apply(lang.ObjID(rp.name(d.Name)), d.Val)
-			}
-			sys.observeClock(c.Clock)
-			sys.bumpRoundSeq(fabric.RoundID(c.Round))
-		case wal.KindTreaty:
-			c := &rp.treaty
-			if err := c.Decode(r); err != nil {
-				return errWALRecord(site, i, err)
-			}
-			if c.Unit < 0 || c.Unit >= len(sys.Units) {
-				return errWALUnit(site, c.Unit)
-			}
-			// The version guard runs now, and the version moves now, so
-			// every later record meets the guard it always met; the
-			// constraint list (walked by Decode, so known well-formed) is
-			// decoded and compiled after the loop, and only if no later
-			// generation for the same slot replaces it first.
-			u := sys.Units[c.Unit]
-			admitted, err := u.admitsTreaty(c.Site, c.Version)
-			if err != nil {
-				return errWALRecord(site, i, err)
-			}
-			if admitted {
-				rp.hold(pendingTreaty{unit: c.Unit, site: c.Site, index: i, rec: r})
-				u.version = max(u.version, c.Version)
-			}
-			sys.observeClock(c.Clock)
-			if c.HasRound {
-				sys.bumpRoundSeq(fabric.RoundID(c.Round))
-			}
-		case wal.KindMembership:
-			c := &rp.member
-			if err := c.Decode(r); err != nil {
-				return errWALRecord(site, i, err)
-			}
-			if c.Width > maxWALSites {
-				return errWALRecord(site, i, errWALWidth("membership of width", c.Width))
-			}
-			el, err := sys.membership("replaying a membership record")
-			if err != nil {
-				return errWALRecord(site, i, err)
-			}
-			// Records carry the whole table, so replay keeps the last:
-			// grow to the recorded width (transports included, using the
-			// recorded addrs), then roll statuses forward.
-			for sys.Opts.Topo.NSites() < c.Width {
-				addr := ""
-				if k := sys.Opts.Topo.NSites(); k < len(c.Addrs) {
-					addr = string(c.Addrs[k])
-				}
-				sys.growSystem(addr)
-			}
-			for k, a := range c.Addrs {
-				if k < len(sys.siteAddrs) && sys.siteAddrs[k] == "" {
-					sys.siteAddrs[k] = string(a)
-				}
-			}
-			for k, s := range c.Status {
-				if k >= len(sys.status) {
-					break
-				}
-				if st := siteStatus(s); st > sys.status[k] {
-					sys.status[k] = st
-					if st == siteGone {
-						el.MarkGone(k)
-					}
-				}
-			}
-			if c.Epoch > sys.epoch {
-				sys.epoch = c.Epoch
-			}
-			sys.observeClock(c.Clock)
-		default:
-			return errWALKind(site, i, r.Kind)
-		}
-	}
-	if len(run) > 0 {
+	if run := rp.seg[rp.from:]; len(run) > 0 {
 		// A log's own order is normally clock order already: a site stamps
 		// its records from one Lamport clock. The exception is a round's
 		// winner, stamped with the clock its install shipped and logged
 		// once the round is through, behind whatever the site committed
 		// on other units meanwhile.
-		if !sorted {
+		if !rp.sorted {
 			slices.SortStableFunc(run, func(a, b Committed) int { return commitOrder(&a, &b) })
 		}
-		rp.runs = append(rp.runs, run)
+		rp.runs = append(rp.runs, len(rp.seg))
 	}
-	return rp.installPending(site)
+	return n, rp.installPending(site)
+}
+
+// record replays the i-th record of site's log.
+//
+//homeo:hotpath
+func (rp *replay) record(site, i int, r wal.Record) error {
+	sys := rp.sys
+	st := sys.Stores[site]
+	switch r.Kind {
+	case wal.KindCommit:
+		c := &rp.commit
+		if err := c.Decode(r); err != nil {
+			return errWALRecord(site, i, err)
+		}
+		if c.Site < 0 || c.Site >= maxWALSites {
+			return errWALRecord(site, i, errWALWidth("commit at site", c.Site))
+		}
+		// The watermark, pair by pair as encoded: Apply overwrites, so
+		// the partition ends at each name's last value whatever the
+		// order, which is also what a map of the pairs would hold.
+		for _, w := range c.Writes {
+			st.Apply(lang.ObjID(rp.name(w.Name)), w.Val)
+		}
+		sys.observeClock(c.Clock)
+		rid := fabric.RoundID(c.Round)
+		if c.HasRound {
+			if rp.seenRound[rid] {
+				// A crash between adopting a round and acking it can
+				// log the same winner twice; one copy suffices.
+				return nil
+			}
+			rp.seenRound[rid] = true
+			sys.bumpRoundSeq(rid)
+		}
+		if !sys.Opts.EnableLog {
+			return nil
+		}
+		entry := Committed{
+			Name: rp.name(c.Class), Args: carve(&sys.logSlab, c.Args), Site: c.Site, Clock: c.Clock,
+		}
+		if c.HasRound {
+			entry.Round = rid
+		}
+		if n := len(rp.seg); n > rp.from && commitOrder(&entry, &rp.seg[n-1]) < 0 {
+			rp.sorted = false
+		}
+		rp.seg = append(rp.seg, entry)
+	case wal.KindInstall:
+		c := &rp.install
+		if err := c.Decode(r); err != nil {
+			return errWALRecord(site, i, err)
+		}
+		if c.Sites > maxWALSites {
+			return errWALRecord(site, i, errWALWidth("install across", c.Sites))
+		}
+		clear(rp.base)
+		for _, b := range c.Base {
+			rp.base[lang.ObjID(rp.name(b.Name))] = b.Val
+		}
+		for _, name := range c.Objs {
+			obj := lang.ObjID(rp.name(name))
+			st.Apply(obj, rp.base[obj])
+			for k := 0; k < c.Sites; k++ {
+				st.Apply(sys.deltaName(obj, k), 0)
+			}
+		}
+		for _, d := range c.Drift {
+			st.Apply(lang.ObjID(rp.name(d.Name)), d.Val)
+		}
+		sys.observeClock(c.Clock)
+		sys.bumpRoundSeq(fabric.RoundID(c.Round))
+	case wal.KindTreaty:
+		c := &rp.treaty
+		if err := c.Decode(r); err != nil {
+			return errWALRecord(site, i, err)
+		}
+		if c.Unit < 0 || c.Unit >= len(sys.Units) {
+			return errWALUnit(site, c.Unit)
+		}
+		// The version guard runs now, and the version moves now, so
+		// every later record meets the guard it always met; the
+		// constraint list (walked by Decode, so known well-formed) is
+		// decoded and compiled after the log, and only if no later
+		// generation for the same slot replaces it first.
+		u := sys.Units[c.Unit]
+		admitted, err := u.admitsTreaty(c.Site, c.Version)
+		if err != nil {
+			return errWALRecord(site, i, err)
+		}
+		if admitted {
+			rp.hold(pendingTreaty{unit: c.Unit, site: c.Site, index: i, constraints: c.Constraints})
+			u.version = max(u.version, c.Version)
+		}
+		sys.observeClock(c.Clock)
+		if c.HasRound {
+			sys.bumpRoundSeq(fabric.RoundID(c.Round))
+		}
+	case wal.KindMembership:
+		c := &rp.member
+		if err := c.Decode(r); err != nil {
+			return errWALRecord(site, i, err)
+		}
+		if c.Width > maxWALSites {
+			return errWALRecord(site, i, errWALWidth("membership of width", c.Width))
+		}
+		el, err := sys.membership("replaying a membership record")
+		if err != nil {
+			return errWALRecord(site, i, err)
+		}
+		// Records carry the whole table, so replay keeps the last:
+		// grow to the recorded width (transports included, using the
+		// recorded addrs), then roll statuses forward.
+		for sys.Opts.Topo.NSites() < c.Width {
+			addr := ""
+			if k := sys.Opts.Topo.NSites(); k < len(c.Addrs) {
+				addr = string(c.Addrs[k])
+			}
+			sys.growSystem(addr)
+		}
+		for k, a := range c.Addrs {
+			if k < len(sys.siteAddrs) && sys.siteAddrs[k] == "" {
+				sys.siteAddrs[k] = string(a)
+			}
+		}
+		for k, s := range c.Status {
+			if k >= len(sys.status) {
+				break
+			}
+			if st := siteStatus(s); st > sys.status[k] {
+				sys.status[k] = st
+				if st == siteGone {
+					el.MarkGone(k)
+				}
+			}
+		}
+		if c.Epoch > sys.epoch {
+			sys.epoch = c.Epoch
+		}
+		sys.observeClock(c.Clock)
+	default:
+		return errWALKind(site, i, r.Kind)
+	}
+	return nil
 }
 
 // hold keeps p as the generation to install for its (unit, site),
@@ -358,6 +383,9 @@ func (rp *replay) hold(p pendingTreaty) {
 
 // installPending decodes, compiles and installs the treaty generations
 // the log's replay held back, and forgets them: they alias its buffer.
+// Each is decoded into the replay's constraint scratch, its names
+// interned, so what an installed generation keeps is only what
+// fabric.ConstraintsFromWire builds and the slot adopts.
 func (rp *replay) installPending(site int) error {
 	defer func() {
 		clear(rp.pending)
@@ -365,11 +393,12 @@ func (rp *replay) installPending(site int) error {
 		clear(rp.pendingAt)
 	}()
 	for _, p := range rp.pending {
-		c, err := p.rec.Treaty()
-		if err != nil {
+		rd := codec.MakeNamedReader(p.constraints, rp.names)
+		rp.cons = rd.ConstraintsInto(rp.cons)
+		if err := rd.Close(); err != nil {
 			return errWALRecord(site, p.index, err)
 		}
-		l, err := fabric.ConstraintsFromWire(p.site, c.Constraints)
+		l, err := fabric.ConstraintsFromWire(p.site, rp.cons)
 		if err != nil {
 			return errWALRecord(site, p.index, err)
 		}
@@ -389,37 +418,56 @@ func commitOrder(a, b *Committed) int {
 	return cmp.Compare(a.Site, b.Site)
 }
 
-// commitLog appends the replayed runs to log, merged by (Clock, Site),
-// ties to the earlier run. Every run is stably sorted, so that merge is
-// the stable sort of their concatenation — same-site ties keep file order
-// — without the sort. One run is adopted as a segment without a copy;
-// several merge into one segment of exactly their total.
+// commitLog appends the replayed segment to log, its runs merged by
+// (Clock, Site), ties to the earlier run. Every run is stably sorted, so
+// that merge is the stable sort of their concatenation — same-site ties
+// keep file order — without the sort. The segment becomes the log's own,
+// without a copy, and the log's earlier entries stay where they are.
 func (rp *replay) commitLog(log *CommitLog) {
-	switch len(rp.runs) {
-	case 0:
-		return
-	case 1:
-		log.adopt(rp.runs[0])
+	if len(rp.seg) == 0 {
 		return
 	}
-	total := 0
-	for _, run := range rp.runs {
-		total += len(run)
+	if len(rp.runs) > 1 {
+		mergeRuns(rp.seg, rp.runs)
 	}
-	merged := make([]Committed, 0, total)
-	for {
+	log.adopt(rp.seg)
+}
+
+// mergeRuns merges the sorted runs of seg, runs[k] being where the k-th
+// ends, in place. It first works out, for every place of the merged
+// order, where the entry that belongs there lies now (four bytes an entry),
+// then moves each entry once, cycle by cycle of that permutation.
+func mergeRuns(seg []Committed, runs []int) {
+	if len(seg) > math.MaxInt32 {
+		slices.SortStableFunc(seg, func(a, b Committed) int { return commitOrder(&a, &b) })
+		return
+	}
+	next := make([]int, len(runs)) // the first entry of each run not yet placed
+	for k := 1; k < len(runs); k++ {
+		next[k] = runs[k-1]
+	}
+	from := make([]int32, len(seg))
+	for j := range from {
 		first := -1
-		for k, run := range rp.runs {
-			if len(run) > 0 && (first < 0 || commitOrder(&run[0], &rp.runs[first][0]) < 0) {
+		for k, at := range next {
+			if at < runs[k] && (first < 0 || commitOrder(&seg[at], &seg[next[first]]) < 0) {
 				first = k
 			}
 		}
-		if first < 0 {
-			log.adopt(merged)
-			return
+		from[j] = int32(next[first])
+		next[first]++
+	}
+	for j := range from {
+		if int(from[j]) == j {
+			continue
 		}
-		merged = append(merged, rp.runs[first][0])
-		rp.runs[first] = rp.runs[first][1:]
+		held, at := seg[j], j
+		for int(from[at]) != j {
+			src := int(from[at])
+			seg[at], from[at] = seg[src], int32(at)
+			at = src
+		}
+		seg[at], from[at] = held, int32(at)
 	}
 }
 

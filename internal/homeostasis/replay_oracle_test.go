@@ -35,10 +35,11 @@ func (sys *System) openWALOracle(dir string, opts wal.Options) (int, error) {
 	recovered := 0
 	var entries []Committed
 	openReplay := func(k int) error {
-		l, recs, err := wal.Open(walPath(dir, k), opts)
+		l, data, err := wal.Open(walPath(dir, k), opts)
 		if err != nil {
 			return err
 		}
+		recs, _ := wal.Scan(data)
 		sys.wals[k] = l
 		// State replay per site, in file order (the order it was logged).
 		es, err := sys.applyWALOracle(k, recs)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -309,14 +310,13 @@ func copyLogs(t *testing.T, from string, files int) string {
 }
 
 // replayBuffers replays the logs under dir into sys the way OpenWAL does
-// but out of buffers the caller owns, scribbles over every buffer, and
-// only then rebuilds the commit log: whatever replay kept must by then be
-// its own.
+// but out of buffers the caller owns, scribbles over each buffer once its
+// log is replayed, and only then rebuilds the commit log: whatever replay
+// kept must by then be its own.
 func replayBuffers(t *testing.T, sys *System, dir string) (int, error) {
 	t.Helper()
-	rp := sys.newReplay()
-	recovered := 0
-	for k := 0; k < sys.Opts.Topo.NSites(); k++ {
+	logs := make([]wal.Prefix, sys.Opts.Topo.NSites())
+	for k := range logs {
 		if sys.self >= 0 && k != sys.self {
 			continue
 		}
@@ -324,15 +324,21 @@ func replayBuffers(t *testing.T, sys *System, dir string) (int, error) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs, _ := wal.Scan(data)
-		err = rp.applyWAL(k, recs)
-		for i := range data {
-			data[i] = 0xFF
+		valid, _ := wal.Frames(data, nil)
+		logs[k] = data[:valid]
+	}
+	rp := sys.newReplay(logs)
+	recovered := 0
+	for k, data := range logs {
+		n, err := rp.applyWAL(k, data)
+		read := data[:cap(data)] // torn tail included
+		for i := range read {
+			read[i] = 0xFF
 		}
 		if err != nil {
 			return recovered, err
 		}
-		recovered += len(recs)
+		recovered += n
 	}
 	rp.commitLog(&sys.CommitLog)
 	return recovered, nil
@@ -645,11 +651,24 @@ func TestReplayRefusesUnknownKindAndUnit(t *testing.T) {
 	}
 }
 
-// TestCommitLogMerge: sorted runs merge into what a stable sort of their
-// concatenation gives — ties across runs to the earlier run, ties within
-// a run in file order — into one exactly sized segment after the log's
-// own entries, which stay where they were, and a single run is adopted as
-// a segment, not copied.
+// segmentOf returns the replay scratch of runs replayed one after the
+// other into one segment, as applyWAL leaves it.
+func segmentOf(runs ...[]Committed) *replay {
+	rp := &replay{}
+	for _, run := range runs {
+		rp.seg = append(rp.seg, run...)
+		if len(run) > 0 {
+			rp.runs = append(rp.runs, len(rp.seg))
+		}
+	}
+	return rp
+}
+
+// TestCommitLogMerge: sorted runs merge, where they lie in the segment,
+// into what a stable sort of their concatenation gives — ties across runs
+// to the earlier run, ties within a run in file order — after the log's
+// own entries, which stay where they were, and the segment, a single run's
+// as much as a merge's, becomes the log's without a copy.
 func TestCommitLogMerge(t *testing.T) {
 	entry := func(clock int64, site int, tag string) Committed {
 		return Committed{Name: tag, Clock: clock, Site: site}
@@ -667,23 +686,94 @@ func TestCommitLogMerge(t *testing.T) {
 	if (&replay{}).commitLog(&log); names(&log) != "kept" {
 		t.Errorf("no runs: merged to %q, want the log as it was", names(&log))
 	}
-	rp := &replay{runs: [][]Committed{
-		{entry(1, 0, "a1"), entry(3, 1, "a2"), entry(3, 1, "a3"), entry(7, 0, "a4")},
-		{entry(2, 1, "b1"), entry(3, 0, "b2"), entry(3, 1, "b3"), entry(8, 1, "b4")},
-		{entry(3, 1, "c1")},
-	}}
+	rp := segmentOf(
+		[]Committed{entry(1, 0, "a1"), entry(3, 1, "a2"), entry(3, 1, "a3"), entry(7, 0, "a4")},
+		[]Committed{entry(2, 1, "b1"), entry(3, 0, "b2"), entry(3, 1, "b3"), entry(8, 1, "b4")},
+		[]Committed{entry(3, 1, "c1")},
+	)
 	rp.commitLog(&log)
 	if got, want := names(&log), "kept a1 b1 b2 a2 a3 b3 c1 a4 b4"; got != want {
 		t.Errorf("merged to %q, want %q", got, want)
 	}
-	if log.At(0) != kept || len(log.segs) != 2 || len(log.segs[1]) != cap(log.segs[1]) {
-		t.Errorf("the merge moved the log's own entries or sized its segment %d/%d",
-			len(log.segs[len(log.segs)-1]), cap(log.segs[len(log.segs)-1]))
+	if log.At(0) != kept || len(log.segs) != 2 || log.At(1) != &rp.seg[0] {
+		t.Error("the merge moved the log's own entries or copied the segment")
 	}
-	one := []Committed{entry(1, 0, "x"), entry(2, 0, "y")}
-	rp = &replay{runs: [][]Committed{one}}
-	rp.commitLog(&log)
-	if log.At(log.Len()-2) != &one[0] {
+	one := segmentOf([]Committed{entry(1, 0, "x"), entry(2, 0, "y")})
+	one.commitLog(&log)
+	if log.At(log.Len()-2) != &one.seg[0] {
 		t.Error("a single run was copied instead of adopted as a segment")
+	}
+
+	// Seeded logs of commit records — late round winners (logged behind
+	// commits with later clocks), clocks equal across sites, ties within a
+	// log, a winner logged twice — replayed and merged: the commit log is
+	// the stable sort of the logs' concatenation in file order by (Clock,
+	// Site), each log's second copy of a winner dropped.
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		dir := t.TempDir()
+		logs := make([]wal.Prefix, 1+rng.Intn(2)) // replaySystem has two sites
+		var want []Committed
+		for k := range logs {
+			l, _, err := wal.Open(walPath(dir, k), wal.Options{GroupWindow: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			clock := int64(rng.Intn(4))
+			var winners []wal.RoundID
+			for i, n := 0, rng.Intn(60); i < n; i++ {
+				rec := wal.CommitRecord{Class: fmt.Sprintf("s%d.%d", k, i), Site: rng.Intn(3), Clock: clock}
+				switch x := rng.Intn(8); {
+				case x == 0 && clock > 3: // a late winner
+					rec.Clock = clock - 1 - int64(rng.Intn(3))
+					rec.Round = &wal.RoundID{Site: k, Seq: uint64(i)}
+					winners = append(winners, *rec.Round)
+				case x == 1 && len(winners) > 0: // a winner logged again
+					rec.Round = &winners[rng.Intn(len(winners))]
+				case x < 5:
+					clock += int64(rng.Intn(2)) // ties within the log
+				}
+				if err := l.AppendCommit(rec); err != nil {
+					t.Fatal(err)
+				}
+				if rec.Round == nil || rec.Round.Seq == uint64(i) { // not a second copy
+					want = append(want, Committed{Name: rec.Class, Site: rec.Site, Clock: rec.Clock})
+				}
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			_, logs[k], err = wal.Open(walPath(dir, k), wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		slices.SortStableFunc(want, func(a, b Committed) int { return commitOrder(&a, &b) })
+
+		_, sys, _ := replaySystem(t, -1)
+		var merged CommitLog
+		merged.add(Committed{Name: "kept", Clock: 99})
+		kept := merged.At(0)
+		rp := sys.newReplay(logs)
+		for k, data := range logs {
+			if _, err := rp.applyWAL(k, data); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+		}
+		rp.commitLog(&merged)
+		var got []string
+		for _, e := range logEntries(&merged)[1:] {
+			got = append(got, fmt.Sprintf("%s@%d/%d", e.Name, e.Clock, e.Site))
+		}
+		var exp []string
+		for _, e := range want {
+			exp = append(exp, fmt.Sprintf("%s@%d/%d", e.Name, e.Clock, e.Site))
+		}
+		if !slices.Equal(got, exp) {
+			t.Fatalf("seed %d: %d runs merged to\n%v\nwant\n%v", seed, len(rp.runs), got, exp)
+		}
+		if merged.At(0) != kept || kept.Name != "kept" || len(want) > 0 && merged.At(1) != &rp.seg[0] {
+			t.Fatalf("seed %d: the merge moved the log's own entries or copied the segment", seed)
+		}
 	}
 }

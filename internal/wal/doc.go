@@ -24,13 +24,16 @@
 //
 // # Reading a log: who owns the bytes
 //
-// Frames is the one walk of a log's frames; Scan collects what it visits
-// and Open scans the file it opens. None of them copies a payload: every
-// Record they produce is a sub-slice of the bytes scanned (Scan's
-// argument, or the buffer Open read the file into, which the records keep
-// alive), capacity-clipped so that appending to one cannot reach the
-// next. A caller that overwrites or reuses those bytes invalidates the
-// records, and a caller that keeps a record keeps the whole buffer.
+// Frames is the one checked walk of a log's frames, and Scan collects
+// what it visits. Open checks a file's frames once, with Frames, and
+// returns the valid prefix it read as a Prefix, whose Walk visits the
+// same records without checking them again and whose Count sizes what a
+// replay will build. None of them copies a payload: every Record they
+// produce is a sub-slice of the bytes walked (Scan's argument, or the
+// buffer Open read the file into), capacity-clipped so that appending to
+// one cannot reach the next. A caller that overwrites or reuses those
+// bytes invalidates the records, and a caller that keeps a record keeps
+// the whole buffer.
 //
 // Decoding has the same two levels. A view (CommitView, InstallView,
 // TreatyView, MembershipView) decodes a record in place: names and other

@@ -48,8 +48,9 @@ func (k Kind) String() string {
 
 // Record is one log record as framed: a kind tag and its codec-encoded
 // payload (internal/fabric/codec). The typed accessors decode it. A
-// record that Frames, Scan or Open produced does not own its payload: it
-// is a sub-slice of the bytes that were scanned (see the package comment).
+// record that Frames, Scan or Prefix.Walk produced does not own its
+// payload: it is a sub-slice of the bytes that were scanned (see the
+// package comment).
 type Record struct {
 	Kind    Kind
 	Payload []byte
@@ -305,12 +306,12 @@ type Log struct {
 	err    error
 }
 
-// Open opens (or creates) the log at path, scans any existing content,
-// repairs a torn tail by truncating to the last valid record, and returns
-// the log positioned for appends plus the valid records found. A torn
-// tail is expected after a crash (the final batch may have been half
-// written) and is not an error.
-func Open(path string, opts Options) (*Log, []Record, error) {
+// Open opens (or creates) the log at path, checks every frame of any
+// existing content against its checksum, repairs a torn tail by truncating
+// to the last valid record, and returns the log positioned for appends
+// plus the valid prefix it read. A torn tail is expected after a crash
+// (the final batch may have been half written) and is not an error.
+func Open(path string, opts Options) (*Log, Prefix, error) {
 	if opts.GroupWindow == 0 {
 		opts.GroupWindow = DefaultGroupWindow
 	}
@@ -318,7 +319,7 @@ func Open(path string, opts Options) (*Log, []Record, error) {
 	if err != nil && !os.IsNotExist(err) {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
-	recs, valid := Scan(data)
+	valid, _ := Frames(data, nil)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)
@@ -333,7 +334,41 @@ func Open(path string, opts Options) (*Log, []Record, error) {
 		_ = f.Close()
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
-	return &Log{f: f, opts: opts}, recs, nil
+	return &Log{f: f, opts: opts}, Prefix(data[:valid:valid]), nil
+}
+
+// Prefix is the valid prefix of a log as Open read it: whole frames, every
+// one of them checked against its checksum, once, by Open. Its methods
+// walk it without checking again; bytes from anywhere else are walked by
+// Frames. The Log keeps no reference to them.
+type Prefix []byte
+
+// Walk visits every record of p in order, handing visit each record and
+// its index as Frames does, but checks no checksum. It returns how many
+// records it visited: all of them, or those before the one visit refused,
+// with visit's error.
+//
+//homeo:hotpath
+func (p Prefix) Walk(visit func(i int, r Record) error) (int, error) {
+	off := 0
+	for i := 0; ; i++ {
+		_, payload, end, ok := nextFrame(p, off)
+		if !ok {
+			return i, nil
+		}
+		if err := visit(i, Record{Kind: Kind(payload[0]), Payload: payload[1:]}); err != nil {
+			return i, err
+		}
+		off = end
+	}
+}
+
+// Count returns how many of p's records are of the given kind, hopping
+// the frames by their length prefixes and reading nothing but each kind
+// byte.
+func (p Prefix) Count(kind Kind) int {
+	_, n := hop(p, kind)
+	return n
 }
 
 // nextFrame reads the frame that starts at data[off:]: its checksum, its
@@ -364,7 +399,8 @@ func nextFrame(data []byte, off int) (sum uint32, payload []byte, end int, ok bo
 // and early, returning the error, if visit returns one.
 //
 // Nothing is copied: every record's payload is a sub-slice of data,
-// valid while data is and no longer.
+// valid while data is and no longer. A nil visit visits nothing, for a
+// caller that wants only the offset.
 //
 //homeo:hotpath
 func Frames(data []byte, visit func(i int, r Record) error) (int, error) {
@@ -374,8 +410,28 @@ func Frames(data []byte, visit func(i int, r Record) error) (int, error) {
 		if !ok || crc32.ChecksumIEEE(payload) != sum {
 			return off, nil
 		}
-		if err := visit(i, Record{Kind: Kind(payload[0]), Payload: payload[1:]}); err != nil {
-			return off, err
+		if visit != nil {
+			if err := visit(i, Record{Kind: Kind(payload[0]), Payload: payload[1:]}); err != nil {
+				return off, err
+			}
+		}
+		off = end
+	}
+}
+
+// hop counts data's frames by hopping their length prefixes, checking no
+// checksum: all of them, and those of the given kind. On bytes Open
+// returned both are exact; on others, an upper bound on what Frames keeps.
+//
+//homeo:hotpath
+func hop(data []byte, kind Kind) (frames, ofKind int) {
+	for off := 0; ; frames++ {
+		_, payload, end, ok := nextFrame(data, off)
+		if !ok {
+			return frames, ofKind
+		}
+		if Kind(payload[0]) == kind {
+			ofKind++
 		}
 		off = end
 	}
@@ -385,16 +441,7 @@ func Frames(data []byte, visit func(i int, r Record) error) (int, error) {
 // returning the records and the byte offset where the valid prefix ends.
 // The records alias data.
 func Scan(data []byte) ([]Record, int) {
-	// Size the slice by hopping length prefixes: an upper bound on what
-	// the checksummed pass will keep, and exact for an intact log.
-	n := 0
-	for off := 0; ; n++ {
-		_, _, end, ok := nextFrame(data, off)
-		if !ok {
-			break
-		}
-		off = end
-	}
+	n, _ := hop(data, 0)
 	recs := make([]Record, 0, n)
 	valid, _ := Frames(data, func(_ int, r Record) error {
 		recs = append(recs, r)

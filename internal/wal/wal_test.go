@@ -20,11 +20,28 @@ import (
 
 func openT(t *testing.T, path string) (*Log, []Record) {
 	t.Helper()
-	l, recs, err := Open(path, Options{GroupWindow: -1})
+	l, data, err := Open(path, Options{GroupWindow: -1})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	return l, recs
+	return l, records(t, data)
+}
+
+// records collects what Walk visits of p.
+func records(t *testing.T, p Prefix) []Record {
+	t.Helper()
+	var recs []Record
+	n, err := p.Walk(func(i int, r Record) error {
+		if i != len(recs) {
+			t.Fatalf("Walk handed record %d as %d", len(recs), i)
+		}
+		recs = append(recs, r)
+		return nil
+	})
+	if err != nil || n != len(recs) {
+		t.Fatalf("Walk = (%d, %v) after visiting %d", n, err, len(recs))
+	}
+	return recs
 }
 
 // TestRoundTrip appends typed records through a close/reopen cycle and
@@ -412,11 +429,11 @@ func FuzzRecordRoundTrip(f *testing.F) {
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		_, recs, err := Open(path, Options{})
+		_, data, err := Open(path, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(recs) != 1 || recs[0].Kind != Kind(kind) || !bytes.Equal(recs[0].Payload, payload) {
+		if recs := records(t, data); len(recs) != 1 || recs[0].Kind != Kind(kind) || !bytes.Equal(recs[0].Payload, payload) {
 			t.Fatalf("round trip: got %d records, first %+v", len(recs), recs)
 		}
 	})
@@ -594,5 +611,52 @@ func TestFrames(t *testing.T) {
 	})
 	if err != stop || end != bounds[1] {
 		t.Fatalf("Frames stopped at (%d, %v), want (%d, %v): the prefix before the refused record", end, err, bounds[1], stop)
+	}
+}
+
+// TestOpenReturnsPrefix: Open hands back exactly the valid prefix of what
+// it read, and its Walk visits what Scan returns, counts what it visited,
+// and stops on the visitor's error having counted the records before it;
+// Count counts one kind. Walk checks no checksum: that was Open's.
+func TestOpenReturnsPrefix(t *testing.T) {
+	var data []byte
+	for i := 0; i < 5; i++ {
+		kind, payload := KindCommit, appendCommitPayload(nil, &CommitRecord{Class: "C", Clock: int64(i)})
+		if i == 2 {
+			kind, payload = KindMembership, appendMembershipPayload(nil, &MembershipRecord{Epoch: 1})
+		}
+		data = appendFrame(data, kind, payload)
+	}
+	want, valid := Scan(data)
+	path := filepath.Join(t.TempDir(), "p.wal")
+	if err := os.WriteFile(path, append(data, 0, 0, 0, 9, 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, p, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if !bytes.Equal(p, data[:valid]) {
+		t.Fatalf("Open returned %d bytes, want the %d-byte valid prefix", len(p), valid)
+	}
+	if got := records(t, p); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Walk visited %v, Scan returned %v", got, want)
+	}
+	if c, m := p.Count(KindCommit), p.Count(KindMembership); c != 4 || m != 1 {
+		t.Fatalf("Count = %d commits and %d membership records, want 4 and 1", c, m)
+	}
+	stop := errors.New("enough")
+	if n, err := p.Walk(func(i int, _ Record) error {
+		if i == 3 {
+			return stop
+		}
+		return nil
+	}); n != 3 || err != stop {
+		t.Fatalf("Walk stopped at (%d, %v), want (3, %v)", n, err, stop)
+	}
+	p[len(p)-1] ^= 0xff // the last frame's checksum no longer holds
+	if n, _ := p.Walk(func(int, Record) error { return nil }); n != 5 {
+		t.Fatalf("Walk visited %d records of a prefix whose checksum it was not to check, want 5", n)
 	}
 }
