@@ -49,7 +49,7 @@ func main() {
 	// aggregator's state, so they need not be sent at all.
 	silent := -1
 	for i, row := range tbl.Rows {
-		if len(lang.WriteSet(row.Residual, nil)) == 0 {
+		if _, writes := lang.Footprint(row.Residual, nil); len(writes) == 0 {
 			silent = i
 			break
 		}

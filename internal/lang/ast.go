@@ -358,107 +358,3 @@ func Commands(c Cmd) []Cmd {
 		return []Cmd{c}
 	}
 }
-
-// ReadSet returns the database objects read anywhere in the command,
-// including reads inside both branches of conditionals. L++ array reads
-// are reported as every cell of the array (conservative), matching the
-// lowered form.
-func ReadSet(c Cmd, arrays []ArrayDecl) map[ObjID]bool {
-	out := make(map[ObjID]bool)
-	var exprReads func(e Expr)
-	var boolReads func(b BoolExpr)
-	exprReads = func(e Expr) {
-		switch e := e.(type) {
-		case Read:
-			out[e.Obj] = true
-		case ArrayRead:
-			for _, d := range arrays {
-				if d.Name == e.Array {
-					for i := int64(0); i < d.Len*d.Cols; i++ {
-						out[ArrayObj(d.Name, i)] = true
-					}
-				}
-			}
-			exprReads(e.Index)
-		case Neg:
-			exprReads(e.E)
-		case Bin:
-			exprReads(e.L)
-			exprReads(e.R)
-		}
-	}
-	boolReads = func(b BoolExpr) {
-		switch b := b.(type) {
-		case Cmp:
-			exprReads(b.L)
-			exprReads(b.R)
-		case And:
-			boolReads(b.L)
-			boolReads(b.R)
-		case Or:
-			boolReads(b.L)
-			boolReads(b.R)
-		case Not:
-			boolReads(b.B)
-		}
-	}
-	var walk func(c Cmd)
-	walk = func(c Cmd) {
-		switch c := c.(type) {
-		case Assign:
-			exprReads(c.E)
-		case Seq:
-			walk(c.First)
-			walk(c.Rest)
-		case If:
-			boolReads(c.Cond)
-			walk(c.Then)
-			walk(c.Else)
-		case WriteCmd:
-			exprReads(c.E)
-		case ArrayWrite:
-			exprReads(c.Index)
-			exprReads(c.E)
-			for _, d := range arrays {
-				if d.Name == c.Array {
-					for i := int64(0); i < d.Len*d.Cols; i++ {
-						out[ArrayObj(d.Name, i)] = true
-					}
-				}
-			}
-		case PrintCmd:
-			exprReads(c.E)
-		}
-	}
-	walk(c)
-	return out
-}
-
-// WriteSet returns the database objects written anywhere in the command.
-// L++ array writes report every cell of the array (conservative).
-func WriteSet(c Cmd, arrays []ArrayDecl) map[ObjID]bool {
-	out := make(map[ObjID]bool)
-	var walk func(c Cmd)
-	walk = func(c Cmd) {
-		switch c := c.(type) {
-		case Seq:
-			walk(c.First)
-			walk(c.Rest)
-		case If:
-			walk(c.Then)
-			walk(c.Else)
-		case WriteCmd:
-			out[c.Obj] = true
-		case ArrayWrite:
-			for _, d := range arrays {
-				if d.Name == c.Array {
-					for i := int64(0); i < d.Len*d.Cols; i++ {
-						out[ArrayObj(d.Name, i)] = true
-					}
-				}
-			}
-		}
-	}
-	walk(c)
-	return out
-}

@@ -2,9 +2,11 @@ package lang
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -123,12 +125,14 @@ var parseSeeds = []string{
 	"transaction A(n) { print(n) }\ntransaction B(m) { print(n); n := m }",
 	`transaction T() { x := 99999999999999999999 }`, `transaction T() { x := 1 & 2 }`, `transaction T() { write(a(1) = 2) }`,
 	`transaction T(é, _x) { ü := é + _x' }`, `transaction read() { skip }`, `transaction T(if) { skip }`, `transaction T() { x := ((((1)))) }`,
+	`transaction T(i) { array a(3); _lw2 := 5; v := a(i); print(_lw2) }`,
 }
 
 // FuzzParseProgram: the parser never panics, and on every program it
 // accepts the tree it builds is the one the parent commit built in two
 // steps — its parse, which knew no parameters, then ResolveParams — and is
-// the tree its own printing parses to.
+// the tree its own printing parses to. The rest of the front end then runs
+// on it (checkFrontEnd).
 func FuzzParseProgram(f *testing.F) {
 	for _, src := range parseSeeds {
 		f.Add(src)
@@ -154,8 +158,80 @@ func FuzzParseProgram(f *testing.F) {
 			if !reflect.DeepEqual(again, &old) {
 				t.Fatalf("%q prints as %q, which parses to\n %#v\nnot\n %#v", src, printed, again.Body, old.Body)
 			}
+			if err := checkFrontEnd(txn); err != nil {
+				t.Fatalf("%q: %v", src, err)
+			}
 		}
 	})
+}
+
+// checkFrontEnd runs a parsed program through the passes after the
+// parser: Lower, the footprint laws of the lowering and the simplification,
+// and ReplicaRewrite at each site of 3 with every written object
+// replicated, then Simplify, held to checkRewriteLaw. The source and its
+// lowering must also agree when run on a seeded database with fixed
+// arguments: the same database and log, or both an error. Every temporary
+// the source names is bound before the run, because the lowering hoists an
+// array read out of a condition that && or || would not evaluate, and
+// reading an unbound temporary there fails where the source does not.
+// Programs whose arrays hold more than 256 cells are skipped: the lowering
+// builds a chain over every cell per access.
+func checkFrontEnd(txn *Transaction) error {
+	cells := int64(0)
+	for _, d := range txn.Arrays {
+		if d.Len > 256 || d.Cols > 256 {
+			return nil
+		}
+		cells += d.Len * d.Cols
+	}
+	if cells > 256 {
+		return nil
+	}
+	low, err := Lower(txn)
+	if err != nil {
+		return nil // an undeclared array
+	}
+	if err := checkFootprintLaws(txn); err != nil {
+		return err
+	}
+	_, writes := Footprint(low.Body, nil)
+	for k := 0; k < 3; k++ {
+		if err := checkRewriteLaw(low, k, 3, writes); err != nil {
+			return err
+		}
+	}
+	reads, writes := Footprint(txn.Body, txn.Arrays)
+	maps.Copy(reads, writes)
+	objs := make([]ObjID, 0, len(reads))
+	for obj := range reads {
+		objs = append(objs, obj)
+	}
+	slices.Sort(objs)
+	rng := rand.New(rand.NewSource(1))
+	db := Database{}
+	for _, obj := range objs {
+		db[obj] = rng.Int63n(6) - 1
+	}
+	args := make([]int64, len(txn.Params))
+	for i := range args {
+		args[i] = []int64{1, 0, 2, -1, 3}[i%5]
+	}
+	bound := temps{}
+	bound.cmd(txn.Body)
+	run := func(p *Transaction) (*Env, error) {
+		env := &Env{DB: db.Clone(), Temps: map[string]int64{}}
+		for name := range bound {
+			env.Temps[name] = int64(len(name) % 4)
+		}
+		return env, EvalIn(p, env, args...)
+	}
+	want, wantErr := run(txn)
+	got, err := run(low)
+	if (err == nil) != (wantErr == nil) || err == nil && (!got.DB.Equal(want.DB) || !slices.Equal(got.Log, want.Log)) {
+		return fmt.Errorf("%s and its lowering %s disagree on %v with arguments %v:\nsource   %v %v (error %v)\nlowering %v %v (error %v)",
+			txn, low, db, args, want.DB, want.Log, wantErr, got.DB, got.Log, err)
+	}
+	return nil
 }
 
 // sameBox reports whether two interface values hold the same box: the
@@ -292,8 +368,12 @@ func TestSimplifySharesUnchanged(t *testing.T) {
 	}
 }
 
-// TestRewriteAndLowerShareUnchanged: the replica rewrite and the lowering
-// hand back the subtrees that touch no replicated object and no array.
+// TestRewriteAndLowerShareUnchanged: the replica rewrite, the lowering and
+// Footprint hand back the subtrees that touch no replicated object and no
+// array, and on 500 random trees every pass keeps its footprint law: the
+// lowering and the simplification touch nothing the program they were
+// given does not, and the rewrite touches base + Σ deltas exactly where
+// the program touches the object (checkRewriteLaw).
 func TestRewriteAndLowerShareUnchanged(t *testing.T) {
 	txn := MustParse(`transaction T(n) { v := read(x); if (v - n > 0) then write(x = v - n) else print(read(y) + n) }`)
 	if got := ReplicaRewrite(txn, 0, 2, nil); !sameBox(got.Body, txn.Body) {
@@ -307,8 +387,8 @@ func TestRewriteAndLowerShareUnchanged(t *testing.T) {
 		t.Errorf("print(read(y) + n) touches nothing replicated, yet the rewrite rebuilt it")
 	}
 
-	if got, err := Lower(txn); err != nil || !sameBox(got.Body, txn.Body) {
-		t.Errorf("no arrays, yet the lowering rebuilt the body as %s (error %v)", got, err)
+	if got, err := Lower(txn); err != nil || got != txn {
+		t.Errorf("no arrays, yet the lowering built %s (error %v)", got, err)
 	}
 	arr := MustParse(`transaction T(i) { array a(3); v := read(x) + i; write(a(i) = v); print(v - 1) }`)
 	low, err := Lower(arr)
@@ -319,4 +399,168 @@ func TestRewriteAndLowerShareUnchanged(t *testing.T) {
 	if !sameBox(lowered[0], cmds[0]) || !sameBox(lowered[len(lowered)-1], cmds[2]) {
 		t.Errorf("the commands around the array write touch no array, yet the lowering rebuilt them: %s", low)
 	}
+
+	// Random trees, in the form the parser, SeqOf and the passes build: no
+	// sequence has a skip half.
+	g := treeGen{rand.New(rand.NewSource(23))}
+	arrays := []ArrayDecl{{Name: "arr", Len: 4, Cols: 1}}
+	itself, refused := 0, 0
+	for i := 0; i < 500; i++ {
+		txn := &Transaction{Name: "R", Params: []string{"p", "q"}, Arrays: arrays, Body: rightNested(g.cmd(1 + i%5))}
+		f := &footprint{arrays: arrays, reads: map[ObjID]bool{}, writes: map[ObjID]bool{}}
+		if out, changed := f.cmd(txn.Body); changed || !sameBox(out, txn.Body) {
+			t.Fatalf("tree %d: Footprint rebuilt %s", i, txn)
+		}
+		if got := ReplicaRewrite(txn, i%3, 3, nil); !sameBox(got.Body, txn.Body) {
+			t.Fatalf("tree %d: nothing is replicated, yet the rewrite rebuilt %s", i, txn)
+		}
+		low, err := Lower(txn)
+		if err != nil {
+			t.Fatalf("tree %d: %v", i, err)
+		}
+		if again, err := Lower(low); err != nil || again != low {
+			t.Fatalf("tree %d: %s is lowered, yet lowering it again built %s (error %v)", i, low, again, err)
+		}
+		// Without the declaration, a tree that accesses arr is refused and
+		// one that does not comes back as it is.
+		bare := &Transaction{Name: "R", Params: txn.Params, Body: txn.Body}
+		switch got, err := Lower(bare); {
+		case err != nil && strings.Contains(err.Error(), `undeclared array "arr"`):
+			refused++
+		case err == nil && got == bare:
+			itself++
+		default:
+			t.Fatalf("tree %d: lowering %s without its array declaration gave %v, error %v", i, bare, got, err)
+		}
+		if err := checkFootprintLaws(txn); err != nil {
+			t.Fatalf("tree %d: %v", i, err)
+		}
+		reads, writes := Footprint(low.Body, nil)
+		replicated := map[ObjID]bool{}
+		for obj := range reads {
+			replicated[obj] = g.rng.Intn(2) == 0
+		}
+		for obj := range writes {
+			replicated[obj] = replicated[obj] || g.rng.Intn(2) == 0
+		}
+		if err := checkRewriteLaw(low, i%3, 3, replicated); err != nil {
+			t.Fatalf("tree %d: %v", i, err)
+		}
+	}
+	t.Logf("of 500 random trees, %d touch no array and lower to themselves; %d are refused without the declaration", itself, refused)
+}
+
+// TestLowerSkipsSourceTemporaries: the lowering's temporaries used to be
+// _lw1, _lw2, ... whatever the source named, so a source that used one had
+// it overwritten by an array read's chain. The fresh names skip them.
+func TestLowerSkipsSourceTemporaries(t *testing.T) {
+	txn := MustParse(`transaction T(i) { array a(3); _lw2 := 5; v := a(i); print(_lw2) }`)
+	low, err := Lower(txn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := Database{"a[0]": 10, "a[1]": 11, "a[2]": 12}
+	for _, p := range []*Transaction{txn, low} {
+		res, err := Eval(p, db, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(res.Log, []int64{5}) {
+			t.Errorf("%s prints %v, want [5]", p, res.Log)
+		}
+	}
+	// A temporary the source only reads is taken too.
+	txn = MustParse(`transaction T(i) { array a(3); v := a(i); print(_lw1 + v) }`)
+	if low, err = Lower(txn); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Eval(low, db, 1); err == nil || !strings.Contains(err.Error(), `unbound temporary variable "_lw1"`) {
+		t.Errorf("%s reads _lw1, which the source never binds, without the error the source gives (error %v)", low, err)
+	}
+}
+
+// subset names an object of a that b lacks, or returns "".
+func subset(a, b map[ObjID]bool) ObjID {
+	for obj := range a {
+		if !b[obj] {
+			return obj
+		}
+	}
+	return ""
+}
+
+// checkFootprintLaws holds t's lowering and simplification to their
+// footprint laws: Footprint(Lower(t), nil) ⊆ Footprint(t, t.Arrays), and
+// Footprint(Simplify(p)) ⊆ Footprint(p) for p = t and p = Lower(t).
+func checkFootprintLaws(t *Transaction) error {
+	low, err := Lower(t)
+	if err != nil {
+		return err
+	}
+	for _, c := range []struct {
+		what    string
+		p, q    *Transaction
+		qArrays []ArrayDecl
+	}{
+		{"the lowering", t, low, nil},
+		{"the simplification", t, Simplify(t), t.Arrays},
+		{"the simplification of the lowering", low, Simplify(low), nil},
+	} {
+		reads, writes := Footprint(c.p.Body, c.p.Arrays)
+		qReads, qWrites := Footprint(c.q.Body, c.qArrays)
+		if obj := subset(qReads, reads); obj != "" {
+			return fmt.Errorf("%s of %s reads %s, which it does not: %s", c.what, c.p, obj, c.q)
+		}
+		if obj := subset(qWrites, writes); obj != "" {
+			return fmt.Errorf("%s of %s writes %s, which it does not: %s", c.what, c.p, obj, c.q)
+		}
+	}
+	return nil
+}
+
+// checkRewriteLaw holds the replica rewrite of a lowered program at site
+// k of n, with replicated set R, to the footprint the rewrite promises:
+//
+//	writes(RW) = writes \ R ∪ {dx_k : x ∈ writes ∩ R}
+//	reads(RW)  = reads \ R ∪ {x, dx_0…dx_{n-1} : x ∈ reads ∩ R} ∪ {x, dx_j (j ≠ k) : x ∈ writes ∩ R}
+//
+// and the simplification of the rewrite to touch nothing it does not.
+func checkRewriteLaw(low *Transaction, k, n int, replicated map[ObjID]bool) error {
+	reads, writes := Footprint(low.Body, nil)
+	wantReads, wantWrites := map[ObjID]bool{}, map[ObjID]bool{}
+	for x := range reads {
+		wantReads[x] = true
+		if replicated[x] {
+			for j := 0; j < n; j++ {
+				wantReads[DeltaObj(x, j)] = true
+			}
+		}
+	}
+	for x := range writes {
+		if !replicated[x] {
+			wantWrites[x] = true
+			continue
+		}
+		wantWrites[DeltaObj(x, k)] = true
+		wantReads[x] = true
+		for j := 0; j < n; j++ {
+			if j != k {
+				wantReads[DeltaObj(x, j)] = true
+			}
+		}
+	}
+	rw := ReplicaRewrite(low, k, n, replicated)
+	gotReads, gotWrites := Footprint(rw.Body, nil)
+	if !maps.Equal(gotReads, wantReads) || !maps.Equal(gotWrites, wantWrites) {
+		return fmt.Errorf("the rewrite of %s at site %d of %d, replicating %v, is %s:\nreads %v, want %v\nwrites %v, want %v",
+			low, k, n, replicated, rw, gotReads, wantReads, gotWrites, wantWrites)
+	}
+	simpReads, simpWrites := Footprint(Simplify(rw).Body, nil)
+	if obj := subset(simpReads, gotReads); obj != "" {
+		return fmt.Errorf("the simplification of %s reads %s, which it does not", rw, obj)
+	}
+	if obj := subset(simpWrites, gotWrites); obj != "" {
+		return fmt.Errorf("the simplification of %s writes %s, which it does not", rw, obj)
+	}
+	return nil
 }

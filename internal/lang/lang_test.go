@@ -330,7 +330,7 @@ transaction T() {
 	a := read(x);
 	if (a > 0) then write(y = a) else write(z = read(w))
 }`)
-	rs := ReadSet(txn.Body, nil)
+	rs, ws := Footprint(txn.Body, nil)
 	for _, obj := range []ObjID{"x", "w"} {
 		if !rs[obj] {
 			t.Errorf("read set missing %s", obj)
@@ -339,7 +339,6 @@ transaction T() {
 	if rs["y"] || rs["z"] {
 		t.Errorf("read set includes written-only objects: %v", rs)
 	}
-	ws := WriteSet(txn.Body, nil)
 	for _, obj := range []ObjID{"y", "z"} {
 		if !ws[obj] {
 			t.Errorf("write set missing %s", obj)
@@ -410,7 +409,8 @@ transaction Dec() {
 			t.Fatalf("trial %d: logs differ: %v vs %v", trial, rRes.Log, oRes.Log)
 		}
 		// The rewritten transaction must only write its own delta object.
-		for obj := range WriteSet(rewritten.Body, nil) {
+		_, writes := Footprint(rewritten.Body, nil)
+		for obj := range writes {
 			if obj != DeltaObj("x", site) {
 				t.Fatalf("rewritten txn writes %s, want only %s", obj, DeltaObj("x", site))
 			}

@@ -1,6 +1,9 @@
 package lang
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Lower desugars an L++ transaction into pure L per Appendix A: every
 // ArrayRead a(i) becomes a chain of conditionals over the scalar objects
@@ -14,213 +17,158 @@ import "fmt"
 // Array reads inside expressions are hoisted into fresh temporary
 // variables first (the if-chain is a command, not an expression), matching
 // the "xˆ := read(a(iˆ)) is syntactic sugar" presentation in the paper.
-// Subtrees without array accesses are shared with t, not copied.
+// Subtrees without array accesses are shared with t, not copied, and t
+// itself comes back when it neither declares nor accesses an array. The
+// fresh temporaries are named _lw1, _lw2, ... skipping every name the
+// source already uses as a temporary.
 func Lower(t *Transaction) (*Transaction, error) {
-	l := &lowerer{arrays: make(map[string]ArrayDecl, len(t.Arrays))}
-	for _, d := range t.Arrays {
-		l.arrays[d.Name] = d
+	l := &lowerer{arrays: t.Arrays, src: t.Body}
+	body, changed := l.cmd(t.Body)
+	if l.undeclared != "" {
+		return nil, fmt.Errorf("lang: lowering %s: undeclared array %q", t.Name, l.undeclared)
 	}
-	body, _, err := l.lowerCmd(t.Body)
-	if err != nil {
-		return nil, fmt.Errorf("lang: lowering %s: %w", t.Name, err)
+	if !changed && len(t.Arrays) == 0 {
+		return t, nil
 	}
 	return &Transaction{Name: t.Name, Params: t.Params, Body: body}, nil
 }
 
-// lowerer is one lowering pass. Its walks return the node they were given,
-// and false, when nothing beneath it accesses an array.
+// lowerer is one lowering pass: it handles array reads and writes, and the
+// walk carries it through every other node.
 type lowerer struct {
-	arrays map[string]ArrayDecl
-	nTemp  int
+	arrays []ArrayDecl
+	src    Cmd
+	// taken holds the temporaries src names, collected at the first fresh.
+	taken temps
+	nTemp int
 	// pre is a stack of hoisted prelude commands: lowering an expression
 	// pushes the commands that must run before it, and the command that
 	// holds the expression pops them in front of itself.
 	pre []Cmd
+	// undeclared is the first array accessed without a declaration.
+	undeclared string
+}
+
+// decl finds the declaration of array a — the last, as Eval's is — and
+// records a as undeclared when there is none.
+func (l *lowerer) decl(a string) (ArrayDecl, bool) {
+	for i := len(l.arrays) - 1; i >= 0; i-- {
+		if l.arrays[i].Name == a {
+			return l.arrays[i], true
+		}
+	}
+	if l.undeclared == "" {
+		l.undeclared = a
+	}
+	return ArrayDecl{}, false
 }
 
 func (l *lowerer) fresh() string {
-	l.nTemp++
-	return fmt.Sprintf("_lw%d", l.nTemp)
+	if l.taken == nil {
+		l.taken = temps{}
+		l.taken.cmd(l.src)
+	}
+	for {
+		l.nTemp++
+		if name := "_lw" + strconv.Itoa(l.nTemp); !l.taken[name] {
+			return name
+		}
+	}
 }
 
-// lowerExpr rewrites an expression, pushing hoisted prelude commands for
-// any ArrayRead it contains.
-func (l *lowerer) lowerExpr(e Expr) (Expr, bool, error) {
-	switch n := e.(type) {
-	case IntLit, Param, TempVar, Read:
-		return e, false, nil
-	case ArrayRead:
-		d, ok := l.arrays[n.Array]
-		if !ok {
-			return nil, false, fmt.Errorf("undeclared array %q", n.Array)
-		}
-		idx, _, err := l.lowerExpr(n.Index)
-		if err != nil {
-			return nil, false, err
-		}
-		// Constant-index fast path: a(7) is just the scalar object a[7],
-		// no conditional chain needed. Relational encodings (sqlfront)
-		// produce only literal indices, so their scans stay analyzable
-		// instead of exploding into Len*Cols-way chains per access.
-		// Out-of-range literals read the null default 0, matching the
-		// chain's final else.
-		if lit, isLit := idx.(IntLit); isLit {
-			if lit.Value < 0 || lit.Value >= d.Len*d.Cols {
-				return IntLit{Value: 0}, true, nil
-			}
-			return Read{Obj: ArrayObj(d.Name, lit.Value)}, true, nil
-		}
-		// Hoist the index into a temp so the if-chain tests a stable value.
-		iv := l.fresh()
-		tv := l.fresh()
-		l.pre = append(l.pre, Assign{Var: iv, E: idx}, readChain(d, iv, tv))
-		return TempVar{Name: tv}, true, nil
-	case Neg:
-		inner, changed, err := l.lowerExpr(n.E)
-		if err != nil || !changed {
-			return e, false, err
-		}
-		return Neg{E: inner}, true, nil
-	case Bin:
-		lx, lc, err := l.lowerExpr(n.L)
-		if err != nil {
-			return nil, false, err
-		}
-		rx, rc, err := l.lowerExpr(n.R)
-		if err != nil || !(lc || rc) {
-			return e, false, err
-		}
-		return Bin{Op: n.Op, L: lx, R: rx}, true, nil
+// expr rewrites an expression, pushing hoisted prelude commands for any
+// ArrayRead it contains.
+func (l *lowerer) expr(e Expr) (Expr, bool) {
+	n, ok := e.(ArrayRead)
+	if !ok {
+		return mapExpr(l, e)
 	}
-	return nil, false, fmt.Errorf("unknown expression %T", e)
+	d, ok := l.decl(n.Array)
+	if !ok {
+		return e, false
+	}
+	idx, _ := l.expr(n.Index)
+	// Constant-index fast path: a(7) is just the scalar object a[7],
+	// no conditional chain needed. Relational encodings (sqlfront)
+	// produce only literal indices, so their scans stay analyzable
+	// instead of exploding into Len*Cols-way chains per access.
+	// Out-of-range literals read the null default 0, matching the
+	// chain's final else.
+	if lit, isLit := idx.(IntLit); isLit {
+		if lit.Value < 0 || lit.Value >= d.Len*d.Cols {
+			return IntLit{Value: 0}, true
+		}
+		return Read{Obj: ArrayObj(d.Name, lit.Value)}, true
+	}
+	// Hoist the index into a temp so the if-chain tests a stable value.
+	iv := l.fresh()
+	tv := l.fresh()
+	l.pre = append(l.pre, Assign{Var: iv, E: idx}, readChain(d, iv, tv))
+	return TempVar{Name: tv}, true
 }
 
-func (l *lowerer) lowerBool(b BoolExpr) (BoolExpr, bool, error) {
-	switch n := b.(type) {
-	case BoolLit:
-		return b, false, nil
-	case Cmp:
-		lx, lc, err := l.lowerExpr(n.L)
-		if err != nil {
-			return nil, false, err
+func (l *lowerer) boolExpr(b BoolExpr) (BoolExpr, bool) { return mapBool(l, b) }
+
+// cmd rewrites a command and pops the prelude its expressions pushed in
+// front of it.
+func (l *lowerer) cmd(c Cmd) (Cmd, bool) {
+	start := len(l.pre)
+	n, ok := c.(ArrayWrite)
+	if !ok {
+		out, changed := mapCmd(l, c)
+		if !changed {
+			return c, false
 		}
-		rx, rc, err := l.lowerExpr(n.R)
-		if err != nil || !(lc || rc) {
-			return b, false, err
-		}
-		return Cmp{Op: n.Op, L: lx, R: rx}, true, nil
-	case And:
-		lb, lc, err := l.lowerBool(n.L)
-		if err != nil {
-			return nil, false, err
-		}
-		rb, rc, err := l.lowerBool(n.R)
-		if err != nil || !(lc || rc) {
-			return b, false, err
-		}
-		return And{L: lb, R: rb}, true, nil
-	case Or:
-		lb, lc, err := l.lowerBool(n.L)
-		if err != nil {
-			return nil, false, err
-		}
-		rb, rc, err := l.lowerBool(n.R)
-		if err != nil || !(lc || rc) {
-			return b, false, err
-		}
-		return Or{L: lb, R: rb}, true, nil
-	case Not:
-		ib, changed, err := l.lowerBool(n.B)
-		if err != nil || !changed {
-			return b, false, err
-		}
-		return Not{B: ib}, true, nil
+		return l.hoisted(start, out), true
 	}
-	return nil, false, fmt.Errorf("unknown boolean expression %T", b)
+	d, ok := l.decl(n.Array)
+	if !ok {
+		return c, false
+	}
+	idx, _ := l.expr(n.Index)
+	val, _ := l.expr(n.E)
+	// Constant-index fast path, mirroring expr: out-of-range literal writes
+	// are no-ops.
+	if lit, isLit := idx.(IntLit); isLit {
+		if lit.Value < 0 || lit.Value >= d.Len*d.Cols {
+			return l.hoisted(start, Skip{}), true
+		}
+		return l.hoisted(start, WriteCmd{Obj: ArrayObj(d.Name, lit.Value), E: val}), true
+	}
+	iv := l.fresh()
+	vv := l.fresh()
+	l.pre = append(l.pre, Assign{Var: iv, E: idx}, Assign{Var: vv, E: val})
+	return l.hoisted(start, writeChain(d, iv, vv)), true
 }
 
 // hoisted pops the prelude pushed since start in front of c.
 func (l *lowerer) hoisted(start int, c Cmd) Cmd {
+	if start == len(l.pre) {
+		return c
+	}
 	out := SeqOf(append(l.pre[start:], c)...)
 	l.pre = l.pre[:start]
 	return out
 }
 
-func (l *lowerer) lowerCmd(c Cmd) (Cmd, bool, error) {
-	start := len(l.pre)
-	switch n := c.(type) {
-	case Skip:
-		return c, false, nil
-	case Assign:
-		e, changed, err := l.lowerExpr(n.E)
-		if err != nil || !changed {
-			return c, false, err
-		}
-		return l.hoisted(start, Assign{Var: n.Var, E: e}), true, nil
-	case Seq:
-		first, fc, err := l.lowerCmd(n.First)
-		if err != nil {
-			return nil, false, err
-		}
-		rest, rc, err := l.lowerCmd(n.Rest)
-		if err != nil {
-			return nil, false, err
-		}
-		out, changed := reSeq(c, first, rest, fc || rc)
-		return out, changed, nil
-	case If:
-		cond, cc, err := l.lowerBool(n.Cond)
-		if err != nil {
-			return nil, false, err
-		}
-		thenC, tc, err := l.lowerCmd(n.Then)
-		if err != nil {
-			return nil, false, err
-		}
-		elseC, ec, err := l.lowerCmd(n.Else)
-		if err != nil || !(cc || tc || ec) {
-			return c, false, err
-		}
-		return l.hoisted(start, If{Cond: cond, Then: thenC, Else: elseC}), true, nil
-	case WriteCmd:
-		e, changed, err := l.lowerExpr(n.E)
-		if err != nil || !changed {
-			return c, false, err
-		}
-		return l.hoisted(start, WriteCmd{Obj: n.Obj, E: e}), true, nil
-	case ArrayWrite:
-		d, ok := l.arrays[n.Array]
-		if !ok {
-			return nil, false, fmt.Errorf("undeclared array %q", n.Array)
-		}
-		idx, _, err := l.lowerExpr(n.Index)
-		if err != nil {
-			return nil, false, err
-		}
-		val, _, err := l.lowerExpr(n.E)
-		if err != nil {
-			return nil, false, err
-		}
-		// Constant-index fast path, mirroring lowerExpr: out-of-range
-		// literal writes are no-ops.
-		if lit, isLit := idx.(IntLit); isLit {
-			if lit.Value < 0 || lit.Value >= d.Len*d.Cols {
-				return l.hoisted(start, Skip{}), true, nil
-			}
-			return l.hoisted(start, WriteCmd{Obj: ArrayObj(d.Name, lit.Value), E: val}), true, nil
-		}
-		iv := l.fresh()
-		vv := l.fresh()
-		l.pre = append(l.pre, Assign{Var: iv, E: idx}, Assign{Var: vv, E: val})
-		return l.hoisted(start, writeChain(d, iv, vv)), true, nil
-	case PrintCmd:
-		e, changed, err := l.lowerExpr(n.E)
-		if err != nil || !changed {
-			return c, false, err
-		}
-		return l.hoisted(start, PrintCmd{E: e}), true, nil
+// temps is the pass that collects the temporaries a tree names, assigned
+// or read. It changes nothing.
+type temps map[string]bool
+
+func (t temps) expr(e Expr) (Expr, bool) {
+	if v, ok := e.(TempVar); ok {
+		t[v.Name] = true
 	}
-	return nil, false, fmt.Errorf("unknown command %T", c)
+	return mapExpr(t, e)
+}
+
+func (t temps) boolExpr(b BoolExpr) (BoolExpr, bool) { return mapBool(t, b) }
+
+func (t temps) cmd(c Cmd) (Cmd, bool) {
+	if a, ok := c.(Assign); ok {
+		t[a.Var] = true
+	}
+	return mapCmd(t, c)
 }
 
 // readChain builds "if iv = 0 then tv := read(a[0]) else if iv = 1 ... else

@@ -90,7 +90,8 @@ func IsDeltaObj(obj ObjID) (base ObjID, site int, ok bool) {
 // 0..nSites-1. Objects not in replicated are left untouched. The returned
 // transaction satisfies Assumption 3.1 with respect to the replicated
 // objects: it writes only site-local delta objects. Subtrees that touch no
-// replicated object are shared with t, not copied.
+// replicated object are shared with t, not copied; a sequence with a skip
+// half is rebuilt without it, as in every pass of the walk.
 func ReplicaRewrite(t *Transaction, site, nSites int, replicated map[ObjID]bool) *Transaction {
 	rw := &replicaRewriter{site: site, nSites: nSites, replicated: replicated}
 	body, _ := rw.cmd(t.Body)
@@ -113,110 +114,34 @@ func (rw *replicaRewriter) logicalRead(x ObjID) Expr {
 	return e
 }
 
-// The rewriter's walks return the node they were given, and false, when
-// nothing beneath it reads or writes a replicated object.
+// The rewriter handles a read of a replicated object and a write to one;
+// the walk carries it through every other node.
 
 func (rw *replicaRewriter) expr(e Expr) (Expr, bool) {
-	switch n := e.(type) {
-	case Read:
-		if rw.replicated[n.Obj] {
-			return rw.logicalRead(n.Obj), true
-		}
-	case ArrayRead:
-		if idx, changed := rw.expr(n.Index); changed {
-			return ArrayRead{Array: n.Array, Index: idx}, true
-		}
-	case Neg:
-		if inner, changed := rw.expr(n.E); changed {
-			return Neg{E: inner}, true
-		}
-	case Bin:
-		l, lc := rw.expr(n.L)
-		r, rc := rw.expr(n.R)
-		if lc || rc {
-			return Bin{Op: n.Op, L: l, R: r}, true
-		}
+	if n, ok := e.(Read); ok && rw.replicated[n.Obj] {
+		return rw.logicalRead(n.Obj), true
 	}
-	return e, false
+	return mapExpr(rw, e)
 }
 
-func (rw *replicaRewriter) boolExpr(b BoolExpr) (BoolExpr, bool) {
-	switch n := b.(type) {
-	case Cmp:
-		l, lc := rw.expr(n.L)
-		r, rc := rw.expr(n.R)
-		if lc || rc {
-			return Cmp{Op: n.Op, L: l, R: r}, true
-		}
-	case And:
-		l, lc := rw.boolExpr(n.L)
-		r, rc := rw.boolExpr(n.R)
-		if lc || rc {
-			return And{L: l, R: r}, true
-		}
-	case Or:
-		l, lc := rw.boolExpr(n.L)
-		r, rc := rw.boolExpr(n.R)
-		if lc || rc {
-			return Or{L: l, R: r}, true
-		}
-	case Not:
-		if inner, changed := rw.boolExpr(n.B); changed {
-			return Not{B: inner}, true
-		}
-	}
-	return b, false
-}
+func (rw *replicaRewriter) boolExpr(b BoolExpr) (BoolExpr, bool) { return mapBool(rw, b) }
 
 func (rw *replicaRewriter) cmd(c Cmd) (Cmd, bool) {
-	switch n := c.(type) {
-	case Assign:
-		if e, changed := rw.expr(n.E); changed {
-			return Assign{Var: n.Var, E: e}, true
-		}
-	case Seq:
-		first, fc := rw.cmd(n.First)
-		rest, rc := rw.cmd(n.Rest)
-		if fc || rc {
-			return Seq{First: first, Rest: rest}, true
-		}
-	case If:
-		cond, cc := rw.boolExpr(n.Cond)
-		thenC, tc := rw.cmd(n.Then)
-		elseC, ec := rw.cmd(n.Else)
-		if cc || tc || ec {
-			return If{Cond: cond, Then: thenC, Else: elseC}, true
-		}
-	case WriteCmd:
-		rhs, changed := rw.expr(n.E)
-		if !rw.replicated[n.Obj] {
-			if changed {
-				return WriteCmd{Obj: n.Obj, E: rhs}, true
-			}
-			break
-		}
-		// write(x = e)  =>  write(dx_site = e' - x - sum_{j != site} dx_j)
-		// where e' is the rewritten expression.
-		rhs = Bin{Op: OpSub, L: rhs, R: Read{Obj: n.Obj}}
-		for j := 0; j < rw.nSites; j++ {
-			if j == rw.site {
-				continue
-			}
-			rhs = Bin{Op: OpSub, L: rhs, R: Read{Obj: DeltaObj(n.Obj, j)}}
-		}
-		return WriteCmd{Obj: DeltaObj(n.Obj, rw.site), E: rhs}, true
-	case ArrayWrite:
-		idx, ic := rw.expr(n.Index)
-		e, ec := rw.expr(n.E)
-		if ic || ec {
-			return ArrayWrite{Array: n.Array, Index: idx, E: e}, true
-		}
-	case PrintCmd:
-		if e, changed := rw.expr(n.E); changed {
-			return PrintCmd{E: e}, true
-		}
+	n, ok := c.(WriteCmd)
+	if !ok || !rw.replicated[n.Obj] {
+		return mapCmd(rw, c)
 	}
-	return c, false
+	// write(x = e)  =>  write(dx_site = e' - x - sum_{j != site} dx_j)
+	// where e' is the rewritten expression.
+	rhs, _ := rw.expr(n.E)
+	rhs = Bin{Op: OpSub, L: rhs, R: Read{Obj: n.Obj}}
+	for j := 0; j < rw.nSites; j++ {
+		if j == rw.site {
+			continue
+		}
+		rhs = Bin{Op: OpSub, L: rhs, R: Read{Obj: DeltaObj(n.Obj, j)}}
+	}
+	return WriteCmd{Obj: DeltaObj(n.Obj, rw.site), E: rhs}, true
 }
 
 // LogicalValue computes the logical value of a replicated object from a
@@ -235,8 +160,7 @@ func LogicalValue(d Database, x ObjID, nSites int) int64 {
 // rewrite introduces, as in Figure 23c), and neutral-element elimination.
 // Subtrees with nothing to simplify are shared with t, not copied.
 func Simplify(t *Transaction) *Transaction {
-	var s simplifier
-	body, _ := s.cmd(t.Body)
+	body, _ := newSimplifier().cmd(t.Body)
 	return &Transaction{Name: t.Name, Params: t.Params, Arrays: t.Arrays, Body: body}
 }
 
@@ -245,18 +169,28 @@ func Simplify(t *Transaction) *Transaction {
 // and rebuilding a compact tree. An expression already in that form is
 // returned as it is.
 func SimplifyExpr(e Expr) Expr {
-	var s simplifier
-	out, _ := s.expr(e)
+	out, _ := newSimplifier().expr(e)
 	return out
 }
 
-// simplifier is one simplification pass. Its walks return the node they
-// were given, and false, when nothing beneath it simplifies.
+// simplifier is one simplification pass: it folds a conditional on a
+// constant and a comparison or connective of constants once the walk has
+// simplified their children, and simplifies every arithmetic expression by
+// flattening it into a sum.
 type simplifier struct {
 	// terms is a stack of summands: every expr call flattens onto the end
 	// and pops what it pushed, so nested sums (the factors of a product, an
-	// array index) share one allocation with the sum they are part of.
+	// array index) share one allocation with the sum they are part of. It
+	// starts in buf: the pass is a heap object, as the walk's interface
+	// makes it, and the summands in flight rarely outgrow it.
 	terms []signedTerm
+	buf   [16]signedTerm
+}
+
+func newSimplifier() *simplifier {
+	s := new(simplifier)
+	s.terms = s.buf[:0]
+	return s
 }
 
 type signedTerm struct {
@@ -265,107 +199,60 @@ type signedTerm struct {
 }
 
 func (s *simplifier) cmd(c Cmd) (Cmd, bool) {
-	switch n := c.(type) {
-	case Assign:
-		if e, changed := s.expr(n.E); changed {
-			return Assign{Var: n.Var, E: e}, true
-		}
-	case Seq:
-		first, fc := s.cmd(n.First)
-		rest, rc := s.cmd(n.Rest)
-		return reSeq(c, first, rest, fc || rc)
-	case If:
-		cond, cc := s.boolExpr(n.Cond)
-		if lit, ok := cond.(BoolLit); ok {
-			branch := n.Else
+	out, changed := mapCmd(s, c)
+	if n, ok := out.(If); ok {
+		if lit, ok := n.Cond.(BoolLit); ok {
 			if lit.Value {
-				branch = n.Then
+				return n.Then, true
 			}
-			branch, _ = s.cmd(branch)
-			return branch, true
-		}
-		thenC, tc := s.cmd(n.Then)
-		elseC, ec := s.cmd(n.Else)
-		if cc || tc || ec {
-			return If{Cond: cond, Then: thenC, Else: elseC}, true
-		}
-	case WriteCmd:
-		if e, changed := s.expr(n.E); changed {
-			return WriteCmd{Obj: n.Obj, E: e}, true
-		}
-	case ArrayWrite:
-		idx, ic := s.expr(n.Index)
-		e, ec := s.expr(n.E)
-		if ic || ec {
-			return ArrayWrite{Array: n.Array, Index: idx, E: e}, true
-		}
-	case PrintCmd:
-		if e, changed := s.expr(n.E); changed {
-			return PrintCmd{E: e}, true
+			return n.Else, true
 		}
 	}
-	return c, false
+	return out, changed
 }
 
 func (s *simplifier) boolExpr(b BoolExpr) (BoolExpr, bool) {
-	switch n := b.(type) {
+	out, changed := mapBool(s, b)
+	switch n := out.(type) {
 	case Cmp:
-		l, lc := s.expr(n.L)
-		r, rc := s.expr(n.R)
-		if li, ok := l.(IntLit); ok {
-			if ri, ok := r.(IntLit); ok {
+		if li, ok := n.L.(IntLit); ok {
+			if ri, ok := n.R.(IntLit); ok {
 				return BoolLit{Value: n.Op.Holds(li.Value, ri.Value)}, true
 			}
 		}
-		if lc || rc {
-			return Cmp{Op: n.Op, L: l, R: r}, true
-		}
 	case And:
-		l, lc := s.boolExpr(n.L)
-		r, rc := s.boolExpr(n.R)
-		if lit, ok := l.(BoolLit); ok {
-			if !lit.Value {
-				return BoolLit{Value: false}, true
-			}
-			return r, true
-		}
-		if lit, ok := r.(BoolLit); ok {
-			if !lit.Value {
-				return BoolLit{Value: false}, true
-			}
-			return l, true
-		}
-		if lc || rc {
-			return And{L: l, R: r}, true
+		if folded, ok := junction(n.L, n.R, false); ok {
+			return folded, true
 		}
 	case Or:
-		l, lc := s.boolExpr(n.L)
-		r, rc := s.boolExpr(n.R)
-		if lit, ok := l.(BoolLit); ok {
-			if lit.Value {
-				return BoolLit{Value: true}, true
-			}
-			return r, true
-		}
-		if lit, ok := r.(BoolLit); ok {
-			if lit.Value {
-				return BoolLit{Value: true}, true
-			}
-			return l, true
-		}
-		if lc || rc {
-			return Or{L: l, R: r}, true
+		if folded, ok := junction(n.L, n.R, true); ok {
+			return folded, true
 		}
 	case Not:
-		inner, changed := s.boolExpr(n.B)
-		if lit, ok := inner.(BoolLit); ok {
+		if lit, ok := n.B.(BoolLit); ok {
 			return BoolLit{Value: !lit.Value}, true
 		}
-		if changed {
-			return Not{B: inner}, true
-		}
 	}
-	return b, false
+	return out, changed
+}
+
+// junction folds a conjunction (absorbing false) or a disjunction
+// (absorbing true) with a constant side: the absorbing constant, or the
+// other side.
+func junction(l, r BoolExpr, absorbing bool) (BoolExpr, bool) {
+	if lit, ok := l.(BoolLit); ok {
+		if lit.Value == absorbing {
+			return lit, true
+		}
+		return r, true
+	}
+	if lit, ok := r.(BoolLit); ok {
+		if lit.Value == absorbing {
+			return lit, true
+		}
+		return l, true
+	}
+	return nil, false
 }
 
 func (s *simplifier) expr(e Expr) (Expr, bool) {
@@ -509,10 +396,8 @@ func (s *simplifier) flatten(e Expr, sign int64) int64 {
 				e = Bin{Op: OpMul, L: l, R: r}
 			}
 		}
-	case ArrayRead:
-		if idx, changed := s.expr(n.Index); changed {
-			e = ArrayRead{Array: n.Array, Index: idx}
-		}
+	default:
+		e, _ = mapExpr(s, e)
 	}
 	s.terms = append(s.terms, signedTerm{e: e, sign: sign})
 	return 0

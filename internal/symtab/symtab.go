@@ -12,6 +12,7 @@ package symtab
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/lang"
 	"repro/internal/lia"
@@ -39,13 +40,9 @@ type Table struct {
 // are lowered to pure L first (Appendix A). Rows whose guards are
 // unsatisfiable linear systems are pruned.
 func Build(t *lang.Transaction) (*Table, error) {
-	lowered := t
-	if len(t.Arrays) > 0 || usesArrays(t.Body) {
-		var err error
-		lowered, err = lang.Lower(t)
-		if err != nil {
-			return nil, err
-		}
+	lowered, err := lang.Lower(t)
+	if err != nil {
+		return nil, err
 	}
 	rows, err := analyze(lowered.Body, []Row{{Guard: logic.TrueF{}, Residual: lang.Skip{}}})
 	if err != nil {
@@ -53,60 +50,6 @@ func Build(t *lang.Transaction) (*Table, error) {
 	}
 	rows = Prune(rows)
 	return &Table{Txn: lowered, Source: t, Rows: rows}, nil
-}
-
-func usesArrays(c lang.Cmd) bool {
-	found := false
-	var walkExpr func(e lang.Expr)
-	walkExpr = func(e lang.Expr) {
-		switch e := e.(type) {
-		case lang.ArrayRead:
-			found = true
-		case lang.Neg:
-			walkExpr(e.E)
-		case lang.Bin:
-			walkExpr(e.L)
-			walkExpr(e.R)
-		}
-	}
-	var walkBool func(b lang.BoolExpr)
-	walkBool = func(b lang.BoolExpr) {
-		switch b := b.(type) {
-		case lang.Cmp:
-			walkExpr(b.L)
-			walkExpr(b.R)
-		case lang.And:
-			walkBool(b.L)
-			walkBool(b.R)
-		case lang.Or:
-			walkBool(b.L)
-			walkBool(b.R)
-		case lang.Not:
-			walkBool(b.B)
-		}
-	}
-	var walk func(c lang.Cmd)
-	walk = func(c lang.Cmd) {
-		switch c := c.(type) {
-		case lang.ArrayWrite:
-			found = true
-		case lang.Assign:
-			walkExpr(c.E)
-		case lang.Seq:
-			walk(c.First)
-			walk(c.Rest)
-		case lang.If:
-			walkBool(c.Cond)
-			walk(c.Then)
-			walk(c.Else)
-		case lang.WriteCmd:
-			walkExpr(c.E)
-		case lang.PrintCmd:
-			walkExpr(c.E)
-		}
-	}
-	walk(c)
-	return found
 }
 
 // analyze implements the Figure 6 rules, processing the command backwards
@@ -357,13 +300,9 @@ func FactorGroups(tables []*Table) []Group {
 	n := len(tables)
 	foot := make([]map[lang.ObjID]bool, n)
 	for i, t := range tables {
-		foot[i] = make(map[lang.ObjID]bool)
-		for obj := range lang.ReadSet(t.Txn.Body, t.Txn.Arrays) {
-			foot[i][obj] = true
-		}
-		for obj := range lang.WriteSet(t.Txn.Body, t.Txn.Arrays) {
-			foot[i][obj] = true
-		}
+		reads, writes := lang.Footprint(t.Txn.Body, t.Txn.Arrays)
+		maps.Copy(reads, writes)
+		foot[i] = reads
 	}
 	// Union-find over transactions.
 	parent := make([]int, n)

@@ -3,6 +3,7 @@ package symtab
 import (
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/lang"
@@ -330,6 +331,12 @@ transaction T(i) {
 			t.Fatalf("trial %d: lowered residual mismatch on %v i=%d:\n got %v\nwant %v",
 				trial, db, i, got.DB, want.DB)
 		}
+	}
+	// A hand-built body that accesses an array it does not declare is
+	// refused; the parser refuses the source form.
+	bare := &lang.Transaction{Name: "B", Params: txn.Params, Body: txn.Body}
+	if _, err := Build(bare); err == nil || !strings.Contains(err.Error(), `undeclared array "a"`) {
+		t.Errorf("Build of %s without its array declaration: error %v", bare, err)
 	}
 }
 

@@ -94,7 +94,7 @@ func (w *Workload) Table() *symtab.Table { return w.table }
 // writes — the "v <= min" region that needs no communication.
 func (w *Workload) SilentGuard() (logic.Formula, error) {
 	for _, row := range w.table.Rows {
-		if len(lang.WriteSet(row.Residual, nil)) == 0 {
+		if _, writes := lang.Footprint(row.Residual, nil); len(writes) == 0 {
 			return row.Guard, nil
 		}
 	}

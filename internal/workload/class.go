@@ -115,11 +115,8 @@ func (c *Class) bind() { c.execFn, c.applyFn = c.exec, c.apply }
 // newClass analyzes the first member of a family: lowered is txn's pure-L
 // form, built and validated by ArtifactCache.Compile, the one caller.
 func newClass(txn, lowered *lang.Transaction, nSites int, bounds treaty.ParamBounds) (*Class, error) {
-	writeSet := lang.WriteSet(lowered.Body, nil)
-	readSet := lang.ReadSet(lowered.Body, nil)
-	foot := make(map[lang.ObjID]bool, len(writeSet)+len(readSet))
-	maps.Copy(foot, readSet)
-	maps.Copy(foot, writeSet)
+	foot, writes := lang.Footprint(lowered.Body, nil)
+	maps.Copy(foot, writes)
 	if len(foot) == 0 {
 		return nil, fmt.Errorf("workload: class %s touches no database objects", txn.Name)
 	}
