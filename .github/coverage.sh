@@ -20,11 +20,13 @@
 #     the log outlives it — the ledger deletes its own logs; otherwise it
 #     runs with ci.yml's arguments).
 #
-# The merged counters print as `go tool cover -func` rows for every
-# function no run reaches, with its length in lines, then the share of
-# statements reached and the count and length of the functions never
-# reached. internal/analysis (homeovet) and the test-support packages
-# fabrictest and rttest are left out. docs/DEVELOPMENT.md, "Reached by no
+# First it names every package under internal/ and homeo/ that none of
+# those binaries links (go list -deps): such a package gets no counters,
+# so no row below can show it. Then the merged counters print as `go tool
+# cover -func` rows for every function no run reaches, with its length in
+# lines, then the share of statements reached and the count and length of
+# the functions never reached. internal/analysis (homeovet) and the
+# test-support packages fabrictest and rttest are left out of both. docs/DEVELOPMENT.md, "Reached by no
 # workload", sorts the rows into failure paths, test-only code and modes
 # no workload selects.
 #
@@ -53,8 +55,9 @@ run() {
   echo "ran $name ($((SECONDS - t0))s)" >&2
 }
 
+mains=(cmd/homeostasis-bench cmd/homeostasis-serve cmd/homeostasis-analyze examples/*)
 # -coverpkg names each main package too: without it no counters are written.
-for main in cmd/homeostasis-bench cmd/homeostasis-serve cmd/homeostasis-analyze examples/*; do
+for main in "${mains[@]}"; do
   go build -cover -coverpkg="./$main,./internal/...,./homeo/..." \
     -o "$tmp/bin/$(basename "$main")" "./$main"
 done
@@ -101,6 +104,13 @@ grep -q 'optimized configuration' "$tmp/analyze-program.log" ||
 run analyze-wal "$analyze" -wal "$tmp/wal/site-1.wal"
 grep -q '"kind":"commit"' "$tmp/analyze-wal.log" ||
   { echo "FAIL: the WAL dump holds no commit" >&2; exit 1; }
+
+# A package none of the binaries links writes no counters, so the table
+# below cannot list it: name each one.
+{ go list -deps "${mains[@]/#/./}"; (cd benchmark && go list -deps .); } | sort -u >"$tmp/linked.txt"
+go list ./internal/... ./homeo/... | sort |
+  grep -v -E '^repro/internal/(analysis|fabric/fabrictest|rt/rttest)(/|$)' |
+  comm -23 - "$tmp/linked.txt" | sed 's/^/package linked by no swept binary: /'
 
 go tool covdata textfmt -i="$GOCOVERDIR" -o "$tmp/all.out"
 awk 'NR == 1 || (/^repro\/(internal|homeo)\// &&

@@ -237,6 +237,7 @@ func TestStatusCodes(t *testing.T) {
 		{"POST", "/v1/txn", `{"site":9}`, 400, "bad_request"},
 		{"POST", "/v1/classes", `{"l":"` + `transaction Deposit(n) { v := read(acct); write(acct = v + n) }` + `"}`, 409, "conflict"},
 		{"POST", "/v1/classes", `{"l":"transaction Bad( {"}`, 400, "bad_request"},
+		{"POST", "/v1/classes", `{"l":"transaction Big(i) { array a(100000000); write(x = i) }"}`, 400, "bad_request"},
 		{"POST", "/v1/txn", `{"class":"Deposit","args":[1]} trailing`, 400, "bad_request"},
 		{"POST", "/v1/txn", `{"class":"Deposit","args":[1.5]}`, 400, "bad_request"},
 		{"POST", "/v1/topology/migrate", `{"unit":0,"to":1}`, 404, ""}, // no such endpoint

@@ -3,6 +3,7 @@ package homeostasis
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"reflect"
 	"testing"
 
@@ -11,7 +12,6 @@ import (
 	"repro/internal/logic"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/topk"
 	"repro/internal/treaty"
 	"repro/internal/workload"
 )
@@ -23,6 +23,56 @@ var familySources = []string{
 	"transaction W%[1]d(n) { v := read(b%[1]d); if (v - n > 0) then write(b%[1]d = v - n) else skip }",
 	"transaction T%[1]d(n) { a := read(x%[1]d); c := read(y%[1]d); if (a + c - n > 10) then write(x%[1]d = a - n) else skip }",
 	"transaction D%[1]d(n) { v := read(acct%[1]d); write(acct%[1]d = v + n) }",
+}
+
+// topkRegistry registers the paper's Section 1 top-2 insert
+// (internal/lang/testdata/topk.l) for nSites sites, with inserted values in
+// [1, 5000] and the list at (100, 91).
+func topkRegistry(t *testing.T, nSites int) (*workload.Registry, *workload.Class) {
+	t.Helper()
+	src, err := os.ReadFile("../lang/testdata/topk.l")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := workload.NewRegistry(nil, nSites)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _, err := workload.NewArtifactCache().CompileL(string(src), nSites, treaty.ParamBounds{"v": {1, 5000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Register(c, lang.Database{"top1": 100, "top2": 91}); err != nil {
+		t.Fatal(err)
+	}
+	return reg, c
+}
+
+// TestTopKPinTreaty: the top-2 list has no merge function, and the
+// insert's list-changing guard cannot be strengthened over the bounds, so
+// the registry falls back to pinning both entries: the treaty holds on the
+// current list and a change to it, direct or through a site's delta,
+// violates it.
+func TestTopKPinTreaty(t *testing.T) {
+	reg, c := topkRegistry(t, 2)
+	folded := lang.Database{"top1": 100, "top2": 91}
+	g, err := reg.BuildGlobal(c.Unit(), folded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !g.Holds(folded) {
+		t.Fatalf("%s must hold on the current list", g)
+	}
+	changed := folded.Clone()
+	changed["top2"] = 95
+	if g.Holds(changed) {
+		t.Fatalf("%s holds with top2 changed to 95", g)
+	}
+	viaDelta := folded.Clone()
+	viaDelta[lang.DeltaObj("top2", 1)] = 4
+	if g.Holds(viaDelta) {
+		t.Fatalf("%s holds with a delta of 4 on top2 at site 1", g)
+	}
 }
 
 // familyRegistry registers members classes of every family, compiled for
@@ -303,15 +353,13 @@ func (w *widenChecked) BuildGlobal(unit int, folded lang.Database) (treaty.Globa
 	return g, nil
 }
 
-// TestWidenIsIdentityAtAnalysisWidth runs the micro, TPC-C, top-k and
-// registry workloads at two and three sites and checks every global treaty
-// derived on the way, at boot and in every round.
+// TestWidenIsIdentityAtAnalysisWidth runs the micro and TPC-C workloads, a
+// registry holding the top-k class and one holding class families at two
+// and three sites, and checks every global treaty derived on the way, at
+// boot and in every round.
 func TestWidenIsIdentityAtAnalysisWidth(t *testing.T) {
 	for _, nSites := range []int{2, 3} {
-		tk, err := topk.New(topk.Config{NSites: nSites, MaxValue: 5000, InitialTop1: 100, InitialTop2: 91})
-		if err != nil {
-			t.Fatal(err)
-		}
+		tk, _ := topkRegistry(t, nSites)
 		for _, w := range []workload.Workload{
 			microWorkload(t, 6, nSites, 15),
 			tpccWorkload(t, nSites, 10),

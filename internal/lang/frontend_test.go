@@ -170,11 +170,8 @@ func FuzzParseProgram(f *testing.F) {
 // and ReplicaRewrite at each site of 3 with every written object
 // replicated, then Simplify, held to checkRewriteLaw. The source and its
 // lowering must also agree when run on a seeded database with fixed
-// arguments: the same database and log, or both an error. Every temporary
-// the source names is bound before the run, because the lowering hoists an
-// array read out of a condition that && or || would not evaluate, and
-// reading an unbound temporary there fails where the source does not.
-// Programs whose arrays hold more than 256 cells are skipped: the lowering
+// arguments: the same database and log, or both an error (reading a
+// temporary the program has not bound fails). Programs whose arrays hold more than 256 cells are skipped: the lowering
 // builds a chain over every cell per access.
 func checkFrontEnd(txn *Transaction) error {
 	cells := int64(0)
@@ -216,13 +213,8 @@ func checkFrontEnd(txn *Transaction) error {
 	for i := range args {
 		args[i] = []int64{1, 0, 2, -1, 3}[i%5]
 	}
-	bound := temps{}
-	bound.cmd(txn.Body)
 	run := func(p *Transaction) (*Env, error) {
-		env := &Env{DB: db.Clone(), Temps: map[string]int64{}}
-		for name := range bound {
-			env.Temps[name] = int64(len(name) % 4)
-		}
+		env := &Env{DB: db.Clone()}
 		return env, EvalIn(p, env, args...)
 	}
 	want, wantErr := run(txn)
@@ -476,6 +468,41 @@ func TestLowerSkipsSourceTemporaries(t *testing.T) {
 	}
 	if _, err := Eval(low, db, 1); err == nil || !strings.Contains(err.Error(), `unbound temporary variable "_lw1"`) {
 		t.Errorf("%s reads _lw1, which the source never binds, without the error the source gives (error %v)", low, err)
+	}
+}
+
+// TestLowerKeepsShortCircuits: an array read on the right of && or || runs
+// only where the source evaluates it. Hoisted in front of the condition,
+// it read the unbound temporary t at x = 0, and the lowering failed where
+// the source takes the else branch. An out-of-range literal write still
+// evaluates its value, as the source does.
+func TestLowerKeepsShortCircuits(t *testing.T) {
+	for _, c := range []struct {
+		src  string
+		args [][]int64
+	}{
+		{`transaction T(x) { array a(2); if (x > 0 && a(t) > 0) then write(y = 1) else write(y = 2) }`, [][]int64{{0}}},
+		{`transaction T(x) { array a(2); if (x > 0 || a(t) > 0) then write(y = 1) else write(y = 2) }`, [][]int64{{1}}},
+		{`transaction T(x, i) { array a(2); if (x > 0 && (a(i) > 0 || a(i + 1) = 3)) then write(y = 1) else write(y = 2) }`,
+			[][]int64{{0, 0}, {1, 0}, {1, 1}, {1, 5}}},
+		{`transaction T(x, i) { array a(2); if (!(x = 0 || a(i) < 4) && a(1 - i) > 0) then write(a(i) = 7) else print(a(i)) }`,
+			[][]int64{{0, 0}, {1, 0}, {1, 1}, {2, -1}}},
+		{`transaction T() { array a(2); write(a(5) = t) }`, [][]int64{{}}},
+	} {
+		txn := MustParse(c.src)
+		low, err := Lower(txn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db := Database{"a[0]": 3, "a[1]": 1}
+		for _, args := range c.args {
+			want, wantErr := Eval(txn, db, args...)
+			got, err := Eval(low, db, args...)
+			if (err == nil) != (wantErr == nil) || err == nil && (!got.DB.Equal(want.DB) || !slices.Equal(got.Log, want.Log)) {
+				t.Errorf("%s with %v: source %v %v (error %v), lowering %s gives %v %v (error %v)",
+					txn, args, want.DB, want.Log, wantErr, low, got.DB, got.Log, err)
+			}
+		}
 	}
 }
 

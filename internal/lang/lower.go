@@ -103,11 +103,47 @@ func (l *lowerer) expr(e Expr) (Expr, bool) {
 	// Hoist the index into a temp so the if-chain tests a stable value.
 	iv := l.fresh()
 	tv := l.fresh()
-	l.pre = append(l.pre, Assign{Var: iv, E: idx}, readChain(d, iv, tv))
+	l.pre = append(l.pre, Assign{Var: iv, E: idx}, chain(d, iv, tv, false))
 	return TempVar{Name: tv}, true
 }
 
-func (l *lowerer) boolExpr(b BoolExpr) (BoolExpr, bool) { return mapBool(l, b) }
+// boolExpr rewrites a condition. The right side of && or || is evaluated
+// only when the left side does not decide, so a prelude its lowering
+// pushes must not run in front of the condition, where it would evaluate
+// what the source skips (an unbound temporary fails). The pair is decided
+// into a flag temporary f instead, by a conditional that runs the prelude
+// only where the source evaluates the right side; the condition is f = 1.
+func (l *lowerer) boolExpr(b BoolExpr) (BoolExpr, bool) {
+	var left, right BoolExpr
+	switch n := b.(type) {
+	case And:
+		left, right = n.L, n.R
+	case Or:
+		left, right = n.L, n.R
+	default:
+		return mapBool(l, b)
+	}
+	lo, lc := l.boolExpr(left)
+	start := len(l.pre)
+	ro, rc := l.boolExpr(right)
+	_, and := b.(And)
+	switch {
+	case !lc && !rc:
+		return b, false
+	case start == len(l.pre) && and:
+		return And{L: lo, R: ro}, true
+	case start == len(l.pre):
+		return Or{L: lo, R: ro}, true
+	}
+	f := l.fresh()
+	set := func(v int64) Cmd { return Assign{Var: f, E: IntLit{Value: v}} }
+	then, els := l.hoisted(start, If{Cond: ro, Then: set(1), Else: set(0)}), set(0)
+	if !and {
+		then, els = set(1), then
+	}
+	l.pre = append(l.pre, If{Cond: lo, Then: then, Else: els})
+	return Cmp{Op: CmpEQ, L: TempVar{Name: f}, R: IntLit{Value: 1}}, true
+}
 
 // cmd rewrites a command and pops the prelude its expressions pushed in
 // front of it.
@@ -127,18 +163,18 @@ func (l *lowerer) cmd(c Cmd) (Cmd, bool) {
 	}
 	idx, _ := l.expr(n.Index)
 	val, _ := l.expr(n.E)
-	// Constant-index fast path, mirroring expr: out-of-range literal writes
-	// are no-ops.
+	// Constant-index fast path, mirroring expr: an out-of-range literal
+	// write stores nothing but still evaluates its value, as Eval does.
 	if lit, isLit := idx.(IntLit); isLit {
 		if lit.Value < 0 || lit.Value >= d.Len*d.Cols {
-			return l.hoisted(start, Skip{}), true
+			return l.hoisted(start, Assign{Var: l.fresh(), E: val}), true
 		}
 		return l.hoisted(start, WriteCmd{Obj: ArrayObj(d.Name, lit.Value), E: val}), true
 	}
 	iv := l.fresh()
 	vv := l.fresh()
 	l.pre = append(l.pre, Assign{Var: iv, E: idx}, Assign{Var: vv, E: val})
-	return l.hoisted(start, writeChain(d, iv, vv)), true
+	return l.hoisted(start, chain(d, iv, vv, true)), true
 }
 
 // hoisted pops the prelude pushed since start in front of c.
@@ -171,33 +207,23 @@ func (t temps) cmd(c Cmd) (Cmd, bool) {
 	return mapCmd(t, c)
 }
 
-// readChain builds "if iv = 0 then tv := read(a[0]) else if iv = 1 ... else
-// tv := 0", the Appendix A encoding of a bounded array read. Out-of-range
-// indices yield the null default value 0.
-func readChain(d ArrayDecl, indexVar, targetVar string) Cmd {
-	n := d.Len * d.Cols
-	var chain Cmd = Assign{Var: targetVar, E: IntLit{Value: 0}}
-	for i := n - 1; i >= 0; i-- {
-		chain = If{
-			Cond: Cmp{Op: CmpEQ, L: TempVar{Name: indexVar}, R: IntLit{Value: i}},
-			Then: Assign{Var: targetVar, E: Read{Obj: ArrayObj(d.Name, i)}},
-			Else: chain,
-		}
+// chain builds the Appendix A encoding of a bounded array access, "if
+// iv = 0 then c[0] else if iv = 1 ... else c[n]": for a read, c[i] is
+// tv := read(a[i]) and c[n] the null default tv := 0; for a write, c[i] is
+// write(a[i] = tv) and c[n] skip, so an out-of-range index writes nothing.
+func chain(d ArrayDecl, iv, tv string, write bool) Cmd {
+	var c Cmd = Skip{}
+	if !write {
+		c = Assign{Var: tv, E: IntLit{Value: 0}}
 	}
-	return chain
-}
-
-// writeChain builds the analogous conditional chain of scalar writes.
-// Out-of-range indices are a no-op (skip).
-func writeChain(d ArrayDecl, indexVar, valueVar string) Cmd {
-	n := d.Len * d.Cols
-	var chain Cmd = Skip{}
-	for i := n - 1; i >= 0; i-- {
-		chain = If{
-			Cond: Cmp{Op: CmpEQ, L: TempVar{Name: indexVar}, R: IntLit{Value: i}},
-			Then: WriteCmd{Obj: ArrayObj(d.Name, i), E: TempVar{Name: valueVar}},
-			Else: chain,
+	for i := d.Len*d.Cols - 1; i >= 0; i-- {
+		obj, cell := ArrayObj(d.Name, i), Cmd(nil)
+		if write {
+			cell = WriteCmd{Obj: obj, E: TempVar{Name: tv}}
+		} else {
+			cell = Assign{Var: tv, E: Read{Obj: obj}}
 		}
+		c = If{Cond: Cmp{Op: CmpEQ, L: TempVar{Name: iv}, R: IntLit{Value: i}}, Then: cell, Else: c}
 	}
-	return chain
+	return c
 }

@@ -165,6 +165,11 @@ func (p *parser) parseTransaction() (*Transaction, error) {
 	return t, nil
 }
 
+// maxCells bounds the cells an array or relation declares: the lowering
+// builds a conditional per cell for each access at a computed index. It
+// admits a relation of sqlfront.MaxRows rows and 64 columns.
+const maxCells = 1 << 16
+
 // parseArrayDecl parses "array a[N];" or "relation r[N, M];".
 func (p *parser) parseArrayDecl() (ArrayDecl, error) {
 	isRel := p.peek().kind == tokRelation
@@ -199,8 +204,8 @@ func (p *parser) parseArrayDecl() (ArrayDecl, error) {
 	if _, err := p.expect(tokSemi, "';'"); err != nil {
 		return ArrayDecl{}, err
 	}
-	if d.Len <= 0 || d.Cols <= 0 {
-		return ArrayDecl{}, fmt.Errorf("lang: array %s must have positive bounds", d.Name)
+	if d.Len <= 0 || d.Cols <= 0 || d.Len > maxCells/d.Cols {
+		return ArrayDecl{}, fmt.Errorf("lang: array %s declares %d×%d cells, not 1 to %d", d.Name, d.Len, d.Cols, maxCells)
 	}
 	return d, nil
 }

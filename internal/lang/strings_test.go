@@ -95,6 +95,10 @@ func TestParserMoreErrors(t *testing.T) {
 		`transaction T() { if (1 < 2) then }`,     // missing then-branch command
 		`transaction T() `,                        // missing body
 		`transaction T() { print(1) } garbage`,    // trailing tokens
+		// past maxCells cells
+		`transaction T(i) { array a(100000000); v := a(i) }`,
+		`transaction T(i) { relation a(1024, 65); v := a(i, 0) }`,
+		`transaction T() { relation a(2, 9223372036854775807); skip }`,
 	}
 	for _, src := range bad {
 		if _, err := ParseTransaction(src); err == nil {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -160,6 +161,16 @@ func TestCompileErrors(t *testing.T) {
 		if _, _, err := Compile("T", script); err == nil {
 			t.Errorf("Compile(%q) succeeded, want error", script)
 		}
+	}
+}
+
+// TestLargestTableParsesAsL: the L parser bounds the cells of a relation
+// declaration; a table of MaxRows rows still parses there, spelled as a
+// relation, at up to 64 columns.
+func TestLargestTableParsesAsL(t *testing.T) {
+	src := "transaction T(i) { relation t(" + strconv.Itoa(MaxRows) + ", 64); v := t(i, 63) }"
+	if _, err := lang.ParseTransaction(src); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -2,6 +2,7 @@ package symtab
 
 import (
 	"math/rand"
+	"os"
 	"slices"
 	"strings"
 	"testing"
@@ -29,6 +30,43 @@ transaction T2() {
 	else
 		write(y = yh - 1)
 }`
+
+// TestTopKTableShape: the paper's Section 1 top-2 insert has three rows (a
+// new maximum, a new second, and the silent insert), and the row that
+// writes nothing is Figure 2's cached-minimum check, v <= top2.
+func TestTopKTableShape(t *testing.T) {
+	src, err := os.ReadFile("../lang/testdata/topk.l")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := Build(lang.MustParse(string(src)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(tbl.Rows); n != 3 {
+		t.Fatalf("rows = %d, want 3\n%s", n, tbl)
+	}
+	silent := slices.IndexFunc(tbl.Rows, func(r Row) bool {
+		_, writes := lang.Footprint(r.Residual, nil)
+		return len(writes) == 0
+	})
+	if silent < 0 {
+		t.Fatalf("no row writes nothing\n%s", tbl)
+	}
+	for _, tc := range []struct {
+		v    int64
+		want bool
+	}{{50, true}, {91, true}, {92, false}, {150, false}} {
+		ok, err := logic.EvalFormula(tbl.Rows[silent].Guard, logic.DBBinding(
+			lang.Database{"top1": 100, "top2": 91}, map[string]int64{"v": tc.v}, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok != tc.want {
+			t.Errorf("silent guard %s at v=%d: %v, want %v", tbl.Rows[silent].Guard, tc.v, ok, tc.want)
+		}
+	}
+}
 
 // TestT1TableMatchesFigure4a: the table for T1 must have exactly two rows
 // whose guards partition on x + y < 10 (Figure 4a).

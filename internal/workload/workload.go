@@ -56,7 +56,7 @@ type Request struct {
 	// instead of closing over them, so a workload whose procedures are
 	// parameterized binds each function once per class and a request costs
 	// no closure. Workloads that draw everything when they build the
-	// request (micro, TPC-C, topk) ignore the parameter.
+	// request (micro, TPC-C) ignore the parameter.
 	Exec func(v SiteView, args []int64) error
 	// Apply performs the transaction's logical effect on a folded
 	// (consolidated) database, in place, and returns its print log. The
