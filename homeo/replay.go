@@ -26,7 +26,7 @@ func (c *Cluster) WireLog() []wire.LogEntry {
 	c.locked(func() {
 		log := &c.sys.CommitLog
 		out = make([]wire.LogEntry, 0, log.Len())
-		log.All(func(i int, e *homeostasis.Committed) bool {
+		log.All(func(i int, e homeostasis.Committed) bool {
 			en := wire.LogEntry{
 				Class: e.Name,
 				Args:  e.Args,

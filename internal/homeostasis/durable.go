@@ -70,7 +70,7 @@ func (sys *System) OpenWAL(dir string, opts wal.Options) (int, error) {
 		recovered += n
 	}
 	if sys.Opts.EnableLog {
-		rp.commitLog(&sys.CommitLog)
+		rp.commitLog()
 	}
 	sys.RecoveredRecords = int64(recovered)
 	return recovered, nil
@@ -86,17 +86,15 @@ func (sys *System) OpenWAL(dir string, opts wal.Options) (int, error) {
 // record that grows the cluster to it has been replayed.
 const maxWALSites = 1024
 
-// slabChunk is how many int64s each slab chunk holds (see carve): 64 KiB.
-const slabChunk = 8192
-
 // replay is the scratch of one recovery. Records are decoded in place
 // into the four views, whose byte fields alias the logs' read buffers, so
 // the one rule of this type is that nothing it leaves behind may: names
-// go through the intern table, and a commit-log entry's Args is copied
-// into the System's commit-log slab, where every live commit's Args goes
-// too (appendCommit).
+// go through the intern table, and a commit-log entry is packed by the
+// System's commit log, which copies its Args as it does every live
+// commit's (appendCommit).
 type replay struct {
 	sys *System
+	log *CommitLog
 	// names interns class names and object ids: one string per distinct
 	// name, shared with the delta-name cache where that already has it.
 	names map[string]string
@@ -112,16 +110,17 @@ type replay struct {
 	cons []wire.PeerConstraint
 
 	// seg is the commit-log segment the replay rebuilds, sized by
-	// newReplay for every commit record of every log. Each log replayed
-	// appends its entries as one run, in (Clock, Site) order; runs[k] is
-	// where the k-th run ends, and from where the one being replayed
-	// starts. sorted reports that it is in order so far.
-	seg    []Committed
+	// newReplay for every commit record of every log, its entries packed
+	// by log. Each log replayed appends its entries as one run, in
+	// (Clock, Site) order; runs[k] is where the k-th run ends, and from
+	// where the one being replayed starts. sorted reports that it is in
+	// order so far.
+	seg    []logEntry
 	runs   []int
 	from   int
 	sorted bool
-	// seenRound dedups round winners within the log being replayed.
-	seenRound map[fabric.RoundID]bool
+	// winners is scratch for finding a winner logged twice in a run.
+	winners []int
 
 	// pending is the latest treaty generation that passed the version
 	// guard for each (unit, site) of the log being replayed, in first-seen
@@ -144,9 +143,9 @@ type pendingTreaty struct {
 func (sys *System) newReplay(logs []wal.Prefix) *replay {
 	rp := &replay{
 		sys:       sys,
+		log:       &sys.CommitLog,
 		names:     make(map[string]string, 4*len(sys.deltaNames)),
 		base:      make(map[lang.ObjID]int64),
-		seenRound: make(map[fabric.RoundID]bool),
 		pendingAt: make(map[[2]int]int),
 	}
 	//homeo:nondet fills a lookup table; no cross-key effects and nothing escapes
@@ -161,7 +160,7 @@ func (sys *System) newReplay(logs []wal.Prefix) *replay {
 		for _, data := range logs {
 			commits += data.Count(wal.KindCommit)
 		}
-		rp.seg = make([]Committed, 0, commits)
+		rp.seg = make([]logEntry, 0, commits)
 	}
 	return rp
 }
@@ -178,22 +177,15 @@ func (rp *replay) name(b []byte) string {
 	return s
 }
 
-// carve copies src into the slab and returns the copy, capacity-clipped
-// so that appending to one entry's Args cannot write into the next
-// entry's; nil for an empty src. A full slab is replaced, never regrown:
-// pieces already handed out keep pointing into the old one.
+// class returns the commit log's id of the class name b, which does not
+// alias it: a name the log has seen costs one lookup.
 //
 //homeo:hotpath
-func carve(slab *[]int64, src []int64) []int64 {
-	if len(src) == 0 {
-		return nil
+func (rp *replay) class(b []byte) uint32 {
+	if k, ok := rp.log.ids[string(b)]; ok {
+		return k
 	}
-	if cap(*slab)-len(*slab) < len(src) {
-		*slab = make([]int64, 0, max(slabChunk, len(src)))
-	}
-	from := len(*slab)
-	*slab = append(*slab, src...)
-	return (*slab)[from:len(*slab):len(*slab)]
+	return rp.log.addName(rp.name(b))
 }
 
 // applyWAL replays one site's log against its store partition and treaty
@@ -204,20 +196,20 @@ func carve(slab *[]int64, src []int64) []int64 {
 // externalized. data may alias a buffer the caller goes on to reuse:
 // nothing read from it is referenced once applyWAL returns.
 func (rp *replay) applyWAL(site int, data wal.Prefix) (int, error) {
-	clear(rp.seenRound)
 	rp.from, rp.sorted = len(rp.seg), true
 	n, err := data.Walk(func(i int, r wal.Record) error { return rp.record(site, i, r) })
 	if err != nil {
 		return n, err
 	}
-	if run := rp.seg[rp.from:]; len(run) > 0 {
+	if run := rp.dropRepeatedWinners(rp.seg[rp.from:]); len(run) > 0 {
+		rp.seg = rp.seg[:rp.from+len(run)]
 		// A log's own order is normally clock order already: a site stamps
 		// its records from one Lamport clock. The exception is a round's
 		// winner, stamped with the clock its install shipped and logged
 		// once the round is through, behind whatever the site committed
 		// on other units meanwhile.
 		if !rp.sorted {
-			slices.SortStableFunc(run, func(a, b Committed) int { return commitOrder(&a, &b) })
+			slices.SortStableFunc(run, func(a, b logEntry) int { return commitOrder(&a, &b) })
 		}
 		rp.runs = append(rp.runs, len(rp.seg))
 	}
@@ -239,6 +231,9 @@ func (rp *replay) record(site, i int, r wal.Record) error {
 		if c.Site < 0 || c.Site >= maxWALSites {
 			return errWALRecord(site, i, errWALWidth("commit at site", c.Site))
 		}
+		if c.HasRound && (c.Round.Site < 0 || c.Round.Site >= maxWALSites) {
+			return errWALRecord(site, i, errWALWidth("commit of a round of site", c.Round.Site))
+		}
 		// The watermark, pair by pair as encoded: Apply overwrites, so
 		// the partition ends at each name's last value whatever the
 		// order, which is also what a map of the pairs would hold.
@@ -248,22 +243,14 @@ func (rp *replay) record(site, i int, r wal.Record) error {
 		sys.observeClock(c.Clock)
 		rid := fabric.RoundID(c.Round)
 		if c.HasRound {
-			if rp.seenRound[rid] {
-				// A crash between adopting a round and acking it can
-				// log the same winner twice; one copy suffices.
-				return nil
-			}
-			rp.seenRound[rid] = true
 			sys.bumpRoundSeq(rid)
 		}
 		if !sys.Opts.EnableLog {
 			return nil
 		}
-		entry := Committed{
-			Name: rp.name(c.Class), Args: carve(&sys.logSlab, c.Args), Site: c.Site, Clock: c.Clock,
-		}
+		entry := rp.log.pack(rp.class(c.Class), Committed{Args: c.Args, Site: c.Site, Clock: c.Clock})
 		if c.HasRound {
-			entry.Round = rid
+			entry.setRound(rid)
 		}
 		if n := len(rp.seg); n > rp.from && commitOrder(&entry, &rp.seg[n-1]) < 0 {
 			rp.sorted = false
@@ -367,6 +354,58 @@ func (rp *replay) record(site, i int, r wal.Record) error {
 	return nil
 }
 
+// dropRepeatedWinners removes from run, the entries of the log being
+// replayed, every copy of a round's winner after the first, and returns
+// what is left of it, in place. A crash between adopting a round and
+// acking it can log the same winner twice; one copy suffices.
+func (rp *replay) dropRepeatedWinners(run []logEntry) []logEntry {
+	n := 0
+	for i := range run {
+		if run[i].roundSite != 0 {
+			n++
+		}
+	}
+	if n < 2 {
+		return run
+	}
+	if cap(rp.winners) < n {
+		rp.winners = make([]int, 0, n)
+	}
+	w := rp.winners[:0]
+	for i := range run {
+		if run[i].roundSite != 0 {
+			w = append(w, i)
+		}
+	}
+	slices.SortFunc(w, func(a, b int) int {
+		ea, eb := &run[a], &run[b]
+		return cmp.Or(cmp.Compare(ea.roundSite, eb.roundSite), cmp.Compare(ea.roundSeq, eb.roundSeq), cmp.Compare(a, b))
+	})
+	// Where each later copy lies, in w's front, then in log order.
+	drop := w[:0]
+	for i, prev := 1, w[0]; i < len(w); i++ {
+		at := w[i]
+		if run[at].roundSite == run[prev].roundSite && run[at].roundSeq == run[prev].roundSeq {
+			drop = append(drop, at)
+		} else {
+			prev = at
+		}
+	}
+	if len(drop) == 0 {
+		return run
+	}
+	slices.Sort(drop)
+	kept := drop[0]
+	for i, at := range drop {
+		end := len(run)
+		if i+1 < len(drop) {
+			end = drop[i+1]
+		}
+		kept += copy(run[kept:], run[at+1:end])
+	}
+	return run[:kept]
+}
+
 // hold keeps p as the generation to install for its (unit, site),
 // replacing an earlier one of the log being replayed.
 //
@@ -411,35 +450,36 @@ func (rp *replay) installPending(site int) error {
 
 // commitOrder compares commit-log entries by (Clock, Site): the causal
 // order MergeLogs establishes across sites.
-func commitOrder(a, b *Committed) int {
-	if c := cmp.Compare(a.Clock, b.Clock); c != 0 {
+func commitOrder(a, b *logEntry) int {
+	if c := cmp.Compare(a.clock, b.clock); c != 0 {
 		return c
 	}
-	return cmp.Compare(a.Site, b.Site)
+	return cmp.Compare(a.site, b.site)
 }
 
-// commitLog appends the replayed segment to log, its runs merged by
-// (Clock, Site), ties to the earlier run. Every run is stably sorted, so
-// that merge is the stable sort of their concatenation — same-site ties
-// keep file order — without the sort. The segment becomes the log's own,
-// without a copy, and the log's earlier entries stay where they are.
-func (rp *replay) commitLog(log *CommitLog) {
+// commitLog appends the replayed segment to the System's commit log, its
+// runs merged by (Clock, Site), ties to the earlier run. Every run is
+// stably sorted, so that merge is the stable sort of their concatenation
+// — same-site ties keep file order — without the sort. The segment
+// becomes the log's own, without a copy, and the log's earlier entries
+// stay where they are.
+func (rp *replay) commitLog() {
 	if len(rp.seg) == 0 {
 		return
 	}
 	if len(rp.runs) > 1 {
 		mergeRuns(rp.seg, rp.runs)
 	}
-	log.adopt(rp.seg)
+	rp.log.adopt(rp.seg)
 }
 
 // mergeRuns merges the sorted runs of seg, runs[k] being where the k-th
 // ends, in place. It first works out, for every place of the merged
 // order, where the entry that belongs there lies now (four bytes an entry),
 // then moves each entry once, cycle by cycle of that permutation.
-func mergeRuns(seg []Committed, runs []int) {
+func mergeRuns(seg []logEntry, runs []int) {
 	if len(seg) > math.MaxInt32 {
-		slices.SortStableFunc(seg, func(a, b Committed) int { return commitOrder(&a, &b) })
+		slices.SortStableFunc(seg, func(a, b logEntry) int { return commitOrder(&a, &b) })
 		return
 	}
 	next := make([]int, len(runs)) // the first entry of each run not yet placed

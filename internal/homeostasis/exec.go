@@ -795,15 +795,13 @@ func (sys *System) logCommitClock(clk int64, req workload.Request, site int, log
 	})
 }
 
-// appendCommit appends e to the commit log with its Args copied into the
-// System's slab: a request borrows its arguments from a caller that may
-// reuse them as soon as the submission returns. It is the one way an entry
-// enters the log while the System runs (WAL replay copies into the same
-// slab).
+// appendCommit appends e to the commit log, which copies its Args: a
+// request borrows its arguments from a caller that may reuse them as soon
+// as the submission returns. It is the one way an entry enters the log
+// while the System runs (WAL replay packs into the same log).
 //
 //homeo:hotpath
 func (sys *System) appendCommit(e Committed) {
-	e.Args = carve(&sys.logSlab, e.Args)
 	sys.CommitLog.add(e)
 }
 

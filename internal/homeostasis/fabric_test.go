@@ -164,8 +164,8 @@ func TestMultiProcessFabric(t *testing.T) {
 	var merged []entry
 	total := 0
 	for k := 0; k < nSites; k++ {
-		systems[k].CommitLog.All(func(i int, c *homeostasis.Committed) bool {
-			merged = append(merged, entry{clock: c.Clock, site: c.Site, seq: i, c: *c})
+		systems[k].CommitLog.All(func(i int, c homeostasis.Committed) bool {
+			merged = append(merged, entry{clock: c.Clock, site: c.Site, seq: i, c: c})
 			return true
 		})
 		total += systems[k].CommitLog.Len()

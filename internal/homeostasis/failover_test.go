@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"repro/homeo/wire"
+	"repro/internal/cluster"
 	"repro/internal/fabric"
 	"repro/internal/fabric/codec"
 	"repro/internal/fabric/fabrictest"
@@ -200,6 +201,43 @@ func TestRejoinAdoptsInstalledRound(t *testing.T) {
 	}
 	if !reflect.DeepEqual(u.treaties[1].Local(), pinned) {
 		t.Fatal("late stale-generation treaty replaced the failover pin")
+	}
+}
+
+// TestSiteRefusesSitesPastTheBound: the commit log keeps a site in 16
+// bits and the WAL refuses a site index past maxWALSites, so no System is
+// built wider than that, and a site refuses a round whose coordinator, or
+// a winner whose site, lies past it rather than log what replay would
+// refuse: the grant is not made, and the install leaves the partition and
+// the commit log alone.
+func TestSiteRefusesSitesPastTheBound(t *testing.T) {
+	sys, _, node := failoverSystem(t)
+	if _, err := New(sim.NewEngine(1), sys.W, Options{Topo: cluster.Uniform(maxWALSites+1, rt.Millisecond)}); err == nil {
+		t.Errorf("a System of %d sites was built", maxWALSites+1)
+	}
+	u := sys.Units[0]
+	for _, site := range []int{-1, maxWALSites, 1 << 16} {
+		if _, err := node.CollectState(fabric.CollectState{
+			Round: fabric.RoundID{Site: site, Seq: 9}, Clock: 3, Units: []int{u.id}, Objs: u.objects,
+		}); err == nil || u.negotiating {
+			t.Errorf("a round of site %d: granted (%v)", site, err)
+		}
+	}
+	rid := fabric.RoundID{Site: 0, Seq: 9}
+	if _, err := node.CollectState(fabric.CollectState{Round: rid, Clock: 3, Units: []int{u.id}, Objs: u.objects}); err != nil {
+		t.Fatal(err)
+	}
+	before := snapshotUnit(sys, 1, u)
+	folded := lang.Database{}
+	for _, obj := range u.objects {
+		folded[obj] = 77
+	}
+	for _, site := range []int{-1, maxWALSites, 1 << 16} {
+		err := node.InstallState(fabric.InstallState{Round: rid, Clock: 40, Objs: u.objects, Folded: folded,
+			Winner: &fabric.WinnerCommit{Class: "order", Args: []int64{2}, Site: site, Units: []int{u.id}}})
+		if err == nil || !reflect.DeepEqual(snapshotUnit(sys, 1, u), before) || sys.CommitLog.Len() != 0 {
+			t.Errorf("a winner at site %d: installed (%v)", site, err)
+		}
 	}
 }
 

@@ -266,6 +266,9 @@ func (n *siteNode) JoinSite(m fabric.JoinSite) (fabric.JoinReply, error) {
 		if m.Site != sys.Opts.Topo.NSites() {
 			return fabric.JoinReply{}, fmt.Errorf("homeostasis: joiner index %d does not match cluster width %d", m.Site, sys.Opts.Topo.NSites())
 		}
+		if m.Site >= maxWALSites {
+			return fabric.JoinReply{}, fmt.Errorf("homeostasis: %w", errWALWidth("a cluster grown to width", m.Site+1))
+		}
 		ids := make([]int, len(sys.Units))
 		for i := range ids {
 			ids[i] = i

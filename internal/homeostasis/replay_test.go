@@ -2,6 +2,7 @@ package homeostasis
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math/rand"
 	"os"
@@ -340,7 +341,7 @@ func replayBuffers(t *testing.T, sys *System, dir string) (int, error) {
 		}
 		recovered += n
 	}
-	rp.commitLog(&sys.CommitLog)
+	rp.commitLog()
 	return recovered, nil
 }
 
@@ -499,6 +500,11 @@ func TestReplayRefusesSizesNoCRCVouchesFor(t *testing.T) {
 	commitAt := func(site int) func(*wal.Log) error {
 		return func(l *wal.Log) error { return l.AppendCommit(wal.CommitRecord{Class: "Order", Site: site, Clock: 4}) }
 	}
+	winnerOf := func(site int) func(*wal.Log) error {
+		return func(l *wal.Log) error {
+			return l.AppendCommit(wal.CommitRecord{Class: "Order", Site: 0, Clock: 4, Round: &wal.RoundID{Site: site, Seq: 3}})
+		}
+	}
 	installOver := func(sites int) func(*wal.Log) error {
 		return func(l *wal.Log) error {
 			return l.AppendInstall(wal.InstallRecord{Round: wal.RoundID{Seq: 1}, Clock: 4, Sites: sites,
@@ -518,6 +524,9 @@ func TestReplayRefusesSizesNoCRCVouchesFor(t *testing.T) {
 		{"commit at a negative site", commitAt(-1), "commit at site -1"},
 		{"commit at a site past the bound", commitAt(maxWALSites), "commit at site 1024"},
 		{"commit at a joiner's slot", commitAt(7), ""},
+		{"winner of a round of a negative site", winnerOf(-1), "round of site -1"},
+		{"winner of a round past the bound", winnerOf(maxWALSites), "round of site 1024"},
+		{"winner of a joiner's round", winnerOf(maxWALSites - 1), ""},
 		{"install across too many sites", installOver(maxWALSites + 1), "install across 1025"},
 		{"install across the widest cluster", installOver(maxWALSites), ""},
 		{"membership wider than the bound", widthOf(maxWALSites + 1), "membership of width 1025"},
@@ -652,11 +661,13 @@ func TestReplayRefusesUnknownKindAndUnit(t *testing.T) {
 }
 
 // segmentOf returns the replay scratch of runs replayed one after the
-// other into one segment, as applyWAL leaves it.
-func segmentOf(runs ...[]Committed) *replay {
-	rp := &replay{}
+// other into one segment of log, as applyWAL leaves it.
+func segmentOf(log *CommitLog, runs ...[]Committed) *replay {
+	rp := &replay{log: log}
 	for _, run := range runs {
-		rp.seg = append(rp.seg, run...)
+		for _, e := range run {
+			rp.seg = append(rp.seg, log.pack(log.classID(e.Name), e))
+		}
 		if len(run) > 0 {
 			rp.runs = append(rp.runs, len(rp.seg))
 		}
@@ -682,25 +693,25 @@ func TestCommitLogMerge(t *testing.T) {
 	}
 	var log CommitLog
 	log.add(entry(99, 0, "kept"))
-	kept := log.At(0)
-	if (&replay{}).commitLog(&log); names(&log) != "kept" {
+	kept := log.entry(0)
+	if (&replay{log: &log}).commitLog(); names(&log) != "kept" {
 		t.Errorf("no runs: merged to %q, want the log as it was", names(&log))
 	}
-	rp := segmentOf(
+	rp := segmentOf(&log,
 		[]Committed{entry(1, 0, "a1"), entry(3, 1, "a2"), entry(3, 1, "a3"), entry(7, 0, "a4")},
 		[]Committed{entry(2, 1, "b1"), entry(3, 0, "b2"), entry(3, 1, "b3"), entry(8, 1, "b4")},
 		[]Committed{entry(3, 1, "c1")},
 	)
-	rp.commitLog(&log)
+	rp.commitLog()
 	if got, want := names(&log), "kept a1 b1 b2 a2 a3 b3 c1 a4 b4"; got != want {
 		t.Errorf("merged to %q, want %q", got, want)
 	}
-	if log.At(0) != kept || len(log.segs) != 2 || log.At(1) != &rp.seg[0] {
+	if log.entry(0) != kept || len(log.segs) != 2 || log.entry(1) != &rp.seg[0] {
 		t.Error("the merge moved the log's own entries or copied the segment")
 	}
-	one := segmentOf([]Committed{entry(1, 0, "x"), entry(2, 0, "y")})
-	one.commitLog(&log)
-	if log.At(log.Len()-2) != &one.seg[0] {
+	one := segmentOf(&log, []Committed{entry(1, 0, "x"), entry(2, 0, "y")})
+	one.commitLog()
+	if log.entry(log.Len()-2) != &one.seg[0] {
 		t.Error("a single run was copied instead of adopted as a segment")
 	}
 
@@ -748,21 +759,23 @@ func TestCommitLogMerge(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		slices.SortStableFunc(want, func(a, b Committed) int { return commitOrder(&a, &b) })
+		slices.SortStableFunc(want, func(a, b Committed) int {
+			return cmp.Or(cmp.Compare(a.Clock, b.Clock), cmp.Compare(a.Site, b.Site))
+		})
 
 		_, sys, _ := replaySystem(t, -1)
-		var merged CommitLog
+		merged := &sys.CommitLog
 		merged.add(Committed{Name: "kept", Clock: 99})
-		kept := merged.At(0)
+		kept := merged.entry(0)
 		rp := sys.newReplay(logs)
 		for k, data := range logs {
 			if _, err := rp.applyWAL(k, data); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
 		}
-		rp.commitLog(&merged)
+		rp.commitLog()
 		var got []string
-		for _, e := range logEntries(&merged)[1:] {
+		for _, e := range logEntries(merged)[1:] {
 			got = append(got, fmt.Sprintf("%s@%d/%d", e.Name, e.Clock, e.Site))
 		}
 		var exp []string
@@ -772,7 +785,7 @@ func TestCommitLogMerge(t *testing.T) {
 		if !slices.Equal(got, exp) {
 			t.Fatalf("seed %d: %d runs merged to\n%v\nwant\n%v", seed, len(rp.runs), got, exp)
 		}
-		if merged.At(0) != kept || kept.Name != "kept" || len(want) > 0 && merged.At(1) != &rp.seg[0] {
+		if merged.entry(0) != kept || merged.At(0).Name != "kept" || len(want) > 0 && merged.entry(1) != &rp.seg[0] {
 			t.Fatalf("seed %d: the merge moved the log's own entries or copied the segment", seed)
 		}
 	}

@@ -120,6 +120,9 @@ func (sys *System) newRound(site int, units []int, g *roundGrant) fabric.RoundID
 func (sys *System) grantRound(rid fabric.RoundID, units []int) (*roundGrant, error) {
 	g := sys.rounds[rid]
 	if g == nil {
+		if rid.Site < 0 || rid.Site >= maxWALSites {
+			return nil, fmt.Errorf("homeostasis: %w", errWALWidth("a round coordinated by site", rid.Site))
+		}
 		for _, id := range units {
 			if id < 0 || id >= len(sys.Units) {
 				return nil, fmt.Errorf("homeostasis: %v names unknown unit %d", rid, id)
@@ -330,6 +333,10 @@ func (sys *System) ownDeltas(site int, objs []lang.ObjID, vals lang.Database) la
 //homeo:externalizes
 func (n *siteNode) InstallState(m fabric.InstallState) error {
 	sys := n.sys
+	if m.Winner != nil && (m.Winner.Site < 0 || m.Winner.Site >= maxWALSites) {
+		//homeo:noexternalize validation refusal; nothing installed
+		return fmt.Errorf("homeostasis: %w", errWALWidth("a round winner at site", m.Winner.Site))
+	}
 	sys.observeClock(m.Clock)
 	var reported lang.Database
 	g := sys.rounds[m.Round]

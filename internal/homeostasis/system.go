@@ -166,11 +166,11 @@ type Options struct {
 }
 
 // Committed is one entry of the commit log (for replay-based
-// observational-equivalence checks).
+// observational-equivalence checks), as CommitLog.At and All decode it.
 type Committed struct {
 	Name string
-	// Args is the log's own copy of the request's arguments, in the
-	// System's slab (appendCommit): a request borrows its caller's.
+	// Args is the log's own copy of the request's arguments, in its slab
+	// (CommitLog.pack): a request borrows its caller's.
 	Args []int64
 	Site int
 	// Clock is the commit's Lamport timestamp. Synchronization rounds
@@ -277,10 +277,6 @@ type System struct {
 
 	// CommitLog is every commit in commit order (Options.EnableLog).
 	CommitLog CommitLog
-	// logSlab holds every commit-log entry's Args (appendCommit and WAL
-	// replay), in chunks handed out piecewise (carve) and kept while the
-	// log lives.
-	logSlab []int64
 
 	// deadline is the absolute end of the Run window, measured from when
 	// Run is called (on a live runtime, system construction consumes real
@@ -371,6 +367,9 @@ func New(e rt.Runtime, w workload.Workload, opts Options) (*System, error) {
 		opts.CostFactor = 3
 	}
 	n := opts.Topo.NSites()
+	if n > maxWALSites {
+		return nil, fmt.Errorf("homeostasis: %w", errWALWidth("a cluster of width", n))
+	}
 	sys := &System{
 		E:          e,
 		Opts:       opts,
@@ -828,7 +827,7 @@ func (sys *System) CheckReplayEquivalence() error {
 	}
 	replay := sys.W.InitialDB()
 	var err error
-	sys.CommitLog.All(func(_ int, c *Committed) bool {
+	sys.CommitLog.All(func(_ int, c Committed) bool {
 		if c.Apply == nil {
 			// Recovered and adopted entries carry no replay closure; the
 			// class-registry replay (homeo.CheckMergedReplay) covers them.

@@ -38,6 +38,96 @@ type parser struct {
 	// relation widths in scope of the current transaction; plain arrays
 	// have width 1. Nil until the transaction declares one.
 	arrays map[string]ArrayDecl
+	// depth is how many commands, boolean factors and arithmetic factors
+	// the parse is inside of (nest).
+	depth int
+}
+
+// maxNesting bounds depth, and the depth of the tree a body parses to.
+// Every level costs the parser, and the passes and evaluator that recurse
+// over the tree, up to a kilobyte of stack, and a goroutine that outgrows
+// its maximum stack kills the process: no recover catches that. At the
+// bound a source parses, lowers and evaluates in a few megabytes of
+// stack; a body of a few megabytes could otherwise nest millions of
+// levels.
+const maxNesting = 1000
+
+// NestingError reports a source nested deeper than the parser accepts:
+// commands (if, braces), boolean factors (!, parentheses) and arithmetic
+// factors (unary minus, parentheses) inside one another, all counted
+// together, or a body whose tree is deeper than that, where each command
+// of a sequence and each operator of a chain is a level too.
+type NestingError struct {
+	// Line is where the level past Limit opens, or the transaction's
+	// header when its tree is what is too deep.
+	Line  int
+	Limit int
+}
+
+func (e *NestingError) Error() string {
+	return fmt.Sprintf("lang: line %d: nested deeper than %d levels", e.Line, e.Limit)
+}
+
+// nest enters one more level of nesting, refusing the level past
+// maxNesting. Every recursion of the parser passes through one of the
+// three functions that call it, each of which leaves the level on return.
+func (p *parser) nest() error {
+	if p.depth == maxNesting {
+		return &NestingError{Line: int(p.peek().line), Limit: maxNesting}
+	}
+	p.depth++
+	return nil
+}
+
+// depthProbe is a pass that only looks: it finds whether a tree has a
+// node more than maxNesting levels down. The parser builds a sequence of
+// commands and a chain of operators by iterating, so nest does not count
+// them, but every pass after it recurses a level a command or operator.
+// The probe descends no further than the bound, so it runs in bounded
+// stack however deep the tree is.
+type depthProbe struct {
+	depth int
+	over  bool
+}
+
+// tooDeep reports whether c has a node more than maxNesting levels down.
+func tooDeep(c Cmd) bool {
+	d := &depthProbe{}
+	d.cmd(c)
+	return d.over
+}
+
+// enter goes one level down, and reports whether the probe is still
+// within the bound.
+func (d *depthProbe) enter() bool {
+	if d.depth++; d.depth > maxNesting {
+		d.over = true
+	}
+	return !d.over
+}
+
+func (d *depthProbe) expr(e Expr) (Expr, bool) {
+	if d.enter() {
+		mapExpr(d, e)
+	}
+	d.depth--
+	return e, false
+}
+
+func (d *depthProbe) boolExpr(b BoolExpr) (BoolExpr, bool) {
+	if d.enter() {
+		mapBool(d, b)
+	}
+	d.depth--
+	return b, false
+}
+
+func (d *depthProbe) cmd(c Cmd) (Cmd, bool) {
+	if d.enter() {
+		mapCmd(d, c)
+	}
+	d.depth--
+	return c, false
 }
 
 // ParseProgram parses a whole program: one or more transaction
@@ -111,6 +201,7 @@ func (p *parser) expect(k tokenKind, what string) (token, error) {
 }
 
 func (p *parser) parseTransaction() (*Transaction, error) {
+	start := p.pos
 	if _, err := p.expect(tokTxn, "'transaction'"); err != nil {
 		return nil, err
 	}
@@ -160,6 +251,11 @@ func (p *parser) parseTransaction() (*Transaction, error) {
 	}
 	if _, err := p.expect(tokRBrace, "'}'"); err != nil {
 		return nil, err
+	}
+	// A tree has no more nodes than the tokens it was parsed from, so only
+	// a long source needs probing.
+	if p.pos-start > maxNesting && tooDeep(body) {
+		return nil, &NestingError{Line: int(name.line), Limit: maxNesting}
 	}
 	t.Body = body
 	return t, nil
@@ -235,6 +331,10 @@ func (p *parser) parseCmdSeq() (Cmd, error) {
 }
 
 func (p *parser) parseCmd() (Cmd, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer func() { p.depth-- }()
 	switch p.peek().kind {
 	case tokSkip:
 		p.advance()
@@ -421,6 +521,10 @@ func (p *parser) parseBoolAnd() (BoolExpr, error) {
 }
 
 func (p *parser) parseBoolUnary() (BoolExpr, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer func() { p.depth-- }()
 	switch p.peek().kind {
 	case tokBang:
 		p.advance()
@@ -545,6 +649,10 @@ func (p *parser) parseTerm() (Expr, error) {
 }
 
 func (p *parser) parseUnary() (Expr, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer func() { p.depth-- }()
 	if p.peek().kind == tokMinus {
 		p.advance()
 		e, err := p.parseUnary()

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -397,8 +398,25 @@ func FuzzScan(f *testing.F) {
 	valid := appendFrame(nil, KindCommit, appendCommitPayload(nil, &CommitRecord{Class: "x"}))
 	f.Add(valid)
 	f.Add(append(append([]byte(nil), valid...), 0xff, 0x00))
+	// The boundary cases: a run of the smallest frames and one of the
+	// smallest commit frames, and the header of the largest frame there is
+	// and of one past it, torn. (The largest frame whole is
+	// TestScanCostOfTheLargestFrame's: 16 MiB in the corpus would cut the
+	// engine's pace from tens of thousands of inputs a run to about a
+	// thousand.)
+	f.Add(bytes.Repeat(appendFrame(nil, KindCommit, nil), 1000))
+	f.Add(bytes.Repeat(valid, 1000))
+	for _, length := range []uint32{maxRecord, maxRecord + 1} {
+		torn := append(binary.BigEndian.AppendUint32(nil, length), make([]byte, 60)...)
+		torn[headerSize] = byte(KindCommit)
+		f.Add(torn)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, valid := Scan(data)
+		var (
+			recs  []Record
+			valid int
+		)
+		checkCost(t, "scanning", scanCost, data, func() { recs, valid = Scan(data) })
 		if valid > len(data) {
 			t.Fatalf("valid prefix %d exceeds input %d", valid, len(data))
 		}
@@ -410,6 +428,67 @@ func FuzzScan(f *testing.F) {
 			t.Fatalf("re-encoding %d records diverges from the valid prefix", len(recs))
 		}
 	})
+}
+
+// cost bounds what decoding n bytes of outside input may allocate: perByte
+// bytes a byte of input and fixed more.
+type cost struct{ perByte, fixed uint64 }
+
+func (c cost) of(input []byte) uint64 { return c.perByte*uint64(len(input)) + c.fixed }
+
+var (
+	// scanCost: Scan allocates its []Record, 32 bytes a frame, and a
+	// frame is at least headerSize+1 bytes: 3.6 bytes a byte, and 4 with
+	// the allocator's size classes.
+	scanCost = cost{perByte: 5, fixed: 64}
+	// decodeCost: a record decodes into lists sized from their counts and
+	// a map per constraint, and a count cannot exceed the bytes left after
+	// it (codec.Reader.Count). The worst shape known is a treaty of
+	// one-coefficient constraints, a small map for every five bytes: 58
+	// bytes a byte (FuzzDecodeRecord's seeds hold it).
+	decodeCost = cost{perByte: 64, fixed: 4096}
+)
+
+// allocated returns the bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// checkCost fails t if f, a decode of input, allocates more than c allows.
+// The count is the whole process's, and the fuzzing engine allocates
+// beside the call now and then, so a call over the bound is measured twice
+// more and the least count is the one judged. Under the race detector,
+// which allocates on its own, f only runs.
+func checkCost(t *testing.T, what string, c cost, input []byte, f func()) {
+	if raceEnabled {
+		f()
+		return
+	}
+	limit := c.of(input)
+	got := allocated(f)
+	for i := 0; i < 2 && got > limit; i++ {
+		got = min(got, allocated(f))
+	}
+	if got > limit {
+		t.Fatalf("%s %d bytes allocated %d, over the bound %d", what, len(input), got, limit)
+	}
+}
+
+// TestScanCostOfTheLargestFrame holds Scan of the largest frame a log may
+// hold, whole and cut one byte short, to FuzzScan's bound.
+func TestScanCostOfTheLargestFrame(t *testing.T) {
+	frame := appendFrame(nil, KindCommit, make([]byte, maxRecord-1))
+	for _, data := range [][]byte{frame, frame[:len(frame)-1]} {
+		var recs []Record
+		checkCost(t, "scanning", scanCost, data, func() { recs, _ = Scan(data) })
+		if want := len(data) / len(frame); len(recs) != want {
+			t.Errorf("%d bytes scanned to %d records, want %d", len(data), len(recs), want)
+		}
+	}
 }
 
 // FuzzRecordRoundTrip appends an arbitrary payload and replays it back.
@@ -528,6 +607,26 @@ func FuzzDecodeRecord(f *testing.F) {
 	}
 	f.Add(byte(1), []byte(`{"class":"Withdraw","clock":3}`))
 	f.Add(byte(9), []byte{codec.Magic, codec.Version, 9})
+	// The boundary cases: as many distinct names as the codec's name table
+	// holds (4096), and maps and lists whose counts claim every byte left.
+	names := make(map[string]int64, 4096)
+	for i := range 4096 {
+		names[fmt.Sprint("d", i)] = int64(i)
+	}
+	kind, payload := encodeRecord(f, CommitRecord{Class: "C", Writes: names})
+	f.Add(byte(kind), payload)
+	oneCoeff := make([]wire.PeerConstraint, 200)
+	for i := range oneCoeff {
+		oneCoeff[i] = wire.PeerConstraint{Coeffs: map[string]int64{"": 1}, Op: "<="}
+	}
+	kind, payload = encodeRecord(f, TreatyRecord{Constraints: oneCoeff})
+	f.Add(byte(kind), payload)
+	for _, claims := range [][]byte{
+		codec.AppendUvarint(codec.AppendString(codec.AppendHeader(nil, byte(KindCommit)), "C"), 64),
+		codec.AppendUvarint(codec.AppendVarint(codec.AppendUvarint(codec.AppendInt(codec.AppendHeader(nil, byte(KindInstall)), 0), 1), 2), 64),
+	} {
+		f.Add(byte(claims[2]), append(claims, make([]byte, 64)...))
+	}
 	// Well-formed records whose sizes no deployment has: decoding is not
 	// where they are refused (replay is), so they must decode like any other.
 	for _, rec := range []any{
@@ -544,7 +643,11 @@ func FuzzDecodeRecord(f *testing.F) {
 	var reused views
 	f.Fuzz(func(t *testing.T, kind byte, payload []byte) {
 		r := Record{Kind: Kind(kind), Payload: payload}
-		rec, err := r.Decode()
+		var (
+			rec any
+			err error
+		)
+		checkCost(t, r.Kind.String()+": decoding", decodeCost, payload, func() { rec, err = r.Decode() })
 		inPlace, verr := reused.decode(r)
 		if (err == nil) != (verr == nil) {
 			t.Fatalf("%v: the accessor says %v, the view decoder %v", r.Kind, err, verr)
