@@ -171,9 +171,40 @@ func (e Read) String() string    { return fmt.Sprintf("read(%s)", e.Obj) }
 func (e ArrayRead) String() string {
 	return fmt.Sprintf("%s(%s)", e.Array, e.Index)
 }
-func (e Neg) String() string { return fmt.Sprintf("-(%s)", e.E) }
+func (e Neg) String() string { return "-" + exprAt(e.E, precUnary) }
 func (e Bin) String() string {
-	return fmt.Sprintf("(%s %s %s)", e.L, e.Op, e.R)
+	prec := binPrec(e.Op)
+	return exprAt(e.L, prec) + " " + e.Op.String() + " " + exprAt(e.R, prec+1)
+}
+
+// The printed form is L source that parses back to the same tree. It
+// writes a parenthesis or a brace only where the tree's shape needs one —
+// a child that binds looser than its place, the right operand of a
+// left-associative chain, a sequence inside a branch or at the head of a
+// sequence — so it nests no deeper than the tree, and the parser takes it
+// whenever it took a source of that tree. An else branch is always
+// written, which settles which if an else belongs to.
+
+// Binding strengths, loosest first.
+const (
+	precSum   = iota // + and -; || among conditions
+	precProd         // *; &&
+	precUnary        // unary - and !, atoms, comparisons
+)
+
+func binPrec(op BinOp) int {
+	if op == OpMul {
+		return precProd
+	}
+	return precSum
+}
+
+// exprAt prints e where an expression binding at least place stands.
+func exprAt(e Expr, place int) string {
+	if b, ok := e.(Bin); ok && binPrec(b.Op) < place {
+		return "(" + b.String() + ")"
+	}
+	return e.String()
 }
 
 // BoolExpr is a boolean expression (BExp in Figure 5).
@@ -212,10 +243,25 @@ func (b BoolLit) String() string {
 	}
 	return "false"
 }
-func (b Cmp) String() string { return fmt.Sprintf("(%s %s %s)", b.L, b.Op, b.R) }
-func (b And) String() string { return fmt.Sprintf("(%s && %s)", b.L, b.R) }
-func (b Or) String() string  { return fmt.Sprintf("(%s || %s)", b.L, b.R) }
-func (b Not) String() string { return fmt.Sprintf("!(%s)", b.B) }
+func (b Cmp) String() string { return fmt.Sprintf("%s %s %s", b.L, b.Op, b.R) }
+func (b And) String() string { return boolAt(b.L, precProd) + " && " + boolAt(b.R, precUnary) }
+func (b Or) String() string  { return boolAt(b.L, precSum) + " || " + boolAt(b.R, precProd) }
+func (b Not) String() string { return "!" + boolAt(b.B, precUnary) }
+
+// boolAt prints b where a condition binding at least place stands.
+func boolAt(b BoolExpr, place int) string {
+	switch b.(type) {
+	case And:
+		if place > precProd {
+			return "(" + b.String() + ")"
+		}
+	case Or:
+		if place > precSum {
+			return "(" + b.String() + ")"
+		}
+	}
+	return b.String()
+}
 
 // Cmd is a command (Com in Figure 5).
 type Cmd interface {
@@ -274,10 +320,10 @@ func (c Assign) String() string {
 	return fmt.Sprintf("%s := %s", c.Var, c.E)
 }
 func (c Seq) String() string {
-	return fmt.Sprintf("%s; %s", c.First, c.Rest)
+	return branch(c.First) + "; " + c.Rest.String()
 }
 func (c If) String() string {
-	return fmt.Sprintf("if %s then { %s } else { %s }", c.Cond, c.Then, c.Else)
+	return "if " + c.Cond.String() + " then " + branch(c.Then) + " else " + branch(c.Else)
 }
 func (c WriteCmd) String() string {
 	return fmt.Sprintf("write(%s = %s)", c.Obj, c.E)
@@ -286,6 +332,14 @@ func (c ArrayWrite) String() string {
 	return fmt.Sprintf("write(%s(%s) = %s)", c.Array, c.Index, c.E)
 }
 func (c PrintCmd) String() string { return fmt.Sprintf("print(%s)", c.E) }
+
+// branch prints a command that stands alone: a sequence there is braced.
+func branch(c Cmd) string {
+	if _, ok := c.(Seq); ok {
+		return "{ " + c.String() + " }"
+	}
+	return c.String()
+}
 
 // ArrayDecl declares a bounded L++ array: its name and fixed length.
 // Relations are represented as 2-D arrays stored in row-major order

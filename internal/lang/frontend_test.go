@@ -128,17 +128,31 @@ var parseSeeds = []string{
 	`transaction T(i) { array a(3); _lw2 := 5; v := a(i); print(_lw2) }`,
 }
 
-// FuzzParseProgram: the parser never panics, and on every program it
-// accepts the tree it builds is the one the parent commit built in two
-// steps — its parse, which knew no parameters, then ResolveParams — and is
-// the tree its own printing parses to. The rest of the front end then runs
-// on it (checkFrontEnd).
+// FuzzParseProgram: the parser never panics, takes each token of the
+// source at most once and allocates at most parseCost of it, and on every
+// program it accepts the tree it builds is the one the parent commit built
+// in two steps — its parse, which knew no parameters, then ResolveParams —
+// and is the tree its own printing parses to. The rest of the front end
+// then runs on it (checkFrontEnd). The seeds include every shape of
+// nesting at the bound.
 func FuzzParseProgram(f *testing.F) {
 	for _, src := range parseSeeds {
 		f.Add(src)
 	}
+	for _, n := range nestedSources(maxNesting - 2) {
+		f.Add(n.src)
+	}
+	for _, src := range deepGroups(maxNesting - 3) {
+		f.Add(src)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
-		txns, err := ParseProgram(src)
+		var txns []*Transaction
+		var taken int
+		var err error
+		checkParseCost(t, src, func() { txns, taken, err = parseProgram(src) })
+		if taken > len(src) {
+			t.Fatalf("%d bytes took %d tokens", len(src), taken)
+		}
 		if err != nil {
 			return
 		}
@@ -154,9 +168,8 @@ func FuzzParseProgram(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%q prints as %q, which does not parse: %v", src, printed, err)
 			}
-			again.Body, old.Body = rightNested(again.Body), rightNested(txn.Body)
-			if !reflect.DeepEqual(again, &old) {
-				t.Fatalf("%q prints as %q, which parses to\n %#v\nnot\n %#v", src, printed, again.Body, old.Body)
+			if !reflect.DeepEqual(again, txn) {
+				t.Fatalf("%q prints as %q, which parses to\n %#v\nnot\n %#v", src, printed, again.Body, txn.Body)
 			}
 			if err := checkFrontEnd(txn); err != nil {
 				t.Fatalf("%q: %v", src, err)

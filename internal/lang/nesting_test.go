@@ -2,6 +2,7 @@ package lang
 
 import (
 	"errors"
+	"reflect"
 	"runtime/debug"
 	"strings"
 	"testing"
@@ -75,4 +76,67 @@ func TestParserRefusesNestingPastTheLimit(t *testing.T) {
 			}
 		}
 	})
+}
+
+// deepGroups returns conditions with groups n parentheses deep: one that
+// is the first factor of a comparison's left operand, one that is a
+// boolean, and both in one condition. The parser knows which a group is
+// only once it has read it.
+func deepGroups(n int) []string {
+	open, close := strings.Repeat("(", n), strings.Repeat(")", n)
+	return []string{
+		"transaction T() { if " + open + "1" + close + " < 2 then write(o = 1) else write(o = 2) }",
+		"transaction T() { if " + open + "1 < 2" + close + " then write(o = 1) else write(o = 2) }",
+		"transaction T() { if " + open + "true" + close + " && " + open + "1" + close + " * 3 < 4 then write(o = 1) else write(o = 2) }",
+	}
+}
+
+// TestDeepGroupsParseInLinearWork: a group nested as deep as the bound
+// allows parses, taking each token once. Read first as a boolean and, that
+// failing, again as arithmetic at every level, the first source took
+// 997 024 tokens for its 2 058 bytes (60 ms).
+func TestDeepGroupsParseInLinearWork(t *testing.T) {
+	for _, src := range deepGroups(maxNesting - 3) {
+		txns, taken, err := parseProgram(src)
+		if err != nil {
+			t.Fatalf("%.40q…: %v", src, err)
+		}
+		if taken > len(src) {
+			t.Fatalf("%.40q…: %d bytes took %d tokens", src, len(src), taken)
+		}
+		if res, err := Eval(txns[0], Database{}); err != nil || res.DB.Get("o") != 1 {
+			t.Fatalf("%.40q… evaluates to o = %d, %v; want 1", src, res.DB.Get("o"), err)
+		}
+	}
+}
+
+// TestPrintedFormParses: the printed form of a tree the parser accepted
+// parses back to that tree, also at the nesting bound, where a printer
+// that spends two levels on one node (a parenthesis for each negation,
+// braces for each branch) writes a source the parser refuses.
+func TestPrintedFormParses(t *testing.T) {
+	srcs := deepGroups(maxNesting - 3)
+	for _, n := range nestedSources(maxNesting - 2) {
+		srcs = append(srcs, n.src)
+	}
+	srcs = append(srcs,
+		"transaction T() { write(o = "+strings.Repeat("-", 600)+"1) }",
+		"transaction T() { "+strings.Repeat("if !true then skip else ", 600)+"skip }",
+		"transaction T() { x := 1"+strings.Repeat(" - (1", 490)+strings.Repeat(")", 490)+" }",
+		"transaction T() { if true"+strings.Repeat(" && (true", 480)+strings.Repeat(")", 480)+" then skip }",
+		"transaction T() { {{ skip; skip }; skip }; skip }")
+	for _, src := range srcs {
+		txn, err := ParseTransaction(src)
+		if err != nil {
+			t.Fatalf("%.60q…: %v", src, err)
+		}
+		printed := sourceOf(txn)
+		again, err := ParseTransaction(printed)
+		if err != nil {
+			t.Fatalf("%.60q… prints as %.60q…, which does not parse: %v", src, printed, err)
+		}
+		if !reflect.DeepEqual(again, txn) {
+			t.Fatalf("%.60q… prints as %.60q…, which parses to another tree", src, printed)
+		}
+	}
 }

@@ -41,6 +41,9 @@ type parser struct {
 	// depth is how many commands, boolean factors and arithmetic factors
 	// the parse is inside of (nest).
 	depth int
+	// taken counts the tokens the parse has taken, as the measure of its
+	// work: it never backs up, so no more than there are.
+	taken int
 }
 
 // maxNesting bounds depth, and the depth of the tree a body parses to.
@@ -133,23 +136,29 @@ func (d *depthProbe) cmd(c Cmd) (Cmd, bool) {
 // ParseProgram parses a whole program: one or more transaction
 // declarations.
 func ParseProgram(src string) ([]*Transaction, error) {
+	out, _, err := parseProgram(src)
+	return out, err
+}
+
+// parseProgram is ParseProgram, and the tokens the parse took.
+func parseProgram(src string) ([]*Transaction, int, error) {
 	toks, err := lex(src)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	p := &parser{toks: toks}
 	var out []*Transaction
 	for p.peek().kind != tokEOF {
 		t, err := p.parseTransaction()
 		if err != nil {
-			return nil, err
+			return nil, p.taken, err
 		}
 		out = append(out, t)
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("lang: no transactions in program")
+		return nil, p.taken, fmt.Errorf("lang: no transactions in program")
 	}
-	return out, nil
+	return out, p.taken, nil
 }
 
 // ParseTransaction parses a single transaction declaration.
@@ -172,6 +181,7 @@ func (p *parser) peek2() token {
 	return p.toks[len(p.toks)-1]
 }
 func (p *parser) advance() token {
+	p.taken++
 	t := p.toks[p.pos]
 	if p.pos < len(p.toks)-1 {
 		p.pos++
@@ -488,14 +498,18 @@ func (p *parser) parseIndex(array string) (Expr, error) {
 // Boolean expression grammar: bor := band ('||' band)*;
 // band := bunary ('&&' bunary)*; bunary := '!' bunary | '(' bor ')' |
 // true | false | cmp.
-func (p *parser) parseBool() (BoolExpr, error) {
-	l, err := p.parseBoolAnd()
+func (p *parser) parseBool() (BoolExpr, error) { return p.parseBoolFrom(nil) }
+
+// parseBoolFrom parses a disjunction whose first factor is first when that
+// is not nil.
+func (p *parser) parseBoolFrom(first BoolExpr) (BoolExpr, error) {
+	l, err := p.parseBoolAnd(first)
 	if err != nil {
 		return nil, err
 	}
 	for p.peek().kind == tokOrOr {
 		p.advance()
-		r, err := p.parseBoolAnd()
+		r, err := p.parseBoolAnd(nil)
 		if err != nil {
 			return nil, err
 		}
@@ -504,8 +518,13 @@ func (p *parser) parseBool() (BoolExpr, error) {
 	return l, nil
 }
 
-func (p *parser) parseBoolAnd() (BoolExpr, error) {
-	l, err := p.parseBoolUnary()
+// parseBoolAnd parses a conjunction whose first factor is first when that
+// is not nil.
+func (p *parser) parseBoolAnd(first BoolExpr) (BoolExpr, error) {
+	l, err := first, error(nil)
+	if l == nil {
+		l, err = p.parseBoolUnary()
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -540,25 +559,74 @@ func (p *parser) parseBoolUnary() (BoolExpr, error) {
 		p.advance()
 		return BoolLit{Value: false}, nil
 	case tokLParen:
-		// Ambiguity: '(' can open a parenthesized boolean or an
-		// arithmetic comparison's left operand. Try boolean first by
-		// snapshotting the position.
-		save := p.pos
-		p.advance()
-		if b, err := p.parseBool(); err == nil && p.peek().kind == tokRParen {
-			// Peek past ')' to see if an arithmetic operator follows,
-			// which would mean the parenthesis belonged to arithmetic.
-			if k := p.peek2().kind; k != tokPlus && k != tokMinus &&
-				k != tokStar && !isCmpToken(k) {
-				p.advance() // )
-				return b, nil
-			}
+		// '(' opens a parenthesized boolean or the first factor of a
+		// comparison's left operand; the group says which once it is read.
+		b, e, err := p.parseGroup()
+		if err != nil || b != nil {
+			return b, err
 		}
-		p.pos = save
-		return p.parseCmp()
+		if b, e, err = p.operand(e); err == nil && b == nil {
+			err = p.errf("expected a comparison operator")
+		}
+		return b, err
 	default:
 		return p.parseCmp()
 	}
+}
+
+// parseGroup reads a parenthesized group where a boolean factor may stand:
+// a boolean, or an arithmetic operand (then e is set). It reads every token
+// once — trying one reading and backing up to the other costs a group
+// nested d deep O(d²) — by parsing the inside until it shows which it is:
+// a boolean starts with '!', true or false, and an operand followed by a
+// comparison operator is a comparison.
+func (p *parser) parseGroup() (b BoolExpr, e Expr, err error) {
+	switch p.peek2().kind {
+	case tokBang, tokTrue, tokFalse:
+		// A boolean's first factor takes the group's level, as when every
+		// group was first read as a boolean.
+		p.advance() // (
+		b, err = p.parseBool()
+	default:
+		if err := p.nest(); err != nil {
+			return nil, nil, err
+		}
+		p.advance() // (
+		if p.peek().kind == tokLParen {
+			if b, e, err = p.parseGroup(); err == nil && e != nil {
+				b, e, err = p.operand(e)
+			}
+		} else {
+			b, e, err = p.operand(nil)
+		}
+		p.depth--
+	}
+	if err == nil && b != nil {
+		b, err = p.parseBoolFrom(b)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	if _, err := p.expect(tokRParen, "')'"); err != nil {
+		return nil, nil, err
+	}
+	return b, e, nil
+}
+
+// operand parses an arithmetic operand, whose first factor is first when
+// that is not nil, and the comparison it is the left side of when a
+// comparison operator follows: then b is set, otherwise e.
+func (p *parser) operand(first Expr) (b BoolExpr, e Expr, err error) {
+	l, err := p.parseExprFrom(first)
+	if err != nil || !isCmpToken(p.peek().kind) {
+		return nil, l, err
+	}
+	op := cmpOpFor(p.advance().kind)
+	r, err := p.parseExpr()
+	if err != nil {
+		return nil, nil, err
+	}
+	return Cmp{Op: op, L: l, R: r}, nil, nil
 }
 
 func isCmpToken(k tokenKind) bool {
@@ -605,8 +673,12 @@ func (p *parser) parseCmp() (BoolExpr, error) {
 
 // Arithmetic grammar: expr := term (('+' | '-') term)*;
 // term := unary ('*' unary)*; unary := '-' unary | atom.
-func (p *parser) parseExpr() (Expr, error) {
-	l, err := p.parseTerm()
+func (p *parser) parseExpr() (Expr, error) { return p.parseExprFrom(nil) }
+
+// parseExprFrom parses a sum whose first factor is first when that is not
+// nil.
+func (p *parser) parseExprFrom(first Expr) (Expr, error) {
+	l, err := p.parseTerm(first)
 	if err != nil {
 		return nil, err
 	}
@@ -614,14 +686,14 @@ func (p *parser) parseExpr() (Expr, error) {
 		switch p.peek().kind {
 		case tokPlus:
 			p.advance()
-			r, err := p.parseTerm()
+			r, err := p.parseTerm(nil)
 			if err != nil {
 				return nil, err
 			}
 			l = Bin{Op: OpAdd, L: l, R: r}
 		case tokMinus:
 			p.advance()
-			r, err := p.parseTerm()
+			r, err := p.parseTerm(nil)
 			if err != nil {
 				return nil, err
 			}
@@ -632,8 +704,13 @@ func (p *parser) parseExpr() (Expr, error) {
 	}
 }
 
-func (p *parser) parseTerm() (Expr, error) {
-	l, err := p.parseUnary()
+// parseTerm parses a product whose first factor is first when that is not
+// nil.
+func (p *parser) parseTerm(first Expr) (Expr, error) {
+	l, err := first, error(nil)
+	if l == nil {
+		l, err = p.parseUnary()
+	}
 	if err != nil {
 		return nil, err
 	}

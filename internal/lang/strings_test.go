@@ -14,22 +14,31 @@ func TestASTStringRenderers(t *testing.T) {
 		{TempVar{Name: "t"}.String(), "t"},
 		{Read{Obj: "x"}.String(), "read(x)"},
 		{ArrayRead{Array: "a", Index: IntLit{Value: 2}}.String(), "a(2)"},
-		{Neg{E: IntLit{Value: 3}}.String(), "-(3)"},
-		{Bin{Op: OpAdd, L: IntLit{Value: 1}, R: IntLit{Value: 2}}.String(), "(1 + 2)"},
-		{Bin{Op: OpSub, L: IntLit{Value: 1}, R: IntLit{Value: 2}}.String(), "(1 - 2)"},
-		{Bin{Op: OpMul, L: IntLit{Value: 1}, R: IntLit{Value: 2}}.String(), "(1 * 2)"},
+		{Neg{E: IntLit{Value: 3}}.String(), "-3"},
+		{Bin{Op: OpAdd, L: IntLit{Value: 1}, R: IntLit{Value: 2}}.String(), "1 + 2"},
+		{Bin{Op: OpSub, L: IntLit{Value: 1}, R: IntLit{Value: 2}}.String(), "1 - 2"},
+		{Bin{Op: OpMul, L: IntLit{Value: 1}, R: IntLit{Value: 2}}.String(), "1 * 2"},
 		{BoolLit{Value: true}.String(), "true"},
 		{BoolLit{Value: false}.String(), "false"},
-		{Cmp{Op: CmpLE, L: IntLit{Value: 1}, R: IntLit{Value: 2}}.String(), "(1 <= 2)"},
-		{And{L: BoolLit{Value: true}, R: BoolLit{Value: false}}.String(), "(true && false)"},
-		{Or{L: BoolLit{Value: true}, R: BoolLit{Value: false}}.String(), "(true || false)"},
-		{Not{B: BoolLit{Value: true}}.String(), "!(true)"},
+		{Cmp{Op: CmpLE, L: IntLit{Value: 1}, R: IntLit{Value: 2}}.String(), "1 <= 2"},
+		{And{L: BoolLit{Value: true}, R: BoolLit{Value: false}}.String(), "true && false"},
+		{Or{L: BoolLit{Value: true}, R: BoolLit{Value: false}}.String(), "true || false"},
+		{Not{B: BoolLit{Value: true}}.String(), "!true"},
 		{Skip{}.String(), "skip"},
 		{Assign{Var: "t", E: IntLit{Value: 1}}.String(), "t := 1"},
 		{WriteCmd{Obj: "x", E: IntLit{Value: 1}}.String(), "write(x = 1)"},
 		{ArrayWrite{Array: "a", Index: IntLit{Value: 0}, E: IntLit{Value: 1}}.String(), "write(a(0) = 1)"},
 		{PrintCmd{E: IntLit{Value: 1}}.String(), "print(1)"},
 		{Seq{First: Skip{}, Rest: Skip{}}.String(), "skip; skip"},
+		// Parentheses and braces only where the shape needs them.
+		{Bin{Op: OpSub, L: Bin{Op: OpSub, L: IntLit{Value: 1}, R: IntLit{Value: 2}}, R: Bin{Op: OpAdd, L: IntLit{Value: 3}, R: IntLit{Value: 4}}}.String(), "1 - 2 - (3 + 4)"},
+		{Bin{Op: OpMul, L: Bin{Op: OpAdd, L: IntLit{Value: 1}, R: IntLit{Value: 2}}, R: Neg{E: Neg{E: IntLit{Value: 3}}}}.String(), "(1 + 2) * --3"},
+		{Neg{E: Bin{Op: OpMul, L: IntLit{Value: 1}, R: IntLit{Value: 2}}}.String(), "-(1 * 2)"},
+		{Not{B: Or{L: BoolLit{Value: true}, R: And{L: BoolLit{Value: false}, R: BoolLit{Value: true}}}}.String(), "!(true || false && true)"},
+		{And{L: Or{L: BoolLit{Value: true}, R: BoolLit{Value: false}}, R: Not{B: Cmp{Op: CmpLT, L: IntLit{Value: 1}, R: IntLit{Value: 2}}}}.String(), "(true || false) && !1 < 2"},
+		{If{Cond: BoolLit{Value: true}, Then: Seq{First: Skip{}, Rest: Skip{}}, Else: If{Cond: BoolLit{Value: false}, Then: Skip{}, Else: Skip{}}}.String(),
+			"if true then { skip; skip } else if false then skip else skip"},
+		{Seq{First: Seq{First: Skip{}, Rest: Skip{}}, Rest: Skip{}}.String(), "{ skip; skip }; skip"},
 	}
 	for _, tc := range cases {
 		if tc.got != tc.want {

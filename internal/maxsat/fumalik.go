@@ -9,6 +9,12 @@
 // core with a fresh blocking variable, adds an at-most-one constraint over
 // the new blocking variables, and repeats until satisfiable. The number of
 // iterations equals the number of falsified soft clauses in the optimum.
+//
+// A round's core is sat.Core's over the soft clauses' selectors: the one
+// front-first deletion finds, in selector order, which fixes the blocking
+// variables' numbering. Only a round's first solve, on a freshly reset
+// instance, decides the model; the core's queries decide nothing else. An
+// empty core means the hard clauses alone are unsatisfiable.
 package maxsat
 
 import (
@@ -95,6 +101,10 @@ type Solver struct {
 	clause    []sat.Lit // one soft clause as the SAT solver sees it
 	model     []bool
 	satisfied []bool
+
+	// core is how a round minimizes its failed selectors; nil means
+	// (*sat.Solver).Core. Tests hold it to another exact method.
+	core func(*sat.Solver, []sat.Lit) []sat.Lit
 }
 
 // Solve runs the Fu-Malik algorithm and returns the optimal result, whose
@@ -102,6 +112,9 @@ type Solver struct {
 func (m *Solver) Solve(p *Problem) Result {
 	if m.sat == nil {
 		m.sat = sat.New()
+	}
+	if m.core == nil {
+		m.core = (*sat.Solver).Core
 	}
 	s := m.sat
 	// Working state: soft clauses accumulate relaxation literals across
@@ -152,17 +165,12 @@ func (m *Solver) Solve(p *Problem) Result {
 			res.Model, res.SatisfiedSoft, res.Cost = m.model, m.satisfied, cost
 			return res
 		}
-		// Hard clauses alone unsatisfiable?
-		if s.Solve() == sat.Unsat {
+		// Extract a core of soft-clause selectors and relax. The core is
+		// empty exactly when the hard clauses alone are unsatisfiable.
+		core := m.core(s, m.selectors)
+		if len(core) == 0 {
 			res.Feasible = false
 			return res
-		}
-		// Extract a core of soft-clause selectors and relax.
-		core := s.Core(m.selectors)
-		if len(core) == 0 {
-			// Should not happen: hard clauses are satisfiable but the
-			// empty assumption set is unsat.
-			panic("maxsat: empty core with satisfiable hard clauses")
 		}
 		cost++
 		// Add one fresh blocking variable per core clause, and an

@@ -2,6 +2,8 @@ package maxsat
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/sat"
@@ -206,5 +208,71 @@ func TestTreatyShapedInstance(t *testing.T) {
 	res := new(Solver).Solve(p)
 	if res.Cost != 2 {
 		t.Fatalf("cost = %d, want 2", res.Cost)
+	}
+}
+
+// deletionCore is the core rounds took before QuickXplain: drop each
+// selector in turn, front first, whose removal leaves the rest
+// unsatisfiable.
+func deletionCore(s *sat.Solver, assumptions []sat.Lit) []sat.Lit {
+	core := slices.Clone(assumptions)
+	for i := 0; i < len(core); {
+		if s.Solve(slices.Delete(slices.Clone(core), i, i+1)...) == sat.Unsat {
+			core = slices.Delete(core, i, i+1)
+		} else {
+			i++
+		}
+	}
+	return core
+}
+
+// TestCoresMatchDeletion: every round finds the core deletion finds, so
+// the result — model, cost and rounds — is deletion's, on the treaty
+// optimizer's shape (unit softs over selectors, hard clauses that each
+// block a set of them) and on random clauses.
+func TestCoresMatchDeletion(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var problems []*Problem
+	p := new(Problem) // TestTreatyShapedInstance
+	s1, s2 := sat.Lit(p.NewVar()), sat.Lit(p.NewVar())
+	s3, s4 := sat.Lit(p.NewVar()), sat.Lit(p.NewVar())
+	p.AddHard(s1.Neg(), s2.Neg())
+	p.AddHard(s3.Neg(), s4.Neg())
+	for _, s := range []sat.Lit{s1, s2, s3, s4} {
+		p.AddSoft(s)
+	}
+	problems = append(problems, p)
+	for trial := 0; trial < 300; trial++ {
+		p := new(Problem)
+		n := 1 + rng.Intn(16)
+		for v := 1; v <= n; v++ {
+			p.AddSoft(sat.Lit(p.NewVar()))
+		}
+		for b := rng.Intn(6); b > 0; b-- {
+			var block []sat.Lit
+			for k := 1 + rng.Intn(4); k > 0; k-- {
+				block = append(block, sat.Lit(-(1 + rng.Intn(n))))
+			}
+			p.AddHard(block...)
+		}
+		if trial%3 == 0 { // random clauses besides
+			for c := rng.Intn(4); c >= 0; c-- {
+				l := sat.Lit(1 + rng.Intn(n))
+				if rng.Intn(2) == 0 {
+					l = l.Neg()
+				}
+				p.AddSoft(l, sat.Lit(1+rng.Intn(n)))
+				p.AddHard(l.Neg(), sat.Lit(-(1 + rng.Intn(n))))
+			}
+		}
+		problems = append(problems, p)
+	}
+	var quick, deletion Solver
+	deletion.core = deletionCore
+	for i, p := range problems {
+		got, want := quick.Solve(p), deletion.Solve(p)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("problem %d: %+v, with deletion cores %+v", i, got, want)
+		}
 	}
 }

@@ -267,47 +267,10 @@ func TestDuplicateLiterals(t *testing.T) {
 
 // TestResetMatchesFresh: a solver that is Reset between formulas behaves on
 // each exactly like a fresh one — same verdicts, same models, same cores
-// and, through the search counters, the same trajectory. The corpus is the
-// one the tests above use: random small 3-SAT (duplicate literals,
-// tautologies and unit clauses included), pigeonhole, assumptions.
+// and, through the search counters, the same trajectory. The corpus is
+// searchCorpus.
 func TestResetMatchesFresh(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	var corpus [][][]Lit
-	for trial := 0; trial < 200; trial++ {
-		nVars := 3 + rng.Intn(8)
-		clauses := make([][]Lit, 1+rng.Intn(40))
-		for i := range clauses {
-			cl := make([]Lit, 1+rng.Intn(3))
-			for j := range cl {
-				cl[j] = Lit(1 + rng.Intn(nVars))
-				if rng.Intn(2) == 0 {
-					cl[j] = cl[j].Neg()
-				}
-			}
-			clauses[i] = cl
-		}
-		corpus = append(corpus, clauses)
-	}
-	for _, holes := range []int{2, 3, 4} { // PHP(holes+1, holes)
-		var php [][]Lit
-		at := func(p, h int) Lit { return Lit(1 + p*holes + h) }
-		for p := 0; p <= holes; p++ {
-			var cl []Lit
-			for h := 0; h < holes; h++ {
-				cl = append(cl, at(p, h))
-			}
-			php = append(php, cl)
-		}
-		for h := 0; h < holes; h++ {
-			for p1 := 0; p1 <= holes; p1++ {
-				for p2 := p1 + 1; p2 <= holes; p2++ {
-					php = append(php, []Lit{at(p1, h).Neg(), at(p2, h).Neg()})
-				}
-			}
-		}
-		corpus = append(corpus, php)
-	}
-
+	corpus := searchCorpus()
 	type outcome struct {
 		plain, assumed Status
 		model          []bool
@@ -337,4 +300,52 @@ func TestResetMatchesFresh(t *testing.T) {
 			t.Fatalf("instance %d: reset solver %+v, fresh solver %+v", i, got, want)
 		}
 	}
+}
+
+// searchCorpus is the corpus the tests above use: random small 3-SAT
+// (duplicate literals, tautologies and unit clauses included) and
+// pigeonhole.
+func searchCorpus() [][][]Lit {
+	rng := rand.New(rand.NewSource(99))
+	var corpus [][][]Lit
+	for trial := 0; trial < 200; trial++ {
+		nVars := 3 + rng.Intn(8)
+		clauses := make([][]Lit, 1+rng.Intn(40))
+		for i := range clauses {
+			cl := make([]Lit, 1+rng.Intn(3))
+			for j := range cl {
+				cl[j] = Lit(1 + rng.Intn(nVars))
+				if rng.Intn(2) == 0 {
+					cl[j] = cl[j].Neg()
+				}
+			}
+			clauses[i] = cl
+		}
+		corpus = append(corpus, clauses)
+	}
+	for _, holes := range []int{2, 3, 4} { // PHP(holes+1, holes)
+		corpus = append(corpus, pigeonhole(holes))
+	}
+	return corpus
+}
+
+// pigeonhole is PHP(holes+1, holes): unsatisfiable.
+func pigeonhole(holes int) [][]Lit {
+	var php [][]Lit
+	at := func(p, h int) Lit { return Lit(1 + p*holes + h) }
+	for p := 0; p <= holes; p++ {
+		var cl []Lit
+		for h := 0; h < holes; h++ {
+			cl = append(cl, at(p, h))
+		}
+		php = append(php, cl)
+	}
+	for h := 0; h < holes; h++ {
+		for p1 := 0; p1 <= holes; p1++ {
+			for p2 := p1 + 1; p2 <= holes; p2++ {
+				php = append(php, []Lit{at(p1, h).Neg(), at(p2, h).Neg()})
+			}
+		}
+	}
+	return php
 }

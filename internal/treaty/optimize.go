@@ -1,7 +1,7 @@
 package treaty
 
 import (
-	"encoding/binary"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -176,7 +176,7 @@ func Optimize(t *Template, db lang.Database, model WorkloadModel, opt OptimizeOp
 	kept := s.selected[:0]
 	for i := 0; i < s.numSoft(); i++ {
 		kept = append(kept, i)
-		if _, ok := s.solve(kept, -1); !ok {
+		if !s.feasible(kept, -1) {
 			kept = kept[:len(kept)-1]
 		}
 	}
@@ -207,11 +207,22 @@ type solver struct {
 	// and site, which bounds lists. Only the constants differ between two
 	// soft constraints, so soft keeps len(bounds) of them per distinct one.
 	// Equality clauses are already pinned by the hard rows and contribute
-	// nothing soft.
+	// nothing soft. A distinct soft constraint is found again through
+	// heads, by the hash of its constants, and chain, the soft constraint
+	// before it with the same hash (or -1).
 	bounds []softBound
 	soft   []int64
-	key    []byte
-	seen   map[string]struct{}
+	heads  map[uint64]int32
+	chain  []int32
+
+	// sums is the closed form of the hard rows (see feasible): per
+	// inequality clause, its span of bounds and its H1 floor. narrow holds
+	// while every constant of the hard rows and the soft constraints is at
+	// most lim in magnitude (see fits).
+	sums   []clauseSum
+	narrow bool
+	lim    int64
+	tight  []int64 // scratch of feasible
 
 	selected []int
 	clause   []sat.Lit
@@ -220,14 +231,22 @@ type solver struct {
 }
 
 // softBound is the site clause one bound of a soft constraint is about,
-// and its clause's n.
+// its clause's n, and the constant of its H2 row, c_k + h2 <= 0.
 type softBound struct {
 	sc *SiteClause
 	n  int64
+	h2 int64
+}
+
+// clauseSum is one inequality clause's H1 row, sum_k c_k >= floor, over the
+// configuration variables of bounds[from:to].
+type clauseSum struct {
+	from, to int
+	floor    int64
 }
 
 // solvers recycles solver scratch across calls.
-var solvers = sync.Pool{New: func() any { return &solver{seen: make(map[string]struct{})} }}
+var solvers = sync.Pool{New: func() any { return &solver{heads: make(map[uint64]int32)} }}
 
 // begin points the scratch at one solve's template and database and
 // derives the rows over configuration variables that make a configuration
@@ -241,27 +260,34 @@ var solvers = sync.Pool{New: func() any { return &solver{seen: make(map[string]s
 // c_k <= n - S_k(D) for inequalities.
 func (s *solver) begin(t *Template, db lang.Database) {
 	s.t, s.db, s.stats = t, db, OptimizeStats{}
-	s.bounds, s.soft = s.bounds[:0], s.soft[:0]
-	clear(s.seen)
+	s.bounds, s.soft, s.chain, s.sums = s.bounds[:0], s.soft[:0], s.chain[:0], s.sums[:0]
+	clear(s.heads)
 	s.hard.Reset(t.configVars)
 	nv := len(t.configVars)
+	s.lim, s.narrow = math.MaxInt64/(int64(t.NSites)+2), true
 	for j := range t.Clauses {
 		tc := &t.Clauses[j]
 		n := -tc.Global.Term.Const
-		if tc.Global.Op == lia.LE {
+		le := tc.Global.Op == lia.LE
+		if le {
 			// H1: (K-1)*n - sum_k c_k <= 0.
 			h1 := s.hard.AddRow(lia.LE)
 			h1[nv] = (int64(t.NSites) - 1) * n
+			s.sums = append(s.sums, clauseSum{len(s.bounds), len(s.bounds) + len(tc.Sites), h1[nv]})
 			for k := range tc.Sites {
 				h1[tc.Sites[k].col] = -1
-				s.bounds = append(s.bounds, softBound{&tc.Sites[k], n})
 			}
+			s.narrow = s.narrow && s.fits(h1[nv])
 		}
 		// H2 per site, c_k - (n - S_k(D)) <= 0, or the equality's pin.
 		for k := range tc.Sites {
+			h2 := tc.Sites[k].localSum(db) - n
 			row := s.hard.AddRow(tc.Global.Op)
-			row[tc.Sites[k].col] = 1
-			row[nv] = tc.Sites[k].localSum(db) - n
+			row[tc.Sites[k].col], row[nv] = 1, h2
+			s.narrow = s.narrow && s.fits(h2)
+			if le {
+				s.bounds = append(s.bounds, softBound{&tc.Sites[k], n, h2})
+			}
 		}
 	}
 }
@@ -274,28 +300,42 @@ func (s *solver) numSoft() int { return len(s.soft) / max(len(s.bounds), 1) }
 //
 //homeo:hotpath
 func (s *solver) visit(dj lang.Database) {
-	base := len(s.soft)
-	for _, b := range s.bounds {
-		s.soft = append(s.soft, b.sc.localSum(dj)-b.n)
-	}
-	s.key = softKey(s.key[:0], s.soft[base:])
-	if _, dup := s.seen[string(s.key)]; dup || len(s.key) == 0 {
-		s.soft = s.soft[:base]
+	if len(s.bounds) == 0 {
 		return
 	}
-	s.seen[string(s.key)] = struct{}{}
+	base := len(s.soft)
+	for _, b := range s.bounds {
+		c := b.sc.localSum(dj) - b.n
+		s.soft = append(s.soft, c)
+		s.narrow = s.narrow && s.fits(c)
+	}
+	// Within one solve the variables, coefficients and relations of a soft
+	// constraint are fixed by the template, so its constants identify it.
+	consts := s.soft[base:]
+	h := softHash(consts)
+	head, ok := s.heads[h]
+	if !ok {
+		head = -1
+	}
+	for i := head; i >= 0; i = s.chain[i] {
+		if slices.Equal(s.soft[int(i)*len(consts):int(i+1)*len(consts)], consts) {
+			s.soft = s.soft[:base]
+			return
+		}
+	}
+	s.heads[h] = int32(len(s.chain))
+	s.chain = append(s.chain, head)
 }
 
-// softKey appends the key soft constraints are deduplicated by. Within one
-// solve the variables, coefficients and relations of a soft constraint are
-// fixed by the template, so its constants identify it exactly.
+// softHash mixes a soft constraint's constants (FNV-1a over their words).
 //
 //homeo:hotpath
-func softKey(key []byte, consts []int64) []byte {
+func softHash(consts []int64) uint64 {
+	h := uint64(14695981039346656037)
 	for _, c := range consts {
-		key = binary.LittleEndian.AppendUint64(key, uint64(c))
+		h = (h ^ uint64(c)) * 1099511628211
 	}
-	return key
+	return h
 }
 
 // solve looks for a model of the hard rows and the soft constraints idxs
@@ -315,6 +355,60 @@ func (s *solver) solve(idxs []int, skip int) ([]int64, bool) {
 	s.sys.TightenBounds()
 	return s.sys.SolveModel()
 }
+
+// feasible reports whether solve finds a model, without building the
+// system. Every configuration variable belongs to one (clause, site): an
+// equality clause pins it, and nothing else mentions it; an inequality
+// clause's H2 row and the soft rows bound it from above, and its clause's
+// H1 row bounds their sum from below. So the rows have an integer model
+// exactly when, for every inequality clause, the tightest upper bounds sum
+// to at least the H1 floor. Fourier–Motzkin finds that model too as long
+// as no sum of its rows leaves int64; past that it hands the system to its
+// rational reference, which can miss one. So unless every constant is
+// narrow, feasible asks solve.
+//
+//homeo:hotpath
+func (s *solver) feasible(idxs []int, skip int) bool {
+	if !s.narrow {
+		_, ok := s.solve(idxs, skip)
+		return ok
+	}
+	nb := len(s.bounds)
+	s.tight = slices.Grow(s.tight[:0], nb)[:nb]
+	for b := range s.bounds {
+		s.tight[b] = s.bounds[b].h2 // c_k + tight <= 0
+		for pos, idx := range idxs {
+			if pos != skip {
+				s.tight[b] = max(s.tight[b], s.soft[idx*nb+b])
+			}
+		}
+	}
+	return s.floorsMet(s.tight)
+}
+
+// floorsMet reports whether, under the tightest bound constant of each
+// bound, every inequality clause's upper bounds sum to its H1 floor.
+//
+//homeo:hotpath
+func (s *solver) floorsMet(tight []int64) bool {
+	for _, c := range s.sums {
+		total := int64(0)
+		for _, t := range tight[c.from:c.to] {
+			total -= t
+		}
+		if total < c.floor {
+			return false
+		}
+	}
+	return true
+}
+
+// fits reports whether a constant is narrow: NSites+2 of them, more than
+// any row Fourier–Motzkin forms from one clause's H1 row and bounds, or
+// any value it assigns, sums, cannot leave int64.
+//
+//homeo:hotpath
+func (s *solver) fits(c int64) bool { return -s.lim <= c && c <= s.lim }
 
 // finish turns a selection into its configuration, if it has one.
 func (s *solver) finish(selected []int) (Config, bool) {
@@ -349,7 +443,7 @@ func (s *solver) minimizeConflict(selected []int) []int {
 	checks := 0
 	for i := 0; i < len(core) && checks < maxDeletionChecks; {
 		checks++
-		if _, ok := s.solve(core, i); !ok {
+		if !s.feasible(core, i) {
 			core = slices.Delete(core, i, i+1)
 		} else {
 			i++

@@ -1,7 +1,6 @@
 package treaty
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -592,21 +591,23 @@ func TestOptimizeMatchesReference(t *testing.T) {
 	}
 }
 
-// TestSoftKeyExact: two sampled databases get equal structural keys
-// exactly when they got equal string keys, so deduplication classes are
-// what they were.
-func TestSoftKeyExact(t *testing.T) {
+// TestSoftDedupExact: a sampled database adds a soft constraint exactly
+// when its string key is new, so deduplication classes are what they
+// were — also when two distinct soft constraints share a hash, which the
+// test forces by pointing every new constraint's hash at the one before.
+func TestSoftDedupExact(t *testing.T) {
 	src := rand.New(rand.NewSource(5))
-	equal, distinct := 0, 0
+	equal, distinct, forced := 0, 0, 0
 	for trial := 0; trial < 300; trial++ {
 		tmpl, db, _, err := randomCase(src)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var s solver
+		s.heads = map[uint64]int32{}
 		s.begin(tmpl, db)
-		keys := make(map[string]string) // structural key -> string key
-		back := make(map[string]string)
+		seen := map[string]bool{}
+		var last []int64
 		for i := 0; i < 40; i++ {
 			d := db.Clone()
 			for obj := range d {
@@ -616,26 +617,34 @@ func TestSoftKeyExact(t *testing.T) {
 			if len(soft.Constraints) == 0 {
 				continue
 			}
-			s.soft = s.soft[:0]
-			s.seen = map[string]struct{}{}
+			n := s.numSoft()
+			if trial%2 == 1 && last != nil {
+				// Make d's hash lead to the last distinct constraint.
+				consts := make([]int64, len(s.bounds))
+				for b, sb := range s.bounds {
+					consts[b] = sb.sc.localSum(d) - sb.n
+				}
+				if _, ok := s.heads[softHash(consts)]; !ok && !slices.Equal(consts, last) {
+					s.heads[softHash(consts)] = int32(n - 1)
+					forced++
+				}
+			}
 			s.visit(d)
-			structural, str := string(bytes.Clone(s.key)), refSoftKey(soft)
-			if prev, ok := keys[structural]; ok && prev != str {
-				t.Fatalf("structural key %x stands for %q and %q", structural, prev, str)
+			key := refSoftKey(soft)
+			if added := s.numSoft() > n; added == seen[key] {
+				t.Fatalf("trial %d: key %q seen %v, soft constraint added %v", trial, key, seen[key], added)
 			}
-			if prev, ok := back[str]; ok && prev != structural {
-				t.Fatalf("string key %q has structural keys %x and %x", str, prev, structural)
-			}
-			if _, ok := keys[structural]; ok {
+			if seen[key] {
 				equal++
 			} else {
 				distinct++
+				last = slices.Clone(s.soft[n*len(s.bounds):])
 			}
-			keys[structural], back[str] = str, structural
+			seen[key] = true
 		}
 	}
-	if equal == 0 || distinct == 0 {
-		t.Fatalf("%d repeated and %d new keys: the trials do not exercise both", equal, distinct)
+	if equal == 0 || distinct == 0 || forced == 0 {
+		t.Fatalf("%d repeated, %d new and %d colliding constraints: the trials do not exercise all three", equal, distinct, forced)
 	}
 }
 
