@@ -153,7 +153,7 @@ func main() {
 	}
 
 	if *driveFlag != "" {
-		spec, err := drive.ParseSpec(*driveFlag, drive.Flags{BaseWorkload: opts.Workload != nil, Site: *site >= 0, Join: *joinSeed != ""})
+		spec, err := drive.ParseSpec(*driveFlag, drive.Flags{Site: *site >= 0, Join: *joinSeed != ""})
 		if err != nil {
 			fatal(err)
 		}

@@ -132,6 +132,11 @@ func TestWALRecoverRoundTrip(t *testing.T) {
 	// Treaty records carry the constraints in codec form; what comes back
 	// must be what the rounds installed.
 	sameLocals(t, unitLocals(c2), wantLocals)
+	// A recovered entry replays as a live one does, from its class name
+	// and arguments.
+	if err := c2.CheckReplayEquivalence(); err != nil {
+		t.Fatalf("replay equivalence after recovery: %v", err)
+	}
 
 	// The recovered incarnation keeps serving: fresh submissions commit
 	// and extend the recovered log.
@@ -140,6 +145,9 @@ func TestWALRecoverRoundTrip(t *testing.T) {
 	}
 	if got := c2.Committed(); got != len(wantLog)+1 {
 		t.Fatalf("post-recovery commit log has %d entries, want %d", got, len(wantLog)+1)
+	}
+	if err := c2.CheckReplayEquivalence(); err != nil {
+		t.Fatalf("replay equivalence over recovered and fresh entries: %v", err)
 	}
 }
 
@@ -265,8 +273,7 @@ func TestWALRecoverMembership(t *testing.T) {
 	if synced := submit(t, jcls, j, 40, 3) + submit(t, cls0, c0, 40, 3); synced == 0 {
 		t.Fatal("no submission paid a round after the recovery")
 	}
-	// Recovered entries replay through the class registry: merged log
-	// against the folded partitions.
+	// The merged log against the folded partitions.
 	if err := mergedReplay(c0, c0, cs[1], j); err != nil {
 		t.Fatalf("replay equivalence after membership recovery: %v", err)
 	}

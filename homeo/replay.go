@@ -9,7 +9,6 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/homeostasis"
 	"repro/internal/lang"
-	"repro/internal/workload"
 )
 
 // This file is the multi-process half of the replay-equivalence check
@@ -148,21 +147,12 @@ func mergeOrder(logs [][]wire.LogEntry) []logPos {
 }
 
 // CheckMergedReplay verifies observational equivalence across a
-// multi-process cluster: the union of every process's commit log, merged
-// by Lamport order, applied serially to the initial logical database,
-// must reproduce the database folded from every process's partition.
-//
-// Every logged commit must name a class registered on this cluster (the
-// driver registers the same classes at every site before driving) — base
-// workload draws are not reconstructible from the wire log. parts must
-// hold one partition per site.
-func (c *Cluster) CheckMergedReplay(logs [][]wire.LogEntry, parts []wire.PartitionResponse) error {
+// multi-process cluster (homeostasis.System.CheckReplay): every process's
+// commit log, merged by Lamport order, against the fold of parts, one
+// partition per site (a drained site's may be absent).
+func (c *Cluster) CheckMergedReplay(logs [][]wire.LogEntry, parts []wire.PartitionResponse) (err error) {
 	width := c.Sites()
-	merged := mergeOrder(logs)
-	if len(merged) == 0 {
-		return fmt.Errorf("homeo: merged replay with empty commit log")
-	}
-	bySite := make([]map[string]int64, width)
+	bySite := make([]homeostasis.Partition, width)
 	for _, p := range parts {
 		if p.Site < 0 || p.Site >= width {
 			return fmt.Errorf("homeo: partition names site %d outside [0,%d)", p.Site, width)
@@ -170,86 +160,21 @@ func (c *Cluster) CheckMergedReplay(logs [][]wire.LogEntry, parts []wire.Partiti
 		if bySite[p.Site] != nil {
 			return fmt.Errorf("homeo: duplicate partition for site %d", p.Site)
 		}
-		bySite[p.Site] = p.Values
+		vals := p.Values
+		bySite[p.Site] = func(obj lang.ObjID) (int64, bool) { v, ok := vals[string(obj)]; return v, ok }
 	}
-	// A drained site's partition may be absent: its deltas were absorbed
-	// into the replicated base by the drain's winnerless rounds, so the
-	// surviving sites' partitions carry its contribution. One that still
-	// reports keeps the base it last saw, since rounds after the drain do
-	// not reach it: its deltas count, its base is not compared. Every site
-	// still in the membership must report.
-	statuses := c.SiteStatuses()
-	ref := -1 // lowest-indexed live site with a partition: the base reference
-	for site, vals := range bySite {
-		if vals == nil {
-			if statuses[site] == "gone" {
-				continue
+	merged := mergeOrder(logs)
+	c.locked(func() {
+		err = c.sys.CheckReplay(func(yield func(string, []int64) bool) {
+			for _, p := range merged {
+				if e := p.in(logs); !yield(e.Class, e.Args) {
+					return
+				}
 			}
-			return fmt.Errorf("homeo: missing partition for site %d (status %s)", site, statuses[site])
-		}
-		if ref < 0 && statuses[site] != "gone" {
-			ref = site
-		}
-	}
-	if ref < 0 {
-		return fmt.Errorf("homeo: merged replay with no partitions")
-	}
-
-	var replay lang.Database
-	c.locked(func() { replay = c.reg.InitialDB() })
-	// Each class is looked up once: a log names a handful many times over.
-	classes := make(map[string]*TxnClass)
-	for _, p := range merged {
-		e := p.in(logs)
-		t, ok := classes[e.Class]
-		if !ok {
-			if t = c.Class(e.Class); t == nil {
-				return fmt.Errorf("homeo: merged replay: %q is not a registered class (base workload commits are not reconstructible)", e.Class)
-			}
-			classes[e.Class] = t
-		}
-		var (
-			req workload.Request
-			err error
-		)
-		// Applying runs under the execution right too: it borrows one of
-		// the class's pooled environments.
-		c.locked(func() {
-			if req, err = c.reg.Request(t.wc, e.Args); err == nil {
-				req.Apply(replay, req.Args)
-			}
-		})
-		if err != nil {
-			return fmt.Errorf("homeo: merged replay: %s%v: %v", e.Class, e.Args, err)
-		}
-	}
-
-	// Fold the final database from the partitions: the base value from
-	// the reference site (replicated — verify the others agree) plus
-	// every reporting site's own delta. Absent (drained) sites
-	// contribute zero delta by construction.
-	var objs []lang.ObjID
-	c.locked(func() { objs = c.sys.AllUnitObjects() })
-	for _, obj := range objs {
-		base, ok := bySite[ref][string(obj)]
-		if !ok {
-			return fmt.Errorf("homeo: merged replay: site %d partition is missing %s", ref, obj)
-		}
-		v := base
-		for site := 0; site < width; site++ {
-			if bySite[site] == nil {
-				continue
-			}
-			if b, ok := bySite[site][string(obj)]; ok && b != base && statuses[site] != "gone" {
-				return fmt.Errorf("homeo: merged replay: base %s diverged: site %d has %d, site %d has %d",
-					obj, ref, base, site, b)
-			}
-			v += bySite[site][string(lang.DeltaObj(obj, site))]
-		}
-		if got := replay.Get(obj); got != v {
-			return fmt.Errorf("homeo: merged replay mismatch on %s: cluster %d, serial replay %d (%d commits)",
-				obj, v, got, len(merged))
-		}
+		}, bySite)
+	})
+	if err != nil {
+		return fmt.Errorf("homeo: merged %w", err)
 	}
 	return nil
 }

@@ -249,7 +249,7 @@ func TestSimDrive(t *testing.T) {
 	for _, tw := range twins {
 		t.Run(tw.name, func(t *testing.T) {
 			ran++
-			spec, err := drive.ParseSpec(tw.drive, drive.Flags{BaseWorkload: tw.workload != "none"})
+			spec, err := drive.ParseSpec(tw.drive, drive.Flags{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -274,6 +274,38 @@ func TestSimDrive(t *testing.T) {
 		if err := os.WriteFile(twinsGolden, all.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestSimDriveBaseWorkload: a procs=2 drive of the micro workload's own
+// draws, no class registered, passes the merged replay. Each process logs
+// its Orders, round winners included, by name and items, and the replay
+// rebuilds them from the base workload.
+func TestSimDriveBaseWorkload(t *testing.T) {
+	scribbling(t)
+	spec, err := drive.ParseSpec("clients=2,duration=2s,procs=2", drive.Flags{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.CheckReplay = true
+	opts := smokeOpts(t, "none", spec)
+	if opts.Workload, err = micro.New(micro.Config{Items: 20, Refill: 20, NSites: 2}); err != nil {
+		t.Fatal(err)
+	}
+	out, logs, _ := runTwin(t, opts, spec)
+	orders, rounds := 0, 0
+	for _, l := range logs {
+		for _, e := range l {
+			if e.Class == "Order" {
+				orders++
+			}
+			if e.Round != nil {
+				rounds++
+			}
+		}
+	}
+	if len(logs) != 2 || orders == 0 || rounds == 0 {
+		t.Fatalf("%d logs, %d Orders, %d round winners: want 2 logs, Orders and winners\n%s", len(logs), orders, rounds, out)
 	}
 }
 

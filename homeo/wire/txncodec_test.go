@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -288,7 +289,73 @@ func FuzzParseTxnRequest(f *testing.F) {
 	for _, body := range requestBodies {
 		f.Add([]byte(body))
 	}
-	f.Fuzz(func(t *testing.T, body []byte) { checkRequest(t, body) })
+	for _, body := range costlyRequests() {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkRequest(t, body)
+		checkRequestCost(t, body)
+	})
+}
+
+// requestCost bounds what ParseTxnRequest may allocate: 64 bytes a byte of
+// body and 16 KiB more. The worst known per byte is the deepest nesting
+// encoding/json accepts, in a member the scanner does not take: json's
+// decode and then hasBatch's each keep a stack of the 10 000 levels, 35.8
+// bytes a byte. The most in all is an args list at the 1 MiB cap of POST
+// /v1/txn that the scanner reads and then hands to json for something it
+// does not take (a 1.0 at its end, an escaped key, a batch member): an
+// int64 a number from each, json's grown by half at a time, 24.1 bytes a
+// byte, 25 MB. json's error paths cost 4.6 KiB.
+var requestCost = struct{ perByte, fixed uint64 }{64, 16 << 10}
+
+// costlyRequests are the boundary cases of the cost bound: bodies at the
+// 1 MiB cap (httpapi's maxTxnBody) that build the longest args list on
+// the scanner's path and on json's, and the deepest nesting encoding/json
+// accepts (10 000 levels) in a member it skips, and one level more.
+func costlyRequests() []string {
+	const bodyCap = 1 << 20
+	n := bodyCap/2 - 8
+	nest := func(depth int) string {
+		return `{"x":` + strings.Repeat("[", depth-1) + strings.Repeat("]", depth-1) + `}`
+	}
+	return []string{
+		`{"args":[` + strings.Repeat("1,", n) + `1]}`,
+		`{"args":[` + strings.Repeat("1,", n) + `1.0]}`,
+		nest(10000), nest(10001),
+	}
+}
+
+// checkRequestCost fails t if ParseTxnRequest allocates more than
+// requestCost allows for body. The count is the whole process's, and the
+// fuzzing engine allocates beside the call now and then, so a call over the
+// bound is measured twice more and the least count is the one judged.
+// Under the race detector, which allocates on its own, nothing is judged.
+func checkRequestCost(t *testing.T, body []byte) {
+	if raceEnabled {
+		return
+	}
+	limit := requestCost.perByte*uint64(len(body)) + requestCost.fixed
+	parse := func() {
+		var env TxnEnvelope
+		_ = ParseTxnRequest(body, &env)
+	}
+	got := allocated(parse)
+	for i := 0; i < 2 && got > limit; i++ {
+		got = min(got, allocated(parse))
+	}
+	if got > limit {
+		t.Fatalf("parsing %d bytes allocated %d, over the bound %d", len(body), got, limit)
+	}
+}
+
+// allocated returns the bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 func FuzzParseTxnResult(f *testing.F) {

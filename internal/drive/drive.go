@@ -279,9 +279,8 @@ func (r *runner) gather(rep *Report) ([]Process, error) {
 	return procs, nil
 }
 
-// replay runs the oracle: the local commit log of an in-process drive, which
-// can re-execute base-workload draws, or every process's log merged by
-// Lamport clock (registered classes only).
+// replay runs the oracle: the local commit log of an in-process drive, or
+// every process's log merged by Lamport clock.
 func (r *runner) replay(procs []Process) (int, error) {
 	if r.spec.Procs == 0 {
 		return r.c.Committed(), r.c.CheckReplayEquivalence()

@@ -34,6 +34,7 @@ func TestParseSpec(t *testing.T) {
 			Events: []Event{{2 * time.Second, Kill, 1}}}},
 		{in: "duration=4s,class=W,procs=3,kill=2@mid,kill=1@3s", want: Spec{Clients: 4, Duration: 4 * time.Second, Class: "W", Procs: 3,
 			Events: []Event{{3 * time.Second, Kill, 1}}}},
+		{in: "procs=2", want: Spec{Clients: 4, Duration: 5 * time.Second, Procs: 2}},
 		{in: "class=W,procs=2,join=1,drain=0@mid,duration=8s", want: Spec{Clients: 4, Duration: 8 * time.Second, Class: "W", Procs: 2,
 			Events: []Event{{4 * time.Second, Join, 2}, {6 * time.Second, Drain, 0}}}},
 
@@ -50,8 +51,6 @@ func TestParseSpec(t *testing.T) {
 		{in: "join=1", err: "drive: join=/drain= need procs=N (elastic chaos runs over the multi-process fabric)"},
 		{in: "drain=0", err: "drive: join=/drain= need procs=N (elastic chaos runs over the multi-process fabric)"},
 		{in: "class=W,procs=2", flags: Flags{Site: true}, err: "-drive procs=N spawns its own peer processes; it cannot be combined with -site"},
-		{in: "class=W,procs=2", flags: Flags{BaseWorkload: true}, err: "drive: procs=N needs -workload none plus -register/class= (merged replay reconstructs commits through registered classes)"},
-		{in: "procs=2", err: "drive: procs=N needs -workload none plus -register/class= (merged replay reconstructs commits through registered classes)"},
 		{in: "clients=2", flags: Flags{Join: true}, err: "-join cannot be combined with -drive (the drive mode's join=1 knob spawns its own joiner)"},
 		{in: "class=W,procs=3,kill=3", err: "drive: kill=3 out of range (procs=3 spawns peer sites 1..2)"},
 		{in: "class=W,procs=3,drain=3", err: "drive: drain=3 out of range (procs=3 runs original sites 0..2)"},
@@ -173,7 +172,7 @@ func TestDriveInProcess(t *testing.T) {
 		if opts.Workload, err = tpcc.New(tpcc.Config{Warehouses: 2, DistrictsPerWarehouse: 2, StockPerWarehouse: 30, Customers: 200, NSites: 2, Seed: 1}); err != nil {
 			t.Fatal(err)
 		}
-		spec, err := ParseSpec("clients=2,duration=300ms", Flags{BaseWorkload: true})
+		spec, err := ParseSpec("clients=2,duration=300ms", Flags{})
 		if err != nil {
 			t.Fatal(err)
 		}

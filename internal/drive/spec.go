@@ -67,9 +67,8 @@ type Spec struct {
 
 // Flags is what the rest of the command line says of the deployment.
 type Flags struct {
-	BaseWorkload bool // -workload names a built-in workload, not none
-	Site         bool // -site/-peers make this process one site of an outside cluster
-	Join         bool // -join makes this process a joiner
+	Site bool // -site/-peers make this process one site of an outside cluster
+	Join bool // -join makes this process a joiner
 }
 
 // ParseSpec parses a -drive string (see Grammar) and checks it, in itself and
@@ -122,8 +121,6 @@ func ParseSpec(s string, f Flags) (Spec, error) {
 		return sp, fmt.Errorf("drive: join=/drain= need procs=N (elastic chaos runs over the multi-process fabric)")
 	case n > 0 && f.Site:
 		return sp, fmt.Errorf("-drive procs=N spawns its own peer processes; it cannot be combined with -site")
-	case n > 0 && (f.BaseWorkload || sp.Class == ""):
-		return sp, fmt.Errorf("drive: procs=N needs -workload none plus -register/class= (merged replay reconstructs commits through registered classes)")
 	case kill != nil && kill.Site >= n:
 		return sp, fmt.Errorf("drive: kill=%d out of range (procs=%d spawns peer sites 1..%d)", kill.Site, n, n-1)
 	case drain != nil && drain.Site >= n:

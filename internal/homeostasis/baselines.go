@@ -19,8 +19,12 @@ func (sys *System) execTwoPC(p rt.Proc, site int, req workload.Request) (ExecRes
 		if attempt > 200 {
 			return ExecResult{}, fmt.Errorf("%w: 2PC request %s", ErrLivelocked, req.Name)
 		}
-		if ok, log := sys.twoPCAttempt(p, site, req); ok {
+		ok, log, err := sys.twoPCAttempt(p, site, req)
+		if ok {
 			return ExecResult{Committed: true, Log: log}, nil
+		}
+		if err != nil {
+			return ExecResult{}, err
 		}
 		sys.Col.RecordConflictAbort()
 		// Randomized exponential backoff: deterministic-interval retries
@@ -36,9 +40,10 @@ func (sys *System) execTwoPC(p rt.Proc, site int, req workload.Request) (ExecRes
 }
 
 // twoPCAttempt performs one 2PC round trip, reporting whether it
-// committed. All transactions are closed on every exit path, including
-// deadline cancellation (the deferred aborts are no-ops after commit).
-func (sys *System) twoPCAttempt(p rt.Proc, site int, req workload.Request) (bool, []int64) {
+// committed, and the stored procedure's error when it aborts its request.
+// All transactions are closed on every exit path, including deadline
+// cancellation (the deferred aborts are no-ops after commit).
+func (sys *System) twoPCAttempt(p rt.Proc, site int, req workload.Request) (bool, []int64, error) {
 	n := sys.Opts.Topo.NSites()
 	cpu := sys.CPUs[site]
 	cpu.Acquire(p)
@@ -57,7 +62,10 @@ func (sys *System) twoPCAttempt(p rt.Proc, site int, req workload.Request) (bool
 	lview := &directView{tx: local, site: site, nSites: n}
 	if err := req.Exec(lview, req.Args); err != nil {
 		cpu.Release()
-		return false, nil
+		if aborts(err) {
+			return false, nil, err
+		}
+		return false, nil, nil
 	}
 	cpu.Release()
 
@@ -83,7 +91,7 @@ func (sys *System) twoPCAttempt(p rt.Proc, site int, req workload.Request) (bool
 	}
 	p.Sleep(sys.Opts.Topo.MaxOneWayFrom(site))
 	if !ok {
-		return false, nil // deferred aborts clean up everywhere
+		return false, nil, nil // deferred aborts clean up everywhere
 	}
 
 	// Commit round: decision out (half RTT), acks back (half RTT). The
@@ -96,7 +104,7 @@ func (sys *System) twoPCAttempt(p rt.Proc, site int, req workload.Request) (bool
 	local.Commit()
 	sys.logCommit(req, site, lview.log)
 	p.Sleep(sys.Opts.Topo.MaxOneWayFrom(site))
-	return true, lview.log
+	return true, lview.log, nil
 }
 
 // execLocal runs one request purely locally with no synchronization (the
@@ -111,6 +119,9 @@ func (sys *System) execLocal(p rt.Proc, site int, req workload.Request) (ExecRes
 	defer tx.Abort()
 	view := &directView{tx: tx, site: site, nSites: sys.Opts.Topo.NSites()}
 	if err := req.Exec(view, req.Args); err != nil {
+		if aborts(err) {
+			return ExecResult{}, err
+		}
 		// The local baseline does not retry: the conflict abort is counted
 		// and the request ends uncommitted but without error (the paper's
 		// accounting; see ExecResult.Committed).

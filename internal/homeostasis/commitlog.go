@@ -5,7 +5,6 @@ import (
 	"unsafe"
 
 	"repro/internal/fabric"
-	"repro/internal/lang"
 )
 
 // Segment sizes of a CommitLog, in entries: the first segment holds
@@ -27,7 +26,7 @@ const slabChunk = 8192
 // starts a new one when that is full, so a long log never holds an old
 // and a new backing array at once.
 type CommitLog struct {
-	segs []segment
+	segs [][]logEntry
 	n    int
 	// names is every class name the log holds, once, and ids its index.
 	names []string
@@ -41,18 +40,10 @@ type CommitLog struct {
 	top  int
 }
 
-// segment is a run of a CommitLog's entries. apply[j] is the Apply of
-// entries[j]; apply is nil in a segment none of whose entries has one
-// (recovery's), and otherwise as long as entries' capacity.
-type segment struct {
-	entries []logEntry
-	apply   []func(lang.Database, []int64) []int64
-}
-
 // logEntry is one commit as a CommitLog keeps it, in 32 bytes with no
 // pointer for the collector to scan: the name and the arguments are places
 // in the log's tables, and sites are 16 bits wide (every width is capped
-// at maxWALSites). Apply, where there is one, is kept beside it.
+// at maxWALSites).
 type logEntry struct {
 	clock    int64
 	roundSeq uint64
@@ -87,7 +78,7 @@ func (l *CommitLog) At(i int) Committed { return l.view(l.locate(i)) }
 // locate returns where entry i is: segment k, place j.
 func (l *CommitLog) locate(i int) (k, j int) {
 	for k := range l.segs {
-		if n := len(l.segs[k].entries); i >= n {
+		if n := len(l.segs[k]); i >= n {
 			i -= n
 		} else {
 			return k, i
@@ -101,7 +92,7 @@ func (l *CommitLog) locate(i int) (k, j int) {
 func (l *CommitLog) All(yield func(int, Committed) bool) {
 	i := 0
 	for k := range l.segs {
-		for j := range l.segs[k].entries {
+		for j := range l.segs[k] {
 			if !yield(i, l.view(k, j)) {
 				return
 			}
@@ -113,19 +104,14 @@ func (l *CommitLog) All(yield func(int, Committed) bool) {
 // view decodes entry j of segment k. Name and Args are the log's: reading
 // allocates nothing.
 func (l *CommitLog) view(k, j int) Committed {
-	seg := &l.segs[k]
-	e := &seg.entries[j]
-	c := Committed{
+	e := &l.segs[k][j]
+	return Committed{
 		Name:  l.names[e.class],
 		Args:  l.argsOf(e),
 		Site:  int(e.site),
 		Clock: e.clock,
 		Round: e.round(),
 	}
-	if seg.apply != nil {
-		c.Apply = seg.apply[j]
-	}
-	return c
 }
 
 // argsOf returns e's arguments in the slab, capacity-clipped so that
@@ -138,44 +124,31 @@ func (l *CommitLog) argsOf(e *logEntry) []int64 {
 	return l.slab[at/slabChunk][at%slabChunk : at%slabChunk+n : at%slabChunk+n]
 }
 
-// add appends e, its Args copied into the log's slab, into the last
-// segment while it has room.
+// add packs e into the last segment while it has room. It is the one way
+// an entry enters the log while the System runs (WAL replay packs into the
+// same log).
 //
 //homeo:hotpath
 func (l *CommitLog) add(e Committed) {
-	l.push(l.pack(l.classID(e.Name), e), e.Apply)
-}
-
-// push appends a packed entry and its Apply.
-//
-//homeo:hotpath
-func (l *CommitLog) push(e logEntry, apply func(lang.Database, []int64) []int64) {
+	p := l.pack(l.classID(e.Name), e)
 	k := len(l.segs) - 1
-	if k < 0 || len(l.segs[k].entries) == cap(l.segs[k].entries) {
+	if k < 0 || len(l.segs[k]) == cap(l.segs[k]) {
 		size := segMin
 		if k >= 0 {
-			size = min(max(2*cap(l.segs[k].entries), segMin), segMax)
+			size = min(max(2*cap(l.segs[k]), segMin), segMax)
 		}
 		l.adopt(make([]logEntry, 0, size))
 		k++
 	}
-	seg := &l.segs[k]
-	if apply != nil && seg.apply == nil {
-		seg.apply = make([]func(lang.Database, []int64) []int64, cap(seg.entries))
-	}
-	if seg.apply != nil {
-		seg.apply[len(seg.entries)] = apply
-	}
-	seg.entries = append(seg.entries, e)
+	l.segs[k] = append(l.segs[k], p)
 	l.n++
 }
 
 // adopt appends seg as a segment of its own, without copying it: the log
 // owns seg from here on, and appends go into its spare capacity. seg's
-// entries carry no Apply, and their class ids and argument offsets must
-// be this log's.
+// class ids and argument offsets must be this log's.
 func (l *CommitLog) adopt(seg []logEntry) {
-	l.segs = append(l.segs, segment{entries: seg})
+	l.segs = append(l.segs, seg)
 	l.n += len(seg)
 }
 
@@ -202,10 +175,10 @@ func (l *CommitLog) addName(name string) uint32 {
 	return k
 }
 
-// pack encodes e but its Apply as an entry of class k, its Args copied
-// into the slab (a request borrows its arguments from a caller that may
-// reuse them as soon as the submission returns, a replayed record from the
-// log's read buffer). The sites fit: every caller has checked them against
+// pack encodes e as an entry of class k, its Args copied into the slab (a
+// request borrows its arguments from a caller that may reuse them as soon
+// as the submission returns, a replayed record from the log's read
+// buffer). The sites fit: every caller has checked them against
 // the cluster's width or maxWALSites.
 //
 //homeo:hotpath

@@ -91,7 +91,7 @@ const maxWALSites = 1024
 // the one rule of this type is that nothing it leaves behind may: names
 // go through the intern table, and a commit-log entry is packed by the
 // System's commit log, which copies its Args as it does every live
-// commit's (appendCommit).
+// commit's (CommitLog.add).
 type replay struct {
 	sys *System
 	log *CommitLog

@@ -301,7 +301,7 @@ func (sys *System) execHomeo(p rt.Proc, site int, req workload.Request) (ExecRes
 				}
 			}
 		}
-		committed, violated, violIdx, commitLog := sys.execAttempt(p, site, req, f)
+		committed, violated, violIdx, commitLog, abort := sys.execAttempt(p, site, req, f)
 		if committed && track {
 			for i, u := range units {
 				for k, obj := range u.objects {
@@ -316,6 +316,9 @@ func (sys *System) execHomeo(p rt.Proc, site int, req workload.Request) (ExecRes
 		cpu.Release()
 		if committed {
 			return ExecResult{Committed: true, Log: commitLog}, nil
+		}
+		if abort != nil {
+			return ExecResult{}, abort
 		}
 		if !violated {
 			// Lock failure during execution: retry.
@@ -394,8 +397,9 @@ func (sys *System) execHomeo(p rt.Proc, site int, req workload.Request) (ExecRes
 // f.units (when violated) and a copy of the print log (when committed —
 // the frame's buffer is recycled, so the log must not escape by
 // reference). A (false, false, ...) return is a lock failure during
-// execution; the caller retries.
-func (sys *System) execAttempt(p rt.Proc, site int, req workload.Request, f *execFrame) (committed, violated bool, violIdx int, commitLog []int64) {
+// execution, which the caller retries, unless abort is the stored
+// procedure's own failure (aborts), which ends the request.
+func (sys *System) execAttempt(p rt.Proc, site int, req workload.Request, f *execFrame) (committed, violated bool, violIdx int, commitLog []int64, abort error) {
 	for _, u := range f.units {
 		u.inflight++
 	}
@@ -420,7 +424,10 @@ func (sys *System) execAttempt(p rt.Proc, site int, req workload.Request, f *exe
 	f.view.nSites = sys.Opts.Topo.NSites()
 	f.view.log = f.view.log[:0]
 	if execErr := req.Exec(&f.view, req.Args); execErr != nil {
-		return false, false, -1, nil
+		if aborts(execErr) {
+			abort = execErr
+		}
+		return false, false, -1, nil, abort
 	}
 	// Pre-commit check: would committing leave the site's state inside
 	// its local treaties? The store already reflects the tentative
@@ -428,7 +435,7 @@ func (sys *System) execAttempt(p rt.Proc, site int, req workload.Request, f *exe
 	// compiled treaty per site of the current width (addUnit, growUnit).
 	for i, u := range f.units {
 		if !u.treaties[site].Holds(sys.Stores[site]) {
-			return false, true, i, nil
+			return false, true, i, nil, nil
 		}
 	}
 	tx.Commit()
@@ -436,7 +443,16 @@ func (sys *System) execAttempt(p rt.Proc, site int, req workload.Request, f *exe
 		commitLog = append([]int64(nil), f.view.log...)
 	}
 	sys.logCommit(req, site, commitLog)
-	return true, false, -1, commitLog
+	return true, false, -1, commitLog, nil
+}
+
+// aborts reports whether a stored procedure's error ends its request
+// instead of a retry: an arithmetic overflow is the transaction's own
+// outcome on the state it read, where a lock failure is the schedule's.
+// The transaction writes nothing; the error is the request's.
+func aborts(err error) bool {
+	var oe *lang.OverflowError
+	return errors.As(err, &oe)
 }
 
 // tryJoin registers the violator as a co-winner of the negotiation
@@ -785,24 +801,13 @@ func (sys *System) logCommitClock(clk int64, req workload.Request, site int, log
 	if !sys.Opts.EnableLog {
 		return
 	}
-	sys.appendCommit(Committed{
+	sys.CommitLog.add(Committed{
 		Name:  req.Name,
 		Args:  req.Args,
 		Site:  site,
 		Clock: clk,
 		Round: rid,
-		Apply: req.Apply,
 	})
-}
-
-// appendCommit appends e to the commit log, which copies its Args: a
-// request borrows its arguments from a caller that may reuse them as soon
-// as the submission returns. It is the one way an entry enters the log
-// while the System runs (WAL replay packs into the same log).
-//
-//homeo:hotpath
-func (sys *System) appendCommit(e Committed) {
-	sys.CommitLog.add(e)
 }
 
 // markWrites records the site's own delta value of each object in the

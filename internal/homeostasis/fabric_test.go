@@ -185,7 +185,11 @@ func TestMultiProcessFabric(t *testing.T) {
 	})
 	replay := systems[0].W.InitialDB()
 	for _, e := range merged {
-		e.c.Apply(replay, e.c.Args)
+		req, err := systems[0].W.Rebuild(e.c.Name, e.c.Args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Apply(replay, req.Args)
 	}
 	for obj, want := range folded {
 		if got := replay.Get(obj); got != want {

@@ -165,9 +165,6 @@ func TestRejoinAdoptsInstalledRound(t *testing.T) {
 	if e.Round != rid {
 		t.Fatalf("adopted entry's round key = %v, want %v (the merged-log dedup key)", e.Round, rid)
 	}
-	if e.Apply != nil {
-		t.Fatal("adopted entry must carry no Apply closure (it replays through the class registry)")
-	}
 	if u.negotiating || len(sys.rounds) != 0 {
 		t.Fatal("round not fully released after adoption")
 	}

@@ -217,13 +217,12 @@ func (sys *System) failoverGrant(rid fabric.RoundID, g *roundGrant) {
 }
 
 // adoptWinner appends the failed-over round's winning commit to the
-// site's log and WAL. Apply stays nil: the entry replays through the
-// class registry (the state itself is already installed and durable via
-// the round's install record).
+// site's log and WAL (the state itself is already installed and durable
+// via the round's install record).
 func (sys *System) adoptWinner(site int, rid fabric.RoundID, g *roundGrant) {
 	w := g.winner
 	if sys.Opts.EnableLog {
-		sys.appendCommit(Committed{
+		sys.CommitLog.add(Committed{
 			Name:  w.Class,
 			Args:  w.Args,
 			Site:  w.Site,

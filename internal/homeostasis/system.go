@@ -183,11 +183,6 @@ type Committed struct {
 	// under coordinator failover: an adopted winner may be logged at
 	// several sites, and a merge keeps one copy.
 	Round fabric.RoundID
-	// Apply re-applies the logical effect to a database when called with
-	// Args (carried from the request; nil on entries recovered from a WAL
-	// or adopted from a failed-over round, which replay through the class
-	// registry instead).
-	Apply func(db lang.Database, args []int64) []int64
 }
 
 // siteDemand is one site's observed demand for a unit since the unit's
@@ -810,11 +805,9 @@ func (sys *System) FoldedDB() lang.Database {
 }
 
 // CheckReplayEquivalence verifies the paper's Theorem 3.8 observational
-// equivalence on the recorded commit log: applying the committed
-// transactions serially (in commit-log order) to the initial logical
-// database must reproduce the final consolidated database. The run must
-// have EnableLog set; ModeLocal provides no cross-site consistency, so
-// the check does not apply to it.
+// equivalence on the recorded commit log: CheckReplay over the log against
+// this process's stores. The run must have EnableLog set; ModeLocal
+// provides no cross-site consistency, so the check does not apply to it.
 func (sys *System) CheckReplayEquivalence() error {
 	if !sys.Opts.EnableLog {
 		return fmt.Errorf("homeostasis: replay check needs Options.EnableLog")
@@ -822,30 +815,80 @@ func (sys *System) CheckReplayEquivalence() error {
 	if sys.Opts.Mode == ModeLocal {
 		return fmt.Errorf("homeostasis: replay check does not apply to the local baseline")
 	}
-	if sys.CommitLog.Len() == 0 {
-		return fmt.Errorf("homeostasis: replay check with empty commit log")
+	parts := make([]Partition, len(sys.Stores))
+	for k, st := range sys.Stores {
+		parts[k] = func(obj lang.ObjID) (int64, bool) { return st.Get(obj), true }
 	}
-	replay := sys.W.InitialDB()
-	var err error
-	sys.CommitLog.All(func(_ int, c Committed) bool {
-		if c.Apply == nil {
-			// Recovered and adopted entries carry no replay closure; the
-			// class-registry replay (homeo.CheckMergedReplay) covers them.
-			err = fmt.Errorf("homeostasis: replay check cannot re-execute recovered entry %s (use the class-registry replay)", c.Name)
+	err := sys.CheckReplay(func(yield func(string, []int64) bool) {
+		sys.CommitLog.All(func(_ int, c Committed) bool { return yield(c.Name, c.Args) })
+	}, parts)
+	if err != nil {
+		return fmt.Errorf("homeostasis: %w", err)
+	}
+	return nil
+}
+
+// A Partition reads one site's share of the logical database (PartitionDB):
+// a unit object's or the site's delta object's value, and whether it has it.
+type Partition func(obj lang.ObjID) (int64, bool)
+
+// CheckReplay is the serial-replay check of Theorem 3.8 for one log or
+// many merged. commits yields each commit in serial order by its name and
+// arguments; the workload rebuilds it (Workload.Rebuild) and it is applied
+// to the initial database, which must then equal the fold of parts, one a
+// site: each unit object's base from the lowest live site, which every
+// live site's must equal, plus every reporting site's own delta. A gone
+// site's partition may be nil: its drain absorbed its deltas. The caller
+// holds the execution right (a class's Apply borrows pooled environments).
+func (sys *System) CheckReplay(commits func(yield func(name string, args []int64) bool), parts []Partition) (err error) {
+	replay, n := sys.W.InitialDB(), 0
+	commits(func(name string, args []int64) bool {
+		req, rerr := sys.W.Rebuild(name, args)
+		if rerr != nil {
+			err = fmt.Errorf("replay of %s%v: %w", name, args, rerr)
 			return false
 		}
-		c.Apply(replay, c.Args)
+		req.Apply(replay, req.Args)
+		n++
 		return true
 	})
-	if err != nil {
+	switch {
+	case err != nil:
 		return err
+	case n == 0:
+		return errors.New("replay with empty commit log")
 	}
-	// Sorted walk so a mismatch always names the same (first) object.
-	folded := sys.FoldedDB()
-	for _, obj := range folded.Objects() {
-		if got, v := replay.Get(obj), folded[obj]; got != v {
-			return fmt.Errorf("homeostasis: replay mismatch on %s: protocol %d, serial replay %d (%d commits)",
-				obj, v, got, sys.CommitLog.Len())
+	ref := -1 // the lowest live site: the fold's base
+	for site, p := range parts {
+		live := sys.status[site] != siteGone
+		if p == nil && live {
+			return fmt.Errorf("replay: missing partition for site %d (status %v)", site, sys.status[site])
+		}
+		if p != nil && live && ref < 0 {
+			ref = site
+		}
+	}
+	if ref < 0 {
+		return errors.New("replay with no partitions")
+	}
+	for _, obj := range sys.AllUnitObjects() {
+		base, ok := parts[ref](obj)
+		if !ok {
+			return fmt.Errorf("replay: site %d partition is missing %s", ref, obj)
+		}
+		v := base
+		for site, p := range parts {
+			if p == nil {
+				continue
+			}
+			if b, ok := p(obj); ok && b != base && sys.status[site] != siteGone {
+				return fmt.Errorf("replay: base %s diverged: site %d has %d, site %d has %d", obj, ref, base, site, b)
+			}
+			d, _ := p(sys.deltaName(obj, site))
+			v += d
+		}
+		if got := replay.Get(obj); got != v {
+			return fmt.Errorf("replay mismatch on %s: cluster %d, serial replay %d (%d commits)", obj, v, got, n)
 		}
 	}
 	return nil

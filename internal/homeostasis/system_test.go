@@ -54,6 +54,17 @@ func baseOpts(mode Mode, nSites int) Options {
 // finalFolded consolidates the final logical database across all sites.
 func finalFolded(sys *System) lang.Database { return sys.FoldedDB() }
 
+// replayed applies the logged commit c to db as serial replay does, on the
+// request w rebuilds from its name and arguments, and returns its log.
+func replayed(t testing.TB, w workload.Workload, db lang.Database, c Committed) []int64 {
+	t.Helper()
+	req, err := w.Rebuild(c.Name, c.Args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return req.Apply(db, req.Args)
+}
+
 // TestTheorem38SerialEquivalence is the paper's correctness theorem,
 // checked end-to-end: executing the committed transactions serially on
 // the initial database (in an order consistent with per-site commit
@@ -70,7 +81,7 @@ func TestTheorem38SerialEquivalence(t *testing.T) {
 			// Serial replay on the initial logical database.
 			replay := w.InitialDB()
 			for _, c := range logEntries(&sys.CommitLog) {
-				c.Apply(replay, c.Args)
+				replayed(t, w, replay, c)
 			}
 			final := finalFolded(sys)
 			for obj, v := range final {
@@ -247,7 +258,7 @@ func TestMultiItemRequests(t *testing.T) {
 	}
 	replay := w.InitialDB()
 	for _, c := range logEntries(&sys.CommitLog) {
-		c.Apply(replay, c.Args)
+		replayed(t, w, replay, c)
 	}
 	for obj, v := range finalFolded(sys) {
 		if replay.Get(obj) != v {
@@ -314,6 +325,9 @@ func (w *unitStub) NumUnits() int                         { return len(w.objs) }
 func (w *unitStub) UnitObjects(unit int) []lang.ObjID     { return w.objs[unit : unit+1] }
 func (w *unitStub) Model(int) treaty.WorkloadModel        { return nil }
 func (w *unitStub) Next(*rand.Rand, int) workload.Request { return workload.Request{} }
+func (w *unitStub) Rebuild(name string, _ []int64) (workload.Request, error) {
+	return workload.Request{}, fmt.Errorf("%w: %s", workload.ErrUnknownTxn, name)
+}
 func (w *unitStub) BuildGlobal(unit int, folded lang.Database) (treaty.Global, error) {
 	if unit == w.fail {
 		return treaty.Global{}, fmt.Errorf("no treaty for unit %d", unit)

@@ -47,7 +47,7 @@ func TestTPCCEndToEnd(t *testing.T) {
 	// Serial replay.
 	replay := w.InitialDB()
 	for _, c := range logEntries(&sys.CommitLog) {
-		c.Apply(replay, c.Args)
+		replayed(t, w, replay, c)
 	}
 	// Compare every logical object that appears in either database
 	// (balances included: they are replicated via deltas even without
@@ -125,7 +125,7 @@ func TestTPCCSyncBehaviorByTransaction(t *testing.T) {
 	productive := 0
 	replay := wDel.InitialDB()
 	for _, c := range logEntries(&sys2.CommitLog) {
-		if log := c.Apply(replay, c.Args); c.Name == "Delivery" && len(log) > 0 {
+		if log := replayed(t, wDel, replay, c); c.Name == "Delivery" && len(log) > 0 {
 			productive++
 		}
 	}

@@ -2,6 +2,7 @@ package lang
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -122,7 +123,11 @@ func EvalExpr(e Expr, env *Env) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		return -v, nil
+		n, ok := Sub64(0, v)
+		if !ok {
+			return 0, &OverflowError{Op: OpSub, L: 0, R: v}
+		}
+		return n, nil
 	case Bin:
 		l, err := EvalExpr(e.L, env)
 		if err != nil {
@@ -132,17 +137,58 @@ func EvalExpr(e Expr, env *Env) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
+		var v int64
+		var exact bool
 		switch e.Op {
 		case OpAdd:
-			return l + r, nil
-		case OpMul:
-			return l * r, nil
+			v, exact = Add64(l, r)
 		case OpSub:
-			return l - r, nil
+			v, exact = Sub64(l, r)
+		case OpMul:
+			v, exact = Mul64(l, r)
+		default:
+			return 0, fmt.Errorf("lang: unknown binary operator %v", e.Op)
 		}
-		return 0, fmt.Errorf("lang: unknown binary operator %v", e.Op)
+		if !exact {
+			return 0, &OverflowError{Op: e.Op, L: l, R: r}
+		}
+		return v, nil
 	}
 	return 0, fmt.Errorf("lang: unknown expression %T", e)
+}
+
+// An OverflowError is an arithmetic step whose value leaves int64 (a
+// negation is 0 - x): evaluation stops there, before the command it was
+// part of writes anything, and the transaction aborts. L's integers are
+// ℤ, as the analysis proves its treaties over, so no step wraps.
+type OverflowError struct {
+	Op   BinOp
+	L, R int64
+}
+
+func (e *OverflowError) Error() string {
+	return fmt.Sprintf("lang: integer overflow: %d %v %d leaves int64", e.L, e.Op, e.R)
+}
+
+// Add64 returns a + b and whether the sum is exact (did not wrap).
+func Add64(a, b int64) (int64, bool) {
+	s := a + b
+	return s, (a^s)&(b^s) >= 0
+}
+
+// Sub64 returns a - b and whether the difference is exact (did not wrap).
+func Sub64(a, b int64) (int64, bool) {
+	d := a - b
+	return d, (a^b)&(a^d) >= 0
+}
+
+// Mul64 returns a * b and whether the product is exact (did not wrap).
+func Mul64(a, b int64) (int64, bool) {
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	// The signed product's high word: the unsigned one, less b when a is
+	// negative and less a when b is.
+	hi -= uint64(a>>63)&uint64(b) + uint64(b>>63)&uint64(a)
+	return int64(lo), int64(hi) == int64(lo)>>63
 }
 
 // EvalBool evaluates a boolean expression in env.

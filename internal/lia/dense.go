@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 
+	"repro/internal/lang"
 	"repro/internal/logic"
 )
 
@@ -285,7 +286,7 @@ func (s *System) tighten(row []int64, strict bool) bool {
 	coeff := row[j]
 	t, ok := neg64(row[n])
 	if strict && ok {
-		t, ok = Add64(t, -1)
+		t, ok = lang.Add64(t, -1)
 	}
 	if !ok || (t == math.MinInt64 && coeff == -1) {
 		return false
@@ -444,9 +445,9 @@ func (s *System) combine(x, y int, a, b int64, op RelOp) status {
 	var g uint64
 	vars := false
 	for k := range out {
-		p, ok1 := Mul64(a, rx[k])
-		q, ok2 := Mul64(b, ry[k])
-		v, ok3 := Add64(p, q)
+		p, ok1 := lang.Mul64(a, rx[k])
+		q, ok2 := lang.Mul64(b, ry[k])
+		v, ok3 := lang.Add64(p, q)
 		if !ok1 || !ok2 || !ok3 {
 			s.rows = s.rows[:base]
 			return overflow
@@ -515,8 +516,8 @@ func (s *System) rest(r, skip int) (int64, bool) {
 		if row[k] == 0 {
 			continue
 		}
-		p, ok1 := Mul64(row[k], s.vals[k])
-		t, ok2 := Add64(sum, p)
+		p, ok1 := lang.Mul64(row[k], s.vals[k])
+		t, ok2 := lang.Add64(sum, p)
 		if !ok1 || !ok2 {
 			return 0, false
 		}
@@ -664,21 +665,6 @@ func gcd(a, b uint64) uint64 {
 }
 
 func neg64(x int64) (int64, bool) { return -x, x != math.MinInt64 }
-
-// Add64 returns a + b and whether the sum is exact (did not wrap).
-func Add64(a, b int64) (int64, bool) {
-	s := a + b
-	return s, (a^s)&(b^s) >= 0
-}
-
-// Mul64 returns a * b and whether the product is exact (did not wrap).
-func Mul64(a, b int64) (int64, bool) {
-	hi, lo := bits.Mul64(uint64(a), uint64(b))
-	// The signed product's high word: the unsigned one, less b when a is
-	// negative and less a when b is.
-	hi -= uint64(a>>63)&uint64(b) + uint64(b>>63)&uint64(a)
-	return int64(lo), int64(hi) == int64(lo)>>63
-}
 
 func floorDiv(a, b int64) int64 {
 	q := a / b

@@ -3,7 +3,6 @@ package lia
 import (
 	"encoding/binary"
 	"math"
-	"math/big"
 	"testing"
 
 	"repro/internal/logic"
@@ -222,18 +221,4 @@ func impliesRat(premises []Constraint, conclusion Constraint) bool {
 	}
 	return !FeasibleRat(with(Constraint{Term: conclusion.Term, Op: LT})) &&
 		!FeasibleRat(with(Constraint{Term: neg, Op: LT}))
-}
-
-// holdsExactly evaluates a conjunction at a point in arbitrary precision.
-func holdsExactly(cs []Constraint, point map[logic.Var]int64) bool {
-	for _, c := range cs {
-		sum := big.NewInt(c.Term.Const)
-		for v, coeff := range c.Term.Coeffs {
-			sum.Add(sum, new(big.Int).Mul(big.NewInt(coeff), big.NewInt(point[v])))
-		}
-		if s := sum.Sign(); s > 0 || (s == 0 && c.Op == LT) || (s < 0 && c.Op == EQ) {
-			return false
-		}
-	}
-	return true
 }

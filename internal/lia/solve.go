@@ -1,6 +1,7 @@
 package lia
 
 import (
+	"math"
 	"math/big"
 
 	"repro/internal/logic"
@@ -57,18 +58,26 @@ func SolveModelRat(cs []Constraint) (map[logic.Var]int64, bool) {
 		model[v] = val
 	}
 
-	// Verify the model satisfies the original constraints.
-	bind := func(v logic.Var) (int64, bool) {
-		val, ok := model[v]
-		return val, ok
-	}
-	for _, c := range cs {
-		ok, err := c.Eval(bind)
-		if err != nil || !ok {
-			return nil, false
-		}
+	// Verify the model satisfies the original constraints, over ℤ: a
+	// model whose sums leave int64 is still a model.
+	if !holdsExactly(cs, model) {
+		return nil, false
 	}
 	return model, true
+}
+
+// holdsExactly evaluates a conjunction at a point in arbitrary precision.
+func holdsExactly(cs []Constraint, point map[logic.Var]int64) bool {
+	for _, c := range cs {
+		sum := big.NewInt(c.Term.Const)
+		for v, coeff := range c.Term.Coeffs {
+			sum.Add(sum, new(big.Int).Mul(big.NewInt(coeff), big.NewInt(point[v])))
+		}
+		if s := sum.Sign(); s > 0 || (s == 0 && c.Op == LT) || (s < 0 && c.Op == EQ) {
+			return false
+		}
+	}
+	return true
 }
 
 // boundsFor computes the tightest rational bounds on v implied by the
@@ -161,7 +170,7 @@ func ratFloor(r *big.Rat) int64 {
 	if r.Sign() < 0 && new(big.Int).Mul(q, r.Denom()).Cmp(r.Num()) != 0 {
 		q.Sub(q, big.NewInt(1))
 	}
-	return q.Int64()
+	return clamp64(q)
 }
 
 func ratCeil(r *big.Rat) int64 {
@@ -169,5 +178,17 @@ func ratCeil(r *big.Rat) int64 {
 	if r.Sign() > 0 && new(big.Int).Mul(q, r.Denom()).Cmp(r.Num()) != 0 {
 		q.Add(q, big.NewInt(1))
 	}
-	return q.Int64()
+	return clamp64(q)
+}
+
+// clamp64 is x, or the int64 nearest it: a bound past the range does not
+// wrap into it. A value clamped so is checked like any other.
+func clamp64(x *big.Int) int64 {
+	switch {
+	case x.IsInt64():
+		return x.Int64()
+	case x.Sign() < 0:
+		return math.MinInt64
+	}
+	return math.MaxInt64
 }

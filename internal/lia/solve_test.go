@@ -2,7 +2,6 @@ package lia
 
 import (
 	"math"
-	"math/big"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -345,26 +344,30 @@ func TestOverflowRestartsOnReference(t *testing.T) {
 	}
 }
 
-// TestCheckedArithmeticIsExact: Add64 and Mul64 report exactly the results
-// that fit an int64, on every pair of values around the limits and the
-// square root of the range.
-func TestCheckedArithmeticIsExact(t *testing.T) {
-	var vals []int64
-	for _, v := range []int64{0, 1, 2, 3, 1 << 31, 3037000499, 3037000500, 1 << 32, math.MaxInt64 - 1, math.MaxInt64} {
-		vals = append(vals, v, -v)
+// TestSolveModelRatChecksExactly: the reference works over ℤ to the end.
+// These rows, which a treaty selection near the int64 edge produced, are
+// feasible (the two bounds sum to -60). At the model c0_0's lower bound
+// lies near -2^64: rounded to an int64 it wrapped, and the model's check
+// summed the rows in int64, so the reference found no model, and
+// SolveModel, which falls back to it on overflow, called the system
+// infeasible.
+func TestSolveModelRatChecksExactly(t *testing.T) {
+	x, y := logic.Config("c0_0"), logic.Config("c0_1")
+	cs := []Constraint{
+		c(term(math.MaxInt64-96, x, 1), LE),     // c0_0 <= -(2^63-97)
+		c(term(-(math.MaxInt64-156), y, 1), LE), // c0_1 <= 2^63-157
+		c(term(-(math.MaxInt64-96), x, -1, y, -1), LE),
 	}
-	vals = append(vals, math.MinInt64, math.MinInt64+1)
-	fits := func(x *big.Int) bool { return x.IsInt64() }
-	for _, a := range vals {
-		for _, b := range vals {
-			want := new(big.Int).Add(big.NewInt(a), big.NewInt(b))
-			if s, ok := Add64(a, b); ok != fits(want) || ok && s != want.Int64() {
-				t.Errorf("Add64(%d, %d) = %d, %v; exact %v", a, b, s, ok, want)
-			}
-			want.Mul(big.NewInt(a), big.NewInt(b))
-			if p, ok := Mul64(a, b); ok != fits(want) || ok && p != want.Int64() {
-				t.Errorf("Mul64(%d, %d) = %d, %v; exact %v", a, b, p, ok, want)
-			}
+	for i := 0; i < 50; i++ { // the terms' order is a map's: try many
+		m, ok := SolveModelRat(cs)
+		if !ok {
+			t.Fatal("SolveModelRat found no model of a feasible system")
+		}
+		if !holdsExactly(cs, m) {
+			t.Fatalf("model %v breaks %v", m, cs)
+		}
+		if _, ok := model(cs); !ok {
+			t.Fatal("SolveModel found no model of a feasible system")
 		}
 	}
 }

@@ -248,6 +248,22 @@ func (w *Workload) Next(rng *rand.Rand, site int) workload.Request {
 	return w.MakeRequest(items)
 }
 
+// Rebuild implements workload.Workload: the Order of the items its
+// arguments name.
+func (w *Workload) Rebuild(name string, args []int64) (workload.Request, error) {
+	if name != "Order" {
+		return workload.Request{}, fmt.Errorf("%w: micro has no %s", workload.ErrUnknownTxn, name)
+	}
+	items := make([]int, len(args))
+	for i, it := range args {
+		if it < 0 || it >= int64(w.cfg.Items) {
+			return workload.Request{}, fmt.Errorf("micro: Order of item %d, outside [0,%d)", it, w.cfg.Items)
+		}
+		items[i] = int(it)
+	}
+	return w.MakeRequest(items), nil
+}
+
 // MakeRequest builds the order request for explicit items (exported for
 // tests and examples).
 func (w *Workload) MakeRequest(items []int) workload.Request {

@@ -409,6 +409,25 @@ func (w *Workload) Next(rng *rand.Rand, site int) workload.Request {
 	}
 }
 
+// Rebuild implements workload.Workload: the NewOrder, Payment or Delivery
+// its arguments describe, in the order the request constructors below
+// log them.
+func (w *Workload) Rebuild(name string, args []int64) (workload.Request, error) {
+	districts := w.cfg.Warehouses * w.cfg.DistrictsPerWarehouse
+	in := func(i, n int) bool { return args[i] >= 0 && args[i] < int64(n) }
+	switch {
+	case name == "NewOrder" && len(args) == 3 && in(0, w.stockCount) && in(2, districts):
+		return w.NewOrderRequest(int(args[0]), args[1], int(args[2])), nil
+	case name == "Payment" && len(args) == 4 && in(0, w.cfg.Warehouses) && in(1, districts) && in(2, w.cfg.Customers):
+		return w.PaymentRequest(int(args[0]), int(args[1]), int(args[2]), args[3]), nil
+	case name == "Delivery" && len(args) == 1 && in(0, districts):
+		return w.DeliveryRequest(int(args[0])), nil
+	case name == "NewOrder" || name == "Payment" || name == "Delivery":
+		return workload.Request{}, fmt.Errorf("tpcc: %s%v names no request of this database", name, args)
+	}
+	return workload.Request{}, fmt.Errorf("%w: tpcc has no %s", workload.ErrUnknownTxn, name)
+}
+
 // NewOrderRequest orders qty of a stock entry and records the order in
 // the district's unfulfilled queue.
 func (w *Workload) NewOrderRequest(item int, qty int64, wd int) workload.Request {

@@ -211,11 +211,11 @@ func (c *CompiledLocal) Holds(db ObjReader) bool {
 func termSum(start int64, terms []Term, db ObjReader) (int64, bool) {
 	s := start
 	for _, t := range terms {
-		p, ok := lia.Mul64(t.Coeff, db.Get(t.Obj))
+		p, ok := lang.Mul64(t.Coeff, db.Get(t.Obj))
 		if !ok {
 			return 0, false
 		}
-		if s, ok = lia.Add64(s, p); !ok {
+		if s, ok = lang.Add64(s, p); !ok {
 			return 0, false
 		}
 	}

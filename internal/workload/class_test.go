@@ -348,6 +348,35 @@ func TestRegistryConflicts(t *testing.T) {
 	}
 }
 
+// TestRegistryRefusesBaseNames: a logged commit names its transaction and
+// nothing more, so a class may not take the name of a base transaction: an
+// Order class on a micro registry is refused as a duplicate, and Rebuild of
+// Order stays micro's.
+func TestRegistryRefusesBaseNames(t *testing.T) {
+	base, err := micro.New(micro.Config{Items: 10, Refill: 100, NSites: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := workload.NewRegistry(base, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	order, err := compileL(orderSrc, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Register(order, nil); !errors.Is(err, workload.ErrDuplicateClass) {
+		t.Fatalf("an Order class on micro: %v, want ErrDuplicateClass", err)
+	}
+	req, err := reg.Rebuild("Order", []int64{3})
+	if err != nil || len(req.Objects) != 1 || req.Objects[0] != micro.ItemObj(3) {
+		t.Fatalf("Rebuild(Order, [3]) = %+v, %v: want micro's order of item 3", req, err)
+	}
+	if _, err := reg.Rebuild("Deposit", []int64{1}); !errors.Is(err, workload.ErrUnknownTxn) {
+		t.Fatalf("Rebuild of an unregistered name: %v, want ErrUnknownTxn", err)
+	}
+}
+
 // TestOverlappingClassesShareUnits: two classes over the same object must
 // each check the other's treaty. The governing sets are maintained at
 // registration: a rollback (Unregister) gives the earlier class back its

@@ -126,6 +126,13 @@ func (r *Registry) Check(c *Class, initial lang.Database) error {
 	if _, dup := r.byName[c.Name]; dup {
 		return fmt.Errorf("%w: %s already registered", ErrDuplicateClass, c.Name)
 	}
+	// A logged commit names its transaction and nothing more, so a class
+	// may not share a name with one of the base workload's.
+	if r.base != nil {
+		if _, err := r.base.Rebuild(c.Name, nil); !errors.Is(err, ErrUnknownTxn) {
+			return fmt.Errorf("%w: %s is a transaction of the %s workload", ErrDuplicateClass, c.Name, r.base.Name())
+		}
+	}
 	for _, obj := range c.footprint {
 		if r.baseObjs[obj] {
 			return fmt.Errorf("workload: class %s touches %q, owned by the %s workload (base objects cannot be governed by registered classes)",
@@ -202,6 +209,18 @@ func (r *Registry) Request(c *Class, args []int64) (Request, error) {
 		return Request{}, fmt.Errorf("workload: class %s is not registered", c.Name)
 	}
 	return c.Invoke(r.Units(c), args)
+}
+
+// Rebuild implements Workload: a registered class by its name, and
+// otherwise the base workload's transaction of that name.
+func (r *Registry) Rebuild(name string, args []int64) (Request, error) {
+	if c := r.byName[name]; c != nil {
+		return r.Request(c, args)
+	}
+	if r.base == nil {
+		return Request{}, fmt.Errorf("%w: no class %s is registered", ErrUnknownTxn, name)
+	}
+	return r.base.Rebuild(name, args)
 }
 
 // Units returns the ascending set of treaty units governing the class:

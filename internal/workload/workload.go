@@ -6,6 +6,7 @@
 package workload
 
 import (
+	"errors"
 	"math/rand"
 
 	"repro/internal/lang"
@@ -50,7 +51,8 @@ type Request struct {
 	// the transaction as T' on every site.
 	Objects []lang.ObjID
 	// Exec runs the stored procedure against a site view. Errors indicate
-	// lock failures; the runtime aborts and retries.
+	// lock failures; the runtime aborts and retries. A *lang.OverflowError
+	// is the transaction's own: the runtime aborts the request.
 	//
 	// Exec and Apply take the invocation's arguments (callers pass Args)
 	// instead of closing over them, so a workload whose procedures are
@@ -61,9 +63,10 @@ type Request struct {
 	// Apply performs the transaction's logical effect on a folded
 	// (consolidated) database, in place, and returns its print log. The
 	// cleanup phase uses it to run the treaty-violating transaction T' at
-	// every site, and correctness tests use it for serial replay. Like
-	// Exec it runs under the runtime's execution right: a registered
-	// class's Apply borrows one of the class's pooled environments.
+	// every site, and serial replay runs it on the request Rebuild makes
+	// of each logged commit. Like Exec it runs under the runtime's
+	// execution right: a registered class's Apply borrows one of the
+	// class's pooled environments.
 	Apply func(db lang.Database, args []int64) []int64
 }
 
@@ -113,4 +116,13 @@ type Workload interface {
 	Model(unit int) treaty.WorkloadModel
 	// Next draws the next request for a client at the given site.
 	Next(rng *rand.Rand, site int) Request
+	// Rebuild makes again the request a commit log names by its Name and
+	// Args, the one way serial replay learns what a logged commit did. It
+	// wraps ErrUnknownTxn when name is none of the workload's
+	// transactions, and refuses arguments no request of name carries.
+	Rebuild(name string, args []int64) (Request, error)
 }
+
+// ErrUnknownTxn marks a Rebuild of a name the workload has no transaction
+// for (classify with errors.Is).
+var ErrUnknownTxn = errors.New("workload: unknown transaction")

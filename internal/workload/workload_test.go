@@ -1,7 +1,9 @@
 package workload_test
 
 import (
+	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/lang"
@@ -235,6 +237,51 @@ func TestTPCCExecMatchesApply(t *testing.T) {
 				t.Fatalf("%s: %s = %d after Exec, %d after Apply",
 					req.Name, obj, execDB.Get(obj), applyDB.Get(obj))
 			}
+		}
+	}
+}
+
+// TestRebuildMatchesDraws: every request micro and TPC-C draw is made again
+// by Rebuild from its name and arguments, with the same units, objects and
+// effect on the database; a name neither has wraps ErrUnknownTxn, and
+// arguments naming an object outside the database are refused.
+func TestRebuildMatchesDraws(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, w := range []workload.Workload{newMicro(t), newTPCC(t)} {
+		drawn, rebuilt := w.InitialDB(), w.InitialDB()
+		for i := 0; i < 300; i++ {
+			req := w.Next(rng, i%2)
+			again, err := w.Rebuild(req.Name, req.Args)
+			if err != nil {
+				t.Fatalf("%s: Rebuild(%s, %v): %v", w.Name(), req.Name, req.Args, err)
+			}
+			if again.Name != req.Name || !reflect.DeepEqual(again.Args, req.Args) ||
+				!reflect.DeepEqual(again.Units, req.Units) || !reflect.DeepEqual(again.Objects, req.Objects) {
+				t.Fatalf("%s: rebuilt %+v, drawn %+v", w.Name(), again, req)
+			}
+			if log, againLog := req.Apply(drawn, req.Args), again.Apply(rebuilt, again.Args); !reflect.DeepEqual(log, againLog) {
+				t.Fatalf("%s: %s printed %v drawn, %v rebuilt", w.Name(), req.Name, log, againLog)
+			}
+		}
+		if !drawn.Equal(rebuilt) {
+			t.Fatalf("%s: the rebuilt requests left another database", w.Name())
+		}
+		if _, err := w.Rebuild("Withdraw", nil); !errors.Is(err, workload.ErrUnknownTxn) {
+			t.Fatalf("%s: Rebuild of an unknown name: %v, want ErrUnknownTxn", w.Name(), err)
+		}
+	}
+	for _, bad := range []struct {
+		w    workload.Workload
+		name string
+		args []int64
+	}{
+		{newMicro(t), "Order", []int64{16}},
+		{newTPCC(t), "NewOrder", []int64{20, 1, 0}},
+		{newTPCC(t), "Payment", []int64{0, 1, 2}},
+		{newTPCC(t), "Delivery", []int64{-1}},
+	} {
+		if _, err := bad.w.Rebuild(bad.name, bad.args); err == nil || errors.Is(err, workload.ErrUnknownTxn) {
+			t.Errorf("Rebuild(%s, %v): %v, want a refusal of the arguments", bad.name, bad.args, err)
 		}
 	}
 }
