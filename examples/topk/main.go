@@ -12,7 +12,6 @@ import (
 	"math/rand"
 
 	"repro/internal/lang"
-	"repro/internal/logic"
 	"repro/internal/symtab"
 )
 
@@ -67,8 +66,8 @@ func main() {
 	messages, silenced := 0, 0
 	for i := 0; i < 1000; i++ {
 		v := int64(rng.Intn(120))
-		guardHolds, err := logic.EvalFormula(tbl.Rows[silent].Guard,
-			logic.DBBinding(db, map[string]int64{"v": v}, nil))
+		guardHolds, err := lang.EvalBool(tbl.Rows[silent].Guard,
+			&lang.Env{DB: db, Params: map[string]int64{"v": v}})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -13,7 +13,6 @@ import (
 	"math/rand"
 
 	"repro/internal/lang"
-	"repro/internal/logic"
 	"repro/internal/symtab"
 	"repro/internal/treaty"
 )
@@ -145,5 +144,4 @@ func main() {
 	fmt.Printf("2000 observations: %d silent (%.1f%%), %d required coordination\n",
 		silent, float64(silent)/20, synced)
 	fmt.Printf("final record low: %d\n", db.Get("record"))
-	_ = logic.TrueF{}
 }

@@ -220,26 +220,26 @@ func ParseTxnResult(data []byte, res *TxnResult) error {
 // the calls that never get here.
 
 func unmarshalTxnRequest(data []byte, env *TxnEnvelope) error {
+	// One decode reads the request and finds a batch member: encoding/json
+	// matches a key to a field named batch as the refusal must, in any
+	// case and escaped or not. The type is named TxnEnvelope and embeds
+	// TxnRequest as the exported one does, so that json words every error
+	// as it does for a TxnEnvelope.
+	type TxnEnvelope struct {
+		TxnRequest
+		Batch json.RawMessage `json:"batch"`
+	}
 	var v TxnEnvelope
 	err := json.Unmarshal(data, &v)
-	if err == nil && hasBatch(data) {
+	if err == nil && v.Batch != nil {
 		v, err = TxnEnvelope{}, errBatch
 	}
-	*env = v
+	env.TxnRequest = v.TxnRequest
 	return err
 }
 
 // errBatch refuses a POST /v1/txn body with a batch member.
 var errBatch = errors.New("a batch is not accepted: send one POST /v1/txn per transaction")
-
-// hasBatch reports whether a body encoding/json decodes has a member it
-// would match to a field named batch.
-func hasBatch(data []byte) bool {
-	var probe struct {
-		Batch json.RawMessage `json:"batch"`
-	}
-	return json.Unmarshal(data, &probe) == nil && probe.Batch != nil
-}
 
 func unmarshalTxnResult(data []byte, res *TxnResult) error {
 	var v TxnResult

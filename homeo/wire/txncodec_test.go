@@ -299,14 +299,14 @@ func FuzzParseTxnRequest(f *testing.F) {
 }
 
 // requestCost bounds what ParseTxnRequest may allocate: 64 bytes a byte of
-// body and 16 KiB more. The worst known per byte is the deepest nesting
-// encoding/json accepts, in a member the scanner does not take: json's
-// decode and then hasBatch's each keep a stack of the 10 000 levels, 35.8
-// bytes a byte. The most in all is an args list at the 1 MiB cap of POST
-// /v1/txn that the scanner reads and then hands to json for something it
-// does not take (a 1.0 at its end, an escaped key, a batch member): an
-// int64 a number from each, json's grown by half at a time, 24.1 bytes a
-// byte, 25 MB. json's error paths cost 4.6 KiB.
+// body and 16 KiB more. The most per byte, and in all, is an args list at
+// the 1 MiB cap of POST /v1/txn that the scanner reads and then hands to
+// json for something it does not take (a 1.0 at its end, an escaped key, a
+// batch member): an int64 a number from each, json's grown by half at a
+// time, 25.1 bytes a byte, 26 MB. The deepest nesting encoding/json
+// accepts, in a member the scanner does not take, keeps a stack of the
+// 10 000 levels in json's one decode: 18.9 bytes a byte. json's error
+// paths cost 4.6 KiB.
 var requestCost = struct{ perByte, fixed uint64 }{64, 16 << 10}
 
 // costlyRequests are the boundary cases of the cost bound: bodies at the

@@ -255,16 +255,17 @@ func (r *Reader) Varint() int64 {
 // Int consumes a signed varint as an int.
 func (r *Reader) Int() int { return int(r.Varint()) }
 
-// Count consumes a collection count and bounds it by the remaining
-// input (every element takes at least one byte), so corrupt lengths
-// cannot drive huge allocations.
-func (r *Reader) Count() int {
+// Count consumes the count of a collection whose every element takes at
+// least size bytes, and bounds it by the elements the remaining input can
+// hold, so corrupt lengths cannot drive huge allocations: a list nested in
+// a list claims no more than the bytes its elements would take.
+func (r *Reader) Count(size int) int {
 	n := r.Uvarint()
 	if r.err != nil {
 		return 0
 	}
-	if n > uint64(r.Len()) {
-		r.fail("count %d exceeds %d remaining bytes", n, r.Len())
+	if n > uint64(r.Len()/size) {
+		r.fail("count %d of elements of at least %d bytes exceeds %d remaining bytes", n, size, r.Len())
 		return 0
 	}
 	return int(n)
@@ -319,7 +320,7 @@ const maxNames = 4096
 //
 //homeo:hotpath
 func (r *Reader) Int64sInto(dst []int64) []int64 {
-	n := r.Count()
+	n := r.Count(1)
 	dst = slices.Grow(dst, n)
 	for i := 0; i < n; i++ {
 		dst = append(dst, r.Varint())
@@ -332,7 +333,7 @@ func (r *Reader) Int64sInto(dst []int64) []int64 {
 //
 //homeo:hotpath
 func (r *Reader) IntsInto(dst []int) []int {
-	n := r.Count()
+	n := r.Count(1)
 	dst = slices.Grow(dst, n)
 	for i := 0; i < n; i++ {
 		dst = append(dst, int(r.Varint()))
@@ -345,7 +346,7 @@ func (r *Reader) IntsInto(dst []int) []int {
 //
 //homeo:hotpath
 func (r *Reader) BytesListInto(dst [][]byte) [][]byte {
-	n := r.Count()
+	n := r.Count(1)
 	dst = slices.Grow(dst, n)
 	for i := 0; i < n; i++ {
 		dst = append(dst, r.Bytes())
@@ -357,7 +358,7 @@ func (r *Reader) BytesListInto(dst [][]byte) [][]byte {
 //
 //homeo:hotpath
 func (r *Reader) StringsInto(dst []string) []string {
-	n := r.Count()
+	n := r.Count(1)
 	dst = slices.Grow(dst, n)
 	for i := 0; i < n; i++ {
 		dst = append(dst, r.String())
@@ -371,7 +372,7 @@ func (r *Reader) StringsInto(dst []string) []string {
 //
 //homeo:hotpath
 func (r *Reader) PairsInto(dst []Pair) []Pair {
-	n := r.Count()
+	n := r.Count(2)
 	dst = slices.Grow(dst, n)
 	for i := 0; i < n; i++ {
 		dst = append(dst, Pair{Name: r.Bytes(), Val: r.Varint()})
@@ -387,7 +388,7 @@ func (r *Reader) PairsInto(dst []Pair) []Pair {
 //homeo:hotpath
 func (r *Reader) StringMapInto(m map[string]int64) map[string]int64 {
 	clear(m)
-	n := r.Count()
+	n := r.Count(2)
 	if m == nil && n > 0 {
 		m = make(map[string]int64, n)
 	}
@@ -406,7 +407,7 @@ func (r *Reader) StringMapInto(m map[string]int64) map[string]int64 {
 //
 //homeo:hotpath
 func (r *Reader) skipStringMap() {
-	n := r.Count()
+	n := r.Count(2)
 	for i := 0; i < n && r.err == nil; i++ {
 		r.Bytes()
 		r.Varint()

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -351,14 +352,111 @@ func TestBorrowingReads(t *testing.T) {
 	}
 }
 
+// decodeCost bounds what decoding a peer message may allocate: 96 bytes a
+// byte of input and 4 KiB more. A message decodes into lists sized from
+// their counts and a map per constraint, and a count cannot exceed the
+// elements the bytes left after it can hold (Reader.Count). The worst
+// shape known is the last of boundaryBodies, 74.8 bytes a byte (76.5 at
+// 10 KB): one-coefficient constraints, a small map for every five bytes,
+// in a list and a list of units whose counts each claim a third of the
+// bytes left. The treaty install without the claims reads 57.1.
+var decodeCost = struct{ perByte, fixed uint64 }{96, 4 << 10}
+
+// boundaryBodies are the boundary cases of the cost bound: a state reply
+// of as many distinct names as a Decoder's table holds (4096); a treaty
+// install of one-coefficient constraints; and the same constraints under
+// unit and constraint counts that claim every element the bytes left can
+// hold, which fails to decode once the list runs out.
+func boundaryBodies() [][]byte {
+	names := make(map[string]int64, 4096)
+	for i := range 4096 {
+		names[fmt.Sprint("d", i)] = int64(i)
+	}
+	oneCoeff := make([]wire.PeerConstraint, 200)
+	for i := range oneCoeff {
+		oneCoeff[i] = wire.PeerConstraint{Coeffs: map[string]int64{"": 1}, Op: "<="}
+	}
+	var out [][]byte
+	for _, m := range []any{
+		&wire.PeerState{Clock: 1, Values: names},
+		&wire.PeerInstallTreaties{Units: []wire.PeerUnitTreaty{{Constraints: oneCoeff}}},
+	} {
+		enc, _ := codec.AppendMessage(nil, m)
+		out = append(out, enc)
+	}
+	var list []byte
+	for range 200 {
+		list = append(list, 1, 0, 2, 0, 0) // {"": 1}, constant 0, <=
+	}
+	unit := codec.AppendUvarint([]byte{0, 0}, uint64(len(list)/3))
+	unit = append(unit, list...)
+	claim := append(codec.AppendHeader(nil, codec.KindInstallTreaties), 0, 0, 0, 0)
+	claim = codec.AppendUvarint(claim, uint64(len(unit)/3))
+	return append(out, append(claim, unit...))
+}
+
+// checkDecodeCost fails t if decoding data into a fresh value of every
+// kind (all but one of them refuse it at the header) allocates more than
+// decodeCost allows. The count is the whole process's, and the fuzzing
+// engine allocates beside the call now and then, so a decode over the
+// bound is measured twice more and the least count is the one judged.
+// Under the race detector nothing is judged.
+func checkDecodeCost(t *testing.T, data []byte) {
+	if raceEnabled {
+		return
+	}
+	limit := decodeCost.perByte*uint64(len(data)) + decodeCost.fixed
+	var vs []any
+	decode := func() {
+		for _, v := range vs {
+			_ = codec.DecodeMessage(data, v)
+		}
+	}
+	measure := func() uint64 {
+		vs = vs[:0]
+		for _, m := range allSamples() {
+			vs = append(vs, fresh(m))
+		}
+		return allocated(decode)
+	}
+	got := measure()
+	for i := 0; i < 2 && got > limit; i++ {
+		got = min(got, measure())
+	}
+	if got > limit {
+		t.Fatalf("decoding %d bytes allocated %d, over the bound %d", len(data), got, limit)
+	}
+}
+
+// allocated returns the bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestDecodeCostOfBoundaryBodies holds the boundary bodies to
+// FuzzDecodeMessage's bound.
+func TestDecodeCostOfBoundaryBodies(t *testing.T) {
+	for _, b := range boundaryBodies() {
+		checkDecodeCost(t, b)
+	}
+}
+
 // FuzzDecodeMessage drives arbitrary bytes through every decoder. The
-// properties: no panic, and anything that decodes cleanly re-encodes to
-// a message that decodes back to the same value (the codec is closed
-// under its own round trip even for non-canonical varint input).
+// properties: no panic; decoding into a fresh value allocates within
+// decodeCost; and anything that decodes cleanly re-encodes to a message
+// that decodes back to the same value (the codec is closed under its own
+// round trip even for non-canonical varint input).
 func FuzzDecodeMessage(f *testing.F) {
 	for _, m := range allSamples() {
 		enc, _ := codec.AppendMessage(nil, m)
 		f.Add(enc)
+	}
+	for _, b := range boundaryBodies() {
+		f.Add(b)
 	}
 	// One decoder and one value per kind for the whole run, as a transport
 	// holds them: each input is decoded over whatever the inputs before it
@@ -373,6 +471,7 @@ func FuzzDecodeMessage(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkDecodeCost(t, data)
 		for i, m := range allSamples() {
 			v := fresh(m)
 			err := codec.DecodeMessage(data, v)

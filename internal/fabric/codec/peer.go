@@ -90,7 +90,7 @@ func (r *Reader) Constraints() []wire.PeerConstraint { return orNil(r, r.Constra
 //
 //homeo:hotpath
 func (r *Reader) ConstraintsInto(dst []wire.PeerConstraint) []wire.PeerConstraint {
-	dst = resized(dst, r.Count())
+	dst = resized(dst, r.Count(3)) // a map's count, a constant, an op byte
 	for i := range dst {
 		c := &dst[i]
 		c.Coeffs, c.Const, c.Op = r.StringMapInto(c.Coeffs), r.Varint(), r.op()
@@ -109,7 +109,7 @@ func (r *Reader) ConstraintsInto(dst []wire.PeerConstraint) []wire.PeerConstrain
 //homeo:hotpath
 func (r *Reader) RawConstraints() []byte {
 	start := r.off
-	for i, n := 0, r.Count(); i < n && r.err == nil; i++ {
+	for i, n := 0, r.Count(3); i < n && r.err == nil; i++ {
 		r.skipStringMap()
 		r.Varint()
 		r.op()
@@ -307,7 +307,7 @@ func (r *Reader) message(m any) error {
 		m.Round = r.Uvarint()
 		m.Clock = r.Varint()
 		m.Site = r.Int()
-		m.Units = resized(m.Units, r.Count())
+		m.Units = resized(m.Units, r.Count(3)) // unit, version, constraint count
 		for i := range m.Units {
 			u := &m.Units[i]
 			u.Unit = r.Int()
@@ -323,13 +323,13 @@ func (r *Reader) message(m any) error {
 	case *wire.PeerRejoin:
 		m.Site = r.Int()
 		m.Clock = r.Varint()
-		m.Units = resized(m.Units, r.Count())
+		m.Units = resized(m.Units, r.Count(2)) // unit, version
 		for i := range m.Units {
 			m.Units[i] = wire.PeerUnitVersion{Unit: r.Int(), Version: r.Varint()}
 		}
 	case *wire.PeerRejoinReply:
 		m.Clock = r.Varint()
-		m.Units = resized(m.Units, r.Count())
+		m.Units = resized(m.Units, r.Count(4)) // unit, version, force, base count
 		for i := range m.Units {
 			u := &m.Units[i]
 			u.Unit, u.Version, u.Force, u.Base = r.Int(), r.Varint(), r.Bool(), r.StringMapInto(u.Base)
@@ -343,7 +343,7 @@ func (r *Reader) message(m any) error {
 	case *wire.PeerJoinReply:
 		m.Clock = r.Varint()
 		m.Epoch = r.Varint()
-		m.Units = resized(m.Units, r.Count())
+		m.Units = resized(m.Units, r.Count(3)) // unit, version, base count
 		for i := range m.Units {
 			u := &m.Units[i]
 			u.Unit, u.Version, u.Base = r.Int(), r.Varint(), r.StringMapInto(u.Base)

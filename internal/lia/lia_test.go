@@ -1,6 +1,7 @@
 package lia
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -24,14 +25,18 @@ var (
 	vx = logic.Obj("x")
 	vy = logic.Obj("y")
 	vz = logic.Obj("z")
+	rx = lang.Read{Obj: "x"}
+	ry = lang.Read{Obj: "y"}
 )
+
+func lit(v int64) lang.Expr        { return lang.IntLit{Value: v} }
+func add(l, r lang.Expr) lang.Expr { return lang.Bin{Op: lang.OpAdd, L: l, R: r} }
+func sub(l, r lang.Expr) lang.Expr { return lang.Bin{Op: lang.OpSub, L: l, R: r} }
+func mul(l, r lang.Expr) lang.Expr { return lang.Bin{Op: lang.OpMul, L: l, R: r} }
 
 func TestLinearizeBasic(t *testing.T) {
 	// 2*x + 3 - (y - x) = 3x - y + 3
-	e := logic.Sub{
-		L: logic.Add{L: logic.Mul{L: logic.Const{Value: 2}, R: logic.Ref{Var: vx}}, R: logic.Const{Value: 3}},
-		R: logic.Sub{L: logic.Ref{Var: vy}, R: logic.Ref{Var: vx}},
-	}
+	e := sub(add(mul(lit(2), rx), lit(3)), sub(ry, rx))
 	lt, err := Linearize(e)
 	if err != nil {
 		t.Fatal(err)
@@ -42,15 +47,73 @@ func TestLinearizeBasic(t *testing.T) {
 }
 
 func TestLinearizeNonLinear(t *testing.T) {
-	e := logic.Mul{L: logic.Ref{Var: vx}, R: logic.Ref{Var: vy}}
+	e := mul(rx, ry)
 	if _, err := Linearize(e); err != ErrNonLinear {
 		t.Fatalf("err = %v, want ErrNonLinear", err)
 	}
 	// Constant * variable is fine even nested.
-	e2 := logic.Mul{L: logic.Sub{L: logic.Const{Value: 5}, R: logic.Const{Value: 2}}, R: logic.Ref{Var: vx}}
+	e2 := mul(sub(lit(5), lit(2)), rx)
 	lt, err := Linearize(e2)
 	if err != nil || lt.Coeffs[vx] != 3 {
 		t.Fatalf("got %v, %v", lt, err)
+	}
+}
+
+// TestLinearizeKinds: a read is an object variable, a parameter a
+// parameter variable, a temporary a temporary one.
+func TestLinearizeKinds(t *testing.T) {
+	e := add(add(rx, lang.Param{Name: "p"}), lang.TempVar{Name: "t"})
+	lt, err := Linearize(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lt.Coeffs) != 3 || lt.Coeffs[vx] != 1 || lt.Coeffs[logic.Param("p")] != 1 || lt.Coeffs[logic.Temp("t")] != 1 {
+		t.Fatalf("linearized = %v", lt)
+	}
+}
+
+// TestLinearizeRange: a coefficient or constant that leaves int64 is
+// ErrRange, not a wrapped number.
+func TestLinearizeRange(t *testing.T) {
+	for _, e := range []lang.Expr{
+		add(lit(math.MaxInt64), lit(1)),
+		sub(rx, lit(math.MinInt64)),
+		mul(lit(2), mul(rx, lit(1<<62))),
+		lang.Neg{E: mul(rx, lit(math.MinInt64))},
+		add(mul(rx, lit(math.MaxInt64)), rx),
+	} {
+		if lt, err := Linearize(e); err != ErrRange {
+			t.Errorf("Linearize(%s) = %v, %v, want ErrRange", e, lt, err)
+		}
+	}
+	if _, err := AtomConstraints(lang.CmpGT, rx, lit(math.MinInt64)); err != ErrRange {
+		t.Errorf("x > -2^63: %v, want ErrRange", err)
+	}
+	lt, err := Linearize(add(mul(rx, lit(math.MaxInt64)), lit(math.MinInt64)))
+	if err != nil || lt.Coeffs[vx] != math.MaxInt64 || lt.Const != math.MinInt64 {
+		t.Fatalf("the edges themselves: %v, %v", lt, err)
+	}
+}
+
+// TestTermEvalOverflow: a term whose value leaves int64 is ErrRange, and
+// one whose value fits is that value, whatever its summands do on the way.
+func TestTermEvalOverflow(t *testing.T) {
+	b := logic.DBBinding(lang.Database{"x": math.MaxInt64, "y": math.MaxInt64, "z": math.MinInt64}, nil, nil)
+	for _, tc := range []struct {
+		t    Term
+		want int64
+		err  error
+	}{
+		{term(-10, vx, 1, vy, 1), 0, ErrRange},
+		{term(0, vx, 2), 0, ErrRange},
+		{term(-10, vx, 1, vy, -1), -10, nil},
+		{term(math.MinInt64, vz, -1), 0, nil},
+		{term(1, vx, 1, vz, 1), 0, nil},
+		{term(0, vz, 2, vx, 2), -2, nil},
+	} {
+		if v, err := tc.t.Eval(b); v != tc.want || err != tc.err {
+			t.Errorf("%s = %d, %v, want %d, %v", tc.t, v, err, tc.want, tc.err)
+		}
 	}
 }
 
@@ -64,8 +127,8 @@ func TestTermCancellation(t *testing.T) {
 }
 
 func TestAtomConstraintsAllOps(t *testing.T) {
-	x := logic.Ref{Var: vx}
-	ten := logic.Const{Value: 10}
+	x := rx
+	ten := lit(10)
 	check := func(op lang.CmpOp, val int64, want bool) {
 		cs, err := AtomConstraints(op, x, ten)
 		if err != nil {
@@ -238,10 +301,10 @@ func TestImpliesH1Shape(t *testing.T) {
 // TestFormulaToConstraintsRoundTrip: the canonical constraints of a
 // conjunction hold at exactly the points where the formula does.
 func TestFormulaToConstraintsRoundTrip(t *testing.T) {
-	f := logic.And(
-		logic.Atom{Op: lang.CmpGE, L: logic.Add{L: logic.Ref{Var: vx}, R: logic.Ref{Var: vy}}, R: logic.Const{Value: 20}},
-		logic.Atom{Op: lang.CmpLT, L: logic.Ref{Var: vx}, R: logic.Const{Value: 100}},
-	)
+	f := lang.And{
+		L: lang.Cmp{Op: lang.CmpGE, L: add(rx, ry), R: lit(20)},
+		R: lang.Cmp{Op: lang.CmpLT, L: rx, R: lit(100)},
+	}
 	cs, err := FormulaToConstraints(f)
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +316,7 @@ func TestFormulaToConstraintsRoundTrip(t *testing.T) {
 	for x := int64(-5); x <= 110; x += 5 {
 		for y := int64(-5); y <= 30; y += 5 {
 			b := logic.DBBinding(lang.Database{"x": x, "y": y}, nil, nil)
-			want, err := logic.EvalFormula(f, b)
+			want, err := lang.EvalBool(f, &lang.Env{DB: lang.Database{"x": x, "y": y}})
 			if err != nil {
 				t.Fatal(err)
 			}

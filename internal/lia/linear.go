@@ -1,5 +1,5 @@
 // Package lia is a linear integer arithmetic toolkit: canonical linear
-// terms and constraints, linearization of symbolic expressions, and a
+// terms and constraints, linearization of L's expressions and guards, and a
 // Fourier–Motzkin feasibility procedure. It underpins symbolic-table
 // pruning and treaty generation (Section 4.2, Appendix C of the
 // Homeostasis paper).
@@ -7,6 +7,7 @@ package lia
 
 import (
 	"fmt"
+	"math/big"
 	"strconv"
 
 	"repro/internal/lang"
@@ -47,12 +48,24 @@ func (t *Term) AddVar(v logic.Var, coeff int64) {
 	}
 }
 
-// AddTerm adds scale * other to the term.
-func (t *Term) AddTerm(other Term, scale int64) {
+// AddTerm adds scale * other to the term and reports whether every
+// product and sum stayed in int64; the term is unusable when it did not.
+func (t *Term) AddTerm(other Term, scale int64) bool {
 	for v, c := range other.Coeffs {
-		t.AddVar(v, c*scale)
+		p, ok := lang.Mul64(c, scale)
+		if ok {
+			_, ok = lang.Add64(t.Coeffs[v], p)
+		}
+		if !ok {
+			return false
+		}
+		t.AddVar(v, p)
 	}
-	t.Const += other.Const * scale
+	p, ok := lang.Mul64(other.Const, scale)
+	if ok {
+		t.Const, ok = lang.Add64(t.Const, p)
+	}
+	return ok
 }
 
 // IsConst reports whether the term has no variables.
@@ -68,17 +81,33 @@ func (t Term) Vars() []logic.Var {
 	return out
 }
 
-// Eval evaluates the term under a binding.
+// Eval evaluates the term under a binding. It is exact: a value that
+// leaves int64 is ErrRange, never a wrapped number.
 func (t Term) Eval(b logic.Binding) (int64, error) {
-	sum := t.Const
+	sum, exact := t.Const, true
 	for v, c := range t.Coeffs {
 		val, ok := b(v)
 		if !ok {
 			return 0, fmt.Errorf("lia: unbound variable %s", v)
 		}
-		sum += c * val
+		p, pok := lang.Mul64(c, val)
+		s, sok := lang.Add64(sum, p)
+		sum, exact = s, exact && pok && sok
 	}
-	return sum, nil
+	if exact {
+		return sum, nil
+	}
+	// A product or partial sum left int64; the value may still be in it.
+	exactSum := big.NewInt(t.Const)
+	var p, x big.Int
+	for v, c := range t.Coeffs {
+		val, _ := b(v)
+		exactSum.Add(exactSum, p.Mul(p.SetInt64(c), x.SetInt64(val)))
+	}
+	if !exactSum.IsInt64() {
+		return 0, ErrRange
+	}
+	return exactSum.Int64(), nil
 }
 
 func (t Term) String() string { return string(t.AppendTo(nil)) }
@@ -194,49 +223,38 @@ func (c Constraint) Clone() Constraint {
 // form (for example a product of two variables).
 var ErrNonLinear = fmt.Errorf("lia: non-linear expression")
 
-// Linearize converts a symbolic expression into a linear term, returning
-// ErrNonLinear when the expression multiplies two non-constant subterms.
-func Linearize(e logic.Expr) (Term, error) {
+// ErrRange is returned when a coefficient or the constant of a linear form,
+// or the value of a term, leaves int64.
+var ErrRange = fmt.Errorf("lia: value leaves int64")
+
+// Linearize converts an L expression into a linear term: read(x) is the
+// variable logic.Obj(x), a parameter logic.Param, a temporary logic.Temp.
+// It returns ErrNonLinear when the expression multiplies two non-constant
+// subterms and ErrRange when a coefficient or the constant leaves int64.
+// An array read is refused; lower L++ to L first.
+func Linearize(e lang.Expr) (Term, error) {
 	switch e := e.(type) {
-	case logic.Const:
+	case lang.IntLit:
 		t := NewTerm()
 		t.Const = e.Value
 		return t, nil
-	case logic.Ref:
-		t := NewTerm()
-		t.AddVar(e.Var, 1)
-		return t, nil
-	case logic.Add:
-		l, err := Linearize(e.L)
-		if err != nil {
-			return Term{}, err
-		}
-		r, err := Linearize(e.R)
-		if err != nil {
-			return Term{}, err
-		}
-		l.AddTerm(r, 1)
-		return l, nil
-	case logic.Sub:
-		l, err := Linearize(e.L)
-		if err != nil {
-			return Term{}, err
-		}
-		r, err := Linearize(e.R)
-		if err != nil {
-			return Term{}, err
-		}
-		l.AddTerm(r, -1)
-		return l, nil
-	case logic.Neg:
+	case lang.Read:
+		return leaf(logic.Obj(e.Obj)), nil
+	case lang.Param:
+		return leaf(logic.Param(e.Name)), nil
+	case lang.TempVar:
+		return leaf(logic.Temp(e.Name)), nil
+	case lang.Neg:
 		inner, err := Linearize(e.E)
 		if err != nil {
 			return Term{}, err
 		}
-		out := NewTerm()
-		out.AddTerm(inner, -1)
-		return out, nil
-	case logic.Mul:
+		t := NewTerm()
+		if !t.AddTerm(inner, -1) {
+			return Term{}, ErrRange
+		}
+		return t, nil
+	case lang.Bin:
 		l, err := Linearize(e.L)
 		if err != nil {
 			return Term{}, err
@@ -245,29 +263,50 @@ func Linearize(e logic.Expr) (Term, error) {
 		if err != nil {
 			return Term{}, err
 		}
-		if l.IsConst() {
-			out := NewTerm()
-			out.AddTerm(r, l.Const)
-			return out, nil
+		var ok bool
+		switch e.Op {
+		case lang.OpAdd:
+			ok = l.AddTerm(r, 1)
+		case lang.OpSub:
+			ok = l.AddTerm(r, -1)
+		case lang.OpMul:
+			if !l.IsConst() && !r.IsConst() {
+				return Term{}, ErrNonLinear
+			}
+			if !l.IsConst() {
+				l, r = r, l
+			}
+			k := l.Const
+			l = NewTerm()
+			ok = l.AddTerm(r, k)
+		default:
+			return Term{}, fmt.Errorf("lia: unknown operator %v", e.Op)
 		}
-		if r.IsConst() {
-			out := NewTerm()
-			out.AddTerm(l, r.Const)
-			return out, nil
+		if !ok {
+			return Term{}, ErrRange
 		}
-		return Term{}, ErrNonLinear
+		return l, nil
+	case lang.ArrayRead:
+		return Term{}, fmt.Errorf("lia: array read %s; lower L++ to L first", e)
 	}
 	return Term{}, fmt.Errorf("lia: unknown expression %T", e)
 }
 
-// AtomConstraints converts a comparison atom into one or two canonical
-// constraints (a != b becomes the disjunction it is not, so CmpNE returns
-// ErrDisjunctive; callers split on it).
+// leaf is the term 1·v.
+func leaf(v logic.Var) Term {
+	t := NewTerm()
+	t.AddVar(v, 1)
+	return t
+}
+
+// ErrDisjunctive is returned for a disequality: a != b is the disjunction
+// a < b || a > b, which a conjunction of constraints cannot state.
 var ErrDisjunctive = fmt.Errorf("lia: disequality is disjunctive")
 
 // AtomConstraints canonicalizes "l op r" into constraints of the form
-// Term {<=,<,=} 0 using integer arithmetic only.
-func AtomConstraints(op lang.CmpOp, l, r logic.Expr) ([]Constraint, error) {
+// Term {<=,<,=} 0 using integer arithmetic only. A disequality is
+// ErrDisjunctive; callers split on it.
+func AtomConstraints(op lang.CmpOp, l, r lang.Expr) ([]Constraint, error) {
 	lt, err := Linearize(l)
 	if err != nil {
 		return nil, err
@@ -277,8 +316,9 @@ func AtomConstraints(op lang.CmpOp, l, r logic.Expr) ([]Constraint, error) {
 		return nil, err
 	}
 	diff := NewTerm()
-	diff.AddTerm(lt, 1)
-	diff.AddTerm(rt, -1) // diff = l - r
+	if !diff.AddTerm(lt, 1) || !diff.AddTerm(rt, -1) { // diff = l - r
+		return nil, ErrRange
+	}
 	switch op {
 	case lang.CmpLT: // l - r < 0
 		return []Constraint{{Term: diff, Op: LT}}, nil
@@ -286,13 +326,14 @@ func AtomConstraints(op lang.CmpOp, l, r logic.Expr) ([]Constraint, error) {
 		return []Constraint{{Term: diff, Op: LE}}, nil
 	case lang.CmpEQ:
 		return []Constraint{{Term: diff, Op: EQ}}, nil
-	case lang.CmpGT: // r - l < 0
+	case lang.CmpGT, lang.CmpGE: // r - l < 0, r - l <= 0
 		neg := NewTerm()
-		neg.AddTerm(diff, -1)
-		return []Constraint{{Term: neg, Op: LT}}, nil
-	case lang.CmpGE:
-		neg := NewTerm()
-		neg.AddTerm(diff, -1)
+		if !neg.AddTerm(diff, -1) {
+			return nil, ErrRange
+		}
+		if op == lang.CmpGT {
+			return []Constraint{{Term: neg, Op: LT}}, nil
+		}
 		return []Constraint{{Term: neg, Op: LE}}, nil
 	case lang.CmpNE:
 		return nil, ErrDisjunctive
@@ -300,36 +341,37 @@ func AtomConstraints(op lang.CmpOp, l, r logic.Expr) ([]Constraint, error) {
 	return nil, fmt.Errorf("lia: unknown comparison %v", op)
 }
 
-// FormulaToConstraints converts a purely conjunctive formula into
-// canonical constraints. Disjunctions, negations of non-atoms, and
+// FormulaToConstraints converts a purely conjunctive guard into canonical
+// constraints. Disjunctions, negations of non-comparisons, and
 // disequalities are rejected; use the treaty preprocessing (Appendix C.1)
 // to eliminate them first.
-func FormulaToConstraints(f logic.Formula) ([]Constraint, error) {
-	switch f := f.(type) {
-	case logic.TrueF:
-		return nil, nil
-	case logic.FalseF:
+func FormulaToConstraints(b lang.BoolExpr) ([]Constraint, error) {
+	switch b := b.(type) {
+	case lang.BoolLit:
+		if b.Value {
+			return nil, nil
+		}
 		// Encode false as 1 <= 0.
 		t := NewTerm()
 		t.Const = 1
 		return []Constraint{{Term: t, Op: LE}}, nil
-	case logic.Atom:
-		return AtomConstraints(f.Op, f.L, f.R)
-	case logic.AndF:
-		var out []Constraint
-		for _, p := range f.Parts {
-			cs, err := FormulaToConstraints(p)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, cs...)
+	case lang.Cmp:
+		return AtomConstraints(b.Op, b.L, b.R)
+	case lang.And:
+		l, err := FormulaToConstraints(b.L)
+		if err != nil {
+			return nil, err
 		}
-		return out, nil
-	case logic.NotF:
-		if a, ok := f.F.(logic.Atom); ok {
+		r, err := FormulaToConstraints(b.R)
+		if err != nil {
+			return nil, err
+		}
+		return append(l, r...), nil
+	case lang.Not:
+		if a, ok := b.B.(lang.Cmp); ok {
 			return AtomConstraints(a.Op.Negate(), a.L, a.R)
 		}
-		return nil, fmt.Errorf("lia: negation of non-atom %s", f.F)
+		return nil, fmt.Errorf("lia: negation of non-comparison %s", b.B)
 	}
-	return nil, fmt.Errorf("lia: non-conjunctive formula %T", f)
+	return nil, fmt.Errorf("lia: non-conjunctive guard %T", b)
 }

@@ -1,56 +1,54 @@
-package logic
+package logic_test
 
 import (
 	"testing"
 
 	"repro/internal/lang"
+	"repro/internal/lia"
+	"repro/internal/logic"
 )
 
+// TestFromLangExprAndEval: the term lia builds from an L expression, read
+// through logic.DBBinding, has the value L gives the expression.
 func TestFromLangExprAndEval(t *testing.T) {
-	le := lang.Bin{Op: lang.OpAdd,
-		L: lang.Read{Obj: "x"},
-		R: lang.Bin{Op: lang.OpMul, L: lang.IntLit{Value: 3}, R: lang.Param{Name: "p"}},
-	}
-	e, err := FromLangExpr(le)
+	le := bin(lang.OpAdd, x, bin(lang.OpMul, lit(3), lang.Param{Name: "p"}))
+	term, err := lia.Linearize(le)
 	if err != nil {
-		t.Fatalf("FromLangExpr: %v", err)
+		t.Fatalf("Linearize: %v", err)
 	}
-	b := DBBinding(lang.Database{"x": 7}, map[string]int64{"p": 5}, nil)
-	v, err := EvalExpr(e, b)
+	db, params := lang.Database{"x": 7}, map[string]int64{"p": 5}
+	v, err := term.Eval(logic.DBBinding(db, params, nil))
 	if err != nil {
-		t.Fatalf("EvalExpr: %v", err)
+		t.Fatalf("Eval: %v", err)
 	}
-	if v != 22 {
-		t.Fatalf("value = %d, want 22", v)
+	want, err := lang.EvalExpr(le, &lang.Env{DB: db, Params: params})
+	if err != nil || v != want || v != 22 {
+		t.Fatalf("term = %d, L = %d (%v), want 22", v, want, err)
 	}
 }
 
 func TestSubstExpr(t *testing.T) {
 	// (x + t) with t := x - 1 should evaluate as 2x - 1.
-	e := Add{L: Ref{Var: Obj("x")}, R: Ref{Var: Temp("t")}}
-	sub := map[Var]Expr{Temp("t"): Sub{L: Ref{Var: Obj("x")}, R: Const{Value: 1}}}
-	out := Subst(e, sub)
-	b := DBBinding(lang.Database{"x": 10}, nil, nil)
-	v, err := EvalExpr(out, b)
-	if err != nil {
-		t.Fatal(err)
+	tmp := lang.TempVar{Name: "t"}
+	b := lang.SubstBool(cmp(lang.CmpEQ, bin(lang.OpAdd, x, tmp), lit(19)), tmp, bin(lang.OpSub, x, lit(1)))
+	ok, err := lang.EvalBool(b, &lang.Env{DB: lang.Database{"x": 10}})
+	if err != nil || !ok {
+		t.Fatalf("%s at x = 10: %v, %v", b, ok, err)
 	}
-	if v != 19 {
-		t.Fatalf("value = %d, want 19", v)
+	// What does not mention the variable is shared, not copied.
+	other := cmp(lang.CmpLT, x, lit(1))
+	if got := lang.SubstBool(other, tmp, lit(0)); got != lang.BoolExpr(other) {
+		t.Fatalf("SubstBool rebuilt %s", got)
 	}
 }
 
 func TestFormulaConnectivesAndEval(t *testing.T) {
-	x := Ref{Var: Obj("x")}
-	y := Ref{Var: Obj("y")}
+	y := lang.Read{Obj: "y"}
 	// (x < 10 && !(y = 3)) || x >= 100
-	f := Or(
-		And(
-			Atom{Op: lang.CmpLT, L: x, R: Const{Value: 10}},
-			Not(Atom{Op: lang.CmpEQ, L: y, R: Const{Value: 3}}),
-		),
-		Atom{Op: lang.CmpGE, L: x, R: Const{Value: 100}},
-	)
+	b := lang.Or{
+		L: lang.Conj(cmp(lang.CmpLT, x, lit(10)), lang.Negate(cmp(lang.CmpEQ, y, lit(3)))),
+		R: cmp(lang.CmpGE, x, lit(100)),
+	}
 	cases := []struct {
 		x, y int64
 		want bool
@@ -61,7 +59,7 @@ func TestFormulaConnectivesAndEval(t *testing.T) {
 		{150, 3, true},
 	}
 	for _, tc := range cases {
-		got, err := EvalFormula(f, DBBinding(lang.Database{"x": tc.x, "y": tc.y}, nil, nil))
+		got, err := lang.EvalBool(b, &lang.Env{DB: lang.Database{"x": tc.x, "y": tc.y}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,119 +70,148 @@ func TestFormulaConnectivesAndEval(t *testing.T) {
 }
 
 func TestAndOrSimplification(t *testing.T) {
-	a := Atom{Op: lang.CmpLT, L: Ref{Var: Obj("x")}, R: Const{Value: 1}}
-	if _, ok := And(TrueF{}, a).(Atom); !ok {
-		t.Error("And(true, a) should reduce to a")
+	a := cmp(lang.CmpLT, x, lit(1))
+	tru, fls := lang.BoolLit{Value: true}, lang.BoolLit{Value: false}
+	for _, tc := range []struct {
+		name      string
+		got, want lang.BoolExpr
+	}{
+		{"Conj(true, a)", lang.Conj(tru, a), a},
+		{"Conj(a, true)", lang.Conj(a, tru), a},
+		{"Conj(false, a)", lang.Conj(fls, a), fls},
+		{"Conj(a, false)", lang.Conj(a, fls), fls},
+		{"true || a", lang.FoldBool(lang.Or{L: tru, R: a}), tru},
+		{"a || true", lang.FoldBool(lang.Or{L: a, R: tru}), tru},
+		{"false || a", lang.FoldBool(lang.Or{L: fls, R: a}), a},
+		{"a || false", lang.FoldBool(lang.Or{L: a, R: fls}), a},
+		{"Conj(a, b)", lang.Conj(a, a), lang.And{L: a, R: a}},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s = %s, want %s", tc.name, tc.got, tc.want)
+		}
 	}
-	if _, ok := And(FalseF{}, a).(FalseF); !ok {
-		t.Error("And(false, a) should be false")
+	// An absorbing right side keeps a left side that can fail.
+	risky := cmp(lang.CmpLT, bin(lang.OpMul, x, x), lit(1))
+	if got := lang.Conj(risky, fls); got != (lang.And{L: risky, R: fls}) {
+		t.Errorf("Conj(risky, false) = %s", got)
 	}
-	if _, ok := Or(TrueF{}, a).(TrueF); !ok {
-		t.Error("Or(true, a) should be true")
-	}
-	if _, ok := Or(FalseF{}, a).(Atom); !ok {
-		t.Error("Or(false, a) should reduce to a")
-	}
-	if _, ok := And().(TrueF); !ok {
-		t.Error("empty And should be true")
-	}
-	if _, ok := Or().(FalseF); !ok {
-		t.Error("empty Or should be false")
+	if got := lang.FoldBool(lang.Or{L: risky, R: tru}); got != (lang.Or{L: risky, R: tru}) {
+		t.Errorf("risky || true folds to %s", got)
 	}
 }
 
 func TestNotPushesThroughAtoms(t *testing.T) {
-	a := Atom{Op: lang.CmpLT, L: Ref{Var: Obj("x")}, R: Const{Value: 5}}
-	n := Not(a)
-	atom, ok := n.(Atom)
+	a := cmp(lang.CmpLT, x, lit(5))
+	n, ok := lang.Negate(a).(lang.Cmp)
 	if !ok {
-		t.Fatalf("Not(atom) = %T, want Atom", n)
+		t.Fatalf("Negate(cmp) = %T, want Cmp", lang.Negate(a))
 	}
-	if atom.Op != lang.CmpGE {
-		t.Fatalf("negated op = %v, want >=", atom.Op)
+	if n.Op != lang.CmpGE {
+		t.Fatalf("negated op = %v, want >=", n.Op)
 	}
 	// Double negation restores the relation.
-	if nn, ok := Not(Not(a)).(Atom); !ok || nn.Op != lang.CmpLT {
+	if nn, ok := lang.Negate(lang.Negate(a)).(lang.Cmp); !ok || nn.Op != lang.CmpLT {
 		t.Fatal("double negation broken")
+	}
+	// A negated conjunction stays a negation, and negating it again gives
+	// the conjunction back.
+	both := lang.And{L: a, R: a}
+	if got := lang.Negate(both); got != (lang.Not{B: both}) {
+		t.Fatalf("Negate(and) = %s", got)
+	}
+	if got := lang.Negate(lang.Negate(both)); got != lang.BoolExpr(both) {
+		t.Fatalf("Negate(Negate(and)) = %s", got)
+	}
+	if got := lang.Negate(lang.BoolLit{Value: true}); got != (lang.BoolLit{Value: false}) {
+		t.Fatalf("Negate(true) = %s", got)
 	}
 }
 
 func TestSubstFormulaMatchesFig6Example(t *testing.T) {
 	// From Figure 7: guard (xh + yh < 10) after substituting yh := read(y)
 	// then xh := read(x) should become x + y < 10.
-	guard := Atom{Op: lang.CmpLT,
-		L: Add{L: Ref{Var: Temp("xh")}, R: Ref{Var: Temp("yh")}},
-		R: Const{Value: 10},
+	xh, yh := lang.TempVar{Name: "xh"}, lang.TempVar{Name: "yh"}
+	guard := cmp(lang.CmpLT, bin(lang.OpAdd, xh, yh), lit(10))
+	step1 := lang.SubstBool(guard, yh, lang.Read{Obj: "y"})
+	step2 := lang.SubstBool(step1, xh, x)
+	if got := step2.String(); got != "read(x) + read(y) < 10" {
+		t.Fatalf("substituted guard = %s", got)
 	}
-	step1 := SubstFormula(guard, map[Var]Expr{Temp("yh"): Ref{Var: Obj("y")}})
-	step2 := SubstFormula(step1, map[Var]Expr{Temp("xh"): Ref{Var: Obj("x")}})
-	vars := map[Var]bool{}
-	FormulaVars(step2, vars)
-	if vars[Temp("xh")] || vars[Temp("yh")] {
-		t.Fatalf("temporaries survived substitution: %v", vars)
-	}
-	ok, err := EvalFormula(step2, DBBinding(lang.Database{"x": 4, "y": 5}, nil, nil))
+	// No temporaries survive: the evaluations bind none.
+	ok, err := lang.EvalBool(step2, &lang.Env{DB: lang.Database{"x": 4, "y": 5}})
 	if err != nil || !ok {
 		t.Fatalf("x+y<10 should hold on (4,5): %v %v", ok, err)
 	}
-	ok, err = EvalFormula(step2, DBBinding(lang.Database{"x": 6, "y": 5}, nil, nil))
+	ok, err = lang.EvalBool(step2, &lang.Env{DB: lang.Database{"x": 6, "y": 5}})
 	if err != nil || ok {
 		t.Fatalf("x+y<10 should fail on (6,5): %v %v", ok, err)
 	}
 }
 
+// TestFromLangBool: a condition becomes a guard through FoldBool, which
+// pushes its negations into the comparisons.
 func TestFromLangBool(t *testing.T) {
 	lb := lang.And{
-		L: lang.Cmp{Op: lang.CmpLE, L: lang.Read{Obj: "a"}, R: lang.IntLit{Value: 4}},
-		R: lang.Not{B: lang.Cmp{Op: lang.CmpEQ, L: lang.Read{Obj: "b"}, R: lang.IntLit{Value: 0}}},
+		L: cmp(lang.CmpLE, lang.Read{Obj: "a"}, lit(4)),
+		R: lang.Not{B: cmp(lang.CmpEQ, lang.Read{Obj: "b"}, lit(0))},
 	}
-	f, err := FromLangBool(lb)
-	if err != nil {
-		t.Fatal(err)
+	g := lang.FoldBool(lb)
+	if got := g.String(); got != "read(a) <= 4 && read(b) != 0" {
+		t.Fatalf("guard = %s", got)
 	}
-	ok, err := EvalFormula(f, DBBinding(lang.Database{"a": 3, "b": 1}, nil, nil))
+	ok, err := lang.EvalBool(g, &lang.Env{DB: lang.Database{"a": 3, "b": 1}})
 	if err != nil || !ok {
-		t.Fatalf("formula should hold: %v %v", ok, err)
+		t.Fatalf("guard should hold: %v %v", ok, err)
 	}
-	ok, _ = EvalFormula(f, DBBinding(lang.Database{"a": 3, "b": 0}, nil, nil))
+	ok, _ = lang.EvalBool(g, &lang.Env{DB: lang.Database{"a": 3, "b": 0}})
 	if ok {
-		t.Fatal("formula should fail when b = 0")
+		t.Fatal("guard should fail when b = 0")
 	}
 }
 
 func TestConjuncts(t *testing.T) {
-	a := Atom{Op: lang.CmpLT, L: Ref{Var: Obj("x")}, R: Const{Value: 1}}
-	b := Atom{Op: lang.CmpGE, L: Ref{Var: Obj("y")}, R: Const{Value: 2}}
-	f := And(a, b)
-	cs := Conjuncts(f)
-	if len(cs) != 2 {
-		t.Fatalf("Conjuncts = %d parts, want 2", len(cs))
+	a := cmp(lang.CmpLT, x, lit(1))
+	b := cmp(lang.CmpGE, lang.Read{Obj: "y"}, lit(2))
+	count := func(g lang.BoolExpr) (n int) {
+		lang.Conjuncts(g, func(lang.BoolExpr) { n++ })
+		return n
 	}
-	if len(Conjuncts(TrueF{})) != 0 {
+	if n := count(lang.Conj(a, lang.Conj(b, a))); n != 3 {
+		t.Fatalf("Conjuncts = %d parts, want 3", n)
+	}
+	if n := count(lang.BoolLit{Value: true}); n != 0 {
 		t.Fatal("Conjuncts(true) should be empty")
 	}
-	if len(Conjuncts(a)) != 1 {
-		t.Fatal("Conjuncts(atom) should be the atom")
+	if n := count(lang.BoolLit{Value: false}); n != 1 {
+		t.Fatal("Conjuncts(false) should be false")
+	}
+	if n := count(a); n != 1 {
+		t.Fatal("Conjuncts(cmp) should be the comparison")
+	}
+	if n := count(lang.Or{L: a, R: b}); n != 1 {
+		t.Fatal("Conjuncts(or) should be the disjunction")
 	}
 }
 
 func TestSortedVarsDeterminism(t *testing.T) {
-	set := map[Var]bool{
-		Obj("z"): true, Obj("a"): true, Param("p"): true, Config("c"): true,
+	set := map[logic.Var]bool{
+		logic.Obj("z"): true, logic.Obj("a"): true, logic.Param("p"): true, logic.Config("c"): true,
 	}
-	vs := SortedVars(set)
+	vs := logic.SortedVars(set)
 	if len(vs) != 4 {
 		t.Fatalf("len = %d", len(vs))
 	}
 	// Obj < Param < Config per kind ordering.
-	if vs[0] != Obj("a") || vs[1] != Obj("z") || vs[2] != Param("p") || vs[3] != Config("c") {
+	if vs[0] != logic.Obj("a") || vs[1] != logic.Obj("z") || vs[2] != logic.Param("p") || vs[3] != logic.Config("c") {
 		t.Fatalf("order = %v", vs)
 	}
 }
 
 func TestEvalUnbound(t *testing.T) {
-	e := Ref{Var: Temp("ghost")}
-	if _, err := EvalExpr(e, DBBinding(lang.Database{}, nil, nil)); err == nil {
+	if _, ok := logic.DBBinding(lang.Database{}, nil, nil)(logic.Temp("ghost")); ok {
+		t.Fatal("DBBinding binds a temporary")
+	}
+	if _, err := lang.EvalExpr(lang.TempVar{Name: "ghost"}, &lang.Env{}); err == nil {
 		t.Fatal("expected unbound-variable error")
 	}
 }

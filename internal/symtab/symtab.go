@@ -1,7 +1,7 @@
 // Package symtab implements symbolic tables (Sections 2.2-2.3 of the
 // Homeostasis paper): for a transaction T, a set of pairs (guard,
-// residual) where guard is a first-order formula over database objects and
-// parameters, and residual is a partially evaluated transaction that
+// residual) where guard is a boolean expression of L over database reads
+// and parameters, and residual is a partially evaluated transaction that
 // behaves exactly like T on every database satisfying the guard.
 //
 // Tables are constructed by the backward analysis of Figure 6, pruned with
@@ -16,14 +16,13 @@ import (
 
 	"repro/internal/lang"
 	"repro/internal/lia"
-	"repro/internal/logic"
 )
 
-// Row pairs a guard formula with the partially evaluated transaction that
+// Row pairs a guard with the partially evaluated transaction that
 // is equivalent to the analyzed transaction on databases satisfying the
 // guard.
 type Row struct {
-	Guard    logic.Formula
+	Guard    lang.BoolExpr
 	Residual lang.Cmd
 }
 
@@ -44,7 +43,7 @@ func Build(t *lang.Transaction) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows, err := analyze(lowered.Body, []Row{{Guard: logic.TrueF{}, Residual: lang.Skip{}}})
+	rows, err := analyze(lowered.Body, []Row{{Guard: lang.BoolLit{Value: true}, Residual: lang.Skip{}}})
 	if err != nil {
 		return nil, fmt.Errorf("symtab: analyzing %s: %w", t.Name, err)
 	}
@@ -72,10 +71,7 @@ func analyze(c lang.Cmd, q []Row) ([]Row, error) {
 		// Rule (3). Pruning here (not only at the end) keeps the running
 		// table from growing exponentially on programs with long
 		// conditional chains, such as lowered L++ array accesses.
-		cond, err := logic.FromLangBool(c.Cond)
-		if err != nil {
-			return nil, err
-		}
+		cond := lang.FoldBool(c.Cond)
 		thenRows, err := analyze(c.Then, cloneRows(q))
 		if err != nil {
 			return nil, err
@@ -86,46 +82,22 @@ func analyze(c lang.Cmd, q []Row) ([]Row, error) {
 		}
 		out := make([]Row, 0, len(thenRows)+len(elseRows))
 		for _, r := range thenRows {
-			out = append(out, Row{Guard: logic.And(cond, r.Guard), Residual: r.Residual})
+			out = append(out, Row{Guard: lang.Conj(cond, r.Guard), Residual: r.Residual})
 		}
-		negCond := logic.Not(cond)
+		negCond := lang.Negate(cond)
 		for _, r := range elseRows {
-			out = append(out, Row{Guard: logic.And(negCond, r.Guard), Residual: r.Residual})
+			out = append(out, Row{Guard: lang.Conj(negCond, r.Guard), Residual: r.Residual})
 		}
 		return Prune(out), nil
 
 	case lang.Assign:
 		// Rule (4): guard gets phi{e/x^}, residual gets the assignment
 		// prepended.
-		e, err := logic.FromLangExpr(c.E)
-		if err != nil {
-			return nil, err
-		}
-		sub := map[logic.Var]logic.Expr{logic.Temp(c.Var): e}
-		out := make([]Row, len(q))
-		for i, r := range q {
-			out[i] = Row{
-				Guard:    logic.SubstFormula(r.Guard, sub),
-				Residual: lang.SeqOf(c, r.Residual),
-			}
-		}
-		return out, nil
+		return prepend(q, c, lang.TempVar{Name: c.Var}, c.E), nil
 
 	case lang.WriteCmd:
 		// Rule (6): guard gets phi{e/x}, residual gets the write prepended.
-		e, err := logic.FromLangExpr(c.E)
-		if err != nil {
-			return nil, err
-		}
-		sub := map[logic.Var]logic.Expr{logic.Obj(c.Obj): e}
-		out := make([]Row, len(q))
-		for i, r := range q {
-			out[i] = Row{
-				Guard:    logic.SubstFormula(r.Guard, sub),
-				Residual: lang.SeqOf(c, r.Residual),
-			}
-		}
-		return out, nil
+		return prepend(q, c, lang.Read{Obj: c.Obj}, c.E), nil
 
 	case lang.PrintCmd:
 		// Rule (7): guard unchanged, print prepended.
@@ -141,20 +113,31 @@ func analyze(c lang.Cmd, q []Row) ([]Row, error) {
 	return nil, fmt.Errorf("symtab: unknown command %T", c)
 }
 
+// prepend is rules (4) and (6): every guard of q gets x replaced by e, and
+// c goes in front of every residual.
+func prepend(q []Row, c lang.Cmd, x, e lang.Expr) []Row {
+	out := make([]Row, len(q))
+	for i, r := range q {
+		out[i] = Row{Guard: lang.SubstBool(r.Guard, x, e), Residual: lang.SeqOf(c, r.Residual)}
+	}
+	return out
+}
+
 func cloneRows(q []Row) []Row {
 	out := make([]Row, len(q))
 	copy(out, q)
 	return out
 }
 
-// Prune constant-folds guards and drops rows whose guards are provably
+// Prune folds the ground parts of guards (lang.FoldBool: arithmetic that
+// leaves int64 stays unfolded) and drops rows whose guards are provably
 // unsatisfiable. Guards that are purely conjunctive linear systems are
 // checked with Fourier-Motzkin; anything the linear fragment cannot
 // express is conservatively kept.
 func Prune(rows []Row) []Row {
 	out := rows[:0]
 	for _, r := range rows {
-		folded := logic.Fold(r.Guard)
+		folded := lang.FoldBool(r.Guard)
 		if GuardUnsat(folded) {
 			continue
 		}
@@ -167,28 +150,27 @@ func Prune(rows []Row) []Row {
 // linear fragment. Conservative: false when undecidable here. Conjuncts
 // outside the linear fragment (e.g. disequalities) are skipped rather
 // than blocking the check of the remaining conjuncts.
-func GuardUnsat(f logic.Formula) bool {
-	if _, ok := f.(logic.FalseF); ok {
-		return true
+func GuardUnsat(g lang.BoolExpr) bool {
+	if lit, ok := g.(lang.BoolLit); ok {
+		return !lit.Value
 	}
 	var cs []lia.Constraint
-	for _, conj := range logic.Conjuncts(f) {
-		part, err := lia.FormulaToConstraints(conj)
-		if err != nil {
-			continue // keep checking the linear conjuncts
-		}
-		cs = append(cs, part...)
-	}
+	lang.Conjuncts(g, func(conj lang.BoolExpr) {
+		if part, err := lia.FormulaToConstraints(conj); err == nil {
+			cs = append(cs, part...)
+		} // else keep checking the linear conjuncts
+	})
 	return !lia.Feasible(cs)
 }
 
 // MatchRow returns the index of the unique row whose guard is satisfied by
-// the database and parameter binding. Returns an error if no row (or, for
-// malformed tables, if guard evaluation fails) matches.
+// the database and parameter binding. Guard evaluation is L's, so a guard
+// whose arithmetic leaves int64 fails with a *lang.OverflowError, as the
+// source transaction does there. Returns an error if no row matches.
 func (t *Table) MatchRow(db lang.Database, params map[string]int64) (int, error) {
-	b := logic.DBBinding(db, params, nil)
+	env := lang.Env{DB: db, Params: params}
 	for i, r := range t.Rows {
-		ok, err := logic.EvalFormula(r.Guard, b)
+		ok, err := lang.EvalBool(r.Guard, &env)
 		if err != nil {
 			return -1, fmt.Errorf("symtab: evaluating guard of row %d: %w", i, err)
 		}
@@ -222,7 +204,7 @@ func (t *Table) String() string {
 // JointRow is a row of a joint symbolic table for a transaction set: one
 // shared guard and one residual per transaction (Section 2.2).
 type JointRow struct {
-	Guard     logic.Formula
+	Guard     lang.BoolExpr
 	Residuals []lang.Cmd
 }
 
@@ -240,12 +222,12 @@ func Join(tables ...*Table) *JointTable {
 	for _, t := range tables {
 		jt.Txns = append(jt.Txns, t.Txn)
 	}
-	rows := []JointRow{{Guard: logic.TrueF{}}}
+	rows := []JointRow{{Guard: lang.BoolLit{Value: true}}}
 	for _, t := range tables {
 		var next []JointRow
 		for _, jr := range rows {
 			for _, r := range t.Rows {
-				guard := logic.And(jr.Guard, r.Guard)
+				guard := lang.Conj(jr.Guard, r.Guard)
 				if GuardUnsat(guard) {
 					continue
 				}
@@ -266,9 +248,9 @@ func Join(tables ...*Table) *JointTable {
 // MatchRow returns the index of the first row whose guard holds on the
 // database under the parameter binding.
 func (jt *JointTable) MatchRow(db lang.Database, params map[string]int64) (int, error) {
-	b := logic.DBBinding(db, params, nil)
+	env := lang.Env{DB: db, Params: params}
 	for i, r := range jt.Rows {
-		ok, err := logic.EvalFormula(r.Guard, b)
+		ok, err := lang.EvalBool(r.Guard, &env)
 		if err != nil {
 			return -1, fmt.Errorf("symtab: joint guard %d: %w", i, err)
 		}

@@ -1,6 +1,8 @@
 package symtab
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"slices"
@@ -8,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/lang"
-	"repro/internal/logic"
 )
 
 const t1Src = `
@@ -57,8 +58,8 @@ func TestTopKTableShape(t *testing.T) {
 		v    int64
 		want bool
 	}{{50, true}, {91, true}, {92, false}, {150, false}} {
-		ok, err := logic.EvalFormula(tbl.Rows[silent].Guard, logic.DBBinding(
-			lang.Database{"top1": 100, "top2": 91}, map[string]int64{"v": tc.v}, nil))
+		ok, err := lang.EvalBool(tbl.Rows[silent].Guard, &lang.Env{
+			DB: lang.Database{"top1": 100, "top2": 91}, Params: map[string]int64{"v": tc.v}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,23 +79,14 @@ func TestT1TableMatchesFigure4a(t *testing.T) {
 	if len(tbl.Rows) != 2 {
 		t.Fatalf("rows = %d, want 2\n%s", len(tbl.Rows), tbl)
 	}
-	// No temporaries may survive in guards.
-	for i, r := range tbl.Rows {
-		vars := map[logic.Var]bool{}
-		logic.FormulaVars(r.Guard, vars)
-		for v := range vars {
-			if v.Kind == logic.TempVar {
-				t.Fatalf("row %d guard retains temporary %s: %s", i, v, r.Guard)
-			}
-		}
-	}
-	// Guards must partition: exactly one row matches any database.
+	// Guards must partition: exactly one row matches any database. The
+	// evaluation binds no temporary, so a guard that retains one fails.
 	for x := int64(-5); x <= 15; x++ {
 		for y := int64(-5); y <= 15; y++ {
 			db := lang.Database{"x": x, "y": y}
 			n := 0
 			for _, r := range tbl.Rows {
-				ok, err := logic.EvalFormula(r.Guard, logic.DBBinding(db, nil, nil))
+				ok, err := lang.EvalBool(r.Guard, &lang.Env{DB: db})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -430,9 +422,59 @@ func TestMatchRowNoMatch(t *testing.T) {
 	// A table with a single false guard after manual surgery.
 	tbl := &Table{
 		Txn:  &lang.Transaction{Name: "X"},
-		Rows: []Row{{Guard: logic.FalseF{}, Residual: lang.Skip{}}},
+		Rows: []Row{{Guard: lang.BoolLit{Value: false}, Residual: lang.Skip{}}},
 	}
 	if _, err := tbl.MatchRow(lang.Database{}, nil); err == nil {
 		t.Fatal("expected no-match error")
+	}
+}
+
+// TestMatchRowOverflows: at x = 2^63 - 1 and n = 1 the source aborts on
+// v + n, and so does the guard that decides its branch, rather than
+// matching a row whose residual the source never runs.
+func TestMatchRowOverflows(t *testing.T) {
+	txn := lang.MustParse(`transaction T(n) { v := read(x); if (v + n > 0) then write(x = v - 1) else skip }`)
+	tbl, err := Build(txn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := lang.Database{"x": math.MaxInt64}
+	var overflow *lang.OverflowError
+	if _, err := lang.Eval(txn, db, 1); !errors.As(err, &overflow) {
+		t.Fatalf("Eval: %v, want an overflow", err)
+	}
+	if row, err := tbl.MatchRow(db, map[string]int64{"n": 1}); !errors.As(err, &overflow) {
+		t.Fatalf("MatchRow = %d, %v, want an overflow\n%s", row, err, tbl)
+	}
+	if row, err := tbl.MatchRow(db, map[string]int64{"n": -1}); err != nil || row != 0 {
+		t.Fatalf("MatchRow at n = -1 = %d, %v, want row 0", row, err)
+	}
+}
+
+// TestPruneKeepsOverflowingGround: a condition whose constant arithmetic
+// leaves int64 is not folded to the wrapped value's outcome, which would
+// drop one of its rows; both stay, and MatchRow aborts where the source
+// does.
+func TestPruneKeepsOverflowingGround(t *testing.T) {
+	for _, cond := range []string{
+		"9223372036854775807 + 1 > 0",     // wrapped, false: the then row would go
+		"2 * 4611686018427387904 < 0",     // wrapped, true: the else row would go
+		"-(-9223372036854775807 - 1) = 0", // -MinInt64 wraps to itself
+	} {
+		txn := lang.MustParse("transaction T() { if (" + cond + ") then write(x = 1) else write(x = 2) }")
+		tbl, err := Build(txn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tbl.Rows) != 2 {
+			t.Fatalf("%s: rows = %d, want 2\n%s", cond, len(tbl.Rows), tbl)
+		}
+		var overflow *lang.OverflowError
+		if row, err := tbl.MatchRow(lang.Database{}, nil); !errors.As(err, &overflow) {
+			t.Fatalf("%s: MatchRow = %d, %v, want an overflow", cond, row, err)
+		}
+		if _, err := lang.Eval(txn, lang.Database{}); !errors.As(err, &overflow) {
+			t.Fatalf("%s: Eval: %v, want an overflow", cond, err)
+		}
 	}
 }

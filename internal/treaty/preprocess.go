@@ -2,6 +2,7 @@ package treaty
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/lang"
 	"repro/internal/lia"
@@ -14,9 +15,9 @@ import (
 // worst case over the workload's parameter domain is what must hold).
 type ParamBounds map[string][2]int64
 
-// Preprocess implements Appendix C.1: it strengthens an arbitrary guard
-// formula psi (which holds on the current database D under the given
-// parameter binding) into a conjunction of linear constraints over
+// Preprocess implements Appendix C.1: it strengthens a guard psi, an L
+// boolean expression that holds on the current database D under the given
+// parameter binding, into a conjunction of linear constraints over
 // database objects only.
 //
 //   - Conjuncts that are linear atoms are kept; strict inequalities are
@@ -26,16 +27,16 @@ type ParamBounds map[string][2]int64
 //     range; if no bounds are known the parameter is fixed to its current
 //     value.
 //   - Any conjunct outside the linear fragment (disjunctions, negations of
-//     non-atoms, disequalities, nonlinear atoms, equalities with
+//     non-comparisons, disequalities, nonlinear atoms, equalities with
 //     parameters) is replaced by constraints fixing each database object it
 //     mentions to its current value — "any variables involved in the
 //     subexpression have their values fixed to the current ones".
 //
 // The result implies psi, so enforcing it enforces psi.
-func Preprocess(psi logic.Formula, db lang.Database, params map[string]int64, bounds ParamBounds) (Global, error) {
+func Preprocess(psi lang.BoolExpr, db lang.Database, params map[string]int64, bounds ParamBounds) (Global, error) {
 	// Verify psi actually holds on D (it is the matched symbolic-table
 	// row, so this is an internal consistency check).
-	holds, err := logic.EvalFormula(psi, logic.DBBinding(db, params, nil))
+	holds, err := lang.EvalBool(psi, &lang.Env{DB: db, Params: params})
 	if err != nil {
 		return Global{}, fmt.Errorf("treaty: evaluating psi on D: %w", err)
 	}
@@ -43,44 +44,40 @@ func Preprocess(psi logic.Formula, db lang.Database, params map[string]int64, bo
 		return Global{}, fmt.Errorf("treaty: psi does not hold on the current database")
 	}
 
-	var out []lia.Constraint
-	fixed := make(map[logic.Var]bool)
-	for _, conj := range logic.Conjuncts(psi) {
+	p := preprocessing{db: db}
+	lang.Conjuncts(psi, func(conj lang.BoolExpr) {
 		cs, err := lia.FormulaToConstraints(conj)
 		if err != nil {
 			// Outside the linear fragment: fix every object it mentions.
-			out = append(out, fixVars(conj, db, fixed)...)
-			continue
+			p.fixVars(conj)
+			return
 		}
-		ok := true
-		var normalized []lia.Constraint
+		start := len(p.out)
 		for _, c := range cs {
-			nc, convOK := strengthenParams(c, params, bounds)
-			if !convOK {
-				ok = false
-				break
+			nc, ok := strengthenParams(c, params, bounds)
+			if !ok {
+				p.out = p.out[:start]
+				p.fixVars(conj)
+				return
 			}
-			normalized = append(normalized, normalizeStrict(nc))
+			p.out = append(p.out, normalizeStrict(nc))
 		}
-		if !ok {
-			out = append(out, fixVars(conj, db, fixed)...)
-			continue
-		}
-		out = append(out, normalized...)
-	}
-	// Sanity: every remaining variable is an object variable.
-	for _, c := range out {
-		for _, v := range c.Term.Vars() {
-			if v.Kind != logic.ObjVar {
-				return Global{}, fmt.Errorf("treaty: preprocessing left non-object variable %s", v)
-			}
-		}
-	}
-	g := Global{Constraints: out}
+	})
+	// strengthenParams keeps only object variables, and fixVars pins only
+	// objects.
+	g := Global{Constraints: p.out}
 	if !g.Holds(db) {
 		return Global{}, fmt.Errorf("treaty: internal error: preprocessed treaty does not hold on D")
 	}
 	return g, nil
+}
+
+// preprocessing is Preprocess's output in progress: the constraints so far
+// and the objects a fallback has fixed (nil until one has).
+type preprocessing struct {
+	db    lang.Database
+	out   []lia.Constraint
+	fixed map[lang.ObjID]bool
 }
 
 // strengthenParams eliminates parameter variables from a constraint. For
@@ -130,21 +127,59 @@ func normalizeStrict(c lia.Constraint) lia.Constraint {
 	return nc
 }
 
-// fixVars emits x = D(x) constraints for every object variable mentioned
-// by the formula, deduplicating across conjuncts.
-func fixVars(f logic.Formula, db lang.Database, fixed map[logic.Var]bool) []lia.Constraint {
-	vars := make(map[logic.Var]bool)
-	logic.FormulaVars(f, vars)
-	var out []lia.Constraint
-	for _, v := range logic.SortedVars(vars) {
-		if v.Kind != logic.ObjVar || fixed[v] {
-			continue
-		}
-		fixed[v] = true
-		t := lia.NewTerm()
-		t.AddVar(v, 1)
-		t.Const = -db.Get(lang.ObjID(v.Name))
-		out = append(out, lia.Constraint{Term: t, Op: lia.EQ})
+// fixVars emits x = D(x) for every object the conjunct reads that no
+// earlier conjunct fixed, in ascending object order.
+func (p *preprocessing) fixVars(conj lang.BoolExpr) {
+	start := len(p.out)
+	p.fixBool(conj)
+	slices.SortFunc(p.out[start:], func(a, b lia.Constraint) int {
+		return logic.CompareVars(onlyVar(a.Term), onlyVar(b.Term))
+	})
+}
+
+func (p *preprocessing) fixBool(b lang.BoolExpr) {
+	switch n := b.(type) {
+	case lang.Cmp:
+		p.fixExpr(n.L)
+		p.fixExpr(n.R)
+	case lang.And:
+		p.fixBool(n.L)
+		p.fixBool(n.R)
+	case lang.Or:
+		p.fixBool(n.L)
+		p.fixBool(n.R)
+	case lang.Not:
+		p.fixBool(n.B)
 	}
-	return out
+}
+
+func (p *preprocessing) fixExpr(e lang.Expr) {
+	switch n := e.(type) {
+	case lang.Read:
+		if p.fixed[n.Obj] {
+			return
+		}
+		if p.fixed == nil {
+			p.fixed = make(map[lang.ObjID]bool)
+		}
+		p.fixed[n.Obj] = true
+		t := lia.NewTerm()
+		t.AddVar(logic.Obj(n.Obj), 1)
+		t.Const = -p.db.Get(n.Obj)
+		p.out = append(p.out, lia.Constraint{Term: t, Op: lia.EQ})
+	case lang.Neg:
+		p.fixExpr(n.E)
+	case lang.Bin:
+		p.fixExpr(n.L)
+		p.fixExpr(n.R)
+	}
+}
+
+// onlyVar is the variable of a one-variable term.
+func onlyVar(t lia.Term) logic.Var {
+	//homeo:nondet the term has one variable
+	for v := range t.Coeffs {
+		return v
+	}
+	return logic.Var{}
 }

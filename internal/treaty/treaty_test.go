@@ -1,6 +1,7 @@
 package treaty
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -15,10 +16,10 @@ import (
 // site 0, y on site 1, initial database x=10, y=13.
 func exampleGlobal(t *testing.T) (Global, lang.Database, Placement) {
 	t.Helper()
-	psi := logic.Atom{
+	psi := lang.Cmp{
 		Op: lang.CmpGE,
-		L:  logic.Add{L: logic.Ref{Var: logic.Obj("x")}, R: logic.Ref{Var: logic.Obj("y")}},
-		R:  logic.Const{Value: 20},
+		L:  lang.Bin{Op: lang.OpAdd, L: lang.Read{Obj: "x"}, R: lang.Read{Obj: "y"}},
+		R:  lang.IntLit{Value: 20},
 	}
 	db := lang.Database{"x": 10, "y": 13}
 	g, err := Preprocess(psi, db, nil, nil)
@@ -50,9 +51,25 @@ func TestPreprocessLinearGuard(t *testing.T) {
 	}
 }
 
+// TestGlobalHoldsOverflow: x + y - 10 <= 0 at x = y = 2^63 - 1 does not
+// hold, though the sum wraps to a negative number.
+func TestGlobalHoldsOverflow(t *testing.T) {
+	term := lia.NewTerm()
+	term.AddVar(logic.Obj("x"), 1)
+	term.AddVar(logic.Obj("y"), 1)
+	term.Const = -10
+	g := Global{Constraints: []lia.Constraint{{Term: term, Op: lia.LE}}}
+	if g.Holds(lang.Database{"x": math.MaxInt64, "y": math.MaxInt64}) {
+		t.Fatal("x + y - 10 <= 0 holds at x = y = 2^63 - 1")
+	}
+	if !g.Holds(lang.Database{"x": math.MaxInt64, "y": math.MinInt64}) {
+		t.Fatal("x + y - 10 <= 0 fails at x = 2^63 - 1, y = -2^63")
+	}
+}
+
 func TestPreprocessStrictNormalization(t *testing.T) {
 	// x < 10 over integers must become x <= 9.
-	psi := logic.Atom{Op: lang.CmpLT, L: logic.Ref{Var: logic.Obj("x")}, R: logic.Const{Value: 10}}
+	psi := lang.Cmp{Op: lang.CmpLT, L: lang.Read{Obj: "x"}, R: lang.IntLit{Value: 10}}
 	g, err := Preprocess(psi, lang.Database{"x": 5}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -68,10 +85,10 @@ func TestPreprocessStrictNormalization(t *testing.T) {
 func TestPreprocessParamWorstCase(t *testing.T) {
 	// Guard: stock - qty >= 0 with qty in [1,5]: treaty must be
 	// stock >= 5 (worst case).
-	psi := logic.Atom{
+	psi := lang.Cmp{
 		Op: lang.CmpGE,
-		L:  logic.Sub{L: logic.Ref{Var: logic.Obj("stock")}, R: logic.Ref{Var: logic.Param("qty")}},
-		R:  logic.Const{Value: 0},
+		L:  lang.Bin{Op: lang.OpSub, L: lang.Read{Obj: "stock"}, R: lang.Param{Name: "qty"}},
+		R:  lang.IntLit{Value: 0},
 	}
 	db := lang.Database{"stock": 50}
 	g, err := Preprocess(psi, db, map[string]int64{"qty": 3}, ParamBounds{"qty": {1, 5}})
@@ -89,10 +106,10 @@ func TestPreprocessParamWorstCase(t *testing.T) {
 func TestPreprocessNonLinearFallback(t *testing.T) {
 	// x*y > 5 is nonlinear: preprocessing must fix x and y to current
 	// values.
-	psi := logic.Atom{
+	psi := lang.Cmp{
 		Op: lang.CmpGT,
-		L:  logic.Mul{L: logic.Ref{Var: logic.Obj("x")}, R: logic.Ref{Var: logic.Obj("y")}},
-		R:  logic.Const{Value: 5},
+		L:  lang.Bin{Op: lang.OpMul, L: lang.Read{Obj: "x"}, R: lang.Read{Obj: "y"}},
+		R:  lang.IntLit{Value: 5},
 	}
 	db := lang.Database{"x": 3, "y": 4}
 	g, err := Preprocess(psi, db, nil, nil)
@@ -108,10 +125,10 @@ func TestPreprocessNonLinearFallback(t *testing.T) {
 }
 
 func TestPreprocessDisjunctionFallback(t *testing.T) {
-	psi := logic.Or(
-		logic.Atom{Op: lang.CmpGE, L: logic.Ref{Var: logic.Obj("x")}, R: logic.Const{Value: 10}},
-		logic.Atom{Op: lang.CmpLE, L: logic.Ref{Var: logic.Obj("x")}, R: logic.Const{Value: -10}},
-	)
+	psi := lang.Or{
+		L: lang.Cmp{Op: lang.CmpGE, L: lang.Read{Obj: "x"}, R: lang.IntLit{Value: 10}},
+		R: lang.Cmp{Op: lang.CmpLE, L: lang.Read{Obj: "x"}, R: lang.IntLit{Value: -10}},
+	}
 	db := lang.Database{"x": 15}
 	g, err := Preprocess(psi, db, nil, nil)
 	if err != nil {
@@ -124,7 +141,7 @@ func TestPreprocessDisjunctionFallback(t *testing.T) {
 }
 
 func TestPreprocessRejectsFalseGuard(t *testing.T) {
-	psi := logic.Atom{Op: lang.CmpGE, L: logic.Ref{Var: logic.Obj("x")}, R: logic.Const{Value: 100}}
+	psi := lang.Cmp{Op: lang.CmpGE, L: lang.Read{Obj: "x"}, R: lang.IntLit{Value: 100}}
 	if _, err := Preprocess(psi, lang.Database{"x": 1}, nil, nil); err == nil {
 		t.Fatal("expected error when psi fails on D")
 	}
@@ -406,10 +423,10 @@ func TestOptimizeBeatsDefault(t *testing.T) {
 // remain valid.
 func TestEqualityClausePinning(t *testing.T) {
 	// psi: x + y = 23 with D = (10, 13).
-	psi := logic.Atom{
+	psi := lang.Cmp{
 		Op: lang.CmpEQ,
-		L:  logic.Add{L: logic.Ref{Var: logic.Obj("x")}, R: logic.Ref{Var: logic.Obj("y")}},
-		R:  logic.Const{Value: 23},
+		L:  lang.Bin{Op: lang.OpAdd, L: lang.Read{Obj: "x"}, R: lang.Read{Obj: "y"}},
+		R:  lang.IntLit{Value: 23},
 	}
 	db := lang.Database{"x": 10, "y": 13}
 	g, err := Preprocess(psi, db, nil, nil)

@@ -442,10 +442,10 @@ var (
 	// the allocator's size classes.
 	scanCost = cost{perByte: 5, fixed: 64}
 	// decodeCost: a record decodes into lists sized from their counts and
-	// a map per constraint, and a count cannot exceed the bytes left after
-	// it (codec.Reader.Count). The worst shape known is a treaty of
-	// one-coefficient constraints, a small map for every five bytes: 58
-	// bytes a byte (FuzzDecodeRecord's seeds hold it).
+	// a map per constraint, and a count cannot exceed the elements the
+	// bytes left after it can hold (codec.Reader.Count). The worst shape
+	// known is a treaty of one-coefficient constraints, a small map for
+	// every five bytes: 58 bytes a byte (FuzzDecodeRecord's seeds hold it).
 	decodeCost = cost{perByte: 64, fixed: 4096}
 )
 
