@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"maps"
 	"math"
 	"slices"
+	"strings"
 	"testing"
+
+	"repro/internal/sqlfront"
 )
 
 var classRequestCases = []ClassRequest{
@@ -266,6 +270,44 @@ func TestClassCodecAllocations(t *testing.T) {
 // Parse to the json.Decoder, then builds both messages from pieces of the
 // input, holding each Append to encoding/json's bytes and those bytes to
 // the round trip.
+// classCost bounds what ParseClassRequest and ParseClassInfo may allocate:
+// 64 bytes a byte of body and 16 KiB more, requestCost's bound. The most
+// per byte is the deepest nesting encoding/json accepts, in a member the
+// scanner does not take: 39.0 bytes a byte for either message, twice what
+// the same body costs ParseTxnRequest. A relation's rows at the cell cap
+// cost 12.2 bytes a byte, a flat initial map of as many entries 12.4 and a
+// bounds map 12.7 (the scanner's own maps); json's error paths and its
+// first decode of a type cost up to 12 KiB.
+var classCost = cost{64, 16 << 10}
+
+// costlyClassBodies are the boundary cases of classCost: the rows of a
+// relation at the lowering's cell cap (sqlfront.MaxRows rows of 64
+// columns, 65 536 cells), a flat initial map and bounds map of as many
+// entries, and the deepest nesting encoding/json accepts (10 000 levels)
+// in a member the scanner does not take, and one level more.
+func costlyClassBodies() []string {
+	const cells = sqlfront.MaxRows * 64
+	row := "[" + strings.Repeat("0,", 63) + "0]"
+	nest := func(depth int) string {
+		return `{"x":` + strings.Repeat("[", depth-1) + strings.Repeat("]", depth-1) + `}`
+	}
+	var initial, bounds strings.Builder
+	for i := range cells {
+		if i > 0 {
+			initial.WriteByte(',')
+			bounds.WriteByte(',')
+		}
+		fmt.Fprintf(&initial, `"%x":0`, i)
+		fmt.Fprintf(&bounds, `"%x":[0,0]`, i)
+	}
+	return []string{
+		`{"sql":"q","rows":{"t":[` + strings.Repeat(row+",", sqlfront.MaxRows-1) + row + `]}}`,
+		`{"initial":{` + initial.String() + `}}`,
+		`{"bounds":{` + bounds.String() + `}}`,
+		nest(10000), nest(10001),
+	}
+}
+
 func FuzzClassCodec(f *testing.F) {
 	for _, body := range classRequestBodies {
 		f.Add([]byte(body))
@@ -273,9 +315,20 @@ func FuzzClassCodec(f *testing.F) {
 	for _, body := range classInfoBodies {
 		f.Add([]byte(body))
 	}
+	for _, body := range costlyClassBodies() {
+		f.Add([]byte(body))
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkClassRequest(t, body)
 		checkClassInfo(t, body)
+		checkCost(t, classCost, body, func() {
+			var env ClassEnvelope
+			_ = ParseClassRequest(body, &env)
+		})
+		checkCost(t, classCost, body, func() {
+			var info ClassInfo
+			_ = ParseClassInfo(body, &info)
+		})
 
 		// Cut the input into strings and numbers.
 		var texts []string

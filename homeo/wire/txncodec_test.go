@@ -294,9 +294,16 @@ func FuzzParseTxnRequest(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkRequest(t, body)
-		checkRequestCost(t, body)
+		checkCost(t, requestCost, body, func() {
+			var env TxnEnvelope
+			_ = ParseTxnRequest(body, &env)
+		})
 	})
 }
+
+// A cost bounds what a parse may allocate: perByte bytes a byte of its
+// input and fixed more.
+type cost struct{ perByte, fixed uint64 }
 
 // requestCost bounds what ParseTxnRequest may allocate: 64 bytes a byte of
 // body and 16 KiB more. The most per byte, and in all, is an args list at
@@ -307,7 +314,7 @@ func FuzzParseTxnRequest(f *testing.F) {
 // accepts, in a member the scanner does not take, keeps a stack of the
 // 10 000 levels in json's one decode: 18.9 bytes a byte. json's error
 // paths cost 4.6 KiB.
-var requestCost = struct{ perByte, fixed uint64 }{64, 16 << 10}
+var requestCost = cost{64, 16 << 10}
 
 // costlyRequests are the boundary cases of the cost bound: bodies at the
 // 1 MiB cap (httpapi's maxTxnBody) that build the longest args list on
@@ -326,20 +333,17 @@ func costlyRequests() []string {
 	}
 }
 
-// checkRequestCost fails t if ParseTxnRequest allocates more than
-// requestCost allows for body. The count is the whole process's, and the
-// fuzzing engine allocates beside the call now and then, so a call over the
-// bound is measured twice more and the least count is the one judged.
-// Under the race detector, which allocates on its own, nothing is judged.
-func checkRequestCost(t *testing.T, body []byte) {
+// checkCost fails t if parse, a parse of body, allocates more than c
+// allows. The count is the whole process's, and the fuzzing engine
+// allocates beside the call now and then, so a call over the bound is
+// measured twice more and the least count is the one judged. Under the
+// race detector, which allocates on its own, nothing is judged.
+func checkCost(t *testing.T, c cost, body []byte, parse func()) {
+	t.Helper()
 	if raceEnabled {
 		return
 	}
-	limit := requestCost.perByte*uint64(len(body)) + requestCost.fixed
-	parse := func() {
-		var env TxnEnvelope
-		_ = ParseTxnRequest(body, &env)
-	}
+	limit := c.perByte*uint64(len(body)) + c.fixed
 	got := allocated(parse)
 	for i := 0; i < 2 && got > limit; i++ {
 		got = min(got, allocated(parse))

@@ -177,9 +177,6 @@ func TestLivelockSurfacesDistinctly(t *testing.T) {
 	stuck := workload.Request{
 		Name: "Stuck",
 		Exec: func(workload.SiteView, []int64) error { return fmt.Errorf("permanent lock failure") },
-		Apply: func(lang.Database, []int64) []int64 {
-			return nil
-		},
 	}
 	var execErr error
 	e.Spawn(0, func(p rt.Proc) {
@@ -268,9 +265,9 @@ func TestAllocDefaultUnchanged(t *testing.T) {
 	}
 	// And the mode's solver-time accounting is untouched: the model
 	// strategy charges base + L*f samples, exactly the seed formula
-	// (L and f read back from sys.Opts, where New filled the defaults).
+	// (L read back from sys.Opts, where New filled the default).
 	want := 5*rt.Millisecond +
-		rt.Duration(sys.Opts.Lookahead*sys.Opts.CostFactor)*500*rt.Microsecond
+		rt.Duration(sys.Opts.Lookahead*costFactor)*500*rt.Microsecond
 	if got := sys.solverTime(); got != want {
 		t.Fatalf("solverTime = %v, want seed formula %v", got, want)
 	}

@@ -59,7 +59,7 @@ func (sys *System) twoPCAttempt(p rt.Proc, site int, req workload.Request) (bool
 		}
 	}()
 
-	lview := &directView{tx: local, site: site, nSites: n}
+	lview := &directView{tx: local}
 	if err := req.Exec(lview, req.Args); err != nil {
 		cpu.Release()
 		if aborts(err) {
@@ -117,7 +117,7 @@ func (sys *System) execLocal(p rt.Proc, site int, req workload.Request) (ExecRes
 	p.Sleep(sys.Opts.LocalExecTime)
 	tx := sys.Stores[site].Begin(p)
 	defer tx.Abort()
-	view := &directView{tx: tx, site: site, nSites: sys.Opts.Topo.NSites()}
+	view := &directView{tx: tx}
 	if err := req.Exec(view, req.Args); err != nil {
 		if aborts(err) {
 			return ExecResult{}, err

@@ -37,6 +37,10 @@ import (
 // installing what it returns — and logging, and shipping it — is the
 // caller's business.
 
+// costFactor is f, the number of futures Algorithm 1 samples per
+// configuration (paper: 3).
+const costFactor = 3
+
 // strategy is how a template is configured: what Options.Mode and
 // Options.Alloc come to, resolved once at New.
 type strategy int
@@ -94,11 +98,11 @@ type deriver struct {
 	// the width the cluster booted with. A wider cluster's treaties are
 	// widened to it.
 	analysisWidth int
-	// lookahead (L) and costFactor (f) are Algorithm 1's knobs; rng is the
+	// lookahead (L) is Algorithm 1's knob (costFactor is f); rng is the
 	// optimizer's stream and seed what a standalone derivation reseeds from.
-	lookahead, costFactor int
-	seed                  int64
-	rng                   *rand.Rand
+	lookahead int
+	seed      int64
+	rng       *rand.Rand
 	// deltaName is lang.DeltaObj, interned by the owner.
 	deltaName func(lang.ObjID, int) lang.ObjID
 	col       *metrics.Collector
@@ -132,7 +136,6 @@ func newDeriver(w workload.Workload, opts Options, deltaName func(lang.ObjID, in
 		strategy:      resolveStrategy(opts.Mode, opts.Alloc),
 		analysisWidth: opts.Topo.NSites(),
 		lookahead:     opts.Lookahead,
-		costFactor:    opts.CostFactor,
 		seed:          opts.Seed,
 		rng:           rand.New(rand.NewSource(opts.Seed + 7919)),
 		deltaName:     deltaName,
@@ -275,7 +278,7 @@ func (d *deriver) configure(tmpl *treaty.Template, r derivation) treaty.Config {
 		// round, and the outcome counters feed the stats surface.
 		cfg, st := treaty.Optimize(tmpl, r.folded, d.w.Model(r.u.id), treaty.OptimizeOptions{
 			Lookahead:  d.lookahead,
-			CostFactor: d.costFactor,
+			CostFactor: costFactor,
 			Rng:        rng,
 			Warm:       r.u.lastCfg,
 		})

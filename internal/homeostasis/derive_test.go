@@ -118,7 +118,7 @@ func TestMemoMatchesScratch(t *testing.T) {
 	for _, alloc := range []Alloc{AllocDefault, AllocEqualSplit, AllocAdaptive} {
 		rng := rand.New(rand.NewSource(int64(alloc) + 5))
 		d := newDeriver(reg, Options{Mode: ModeHomeo, Alloc: alloc, Topo: cluster.Uniform(boot, sim.Millisecond),
-			Lookahead: 20, CostFactor: 3, Seed: 1}, lang.DeltaObj, &metrics.Collector{})
+			Lookahead: 20, Seed: 1}, lang.DeltaObj, &metrics.Collector{})
 		units := make([]*unitState, reg.NumUnits())
 		for id := range units {
 			units[id] = &unitState{id: id, objects: reg.UnitObjects(id)}

@@ -84,9 +84,10 @@ type roundScratch struct {
 	// ran.
 	joiners []*joiner
 	objs    []lang.ObjID
-	// folded is the consolidated footprint T' runs on; unitFolded one
-	// unit's share of it.
+	// folded is the consolidated footprint T' runs on, through view;
+	// unitFolded one unit's share of it.
 	folded     lang.Database
+	view       workload.FoldedView
 	unitFolded lang.Database
 	joinerLogs [][]int64
 	winner     fabric.WinnerCommit
@@ -529,12 +530,12 @@ func (sys *System) wakeUnitWaiters(u *unitState) {
 // It is the only coordinator: a drain absorb is the same round without a
 // winner (a request with only Units set). Such a round folds and installs
 // the units' state and renegotiates their treaties, and skips what belongs
-// to T': no apply, no WinnerCommit, no commit-log entry, no co-winners, no
+// to T': no run of it, no WinnerCommit, no commit-log entry, no co-winners, no
 // execution charge, no violation sample.
 //
 //homeo:externalizes
 func (sys *System) negotiate(p rt.Proc, site int, units []*unitState, req workload.Request) ([]int64, error) {
-	winner := req.Apply != nil
+	winner := req.Exec != nil
 	var neg *negotiation
 	if winner && sys.batching() && sys.self < 0 {
 		// Batched renegotiation needs the joiners' footprints in the
@@ -588,11 +589,11 @@ func (sys *System) negotiate(p rt.Proc, site int, units []*unitState, req worklo
 	// in registration order (the serial order the commit log records).
 	var txnLog []int64
 	if winner {
-		txnLog = req.Apply(folded, req.Args)
+		txnLog = rs.view.Run(folded, req)
 	}
 	joinerLogs := rs.joinerLogs[:0]
 	for _, j := range joiners {
-		joinerLogs = append(joinerLogs, j.req.Apply(folded, j.req.Args))
+		joinerLogs = append(joinerLogs, rs.view.Run(folded, j.req))
 	}
 	rs.joinerLogs = joinerLogs
 

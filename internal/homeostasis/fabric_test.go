@@ -14,6 +14,7 @@ import (
 	"repro/internal/micro"
 	"repro/internal/rt"
 	"repro/internal/rtlive"
+	"repro/internal/workload"
 )
 
 // TestMultiProcessFabric runs a 2-site cluster as two fully separate
@@ -184,12 +185,13 @@ func TestMultiProcessFabric(t *testing.T) {
 		return a.seq < b.seq
 	})
 	replay := systems[0].W.InitialDB()
+	var view workload.FoldedView
 	for _, e := range merged {
 		req, err := systems[0].W.Rebuild(e.c.Name, e.c.Args)
 		if err != nil {
 			t.Fatal(err)
 		}
-		req.Apply(replay, req.Args)
+		view.Run(replay, req)
 	}
 	for obj, want := range folded {
 		if got := replay.Get(obj); got != want {

@@ -310,7 +310,7 @@ func TestRoundPostconditions(t *testing.T) {
 				t.Fatalf("%d rounds open and %d scratches free, want 0 and 1", len(sys.rounds), len(sys.roundFree))
 			}
 			rs := sys.roundFree[0]
-			if rs.neg != nil || rs.units != nil || rs.req.Units != nil || rs.req.Apply != nil || rs.joiners != nil ||
+			if rs.neg != nil || rs.units != nil || rs.req.Units != nil || rs.req.Exec != nil || rs.joiners != nil ||
 				len(rs.objs)+len(rs.folded)+len(rs.unitFolded)+len(rs.joinerLogs) != 0 ||
 				rs.winner.Class != "" || rs.winner.Units != nil || rs.grant.units != nil || rs.grant.winner != nil {
 				t.Errorf("the scratch came back holding its round: %+v", rs)

@@ -150,9 +150,9 @@ type Options struct {
 	// LockTimeout mirrors MySQL's innodb_lock_wait_timeout (paper: 1s
 	// minimum).
 	LockTimeout rt.Duration
-	// Lookahead (L) and CostFactor (f) are Algorithm 1's knobs.
-	Lookahead  int
-	CostFactor int
+	// Lookahead (L) is Algorithm 1's number of steps a sampled future
+	// runs; it samples costFactor (f) futures.
+	Lookahead int
 	// Warmup and Measure are the warm-up and measurement windows.
 	Warmup  rt.Duration
 	Measure rt.Duration
@@ -357,9 +357,6 @@ func New(e rt.Runtime, w workload.Workload, opts Options) (*System, error) {
 	}
 	if opts.Lookahead == 0 {
 		opts.Lookahead = 20
-	}
-	if opts.CostFactor == 0 {
-		opts.CostFactor = 3
 	}
 	n := opts.Topo.NSites()
 	if n > maxWALSites {
@@ -624,7 +621,7 @@ const (
 // default configuration are closed-form (base cost only).
 func (sys *System) solverTime() rt.Duration {
 	if sys.der.strategy == stratModel {
-		return solverBase + rt.Duration(sys.Opts.Lookahead*sys.Opts.CostFactor)*solverPerSample
+		return solverBase + rt.Duration(sys.Opts.Lookahead*costFactor)*solverPerSample
 	}
 	return solverBase
 }
@@ -839,16 +836,17 @@ type Partition func(obj lang.ObjID) (int64, bool)
 // site: each unit object's base from the lowest live site, which every
 // live site's must equal, plus every reporting site's own delta. A gone
 // site's partition may be nil: its drain absorbed its deltas. The caller
-// holds the execution right (a class's Apply borrows pooled environments).
+// holds the execution right (a class's Exec borrows pooled environments).
 func (sys *System) CheckReplay(commits func(yield func(name string, args []int64) bool), parts []Partition) (err error) {
 	replay, n := sys.W.InitialDB(), 0
+	var view workload.FoldedView
 	commits(func(name string, args []int64) bool {
 		req, rerr := sys.W.Rebuild(name, args)
 		if rerr != nil {
 			err = fmt.Errorf("replay of %s%v: %w", name, args, rerr)
 			return false
 		}
-		req.Apply(replay, req.Args)
+		view.Run(replay, req)
 		n++
 		return true
 	})

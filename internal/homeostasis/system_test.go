@@ -43,7 +43,6 @@ func baseOpts(mode Mode, nSites int) Options {
 		ClientsPerSite: 4,
 		CPUPerSite:     16,
 		Lookahead:      20,
-		CostFactor:     3,
 		Warmup:         100 * sim.Millisecond,
 		Measure:        3 * sim.Second,
 		Seed:           42,
@@ -54,7 +53,7 @@ func baseOpts(mode Mode, nSites int) Options {
 // finalFolded consolidates the final logical database across all sites.
 func finalFolded(sys *System) lang.Database { return sys.FoldedDB() }
 
-// replayed applies the logged commit c to db as serial replay does, on the
+// replayed runs the logged commit c on db as serial replay does, on the
 // request w rebuilds from its name and arguments, and returns its log.
 func replayed(t testing.TB, w workload.Workload, db lang.Database, c Committed) []int64 {
 	t.Helper()
@@ -62,7 +61,8 @@ func replayed(t testing.TB, w workload.Workload, db lang.Database, c Committed) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return req.Apply(db, req.Args)
+	var view workload.FoldedView
+	return view.Run(db, req)
 }
 
 // TestTheorem38SerialEquivalence is the paper's correctness theorem,

@@ -18,9 +18,6 @@ type deltaView struct {
 	log    []int64
 }
 
-func (v *deltaView) Site() int   { return v.site }
-func (v *deltaView) NSites() int { return v.nSites }
-
 func (v *deltaView) ReadLogical(obj lang.ObjID) (int64, error) {
 	base, err := v.tx.Read(obj)
 	if err != nil {
@@ -66,17 +63,12 @@ func (v *deltaView) Print(x int64) { v.log = append(v.log, x) }
 // install the values the coordinator computed, not recompute them from
 // possibly different local states).
 type directView struct {
-	tx     *store.Txn
-	site   int
-	nSites int
-	log    []int64
+	tx  *store.Txn
+	log []int64
 
 	writeOrder []lang.ObjID
 	writes     map[lang.ObjID]int64
 }
-
-func (v *directView) Site() int   { return v.site }
-func (v *directView) NSites() int { return v.nSites }
 
 func (v *directView) ReadLogical(obj lang.ObjID) (int64, error) {
 	return v.tx.Read(obj)

@@ -76,3 +76,44 @@ func TestEvalRefusesOverflow(t *testing.T) {
 		}
 	}
 }
+
+// TestSimplifyKeepsOverflows: Simplify folds with checked arithmetic, so
+// the simplified program fails with an *OverflowError wherever lang.Eval of
+// the source does — a constant sum or product past int64 stays unfolded,
+// and a false right side of && does not absorb a left side that
+// overflows — and evaluates as the source does where it fits, a constant
+// of -2^63 included.
+func TestSimplifyKeepsOverflows(t *testing.T) {
+	for _, tc := range []struct {
+		src      string
+		x        int64
+		overflow bool
+	}{
+		{"transaction T() { write(y = 9223372036854775807 + 1) }", 0, true},
+		{"transaction T() { write(y = 2 * 4611686018427387904) }", 0, true},
+		{"transaction T() { if (read(x) * 4611686018427387904 > 0 && 1 = 2) then write(y = 1) else write(y = 2) }", 4, true},
+		{"transaction T() { if (read(x) * 4611686018427387904 > 0 || 1 = 1) then write(y = 1) else write(y = 2) }", 4, true},
+		{"transaction T() { write(y = 0 * (read(x) * 4611686018427387904)) }", 4, true},
+		{"transaction T() { write(y = read(x) - 9223372036854775807 - 1) }", 5, false},
+		{"transaction T() { if (read(x) * 4611686018427387904 > 0 && 1 = 2) then write(y = 1) else write(y = 2) }", 1, false},
+	} {
+		src := MustParse(tc.src)
+		simple := Simplify(src)
+		db := Database{"x": tc.x}
+		want, werr := Eval(src, db)
+		got, gerr := Eval(simple, db)
+		var oe *OverflowError
+		if errors.As(werr, &oe) != tc.overflow {
+			t.Fatalf("%s at x = %d: the source evaluates to %v", tc.src, tc.x, werr)
+		}
+		if tc.overflow {
+			if !errors.As(gerr, &oe) {
+				t.Errorf("%s at x = %d: the source overflows, %s evaluates to (%v, %v)", tc.src, tc.x, simple, got.DB, gerr)
+			}
+			continue
+		}
+		if gerr != nil || !got.DB.Equal(want.DB) {
+			t.Errorf("%s at x = %d: source %v, %s (%v, %v)", tc.src, tc.x, want.DB, simple, got.DB, gerr)
+		}
+	}
+}

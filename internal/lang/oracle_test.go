@@ -1,10 +1,17 @@
 package lang
 
+import "math"
+
 // The front end as it stood before the parser resolved parameters itself
 // and before the simplifier shared what it does not change: the parent
 // commit's ResolveParams and Simplify, kept word for word but for an
 // "oracle" in front of every name, as the reference the differential
-// tests and the parser's fuzzer hold their replacements to.
+// tests and the parser's fuzzer hold their replacements to. Since then the
+// simplifier's arithmetic is checked, and the oracle with it: a sum whose
+// constants leave int64 stays as it is, a product of literals that does is
+// kept whole, a constant of -2^63 is added rather than its negation
+// subtracted, and a false right side of && (true of ||) and a zero factor
+// no longer absorb an operand whose evaluation may fail.
 
 // oracleResolveParams rewrites TempVar nodes that name declared parameters into
 // Param nodes, in place conceptually (returns rewritten trees). The parser
@@ -136,6 +143,9 @@ func oracleSimplifyBool(b BoolExpr) BoolExpr {
 		}
 		if lit, ok := r.(BoolLit); ok {
 			if !lit.Value {
+				if mayFail(l) {
+					return And{L: l, R: r}
+				}
 				return BoolLit{Value: false}
 			}
 			return l
@@ -151,6 +161,9 @@ func oracleSimplifyBool(b BoolExpr) BoolExpr {
 		}
 		if lit, ok := r.(BoolLit); ok {
 			if lit.Value {
+				if mayFail(l) {
+					return Or{L: l, R: r}
+				}
 				return BoolLit{Value: true}
 			}
 			return l
@@ -171,7 +184,10 @@ func oracleSimplifyBool(b BoolExpr) BoolExpr {
 // sum of signed terms, cancelling equal opposite terms, folding constants,
 // and rebuilding a compact tree.
 func oracleSimplifyExpr(e Expr) Expr {
-	terms, c := oracleFlattenSum(e, 1)
+	terms, c, exact := oracleFlattenSum(e, 1)
+	if !exact {
+		return e
+	}
 	// Cancel pairs of identical terms with opposite signs.
 	type st struct {
 		key  string
@@ -220,7 +236,7 @@ func oracleSimplifyExpr(e Expr) Expr {
 	if out == nil {
 		return IntLit{Value: c}
 	}
-	if c > 0 {
+	if c > 0 || c == math.MinInt64 {
 		out = Bin{Op: OpAdd, L: out, R: IntLit{Value: c}}
 	} else if c < 0 {
 		out = Bin{Op: OpSub, L: out, R: IntLit{Value: -c}}
@@ -234,50 +250,58 @@ type oracleSignedTerm struct {
 }
 
 // oracleFlattenSum decomposes e (scaled by sign) into non-constant signed terms
-// plus a constant. Products and other non-additive nodes are kept whole
-// (after recursive simplification of their children).
-func oracleFlattenSum(e Expr, sign int64) ([]oracleSignedTerm, int64) {
+// plus a constant, and whether the constant is exact. Products and other
+// non-additive nodes are kept whole (after recursive simplification of
+// their children).
+func oracleFlattenSum(e Expr, sign int64) ([]oracleSignedTerm, int64, bool) {
 	switch e := e.(type) {
 	case IntLit:
-		return nil, sign * e.Value
+		c, ok := Mul64(sign, e.Value)
+		return nil, c, ok
 	case Neg:
 		return oracleFlattenSum(e.E, -sign)
 	case Bin:
 		switch e.Op {
 		case OpAdd:
-			lt, lc := oracleFlattenSum(e.L, sign)
-			rt, rc := oracleFlattenSum(e.R, sign)
-			return append(lt, rt...), lc + rc
+			lt, lc, lok := oracleFlattenSum(e.L, sign)
+			rt, rc, rok := oracleFlattenSum(e.R, sign)
+			c, ok := Add64(lc, rc)
+			return append(lt, rt...), c, lok && rok && ok
 		case OpSub:
-			lt, lc := oracleFlattenSum(e.L, sign)
-			rt, rc := oracleFlattenSum(e.R, -sign)
-			return append(lt, rt...), lc + rc
+			lt, lc, lok := oracleFlattenSum(e.L, sign)
+			rt, rc, rok := oracleFlattenSum(e.R, -sign)
+			c, ok := Add64(lc, rc)
+			return append(lt, rt...), c, lok && rok && ok
 		case OpMul:
 			l := oracleSimplifyExpr(e.L)
 			r := oracleSimplifyExpr(e.R)
 			if li, ok := l.(IntLit); ok {
 				if ri, ok := r.(IntLit); ok {
-					return nil, sign * li.Value * ri.Value
+					if p, ok := Mul64(li.Value, ri.Value); ok {
+						c, ok := Mul64(sign, p)
+						return nil, c, ok
+					}
+					return []oracleSignedTerm{{e: Bin{Op: OpMul, L: l, R: r}, sign: sign}}, 0, true
 				}
-				if li.Value == 0 {
-					return nil, 0
+				if li.Value == 0 && !exprMayFail(r) {
+					return nil, 0, true
 				}
 				if li.Value == 1 {
-					return []oracleSignedTerm{{e: r, sign: sign}}, 0
+					return []oracleSignedTerm{{e: r, sign: sign}}, 0, true
 				}
 			}
 			if ri, ok := r.(IntLit); ok {
-				if ri.Value == 0 {
-					return nil, 0
+				if ri.Value == 0 && !exprMayFail(l) {
+					return nil, 0, true
 				}
 				if ri.Value == 1 {
-					return []oracleSignedTerm{{e: l, sign: sign}}, 0
+					return []oracleSignedTerm{{e: l, sign: sign}}, 0, true
 				}
 			}
-			return []oracleSignedTerm{{e: Bin{Op: OpMul, L: l, R: r}, sign: sign}}, 0
+			return []oracleSignedTerm{{e: Bin{Op: OpMul, L: l, R: r}, sign: sign}}, 0, true
 		}
 	case ArrayRead:
-		return []oracleSignedTerm{{e: ArrayRead{Array: e.Array, Index: oracleSimplifyExpr(e.Index)}, sign: sign}}, 0
+		return []oracleSignedTerm{{e: ArrayRead{Array: e.Array, Index: oracleSimplifyExpr(e.Index)}, sign: sign}}, 0, true
 	}
-	return []oracleSignedTerm{{e: e, sign: sign}}, 0
+	return []oracleSignedTerm{{e: e, sign: sign}}, 0, true
 }

@@ -1,6 +1,9 @@
 package lang
 
-import "strconv"
+import (
+	"math"
+	"strconv"
+)
 
 // This file implements the Appendix B transformation that eliminates
 // remote writes so Assumption 3.1 (All Writes Are Local) holds, the common
@@ -158,7 +161,10 @@ func LogicalValue(d Database, x ObjID, nSites int) int64 {
 // constant folding, cancellation of syntactically identical added and
 // subtracted subterms (which removes the read(x) round trips the replica
 // rewrite introduces, as in Figure 23c), and neutral-element elimination.
-// Subtrees with nothing to simplify are shared with t, not copied.
+// Subtrees with nothing to simplify are shared with t, not copied. The
+// arithmetic is checked as EvalExpr's is: a sum whose constants leave
+// int64 is not simplified, and neither a constant side of a connective
+// nor a zero factor absorbs an operand whose evaluation may fail.
 func Simplify(t *Transaction) *Transaction {
 	body, _ := newSimplifier().cmd(t.Body)
 	return &Transaction{Name: t.Name, Params: t.Params, Arrays: t.Arrays, Body: body}
@@ -221,11 +227,11 @@ func (s *simplifier) boolExpr(b BoolExpr) (BoolExpr, bool) {
 			}
 		}
 	case And:
-		if folded, ok := junction(n.L, n.R, false); ok {
+		if folded, ok := guardJunction(n.L, n.R, false); ok {
 			return folded, true
 		}
 	case Or:
-		if folded, ok := junction(n.L, n.R, true); ok {
+		if folded, ok := guardJunction(n.L, n.R, true); ok {
 			return folded, true
 		}
 	case Not:
@@ -257,8 +263,11 @@ func junction(l, r BoolExpr, absorbing bool) (BoolExpr, bool) {
 
 func (s *simplifier) expr(e Expr) (Expr, bool) {
 	start := len(s.terms)
-	c := s.flatten(e, 1)
-	out, changed := sumOf(e, s.terms[start:], c)
+	c, exact := s.flatten(e, 1)
+	out, changed := e, false
+	if exact {
+		out, changed = sumOf(e, s.terms[start:], c)
+	}
 	s.terms = s.terms[:start]
 	return out, changed
 }
@@ -303,12 +312,20 @@ func sumOf(e Expr, terms []signedTerm, c int64) (Expr, bool) {
 	if out == nil {
 		return IntLit{Value: c}, true
 	}
-	if c > 0 {
-		out = Bin{Op: OpAdd, L: out, R: IntLit{Value: c}}
-	} else if c < 0 {
-		out = Bin{Op: OpSub, L: out, R: IntLit{Value: -c}}
+	if c != 0 {
+		op, lit := constStep(c)
+		out = Bin{Op: op, L: out, R: IntLit{Value: lit}}
 	}
 	return out, true
+}
+
+// constStep is how a sum adds its constant c: as a subtraction of -c when
+// c is negative, unless -c leaves int64.
+func constStep(c int64) (BinOp, int64) {
+	if c < 0 && c != math.MinInt64 {
+		return OpSub, -c
+	}
+	return OpAdd, c
 }
 
 // sameSum reports whether e already is the tree sumOf builds from the kept
@@ -326,8 +343,8 @@ func sameSum(e Expr, kept []signedTerm, c int64) bool {
 		if !ok {
 			return false
 		}
-		if lit, ok := b.R.(IntLit); !ok || (c > 0 && (b.Op != OpAdd || lit.Value != c)) ||
-			(c < 0 && (b.Op != OpSub || lit.Value != -c)) {
+		op, v := constStep(c)
+		if lit, ok := b.R.(IntLit); !ok || b.Op != op || lit.Value != v {
 			return false
 		}
 		node = b.L
@@ -351,46 +368,47 @@ func sameSum(e Expr, kept []signedTerm, c int64) bool {
 }
 
 // flatten decomposes e (scaled by sign) into non-constant signed terms,
-// pushed onto s.terms, plus the constant it returns. Products and other
-// non-additive nodes are kept whole (after recursive simplification of
-// their children).
-func (s *simplifier) flatten(e Expr, sign int64) int64 {
+// pushed onto s.terms, plus the constant it returns, and reports whether
+// that constant is exact: false once a step of summing or scaling the
+// constants leaves int64. Products and other non-additive nodes are kept
+// whole (after recursive simplification of their children), a product of
+// literals that leaves int64 included, so it fails where the source does.
+func (s *simplifier) flatten(e Expr, sign int64) (int64, bool) {
 	switch n := e.(type) {
 	case IntLit:
-		return sign * n.Value
+		return Mul64(sign, n.Value)
 	case Neg:
 		return s.flatten(n.E, -sign)
 	case Bin:
 		switch n.Op {
 		case OpAdd, OpSub:
-			lc := s.flatten(n.L, sign)
+			lc, lok := s.flatten(n.L, sign)
 			if n.Op == OpSub {
 				sign = -sign
 			}
-			return lc + s.flatten(n.R, sign)
+			rc, rok := s.flatten(n.R, sign)
+			c, ok := Add64(lc, rc)
+			return c, lok && rok && ok
 		case OpMul:
 			l, lch := s.expr(n.L)
 			r, rch := s.expr(n.R)
-			if li, ok := l.(IntLit); ok {
-				if ri, ok := r.(IntLit); ok {
-					return sign * li.Value * ri.Value
-				}
-				if li.Value == 0 {
-					return 0
-				}
-				if li.Value == 1 {
-					s.terms = append(s.terms, signedTerm{e: r, sign: sign})
-					return 0
+			li, lok := l.(IntLit)
+			ri, rok := r.(IntLit)
+			if lok && rok {
+				if p, ok := Mul64(li.Value, ri.Value); ok {
+					return Mul64(sign, p)
 				}
 			}
-			if ri, ok := r.(IntLit); ok {
-				if ri.Value == 0 {
-					return 0
-				}
-				if ri.Value == 1 {
-					s.terms = append(s.terms, signedTerm{e: l, sign: sign})
-					return 0
-				}
+			switch {
+			case lok && rok:
+			case lok && li.Value == 0 && !exprMayFail(r), rok && ri.Value == 0 && !exprMayFail(l):
+				return 0, true
+			case lok && li.Value == 1:
+				s.terms = append(s.terms, signedTerm{e: r, sign: sign})
+				return 0, true
+			case rok && ri.Value == 1:
+				s.terms = append(s.terms, signedTerm{e: l, sign: sign})
+				return 0, true
 			}
 			if lch || rch {
 				e = Bin{Op: OpMul, L: l, R: r}
@@ -400,5 +418,5 @@ func (s *simplifier) flatten(e Expr, sign int64) int64 {
 		e, _ = mapExpr(s, e)
 	}
 	s.terms = append(s.terms, signedTerm{e: e, sign: sign})
-	return 0
+	return 0, true
 }

@@ -52,9 +52,6 @@ type Config struct {
 	ItemsPerTxn int
 	// NSites is the replication degree.
 	NSites int
-	// InitialQty is the starting quantity of every item (defaults to
-	// Refill).
-	InitialQty int64
 	// HotFrac enables the hot-site rotation drift scenario: each site
 	// directs this fraction of its orders at a site-specific hot window of
 	// HotWindow items, so per-item demand is heavily skewed toward one
@@ -103,9 +100,6 @@ func New(cfg Config) (*Workload, error) {
 	if cfg.NSites <= 0 {
 		return nil, fmt.Errorf("micro: NSites must be positive")
 	}
-	if cfg.InitialQty == 0 {
-		cfg.InitialQty = cfg.Refill
-	}
 	txn, err := lang.ParseTransaction(Source(cfg.Refill))
 	if err != nil {
 		return nil, err
@@ -136,11 +130,11 @@ func ItemObj(item int) lang.ObjID {
 	return lang.ObjID(fmt.Sprintf("stock[%d]", item))
 }
 
-// InitialDB implements workload.Workload.
+// InitialDB implements workload.Workload: every item starts at Refill.
 func (w *Workload) InitialDB() lang.Database {
 	db := lang.Database{}
 	for i := 0; i < w.cfg.Items; i++ {
-		db[ItemObj(i)] = w.cfg.InitialQty
+		db[ItemObj(i)] = w.cfg.Refill
 	}
 	return db
 }
@@ -296,18 +290,6 @@ func (w *Workload) MakeRequest(items []int) workload.Request {
 					if err := v.WriteLogical(obj, refill-1); err != nil {
 						return err
 					}
-				}
-			}
-			return nil
-		},
-		Apply: func(db lang.Database, _ []int64) []int64 {
-			for i := range items {
-				obj := objs[i]
-				qty := db.Get(obj)
-				if qty > 1 {
-					db.Set(obj, qty-1)
-				} else {
-					db.Set(obj, refill-1)
 				}
 			}
 			return nil

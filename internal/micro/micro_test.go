@@ -25,28 +25,12 @@ func TestSymbolicTableShape(t *testing.T) {
 	}
 }
 
-// fakeView runs stored procedures directly against a plain database, for
-// semantics comparison with the L++ source.
-type fakeView struct {
-	db  lang.Database
-	log []int64
-}
-
-func (v *fakeView) Site() int   { return 0 }
-func (v *fakeView) NSites() int { return 1 }
-func (v *fakeView) ReadLogical(obj lang.ObjID) (int64, error) {
-	return v.db.Get(obj), nil
-}
-func (v *fakeView) WriteLogical(obj lang.ObjID, val int64) error {
-	v.db.Set(obj, val)
-	return nil
-}
-func (v *fakeView) Print(x int64) { v.log = append(v.log, x) }
-
-// TestStoredProcedureMatchesSource: the compiled Go stored procedure must
+// TestStoredProcedureMatchesSource: the compiled Go stored procedure, run
+// on a plain database as the cleanup phase and serial replay run it, must
 // behave exactly like the L++ transaction it was derived from.
 func TestStoredProcedureMatchesSource(t *testing.T) {
 	w := mustNew(t, Config{Items: 1, Refill: 17, NSites: 2})
+	var view workload.FoldedView
 	src, err := lang.ParseTransaction(Source(17))
 	if err != nil {
 		t.Fatal(err)
@@ -58,19 +42,13 @@ func TestStoredProcedureMatchesSource(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Stored procedure on the concrete object.
-		view := &fakeView{db: lang.Database{ItemObj(0): qty}}
+		db := lang.Database{ItemObj(0): qty}
 		req := w.MakeRequest([]int{0})
-		if err := req.Exec(view, req.Args); err != nil {
-			t.Fatal(err)
+		if log := view.Run(db, req); log != nil {
+			t.Fatalf("qty=%d: the order printed %v", qty, log)
 		}
-		if got, want := view.db.Get(ItemObj(0)), res.DB.Get(canonObj); got != want {
+		if got, want := db.Get(ItemObj(0)), res.DB.Get(canonObj); got != want {
 			t.Fatalf("qty=%d: stored procedure wrote %d, L++ wrote %d", qty, got, want)
-		}
-		// Apply (the cleanup-phase form) must agree too.
-		applied := lang.Database{ItemObj(0): qty}
-		req.Apply(applied, req.Args)
-		if got := applied.Get(ItemObj(0)); got != res.DB.Get(canonObj) {
-			t.Fatalf("qty=%d: Apply wrote %d, L++ wrote %d", qty, got, res.DB.Get(canonObj))
 		}
 	}
 }

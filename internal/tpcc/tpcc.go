@@ -74,6 +74,13 @@ transaction Delivery() {
 		skip
 }`
 
+// The initial stock range tops out at stockMax, and hotPercent of the
+// stock entries are hot (the paper's 0..100 and 1%).
+const (
+	stockMax   = 100
+	hotPercent = 1
+)
+
 // Config scales the benchmark.
 type Config struct {
 	// Warehouses, DistrictsPerWarehouse, and StockPerWarehouse set the
@@ -85,10 +92,9 @@ type Config struct {
 	StockPerWarehouse     int
 	Customers             int
 	NSites                int
-	// InitialStock range: uniform in [StockMin, StockMax] (paper: 0..100).
-	StockMin, StockMax int64
-	// HotPercent marks this percentage of items as hot (paper: 1%).
-	HotPercent float64
+	// StockMin is the low end of the initial stock range, uniform in
+	// [StockMin, stockMax] (paper: 0..100).
+	StockMin int64
 	// H is the percentage of New Order transactions that order hot items.
 	H float64
 	// Mix gives the transaction percentages (NewOrder, Payment, Delivery);
@@ -144,12 +150,6 @@ func New(cfg Config) (*Workload, error) {
 	if cfg.NSites <= 0 {
 		return nil, fmt.Errorf("tpcc: NSites must be positive")
 	}
-	if cfg.StockMax == 0 {
-		cfg.StockMax = 100
-	}
-	if cfg.HotPercent == 0 {
-		cfg.HotPercent = 1
-	}
 	if cfg.MixNewOrder == 0 && cfg.MixPayment == 0 && cfg.MixDelivery == 0 {
 		cfg.MixNewOrder, cfg.MixPayment, cfg.MixDelivery = 45, 45, 10
 	}
@@ -157,7 +157,7 @@ func New(cfg Config) (*Workload, error) {
 		cfg:        cfg,
 		stockCount: cfg.Warehouses * cfg.StockPerWarehouse,
 	}
-	w.hotCount = int(float64(w.stockCount) * cfg.HotPercent / 100)
+	w.hotCount = w.stockCount * hotPercent / 100
 	if w.hotCount < 1 {
 		w.hotCount = 1
 	}
@@ -178,7 +178,7 @@ func New(cfg Config) (*Workload, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
 	db := lang.Database{}
 	for s := 0; s < w.stockCount; s++ {
-		span := cfg.StockMax - cfg.StockMin + 1
+		span := stockMax - cfg.StockMin + 1
 		db[StockObj(s)] = cfg.StockMin + rng.Int63n(span)
 	}
 	for wd := 0; wd < cfg.Warehouses*cfg.DistrictsPerWarehouse; wd++ {
@@ -465,16 +465,6 @@ func (w *Workload) NewOrderRequest(item int, qty int64, wd int) workload.Request
 			}
 			return v.WriteLogical(unful, n+1)
 		},
-		Apply: func(db lang.Database, _ []int64) []int64 {
-			s := db.Get(stockObj)
-			if s-qty >= 10 {
-				db.Set(stockObj, s-qty)
-			} else {
-				db.Set(stockObj, s-qty+91)
-			}
-			db.Set(unful, db.Get(unful)+1)
-			return nil
-		},
 	}
 }
 
@@ -505,12 +495,6 @@ func (w *Workload) PaymentRequest(wh, wd, c int, amount int64) workload.Request 
 				return err
 			}
 			return v.WriteLogical(cbal, bc-amount)
-		},
-		Apply: func(db lang.Database, _ []int64) []int64 {
-			db.Set(wbal, db.Get(wbal)+amount)
-			db.Set(dbal, db.Get(dbal)+amount)
-			db.Set(cbal, db.Get(cbal)-amount)
-			return nil
 		},
 	}
 }
@@ -546,16 +530,6 @@ func (w *Workload) DeliveryRequest(wd int) workload.Request {
 			}
 			v.Print(l)
 			return nil
-		},
-		Apply: func(db lang.Database, _ []int64) []int64 {
-			n := db.Get(unful)
-			if n <= 0 {
-				return nil
-			}
-			l := db.Get(low)
-			db.Set(low, l+1)
-			db.Set(unful, n-1)
-			return []int64{l}
 		},
 	}
 }

@@ -27,7 +27,6 @@ func small(t *testing.T, nSites int) *Workload {
 		Customers:             20,
 		NSites:                nSites,
 		StockMin:              0,
-		StockMax:              100,
 		H:                     10,
 		Seed:                  1,
 	})
@@ -40,27 +39,12 @@ func TestSymbolicTableShape(t *testing.T) {
 	}
 }
 
-// fakeView for stored-procedure vs L++ comparison.
-type fakeView struct {
-	db  lang.Database
-	log []int64
-}
-
-func (v *fakeView) Site() int   { return 0 }
-func (v *fakeView) NSites() int { return 1 }
-func (v *fakeView) ReadLogical(obj lang.ObjID) (int64, error) {
-	return v.db.Get(obj), nil
-}
-func (v *fakeView) WriteLogical(obj lang.ObjID, val int64) error {
-	v.db.Set(obj, val)
-	return nil
-}
-func (v *fakeView) Print(x int64) { v.log = append(v.log, x) }
-
-// TestNewOrderMatchesSource: the Go stored procedure implements the same
-// stock rule as the analyzed L++ transaction.
+// TestNewOrderMatchesSource: the Go stored procedure, run on a plain
+// database as the cleanup phase and serial replay run it, implements the
+// same stock rule as the analyzed L++ transaction.
 func TestNewOrderMatchesSource(t *testing.T) {
 	w := small(t, 2)
+	var view workload.FoldedView
 	src, err := lang.ParseTransaction(NewOrderSource)
 	if err != nil {
 		t.Fatal(err)
@@ -71,19 +55,14 @@ func TestNewOrderMatchesSource(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			view := &fakeView{db: lang.Database{StockObj(3): stock}}
+			db := lang.Database{StockObj(3): stock}
 			req := w.NewOrderRequest(3, qty, 0)
-			if err := req.Exec(view, req.Args); err != nil {
-				t.Fatal(err)
-			}
-			if got, want := view.db.Get(StockObj(3)), res.DB.Get(canonStock); got != want {
+			view.Run(db, req)
+			if got, want := db.Get(StockObj(3)), res.DB.Get(canonStock); got != want {
 				t.Fatalf("stock=%d qty=%d: stored proc %d, L++ %d", stock, qty, got, want)
 			}
-			// Apply agrees with Exec on the stock object.
-			applied := lang.Database{StockObj(3): stock}
-			req.Apply(applied, req.Args)
-			if applied.Get(StockObj(3)) != res.DB.Get(canonStock) {
-				t.Fatalf("Apply diverges at stock=%d qty=%d", stock, qty)
+			if got := db.Get(UnfulObj(0)); got != 1 {
+				t.Fatalf("stock=%d qty=%d: the order left %d unfulfilled, want 1", stock, qty, got)
 			}
 		}
 	}
@@ -92,6 +71,7 @@ func TestNewOrderMatchesSource(t *testing.T) {
 // TestDeliveryMatchesSource: same for Delivery, including the print log.
 func TestDeliveryMatchesSource(t *testing.T) {
 	w := small(t, 2)
+	var view workload.FoldedView
 	src, err := lang.ParseTransaction(DeliverySource)
 	if err != nil {
 		t.Fatal(err)
@@ -102,19 +82,16 @@ func TestDeliveryMatchesSource(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			view := &fakeView{db: lang.Database{UnfulObj(1): n, LowObj(1): low}}
-			req := w.DeliveryRequest(1)
-			if err := req.Exec(view, req.Args); err != nil {
-				t.Fatal(err)
-			}
-			if got, want := view.db.Get(UnfulObj(1)), res.DB.Get("unful"); got != want {
+			db := lang.Database{UnfulObj(1): n, LowObj(1): low}
+			log := view.Run(db, w.DeliveryRequest(1))
+			if got, want := db.Get(UnfulObj(1)), res.DB.Get("unful"); got != want {
 				t.Fatalf("n=%d: unful %d, want %d", n, got, want)
 			}
-			if got, want := view.db.Get(LowObj(1)), res.DB.Get("low"); got != want {
+			if got, want := db.Get(LowObj(1)), res.DB.Get("low"); got != want {
 				t.Fatalf("n=%d: low %d, want %d", n, got, want)
 			}
-			if !slices.Equal(view.log, res.Log) {
-				t.Fatalf("n=%d low=%d: log %v, want %v", n, low, view.log, res.Log)
+			if !slices.Equal(log, res.Log) {
+				t.Fatalf("n=%d low=%d: log %v, want %v", n, low, log, res.Log)
 			}
 		}
 	}
@@ -131,15 +108,14 @@ func TestPaymentMatchesSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	view := &fakeView{db: lang.Database{WBalObj(0): 100, DBalObj(1): 50, CBalObj(2): 10}}
+	db := lang.Database{WBalObj(0): 100, DBalObj(1): 50, CBalObj(2): 10}
 	req := w.PaymentRequest(0, 1, 2, 7)
-	if err := req.Exec(view, req.Args); err != nil {
-		t.Fatal(err)
-	}
-	if view.db.Get(WBalObj(0)) != res.DB.Get("wbal") ||
-		view.db.Get(DBalObj(1)) != res.DB.Get("dbal") ||
-		view.db.Get(CBalObj(2)) != res.DB.Get("cbal") {
-		t.Fatalf("payment mismatch: %v vs %v", view.db, res.DB)
+	var view workload.FoldedView
+	view.Run(db, req)
+	if db.Get(WBalObj(0)) != res.DB.Get("wbal") ||
+		db.Get(DBalObj(1)) != res.DB.Get("dbal") ||
+		db.Get(CBalObj(2)) != res.DB.Get("cbal") {
+		t.Fatalf("payment mismatch: %v vs %v", db, res.DB)
 	}
 	if len(req.Units) != 0 {
 		t.Fatal("Payment must have no treaty units (never synchronizes)")
@@ -254,7 +230,7 @@ func TestDeliveryTreatyEmptyQueue(t *testing.T) {
 func TestHotItemSkew(t *testing.T) {
 	w := mustNew(t, Config{
 		Warehouses: 2, DistrictsPerWarehouse: 2, StockPerWarehouse: 100,
-		Customers: 20, NSites: 2, H: 50, HotPercent: 1, Seed: 3,
+		Customers: 20, NSites: 2, H: 50, Seed: 3,
 		MixNewOrder: 100, MixPayment: 0, MixDelivery: 0,
 	})
 	// 200 items, 1% hot = 2 hot items. With H=50, about half the New

@@ -2,6 +2,7 @@ package treaty
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/lang"
@@ -55,12 +56,15 @@ func Preprocess(psi lang.BoolExpr, db lang.Database, params map[string]int64, bo
 		start := len(p.out)
 		for _, c := range cs {
 			nc, ok := strengthenParams(c, params, bounds)
+			if ok {
+				nc, ok = normalizeStrict(nc)
+			}
 			if !ok {
 				p.out = p.out[:start]
 				p.fixVars(conj)
 				return
 			}
-			p.out = append(p.out, normalizeStrict(nc))
+			p.out = append(p.out, nc)
 		}
 	})
 	// strengthenParams keeps only object variables, and fixVars pins only
@@ -84,6 +88,8 @@ type preprocessing struct {
 // inequalities each parameter contribution is replaced by its worst-case
 // (largest) value over the parameter's range; for equalities any parameter
 // makes the clause non-strengthenable and the caller falls back to fixing.
+// So does a worst case, or a constant with it added, that leaves int64: a
+// wrapped bound would not imply the clause.
 func strengthenParams(c lia.Constraint, params map[string]int64, bounds ParamBounds) (lia.Constraint, bool) {
 	nc := c.Clone()
 	for _, v := range c.Term.Vars() {
@@ -96,17 +102,23 @@ func strengthenParams(c lia.Constraint, params map[string]int64, bounds ParamBou
 			if nc.Op == lia.EQ {
 				return lia.Constraint{}, false
 			}
+			var x int64
 			if b, ok := bounds[v.Name]; ok {
 				// Worst case for "term <= 0" maximizes coeff*p.
-				lo, hi := b[0], b[1]
-				w := coeff * hi
+				x = b[1]
 				if coeff < 0 {
-					w = coeff * lo
+					x = b[0]
 				}
-				nc.Term.Const += w
 			} else if val, ok := params[v.Name]; ok {
-				nc.Term.Const += coeff * val
+				x = val
 			} else {
+				return lia.Constraint{}, false
+			}
+			w, ok := lang.Mul64(coeff, x)
+			if ok {
+				nc.Term.Const, ok = lang.Add64(nc.Term.Const, w)
+			}
+			if !ok {
 				return lia.Constraint{}, false
 			}
 		default:
@@ -116,15 +128,19 @@ func strengthenParams(c lia.Constraint, params map[string]int64, bounds ParamBou
 	return nc, true
 }
 
-// normalizeStrict rewrites t < 0 as t + 1 <= 0 (valid over integers).
-func normalizeStrict(c lia.Constraint) lia.Constraint {
+// normalizeStrict rewrites t < 0 as t + 1 <= 0 (valid over integers),
+// unless t's constant is the largest int64.
+func normalizeStrict(c lia.Constraint) (lia.Constraint, bool) {
 	if c.Op != lia.LT {
-		return c
+		return c, true
+	}
+	if c.Term.Const == math.MaxInt64 {
+		return lia.Constraint{}, false
 	}
 	nc := c.Clone()
 	nc.Term.Const++
 	nc.Op = lia.LE
-	return nc
+	return nc, true
 }
 
 // fixVars emits x = D(x) for every object the conjunct reads that no

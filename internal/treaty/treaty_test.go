@@ -103,6 +103,41 @@ func TestPreprocessParamWorstCase(t *testing.T) {
 	}
 }
 
+// TestPreprocessRefusesWrappedBounds: a worst case past int64 does not
+// strengthen, so the clause pins its objects instead of wrapping into a
+// treaty that does not imply it. ψ = read(stock) - qty * 4 >= 0 with qty ∈
+// [1, 2^62] has the worst case 4 · 2^62 = 2^64, which wraps to 0 and left
+// the unsound -stock <= 0 (it holds at stock = 10, where qty = 5 fails ψ).
+// The same holds for a worst case that fits but wraps the constant it is
+// added to, and for the constant a strict inequality normalizes: 2·x +
+// (2^63 - 1) < 0 has no t + 1 <= 0 form.
+func TestPreprocessRefusesWrappedBounds(t *testing.T) {
+	for _, tc := range []struct {
+		psi    string
+		db     lang.Database
+		qty    int64
+		bounds ParamBounds
+		obj    lang.ObjID
+	}{
+		{"read(stock) - qty * 4 >= 0", lang.Database{"stock": 10}, 1, ParamBounds{"qty": {1, 1 << 62}}, "stock"},
+		{"read(stock) + qty * 4 >= 0", lang.Database{"stock": 10}, -1, ParamBounds{"qty": {-1 << 62, -1}}, "stock"},
+		{"read(stock) - qty >= 9223372036854775797", lang.Database{"stock": math.MaxInt64}, 1, ParamBounds{"qty": {1, 100}}, "stock"},
+		{"read(x) * 2 + 9223372036854775807 < 0", lang.Database{"x": -1 << 62}, 0, nil, "x"},
+	} {
+		txn := lang.MustParse("transaction T(qty) { if (" + tc.psi + ") then skip else skip }")
+		psi := txn.Body.(lang.If).Cond
+		g, err := Preprocess(psi, tc.db, map[string]int64{"qty": tc.qty}, tc.bounds)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.psi, err)
+		}
+		moved := tc.db.Clone()
+		moved[tc.obj]--
+		if len(g.Constraints) != 1 || g.Constraints[0].Op != lia.EQ || !g.Holds(tc.db) || g.Holds(moved) {
+			t.Errorf("%s over %v: %v, want %s pinned at %d", tc.psi, tc.bounds, g, tc.obj, tc.db[tc.obj])
+		}
+	}
+}
+
 func TestPreprocessNonLinearFallback(t *testing.T) {
 	// x*y > 5 is nonlinear: preprocessing must fix x and y to current
 	// values.

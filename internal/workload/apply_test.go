@@ -91,13 +91,14 @@ func (g *applyGen) block(depth int) string {
 
 // TestApplyInPlaceMatchesEval is the differential test of the cleanup
 // phase's in-place T': on randomized lowered transactions, arguments and
-// databases, Class.apply must leave exactly the database — the same
-// entries, not merely the same values — and return the print log that
-// lang.Eval computes on a copy, and must leave the database untouched
-// where Eval fails. Environments are pooled, so every class applies
-// several times.
+// databases, a class's Exec run through a FoldedView must leave exactly
+// the database — the same entries, not merely the same values — and
+// return the print log that lang.Eval computes on a copy, and must leave
+// the database untouched where Eval fails. Environments and the view are
+// pooled, so every class runs several times and the view serves them all.
 func TestApplyInPlaceMatchesEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	var view FoldedView
 	failed, printed, unchanged := 0, 0, 0
 	for trial := 0; trial < 100; trial++ {
 		g := &applyGen{rng: rng}
@@ -131,8 +132,12 @@ func TestApplyInPlaceMatchesEval(t *testing.T) {
 			if reflect.DeepEqual(want, db) {
 				unchanged++
 			}
+			req, err := c.Invoke(nil, args)
+			if err != nil {
+				t.Fatal(err)
+			}
 			got := db.Clone()
-			gotLog := c.apply(got, args)
+			gotLog := view.Run(got, req)
 			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotLog, wantLog) {
 				t.Fatalf("trial %d run %d args %v on %v:\nin place: %v log %v\nEval:     %v log %v\n%s",
 					trial, run, args, db, got, gotLog, want, wantLog, src)

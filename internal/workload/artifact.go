@@ -240,6 +240,6 @@ func newClassFromFamily(fam *classFamily, txn, lowered *lang.Transaction, canonO
 		canonObjs: canonObjs,
 		fromRep:   fromRep,
 	}
-	c.bind()
+	c.execFn = c.exec
 	return c, nil
 }

@@ -31,7 +31,7 @@ const maxTableRows = 4096
 // the guard, a table past maxTableRows, preprocessing failure), the class
 // degrades to pin treaties: every object is held at its consolidated
 // value, so every write triggers a synchronization round whose cleanup
-// phase applies the transaction on the folded state. That path is always
+// phase runs the transaction on the folded state. That path is always
 // observationally correct; the analysis, when it succeeds, is what makes
 // commits coordination-free.
 type Class struct {
@@ -96,10 +96,9 @@ type Class struct {
 	// each executing proc owns its own classEnv.
 	envs []*classEnv
 
-	// execFn and applyFn are exec and apply as func values, bound once
-	// (bind) so that building a request allocates no closure.
-	execFn  func(SiteView, []int64) error
-	applyFn func(lang.Database, []int64) []int64
+	// execFn is exec as a func value, bound once so that building a
+	// request allocates no closure.
+	execFn func(SiteView, []int64) error
 }
 
 // unitSet is a published governing set; one backs units when the set is
@@ -108,9 +107,6 @@ type unitSet struct {
 	units []int
 	one   [1]int
 }
-
-// bind creates the func values every request of the class shares.
-func (c *Class) bind() { c.execFn, c.applyFn = c.exec, c.apply }
 
 // newClass analyzes the first member of a family: lowered is txn's pure-L
 // form, built and validated by ArtifactCache.Compile, the one caller.
@@ -157,7 +153,7 @@ func newClass(txn, lowered *lang.Transaction, nSites int, bounds treaty.ParamBou
 	default:
 		c.table = table
 	}
-	c.bind()
+	c.execFn = c.exec
 	return c, nil
 }
 
@@ -209,7 +205,7 @@ func (c *Class) sharedGlobal(folded lang.Database) (g treaty.Global, ren map[lan
 	// region (or the guard cannot be strengthened over the declared ranges):
 	// pin every footprint object, at the width the class was analysed for,
 	// until the state moves on. Any write violates and enters the cleanup
-	// phase, which applies the transaction on consolidated state.
+	// phase, which runs the transaction on consolidated state.
 	if c.pin.Constraints == nil {
 		c.pin = treaty.PinGlobal(c.footprint, c.nSites, folded)
 	} else {
@@ -297,36 +293,22 @@ func (c *Class) mapFromRep(obj lang.ObjID) lang.ObjID {
 type classModel struct{ c *Class }
 
 // SampleFuture implements treaty.WorkloadModel: every step runs in place
-// on one copy of db, in one environment. A step that fails to evaluate
-// leaves the database as it found it.
+// on one copy of db, through one pooled environment and its folded view.
+// A step that fails to evaluate leaves the database as it found it.
 func (m classModel) SampleFuture(rng *rand.Rand, db lang.Database, l int, visit func(lang.Database)) {
 	cur := db.Clone()
-	type undo struct {
-		obj lang.ObjID
-		old int64
-		had bool
-	}
-	var undos []undo
-	env := lang.Env{DB: cur, Temps: make(map[string]int64)}
-	env.WriteFn = func(obj lang.ObjID, v int64) {
-		old, had := cur[obj]
-		undos = append(undos, undo{obj, old, had})
-		cur[obj] = v
-	}
+	ce := m.c.getEnv(nil)
+	defer m.c.putEnv(ce)
+	ce.v = &ce.folded
 	var args []int64
 	for i := 0; i < l; i++ {
 		site := rng.Intn(m.c.nSites)
 		args = m.c.appendRandArgs(args[:0], rng)
-		undos, env.Log = undos[:0], env.Log[:0]
-		clear(env.Temps)
-		if err := lang.EvalIn(m.c.rw(site), &env, args...); err != nil {
-			for u := len(undos) - 1; u >= 0; u-- {
-				if undos[u].had {
-					cur[undos[u].obj] = undos[u].old
-				} else {
-					delete(cur, undos[u].obj)
-				}
-			}
+		ce.folded.reset(cur)
+		clear(ce.env.Temps)
+		ce.env.Log = ce.env.Log[:0]
+		if err := lang.EvalIn(m.c.rw(site), &ce.env, args...); err != nil {
+			ce.folded.rollback()
 		}
 		visit(cur)
 	}
@@ -374,12 +356,13 @@ type execAbort struct{ err error }
 // classEnv is a reusable execution environment: the lang.Env and its
 // read/write hook closures are built once and recycled through the
 // class's free-list, so the exec hot path allocates nothing. The hooks
-// are bound to the classEnv and dispatch through its current view: a
-// site's view for exec, the environment's own foldedView for apply.
+// are bound to the classEnv and dispatch through its current view: the
+// view exec was given, or the environment's own folded view while it
+// samples futures.
 type classEnv struct {
 	v      SiteView
 	env    lang.Env
-	folded foldedView
+	folded FoldedView
 }
 
 func (ce *classEnv) read(obj lang.ObjID) int64 {
@@ -393,46 +376,6 @@ func (ce *classEnv) read(obj lang.ObjID) int64 {
 func (ce *classEnv) write(obj lang.ObjID, val int64) {
 	if err := ce.v.WriteLogical(obj, val); err != nil {
 		panic(execAbort{err})
-	}
-}
-
-// foldedView is the view apply evaluates through: reads and writes go
-// straight to a consolidated database, in place. It remembers what every
-// write replaced, so an evaluation that fails half-way can be taken back
-// and leaves the database as lang.Eval on a copy would have.
-type foldedView struct {
-	db   lang.Database
-	undo []undoWrite
-}
-
-type undoWrite struct {
-	obj lang.ObjID
-	old int64
-	had bool
-}
-
-func (v *foldedView) Site() int   { return 0 }
-func (v *foldedView) NSites() int { return 1 }
-func (v *foldedView) Print(int64) {}
-
-func (v *foldedView) ReadLogical(obj lang.ObjID) (int64, error) { return v.db[obj], nil }
-
-//homeo:hotpath
-func (v *foldedView) WriteLogical(obj lang.ObjID, val int64) error {
-	old, had := v.db[obj]
-	v.undo = append(v.undo, undoWrite{obj, old, had})
-	v.db[obj] = val
-	return nil
-}
-
-// rollback undoes the recorded writes, newest first.
-func (v *foldedView) rollback() {
-	for i := len(v.undo) - 1; i >= 0; i-- {
-		if u := v.undo[i]; u.had {
-			v.db[u.obj] = u.old
-		} else {
-			delete(v.db, u.obj)
-		}
 	}
 }
 
@@ -461,7 +404,7 @@ func (c *Class) getEnv(v SiteView) *classEnv {
 //homeo:release class.env
 func (c *Class) putEnv(ce *classEnv) {
 	ce.v = nil
-	ce.folded.db, ce.folded.undo = nil, ce.folded.undo[:0]
+	ce.folded.reset(nil)
 	c.envs = append(c.envs, ce)
 }
 
@@ -490,32 +433,6 @@ func (c *Class) exec(v SiteView, args []int64) (err error) {
 	return nil
 }
 
-// apply performs the transaction's logical effect on a folded database
-// (the cleanup phase's T' execution and serial replay), in place, through
-// the same pooled environments exec uses: no copy of the database, no
-// environment maps. The result is lang.Eval's — the updated database and
-// the print log — and on an evaluation error the database is left as it
-// was and the log is nil.
-//
-//homeo:hotpath
-func (c *Class) apply(db lang.Database, args []int64) []int64 {
-	ce := c.getEnv(nil)
-	defer c.putEnv(ce)
-	ce.folded.db = db
-	ce.v = &ce.folded
-	if err := lang.EvalIn(c.Lowered, &ce.env, args...); err != nil {
-		// A branch that reads a temporary it never assigned: the class
-		// compiled, but this execution has no effect.
-		ce.folded.rollback()
-		return nil
-	}
-	if len(ce.env.Log) == 0 {
-		return nil
-	}
-	// The print log outlives the pooled environment.
-	return append([]int64(nil), ce.env.Log...)
-}
-
 // Invoke builds one invocation of the class. units is the full set of
 // treaty units governing the request (the class's own unit plus any other
 // registered unit sharing footprint objects), as Registry.Units reports
@@ -535,7 +452,6 @@ func (c *Class) Invoke(units []int, args []int64) (Request, error) {
 		Units:   units,
 		Objects: c.footprint,
 		Exec:    c.execFn,
-		Apply:   c.applyFn,
 	}, nil
 }
 

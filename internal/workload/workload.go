@@ -13,23 +13,91 @@ import (
 	"repro/internal/treaty"
 )
 
-// SiteView is what a stored procedure sees while executing at one site.
-// Under the homeostasis protocol, logical reads and writes of replicated
-// objects go through the Appendix B delta encoding (base value plus the
-// site's own delta object); under 2PC/local they access objects directly.
+// SiteView is what a stored procedure sees while executing. Under the
+// homeostasis protocol, logical reads and writes of replicated objects go
+// through the Appendix B delta encoding (base value plus the site's own
+// delta object); under 2PC/local they access objects directly; on
+// consolidated state (the cleanup phase's T', serial replay, sampled
+// futures) they go to one database in place (FoldedView).
 type SiteView interface {
-	// Site returns the executing site's id.
-	Site() int
-	// NSites returns the number of sites.
-	NSites() int
-	// ReadLogical returns the site's view of a replicated object's logical
-	// value.
+	// ReadLogical returns the view's value of a replicated object's
+	// logical value.
 	ReadLogical(obj lang.ObjID) (int64, error)
-	// WriteLogical updates the site's view of a replicated object's
+	// WriteLogical updates the view's value of a replicated object's
 	// logical value (a delta write under homeostasis).
 	WriteLogical(obj lang.ObjID, v int64) error
 	// Print appends to the transaction's observable log.
 	Print(v int64)
+}
+
+// FoldedView is the SiteView over a consolidated database: reads and
+// writes go straight to it, in place. It remembers what every write
+// replaced, so an execution that fails half-way is taken back and leaves
+// the database as it found it. The zero value is ready; one view serves
+// one execution at a time and keeps its buffers for the next.
+type FoldedView struct {
+	db   lang.Database
+	undo []undoWrite
+	log  []int64
+}
+
+type undoWrite struct {
+	obj lang.ObjID
+	old int64
+	had bool
+}
+
+// Run executes req's procedure on db, in place — the cleanup phase's T'
+// and serial replay. On an error the database is left as it was and the
+// log is nil: the execution had no effect. Otherwise the result is the
+// print log, nil when empty and else the caller's own copy. A registered
+// class's Exec borrows one of the class's pooled environments, so Run
+// needs the runtime's execution right.
+//
+//homeo:hotpath
+func (v *FoldedView) Run(db lang.Database, req Request) []int64 {
+	v.reset(db)
+	defer v.reset(nil)
+	if err := req.Exec(v, req.Args); err != nil {
+		v.rollback()
+		return nil
+	}
+	if len(v.log) == 0 {
+		return nil
+	}
+	return append([]int64(nil), v.log...)
+}
+
+// reset points the view at db with no writes and no prints recorded.
+func (v *FoldedView) reset(db lang.Database) {
+	v.db, v.undo, v.log = db, v.undo[:0], v.log[:0]
+}
+
+// ReadLogical implements SiteView.
+func (v *FoldedView) ReadLogical(obj lang.ObjID) (int64, error) { return v.db[obj], nil }
+
+// WriteLogical implements SiteView.
+//
+//homeo:hotpath
+func (v *FoldedView) WriteLogical(obj lang.ObjID, val int64) error {
+	old, had := v.db[obj]
+	v.undo = append(v.undo, undoWrite{obj, old, had})
+	v.db[obj] = val
+	return nil
+}
+
+// Print implements SiteView.
+func (v *FoldedView) Print(x int64) { v.log = append(v.log, x) }
+
+// rollback undoes the recorded writes, newest first.
+func (v *FoldedView) rollback() {
+	for i := len(v.undo) - 1; i >= 0; i-- {
+		if u := v.undo[i]; u.had {
+			v.db[u.obj] = u.old
+		} else {
+			delete(v.db, u.obj)
+		}
+	}
 }
 
 // Request is one transaction invocation issued by a client.
@@ -45,29 +113,24 @@ type Request struct {
 	// Payment; several for multi-item orders).
 	Units []int
 	// Objects is the transaction's full logical footprint: every object
-	// Apply reads or writes, including objects outside the treaty units
+	// Exec reads or writes, including objects outside the treaty units
 	// (e.g. the unfulfilled-order count a New Order bumps). The cleanup
 	// phase folds and consolidates exactly these objects before running
 	// the transaction as T' on every site.
 	Objects []lang.ObjID
-	// Exec runs the stored procedure against a site view. Errors indicate
-	// lock failures; the runtime aborts and retries. A *lang.OverflowError
-	// is the transaction's own: the runtime aborts the request.
+	// Exec runs the stored procedure against a view — a site's, or a
+	// FoldedView over consolidated state, where the cleanup phase runs it
+	// as T' and serial replay runs it on the request Rebuild makes of each
+	// logged commit. Errors indicate lock failures; the runtime aborts and
+	// retries. A *lang.OverflowError is the transaction's own: the runtime
+	// aborts the request.
 	//
-	// Exec and Apply take the invocation's arguments (callers pass Args)
-	// instead of closing over them, so a workload whose procedures are
-	// parameterized binds each function once per class and a request costs
-	// no closure. Workloads that draw everything when they build the
-	// request (micro, TPC-C) ignore the parameter.
+	// Exec takes the invocation's arguments (callers pass Args) instead of
+	// closing over them, so a workload whose procedures are parameterized
+	// binds the function once per class and a request costs no closure.
+	// Workloads that draw everything when they build the request (micro,
+	// TPC-C) ignore the parameter.
 	Exec func(v SiteView, args []int64) error
-	// Apply performs the transaction's logical effect on a folded
-	// (consolidated) database, in place, and returns its print log. The
-	// cleanup phase uses it to run the treaty-violating transaction T' at
-	// every site, and serial replay runs it on the request Rebuild makes
-	// of each logged commit. Like Exec it runs under the runtime's
-	// execution right: a registered class's Apply borrows one of the
-	// class's pooled environments.
-	Apply func(db lang.Database, args []int64) []int64
 }
 
 // Rotor is the drift clock shared by the workload drift scenarios (micro

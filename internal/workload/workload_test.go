@@ -15,24 +15,6 @@ import (
 	"repro/internal/workload"
 )
 
-// dbView is a scratch SiteView over a plain logical database: reads and
-// writes go straight to the map (the single-site / post-fold semantics).
-type dbView struct {
-	db  lang.Database
-	log []int64
-}
-
-func (v *dbView) Site() int   { return 0 }
-func (v *dbView) NSites() int { return 1 }
-func (v *dbView) ReadLogical(obj lang.ObjID) (int64, error) {
-	return v.db.Get(obj), nil
-}
-func (v *dbView) WriteLogical(obj lang.ObjID, val int64) error {
-	v.db.Set(obj, val)
-	return nil
-}
-func (v *dbView) Print(x int64) { v.log = append(v.log, x) }
-
 // storeView is a SiteView over a real store transaction, so Exec goes
 // through the 2PL lock manager.
 type storeView struct {
@@ -40,8 +22,6 @@ type storeView struct {
 	log []int64
 }
 
-func (v *storeView) Site() int   { return 0 }
-func (v *storeView) NSites() int { return 1 }
 func (v *storeView) ReadLogical(obj lang.ObjID) (int64, error) {
 	return v.tx.Read(obj)
 }
@@ -102,33 +82,6 @@ func TestMicroNextDrawsValidRequests(t *testing.T) {
 				t.Fatalf("request %d: object %s does not match unit %d", i, req.Objects[j], unit)
 			}
 		}
-	}
-}
-
-// TestMicroExecMatchesApply: the stored procedure (Exec against a view)
-// and the logical effect (Apply against a folded database) agree,
-// including the refill edge at qty <= 1.
-func TestMicroExecMatchesApply(t *testing.T) {
-	w, err := micro.New(micro.Config{Items: 4, Refill: 50, NSites: 1, InitialQty: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := w.MakeRequest([]int{0})
-	execDB := w.InitialDB()
-	applyDB := w.InitialDB()
-	// Drive item 0 down through the refill boundary:
-	// 2 -> 1 -> 49 -> 48 -> 47 -> 46.
-	for step := 0; step < 5; step++ {
-		if err := req.Exec(&dbView{db: execDB}, req.Args); err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		req.Apply(applyDB, req.Args)
-		if got, want := execDB.Get(micro.ItemObj(0)), applyDB.Get(micro.ItemObj(0)); got != want {
-			t.Fatalf("step %d: Exec state %d, Apply state %d", step, got, want)
-		}
-	}
-	if got := execDB.Get(micro.ItemObj(0)); got != 46 {
-		t.Fatalf("after 5 orders from qty 2 with refill 50: qty = %d, want 46", got)
 	}
 }
 
@@ -216,37 +169,13 @@ func TestTPCCRequestConstruction(t *testing.T) {
 	}
 }
 
-// TestTPCCExecMatchesApply cross-checks Exec and Apply for each TPC-C
-// transaction type on the initial database.
-func TestTPCCExecMatchesApply(t *testing.T) {
-	w := newTPCC(t)
-	reqs := []workload.Request{
-		w.NewOrderRequest(0, 4, 1),
-		w.PaymentRequest(1, 2, 7, 25),
-		w.DeliveryRequest(0), // empty queue: must be a no-op
-	}
-	for _, req := range reqs {
-		execDB := w.InitialDB()
-		applyDB := w.InitialDB()
-		if err := req.Exec(&dbView{db: execDB}, req.Args); err != nil {
-			t.Fatalf("%s: Exec: %v", req.Name, err)
-		}
-		req.Apply(applyDB, req.Args)
-		for _, obj := range execDB.Objects() {
-			if execDB.Get(obj) != applyDB.Get(obj) {
-				t.Fatalf("%s: %s = %d after Exec, %d after Apply",
-					req.Name, obj, execDB.Get(obj), applyDB.Get(obj))
-			}
-		}
-	}
-}
-
 // TestRebuildMatchesDraws: every request micro and TPC-C draw is made again
 // by Rebuild from its name and arguments, with the same units, objects and
 // effect on the database; a name neither has wraps ErrUnknownTxn, and
 // arguments naming an object outside the database are refused.
 func TestRebuildMatchesDraws(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
+	var view workload.FoldedView
 	for _, w := range []workload.Workload{newMicro(t), newTPCC(t)} {
 		drawn, rebuilt := w.InitialDB(), w.InitialDB()
 		for i := 0; i < 300; i++ {
@@ -259,7 +188,7 @@ func TestRebuildMatchesDraws(t *testing.T) {
 				!reflect.DeepEqual(again.Units, req.Units) || !reflect.DeepEqual(again.Objects, req.Objects) {
 				t.Fatalf("%s: rebuilt %+v, drawn %+v", w.Name(), again, req)
 			}
-			if log, againLog := req.Apply(drawn, req.Args), again.Apply(rebuilt, again.Args); !reflect.DeepEqual(log, againLog) {
+			if log, againLog := view.Run(drawn, req), view.Run(rebuilt, again); !reflect.DeepEqual(log, againLog) {
 				t.Fatalf("%s: %s printed %v drawn, %v rebuilt", w.Name(), req.Name, log, againLog)
 			}
 		}
@@ -292,18 +221,15 @@ func TestTPCCNewOrderRestockRule(t *testing.T) {
 	w := newTPCC(t)
 	stock := tpcc.StockObj(3)
 	req := w.NewOrderRequest(3, 5, 0)
-	v := &dbView{db: lang.Database{stock: 12}}
-	if err := req.Exec(v, req.Args); err != nil {
-		t.Fatal(err)
-	}
-	if got := v.db.Get(stock); got != 12-5+91 {
+	var view workload.FoldedView
+	db := lang.Database{stock: 12}
+	view.Run(db, req)
+	if got := db.Get(stock); got != 12-5+91 {
 		t.Fatalf("stock after restock order = %d, want %d", got, 12-5+91)
 	}
-	v = &dbView{db: lang.Database{stock: 50}}
-	if err := req.Exec(v, req.Args); err != nil {
-		t.Fatal(err)
-	}
-	if got := v.db.Get(stock); got != 45 {
+	db = lang.Database{stock: 50}
+	view.Run(db, req)
+	if got := db.Get(stock); got != 45 {
 		t.Fatalf("stock after plain order = %d, want 45", got)
 	}
 }
